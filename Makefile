@@ -45,13 +45,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path benchmark sweep recorded as a committed artifact: runs the
-# BenchmarkLocalClustering suite (naive-vs-fast kernels, flat-store bulk
-# loads, worker scaling) plus BenchmarkStoreKernels (strided vs slice
-# distance kernels, allocation-free range loops) and
-# BenchmarkLoadgenClassify (loopback classification serving throughput)
-# and converts the output into BENCH_<shortrev>.json via cmd/benchjson. The raw
-# text passes through to stdout unchanged, so the same pipeline feeds
-# benchstat:
+# BenchmarkLocalClustering suite (naive metric arm vs store kernels per
+# index kind, worker scaling, spatial shards, representative budgets) plus
+# BenchmarkStoreKernels (strided vs slice distance kernels, allocation-free
+# range loops) and BenchmarkLoadgenClassify (loopback classification serving
+# throughput) and converts the output into BENCH_<shortrev>.json via
+# cmd/benchjson. The raw text passes through to stdout unchanged, so the same
+# pipeline feeds benchstat:
 #
 #   make bench-json BENCHFLAGS='-count=10' | tee new.txt
 #   benchstat old.txt new.txt    # any `go test -bench` text file works

@@ -282,7 +282,7 @@ func BenchmarkAblationRStarBuild(b *testing.B) {
 	})
 	b.Run("bulk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rstar.NewBulk(ds.Points); err != nil {
+			if _, err := rstar.NewBulkStore(ds.Store, rstar.DefaultMaxEntries); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -392,8 +392,8 @@ func BenchmarkRelabel(b *testing.B) {
 // benchSink defeats dead-code elimination in the kernel microbenches.
 var benchSink float64
 
-// BenchmarkStoreKernels measures the flat-store hot paths against their
-// slice counterparts: the strided squared-distance kernels, and the
+// BenchmarkStoreKernels measures the flat-store hot paths: the strided
+// squared-distance kernels against their slice counterparts, and the
 // store-backed range-query scan that must run allocation-free (allocs/op =
 // 0 in the range loop — also pinned hard by the zero-alloc regression test
 // in internal/index; here the number lands in BENCH_*.json so cmd/benchdiff
@@ -441,23 +441,9 @@ func BenchmarkStoreKernels(b *testing.B) {
 		benchSink = sink
 	})
 
-	// Range queries through the reusable-buffer seam, slice-built versus
-	// store-built index. The loops reuse one buffer; after warm-up both
-	// must report allocs/op = 0, and the store path additionally runs on
-	// the strided verification kernels.
+	// Range queries through the reusable-buffer seam. The loops reuse one
+	// buffer; after warm-up they must report allocs/op = 0.
 	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree} {
-		b.Run(fmt.Sprintf("range/slice/%s", kind), func(b *testing.B) {
-			idx, err := index.Build(kind, ds.Points, e, ds.Params.Eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]int, 0, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = index.RangeInto(idx, ds.Points[i%n], ds.Params.Eps, buf)
-			}
-		})
 		b.Run(fmt.Sprintf("range/store/%s", kind), func(b *testing.B) {
 			idx, err := index.BuildStore(kind, st, e, ds.Params.Eps)
 			if err != nil {
@@ -473,11 +459,12 @@ func BenchmarkStoreKernels(b *testing.B) {
 	}
 }
 
-// plainMetric wraps a metric and deliberately hides its DistanceSq fast
-// path, forcing every index through the generic sqrt-per-comparison code.
-// It is the "naive" baseline of BenchmarkLocalClustering: the measured gap
-// against the plain geom.Euclidean{} runs is exactly what the squared-space
-// kernels and allocation-free range queries buy.
+// plainMetric wraps a metric so that no index recognises it as Euclidean,
+// forcing the build onto the point slice and every comparison through the
+// generic sqrt-per-comparison Metric.Distance arm. It is the "naive" baseline
+// of BenchmarkLocalClustering: the measured gap against the store/<kind>
+// runs is exactly what the flat store, the squared-space kernels and
+// allocation-free range queries buy.
 type plainMetric struct{ m geom.Metric }
 
 func (p plainMetric) Distance(a, b geom.Point) float64 { return p.m.Distance(a, b) }
@@ -492,8 +479,8 @@ type naiveIndex struct{ index.Index }
 
 // BenchmarkLocalClustering measures the hot path of DBDC's step 1 — one
 // site-local DBSCAN with specific core collection — on a 50,000-object
-// site. Sub-benchmarks compare the naive distance kernels against the
-// squared-space fast path per index kind, and the sequential run against
+// site. Sub-benchmarks compare the naive distance arm against the
+// store-backed kernels per index kind, and the sequential run against
 // dbscan.RunParallel at increasing worker counts. Range-query counts are
 // reported so BENCH_*.json records the paper's cost model alongside wall
 // time. Index construction is excluded: the subject is the clustering scan.
@@ -520,7 +507,7 @@ func BenchmarkLocalClustering(b *testing.B) {
 		}
 		b.ReportMetric(float64(queries), "range-queries/op")
 	}
-	// Naive vs fast kernels, single-threaded, per index kind. The linear
+	// Naive vs store kernels, single-threaded, per index kind. The linear
 	// scan is excluded: O(n²) distance computations at this cardinality
 	// measure patience, not kernels (internal/index has per-query benches
 	// covering it).
@@ -544,16 +531,10 @@ func BenchmarkLocalClustering(b *testing.B) {
 			}
 			runOnce(b, naiveIndex{idx}, opts)
 		})
-		b.Run(fmt.Sprintf("fast/%s", kind), func(b *testing.B) {
-			idx, err := index.Build(kind, ds.Points, geom.Euclidean{}, ds.Params.Eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runOnce(b, idx, opts)
-		})
 	}
 	// Intra-site parallelism: same index, growing worker budget. workers=1
-	// is the sequential expansion; higher counts route through RunParallel.
+	// is the sequential expansion; higher counts route through RunParallel
+	// (spatially sharded, like every Euclidean index).
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
 			idx, err := index.Build(index.KindKDTree, ds.Points, geom.Euclidean{}, ds.Params.Eps)
@@ -565,47 +546,35 @@ func BenchmarkLocalClustering(b *testing.B) {
 			runOnce(b, idx, o)
 		})
 	}
-	// Spatial sharding vs index-chunking on the same store-backed index:
-	// shard/<kind> lets RunParallel partition the site by grid cells with an
-	// ε-halo and cluster each cell against its cache-local sub-index;
-	// chunked/<kind> forces the contiguous-chunk fallback on the identical
-	// index, so the delta is exactly what spatial locality buys (or costs).
-	// Both run 4 workers — on a single-CPU host the numbers measure
-	// coordination overhead, not speedup; benchdiff flags that via the
-	// recorded core count.
+	// Spatial sharding per index kind: RunParallel partitions the site by
+	// grid cells with an ε-halo and clusters each cell against its
+	// cache-local sub-index. 4 workers — on a single-CPU host the numbers
+	// measure coordination overhead, not speedup; benchdiff flags that via
+	// the recorded core count.
 	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRStar} {
-		for _, mode := range []struct {
-			name     string
-			sharding dbscan.ShardingMode
-		}{
-			{"shard", dbscan.ShardingAuto},
-			{"chunked", dbscan.ShardingOff},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", mode.name, kind), func(b *testing.B) {
-				idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, ds.Params.Eps)
+		b.Run(fmt.Sprintf("shard/%s", kind), func(b *testing.B) {
+			idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, ds.Params.Eps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := opts
+			o.Workers = 4
+			b.ReportAllocs()
+			var queries, shards int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := dbscan.RunParallel(idx, params, o)
 				if err != nil {
 					b.Fatal(err)
 				}
-				o := opts
-				o.Workers = 4
-				o.Sharding = mode.sharding
-				b.ReportAllocs()
-				var queries, shards int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := dbscan.RunParallel(idx, params, o)
-					if err != nil {
-						b.Fatal(err)
-					}
-					queries, shards = res.RangeQueries, res.Shards
-				}
-				b.ReportMetric(float64(queries), "range-queries/op")
-				b.ReportMetric(float64(shards), "shards/op")
-				if mode.sharding == dbscan.ShardingAuto && shards < 2 {
-					b.Fatal("shard variant fell back to the chunked path")
-				}
-			})
-		}
+				queries, shards = res.RangeQueries, res.Shards
+			}
+			b.ReportMetric(float64(queries), "range-queries/op")
+			b.ReportMetric(float64(shards), "shards/op")
+			if shards < 2 {
+				b.Fatal("shard variant fell back to the chunked path")
+			}
+		})
 	}
 	// SDBDC representative budgets: the full LocalStep (clustering,
 	// condensation, greedy budget selection) with a per-cluster cap, on the

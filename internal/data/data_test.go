@@ -54,8 +54,11 @@ func TestMoons(t *testing.T) {
 		t.Fatalf("len = %d", len(pts))
 	}
 	// DBSCAN with tight eps must separate the two moons.
-	res, err := dbscan.Run(index.NewLinear(pts, geom.Euclidean{}),
-		dbscan.Params{Eps: 0.2, MinPts: 5}, dbscan.Options{})
+	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dbscan.Run(lin, dbscan.Params{Eps: 0.2, MinPts: 5}, dbscan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

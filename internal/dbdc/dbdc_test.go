@@ -427,7 +427,11 @@ func TestSingleSiteAgreesWithCentral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := dbscan.Run(index.NewLinear(pts, geom.Euclidean{}), cfg.Local, dbscan.Options{})
+	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	central, err := dbscan.Run(lin, cfg.Local, dbscan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -47,7 +48,7 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 	for i, r := range reps {
 		pts[i] = r.Point
 	}
-	idx, err := buildPointIndex(cfg.Index, pts, epsGlobal)
+	idx, err := index.Build(cfg.Index, pts, geom.Euclidean{}, epsGlobal)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/optics"
 )
@@ -48,7 +49,7 @@ func NewOpticsOrderer(models []*model.LocalModel, cfg Config, epsMax float64) (*
 	if epsMax == 0 {
 		epsMax = cfg.Local.Eps
 	}
-	idx, err := buildPointIndex(cfg.Index, pts, epsMax)
+	idx, err := index.Build(cfg.Index, pts, geom.Euclidean{}, epsMax)
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func LocalStep(siteID string, pts []geom.Point, cfg Config) (*LocalOutcome, erro
 	}
 	cfg = cfg.withDefaults()
 	clusterStart := time.Now()
-	idx, err := buildPointIndex(cfg.Index, pts, cfg.Local.Eps)
+	idx, err := index.Build(cfg.Index, pts, geom.Euclidean{}, cfg.Local.Eps)
 	if err != nil {
 		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
 	}

@@ -24,9 +24,8 @@ import (
 //     every representative whose own range could cover the query point is
 //     within that radius.
 //  2. Per-candidate filter: candidate r covers o iff dist(o, r) ≤ ε_r.
-//     The comparison runs in squared space (d² ≤ ε_r²) via the
-//     geom.SquaredMetric fast path, which is exact for non-negative
-//     values.
+//     The comparison runs in squared space (d² ≤ ε_r²) on the strided
+//     store kernels, which is exact for non-negative values.
 //  3. Choice: among the covering representatives the nearest one wins;
 //     exact distance ties break toward the lowest representative index in
 //     GlobalModel.Reps order. The tie rule makes the outcome independent
@@ -76,9 +75,8 @@ func NewRepSelector(global *model.GlobalModel, kind index.Kind) (*RepSelector, e
 	s.dim = repPts[0].Dim()
 	for i, p := range repPts {
 		if p.Dim() != s.dim {
-			// The index builders panic on mixed dimensionality (hoisted
-			// hot-path guard); validate here so library callers get an
-			// error instead.
+			// Validate here so library callers get an error that names
+			// the offending representative.
 			return nil, fmt.Errorf("dbdc: relabel: indexing %d global representatives: representative %d has dimension %d, want %d",
 				len(global.Reps), i, p.Dim(), s.dim)
 		}

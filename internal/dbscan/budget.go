@@ -68,8 +68,7 @@ func (s BudgetStats) CoverageFraction() float64 {
 // historical local model on the wire.
 //
 // pts are the clustered objects, index-aligned with res.Labels; metric is
-// the metric the clustering ran under (the squared fast path is used when
-// available, exact for non-negative values).
+// the metric the clustering ran under.
 func BudgetScor(pts []geom.Point, res *Result, metric geom.Metric, budget int) (map[cluster.ID][]int, BudgetStats) {
 	stats := BudgetStats{Budget: budget}
 	if budget < 0 {
@@ -77,7 +76,6 @@ func BudgetScor(pts []geom.Point, res *Result, metric geom.Metric, budget int) (
 		stats.Budget = 0
 	}
 	out := make(map[cluster.ID][]int, len(res.Scor))
-	sq, hasSq := geom.AsSquared(metric)
 	for _, id := range res.Labels.ClusterIDs() {
 		scor := res.Scor[id]
 		stats.Candidates += len(scor)
@@ -91,32 +89,33 @@ func BudgetScor(pts []geom.Point, res *Result, metric geom.Metric, budget int) (
 			// still need the coverage of the full candidate set.
 			selected = scor
 		} else {
-			selected = greedyCover(pts, res, sq, hasSq, metric, scor, members, budget)
+			selected = greedyCover(pts, res, metric, scor, members, budget)
 		}
 		out[id] = selected
 		stats.Selected += len(selected)
-		stats.Covered += countCovered(pts, res, sq, hasSq, metric, selected, members)
+		stats.Covered += countCovered(pts, res, metric, selected, members)
 	}
 	return out, stats
 }
 
 // covers reports whether specific core s covers object m under the
-// relabeling rule: dist(m, s) ≤ ε_s. Squared-space comparison when the
-// metric supports it (exact for non-negative values).
-func covers(pts []geom.Point, res *Result, sq geom.SquaredMetric, hasSq bool, metric geom.Metric, s, m int) bool {
+// relabeling rule: dist(m, s) ≤ ε_s. Under the Euclidean metric the
+// comparison runs in squared space like RepSelector's, so budgeting counts
+// exactly the objects relabeling will keep.
+func covers(pts []geom.Point, res *Result, metric geom.Metric, s, m int) bool {
 	eps := res.SpecificEps[s]
-	if hasSq {
-		return sq.DistanceSq(pts[m], pts[s]) <= eps*eps
+	if _, ok := metric.(geom.Euclidean); ok {
+		return geom.SquaredEuclidean(pts[m], pts[s]) <= eps*eps
 	}
 	return metric.Distance(pts[m], pts[s]) <= eps
 }
 
 // countCovered counts the members covered by at least one selected core.
-func countCovered(pts []geom.Point, res *Result, sq geom.SquaredMetric, hasSq bool, metric geom.Metric, selected, members []int) int {
+func countCovered(pts []geom.Point, res *Result, metric geom.Metric, selected, members []int) int {
 	n := 0
 	for _, m := range members {
 		for _, s := range selected {
-			if covers(pts, res, sq, hasSq, metric, s, m) {
+			if covers(pts, res, metric, s, m) {
 				n++
 				break
 			}
@@ -129,7 +128,7 @@ func countCovered(pts []geom.Point, res *Result, sq geom.SquaredMetric, hasSq bo
 // returned sequence is the greedy pick order: highest marginal coverage
 // first, row id breaking exact ties, stopping at the budget or when no
 // candidate adds coverage.
-func greedyCover(pts []geom.Point, res *Result, sq geom.SquaredMetric, hasSq bool, metric geom.Metric, scor, members []int, budget int) []int {
+func greedyCover(pts []geom.Point, res *Result, metric geom.Metric, scor, members []int, budget int) []int {
 	// Candidates in ascending row id: the scan below takes the first
 	// maximum, which then is the lowest row id among ties regardless of the
 	// order the clustering stored them in.
@@ -142,7 +141,7 @@ func greedyCover(pts []geom.Point, res *Result, sq geom.SquaredMetric, hasSq boo
 	for ci, s := range cands {
 		var cov []int32
 		for mi, m := range members {
-			if covers(pts, res, sq, hasSq, metric, s, m) {
+			if covers(pts, res, metric, s, m) {
 				cov = append(cov, int32(mi))
 			}
 		}

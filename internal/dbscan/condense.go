@@ -1,11 +1,9 @@
 package dbscan
 
 import (
-	"math"
 	"sync"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
-	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
 )
 
@@ -76,8 +74,6 @@ func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 		return c
 	}
 
-	sq, hasSq := geom.AsSquared(metric)
-	eps2 := r.Params.Eps * r.Params.Eps
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -92,66 +88,17 @@ func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 				}
 				cores := coresByCluster[c]
 				// Definition 6: greedy coverage in ascending core order —
-				// keep a core point iff no already-kept one covers it. The
-				// store path runs the same comparisons through the batched
-				// kernels by id (identical verdicts; see coveredByStore).
+				// keep a core point iff no already-kept one covers it.
 				var scor []int
 				for _, q := range cores {
-					qp := idx.Point(q)
-					covered := false
-					switch {
-					case st != nil:
-						covered = coveredByStore(st, bs.grid(cluster.ID(c)), scor, q, r.Params.Eps, eps2, &bs)
-					case hasSq:
-						for _, s := range scor {
-							if sq.DistanceSq(idx.Point(s), qp) <= eps2 {
-								covered = true
-								break
-							}
-						}
-					default:
-						for _, s := range scor {
-							if metric.Distance(idx.Point(s), qp) <= r.Params.Eps {
-								covered = true
-								break
-							}
-						}
-					}
-					if !covered {
+					if !coveredBySpecificCore(idx, metric, st, &bs, cluster.ID(c), scor, q, r.Params.Eps) {
 						scor = append(scor, q)
 					}
 				}
 				// Definition 7: ε_s = Eps + max dist to core neighbors.
 				eps := make([]float64, len(scor))
 				for k, s := range scor {
-					sp := idx.Point(s)
-					buf = index.RangeIntoID(idx, s, r.Params.Eps, buf)
-					var maxDist float64
-					switch {
-					case st != nil:
-						maxDist = math.Sqrt(maxCoreNeighborSq(st, r.Core, buf, s, &bs))
-					case hasSq:
-						var maxSq float64
-						for _, ni := range buf {
-							if ni == s || !r.Core[ni] {
-								continue
-							}
-							if d2 := sq.DistanceSq(sp, idx.Point(ni)); d2 > maxSq {
-								maxSq = d2
-							}
-						}
-						maxDist = math.Sqrt(maxSq)
-					default:
-						for _, ni := range buf {
-							if ni == s || !r.Core[ni] {
-								continue
-							}
-							if d := metric.Distance(sp, idx.Point(ni)); d > maxDist {
-								maxDist = d
-							}
-						}
-					}
-					eps[k] = r.Params.Eps + maxDist
+					eps[k] = r.specificEps(idx, metric, st, &bs, &buf, s)
 				}
 				out[c] = condensed{scor: scor, eps: eps, queries: len(scor)}
 			}

@@ -47,28 +47,7 @@ type Options struct {
 	// The core partition and cluster numbering are identical to the
 	// sequential run; see RunParallel for the border-point tie rule.
 	Workers int
-	// Sharding controls how RunParallel partitions phase 1. The zero value
-	// ShardingAuto shards the dataset spatially (grid cells of side ≥ ε
-	// plus an ε-halo, each clustered against a cache-local sub-index)
-	// whenever the index is store-backed over the Euclidean metric and the
-	// geometry supports it, falling back to contiguous index chunks
-	// otherwise. ShardingOff forces the chunked path; benchmarks use it to
-	// compare the two on identical inputs. Results are identical either
-	// way — see RunParallel.
-	Sharding ShardingMode
 }
-
-// ShardingMode selects RunParallel's phase 1 partitioning strategy.
-type ShardingMode int
-
-const (
-	// ShardingAuto spatially shards store-backed Euclidean indexes and
-	// falls back to index-chunking for everything else (non-store indexes,
-	// non-finite coordinates, ε covering the bounding box).
-	ShardingAuto ShardingMode = iota
-	// ShardingOff always uses the contiguous index-chunk partitioning.
-	ShardingOff
-)
 
 // Result holds the outcome of a DBSCAN run.
 type Result struct {
@@ -121,9 +100,9 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 		res.SpecificEps = make(map[int]float64)
 	}
 	metric := idx.Metric()
-	// st is the flat backing store when the index is store-backed under the
-	// Euclidean metric; the specific-core coverage and ε-range folds then run
-	// on the strided kernels by object id.
+	// st is the flat backing store of a Euclidean index; the specific-core
+	// coverage and ε-range folds then run on the strided kernels by object
+	// id.
 	st := index.StoreOf(idx)
 	var clusterID cluster.ID
 	// seeds and nbuf are reused across queries to avoid per-object
@@ -420,79 +399,64 @@ func maxCoreNeighborSq(st *geom.Store, core []bool, buf []int, s int, bs *batchS
 // the Eps-neighborhood of a previously selected specific core point. Every
 // core point is either selected or covered at the moment it is processed, so
 // condition 3 of Definition 6 (complete coverage of Cor) holds by
-// construction. The coverage test compares in squared space when the metric
-// supports it, and through the batched store kernels by id when the index is
-// store-backed (identical verdicts; see coveredByStore).
+// construction.
 func (r *Result) maybeAddSpecificCore(idx index.Index, metric geom.Metric, st *geom.Store, id cluster.ID, q int, bs *batchScratch) {
+	if !coveredBySpecificCore(idx, metric, st, bs, id, r.Scor[id], q, r.Params.Eps) {
+		r.Scor[id] = append(r.Scor[id], q)
+	}
+}
+
+// coveredBySpecificCore reports whether object q lies within eps of any id in
+// scor, the specific cores selected so far for cluster id: through the
+// batched store kernels by id in squared space when the index is
+// store-backed (see coveredByStore), through the metric otherwise.
+func coveredBySpecificCore(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch, id cluster.ID, scor []int, q int, eps float64) bool {
 	if st != nil {
-		eps := r.Params.Eps
-		if !coveredByStore(st, bs.grid(id), r.Scor[id], q, eps, eps*eps, bs) {
-			r.Scor[id] = append(r.Scor[id], q)
-		}
-		return
+		return coveredByStore(st, bs.grid(id), scor, q, eps, eps*eps, bs)
 	}
 	qp := idx.Point(q)
-	if sq, ok := geom.AsSquared(metric); ok {
-		eps2 := r.Params.Eps * r.Params.Eps
-		for _, s := range r.Scor[id] {
-			if sq.DistanceSq(idx.Point(s), qp) <= eps2 {
-				return
-			}
-		}
-	} else {
-		for _, s := range r.Scor[id] {
-			if metric.Distance(idx.Point(s), qp) <= r.Params.Eps {
-				return
-			}
+	for _, s := range scor {
+		if metric.Distance(idx.Point(s), qp) <= eps {
+			return true
 		}
 	}
-	r.Scor[id] = append(r.Scor[id], q)
+	return false
+}
+
+// specificEps evaluates Definition 7 for the specific core point s:
+// ε_s = Eps + max{dist(s, s_i) | s_i ∈ Cor ∧ s_i ∈ N_Eps(s)}. When no other
+// core point lies in the neighborhood the maximum is empty and ε_s = Eps.
+// The query goes through index.RangeIntoID into the reused *buf. On a
+// store-backed index the maximum is taken in squared space by one batched
+// fold — row s against all core neighbor rows, a single sqrt per specific
+// core point instead of one per neighbor; exact, since the correctly rounded
+// sqrt is monotone and commutes with max.
+func (r *Result) specificEps(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch, buf *[]int, s int) float64 {
+	*buf = index.RangeIntoID(idx, s, r.Params.Eps, *buf)
+	if st != nil {
+		return r.Params.Eps + math.Sqrt(maxCoreNeighborSq(st, r.Core, *buf, s, bs))
+	}
+	sp := idx.Point(s)
+	var maxDist float64
+	for _, ni := range *buf {
+		if ni == s || !r.Core[ni] {
+			continue
+		}
+		if d := metric.Distance(sp, idx.Point(ni)); d > maxDist {
+			maxDist = d
+		}
+	}
+	return r.Params.Eps + maxDist
 }
 
 // computeSpecificEps evaluates Definition 7 for every selected specific core
-// point: ε_s = Eps + max{dist(s, s_i) | s_i ∈ Cor ∧ s_i ∈ N_Eps(s)}. When no
-// other core point lies in the neighborhood the maximum is empty and
-// ε_s = Eps. Queries go through index.RangeInto with one reused buffer, and
-// the maximum is taken in squared space when the metric supports it (a
-// single sqrt per specific core point instead of one per neighbor; exact,
-// since the correctly rounded sqrt is monotone and commutes with max).
+// point, one range query each.
 func (r *Result) computeSpecificEps(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch) {
-	sq, hasSq := geom.AsSquared(metric)
 	var buf []int
 	for _, scor := range r.Scor {
 		for _, s := range scor {
-			sp := idx.Point(s)
 			r.RangeQueries++
-			buf = index.RangeIntoID(idx, s, r.Params.Eps, buf)
-			var maxDist float64
-			switch {
-			case st != nil:
-				// Batched fold by id — row s against all core neighbor rows
-				// in one kernel sweep, same operand order as the historical
-				// per-pair fold.
-				maxDist = math.Sqrt(maxCoreNeighborSq(st, r.Core, buf, s, bs))
-			case hasSq:
-				var maxSq float64
-				for _, ni := range buf {
-					if ni == s || !r.Core[ni] {
-						continue
-					}
-					if d2 := sq.DistanceSq(sp, idx.Point(ni)); d2 > maxSq {
-						maxSq = d2
-					}
-				}
-				maxDist = math.Sqrt(maxSq)
-			default:
-				for _, ni := range buf {
-					if ni == s || !r.Core[ni] {
-						continue
-					}
-					if d := metric.Distance(sp, idx.Point(ni)); d > maxDist {
-						maxDist = d
-					}
-				}
-			}
-			r.SpecificEps[s] = r.Params.Eps + maxDist
+			r.SpecificEps[s] = r.specificEps(idx, metric, st, bs, &buf, s)
 		}
 	}
 }

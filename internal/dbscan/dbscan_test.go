@@ -10,7 +10,11 @@ import (
 )
 
 func linearOf(pts []geom.Point) index.Index {
-	return index.NewLinear(pts, geom.Euclidean{})
+	idx, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		panic(err)
+	}
+	return idx
 }
 
 // twoBlobs returns two well-separated Gaussian blobs plus far-away noise.
@@ -303,7 +307,11 @@ func TestMetricSpaceDBSCAN(t *testing.T) {
 		pts[i] = geom.Point{rng.Float64() * 8, rng.Float64() * 8}
 	}
 	params := Params{Eps: 0.7, MinPts: 4}
-	linear, err := Run(index.NewLinear(pts, geom.Manhattan{}), params, Options{})
+	lin, err := index.Build(index.KindLinear, pts, geom.Manhattan{}, params.Eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, err := Run(lin, params, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +333,7 @@ func TestMetricSpaceDBSCAN(t *testing.T) {
 	}
 	// And the Manhattan clustering genuinely differs from Euclidean on the
 	// same parameters (diamond vs circular neighborhoods).
-	euclid, err := Run(index.NewLinear(pts, geom.Euclidean{}), params, Options{})
+	euclid, err := Run(linearOf(pts), params, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

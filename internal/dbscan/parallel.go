@@ -18,17 +18,18 @@ import (
 // DBSCAN's cost model) from Options.Workers goroutines, partitioned one of
 // two ways:
 //
-//   - Spatial sharding (the default for store-backed Euclidean indexes):
+//   - Spatial sharding (every Euclidean index whose geometry supports it):
 //     the store is partitioned by internal/shard into grid cells of side
 //     ≥ ε plus an ε-halo of borrowed neighbor rows, and a worker pool
 //     clusters each cell against a small cache-local grid sub-index built
 //     over just the cell's own+halo rows — the partition-with-halo shape of
 //     PDBSCAN. The halo makes every sub-index neighborhood equal to the
 //     global one, so the recorded adjacency is exactly the chunked path's.
-//   - Contiguous index chunks (the fallback for slice-built indexes,
-//     non-Euclidean metrics, non-finite coordinates, and geometry where
-//     fewer than two ε-cells fit): every worker owns a contiguous slice of
-//     the object range and queries the shared index.
+//   - Contiguous index chunks (the observed fallback: non-Euclidean metric,
+//     store demoted by a dynamic insert, non-finite coordinates, fewer than
+//     128 objects, or geometry where fewer than two ε-cells fit): every
+//     worker owns a contiguous slice of the object range and queries the
+//     shared index.
 //
 // Either way the clustering is reconstructed from the recorded core
 // adjacency with a union-find over core points. The merge itself runs in
@@ -113,25 +114,23 @@ func RunParallel(idx index.Index, params Params, opts Options) (*Result, error) 
 	// one worker (chunked) or one shard (spatial).
 	arenas := make([]arena, workers)
 	var plan *shard.Plan
-	if opts.Sharding == ShardingAuto {
-		if st := index.StoreOf(idx); st != nil {
-			// Aim for a few shards per worker so the pool load-balances
-			// uneven cells, but keep shards large enough (≥ ~64 rows on
-			// average) to amortize their sub-index builds.
-			target := workers * 4
-			if mx := n / 64; target > mx {
-				target = mx
-			}
-			plan = shard.Grid(st, params.Eps, target)
-			if plan != nil {
-				if err := shardPhase1(st, plan, params, res, arenas); err != nil {
-					return nil, err
-				}
-				res.Shards = len(plan.Regions)
-			}
+	st := index.StoreOf(idx)
+	if st != nil {
+		// Aim for a few shards per worker so the pool load-balances uneven
+		// cells, but keep shards large enough (≥ ~64 rows on average) to
+		// amortize their sub-index builds.
+		target := workers * 4
+		if mx := n / 64; target > mx {
+			target = mx
 		}
+		plan = shard.Grid(st, params.Eps, target)
 	}
-	if plan == nil {
+	if plan != nil {
+		if err := shardPhase1(st, plan, params, res, arenas); err != nil {
+			return nil, err
+		}
+		res.Shards = len(plan.Regions)
+	} else {
 		chunkPhase1(idx, params, res, arenas)
 	}
 

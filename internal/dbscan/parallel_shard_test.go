@@ -124,9 +124,10 @@ func TestRunParallelShardDifferential(t *testing.T) {
 
 // TestRunParallelShardFallback pins the degenerate geometries that must
 // bypass spatial sharding: NaN and ±Inf coordinates, ε covering the whole
-// bounding box, all points identical (one cell), and an explicit
-// ShardingOff. Each falls back to the chunked path (Shards == 0) and the
-// result still matches the sequential Run on the same index.
+// bounding box, all points identical (one cell), fewer than 128 objects,
+// and an index that exposes no store. Each falls back to the chunked path
+// (Shards == 0) and the result still matches the sequential Run on the same
+// index.
 func TestRunParallelShardFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 
@@ -144,14 +145,16 @@ func TestRunParallelShardFallback(t *testing.T) {
 		name   string
 		pts    []geom.Point
 		params Params
-		opts   Options
+		// noStore hides the store behind the bare Index interface — geometry
+		// the shard path would take, answered chunked.
+		noStore bool
 	}{
-		{"nan-coord", nan, Params{Eps: 0.5, MinPts: 4}, Options{}},
-		{"inf-coord", inf, Params{Eps: 0.5, MinPts: 4}, Options{}},
-		{"eps-covers-bbox", uniformPoints(rng, 300, 1), Params{Eps: 5, MinPts: 4}, Options{}},
-		{"all-identical", same, Params{Eps: 0.5, MinPts: 4}, Options{}},
-		{"sharding-off", uniformPoints(rng, 800, 10), Params{Eps: 0.35, MinPts: 4}, Options{Sharding: ShardingOff}},
-		{"tiny", uniformPoints(rng, 60, 10), Params{Eps: 0.5, MinPts: 3}, Options{}},
+		{"nan-coord", nan, Params{Eps: 0.5, MinPts: 4}, false},
+		{"inf-coord", inf, Params{Eps: 0.5, MinPts: 4}, false},
+		{"eps-covers-bbox", uniformPoints(rng, 300, 1), Params{Eps: 5, MinPts: 4}, false},
+		{"all-identical", same, Params{Eps: 0.5, MinPts: 4}, false},
+		{"sharding-off", uniformPoints(rng, 800, 10), Params{Eps: 0.35, MinPts: 4}, true},
+		{"tiny", uniformPoints(rng, 60, 10), Params{Eps: 0.5, MinPts: 3}, false},
 	}
 	for _, tc := range cases {
 		// The non-finite datasets stay on the kd-tree and linear kinds: the
@@ -173,10 +176,11 @@ func TestRunParallelShardFallback(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := tc.opts
-				opts.CollectSpecificCores = true
-				opts.Workers = 4
-				par, err := RunParallel(idx, tc.params, opts)
+				parIdx := idx
+				if tc.noStore {
+					parIdx = struct{ index.Index }{idx}
+				}
+				par, err := RunParallel(parIdx, tc.params, Options{CollectSpecificCores: true, Workers: 4})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -156,7 +156,7 @@ func assertParallelMatches(t *testing.T, idx index.Index, params Params, seq, pa
 func TestRunDelegatesToParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := uniformPoints(rng, 400, 10)
-	idx := index.NewLinear(pts, geom.Euclidean{})
+	idx := linearOf(pts)
 	params := Params{Eps: 0.4, MinPts: 4}
 	viaRun, err := Run(idx, params, Options{Workers: 4})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestRunDelegatesToParallel(t *testing.T) {
 func TestRunParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := uniformPoints(rng, 600, 8)
-	idx := index.NewLinear(pts, geom.Euclidean{})
+	idx := linearOf(pts)
 	params := Params{Eps: 0.3, MinPts: 4}
 	var ref *Result
 	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
@@ -207,21 +207,21 @@ func TestRunParallelDeterministic(t *testing.T) {
 // worker-clamping paths.
 func TestRunParallelEdgeCases(t *testing.T) {
 	params := Params{Eps: 1, MinPts: 2}
-	empty, err := RunParallel(index.NewLinear(nil, nil), params, Options{Workers: 8})
+	empty, err := RunParallel(linearOf(nil), params, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if empty.NumClusters() != 0 || empty.RangeQueries != 0 {
 		t.Fatal("empty input must produce an empty result")
 	}
-	one, err := RunParallel(index.NewLinear([]geom.Point{{0, 0}}, nil), params, Options{Workers: 8})
+	one, err := RunParallel(linearOf([]geom.Point{{0, 0}}), params, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one.Labels[0] != cluster.Noise {
 		t.Fatalf("single point below MinPts must be noise, got %v", one.Labels[0])
 	}
-	if _, err := RunParallel(index.NewLinear(nil, nil), Params{Eps: -1, MinPts: 1}, Options{}); err == nil {
+	if _, err := RunParallel(linearOf(nil), Params{Eps: -1, MinPts: 1}, Options{}); err == nil {
 		t.Fatal("invalid params must be rejected")
 	}
 }

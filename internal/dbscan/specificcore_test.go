@@ -220,7 +220,7 @@ func TestKDistAndSuggestEps(t *testing.T) {
 		t.Fatalf("SuggestEps = %v", eps)
 	}
 	// A DBSCAN run with the suggested eps should find one dominant cluster.
-	res, err := Run(index.NewLinear(pts, geom.Euclidean{}), Params{Eps: eps, MinPts: 4}, Options{})
+	res, err := Run(linearOf(pts), Params{Eps: eps, MinPts: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

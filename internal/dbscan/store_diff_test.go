@@ -1,13 +1,19 @@
-// Package dbscan_test holds the store-vs-slice differential: it lives in an
+// Package dbscan_test holds the index-kind differentials: it lives in an
 // external test package so it can pull in the data generators (package data
 // imports dbscan for Params, which would cycle from an internal test).
 package dbscan_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/data"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -29,7 +35,7 @@ func diffPoints(t *testing.T) []geom.Point {
 	return pts
 }
 
-// clonePoints deep-copies so the slice path runs on genuinely independent
+// clonePoints deep-copies so Build copies from genuinely independent
 // per-point allocations, not store views.
 func clonePoints(pts []geom.Point) []geom.Point {
 	out := make([]geom.Point, len(pts))
@@ -39,12 +45,14 @@ func clonePoints(pts []geom.Point) []geom.Point {
 	return out
 }
 
-// TestStorePipelineDifferential is the end-to-end acceptance check of the
-// flat-store refactor: for every index kind and for both the sequential and
-// the parallel kernel, a store-backed clustering must be indistinguishable
-// from the slice-backed clustering — identical labels, identical cluster
-// count, identical region-query count, identical specific cores and
-// specific ε. Not "equivalent up to renumbering": identical.
+// TestStorePipelineDifferential pins the one-hot-path invariant end to end:
+// for every index kind and for both the sequential and the parallel kernel,
+// an index built from a point slice clusters exactly like one built over the
+// equivalent store — identical labels, region-query count, specific cores
+// and specific ε. Across kinds, everything order-free must agree with the
+// linear scan over the store: core flags and cluster count always, and under
+// the parallel kernel (whose labeling is a pure function of the input) the
+// whole result.
 func TestStorePipelineDifferential(t *testing.T) {
 	pts := diffPoints(t)
 	params := dbscan.Params{Eps: 1.1, MinPts: 5}
@@ -52,45 +60,119 @@ func TestStorePipelineDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range index.Kinds() {
-		for _, workers := range []int{1, 4} {
-			opts := dbscan.Options{CollectSpecificCores: true, Workers: workers}
-
-			sliceIdx, err := index.Build(kind, clonePoints(pts), geom.Euclidean{}, params.Eps)
+	for _, workers := range []int{1, 4} {
+		opts := dbscan.Options{CollectSpecificCores: true, Workers: workers}
+		var linear *dbscan.Result
+		for _, kind := range index.Kinds() {
+			builtIdx, err := index.Build(kind, clonePoints(pts), geom.Euclidean{}, params.Eps)
 			if err != nil {
 				t.Fatalf("%s: Build: %v", kind, err)
 			}
-			want, err := dbscan.Run(sliceIdx, params, opts)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: slice run: %v", kind, workers, err)
+			if index.StoreOf(builtIdx) == nil {
+				t.Fatalf("%s: Euclidean Build is not store-backed", kind)
 			}
-
+			want, err := dbscan.Run(builtIdx, params, opts)
+			if err != nil {
+				t.Fatalf("%s/workers=%d: Build run: %v", kind, workers, err)
+			}
 			storeIdx, err := index.BuildStore(kind, st, geom.Euclidean{}, params.Eps)
 			if err != nil {
 				t.Fatalf("%s: BuildStore: %v", kind, err)
-			}
-			if got := index.StoreOf(storeIdx); got == nil {
-				t.Fatalf("%s: store-built index does not expose its store", kind)
 			}
 			got, err := dbscan.Run(storeIdx, params, opts)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: store run: %v", kind, workers, err)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/workers=%d: BuildStore result differs from Build result", kind, workers)
+			}
+			if kind == index.KindLinear {
+				linear = got
+				continue
+			}
+			if !reflect.DeepEqual(got.Core, linear.Core) {
+				t.Errorf("%s/workers=%d: core flags differ from the linear scan", kind, workers)
+			}
+			if got.NumClusters() != linear.NumClusters() {
+				t.Errorf("%s/workers=%d: %d clusters vs linear's %d", kind, workers, got.NumClusters(), linear.NumClusters())
+			}
+			if workers > 1 && !reflect.DeepEqual(got, linear) {
+				t.Errorf("%s/workers=%d: parallel result differs from the linear scan's", kind, workers)
+			}
+		}
+	}
+}
 
-			if !reflect.DeepEqual(got.Labels, want.Labels) {
-				t.Errorf("%s/workers=%d: store labels differ from slice labels", kind, workers)
+// resultHash folds everything a clustering publishes — labels, core flags,
+// specific cores in selection order with their specific ε bits, and the
+// region-query count — into one short digest.
+func resultHash(res *dbscan.Result) string {
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, l := range res.Labels {
+		put(uint64(int64(l)))
+	}
+	for _, c := range res.Core {
+		if c {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	ids := make([]int, 0, len(res.Scor))
+	for id := range res.Scor {
+		ids = append(ids, int(id))
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		put(uint64(id))
+		for _, s := range res.Scor[cluster.ID(id)] {
+			put(uint64(s))
+			put(math.Float64bits(res.SpecificEps[s]))
+		}
+	}
+	put(uint64(len(res.SpecificEps)))
+	put(uint64(res.RangeQueries))
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// TestClusteringIdentity holds every kind × worker count to the digests
+// recorded at commit e942b15 — the last one that still carried a
+// slice-Euclidean path, where slice- and store-built indexes produced these
+// same digests — over data sets A, B and C (seed 1). The parallel kernel's
+// result is independent of the index kind, so it has one digest per data
+// set.
+func TestClusteringIdentity(t *testing.T) {
+	want := map[string]map[index.Kind]string{
+		"A": {index.KindLinear: "eb62bf84199a9827", index.KindGrid: "73527ef694cce151", index.KindKDTree: "24a752bd37f1ca0b",
+			index.KindRStar: "2da6737d61067599", index.KindMTree: "132100a82950ee76", "parallel": "a5d1643bf8ff9b40"},
+		"B": {index.KindLinear: "ec78182d5c0312bc", index.KindGrid: "0c4fdfb64763f307", index.KindKDTree: "f74f09ef97f89848",
+			index.KindRStar: "d02a3c1644d6082c", index.KindMTree: "26df38bd25373ddb", "parallel": "777d7330c148dee1"},
+		"C": {index.KindLinear: "2ba12bbf3762ff10", index.KindGrid: "21630e88d6b606e0", index.KindKDTree: "4b727c4383c392f5",
+			index.KindRStar: "45cd15e40da5b409", index.KindMTree: "aa1716e8687fd8df", "parallel": "41d570200e77ab72"},
+	}
+	for _, ds := range data.ABC(1) {
+		for _, kind := range index.Kinds() {
+			idx, err := index.Build(kind, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", ds.Name, kind, err)
 			}
-			if got.NumClusters() != want.NumClusters() {
-				t.Errorf("%s/workers=%d: %d clusters vs %d", kind, workers, got.NumClusters(), want.NumClusters())
-			}
-			if got.RangeQueries != want.RangeQueries {
-				t.Errorf("%s/workers=%d: %d range queries vs %d", kind, workers, got.RangeQueries, want.RangeQueries)
-			}
-			if !reflect.DeepEqual(got.Scor, want.Scor) {
-				t.Errorf("%s/workers=%d: specific cores differ", kind, workers)
-			}
-			if !reflect.DeepEqual(got.SpecificEps, want.SpecificEps) {
-				t.Errorf("%s/workers=%d: specific ε differ", kind, workers)
+			for _, workers := range []int{1, 4} {
+				res, err := dbscan.Run(idx, ds.Params, dbscan.Options{CollectSpecificCores: true, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s/workers=%d: %v", ds.Name, kind, workers, err)
+				}
+				key := kind
+				if workers > 1 {
+					key = "parallel"
+				}
+				if got := resultHash(res); got != want[ds.Name][key] {
+					t.Errorf("%s/%s/workers=%d: digest %s, want %s", ds.Name, kind, workers, got, want[ds.Name][key])
+				}
 			}
 		}
 	}

@@ -16,28 +16,6 @@ type Metric interface {
 	Name() string
 }
 
-// SquaredMetric is implemented by metrics whose comparisons can be carried
-// out in squared space: DistanceSq returns the square of Distance without
-// taking the square root. Because x ↦ x² is monotone on non-negative values,
-// every threshold test dist(p, q) ≤ eps is equivalent to
-// DistanceSq(p, q) ≤ eps·eps, so indexes that detect this interface prune
-// and verify candidates sqrt-free — the dominant saving of the range-query
-// hot path (see docs/performance.md for the exact contract).
-type SquaredMetric interface {
-	Metric
-	// DistanceSq returns Distance(p, q)². It must be cheaper than Distance
-	// (no root extraction) and induce the same ordering.
-	DistanceSq(p, q Point) float64
-}
-
-// AsSquared returns m as a SquaredMetric when the metric supports squared
-// comparisons, along with whether it does. Callers cache the result at index
-// build time rather than re-asserting per query.
-func AsSquared(m Metric) (SquaredMetric, bool) {
-	sm, ok := m.(SquaredMetric)
-	return sm, ok
-}
-
 // Euclidean is the L2 metric. Its zero value is ready to use.
 type Euclidean struct{}
 
@@ -46,7 +24,9 @@ func (Euclidean) Distance(p, q Point) float64 {
 	return math.Sqrt(Euclidean{}.DistanceSq(p, q))
 }
 
-// DistanceSq implements SquaredMetric: the squared L2 distance, sqrt-free.
+// DistanceSq returns the squared L2 distance, sqrt-free. Because x ↦ x² is
+// monotone on non-negative values, dist(p, q) ≤ eps is decided as
+// DistanceSq(p, q) ≤ eps·eps — the form every Euclidean range query uses.
 // Dimensions are validated at index build time (or with -tags
 // dbdc_debugchecks); a shorter q panics loudly inside the kernel's reslice.
 // The computation is dispatched by stride (see kernels_dispatch.go) and is

@@ -22,7 +22,11 @@ func checkSurvivorsAgainstBatch(t *testing.T, c *Clusterer) {
 			live = append(live, i)
 		}
 	}
-	batch, err := dbscan.Run(index.NewLinear(pts, geom.Euclidean{}), c.Params(), dbscan.Options{})
+	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := dbscan.Run(lin, c.Params(), dbscan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,11 @@ import (
 func checkAgainstBatch(t *testing.T, c *Clusterer, pts []geom.Point) {
 	t.Helper()
 	params := c.Params()
-	batch, err := dbscan.Run(index.NewLinear(pts, geom.Euclidean{}), params, dbscan.Options{})
+	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := dbscan.Run(lin, params, dbscan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

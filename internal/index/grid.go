@@ -22,13 +22,9 @@ type Grid struct {
 	cells    map[string][]int
 	// origin anchors cell coordinates so negative coordinates hash stably.
 	origin geom.Point
-	// sq is the squared-comparison fast path (nil when unsupported); euclid
-	// additionally devirtualizes the common Euclidean case.
-	sq     geom.SquaredMetric
-	euclid bool
-	// store is the flat backing store when built via NewGridStore; candidate
-	// verification under the Euclidean metric then runs on the strided
-	// Store kernels by candidate id.
+	// store is the flat backing store of a Euclidean index, nil under any
+	// other metric: candidate verification then runs on the strided Store
+	// kernels by candidate id.
 	store *geom.Store
 	// scratch pools the per-query cell-walk state so concurrent range
 	// queries stay allocation-free in steady state.
@@ -52,31 +48,46 @@ const gridPruneSlack = 1e-12
 
 // NewGrid builds a grid index with cells sized to the intended query radius
 // eps. Queries with a radius larger than eps remain correct but degrade
-// towards a full scan. eps must be positive and pts non-empty dimensions
-// must agree.
+// towards a full scan. eps must be positive and the points of one uniform
+// dimensionality. A nil metric defaults to Euclidean, under which pts are
+// copied once into a flat store (see NewGridStore); under any other metric
+// the point slice is retained.
 func NewGrid(pts []geom.Point, metric geom.Metric, eps float64) (*Grid, error) {
+	st, err := storeFor(pts, metric)
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
+		return NewGridStore(st, metric, eps)
+	}
+	return buildGrid(pts, metric, nil, eps)
+}
+
+// NewGridStore builds a grid index over the points of a flat store. Point(i)
+// serves zero-copy views into it; under the Euclidean metric the store is
+// retained and candidate verification runs on the strided Store kernels.
+func NewGridStore(st *geom.Store, metric geom.Metric, eps float64) (*Grid, error) {
+	metric, kept := retained(st, metric)
+	return buildGrid(st.Views(), metric, kept, eps)
+}
+
+// buildGrid hashes pts (of validated uniform dimensionality) into cells.
+func buildGrid(pts []geom.Point, metric geom.Metric, st *geom.Store, eps float64) (*Grid, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, errors.New("index: grid cell size must be a positive finite number")
-	}
-	if metric == nil {
-		metric = geom.Euclidean{}
 	}
 	g := &Grid{
 		pts:      pts,
 		metric:   metric,
+		store:    st,
 		cellSize: eps,
 		cells:    make(map[string][]int),
 	}
-	g.sq, _ = geom.AsSquared(metric)
-	_, g.euclid = metric.(geom.Euclidean)
 	if len(pts) > 0 {
 		g.dim = pts[0].Dim()
 		g.origin = pts[0].Clone()
 		coords := make([]int64, g.dim)
 		for i, p := range pts {
-			if p.Dim() != g.dim {
-				return nil, errors.New("index: grid requires uniform dimensionality")
-			}
 			g.cellCoordsInto(coords, p)
 			key := string(appendCellKey(nil, coords))
 			g.cells[key] = append(g.cells[key], i)
@@ -93,19 +104,7 @@ func NewGrid(pts []geom.Point, metric geom.Metric, eps float64) (*Grid, error) {
 	return g, nil
 }
 
-// NewGridStore builds a grid index over the points of a flat store. The
-// store is retained — Point(i) serves zero-copy views and Euclidean
-// candidate verification runs on the strided Store kernels.
-func NewGridStore(st *geom.Store, metric geom.Metric, eps float64) (*Grid, error) {
-	g, err := NewGrid(st.Views(), metric, eps)
-	if err != nil {
-		return nil, err
-	}
-	g.store = st
-	return g, nil
-}
-
-// Store implements StoreBacked. Nil when the index was built from a slice.
+// Store implements StoreBacked.
 func (g *Grid) Store() *geom.Store { return g.store }
 
 // Len implements Index.
@@ -153,8 +152,7 @@ func (g *Grid) RangeAppendID(i int, eps float64, buf []int) []int {
 }
 
 // RangeAppend implements RangeAppender. The surrounding-cell walk runs on
-// pooled scratch buffers and verifies candidates in squared space when the
-// metric supports it, so steady-state queries allocate nothing.
+// pooled scratch buffers, so steady-state queries allocate nothing.
 func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]
 	if len(g.pts) == 0 {
@@ -170,7 +168,6 @@ func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 		coords[d] = center[d] - reach
 	}
 	eps2 := eps * eps
-	useStore := g.euclid && g.store != nil
 	// Odometer walk over the (2·reach+1)^d surrounding cells. Cells whose
 	// rectangle provably lies outside the query ball are skipped before the
 	// map lookup: with cells sized for a larger radius than the query's,
@@ -208,7 +205,7 @@ func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 				}
 			}
 		}
-		if skip || (g.euclid && gapSq > eps2) {
+		if skip || (g.store != nil && gapSq > eps2) {
 			d := g.dim - 1
 			for d >= 0 {
 				coords[d]++
@@ -224,7 +221,7 @@ func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 			continue
 		}
 		key := appendCellKey(s.key[:0], coords)
-		if useStore {
+		if g.store != nil {
 			// The cell's id slice IS the candidate batch: one fused kernel
 			// sweep per cell instead of one call per point, identical
 			// decisions to testing DistanceSqTo(i, q) one id at a time,
@@ -232,20 +229,8 @@ func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 			out = g.store.VerifyRangeSq(q, g.cells[string(key)], eps2, out)
 		} else {
 			for _, i := range g.cells[string(key)] {
-				p := g.pts[i]
-				switch {
-				case g.euclid:
-					if (geom.Euclidean{}).DistanceSq(q, p) <= eps2 {
-						out = append(out, i)
-					}
-				case g.sq != nil:
-					if g.sq.DistanceSq(q, p) <= eps2 {
-						out = append(out, i)
-					}
-				default:
-					if g.metric.Distance(q, p) <= eps {
-						out = append(out, i)
-					}
+				if g.metric.Distance(q, g.pts[i]) <= eps {
+					out = append(out, i)
 				}
 			}
 		}

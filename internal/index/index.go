@@ -64,28 +64,25 @@ func RangeIntoID(idx Index, i int, eps float64, buf []int) []int {
 	return RangeInto(idx, idx.Point(i), eps, buf)
 }
 
-// StoreBacked is implemented by indexes built over a flat geom.Store. The
-// clustering layers use it to run point-vs-point comparisons through the
-// strided kernels by id instead of through slice views. Store returns nil
-// when the index has grown past its original store (dynamic insertion)
-// and the flat buffer no longer covers every indexed point.
+// StoreBacked is implemented by every index kind. Store returns the flat
+// geom.Store the index answers Euclidean queries from — the clustering
+// layers then run their point-vs-point comparisons through the strided
+// kernels by id — and nil when there is none: the metric is not Euclidean,
+// or the index has grown past its original store (dynamic insertion) and the
+// flat buffer no longer covers every indexed point.
 type StoreBacked interface {
 	Store() *geom.Store
 }
 
-// StoreOf returns the backing store of a store-backed index under the
-// Euclidean metric, or nil. The strided kernels are Euclidean-only, so
-// callers that substitute them for metric.DistanceSq must check the metric
-// too — this helper folds both checks.
+// StoreOf returns the backing store of idx, or nil. A store is only ever
+// retained under the Euclidean metric (the strided kernels are
+// Euclidean-only), so a non-nil result licenses substituting them for
+// Metric().Distance.
 func StoreOf(idx Index) *geom.Store {
-	sb, ok := idx.(StoreBacked)
-	if !ok {
-		return nil
+	if sb, ok := idx.(StoreBacked); ok {
+		return sb.Store()
 	}
-	if _, euclid := idx.Metric().(geom.Euclidean); !euclid {
-		return nil
-	}
-	return sb.Store()
+	return nil
 }
 
 // KNNIndex is implemented by indexes that additionally support k-nearest-
@@ -114,30 +111,55 @@ func Kinds() []Kind {
 	return []Kind{KindLinear, KindGrid, KindKDTree, KindRStar, KindMTree}
 }
 
-// mustUniformDim panics unless every point shares the dimensionality of the
-// first. The indexes validate once at build time so the geom distance
-// kernels can drop their per-call checks (hoisted hot-path guard; re-enable
-// per-call checks with -tags dbdc_debugchecks).
-func mustUniformDim(pts []geom.Point, kind string) {
-	if len(pts) == 0 {
-		return
-	}
-	dim := pts[0].Dim()
-	for _, p := range pts {
-		if p.Dim() != dim {
-			panic(fmt.Sprintf("index: %s requires uniform dimensionality (%d vs %d)", kind, dim, p.Dim()))
-		}
-	}
+// isEuclidean reports whether m is the Euclidean metric; nil defaults to it.
+func isEuclidean(m geom.Metric) bool {
+	_, ok := m.(geom.Euclidean)
+	return ok || m == nil
 }
 
-// Builder constructs an index over the given points. Grid-based builders use
-// epsHint (the intended query radius) to size their cells; others ignore it.
+// retained returns what an index built over st under metric keeps: the store
+// only under the Euclidean metric — the strided kernels are Euclidean-only —
+// which a nil metric defaults to.
+func retained(st *geom.Store, metric geom.Metric) (geom.Metric, *geom.Store) {
+	if isEuclidean(metric) {
+		return geom.Euclidean{}, st
+	}
+	return metric, nil
+}
+
+// storeFor is where "Euclidean ⇒ store-backed" is enforced for builds from a
+// point slice: under the Euclidean (or nil) metric pts are copied once into
+// a flat store, and the caller goes through the store builder of its kind.
+// An empty set has no stride to infer and gets stride 1, which nothing reads
+// from a store without rows. Any other metric keeps the slice (nil store)
+// after the one-time dimensionality validation that lets the distance
+// kernels skip their per-call checks (re-enable them with -tags
+// dbdc_debugchecks).
+func storeFor(pts []geom.Point, metric geom.Metric) (*geom.Store, error) {
+	if isEuclidean(metric) {
+		if len(pts) == 0 {
+			return geom.NewStore(1, 0), nil
+		}
+		return geom.FromPoints(pts)
+	}
+	for i, p := range pts {
+		if p.Dim() == 0 || p.Dim() != pts[0].Dim() {
+			return nil, fmt.Errorf("index: point %d has dimension %d, want a uniform positive dimensionality (%d)", i, p.Dim(), pts[0].Dim())
+		}
+	}
+	return nil, nil
+}
+
+// Builder constructs an index over the given points, of validated uniform
+// dimensionality, under a non-Euclidean metric (Build routes Euclidean input
+// to the StoreBuilder of the kind). Grid-based builders use epsHint (the
+// intended query radius) to size their cells; others ignore it.
 type Builder func(pts []geom.Point, metric geom.Metric, epsHint float64) (Index, error)
 
 // StoreBuilder constructs an index over a flat point store. Store-backed
-// builds serve Point(i) as zero-copy views into the store and verify range
-// candidates through the strided kernels — no point is re-cloned on the way
-// into the index.
+// builds serve Point(i) as zero-copy views into the store and, under the
+// Euclidean metric, verify range candidates through the strided kernels — no
+// point is re-cloned on the way into the index.
 type StoreBuilder func(st *geom.Store, metric geom.Metric, epsHint float64) (Index, error)
 
 var builders = map[Kind]Builder{}
@@ -151,39 +173,44 @@ func RegisterBuilder(kind Kind, b Builder) { builders[kind] = b }
 // RegisterStoreBuilder installs the store-backed builder for a kind.
 func RegisterStoreBuilder(kind Kind, b StoreBuilder) { storeBuilders[kind] = b }
 
-// Build constructs an index of the requested kind.
+// Build constructs an index of the requested kind over pts. Euclidean (or
+// nil-metric) input is copied once into a geom.Store and built by BuildStore,
+// so central and distributed clusterings run the same kernels; the slice
+// builders serve the other metrics only.
 func Build(kind Kind, pts []geom.Point, metric geom.Metric, epsHint float64) (Index, error) {
+	st, err := storeFor(pts, metric)
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
+		return BuildStore(kind, st, metric, epsHint)
+	}
 	b, ok := builders[kind]
 	if !ok {
-		return nil, fmt.Errorf("index: no builder registered for kind %q", kind)
+		return nil, fmt.Errorf("index: kind %q has no builder for the %s metric", kind, metric.Name())
 	}
 	return b(pts, metric, epsHint)
 }
 
 // BuildStore constructs an index of the requested kind over a flat point
-// store. Kinds without a registered store builder fall back to the slice
-// builder over zero-copy views (one slice-header array, no coordinate
-// copies), so every kind accepts a store.
+// store.
 func BuildStore(kind Kind, st *geom.Store, metric geom.Metric, epsHint float64) (Index, error) {
-	if b, ok := storeBuilders[kind]; ok {
-		return b(st, metric, epsHint)
-	}
-	b, ok := builders[kind]
+	b, ok := storeBuilders[kind]
 	if !ok {
 		return nil, fmt.Errorf("index: no builder registered for kind %q", kind)
 	}
-	return b(st.Views(), metric, epsHint)
+	return b(st, metric, epsHint)
 }
 
 func init() {
 	RegisterBuilder(KindLinear, func(pts []geom.Point, m geom.Metric, _ float64) (Index, error) {
-		return NewLinear(pts, m), nil
+		return &Linear{pts: pts, metric: m}, nil
 	})
 	RegisterBuilder(KindGrid, func(pts []geom.Point, m geom.Metric, eps float64) (Index, error) {
-		return NewGrid(pts, m, eps)
+		return buildGrid(pts, m, nil, eps)
 	})
 	RegisterBuilder(KindKDTree, func(pts []geom.Point, m geom.Metric, _ float64) (Index, error) {
-		return NewKDTree(pts, m)
+		return buildKDTree(pts, m, nil), nil
 	})
 	RegisterStoreBuilder(KindLinear, func(st *geom.Store, m geom.Metric, _ float64) (Index, error) {
 		return NewLinearStore(st, m), nil
@@ -192,6 +219,6 @@ func init() {
 		return NewGridStore(st, m, eps)
 	})
 	RegisterStoreBuilder(KindKDTree, func(st *geom.Store, m geom.Metric, _ float64) (Index, error) {
-		return NewKDTreeStore(st, m)
+		return NewKDTreeStore(st, m), nil
 	})
 }

@@ -21,6 +21,28 @@ func randomPoints(rng *rand.Rand, n, dim int) []geom.Point {
 	return pts
 }
 
+// mustLinear builds the exhaustive-scan reference index.
+func mustLinear(t *testing.T, pts []geom.Point, m geom.Metric) *Linear {
+	t.Helper()
+	l, err := NewLinear(pts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// oracleRange is the O(n) Euclidean reference no index code takes part in:
+// every point within eps of q, decided in squared space, ascending ids.
+func oracleRange(pts []geom.Point, q geom.Point, eps float64) []int {
+	var out []int
+	for i, p := range pts {
+		if geom.SquaredEuclidean(q, p) <= eps*eps {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func sortedInts(s []int) []int {
 	out := append([]int(nil), s...)
 	sort.Ints(out)
@@ -56,8 +78,8 @@ func TestRStarRejectsNonEuclidean(t *testing.T) {
 	}
 }
 
-// Property: every index kind returns exactly the same ε-neighborhoods as the
-// exhaustive linear scan, across random point sets, radii and query points.
+// Property: every index kind returns exactly the ε-neighborhoods of the
+// index-free oracle, across random point sets, radii and query points.
 func TestRangeAgreesWithLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, kind := range Kinds() {
@@ -66,7 +88,6 @@ func TestRangeAgreesWithLinear(t *testing.T) {
 			dim := 1 + rng.Intn(3)
 			pts := randomPoints(rng, n, dim)
 			eps := 0.5 + rng.Float64()*4
-			oracle := NewLinear(pts, geom.Euclidean{})
 			idx, err := Build(kind, pts, geom.Euclidean{}, eps)
 			if err != nil {
 				t.Fatalf("Build(%s): %v", kind, err)
@@ -78,7 +99,7 @@ func TestRangeAgreesWithLinear(t *testing.T) {
 				} else {
 					query = randomPoints(rng, 1, dim)[0]
 				}
-				want := sortedInts(oracle.Range(query, eps))
+				want := oracleRange(pts, query, eps)
 				got := sortedInts(idx.Range(query, eps))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: Range mismatch (n=%d dim=%d eps=%v): got %v want %v",
@@ -97,11 +118,10 @@ func TestGridRangeLargerThanCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewLinear(pts, geom.Euclidean{})
 	for trial := 0; trial < 20; trial++ {
 		q := pts[rng.Intn(len(pts))]
 		eps := 2.0 + rng.Float64()*3
-		if got, want := sortedInts(g.Range(q, eps)), sortedInts(oracle.Range(q, eps)); !reflect.DeepEqual(got, want) {
+		if got, want := sortedInts(g.Range(q, eps)), oracleRange(pts, q, eps); !reflect.DeepEqual(got, want) {
 			t.Fatalf("grid Range(eps=%v) mismatch", eps)
 		}
 	}
@@ -116,7 +136,7 @@ func TestRangeNonEuclideanMetrics(t *testing.T) {
 	for _, m := range metrics {
 		for _, kind := range kinds {
 			pts := randomPoints(rng, 200, 2)
-			oracle := NewLinear(pts, m)
+			oracle := mustLinear(t, pts, m)
 			idx, err := Build(kind, pts, m, 1.0)
 			if err != nil {
 				t.Fatalf("Build(%s, %s): %v", kind, m.Name(), err)
@@ -185,7 +205,7 @@ func TestKNNAgreesWithLinear(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 5 + rng.Intn(300)
 		pts := randomPoints(rng, n, 2)
-		oracle := NewLinear(pts, e)
+		oracle := mustLinear(t, pts, e)
 		kd, err := NewKDTree(pts, e)
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +238,7 @@ func TestKNNAgreesWithLinear(t *testing.T) {
 func TestKNNEdgeCases(t *testing.T) {
 	pts := randomPoints(rand.New(rand.NewSource(3)), 10, 2)
 	kd, _ := NewKDTree(pts, nil)
-	lin := NewLinear(pts, nil)
+	lin := mustLinear(t, pts, nil)
 	for _, idx := range []KNNIndex{kd, lin} {
 		if got := idx.KNN(geom.Point{0, 0}, 0); got != nil {
 			t.Errorf("KNN(k=0) = %v, want nil", got)
@@ -264,7 +284,7 @@ func TestGridNegativeCoordinates(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sortedInts(g.Range(geom.Point{-0.5, -0.5}, 1.5))
-	want := sortedInts(NewLinear(pts, nil).Range(geom.Point{-0.5, -0.5}, 1.5))
+	want := oracleRange(pts, geom.Point{-0.5, -0.5}, 1.5)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("grid with negative coords: got %v want %v", got, want)
 	}

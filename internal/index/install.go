@@ -9,24 +9,16 @@ import (
 )
 
 // The tree indexes live in subpackages; register their builders here so
-// Build can construct every kind by name.
+// Build can construct every kind by name. The R*-tree prunes with Euclidean
+// bounding-box bounds only, and Euclidean builds are store-backed, so it has
+// a store builder and no slice builder.
 func init() {
-	RegisterBuilder(KindRStar, func(pts []geom.Point, m geom.Metric, _ float64) (Index, error) {
-		if m != nil {
-			if _, ok := m.(geom.Euclidean); !ok {
-				return nil, errors.New("index: the R*-tree supports only the Euclidean metric; use the M-tree for general metrics")
-			}
-		}
-		return rstar.NewBulk(pts)
-	})
 	RegisterBuilder(KindMTree, func(pts []geom.Point, m geom.Metric, _ float64) (Index, error) {
 		return mtree.New(pts, m)
 	})
 	RegisterStoreBuilder(KindRStar, func(st *geom.Store, m geom.Metric, _ float64) (Index, error) {
-		if m != nil {
-			if _, ok := m.(geom.Euclidean); !ok {
-				return nil, errors.New("index: the R*-tree supports only the Euclidean metric; use the M-tree for general metrics")
-			}
+		if !isEuclidean(m) {
+			return nil, errors.New("index: the R*-tree supports only the Euclidean metric; use the M-tree for general metrics")
 		}
 		return rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
 	})

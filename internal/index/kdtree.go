@@ -2,7 +2,6 @@ package index
 
 import (
 	"container/heap"
-	"errors"
 	"math"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -37,13 +36,9 @@ type KDTree struct {
 	// path gaps, since a node's box is contained in its descent region.
 	bounds []float64
 	root   int32
-	// sq is the squared-comparison fast path (nil when the metric does not
-	// support it); euclid devirtualizes the common Euclidean case.
-	sq     geom.SquaredMetric
-	euclid bool
-	// store is the flat backing store when built via NewKDTreeStore; the
-	// Euclidean range search then collects candidate ids from the visited
-	// leaves and verifies them through the batched Store kernel.
+	// store is the flat backing store of a Euclidean tree, nil under any
+	// other metric: the range search then verifies each visited leaf bucket
+	// through the batched Store kernel.
 	store *geom.Store
 }
 
@@ -56,30 +51,45 @@ type kdNode struct {
 	axis        int8
 }
 
-// NewKDTree builds a k-d tree over pts. The slice is retained, not copied.
-// A nil metric defaults to Euclidean.
+// NewKDTree builds a k-d tree over pts, which must share one dimensionality.
+// A nil metric defaults to Euclidean, under which pts are copied once into a
+// flat store (see NewKDTreeStore); under any other metric the slice is
+// retained, not copied.
 func NewKDTree(pts []geom.Point, metric geom.Metric) (*KDTree, error) {
-	if metric == nil {
-		metric = geom.Euclidean{}
+	st, err := storeFor(pts, metric)
+	if err != nil {
+		return nil, err
 	}
-	t := &KDTree{pts: pts, metric: metric, root: -1}
-	t.sq, _ = geom.AsSquared(metric)
-	_, t.euclid = metric.(geom.Euclidean)
+	if st != nil {
+		return NewKDTreeStore(st, metric), nil
+	}
+	return buildKDTree(pts, metric, nil), nil
+}
+
+// NewKDTreeStore builds a k-d tree over the points of a flat store. Point(i)
+// serves zero-copy views into it; under the Euclidean metric the store is
+// retained and the range search verifies candidates through the batched
+// Store kernels.
+func NewKDTreeStore(st *geom.Store, metric geom.Metric) *KDTree {
+	metric, kept := retained(st, metric)
+	return buildKDTree(st.Views(), metric, kept)
+}
+
+// buildKDTree builds the tree over pts (of validated uniform dimensionality).
+func buildKDTree(pts []geom.Point, metric geom.Metric, st *geom.Store) *KDTree {
+	t := &KDTree{pts: pts, metric: metric, store: st, root: -1}
 	if len(pts) == 0 {
-		return t, nil
+		return t
 	}
 	t.dim = pts[0].Dim()
 	t.order = make([]int, len(pts))
 	for i := range t.order {
-		if pts[i].Dim() != t.dim {
-			return nil, errors.New("index: kdtree requires uniform dimensionality")
-		}
 		t.order[i] = i
 	}
 	t.nodes = make([]kdNode, 0, 2*(len(pts)/kdLeafSize)+2)
 	t.root = t.build(0, len(pts), 0)
 	t.computeBounds()
-	return t, nil
+	return t
 }
 
 // computeBounds fills the per-node bounding boxes in one reverse pass over
@@ -192,19 +202,7 @@ func kdSelect(pts []geom.Point, ord []int, n, axis int) {
 	}
 }
 
-// NewKDTreeStore builds a k-d tree over the points of a flat store. The
-// store is retained — Point(i) serves zero-copy views and the Euclidean
-// range search verifies candidates through the batched Store kernels.
-func NewKDTreeStore(st *geom.Store, metric geom.Metric) (*KDTree, error) {
-	t, err := NewKDTree(st.Views(), metric)
-	if err != nil {
-		return nil, err
-	}
-	t.store = st
-	return t, nil
-}
-
-// Store implements StoreBacked. Nil when the index was built from a slice.
+// Store implements StoreBacked.
 func (t *KDTree) Store() *geom.Store { return t.store }
 
 // Len implements Index.
@@ -227,25 +225,23 @@ func (t *KDTree) RangeAppendID(i int, eps float64, buf []int) []int {
 	return t.RangeAppend(t.pts[i], eps, buf)
 }
 
-// RangeAppend implements RangeAppender. Point verification runs in squared
-// space when the metric supports it; the per-axis subtree pruning is
-// unchanged (coordinate gaps lower-bound every Lp distance either way).
+// RangeAppend implements RangeAppender. The per-axis subtree pruning is the
+// same for both verification arms (coordinate gaps lower-bound every Lp
+// distance).
 func (t *KDTree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]
 	if t.root < 0 {
 		return out
 	}
 	switch {
-	case t.euclid && t.store != nil:
-		out = t.rangeSearchEuclidStore(q, eps, eps*eps, out)
-	case t.euclid && t.dim == 2:
-		t.rangeEuclid2(t.root, q[0], q[1], eps, eps*eps, 0, 0, &out)
-	case t.euclid:
-		t.rangeSearchEuclid(t.root, q, eps, eps*eps, &out)
-	case t.sq != nil:
-		t.rangeSearchSq(t.root, q, eps, eps*eps, &out)
-	default:
+	case t.store == nil:
 		t.rangeSearch(t.root, q, eps, &out)
+	case t.dim == 2:
+		// The 2-d descent keeps the whole bound state in registers — the
+		// dominant paper-data shape.
+		out = t.rangeStore2(t.root, q[0], q[1], eps, eps*eps, 0, 0, out)
+	default:
+		out = t.rangeStore(t.root, q, eps, eps*eps, out)
 	}
 	return out
 }
@@ -267,63 +263,6 @@ func (t *KDTree) rangeSearch(slot int32, q geom.Point, eps float64, out *[]int) 
 	if -diff <= eps {
 		t.rangeSearch(n.right, q, eps, out)
 	}
-}
-
-// rangeSearchEuclid is rangeSearch with the Euclidean DistanceSq kernel
-// inlined (concrete receiver, sqrt-free, no interface dispatch). Leaf
-// buckets are gated on their bounding box exactly like the store descent
-// (see rangeSearchEuclidStore): the slice kernel shares the store kernel's
-// summation shape, so the squared-gap sum is the same provable FP lower
-// bound and gated leaves contain no passing rows.
-func (t *KDTree) rangeSearchEuclid(slot int32, q geom.Point, eps, eps2 float64, out *[]int) {
-	n := &t.nodes[slot]
-	if n.axis < 0 {
-		b := t.bounds[int(slot)*2*t.dim:]
-		sum := 0.0
-		for d := 0; d < t.dim; d++ {
-			g := boxGap(q[d], b[2*d], b[2*d+1])
-			if g > eps {
-				return
-			}
-			sum += g * g
-		}
-		if sum > eps2 {
-			return
-		}
-		for _, id := range t.order[n.left:n.right] {
-			if (geom.Euclidean{}).DistanceSq(q, t.pts[id]) <= eps2 {
-				*out = append(*out, id)
-			}
-		}
-		return
-	}
-	diff := q[n.axis] - n.split
-	if diff <= eps {
-		t.rangeSearchEuclid(n.left, q, eps, eps2, out)
-	}
-	if -diff <= eps {
-		t.rangeSearchEuclid(n.right, q, eps, eps2, out)
-	}
-}
-
-// rangeSearchEuclidStore is the batched store traversal: a descent that
-// hands every surviving leaf bucket — a ready-made slice of the build
-// permutation, no id copying — to the fused Store kernel for verification.
-// Subtrees are pruned on the split-plane distance during the descent, and
-// every leaf that survives is gated on its tight bounding box: the per-axis
-// gap from q to the box and the ascending-axis sum of the squared gaps —
-// the exact operation chain of the distance kernel, over per-axis gaps that
-// by FP-monotone subtraction never exceed any boxed row's — so a gated leaf
-// provably contains no row the kernel would accept, and the surviving
-// leaves' left-to-right verification order is untouched: the output is
-// identical to the ungated walk.
-func (t *KDTree) rangeSearchEuclidStore(q geom.Point, eps, eps2 float64, out []int) []int {
-	if t.dim == 2 {
-		// The 2-d descent keeps the whole bound state in registers — the
-		// dominant paper-data shape.
-		return t.rangeStore2(t.root, q[0], q[1], eps, eps2, 0, 0, out)
-	}
-	return t.rangeStore(t.root, q, eps, eps2, out)
 }
 
 // boxGap is the per-axis separation from coordinate q to the interval
@@ -392,61 +331,17 @@ func (t *KDTree) rangeStore2(slot int32, q0, q1, eps, eps2, g0, g1 float64, out 
 	return out
 }
 
-// rangeEuclid2 is the slice-path twin of rangeStore2: the same
-// gap-threaded 2-d descent and leaf bounding-box gate, with the verification
-// loop inlined over the point slices instead of the fused store kernel. The
-// inline `d0*d0 + d1*d1` is the 2-d Euclidean DistanceSq summation exactly
-// (ascending axes, no reassociation), so slice- and store-built trees with
-// the same leaf layout return identical ids in identical order.
-func (t *KDTree) rangeEuclid2(slot int32, q0, q1, eps, eps2, g0, g1 float64, out *[]int) {
-	n := &t.nodes[slot]
-	if n.axis < 0 {
-		b := t.bounds[slot*4 : slot*4+4]
-		bg0 := boxGap(q0, b[0], b[1])
-		bg1 := boxGap(q1, b[2], b[3])
-		if bg0 > eps || bg1 > eps || bg0*bg0+bg1*bg1 > eps2 {
-			return
-		}
-		for _, id := range t.order[n.left:n.right] {
-			p := t.pts[id]
-			d0 := q0 - p[0]
-			d1 := q1 - p[1]
-			if d0*d0+d1*d1 <= eps2 {
-				*out = append(*out, id)
-			}
-		}
-		return
-	}
-	var diff float64
-	if n.axis == 0 {
-		diff = q0 - n.split
-	} else {
-		diff = q1 - n.split
-	}
-	if diff <= eps {
-		if diff <= 0 {
-			t.rangeEuclid2(n.left, q0, q1, eps, eps2, g0, g1, out)
-		} else if n.axis == 0 {
-			if diff*diff+g1*g1 <= eps2 {
-				t.rangeEuclid2(n.left, q0, q1, eps, eps2, diff, g1, out)
-			}
-		} else if g0*g0+diff*diff <= eps2 {
-			t.rangeEuclid2(n.left, q0, q1, eps, eps2, g0, diff, out)
-		}
-	}
-	if -diff <= eps {
-		if diff >= 0 {
-			t.rangeEuclid2(n.right, q0, q1, eps, eps2, g0, g1, out)
-		} else if n.axis == 0 {
-			if diff*diff+g1*g1 <= eps2 {
-				t.rangeEuclid2(n.right, q0, q1, eps, eps2, -diff, g1, out)
-			}
-		} else if g0*g0+diff*diff <= eps2 {
-			t.rangeEuclid2(n.right, q0, q1, eps, eps2, g0, -diff, out)
-		}
-	}
-}
-
+// rangeStore is the batched store traversal: a descent that hands every
+// surviving leaf bucket — a ready-made slice of the build permutation, no id
+// copying — to the fused Store kernel for verification. Subtrees are pruned
+// on the split-plane distance during the descent, and every leaf that
+// survives is gated on its tight bounding box: the per-axis gap from q to
+// the box and the ascending-axis sum of the squared gaps — the exact
+// operation chain of the distance kernel, over per-axis gaps that by
+// FP-monotone subtraction never exceed any boxed row's — so a gated leaf
+// provably contains no row the kernel would accept, and the surviving
+// leaves' left-to-right verification order is untouched: the output is
+// identical to the ungated walk.
 func (t *KDTree) rangeStore(slot int32, q geom.Point, eps, eps2 float64, out []int) []int {
 	n := &t.nodes[slot]
 	if n.axis < 0 {
@@ -475,26 +370,6 @@ func (t *KDTree) rangeStore(slot int32, q geom.Point, eps, eps2 float64, out []i
 		out = t.rangeStore(n.right, q, eps, eps2, out)
 	}
 	return out
-}
-
-// rangeSearchSq is rangeSearch for any other SquaredMetric.
-func (t *KDTree) rangeSearchSq(slot int32, q geom.Point, eps, eps2 float64, out *[]int) {
-	n := &t.nodes[slot]
-	if n.axis < 0 {
-		for _, id := range t.order[n.left:n.right] {
-			if t.sq.DistanceSq(q, t.pts[id]) <= eps2 {
-				*out = append(*out, id)
-			}
-		}
-		return
-	}
-	diff := q[n.axis] - n.split
-	if diff <= eps {
-		t.rangeSearchSq(n.left, q, eps, eps2, out)
-	}
-	if -diff <= eps {
-		t.rangeSearchSq(n.right, q, eps, eps2, out)
-	}
 }
 
 // knnCand is a max-heap entry so the current worst candidate sits on top.

@@ -12,41 +12,37 @@ import (
 type Linear struct {
 	pts    []geom.Point
 	metric geom.Metric
-	// sq is the squared-comparison fast path, nil when the metric does not
-	// support it; euclid devirtualizes the common Euclidean case entirely.
-	sq     geom.SquaredMetric
-	euclid bool
-	// store is the flat backing store when the index was built with
-	// NewLinearStore; the Euclidean scan then runs on the fused strided
-	// verification kernel (contiguous rows, no pointer chase per point).
+	// store is the flat backing store of a Euclidean index, nil under any
+	// other metric: the scan then runs on the fused strided verification
+	// kernel (contiguous rows, no pointer chase per point).
 	store *geom.Store
 }
 
-// NewLinear builds a linear index over pts. The point slice is retained, not
-// copied; callers must not mutate it afterwards. A nil metric defaults to
-// Euclidean. Dimensionality is validated once here so the distance kernels
-// can skip their per-call checks; mixed dimensions panic.
-func NewLinear(pts []geom.Point, metric geom.Metric) *Linear {
-	if metric == nil {
-		metric = geom.Euclidean{}
+// NewLinear builds a linear index over pts. A nil metric defaults to
+// Euclidean, under which pts are copied once into a flat store (see
+// NewLinearStore); under any other metric the point slice is retained, not
+// copied, and callers must not mutate it afterwards. Mixed or zero
+// dimensionality is an error.
+func NewLinear(pts []geom.Point, metric geom.Metric) (*Linear, error) {
+	st, err := storeFor(pts, metric)
+	if err != nil {
+		return nil, err
 	}
-	mustUniformDim(pts, "linear")
-	l := &Linear{pts: pts, metric: metric}
-	l.sq, _ = geom.AsSquared(metric)
-	_, l.euclid = metric.(geom.Euclidean)
-	return l
+	if st != nil {
+		return NewLinearStore(st, metric), nil
+	}
+	return &Linear{pts: pts, metric: metric}, nil
 }
 
-// NewLinearStore builds a linear index over the points of a flat store. The
-// store is retained and Point(i) serves zero-copy views into it; under the
-// Euclidean metric the scan loop runs on the strided Store kernels.
+// NewLinearStore builds a linear index over the points of a flat store.
+// Point(i) serves zero-copy views into it; under the Euclidean metric the
+// store is retained and the scan loop runs on the strided Store kernels.
 func NewLinearStore(st *geom.Store, metric geom.Metric) *Linear {
-	l := NewLinear(st.Views(), metric)
-	l.store = st
-	return l
+	metric, kept := retained(st, metric)
+	return &Linear{pts: st.Views(), metric: metric, store: kept}
 }
 
-// Store implements StoreBacked. Nil when the index was built from a slice.
+// Store implements StoreBacked.
 func (l *Linear) Store() *geom.Store { return l.store }
 
 // Len implements Index.
@@ -64,53 +60,28 @@ func (l *Linear) Range(q geom.Point, eps float64) []int {
 }
 
 // RangeAppend implements RangeAppender. It is allocation-free when buf has
-// capacity and compares in squared space when the metric supports it.
+// capacity.
 func (l *Linear) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]
-	switch {
-	case l.euclid && l.store != nil:
+	if l.store != nil {
 		// Fused strided scan: the interval verification kernel streams the
-		// flat buffer and thresholds in one pass — identical decisions to
-		// testing rows one at a time.
-		out = l.store.VerifyIntervalSq(q, 0, l.store.Len(), eps*eps, out)
-	case l.euclid:
-		// Concrete receiver: DistanceSq inlines into the scan loop.
-		eps2 := eps * eps
-		for i, p := range l.pts {
-			if (geom.Euclidean{}).DistanceSq(q, p) <= eps2 {
-				out = append(out, i)
-			}
-		}
-	case l.sq != nil:
-		eps2 := eps * eps
-		for i, p := range l.pts {
-			if l.sq.DistanceSq(q, p) <= eps2 {
-				out = append(out, i)
-			}
-		}
-	default:
-		for i, p := range l.pts {
-			if l.metric.Distance(q, p) <= eps {
-				out = append(out, i)
-			}
+		// flat buffer and thresholds in squared space in one pass —
+		// identical decisions to testing rows one at a time.
+		return l.store.VerifyIntervalSq(q, 0, l.store.Len(), eps*eps, out)
+	}
+	for i, p := range l.pts {
+		if l.metric.Distance(q, p) <= eps {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// RangeAppendID implements IDRangeAppender: the query point is addressed by
-// id, so the store-backed Euclidean scan compares row against row through
-// Store.DistanceSq without materialising a query slice header.
+// RangeAppendID implements IDRangeAppender: the query row's zero-copy view
+// feeds the same scan as RangeAppend.
 func (l *Linear) RangeAppendID(i int, eps float64, buf []int) []int {
-	if l.euclid && l.store != nil {
-		// The query row's zero-copy view feeds the same fused scan as
-		// RangeAppend: kernel(row_i, row_j) with identical operand order to
-		// the old per-row Store.DistanceSq(i, j) loop.
-		return l.store.VerifyIntervalSq(l.store.Point(i), 0, l.store.Len(), eps*eps, buf[:0])
-	}
 	return l.RangeAppend(l.pts[i], eps, buf)
 }
-
 
 // KNN implements KNNIndex.
 func (l *Linear) KNN(q geom.Point, k int) []int {

@@ -26,19 +26,18 @@ type Tree struct {
 	root       *node
 	pts        []geom.Point
 	size       int
-	// sq is the squared-comparison fast path used by range queries when the
-	// metric supports it (nil otherwise); euclid marks the Euclidean metric,
-	// whose store-backed range search runs the batched kernel path.
-	sq     geom.SquaredMetric
+	// euclid marks the Euclidean metric, whose range queries run in squared
+	// space: batched over the store, or per entry through
+	// geom.SquaredEuclidean once an Insert has demoted the store.
 	euclid bool
 	// distCalls counts metric evaluations; exposed for ablation benches.
 	// Updated atomically: the tree serves range queries from concurrent
 	// readers (e.g. dbscan.RunParallel workers).
 	distCalls int64
-	// store is the flat backing store when built via NewFromStore. Every
-	// pivot is then a zero-copy view into it, so the distance kernels stream
-	// contiguous rows; Insert demotes it to nil (inserted points live
-	// outside the store).
+	// store is the flat backing store of a statically built Euclidean tree,
+	// nil under any other metric. Every pivot is then a zero-copy view into
+	// it, so the distance kernels stream contiguous rows; Insert demotes it
+	// to nil (inserted points live outside the store).
 	store *geom.Store
 	// scratch pools the batched-search candidate and distance buffers so
 	// concurrent store-backed range queries stay allocation-free.
@@ -70,16 +69,21 @@ func New(pts []geom.Point, metric geom.Metric) (*Tree, error) {
 }
 
 // NewWithFanout builds an M-tree with node capacity maxEntries (minimum 4).
+// Under the Euclidean metric a non-empty pts is copied once into a flat
+// store and built by NewFromStoreWithFanout, so a statically built Euclidean
+// tree always answers through the store kernels.
 func NewWithFanout(pts []geom.Point, metric geom.Metric, maxEntries int) (*Tree, error) {
-	if maxEntries < 4 {
-		return nil, fmt.Errorf("mtree: max entries %d < 4", maxEntries)
+	t, err := newTree(metric, maxEntries)
+	if err != nil {
+		return nil, err
 	}
-	if metric == nil {
-		metric = geom.Euclidean{}
+	if t.euclid && len(pts) > 0 {
+		st, err := geom.FromPoints(pts)
+		if err != nil {
+			return nil, err
+		}
+		return NewFromStoreWithFanout(st, metric, maxEntries)
 	}
-	t := &Tree{metric: metric, maxEntries: maxEntries}
-	t.sq, _ = geom.AsSquared(metric)
-	_, t.euclid = metric.(geom.Euclidean)
 	for _, p := range pts {
 		if err := t.Insert(p); err != nil {
 			return nil, err
@@ -98,15 +102,10 @@ func NewFromStore(st *geom.Store, metric geom.Metric) (*Tree, error) {
 
 // NewFromStoreWithFanout is NewFromStore with an explicit node capacity.
 func NewFromStoreWithFanout(st *geom.Store, metric geom.Metric, maxEntries int) (*Tree, error) {
-	if maxEntries < 4 {
-		return nil, fmt.Errorf("mtree: max entries %d < 4", maxEntries)
+	t, err := newTree(metric, maxEntries)
+	if err != nil {
+		return nil, err
 	}
-	if metric == nil {
-		metric = geom.Euclidean{}
-	}
-	t := &Tree{metric: metric, maxEntries: maxEntries}
-	t.sq, _ = geom.AsSquared(metric)
-	_, t.euclid = metric.(geom.Euclidean)
 	for i, n := 0, st.Len(); i < n; i++ {
 		if err := t.Insert(st.Point(i)); err != nil {
 			return nil, err
@@ -114,7 +113,22 @@ func NewFromStoreWithFanout(st *geom.Store, metric geom.Metric, maxEntries int) 
 	}
 	// Set after the build loop: Insert demotes the store on every call so
 	// user insertions past the store cannot leave a stale id mapping.
-	t.store = st
+	if t.euclid {
+		t.store = st
+	}
+	return t, nil
+}
+
+// newTree returns an empty tree.
+func newTree(metric geom.Metric, maxEntries int) (*Tree, error) {
+	if maxEntries < 4 {
+		return nil, fmt.Errorf("mtree: max entries %d < 4", maxEntries)
+	}
+	if metric == nil {
+		metric = geom.Euclidean{}
+	}
+	t := &Tree{metric: metric, maxEntries: maxEntries}
+	_, t.euclid = metric.(geom.Euclidean)
 	return t, nil
 }
 
@@ -141,13 +155,13 @@ func (t *Tree) dist(a, b geom.Point) float64 {
 	return t.metric.Distance(a, b)
 }
 
-// distSq is the squared-space counterpart of dist; callers must have checked
-// t.sq != nil. Squared evaluations count like plain ones: the ablation
-// benches compare metric evaluations, and one DistanceSq stands for one
-// would-be Distance.
+// distSq is the squared-space counterpart of dist for the Euclidean tree.
+// Squared evaluations count like plain ones: the ablation benches compare
+// metric evaluations, and one squared distance stands for one would-be
+// Distance.
 func (t *Tree) distSq(a, b geom.Point) float64 {
 	atomic.AddInt64(&t.distCalls, 1)
-	return t.sq.DistanceSq(a, b)
+	return geom.SquaredEuclidean(a, b)
 }
 
 // Insert adds a point to the tree.
@@ -362,8 +376,8 @@ func (t *Tree) Range(q geom.Point, eps float64) []int {
 }
 
 // RangeAppend is Range writing into buf (truncated to zero length first) —
-// the allocation-free variant used through index.RangeInto. When the metric
-// supports squared comparisons the whole traversal runs sqrt-free: the
+// the allocation-free variant used through index.RangeInto. Under the
+// Euclidean metric the whole traversal runs sqrt-free: the
 // triangle-inequality prune d − radius ≤ eps is evaluated as
 // d² ≤ (eps+radius)², which is equivalent for the non-negative quantities
 // involved.
@@ -373,9 +387,9 @@ func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 		return out
 	}
 	switch {
-	case t.euclid && t.store != nil:
+	case t.store != nil:
 		out = t.rangeSearchStore(q, eps, eps*eps, out)
-	case t.sq != nil:
+	case t.euclid:
 		t.rangeSearchSq(t.root, q, eps, eps*eps, &out)
 	default:
 		t.rangeSearch(t.root, q, eps, &out)
@@ -452,9 +466,9 @@ func (t *Tree) rangeSearch(n *node, q geom.Point, eps float64, out *[]int) {
 	}
 }
 
-// rangeSearchSq is rangeSearch in squared space (metric supports
-// SquaredMetric). Leaf verification compares against eps²; routing entries
-// against (eps + radius)².
+// rangeSearchSq is rangeSearch in squared space, the arm of a Euclidean tree
+// whose store an Insert demoted. Leaf verification compares against eps²;
+// routing entries against (eps + radius)².
 func (t *Tree) rangeSearchSq(n *node, q geom.Point, eps, eps2 float64, out *[]int) {
 	for i := range n.entries {
 		e := &n.entries[i]

@@ -43,16 +43,15 @@ func (pointCloud) Generate(rng *rand.Rand, size int) reflect.Value {
 }
 
 // Property (quick variant of the oracle test): every index kind returns
-// exactly the linear scan's ε-neighborhood on arbitrary generated clouds,
+// exactly the index-free oracle's ε-neighborhood on arbitrary generated clouds,
 // including duplicate-heavy and grid-aligned layouts.
 func TestQuickRangeOracle(t *testing.T) {
 	f := func(pc pointCloud) bool {
 		if pc.eps <= 0 {
 			pc.eps = 0.5
 		}
-		oracle := NewLinear(pc.pts, geom.Euclidean{})
 		want := map[int]bool{}
-		for _, i := range oracle.Range(pc.query, pc.eps) {
+		for _, i := range oracleRange(pc.pts, pc.query, pc.eps) {
 			want[i] = true
 		}
 		for _, kind := range Kinds() {

@@ -8,63 +8,20 @@ import (
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// NewBulk builds an R*-tree over pts with Sort-Tile-Recursive (STR) bulk
-// loading (Leutenegger, Lopez, Edgington 1997): points are tiled into fully
-// packed, minimally overlapping leaves, then the upper levels are packed
-// the same way. Bulk loading is an order of magnitude faster than repeated
-// insertion and yields better query performance, so it is the default for
-// the static site data DBSCAN runs over; dynamic workloads (incremental
-// DBSCAN) use New and Insert instead. The point slice is retained, not
-// copied. Further Inserts into a bulk-loaded tree are valid.
-func NewBulk(pts []geom.Point) (*Tree, error) {
-	return NewBulkWithFanout(pts, DefaultMaxEntries)
-}
-
-// NewBulkWithFanout is NewBulk with an explicit node fan-out.
-func NewBulkWithFanout(pts []geom.Point, maxEntries int) (*Tree, error) {
-	if maxEntries < 4 {
-		return nil, fmt.Errorf("rstar: max entries %d < 4", maxEntries)
-	}
-	t := &Tree{
-		maxEntries: maxEntries,
-		minEntries: maxEntries * 2 / 5,
-	}
-	if t.minEntries < 2 {
-		t.minEntries = 2
-	}
-	if len(pts) == 0 {
-		return t, nil
-	}
-	t.dim = pts[0].Dim()
-	for i, p := range pts {
-		if !p.IsFinite() {
-			return nil, fmt.Errorf("rstar: non-finite point %v at index %d", p, i)
-		}
-		if p.Dim() != t.dim {
-			return nil, fmt.Errorf("rstar: point %d has dimension %d, want %d", i, p.Dim(), t.dim)
-		}
-	}
-	t.pts = pts
-	t.size = len(pts)
-	entries := make([]entry, len(pts))
-	for i, p := range pts {
-		entries[i] = entry{rect: geom.RectFromPoint(p), idx: int32(i)}
-	}
-	level := 0
-	for len(entries) > t.maxEntries {
-		entries = t.strPack(entries, level)
-		level++
-	}
-	t.root = &node{level: level, entries: entries}
-	return t, nil
-}
-
-// NewBulkStore is NewBulk over the points of a flat store. Point(i) serves
-// zero-copy views into the store and leaf verification runs on the strided
-// Store kernels by point id. The degenerate leaf rectangles alias the store
-// views directly (leaf rects are only ever read, never mutated in place), so
-// the build performs no per-point coordinate copy at all — the routing-level
-// MBRs are the only rectangles cloned.
+// NewBulkStore builds an R*-tree over the points of a flat store with
+// Sort-Tile-Recursive (STR) bulk loading (Leutenegger, Lopez, Edgington
+// 1997): points are tiled into fully packed, minimally overlapping leaves,
+// then the upper levels are packed the same way. Bulk loading is an order of
+// magnitude faster than repeated insertion and yields better query
+// performance, so it is the build for the static site data DBSCAN runs over;
+// dynamic workloads (incremental DBSCAN) use New and Insert instead. Further
+// Inserts into a bulk-loaded tree are valid.
+//
+// Point(i) serves zero-copy views into the store and leaf verification runs
+// on the strided Store kernels by point id. The degenerate leaf rectangles
+// alias the store views directly (leaf rects are only ever read, never
+// mutated in place), so the build performs no per-point coordinate copy at
+// all — the routing-level MBRs are the only rectangles cloned.
 func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 	if maxEntries < 4 {
 		return nil, fmt.Errorf("rstar: max entries %d < 4", maxEntries)
@@ -80,7 +37,6 @@ func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 		return t, nil
 	}
 	if !st.IsFinite() {
-		// Match the per-point diagnostics of the slice path.
 		for i, n := 0, st.Len(); i < n; i++ {
 			if p := st.Point(i); !p.IsFinite() {
 				return nil, fmt.Errorf("rstar: non-finite point %v at index %d", p, i)

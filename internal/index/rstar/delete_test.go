@@ -61,7 +61,7 @@ func TestDeleteRandomSubsets(t *testing.T) {
 		var tr *Tree
 		var err error
 		if trial%2 == 0 {
-			tr, err = NewBulk(pts)
+			tr, err = bulkOf(pts)
 		} else {
 			tr, err = NewWithFanout(pts, 8)
 		}
@@ -195,7 +195,7 @@ func TestReplaceAtChurn(t *testing.T) {
 	pts := randomPoints(rng, n, 2)
 	cur := make([]geom.Point, n)
 	copy(cur, pts)
-	tr, err := NewBulk(pts)
+	tr, err := bulkOf(pts)
 	if err != nil {
 		t.Fatal(err)
 	}

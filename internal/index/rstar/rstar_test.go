@@ -252,10 +252,22 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
+// bulkOf STR-loads pts through a flat store — the only bulk build.
+func bulkOf(pts []geom.Point) (*Tree, error) {
+	if len(pts) == 0 {
+		return NewBulkStore(geom.NewStore(2, 0), DefaultMaxEntries)
+	}
+	st, err := geom.FromPoints(pts)
+	if err != nil {
+		return nil, err
+	}
+	return NewBulkStore(st, DefaultMaxEntries)
+}
+
 func TestBulkInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{0, 1, 5, 32, 33, 100, 1000, 5000} {
-		tr, err := NewBulk(randomPoints(rng, n, 2))
+		tr, err := bulkOf(randomPoints(rng, n, 2))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -268,7 +280,7 @@ func TestBulkInvariants(t *testing.T) {
 
 func TestBulkHighDimInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tr, err := NewBulk(randomPoints(rng, 2000, 4))
+	tr, err := bulkOf(randomPoints(rng, 2000, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,20 +288,20 @@ func TestBulkHighDimInvariants(t *testing.T) {
 }
 
 func TestBulkValidation(t *testing.T) {
-	if _, err := NewBulk([]geom.Point{{1, 2}, {1}}); err == nil {
+	if _, err := bulkOf([]geom.Point{{1, 2}, {1}}); err == nil {
 		t.Error("mixed dims accepted")
 	}
-	if _, err := NewBulk([]geom.Point{{math.NaN(), 0}}); err == nil {
+	if _, err := bulkOf([]geom.Point{{math.NaN(), 0}}); err == nil {
 		t.Error("NaN accepted")
 	}
-	if _, err := NewBulkWithFanout(nil, 2); err == nil {
+	if _, err := NewBulkStore(geom.NewStore(2, 0), 2); err == nil {
 		t.Error("tiny fanout accepted")
 	}
 }
 
 func TestBulkThenInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	tr, err := NewBulk(randomPoints(rng, 500, 2))
+	tr, err := bulkOf(randomPoints(rng, 500, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +319,7 @@ func TestBulkThenInsert(t *testing.T) {
 func TestBulkRangeMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pts := randomPoints(rng, 1500, 2)
-	bulk, err := NewBulk(pts)
+	bulk, err := bulkOf(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +345,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	pts := randomPoints(rng, 100000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewBulk(pts); err != nil {
+		if _, err := bulkOf(pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -342,7 +354,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 func TestRangeRectMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := randomPoints(rng, 800, 2)
-	tr, err := NewBulk(pts)
+	tr, err := bulkOf(pts)
 	if err != nil {
 		t.Fatal(err)
 	}

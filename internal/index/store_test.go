@@ -1,8 +1,10 @@
 package index
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -20,24 +22,16 @@ func testStore(n int, seed int64) *geom.Store {
 	return st
 }
 
-func sortedRange(idx Index, q geom.Point, eps float64) []int {
-	ids := append([]int(nil), idx.Range(q, eps)...)
-	sort.Ints(ids)
-	return ids
-}
-
-// TestBuildStoreAllKinds: every kind accepts a flat store, exposes it
-// through StoreOf (same store, not a copy), and answers range queries
-// identically to its slice-built twin.
-func TestBuildStoreAllKinds(t *testing.T) {
+// TestEuclideanBuildIsStoreBacked pins the invariant this package enforces:
+// a Euclidean (or nil-metric) Build from a point slice copies once into a
+// store and answers query for query — ids and order — like BuildStore over
+// the same rows; BuildStore retains the very store it was handed; no store
+// is ever exposed under another metric, however the index was built.
+func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 	st := testStore(400, 8)
 	pts := st.Views()
 	const eps = 2.5
 	for _, kind := range Kinds() {
-		sliceIdx, err := Build(kind, pts, geom.Euclidean{}, eps)
-		if err != nil {
-			t.Fatalf("%s: Build: %v", kind, err)
-		}
 		storeIdx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
 		if err != nil {
 			t.Fatalf("%s: BuildStore: %v", kind, err)
@@ -45,47 +39,148 @@ func TestBuildStoreAllKinds(t *testing.T) {
 		if got := StoreOf(storeIdx); got != st {
 			t.Errorf("%s: StoreOf = %p, want the build store %p", kind, got, st)
 		}
-		if storeIdx.Len() != st.Len() {
-			t.Fatalf("%s: store index holds %d points, store %d", kind, storeIdx.Len(), st.Len())
+		for _, m := range []geom.Metric{geom.Euclidean{}, nil} {
+			idx, err := Build(kind, pts, m, eps)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", kind, err)
+			}
+			if got := StoreOf(idx); got == nil || got == st || got.Len() != st.Len() {
+				t.Fatalf("%s: Euclidean Build is not backed by its own copy of the points (StoreOf = %p)", kind, got)
+			}
+			for i := 0; i < st.Len(); i += 37 {
+				want := storeIdx.Range(st.Point(i), eps)
+				if got := idx.Range(pts[i], eps); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Range differs from BuildStore at query %d: %v vs %v", kind, i, got, want)
+				}
+				if got := RangeIntoID(idx, i, eps, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: RangeIntoID differs from BuildStore at query %d: %v vs %v", kind, i, got, want)
+				}
+			}
 		}
-		for i := 0; i < st.Len(); i += 37 {
-			q := st.Point(i)
-			got, want := sortedRange(storeIdx, q, eps), sortedRange(sliceIdx, q, eps)
-			if len(got) != len(want) {
-				t.Fatalf("%s: range sizes differ at %d: %d vs %d", kind, i, len(got), len(want))
+		if kind == KindRStar {
+			continue // Euclidean-only
+		}
+		for _, build := range []func() (Index, error){
+			func() (Index, error) { return Build(kind, pts, geom.Manhattan{}, eps) },
+			func() (Index, error) { return BuildStore(kind, st, geom.Manhattan{}, eps) },
+		} {
+			idx, err := build()
+			if err != nil {
+				t.Fatalf("%s: manhattan build: %v", kind, err)
 			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("%s: range results differ at query %d", kind, i)
-				}
-			}
-			// The by-id path answers the same query.
-			byID := RangeIntoID(storeIdx, i, eps, nil)
-			sort.Ints(byID)
-			if len(byID) != len(want) {
-				t.Fatalf("%s: RangeIntoID size differs at %d: %d vs %d", kind, i, len(byID), len(want))
-			}
-			for k := range byID {
-				if byID[k] != want[k] {
-					t.Fatalf("%s: RangeIntoID results differ at query %d", kind, i)
-				}
+			if StoreOf(idx) != nil {
+				t.Errorf("%s: StoreOf exposed a store under a non-Euclidean metric", kind)
 			}
 		}
 	}
 }
 
-// TestStoreOfNonEuclidean: the strided kernels are Euclidean-only, so
-// StoreOf must refuse to expose a store behind any other metric even when
-// the index was built from one.
-func TestStoreOfNonEuclidean(t *testing.T) {
-	st := testStore(50, 3)
-	for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree, KindMTree} {
-		idx, err := BuildStore(kind, st, geom.Manhattan{}, 2)
-		if err != nil {
-			t.Fatalf("%s: BuildStore(manhattan): %v", kind, err)
+// TestRangeEpsBoundary places points exactly ε apart (the 3-4-5 triangle at
+// ε = 5) and on floating-point-awkward offsets (0.1+0.2 against 0.3) and
+// holds every kind — and the R*- and M-tree again after an Insert demoted
+// their store — to the squared-space verdicts of the index-free oracle. A
+// Euclidean index answering through Distance ≤ eps would flip these.
+func TestRangeEpsBoundary(t *testing.T) {
+	pts := []geom.Point{
+		{0, 0}, {3, 4}, {-3, -4}, {4, -3}, {5, 0}, {0, -5}, {6, 8},
+		{math.Nextafter(5, 6), 0}, {math.Nextafter(5, 0), 0},
+		{0.1 + 0.2, 0}, {0.3, 0}, {0, 0.1 + 0.2}, {0.1, 0.2}, {0.2, 0.1},
+		{1e-8, 0}, {0.6, 0.8}, {1 + 0.1 + 0.2, 0}, {1.3, 0},
+	}
+	radii := []float64{5, 10, 0.3, 0.1 + 0.2, 1, math.Sqrt(0.05), 1e-8}
+	check := func(t *testing.T, idx Index, pts []geom.Point) {
+		t.Helper()
+		for _, eps := range radii {
+			for i, q := range pts {
+				want := oracleRange(pts, q, eps)
+				if got := sortedInts(idx.Range(q, eps)); !reflect.DeepEqual(got, want) {
+					t.Errorf("eps=%v query %d %v: got %v, oracle %v", eps, i, q, got, want)
+				}
+				if got := sortedInts(RangeIntoID(idx, i, eps, nil)); !reflect.DeepEqual(got, want) {
+					t.Errorf("eps=%v by-id query %d %v: got %v, oracle %v", eps, i, q, got, want)
+				}
+			}
 		}
-		if StoreOf(idx) != nil {
-			t.Errorf("%s: StoreOf exposed a store under a non-Euclidean metric", kind)
+	}
+	for _, kind := range Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			idx, err := Build(kind, pts, geom.Euclidean{}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, idx, pts)
+		})
+	}
+	grown := append(append([]geom.Point(nil), pts...), geom.Point{-4, 3})
+	st, err := geom.FromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("rstar-demoted", func(t *testing.T) {
+		tr, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Insert(grown[len(pts)]); err != nil {
+			t.Fatal(err)
+		}
+		check(t, tr, grown)
+	})
+	t.Run("mtree-demoted", func(t *testing.T) {
+		tr, err := mtree.New(pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Store() == nil {
+			t.Fatal("mtree.New over Euclidean points is not store-backed")
+		}
+		if err := tr.Insert(grown[len(pts)]); err != nil {
+			t.Fatal(err)
+		}
+		check(t, tr, grown)
+	})
+}
+
+// TestBuildRejectsMalformedInput: no input makes any kind panic. An empty
+// set builds an empty index; mixed- and zero-dimensional input is an error
+// from every kind under every metric; NaN and Inf coordinates are rejected
+// by the R*-tree and the M-tree and indexed (never matched) by the others.
+func TestBuildRejectsMalformedInput(t *testing.T) {
+	inputs := []struct {
+		name      string
+		pts       []geom.Point
+		wantErr   bool // from every kind
+		treesOnly bool // error from the R*-tree and the M-tree only
+	}{
+		{"empty", nil, false, false},
+		{"mixed-dimension", []geom.Point{{1, 2}, {1}, {3, 4}}, true, false},
+		{"zero-dimensional", []geom.Point{{}, {}}, true, false},
+		{"nan", []geom.Point{{0, 0}, {math.NaN(), 1}, {1, 1}}, false, true},
+		{"inf", []geom.Point{{0, 0}, {1, math.Inf(1)}, {1, 1}}, false, true},
+	}
+	for _, kind := range Kinds() {
+		for _, m := range []geom.Metric{geom.Euclidean{}, geom.Manhattan{}} {
+			if kind == KindRStar && m.Name() != "euclidean" {
+				continue
+			}
+			for _, in := range inputs {
+				t.Run(fmt.Sprintf("%s/%s/%s", kind, m.Name(), in.name), func(t *testing.T) {
+					idx, err := Build(kind, in.pts, m, 1)
+					wantErr := in.wantErr || (in.treesOnly && (kind == KindRStar || kind == KindMTree))
+					if (err != nil) != wantErr {
+						t.Fatalf("err = %v, want error: %v", err, wantErr)
+					}
+					if err != nil {
+						return
+					}
+					if idx.Len() != len(in.pts) {
+						t.Fatalf("Len = %d, want %d", idx.Len(), len(in.pts))
+					}
+					if got := idx.Range(geom.Point{0, 0}, 0.5); len(in.pts) == 0 && len(got) != 0 {
+						t.Fatalf("Range on empty = %v", got)
+					}
+				})
+			}
 		}
 	}
 }

@@ -12,7 +12,11 @@ import (
 )
 
 func linearOf(pts []geom.Point) index.Index {
-	return index.NewLinear(pts, geom.Euclidean{})
+	idx, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		panic(err)
+	}
+	return idx
 }
 
 func randomClustered(rng *rand.Rand, blobs, perBlob int) []geom.Point {

@@ -13,7 +13,11 @@ import (
 
 func central(t *testing.T, pts []geom.Point, params dbscan.Params) *dbscan.Result {
 	t.Helper()
-	res, err := dbscan.Run(index.NewLinear(pts, geom.Euclidean{}), params, dbscan.Options{})
+	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dbscan.Run(lin, params, dbscan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

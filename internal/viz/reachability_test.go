@@ -95,7 +95,11 @@ func TestReachabilityPlotFromOPTICS(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		pts = append(pts, geom.Point{20 + rng.NormFloat64()*0.3, rng.NormFloat64() * 0.3})
 	}
-	res, err := optics.Run(index.NewLinear(pts, geom.Euclidean{}), dbscan.Params{Eps: 50, MinPts: 5})
+	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := optics.Run(lin, dbscan.Params{Eps: 50, MinPts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
