@@ -49,7 +49,7 @@ func main() {
 	quorum := flag.Int("quorum", 0, "minimum usable child models per round; 0 = proceed with any")
 	acceptTimeout := flag.Duration("accept-timeout", 0, "accept-phase deadline per round; 0 = -timeout")
 	expectSites := flag.String("expect-sites", "", "comma-separated child ids for per-name failure reporting")
-	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "upload byte cap advertised to budget-handshaking children (0 = no cap)")
+	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "byte cap on every frame a child uploads, advertised to budget-handshaking children (0 = no cap)")
 	reportJSON := flag.String("report-json", "", "write the per-round phase breakdown as a benchio JSON report to this file (\"-\" = stdout)")
 	rev := flag.String("rev", "", "source revision recorded in the JSON report")
 	flag.Parse()

@@ -60,7 +60,7 @@ func main() {
 	quorum := flag.Int("quorum", 0, "minimum usable site models per round; 0 = proceed with any")
 	acceptTimeout := flag.Duration("accept-timeout", 0, "accept-phase deadline per round; 0 = -timeout")
 	expectSites := flag.String("expect-sites", "", "comma-separated site ids for per-name failure reporting")
-	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "upload byte cap advertised to budget-handshaking sites (0 = no cap); handshaking sites shrink their rep budget until the model frame fits")
+	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "byte cap on every uploaded frame (0 = no cap); budgeted sites learn it in the handshake and shrink their rep budget until the model frame fits, any other upload over it is refused")
 	reportJSON := flag.String("report-json", "", "write the per-round phase breakdown as a benchio JSON report to this file (\"-\" = stdout)")
 	rev := flag.String("rev", "", "source revision recorded in the JSON report")
 	serveClassify := flag.String("serve-classify", "", "serve online classification on this address (e.g. :7072); every completed round hot-swaps the model, and the server keeps answering after the last round until killed")
@@ -79,7 +79,7 @@ func main() {
 		EpsGlobal: *epsGlobal,
 	}
 	if *streamMode {
-		runStreamServer(*addr, cfg, *timeout, *debounce, *serveClassify, *classifyIndex, *metricsAddr)
+		runStreamServer(*addr, cfg, *timeout, *debounce, *maxUploadBytes, *serveClassify, *classifyIndex, *metricsAddr)
 		return
 	}
 	srv, err := transport.NewServer(*addr, *sites, cfg, *timeout)
@@ -200,7 +200,7 @@ func main() {
 // runStreamServer is the -stream mode: an UpdateServer folding full and
 // delta uploads until killed, optionally fronted by a classification
 // server whose registry hot-swaps on every debounced rebuild.
-func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duration, serveClassify, classifyIndex, metricsAddr string) {
+func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duration, maxUploadBytes int64, serveClassify, classifyIndex, metricsAddr string) {
 	srv, err := lib.NewUpdateServer(addr, cfg, timeout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dbdc-server: %v\n", err)
@@ -208,6 +208,7 @@ func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duratio
 	}
 	defer srv.Close()
 	srv.SetDebounce(debounce)
+	srv.SetMaxUploadBytes(maxUploadBytes)
 
 	var classifyDone chan error
 	if serveClassify != "" {

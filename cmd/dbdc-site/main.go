@@ -16,8 +16,7 @@
 // SDBDC bandwidth budget, docs/budgets.md): the site greedily keeps the
 // most-covering specific cores, negotiates the server's upload byte cap via
 // the MsgHello handshake and shrinks further if the model still does not
-// fit. 0 keeps the paper's unbudgeted upload, byte-identical to older
-// builds.
+// fit. 0 keeps the paper's unbudgeted upload.
 //
 // With -serve-classify the site keeps running after the round and labels
 // new points online against the received global model (the paper's "new
@@ -28,8 +27,7 @@
 // With -stream the site runs the always-on streaming mode instead of one
 // round: the input CSV is ingested in row order as a point stream over a
 // sliding window (-window), the local clustering is maintained with
-// incremental DBSCAN, and a model update — a delta when the server folds
-// them, a full model otherwise — is uploaded whenever the clustering
+// incremental DBSCAN, and a model delta is uploaded whenever the clustering
 // changed considerably (-stream-threshold). Pair it with a dbdc-server
 // running -stream. See docs/streaming.md.
 package main
@@ -62,7 +60,6 @@ func main() {
 	retries := flag.Int("retries", 3, "max upload attempts on transient failures (1 = no retry)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "base backoff delay between attempts")
 	retryMax := flag.Duration("retry-max", 2*time.Second, "backoff delay cap")
-	legacyUpload := flag.Bool("legacy-upload", false, "force the pre-metrics MsgLocalModel upload frame (skips the downgrade negotiation against old servers)")
 	serveQueries := flag.String("serve-queries", "", "after the round, serve cluster-membership queries on this address (e.g. :7071) until killed")
 	serveClassify := flag.String("serve-classify", "", "after the round, classify new points against the received global model on this address (e.g. :7072) until killed")
 	classifyIndex := flag.String("classify-index", string(index.KindKDTree), "spatial index the local classifier bulk-loads the representatives into")
@@ -117,13 +114,12 @@ func main() {
 		RepBudget:   *repBudget,
 	}
 	if *streamMode {
-		runStreamSite(*id, *addr, pts, cfg, *window, *streamThreshold, *streamCheck, *timeout, *legacyUpload)
+		runStreamSite(*id, *addr, pts, cfg, *window, *streamThreshold, *streamCheck, *timeout)
 		return
 	}
 	client := &lib.TransportClient{
-		Addr:               *addr,
-		Timeout:            *timeout,
-		DisableTimedUpload: *legacyUpload,
+		Addr:    *addr,
+		Timeout: *timeout,
 		Retry: lib.RetryPolicy{
 			MaxAttempts: *retries,
 			BaseDelay:   *retryBase,
@@ -236,14 +232,14 @@ func main() {
 // runStreamSite is the -stream mode: the CSV rows become a point stream
 // ingested over a sliding window, with model updates uploaded whenever the
 // clustering changed considerably; a final flush ships the closing state.
-func runStreamSite(id, addr string, pts []lib.Point, cfg lib.Config, window int, threshold float64, checkEvery int, timeout time.Duration, legacyUpload bool) {
+func runStreamSite(id, addr string, pts []lib.Point, cfg lib.Config, window int, threshold float64, checkEvery int, timeout time.Duration) {
 	site, err := lib.NewStreamSite(lib.StreamConfig{
 		SiteID:     id,
 		Cluster:    cfg,
 		Window:     window,
 		Threshold:  threshold,
 		CheckEvery: checkEvery,
-	}, &lib.StreamClient{Addr: addr, Timeout: timeout, DisableDelta: legacyUpload})
+	}, &lib.StreamClient{Addr: addr, Timeout: timeout})
 	if err != nil {
 		fatal(err)
 	}

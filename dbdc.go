@@ -365,7 +365,7 @@ type ClusterMatcher = model.ClusterMatcher
 func NewClusterMatcher() *ClusterMatcher { return model.NewClusterMatcher() }
 
 // StreamClient uploads a streaming site's model updates to an update
-// server, negotiating delta versus full-model encoding by fallback.
+// server as deltas.
 type StreamClient = transport.StreamClient
 
 // StreamUploadResult describes one StreamClient upload.
@@ -374,12 +374,8 @@ type StreamUploadResult = transport.UploadResult
 // StreamUploadMode names the wire encoding an upload went out with.
 type StreamUploadMode = transport.UploadMode
 
-// Streaming upload modes, from preferred to fallback of last resort.
-const (
-	StreamModeDelta      = transport.ModeDelta
-	StreamModeTimedFull  = transport.ModeTimedFull
-	StreamModeLegacyFull = transport.ModeLegacyFull
-)
+// StreamModeDelta is the one streaming upload mode.
+const StreamModeDelta = transport.ModeDelta
 
 // StreamStats is the stream-progress section a streaming site attaches to
 // its delta uploads.

@@ -26,7 +26,7 @@ func repKey(r model.GlobalRepresentative) string {
 
 // TestStreamingEndToEnd is the acceptance run for the always-on streaming
 // round: two streaming sites ingest drifting streams over sliding windows
-// (≥5 full window turns each) and upload deltas; a third, legacy site
+// (≥5 full window turns each) and upload deltas; a third, batch site
 // participates with plain full-model exchanges; the update server folds
 // everything on a debounced schedule and hot-swaps the serving registry,
 // which classify clients read over TCP throughout. Run under -race in CI.
@@ -38,8 +38,8 @@ func repKey(r model.GlobalRepresentative) string {
 //   - global cluster ids are stable: across consecutive published models,
 //     any cluster pair sharing a mutual majority (>50%) of representatives
 //     keeps its id;
-//   - the legacy site's representatives appear in the global model (the
-//     downgrade/mixed path works end to end).
+//   - the batch site's representatives appear in the global model (full
+//     and delta uploads mix end to end).
 func TestStreamingEndToEnd(t *testing.T) {
 	cfg := idbdc.Config{Local: dbscan.Params{Eps: 0.5, MinPts: 5}}
 	srv, err := transport.NewUpdateServer("127.0.0.1:0", cfg, 10*time.Second)
@@ -161,8 +161,8 @@ func TestStreamingEndToEnd(t *testing.T) {
 		}(s)
 	}
 
-	// The legacy site uploads full models mid-run, twice, via the
-	// pre-streaming exchange.
+	// The batch site uploads full models mid-run, twice, via the round
+	// exchange.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -170,12 +170,12 @@ func TestStreamingEndToEnd(t *testing.T) {
 		var pts []geom.Point
 		for e := 0; e < 2; e++ {
 			pts = append(pts, data.Blob(rng, geom.Point{500, float64(e * 20)}, 0.25, 150)...)
-			out, err := idbdc.LocalStep("legacy", pts, cfg)
+			out, err := idbdc.LocalStep("batch", pts, cfg)
 			if err == nil {
 				_, _, _, err = transport.Exchange(srv.Addr(), out.Model, 5*time.Second)
 			}
 			if err != nil {
-				t.Errorf("legacy site: %v", err)
+				t.Errorf("batch site: %v", err)
 				return
 			}
 			time.Sleep(50 * time.Millisecond)
@@ -209,12 +209,12 @@ func TestStreamingEndToEnd(t *testing.T) {
 	if len(published) < 3 {
 		t.Fatalf("only %d published models", len(published))
 	}
-	// The legacy site made it into the fold.
+	// The batch site made it into the fold.
 	finalSites := make(map[string]bool)
 	for _, r := range published[len(published)-1].Reps {
 		finalSites[r.SiteID] = true
 	}
-	if !finalSites["legacy"] || !finalSites["stream-0"] || !finalSites["stream-1"] {
+	if !finalSites["batch"] || !finalSites["stream-0"] || !finalSites["stream-1"] {
 		t.Fatalf("final global model misses sites: %v", finalSites)
 	}
 

@@ -1,9 +1,8 @@
 // Package stream implements the site side of the always-on streaming
 // deployment: a Site ingests an unbounded point stream, maintains its local
 // clustering over a sliding window with incremental DBSCAN, and uploads a
-// model update — a delta when the server folds them, a full model otherwise
-// — whenever the clustering has changed considerably since the last
-// transmitted state (the paper's Section 4 update policy, measured as
+// model delta whenever the clustering has changed considerably since the
+// last transmitted state (the paper's Section 4 update policy, measured as
 // 1 − P^II against the last transmitted labeling snapshot).
 //
 // The window is FIFO in arrival order: once it is full, every ingested
@@ -89,8 +88,10 @@ type Stats struct {
 	// Turns is how often the window content has fully turned over
 	// (Evicted / Window).
 	Turns uint64
-	// Uploads counts successful uploads; DeltaUploads of those went out as
-	// deltas, Resyncs required a snapshot retry first.
+	// Uploads counts successful uploads, Resyncs those that required a
+	// snapshot retry first. Every upload is a delta, so DeltaUploads equals
+	// Uploads; the field survives because the repository benchmark (bench/,
+	// frozen) reads it.
 	Uploads, DeltaUploads, Resyncs uint64
 	// LastChange is the change metric at the last upload decision.
 	LastChange float64
@@ -238,7 +239,7 @@ func (s *Site) upload(labels cluster.Labeling) error {
 	}
 	s.stats.BytesSent += res.BytesSent
 	s.stats.BytesReceived += res.BytesReceived
-	if res.Mode == transport.ModeDelta && res.Resync {
+	if res.Resync {
 		// The server lost our chain (restart, or a full upload superseded
 		// it): re-establish it with a snapshot.
 		s.stats.Resyncs++
@@ -250,22 +251,14 @@ func (s *Site) upload(labels cluster.Labeling) error {
 		}
 		s.stats.BytesSent += res.BytesSent
 		s.stats.BytesReceived += res.BytesReceived
-		if res.Mode == transport.ModeDelta && res.Resync {
+		if res.Resync {
 			return errors.New("stream: server demanded resync for a fresh snapshot")
 		}
 	}
-	if res.Mode == transport.ModeDelta {
-		s.tracker.Commit(pending)
-	} else {
-		// Downgraded to full uploads: the delta chain is dead; keep the
-		// tracker pristine in case the mode is ever reset.
-		s.tracker.Reset()
-	}
+	s.tracker.Commit(pending)
 	s.snapshot = labels
 	s.stats.Uploads++
-	if res.Mode == transport.ModeDelta {
-		s.stats.DeltaUploads++
-	}
+	s.stats.DeltaUploads++
 	return nil
 }
 

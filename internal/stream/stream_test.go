@@ -258,37 +258,6 @@ func TestUploadFaultDoesNotAdvanceChain(t *testing.T) {
 	}
 }
 
-// When the server downgrades to full uploads the site keeps working; the
-// delta chain simply stops counting.
-func TestFullModeFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	full := func(u *upload) (*transport.UploadResult, error) {
-		return &transport.UploadResult{Mode: transport.ModeTimedFull}, nil
-	}
-	// Every call answers full-mode: script one entry per possible upload.
-	up := &fakeUploader{}
-	for i := 0; i < 64; i++ {
-		up.script = append(up.script, full)
-	}
-	site, err := NewSite(testCfg(100), up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, site, rng, geom.Point{0, 0}, 200)
-	if err := site.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := site.Stats()
-	if st.Uploads < 1 || st.DeltaUploads != 0 {
-		t.Fatalf("full-mode stats: %+v", st)
-	}
-	for i, call := range up.calls {
-		if call.full == nil {
-			t.Fatalf("upload %d without the full model", i)
-		}
-	}
-}
-
 // Run drains a channel and flushes.
 func TestRunDrainsAndFlushes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))

@@ -15,8 +15,8 @@ import (
 // parent's wire sees nothing new; the section adds the metadata a flat
 // site-shaped upload cannot express: which level of the tree the upload
 // comes from, which sources fed the region, and what the child-level round
-// cost. Like every section it is skip-unknown: an old server ignores it and
-// treats the aggregator as a plain (large) site.
+// cost. Like every section it is skip-unknown: a server that does not know
+// it treats the aggregator as a plain (large) site.
 const (
 	// sectionAggLevel is the aggregation provenance section of a condensed
 	// upload: tree level, child-round outcome, regional clustering stats,
@@ -174,8 +174,8 @@ func parseAggLevelBody(body []byte) (AggLevel, bool) {
 
 // AppendAggLevelSection encodes the provenance section into dst in the
 // established [id][u32 len][body] section format. Exported for the
-// aggregator's Client.AppendSections hook (internal/aggtree); ParseSections
-// on the receiving side returns it in SiteOutcome.Agg.
+// aggregator's Client.AppendSections hook (internal/aggtree); the receiving
+// server reports it in SiteOutcome.Agg.
 func AppendAggLevelSection(dst []byte, a AggLevel) []byte {
 	return appendAggLevelSection(dst, a)
 }

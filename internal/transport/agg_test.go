@@ -28,9 +28,10 @@ func testAggLevel() AggLevel {
 func TestAggLevelSectionRoundTrip(t *testing.T) {
 	want := testAggLevel()
 	data := AppendAggLevelSection(nil, want)
-	_, _, got, err := ParseSections(data)
+	secs, err := parseSections(data)
+	got := secs.agg
 	if err != nil {
-		t.Fatalf("ParseSections: %v", err)
+		t.Fatalf("parseSections: %v", err)
 	}
 	if got == nil {
 		t.Fatal("agg section not returned")
@@ -43,9 +44,10 @@ func TestAggLevelSectionRoundTrip(t *testing.T) {
 func TestAggLevelSectionNoSources(t *testing.T) {
 	want := AggLevel{Level: 1, SitesExpected: 2, SitesOK: 2}
 	data := AppendAggLevelSection(nil, want)
-	_, _, got, err := ParseSections(data)
+	secs, err := parseSections(data)
+	got := secs.agg
 	if err != nil || got == nil {
-		t.Fatalf("ParseSections: %v, agg %v", err, got)
+		t.Fatalf("parseSections: %v, agg %v", err, got)
 	}
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("round trip mismatch: got %+v want %+v", *got, want)
@@ -62,9 +64,10 @@ func TestAggLevelSectionAlongsideOthers(t *testing.T) {
 	data = append(data, 0x7e, 3, 0, 0, 0, 1, 2, 3) // unknown section, skipped
 	data = appendSiteBudgetSection(data, wantBudget)
 	data = AppendAggLevelSection(data, wantAgg)
-	phases, budget, agg, err := ParseSections(data)
+	secs, err := parseSections(data)
+	phases, budget, agg := secs.phases, secs.budget, secs.agg
 	if err != nil {
-		t.Fatalf("ParseSections: %v", err)
+		t.Fatalf("parseSections: %v", err)
 	}
 	if phases == nil || *phases != wantPhases {
 		t.Errorf("phases = %+v, want %+v", phases, wantPhases)
@@ -86,7 +89,8 @@ func TestAggLevelSectionMalformed(t *testing.T) {
 	// Unknown body version: section ignored, walk succeeds.
 	bad := append([]byte(nil), full...)
 	bad[sectionHeaderSize] = 99
-	_, _, agg, err := ParseSections(bad)
+	secs, err := parseSections(bad)
+	agg := secs.agg
 	if err != nil {
 		t.Fatalf("unknown version errored the walk: %v", err)
 	}
@@ -97,13 +101,13 @@ func TestAggLevelSectionMalformed(t *testing.T) {
 	// Source count pointing past the body: ignored, not an error.
 	bad = AppendAggLevelSection(nil, AggLevel{Level: 1})
 	bad[sectionHeaderSize+53] = 0xff // claim 255 sources with an empty list
-	if _, _, agg, err = ParseSections(bad); err != nil || agg != nil {
-		t.Fatalf("oversized source count: agg %v err %v", agg, err)
+	if secs, err = parseSections(bad); err != nil || secs.agg != nil {
+		t.Fatalf("oversized source count: agg %v err %v", secs.agg, err)
 	}
 
 	// Truncated mid-body: the section walk must reject it.
 	for cut := 1; cut < len(full); cut++ {
-		if _, _, _, err := ParseSections(full[:cut]); err == nil {
+		if _, err := parseSections(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -140,12 +144,14 @@ func FuzzAggSections(f *testing.F) {
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, agg, err := ParseSections(data)
+		secs, err := parseSections(data)
+		agg := secs.agg
 		if err != nil || agg == nil {
 			return
 		}
 		re := AppendAggLevelSection(nil, *agg)
-		_, _, back, rerr := ParseSections(re)
+		secs, rerr := parseSections(re)
+		back := secs.agg
 		if rerr != nil || back == nil {
 			t.Fatalf("re-encoded provenance section rejected: %v", rerr)
 		}

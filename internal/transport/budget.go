@@ -14,15 +14,9 @@ import (
 //
 // All three encodings reuse the section format of phases.go —
 // [id byte][u32 body length][body] — so every parser on either side skips
-// what it does not know:
-//
-//   - an old client never sends MsgHello and attaches no budget section;
-//     the new server sees a plain (unbudgeted) upload,
-//   - a new client against an old server has its MsgHello rejected by a
-//     connection close and downgrades to the established timed upload,
-//     whose unknown budget section the old sectioned parser skips,
-//   - a future peer can append sections to the hello or the ack without
-//     breaking either of today's ends.
+// what it does not know: a site that has no budget never sends MsgHello and
+// attaches no budget section, and either peer can append sections to the
+// hello or the ack without breaking the other.
 const (
 	// sectionSiteBudget carries the budget accounting of a budgeted
 	// upload: the per-cluster cap the model was built under, how many
@@ -51,7 +45,7 @@ const (
 )
 
 // SiteBudget is the budget accounting a site reports alongside a budgeted
-// upload (the sectionSiteBudget trailer of a MsgLocalModelTimed frame).
+// upload (the sectionSiteBudget trailer of the upload frame).
 type SiteBudget struct {
 	// RepBudget is the per-cluster representative cap the transmitted
 	// model was built under — after any cap-driven shrink, so it may be

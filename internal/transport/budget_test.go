@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,7 +19,8 @@ import (
 func TestSiteBudgetSectionRoundTrip(t *testing.T) {
 	want := SiteBudget{RepBudget: 4, RepsDropped: 17, CoverageFraction: 0.875}
 	data := appendSiteBudgetSection(nil, want)
-	_, got, _, err := parseSections(data)
+	secs, err := parseSections(data)
+	got := secs.budget
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,8 @@ func TestSiteBudgetSectionRoundTrip(t *testing.T) {
 	// Phases and budget coexisting in one section area, any order.
 	phases := SitePhases{Workers: 2, Cluster: time.Second, Attempt: 1}
 	data = appendSiteBudgetSection(appendSitePhasesSection(nil, phases), want)
-	p, b, _, err := parseSections(data)
+	secs, err = parseSections(data)
+	p, b := secs.phases, secs.budget
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,8 @@ func TestSiteBudgetSectionUnknownVersionIgnored(t *testing.T) {
 	data := []byte{sectionSiteBudget}
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
 	data = append(data, body...)
-	_, got, _, err := parseSections(data)
+	secs, err := parseSections(data)
+	got := secs.budget
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,62 +96,7 @@ func TestHelloAckCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// --- handshake negotiation fallback --------------------------------------
-
-// timedModelServer emulates a server that knows the sectioned
-// MsgLocalModelTimed upload (skipping unknown sections per the established
-// rule) but predates the MsgHello handshake: the unknown type is rejected
-// by closing the connection without a reply.
-func timedModelServer(t *testing.T, cfg dbdc.Config) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				conn.SetDeadline(time.Now().Add(5 * time.Second))
-				msgType, payload, _, err := ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				if msgType != MsgLocalModel && msgType != MsgLocalModelTimed {
-					// Pre-handshake rejection: close, no reply frame.
-					return
-				}
-				var m model.LocalModel
-				consumed, err := m.UnmarshalBinaryPrefix(payload)
-				if err != nil || m.Validate() != nil {
-					return
-				}
-				if msgType == MsgLocalModelTimed {
-					if _, _, _, serr := parseSections(payload[consumed:]); serr != nil {
-						return
-					}
-				} else if consumed != len(payload) {
-					return
-				}
-				global, err := dbdc.GlobalStep([]*model.LocalModel{&m}, cfg)
-				if err != nil {
-					return
-				}
-				out, err := global.MarshalBinary()
-				if err != nil {
-					return
-				}
-				WriteFrame(conn, MsgGlobalModel, out)
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
+// --- handshake ------------------------------------------------------------
 
 // budgetedOutcome clusters a two-blob site with the given per-cluster
 // budget.
@@ -166,108 +113,44 @@ func budgetedOutcome(t *testing.T, siteID string, seed int64, budget int) (*dbdc
 	return outcome, cfg
 }
 
-// TestBudgetNegotiationFallback pins the downgrade chain of the budget
-// handshake against servers of every prior protocol generation. Each
-// downgrade must be immediate (no backoff) and free (a MaxAttempts=1
-// client still completes): only genuine faults consume the retry budget.
-func TestBudgetNegotiationFallback(t *testing.T) {
+// TestBudgetHandshake: a budgeted upload handshakes in its one attempt, and
+// the server's round report carries the negotiation state and the budget
+// accounting.
+func TestBudgetHandshake(t *testing.T) {
 	outcome, _ := budgetedOutcome(t, "site-1", 7, 2)
 	phases := &SitePhases{Workers: 2, Cluster: time.Millisecond}
-
-	t.Run("pre-handshake-server", func(t *testing.T) {
-		// Knows sectioned uploads, closes on MsgHello: one downgrade,
-		// budget accounting still ships via the skip-unknown section.
-		addr := timedModelServer(t, testCfg())
-		c := &Client{Addr: addr, Timeout: 5 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
-		global, stats, neg, err := c.SendModelBudgeted(outcome, phases)
-		if err != nil {
-			t.Fatalf("budgeted upload against pre-handshake server failed: %v", err)
-		}
-		if global == nil || global.NumClusters < 1 {
-			t.Fatalf("global model: %+v", global)
-		}
-		if stats.Attempts != 2 || len(stats.Log) != 2 {
-			t.Fatalf("attempts = %d, want 2 (handshake, then timed)", stats.Attempts)
-		}
-		first, second := stats.Log[0], stats.Log[1]
-		if !first.Negotiated || first.Err == "" {
-			t.Fatalf("first attempt not a failed handshake: %+v", first)
-		}
-		if second.Negotiated || !second.Timed || second.Err != "" {
-			t.Fatalf("second attempt not a clean timed upload: %+v", second)
-		}
-		if second.Backoff != 0 {
-			t.Fatalf("downgrade slept %s; negotiation must be immediate", second.Backoff)
-		}
-		if !neg.Attempted || neg.Acked {
-			t.Fatalf("negotiation outcome: %+v", neg)
-		}
-		if neg.Budget != 2 {
-			t.Fatalf("budget changed without a cap: %+v", neg)
-		}
-	})
-
-	t.Run("legacy-server", func(t *testing.T) {
-		// Oldest generation: closes on anything but MsgLocalModel. Two
-		// downgrades — handshake, sectioned frame — then the bare upload.
-		addr := legacyModelServer(t, testCfg())
-		c := &Client{Addr: addr, Timeout: 5 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
-		global, stats, neg, err := c.SendModelBudgeted(outcome, phases)
-		if err != nil {
-			t.Fatalf("budgeted upload against legacy server failed: %v", err)
-		}
-		if global == nil {
-			t.Fatal("nil global model")
-		}
-		if stats.Attempts != 3 {
-			t.Fatalf("attempts = %d, want 3 (handshake, timed, legacy)", stats.Attempts)
-		}
-		last := stats.Log[2]
-		if last.Negotiated || last.Timed || last.Err != "" {
-			t.Fatalf("final attempt not a clean legacy upload: %+v", last)
-		}
-		if stats.Log[1].Backoff != 0 || last.Backoff != 0 {
-			t.Fatal("downgrades slept; negotiation must be immediate")
-		}
-		if !neg.Attempted || neg.Acked {
-			t.Fatalf("negotiation outcome: %+v", neg)
-		}
-	})
-
-	t.Run("new-server-acks", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", 1, testCfg(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		done := runRound(srv, RoundOptions{})
-		c := &Client{Addr: srv.Addr(), Timeout: 5 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
-		_, stats, neg, err := c.SendModelBudgeted(outcome, phases)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Attempts != 1 || !stats.Log[0].Negotiated {
-			t.Fatalf("handshake against new server needed fallback: %+v", stats)
-		}
-		if !neg.Attempted || !neg.Acked || neg.MaxUploadBytes != 0 {
-			t.Fatalf("negotiation outcome: %+v", neg)
-		}
-		r := <-done
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		site := r.report.Sites[0]
-		if !site.Negotiated || site.Budget == nil {
-			t.Fatalf("server lost the negotiation state: %+v", site)
-		}
-		if site.Budget.RepBudget != 2 {
-			t.Fatalf("server-side budget accounting: %+v", site.Budget)
-		}
-		if !strings.Contains(r.report.String(), "budget=2") ||
-			!strings.Contains(r.report.String(), "negotiated") {
-			t.Errorf("round report does not show the budget:\n%s", r.report)
-		}
-	})
+	srv, err := NewServer("127.0.0.1:0", 1, testCfg(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	done := runRound(srv, RoundOptions{})
+	c := &Client{Addr: srv.Addr(), Timeout: 5 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
+	_, stats, neg, err := c.SendModelBudgeted(outcome, phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Attempts != 1 || !stats.Log[0].Negotiated {
+		t.Fatalf("handshake took more than its one attempt: %+v", stats)
+	}
+	if !neg.Acked || neg.MaxUploadBytes != 0 || neg.Budget != 2 {
+		t.Fatalf("negotiation outcome: %+v", neg)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	site := r.report.Sites[0]
+	if !site.Negotiated || site.Budget == nil {
+		t.Fatalf("server lost the negotiation state: %+v", site)
+	}
+	if site.Budget.RepBudget != 2 {
+		t.Fatalf("server-side budget accounting: %+v", site.Budget)
+	}
+	if !strings.Contains(r.report.String(), "budget=2") ||
+		!strings.Contains(r.report.String(), "negotiated") {
+		t.Errorf("round report does not show the budget:\n%s", r.report)
+	}
 }
 
 // TestBudgetCapShrink: a server advertising a tight byte cap forces the
@@ -340,9 +223,9 @@ func TestBudgetCapShrink(t *testing.T) {
 	})
 }
 
-// TestBudgetedRoundE2E is the mixed-generation networked round of the
-// issue: three sites with different budgets — one of them a legacy,
-// unbudgeted client — against a quorum-2 server. Asserts the negotiation
+// TestBudgetedRoundE2E is the mixed networked round: three sites with
+// different budgets — one of them unbudgeted, so it never handshakes —
+// against a quorum-2 server. Asserts the negotiation
 // outcome and uplink accounting per site, and that the global labels match
 // an in-process pipeline run with the same per-site budgets.
 func TestBudgetedRoundE2E(t *testing.T) {
@@ -352,7 +235,7 @@ func TestBudgetedRoundE2E(t *testing.T) {
 		"site-b": append(blob(rng, 0, 0.5, 150), blob(rng, 4, 0.5, 150)...),
 		"site-c": append(blob(rng, 2, 0.25, 150), blob(rng, 6, 0, 150)...),
 	}
-	budgets := map[string]int{"site-a": 3, "site-b": 1, "site-c": 0} // site-c is legacy
+	budgets := map[string]int{"site-a": 3, "site-b": 1, "site-c": 0} // site-c is unbudgeted
 
 	srv, err := NewServer("127.0.0.1:0", 3, testCfg(), 5*time.Second)
 	if err != nil {
@@ -372,11 +255,6 @@ func TestBudgetedRoundE2E(t *testing.T) {
 			cfg := testCfg()
 			cfg.RepBudget = budgets[id]
 			c := &Client{Addr: srv.Addr(), Timeout: 5 * time.Second, Retry: fastRetry(3)}
-			if budgets[id] == 0 {
-				// The legacy client of the scenario: pre-budget wire
-				// behavior, plain timed upload path.
-				c.DisableTimedUpload = true
-			}
 			rep, err := RunSiteClient(c, id, pts, cfg)
 			results <- siteResult{id, rep, err}
 		}(id, pts)
@@ -416,7 +294,7 @@ func TestBudgetedRoundE2E(t *testing.T) {
 			}
 		case "site-c":
 			if site.Negotiated || site.Budget != nil {
-				t.Fatalf("legacy site fabricated budget state: %+v", site)
+				t.Fatalf("unbudgeted site fabricated budget state: %+v", site)
 			}
 		}
 		if neg := siteReports[site.SiteID].Negotiation; site.SiteID != "site-c" {
@@ -479,8 +357,8 @@ func TestBudgetedRoundE2E(t *testing.T) {
 }
 
 // TestBudgetZeroWireIdentity: a RunSiteClient round with RepBudget unset
-// must put exactly the same upload bytes on the wire as one that predates
-// the budget feature — no handshake, no budget section.
+// must put exactly the plain timed upload on the wire — no handshake, no
+// budget section.
 func TestBudgetZeroWireIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := append(blob(rng, 0, 0, 150), blob(rng, 4, 0, 150)...)
@@ -505,7 +383,7 @@ func TestBudgetZeroWireIdentity(t *testing.T) {
 		return rep, r.report
 	}
 	rep, report := run()
-	if rep.Negotiation.Attempted {
+	if rep.Negotiation.Acked || rep.Phases.Attempts[0].Negotiated {
 		t.Fatalf("unbudgeted round attempted a handshake: %+v", rep.Negotiation)
 	}
 	site := report.Sites[0]
@@ -542,12 +420,14 @@ func FuzzBudgetSections(f *testing.F) {
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		phases, budget, _, err := parseSections(data)
+		secs, err := parseSections(data)
+		budget := secs.budget
 		if err == nil && budget != nil {
 			// Accepted budget sections must round-trip canonically
 			// through the appender.
 			re := appendSiteBudgetSection(nil, *budget)
-			_, back, _, rerr := parseSections(re)
+			resecs, rerr := parseSections(re)
+			back := resecs.budget
 			if rerr != nil || back == nil {
 				t.Fatalf("re-encoded budget section rejected: %v", rerr)
 			}
@@ -559,7 +439,6 @@ func FuzzBudgetSections(f *testing.F) {
 				t.Fatalf("budget section did not round-trip: %+v vs %+v", back, budget)
 			}
 		}
-		_ = phases
 		if b, herr := parseHello(data); herr == nil && b != 0 {
 			if got, rerr := parseHello(encodeHello(b)); rerr != nil || got != b {
 				t.Fatalf("hello did not round-trip: %d vs %d (%v)", got, b, rerr)

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
@@ -117,18 +116,11 @@ type Client struct {
 	// OnRetry, when set, is invoked before each backoff sleep with the
 	// attempt number that failed, its error and the chosen delay.
 	OnRetry func(attempt int, err error, delay time.Duration)
-	// DisableTimedUpload forces the legacy MsgLocalModel frame even when
-	// phase metrics are available — useful against servers known to
-	// predate the sectioned upload, skipping the downgrade negotiation.
-	DisableTimedUpload bool
 
-	// AppendSections, when set, appends extra sections to every sectioned
-	// (timed or budgeted) upload payload after the standard metric
-	// sections. This is how an aggregation-tree node attaches its
-	// provenance section (AppendAggLevelSection) without the transport
-	// depending on the tree. Legacy downgrades drop the extra sections
-	// together with the standard ones — an old parent sees a plain model,
-	// consistent with the skip-unknown ladder.
+	// AppendSections, when set, appends extra sections to every upload
+	// payload after the standard metric sections. This is how an
+	// aggregation-tree node attaches its provenance section
+	// (AppendAggLevelSection) without the transport depending on the tree.
 	AppendSections func(dst []byte) []byte
 
 	rngOnce sync.Once
@@ -143,127 +135,88 @@ func (c *Client) jitterRand() *rand.Rand {
 	return c.rng
 }
 
-func (c *Client) dial() (net.Conn, error) {
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	dial := c.Dial
-	if dial == nil {
-		dial = net.DialTimeout
-	}
-	conn, err := dial("tcp", c.Addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", c.Addr, err)
-	}
-	return conn, nil
-}
-
 // SendModel uploads the local model and waits for the global model,
 // reconnecting and resending the full model on transient failures per the
 // retry policy. The returned stats hold the attempt count and the wire
-// cost summed over all attempts. SendModel always uses the legacy
-// MsgLocalModel frame; use SendModelTimed to attach per-phase metrics.
+// cost summed over all attempts. The upload carries no metric sections; use
+// SendModelTimed to attach per-phase metrics.
 func (c *Client) SendModel(local *model.LocalModel) (*model.GlobalModel, SendStats, error) {
 	return c.SendModelTimed(local, nil)
 }
 
 // SendModelTimed is SendModel with an optional per-phase metrics section:
-// when phases is non-nil the upload uses the sectioned MsgLocalModelTimed
-// frame, carrying the site's worker count and phase costs to the server's
-// round report. Attempt number and accumulated backoff are filled in per
-// attempt by the client.
-//
-// Version negotiation by fallback: a server that predates the sectioned
-// frame rejects it by closing the connection without a reply. A timed
-// attempt that dies with such a close (EOF or connection reset after a
-// successful upload — not a timeout, dial failure or server-reported
-// error) therefore triggers an immediate legacy retry: no backoff sleep,
-// and without consuming a retry-budget attempt, so MaxAttempts keeps its
-// meaning as the number of fault retries. Genuine faults on a timed
-// attempt (timeouts, refused dials, MsgError replies) go through the
-// normal retry policy and stay timed.
+// when phases is non-nil the upload carries the site's worker count and
+// phase costs to the server's round report. Attempt number and accumulated
+// backoff are filled in per attempt by the client.
 func (c *Client) SendModelTimed(local *model.LocalModel, phases *SitePhases) (*model.GlobalModel, SendStats, error) {
-	var stats SendStats
 	modelBytes, err := local.MarshalBinary()
 	if err != nil {
-		return nil, stats, err
+		return nil, SendStats{}, err
 	}
-	budget := c.Retry.MaxAttempts
-	if budget < 1 {
-		budget = 1
+	return c.send(func(conn net.Conn, as *AttemptStats, slept time.Duration) (*model.GlobalModel, error) {
+		return uploadModel(conn, c.uploadPayload(modelBytes, phases, nil, as.Attempt, slept), as)
+	})
+}
+
+// uploadPayload builds the payload of one upload attempt: the model bytes,
+// then the sections the caller has — phase metrics (attempt number and
+// backoff stamped in), budget accounting, whatever AppendSections adds.
+func (c *Client) uploadPayload(modelBytes []byte, phases *SitePhases, budget *SiteBudget, attempt int, slept time.Duration) []byte {
+	payload := append([]byte(nil), modelBytes...)
+	if phases != nil {
+		p := *phases
+		p.Attempt = attempt
+		p.Backoff = slept
+		payload = appendSitePhasesSection(payload, p)
 	}
-	timed := phases != nil && !c.DisableTimedUpload
-	var lastErr error
-	var totalBackoff time.Duration
-	var nextBackoff time.Duration // slept before the upcoming attempt
-	used := 0                     // retry budget consumed
+	if budget != nil {
+		payload = appendSiteBudgetSection(payload, *budget)
+	}
+	if c.AppendSections != nil {
+		payload = c.AppendSections(payload)
+	}
+	return payload
+}
+
+// send is the retry loop every upload goes through. Each attempt gets a
+// fresh connection with the I/O deadline armed, its AttemptStats (number,
+// preceding backoff and dial cost filled in) and the total backoff slept so
+// far. Whatever fails without being marked permanent — a refused dial, an
+// I/O error, a connection the server closed without replying — is retried
+// after the policy's backoff, up to MaxAttempts; a retry repeats the attempt
+// unchanged, it never alters what is sent.
+func (c *Client) send(attempt func(conn net.Conn, as *AttemptStats, slept time.Duration) (*model.GlobalModel, error)) (*model.GlobalModel, SendStats, error) {
+	var stats SendStats
+	maxAttempts := max(c.Retry.MaxAttempts, 1)
+	var slept, delay time.Duration
 	for {
-		used++
-		attempt := len(stats.Log) + 1
-		payload := modelBytes
-		if timed {
-			p := *phases
-			p.Attempt = attempt
-			p.Backoff = totalBackoff
-			payload = appendSitePhasesSection(append([]byte(nil), modelBytes...), p)
-			if c.AppendSections != nil {
-				payload = c.AppendSections(payload)
-			}
+		as := AttemptStats{Attempt: len(stats.Log) + 1, Backoff: delay}
+		var global *model.GlobalModel
+		conn, err := dialAttempt(c.Dial, c.Addr, c.Timeout, &as)
+		if err == nil {
+			global, err = attempt(conn, &as, slept)
+			conn.Close()
 		}
-		global, as, err := c.exchangeOnce(payload, timed)
-		as.Attempt = attempt
-		as.Timed = timed
-		as.Backoff = nextBackoff
-		nextBackoff = 0
-		stats.Attempts = attempt
-		stats.BytesSent += as.BytesSent
-		stats.BytesReceived += as.BytesReceived
 		if err != nil {
 			as.Err = err.Error()
 		}
+		stats.Attempts = as.Attempt
+		stats.BytesSent += as.BytesSent
+		stats.BytesReceived += as.BytesReceived
 		stats.Log = append(stats.Log, as)
 		if err == nil {
 			return global, stats, nil
 		}
-		lastErr = err
-		if timed && frameRejected(err) {
-			// Negotiation fallback: the peer closed without replying,
-			// which is how pre-section servers reject the timed frame.
-			// Retry immediately without the metrics section and without
-			// charging the retry budget.
-			timed = false
-			used--
-			continue
+		if !Retryable(err) || as.Attempt >= maxAttempts {
+			return nil, stats, fmt.Errorf("transport: send model (%d attempt(s)): %w", stats.Attempts, err)
 		}
-		if !Retryable(err) || used >= budget {
-			break
-		}
-		delay := c.Retry.delay(used, c.jitterRand())
+		delay = c.Retry.delay(as.Attempt, c.jitterRand())
 		if c.OnRetry != nil {
-			c.OnRetry(attempt, err, delay)
+			c.OnRetry(as.Attempt, err, delay)
 		}
 		time.Sleep(delay)
-		totalBackoff += delay
-		nextBackoff = delay
+		slept += delay
 	}
-	return nil, stats, fmt.Errorf("transport: send model (%d attempt(s)): %w", stats.Attempts, lastErr)
-}
-
-// frameRejected reports whether err looks like the peer dropping the
-// connection without a reply — the way servers that predate
-// MsgLocalModelTimed reject the unknown message type (they close the
-// socket; they never answer). Timeouts, dial failures and server-reported
-// MsgError replies are real faults, not frame rejections, and must go
-// through the normal retry policy instead of a protocol downgrade.
-func frameRejected(err error) bool {
-	if err == nil || !Retryable(err) {
-		return false
-	}
-	return errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE)
 }
 
 // firstByteReader records when the first reply byte arrived, splitting the
@@ -281,46 +234,32 @@ func (f *firstByteReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// exchangeOnce performs a single connect–upload–download round trip and
-// reports its per-phase timings.
-func (c *Client) exchangeOnce(payload []byte, timed bool) (*model.GlobalModel, AttemptStats, error) {
-	var as AttemptStats
-	conn, err := c.dialAttempt(&as)
-	if err != nil {
-		return nil, as, err
-	}
-	defer conn.Close()
-	msgOut := MsgLocalModel
-	if timed {
-		msgOut = MsgLocalModelTimed
-	}
-	global, err := c.uploadAndReceive(conn, msgOut, payload, &as)
-	return global, as, err
-}
-
-// dialAttempt opens the attempt's connection, records the dial cost and
-// arms the I/O deadline.
-func (c *Client) dialAttempt(as *AttemptStats) (net.Conn, error) {
-	timeout := c.Timeout
+// dialAttempt opens one attempt's connection, records the dial cost and
+// arms the I/O deadline. Client and StreamClient both connect through it.
+func dialAttempt(dial DialFunc, addr string, timeout time.Duration, as *AttemptStats) (net.Conn, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
+	if dial == nil {
+		dial = net.DialTimeout
+	}
 	dialStart := time.Now()
-	conn, err := c.dial()
+	conn, err := dial("tcp", addr, timeout)
 	as.Dial = time.Since(dialStart)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	conn.SetDeadline(time.Now().Add(timeout))
 	return conn, nil
 }
 
-// uploadAndReceive writes the model frame on an established connection and
-// reads the server's reply, accumulating the attempt's wire and timing
-// stats.
-func (c *Client) uploadAndReceive(conn net.Conn, msgOut byte, payload []byte, as *AttemptStats) (*model.GlobalModel, error) {
+// exchange writes one frame on an established connection and reads the
+// reply, which must be of type want; it accumulates the attempt's wire and
+// timing stats. A MsgError reply or any other type is permanent: the server
+// answered, a retry would be answered the same way.
+func exchange(conn net.Conn, msgType byte, payload []byte, want byte, as *AttemptStats) ([]byte, error) {
 	uploadStart := time.Now()
-	sent, err := WriteFrame(conn, msgOut, payload)
+	sent, err := WriteFrame(conn, msgType, payload)
 	as.Upload += time.Since(uploadStart)
 	as.BytesSent += sent
 	if err != nil {
@@ -328,7 +267,7 @@ func (c *Client) uploadAndReceive(conn net.Conn, msgOut byte, payload []byte, as
 	}
 	waitStart := time.Now()
 	fbr := &firstByteReader{r: conn}
-	msgType, reply, received, err := ReadFrame(fbr)
+	replyType, reply, received, err := ReadFrame(fbr)
 	replyEnd := time.Now()
 	if fbr.first.IsZero() {
 		as.ServerWait += replyEnd.Sub(waitStart)
@@ -340,23 +279,33 @@ func (c *Client) uploadAndReceive(conn net.Conn, msgOut byte, payload []byte, as
 	if err != nil {
 		return nil, err
 	}
-	switch msgType {
-	case MsgGlobalModel:
-		var global model.GlobalModel
-		if err := global.UnmarshalBinary(reply); err != nil {
-			// The payload passed the CRC, so this is a server-side
-			// encoding problem a retry will reproduce.
-			return nil, permanent(err)
-		}
-		if err := global.Validate(); err != nil {
-			return nil, permanent(err)
-		}
-		return &global, nil
+	switch replyType {
+	case want:
+		return reply, nil
 	case MsgError:
 		return nil, permanent(fmt.Errorf("transport: server reported: %s", reply))
 	default:
-		return nil, permanent(fmt.Errorf("transport: unexpected message type 0x%02x", msgType))
+		return nil, permanent(fmt.Errorf("transport: unexpected message type 0x%02x", replyType))
 	}
+}
+
+// uploadModel sends the upload frame and decodes the global model the
+// server answers with.
+func uploadModel(conn net.Conn, payload []byte, as *AttemptStats) (*model.GlobalModel, error) {
+	reply, err := exchange(conn, MsgLocalModelTimed, payload, MsgGlobalModel, as)
+	if err != nil {
+		return nil, err
+	}
+	var global model.GlobalModel
+	if err := global.UnmarshalBinary(reply); err != nil {
+		// The payload passed the CRC, so this is a server-side
+		// encoding problem a retry will reproduce.
+		return nil, permanent(err)
+	}
+	if err := global.Validate(); err != nil {
+		return nil, permanent(err)
+	}
+	return &global, nil
 }
 
 // Exchange performs the site side of one DBDC round without retry: connect
@@ -417,20 +366,10 @@ func RunSiteClient(c *Client, siteID string, pts []geom.Point, cfg dbdc.Config) 
 		Cluster:  outcome.Timings.Cluster,
 		Condense: outcome.Timings.Condense,
 	}
-	// A budgeted site goes through the negotiating upload (handshake,
-	// cap-driven shrink, budget accounting section); an unbudgeted one
-	// takes the historical timed path so its wire bytes stay identical to
-	// builds that predate the budget feature.
-	var (
-		global *model.GlobalModel
-		stats  SendStats
-		neg    Negotiation
-	)
-	if cfg.RepBudget > 0 {
-		global, stats, neg, err = c.SendModelBudgeted(outcome, &phases)
-	} else {
-		global, stats, err = c.SendModelTimed(outcome.Model, &phases)
-	}
+	// A budgeted site handshakes for the server's cap, shrinks to fit and
+	// attaches its budget accounting; an unbudgeted outcome makes
+	// SendModelBudgeted the plain timed upload.
+	global, stats, neg, err := c.SendModelBudgeted(outcome, &phases)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/dbdc"
@@ -12,11 +13,8 @@ import (
 // Negotiation describes how the budget handshake of one SendModelBudgeted
 // call ended.
 type Negotiation struct {
-	// Attempted reports whether a MsgHello handshake was tried at all;
-	// Acked whether a server answered it. Attempted && !Acked means the
-	// server predates the handshake and the client downgraded.
-	Attempted bool
-	Acked     bool
+	// Acked reports whether the server answered the MsgHello handshake.
+	Acked bool
 	// MaxUploadBytes is the server-advertised upload cap (0 = none).
 	MaxUploadBytes int64
 	// Budget is the per-cluster budget the shipped model was built under:
@@ -26,23 +24,15 @@ type Negotiation struct {
 	Stats dbscan.BudgetStats
 }
 
-// SendModelBudgeted uploads a budgeted site's local model with the full
-// negotiation stack: a MsgHello/MsgHelloAck handshake learns the server's
-// upload byte cap, the representative budget shrinks until the model frame
-// fits under it, and the sectioned upload carries the budget accounting to
-// the round report.
-//
-// Downgrade chain (each step immediate, without consuming a retry-budget
-// attempt — the established negotiation-by-fallback of SendModelTimed):
-// a server that closes on the unknown MsgHello gets the handshake-free
-// sectioned upload next, whose unknown budget section old sectioned parsers
-// skip; a server that closes on the sectioned frame too gets the bare
-// legacy MsgLocalModel. The model itself stays budgeted at the configured
-// RepBudget throughout — only the cap negotiation degrades to "no
-// constraint", never the user's bandwidth choice.
+// SendModelBudgeted uploads a budgeted site's local model: every attempt
+// opens with the MsgHello/MsgHelloAck handshake to learn the server's upload
+// byte cap, shrinks the representative budget until the model frame fits
+// under it, and uploads with the budget accounting section attached for the
+// round report. Handshake wire costs count toward the attempt's upload and
+// wait phases.
 //
 // An outcome with RepBudget 0 delegates to SendModelTimed: no handshake, no
-// budget section, wire bytes identical to an unbudgeted build.
+// budget section.
 func (c *Client) SendModelBudgeted(outcome *dbdc.LocalOutcome, phases *SitePhases) (*model.GlobalModel, SendStats, Negotiation, error) {
 	var neg Negotiation
 	if outcome.RepBudget <= 0 {
@@ -51,146 +41,32 @@ func (c *Client) SendModelBudgeted(outcome *dbdc.LocalOutcome, phases *SitePhase
 	}
 	neg.Budget = outcome.RepBudget
 	neg.Stats = outcome.Budget
-
-	var stats SendStats
-	budget := c.Retry.MaxAttempts
-	if budget < 1 {
-		budget = 1
-	}
-	timed := !c.DisableTimedUpload
-	negotiate := timed
-	var lastErr error
-	var totalBackoff time.Duration
-	var nextBackoff time.Duration
-	used := 0
-	for {
-		used++
-		attempt := len(stats.Log) + 1
-		var (
-			global *model.GlobalModel
-			as     AttemptStats
-			err    error
-		)
-		switch {
-		case negotiate:
-			global, as, err = c.negotiateOnce(outcome, phases, attempt, totalBackoff, &neg)
-		case timed:
-			payload, _, perr := c.budgetedPayload(outcome, outcome.RepBudget, phases, attempt, totalBackoff)
-			if perr != nil {
-				return nil, stats, neg, perr
-			}
-			global, as, err = c.exchangeOnce(payload, true)
-		default:
-			m, _, merr := outcome.BudgetedModel(outcome.RepBudget)
-			if merr != nil {
-				return nil, stats, neg, merr
-			}
-			payload, merr := m.MarshalBinary()
-			if merr != nil {
-				return nil, stats, neg, merr
-			}
-			global, as, err = c.exchangeOnce(payload, false)
-		}
-		as.Attempt = attempt
-		as.Timed = timed
-		as.Negotiated = negotiate
-		as.Backoff = nextBackoff
-		nextBackoff = 0
-		stats.Attempts = attempt
-		stats.BytesSent += as.BytesSent
-		stats.BytesReceived += as.BytesReceived
+	global, stats, err := c.send(func(conn net.Conn, as *AttemptStats, slept time.Duration) (*model.GlobalModel, error) {
+		as.Negotiated = true
+		ack, err := exchange(conn, MsgHello, encodeHello(outcome.RepBudget), MsgHelloAck, as)
 		if err != nil {
-			as.Err = err.Error()
+			return nil, err
 		}
-		stats.Log = append(stats.Log, as)
-		if err == nil {
-			return global, stats, neg, nil
+		cap, err := parseHelloAck(ack)
+		if err != nil {
+			return nil, permanent(err)
 		}
-		lastErr = err
-		if frameRejected(err) && (negotiate || timed) {
-			// Negotiation fallback: the peer closed without replying —
-			// an old server rejecting a frame type it does not know.
-			// Step down the chain immediately, without charging the
-			// retry budget.
-			if negotiate {
-				negotiate = false
-			} else {
-				timed = false
-			}
-			continue
+		neg.Acked = true
+		neg.MaxUploadBytes = cap
+		b, payload, stats, err := c.fitBudget(outcome, phases, as.Attempt, slept, cap)
+		if err != nil {
+			return nil, err
 		}
-		if !Retryable(err) || used >= budget {
-			break
-		}
-		delay := c.Retry.delay(used, c.jitterRand())
-		if c.OnRetry != nil {
-			c.OnRetry(attempt, err, delay)
-		}
-		time.Sleep(delay)
-		totalBackoff += delay
-		nextBackoff = delay
-	}
-	return nil, stats, neg, fmt.Errorf("transport: send model (%d attempt(s)): %w", stats.Attempts, lastErr)
+		neg.Budget = b
+		neg.Stats = stats
+		return uploadModel(conn, payload, as)
+	})
+	return global, stats, neg, err
 }
 
-// negotiateOnce performs one full handshaking attempt: dial, MsgHello,
-// learn the cap from the ack, shrink the budget until the upload fits,
-// upload, receive the global model. Handshake wire costs count toward the
-// attempt's upload/wait phases.
-func (c *Client) negotiateOnce(outcome *dbdc.LocalOutcome, phases *SitePhases, attempt int, totalBackoff time.Duration, neg *Negotiation) (*model.GlobalModel, AttemptStats, error) {
-	var as AttemptStats
-	conn, err := c.dialAttempt(&as)
-	if err != nil {
-		return nil, as, err
-	}
-	defer conn.Close()
-
-	neg.Attempted = true
-	helloStart := time.Now()
-	sent, err := WriteFrame(conn, MsgHello, encodeHello(outcome.RepBudget))
-	as.Upload += time.Since(helloStart)
-	as.BytesSent += sent
-	if err != nil {
-		return nil, as, err
-	}
-	waitStart := time.Now()
-	msgType, reply, received, err := ReadFrame(conn)
-	as.ServerWait += time.Since(waitStart)
-	as.BytesReceived += received
-	if err != nil {
-		// An old server closes on the unknown MsgHello: the caller's
-		// frameRejected check turns this into the handshake downgrade.
-		return nil, as, err
-	}
-	switch msgType {
-	case MsgHelloAck:
-	case MsgError:
-		return nil, as, permanent(fmt.Errorf("transport: server reported: %s", reply))
-	default:
-		return nil, as, permanent(fmt.Errorf("transport: unexpected handshake reply 0x%02x", msgType))
-	}
-	cap, err := parseHelloAck(reply)
-	if err != nil {
-		return nil, as, permanent(err)
-	}
-	neg.Acked = true
-	neg.MaxUploadBytes = cap
-
-	b, payload, stats, err := c.fitBudget(outcome, phases, attempt, totalBackoff, cap)
-	if err != nil {
-		return nil, as, err
-	}
-	neg.Budget = b
-	neg.Stats = stats
-
-	global, err := c.uploadAndReceive(conn, MsgLocalModelTimed, payload, &as)
-	return global, as, err
-}
-
-// budgetedPayload builds the sectioned upload payload for the given budget:
-// model bytes, phase metrics (attempt number and backoff stamped in), and
-// the budget accounting section.
-func (c *Client) budgetedPayload(outcome *dbdc.LocalOutcome, budget int, phases *SitePhases, attempt int, totalBackoff time.Duration) ([]byte, dbscan.BudgetStats, error) {
+// budgetedPayload builds the upload payload for the given budget: model
+// bytes, phase metrics and the budget accounting section.
+func (c *Client) budgetedPayload(outcome *dbdc.LocalOutcome, budget int, phases *SitePhases, attempt int, slept time.Duration) ([]byte, dbscan.BudgetStats, error) {
 	m, stats, err := outcome.BudgetedModel(budget)
 	if err != nil {
 		return nil, stats, err
@@ -199,22 +75,11 @@ func (c *Client) budgetedPayload(outcome *dbdc.LocalOutcome, budget int, phases 
 	if err != nil {
 		return nil, stats, err
 	}
-	payload := append([]byte(nil), modelBytes...)
-	if phases != nil {
-		p := *phases
-		p.Attempt = attempt
-		p.Backoff = totalBackoff
-		payload = appendSitePhasesSection(payload, p)
-	}
-	payload = appendSiteBudgetSection(payload, SiteBudget{
+	return c.uploadPayload(modelBytes, phases, &SiteBudget{
 		RepBudget:        budget,
 		RepsDropped:      stats.Dropped(),
 		CoverageFraction: stats.CoverageFraction(),
-	})
-	if c.AppendSections != nil {
-		payload = c.AppendSections(payload)
-	}
-	return payload, stats, nil
+	}, attempt, slept), stats, nil
 }
 
 // fitBudget returns the largest per-cluster budget ≤ the configured one
@@ -223,12 +88,12 @@ func (c *Client) budgetedPayload(outcome *dbdc.LocalOutcome, budget int, phases 
 // the budget, so a binary search finds the fit; a cap no budget satisfies —
 // even a single representative per cluster is too big — is a permanent
 // error, retrying cannot shrink the model further.
-func (c *Client) fitBudget(outcome *dbdc.LocalOutcome, phases *SitePhases, attempt int, totalBackoff time.Duration, cap int64) (int, []byte, dbscan.BudgetStats, error) {
+func (c *Client) fitBudget(outcome *dbdc.LocalOutcome, phases *SitePhases, attempt int, slept time.Duration, cap int64) (int, []byte, dbscan.BudgetStats, error) {
 	fits := func(payload []byte) bool {
 		return cap <= 0 || int64(frameHeaderSize+len(payload)) <= cap
 	}
 	build := func(b int) ([]byte, dbscan.BudgetStats, error) {
-		return c.budgetedPayload(outcome, b, phases, attempt, totalBackoff)
+		return c.budgetedPayload(outcome, b, phases, attempt, slept)
 	}
 	payload, stats, err := build(outcome.RepBudget)
 	if err != nil {

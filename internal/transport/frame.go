@@ -22,33 +22,30 @@ import (
 	"io"
 )
 
-// Message types of the wire protocol.
+// Message types of the wire protocol. 0x01 was the original bare-model
+// upload; the id is retired and never reused — a server answers it like any
+// other unknown type.
 const (
-	// MsgLocalModel carries a model.LocalModel from site to server.
-	MsgLocalModel byte = 0x01
 	// MsgGlobalModel carries a model.GlobalModel from server to site.
 	MsgGlobalModel byte = 0x02
 	// MsgError carries a UTF-8 error string from server to site when the
-	// round failed (e.g. another site sent garbage).
+	// server refused the upload or the round failed (e.g. the quorum was
+	// missed). The site treats it as permanent: a retry would be refused
+	// the same way.
 	MsgError byte = 0x03
-	// MsgLocalModelTimed carries a model.LocalModel immediately followed
-	// by optional trailer sections (per-phase site metrics; see
-	// phases.go). The frame format itself is unchanged — same version
-	// byte, same CRC — only the payload is sectioned. Servers that predate
-	// the type reject it and close the connection, which the client's
-	// retry loop treats as a downgrade signal: the next attempt falls back
-	// to the plain MsgLocalModel encoding (version negotiation by
-	// fallback; see Client.SendModelTimed).
+	// MsgLocalModelTimed is the one full-model upload: a model.LocalModel
+	// immediately followed by zero or more skip-unknown trailer sections
+	// (per-phase site metrics, budget accounting, aggregation provenance;
+	// see phases.go). The model encoding is self-delimiting, so the section
+	// area starts wherever the model ends.
 	MsgLocalModelTimed byte = 0x08
 
-	// MsgHello opens an optional pre-upload handshake on a round
-	// connection: a budgeted site announces itself and asks for the
-	// server's upload constraints before committing bytes to the wire. The
-	// payload is a section area (see budget.go) so either side can grow
-	// the handshake without a new message type. Servers that predate the
-	// handshake reject the unknown type by closing the connection, which
-	// the client treats as "no constraints, no ack" and downgrades — the
-	// same negotiation-by-fallback path MsgLocalModelTimed established.
+	// MsgHello opens the pre-upload handshake on an upload connection: a
+	// site that must fit under the server's upload cap (a budgeted site)
+	// asks for it before committing bytes to the wire. The payload is a
+	// section area (see budget.go) so either side can grow the handshake
+	// without a new message type. Sites that need nothing from the server
+	// skip the handshake and upload directly.
 	// (0x10/0x11 belong to the site query server — see query.go.)
 	MsgHello byte = 0x30
 	// MsgHelloAck answers MsgHello. Its sectioned payload advertises the
@@ -56,16 +53,12 @@ const (
 	// means no constraints.
 	MsgHelloAck byte = 0x31
 
-	// MsgModelDelta carries a model.LocalDelta — the incremental form of a
-	// local model upload used by streaming sites — immediately followed by
-	// optional trailer sections (stream statistics, per-phase metrics; see
-	// stream.go). The delta encoding is self-delimiting like the timed
-	// upload's. The server folds the delta into its per-site model table
-	// and answers with MsgDeltaAck. Servers that predate the type either
-	// close the connection (round servers) or answer MsgError (old update
-	// servers); the streaming client treats both as a downgrade signal and
-	// falls back to full MsgLocalModelTimed uploads (negotiation by
-	// fallback, as established by MsgLocalModelTimed and MsgHello).
+	// MsgModelDelta is the one streaming upload: a model.LocalDelta — the
+	// incremental form of a local model — immediately followed by optional
+	// trailer sections (stream statistics, per-phase metrics; see
+	// stream.go). The delta encoding is self-delimiting like the full
+	// model's. The update server folds the delta into its per-site model
+	// table and answers with MsgDeltaAck.
 	MsgModelDelta byte = 0x40
 	// MsgDeltaAck answers MsgModelDelta. Its sectioned payload carries the
 	// applied sequence number and the server's global model version, or a
@@ -111,7 +104,8 @@ const frameHeaderSize = 10
 // errors wrap these sentinels with context.
 var (
 	// ErrFrameTooLarge is returned when a frame advertises a payload
-	// beyond MaxFrameSize.
+	// beyond MaxFrameSize, or beyond the upload cap of the server reading
+	// it.
 	ErrFrameTooLarge = errors.New("transport: frame exceeds maximum size")
 	// ErrChecksum is returned when a payload does not match the CRC32 in
 	// the frame header — the bytes were corrupted in flight.
@@ -146,6 +140,13 @@ func WriteFrame(w io.Writer, msgType byte, payload []byte) (int, error) {
 // ErrFrameVersion, ErrFrameTooLarge or ErrChecksum (all wrapped, match with
 // errors.Is), never a garbage payload.
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, n int, err error) {
+	return readFrame(r, frameHeaderSize+MaxFrameSize)
+}
+
+// readFrame is ReadFrame with the caller's bound on the whole frame, header
+// included: a frame advertising more is refused with ErrFrameTooLarge from
+// its header alone, before any payload is allocated or awaited.
+func readFrame(r io.Reader, maxFrame int64) (msgType byte, payload []byte, n int, err error) {
 	header := make([]byte, frameHeaderSize)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return 0, nil, 0, fmt.Errorf("transport: reading frame header: %w", err)
@@ -154,8 +155,9 @@ func ReadFrame(r io.Reader) (msgType byte, payload []byte, n int, err error) {
 		return 0, nil, 0, fmt.Errorf("%w: got %d, want %d", ErrFrameVersion, header[0], FrameVersion)
 	}
 	size := binary.LittleEndian.Uint32(header[2:6])
-	if size > MaxFrameSize {
-		return 0, nil, 0, fmt.Errorf("%w: header advertises %d bytes", ErrFrameTooLarge, size)
+	if frame := frameHeaderSize + int64(size); frame > maxFrame {
+		return 0, nil, 0, fmt.Errorf("%w: header advertises a %d-byte frame, limit is %d",
+			ErrFrameTooLarge, frame, maxFrame)
 	}
 	wantCRC := binary.LittleEndian.Uint32(header[6:10])
 	payload = make([]byte, size)

@@ -11,7 +11,7 @@ import (
 // Seed corpus: testdata/fuzz/FuzzReadFrame plus the f.Add seeds below.
 func FuzzReadFrame(f *testing.F) {
 	var valid bytes.Buffer
-	WriteFrame(&valid, MsgLocalModel, []byte("seed payload"))
+	WriteFrame(&valid, 0x01, []byte("seed payload")) // the retired bare-model type: the seed bytes stay as recorded
 	f.Add(valid.Bytes())
 	var empty bytes.Buffer
 	WriteFrame(&empty, MsgError, nil)

@@ -26,10 +26,10 @@ import (
 //
 // The model encoding is self-delimiting (model.LocalModel.
 // UnmarshalBinaryPrefix), so the section area starts wherever the model
-// ends. Unknown section ids are skipped — a newer client can append
-// sections an older server-side parser has never heard of without breaking
-// the round. The whole payload sits inside one ordinary version-2 frame and
-// is covered by the frame CRC.
+// ends; a payload that ends with the model has no sections. Unknown section
+// ids are skipped — a newer client can append sections an older server-side
+// parser has never heard of without breaking the round. The whole payload
+// sits inside one ordinary version-2 frame and is covered by the frame CRC.
 const (
 	// sectionSitePhases is the per-phase site metrics section.
 	sectionSitePhases byte = 0x01
@@ -97,54 +97,54 @@ func parseSitePhasesBody(body []byte) (SitePhases, bool) {
 	}, true
 }
 
-// parseSections walks the section area of a timed upload and returns the
-// site phases, budget and aggregation-provenance sections when present.
+// uploadSections holds the optional sections of an upload's section area —
+// a full model's or a delta's — each nil when absent or unreadable.
+type uploadSections struct {
+	phases *SitePhases
+	budget *SiteBudget
+	agg    *AggLevel
+	stream *StreamStats
+}
+
+// parseSections walks the section area of an upload (everything after the
+// self-delimiting model or delta prefix) and decodes the sections it knows.
 // Unknown sections are skipped (walkSections); a malformed section area
 // (truncated header or body) is an error — the bytes passed the frame CRC,
 // so truncation here means a broken encoder, not line noise.
-func parseSections(data []byte) (*SitePhases, *SiteBudget, *AggLevel, error) {
-	var phases *SitePhases
-	var budget *SiteBudget
-	var agg *AggLevel
+func parseSections(data []byte) (uploadSections, error) {
+	var s uploadSections
 	err := walkSections(data, func(id byte, body []byte) {
 		switch id {
 		case sectionSitePhases:
 			if p, ok := parseSitePhasesBody(body); ok {
-				phases = &p
+				s.phases = &p
 			}
 		case sectionSiteBudget:
 			if b, ok := parseSiteBudgetBody(body); ok {
-				budget = &b
+				s.budget = &b
 			}
 		case sectionAggLevel:
 			if a, ok := parseAggLevelBody(body); ok {
-				agg = &a
+				s.agg = &a
+			}
+		case sectionStreamStats:
+			if st, ok := parseStreamStatsBody(body); ok {
+				s.stream = &st
 			}
 		}
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return uploadSections{}, err
 	}
-	return phases, budget, agg, nil
-}
-
-// ParseSections exposes the section walk for tests and fuzzing: it decodes
-// the section area of a timed upload (everything after the self-delimiting
-// model prefix) into the known sections, skipping unknown ids.
-func ParseSections(data []byte) (*SitePhases, *SiteBudget, *AggLevel, error) {
-	return parseSections(data)
+	return s, nil
 }
 
 // AttemptStats describes one connection attempt of a SendModel call.
 type AttemptStats struct {
 	// Attempt is the 1-based attempt number.
 	Attempt int
-	// Timed reports whether the attempt used the MsgLocalModelTimed
-	// sectioned upload (false after a legacy downgrade).
-	Timed bool
 	// Negotiated reports whether the attempt opened with the
-	// MsgHello/MsgHelloAck budget handshake (false after a handshake
-	// downgrade).
+	// MsgHello/MsgHelloAck budget handshake.
 	Negotiated bool
 	// Backoff is the retry delay slept before this attempt (0 for the
 	// first).

@@ -15,7 +15,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
-	"github.com/dbdc-go/dbdc/internal/model"
 )
 
 // --- section codec -------------------------------------------------------
@@ -29,7 +28,8 @@ func TestSitePhasesSectionRoundTrip(t *testing.T) {
 		Backoff:  78 * time.Millisecond,
 	}
 	data := appendSitePhasesSection(nil, want)
-	got, _, _, err := parseSections(data)
+	secs, err := parseSections(data)
+	got := secs.phases
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,8 @@ func TestParseSectionsSkipsUnknown(t *testing.T) {
 	data = appendSitePhasesSection(data, phases)
 	data = append(data, 0x42)
 	data = binary.LittleEndian.AppendUint32(data, 0)
-	got, _, _, err := parseSections(data)
+	secs, err := parseSections(data)
+	got := secs.phases
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,8 @@ func TestParseSectionsUnknownBodyVersionIgnored(t *testing.T) {
 	data := []byte{sectionSitePhases}
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
 	data = append(data, body...)
-	got, _, _, err := parseSections(data)
+	secs, err := parseSections(data)
+	got := secs.phases
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,118 +80,38 @@ func TestParseSectionsUnknownBodyVersionIgnored(t *testing.T) {
 func TestParseSectionsTruncated(t *testing.T) {
 	full := appendSitePhasesSection(nil, SitePhases{Workers: 1})
 	for _, cut := range []int{1, sectionHeaderSize - 1, sectionHeaderSize + 2, len(full) - 1} {
-		if _, _, _, err := parseSections(full[:cut]); err == nil {
+		if _, err := parseSections(full[:cut]); err == nil {
 			t.Errorf("truncation at %d bytes accepted", cut)
 		}
 	}
 }
 
-// --- version negotiation -------------------------------------------------
+// --- upload sections on the wire ------------------------------------------
 
-// legacyModelServer emulates the wire behavior of servers that predate
-// MsgLocalModelTimed, distilled from the historical readLocalModel: accept
-// a connection, read one frame, and on any message type other than
-// MsgLocalModel close the connection without a reply. A valid legacy
-// upload is answered with the global model of that single site.
-func legacyModelServer(t *testing.T, cfg dbdc.Config) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				conn.SetDeadline(time.Now().Add(5 * time.Second))
-				msgType, payload, _, err := ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				if msgType != MsgLocalModel {
-					// The historical rejection: close, no reply frame.
-					return
-				}
-				var m model.LocalModel
-				if err := m.UnmarshalBinary(payload); err != nil || m.Validate() != nil {
-					return
-				}
-				global, err := dbdc.GlobalStep([]*model.LocalModel{&m}, cfg)
-				if err != nil {
-					return
-				}
-				out, err := global.MarshalBinary()
-				if err != nil {
-					return
-				}
-				WriteFrame(conn, MsgGlobalModel, out)
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestVersionNegotiation covers both interop directions of the sectioned
-// upload frame: a new client downgrading against an old server, and an old
-// (legacy-frame) client against the new server.
-func TestVersionNegotiation(t *testing.T) {
+// TestUploadSections: the phase metrics a site attaches reach the server's
+// round report intact, and an upload without sections (SendModel) is the
+// same frame with an empty section area — the server fabricates nothing.
+func TestUploadSections(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cfg := testCfg()
-	pts := blob(rng, 0, 0, 200)
-	outcome, err := dbdc.LocalStep("site-1", pts, cfg)
+	outcome, err := dbdc.LocalStep("site-1", blob(rng, 0, 0, 200), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	t.Run("new-client/old-server", func(t *testing.T) {
-		addr := legacyModelServer(t, cfg)
-		// MaxAttempts 1: the downgrade retry must not consume the fault
-		// budget — a single-attempt client still completes the round.
-		c := &Client{Addr: addr, Timeout: 5 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
-		phases := &SitePhases{Workers: 2, Cluster: time.Millisecond}
-		global, stats, err := c.SendModelTimed(outcome.Model, phases)
-		if err != nil {
-			t.Fatalf("timed upload against legacy server failed: %v", err)
-		}
-		if global == nil || global.NumClusters < 1 {
-			t.Fatalf("global model: %+v", global)
-		}
-		if stats.Attempts != 2 || len(stats.Log) != 2 {
-			t.Fatalf("attempts = %d, log = %d entries, want 2/2 (timed then legacy)", stats.Attempts, len(stats.Log))
-		}
-		first, second := stats.Log[0], stats.Log[1]
-		if !first.Timed || first.Err == "" {
-			t.Fatalf("first attempt not a failed timed upload: %+v", first)
-		}
-		if second.Timed || second.Err != "" {
-			t.Fatalf("second attempt not a clean legacy upload: %+v", second)
-		}
-		if second.Backoff != 0 {
-			t.Fatalf("downgrade retry slept %s; negotiation must be immediate", second.Backoff)
-		}
-	})
-
-	t.Run("old-client/new-server", func(t *testing.T) {
+	round := func(t *testing.T, send func(c *Client) (SendStats, error)) *RoundReport {
+		t.Helper()
 		srv, err := NewServer("127.0.0.1:0", 1, cfg, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		done := runRound(srv, RoundOptions{})
-		// SendModel with no phases is exactly the legacy wire exchange:
-		// a plain MsgLocalModel frame.
-		c := &Client{Addr: srv.Addr(), Timeout: 5 * time.Second}
-		global, stats, err := c.SendModel(outcome.Model)
+		stats, err := send(&Client{Addr: srv.Addr(), Timeout: 5 * time.Second, Retry: fastRetry(3)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if global == nil || stats.Attempts != 1 || stats.Log[0].Timed {
-			t.Fatalf("legacy upload: global=%v stats=%+v", global, stats)
+		if stats.Attempts != 1 || stats.Log[0].Negotiated {
+			t.Fatalf("unbudgeted upload: %+v", stats)
 		}
 		r := <-done
 		if r.err != nil {
@@ -198,64 +120,38 @@ func TestVersionNegotiation(t *testing.T) {
 		if len(r.report.Sites) != 1 || !r.report.Sites[0].OK {
 			t.Fatalf("report: %s", r.report)
 		}
-		if r.report.Sites[0].Phases != nil {
-			t.Fatalf("legacy upload fabricated phases: %+v", r.report.Sites[0].Phases)
-		}
-	})
+		return r.report
+	}
 
-	t.Run("new-client/new-server", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", 1, cfg, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		done := runRound(srv, RoundOptions{})
-		c := &Client{Addr: srv.Addr(), Timeout: 5 * time.Second, Retry: fastRetry(3)}
+	t.Run("with phases", func(t *testing.T) {
 		phases := &SitePhases{Workers: 4, Cluster: 3 * time.Millisecond, Condense: 5 * time.Microsecond}
-		_, stats, err := c.SendModelTimed(outcome.Model, phases)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Attempts != 1 || !stats.Log[0].Timed {
-			t.Fatalf("timed upload against new server needed negotiation: %+v", stats)
-		}
-		r := <-done
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		p := r.report.Sites[0].Phases
+		report := round(t, func(c *Client) (SendStats, error) {
+			_, stats, err := c.SendModelTimed(outcome.Model, phases)
+			return stats, err
+		})
+		p := report.Sites[0].Phases
 		if p == nil {
-			t.Fatalf("server dropped the metrics section:\n%s", r.report)
+			t.Fatalf("server dropped the metrics section:\n%s", report)
 		}
 		if p.Workers != 4 || p.Cluster != 3*time.Millisecond || p.Condense != 5*time.Microsecond || p.Attempt != 1 {
 			t.Fatalf("phases corrupted in flight: %+v", p)
 		}
-		if !strings.Contains(r.report.String(), "workers=4") {
-			t.Errorf("round report does not show the breakdown:\n%s", r.report)
+		if !strings.Contains(report.String(), "workers=4") {
+			t.Errorf("round report does not show the breakdown:\n%s", report)
 		}
 	})
 
-	t.Run("disable-timed-upload", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", 1, cfg, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
+	t.Run("no sections", func(t *testing.T) {
+		report := round(t, func(c *Client) (SendStats, error) {
+			_, stats, err := c.SendModel(outcome.Model)
+			return stats, err
+		})
+		site := report.Sites[0]
+		if site.Phases != nil || site.Budget != nil || site.Agg != nil {
+			t.Fatalf("sectionless upload fabricated sections: %+v", site)
 		}
-		defer srv.Close()
-		done := runRound(srv, RoundOptions{})
-		c := &Client{Addr: srv.Addr(), Timeout: 5 * time.Second, DisableTimedUpload: true}
-		_, stats, err := c.SendModelTimed(outcome.Model, &SitePhases{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Log[0].Timed {
-			t.Fatal("DisableTimedUpload still sent the sectioned frame")
-		}
-		r := <-done
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.report.Sites[0].Phases != nil {
-			t.Fatal("forced-legacy upload carried phases")
+		if want := frameHeaderSize + outcome.Model.EncodedSize(); site.Bytes != want {
+			t.Fatalf("sectionless upload = %dB, want the bare model frame of %dB", site.Bytes, want)
 		}
 	})
 }

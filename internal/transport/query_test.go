@@ -124,7 +124,7 @@ func TestQueryServerRejectsWrongMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	WriteFrame(conn, MsgLocalModel, []byte("nope"))
+	WriteFrame(conn, MsgLocalModelTimed, []byte("nope"))
 	msgType, _, _, err := ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/dbdc"
@@ -21,37 +20,17 @@ type deadlineListener interface{ SetDeadline(time.Time) error }
 // sites, collects their local models, derives the global model and sends it
 // back on every usable connection.
 type Server struct {
+	uploadEndpoint
+
 	cfg dbdc.Config
 	// expect is the number of distinct site models one round aims for.
 	expect  int
 	timeout time.Duration
 	ln      net.Listener
 
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
-
-	// maxUploadBytes is the per-upload byte cap advertised to handshaking
-	// clients (see SetMaxUploadBytes); 0 means unconstrained.
-	maxUploadBytes int64
-
 	// onGlobal, when set, receives every freshly computed global model
 	// (see SetOnGlobal).
 	onGlobal func(*model.GlobalModel)
-}
-
-// SetMaxUploadBytes sets the upload byte cap the server advertises in the
-// MsgHelloAck of the budget handshake: a handshaking site must keep its
-// model frame (header included) at or under n bytes, shrinking its
-// representative budget until it fits; uploads that exceed the advertised
-// cap anyway are rejected. n ≤ 0 removes the constraint. The cap binds only
-// connections that performed the handshake — legacy clients never promised
-// anything and keep working unchanged. Like SetOnGlobal, set it once after
-// NewServer, not concurrently with a running round.
-func (s *Server) SetMaxUploadBytes(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	s.maxUploadBytes = n
 }
 
 // SetOnGlobal registers a sink that receives every global model a round
@@ -98,12 +77,6 @@ func NewServerListener(ln net.Listener, expect int, cfg dbdc.Config, timeout tim
 
 // Addr returns the address the server listens on.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// BytesIn returns the total payload bytes received from sites.
-func (s *Server) BytesIn() int64 { return s.bytesIn.Load() }
-
-// BytesOut returns the total payload bytes sent to sites.
-func (s *Server) BytesOut() int64 { return s.bytesOut.Load() }
 
 // Close releases the listener.
 func (s *Server) Close() error { return s.ln.Close() }
@@ -161,11 +134,11 @@ type SiteOutcome struct {
 	Duration time.Duration
 	// Phases is the client-reported per-phase breakdown (worker count,
 	// local DBSCAN, condensation, attempt, backoff) carried in the
-	// optional metrics section of a MsgLocalModelTimed upload. Nil when
-	// the client sent the legacy frame.
+	// optional metrics section of the upload. Nil when the site attached
+	// none.
 	Phases *SitePhases
 	// Budget is the representative-budget accounting of a budgeted
-	// upload (sectionSiteBudget); nil for unbudgeted or legacy uploads.
+	// upload (sectionSiteBudget); nil for unbudgeted uploads.
 	Budget *SiteBudget
 	// Agg is the aggregation provenance of a condensed upload
 	// (sectionAggLevel): set when this "site" is really an interior node
@@ -292,106 +265,20 @@ func (r *RoundReport) String() string {
 
 // readResult is what the per-connection reader goroutine delivers.
 type readResult struct {
-	conn       net.Conn
-	addr       string
-	siteID     string // best effort on failures
-	m          *model.LocalModel
-	phases     *SitePhases // client-reported metrics, nil for legacy uploads
-	budget     *SiteBudget // budget accounting, nil for unbudgeted uploads
-	agg        *AggLevel   // aggregation provenance, nil for plain sites
-	negotiated bool        // connection performed the budget handshake
-	err        error
-	bytes      int
-	dur        time.Duration
+	upload
+	conn net.Conn
+	addr string
+	err  error
+	dur  time.Duration
 }
 
-// readLocalModel reads and validates one site's model upload. Both the
-// legacy MsgLocalModel frame (the model is the whole payload) and the
-// sectioned MsgLocalModelTimed frame (model followed by optional metric
-// sections) are accepted, so old clients keep working against this server.
-// A connection may open with a MsgHello budget handshake; the server then
-// answers with its upload byte cap and expects the model on the next frame,
-// enforcing the cap it advertised.
+// readLocalModel reads one site's upload off a fresh connection under the
+// round deadline.
 func (s *Server) readLocalModel(conn net.Conn, deadline time.Time, out chan<- readResult) {
 	start := time.Now()
-	res := readResult{conn: conn, addr: conn.RemoteAddr().String()}
 	conn.SetDeadline(deadline)
-	msgType, payload, n, err := ReadFrame(conn)
-	res.bytes = n
-	if err == nil && msgType == MsgHello {
-		// Budget handshake: acknowledge with the advertised cap, then
-		// read the actual upload from the same connection.
-		s.bytesIn.Add(int64(n))
-		if _, herr := parseHello(payload); herr != nil {
-			res.err = herr
-			res.dur = time.Since(start)
-			out <- res
-			return
-		}
-		res.negotiated = true
-		if wn, werr := WriteFrame(conn, MsgHelloAck, encodeHelloAck(s.maxUploadBytes)); werr != nil {
-			res.err = fmt.Errorf("transport: writing hello ack: %w", werr)
-			res.dur = time.Since(start)
-			out <- res
-			return
-		} else {
-			s.bytesOut.Add(int64(wn))
-		}
-		msgType, payload, n, err = ReadFrame(conn)
-		res.bytes += n
-	}
-	if err == nil && res.negotiated && s.maxUploadBytes > 0 && int64(n) > s.maxUploadBytes {
-		err = fmt.Errorf("transport: upload of %d bytes exceeds the advertised cap of %d", n, s.maxUploadBytes)
-	}
-	if err != nil {
-		if errors.Is(err, ErrChecksum) && len(payload) > 0 {
-			// Best-effort naming of the site behind the corrupt
-			// upload: the id is the first payload field and usually
-			// survives a bit flip elsewhere.
-			res.siteID = model.PeekLocalSiteID(payload)
-		}
-		res.err = err
-		res.dur = time.Since(start)
-		out <- res
-		return
-	}
-	s.bytesIn.Add(int64(n))
-	// Best-effort identification even when the rest fails: the site id
-	// is the first field of the payload.
-	res.siteID = model.PeekLocalSiteID(payload)
-	if msgType != MsgLocalModel && msgType != MsgLocalModelTimed {
-		res.err = fmt.Errorf("transport: expected local model, got message type 0x%02x", msgType)
-		res.dur = time.Since(start)
-		out <- res
-		return
-	}
-	var m model.LocalModel
-	consumed, err := m.UnmarshalBinaryPrefix(payload)
-	switch {
-	case err != nil:
-		res.err = err
-	case msgType == MsgLocalModel && consumed != len(payload):
-		res.err = fmt.Errorf("model: %d trailing bytes after local model", len(payload)-consumed)
-	default:
-		if msgType == MsgLocalModelTimed {
-			phases, budget, agg, serr := parseSections(payload[consumed:])
-			if serr != nil {
-				res.err = serr
-				break
-			}
-			res.phases = phases
-			res.budget = budget
-			res.agg = agg
-		}
-		if verr := m.Validate(); verr != nil {
-			res.err = verr
-		} else {
-			res.m = &m
-			res.siteID = m.SiteID
-		}
-	}
-	res.dur = time.Since(start)
-	out <- res
+	up, err := s.readUpload(conn, false)
+	out <- readResult{upload: up, conn: conn, addr: conn.RemoteAddr().String(), err: err, dur: time.Since(start)}
 }
 
 // RunRound performs one complete DBDC round with default options: accept
@@ -577,7 +464,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 	sort.Strings(ids)
 	models := make([]*model.LocalModel, 0, len(ids))
 	for _, id := range ids {
-		models = append(models, good[id].m)
+		models = append(models, good[id].model)
 	}
 
 	globalStart := time.Now()
@@ -621,9 +508,8 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 	for _, id := range ids {
 		r := good[id]
 		r.conn.SetDeadline(time.Now().Add(s.timeout))
-		if n, werr := WriteFrame(r.conn, MsgGlobalModel, payload); werr == nil {
-			s.bytesOut.Add(int64(n))
-			report.DownlinkBytes += n
+		if s.reply(r.conn, MsgGlobalModel, payload) == nil {
+			report.DownlinkBytes += frameHeaderSize + len(payload)
 		}
 		r.conn.Close()
 	}
@@ -654,20 +540,20 @@ func (s *Server) buildReport(start time.Time, quorum int, good map[string]readRe
 			report.Retried++
 		}
 		report.UplinkBytes += r.bytes
-		report.ObjectsTotal += r.m.NumObjects
-		report.RepsTotal += len(r.m.Reps)
+		report.ObjectsTotal += r.model.NumObjects
+		report.RepsTotal += len(r.model.Reps)
 		report.Sites = append(report.Sites, SiteOutcome{
 			SiteID:     id,
 			Addr:       r.addr,
 			OK:         true,
 			Attempts:   attempts[id],
 			Bytes:      r.bytes,
-			Objects:    r.m.NumObjects,
-			Reps:       len(r.m.Reps),
+			Objects:    r.model.NumObjects,
+			Reps:       len(r.model.Reps),
 			Duration:   r.dur,
-			Phases:     r.phases,
-			Budget:     r.budget,
-			Agg:        r.agg,
+			Phases:     r.sections.phases,
+			Budget:     r.sections.budget,
+			Agg:        r.sections.agg,
 			Negotiated: r.negotiated,
 		})
 	}

@@ -2,10 +2,8 @@ package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"net"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/model"
@@ -125,96 +123,48 @@ func appendStreamStatsSection(dst []byte, st StreamStats) []byte {
 	return dst
 }
 
-// parseStreamSections walks the section area of a delta upload and returns
-// the stream stats and site phases when present; unknown sections are
-// skipped, malformed areas are an error (same contract as parseSections).
-func parseStreamSections(data []byte) (*StreamStats, *SitePhases, error) {
-	var stats *StreamStats
-	var phases *SitePhases
-	err := walkSections(data, func(id byte, body []byte) {
-		switch id {
-		case sectionStreamStats:
-			if len(body) >= streamStatsBodyLen && body[0] == streamStatsVersion {
-				stats = &StreamStats{
-					Window: int(binary.LittleEndian.Uint32(body[1:5])),
-					Turns:  binary.LittleEndian.Uint64(body[5:13]),
-					Change: math.Float64frombits(binary.LittleEndian.Uint64(body[13:21])),
-				}
-			}
-		case sectionSitePhases:
-			if p, ok := parseSitePhasesBody(body); ok {
-				phases = &p
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, err
+// parseStreamStatsBody decodes a version-1 (or newer, prefix-compatible)
+// stream section body; ok is false on a short body or unknown version.
+func parseStreamStatsBody(body []byte) (StreamStats, bool) {
+	if len(body) < streamStatsBodyLen || body[0] != streamStatsVersion {
+		return StreamStats{}, false
 	}
-	return stats, phases, nil
+	return StreamStats{
+		Window: int(binary.LittleEndian.Uint32(body[1:5])),
+		Turns:  binary.LittleEndian.Uint64(body[5:13]),
+		Change: math.Float64frombits(binary.LittleEndian.Uint64(body[13:21])),
+	}, true
 }
 
 // UploadMode names the wire encoding a StreamClient upload went out with.
+// There is one, the delta; the type survives because the repository
+// benchmark (bench/, frozen) compiles against UploadResult.Mode == ModeDelta.
 type UploadMode int
 
-const (
-	// ModeDelta is the streaming MsgModelDelta upload.
-	ModeDelta UploadMode = iota
-	// ModeTimedFull is the full-model MsgLocalModelTimed fallback.
-	ModeTimedFull
-	// ModeLegacyFull is the original MsgLocalModel upload, the fallback of
-	// last resort.
-	ModeLegacyFull
-)
-
-// String names the mode for logs.
-func (m UploadMode) String() string {
-	switch m {
-	case ModeDelta:
-		return "delta"
-	case ModeTimedFull:
-		return "full-timed"
-	case ModeLegacyFull:
-		return "full-legacy"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
+// ModeDelta is the streaming MsgModelDelta upload.
+const ModeDelta UploadMode = 0
 
 // UploadResult describes one StreamClient upload.
 type UploadResult struct {
-	// Mode is the encoding that finally succeeded.
+	// Mode is always ModeDelta (see UploadMode).
 	Mode UploadMode
-	// Downgraded reports that this call moved the client to a more
-	// conservative mode (delta → full-timed → full-legacy). The mode is
-	// sticky: later uploads start from it.
-	Downgraded bool
-	// Resync reports the server demanded a snapshot (delta mode only); the
-	// upload itself carried no state change.
+	// Resync reports the server demanded a snapshot; the upload itself
+	// carried no state change.
 	Resync bool
-	// Seq is the acknowledged sequence number (delta mode only).
+	// Seq is the acknowledged sequence number.
 	Seq uint64
-	// GlobalVersion is the server's global rebuild counter from the ack
-	// (delta mode only; full uploads receive the model itself instead).
+	// GlobalVersion is the server's global rebuild counter from the ack.
+	// The delta exchange deliberately keeps the downlink to an ack,
+	// trusting the classify tier for reads.
 	GlobalVersion uint64
-	// Global is the global model the server replied with (full-upload
-	// modes only — the delta exchange deliberately keeps the downlink to
-	// an ack, trusting the classify tier for reads).
-	Global *model.GlobalModel
-	// BytesSent and BytesReceived are this call's wire cost, all attempts
-	// summed.
+	// BytesSent and BytesReceived are this call's wire cost.
 	BytesSent     int
 	BytesReceived int
 }
 
-// errDeltaRejected marks a server that answered a delta frame with
-// MsgError: old update servers reject unknown frame types that way instead
-// of closing the connection, so it is a downgrade signal, not a fault.
-var errDeltaRejected = errors.New("transport: server rejected delta frame")
-
 // StreamClient uploads a streaming site's model updates to an update
-// server, negotiating the encoding by fallback: deltas while the server
-// folds them, full models against older servers. Not safe for concurrent
-// use — a streaming site uploads sequentially.
+// server as deltas. It keeps no state between uploads, so a failed upload
+// changes nothing about the next one.
 type StreamClient struct {
 	// Addr is the update server address ("host:port").
 	Addr string
@@ -222,160 +172,48 @@ type StreamClient struct {
 	Timeout time.Duration
 	// Dial opens connections; nil means net.DialTimeout.
 	Dial DialFunc
-	// DisableDelta forces full uploads from the start, skipping the
-	// negotiation against servers known to predate deltas.
-	DisableDelta bool
-
-	mode        UploadMode
-	initialized bool
 }
 
-// Mode returns the wire encoding the next upload will attempt.
-func (c *StreamClient) Mode() UploadMode {
-	c.init()
-	return c.mode
-}
-
-func (c *StreamClient) init() {
-	if !c.initialized {
-		c.initialized = true
-		if c.DisableDelta {
-			c.mode = ModeTimedFull
-		}
+// Upload ships one model update as a MsgModelDelta on a fresh connection
+// (the update server handles one exchange per connection). Every fault — a
+// dial error, a timeout, a dropped connection, a MsgError reply — is returned
+// to the caller, who simply uploads again on the next change round. A Resync
+// result carries no error: the caller must reset its tracker and upload a
+// snapshot delta.
+//
+// The full model is not sent; the parameter survives because the repository
+// benchmark (bench/, frozen) implements stream.Uploader with this signature.
+func (c *StreamClient) Upload(_ *model.LocalModel, delta *model.LocalDelta, stats *StreamStats) (*UploadResult, error) {
+	if delta == nil {
+		return nil, fmt.Errorf("transport: stream upload without a delta")
 	}
-}
-
-// Upload ships one model update: the delta when the client is (still) in
-// delta mode, the full model otherwise. A rejection by an older server
-// downgrades the mode for this and all later calls and retries immediately
-// on a fresh connection; genuine faults (dial errors, timeouts, MsgError on
-// a full upload) are returned to the caller, who simply uploads again on
-// the next change round. A Resync result carries no error: the caller must
-// reset its tracker and upload a snapshot delta.
-func (c *StreamClient) Upload(full *model.LocalModel, delta *model.LocalDelta, stats *StreamStats) (*UploadResult, error) {
-	c.init()
-	res := &UploadResult{}
-	if c.mode == ModeDelta {
-		if delta == nil {
-			return nil, fmt.Errorf("transport: delta-mode upload without a delta")
-		}
-		err := c.uploadDelta(delta, stats, res)
-		if err == nil {
-			res.Mode = ModeDelta
-			return res, nil
-		}
-		if !frameRejected(err) && !errors.Is(err, errDeltaRejected) {
-			return nil, err
-		}
-		// Negotiation fallback: the peer closed without a reply (round
-		// servers) or answered MsgError (old update servers). Stay on full
-		// uploads from now on.
-		c.mode = ModeTimedFull
-		res.Downgraded = true
-	}
-	payload, err := full.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	if c.mode == ModeTimedFull {
-		err := c.uploadFull(MsgLocalModelTimed, payload, res)
-		if err == nil {
-			res.Mode = ModeTimedFull
-			return res, nil
-		}
-		if !frameRejected(err) {
-			return nil, err
-		}
-		c.mode = ModeLegacyFull
-		res.Downgraded = true
-	}
-	if err := c.uploadFull(MsgLocalModel, payload, res); err != nil {
-		return nil, err
-	}
-	res.Mode = ModeLegacyFull
-	return res, nil
-}
-
-// uploadDelta performs the MsgModelDelta/MsgDeltaAck exchange.
-func (c *StreamClient) uploadDelta(delta *model.LocalDelta, stats *StreamStats, res *UploadResult) error {
 	payload, err := delta.MarshalBinary()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if stats != nil {
 		payload = appendStreamStatsSection(payload, *stats)
 	}
-	msgType, reply, err := c.roundTrip(MsgModelDelta, payload, res)
+	var as AttemptStats
+	conn, err := dialAttempt(c.Dial, c.Addr, c.Timeout, &as)
 	if err != nil {
-		return err
-	}
-	switch msgType {
-	case MsgDeltaAck:
-		ack, err := parseDeltaAck(reply)
-		if err != nil {
-			return permanent(err)
-		}
-		res.Resync = ack.Resync
-		res.Seq = ack.Seq
-		res.GlobalVersion = ack.GlobalVersion
-		return nil
-	case MsgError:
-		return fmt.Errorf("%w: %s", errDeltaRejected, reply)
-	default:
-		return permanent(fmt.Errorf("transport: unexpected reply 0x%02x to delta upload", msgType))
-	}
-}
-
-// uploadFull performs a full-model upload expecting a MsgGlobalModel reply.
-func (c *StreamClient) uploadFull(frameType byte, payload []byte, res *UploadResult) error {
-	msgType, reply, err := c.roundTrip(frameType, payload, res)
-	if err != nil {
-		return err
-	}
-	switch msgType {
-	case MsgGlobalModel:
-		var global model.GlobalModel
-		if err := global.UnmarshalBinary(reply); err != nil {
-			return permanent(err)
-		}
-		if err := global.Validate(); err != nil {
-			return permanent(err)
-		}
-		res.Global = &global
-		return nil
-	case MsgError:
-		return permanent(fmt.Errorf("transport: server reported: %s", reply))
-	default:
-		return permanent(fmt.Errorf("transport: unexpected reply 0x%02x to model upload", msgType))
-	}
-}
-
-// roundTrip opens a fresh connection (the update server handles one
-// exchange per connection), writes one frame and reads the reply.
-func (c *StreamClient) roundTrip(msgType byte, payload []byte, res *UploadResult) (byte, []byte, error) {
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	dial := c.Dial
-	if dial == nil {
-		dial = net.DialTimeout
-	}
-	conn, err := dial("tcp", c.Addr, timeout)
-	if err != nil {
-		return 0, nil, fmt.Errorf("transport: dial %s: %w", c.Addr, err)
+		return nil, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	sent, err := WriteFrame(conn, msgType, payload)
-	res.BytesSent += sent
+	reply, err := exchange(conn, MsgModelDelta, payload, MsgDeltaAck, &as)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	replyType, reply, received, err := ReadFrame(conn)
-	res.BytesReceived += received
+	ack, err := parseDeltaAck(reply)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return replyType, reply, nil
+	return &UploadResult{
+		Mode:          ModeDelta,
+		Resync:        ack.Resync,
+		Seq:           ack.Seq,
+		GlobalVersion: ack.GlobalVersion,
+		BytesSent:     as.BytesSent,
+		BytesReceived: as.BytesReceived,
+	}, nil
 }

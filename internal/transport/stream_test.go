@@ -2,7 +2,6 @@ package transport
 
 import (
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -58,15 +57,15 @@ func TestDeltaAckSectionRoundTrip(t *testing.T) {
 
 func TestStreamStatsSectionRoundTrip(t *testing.T) {
 	want := StreamStats{Window: 150, Turns: 12, Change: 0.25}
-	stats, phases, err := parseStreamSections(appendStreamStatsSection(nil, want))
+	secs, err := parseSections(appendStreamStatsSection(nil, want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if phases != nil {
+	if secs.phases != nil {
 		t.Fatal("phases materialized out of nothing")
 	}
-	if stats == nil || *stats != want {
-		t.Fatalf("stats round trip: got %+v, want %+v", stats, want)
+	if secs.stream == nil || *secs.stream != want {
+		t.Fatalf("stats round trip: got %+v, want %+v", secs.stream, want)
 	}
 }
 
@@ -91,7 +90,7 @@ func TestStreamClientDeltaRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeDelta || res.Downgraded || res.Resync {
+	if res.Mode != ModeDelta || res.Resync {
 		t.Fatalf("snapshot upload: %+v", res)
 	}
 	if res.Seq != 1 {
@@ -164,163 +163,6 @@ func TestStreamClientResync(t *testing.T) {
 	}
 	if g := srv.Global(); g == nil || g.NumClusters != 2 {
 		t.Fatalf("global after recovery: %+v", g)
-	}
-}
-
-// legacyCloser accepts one connection and closes it on any frame — the
-// behavior of a round server that predates the streamed types.
-func legacyCloser(t *testing.T) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-	return ln
-}
-
-// Against a server that closes on unknown frames the client must walk all
-// the way down the downgrade chain and stay there.
-func TestStreamClientDowngradesToLegacyOnClose(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	// A stub speaking only MsgLocalModel: closes on anything else.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				msgType, payload, _, err := ReadFrame(conn)
-				if err != nil || msgType != MsgLocalModel {
-					return // close without reply: pre-streaming behavior
-				}
-				var m model.LocalModel
-				if err := m.UnmarshalBinary(payload); err != nil {
-					return
-				}
-				g, err := srv.storeAndRebuild(&m)
-				if err != nil {
-					return
-				}
-				reply, err := g.MarshalBinary()
-				if err != nil {
-					return
-				}
-				WriteFrame(conn, MsgGlobalModel, reply)
-			}(conn)
-		}
-	}()
-
-	client := &StreamClient{Addr: ln.Addr().String(), Timeout: 5 * time.Second}
-	tracker := model.NewDeltaTracker()
-	m := localModelOf(t, "st-old", blob(rng, 0, 0, 200))
-	res, err := client.Upload(m, deltaOf(tracker, m), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeLegacyFull || !res.Downgraded {
-		t.Fatalf("against a legacy server: %+v", res)
-	}
-	if res.Global == nil || res.Global.NumClusters != 1 {
-		t.Fatalf("legacy upload reply: %+v", res.Global)
-	}
-	if client.Mode() != ModeLegacyFull {
-		t.Fatalf("downgrade not sticky: next mode %v", client.Mode())
-	}
-	// The next upload goes straight to legacy, no re-negotiation.
-	m2 := localModelOf(t, "st-old", append(blob(rng, 0, 0, 200), blob(rng, 30, 0, 200)...))
-	res, err = client.Upload(m2, deltaOf(tracker, m2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeLegacyFull || res.Downgraded {
-		t.Fatalf("second legacy upload re-negotiated: %+v", res)
-	}
-}
-
-// oldUpdateServer mimics the pre-streaming UpdateServer: it answers unknown
-// frame types with MsgError instead of closing. The client must read that as
-// a downgrade signal, not a fault — and land on the timed full upload, which
-// the old update server also rejects... by MsgError, which for full uploads
-// IS a fault. So the stub accepts timed uploads, like the real pre-delta
-// server in this repo does.
-func TestStreamClientDowngradesOnMsgError(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				msgType, payload, _, err := ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				if msgType != MsgLocalModelTimed {
-					WriteFrame(conn, MsgError, []byte("expected local model"))
-					return
-				}
-				var m model.LocalModel
-				if _, err := m.UnmarshalBinaryPrefix(payload); err != nil {
-					return
-				}
-				g, err := dbdc.GlobalStep([]*model.LocalModel{&m}, testCfg())
-				if err != nil {
-					return
-				}
-				reply, _ := g.MarshalBinary()
-				WriteFrame(conn, MsgGlobalModel, reply)
-			}(conn)
-		}
-	}()
-
-	client := &StreamClient{Addr: ln.Addr().String(), Timeout: 5 * time.Second}
-	tracker := model.NewDeltaTracker()
-	m := localModelOf(t, "st-err", blob(rng, 0, 0, 200))
-	res, err := client.Upload(m, deltaOf(tracker, m), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeTimedFull || !res.Downgraded {
-		t.Fatalf("against an MsgError-rejecting server: %+v", res)
-	}
-	if res.Global == nil {
-		t.Fatal("timed fallback upload got no global model")
-	}
-}
-
-// DisableDelta skips negotiation entirely.
-func TestStreamClientDisableDelta(t *testing.T) {
-	client := &StreamClient{DisableDelta: true}
-	if client.Mode() != ModeTimedFull {
-		t.Fatalf("DisableDelta start mode %v", client.Mode())
 	}
 }
 

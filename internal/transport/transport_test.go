@@ -35,7 +35,7 @@ func blob(rng *rand.Rand, cx, cy float64, n int) []geom.Point {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello dbdc")
-	n, err := WriteFrame(&buf, MsgLocalModel, payload)
+	n, err := WriteFrame(&buf, MsgLocalModelTimed, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgType != MsgLocalModel || !bytes.Equal(got, payload) || rn != n {
+	if msgType != MsgLocalModelTimed || !bytes.Equal(got, payload) || rn != n {
 		t.Fatalf("round trip mismatch: type=%d payload=%q n=%d", msgType, got, rn)
 	}
 }
@@ -70,7 +70,7 @@ func TestFrameTooLargeRejected(t *testing.T) {
 	// allocation of that size.
 	header := make([]byte, frameHeaderSize)
 	header[0] = FrameVersion
-	header[1] = MsgLocalModel
+	header[1] = MsgLocalModelTimed
 	binary.LittleEndian.PutUint32(header[2:6], 1<<30)
 	if _, _, _, err := ReadFrame(bytes.NewReader(header)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
@@ -89,7 +89,7 @@ func TestFrameVersionRejected(t *testing.T) {
 
 func TestFrameChecksumRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, MsgLocalModel, []byte("precious payload")); err != nil {
+	if _, err := WriteFrame(&buf, MsgLocalModelTimed, []byte("precious payload")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -105,7 +105,7 @@ func TestFrameChecksumRejected(t *testing.T) {
 
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, MsgLocalModel, []byte("payload"))
+	WriteFrame(&buf, MsgLocalModelTimed, []byte("payload"))
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		if _, _, _, err := ReadFrame(bytes.NewReader(full[:cut])); err == nil {
@@ -270,7 +270,7 @@ func TestServerSurvivesGarbageSite(t *testing.T) {
 		if err != nil {
 			return
 		}
-		conn.Write([]byte{0x10, 0x00, 0x00, 0x00, MsgLocalModel, 0xde, 0xad})
+		conn.Write([]byte{0x10, 0x00, 0x00, 0x00, MsgLocalModelTimed, 0xde, 0xad})
 		conn.Close()
 	}()
 	rep, err := RunSite(srv.Addr(), "good", blob(rng, 0, 0, 200), testCfg(), 5*time.Second)
@@ -400,7 +400,7 @@ func TestExchangeDialFailure(t *testing.T) {
 
 func TestWriteFrameShortWriter(t *testing.T) {
 	w := &limitWriter{limit: 3}
-	if _, err := WriteFrame(w, MsgLocalModel, []byte("x")); err == nil {
+	if _, err := WriteFrame(w, MsgLocalModelTimed, []byte("x")); err == nil {
 		t.Fatal("short write not reported")
 	}
 }

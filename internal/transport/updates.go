@@ -6,7 +6,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/dbdc"
@@ -17,8 +16,8 @@ import (
 // incremental and streaming deployments: sites connect whenever their local
 // clustering has changed considerably (cf. Section 4 of the paper and the
 // incremental DBSCAN site mode) and upload either a full local model
-// (MsgLocalModel / MsgLocalModelTimed — answered with the rebuilt global
-// model) or a streaming delta (MsgModelDelta — folded into the per-site
+// (MsgLocalModelTimed — answered with the rebuilt global model) or a
+// streaming delta (MsgModelDelta — folded into the per-site
 // model table and answered with a MsgDeltaAck, with the global rebuild
 // optionally debounced; see SetDebounce). Stale models of silent sites stay
 // in effect — the server never has to wait for all sites.
@@ -28,13 +27,12 @@ import (
 // (model.ClusterMatcher), so classify clients see coherent ids while the
 // clustering churns underneath them.
 type UpdateServer struct {
+	uploadEndpoint
+
 	cfg      dbdc.Config
 	timeout  time.Duration
 	ln       net.Listener
 	debounce time.Duration
-
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
 
 	mu     sync.Mutex
 	models map[string]*model.LocalModel
@@ -127,12 +125,6 @@ func (s *UpdateServer) StreamInfo(siteID string) (StreamStats, bool) {
 	return st, ok
 }
 
-// BytesIn returns the total frame bytes received from sites.
-func (s *UpdateServer) BytesIn() int64 { return s.bytesIn.Load() }
-
-// BytesOut returns the total frame bytes sent to sites.
-func (s *UpdateServer) BytesOut() int64 { return s.bytesOut.Load() }
-
 // NewUpdateServer listens on addr for model updates.
 func NewUpdateServer(addr string, cfg dbdc.Config, timeout time.Duration) (*UpdateServer, error) {
 	if err := cfg.Validate(); err != nil {
@@ -213,58 +205,27 @@ func (s *UpdateServer) Serve(maxUpdates int) error {
 	return nil
 }
 
-// handleUpdate processes one site connection: read the model, rebuild the
-// global model, reply.
+// handleUpdate processes one site connection: read the upload, fold or
+// store it, reply.
 func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(s.timeout))
-	msgType, payload, n, err := ReadFrame(conn)
+	up, err := s.readUpload(conn, true)
 	if err != nil {
 		// A corrupt frame is a protocol-level failure the site can act
-		// on (resend); tell it instead of silently hanging up. I/O
-		// errors get no reply — the conn is gone anyway.
-		if errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrFrameVersion) {
+		// on (resend); tell it instead of silently hanging up. Refused
+		// uploads were answered by readUpload; I/O errors get no reply —
+		// the conn is gone anyway.
+		if errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameVersion) {
 			s.reply(conn, MsgError, []byte(err.Error()))
 		}
 		return
 	}
-	s.bytesIn.Add(int64(n))
-	switch msgType {
-	case MsgLocalModel, MsgLocalModelTimed:
-		s.handleFullModel(conn, msgType, payload)
-	case MsgModelDelta:
-		s.handleDelta(conn, payload)
-	default:
-		s.reply(conn, MsgError, []byte("expected local model"))
-	}
-}
-
-// handleFullModel processes a full-model upload (legacy or timed frame):
-// store, synchronous rebuild, global model reply.
-func (s *UpdateServer) handleFullModel(conn net.Conn, msgType byte, payload []byte) {
-	var m model.LocalModel
-	if msgType == MsgLocalModelTimed {
-		// The timed frame is the model followed by optional sections
-		// (phase metrics etc.) — parsed for well-formedness, otherwise
-		// ignored here: the update server has no round report to put
-		// them in.
-		consumed, err := m.UnmarshalBinaryPrefix(payload)
-		if err != nil {
-			s.reply(conn, MsgError, []byte(err.Error()))
-			return
-		}
-		if _, _, _, err := parseSections(payload[consumed:]); err != nil {
-			s.reply(conn, MsgError, []byte(err.Error()))
-			return
-		}
-	} else if err := m.UnmarshalBinary(payload); err != nil {
-		s.reply(conn, MsgError, []byte(err.Error()))
+	if up.delta != nil {
+		s.handleDelta(conn, up.delta, up.sections.stream)
 		return
 	}
-	if err := m.Validate(); err != nil {
-		s.reply(conn, MsgError, []byte(err.Error()))
-		return
-	}
-	global, err := s.storeAndRebuild(&m)
+	// A full model: store, synchronous rebuild, global model reply.
+	global, err := s.storeAndRebuild(up.model)
 	if err != nil {
 		s.reply(conn, MsgError, []byte(err.Error()))
 		return
@@ -279,22 +240,7 @@ func (s *UpdateServer) handleFullModel(conn net.Conn, msgType byte, payload []by
 
 // handleDelta folds one streaming delta and acks it. The global rebuild is
 // debounced (SetDebounce), so the ack does not wait for a GlobalStep.
-func (s *UpdateServer) handleDelta(conn net.Conn, payload []byte) {
-	var d model.LocalDelta
-	consumed, err := d.UnmarshalBinaryPrefix(payload)
-	if err != nil {
-		s.reply(conn, MsgError, []byte(err.Error()))
-		return
-	}
-	stats, _, err := parseStreamSections(payload[consumed:])
-	if err != nil {
-		s.reply(conn, MsgError, []byte(err.Error()))
-		return
-	}
-	if err := d.Validate(); err != nil {
-		s.reply(conn, MsgError, []byte(err.Error()))
-		return
-	}
+func (s *UpdateServer) handleDelta(conn net.Conn, d *model.LocalDelta, stats *StreamStats) {
 	s.mu.Lock()
 	f := s.folds[d.SiteID]
 	if f == nil {
@@ -302,7 +248,7 @@ func (s *UpdateServer) handleDelta(conn net.Conn, payload []byte) {
 		s.folds[d.SiteID] = f
 	}
 	var ack DeltaAck
-	if err := f.Apply(&d); err != nil {
+	if err := f.Apply(d); err != nil {
 		if !errors.Is(err, model.ErrDeltaBase) {
 			s.mu.Unlock()
 			s.reply(conn, MsgError, []byte(err.Error()))
@@ -321,13 +267,6 @@ func (s *UpdateServer) handleDelta(conn net.Conn, payload []byte) {
 	}
 	s.mu.Unlock()
 	s.reply(conn, MsgDeltaAck, encodeDeltaAck(ack))
-}
-
-// reply writes one frame and accounts the bytes.
-func (s *UpdateServer) reply(conn net.Conn, msgType byte, payload []byte) {
-	if n, err := WriteFrame(conn, msgType, payload); err == nil {
-		s.bytesOut.Add(int64(n))
-	}
 }
 
 // storeAndRebuild replaces the site's model and recomputes the global

@@ -95,7 +95,7 @@ func TestUpdateServerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := WriteFrame(conn, MsgLocalModel, []byte{0xde, 0xad}); err != nil {
+	if _, err := WriteFrame(conn, MsgLocalModelTimed, []byte{0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
 	msgType, payload, _, err := ReadFrame(conn)

@@ -14,7 +14,7 @@ AGG_A=127.0.0.1:17171
 AGG_B=127.0.0.1:17172
 
 TMP=$(mktemp -d /tmp/dbdc-agg-smoke.XXXXXX)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$TMP"' EXIT INT TERM
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
 
 echo "agg-smoke: building binaries"
 $GO build -o "$TMP/bin/" ./cmd/dbdc-server ./cmd/dbdc-agg ./cmd/dbdc-site ./cmd/datagen
