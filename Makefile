@@ -37,7 +37,6 @@ fuzz-smoke:
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzLocalDeltaUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz 'FuzzStoreDistanceSq$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzShardAssign -fuzztime $(FUZZTIME)
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).
@@ -46,7 +45,7 @@ bench:
 
 # Hot-path benchmark sweep recorded as a committed artifact: runs the
 # BenchmarkLocalClustering suite (naive metric arm vs store kernels per
-# index kind, worker scaling, spatial shards, representative budgets) plus
+# index kind, worker scaling per kind and in 8-d, representative budgets) plus
 # BenchmarkStoreKernels (strided vs slice distance kernels, allocation-free
 # range loops) and BenchmarkLoadgenClassify (loopback classification serving
 # throughput) and converts the output into BENCH_<shortrev>.json via

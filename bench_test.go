@@ -493,7 +493,7 @@ func BenchmarkLocalClustering(b *testing.B) {
 	// stay realistic (a few dozen objects).
 	params := dbscan.Params{Eps: 0.25, MinPts: 5}
 	opts := dbscan.Options{CollectSpecificCores: true}
-	runOnce := func(b *testing.B, idx index.Index, o dbscan.Options) {
+	runOnce := func(b *testing.B, idx index.Index, params dbscan.Params, o dbscan.Options) {
 		b.Helper()
 		b.ReportAllocs()
 		var queries int
@@ -519,7 +519,7 @@ func BenchmarkLocalClustering(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runOnce(b, idx, opts)
+			runOnce(b, idx, params, opts)
 		})
 		b.Run(fmt.Sprintf("naive/%s", kind), func(b *testing.B) {
 			if kind == index.KindRStar {
@@ -529,12 +529,14 @@ func BenchmarkLocalClustering(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runOnce(b, naiveIndex{idx}, opts)
+			runOnce(b, naiveIndex{idx}, params, opts)
 		})
 	}
 	// Intra-site parallelism: same index, growing worker budget. workers=1
-	// is the sequential expansion; higher counts route through RunParallel
-	// (spatially sharded, like every Euclidean index).
+	// is the sequential expansion; higher counts route through RunParallel,
+	// whose workers query this same index. On a single-CPU host the numbers
+	// measure coordination overhead, not speedup; benchdiff flags that via
+	// the recorded core count.
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
 			idx, err := index.Build(index.KindKDTree, ds.Points, geom.Euclidean{}, ds.Params.Eps)
@@ -543,37 +545,44 @@ func BenchmarkLocalClustering(b *testing.B) {
 			}
 			o := opts
 			o.Workers = workers
-			runOnce(b, idx, o)
+			runOnce(b, idx, params, o)
 		})
 	}
-	// Spatial sharding per index kind: RunParallel partitions the site by
-	// grid cells with an ε-halo and clusters each cell against its
-	// cache-local sub-index. 4 workers — on a single-CPU host the numbers
-	// measure coordination overhead, not speedup; benchdiff flags that via
-	// the recorded core count.
+	// The same at 4 workers per index kind: RunParallel honours the kind it
+	// is handed, so each row is to be read against its store/<kind> row.
 	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRStar} {
-		b.Run(fmt.Sprintf("shard/%s", kind), func(b *testing.B) {
+		b.Run(fmt.Sprintf("parallel/%s/workers=4", kind), func(b *testing.B) {
 			idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, ds.Params.Eps)
 			if err != nil {
 				b.Fatal(err)
 			}
 			o := opts
 			o.Workers = 4
-			b.ReportAllocs()
-			var queries, shards int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := dbscan.RunParallel(idx, params, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				queries, shards = res.RangeQueries, res.Shards
+			runOnce(b, idx, params, o)
+		})
+	}
+	// Eight dimensions: 2-d rows cannot show a parallel path that is slower
+	// than not parallelising at all once neighborhoods stop being cheap, so
+	// one sequential/parallel pair runs on 20,000 8-d blob points.
+	rng := rand.New(rand.NewSource(1))
+	high := geom.NewStore(8, 20_000)
+	for c := 0; c < 10; c++ {
+		center := make(geom.Point, 8)
+		for d := range center {
+			center[d] = rng.Float64() * 40
+		}
+		data.AppendBlob(high, rng, center, 1.5, 2_000)
+	}
+	highParams := dbscan.Params{Eps: 3, MinPts: 5}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parallel/dim=8/workers=%d", workers), func(b *testing.B) {
+			idx, err := index.BuildStore(index.KindRStar, high, geom.Euclidean{}, highParams.Eps)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(queries), "range-queries/op")
-			b.ReportMetric(float64(shards), "shards/op")
-			if shards < 2 {
-				b.Fatal("shard variant fell back to the chunked path")
-			}
+			o := opts
+			o.Workers = workers
+			runOnce(b, idx, highParams, o)
 		})
 	}
 	// SDBDC representative budgets: the full LocalStep (clustering,

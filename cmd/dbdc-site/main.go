@@ -7,8 +7,8 @@
 //	dbdc-site -addr server:7070 -id site-1 -input local.csv -eps 1.2 -minpts 4 [-workers 4]
 //
 // -workers > 1 runs the local DBSCAN with that many intra-site goroutines
-// (dbscan.RunParallel), carrying the PR-2 parallel kernel into the
-// networked deployment; the per-phase costs are printed after the round
+// (dbscan.RunParallel), each issuing the range queries of a contiguous
+// share of the objects against the site's one index; the per-phase costs are printed after the round
 // and attached to the upload so the server's round report can show the
 // paper's max(local)+global decomposition.
 //
@@ -53,7 +53,7 @@ func main() {
 	eps := flag.Float64("eps", 0, "DBSCAN Eps_local (required)")
 	minPts := flag.Int("minpts", 0, "DBSCAN MinPts (required)")
 	modelKind := flag.String("model", string(lib.RepScor), "local model: rep-scor or rep-kmeans")
-	workers := flag.Int("workers", 1, "intra-site DBSCAN workers (>1 selects the parallel kernel, 0 = GOMAXPROCS-sized)")
+	workers := flag.Int("workers", 1, "intra-site DBSCAN workers: >1 splits the range queries over that many goroutines against the site's one index, 0 = GOMAXPROCS-sized")
 	repBudget := flag.Int("rep-budget", 0, "max representatives shipped per local cluster (SDBDC budget; 0 = unbudgeted)")
 	out := flag.String("o", "", "output file for global labels (default stdout)")
 	timeout := flag.Duration("timeout", 30*time.Second, "I/O timeout")

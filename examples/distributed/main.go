@@ -22,8 +22,8 @@ func main() {
 	// customer segments plus one store-specific segment.
 	rng := rand.New(rand.NewSource(7))
 	stores := map[string][]dbdc.Point{}
-	sharedA := blob(rng, 0, 0, 0.4, 600)   // segment every store sees
-	sharedB := blob(rng, 10, 2, 0.4, 600)  // second shared segment
+	sharedA := blob(rng, 0, 0, 0.4, 600)  // segment every store sees
+	sharedB := blob(rng, 10, 2, 0.4, 600) // second shared segment
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("store-%d", i+1)
 		pts := append([]dbdc.Point{}, sharedA[i*200:(i+1)*200]...)

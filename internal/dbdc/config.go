@@ -75,17 +75,15 @@ type Config struct {
 	// SiteWorkers is the per-site worker budget for the local DBSCAN runs:
 	// values above 1 select dbscan.RunParallel with that many goroutines
 	// per site, so one large site no longer bottlenecks a round on a single
-	// core. On store-backed indexes (the default for point-slice and store
-	// inputs) the parallel run shards the site's data spatially — grid
-	// cells of side ≥ ε with an ε-halo, each clustered against a
-	// cache-local sub-index (internal/shard) — and falls back to contiguous
-	// index chunks otherwise; results are identical either way. The same
-	// budget drives the server-side merge clustering of GlobalStep (and
-	// with it the aggtree interior nodes). The orchestrator divides the
-	// process-wide parallelism budget (GOMAXPROCS) by SiteWorkers to size
-	// its bounded site pool, keeping total goroutine fan-out roughly
-	// constant. 0 or 1 keeps the sequential per-site DBSCAN (the
-	// paper-faithful default). Note the border-point tie rule of
+	// core. Each worker owns a contiguous range of the site's objects and
+	// issues their ε-range queries against the site's one index: the index
+	// kind (Config.Index) is the caller's choice and is honoured at every
+	// worker count. The same budget drives the server-side merge clustering
+	// of GlobalStep (and with it the aggtree interior nodes). The
+	// orchestrator divides the process-wide parallelism budget (GOMAXPROCS)
+	// by SiteWorkers to size its bounded site pool, keeping total goroutine
+	// fan-out roughly constant. 0 or 1 keeps the sequential per-site DBSCAN
+	// (the paper-faithful default). Note the border-point tie rule of
 	// dbscan.RunParallel: local models may select a different (equally
 	// valid) specific core set than a sequential run.
 	SiteWorkers int

@@ -210,9 +210,9 @@ func TestFigure5RelabelScenario(t *testing.T) {
 		}},
 	}
 	pts := []geom.Point{
-		{0.5, 0},  // A: inside ε_R3 → adopted
-		{0, 0.9},  // B: inside → adopted
-		{2.5, 0},  // C: outside → stays noise
+		{0.5, 0}, // A: inside ε_R3 → adopted
+		{0, 0.9}, // B: inside → adopted
+		{2.5, 0}, // C: outside → stays noise
 	}
 	labels, err := Relabel(pts, global)
 	if err != nil {

@@ -53,8 +53,7 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 		return nil, err
 	}
 	// SiteWorkers applies to the server's merge clustering too: with more
-	// than one worker the run takes dbscan.RunParallel, which shards the
-	// representative set spatially when the index is store-backed (the
+	// than one worker the run takes dbscan.RunParallel over idx (the
 	// aggtree interior nodes run this step per region, so the parallelism
 	// matters at scale).
 	res, err := dbscan.Run(idx, dbscan.Params{Eps: epsGlobal, MinPts: cfg.MinPtsGlobal}, dbscan.Options{Workers: cfg.SiteWorkers})

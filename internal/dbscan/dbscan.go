@@ -42,10 +42,12 @@ type Options struct {
 	CollectSpecificCores bool
 	// Workers selects intra-site parallelism: with Workers > 1 Run delegates
 	// to RunParallel, which issues the per-object region queries from that
-	// many goroutines and merges the partial results with a union-find over
-	// core-point adjacency. 0 or 1 keeps the classic sequential expansion.
-	// The core partition and cluster numbering are identical to the
-	// sequential run; see RunParallel for the border-point tie rule.
+	// many goroutines — each against the index Run was given, so the index
+	// kind is honoured at every worker count — and merges the partial
+	// results with a union-find over core-point adjacency. 0 or 1 keeps the
+	// classic sequential expansion. The core partition and cluster numbering
+	// are identical to the sequential run; see RunParallel for the
+	// border-point tie rule.
 	Workers int
 }
 
@@ -66,9 +68,9 @@ type Result struct {
 	// RangeQueries counts the region queries issued — the dominant cost of
 	// DBSCAN and the quantity its complexity analysis is stated in.
 	RangeQueries int
-	// Shards is the number of spatial shards RunParallel's phase 1
-	// clustered independently; 0 when the run was sequential or used the
-	// chunked fallback.
+	// Shards is always 0: nothing sets it since the spatial-shard phase 1
+	// was deleted. It stays only because the frozen bench/ module reads it;
+	// drop it in the next [benchmark] PR.
 	Shards int
 }
 

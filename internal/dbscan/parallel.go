@@ -8,36 +8,23 @@ import (
 	"sync/atomic"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
-	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
-	"github.com/dbdc-go/dbdc/internal/shard"
 )
 
 // RunParallel clusters the points held by idx with a partition-and-merge
 // DBSCAN. Phase 1 issues the ε-range query for each object (the entirety of
-// DBSCAN's cost model) from Options.Workers goroutines, partitioned one of
-// two ways:
+// DBSCAN's cost model) from Options.Workers goroutines: every worker owns a
+// contiguous slice of the object range and calls index.RangeIntoID on idx.
+// The index kind is the caller's choice and is honoured at every worker
+// count — RunParallel builds no index of its own, so whatever makes idx fast
+// or slow sequentially does the same in parallel.
 //
-//   - Spatial sharding (every Euclidean index whose geometry supports it):
-//     the store is partitioned by internal/shard into grid cells of side
-//     ≥ ε plus an ε-halo of borrowed neighbor rows, and a worker pool
-//     clusters each cell against a small cache-local grid sub-index built
-//     over just the cell's own+halo rows — the partition-with-halo shape of
-//     PDBSCAN. The halo makes every sub-index neighborhood equal to the
-//     global one, so the recorded adjacency is exactly the chunked path's.
-//   - Contiguous index chunks (the observed fallback: non-Euclidean metric,
-//     store demoted by a dynamic insert, non-finite coordinates, fewer than
-//     128 objects, or geometry where fewer than two ε-cells fit): every
-//     worker owns a contiguous slice of the object range and queries the
-//     shared index.
+// The clustering is reconstructed from the recorded core adjacency with a
+// union-find over core points. The merge itself runs in parallel too —
+// workers replay their own adjacency through a lock-free union-find — with
+// only the final numbering pass sequential.
 //
-// Either way the clustering is reconstructed from the recorded core
-// adjacency with a union-find over core points. The merge itself runs in
-// parallel too — workers replay their own adjacency through a lock-free
-// union-find — with only the final numbering pass sequential.
-//
-// Result guarantees relative to the sequential Run (independent of the
-// partitioning strategy):
+// Result guarantees relative to the sequential Run:
 //
 //   - Core flags are identical (|N_Eps(p)| ≥ MinPts is order-free).
 //   - The core partition is identical: two core points share a cluster iff
@@ -67,9 +54,8 @@ import (
 // larger root under the smaller via compare-and-swap, so the lowest index of
 // a component can never acquire a parent regardless of interleaving; the
 // per-object lowest-core-neighbor record merges by minimum, which is
-// commutative across any shard-to-worker assignment. The components (and
-// with them every label) are a pure function of the input, whatever the
-// worker count and whichever phase-1 partitioning ran.
+// commutative across workers. The components (and with them every label)
+// are a pure function of the input, whatever the worker count.
 //
 // Workers ≤ 0 selects GOMAXPROCS. The index must be safe for concurrent
 // readers, which every index in this module is after construction.
@@ -104,35 +90,15 @@ func RunParallel(idx index.Index, params Params, opts Options) (*Result, error) 
 		return res, nil
 	}
 
-	// Phase 1 — parallel region queries. Both partitionings fill the same
-	// worker-local arenas: the owned objects in query order, of each core
-	// object's neighborhood only the forward half (j > i) in a flat arena
-	// (the neighbor relation is symmetric, so every core-core edge reappears
-	// from its other endpoint and the merge can afford to skip the backward
-	// half), and a per-object lowest-index core neighbor for the border
-	// rule. Core flags are disjoint writes — each object is owned by exactly
-	// one worker (chunked) or one shard (spatial).
+	// Phase 1 — parallel region queries. Each worker fills its own arena:
+	// of each core object's neighborhood only the forward half (j > i) in a
+	// flat arena (the neighbor relation is symmetric, so every core-core edge
+	// reappears from its other endpoint and the merge can afford to skip the
+	// backward half), and a per-object lowest-index core neighbor for the
+	// border rule. Core flags are disjoint writes — each object is owned by
+	// exactly one worker.
 	arenas := make([]arena, workers)
-	var plan *shard.Plan
-	st := index.StoreOf(idx)
-	if st != nil {
-		// Aim for a few shards per worker so the pool load-balances uneven
-		// cells, but keep shards large enough (≥ ~64 rows on average) to
-		// amortize their sub-index builds.
-		target := workers * 4
-		if mx := n / 64; target > mx {
-			target = mx
-		}
-		plan = shard.Grid(st, params.Eps, target)
-	}
-	if plan != nil {
-		if err := shardPhase1(st, plan, params, res, arenas); err != nil {
-			return nil, err
-		}
-		res.Shards = len(plan.Regions)
-	} else {
-		chunkPhase1(idx, params, res, arenas)
-	}
+	phase1(idx, params, res, arenas)
 
 	// Phase 2 — parallel merge. Union-find over core-point adjacency: two
 	// core points within Eps of each other are density-connected, and every
@@ -176,7 +142,7 @@ func RunParallel(idx index.Index, params Params, opts Options) (*Result, error) 
 	}
 	replay := func(a *arena) {
 		for t := 0; t+1 < len(a.offsets); t++ {
-			i := a.rowAt(t)
+			i := int32(a.lo + t)
 			if !res.Core[i] {
 				continue
 			}
@@ -203,10 +169,10 @@ func RunParallel(idx index.Index, params Params, opts Options) (*Result, error) 
 
 	// Phase 3 — sequential numbering and labeling. Each worker's minCore
 	// holds the lowest-index core neighbor it observed per object; the
-	// global minimum across workers is the border tie rule's core neighbor,
-	// whichever partitioning ran. Scanning ascending assigns each component
-	// its id at the component's lowest core index, which is the order the
-	// sequential scan discovers clusters in.
+	// global minimum across workers is the border tie rule's core neighbor.
+	// Scanning ascending assigns each component its id at the component's
+	// lowest core index, which is the order the sequential scan discovers
+	// clusters in.
 	minCoreNbr := arenas[0].minCore
 	for w := 1; w < len(arenas); w++ {
 		for i, v := range arenas[w].minCore {
@@ -255,33 +221,25 @@ func RunParallel(idx index.Index, params Params, opts Options) (*Result, error) 
 	return res, nil
 }
 
-// arena is one worker's phase-1 record: the objects it queried and the core
-// adjacency it observed, replayed against the union-find in phase 2.
+// arena is one worker's phase-1 record: the contiguous object range it
+// queried and the core adjacency it observed, replayed against the
+// union-find in phase 2.
 type arena struct {
-	lo, hi  int     // contiguous owned range when rows is nil (chunked path)
-	rows    []int32 // owned objects in query order (shard path)
-	offsets []int32 // offsets[t..t+1] frame the forward neighbors of the t-th owned object in flat
+	lo, hi  int     // owned object range [lo, hi)
+	offsets []int32 // offsets[t..t+1] frame the forward neighbors of object lo+t in flat
 	flat    []int32 // forward (j > i) neighbor indexes of core objects
 	minCore []int32 // per-object lowest-index core neighbor this worker observed, -1 if none
 	queries int
 }
 
-// rowAt returns the t-th owned object of the arena.
-func (a *arena) rowAt(t int) int32 {
-	if a.rows != nil {
-		return a.rows[t]
-	}
-	return int32(a.lo + t)
-}
-
-// chunkPhase1 runs phase 1 over contiguous chunks of the object range: each
-// worker issues exactly one ε-range query per owned object through
+// phase1 runs the region queries over contiguous chunks of the object range:
+// each worker issues exactly one ε-range query per owned object through
 // index.RangeIntoID with a worker-local reused buffer and sets the core flag
 // (disjoint writes, no locking). A worker scans its chunk in ascending
 // order, so the first core object that reports j as a neighbor is the
 // worker's lowest-index core neighbor of j — one write into the worker-local
 // minCore array.
-func chunkPhase1(idx index.Index, params Params, res *Result, arenas []arena) {
+func phase1(idx index.Index, params Params, res *Result, arenas []arena) {
 	n := idx.Len()
 	workers := len(arenas)
 	var wg sync.WaitGroup
@@ -327,80 +285,4 @@ func chunkPhase1(idx index.Index, params Params, res *Result, arenas []arena) {
 		}(&arenas[w])
 	}
 	wg.Wait()
-}
-
-// shardPhase1 runs phase 1 over the spatial shards of plan: a worker pool
-// pulls cells off a shared cursor, copies each cell's own+halo rows into a
-// compact sub-store, builds a grid sub-index over it (cells sized to ε —
-// correctness is index-agnostic, and the grid is the cheapest to build),
-// and issues the per-object queries against that cache-local sub-index.
-// Sub-index hits are translated back to global row ids through the cell's
-// row list. The ε-halo makes every sub-index neighborhood equal to the
-// global index's neighborhood, so the arenas are query-for-query identical
-// to the chunked path's — only grouped by cell instead of index position.
-func shardPhase1(st *geom.Store, plan *shard.Plan, params Params, res *Result, arenas []arena) error {
-	n := st.Len()
-	dim := st.Dim()
-	workers := len(arenas)
-	var cursor int32
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(a *arena, errp *error) {
-			defer wg.Done()
-			a.offsets = make([]int32, 1, n/workers+1)
-			a.minCore = make([]int32, n)
-			for i := range a.minCore {
-				a.minCore[i] = -1
-			}
-			var buf []int
-			var subRows []int32 // sub-index id → global row id, reused per cell
-			for {
-				r := int(atomic.AddInt32(&cursor, 1)) - 1
-				if r >= len(plan.Regions) {
-					return
-				}
-				reg := &plan.Regions[r]
-				subRows = subRows[:0]
-				subRows = append(subRows, reg.Own...)
-				subRows = append(subRows, reg.Halo...)
-				sub := geom.NewStore(dim, len(subRows))
-				for _, g := range subRows {
-					sub.Append(st.Point(int(g)))
-				}
-				subIdx, err := index.BuildStore(index.KindGrid, sub, geom.Euclidean{}, params.Eps)
-				if err != nil {
-					*errp = err
-					return
-				}
-				for v := range reg.Own {
-					g := reg.Own[v]
-					buf = index.RangeIntoID(subIdx, v, params.Eps, buf)
-					a.queries++
-					a.rows = append(a.rows, g)
-					if len(buf) >= params.MinPts {
-						res.Core[g] = true
-						for _, sv := range buf {
-							gj := subRows[sv]
-							if gj > g {
-								a.flat = append(a.flat, gj)
-							}
-							if gj != g && (a.minCore[gj] == -1 || g < a.minCore[gj]) {
-								a.minCore[gj] = g // cells arrive out of order: explicit minimum
-							}
-						}
-					}
-					a.offsets = append(a.offsets, int32(len(a.flat)))
-				}
-			}
-		}(&arenas[w], &errs[w])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,8 +2,11 @@ package dbscan
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
@@ -22,25 +25,127 @@ func uniformPoints(rng *rand.Rand, n int, side float64) []geom.Point {
 	return pts
 }
 
+// parallelWorkerCounts are the worker counts the differential suite sweeps:
+// serial, small, oversubscribed, and whatever the host offers.
+func parallelWorkerCounts() []int {
+	counts := []int{1, 2, 4, 8}
+	p := runtime.GOMAXPROCS(0)
+	for _, c := range counts {
+		if c == p {
+			return counts
+		}
+	}
+	return append(counts, p)
+}
+
 // TestRunParallelDifferential is the differential guarantee of RunParallel:
 // across index kinds, worker counts and data shapes, the core partition is
 // byte-identical to the sequential Run, noise is identical, border points
 // land on an adjacent cluster, and the region-query accounting matches
-// exactly.
+// exactly. The shapes include the ones a partitioner would trip over —
+// duplicates, neighbors at exactly ε, 1-D and 8-D strides, non-finite
+// coordinates, ε covering the whole bounding box, fewer objects than a
+// worker pool wants, an index that exposes no store — because RunParallel
+// has no special case for any of them.
 func TestRunParallelDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	blob, _ := twoBlobs(rng, 150)
-	datasets := []struct {
+	type dataset struct {
 		name   string
 		pts    []geom.Point
 		params Params
-	}{
-		{"blobs", blob, Params{Eps: 0.5, MinPts: 5}},
-		{"uniform", uniformPoints(rng, 800, 10), Params{Eps: 0.35, MinPts: 4}},
-		{"sparse", uniformPoints(rng, 200, 100), Params{Eps: 1, MinPts: 3}},
+		kinds  []index.Kind // nil = every kind
+		// bare hands RunParallel the index behind the plain Index interface:
+		// no store, no by-id fast path.
+		bare bool
 	}
+
+	rng := rand.New(rand.NewSource(11))
+	blob, _ := twoBlobs(rng, 150)
+	datasets := []dataset{
+		{name: "blobs", pts: blob, params: Params{Eps: 0.5, MinPts: 5}},
+		{name: "uniform", pts: uniformPoints(rng, 800, 10), params: Params{Eps: 0.35, MinPts: 4}},
+		{name: "sparse", pts: uniformPoints(rng, 200, 100), params: Params{Eps: 1, MinPts: 3}},
+	}
+
+	// The shapes a spatial partitioner would trip over (seed and draw order
+	// of the suite that pinned one, so the inputs are the ones it saw).
+	rng = rand.New(rand.NewSource(23))
+	blob2, _ := twoBlobs(rng, 150)
+
+	// Duplicate-heavy: 100 distinct locations × 6 exact copies each.
+	dup := make([]geom.Point, 0, 600)
+	for i := 0; i < 100; i++ {
+		p := geom.Point{rng.Float64() * 10, rng.Float64() * 10}
+		for c := 0; c < 6; c++ {
+			dup = append(dup, geom.Point{p[0], p[1]})
+		}
+	}
+
+	// Exact-boundary lattice: every coordinate a multiple of the spacing,
+	// with ε equal to the spacing, so neighbors sit at exactly distance ε.
+	var lattice []geom.Point
+	for x := 0; x < 25; x++ {
+		for y := 0; y < 25; y++ {
+			lattice = append(lattice, geom.Point{float64(x) * 0.25, float64(y) * 0.25})
+		}
+	}
+
+	// 1-D: clusters on a line, stride 1.
+	line := make([]geom.Point, 512)
+	for i := range line {
+		line[i] = geom.Point{float64(i/64)*10 + rng.Float64()}
+	}
+
+	// 8-D: uniform in the unit cube, stride 8.
+	high := make([]geom.Point, 400)
+	for i := range high {
+		p := make(geom.Point, 8)
+		for d := range p {
+			p[d] = rng.Float64()
+		}
+		high[i] = p
+	}
+	datasets = append(datasets,
+		dataset{name: "blobs-2", pts: blob2, params: Params{Eps: 0.5, MinPts: 5}},
+		dataset{name: "uniform-2", pts: uniformPoints(rng, 800, 10), params: Params{Eps: 0.35, MinPts: 4}},
+		dataset{name: "duplicates", pts: dup, params: Params{Eps: 0.5, MinPts: 4}},
+		dataset{name: "boundary-lattice", pts: lattice, params: Params{Eps: 0.25, MinPts: 3}},
+		dataset{name: "line-1d", pts: line, params: Params{Eps: 0.5, MinPts: 3}},
+		dataset{name: "cube-8d", pts: high, params: Params{Eps: 0.45, MinPts: 2}},
+	)
+
+	// Degenerate geometry (again the seed and draw order of the suite these
+	// inputs come from). The non-finite datasets stay on the kd-tree and
+	// linear kinds: the indexes are only specified for finite data, but
+	// whatever a kind does with NaN it must do identically at every worker
+	// count, and these two kinds degrade to plain scans. (A kd-tree built
+	// over a NaN coordinate can return asymmetric neighborhoods on other
+	// draws, which breaks sequential and parallel DBSCAN alike; on this
+	// input it does not.)
+	rng = rand.New(rand.NewSource(41))
+	nan := uniformPoints(rng, 200, 10)
+	nan[17] = geom.Point{math.NaN(), 3}
+	inf := uniformPoints(rng, 200, 10)
+	inf[3] = geom.Point{math.Inf(1), 1}
+	inf[150] = geom.Point{2, math.Inf(-1)}
+	same := make([]geom.Point, 200)
+	for i := range same {
+		same[i] = geom.Point{1.5, -2.5}
+	}
+	scanKinds := []index.Kind{index.KindLinear, index.KindKDTree}
+	datasets = append(datasets,
+		dataset{name: "nan-coord", pts: nan, params: Params{Eps: 0.5, MinPts: 4}, kinds: scanKinds},
+		dataset{name: "inf-coord", pts: inf, params: Params{Eps: 0.5, MinPts: 4}, kinds: scanKinds},
+		dataset{name: "eps-covers-bbox", pts: uniformPoints(rng, 300, 1), params: Params{Eps: 5, MinPts: 4}},
+		dataset{name: "all-identical", pts: same, params: Params{Eps: 0.5, MinPts: 4}},
+		dataset{name: "bare-index", pts: uniformPoints(rng, 800, 10), params: Params{Eps: 0.35, MinPts: 4}, bare: true},
+		dataset{name: "tiny", pts: uniformPoints(rng, 60, 10), params: Params{Eps: 0.5, MinPts: 3}},
+	)
 	for _, ds := range datasets {
-		for _, kind := range index.Kinds() {
+		kinds := ds.kinds
+		if kinds == nil {
+			kinds = index.Kinds()
+		}
+		for _, kind := range kinds {
 			idx, err := index.Build(kind, ds.pts, geom.Euclidean{}, ds.params.Eps)
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", ds.name, kind, err)
@@ -49,9 +154,13 @@ func TestRunParallelDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: sequential: %v", ds.name, kind, err)
 			}
-			for _, workers := range []int{2, 4, 8} {
+			parIdx := idx
+			if ds.bare {
+				parIdx = struct{ index.Index }{idx}
+			}
+			for _, workers := range parallelWorkerCounts() {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", ds.name, kind, workers), func(t *testing.T) {
-					par, err := RunParallel(idx, ds.params, Options{
+					par, err := RunParallel(parIdx, ds.params, Options{
 						CollectSpecificCores: true,
 						Workers:              workers,
 					})
@@ -174,31 +283,87 @@ func TestRunDelegatesToParallel(t *testing.T) {
 	}
 }
 
-// TestRunParallelDeterministic: the parallel result must not depend on the
-// worker count or scheduling — repeated runs agree bit-for-bit.
+// TestRunParallelDeterministic: the parallel result is a pure function of
+// the input — every worker count, whatever the scheduling, yields a Result
+// equal in every field.
 func TestRunParallelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := uniformPoints(rng, 600, 8)
-	idx := linearOf(pts)
-	params := Params{Eps: 0.3, MinPts: 4}
-	var ref *Result
-	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
-		res, err := RunParallel(idx, params, Options{CollectSpecificCores: true, Workers: workers})
+	cases := []struct {
+		kind   index.Kind
+		seed   int64
+		n      int
+		side   float64
+		params Params
+	}{
+		{index.KindLinear, 9, 600, 8, Params{Eps: 0.3, MinPts: 4}},
+		{index.KindGrid, 7, 1000, 10, Params{Eps: 0.4, MinPts: 4}},
+	}
+	for _, tc := range cases {
+		pts := uniformPoints(rand.New(rand.NewSource(tc.seed)), tc.n, tc.side)
+		idx, err := index.Build(tc.kind, pts, geom.Euclidean{}, tc.params.Eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = res
-			continue
+		var ref *Result
+		for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+			res, err := RunParallel(idx, tc.params, Options{CollectSpecificCores: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", tc.kind, workers, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("%s/workers=%d: result differs from workers=1", tc.kind, workers)
+			}
 		}
-		if !reflect.DeepEqual(res.Labels, ref.Labels) {
-			t.Fatalf("workers=%d: labels differ from workers=1", workers)
+	}
+}
+
+// countingIndex counts the range queries that reach a store-backed index.
+// It forwards exactly the three interfaces a caller of RunParallel can see
+// through — Index, IDRangeAppender and StoreBacked — so the wrapped index
+// still presents its store.
+type countingIndex struct {
+	index.Index
+	queries atomic.Int64
+}
+
+func (c *countingIndex) Range(q geom.Point, eps float64) []int {
+	c.queries.Add(1)
+	return c.Index.Range(q, eps)
+}
+
+func (c *countingIndex) RangeAppendID(i int, eps float64, buf []int) []int {
+	c.queries.Add(1)
+	return c.Index.(index.IDRangeAppender).RangeAppendID(i, eps, buf)
+}
+
+func (c *countingIndex) Store() *geom.Store { return index.StoreOf(c.Index) }
+
+// TestParallelHonoursIndexKind pins that the index a caller hands to
+// RunParallel is the index that answers: every counted region query —
+// one per object plus one per specific core — arrives at the caller's
+// index, whatever its kind and however many workers run.
+func TestParallelHonoursIndexKind(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := uniformPoints(rng, 800, 10)
+	params := Params{Eps: 0.35, MinPts: 4}
+	for _, kind := range index.Kinds() {
+		inner, err := index.Build(kind, pts, geom.Euclidean{}, params.Eps)
+		if err != nil {
+			t.Fatalf("%s: build: %v", kind, err)
 		}
-		if !reflect.DeepEqual(res.Scor, ref.Scor) {
-			t.Fatalf("workers=%d: specific cores differ from workers=1", workers)
+		if index.StoreOf(inner) == nil {
+			t.Fatalf("%s: Euclidean index exposes no store", kind)
 		}
-		if !reflect.DeepEqual(res.SpecificEps, ref.SpecificEps) {
-			t.Fatalf("workers=%d: specific eps differ from workers=1", workers)
+		idx := &countingIndex{Index: inner}
+		res, err := RunParallel(idx, params, Options{CollectSpecificCores: true, Workers: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if got := int(idx.queries.Load()); got != res.RangeQueries {
+			t.Fatalf("%s: the caller's index answered %d queries, Result.RangeQueries = %d", kind, got, res.RangeQueries)
 		}
 	}
 }

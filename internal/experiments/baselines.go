@@ -24,8 +24,8 @@ import (
 func Baselines(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
-		ID:      "baselines",
-		Title:   "central k-means baseline vs DBDC (adjusted Rand index vs central DBSCAN)",
+		ID:    "baselines",
+		Title: "central k-means baseline vs DBDC (adjusted Rand index vs central DBSCAN)",
 		Columns: []string{"dataset", "n", "ref clusters", "ARI(kmeans)", "ARI(dbdc)", "P^II(dbdc)",
 			"ARI(kmeans,truth)", "ARI(dbdc,truth)"},
 	}

@@ -145,12 +145,12 @@ func TestRectMinDist(t *testing.T) {
 		p    Point
 		want float64
 	}{
-		{Point{1, 1}, 0},         // inside
-		{Point{2, 2}, 0},         // on boundary
-		{Point{5, 2}, 3},         // right of
-		{Point{5, 6}, 5},         // diagonal: 3-4-5
-		{Point{-3, -4}, 5},       // other diagonal
-		{Point{1, 3.5}, 1.5},     // above
+		{Point{1, 1}, 0},     // inside
+		{Point{2, 2}, 0},     // on boundary
+		{Point{5, 2}, 3},     // right of
+		{Point{5, 6}, 5},     // diagonal: 3-4-5
+		{Point{-3, -4}, 5},   // other diagonal
+		{Point{1, 3.5}, 1.5}, // above
 	}
 	for _, c := range cases {
 		if got := r.MinDist(c.p); math.Abs(got-c.want) > 1e-12 {

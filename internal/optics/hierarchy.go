@@ -78,4 +78,3 @@ func (r *Result) SuggestCut(minClusterSize int) (float64, error) {
 	}
 	return bestCut, nil
 }
-

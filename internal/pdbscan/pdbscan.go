@@ -12,12 +12,12 @@ package pdbscan
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
-	"github.com/dbdc-go/dbdc/internal/shard"
 )
 
 // Result is the outcome of a distributed exact DBSCAN run.
@@ -95,14 +95,44 @@ func Run(pts []geom.Point, params dbscan.Params, partitions int) (*Result, error
 }
 
 // makeSites splits the points into stripes of equal cardinality along
-// dimension 0 and attaches the Eps-halo of each stripe. The partitioning
-// itself lives in internal/shard (shared with the grid partitioner behind
-// dbscan.RunParallel); each stripe becomes one site.
+// dimension 0 and attaches the Eps-halo of each stripe.
 func makeSites(pts []geom.Point, eps float64, partitions int) ([]*site, error) {
-	stripes := shard.Stripes(pts, eps, partitions)
-	sites := make([]*site, len(stripes))
-	for i := range stripes {
-		sites[i] = &site{own: stripes[i].Own, halo: stripes[i].Halo}
+	order := make([]int, len(pts))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return pts[order[a]][0] < pts[order[b]][0] })
+	sites := make([]*site, 0, partitions)
+	per := (len(pts) + partitions - 1) / partitions
+	type bounds struct{ lo, hi float64 }
+	var stripeBounds []bounds
+	for start := 0; start < len(order); start += per {
+		end := start + per
+		if end > len(order) {
+			end = len(order)
+		}
+		own := append([]int(nil), order[start:end]...)
+		sites = append(sites, &site{own: own})
+		stripeBounds = append(stripeBounds, bounds{
+			lo: pts[order[start]][0],
+			hi: pts[order[end-1]][0],
+		})
+	}
+	// Halo: every foreign point whose first coordinate lies within Eps of
+	// the stripe interval. (The eps-ball of an owned point p is contained
+	// in stripe ∪ halo because |q0 − p0| ≤ dist(q, p) ≤ Eps.)
+	for si, s := range sites {
+		b := stripeBounds[si]
+		for sj, o := range sites {
+			if sj == si {
+				continue
+			}
+			for _, j := range o.own {
+				if pts[j][0] >= b.lo-eps && pts[j][0] <= b.hi+eps {
+					s.halo = append(s.halo, j)
+				}
+			}
+		}
 	}
 	return sites, nil
 }

@@ -115,7 +115,7 @@ func TestExactAcrossPartitions(t *testing.T) {
 	}
 	// ...and sprinkled noise.
 	for i := 0; i < 60; i++ {
-		pts = append(pts, geom.Point{rng.Float64() * 40, 4 + rng.Float64() * 4})
+		pts = append(pts, geom.Point{rng.Float64() * 40, 4 + rng.Float64()*4})
 	}
 	params := dbscan.Params{Eps: 0.7, MinPts: 5}
 	for _, partitions := range []int{2, 3, 5, 8} {

@@ -15,8 +15,8 @@ import (
 	"errors"
 	"fmt"
 
-	idbdc "github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/cluster"
+	idbdc "github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/incdbscan"
 	"github.com/dbdc-go/dbdc/internal/model"

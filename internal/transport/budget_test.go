@@ -412,9 +412,9 @@ func FuzzBudgetSections(f *testing.F) {
 	f.Add(encodeHello(8))
 	f.Add(encodeHelloAck(1 << 20))
 	f.Add([]byte{})
-	f.Add([]byte{sectionSiteBudget, 0xff, 0xff, 0xff, 0xff})     // oversized body length
-	f.Add(appendSiteBudgetSection(nil, SiteBudget{})[:6])        // truncated body
-	f.Add([]byte{0x7f, 0, 0, 0, 0})                              // unknown empty section
+	f.Add([]byte{sectionSiteBudget, 0xff, 0xff, 0xff, 0xff}) // oversized body length
+	f.Add(appendSiteBudgetSection(nil, SiteBudget{})[:6])    // truncated body
+	f.Add([]byte{0x7f, 0, 0, 0, 0})                          // unknown empty section
 	seed := appendSiteBudgetSection(nil, SiteBudget{RepBudget: 2})
 	seed[5] = 99 // unknown body version
 	f.Add(seed)

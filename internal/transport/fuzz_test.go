@@ -16,10 +16,10 @@ func FuzzReadFrame(f *testing.F) {
 	var empty bytes.Buffer
 	WriteFrame(&empty, MsgError, nil)
 	f.Add(empty.Bytes())
-	f.Add([]byte{})                                  // nothing
-	f.Add(valid.Bytes()[:frameHeaderSize-1])         // truncated header
-	f.Add(valid.Bytes()[:frameHeaderSize+3])         // truncated payload
-	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0})     // wrong version
+	f.Add([]byte{})                                     // nothing
+	f.Add(valid.Bytes()[:frameHeaderSize-1])            // truncated header
+	f.Add(valid.Bytes()[:frameHeaderSize+3])            // truncated payload
+	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0})         // wrong version
 	f.Add([]byte{2, 1, 255, 255, 255, 255, 0, 0, 0, 0}) // oversized length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
