@@ -25,7 +25,8 @@ test-race:
 check: vet build test-race
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
-# panic on arbitrary bytes). CI runs this on push; use a larger FUZZTIME
+# panic on arbitrary bytes; kernels and the packed R*-tree query must match
+# their references). CI runs this on push; use a larger FUZZTIME
 # locally before touching the wire formats.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -37,6 +38,7 @@ fuzz-smoke:
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzLocalDeltaUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz 'FuzzStoreDistanceSq$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).

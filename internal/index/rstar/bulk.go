@@ -3,7 +3,7 @@ package rstar
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
@@ -14,14 +14,20 @@ import (
 // then the upper levels are packed the same way. Bulk loading is an order of
 // magnitude faster than repeated insertion and yields better query
 // performance, so it is the build for the static site data DBSCAN runs over;
-// dynamic workloads (incremental DBSCAN) use New and Insert instead. Further
-// Inserts into a bulk-loaded tree are valid.
+// dynamic workloads (incremental DBSCAN) use New and Insert instead.
 //
-// Point(i) serves zero-copy views into the store and leaf verification runs
-// on the strided Store kernels by point id. The degenerate leaf rectangles
-// alias the store views directly (leaf rects are only ever read, never
-// mutated in place), so the build performs no per-point coordinate copy at
-// all — the routing-level MBRs are the only rectangles cloned.
+// The tree is built in packed form (see packed): one id permutation and, per
+// level, a flat node and bounds array. RangeAppend and RangeAppendID descend
+// those arrays and verify each surviving leaf — a slice of the permutation —
+// on the strided Store kernels. Everything else a Tree offers runs on
+// pointer nodes, which the first call that needs them materialises from the
+// packed levels, once, node for node the tree STR describes. Further Inserts
+// (and ReplaceAt, Delete) into a bulk-loaded tree are therefore valid: they
+// materialise, then drop the packed form and the store and carry on as on a
+// tree grown by insertion.
+//
+// Point(i) serves zero-copy views into the store; the build copies no
+// coordinates, only the routing-level bounds are new floats.
 func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 	if maxEntries < 4 {
 		return nil, fmt.Errorf("rstar: max entries %d < 4", maxEntries)
@@ -47,88 +53,250 @@ func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 	t.pts = st.Views()
 	t.size = st.Len()
 	t.store = st
-	entries := make([]entry, t.size)
-	for i, p := range t.pts {
-		entries[i] = entry{rect: geom.Rect{Min: p, Max: p}, idx: int32(i)}
-	}
-	level := 0
-	for len(entries) > t.maxEntries {
-		entries = t.strPack(entries, level)
-		level++
-	}
-	t.root = &node{level: level, entries: entries}
+	t.packed = packSTR(st, maxEntries)
 	return t, nil
 }
 
-// strPack tiles the entries into nodes at the given level and returns the
-// routing entries referencing them.
-func (t *Tree) strPack(entries []entry, level int) []entry {
-	groups := strGroups(entries, t.maxEntries, t.dim)
-	out := make([]entry, len(groups))
-	for i, g := range groups {
-		n := &node{level: level, entries: g}
-		out[i] = entry{rect: n.mbr(), child: n}
-	}
-	return out
+// packed is the bulk-loaded form of a tree. Leaf i owns the point ids
+// perm[first:first+count] of levels[0].spans[i]; a node of levels[l], l > 0,
+// owns that run of levels[l-1]. The root is not stored: it sits one level
+// above the last stored one and owns all of it — all of perm when the points
+// fit a single leaf and levels is empty; rootCount is how many that makes.
+type packed struct {
+	dim       int
+	perm      []int
+	levels    []packedLevel
+	rootCount int32
 }
 
-// strGroups recursively sorts and slices the entries into groups of at most
-// maxEntries, balanced so no group underfills below the R*-tree minimum.
-func strGroups(es []entry, maxEntries, dim int) [][]entry {
-	var out [][]entry
-	var rec func(es []entry, d int)
-	rec = func(es []entry, d int) {
-		sortByCenter(es, d)
-		if d == dim-1 || len(es) <= maxEntries {
-			out = append(out, chunkBalanced(es, maxEntries)...)
-			return
-		}
-		pages := (len(es) + maxEntries - 1) / maxEntries
-		slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-d))))
-		if slabs < 1 {
-			slabs = 1
-		}
-		slabSize := (len(es) + slabs - 1) / slabs
-		for start := 0; start < len(es); start += slabSize {
-			end := start + slabSize
-			if end > len(es) {
-				end = len(es)
-			}
-			rec(es[start:end], d+1)
-		}
-	}
-	rec(es, 0)
-	return out
+type span struct{ first, count int32 }
+
+// packedLevel holds the nodes of one level in left-to-right order: what each
+// owns of the level below, and its bounding box as 2·dim floats, the Min
+// corner then the Max corner.
+type packedLevel struct {
+	spans  []span
+	bounds []float64
 }
 
-func sortByCenter(es []entry, d int) {
-	sort.Slice(es, func(i, j int) bool {
-		return es[i].rect.Min[d]+es[i].rect.Max[d] < es[j].rect.Min[d]+es[j].rect.Max[d]
+// packSTR tiles the store's rows bottom-up until one node can hold what is
+// left. Level 0 tiles perm in place over the rows themselves (a point is its
+// own degenerate box); every further level tiles a permutation of the nodes
+// just formed over their bounds, and then moves those nodes into the tiled
+// order so that each parent's children are contiguous.
+func packSTR(st *geom.Store, maxEntries int) *packed {
+	dim := st.Dim()
+	p := &packed{dim: dim, perm: identity(st.Len())}
+	tl := tiler{boxes: st.Coords(), stride: dim, dim: dim, maxEntries: maxEntries}
+	order := p.perm
+	for len(order) > maxEntries {
+		tl.spans = make([]span, 0, (len(order)+maxEntries-1)/maxEntries)
+		tl.tile(order, 0, 0)
+		lv := packedLevel{spans: tl.spans, bounds: make([]float64, 2*dim*len(tl.spans))}
+		for i, s := range lv.spans {
+			tl.bound(order[s.first:s.first+s.count], lv.bounds[2*dim*i:2*dim*(i+1)])
+		}
+		if len(p.levels) > 0 {
+			p.levels[len(p.levels)-1].permute(order, dim)
+		}
+		p.levels = append(p.levels, lv)
+		tl.boxes, tl.stride, tl.maxOff = lv.bounds, 2*dim, dim
+		order = identity(len(lv.spans))
+	}
+	p.rootCount = int32(len(order))
+	return p
+}
+
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// permute moves node order[i] to slot i.
+func (lv *packedLevel) permute(order []int, dim int) {
+	spans := make([]span, len(order))
+	bounds := make([]float64, len(lv.bounds))
+	w := 2 * dim
+	for i, from := range order {
+		spans[i] = lv.spans[from]
+		copy(bounds[w*i:w*(i+1)], lv.bounds[w*from:w*(from+1)])
+	}
+	lv.spans, lv.bounds = spans, bounds
+}
+
+// tiler STR-tiles ids of boxes laid out at a fixed stride: box id has its
+// Min corner at boxes[id*stride:] and its Max corner maxOff floats further
+// on (0 for the rows of a store, which are their own two corners).
+type tiler struct {
+	boxes           []float64
+	stride, maxOff  int
+	dim, maxEntries int
+	spans           []span
+}
+
+// tile sorts ids — which sit at offset base of the level being tiled — by
+// box centre along axis d, cuts them into slabs sized so that the remaining
+// axes can finish the job, and recurses into each slab on the next axis; the
+// last axis (or a run one node can hold) is cut into nodes.
+func (tl *tiler) tile(ids []int, base, d int) {
+	lo, hi := tl.boxes[d:], tl.boxes[tl.maxOff+d:]
+	stride := tl.stride
+	slices.SortFunc(ids, func(a, b int) int {
+		ca, cb := lo[a*stride]+hi[a*stride], lo[b*stride]+hi[b*stride]
+		switch {
+		case ca < cb:
+			return -1
+		case ca > cb:
+			return 1
+		}
+		return 0
 	})
+	if d == tl.dim-1 || len(ids) <= tl.maxEntries {
+		tl.chunkBalanced(base, len(ids))
+		return
+	}
+	pages := (len(ids) + tl.maxEntries - 1) / tl.maxEntries
+	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(tl.dim-d))))
+	if slabs < 1 {
+		slabs = 1
+	}
+	slabSize := (len(ids) + slabs - 1) / slabs
+	for start := 0; start < len(ids); start += slabSize {
+		end := start + slabSize
+		if end > len(ids) {
+			end = len(ids)
+		}
+		tl.tile(ids[start:end], base+start, d+1)
+	}
 }
 
-// chunkBalanced splits es into ceil(len/maxEntries) consecutive groups
-// whose sizes differ by at most one, so even the smallest group meets the
-// 40% minimum fill whenever a split is needed at all.
-func chunkBalanced(es []entry, maxEntries int) [][]entry {
-	n := len(es)
-	if n == 0 {
-		return nil
-	}
-	k := (n + maxEntries - 1) / maxEntries
-	base := n / k
-	rem := n % k
-	out := make([][]entry, 0, k)
-	start := 0
+// chunkBalanced cuts the n ids at offset base into ceil(n/maxEntries)
+// consecutive nodes whose sizes differ by at most one, so even the smallest
+// meets the 40% minimum fill whenever a cut is needed at all.
+func (tl *tiler) chunkBalanced(base, n int) {
+	k := (n + tl.maxEntries - 1) / tl.maxEntries
+	size, rem := n/k, n%k
 	for i := 0; i < k; i++ {
-		size := base
+		count := size
 		if i < rem {
-			size++
+			count++
 		}
-		group := make([]entry, size)
-		copy(group, es[start:start+size])
-		out = append(out, group)
-		start += size
+		tl.spans = append(tl.spans, span{first: int32(base), count: int32(count)})
+		base += count
+	}
+}
+
+// bound writes the bounding box of the given boxes to out, folding them in
+// order like node.mbr.
+func (tl *tiler) bound(ids []int, out []float64) {
+	mn, mx := out[:tl.dim], out[tl.dim:]
+	for i, id := range ids {
+		lo := tl.boxes[id*tl.stride:]
+		hi := lo[tl.maxOff:]
+		if i == 0 {
+			copy(mn, lo)
+			copy(mx, hi)
+			continue
+		}
+		for d := range mn {
+			if lo[d] < mn[d] {
+				mn[d] = lo[d]
+			}
+			if hi[d] > mx[d] {
+				mx[d] = hi[d]
+			}
+		}
+	}
+}
+
+// range2 appends the ids within eps2 of (q0, q1) under the children
+// [first, first+count) of a node at the given level, left to right: the
+// 2-d descent, with the query held in scalars. A child is entered when
+// Rect.MinDistSq of its box — the same operation chain — is at most eps2,
+// and a leaf hands its slice of perm to the fused verify kernel.
+func (p *packed) range2(st *geom.Store, level int, first, count int32, q0, q1, eps2 float64, out []int) []int {
+	if level == 0 {
+		return st.VerifyRangeSq2(q0, q1, p.perm[first:first+count], eps2, out)
+	}
+	lv := &p.levels[level-1]
+	bounds := lv.bounds[4*int(first) : 4*int(first+count)]
+	for i, s := range lv.spans[first : first+count] {
+		b := bounds[4*i : 4*i+4]
+		var d0, d1 float64
+		switch {
+		case q0 < b[0]:
+			d0 = b[0] - q0
+		case q0 > b[2]:
+			d0 = q0 - b[2]
+		}
+		switch {
+		case q1 < b[1]:
+			d1 = b[1] - q1
+		case q1 > b[3]:
+			d1 = q1 - b[3]
+		}
+		if d0*d0+d1*d1 <= eps2 {
+			out = p.range2(st, level-1, s.first, s.count, q0, q1, eps2, out)
+		}
 	}
 	return out
+}
+
+// rangeN is range2 for any dimensionality.
+func (p *packed) rangeN(st *geom.Store, level int, first, count int32, q geom.Point, eps2 float64, out []int) []int {
+	if level == 0 {
+		return st.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
+	}
+	lv := &p.levels[level-1]
+	w := 2 * p.dim
+	for i := int(first); i < int(first+count); i++ {
+		b := lv.bounds[w*i : w*(i+1)]
+		lo, hi := b[:len(q)], b[p.dim:p.dim+len(q)]
+		var sum float64
+		for d, v := range q {
+			var g float64
+			switch {
+			case v < lo[d]:
+				g = lo[d] - v
+			case v > hi[d]:
+				g = v - hi[d]
+			}
+			sum += g * g
+		}
+		if sum <= eps2 {
+			s := lv.spans[i]
+			out = p.rangeN(st, level-1, s.first, s.count, q, eps2, out)
+		}
+	}
+	return out
+}
+
+// pointerNodes builds the pointer form of the packed tree and returns its
+// root. Leaf rectangles alias the point views and routing rectangles alias
+// the packed bounds (rectangles are only ever read or replaced, never
+// written in place); every node's entry slice is capped at its own length,
+// so a later append moves it instead of overwriting its neighbour.
+func (p *packed) pointerNodes(pts []geom.Point) *node {
+	entries := make([]entry, len(p.perm))
+	for i, id := range p.perm {
+		entries[i] = entry{rect: geom.Rect{Min: pts[id], Max: pts[id]}, idx: int32(id)}
+	}
+	for l, lv := range p.levels {
+		nodes := make([]node, len(lv.spans))
+		parents := make([]entry, len(lv.spans))
+		for i, s := range lv.spans {
+			end := s.first + s.count
+			nodes[i] = node{level: l, entries: entries[s.first:end:end]}
+			b := lv.bounds[2*p.dim*i : 2*p.dim*(i+1)]
+			parents[i] = entry{
+				rect:  geom.Rect{Min: b[:p.dim:p.dim], Max: b[p.dim : 2*p.dim : 2*p.dim]},
+				child: &nodes[i],
+			}
+		}
+		entries = parents
+	}
+	return &node{level: len(p.levels), entries: entries}
 }

@@ -12,10 +12,13 @@ import (
 // Point(i); only its tree entry disappears. Deleting an index twice, or an
 // index never inserted, returns an error.
 func (t *Tree) Delete(idx int) error {
-	if t.root == nil || idx < 0 || idx >= len(t.pts) {
+	if idx < 0 || idx >= len(t.pts) {
 		return fmt.Errorf("rstar: delete of unknown point %d", idx)
 	}
-	p := t.pts[idx]
+	t.demote()
+	if t.root == nil {
+		return fmt.Errorf("rstar: delete of unknown point %d", idx)
+	}
 	path := t.findLeafPath(t.root, int32(idx))
 	if path == nil {
 		return fmt.Errorf("rstar: point %d not in tree", idx)
@@ -27,7 +30,6 @@ func (t *Tree) Delete(idx int) error {
 			break
 		}
 	}
-	_ = p
 	t.size--
 	orphans := t.condense(path)
 	// Reinsert orphaned entries, higher levels first so subtree entries

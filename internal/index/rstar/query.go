@@ -15,16 +15,19 @@ func (t *Tree) Range(q geom.Point, eps float64) []int {
 // RangeAppend is Range writing into buf (reused after truncation to zero
 // length), the allocation-free variant the DBSCAN inner loop uses. The
 // R*-tree is Euclidean-only, so both the MBR pruning bound and the leaf
-// verification run entirely in squared space (no sqrt on the hot path).
+// verification run entirely in squared space (no sqrt on the hot path). A
+// bulk-loaded tree answers from its packed levels; both forms visit the same
+// leaves in the same order and so return the same ids in the same order.
 func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
-	if t.root == nil {
-		return buf[:0]
-	}
 	out := buf[:0]
-	if t.store != nil {
-		return t.rangeSearchStore(q, eps*eps, out)
+	switch p := t.packed; {
+	case p != nil && t.dim == 2:
+		out = p.range2(t.store, len(p.levels), 0, p.rootCount, q[0], q[1], eps*eps, out)
+	case p != nil:
+		out = p.rangeN(t.store, len(p.levels), 0, p.rootCount, q, eps*eps, out)
+	case t.root != nil:
+		t.rangeSearch(t.root, q, eps*eps, &out)
 	}
-	t.rangeSearch(t.root, q, eps*eps, &out)
 	return out
 }
 
@@ -49,52 +52,14 @@ func (t *Tree) rangeSearch(n *node, q geom.Point, eps2 float64, out *[]int) {
 	}
 }
 
-// rsScratch is the pooled per-query state of the batched store search.
-type rsScratch struct {
-	cand []int
-}
-
-// rangeSearchStore is the batched store search: the MBR-pruned descent is
-// unchanged, but instead of verifying leaf entries one at a time it collects
-// every surviving leaf's point ids (in the recursion's visit order) and
-// verifies the whole list through the fused Store kernel — identical
-// decisions and output order to per-entry DistanceSqTo tests.
-func (t *Tree) rangeSearchStore(q geom.Point, eps2 float64, out []int) []int {
-	s, _ := t.scratch.Get().(*rsScratch)
-	if s == nil {
-		s = &rsScratch{}
-	}
-	cand := t.collectStore(t.root, q, eps2, s.cand[:0])
-	out = t.store.VerifyRangeSq(q, cand, eps2, out)
-	s.cand = cand
-	t.scratch.Put(s)
-	return out
-}
-
-// collectStore appends the point ids of every leaf reached by the MBR-pruned
-// descent to cand.
-func (t *Tree) collectStore(n *node, q geom.Point, eps2 float64, cand []int) []int {
-	if n.leaf() {
-		for _, e := range n.entries {
-			cand = append(cand, int(e.idx))
-		}
-		return cand
-	}
-	for _, e := range n.entries {
-		if e.rect.MinDistSq(q) <= eps2 {
-			cand = t.collectStore(e.child, q, eps2, cand)
-		}
-	}
-	return cand
-}
-
 // RangeCount returns |N_eps(q)| without materialising the result slice.
 // DBSCAN's core-object test only needs the cardinality.
 func (t *Tree) RangeCount(q geom.Point, eps float64) int {
-	if t.root == nil {
+	root := t.nodes()
+	if root == nil {
 		return 0
 	}
-	return t.rangeCount(t.root, q, eps*eps)
+	return t.rangeCount(root, q, eps*eps)
 }
 
 func (t *Tree) rangeCount(n *node, q geom.Point, eps2 float64) int {
@@ -139,10 +104,11 @@ func (p *pq) Pop() interface{} {
 // order using best-first (Hjaltason/Samet) traversal. Fewer than k are
 // returned when the tree is smaller.
 func (t *Tree) KNN(q geom.Point, k int) []int {
-	if t.root == nil || k <= 0 {
+	root := t.nodes()
+	if root == nil || k <= 0 {
 		return nil
 	}
-	frontier := pq{{dist: 0, child: t.root}}
+	frontier := pq{{dist: 0, child: root}}
 	var out []int
 	for frontier.Len() > 0 && len(out) < k {
 		item := heap.Pop(&frontier).(pqItem)
@@ -168,11 +134,12 @@ func (t *Tree) KNN(q geom.Point, k int) []int {
 // RangeRect returns the indexes of all points inside the query rectangle
 // (boundaries inclusive) — the classic R-tree window query.
 func (t *Tree) RangeRect(q geom.Rect) []int {
-	if t.root == nil {
+	root := t.nodes()
+	if root == nil {
 		return nil
 	}
 	var out []int
-	t.windowSearch(t.root, q, &out)
+	t.windowSearch(root, q, &out)
 	return out
 }
 

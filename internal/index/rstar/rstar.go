@@ -27,23 +27,28 @@ const (
 const reinsertFraction = 0.3
 
 // Tree is an R*-tree over points. The zero value is not usable; construct
-// with New or NewWithCapacity. A Tree is safe for concurrent readers once no
-// writer is active.
+// with New, NewWithFanout or NewBulkStore. A Tree is safe for concurrent
+// readers once no writer is active.
 type Tree struct {
 	dim        int
 	maxEntries int
 	minEntries int
-	root       *node
-	pts        []geom.Point
-	size       int
-	metric     geom.Euclidean
-	// store is the flat backing store when built via NewBulkStore; leaf
-	// verification then runs batched on the strided Store kernels by point
-	// id. Insert demotes it to nil (inserted points live outside the store).
-	store *geom.Store
-	// scratch pools the batched-search candidate and distance buffers so
-	// concurrent range queries stay allocation-free in steady state.
-	scratch sync.Pool
+	// root is the pointer form every operation but the ε-range query of a
+	// bulk-loaded tree runs on. It is nil while a bulk-loaded tree has only
+	// its packed form; reach it through nodes.
+	root   *node
+	pts    []geom.Point
+	size   int
+	metric geom.Euclidean
+	// store and packed are set by NewBulkStore and dropped together by the
+	// first Insert, ReplaceAt or Delete: from then on ids and store rows no
+	// longer correspond. While set, range queries descend the packed levels
+	// and verify leaves on the strided Store kernels by point id.
+	store  *geom.Store
+	packed *packed
+	// unpack guards the one materialisation of root from packed, so readers
+	// that need pointer nodes may race each other and the packed queries.
+	unpack sync.Once
 }
 
 type entry struct {
@@ -108,16 +113,40 @@ func (t *Tree) Metric() geom.Metric { return t.metric }
 // Height returns the height of the tree (0 for an empty tree, 1 for a
 // root-only leaf).
 func (t *Tree) Height() int {
-	if t.root == nil {
+	root := t.nodes()
+	if root == nil {
 		return 0
 	}
-	return t.root.level + 1
+	return root.level + 1
 }
 
 // Store returns the flat backing store of a bulk-store-loaded tree, or nil.
-// It is nil after any Insert: inserted points are not part of the original
-// store, so the id ↔ store-row correspondence no longer holds.
+// It is nil after any Insert, ReplaceAt or Delete: the indexed ids are then
+// no longer exactly the store's rows.
 func (t *Tree) Store() *geom.Store { return t.store }
+
+// nodes returns the root of the pointer form, materialising it on first use
+// from the packed levels of a bulk-loaded tree.
+func (t *Tree) nodes() *node {
+	t.unpack.Do(func() {
+		if t.packed != nil {
+			t.root = t.packed.pointerNodes(t.pts)
+		}
+	})
+	return t.root
+}
+
+// demote turns a bulk-loaded tree into a plain dynamic one ahead of a
+// mutation: pointer nodes in place, the packed form and the store — which
+// the mutation is about to outdate — gone. A tree without a packed form has
+// no store either and is left alone.
+func (t *Tree) demote() {
+	if t.packed == nil {
+		return
+	}
+	t.nodes()
+	t.packed, t.store = nil, nil
+}
 
 // Insert adds a point to the tree and returns an error on dimensionality
 // mismatch or non-finite coordinates.
@@ -125,9 +154,7 @@ func (t *Tree) Insert(p geom.Point) error {
 	if !p.IsFinite() {
 		return fmt.Errorf("rstar: non-finite point %v", p)
 	}
-	// The tree has grown past its store; drop the strided fast path rather
-	// than serve queries against stale row ids.
-	t.store = nil
+	t.demote()
 	if t.root == nil {
 		t.dim = p.Dim()
 		t.root = &node{level: 0}
@@ -156,7 +183,7 @@ func (t *Tree) ReplaceAt(idx int, p geom.Point) error {
 	if !p.IsFinite() {
 		return fmt.Errorf("rstar: non-finite point %v", p)
 	}
-	t.store = nil
+	t.demote()
 	if t.root == nil {
 		// Every point was deleted; the tree restarts from this one and may
 		// change dimensionality like a fresh Insert would.

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -28,7 +30,7 @@ func randomPoints(rng *rand.Rand, n, dim int) []geom.Point {
 // reachable exactly once.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	if tr.root == nil {
+	if tr.nodes() == nil {
 		if tr.size != 0 {
 			t.Fatal("nil root with nonzero size")
 		}
@@ -377,4 +379,205 @@ func TestRangeRectMatchesScan(t *testing.T) {
 	if got := (&Tree{}).RangeRect(geom.RectFromPoint(geom.Point{0, 0})); got != nil {
 		t.Fatalf("empty tree window query = %v", got)
 	}
+}
+
+// storeOf copies pts into a flat store.
+func storeOf(t testing.TB, pts []geom.Point) *geom.Store {
+	t.Helper()
+	st, err := geom.FromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// latticePoints draws n dim-d points with integer coordinates in [0, side),
+// so STR sort keys, box edges and ε-boundaries all tie heavily.
+func latticePoints(rng *rand.Rand, n, dim, side int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		p := make(geom.Point, dim)
+		for j := range p {
+			p[j] = float64(rng.Intn(side))
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// pointerWalk answers a range query from the pointer form alone, with
+// per-entry distance tests: the reference the packed descent must match
+// element for element.
+func pointerWalk(tr *Tree, q geom.Point, eps float64) []int {
+	var out []int
+	if root := tr.nodes(); root != nil {
+		tr.rangeSearch(root, q, eps*eps, &out)
+	}
+	return out
+}
+
+// TestPackedRangeMatchesPointerWalk is the order-sensitive oracle of the
+// packed query: for every id and three radii, RangeAppendID on a fresh bulk
+// tree equals the pointer walk of a second bulk tree over the same store
+// that was made to materialise — same ids, same order.
+func TestPackedRangeMatchesPointerWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	cases := []struct {
+		name string
+		pts  []geom.Point
+		eps  [3]float64
+	}{
+		{"2d", randomPoints(rng, 3000, 2), [3]float64{0.05, 0.7, 4}},
+		{"2d-lattice", latticePoints(rng, 3000, 2, 20), [3]float64{0, 1, 2.5}},
+		{"3d", randomPoints(rng, 1500, 3), [3]float64{0.3, 2, 6}},
+		{"8d", randomPoints(rng, 1200, 8), [3]float64{2, 9, 14}},
+		{"1d-lattice", latticePoints(rng, 500, 1, 40), [3]float64{0, 1, 7}},
+		{"n=32", randomPoints(rng, 32, 2), [3]float64{0.5, 3, 40}},
+		{"n=33", randomPoints(rng, 33, 2), [3]float64{0.5, 3, 40}},
+	}
+	for _, c := range cases {
+		st := storeOf(t, c.pts)
+		packedTree, err := NewBulkStore(st, DefaultMaxEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pointerTree, err := NewBulkStore(st, DefaultMaxEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []int
+		for _, eps := range c.eps {
+			for id := range c.pts {
+				buf = packedTree.RangeAppendID(id, eps, buf)
+				want := pointerWalk(pointerTree, c.pts[id], eps)
+				if !slices.Equal(buf, want) {
+					t.Fatalf("%s: id %d eps %v: packed %v, pointer walk %v", c.name, id, eps, buf, want)
+				}
+			}
+		}
+		if packedTree.root != nil || packedTree.packed == nil {
+			t.Fatalf("%s: range queries materialised the pointer form", c.name)
+		}
+	}
+}
+
+// TestBulkConcurrentReaders: range queries on the packed form may run while
+// other readers make the tree materialise its pointer form. Run under -race.
+func TestBulkConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	pts := randomPoints(rng, 4000, 2)
+	st := storeOf(t, pts)
+	ref, err := NewBulkStore(st, DefaultMaxEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 0.6
+	want := make([][]int, len(pts))
+	for id := range pts {
+		want[id] = ref.RangeAppendID(id, eps, nil)
+	}
+	wantHeight, wantKNN := ref.Height(), ref.KNN(pts[0], 5)
+
+	tr, err := NewBulkStore(st, DefaultMaxEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []int
+			for id := g; id < len(pts); id += 8 {
+				buf = tr.RangeAppendID(id, eps, buf)
+				if !slices.Equal(buf, want[id]) {
+					t.Errorf("id %d: %v, want %v", id, buf, want[id])
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if h := tr.Height(); h != wantHeight {
+					t.Errorf("Height %d, want %d", h, wantHeight)
+					return
+				}
+				if got := tr.KNN(pts[0], 5); !slices.Equal(got, wantKNN) {
+					t.Errorf("KNN %v, want %v", got, wantKNN)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzBulkRange derives a small lattice point set (ties everywhere) and a
+// radius from the fuzzed bytes and holds the bulk-loaded tree to two
+// references: its range result, sorted, is the linear scan's, and as
+// returned it is the pointer walk's of a materialised twin.
+func FuzzBulkRange(f *testing.F) {
+	boundary := make([]byte, 2+2*33)
+	for i := range boundary {
+		boundary[i] = byte(i * 7)
+	}
+	boundary[0], boundary[1] = 1, 12 // 2-d, eps 3
+	f.Add(boundary[:2+2*32])         // n = 32: a single root leaf
+	f.Add(boundary)                  // n = 33: the first split
+	f.Add([]byte{0, 0, 5, 5, 5, 9})  // 1-d duplicates, eps 0
+	f.Add([]byte{3, 255})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		dim := int(in[0])%4 + 1
+		eps := float64(in[1]) / 4
+		in = in[2:]
+		n := len(in) / dim
+		if n > 300 {
+			n = 300
+		}
+		if n == 0 {
+			return
+		}
+		st := geom.NewStore(dim, n)
+		for i := 0; i < n; i++ {
+			row := st.AppendZero()
+			for d := range row {
+				row[d] = float64(in[i*dim+d] % 16)
+			}
+		}
+		bulk, err := NewBulkStore(st, DefaultMaxEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewBulkStore(st, DefaultMaxEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps2 := eps * eps
+		var buf []int
+		for id := 0; id < n; id++ {
+			q := st.Point(id)
+			buf = bulk.RangeAppend(q, eps, buf)
+			if want := pointerWalk(twin, q, eps); !slices.Equal(buf, want) {
+				t.Fatalf("dim %d n %d id %d eps %v: packed %v, pointer walk %v", dim, n, id, eps, buf, want)
+			}
+			var scan []int
+			for j := 0; j < n; j++ {
+				if geom.SquaredEuclidean(q, st.Point(j)) <= eps2 {
+					scan = append(scan, j)
+				}
+			}
+			got := bulk.Range(q, eps)
+			sort.Ints(got)
+			if !slices.Equal(got, scan) {
+				t.Fatalf("dim %d n %d id %d eps %v: range %v, linear scan %v", dim, n, id, eps, got, scan)
+			}
+		}
+	})
 }

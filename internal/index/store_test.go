@@ -226,6 +226,51 @@ func TestStoreDemotionOnInsert(t *testing.T) {
 	}
 }
 
+// TestStoreDemotionOnDelete: a deletion leaves the store with a row the index
+// no longer holds, so the index must stop advertising it, stop returning the
+// deleted id and keep returning its neighbours.
+func TestStoreDemotionOnDelete(t *testing.T) {
+	st := geom.NewStore(2, 100)
+	for i := 0; i < 100; i++ {
+		st.AppendCoords(float64(i), 0)
+	}
+	rt, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Store() != nil || StoreOf(rt) != nil {
+		t.Error("rstar: store survived a delete")
+	}
+	if rt.Len() != 99 {
+		t.Errorf("rstar: Len %d after one delete of 100", rt.Len())
+	}
+	ids := sortedInts(rt.Range(st.Point(7), 1))
+	if want := []int{6, 8}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("rstar: range around the deleted point = %v, want %v", ids, want)
+	}
+}
+
+// TestBulkLoadAllocs gates the packed STR build: a handful of arrays per
+// level, nothing per point or per node. The pointer-node build it replaced
+// made 34 185 allocations here, two per entry per level in node.mbr alone.
+func TestBulkLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	st := testStore(16000, 6)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("%.0f allocs per bulk load of 16 000 rows, want <= 64", allocs)
+	}
+}
+
 // TestRangeAppendZeroAlloc is the hot-loop regression gate: once the result
 // buffer has grown to its steady-state capacity, a store-backed range query
 // must not allocate at all — the property that keeps the DBSCAN expansion
@@ -237,7 +282,7 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 	}
 	st := testStore(2000, 5)
 	const eps = 2.0
-	for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree} {
+	for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree, KindRStar} {
 		idx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
 		if err != nil {
 			t.Fatalf("%s: BuildStore: %v", kind, err)
@@ -255,10 +300,11 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 }
 
 // TestRangeBatchZeroAlloc gates the batched candidate-verification path of
-// every index kind: collect-then-verify through the fused Store kernels
-// must not allocate once the result buffer and the pooled per-query scratch
-// (cell walks, candidate collectors) have reached steady state — by-point
-// and by-id queries alike. Skipped under the race detector, whose
+// every index kind: verification through the fused Store kernels must not
+// allocate once the result buffer and, where a kind has one, the pooled
+// per-query scratch (the grid's cell walk, the M-tree's candidate collector;
+// the k-d tree and the R*-tree verify leaf buckets in place and have none)
+// have reached steady state — by-point and by-id queries alike. Skipped under the race detector, whose
 // instrumentation perturbs allocation accounting.
 func TestRangeBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
