@@ -26,8 +26,11 @@ check: vet build test-race
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
 # panic on arbitrary bytes; kernels and the packed R*-tree query must match
-# their references). CI runs this on push; use a larger FUZZTIME
-# locally before touching the wire formats.
+# their references; incremental DBSCAN must match batch DBSCAN after every
+# operation). CI runs this on push; use a larger FUZZTIME locally before
+# touching the wire formats or internal/incdbscan. FuzzIncOps caps
+# minimisation: shrinking a coverage-only find replays whole op sequences
+# and would otherwise eat the budget.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME)
@@ -39,6 +42,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz 'FuzzStoreDistanceSq$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).
