@@ -67,10 +67,13 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchmem $(BENCHFLAGS) . \
 		| $(GO) run ./cmd/benchjson -rev $$(git rev-parse --short HEAD)
 
-# One-iteration smoke over the hot-path suite: catches benchmarks that no
-# longer compile or crash, without paying measurement time. CI runs this.
+# One-iteration smoke over the hot-path suite and the incremental layer's
+# window-turn benchmark (ns, allocs and range queries per delete-oldest +
+# insert): catches benchmarks that no longer compile or crash, without
+# paying measurement time. CI runs this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkWindowTurn' -benchtime 1x -benchmem ./internal/incdbscan/
 
 # Run the hot-path suite and diff it against the committed baseline artifact
 # with cmd/benchdiff. BASELINE defaults to the newest committed BENCH_*.json;

@@ -37,7 +37,7 @@ type Clusterer struct {
 	count []int
 	// parent is the union-find forest over cluster ids.
 	parent []cluster.ID
-	// deleted marks removed objects (lazily allocated by Delete).
+	// deleted marks removed objects.
 	deleted []bool
 	// free lists deleted slots available for reuse, most recent last.
 	// Insert pops a slot from here before growing the per-object arrays, so
@@ -52,6 +52,23 @@ type Clusterer struct {
 	// single buffer serves every range query whose result is consumed
 	// before the next query.
 	scratch []int
+	// queries counts the range queries issued, for the tests and benchmarks
+	// that bound an update's work by count instead of by time.
+	queries int
+
+	// The rest is Delete's repair state, reused from call to call. stamp[q]
+	// == epoch marks object q as collected or claimed by the current Delete
+	// (no per-call set to allocate or clear); owner[q] is then the component
+	// that claimed core q, and next[q] links q into one of that component's
+	// lists.
+	stamp []uint32
+	epoch uint32
+	owner []int
+	next  []int
+	near  []int // the victim's ε-neighbourhood
+	lost  []int // cores the deletion demoted; -1 once their cluster is repaired
+	cands []int // border candidates awaiting their re-check
+	comps []component
 }
 
 // New returns an empty incremental clusterer.
@@ -106,6 +123,14 @@ func (c *Clusterer) union(a, b cluster.ID) cluster.ID {
 	return ra
 }
 
+// neighborhood returns the ε-neighbourhood of live object q, q included, in
+// the shared scratch buffer: valid until the next call.
+func (c *Clusterer) neighborhood(q int) []int {
+	c.queries++
+	c.scratch = c.tree.RangeAppend(c.tree.Point(q), c.params.Eps, c.scratch)
+	return c.scratch
+}
+
 // newClusterID allocates a fresh provisional cluster id.
 func (c *Clusterer) newClusterID() cluster.ID {
 	id := cluster.ID(len(c.parent))
@@ -115,8 +140,8 @@ func (c *Clusterer) newClusterID() cluster.ID {
 
 // parentSlack bounds how far the union-find forest may outgrow the object
 // arrays before Insert compacts it. Every cluster creation — in Insert and
-// in Delete's re-expansion — allocates a provisional id that is never
-// freed, so under sustained churn parent would otherwise grow O(total
+// for each side a Delete splits off — allocates a provisional id that is
+// never freed, so under sustained churn parent would otherwise grow O(total
 // operations) even with slot reuse.
 const parentSlack = 64
 
@@ -177,13 +202,13 @@ func (c *Clusterer) Insert(p geom.Point) (int, error) {
 		c.labels = append(c.labels, cluster.Unclassified)
 		c.core = append(c.core, false)
 		c.count = append(c.count, 0)
-		if c.deleted != nil {
-			c.deleted = append(c.deleted, false)
-		}
+		c.deleted = append(c.deleted, false)
+		c.stamp = append(c.stamp, 0)
+		c.owner = append(c.owner, 0)
+		c.next = append(c.next, 0)
 	}
 	c.live++
-	c.scratch = c.tree.RangeAppend(p, c.params.Eps, c.scratch)
-	neighbors := c.scratch // consumed before the next range query below
+	neighbors := c.neighborhood(idx) // consumed before the next range query below
 	c.count[idx] = len(neighbors)
 	// Update cached neighborhood cardinalities and detect objects whose
 	// core property flips — the seed set of the update.
@@ -226,8 +251,7 @@ func (c *Clusterer) Insert(p geom.Point) (int, error) {
 		qid := c.find(c.labels[q])
 		// Reuses the scratch buffer: the insertion neighborhood above is
 		// fully consumed before the first new-core expansion query.
-		c.scratch = c.tree.RangeAppend(c.tree.Point(q), c.params.Eps, c.scratch)
-		for _, r := range c.scratch {
+		for _, r := range c.neighborhood(q) {
 			if r == q {
 				continue
 			}

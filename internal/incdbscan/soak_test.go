@@ -3,6 +3,7 @@ package incdbscan
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/dbscan"
@@ -36,25 +37,42 @@ func drift(rng *rand.Rand, step int) geom.Point {
 	}
 }
 
+// repairFootprint is the capacity, in elements, of every buffer Delete's
+// repair keeps from call to call.
+func repairFootprint(c *Clusterer) int {
+	return cap(c.stamp) + cap(c.owner) + cap(c.next) + cap(c.near) + cap(c.scratch) +
+		cap(c.lost) + cap(c.cands) + cap(c.comps)
+}
+
 // TestSlidingWindowBoundedMemory is the churn soak: a sliding window of W
-// objects processes 12×W inserts. With slot reuse the per-object arrays must
-// stay bounded by the window size and the union-find forest by its
-// compaction threshold — before the fix both grew with every operation.
+// objects turns 200 times. With slot reuse the per-object arrays (Delete's
+// stamps and owners among them) must stay bounded by the window size and
+// the union-find forest by its compaction threshold — before the fix both
+// grew with every operation — and between turn 20 and turn 200 neither the
+// repair's reused buffers nor the heap may grow.
 func TestSlidingWindowBoundedMemory(t *testing.T) {
 	const window = 150
-	const total = 12 * window
+	const turns = 200
 	rng := rand.New(rand.NewSource(41))
 	c, err := New(dbscan.Params{Eps: 0.45, MinPts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
 	var fifo []int
-	for s := 0; s < total; s++ {
+	var heapAt20 uint64
+	var footprintAt20 int
+	for s := 0; s < turns*window; s++ {
 		if len(fifo) >= window {
 			if err := c.Delete(fifo[0]); err != nil {
 				t.Fatal(err)
 			}
-			fifo = fifo[1:]
+			fifo = append(fifo[:0], fifo[1:]...)
 		}
 		idx, err := c.Insert(drift(rng, s))
 		if err != nil {
@@ -62,8 +80,9 @@ func TestSlidingWindowBoundedMemory(t *testing.T) {
 		}
 		fifo = append(fifo, idx)
 
-		if c.Len() > window {
-			t.Fatalf("step %d: %d slots allocated for a %d-object window", s, c.Len(), window)
+		if c.Len() > window || len(c.stamp) != c.Len() || len(c.owner) != c.Len() || len(c.next) != c.Len() || len(c.deleted) != c.Len() {
+			t.Fatalf("step %d: %d slots, %d stamps, %d owners, %d links, %d deleted marks for a %d-object window",
+				s, c.Len(), len(c.stamp), len(c.owner), len(c.next), len(c.deleted), window)
 		}
 		if got, want := c.LiveCount(), liveCountScan(c); got != want {
 			t.Fatalf("step %d: LiveCount=%d, scan says %d", s, got, want)
@@ -74,11 +93,21 @@ func TestSlidingWindowBoundedMemory(t *testing.T) {
 		if (s+1)%250 == 0 {
 			checkSurvivorsAgainstBatch(t, c)
 		}
+		if s+1 == 20*window {
+			heapAt20, footprintAt20 = heap(), repairFootprint(c)
+		}
 	}
 	if got := c.LiveCount(); got != window {
 		t.Fatalf("steady state live count = %d, want %d", got, window)
 	}
 	checkSurvivorsAgainstBatch(t, c)
+	// A leak of one word per operation would show as 180 × 150 × 8 bytes.
+	if now := heap(); now > heapAt20+64<<10 {
+		t.Errorf("heap grew from %d bytes at turn 20 to %d at turn %d", heapAt20, now, turns)
+	}
+	if now := repairFootprint(c); now > footprintAt20+window {
+		t.Errorf("repair buffers grew from %d elements at turn 20 to %d at turn %d", footprintAt20, now, turns)
+	}
 }
 
 // TestInterleavedChurnMatchesBatch drives randomized interleaved inserts and

@@ -36,7 +36,8 @@ func (t *Tree) Delete(idx int) error {
 	// find a sufficiently tall tree.
 	sort.SliceStable(orphans, func(a, b int) bool { return orphans[a].level > orphans[b].level })
 	for _, o := range orphans {
-		t.insertEntry(o.e, o.level, make(map[int]bool))
+		var reinserted uint64
+		t.insertEntry(o.e, o.level, &reinserted)
 	}
 	// Shrink the root while it is an internal node with a single child.
 	for !t.root.leaf() && len(t.root.entries) == 1 {

@@ -49,6 +49,9 @@ type Tree struct {
 	// unpack guards the one materialisation of root from packed, so readers
 	// that need pointer nodes may race each other and the packed queries.
 	unpack sync.Once
+	// ext is chooseSubtree's scratch: each candidate child's rectangle
+	// extended by the one being inserted, without a clone per child.
+	ext geom.Rect
 }
 
 type entry struct {
@@ -65,12 +68,21 @@ type node struct {
 func (n *node) leaf() bool { return n.level == 0 }
 
 // mbr recomputes the minimum bounding rectangle of all entries.
-func (n *node) mbr() geom.Rect {
-	r := n.entries[0].rect.Clone()
-	for _, e := range n.entries[1:] {
-		r = r.Extend(e.rect)
+func (n *node) mbr() geom.Rect { return boundOf(n.entries) }
+
+// extendInto writes the smallest rectangle enclosing a and b into dst, whose
+// corners must already have their dimensionality; dst may be a. The
+// comparisons are geom.Rect.Extend's, so the result is too.
+func extendInto(dst *geom.Rect, a, b geom.Rect) {
+	for i := range a.Min {
+		dst.Min[i], dst.Max[i] = a.Min[i], a.Max[i]
+		if b.Min[i] < dst.Min[i] {
+			dst.Min[i] = b.Min[i]
+		}
+		if b.Max[i] > dst.Max[i] {
+			dst.Max[i] = b.Max[i]
+		}
 	}
-	return r
 }
 
 // New builds an R*-tree over pts with the default fan-out. The point slice
@@ -164,8 +176,8 @@ func (t *Tree) Insert(p geom.Point) error {
 	idx := int32(len(t.pts))
 	t.pts = append(t.pts, p)
 	t.size++
-	reinserted := make(map[int]bool)
-	t.insertEntry(entry{rect: geom.RectFromPoint(p), idx: idx}, 0, reinserted)
+	var reinserted uint64
+	t.insertEntry(entry{rect: geom.RectFromPoint(p), idx: idx}, 0, &reinserted)
 	return nil
 }
 
@@ -194,14 +206,16 @@ func (t *Tree) ReplaceAt(idx int, p geom.Point) error {
 	}
 	t.pts[idx] = p
 	t.size++
-	reinserted := make(map[int]bool)
-	t.insertEntry(entry{rect: geom.RectFromPoint(p), idx: int32(idx)}, 0, reinserted)
+	var reinserted uint64
+	t.insertEntry(entry{rect: geom.RectFromPoint(p), idx: int32(idx)}, 0, &reinserted)
 	return nil
 }
 
 // insertEntry places e into a node at the given level and resolves overflows
-// with forced reinsertion (once per level per logical insertion) or splits.
-func (t *Tree) insertEntry(e entry, level int, reinserted map[int]bool) {
+// with forced reinsertion (once per level per logical insertion: reinserted
+// has one bit per level, and a tree of fan-out ≥ 2 never grows 64 of them)
+// or splits.
+func (t *Tree) insertEntry(e entry, level int, reinserted *uint64) {
 	path := t.choosePath(e.rect, level)
 	n := path[len(path)-1]
 	n.entries = append(n.entries, e)
@@ -227,10 +241,14 @@ func (t *Tree) choosePath(r geom.Rect, level int) []*node {
 // enlargement; otherwise it minimises area enlargement (ties broken by
 // smaller area).
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
+	if len(t.ext.Min) != t.dim {
+		t.ext = geom.Rect{Min: make(geom.Point, t.dim), Max: make(geom.Point, t.dim)}
+	}
+	ext := t.ext
 	if n.level == 1 {
 		best, bestOverlap, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1), math.Inf(1)
 		for i, e := range n.entries {
-			ext := e.rect.Extend(r)
+			extendInto(&ext, e.rect, r)
 			var dOverlap float64
 			for j, other := range n.entries {
 				if j == i {
@@ -250,8 +268,9 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	}
 	best, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1)
 	for i, e := range n.entries {
-		enl := e.rect.Enlargement(r)
+		extendInto(&ext, e.rect, r)
 		area := e.rect.Area()
+		enl := ext.Area() - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -280,14 +299,14 @@ func (t *Tree) refreshChildEntry(parent, child *node) {
 // resolveOverflow walks up from path[i] handling any node that exceeds the
 // fan-out, applying forced reinsertion the first time a level overflows
 // during this insertion and splitting otherwise.
-func (t *Tree) resolveOverflow(path []*node, i int, reinserted map[int]bool) {
+func (t *Tree) resolveOverflow(path []*node, i int, reinserted *uint64) {
 	for ; i >= 0; i-- {
 		n := path[i]
 		if len(n.entries) <= t.maxEntries {
 			continue
 		}
-		if i > 0 && !reinserted[n.level] {
-			reinserted[n.level] = true
+		if bit := uint64(1) << n.level; i > 0 && *reinserted&bit == 0 {
+			*reinserted |= bit
 			t.forcedReinsert(path, i, reinserted)
 			return // forcedReinsert re-enters insertEntry, which resolves further overflows
 		}
@@ -312,7 +331,7 @@ func (t *Tree) resolveOverflow(path []*node, i int, reinserted map[int]bool) {
 // forcedReinsert evicts the p entries of path[i] whose centers lie farthest
 // from the node's MBR center and reinserts them (closest first), shrinking
 // the node's region before a split becomes necessary.
-func (t *Tree) forcedReinsert(path []*node, i int, reinserted map[int]bool) {
+func (t *Tree) forcedReinsert(path []*node, i int, reinserted *uint64) {
 	n := path[i]
 	center := n.mbr().Center()
 	type distEntry struct {
@@ -424,7 +443,7 @@ func (t *Tree) chooseSplitIndex(n *node, axis int) (k int, byUpper bool) {
 func boundOf(es []entry) geom.Rect {
 	r := es[0].rect.Clone()
 	for _, e := range es[1:] {
-		r = r.Extend(e.rect)
+		extendInto(&r, r, e.rect)
 	}
 	return r
 }

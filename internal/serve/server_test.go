@@ -89,8 +89,14 @@ func TestServerEndToEnd(t *testing.T) {
 	if m.Requests.Load() < 4 || m.Points.Load() < uint64(len(pts))+3 {
 		t.Fatalf("metrics: requests=%d points=%d", m.Requests.Load(), m.Points.Load())
 	}
-	if m.Latency.Count() != m.Requests.Load() {
-		t.Fatalf("latency observations %d != requests %d", m.Latency.Count(), m.Requests.Load())
+	// The server observes a request's latency after the reply is written
+	// (the observation includes the write), so the client can hold the last
+	// reply a moment before the last observation lands.
+	for deadline := time.Now().Add(2 * time.Second); m.Latency.Count() != m.Requests.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("latency observations %d != requests %d", m.Latency.Count(), m.Requests.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
