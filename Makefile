@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race check fuzz-smoke bench bench-json bench-smoke benchdiff loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check fuzz-smoke bench bench-json bench-smoke benchdiff loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -21,13 +21,21 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
+# The differential twin of the default kernel build: every stride runs the
+# plain scalar loop (internal/geom/kernels_scalar.go). The packages listed are
+# the ones whose output depends on a distance kernel; the four identity
+# digests (clustering, local-model frame, wire, bulk layout) must come out the
+# same under both builds. CI runs this on every push.
+test-scalar:
+	$(GO) test -tags dbdc_scalar_kernels ./internal/geom/ ./internal/index/... ./internal/dbscan/ ./internal/dbdc/ ./internal/transport/
+
 # The CI gate: static checks, build, race-enabled tests.
 check: vet build test-race
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
-# panic on arbitrary bytes; kernels and the packed R*-tree query must match
-# their references; incremental DBSCAN must match batch DBSCAN after every
-# operation). CI runs this on push; use a larger FUZZTIME locally before
+# panic on arbitrary bytes; kernels, the fused verifiers and the packed
+# R*-tree query must match their references; incremental DBSCAN must match
+# batch DBSCAN after every operation). CI runs this on push; use a larger FUZZTIME locally before
 # touching the wire formats or internal/incdbscan. FuzzIncOps caps
 # minimisation: shrinking a coverage-only find replays whole op sequences
 # and would otherwise eat the budget.
@@ -41,6 +49,7 @@ fuzz-smoke:
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzLocalDeltaUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz 'FuzzStoreDistanceSq$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzVerifyRangeSq -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 

@@ -17,6 +17,7 @@ import (
 
 	lib "github.com/dbdc-go/dbdc"
 	"github.com/dbdc-go/dbdc/internal/data"
+	core "github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/distkmeans"
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -369,23 +370,50 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 }
 
 // BenchmarkRelabel — step 4 alone: assigning 8700 objects global ids from
-// a realistic global model.
+// a realistic global model. per-point is Relabel over raw points (one
+// descent per object over the representatives); site/<kind> is RelabelSite
+// on an outcome whose LocalStep ran over that index kind (one range query
+// per representative over the site's retained index). The linear kind pays
+// a full scan per representative — it is the oracle kind, no default config
+// reaches it, and its row is there to be read, not to be fast.
 func BenchmarkRelabel(b *testing.B) {
 	ds := lib.DatasetA(data.DatasetASize, 1)
-	out, err := lib.LocalStep("site", ds.Points, lib.Config{Local: ds.Params})
-	if err != nil {
-		b.Fatal(err)
-	}
-	global, err := lib.GlobalStep([]*lib.LocalModel{out.Model}, lib.Config{Local: ds.Params})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := lib.Relabel(ds.Points, global); err != nil {
+	global := func(b *testing.B, out *lib.LocalOutcome) *lib.GlobalModel {
+		g, err := lib.GlobalStep([]*lib.LocalModel{out.Model}, lib.Config{Local: ds.Params})
+		if err != nil {
 			b.Fatal(err)
 		}
+		return g
+	}
+	b.Run("per-point", func(b *testing.B) {
+		out, err := lib.LocalStep("site", ds.Points, lib.Config{Local: ds.Params})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := global(b, out)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := lib.Relabel(ds.Points, g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, kind := range index.Kinds() {
+		b.Run(fmt.Sprintf("site/%s", kind), func(b *testing.B) {
+			out, err := lib.LocalStep("site", ds.Points, lib.Config{Local: ds.Params, Index: kind})
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := global(b, out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.RelabelSite(out, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -33,6 +33,15 @@ type LocalTimings struct {
 // LocalOutcome is everything a site derives from its own data: the DBSCAN
 // clustering of the local objects and the local model shipped to the
 // server.
+//
+// An outcome of LocalStep or LocalStepStore also keeps the index the
+// clustering ran over alive for as long as the outcome lives, because
+// RelabelSite queries it. For the default R*-tree over 16 000 2-d rows that
+// is 0.54 MB (measured: the id permutation 128 KB, the level spans and bounds
+// 25 KB, the Point views the index serves 384 KB), plus a 256 KB copy of the
+// coordinates when LocalStep was handed a point slice; LocalStepStore shares
+// the caller's store. The other kinds: linear 0.35 MB, kd-tree 0.65 MB, grid
+// 1.0 MB, M-tree 1.9 MB.
 type LocalOutcome struct {
 	// SiteID identifies the site.
 	SiteID string
@@ -51,6 +60,10 @@ type LocalOutcome struct {
 	RepBudget int
 	Budget    dbscan.BudgetStats
 
+	// idx is the index LocalStep clustered the site's objects over, kept so
+	// that RelabelSite can issue its range queries against it; nil for a
+	// condensed outcome, which is relabeled object by object.
+	idx index.Index
 	// cfg is the resolved configuration the outcome was produced under,
 	// retained so BudgetedModel can re-condense the clustering at a
 	// different budget during transport negotiation.
@@ -125,6 +138,7 @@ func localStepFrom(siteID string, pts []geom.Point, idx index.Index, cfg Config,
 		Timings:    timings,
 		RepBudget:  cfg.RepBudget,
 		Budget:     stats,
+		idx:        idx,
 		cfg:        cfg,
 	}, nil
 }

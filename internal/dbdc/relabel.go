@@ -1,6 +1,8 @@
 package dbdc
 
 import (
+	"math"
+
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
@@ -57,11 +59,11 @@ func Relabel(pts []geom.Point, global *model.GlobalModel) (cluster.Labeling, err
 	return labels, nil
 }
 
-// RelabelOutcome applies Relabel to a LocalOutcome and additionally reports
-// how the site's own clustering changed: how many local clusters were
-// merged into larger global ones and how many former noise objects joined a
-// cluster. The counts drive the "transmit a new local model only when the
-// clustering changed considerably" policy of incremental DBDC.
+// RelabelStats reports how a site's own clustering changed under the global
+// model: how many local clusters were merged into larger global ones and how
+// many former noise objects joined a cluster. The counts drive the "transmit
+// a new local model only when the clustering changed considerably" policy of
+// incremental DBDC.
 type RelabelStats struct {
 	// NoiseAdopted counts local noise objects that joined a global cluster.
 	NoiseAdopted int
@@ -71,10 +73,12 @@ type RelabelStats struct {
 }
 
 // RelabelSite relabels the site's objects and derives the change
-// statistics.
+// statistics. The labels are those of Relabel(outcome.Points, global), object
+// for object and error for error (TestRelabelSiteMatchesPerPoint); an outcome
+// that retained its site index gets them by relabelByRep.
 func RelabelSite(outcome *LocalOutcome, global *model.GlobalModel) (cluster.Labeling, RelabelStats, error) {
 	var stats RelabelStats
-	labels, err := Relabel(outcome.Points, global)
+	labels, err := relabelOutcome(outcome, global)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -101,4 +105,65 @@ func RelabelSite(outcome *LocalOutcome, global *model.GlobalModel) (cluster.Labe
 		}
 	}
 	return labels, stats, nil
+}
+
+// relabelOutcome picks the relabeling path: by representative over the
+// retained site index when that provably reproduces the per-point rule, the
+// per-point Relabel otherwise — no retained store-backed index (a condensed
+// outcome), nothing to label, the empty model, representatives of another
+// dimensionality than the site's objects, or an ε_r that is not a positive
+// finite number (model.GlobalModel.Validate refuses most of those, but a
+// library caller can hand in anything, and a range query at such a radius is
+// not the per-point filter d² ≤ ε_r²).
+func relabelOutcome(o *LocalOutcome, global *model.GlobalModel) (cluster.Labeling, error) {
+	st := index.StoreOf(o.idx)
+	if st == nil || st.Len() == 0 || global.Empty() {
+		return Relabel(o.Points, global)
+	}
+	dim, err := repDim(global)
+	if err != nil {
+		return nil, err
+	}
+	if dim != st.Dim() {
+		return Relabel(o.Points, global)
+	}
+	for _, r := range global.Reps {
+		if !(r.Eps > 0 && r.Eps <= math.MaxFloat64) {
+			return Relabel(o.Points, global)
+		}
+	}
+	return relabelByRep(o.idx, st, global), nil
+}
+
+// relabelByRep is the Section 7 rule of RepSelector turned around: instead of
+// one descent per site object over the representatives at max ε_r, one range
+// query per representative over the site's objects at its own ε_r — a few
+// hundred descents for tens of thousands of objects, and no over-fetch when
+// budgets widen the spread of the ε_r. The pairs (o, r) with d² ≤ ε_r² are the
+// same, their distances come from the same strided kernel (squared distances
+// are bitwise symmetric in their operands), and folding the per-object
+// minimum with a strict < while the representatives go by in Reps order is
+// "nearest wins, ties to the lowest representative index".
+func relabelByRep(idx index.Index, st *geom.Store, global *model.GlobalModel) cluster.Labeling {
+	n := st.Len()
+	labels := cluster.NewLabeling(n)
+	bestSq := make([]float64, n)
+	for i := range labels {
+		labels[i] = cluster.Noise
+		bestSq[i] = math.Inf(1)
+	}
+	var ids []int
+	var dist []float64
+	for _, r := range global.Reps {
+		ids = index.RangeInto(idx, r.Point, r.Eps, ids)
+		if cap(dist) < len(ids) {
+			dist = make([]float64, 2*len(ids))
+		}
+		for k, d2 := range st.DistanceSqBatch(r.Point, ids, dist[:len(ids)]) {
+			if o := ids[k]; d2 < bestSq[o] {
+				bestSq[o], labels[o] = d2, r.GlobalCluster
+			}
+		}
+	}
+	return labels
 }

@@ -12,9 +12,9 @@ import (
 
 // RepSelector is the deterministic representative-choice rule of Section 7
 // — "o ∈ N_{ε_r}(r) ⇒ o takes r's global cluster id, the nearest r wins" —
-// packaged as a reusable component. Relabel (step 4 of a DBDC round) and
-// the online classifier of internal/serve both go through this one type,
-// so the batch relabeling of training points and the serving-time
+// packaged as a reusable component. Relabel (step 4 of a DBDC round over raw
+// points) and the online classifier of internal/serve both go through this
+// one type, so the relabeling of training points and the serving-time
 // classification of arbitrary points cannot drift apart.
 //
 // The rule, spelled out:
@@ -32,6 +32,11 @@ import (
 //     of the (unspecified) range-query result order, so every index kind
 //     classifies identically.
 //  4. No covering representative ⇒ noise.
+//
+// RelabelSite reaches the same labels the other way round — one range query
+// per representative over the site's objects (relabelByRep) — and
+// TestRelabelSiteMatchesPerPoint pins that batch path and this per-point
+// path to each other, label for label.
 //
 // A RepSelector is immutable after construction and safe for concurrent
 // readers, matching the underlying index contract.
@@ -72,15 +77,11 @@ func NewRepSelector(global *model.GlobalModel, kind index.Kind) (*RepSelector, e
 			s.maxEps = r.Eps
 		}
 	}
-	s.dim = repPts[0].Dim()
-	for i, p := range repPts {
-		if p.Dim() != s.dim {
-			// Validate here so library callers get an error that names
-			// the offending representative.
-			return nil, fmt.Errorf("dbdc: relabel: indexing %d global representatives: representative %d has dimension %d, want %d",
-				len(global.Reps), i, p.Dim(), s.dim)
-		}
+	dim, err := repDim(global)
+	if err != nil {
+		return nil, err
 	}
+	s.dim = dim
 	metric := geom.Euclidean{}
 	// Pack the representative points into one flat store (validated above,
 	// so FromPoints cannot fail on dimensionality) and bulk-load the index
@@ -101,6 +102,20 @@ func NewRepSelector(global *model.GlobalModel, kind index.Kind) (*RepSelector, e
 	return s, nil
 }
 
+// repDim returns the dimensionality the representatives of a non-empty model
+// share, or the error that names the first one that deviates — validated here
+// so library callers are told which representative is broken.
+func repDim(global *model.GlobalModel) (int, error) {
+	dim := global.Reps[0].Point.Dim()
+	for i, r := range global.Reps {
+		if r.Point.Dim() != dim {
+			return 0, fmt.Errorf("dbdc: relabel: indexing %d global representatives: representative %d has dimension %d, want %d",
+				len(global.Reps), i, r.Point.Dim(), dim)
+		}
+	}
+	return dim, nil
+}
+
 // Empty reports whether the selector was built from the all-noise sentinel
 // (every classification returns noise).
 func (s *RepSelector) Empty() bool { return s.idx == nil }
@@ -118,7 +133,7 @@ func (s *RepSelector) MaxEps() float64 { return s.maxEps }
 // RepScratch holds the reusable per-caller buffers of the selection hot
 // path: the candidate ids of the range query and the distance block of the
 // batched filter. Zero value ready to use; one instance per goroutine
-// (Classifier pools them, Relabel keeps one per worker).
+// (Classifier pools them, Relabel uses one for its single loop).
 type RepScratch struct {
 	ids  []int
 	dist []float64

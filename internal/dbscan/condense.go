@@ -4,17 +4,21 @@ import (
 	"sync"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
+	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
 )
 
 // condenseSpecificCores runs the condensation phase of RunParallel —
-// specific core selection (Definition 6) followed by the specific ε-ranges
-// (Definition 7) — with per-cluster parallelism. The greedy selection is a
-// strict left-to-right fold within each cluster (whether point i is kept
-// depends on the points kept before it), so it cannot be split *inside* a
-// cluster without changing the selected set; but clusters never interact
-// during condensation, which makes the cluster the natural parallel unit.
-// Workers pull whole clusters off a shared cursor and run the identical
+// specific core selection (Definition 6) and the specific ε-ranges
+// (Definition 7) in one pass — with per-cluster parallelism. With every core
+// flag known, a core point no selected specific core covers is selected,
+// queried once, and that one neighbor list both marks what it covers and
+// yields its ε_s (condenseCore). The greedy selection is a strict
+// left-to-right fold within each cluster (whether point i is kept depends on
+// the points kept before it), so it cannot be split *inside* a cluster
+// without changing the selected set; but clusters never interact during
+// condensation, which makes the cluster the natural parallel unit. Workers
+// pull whole clusters off a shared cursor and run the identical
 // ascending-index greedy per cluster, so the output — Scor order included —
 // is byte-identical to the sequential fold for any worker count.
 //
@@ -22,14 +26,18 @@ import (
 func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 	metric := idx.Metric()
 	st := index.StoreOf(idx)
+	covered := make([]bool, len(r.Core))
 	if workers <= 1 {
 		var bs batchScratch
+		var buf []int
 		for i := range r.Core {
-			if r.Core[i] {
-				r.maybeAddSpecificCore(idx, metric, st, r.Labels[i], i, &bs)
+			if r.Core[i] && !covered[i] {
+				id := r.Labels[i]
+				r.Scor[id] = append(r.Scor[id], i)
+				r.RangeQueries++
+				r.SpecificEps[i] = r.condenseCore(idx, metric, st, &bs, &buf, covered, i)
 			}
 		}
-		r.computeSpecificEps(idx, metric, st, &bs)
 		return
 	}
 
@@ -86,19 +94,15 @@ func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 				if c < 0 {
 					return
 				}
-				cores := coresByCluster[c]
-				// Definition 6: greedy coverage in ascending core order —
-				// keep a core point iff no already-kept one covers it.
+				// Greedy coverage in ascending core order: keep a core
+				// point iff no already-kept one covers it.
 				var scor []int
-				for _, q := range cores {
-					if !coveredBySpecificCore(idx, metric, st, &bs, cluster.ID(c), scor, q, r.Params.Eps) {
+				var eps []float64
+				for _, q := range coresByCluster[c] {
+					if !covered[q] {
 						scor = append(scor, q)
+						eps = append(eps, r.condenseCore(idx, metric, st, &bs, &buf, covered, q))
 					}
-				}
-				// Definition 7: ε_s = Eps + max dist to core neighbors.
-				eps := make([]float64, len(scor))
-				for k, s := range scor {
-					eps[k] = r.specificEps(idx, metric, st, &bs, &buf, s)
 				}
 				out[c] = condensed{scor: scor, eps: eps, queries: len(scor)}
 			}
@@ -118,4 +122,21 @@ func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 		}
 		r.RangeQueries += out[c].queries
 	}
+}
+
+// condenseCore is the step of the condensation for a core point s that no
+// selected specific core covers: one query for N_Eps(s), which marks the core
+// points s covers (Definition 6) and from which ε_s is folded (Definition 7).
+// Only core neighbors are marked, which is all the selection reads — and what
+// lets per-cluster workers share covered: a core neighbor of s is in s's
+// cluster, so each element has one writer, while a border point can lie in
+// reach of two clusters.
+func (r *Result) condenseCore(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch, buf *[]int, covered []bool, s int) float64 {
+	eps := r.specificEps(idx, metric, st, bs, buf, s)
+	for _, q := range *buf {
+		if r.Core[q] {
+			covered[q] = true
+		}
+	}
+	return eps
 }

@@ -101,19 +101,17 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 		res.Scor = make(map[cluster.ID][]int)
 		res.SpecificEps = make(map[int]float64)
 	}
-	metric := idx.Metric()
-	// st is the flat backing store of a Euclidean index; the specific-core
-	// coverage and ε-range folds then run on the strided kernels by object
-	// id.
-	st := index.StoreOf(idx)
 	var clusterID cluster.ID
 	// seeds and nbuf are reused across queries to avoid per-object
 	// allocations; every query result is fully consumed before the next
 	// query overwrites the buffer. Queries go by object id (RangeIntoID), so
-	// store-backed indexes never materialise a query point. bs carries the
-	// batched-fold buffers of the specific-core bookkeeping.
+	// store-backed indexes never materialise a query point. covered holds
+	// the Definition 6 marks (see selectSpecificCore).
 	var seeds, nbuf []int
-	var bs batchScratch
+	var covered []bool
+	if opts.CollectSpecificCores {
+		covered = make([]bool, n)
+	}
 	for i := 0; i < n; i++ {
 		if res.Labels[i] != cluster.Unclassified {
 			continue
@@ -131,7 +129,7 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 		res.Core[i] = true
 		res.Labels[i] = clusterID
 		if opts.CollectSpecificCores {
-			res.Scor[clusterID] = append(res.Scor[clusterID], i)
+			res.selectSpecificCore(clusterID, i, neighbors, covered)
 		}
 		seeds = seeds[:0]
 		for _, q := range neighbors {
@@ -158,8 +156,8 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 				continue // q is a border object
 			}
 			res.Core[q] = true
-			if opts.CollectSpecificCores {
-				res.maybeAddSpecificCore(idx, metric, st, clusterID, q, &bs)
+			if opts.CollectSpecificCores && !covered[q] {
+				res.selectSpecificCore(clusterID, q, qNeighbors, covered)
 			}
 			for _, r := range qNeighbors {
 				switch res.Labels[r] {
@@ -174,197 +172,35 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 		clusterID++
 	}
 	if opts.CollectSpecificCores {
-		res.computeSpecificEps(idx, metric, st, &bs)
+		res.computeSpecificEps(idx)
 	}
 	return res, nil
 }
 
-// batchScratch holds the reusable state of the batched store folds: id and
-// distance buffers plus the per-cluster specific-core grids of the coverage
-// test. One instance per sequential run or per condensation worker; zero
-// value ready to use.
+// batchScratch holds the reusable id and distance buffers of the batched
+// Definition 7 fold. One instance per sequential run or per condensation
+// worker; zero value ready to use.
 type batchScratch struct {
-	ids   []int
-	dist  []float64
-	grids map[cluster.ID]*scorGrid
+	ids  []int
+	dist []float64
 }
 
-// grid returns (creating on first use) the coverage grid of cluster id.
-func (bs *batchScratch) grid(id cluster.ID) *scorGrid {
-	if bs.grids == nil {
-		bs.grids = make(map[cluster.ID]*scorGrid)
+// selectSpecificCore adds the core point s to Scor of its cluster and marks
+// its Eps-neighborhood — the query result the caller already holds — as
+// covered. That is the whole greedy Definition 6 selection: a core point is
+// selected iff it is unmarked when it is processed, i.e. iff it lies in the
+// Eps-neighborhood of no specific core point selected before it, so every
+// core point is either selected or covered and condition 3 (complete
+// coverage of Cor) holds by construction. One flat mark slice serves every
+// cluster: a core point within Eps of a selected core point is directly
+// density-reachable from it and so in its cluster, which is why "covered by
+// a specific core point" needs no "of the same cluster". The marks on
+// non-core neighbors are never read.
+func (r *Result) selectSpecificCore(id cluster.ID, s int, neighbors []int, covered []bool) {
+	r.Scor[id] = append(r.Scor[id], s)
+	for _, q := range neighbors {
+		covered[q] = true
 	}
-	g := bs.grids[id]
-	if g == nil {
-		g = &scorGrid{}
-		bs.grids[id] = g
-	}
-	return g
-}
-
-// coverBlock is the block size of the batched fallback coverage scan: large
-// enough that the gathered kernel sweep amortizes and cache misses overlap,
-// small enough that an early covering hit doesn't pay for the whole Scor
-// list.
-const coverBlock = 32
-
-// scorCellQuotLimit bounds the cell quotients the coverage grid accepts:
-// beyond it the int64 conversion could overflow and scramble cell adjacency,
-// so such points route to the exhaustive fallback scan instead.
-const scorCellQuotLimit = float64(1 << 62)
-
-// scorGrid is a uniform hash grid over one cluster's selected specific
-// cores, the accelerator of the Definition 6 coverage test. Greedy selection
-// keeps specific cores pairwise more than Eps apart, so cells of edge 2·Eps
-// hold O(1) of them and every point within Eps of a query lies in one of
-// the 3^d cells surrounding the query's (the per-axis separation is at most
-// half a cell edge, plus rounding margins orders of magnitude below the
-// remaining half). Cell coordinates are folded into a 64-bit hash with no
-// collision handling: a collision only merges candidate lists, and since
-// every candidate is still verified through the batched distance kernel the
-// coverage verdict — an OR over independent threshold tests, invariant to
-// scan order — is identical to the exhaustive scan's. Points whose cell
-// quotient leaves the int64-safe range (NaN, infinities, astronomical
-// magnitudes) are never indexed; their presence flips the grid into
-// fallback mode and coveredByStore reverts to the exhaustive blocked scan.
-type scorGrid struct {
-	cell     float64
-	origin   []float64
-	cells    map[uint64][]int
-	coords   []int64
-	synced   int
-	disabled bool
-}
-
-// hashCells folds the int64 cell coordinates in coords into an FNV-1a hash.
-func hashCells(coords []int64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range coords {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// cellCoords writes p's cell coordinates into g.coords, reporting false if
-// any quotient is NaN or too large to convert safely.
-func (g *scorGrid) cellCoords(p geom.Point) bool {
-	for d, o := range g.origin {
-		quot := math.Floor((p[d] - o) / g.cell)
-		if !(quot >= -scorCellQuotLimit && quot <= scorCellQuotLimit) {
-			return false
-		}
-		g.coords[d] = int64(quot)
-	}
-	return true
-}
-
-// sync indexes the scor entries added since the last call.
-func (g *scorGrid) sync(st *geom.Store, scor []int, eps float64) {
-	if g.cells == nil {
-		g.cell = 2 * eps
-		g.origin = append(g.origin[:0], st.Point(scor[0])...)
-		g.cells = make(map[uint64][]int)
-		g.coords = make([]int64, st.Dim())
-	}
-	for _, s := range scor[g.synced:] {
-		if !g.cellCoords(st.Point(s)) {
-			g.disabled = true
-			break
-		}
-		h := hashCells(g.coords)
-		g.cells[h] = append(g.cells[h], s)
-	}
-	g.synced = len(scor)
-}
-
-// coveredByStore reports whether object q lies within eps2 of any id in
-// scor. The grid narrows the scan to the 3^d cells around q — a complete
-// candidate superset of the possible coverers (see scorGrid) — and the
-// batched kernel delivers the verdicts, querying with q's row against each
-// s-row (flipping the historical kernel(row_s, row_q) operand order is
-// immaterial: squared distances are bitwise symmetric for every non-NaN
-// operand pair and a NaN distance fails the ≤ eps2 test under either
-// order). The selected Scor set is therefore identical to the historical
-// one-pair-at-a-time forward scan. Out-of-range coordinates drop to
-// coveredByScan, the exhaustive blocked variant.
-func coveredByStore(st *geom.Store, g *scorGrid, scor []int, q int, eps, eps2 float64, bs *batchScratch) bool {
-	if len(scor) == 0 {
-		return false
-	}
-	g.sync(st, scor, eps)
-	qp := st.Point(q)
-	if g.disabled || !g.cellCoords(qp) {
-		return coveredByScan(st, scor, qp, eps2, bs)
-	}
-	cand := bs.ids[:0]
-	coords := g.coords
-	switch len(coords) {
-	case 2:
-		c0, c1 := coords[0], coords[1]
-		for d0 := c0 - 1; d0 <= c0+1; d0++ {
-			for d1 := c1 - 1; d1 <= c1+1; d1++ {
-				coords[0], coords[1] = d0, d1
-				cand = append(cand, g.cells[hashCells(coords)]...)
-			}
-		}
-		coords[0], coords[1] = c0, c1
-	default:
-		cand = g.gatherNeighbors(0, cand)
-	}
-	bs.ids = cand[:0]
-	if len(cand) == 0 {
-		return false
-	}
-	if cap(bs.dist) < len(cand) {
-		bs.dist = make([]float64, len(cand)+coverBlock)
-	}
-	for _, d2 := range st.DistanceSqBatch(qp, cand, bs.dist[:len(cand)]) {
-		if d2 <= eps2 {
-			return true
-		}
-	}
-	return false
-}
-
-// gatherNeighbors appends the ids of every cell within one step of
-// g.coords[axis:] along the remaining axes (recursing one axis at a time;
-// g.coords is restored before returning).
-func (g *scorGrid) gatherNeighbors(axis int, cand []int) []int {
-	if axis == len(g.coords) {
-		return append(cand, g.cells[hashCells(g.coords)]...)
-	}
-	c := g.coords[axis]
-	for d := c - 1; d <= c+1; d++ {
-		g.coords[axis] = d
-		cand = g.gatherNeighbors(axis+1, cand)
-	}
-	g.coords[axis] = c
-	return cand
-}
-
-// coveredByScan is the exhaustive coverage fallback: blocks run through the
-// batched store kernel newest-first (the most recently selected specific
-// core is the likeliest coverer) with an early exit between blocks. The
-// verdict is an OR over independent threshold tests, so scan order cannot
-// change it.
-func coveredByScan(st *geom.Store, scor []int, qp geom.Point, eps2 float64, bs *batchScratch) bool {
-	if cap(bs.dist) < coverBlock {
-		bs.dist = make([]float64, coverBlock)
-	}
-	for end := len(scor); end > 0; end -= coverBlock {
-		base := end - coverBlock
-		if base < 0 {
-			base = 0
-		}
-		d := st.DistanceSqBatch(qp, scor[base:end], bs.dist[:end-base])
-		for _, d2 := range d {
-			if d2 <= eps2 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // maxCoreNeighborSq folds the maximum squared kernel distance from s to its
@@ -383,7 +219,7 @@ func maxCoreNeighborSq(st *geom.Store, core []bool, buf []int, s int, bs *batchS
 	var maxSq float64
 	if len(ids) > 0 {
 		if cap(bs.dist) < len(ids) {
-			bs.dist = make([]float64, len(ids)+coverBlock)
+			bs.dist = make([]float64, 2*len(ids))
 		}
 		d := st.DistanceSqBatch(st.Point(s), ids, bs.dist[:len(ids)])
 		for _, d2 := range d {
@@ -396,43 +232,14 @@ func maxCoreNeighborSq(st *geom.Store, core []bool, buf []int, s int, bs *batchS
 	return maxSq
 }
 
-// maybeAddSpecificCore applies the greedy Definition 6 selection: a freshly
-// identified core point joins Scor of its cluster unless it already lies in
-// the Eps-neighborhood of a previously selected specific core point. Every
-// core point is either selected or covered at the moment it is processed, so
-// condition 3 of Definition 6 (complete coverage of Cor) holds by
-// construction.
-func (r *Result) maybeAddSpecificCore(idx index.Index, metric geom.Metric, st *geom.Store, id cluster.ID, q int, bs *batchScratch) {
-	if !coveredBySpecificCore(idx, metric, st, bs, id, r.Scor[id], q, r.Params.Eps) {
-		r.Scor[id] = append(r.Scor[id], q)
-	}
-}
-
-// coveredBySpecificCore reports whether object q lies within eps of any id in
-// scor, the specific cores selected so far for cluster id: through the
-// batched store kernels by id in squared space when the index is
-// store-backed (see coveredByStore), through the metric otherwise.
-func coveredBySpecificCore(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch, id cluster.ID, scor []int, q int, eps float64) bool {
-	if st != nil {
-		return coveredByStore(st, bs.grid(id), scor, q, eps, eps*eps, bs)
-	}
-	qp := idx.Point(q)
-	for _, s := range scor {
-		if metric.Distance(idx.Point(s), qp) <= eps {
-			return true
-		}
-	}
-	return false
-}
-
 // specificEps evaluates Definition 7 for the specific core point s:
 // ε_s = Eps + max{dist(s, s_i) | s_i ∈ Cor ∧ s_i ∈ N_Eps(s)}. When no other
 // core point lies in the neighborhood the maximum is empty and ε_s = Eps.
-// The query goes through index.RangeIntoID into the reused *buf. On a
-// store-backed index the maximum is taken in squared space by one batched
-// fold — row s against all core neighbor rows, a single sqrt per specific
-// core point instead of one per neighbor; exact, since the correctly rounded
-// sqrt is monotone and commutes with max.
+// The query goes through index.RangeIntoID into the reused *buf, which holds
+// N_Eps(s) on return. On a store-backed index the maximum is taken in
+// squared space by one batched fold — row s against all core neighbor rows,
+// a single sqrt per specific core point instead of one per neighbor; exact,
+// since the correctly rounded sqrt is monotone and commutes with max.
 func (r *Result) specificEps(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch, buf *[]int, s int) float64 {
 	*buf = index.RangeIntoID(idx, s, r.Params.Eps, *buf)
 	if st != nil {
@@ -452,13 +259,17 @@ func (r *Result) specificEps(idx index.Index, metric geom.Metric, st *geom.Store
 }
 
 // computeSpecificEps evaluates Definition 7 for every selected specific core
-// point, one range query each.
-func (r *Result) computeSpecificEps(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch) {
+// point, one range query each: the sequential expansion selects a specific
+// core before the core flags of its neighbors are all known, so ε_s has to
+// wait for the end of the run.
+func (r *Result) computeSpecificEps(idx index.Index) {
+	metric, st := idx.Metric(), index.StoreOf(idx)
+	var bs batchScratch
 	var buf []int
 	for _, scor := range r.Scor {
 		for _, s := range scor {
 			r.RangeQueries++
-			r.SpecificEps[s] = r.specificEps(idx, metric, st, bs, &buf, s)
+			r.SpecificEps[s] = r.specificEps(idx, metric, st, &bs, &buf, s)
 		}
 	}
 }

@@ -120,6 +120,13 @@ func (s *Store) DistanceSqInterval(q Point, lo int, out []float64) []float64 {
 // ≤ eps2 one id at a time: the fused body computes the same IEEE operation
 // chain (identical bits for all non-NaN operands), and a NaN distance fails
 // the test in every kernel body.
+//
+// The three Verify* entry points may use out[len(out):len(out)+len(cand)]
+// as scratch (the default build stores every candidate there before it knows
+// the verdict), growing out first when it is shorter: a caller must not keep
+// live data in the spare capacity of the slice it hands in. Elements below
+// len(out) are never touched, nothing at or beyond len(out)+len(cand) is
+// written, and cand may be filtered in place (out = cand[:0]).
 func (s *Store) VerifyRangeSq(q Point, cand []int, eps2 float64, out []int) []int {
 	if len(cand) == 0 {
 		return out

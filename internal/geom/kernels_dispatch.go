@@ -2,6 +2,8 @@
 
 package geom
 
+import "slices"
+
 // Default-build kernel dispatch: strides 2, 3, 4 and 8 (the common point
 // dimensionalities — every paper dataset is 2-d; 3/4/8 cover the synthetic
 // high-dimensional sweeps) run fully unrolled loop bodies with the query
@@ -157,6 +159,17 @@ func batchKernel(buf []float64, stride int, q []float64, ids []int, out []float6
 	}
 }
 
+// leq is a <= b as 0 or 1 (NaN on either side: 0). It inlines, and the
+// compiler turns the branch into a flag-to-register move (SETAE on amd64),
+// which is what lets the verifiers below advance their write cursor without
+// a jump that depends on the data.
+func leq(a, b float64) int {
+	if a <= b {
+		return 1
+	}
+	return 0
+}
+
 // verifyKernel is the fused threshold form of batchKernel: it appends to out
 // each id whose squared distance to q is at most eps2, preserving ids order,
 // without materialising the distances (no scratch write + re-read per row).
@@ -164,7 +177,17 @@ func batchKernel(buf []float64, stride int, q []float64, ids []int, out []float6
 // batchKernel's exactly — for non-NaN operands the computed sums are
 // bit-identical (same IEEE operation chain, no reassociation), and a NaN sum
 // fails the test under every body.
+//
+// The compaction has no data-dependent branch: roughly every second leaf
+// candidate of an ε-query passes, which no predictor learns, so out is given
+// room for len(ids) more entries once per call, every id is stored at the
+// write cursor and the cursor advances by the comparison result (a SETAE and
+// an ADDQ on amd64). Only out[len(out):len(out)+len(ids)] is written, and
+// the cursor never passes the read position, so filtering in place
+// (out = ids[:0]) is safe.
 func verifyKernel(buf []float64, stride int, q []float64, ids []int, eps2 float64, out []int) []int {
+	k := len(out)
+	out = slices.Grow(out, len(ids))[:k+len(ids)]
 	switch len(q) {
 	case 2:
 		q0, q1 := q[0], q[1]
@@ -176,9 +199,8 @@ func verifyKernel(buf []float64, stride int, q []float64, ids []int, eps2 float6
 			sum += d0 * d0
 			d1 := q1 - b[1]
 			sum += d1 * d1
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 		}
 	case 3:
 		q0, q1, q2 := q[0], q[1], q[2]
@@ -192,9 +214,8 @@ func verifyKernel(buf []float64, stride int, q []float64, ids []int, eps2 float6
 			sum += d1 * d1
 			d2 := q2 - b[2]
 			sum += d2 * d2
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 		}
 	case 4:
 		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
@@ -210,9 +231,8 @@ func verifyKernel(buf []float64, stride int, q []float64, ids []int, eps2 float6
 			sum += d2 * d2
 			d3 := q3 - b[3]
 			sum += d3 * d3
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 		}
 	default:
 		for _, id := range ids {
@@ -234,18 +254,19 @@ func verifyKernel(buf []float64, stride int, q []float64, ids []int, eps2 float6
 				d := q[i] - b[i]
 				sum += d * d
 			}
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 		}
 	}
-	return out
+	return out[:k]
 }
 
 // verifyIntervalKernel is verifyKernel over the consecutive rows [lo, hi):
 // passing row ids are appended in ascending order, the base offset streams
 // by the stride instead of gathering by id.
 func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, eps2 float64, out []int) []int {
+	k := len(out)
+	out = slices.Grow(out, hi-lo)[:k+hi-lo]
 	base := lo * stride
 	switch len(q) {
 	case 2:
@@ -257,9 +278,8 @@ func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, ep
 			sum += d0 * d0
 			d1 := q1 - b[1]
 			sum += d1 * d1
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 			base += stride
 		}
 	case 3:
@@ -273,9 +293,8 @@ func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, ep
 			sum += d1 * d1
 			d2 := q2 - b[2]
 			sum += d2 * d2
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 			base += stride
 		}
 	case 4:
@@ -291,9 +310,8 @@ func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, ep
 			sum += d2 * d2
 			d3 := q3 - b[3]
 			sum += d3 * d3
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 			base += stride
 		}
 	default:
@@ -315,13 +333,12 @@ func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, ep
 				d := q[i] - b[i]
 				sum += d * d
 			}
-			if sum <= eps2 {
-				out = append(out, id)
-			}
+			out[k] = id
+			k += leq(sum, eps2)
 			base += stride
 		}
 	}
-	return out
+	return out[:k]
 }
 
 // intervalKernel is batchKernel over the consecutive rows [lo, lo+len(out)):

@@ -305,3 +305,153 @@ func FuzzDistanceSqBatch(f *testing.F) {
 		}
 	})
 }
+
+// checkVerifyContract holds the three fused verifiers to their contract on
+// one (store, query, candidates, threshold) instance: the result is exactly
+// the ids whose DistanceSqBatch value is ≤ eps2, in candidate order — with a
+// nil out, with spare capacity, behind a prefix that must survive (with and
+// without room for the candidates), and filtering the candidate slice in
+// place — and nothing at or beyond len(out)+len(cand) is ever written.
+// VerifyRangeSq2 is held to the same rule on 2-d stores, VerifyIntervalSq on
+// the row interval [lo, hi).
+func checkVerifyContract(t *testing.T, st *Store, q Point, cand []int, eps2 float64, lo, hi int) {
+	t.Helper()
+	const sentinel = -12345
+	prefix := []int{-7, -8, -9}
+	reference := func(ids []int) []int {
+		var want []int
+		for k, d2 := range st.DistanceSqBatch(q, ids, make([]float64, len(ids))) {
+			if d2 <= eps2 {
+				want = append(want, ids[k])
+			}
+		}
+		return want
+	}
+	same := func(name string, got, want []int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: dim %d eps2 %v: got %v, want %v", name, st.Dim(), eps2, got, want)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%s: dim %d eps2 %v: got %v, want %v", name, st.Dim(), eps2, got, want)
+			}
+		}
+	}
+	// shapes runs one verifier (n candidates per call) through every out
+	// shape; inPlace is nil for the interval form, which has no candidate
+	// slice to filter.
+	shapes := func(name string, n int, want []int, verify func(out []int) []int, inPlace func() []int) {
+		t.Helper()
+		same(name+"/nil", verify(nil), want)
+		for _, spare := range []int{0, n, n + 4} {
+			backing := make([]int, len(prefix)+spare)
+			copy(backing, prefix)
+			for i := len(prefix); i < len(backing); i++ {
+				backing[i] = sentinel
+			}
+			got := verify(backing[:len(prefix):len(backing)])
+			same(name+"/prefix", got[:len(prefix)], prefix)
+			same(name+"/prefix", got[len(prefix):], want)
+			same(name+"/prefix-in-caller's-array", backing[:len(prefix)], prefix)
+			if spare >= n {
+				if n > 0 && &got[0] != &backing[0] {
+					t.Fatalf("%s: out had room for %d candidates and was reallocated", name, n)
+				}
+				for i := len(prefix) + n; i < len(backing); i++ {
+					if backing[i] != sentinel {
+						t.Fatalf("%s: wrote backing[%d], at or beyond len(out)+len(cand) = %d", name, i, len(prefix)+n)
+					}
+				}
+			}
+		}
+		if inPlace != nil {
+			same(name+"/in-place", inPlace(), want)
+		}
+	}
+
+	want := reference(cand)
+	shapes("VerifyRangeSq", len(cand), want,
+		func(out []int) []int { return st.VerifyRangeSq(q, cand, eps2, out) },
+		func() []int {
+			c := append([]int(nil), cand...)
+			return st.VerifyRangeSq(q, c, eps2, c[:0])
+		})
+	if st.Dim() == 2 {
+		shapes("VerifyRangeSq2", len(cand), want,
+			func(out []int) []int { return st.VerifyRangeSq2(q[0], q[1], cand, eps2, out) },
+			func() []int {
+				c := append([]int(nil), cand...)
+				return st.VerifyRangeSq2(q[0], q[1], c, eps2, c[:0])
+			})
+	}
+	rows := make([]int, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		rows = append(rows, id)
+	}
+	shapes("VerifyIntervalSq", len(rows), reference(rows),
+		func(out []int) []int { return st.VerifyIntervalSq(q, lo, hi, eps2, out) }, nil)
+}
+
+// TestVerifyContract runs checkVerifyContract over every dispatch branch
+// (dims 1–9: the short strides, the unrolled 2/3/4, the width-4 generic with
+// each tail length) on rows that include ±Inf, NaN and subnormal
+// coordinates, with thresholds that pass none, some and all finite rows, and
+// NaN.
+func TestVerifyContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for dim := 1; dim <= 9; dim++ {
+		pts := make([]Point, 48)
+		for i := range pts {
+			p := make(Point, dim)
+			for d := range p {
+				p[d] = rng.NormFloat64() * 2
+			}
+			pts[i] = p
+		}
+		for i, v := range specialValues {
+			pts[3*i+1][i%dim] = v
+		}
+		st, err := FromPoints(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := make(Point, dim)
+		for d := range q {
+			q[d] = rng.NormFloat64()
+		}
+		cand := append(rng.Perm(len(pts))[:30], 1, 1, 4, 0)
+		for _, eps2 := range []float64{0, 1e-300, 2, float64(dim) * 4, math.MaxFloat64, math.Inf(1), math.NaN(), -1} {
+			checkVerifyContract(t, st, q, cand, eps2, 5, 41)
+			checkVerifyContract(t, st, pts[4], cand[:1], eps2, 7, 8)
+			checkVerifyContract(t, st, q, nil, eps2, 9, 9)
+		}
+	}
+}
+
+// FuzzVerifyRangeSq fuzzes checkVerifyContract over raw coordinate bits,
+// dims 1–9 and an arbitrary threshold: six rows and a query are cut from the
+// fuzzed values, the candidate list repeats and reorders them.
+func FuzzVerifyRangeSq(f *testing.F) {
+	f.Add(uint8(1), 4.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+	f.Add(uint8(2), math.Inf(1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Copysign(0, -1), 1e308, -1e-308, 0.5)
+	f.Add(uint8(4), 1e-320, 1e-320, -1e-320, 4.9e-324, 0.0, 1e-162, -1e-162, 1.5e-162, 2.5, 3.5)
+	f.Add(uint8(8), math.NaN(), 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 0.25, 3.0, 4.0)
+	f.Fuzz(func(t *testing.T, dimRaw uint8, eps2, v0, v1, v2, v3, v4, v5, v6, v7, v8 float64) {
+		dim := 1 + int(dimRaw)%9
+		vals := []float64{v0, v1, v2, v3, v4, v5, v6, v7, v8}
+		row := func(start int) Point {
+			p := make(Point, dim)
+			for d := range p {
+				p[d] = vals[(start+d)%len(vals)]
+			}
+			return p
+		}
+		st, err := FromPoints([]Point{row(0), row(2), row(3), row(6), row(7), row(8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkVerifyContract(t, st, row(5), []int{0, 1, 2, 3, 4, 5, 5, 0, 3}, eps2, 1, 5)
+	})
+}

@@ -31,7 +31,10 @@ type Index interface {
 // avoid one allocation per query.
 type RangeAppender interface {
 	// RangeAppend behaves like Range but appends into buf after truncating
-	// it to zero length.
+	// it to zero length. The whole capacity of buf is the index's to
+	// scribble on (the store verifiers write candidates past the result
+	// before they know the verdict), so hand in a buffer, not a window of
+	// a slice whose tail is still in use.
 	RangeAppend(q geom.Point, eps float64, buf []int) []int
 }
 
