@@ -6,11 +6,12 @@
 //
 //	dbdc-site -addr server:7070 -id site-1 -input local.csv -eps 1.2 -minpts 4 [-workers 4]
 //
-// -workers > 1 runs the local DBSCAN with that many intra-site goroutines
-// (dbscan.RunParallel), each issuing the range queries of a contiguous
-// share of the objects against the site's one index; the per-phase costs are printed after the round
-// and attached to the upload so the server's round report can show the
-// paper's max(local)+global decomposition.
+// -workers > 1 runs the local DBSCAN with that many intra-site goroutines,
+// each issuing the range queries of a contiguous share of the objects
+// against the site's one index; the uploaded model is the same at every
+// count. The per-phase costs are printed after the round and attached to the
+// upload so the server's round report can show the paper's
+// max(local)+global decomposition.
 //
 // -rep-budget caps the representatives shipped per local cluster (the
 // SDBDC bandwidth budget, docs/budgets.md): the site greedily keeps the

@@ -72,20 +72,19 @@ type Config struct {
 	// REP_kMeans the budget bounds the seed set, so k = min(RepBudget,
 	// |Scor_C|) centroids are shipped per cluster.
 	RepBudget int
-	// SiteWorkers is the per-site worker budget for the local DBSCAN runs:
-	// values above 1 select dbscan.RunParallel with that many goroutines
-	// per site, so one large site no longer bottlenecks a round on a single
-	// core. Each worker owns a contiguous range of the site's objects and
-	// issues their ε-range queries against the site's one index: the index
-	// kind (Config.Index) is the caller's choice and is honoured at every
-	// worker count. The same budget drives the server-side merge clustering
-	// of GlobalStep (and with it the aggtree interior nodes). The
+	// SiteWorkers is the per-site worker budget for the local DBSCAN runs
+	// (dbscan.Options.Workers): values above 1 run a site's DBSCAN on that
+	// many goroutines, so one large site no longer bottlenecks a round on a
+	// single core. Each worker owns a contiguous range of the site's objects
+	// and issues their ε-range queries against the site's one index: the
+	// index kind (Config.Index) is the caller's choice and is honoured at
+	// every worker count. The same budget drives the server-side merge
+	// clustering of GlobalStep (and with it the aggtree interior nodes). The
 	// orchestrator divides the process-wide parallelism budget (GOMAXPROCS)
 	// by SiteWorkers to size its bounded site pool, keeping total goroutine
-	// fan-out roughly constant. 0 or 1 keeps the sequential per-site DBSCAN
-	// (the paper-faithful default). Note the border-point tie rule of
-	// dbscan.RunParallel: local models may select a different (equally
-	// valid) specific core set than a sequential run.
+	// fan-out roughly constant. 0 or 1 runs each site's DBSCAN on one
+	// goroutine (the paper-faithful default). The value changes how long a
+	// site takes, never the local model it uploads.
 	SiteWorkers int
 }
 

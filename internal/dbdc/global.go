@@ -52,10 +52,9 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 	if err != nil {
 		return nil, err
 	}
-	// SiteWorkers applies to the server's merge clustering too: with more
-	// than one worker the run takes dbscan.RunParallel over idx (the
-	// aggtree interior nodes run this step per region, so the parallelism
-	// matters at scale).
+	// SiteWorkers applies to the server's merge clustering too (the aggtree
+	// interior nodes run this step per region, so the parallelism matters
+	// at scale).
 	res, err := dbscan.Run(idx, dbscan.Params{Eps: epsGlobal, MinPts: cfg.MinPtsGlobal}, dbscan.Options{Workers: cfg.SiteWorkers})
 	if err != nil {
 		return nil, err

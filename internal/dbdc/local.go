@@ -26,7 +26,7 @@ type LocalTimings struct {
 	// extraction or the k-means refinement of REP_kMeans).
 	Condense time.Duration
 	// Workers is the resolved intra-site worker count the clustering ran
-	// with (1 = the sequential kernel).
+	// with.
 	Workers int
 }
 
@@ -77,8 +77,8 @@ type LocalOutcome struct {
 
 // LocalStep performs steps 1 and 2 of DBDC on one site: cluster the local
 // objects with DBSCAN and condense every cluster into representatives
-// according to cfg.Model. Config.SiteWorkers > 1 selects the intra-site
-// parallel DBSCAN kernel; the phase costs land in the outcome's Timings.
+// according to cfg.Model. Config.SiteWorkers is the DBSCAN run's worker
+// count; the phase costs land in the outcome's Timings.
 func LocalStep(siteID string, pts []geom.Point, cfg Config) (*LocalOutcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

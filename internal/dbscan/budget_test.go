@@ -44,7 +44,7 @@ func budgetRun(t *testing.T, kind index.Kind, pts []geom.Point, workers int) *Re
 }
 
 // TestBudgetScorProperties pins the selector's contract for every index
-// kind and both execution modes (sequential and parallel kernel):
+// kind, at one worker and at four:
 //
 //  1. per-cluster selection size ≤ B,
 //  2. coverage monotonically non-decreasing in B,
@@ -52,7 +52,7 @@ func budgetRun(t *testing.T, kind index.Kind, pts []geom.Point, workers int) *Re
 //  4. B ≥ |Scor_C| returns the unbudgeted candidate slices unchanged
 //     (same objects, same order — the wire-identity precondition).
 //
-// Runs under -race in CI (the parallel kernel rows).
+// Runs under -race in CI (the four-worker rows).
 func TestBudgetScorProperties(t *testing.T) {
 	pts := budgetDataset(42, 120)
 	metric := geom.Euclidean{}

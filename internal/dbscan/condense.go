@@ -8,7 +8,7 @@ import (
 	"github.com/dbdc-go/dbdc/internal/index"
 )
 
-// condenseSpecificCores runs the condensation phase of RunParallel —
+// condenseSpecificCores runs the condensation phase of Run —
 // specific core selection (Definition 6) and the specific ε-ranges
 // (Definition 7) in one pass — with per-cluster parallelism. With every core
 // flag known, a core point no selected specific core covers is selected,

@@ -34,15 +34,15 @@ func TestCondenseParallelDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", ds.name, kind, err)
 			}
-			// workers=1 inside RunParallel takes the sequential condensation
-			// path — the reference the parallel fold must reproduce exactly.
-			ref, err := RunParallel(idx, ds.params, Options{CollectSpecificCores: true, Workers: 1})
+			// workers=1 takes the sequential condensation path — the
+			// reference the parallel fold must reproduce exactly.
+			ref, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%s: reference: %v", ds.name, kind, err)
 			}
 			for _, workers := range []int{2, 3, 8} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", ds.name, kind, workers), func(t *testing.T) {
-					par, err := RunParallel(idx, ds.params, Options{CollectSpecificCores: true, Workers: workers})
+					par, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -66,8 +66,8 @@ func TestCondenseParallelDifferential(t *testing.T) {
 						t.Fatalf("range-query accounting %d != reference %d", par.RangeQueries, ref.RangeQueries)
 					}
 					// And the phase input itself was identical (labels/cores
-					// are phase 1–3 outputs, guarded elsewhere, but a diverged
-					// input would make the comparison above meaningless).
+					// are guarded elsewhere, but a diverged input would make
+					// the comparison above meaningless).
 					if !reflect.DeepEqual(par.Labels, ref.Labels) {
 						t.Fatal("labelings diverge between runs")
 					}
@@ -77,13 +77,9 @@ func TestCondenseParallelDifferential(t *testing.T) {
 	}
 }
 
-// TestCondenseSequentialUnchanged guards the refactor seam: the sequential
-// phase-4 path (workers=1) must still agree with the classic Run, whose
-// expansion-order greedy produces an equally valid — and for Run's
-// processing order, identical — specific core selection only when the
-// processing orders coincide; here we assert the weaker, stable contract
-// that every cluster has at least one specific core and every specific ε
-// is ≥ Eps (Definition 7 lower bound).
+// TestCondenseSequentialUnchanged asserts the stable contract of the
+// sequential condensation path (workers=1): every cluster has at least one
+// specific core and every specific ε is ≥ Eps (Definition 7 lower bound).
 func TestCondenseSequentialUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := uniformPoints(rng, 400, 10)
@@ -92,7 +88,7 @@ func TestCondenseSequentialUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunParallel(idx, params, Options{CollectSpecificCores: true, Workers: 1})
+	res, err := Run(idx, params, Options{CollectSpecificCores: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

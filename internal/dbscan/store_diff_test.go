@@ -46,13 +46,10 @@ func clonePoints(pts []geom.Point) []geom.Point {
 }
 
 // TestStorePipelineDifferential pins the one-hot-path invariant end to end:
-// for every index kind and for both the sequential and the parallel kernel,
-// an index built from a point slice clusters exactly like one built over the
-// equivalent store — identical labels, region-query count, specific cores
-// and specific ε. Across kinds, everything order-free must agree with the
-// linear scan over the store: core flags and cluster count always, and under
-// the parallel kernel (whose labeling is a pure function of the input) the
-// whole result.
+// for every index kind, at one worker and at four, an index built from a
+// point slice clusters exactly like one built over the equivalent store —
+// identical labels, region-query count, specific cores and specific ε — and
+// every kind's whole result equals the linear scan's over the store.
 func TestStorePipelineDifferential(t *testing.T) {
 	pts := diffPoints(t)
 	params := dbscan.Params{Eps: 1.1, MinPts: 5}
@@ -90,14 +87,8 @@ func TestStorePipelineDifferential(t *testing.T) {
 				linear = got
 				continue
 			}
-			if !reflect.DeepEqual(got.Core, linear.Core) {
-				t.Errorf("%s/workers=%d: core flags differ from the linear scan", kind, workers)
-			}
-			if got.NumClusters() != linear.NumClusters() {
-				t.Errorf("%s/workers=%d: %d clusters vs linear's %d", kind, workers, got.NumClusters(), linear.NumClusters())
-			}
-			if workers > 1 && !reflect.DeepEqual(got, linear) {
-				t.Errorf("%s/workers=%d: parallel result differs from the linear scan's", kind, workers)
+			if !reflect.DeepEqual(got, linear) {
+				t.Errorf("%s/workers=%d: result differs from the linear scan's", kind, workers)
 			}
 		}
 	}
@@ -143,18 +134,12 @@ func resultHash(res *dbscan.Result) string {
 // TestClusteringIdentity holds every kind × worker count to the digests
 // recorded at commit e942b15 — the last one that still carried a
 // slice-Euclidean path, where slice- and store-built indexes produced these
-// same digests — over data sets A, B and C (seed 1). The parallel kernel's
-// result is independent of the index kind, so it has one digest per data
-// set.
+// same digests — over data sets A, B and C (seed 1). A result is a pure
+// function of the input, so there is one digest per data set. (Up to PR 22
+// these three were the "parallel" entries next to one digest per kind for a
+// sequential expansion that no longer exists.)
 func TestClusteringIdentity(t *testing.T) {
-	want := map[string]map[index.Kind]string{
-		"A": {index.KindLinear: "eb62bf84199a9827", index.KindGrid: "73527ef694cce151", index.KindKDTree: "24a752bd37f1ca0b",
-			index.KindRStar: "2da6737d61067599", index.KindMTree: "132100a82950ee76", "parallel": "a5d1643bf8ff9b40"},
-		"B": {index.KindLinear: "ec78182d5c0312bc", index.KindGrid: "0c4fdfb64763f307", index.KindKDTree: "f74f09ef97f89848",
-			index.KindRStar: "d02a3c1644d6082c", index.KindMTree: "26df38bd25373ddb", "parallel": "777d7330c148dee1"},
-		"C": {index.KindLinear: "2ba12bbf3762ff10", index.KindGrid: "21630e88d6b606e0", index.KindKDTree: "4b727c4383c392f5",
-			index.KindRStar: "45cd15e40da5b409", index.KindMTree: "aa1716e8687fd8df", "parallel": "41d570200e77ab72"},
-	}
+	want := map[string]string{"A": "a5d1643bf8ff9b40", "B": "777d7330c148dee1", "C": "41d570200e77ab72"}
 	for _, ds := range data.ABC(1) {
 		for _, kind := range index.Kinds() {
 			idx, err := index.Build(kind, ds.Points, geom.Euclidean{}, ds.Params.Eps)
@@ -166,12 +151,8 @@ func TestClusteringIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/workers=%d: %v", ds.Name, kind, workers, err)
 				}
-				key := kind
-				if workers > 1 {
-					key = "parallel"
-				}
-				if got := resultHash(res); got != want[ds.Name][key] {
-					t.Errorf("%s/%s/workers=%d: digest %s, want %s", ds.Name, kind, workers, got, want[ds.Name][key])
+				if got := resultHash(res); got != want[ds.Name] {
+					t.Errorf("%s/%s/workers=%d: digest %s, want %s", ds.Name, kind, workers, got, want[ds.Name])
 				}
 			}
 		}

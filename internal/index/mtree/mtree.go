@@ -32,7 +32,7 @@ type Tree struct {
 	euclid bool
 	// distCalls counts metric evaluations; exposed for ablation benches.
 	// Updated atomically: the tree serves range queries from concurrent
-	// readers (e.g. dbscan.RunParallel workers).
+	// readers (e.g. the workers of dbscan.Run).
 	distCalls int64
 	// store is the flat backing store of a statically built Euclidean tree,
 	// nil under any other metric. Every pivot is then a zero-copy view into

@@ -54,7 +54,7 @@ const (
 // broadcast costs to the round report.
 type SitePhases struct {
 	// Workers is the intra-site DBSCAN worker count the site ran with
-	// (Config.SiteWorkers resolved; 1 = sequential kernel).
+	// (Config.SiteWorkers resolved).
 	Workers int
 	// Cluster is the cost of the site's local DBSCAN run.
 	Cluster time.Duration

@@ -404,7 +404,7 @@ func TestDifferentialSiteWorkers(t *testing.T) {
 					}
 				}
 			}
-			// Every site ran the parallel kernel and said so on the wire.
+			// Every site ran four workers and said so on the wire.
 			for _, outcome := range r.report.Sites {
 				if outcome.Phases == nil || outcome.Phases.Workers != 4 {
 					t.Fatalf("site %s phases = %+v, want workers=4", outcome.SiteID, outcome.Phases)

@@ -60,11 +60,14 @@ func (c *tappedConn) Read(p []byte) (int, error) {
 }
 
 // TestWireIdentity pins the bytes current-version peers exchange, in both
-// directions, for every upload path the transport has. The digests were
-// recorded at commit bf9a449, before the downgrade ladders and the legacy
-// frame were deleted: whatever is simplified behind these entry points, a
-// current-version site and server must keep putting exactly these bytes on
-// the wire.
+// directions, for every upload path the transport has: whatever is
+// simplified behind these entry points, a current-version site and server
+// must keep putting exactly these bytes on the wire. The frame layout is the
+// one recorded at commit bf9a449, before the downgrade ladders and the
+// legacy frame were deleted; the digests were re-pinned once, when the
+// sequential DBSCAN expansion was deleted, to the bytes a site then put on
+// the wire at SiteWorkers 2 — the model every site now uploads, whatever its
+// worker count (last sub-test).
 func TestWireIdentity(t *testing.T) {
 	a := data.DatasetA(2000, 1)
 	b := data.DatasetB(2)
@@ -120,8 +123,8 @@ func TestWireIdentity(t *testing.T) {
 					return err
 				})
 			},
-			up:   "abd9ee881e5d11d3b84d00d108f1968c2bc226f8d27b28968b908dbd141cab40",
-			down: "7b116dbfe666190f0a105ae5c1d634f6abb6d982ed65a564992e0b9d0e956b76",
+			up:   "473dd787f2f59f06d344920044befdc7e4e358ece319a17d17cde496943a539c",
+			down: "b7ea38d7fb810684290e2a71b1bed084f3a749844b23cc2030e3d71093ffcf9a",
 		},
 		{
 			name: "negotiated budgeted upload, no cap",
@@ -135,8 +138,8 @@ func TestWireIdentity(t *testing.T) {
 					return err
 				})
 			},
-			up:   "34f57f53efea8b24edeef0b4a2f59bf6d44e78f0e78f0385ec118cb737040d85",
-			down: "12cbc40b7fb69c71a6dbd75b9c62283c05a765674cbf5e37bb94799b15ef2471",
+			up:   "0283450c05fc6bc8b7c9728aa477ac3391abcd031a3546b4427e35c7bbae9866",
+			down: "8883e405d3707dfc5603237e3baed13e022d0e8b35482efa0e1811ae58b90074",
 		},
 		{
 			name: "negotiated budgeted upload, cap-driven shrink",
@@ -151,8 +154,8 @@ func TestWireIdentity(t *testing.T) {
 					return err
 				})
 			},
-			up:   "4df7a160218af618b19efd4000a6b15ae3874789fe761aa56348e68fe71438a9",
-			down: "802ffda15d6780dfbbe20463a741fff7ca65590c29d6a5811f91175f4d93b909",
+			up:   "6d9143d9e41b259d90d9814cb32c345818d568d32dcef8d7bbb545cbf86fbfc1",
+			down: "7045e1305ab83dcd04855b6b7b29f3484aea17ac4647b63a98f4e94538a09c75",
 		},
 		{
 			// What internal/aggtree's forward puts on the wire: a condensed
@@ -193,8 +196,8 @@ func TestWireIdentity(t *testing.T) {
 					return err
 				})
 			},
-			up:   "18d077be9b7a8cbe4cbbeca098e90767450becd7b813435daa982905f2426da1",
-			down: "affca25f19c2c3c629a7cba07ca2c47ddc40c795192d83befa037d0548a3915a",
+			up:   "b7d2d6389f9d9ecb43056811a0d91ebda71f739733cd2c3ef27e5be783f86565",
+			down: "ef2b5277440f994c19799a8e967dcce8bf437db798ac47c0bedd4fec96ef358a",
 		},
 		{
 			name: "snapshot delta, then incremental delta with stream stats",
@@ -230,7 +233,7 @@ func TestWireIdentity(t *testing.T) {
 				}
 				return tap.sums()
 			},
-			up:   "cb9b0b76e571e33473ca6157f787e4ea2cc7f69ae9289867cea476d2e99ff111",
+			up:   "ae132f902e6962448221a9ee7dcc9bdefca67181a7e861f5ab7cedc00fd67095",
 			down: "b43e953e3d7ec18483e4e555660f4bb4d9eb1439a5e2aa88e599094c9c3dd68a",
 		},
 	}
@@ -245,4 +248,23 @@ func TestWireIdentity(t *testing.T) {
 			}
 		})
 	}
+	// The first case again at 1, 2 and 4 intra-site workers (the phases
+	// section is the fixed one above, so only the model could differ).
+	t.Run("upload independent of SiteWorkers", func(t *testing.T) {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := cfgA
+			cfg.SiteWorkers = workers
+			outcome, err := dbdc.LocalStep("site-a", a.Points, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			up, down := round(t, cfg, 0, func(c *Client) error {
+				_, _, err := c.SendModelTimed(outcome.Model, phases)
+				return err
+			})
+			if up != cases[0].up || down != cases[0].down {
+				t.Errorf("SiteWorkers %d: bytes differ from the one-worker site's\n up %s\ndown %s", workers, up, down)
+			}
+		}
+	})
 }
