@@ -23,22 +23,26 @@ test-race:
 
 # The differential twin of the default kernel build: every stride runs the
 # plain scalar loop (internal/geom/kernels_scalar.go). The packages listed are
-# the ones whose output depends on a distance kernel; the four identity
-# digests (clustering, local-model frame, wire, bulk layout) must come out the
-# same under both builds. CI runs this on every push.
+# the ones whose output depends on a distance kernel — the incremental
+# clusterer and the streaming site among them, since the dynamic R*-tree
+# verifies its leaves on the store kernels; the five identity digests
+# (clustering, local-model frame, wire, bulk layout, dynamic layout) must come
+# out the same under both builds. CI runs this on every push.
 test-scalar:
-	$(GO) test -tags dbdc_scalar_kernels ./internal/geom/ ./internal/index/... ./internal/dbscan/ ./internal/dbdc/ ./internal/transport/
+	$(GO) test -tags dbdc_scalar_kernels ./internal/geom/ ./internal/index/... ./internal/dbscan/ ./internal/dbdc/ ./internal/transport/ ./internal/incdbscan/ ./internal/stream/
 
 # The CI gate: static checks, build, race-enabled tests.
 check: vet build test-race
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
 # panic on arbitrary bytes; kernels, the fused verifiers and the packed
-# R*-tree query must match their references; incremental DBSCAN must match
-# batch DBSCAN after every operation). CI runs this on push; use a larger FUZZTIME locally before
-# touching the wire formats or internal/incdbscan. FuzzIncOps caps
-# minimisation: shrinking a coverage-only find replays whole op sequences
-# and would otherwise eat the budget.
+# R*-tree query must match their references; the dynamic R*-tree must keep its
+# invariants, answer like a linear scan and choose subtrees like the all-pairs
+# rule after every operation; incremental DBSCAN must match batch DBSCAN after
+# every operation). CI runs this on push; use a larger FUZZTIME locally before
+# touching the wire formats, internal/index/rstar or internal/incdbscan.
+# FuzzTreeOps and FuzzIncOps cap minimisation: shrinking a coverage-only find
+# replays whole op sequences and would otherwise eat the budget.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME)
@@ -51,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzVerifyRangeSq -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
@@ -76,13 +81,14 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchmem $(BENCHFLAGS) . \
 		| $(GO) run ./cmd/benchjson -rev $$(git rev-parse --short HEAD)
 
-# One-iteration smoke over the hot-path suite and the incremental layer's
+# One-iteration smoke over the hot-path suite, the incremental layer's
 # window-turn benchmark (ns, allocs and range queries per delete-oldest +
-# insert): catches benchmarks that no longer compile or crash, without
-# paying measurement time. CI runs this.
+# insert) and the dynamic R*-tree's insert benchmark: catches benchmarks that
+# no longer compile or crash, without paying measurement time. CI runs this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowTurn' -benchtime 1x -benchmem ./internal/incdbscan/
+	$(GO) test -run '^$$' -bench 'BenchmarkInsert$$' -benchtime 1x -benchmem ./internal/index/rstar/
 
 # Run the hot-path suite and diff it against the committed baseline artifact
 # with cmd/benchdiff. BASELINE defaults to the newest committed BENCH_*.json;

@@ -146,12 +146,20 @@ func (r Rect) Margin() float64 {
 }
 
 // OverlapArea returns the volume of the intersection of r and s, or 0 when
-// they are disjoint.
+// they are disjoint. Corners must not be NaN (every Rect this package and the
+// indexes build is finite): the bounds are taken with plain compares, where
+// math.Max and math.Min, with their NaN and signed-zero cases, were close to
+// half of this function's time on the R*-tree's insert path.
 func (r Rect) OverlapArea(s Rect) float64 {
 	a := 1.0
-	for i := range r.Min {
-		lo := math.Max(r.Min[i], s.Min[i])
-		hi := math.Min(r.Max[i], s.Max[i])
+	for i, lo := range r.Min {
+		hi := r.Max[i]
+		if s.Min[i] > lo {
+			lo = s.Min[i]
+		}
+		if s.Max[i] < hi {
+			hi = s.Max[i]
+		}
 		if hi <= lo {
 			return 0
 		}

@@ -52,6 +52,8 @@ type Clusterer struct {
 	// single buffer serves every range query whose result is consumed
 	// before the next query.
 	scratch []int
+	// newCores is Insert's seed set, reused likewise.
+	newCores []int
 	// queries counts the range queries issued, for the tests and benchmarks
 	// that bound an update's work by count instead of by time.
 	queries int
@@ -86,7 +88,8 @@ func New(params dbscan.Params) (*Clusterer, error) {
 // Len returns the number of inserted objects.
 func (c *Clusterer) Len() int { return len(c.labels) }
 
-// Point returns the i-th inserted object.
+// Point returns object i as a view of the tree's row: copy it to keep it
+// past the next Insert, which may move the rows or recycle slot i.
 func (c *Clusterer) Point(i int) geom.Point { return c.tree.Point(i) }
 
 // IsCore reports whether object i currently satisfies the core condition.
@@ -154,22 +157,27 @@ func (c *Clusterer) maybeCompact() {
 	if len(c.parent) <= 4*len(c.labels)+parentSlack {
 		return
 	}
-	remap := make(map[cluster.ID]cluster.ID)
+	// Ids are dense below len(parent), so the renumbering is a slice: a root's
+	// new id, or Noise while it has none.
+	remap := make([]cluster.ID, len(c.parent))
+	for i := range remap {
+		remap[i] = cluster.Noise
+	}
+	roots := 0
 	for i, id := range c.labels {
 		if id < 0 {
 			continue
 		}
 		root := c.find(id)
-		nid, ok := remap[root]
-		if !ok {
-			nid = cluster.ID(len(remap))
-			remap[root] = nid
+		if remap[root] < 0 {
+			remap[root] = cluster.ID(roots)
+			roots++
 		}
-		c.labels[i] = nid
+		c.labels[i] = remap[root]
 	}
-	c.parent = c.parent[:0]
-	for i := range len(remap) {
-		c.parent = append(c.parent, cluster.ID(i))
+	c.parent = c.parent[:roots]
+	for i := range c.parent {
+		c.parent[i] = cluster.ID(i)
 	}
 }
 
@@ -212,7 +220,7 @@ func (c *Clusterer) Insert(p geom.Point) (int, error) {
 	c.count[idx] = len(neighbors)
 	// Update cached neighborhood cardinalities and detect objects whose
 	// core property flips — the seed set of the update.
-	var newCores []int
+	newCores := c.newCores[:0]
 	for _, q := range neighbors {
 		if q == idx {
 			continue
@@ -227,6 +235,7 @@ func (c *Clusterer) Insert(p geom.Point) (int, error) {
 		c.core[idx] = true
 		newCores = append(newCores, idx)
 	}
+	c.newCores = newCores
 	if len(newCores) == 0 {
 		// Nothing became core: p is a border object of any neighboring
 		// core's cluster, or noise.

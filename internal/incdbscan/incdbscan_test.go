@@ -82,6 +82,18 @@ func TestInsertValidation(t *testing.T) {
 	if _, err := c.Insert(geom.Point{0, 0, 0}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
+	// An emptied clusterer keeps its dimensionality, on the slot-recycling
+	// path too; the tree's error comes through unchanged.
+	if err := c.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	const want = "rstar: point dimensionality 3, tree has 2"
+	if _, err := c.Insert(geom.Point{0, 0, 0}); err == nil || err.Error() != want {
+		t.Fatalf("3-d insert into an emptied 2-d clusterer: %v, want %q", err, want)
+	}
+	if idx, err := c.Insert(geom.Point{1, 1}); err != nil || idx != 0 {
+		t.Fatalf("2-d insert after the rejected one: slot %d, %v", idx, err)
+	}
 }
 
 func TestCreationCase(t *testing.T) {

@@ -23,24 +23,15 @@ import (
 // pointer nodes, which the first call that needs them materialises from the
 // packed levels, once, node for node the tree STR describes. Further Inserts
 // (and ReplaceAt, Delete) into a bulk-loaded tree are therefore valid: they
-// materialise, then drop the packed form and the store and carry on as on a
-// tree grown by insertion.
+// materialise, drop the packed form, copy the store — which stays the
+// caller's, unwritten — and carry on as on a tree grown by insertion.
 //
 // Point(i) serves zero-copy views into the store; the build copies no
 // coordinates, only the routing-level bounds are new floats.
 func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
-	if maxEntries < 4 {
-		return nil, fmt.Errorf("rstar: max entries %d < 4", maxEntries)
-	}
-	t := &Tree{
-		maxEntries: maxEntries,
-		minEntries: maxEntries * 2 / 5,
-	}
-	if t.minEntries < 2 {
-		t.minEntries = 2
-	}
-	if st.Len() == 0 {
-		return t, nil
+	t, err := newTree(maxEntries)
+	if err != nil || st.Len() == 0 {
+		return t, err
 	}
 	if !st.IsFinite() {
 		for i, n := 0, st.Len(); i < n; i++ {
@@ -50,9 +41,8 @@ func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 		}
 	}
 	t.dim = st.Dim()
-	t.pts = st.Views()
 	t.size = st.Len()
-	t.store = st
+	t.rows = st
 	t.packed = packSTR(st, maxEntries)
 	return t, nil
 }
@@ -275,21 +265,23 @@ func (p *packed) rangeN(st *geom.Store, level int, first, count int32, q geom.Po
 }
 
 // pointerNodes builds the pointer form of the packed tree and returns its
-// root. Leaf rectangles alias the point views and routing rectangles alias
-// the packed bounds (rectangles are only ever read or replaced, never
-// written in place); every node's entry slice is capped at its own length,
-// so a later append moves it instead of overwriting its neighbour.
-func (p *packed) pointerNodes(pts []geom.Point) *node {
-	entries := make([]entry, len(p.perm))
-	for i, id := range p.perm {
-		entries[i] = entry{rect: geom.Rect{Min: pts[id], Max: pts[id]}, idx: int32(id)}
-	}
+// root. Leaves alias perm and routing rectangles alias the packed bounds —
+// both are written in place only once the packed form is gone — and every
+// node's slice is capped at its own length, so a later append moves it
+// instead of overwriting its neighbour.
+func (p *packed) pointerNodes() *node {
+	var entries []entry
 	for l, lv := range p.levels {
 		nodes := make([]node, len(lv.spans))
 		parents := make([]entry, len(lv.spans))
 		for i, s := range lv.spans {
 			end := s.first + s.count
-			nodes[i] = node{level: l, entries: entries[s.first:end:end]}
+			nodes[i].level = l
+			if l == 0 {
+				nodes[i].ids = p.perm[s.first:end:end]
+			} else {
+				nodes[i].entries = entries[s.first:end:end]
+			}
 			b := lv.bounds[2*p.dim*i : 2*p.dim*(i+1)]
 			parents[i] = entry{
 				rect:  geom.Rect{Min: b[:p.dim:p.dim], Max: b[p.dim : 2*p.dim : 2*p.dim]},
@@ -297,6 +289,9 @@ func (p *packed) pointerNodes(pts []geom.Point) *node {
 			}
 		}
 		entries = parents
+	}
+	if len(p.levels) == 0 {
+		return &node{ids: slices.Clip(p.perm)}
 	}
 	return &node{level: len(p.levels), entries: entries}
 }

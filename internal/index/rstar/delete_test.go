@@ -128,7 +128,7 @@ func TestDeleteInsertInterleaved(t *testing.T) {
 			if err := tr.Insert(p); err != nil {
 				t.Fatal(err)
 			}
-			alive[len(tr.pts)-1] = true
+			alive[tr.rows.Len()-1] = true
 		}
 		if step%500 == 499 {
 			checkInvariants(t, tr)
@@ -209,8 +209,8 @@ func TestReplaceAtChurn(t *testing.T) {
 			t.Fatalf("step %d replace %d: %v", step, i, err)
 		}
 		cur[i] = p
-		if len(tr.pts) != n {
-			t.Fatalf("step %d: point table grew to %d slots", step, len(tr.pts))
+		if tr.rows.Len() != n {
+			t.Fatalf("step %d: point table grew to %d slots", step, tr.rows.Len())
 		}
 		if step%400 == 399 {
 			checkInvariants(t, tr)
@@ -249,5 +249,33 @@ func TestReplaceAtFromEmpty(t *testing.T) {
 	}
 	if got := tr.Range(geom.Point{3, 3}, 0.1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Range after restart = %v", got)
+	}
+}
+
+// One dimensionality per tree: the first point fixes the stride of the rows,
+// and emptying the tree does not release it. The per-point table this tree
+// once kept let an emptied tree restart with the next point's dimensionality
+// and left mixed-dimension points behind Point(i).
+func TestEmptiedTreeKeepsDimensionality(t *testing.T) {
+	fresh, _ := New(nil)
+	if err := fresh.Insert(geom.Point{}); err == nil {
+		t.Error("zero-dimensional point accepted")
+	}
+	tr, _ := New([]geom.Point{{0, 0}})
+	if err := tr.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	const want = "rstar: point dimensionality 3, tree has 2"
+	if err := tr.Insert(geom.Point{1, 2, 3}); err == nil || err.Error() != want {
+		t.Errorf("Insert into the emptied tree: %v, want %q", err, want)
+	}
+	if err := tr.ReplaceAt(0, geom.Point{1, 2, 3}); err == nil || err.Error() != want {
+		t.Errorf("ReplaceAt on the emptied tree: %v, want %q", err, want)
+	}
+	if err := tr.ReplaceAt(0, geom.Point{4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Range(geom.Point{4, 5}, 0); len(got) != 1 || got[0] != 0 || !tr.Point(0).Equal(geom.Point{4, 5}) {
+		t.Fatalf("slot 0 after the rejected points: Range %v, Point %v", got, tr.Point(0))
 	}
 }

@@ -16,23 +16,18 @@ func LayoutDigest(t *Tree) (digest string, perLevel []int) {
 	if t.Height() == 0 {
 		return hex.EncodeToString(sha256.New().Sum(nil)), nil
 	}
-	h := sha256.New()
-	var word [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(word[:], v)
-		h.Write(word[:])
-	}
+	var walked []byte
+	put := func(v uint64) { walked = binary.LittleEndian.AppendUint64(walked, v) }
 	perLevel = make([]int, t.root.level+1)
 	var walk func(n *node)
 	walk = func(n *node) {
 		perLevel[t.root.level-n.level]++
 		put(uint64(n.level))
-		put(uint64(len(n.entries)))
+		put(uint64(n.count()))
+		for _, id := range n.ids {
+			put(uint64(id))
+		}
 		for _, e := range n.entries {
-			if n.leaf() {
-				put(uint64(e.idx))
-				continue
-			}
 			for d := 0; d < t.dim; d++ {
 				put(math.Float64bits(e.rect.Min[d]))
 				put(math.Float64bits(e.rect.Max[d]))
@@ -41,5 +36,6 @@ func LayoutDigest(t *Tree) (digest string, perLevel []int) {
 		}
 	}
 	walk(t.root)
-	return hex.EncodeToString(h.Sum(nil)), perLevel
+	sum := sha256.Sum256(walked)
+	return hex.EncodeToString(sum[:]), perLevel
 }

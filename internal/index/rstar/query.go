@@ -22,11 +22,14 @@ func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]
 	switch p := t.packed; {
 	case p != nil && t.dim == 2:
-		out = p.range2(t.store, len(p.levels), 0, p.rootCount, q[0], q[1], eps*eps, out)
+		out = p.range2(t.rows, len(p.levels), 0, p.rootCount, q[0], q[1], eps*eps, out)
 	case p != nil:
-		out = p.rangeN(t.store, len(p.levels), 0, p.rootCount, q, eps*eps, out)
+		out = p.rangeN(t.rows, len(p.levels), 0, p.rootCount, q, eps*eps, out)
 	case t.root != nil:
-		t.rangeSearch(t.root, q, eps*eps, &out)
+		out = t.rangeSearch(t.root, q, eps*eps, out)
+	}
+	if len(out) == 0 {
+		return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
 	}
 	return out
 }
@@ -35,21 +38,21 @@ func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 // addressed by object id, sparing the caller an interface Point round-trip
 // per query.
 func (t *Tree) RangeAppendID(i int, eps float64, buf []int) []int {
-	return t.RangeAppend(t.pts[i], eps, buf)
+	return t.RangeAppend(t.rows.Point(i), eps, buf)
 }
 
-func (t *Tree) rangeSearch(n *node, q geom.Point, eps2 float64, out *[]int) {
-	for _, e := range n.entries {
-		if n.leaf() {
-			if geom.SquaredEuclidean(q, t.pts[e.idx]) <= eps2 {
-				*out = append(*out, int(e.idx))
-			}
-			continue
-		}
-		if e.rect.MinDistSq(q) <= eps2 {
-			t.rangeSearch(e.child, q, eps2, out)
+// rangeSearch is the descent of the pointer form; a leaf goes to the fused
+// verify kernel as a leaf of the packed form does.
+func (t *Tree) rangeSearch(n *node, q geom.Point, eps2 float64, out []int) []int {
+	if n.leaf() {
+		return t.rows.VerifyRangeSq(q, n.ids, eps2, out)
+	}
+	for i := range n.entries {
+		if e := &n.entries[i]; e.rect.MinDistSq(q) <= eps2 {
+			out = t.rangeSearch(e.child, q, eps2, out)
 		}
 	}
+	return out
 }
 
 // RangeCount returns |N_eps(q)| without materialising the result slice.
@@ -64,13 +67,12 @@ func (t *Tree) RangeCount(q geom.Point, eps float64) int {
 
 func (t *Tree) rangeCount(n *node, q geom.Point, eps2 float64) int {
 	count := 0
-	for _, e := range n.entries {
-		if n.leaf() {
-			if geom.SquaredEuclidean(q, t.pts[e.idx]) <= eps2 {
-				count++
-			}
-			continue
+	for _, id := range n.ids {
+		if t.rows.DistanceSqTo(id, q) <= eps2 {
+			count++
 		}
+	}
+	for _, e := range n.entries {
 		if e.rect.MinDistSq(q) <= eps2 {
 			count += t.rangeCount(e.child, q, eps2)
 		}
@@ -83,7 +85,7 @@ func (t *Tree) rangeCount(n *node, q geom.Point, eps2 float64) int {
 type pqItem struct {
 	dist  float64
 	child *node
-	idx   int32
+	idx   int
 }
 
 type pq []pqItem
@@ -113,19 +115,14 @@ func (t *Tree) KNN(q geom.Point, k int) []int {
 	for frontier.Len() > 0 && len(out) < k {
 		item := heap.Pop(&frontier).(pqItem)
 		if item.child == nil {
-			out = append(out, int(item.idx))
+			out = append(out, item.idx)
 			continue
 		}
-		n := item.child
-		for _, e := range n.entries {
-			if n.leaf() {
-				heap.Push(&frontier, pqItem{
-					dist: t.metric.Distance(q, t.pts[e.idx]),
-					idx:  e.idx,
-				})
-			} else {
-				heap.Push(&frontier, pqItem{dist: e.rect.MinDist(q), child: e.child})
-			}
+		for _, id := range item.child.ids {
+			heap.Push(&frontier, pqItem{dist: t.metric.Distance(q, t.rows.Point(id)), idx: id})
+		}
+		for _, e := range item.child.entries {
+			heap.Push(&frontier, pqItem{dist: e.rect.MinDist(q), child: e.child})
 		}
 	}
 	return out
@@ -144,14 +141,14 @@ func (t *Tree) RangeRect(q geom.Rect) []int {
 }
 
 func (t *Tree) windowSearch(n *node, q geom.Rect, out *[]int) {
+	for _, id := range n.ids {
+		if q.Contains(t.rows.Point(id)) {
+			*out = append(*out, id)
+		}
+	}
 	for _, e := range n.entries {
-		if !q.Intersects(e.rect) {
-			continue
+		if q.Intersects(e.rect) {
+			t.windowSearch(e.child, q, out)
 		}
-		if n.leaf() {
-			*out = append(*out, int(e.idx))
-			continue
-		}
-		t.windowSearch(e.child, q, out)
 	}
 }

@@ -7,9 +7,11 @@
 package rstar
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -36,57 +38,107 @@ type Tree struct {
 	// root is the pointer form every operation but the ε-range query of a
 	// bulk-loaded tree runs on. It is nil while a bulk-loaded tree has only
 	// its packed form; reach it through nodes.
-	root   *node
-	pts    []geom.Point
+	root *node
+	// rows holds the points, slot i in row i; a leaf is a slice of slot ids,
+	// verified on the strided Store kernels in both forms. It is nil until the
+	// first point fixes the stride, for the tree's lifetime. A bulk-loaded
+	// tree reads the caller's store and never writes to it: the first Insert,
+	// ReplaceAt or Delete copies it.
+	rows   *geom.Store
 	size   int
 	metric geom.Euclidean
-	// store and packed are set by NewBulkStore and dropped together by the
-	// first Insert, ReplaceAt or Delete: from then on ids and store rows no
-	// longer correspond. While set, range queries descend the packed levels
-	// and verify leaves on the strided Store kernels by point id.
-	store  *geom.Store
+	// packed is set by NewBulkStore and dropped by the first mutation. While
+	// set, range queries descend the packed levels.
 	packed *packed
 	// unpack guards the one materialisation of root from packed, so readers
 	// that need pointer nodes may race each other and the packed queries.
 	unpack sync.Once
-	// ext is chooseSubtree's scratch: each candidate child's rectangle
-	// extended by the one being inserted, without a clone per child.
-	ext geom.Rect
+
+	// The write path's scratch, reused from call to call: path is the descent
+	// of the current insertEntry or Delete, root first; ext is chooseLeaf's
+	// candidate extended by the rectangle being placed, g1 and g2 are the two
+	// groups of a split distribution, mid the two centres forcedReinsert
+	// measures between; work is a leaf's ids as entries; evicted is a stack,
+	// because forcedReinsert re-enters itself a level up.
+	path             []step
+	ext, g1, g2, mid geom.Rect
+	work, evicted    []entry
+	far              []distEntry
+	orphans          []orphanEntry
+	// leafChoice, when set, sees every leaf-level ChooseSubtree decision; the
+	// tests hold it to the all-pairs rule.
+	leafChoice func(es []entry, r geom.Rect, got int)
 }
 
+// entry is a routing entry: a child and the box that bounds it, whose
+// corners the entry owns and the insert path extends in place. A point on
+// its way into or out of a leaf travels as an entry too: idx under a
+// degenerate box that aliases its row.
 type entry struct {
 	rect  geom.Rect
-	child *node // nil for leaf entries
-	idx   int32 // point index, valid for leaf entries
+	child *node
+	idx   int
 }
 
 type node struct {
-	level   int // 0 = leaf
-	entries []entry
+	level   int     // 0 = leaf
+	entries []entry // of a routing node
+	ids     []int   // of a leaf
 }
 
 func (n *node) leaf() bool { return n.level == 0 }
 
-// mbr recomputes the minimum bounding rectangle of all entries.
-func (n *node) mbr() geom.Rect { return boundOf(n.entries) }
+func (n *node) count() int { return len(n.entries) + len(n.ids) }
 
-// extendInto writes the smallest rectangle enclosing a and b into dst, whose
-// corners must already have their dimensionality; dst may be a. The
-// comparisons are geom.Rect.Extend's, so the result is too.
-func extendInto(dst *geom.Rect, a, b geom.Rect) {
-	for i := range a.Min {
-		dst.Min[i], dst.Max[i] = a.Min[i], a.Max[i]
-		if b.Min[i] < dst.Min[i] {
-			dst.Min[i] = b.Min[i]
+// step is one node of a descent and the position the descent continues
+// through: an entry of a routing node, an id of the leaf Delete found.
+type step struct {
+	n    *node
+	slot int
+}
+
+// extend grows dst in place to enclose b; the comparisons are
+// geom.Rect.Extend's. Minimum and maximum are exact, so extending a bounding
+// box by a new member is folding the members again.
+func extend(dst, b geom.Rect) {
+	for i, v := range b.Min {
+		if v < dst.Min[i] {
+			dst.Min[i] = v
 		}
-		if b.Max[i] > dst.Max[i] {
-			dst.Max[i] = b.Max[i]
+		if w := b.Max[i]; w > dst.Max[i] {
+			dst.Max[i] = w
 		}
 	}
 }
 
-// New builds an R*-tree over pts with the default fan-out. The point slice
-// is retained; callers must not mutate it afterwards.
+// boundOf writes the bounding box of es into dst, folding in order.
+func boundOf(es []entry, dst geom.Rect) {
+	copy(dst.Min, es[0].rect.Min)
+	copy(dst.Max, es[0].rect.Max)
+	for _, e := range es[1:] {
+		extend(dst, e.rect)
+	}
+}
+
+// areas returns the area of rect and of rect extended to enclose r.
+func areas(rect, r geom.Rect) (area, grown float64) {
+	area, grown = 1, 1
+	for d, lo := range rect.Min {
+		hi := rect.Max[d]
+		area *= hi - lo
+		if r.Min[d] < lo {
+			lo = r.Min[d]
+		}
+		if r.Max[d] > hi {
+			hi = r.Max[d]
+		}
+		grown *= hi - lo
+	}
+	return area, grown
+}
+
+// New builds an R*-tree over pts with the default fan-out. The points are
+// copied into the tree's own rows.
 func New(pts []geom.Point) (*Tree, error) {
 	return NewWithFanout(pts, DefaultMaxEntries)
 }
@@ -94,15 +146,9 @@ func New(pts []geom.Point) (*Tree, error) {
 // NewWithFanout builds an R*-tree with maximum node fan-out maxEntries
 // (minimum 4). Exposed so benchmarks can ablate the fan-out choice.
 func NewWithFanout(pts []geom.Point, maxEntries int) (*Tree, error) {
-	if maxEntries < 4 {
-		return nil, fmt.Errorf("rstar: max entries %d < 4", maxEntries)
-	}
-	t := &Tree{
-		maxEntries: maxEntries,
-		minEntries: maxEntries * 2 / 5, // 40% of M
-	}
-	if t.minEntries < 2 {
-		t.minEntries = 2
+	t, err := newTree(maxEntries)
+	if err != nil {
+		return nil, err
 	}
 	for _, p := range pts {
 		if err := t.Insert(p); err != nil {
@@ -112,11 +158,19 @@ func NewWithFanout(pts []geom.Point, maxEntries int) (*Tree, error) {
 	return t, nil
 }
 
+func newTree(maxEntries int) (*Tree, error) {
+	if maxEntries < 4 {
+		return nil, fmt.Errorf("rstar: max entries %d < 4", maxEntries)
+	}
+	return &Tree{maxEntries: maxEntries, minEntries: max(2, maxEntries*2/5)}, nil // m = 40% of M
+}
+
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.size }
 
-// Point returns the i-th indexed point.
-func (t *Tree) Point(i int) geom.Point { return t.pts[i] }
+// Point returns the point in slot i as a view of the tree's row: current
+// until the next Insert, overwritten when ReplaceAt recycles the slot.
+func (t *Tree) Point(i int) geom.Point { return t.rows.Point(i) }
 
 // Metric returns the Euclidean metric; the R*-tree prunes with Euclidean
 // bounding-box bounds only.
@@ -135,105 +189,190 @@ func (t *Tree) Height() int {
 // Store returns the flat backing store of a bulk-store-loaded tree, or nil.
 // It is nil after any Insert, ReplaceAt or Delete: the indexed ids are then
 // no longer exactly the store's rows.
-func (t *Tree) Store() *geom.Store { return t.store }
+func (t *Tree) Store() *geom.Store {
+	if t.packed == nil {
+		return nil
+	}
+	return t.rows
+}
 
 // nodes returns the root of the pointer form, materialising it on first use
 // from the packed levels of a bulk-loaded tree.
 func (t *Tree) nodes() *node {
 	t.unpack.Do(func() {
 		if t.packed != nil {
-			t.root = t.packed.pointerNodes(t.pts)
+			t.root = t.packed.pointerNodes()
 		}
 	})
 	return t.root
 }
 
-// demote turns a bulk-loaded tree into a plain dynamic one ahead of a
-// mutation: pointer nodes in place, the packed form and the store — which
-// the mutation is about to outdate — gone. A tree without a packed form has
-// no store either and is left alone.
-func (t *Tree) demote() {
-	if t.packed == nil {
-		return
+// mutable readies the tree for a mutation. A bulk-loaded tree turns into a
+// plain dynamic one: pointer nodes in place, rows of its own, the packed form
+// — which the mutation is about to outdate — gone. The scratch corners are
+// cut once the stride is known.
+func (t *Tree) mutable() {
+	if t.packed != nil {
+		t.nodes()
+		t.rows, t.packed = t.rows.Clone(), nil
 	}
-	t.nodes()
-	t.packed, t.store = nil, nil
+	if t.ext.Min == nil && t.dim > 0 {
+		t.ext, t.g1, t.g2, t.mid = newRect(t.dim), newRect(t.dim), newRect(t.dim), newRect(t.dim)
+	}
 }
 
-// Insert adds a point to the tree and returns an error on dimensionality
-// mismatch or non-finite coordinates.
-func (t *Tree) Insert(p geom.Point) error {
-	if !p.IsFinite() {
+func newRect(dim int) geom.Rect {
+	c := make([]float64, 2*dim)
+	return geom.Rect{Min: c[:dim:dim], Max: c[dim:]}
+}
+
+// admit checks that p can join the tree — the first point ever admitted
+// fixes the dimensionality — and readies the tree for it.
+func (t *Tree) admit(p geom.Point) error {
+	switch {
+	case !p.IsFinite():
 		return fmt.Errorf("rstar: non-finite point %v", p)
-	}
-	t.demote()
-	if t.root == nil {
-		t.dim = p.Dim()
-		t.root = &node{level: 0}
-	} else if p.Dim() != t.dim {
+	case t.rows == nil && p.Dim() == 0:
+		return errors.New("rstar: zero-dimensional point")
+	case t.rows == nil:
+		t.dim, t.rows = p.Dim(), geom.NewStore(p.Dim(), 0)
+	case p.Dim() != t.dim:
 		return fmt.Errorf("rstar: point dimensionality %d, tree has %d", p.Dim(), t.dim)
 	}
-	idx := int32(len(t.pts))
-	t.pts = append(t.pts, p)
-	t.size++
-	var reinserted uint64
-	t.insertEntry(entry{rect: geom.RectFromPoint(p), idx: idx}, 0, &reinserted)
+	t.mutable()
+	return nil
+}
+
+// Insert adds a point to the tree, in a new slot, and returns an error on
+// dimensionality mismatch or non-finite coordinates.
+func (t *Tree) Insert(p geom.Point) error {
+	if err := t.admit(p); err != nil {
+		return err
+	}
+	t.rows.Append(p)
+	t.place(t.rows.Len() - 1)
 	return nil
 }
 
 // ReplaceAt re-occupies slot idx — which the caller must previously have
 // removed with Delete — with a new point. The slot keeps its index, so
 // callers that address objects by tree index (e.g. a sliding-window
-// incremental clusterer) can recycle slots instead of growing pts forever.
-// Replacing a slot that is still present would corrupt the tree with a
-// duplicate entry; the tree cannot detect this cheaply, so the contract is
-// the caller's to uphold.
+// incremental clusterer) can recycle slots instead of growing the rows
+// forever. Replacing a slot that is still present would corrupt the tree
+// with a duplicate entry; the tree cannot detect this cheaply, so the
+// contract is the caller's to uphold.
 func (t *Tree) ReplaceAt(idx int, p geom.Point) error {
-	if idx < 0 || idx >= len(t.pts) {
+	if idx < 0 || t.rows == nil || idx >= t.rows.Len() {
 		return fmt.Errorf("rstar: replace of unknown slot %d", idx)
 	}
-	if !p.IsFinite() {
-		return fmt.Errorf("rstar: non-finite point %v", p)
+	if err := t.admit(p); err != nil {
+		return err
 	}
-	t.demote()
-	if t.root == nil {
-		// Every point was deleted; the tree restarts from this one and may
-		// change dimensionality like a fresh Insert would.
-		t.dim = p.Dim()
-		t.root = &node{level: 0}
-	} else if p.Dim() != t.dim {
-		return fmt.Errorf("rstar: point dimensionality %d, tree has %d", p.Dim(), t.dim)
-	}
-	t.pts[idx] = p
-	t.size++
-	var reinserted uint64
-	t.insertEntry(entry{rect: geom.RectFromPoint(p), idx: int32(idx)}, 0, &reinserted)
+	copy(t.rows.Point(idx), p)
+	t.place(idx)
 	return nil
 }
 
-// insertEntry places e into a node at the given level and resolves overflows
-// with forced reinsertion (once per level per logical insertion: reinserted
-// has one bit per level, and a tree of fan-out ≥ 2 never grows 64 of them)
-// or splits.
+// place indexes the row of slot idx.
+func (t *Tree) place(idx int) {
+	if t.root == nil {
+		t.root = t.newNode(0)
+	}
+	t.size++
+	row := t.rows.Point(idx)
+	var reinserted uint64
+	t.insertEntry(entry{rect: geom.Rect{Min: row, Max: row}, idx: idx}, 0, &reinserted)
+}
+
+// newNode returns an empty node with room for its one overflow, so that it
+// never grows.
+func (t *Tree) newNode(level int) *node {
+	if level == 0 {
+		return &node{ids: make([]int, 0, t.maxEntries+1)}
+	}
+	return &node{level: level, entries: make([]entry, 0, t.maxEntries+1)}
+}
+
+// entryFor returns a routing entry for n under corners of its own.
+func (t *Tree) entryFor(n *node) entry {
+	e := entry{rect: newRect(t.dim), child: n}
+	t.bound(n, e.rect)
+	return e
+}
+
+// bound writes the bounding box of n's entries — of a leaf's rows — into
+// dst, folding in order.
+func (t *Tree) bound(n *node, dst geom.Rect) {
+	if !n.leaf() {
+		boundOf(n.entries, dst)
+		return
+	}
+	for k, id := range n.ids {
+		if row := t.rows.Point(id); k == 0 {
+			copy(dst.Min, row)
+			copy(dst.Max, row)
+		} else {
+			extend(dst, geom.Rect{Min: row, Max: row})
+		}
+	}
+}
+
+// entriesOf returns what n holds in the one shape the split and the
+// reinsertion sort and fold: a routing node's entries themselves, a leaf's
+// ids as entries in t.work.
+func (t *Tree) entriesOf(n *node) []entry {
+	if !n.leaf() {
+		return n.entries
+	}
+	t.work = t.work[:0]
+	for _, id := range n.ids {
+		row := t.rows.Point(id)
+		t.work = append(t.work, entry{rect: geom.Rect{Min: row, Max: row}, idx: id})
+	}
+	return t.work
+}
+
+// fill makes es — possibly a stretch of entriesOf(n) — the content of n.
+func (t *Tree) fill(n *node, es []entry) {
+	if !n.leaf() {
+		n.entries = append(n.entries[:0], es...)
+		return
+	}
+	n.ids = n.ids[:0]
+	for _, e := range es {
+		n.ids = append(n.ids, e.idx)
+	}
+}
+
+// insertEntry places e into a node at the given level, extends the boxes on
+// the way there and resolves overflows with forced reinsertion (once per
+// level per logical insertion: reinserted has one bit per level, and a tree
+// of fan-out ≥ 2 never grows 64 of them) or splits.
 func (t *Tree) insertEntry(e entry, level int, reinserted *uint64) {
-	path := t.choosePath(e.rect, level)
-	n := path[len(path)-1]
-	n.entries = append(n.entries, e)
-	t.refreshPath(path)
-	t.resolveOverflow(path, len(path)-1, reinserted)
+	t.choosePath(e.rect, level)
+	last := len(t.path) - 1
+	for _, s := range t.path[:last] {
+		extend(s.n.entries[s.slot].rect, e.rect)
+	}
+	if n := t.path[last].n; level == 0 {
+		n.ids = append(n.ids, e.idx)
+	} else {
+		n.entries = append(n.entries, e)
+	}
+	t.resolveOverflow(last, reinserted)
 }
 
 // choosePath descends from the root to a node at the target level using the
-// R* ChooseSubtree rule and returns the nodes visited, root first.
-func (t *Tree) choosePath(r geom.Rect, level int) []*node {
-	path := []*node{t.root}
+// R* ChooseSubtree rule and leaves the descent in t.path.
+func (t *Tree) choosePath(r geom.Rect, level int) {
+	t.path = t.path[:0]
 	n := t.root
 	for n.level > level {
-		best := t.chooseSubtree(n, r)
-		n = n.entries[best].child
-		path = append(path, n)
+		slot := t.chooseSubtree(n, r)
+		t.path = append(t.path, step{n, slot})
+		n = n.entries[slot].child
 	}
-	return path
+	t.path = append(t.path, step{n: n})
 }
 
 // chooseSubtree returns the index of the entry of n the rectangle r should
@@ -241,162 +380,205 @@ func (t *Tree) choosePath(r geom.Rect, level int) []*node {
 // enlargement; otherwise it minimises area enlargement (ties broken by
 // smaller area).
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
-	if len(t.ext.Min) != t.dim {
-		t.ext = geom.Rect{Min: make(geom.Point, t.dim), Max: make(geom.Point, t.dim)}
-	}
-	ext := t.ext
 	if n.level == 1 {
-		best, bestOverlap, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1), math.Inf(1)
-		for i, e := range n.entries {
-			extendInto(&ext, e.rect, r)
-			var dOverlap float64
-			for j, other := range n.entries {
-				if j == i {
-					continue
-				}
-				dOverlap += ext.OverlapArea(other.rect) - e.rect.OverlapArea(other.rect)
-			}
-			enl := ext.Area() - e.rect.Area()
-			area := e.rect.Area()
-			if dOverlap < bestOverlap ||
-				(dOverlap == bestOverlap && enl < bestEnl) ||
-				(dOverlap == bestOverlap && enl == bestEnl && area < bestArea) {
-				best, bestOverlap, bestEnl, bestArea = i, dOverlap, enl, area
-			}
+		best := t.chooseLeaf(n.entries, r)
+		if t.leafChoice != nil {
+			t.leafChoice(n.entries, r, best)
 		}
 		return best
 	}
-	best, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1)
-	for i, e := range n.entries {
-		extendInto(&ext, e.rect, r)
-		area := e.rect.Area()
-		enl := ext.Area() - area
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
+	best, _, _ := leastEnlargement(n.entries, r)
+	return best
+}
+
+// leastEnlargement returns the entry whose area grows least when extended to
+// enclose r — the smaller, then the earlier, on ties — with that growth and
+// its area.
+func leastEnlargement(es []entry, r geom.Rect) (best int, bestEnl, bestArea float64) {
+	bestEnl, bestArea = math.Inf(1), math.Inf(1)
+	for i := range es {
+		area, grown := areas(es[i].rect, r)
+		if enl := grown - area; enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best, bestEnl, bestArea
+}
+
+// chooseLeaf is ChooseSubtree among entries whose children are leaves: least
+// overlap growth, then least area growth, then least area, then first. The
+// overlap growth of entry i is the sum over j ≠ i of overlap(i extended to
+// enclose r, j) − overlap(i, j), and Beckmann et al. evaluate it for every
+// i: M² overlaps to place one point. It is not needed for every i. Each term
+// is ≥ 0, in floating point as on paper (the extension encloses i, and
+// rounding is monotone), so a partial sum only grows, and an entry that
+// encloses r already has growth 0. The entry that wins the other two
+// criteria is summed first, in full: at 0 — the common case, r inside some
+// leaf's box — nothing can beat it; otherwise its sum is the bound at which a
+// rival's is abandoned. A sum that runs to its end adds the terms of the
+// all-pairs rule in that rule's order, so the choice is that rule's choice.
+func (t *Tree) chooseLeaf(es []entry, r geom.Rect) int {
+	first, bestEnl, bestArea := leastEnlargement(es, r)
+	best, bestSum := first, t.overlapGrowth(es, first, r, math.Inf(1))
+	if bestSum == 0 {
+		return first
+	}
+	for i := range es {
+		if i == first {
+			continue
+		}
+		sum := t.overlapGrowth(es, i, r, bestSum)
+		if sum > bestSum {
+			continue
+		}
+		area, grown := areas(es[i].rect, r)
+		enl := grown - area
+		if sum < bestSum || (sum == bestSum && (enl < bestEnl || (enl == bestEnl && area < bestArea))) {
+			best, bestSum, bestEnl, bestArea = i, sum, enl, area
 		}
 	}
 	return best
 }
 
-// refreshPath recomputes the parent entry rectangles along the path, bottom
-// up, so every ancestor tightly bounds its subtree.
-func (t *Tree) refreshPath(path []*node) {
-	for i := len(path) - 1; i > 0; i-- {
-		t.refreshChildEntry(path[i-1], path[i])
+// overlapGrowth returns the overlap growth of es[i] for r, or the partial
+// sum that first exceeded bound.
+func (t *Tree) overlapGrowth(es []entry, i int, r geom.Rect, bound float64) float64 {
+	rect := es[i].rect
+	if rect.ContainsRect(r) {
+		return 0
 	}
-}
-
-func (t *Tree) refreshChildEntry(parent, child *node) {
-	for i := range parent.entries {
-		if parent.entries[i].child == child {
-			parent.entries[i].rect = child.mbr()
-			return
+	copy(t.ext.Min, rect.Min)
+	copy(t.ext.Max, rect.Max)
+	extend(t.ext, r)
+	var sum float64
+	for j := range es {
+		if j == i {
+			continue
+		}
+		// A box the extension does not reach, i did not reach either: 0 − 0.
+		if grown := t.ext.OverlapArea(es[j].rect); grown != 0 {
+			if sum += grown - rect.OverlapArea(es[j].rect); sum > bound {
+				break
+			}
 		}
 	}
-	panic("rstar: child not found in parent")
+	return sum
 }
 
-// resolveOverflow walks up from path[i] handling any node that exceeds the
+// resolveOverflow walks up from t.path[i] handling any node that exceeds the
 // fan-out, applying forced reinsertion the first time a level overflows
 // during this insertion and splitting otherwise.
-func (t *Tree) resolveOverflow(path []*node, i int, reinserted *uint64) {
+func (t *Tree) resolveOverflow(i int, reinserted *uint64) {
 	for ; i >= 0; i-- {
-		n := path[i]
-		if len(n.entries) <= t.maxEntries {
-			continue
+		n := t.path[i].n
+		if n.count() <= t.maxEntries {
+			return
 		}
 		if bit := uint64(1) << n.level; i > 0 && *reinserted&bit == 0 {
 			*reinserted |= bit
-			t.forcedReinsert(path, i, reinserted)
+			t.forcedReinsert(i, reinserted)
 			return // forcedReinsert re-enters insertEntry, which resolves further overflows
 		}
 		nn := t.split(n)
 		if i == 0 {
-			old := t.root
-			t.root = &node{
-				level: old.level + 1,
-				entries: []entry{
-					{rect: old.mbr(), child: old},
-					{rect: nn.mbr(), child: nn},
-				},
-			}
+			t.root = t.newNode(n.level + 1)
+			t.root.entries = append(t.root.entries, t.entryFor(n), t.entryFor(nn))
 			return
 		}
-		parent := path[i-1]
-		t.refreshChildEntry(parent, n)
-		parent.entries = append(parent.entries, entry{rect: nn.mbr(), child: nn})
+		up := t.path[i-1]
+		t.bound(n, up.n.entries[up.slot].rect)
+		up.n.entries = append(up.n.entries, t.entryFor(nn))
 	}
 }
 
-// forcedReinsert evicts the p entries of path[i] whose centers lie farthest
-// from the node's MBR center and reinserts them (closest first), shrinking
-// the node's region before a split becomes necessary.
-func (t *Tree) forcedReinsert(path []*node, i int, reinserted *uint64) {
-	n := path[i]
-	center := n.mbr().Center()
-	type distEntry struct {
-		e entry
-		d float64
+type distEntry struct {
+	e entry
+	d float64
+}
+
+// centreOf writes geom.Rect.Center of r into dst.
+func centreOf(dst geom.Point, r geom.Rect) {
+	for i := range dst {
+		dst[i] = r.Min[i]*0.5 + r.Max[i]*0.5
 	}
-	des := make([]distEntry, len(n.entries))
-	for j, e := range n.entries {
-		des[j] = distEntry{e, geom.SquaredEuclidean(e.rect.Center(), center)}
+}
+
+// forcedReinsert evicts the p entries of t.path[i] whose centers lie farthest
+// from the node's MBR center — the MBR is the box its parent holds for it —
+// and reinserts them (closest first), shrinking the node's region before a
+// split becomes necessary.
+func (t *Tree) forcedReinsert(i int, reinserted *uint64) {
+	n, up := t.path[i].n, t.path[i-1]
+	centreOf(t.mid.Min, up.n.entries[up.slot].rect)
+	es := t.entriesOf(n)
+	t.far = t.far[:0]
+	for _, e := range es {
+		centreOf(t.mid.Max, e.rect)
+		t.far = append(t.far, distEntry{e, geom.SquaredEuclidean(t.mid.Max, t.mid.Min)})
 	}
-	sort.Slice(des, func(a, b int) bool { return des[a].d > des[b].d })
-	p := int(reinsertFraction * float64(t.maxEntries))
-	if p < 1 {
-		p = 1
+	// The order among equal distances is this sort's, and part of the tree.
+	slices.SortFunc(t.far, func(a, b distEntry) int {
+		if a.d > b.d {
+			return -1
+		}
+		return 1
+	})
+	for j, f := range t.far {
+		es[j] = f.e
 	}
-	evicted := make([]entry, p)
-	for j := 0; j < p; j++ {
-		evicted[j] = des[j].e
+	p := max(1, int(reinsertFraction*float64(t.maxEntries)))
+	base := len(t.evicted)
+	t.evicted = append(t.evicted, es[:p]...)
+	t.fill(n, es[p:])
+	for k := i; k > 0; k-- { // entries left: the boxes above shrink
+		up := t.path[k-1]
+		t.bound(t.path[k].n, up.n.entries[up.slot].rect)
 	}
-	kept := n.entries[:0]
-	for j := p; j < len(des); j++ {
-		kept = append(kept, des[j].e)
-	}
-	n.entries = kept
-	t.refreshPath(path[:i+1])
 	// Close reinsert: the entry nearest the center goes back first.
-	for j := len(evicted) - 1; j >= 0; j-- {
-		t.insertEntry(evicted[j], n.level, reinserted)
+	for j := base + p - 1; j >= base; j-- {
+		t.insertEntry(t.evicted[j], n.level, reinserted)
 	}
+	t.evicted = t.evicted[:base]
 }
 
 // split performs the R* topological split of an overflowing node, keeps the
 // first group in n and returns a new node holding the second group.
 func (t *Tree) split(n *node) *node {
-	axis := t.chooseSplitAxis(n)
-	k, byUpper := t.chooseSplitIndex(n, axis)
-	sortEntries(n.entries, axis, byUpper)
-	splitAt := t.minEntries + k
-	second := make([]entry, len(n.entries)-splitAt)
-	copy(second, n.entries[splitAt:])
-	n.entries = n.entries[:splitAt]
-	return &node{level: n.level, entries: second}
+	es := t.entriesOf(n)
+	axis := t.chooseSplitAxis(es)
+	at, byUpper := t.chooseSplitIndex(es, axis)
+	sortEntries(es, axis, byUpper)
+	nn := t.newNode(n.level)
+	t.fill(nn, es[at:])
+	t.fill(n, es[:at])
+	return nn
 }
 
 func sortEntries(es []entry, axis int, byUpper bool) {
-	sort.SliceStable(es, func(i, j int) bool {
-		if byUpper {
-			return es[i].rect.Max[axis] < es[j].rect.Max[axis]
+	slices.SortStableFunc(es, func(a, b entry) int {
+		if !byUpper && a.rect.Min[axis] != b.rect.Min[axis] {
+			return cmp.Compare(a.rect.Min[axis], b.rect.Min[axis])
 		}
-		if es[i].rect.Min[axis] != es[j].rect.Min[axis] {
-			return es[i].rect.Min[axis] < es[j].rect.Min[axis]
-		}
-		return es[i].rect.Max[axis] < es[j].rect.Max[axis]
+		return cmp.Compare(a.rect.Max[axis], b.rect.Max[axis])
 	})
 }
 
 // chooseSplitAxis returns the axis with the minimum total margin over all
-// candidate distributions (sorted by lower and by upper rectangle bound).
-func (t *Tree) chooseSplitAxis(n *node) int {
+// candidate distributions of the M+1 entries — every cut that leaves both
+// groups m of them — sorted by lower and by upper rectangle bound.
+func (t *Tree) chooseSplitAxis(es []entry) int {
 	bestAxis, bestMargin := 0, math.Inf(1)
 	for axis := 0; axis < t.dim; axis++ {
 		var margin float64
 		for _, byUpper := range []bool{false, true} {
-			sortEntries(n.entries, axis, byUpper)
-			margin += t.distributionMargin(n.entries)
+			sortEntries(es, axis, byUpper)
+			var total float64
+			for at := t.minEntries; at <= len(es)-t.minEntries; at++ {
+				boundOf(es[:at], t.g1)
+				boundOf(es[at:], t.g2)
+				total += t.g1.Margin() + t.g2.Margin()
+			}
+			margin += total
 		}
 		if margin < bestMargin {
 			bestAxis, bestMargin = axis, margin
@@ -405,45 +587,21 @@ func (t *Tree) chooseSplitAxis(n *node) int {
 	return bestAxis
 }
 
-// distributionMargin sums the margins of both groups over every legal split
-// position of the (pre-sorted) entries.
-func (t *Tree) distributionMargin(es []entry) float64 {
-	var total float64
-	for k := 0; k <= t.maxEntries-2*t.minEntries+1; k++ {
-		splitAt := t.minEntries + k
-		g1 := boundOf(es[:splitAt])
-		g2 := boundOf(es[splitAt:])
-		total += g1.Margin() + g2.Margin()
-	}
-	return total
-}
-
-// chooseSplitIndex returns, for the chosen axis, the distribution (k) and
-// sort direction with the minimum overlap between groups, ties broken by
-// minimum combined area.
-func (t *Tree) chooseSplitIndex(n *node, axis int) (k int, byUpper bool) {
-	bestK, bestUpper := 0, false
+// chooseSplitIndex returns, for the chosen axis, the distribution (the size
+// of its first group) and sort direction with the minimum overlap between
+// groups, ties broken by minimum combined area.
+func (t *Tree) chooseSplitIndex(es []entry, axis int) (bestAt int, bestUpper bool) {
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
 	for _, upper := range []bool{false, true} {
-		sortEntries(n.entries, axis, upper)
-		for kk := 0; kk <= t.maxEntries-2*t.minEntries+1; kk++ {
-			splitAt := t.minEntries + kk
-			g1 := boundOf(n.entries[:splitAt])
-			g2 := boundOf(n.entries[splitAt:])
-			overlap := g1.OverlapArea(g2)
-			area := g1.Area() + g2.Area()
-			if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
-				bestK, bestUpper, bestOverlap, bestArea = kk, upper, overlap, area
+		sortEntries(es, axis, upper)
+		for at := t.minEntries; at <= len(es)-t.minEntries; at++ {
+			boundOf(es[:at], t.g1)
+			boundOf(es[at:], t.g2)
+			shared, area := t.g1.OverlapArea(t.g2), t.g1.Area()+t.g2.Area()
+			if shared < bestOverlap || (shared == bestOverlap && area < bestArea) {
+				bestAt, bestUpper, bestOverlap, bestArea = at, upper, shared, area
 			}
 		}
 	}
-	return bestK, bestUpper
-}
-
-func boundOf(es []entry) geom.Rect {
-	r := es[0].rect.Clone()
-	for _, e := range es[1:] {
-		extendInto(&r, r, e.rect)
-	}
-	return r
+	return bestAt, bestUpper
 }

@@ -36,40 +36,37 @@ func checkInvariants(t *testing.T, tr *Tree) {
 		}
 		return
 	}
-	seen := make(map[int32]bool)
+	seen := make(map[int]bool)
+	bound := geom.Rect{Min: make(geom.Point, tr.dim), Max: make(geom.Point, tr.dim)}
 	var walk func(n *node, level int)
 	walk = func(n *node, level int) {
 		if n.level != level {
 			t.Fatalf("node level %d, want %d", n.level, level)
 		}
+		if (n.leaf() && n.entries != nil) || (!n.leaf() && n.ids != nil) {
+			t.Fatalf("level-%d node with %d entries and %d ids", n.level, len(n.entries), len(n.ids))
+		}
 		if n != tr.root {
-			if len(n.entries) < tr.minEntries || len(n.entries) > tr.maxEntries {
+			if n.count() < tr.minEntries || n.count() > tr.maxEntries {
 				t.Fatalf("node entry count %d outside [%d, %d]",
-					len(n.entries), tr.minEntries, tr.maxEntries)
+					n.count(), tr.minEntries, tr.maxEntries)
 			}
-		} else if len(n.entries) > tr.maxEntries {
-			t.Fatalf("root overflow: %d entries", len(n.entries))
+		} else if n.count() > tr.maxEntries {
+			t.Fatalf("root overflow: %d entries", n.count())
+		}
+		for _, id := range n.ids {
+			if seen[id] {
+				t.Fatalf("point %d indexed twice", id)
+			}
+			seen[id] = true
 		}
 		for _, e := range n.entries {
-			if n.leaf() {
-				if e.child != nil {
-					t.Fatal("leaf entry with child pointer")
-				}
-				if seen[e.idx] {
-					t.Fatalf("point %d indexed twice", e.idx)
-				}
-				seen[e.idx] = true
-				if !e.rect.Min.Equal(tr.pts[e.idx]) || !e.rect.Max.Equal(tr.pts[e.idx]) {
-					t.Fatalf("leaf rect %v does not match point %v", e.rect, tr.pts[e.idx])
-				}
-				continue
-			}
 			if e.child == nil {
 				t.Fatal("internal entry without child")
 			}
-			mbr := e.child.mbr()
-			if !e.rect.Min.Equal(mbr.Min) || !e.rect.Max.Equal(mbr.Max) {
-				t.Fatalf("stale routing rect: have %v, subtree bound %v", e.rect, mbr)
+			tr.bound(e.child, bound)
+			if !e.rect.Min.Equal(bound.Min) || !e.rect.Max.Equal(bound.Max) {
+				t.Fatalf("stale routing rect: have %v, subtree bound %v", e.rect, bound)
 			}
 			walk(e.child, level-1)
 		}
@@ -406,12 +403,25 @@ func latticePoints(rng *rand.Rand, n, dim, side int) []geom.Point {
 }
 
 // pointerWalk answers a range query from the pointer form alone, with
-// per-entry distance tests: the reference the packed descent must match
-// element for element.
+// per-point distance tests: the reference the packed descent and the fused
+// leaf verification must match element for element.
 func pointerWalk(tr *Tree, q geom.Point, eps float64) []int {
 	var out []int
+	var walk func(n *node)
+	walk = func(n *node) {
+		for _, id := range n.ids {
+			if geom.SquaredEuclidean(q, tr.Point(id)) <= eps*eps {
+				out = append(out, id)
+			}
+		}
+		for _, e := range n.entries {
+			if e.rect.MinDistSq(q) <= eps*eps {
+				walk(e.child)
+			}
+		}
+	}
 	if root := tr.nodes(); root != nil {
-		tr.rangeSearch(root, q, eps*eps, &out)
+		walk(root)
 	}
 	return out
 }

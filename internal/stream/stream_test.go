@@ -85,6 +85,25 @@ func TestConfigValidation(t *testing.T) {
 
 // The window is a strict FIFO bound: live points never exceed it, and the
 // turn counter tracks full turnovers.
+// A stream that changes dimensionality is refused with the tree's error, also
+// when the eviction before the insert has just emptied the window.
+func TestIngestDimensionalityChange(t *testing.T) {
+	site, err := NewSite(testCfg(1), &fakeUploader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Ingest(geom.Point{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "rstar: point dimensionality 3, tree has 2"
+	if err := site.Ingest(geom.Point{0, 0, 0}); err == nil || err.Error() != want {
+		t.Fatalf("3-d point on a 2-d stream: %v, want %q", err, want)
+	}
+	if err := site.Ingest(geom.Point{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWindowEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const window = 60
