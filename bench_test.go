@@ -283,7 +283,7 @@ func BenchmarkAblationRStarBuild(b *testing.B) {
 	})
 	b.Run("bulk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rstar.NewBulkStore(ds.Store, rstar.DefaultMaxEntries); err != nil {
+			if _, err := rstar.NewBulkStore(ds.Store, rstar.DefaultMaxEntries, ds.Params.Eps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -587,6 +587,46 @@ func BenchmarkLocalClustering(b *testing.B) {
 			o.Workers = 4
 			runOnce(b, idx, params, o)
 		})
+	}
+	// The shape bench/round.go's round-bulk clusters (ten σ-2 blobs at fixed
+	// centres, 5% uniform noise, every second row of 2·n, Eps 1.2, MinPts 4)
+	// on the default index at one and two workers, at its own 16,000 rows
+	// and at 64,000. Ids follow the clusters here, so the contiguous chunks
+	// of a two-worker run differ in what their region queries can leave out:
+	// the last chunk exhausts a leaf once its own ids are queued, every
+	// earlier one keeps the leaves that hold ids beyond its end.
+	centres := []geom.Point{
+		{15, 15}, {50, 12}, {85, 18}, {30, 40}, {68, 42},
+		{12, 65}, {48, 70}, {86, 66}, {28, 90}, {70, 92},
+	}
+	for _, n := range []int{16_000, 64_000} {
+		rng := rand.New(rand.NewSource(1))
+		all := geom.NewStore(2, 2*n)
+		clustered := 2 * n * 95 / 100
+		for i, c := range centres {
+			k := clustered / len(centres)
+			if i < clustered%len(centres) {
+				k++
+			}
+			data.AppendBlob(all, rng, c, 2, k)
+		}
+		data.AppendUniform(all, rng, geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100}), 2*n-clustered)
+		site := geom.NewStore(2, n)
+		for i := 0; i < 2*n; i += 2 {
+			site.Append(all.Point(i))
+		}
+		blobParams := dbscan.Params{Eps: 1.2, MinPts: 4}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("parallel/rstar/blobs=%d/workers=%d", n, workers), func(b *testing.B) {
+				idx, err := index.BuildStore(index.KindRStar, site, geom.Euclidean{}, blobParams.Eps)
+				if err != nil {
+					b.Fatal(err)
+				}
+				o := opts
+				o.Workers = workers
+				runOnce(b, idx, blobParams, o)
+			})
+		}
 	}
 	// Eight dimensions: 2-d rows cannot show two workers that are slower
 	// than one once neighborhoods stop being cheap, so one pair runs on

@@ -22,6 +22,9 @@
 //     Eps of it (Definition 6). Scor lists them ascending per cluster.
 //   - ε_s = Eps + max{dist(s, c) | c core, c ∈ N_Eps(s)} (Definition 7).
 //   - RangeQueries is one per object plus one per specific core point.
+//
+// A region query may leave out objects in leaves the expansion has exhausted,
+// once MinPts are in hand; the Result does not depend on it.
 package dbscan
 
 import (
@@ -252,16 +255,30 @@ func (c *chunk) expand(idx index.Index, res *Result) {
 	// query point.
 	var seeds []int32
 	var nbuf []int
+	// unseen counts, per leaf of an index that has leaves, the ids this chunk
+	// may still want from it: the owned ones not yet queued, and the ones
+	// beyond the chunk, which link records and which therefore never run out.
+	leafOf, leaves := index.LeavesOf(idx)
+	var unseen []int32
+	if leafOf != nil {
+		unseen = make([]int32, leaves)
+		for _, leaf := range leafOf[c.lo:] {
+			unseen[leaf]++
+		}
+	}
 	for i := c.lo; i < c.hi; i++ {
 		if labels[i] != cluster.Unclassified {
 			continue
 		}
 		labels[i] = cluster.Noise
+		if unseen != nil {
+			unseen[leafOf[i]]--
+		}
 		seeds = append(seeds[:0], int32(i))
 		for len(seeds) > 0 {
 			p := seeds[len(seeds)-1]
 			seeds = seeds[:len(seeds)-1]
-			nbuf = index.RangeIntoID(idx, int(p), eps, nbuf)
+			nbuf = index.RangeIntoIDUnseen(idx, int(p), eps, minPts, unseen, nbuf)
 			if len(nbuf) < minPts {
 				c.sparse = append(c.sparse, p, int32(len(nbuf)))
 				for _, q := range nbuf {
@@ -282,6 +299,9 @@ func (c *chunk) expand(idx index.Index, res *Result) {
 					owned++
 					if labels[q] == cluster.Unclassified {
 						labels[q] = cluster.Noise
+						if unseen != nil {
+							unseen[leafOf[q]]--
+						}
 						seeds = append(seeds, int32(q))
 					}
 				}

@@ -200,7 +200,24 @@ func TestRunParallelDifferential(t *testing.T) {
 		}
 		high[i] = p
 	}
+	// Ids dealt round-robin along a chain: 800 objects strung out left to
+	// right, a step short of Eps apart with a gap after every hundredth, the
+	// k-th of them under id (k mod 8)·100 + k/8. Each chunk of a 2-, 4- or
+	// 8-worker run owns its share of every R*-tree leaf, every leaf holds ids
+	// beyond every chunk but the last — the leaves a chunk must never count as
+	// exhausted — and a chain stays one cluster only if no link between two
+	// chunks is lost. A source of its own: the rows below keep their draws.
+	chainRng := rand.New(rand.NewSource(29))
+	interleaved := make([]geom.Point, 800)
+	for k, x := 0, 0.0; k < len(interleaved); k++ {
+		x += 0.2 + 0.1*chainRng.Float64()
+		if k%100 == 0 {
+			x += 1
+		}
+		interleaved[k%8*100+k/8] = geom.Point{x, 0.05 * chainRng.Float64()}
+	}
 	datasets = append(datasets,
+		dataset{name: "interleaved-chunks", pts: interleaved, params: Params{Eps: 0.35, MinPts: 2}},
 		dataset{name: "blobs-2", pts: blob2, params: Params{Eps: 0.5, MinPts: 5}},
 		dataset{name: "uniform-2", pts: uniformPoints(rng, 800, 10), params: Params{Eps: 0.35, MinPts: 4}},
 		dataset{name: "duplicates", pts: dup, params: Params{Eps: 0.5, MinPts: 4}},

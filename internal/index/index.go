@@ -67,6 +67,36 @@ func RangeIntoID(idx Index, i int, eps float64, buf []int) []int {
 	return RangeInto(idx, idx.Point(i), eps, buf)
 }
 
+// UnseenRangeAppender is implemented by indexes that keep their points in
+// leaves and can leave out of a by-id query what its caller — the DBSCAN
+// expansion, which counts what it has yet to see of each leaf — is done with.
+type UnseenRangeAppender interface {
+	// Leaves returns the leaf of every id and the number of leaves, or nil
+	// and 0 when the index has none to offer.
+	Leaves() (leafOf []int32, leaves int)
+	// RangeAppendIDUnseen appends a duplicate-free part R of N_eps(Point(i)):
+	// all of it when it has fewer than enough members, and otherwise at least
+	// enough of them and every member q with unseen[leafOf[q]] > 0.
+	RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int
+}
+
+// LeavesOf returns idx's leaves, or nil and 0 when it has none to offer.
+func LeavesOf(idx Index) (leafOf []int32, leaves int) {
+	if ra, ok := idx.(UnseenRangeAppender); ok {
+		return ra.Leaves()
+	}
+	return nil, 0
+}
+
+// RangeIntoIDUnseen is RangeIntoID for a caller content with that part of the
+// neighborhood; unseen holds one count per leaf of LeavesOf(idx), or is nil.
+func RangeIntoIDUnseen(idx Index, i int, eps float64, enough int, unseen []int32, buf []int) []int {
+	if ra, ok := idx.(UnseenRangeAppender); ok && unseen != nil {
+		return ra.RangeAppendIDUnseen(i, eps, enough, unseen, buf)
+	}
+	return RangeIntoID(idx, i, eps, buf)
+}
+
 // StoreBacked is implemented by every index kind. Store returns the flat
 // geom.Store the index answers Euclidean queries from — the clustering
 // layers then run their point-vs-point comparisons through the strided

@@ -16,11 +16,11 @@ func init() {
 	RegisterBuilder(KindMTree, func(pts []geom.Point, m geom.Metric, _ float64) (Index, error) {
 		return mtree.New(pts, m)
 	})
-	RegisterStoreBuilder(KindRStar, func(st *geom.Store, m geom.Metric, _ float64) (Index, error) {
+	RegisterStoreBuilder(KindRStar, func(st *geom.Store, m geom.Metric, eps float64) (Index, error) {
 		if !isEuclidean(m) {
 			return nil, errors.New("index: the R*-tree supports only the Euclidean metric; use the M-tree for general metrics")
 		}
-		return rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
+		return rstar.NewBulkStore(st, rstar.DefaultMaxEntries, eps)
 	})
 	RegisterStoreBuilder(KindMTree, func(st *geom.Store, m geom.Metric, _ float64) (Index, error) {
 		return mtree.NewFromStore(st, m)

@@ -28,7 +28,10 @@ import (
 //
 // Point(i) serves zero-copy views into the store; the build copies no
 // coordinates, only the routing-level bounds are new floats.
-func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
+//
+// epsHint, when given, is the radius the tree expects to be queried at: by-id
+// queries up to it start at the query point's own leaf (see packed.near).
+func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Tree, error) {
 	t, err := newTree(maxEntries)
 	if err != nil || st.Len() == 0 {
 		return t, err
@@ -44,6 +47,9 @@ func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 	t.size = st.Len()
 	t.rows = st
 	t.packed = packSTR(st, maxEntries)
+	if len(epsHint) > 0 {
+		t.packed.linkLeaves(epsHint[0])
+	}
 	return t, nil
 }
 
@@ -52,11 +58,23 @@ func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 // owns that run of levels[l-1]. The root is not stored: it sits one level
 // above the last stored one and owns all of it — all of perm when the points
 // fit a single leaf and levels is empty; rootCount is how many that makes.
+//
+// leafOf names the leaf of every id (nil when the root is the only leaf).
+// near[nearEnd[i]:nearEnd[i+1]] lists the leaves whose box lies within
+// sqrt(nearEps2) of leaf i's box, in a descent's visit order, adjacent ones as
+// one span: a point lies inside its leaf's box and rounding is monotone, so up
+// to that radius the leaves a descent for the point would reach are among
+// them, and a by-id query tests those alone — same test, same order. Without
+// the table (see linkLeaves) nearEps2 is negative.
 type packed struct {
 	dim       int
 	perm      []int
 	levels    []packedLevel
 	rootCount int32
+	leafOf    []int32
+	near      []span
+	nearEnd   []int32
+	nearEps2  float64
 }
 
 type span struct{ first, count int32 }
@@ -76,8 +94,8 @@ type packedLevel struct {
 // order so that each parent's children are contiguous.
 func packSTR(st *geom.Store, maxEntries int) *packed {
 	dim := st.Dim()
-	p := &packed{dim: dim, perm: identity(st.Len())}
-	tl := tiler{boxes: st.Coords(), stride: dim, dim: dim, maxEntries: maxEntries}
+	p := &packed{dim: dim, perm: identity(st.Len()), nearEps2: -1}
+	tl := tiler{boxes: st.Coords(), stride: dim, dim: dim, maxEntries: maxEntries, keys: make([]sortKey, 0, st.Len())}
 	order := p.perm
 	for len(order) > maxEntries {
 		tl.spans = make([]span, 0, (len(order)+maxEntries-1)/maxEntries)
@@ -94,7 +112,70 @@ func packSTR(st *geom.Store, maxEntries int) *packed {
 		order = identity(len(lv.spans))
 	}
 	p.rootCount = int32(len(order))
+	if len(p.levels) > 0 {
+		p.leafOf = make([]int32, len(p.perm))
+		for i, s := range p.levels[0].spans {
+			for _, id := range p.perm[s.first : s.first+s.count] {
+				p.leafOf[id] = int32(i)
+			}
+		}
+	}
 	return p
+}
+
+// linkLeaves builds near for radii up to eps — unless eps is not positive and
+// finite, the root is the only leaf, or near would hold more spans than there
+// are points (many scattered near leaves each: high dimensions, a wide radius).
+func (p *packed) linkLeaves(eps float64) {
+	if !(eps > 0) || math.IsInf(eps, 1) || len(p.levels) == 0 {
+		return
+	}
+	leaves, w := &p.levels[0], 2*p.dim
+	near, nearEnd := []span(nil), make([]int32, 1, len(leaves.spans)+1)
+	for i := range leaves.spans {
+		near = p.reach(len(p.levels), 0, p.rootCount, leaves.bounds[w*i:w*(i+1)], eps*eps, near, len(near))
+		if len(near) > len(p.perm) {
+			return
+		}
+		nearEnd = append(nearEnd, int32(len(near)))
+	}
+	p.near, p.nearEnd, p.nearEps2 = near, nearEnd, eps*eps
+}
+
+// reach appends to near[from:] the leaves under the children [first,
+// first+count) of a node at level whose boxes lie within eps2 of box.
+func (p *packed) reach(level int, first, count int32, box []float64, eps2 float64, near []span, from int) []span {
+	lv, w, lo, hi := &p.levels[level-1], 2*p.dim, box[:p.dim], box[p.dim:]
+	for i := first; i < first+count; i++ {
+		switch last := len(near) - 1; {
+		case gapSq(lo, hi, lv.bounds[w*int(i):w*int(i+1)]) > eps2:
+		case level > 1:
+			near = p.reach(level-1, lv.spans[i].first, lv.spans[i].count, box, eps2, near, from)
+		case last >= from && near[last].first+near[last].count == i:
+			near[last].count++
+		default:
+			near = append(near, span{first: i, count: 1})
+		}
+	}
+	return near
+}
+
+// gapSq is Rect.MinDistSq's operation chain from the box [lo, hi] — the point
+// q when both are q — to the box b, Min corner then Max corner.
+func gapSq(lo, hi, b []float64) float64 {
+	var sum float64
+	hi, mn, mx := hi[:len(lo)], b[:len(lo)], b[len(b)/2:][:len(lo)]
+	for d, v := range lo {
+		var g float64
+		switch {
+		case hi[d] < mn[d]:
+			g = mn[d] - hi[d]
+		case v > mx[d]:
+			g = v - mx[d]
+		}
+		sum += g * g
+	}
+	return sum
 }
 
 func identity(n int) []int {
@@ -125,25 +206,38 @@ type tiler struct {
 	stride, maxOff  int
 	dim, maxEntries int
 	spans           []span
+	keys            []sortKey // tile's scratch, with room for every id
+}
+
+type sortKey struct {
+	key float64
+	id  int
 }
 
 // tile sorts ids — which sit at offset base of the level being tiled — by
 // box centre along axis d, cuts them into slabs sized so that the remaining
 // axes can finish the job, and recurses into each slab on the next axis; the
-// last axis (or a run one node can hold) is cut into nodes.
+// last axis (or a run one node can hold) is cut into nodes. The sort moves
+// gathered keys; what it does depends on the comparison outcomes alone, so the
+// order, ties included, is that of sorting the ids through a gathering compare.
 func (tl *tiler) tile(ids []int, base, d int) {
 	lo, hi := tl.boxes[d:], tl.boxes[tl.maxOff+d:]
-	stride := tl.stride
-	slices.SortFunc(ids, func(a, b int) int {
-		ca, cb := lo[a*stride]+hi[a*stride], lo[b*stride]+hi[b*stride]
+	keys := tl.keys[:0]
+	for _, a := range ids {
+		keys = append(keys, sortKey{lo[a*tl.stride] + hi[a*tl.stride], a})
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
 		switch {
-		case ca < cb:
+		case a.key < b.key:
 			return -1
-		case ca > cb:
+		case a.key > b.key:
 			return 1
 		}
 		return 0
 	})
+	for i, k := range keys {
+		ids[i] = k.id
+	}
 	if d == tl.dim-1 || len(ids) <= tl.maxEntries {
 		tl.chunkBalanced(base, len(ids))
 		return
@@ -202,64 +296,43 @@ func (tl *tiler) bound(ids []int, out []float64) {
 	}
 }
 
-// range2 appends the ids within eps2 of (q0, q1) under the children
-// [first, first+count) of a node at the given level, left to right: the
-// 2-d descent, with the query held in scalars. A child is entered when
-// Rect.MinDistSq of its box — the same operation chain — is at most eps2,
-// and a leaf hands its slice of perm to the fused verify kernel.
-func (p *packed) range2(st *geom.Store, level int, first, count int32, q0, q1, eps2 float64, out []int) []int {
-	if level == 0 {
-		return st.VerifyRangeSq2(q0, q1, p.perm[first:first+count], eps2, out)
-	}
-	lv := &p.levels[level-1]
-	bounds := lv.bounds[4*int(first) : 4*int(first+count)]
-	for i, s := range lv.spans[first : first+count] {
-		b := bounds[4*i : 4*i+4]
-		var d0, d1 float64
-		switch {
-		case q0 < b[0]:
-			d0 = b[0] - q0
-		case q0 > b[2]:
-			d0 = q0 - b[2]
-		}
-		switch {
-		case q1 < b[1]:
-			d1 = b[1] - q1
-		case q1 > b[3]:
-			d1 = q1 - b[3]
-		}
-		if d0*d0+d1*d1 <= eps2 {
-			out = p.range2(st, level-1, s.first, s.count, q0, q1, eps2, out)
-		}
-	}
-	return out
-}
-
-// rangeN is range2 for any dimensionality.
-func (p *packed) rangeN(st *geom.Store, level int, first, count int32, q geom.Point, eps2 float64, out []int) []int {
+// descend appends the ids within eps2 of q under the children [first,
+// first+count) of a node at the given level, left to right. A child is entered
+// when Rect.MinDistSq of its box — the same operation chain, spelled out for
+// two dimensions — is at most eps2, and a leaf hands its slice of perm to the
+// fused verify kernel — unless out holds enough ids and unseen none of the
+// leaf's (index.UnseenRangeAppender's rule; enough = math.MaxInt is no rule).
+func (p *packed) descend(st *geom.Store, level int, first, count int32, q geom.Point, eps2 float64, enough int, unseen []int32, out []int) []int {
 	if level == 0 {
 		return st.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
 	}
-	lv := &p.levels[level-1]
-	w := 2 * p.dim
+	lv, w := &p.levels[level-1], 2*p.dim
 	for i := int(first); i < int(first+count); i++ {
 		b := lv.bounds[w*i : w*(i+1)]
-		lo, hi := b[:len(q)], b[p.dim:p.dim+len(q)]
 		var sum float64
-		for d, v := range q {
-			var g float64
-			switch {
-			case v < lo[d]:
-				g = lo[d] - v
-			case v > hi[d]:
-				g = v - hi[d]
+		if len(b) != 4 {
+			sum = gapSq(q, q, b)
+		} else {
+			var d0, d1 float64
+			switch q0 := q[0]; {
+			case q0 < b[0]:
+				d0 = b[0] - q0
+			case q0 > b[2]:
+				d0 = q0 - b[2]
 			}
-			sum += g * g
+			switch q1 := q[1]; {
+			case q1 < b[1]:
+				d1 = b[1] - q1
+			case q1 > b[3]:
+				d1 = q1 - b[3]
+			}
+			sum = d0*d0 + d1*d1
 		}
-		if sum <= eps2 {
-			s := lv.spans[i]
-			out = p.rangeN(st, level-1, s.first, s.count, q, eps2, out)
+		if sum > eps2 || level == 1 && len(out) >= enough && unseen[i] == 0 {
+			continue
 		}
+		s := lv.spans[i]
+		out = p.descend(st, level-1, s.first, s.count, q, eps2, enough, unseen, out)
 	}
 	return out
 }

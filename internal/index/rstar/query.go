@@ -2,6 +2,7 @@ package rstar
 
 import (
 	"container/heap"
+	"math"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
@@ -19,26 +20,51 @@ func (t *Tree) Range(q geom.Point, eps float64) []int {
 // bulk-loaded tree answers from its packed levels; both forms visit the same
 // leaves in the same order and so return the same ids in the same order.
 func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
-	out := buf[:0]
-	switch p := t.packed; {
-	case p != nil && t.dim == 2:
-		out = p.range2(t.rows, len(p.levels), 0, p.rootCount, q[0], q[1], eps*eps, out)
-	case p != nil:
-		out = p.rangeN(t.rows, len(p.levels), 0, p.rootCount, q, eps*eps, out)
-	case t.root != nil:
-		out = t.rangeSearch(t.root, q, eps*eps, out)
-	}
-	if len(out) == 0 {
-		return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
-	}
-	return out
+	return t.rangeAppend(q, -1, eps, math.MaxInt, nil, buf)
 }
 
 // RangeAppendID implements index.IDRangeAppender: the query point is
 // addressed by object id, sparing the caller an interface Point round-trip
 // per query.
 func (t *Tree) RangeAppendID(i int, eps float64, buf []int) []int {
-	return t.RangeAppend(t.rows.Point(i), eps, buf)
+	return t.rangeAppend(t.rows.Point(i), i, eps, math.MaxInt, nil, buf)
+}
+
+// Leaves implements index.UnseenRangeAppender: the leaves of a bulk-loaded
+// tree that has more than one, none of any other tree.
+func (t *Tree) Leaves() (leafOf []int32, leaves int) {
+	if t.packed == nil || t.packed.leafOf == nil {
+		return nil, 0
+	}
+	return t.packed.leafOf, len(t.packed.levels[0].spans)
+}
+
+// RangeAppendIDUnseen passes over a leaf with unseen[leaf] == 0 iff the result
+// holds enough ids when the visit order reaches it.
+func (t *Tree) RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int {
+	return t.rangeAppend(t.rows.Point(i), i, eps, enough, unseen, buf)
+}
+
+// rangeAppend answers every ε-range query, q being the point of id when
+// id ≥ 0: then, at a radius the leaf table covers, from the leaves near its own.
+func (t *Tree) rangeAppend(q geom.Point, id int, eps float64, enough int, unseen []int32, buf []int) []int {
+	out, eps2 := buf[:0], eps*eps
+	if p := t.packed; p != nil {
+		level, from := len(p.levels), []span{{0, p.rootCount}}
+		if id >= 0 && eps2 <= p.nearEps2 {
+			leaf := p.leafOf[id]
+			level, from = 1, p.near[p.nearEnd[leaf]:p.nearEnd[leaf+1]]
+		}
+		for _, s := range from {
+			out = p.descend(t.rows, level, s.first, s.count, q, eps2, enough, unseen, out)
+		}
+	} else if t.root != nil {
+		out = t.rangeSearch(t.root, q, eps2, out)
+	}
+	if len(out) == 0 {
+		return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
+	}
+	return out
 }
 
 // rangeSearch is the descent of the pointer form; a leaf goes to the fused

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -274,27 +275,56 @@ func TestBulkLoadAllocs(t *testing.T) {
 // TestRangeAppendZeroAlloc is the hot-loop regression gate: once the result
 // buffer has grown to its steady-state capacity, a store-backed range query
 // must not allocate at all — the property that keeps the DBSCAN expansion
-// loop allocation-free per query. Skipped under the race detector, whose
-// instrumentation perturbs allocation accounting.
+// loop allocation-free per query. That holds for the query the expansion
+// issues, RangeIntoIDUnseen with every other leaf exhausted, as for the plain
+// one, and for the R*-tree both when the by-id query starts at its own leaf
+// (built for the radius, as BuildStore does) and when it descends (built for
+// none). Skipped under the race detector, whose instrumentation perturbs
+// allocation accounting.
 func TestRangeAppendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	st := testStore(2000, 5)
 	const eps = 2.0
+	descent, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes := map[string]Index{"rstar/descent": descent}
 	for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree, KindRStar} {
 		idx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
 		if err != nil {
 			t.Fatalf("%s: BuildStore: %v", kind, err)
 		}
+		indexes[string(kind)] = idx
+	}
+	for name, idx := range indexes {
+		leafOf, leaves := LeavesOf(idx)
+		if (leafOf != nil) != strings.HasPrefix(name, "rstar") {
+			t.Fatalf("%s: leaves on offer: %v", name, leafOf != nil)
+		}
+		var unseen []int32
+		if leafOf != nil {
+			unseen = make([]int32, leaves)
+			for i := range unseen {
+				unseen[i] = int32(i % 2)
+			}
+		}
 		buf := make([]int, 0, st.Len()) // steady-state capacity up front
-		q := 0
+		q, returned := 0, [2]int{}
 		allocs := testing.AllocsPerRun(100, func() {
 			buf = RangeIntoID(idx, q%st.Len(), eps, buf)
+			returned[0] += len(buf)
+			buf = RangeIntoIDUnseen(idx, q%st.Len(), eps, 4, unseen, buf)
+			returned[1] += len(buf)
 			q += 131
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per store-backed range query, want 0", kind, allocs)
+			t.Errorf("%s: %.1f allocs per pair of store-backed range queries, want 0", name, allocs)
+		}
+		if (returned[1] < returned[0]) != (leafOf != nil) {
+			t.Errorf("%s: %d ids from the plain queries, %d from the unseen-aware ones", name, returned[0], returned[1])
 		}
 	}
 }
