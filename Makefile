@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-scalar check fuzz-smoke bench bench-json bench-smoke benchdiff loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check fuzz-smoke bench bench-json bench-smoke bench-pairs benchdiff loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -40,8 +40,9 @@ check: vet build test-race
 # contract of index.UnseenRangeAppender; the dynamic R*-tree must keep its
 # invariants, answer like a linear scan and choose subtrees like the all-pairs
 # rule after every operation; incremental DBSCAN must match batch DBSCAN after
-# every operation). CI runs this on push; use a larger FUZZTIME locally before
-# touching the wire formats, internal/index/rstar or internal/incdbscan.
+# every operation; the leaf-wise relabel must label like the per-point rule).
+# CI runs this on push; use a larger FUZZTIME locally before touching the wire
+# formats, internal/index/rstar, internal/incdbscan or dbdc.RelabelSite.
 # FuzzTreeOps and FuzzIncOps cap minimisation: shrinking a coverage-only find
 # replays whole op sequences and would otherwise eat the budget.
 FUZZTIME ?= 10s
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzRangeUnseen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRelabelSite -fuzztime $(FUZZTIME)
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).
@@ -83,14 +85,35 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchmem $(BENCHFLAGS) . \
 		| $(GO) run ./cmd/benchjson -rev $$(git rev-parse --short HEAD)
 
-# One-iteration smoke over the hot-path suite, the incremental layer's
-# window-turn benchmark (ns, allocs and range queries per delete-oldest +
-# insert) and the dynamic R*-tree's insert benchmark: catches benchmarks that
-# no longer compile or crash, without paying measurement time. CI runs this.
+# One-iteration smoke over the hot-path suite, the STR bulk build at three
+# sizes and in 8-d, the incremental layer's window-turn benchmark (ns, allocs
+# and range queries per delete-oldest + insert), the dynamic R*-tree's insert
+# benchmark and step 4 on a round-bulk site (ns and dist-evals/op, leaf by leaf
+# and by representative): catches benchmarks that no longer compile or crash,
+# without paying measurement time. CI runs this.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify|BenchmarkAblationRStarBuild/bulk' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkRelabelSite' -benchtime 1x -benchmem ./internal/dbdc/
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowTurn' -benchtime 1x -benchmem ./internal/incdbscan/
 	$(GO) test -run '^$$' -bench 'BenchmarkInsert$$' -benchtime 1x -benchmem ./internal/index/rstar/
+
+# Alternating parent/change pairs of one workload of the repository benchmark
+# (scripts/bench_pairs.sh): PARENT is exported into .bench_build/ with the
+# working tree's bench/ laid over it, both binaries are built once and run in
+# turn, tracing off; prints every run, medians, quartiles, pairs won and the
+# verdict a claimed gain needs (at least 9/10 pairs, medians apart by more than
+# the parent's inter-quartile distance). Refuses to run when bench/ or
+# BENCHMARK.json differs from PARENT's. PAIRFLAGS goes to the harness, e.g.
+# PAIRFLAGS='--seconds 8' for a quick look; the claim wants the default.
+#
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=round-bulk SEED=2 PAIRS=10
+PARENT ?= HEAD~1
+WORKLOAD ?= round-bulk
+SEED ?= 1
+PAIRS ?= 10
+PAIRFLAGS ?=
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS) -- $(PAIRFLAGS)
 
 # Run the hot-path suite and diff it against the committed baseline artifact
 # with cmd/benchdiff. BASELINE defaults to the newest committed BENCH_*.json;

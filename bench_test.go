@@ -271,7 +271,8 @@ func BenchmarkModelEncoding(b *testing.B) {
 }
 
 // BenchmarkAblationRStarBuild — incremental insertion versus STR bulk
-// loading of the R*-tree.
+// loading of the R*-tree; the bulk rows are the build a LocalStep pays, over
+// the round-bulk workload's blobs at three sizes and over 8-d Gaussian rows.
 func BenchmarkAblationRStarBuild(b *testing.B) {
 	ds := data.DatasetA(25_000, 1)
 	b.Run("incremental", func(b *testing.B) {
@@ -281,13 +282,31 @@ func BenchmarkAblationRStarBuild(b *testing.B) {
 			}
 		}
 	})
-	b.Run("bulk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rstar.NewBulkStore(ds.Store, rstar.DefaultMaxEntries, ds.Params.Eps); err != nil {
-				b.Fatal(err)
-			}
+	rng := rand.New(rand.NewSource(1))
+	wide := geom.NewStore(8, 16_000)
+	for i := 0; i < 16_000; i++ {
+		for d, row := 0, wide.AppendZero(); d < len(row); d++ {
+			row[d] = rng.NormFloat64() * 5
 		}
-	})
+	}
+	for _, c := range []struct {
+		name string
+		st   *geom.Store
+	}{
+		{"bulk/n=4000", data.RoundBulk(4_000, 1).Store},
+		{"bulk/n=16000", data.RoundBulk(16_000, 1).Store},
+		{"bulk/n=64000", data.RoundBulk(64_000, 1).Store},
+		{"bulk/8d-n=16000", wide},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rstar.NewBulkStore(c.st, rstar.DefaultMaxEntries, ds.Params.Eps); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAblationModelKind — local model construction cost: REP_Scor

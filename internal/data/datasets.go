@@ -147,6 +147,44 @@ func DatasetC(seed int64) Dataset {
 	}
 }
 
+// RoundBulk generates the data set of the benchmark's round-bulk workload
+// (bench/round.go deals n = 32 000 of it round-robin to two sites): DatasetA's
+// shape — 95% of the points in ten Gaussian clusters of σ 2 in a 100×100
+// domain, 5% uniform noise, DatasetA's parameters — with the centres fixed, so
+// that the seed draws the points only. Tests and benchmarks that quote the
+// workload's counts build it from here.
+func RoundBulk(n int, seed int64) Dataset {
+	centres := []geom.Point{
+		{15, 15}, {50, 12}, {85, 18}, {30, 40}, {68, 42},
+		{12, 65}, {48, 70}, {86, 66}, {28, 90}, {70, 92},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	st := geom.NewStore(2, n)
+	truth := make(cluster.Labeling, 0, n)
+	clustered := n * 95 / 100
+	for i, c := range centres {
+		k := clustered / len(centres)
+		if i < clustered%len(centres) {
+			k++
+		}
+		AppendBlob(st, rng, c, 2, k)
+		for ; k > 0; k-- {
+			truth = append(truth, cluster.ID(i))
+		}
+	}
+	AppendUniform(st, rng, geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100}), n-clustered)
+	for len(truth) < n {
+		truth = append(truth, cluster.Noise)
+	}
+	return Dataset{
+		Name:   "round-bulk",
+		Store:  st,
+		Points: st.Views(),
+		Params: dbscan.Params{Eps: 1.2, MinPts: 4},
+		Truth:  truth,
+	}
+}
+
 // ABC returns the three evaluation data sets at their paper cardinalities.
 func ABC(seed int64) []Dataset {
 	return []Dataset{DatasetA(DatasetASize, seed), DatasetB(seed), DatasetC(seed)}

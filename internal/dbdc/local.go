@@ -36,12 +36,12 @@ type LocalTimings struct {
 //
 // An outcome of LocalStep or LocalStepStore also keeps the index the
 // clustering ran over alive for as long as the outcome lives, because
-// RelabelSite queries it. For the default R*-tree over 16 000 2-d rows that
-// is 0.54 MB (measured: the id permutation 128 KB, the level spans and bounds
-// 25 KB, the Point views the index serves 384 KB), plus a 256 KB copy of the
-// coordinates when LocalStep was handed a point slice; LocalStepStore shares
-// the caller's store. The other kinds: linear 0.35 MB, kd-tree 0.65 MB, grid
-// 1.0 MB, M-tree 1.9 MB.
+// RelabelSite works through it. For the default R*-tree over 16 000 2-d rows
+// that is 0.25 MB (measured: the id permutation 128 KB, the leaf of every id
+// 64 KB, the near-leaf table 29 KB, the level spans and bounds 21 KB), plus a
+// 256 KB copy of the coordinates when LocalStep was handed a point slice;
+// LocalStepStore shares the caller's store. The other kinds: linear 0.35 MB,
+// kd-tree 0.65 MB, grid 0.69 MB, M-tree 1.9 MB.
 type LocalOutcome struct {
 	// SiteID identifies the site.
 	SiteID string
@@ -61,7 +61,7 @@ type LocalOutcome struct {
 	Budget    dbscan.BudgetStats
 
 	// idx is the index LocalStep clustered the site's objects over, kept so
-	// that RelabelSite can issue its range queries against it; nil for a
+	// that RelabelSite can go by its leaves or its range queries; nil for a
 	// condensed outcome, which is relabeled object by object.
 	idx index.Index
 	// cfg is the resolved configuration the outcome was produced under,

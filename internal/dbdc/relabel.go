@@ -75,10 +75,10 @@ type RelabelStats struct {
 // RelabelSite relabels the site's objects and derives the change
 // statistics. The labels are those of Relabel(outcome.Points, global), object
 // for object and error for error (TestRelabelSiteMatchesPerPoint); an outcome
-// that retained its site index gets them by relabelByRep.
+// that retained its site index gets them from it (relabelOutcome).
 func RelabelSite(outcome *LocalOutcome, global *model.GlobalModel) (cluster.Labeling, RelabelStats, error) {
 	var stats RelabelStats
-	labels, err := relabelOutcome(outcome, global)
+	labels, _, err := relabelOutcome(outcome, global)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -107,32 +107,113 @@ func RelabelSite(outcome *LocalOutcome, global *model.GlobalModel) (cluster.Labe
 	return labels, stats, nil
 }
 
-// relabelOutcome picks the relabeling path: by representative over the
-// retained site index when that provably reproduces the per-point rule, the
-// per-point Relabel otherwise — no retained store-backed index (a condensed
-// outcome), nothing to label, the empty model, representatives of another
-// dimensionality than the site's objects, or an ε_r that is not a positive
-// finite number (model.GlobalModel.Validate refuses most of those, but a
-// library caller can hand in anything, and a range query at such a radius is
-// not the per-point filter d² ≤ ε_r²).
-func relabelOutcome(o *LocalOutcome, global *model.GlobalModel) (cluster.Labeling, error) {
+// relabelOutcome picks the relabeling path and reports the object–
+// representative distances it evaluated (0: not counted). The per-point Relabel
+// serves what the other two do not provably reproduce it on: no retained
+// store-backed index (a condensed outcome), nothing to label, the empty model,
+// representatives of another dimensionality than the site's objects, or an
+// ε_r that is not a positive finite number (model.GlobalModel.Validate refuses
+// most of those, but a library caller can hand in anything, and a range query
+// at such a radius is not the per-point filter d² ≤ ε_r²). Otherwise an index
+// with leaves on offer — a bulk-loaded R*-tree of more than one — is resolved
+// leaf by leaf (relabelByLeaf), and every other kind and tree by one range
+// query per representative (relabelByRep).
+func relabelOutcome(o *LocalOutcome, global *model.GlobalModel) (cluster.Labeling, int, error) {
 	st := index.StoreOf(o.idx)
-	if st == nil || st.Len() == 0 || global.Empty() {
-		return Relabel(o.Points, global)
-	}
-	dim, err := repDim(global)
-	if err != nil {
-		return nil, err
-	}
-	if dim != st.Dim() {
-		return Relabel(o.Points, global)
-	}
-	for _, r := range global.Reps {
-		if !(r.Eps > 0 && r.Eps <= math.MaxFloat64) {
-			return Relabel(o.Points, global)
+	byIndex := st != nil && st.Len() > 0 && !global.Empty()
+	if byIndex {
+		dim, err := repDim(global)
+		if err != nil {
+			return nil, 0, err
+		}
+		byIndex = dim == st.Dim()
+		for _, r := range global.Reps {
+			byIndex = byIndex && r.Eps > 0 && r.Eps <= math.MaxFloat64
 		}
 	}
-	return relabelByRep(o.idx, st, global), nil
+	if !byIndex {
+		labels, err := Relabel(o.Points, global)
+		return labels, 0, err
+	}
+	labels := cluster.NewLabeling(st.Len())
+	for i := range labels {
+		labels[i] = cluster.Noise
+	}
+	if _, leaves := index.LeavesOf(o.idx); leaves > 0 {
+		return labels, relabelByLeaf(o.idx.(index.UnseenRangeAppender), leaves, st, global.Reps, labels), nil
+	}
+	return labels, relabelByRep(o.idx, st, global.Reps, labels), nil
+}
+
+// relabelByLeaf is relabelByRep with the (representative, leaf) pairs its range
+// queries enter — same descent — resolved leaf by leaf, not object by object;
+// a counting sort buckets them by leaf, in Reps order within a leaf. A leaf in
+// reach of one global cluster asks only whether an object is covered: each
+// representative is asked about the objects no earlier one covered, until none
+// is left. A leaf in reach of several folds nearest-wins over all of them as
+// relabelByRep does; d² ≤ ε_r² on the batch kernel is its verifier's filter.
+func relabelByLeaf(lv index.UnseenRangeAppender, leaves int, st *geom.Store, reps []model.GlobalRepresentative, labels cluster.Labeling) (evals int) {
+	pairs := make([]int, 0, 16*len(reps)) // a guess: a round-bulk site's tree gives 13 each
+	repEnd := make([]int, len(reps))
+	for i, r := range reps {
+		pairs = lv.LeavesInReach(r.Point, r.Eps, pairs)
+		repEnd[i] = len(pairs)
+	}
+	next := make([]int32, leaves+1) // where leaf l's next representative goes
+	for _, l := range pairs {
+		next[l+1]++
+	}
+	for l := 1; l < leaves; l++ {
+		next[l+1] += next[l]
+	}
+	byLeaf := make([]int32, len(pairs))
+	for i, k := 0, 0; i < len(reps); i++ {
+		for ; k < repEnd[i]; k++ {
+			byLeaf[next[pairs[k]]] = int32(i)
+			next[pairs[k]]++
+		}
+	}
+	var pending []int
+	var dist, best []float64
+	for l, begin := 0, int32(0); l < leaves; l, begin = l+1, next[l] {
+		in, ids := byLeaf[begin:next[l]], lv.Leaf(l)
+		if cap(dist) < len(ids) {
+			dist = make([]float64, len(ids))
+		}
+		several := false
+		for _, ri := range in {
+			several = several || reps[ri].GlobalCluster != reps[in[0]].GlobalCluster
+		}
+		if best = best[:0]; several {
+			for range ids {
+				best = append(best, math.Inf(1))
+			}
+			for _, ri := range in {
+				r := &reps[ri]
+				evals += len(ids)
+				for k, d2 := range st.DistanceSqBatch(r.Point, ids, dist[:len(ids)]) {
+					if d2 <= r.Eps*r.Eps && d2 < best[k] {
+						best[k], labels[ids[k]] = d2, r.GlobalCluster
+					}
+				}
+			}
+			continue
+		}
+		pending = append(pending[:0], ids...)
+		for i := 0; i < len(in) && len(pending) > 0; i++ {
+			r, open := &reps[in[i]], pending[:0]
+			evals += len(pending)
+			for k, d2 := range st.DistanceSqBatch(r.Point, pending, dist[:len(pending)]) {
+				if d2 <= r.Eps*r.Eps {
+					labels[pending[k]] = r.GlobalCluster
+				} else {
+					open = append(open, pending[k])
+				}
+			}
+			pending = open
+		}
+	}
+	return evals
 }
 
 // relabelByRep is the Section 7 rule of RepSelector turned around: instead of
@@ -144,18 +225,16 @@ func relabelOutcome(o *LocalOutcome, global *model.GlobalModel) (cluster.Labelin
 // are bitwise symmetric in their operands), and folding the per-object
 // minimum with a strict < while the representatives go by in Reps order is
 // "nearest wins, ties to the lowest representative index".
-func relabelByRep(idx index.Index, st *geom.Store, global *model.GlobalModel) cluster.Labeling {
-	n := st.Len()
-	labels := cluster.NewLabeling(n)
-	bestSq := make([]float64, n)
-	for i := range labels {
-		labels[i] = cluster.Noise
+func relabelByRep(idx index.Index, st *geom.Store, reps []model.GlobalRepresentative, labels cluster.Labeling) (evals int) {
+	bestSq := make([]float64, len(labels))
+	for i := range bestSq {
 		bestSq[i] = math.Inf(1)
 	}
 	var ids []int
 	var dist []float64
-	for _, r := range global.Reps {
+	for _, r := range reps {
 		ids = index.RangeInto(idx, r.Point, r.Eps, ids)
+		evals += len(ids)
 		if cap(dist) < len(ids) {
 			dist = make([]float64, 2*len(ids))
 		}
@@ -165,5 +244,5 @@ func relabelByRep(idx index.Index, st *geom.Store, global *model.GlobalModel) cl
 			}
 		}
 	}
-	return labels
+	return evals
 }

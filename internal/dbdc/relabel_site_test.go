@@ -15,9 +15,9 @@ import (
 )
 
 // checkRelabelPaths holds the three ways to relabel a site to each other,
-// label for label: RelabelSite (by representative over the retained index,
-// when the outcome has one), Relabel (per object) and RepSelector.Select (the
-// serving path).
+// label for label: RelabelSite (by leaf or by representative over the retained
+// index, when the outcome has one), Relabel (per object) and
+// RepSelector.Select (the serving path).
 func checkRelabelPaths(t *testing.T, name string, o *LocalOutcome, global *model.GlobalModel) cluster.Labeling {
 	t.Helper()
 	got, _, err := RelabelSite(o, global)
@@ -53,7 +53,7 @@ func checkRelabelPaths(t *testing.T, name string, o *LocalOutcome, global *model
 }
 
 // roundOutcomes runs steps 1–3 over a two-site round-robin split of pts.
-func roundOutcomes(t *testing.T, pts []geom.Point, cfg Config) ([]*LocalOutcome, *model.GlobalModel) {
+func roundOutcomes(t testing.TB, pts []geom.Point, cfg Config) ([]*LocalOutcome, *model.GlobalModel) {
 	t.Helper()
 	part, err := data.PartitionRoundRobin(len(pts), 2)
 	if err != nil {
@@ -82,7 +82,8 @@ func roundOutcomes(t *testing.T, pts []geom.Point, cfg Config) ([]*LocalOutcome,
 // TestRelabelSiteMatchesPerPoint pins the batch relabel to the per-point
 // rule on data sets A, B and C for all five site index kinds, on budgeted
 // REP_kMeans models whose ε_r spread wide, on a condensed outcome, without a
-// retained index, and on the models the per-point path treats specially.
+// retained index, on the models the per-point path treats specially, and on
+// the rows that tell the leaf-wise resolution from it (relabelByLeafRows).
 func TestRelabelSiteMatchesPerPoint(t *testing.T) {
 	for _, ds := range data.ABC(1) {
 		for _, kind := range index.Kinds() {
@@ -183,4 +184,6 @@ func TestRelabelSiteMatchesPerPoint(t *testing.T) {
 	if gotLabels != nil {
 		t.Fatalf("mixed dimensions: failed RelabelSite still returned a labeling")
 	}
+
+	relabelByLeafRows(t)
 }

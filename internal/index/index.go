@@ -68,12 +68,19 @@ func RangeIntoID(idx Index, i int, eps float64, buf []int) []int {
 }
 
 // UnseenRangeAppender is implemented by indexes that keep their points in
-// leaves and can leave out of a by-id query what its caller — the DBSCAN
-// expansion, which counts what it has yet to see of each leaf — is done with.
+// leaves and let a caller work by them: the DBSCAN expansion, which counts what
+// it has yet to see of each leaf and has a by-id query leave out the rest, and
+// the relabel step, which settles a leaf at a time.
 type UnseenRangeAppender interface {
 	// Leaves returns the leaf of every id and the number of leaves, or nil
-	// and 0 when the index has none to offer.
+	// and 0 when the index has none to offer; the other methods are then not
+	// to be called.
 	Leaves() (leafOf []int32, leaves int)
+	// Leaf returns the ids of a leaf, not to be written.
+	Leaf(leaf int) []int
+	// LeavesInReach appends to out the leaves whose box lies within eps of q:
+	// the ones a range query at (q, eps) takes its result from, in its order.
+	LeavesInReach(q geom.Point, eps float64, out []int) []int
 	// RangeAppendIDUnseen appends a duplicate-free part R of N_eps(Point(i)):
 	// all of it when it has fewer than enough members, and otherwise at least
 	// enough of them and every member q with unseen[leafOf[q]] > 0.

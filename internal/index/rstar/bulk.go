@@ -95,7 +95,7 @@ type packedLevel struct {
 func packSTR(st *geom.Store, maxEntries int) *packed {
 	dim := st.Dim()
 	p := &packed{dim: dim, perm: identity(st.Len()), nearEps2: -1}
-	tl := tiler{boxes: st.Coords(), stride: dim, dim: dim, maxEntries: maxEntries, keys: make([]sortKey, 0, st.Len())}
+	tl := tiler{boxes: st.Coords(), stride: dim, dim: dim, maxEntries: maxEntries, keys: make([]sortKey, 0, st.Len()), swap: make([]sortKey, st.Len())}
 	order := p.perm
 	for len(order) > maxEntries {
 		tl.spans = make([]span, 0, (len(order)+maxEntries-1)/maxEntries)
@@ -206,47 +206,35 @@ type tiler struct {
 	stride, maxOff  int
 	dim, maxEntries int
 	spans           []span
-	keys            []sortKey // tile's scratch, with room for every id
+	keys, swap      []sortKey // tile's scratch, each with room for every id
 }
 
 type sortKey struct {
-	key float64
+	key uint64 // keyBits of the box centre, doubled, along the axis
 	id  int
 }
+
+const insertionSortMax = 64
 
 // tile sorts ids — which sit at offset base of the level being tiled — by
 // box centre along axis d, cuts them into slabs sized so that the remaining
 // axes can finish the job, and recurses into each slab on the next axis; the
-// last axis (or a run one node can hold) is cut into nodes. The sort moves
-// gathered keys; what it does depends on the comparison outcomes alone, so the
-// order, ties included, is that of sorting the ids through a gathering compare.
+// last axis (or a run one node can hold) is cut into nodes. The order is
+// ascending centre key, ties in arrival order (sortKeys).
 func (tl *tiler) tile(ids []int, base, d int) {
 	lo, hi := tl.boxes[d:], tl.boxes[tl.maxOff+d:]
 	keys := tl.keys[:0]
 	for _, a := range ids {
-		keys = append(keys, sortKey{lo[a*tl.stride] + hi[a*tl.stride], a})
+		keys = append(keys, sortKey{keyBits(lo[a*tl.stride] + hi[a*tl.stride]), a})
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		}
-		return 0
-	})
-	for i, k := range keys {
+	for i, k := range sortKeys(keys, tl.swap) {
 		ids[i] = k.id
 	}
 	if d == tl.dim-1 || len(ids) <= tl.maxEntries {
 		tl.chunkBalanced(base, len(ids))
 		return
 	}
-	pages := (len(ids) + tl.maxEntries - 1) / tl.maxEntries
-	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(tl.dim-d))))
-	if slabs < 1 {
-		slabs = 1
-	}
+	slabs := slabCount((len(ids)+tl.maxEntries-1)/tl.maxEntries, tl.dim-d)
 	slabSize := (len(ids) + slabs - 1) / slabs
 	for start := 0; start < len(ids); start += slabSize {
 		end := start + slabSize
@@ -255,6 +243,70 @@ func (tl *tiler) tile(ids []int, base, d int) {
 		}
 		tl.tile(ids[start:end], base+start, d+1)
 	}
+}
+
+// slabCount is the smallest s with s^axes ≥ pages, in integers: math.Pow reads
+// the cube root of 125 as 5.000000000000001, and its ceiling cut a sixth slab.
+func slabCount(pages, axes int) int {
+	for s := 1; ; s++ {
+		for p, i := 1, 0; i < axes; i++ {
+			if p *= s; p >= pages {
+				return s
+			}
+		}
+	}
+}
+
+// keyBits is the image of k under which unsigned order is float order, −0.0
+// tying with +0.0; k is a sum of finite coordinates, so never NaN.
+func keyBits(k float64) uint64 {
+	if k == 0 {
+		k = 0
+	}
+	b := math.Float64bits(k)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// sortKeys sorts keys ascending, equal keys in arrival order, and returns the
+// sorted slice, which is keys or swap[:len(keys)]: an LSD radix sort, one
+// byte a pass and no pass for a byte every key shares, over histograms of one
+// sweep; up to insertionSortMax keys, where the histograms would cost more than
+// the sort (measured: even at 96), a stable insertion sort.
+func sortKeys(keys, swap []sortKey) []sortKey {
+	if len(keys) <= insertionSortMax {
+		for i := 1; i < len(keys); i++ {
+			k, j := keys[i], i
+			for ; j > 0 && keys[j-1].key > k.key; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+		return keys
+	}
+	var count [8][256]int32
+	for _, k := range keys {
+		for d := range count {
+			count[d][byte(k.key>>(8*d))]++
+		}
+	}
+	swap = swap[:len(keys)]
+	for d := range count {
+		c := &count[d]
+		if int(c[byte(keys[0].key>>(8*d))]) == len(keys) {
+			continue
+		}
+		var sum int32
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			b := byte(k.key >> (8 * d))
+			swap[c[b]] = k
+			c[b]++
+		}
+		keys, swap = swap, keys
+	}
+	return keys
 }
 
 // chunkBalanced cuts the n ids at offset base into ceil(n/maxEntries)
@@ -302,13 +354,15 @@ func (tl *tiler) bound(ids []int, out []float64) {
 // two dimensions — is at most eps2, and a leaf hands its slice of perm to the
 // fused verify kernel — unless out holds enough ids and unseen none of the
 // leaf's (index.UnseenRangeAppender's rule; enough = math.MaxInt is no rule).
+// Without a store a leaf is not verified: its number goes to out instead.
 func (p *packed) descend(st *geom.Store, level int, first, count int32, q geom.Point, eps2 float64, enough int, unseen []int32, out []int) []int {
 	if level == 0 {
 		return st.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
 	}
 	lv, w := &p.levels[level-1], 2*p.dim
-	for i := int(first); i < int(first+count); i++ {
-		b := lv.bounds[w*i : w*(i+1)]
+	bounds := lv.bounds[w*int(first) : w*int(first+count)]
+	for i := int(first); len(bounds) >= w; i, bounds = i+1, bounds[w:] {
+		b := bounds[:w]
 		var sum float64
 		if len(b) != 4 {
 			sum = gapSq(q, q, b)
@@ -331,8 +385,11 @@ func (p *packed) descend(st *geom.Store, level int, first, count int32, q geom.P
 		if sum > eps2 || level == 1 && len(out) >= enough && unseen[i] == 0 {
 			continue
 		}
-		s := lv.spans[i]
-		out = p.descend(st, level-1, s.first, s.count, q, eps2, enough, unseen, out)
+		if s := lv.spans[i]; level > 1 || st != nil {
+			out = p.descend(st, level-1, s.first, s.count, q, eps2, enough, unseen, out)
+		} else {
+			out = append(out, i)
+		}
 	}
 	return out
 }

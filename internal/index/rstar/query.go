@@ -39,6 +39,18 @@ func (t *Tree) Leaves() (leafOf []int32, leaves int) {
 	return t.packed.leafOf, len(t.packed.levels[0].spans)
 }
 
+// Leaf implements index.UnseenRangeAppender.
+func (t *Tree) Leaf(leaf int) []int {
+	s := t.packed.levels[0].spans[leaf]
+	return t.packed.perm[s.first : s.first+s.count]
+}
+
+// LeavesInReach implements index.UnseenRangeAppender: the leaves rangeAppend
+// enters from the root, in its order — descend without a store to verify on.
+func (t *Tree) LeavesInReach(q geom.Point, eps float64, out []int) []int {
+	return t.packed.descend(nil, len(t.packed.levels), 0, t.packed.rootCount, q, eps*eps, math.MaxInt, nil, out)
+}
+
 // RangeAppendIDUnseen passes over a leaf with unseen[leaf] == 0 iff the result
 // holds enough ids when the visit order reaches it.
 func (t *Tree) RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int {

@@ -529,7 +529,8 @@ func TestBulkConcurrentReaders(t *testing.T) {
 // FuzzBulkRange derives a small lattice point set (ties everywhere) and a
 // radius from the fuzzed bytes and holds the bulk-loaded tree to two
 // references: its range result, sorted, is the linear scan's, and as
-// returned it is the pointer walk's of a materialised twin.
+// returned it is the pointer walk's of a materialised twin — and what verifying
+// the leaves LeavesInReach names returns.
 func FuzzBulkRange(f *testing.F) {
 	boundary := make([]byte, 2+2*33)
 	for i := range boundary {
@@ -540,6 +541,11 @@ func FuzzBulkRange(f *testing.F) {
 	f.Add(boundary)                  // n = 33: the first split
 	f.Add([]byte{0, 0, 5, 5, 5, 9})  // 1-d duplicates, eps 0
 	f.Add([]byte{3, 255})
+	lattice := []byte{1, 6} // 300 rows on a 4 × 3 lattice: every sort key tied 75 times or more
+	for i := 0; i < 300; i++ {
+		lattice = append(lattice, byte(i*7%4), byte(i*5%3))
+	}
+	f.Add(lattice)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 2 {
 			return
@@ -570,12 +576,22 @@ func FuzzBulkRange(f *testing.F) {
 			t.Fatal(err)
 		}
 		eps2 := eps * eps
-		var buf []int
+		_, leaves := bulk.Leaves()
+		var buf, reached, byLeaf []int
 		for id := 0; id < n; id++ {
 			q := st.Point(id)
 			buf = bulk.RangeAppend(q, eps, buf)
 			if want := pointerWalk(twin, q, eps); !slices.Equal(buf, want) {
 				t.Fatalf("dim %d n %d id %d eps %v: packed %v, pointer walk %v", dim, n, id, eps, buf, want)
+			}
+			if leaves > 0 {
+				reached, byLeaf = bulk.LeavesInReach(q, eps, reached[:0]), byLeaf[:0]
+				for _, l := range reached {
+					byLeaf = st.VerifyRangeSq(q, bulk.Leaf(l), eps2, byLeaf)
+				}
+				if !slices.Equal(byLeaf, buf) {
+					t.Fatalf("dim %d n %d id %d eps %v: leaves in reach give %v, RangeAppend %v", dim, n, id, eps, byLeaf, buf)
+				}
 			}
 			var scan []int
 			for j := 0; j < n; j++ {

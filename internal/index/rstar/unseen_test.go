@@ -331,7 +331,11 @@ func FuzzRangeUnseen(f *testing.F) {
 	for i := 0; i < 2*299; i++ {
 		covers = append(covers, byte(i*37))
 	}
-	for _, seed := range [][]byte{dup, grid, line, cube, same, covers} {
+	lattice := []byte{0, 1, 6, 0, 1, 4} // 300 rows on a 4 × 3 lattice: every sort key tied 75 times or more
+	for i := 0; i < 300; i++ {
+		lattice = append(lattice, byte(i*7%4), byte(i*5%3))
+	}
+	for _, seed := range [][]byte{dup, grid, line, cube, same, covers, lattice} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
