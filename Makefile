@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-scalar check fuzz-smoke bench bench-json bench-smoke bench-pairs benchdiff loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check index-guard fuzz-smoke bench bench-json bench-smoke bench-pairs benchdiff loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -32,12 +32,20 @@ test-scalar:
 	$(GO) test -tags dbdc_scalar_kernels ./internal/geom/ ./internal/index/... ./internal/dbscan/ ./internal/dbdc/ ./internal/transport/ ./internal/incdbscan/ ./internal/stream/
 
 # The CI gate: static checks, build, race-enabled tests.
-check: vet build test-race
+check: vet build index-guard test-race
+
+# Every static index is a permutation, spans and a descent (the internal/index
+# package comment): no per-query scratch to pool, nothing to materialise once.
+# Fails if a non-test file under internal/index mentions sync.Pool or sync.Once.
+index-guard:
+	@! grep -rnE 'sync\.(Pool|Once)' --include='*.go' --exclude='*_test.go' internal/index \
+		|| { echo 'index-guard: sync.Pool or sync.Once under internal/index'; exit 1; }
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
-# panic on arbitrary bytes; kernels, the fused verifiers and the packed
-# R*-tree query must match their references, its unseen-aware by-id query the
-# contract of index.UnseenRangeAppender; the dynamic R*-tree must keep its
+# panic on arbitrary bytes; kernels and the fused verifiers must match their
+# references, the packed R*-tree query a linear scan and a test-only walk of
+# its packed levels, its unseen-aware by-id query the contract of
+# index.UnseenRangeAppender; the dynamic R*-tree must keep its
 # invariants, answer like a linear scan and choose subtrees like the all-pairs
 # rule after every operation; incremental DBSCAN must match batch DBSCAN after
 # every operation; the leaf-wise relabel must label like the per-point rule).

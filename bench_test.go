@@ -489,8 +489,8 @@ func BenchmarkStoreKernels(b *testing.B) {
 	})
 
 	// Range queries through the reusable-buffer seam. The loops reuse one
-	// buffer; after warm-up they must report allocs/op = 0.
-	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree} {
+	// buffer; they must report allocs/op = 0.
+	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindMTree} {
 		b.Run(fmt.Sprintf("range/store/%s", kind), func(b *testing.B) {
 			idx, err := index.BuildStore(kind, st, e, ds.Params.Eps)
 			if err != nil {
@@ -558,7 +558,7 @@ func BenchmarkLocalClustering(b *testing.B) {
 	// scan is excluded: O(n²) distance computations at this cardinality
 	// measure patience, not kernels (internal/index has per-query benches
 	// covering it).
-	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRStar} {
+	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRStar, index.KindMTree} {
 		b.Run(fmt.Sprintf("store/%s", kind), func(b *testing.B) {
 			// Flat-store bulk load: the index keeps the stride-2 backing
 			// array and verifies candidates with the strided kernels.

@@ -1,41 +1,42 @@
 package index
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sync"
+	"slices"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// Grid is a uniform-grid index. Points are hashed into cells of edge length
-// cellSize; an ε-range query with eps ≤ cellSize only needs to inspect the
-// 3^d cells surrounding the query point. Candidate distances are verified
-// with the configured metric, so the grid is exact for every Minkowski
-// metric (any metric where a per-coordinate difference lower-bounds the
-// distance).
+// Grid is a uniform-grid index in compressed sparse row form. Points are
+// assigned to cells of edge length cellSize; the occupied cells are sorted by
+// their integer coordinates, lexicographically, and each owns a span of one id
+// permutation, its ids ascending. A query walks the occupied cells within
+// reach axis by axis (see walk), so it costs the cells that hold points, never
+// the empty positions between them. Candidate distances are verified with the
+// configured metric, so the grid is exact for every Minkowski metric (any
+// metric where a per-coordinate difference lower-bounds the distance).
 type Grid struct {
 	pts      []geom.Point
 	metric   geom.Metric
 	cellSize float64
 	dim      int
-	cells    map[string][]int
-	// origin anchors cell coordinates so negative coordinates hash stably.
+	// origin anchors cell coordinates so negative coordinates stay stable.
 	origin geom.Point
+	// Cell c has the coordinates keys[c*dim:(c+1)*dim] and owns the ids
+	// perm[spans[c].first:][:spans[c].count].
+	perm  []int
+	keys  []int64
+	spans []span
 	// store is the flat backing store of a Euclidean index, nil under any
 	// other metric: candidate verification then runs on the strided Store
 	// kernels by candidate id.
 	store *geom.Store
-	// scratch pools the per-query cell-walk state so concurrent range
-	// queries stay allocation-free in steady state.
-	scratch sync.Pool
 }
 
-// gridScratch is the reusable per-query state of the cell walk.
-type gridScratch struct {
-	center, coords []int64
-	key            []byte
-}
+// span is the run of a permutation one cell owns.
+type span struct{ first, count int32 }
 
 // gridPruneSlack is the relative FP margin of the cell-prune test: each
 // per-axis gap retreats by this fraction of the participating magnitudes
@@ -47,8 +48,9 @@ type gridScratch struct {
 const gridPruneSlack = 1e-12
 
 // NewGrid builds a grid index with cells sized to the intended query radius
-// eps. Queries with a radius larger than eps remain correct but degrade
-// towards a full scan. eps must be positive and the points of one uniform
+// eps. Queries with a radius larger than eps remain correct; they visit more
+// occupied cells — every one of them at worst, a full scan — but never an
+// empty one. eps must be positive and the points of one uniform
 // dimensionality. A nil metric defaults to Euclidean, under which pts are
 // copied once into a flat store (see NewGridStore); under any other metric
 // the point slice is retained.
@@ -71,35 +73,40 @@ func NewGridStore(st *geom.Store, metric geom.Metric, eps float64) (*Grid, error
 	return buildGrid(st.Views(), metric, kept, eps)
 }
 
-// buildGrid hashes pts (of validated uniform dimensionality) into cells.
+// buildGrid sorts the ids of pts (of validated uniform dimensionality) by
+// their cell coordinates, lexicographically, ties in id order, and cuts the
+// result into one span per cell.
 func buildGrid(pts []geom.Point, metric geom.Metric, st *geom.Store, eps float64) (*Grid, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, errors.New("index: grid cell size must be a positive finite number")
 	}
-	g := &Grid{
-		pts:      pts,
-		metric:   metric,
-		store:    st,
-		cellSize: eps,
-		cells:    make(map[string][]int),
+	g := &Grid{pts: pts, metric: metric, store: st, cellSize: eps}
+	if len(pts) == 0 {
+		return g, nil
 	}
-	if len(pts) > 0 {
-		g.dim = pts[0].Dim()
-		g.origin = pts[0].Clone()
-		coords := make([]int64, g.dim)
-		for i, p := range pts {
-			g.cellCoordsInto(coords, p)
-			key := string(appendCellKey(nil, coords))
-			g.cells[key] = append(g.cells[key], i)
+	dim := pts[0].Dim()
+	g.dim, g.origin = dim, pts[0].Clone()
+	coords := make([]int64, len(pts)*dim)
+	g.perm = make([]int, len(pts))
+	for i, p := range pts {
+		for d := range dim {
+			coords[i*dim+d] = g.cellOf(p, d)
 		}
+		g.perm[i] = i
 	}
-	dim := g.dim
-	g.scratch.New = func() interface{} {
-		return &gridScratch{
-			center: make([]int64, dim),
-			coords: make([]int64, dim),
-			key:    make([]byte, 0, dim*8),
+	key := func(id int) []int64 { return coords[id*dim : (id+1)*dim] }
+	slices.SortFunc(g.perm, func(a, b int) int {
+		if c := slices.Compare(key(a), key(b)); c != 0 {
+			return c
 		}
+		return cmp.Compare(a, b)
+	})
+	for k, id := range g.perm {
+		if k == 0 || !slices.Equal(key(id), g.keys[len(g.keys)-dim:]) {
+			g.keys = append(g.keys, key(id)...)
+			g.spans = append(g.spans, span{first: int32(k)})
+		}
+		g.spans[len(g.spans)-1].count++
 	}
 	return g, nil
 }
@@ -118,26 +125,11 @@ func (g *Grid) Metric() geom.Metric { return g.metric }
 
 // CellCount returns the number of non-empty grid cells (exposed for tests
 // and diagnostics).
-func (g *Grid) CellCount() int { return len(g.cells) }
+func (g *Grid) CellCount() int { return len(g.spans) }
 
-// cellCoordsInto writes the cell coordinates of p into c (len g.dim).
-func (g *Grid) cellCoordsInto(c []int64, p geom.Point) {
-	for i := 0; i < g.dim; i++ {
-		c[i] = int64(math.Floor((p[i] - g.origin[i]) / g.cellSize))
-	}
-}
-
-// appendCellKey encodes cell coordinates into a compact byte key appended to
-// buf. Lookups convert with string(buf) directly in the map index expression,
-// which the compiler performs without allocating.
-func appendCellKey(buf []byte, coords []int64) []byte {
-	for _, c := range coords {
-		u := uint64(c)
-		buf = append(buf,
-			byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return buf
+// cellOf returns the coordinate of p's cell on axis d.
+func (g *Grid) cellOf(p geom.Point, d int) int64 {
+	return int64(math.Floor((p[d] - g.origin[d]) / g.cellSize))
 }
 
 // Range implements Index.
@@ -151,102 +143,108 @@ func (g *Grid) RangeAppendID(i int, eps float64, buf []int) []int {
 	return g.RangeAppend(g.pts[i], eps, buf)
 }
 
-// RangeAppend implements RangeAppender. The surrounding-cell walk runs on
-// pooled scratch buffers, so steady-state queries allocate nothing.
+// RangeAppend implements RangeAppender. The walk keeps its state on the
+// stack, so queries allocate nothing once buf has grown. A negative or NaN
+// radius finds nothing.
 func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]
-	if len(g.pts) == 0 {
+	if len(g.pts) == 0 || !(eps >= 0) {
 		return out
 	}
-	s := g.scratch.Get().(*gridScratch)
-	center, coords := s.center, s.coords
 	// A point within eps of q differs by at most eps per coordinate, hence
-	// lies within reach cells of q's cell in every dimension.
-	reach := int64(math.Ceil(eps / g.cellSize))
-	g.cellCoordsInto(center, q)
-	for d := range coords {
-		coords[d] = center[d] - reach
+	// lies within reach cells of q's cell on every axis.
+	return g.walk(q, 0, 0, len(g.spans), math.Ceil(eps/g.cellSize), eps, eps*eps, 0, out)
+}
+
+// walk appends the ids within eps of q of the cells [lo, hi) — the occupied
+// cells that share the coordinates the walk has fixed on the axes before d,
+// sorted by their coordinate on d — whose coordinate on every axis from d on
+// lies within reach of q's cell, in key order: the order of an odometer over
+// every cell position in reach, the last axis turning fastest.
+//
+// Each distinct coordinate on axis d is a run of the cells, found by binary
+// search, and passes through the cell-prune test before the walk enters it:
+// the per-axis gap from q to the cell's interval on d, retreated by an FP
+// slack covering every rounding in the cell-assignment and distance chains,
+// rules the run out when it exceeds eps under every supported metric (the
+// per-coordinate difference lower-bounds each Minkowski distance); under
+// Euclidean, gapSq sums the squared gaps in ascending axis order and rules a
+// run out once it exceeds eps², which prunes the diagonal cells too. A sum of
+// non-negative terms never rounds below a partial sum, so pruning a run on
+// the partial sum prunes exactly the cells the whole sum prunes, and only
+// cells no passing candidate can occupy.
+func (g *Grid) walk(q geom.Point, d, lo, hi int, reach, eps, eps2, gapSq float64, out []int) []int {
+	c, from, to := g.cellOf(q, d), int64(math.MinInt64), int64(math.MaxInt64)
+	if reach < 1<<62 { // a wider reach, or one that wraps, is unbounded
+		r := int64(reach)
+		if c-r <= c {
+			from = c - r
+		}
+		if c+r >= c {
+			to = c + r
+		}
 	}
-	eps2 := eps * eps
-	// Odometer walk over the (2·reach+1)^d surrounding cells. Cells whose
-	// rectangle provably lies outside the query ball are skipped before the
-	// map lookup: with cells sized for a larger radius than the query's,
-	// most surrounding cells cannot intersect the ball and the walk touches
-	// a fraction of the (2·reach+1)^d candidates.
-	for {
-		// Per-axis gap from q to the cell interval, retreated by an FP
-		// slack covering every rounding in the cell-assignment and distance
-		// chains — pruning can only skip cells no passing candidate can
-		// occupy, so the result set (and its cell order) is identical to
-		// the unpruned walk. A gap beyond eps on any axis rules the cell
-		// out under every supported metric (the per-coordinate difference
-		// lower-bounds each Minkowski distance); under Euclidean the summed
-		// squared gaps prune the diagonal cells too.
-		skip := false
-		var gapSq float64
-		for d := 0; d < g.dim; d++ {
-			lo := g.origin[d] + float64(coords[d])*g.cellSize
-			hi := lo + g.cellSize
-			var gap float64
-			switch {
-			case q[d] < lo:
-				gap = lo - q[d]
-			case q[d] > hi:
-				gap = q[d] - hi
-			}
+	if from > math.MinInt64 {
+		lo = g.firstAbove(d, lo, hi, from-1)
+	}
+	for lo < hi {
+		v := g.keys[lo*g.dim+d]
+		if v > to {
+			break
+		}
+		end := lo + 1
+		if d < g.dim-1 {
+			end = g.firstAbove(d, lo, hi, v)
+		}
+		cellLo := g.origin[d] + float64(v)*g.cellSize
+		cellHi := cellLo + g.cellSize
+		var gap float64
+		switch {
+		case q[d] < cellLo:
+			gap = cellLo - q[d]
+		case q[d] > cellHi:
+			gap = q[d] - cellHi
+		}
+		sum := gapSq
+		if gap > 0 {
+			gap -= gridPruneSlack * (math.Abs(cellLo) + math.Abs(cellHi) + math.Abs(q[d]))
 			if gap > 0 {
-				gap -= gridPruneSlack * (math.Abs(lo) + math.Abs(hi) + math.Abs(q[d]))
-				if gap > eps {
-					skip = true
-					break
-				}
-				if gap > 0 {
-					gapSq += gap * gap
-				}
+				sum += gap * gap
 			}
 		}
-		if skip || (g.store != nil && gapSq > eps2) {
-			d := g.dim - 1
-			for d >= 0 {
-				coords[d]++
-				if coords[d] <= center[d]+reach {
-					break
-				}
-				coords[d] = center[d] - reach
-				d--
-			}
-			if d < 0 {
-				break
-			}
-			continue
-		}
-		key := appendCellKey(s.key[:0], coords)
-		if g.store != nil {
-			// The cell's id slice IS the candidate batch: one fused kernel
-			// sweep per cell instead of one call per point, identical
-			// decisions to testing DistanceSqTo(i, q) one id at a time,
-			// cell order preserved.
-			out = g.store.VerifyRangeSq(q, g.cells[string(key)], eps2, out)
-		} else {
-			for _, i := range g.cells[string(key)] {
+		switch {
+		case gap > eps || g.store != nil && sum > eps2:
+		case d < g.dim-1:
+			out = g.walk(q, d+1, lo, end, reach, eps, eps2, sum, out)
+		case g.store != nil:
+			// The cell's span IS the candidate batch: one fused kernel sweep
+			// per cell, identical decisions to testing DistanceSqTo(i, q) one
+			// id at a time, span order preserved.
+			s := g.spans[lo]
+			out = g.store.VerifyRangeSq(q, g.perm[s.first:s.first+s.count], eps2, out)
+		default:
+			s := g.spans[lo]
+			for _, i := range g.perm[s.first : s.first+s.count] {
 				if g.metric.Distance(q, g.pts[i]) <= eps {
 					out = append(out, i)
 				}
 			}
 		}
-		d := g.dim - 1
-		for d >= 0 {
-			coords[d]++
-			if coords[d] <= center[d]+reach {
-				break
-			}
-			coords[d] = center[d] - reach
-			d--
-		}
-		if d < 0 {
-			break
+		lo = end
+	}
+	return out
+}
+
+// firstAbove returns the first of the cells [lo, hi), sorted by their
+// coordinate on axis d, whose coordinate on d is above v.
+func (g *Grid) firstAbove(d, lo, hi int, v int64) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.keys[mid*g.dim+d] > v {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	g.scratch.Put(s)
-	return out
+	return lo
 }

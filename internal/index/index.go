@@ -3,6 +3,15 @@
 // the Index interface, so the access method (linear scan, grid, kd-tree,
 // R*-tree, M-tree) is interchangeable; the paper's DBSCAN uses an R*-tree
 // for vector data and an M-tree for general metric data.
+//
+// Every static kind follows one rule: a static store-backed index is a
+// permutation plus spans plus a descent. The build lays the ids out once in
+// one permutation and gives each leaf (bucket, cell) a span of it; a query
+// descends the kind's own structure — split planes, packed boxes, covering
+// balls, the sorted cell keys — and hands each span it reaches, as it stands,
+// to Store.VerifyRangeSq. No kind keeps per-query state beyond its stack, so
+// none pools scratch, and a neighbour list is the reached spans' survivors in
+// visit order. Only the incremental clusterer grows a tree (rstar.Tree).
 package index
 
 import (

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
@@ -124,6 +125,27 @@ func TestGridRangeLargerThanCell(t *testing.T) {
 		if got, want := sortedInts(g.Range(q, eps)), oracleRange(pts, q, eps); !reflect.DeepEqual(got, want) {
 			t.Fatalf("grid Range(eps=%v) mismatch", eps)
 		}
+	}
+}
+
+// A query much wider than a cell visits the occupied cells in reach, not every
+// cell position: at ε = 5 over cells of 0.01 the reach spans 1001³ positions,
+// which the odometer walk this grid used to run took over 10 s to count off
+// for three points.
+func TestGridWideQueryIsBounded(t *testing.T) {
+	g, err := NewGrid([]geom.Point{{0, 0, 0}, {1, 1, 1}, {2, 2, 2}}, nil, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []int, 1)
+	go func() { done <- g.Range(geom.Point{0, 0, 0}, 5) }()
+	select {
+	case got := <-done:
+		if !reflect.DeepEqual(got, []int{0, 1, 2}) {
+			t.Fatalf("Range = %v, want [0 1 2]", got)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("no answer within 1 s")
 	}
 }
 

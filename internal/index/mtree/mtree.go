@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -36,12 +35,12 @@ type Tree struct {
 	distCalls int64
 	// store is the flat backing store of a statically built Euclidean tree,
 	// nil under any other metric. Every pivot is then a zero-copy view into
-	// it, so the distance kernels stream contiguous rows; Insert demotes it
-	// to nil (inserted points live outside the store).
+	// it, so the distance kernels stream contiguous rows, and perm holds the
+	// leaves' ids, one span per leaf in DFS entry order, so a leaf the descent
+	// reaches is verified in place. Insert demotes both to nil (inserted
+	// points live outside the store).
 	store *geom.Store
-	// scratch pools the batched-search candidate and distance buffers so
-	// concurrent store-backed range queries stay allocation-free.
-	scratch sync.Pool
+	perm  []int
 }
 
 // entry is a routing entry (child != nil) or a ground entry (point index).
@@ -58,8 +57,10 @@ type entry struct {
 type node struct {
 	entries []entry
 	parent  *node
-	// parentEntry indexes the routing entry in parent that points here.
-	leaf bool
+	leaf    bool
+	// first is where a leaf's ids start in the perm of a store-built tree;
+	// they run for len(entries).
+	first int32
 }
 
 // New builds an M-tree over pts with the given metric (nil defaults to
@@ -114,9 +115,27 @@ func NewFromStoreWithFanout(st *geom.Store, metric geom.Metric, maxEntries int) 
 	// Set after the build loop: Insert demotes the store on every call so
 	// user insertions past the store cannot leave a stale id mapping.
 	if t.euclid {
-		t.store = st
+		t.store, t.perm = st, make([]int, 0, t.size)
+		if t.root != nil {
+			t.layLeaves(t.root)
+		}
 	}
 	return t, nil
+}
+
+// layLeaves appends the ids of the leaves under n to perm, in DFS entry order,
+// and points each leaf at its span.
+func (t *Tree) layLeaves(n *node) {
+	if n.leaf {
+		n.first = int32(len(t.perm))
+		for i := range n.entries {
+			t.perm = append(t.perm, int(n.entries[i].idx))
+		}
+		return
+	}
+	for i := range n.entries {
+		t.layLeaves(n.entries[i].child)
+	}
 }
 
 // newTree returns an empty tree.
@@ -171,7 +190,7 @@ func (t *Tree) Insert(p geom.Point) error {
 	}
 	// The tree is growing past its flat store (if any); drop the store
 	// association rather than serve stale row ids.
-	t.store = nil
+	t.store, t.perm = nil, nil
 	// Validate dimensionality once at insert time; the distance kernels skip
 	// their per-call checks (hoisted hot-path guard, see geom/checks.go).
 	if len(t.pts) > 0 && p.Dim() != t.pts[0].Dim() {
@@ -388,7 +407,9 @@ func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	}
 	switch {
 	case t.store != nil:
-		out = t.rangeSearchStore(q, eps, eps*eps, out)
+		var verified int
+		out, verified = t.descendStore(t.root, q, eps, eps*eps, out)
+		atomic.AddInt64(&t.distCalls, int64(verified))
 	case t.euclid:
 		t.rangeSearchSq(t.root, q, eps, eps*eps, &out)
 	default:
@@ -404,48 +425,29 @@ func (t *Tree) RangeAppendID(i int, eps float64, buf []int) []int {
 	return t.RangeAppend(t.pts[i], eps, buf)
 }
 
-// mtScratch is the pooled per-query state of the batched store search.
-type mtScratch struct {
-	cand []int
-}
-
-// rangeSearchStore is rangeSearchSq for the store-backed Euclidean tree:
-// the triangle-inequality descent is unchanged (routing pivots are tested
-// one at a time — each verdict gates a recursion), but ground entries of
-// surviving leaves are collected and verified through the batched Store
-// kernel in one fused sweep — identical decisions and visit order to the
-// per-entry path; the leaf distance evaluations are accounted to distCalls
-// in one atomic add per query instead of one per entry.
-func (t *Tree) rangeSearchStore(q geom.Point, eps, eps2 float64, out []int) []int {
-	s, _ := t.scratch.Get().(*mtScratch)
-	if s == nil {
-		s = &mtScratch{}
-	}
-	cand := t.collectStore(t.root, q, eps, s.cand[:0])
-	atomic.AddInt64(&t.distCalls, int64(len(cand)))
-	out = t.store.VerifyRangeSq(q, cand, eps2, out)
-	s.cand = cand
-	t.scratch.Put(s)
-	return out
-}
-
-// collectStore appends the ground-entry ids of every leaf reached by the
-// triangle-inequality descent to cand.
-func (t *Tree) collectStore(n *node, q geom.Point, eps float64, cand []int) []int {
+// descendStore is rangeSearchSq for the store-built Euclidean tree: the
+// triangle-inequality descent is unchanged (routing pivots are tested one at
+// a time — each verdict gates a recursion), but the span of perm a reached
+// leaf owns goes to the fused Store kernel as it stands — identical decisions
+// and visit order to the per-entry path. It returns how many leaf ids it
+// verified, which RangeAppend accounts to distCalls in one atomic add per
+// query instead of one per entry.
+func (t *Tree) descendStore(n *node, q geom.Point, eps, eps2 float64, out []int) ([]int, int) {
 	if n.leaf {
-		for i := range n.entries {
-			cand = append(cand, int(n.entries[i].idx))
-		}
-		return cand
+		ids := t.perm[n.first : int(n.first)+len(n.entries)]
+		return t.store.VerifyRangeSq(q, ids, eps2, out), len(ids)
 	}
+	verified := 0
 	for i := range n.entries {
 		e := &n.entries[i]
 		bound := eps + e.radius
 		if t.distSq(q, e.pivot) <= bound*bound {
-			cand = t.collectStore(e.child, q, eps, cand)
+			var k int
+			out, k = t.descendStore(e.child, q, eps, eps2, out)
+			verified += k
 		}
 	}
-	return cand
+	return out, verified
 }
 
 func (t *Tree) rangeSearch(n *node, q geom.Point, eps float64, out *[]int) {

@@ -3,38 +3,31 @@ package rstar
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// NewBulkStore builds an R*-tree over the points of a flat store with
-// Sort-Tile-Recursive (STR) bulk loading (Leutenegger, Lopez, Edgington
+// NewBulkStore builds a read-only R*-tree over the points of a flat store
+// with Sort-Tile-Recursive (STR) bulk loading (Leutenegger, Lopez, Edgington
 // 1997): points are tiled into fully packed, minimally overlapping leaves,
 // then the upper levels are packed the same way. Bulk loading is an order of
 // magnitude faster than repeated insertion and yields better query
 // performance, so it is the build for the static site data DBSCAN runs over;
-// dynamic workloads (incremental DBSCAN) use New and Insert instead.
+// dynamic workloads (incremental DBSCAN) grow a Tree with New and Insert.
 //
-// The tree is built in packed form (see packed): one id permutation and, per
-// level, a flat node and bounds array. RangeAppend and RangeAppendID descend
-// those arrays and verify each surviving leaf — a slice of the permutation —
-// on the strided Store kernels. Everything else a Tree offers runs on
-// pointer nodes, which the first call that needs them materialises from the
-// packed levels, once, node for node the tree STR describes. Further Inserts
-// (and ReplaceAt, Delete) into a bulk-loaded tree are therefore valid: they
-// materialise, drop the packed form, copy the store — which stays the
-// caller's, unwritten — and carry on as on a tree grown by insertion.
+// The result is a Packed: one id permutation and, per level, a flat node and
+// bounds array. Its range queries descend those arrays and verify each
+// surviving leaf — a span of the permutation — on the strided Store kernels.
+// It has no pointer nodes and no mutators.
 //
 // Point(i) serves zero-copy views into the store; the build copies no
 // coordinates, only the routing-level bounds are new floats.
 //
 // epsHint, when given, is the radius the tree expects to be queried at: by-id
-// queries up to it start at the query point's own leaf (see packed.near).
-func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Tree, error) {
-	t, err := newTree(maxEntries)
-	if err != nil || st.Len() == 0 {
-		return t, err
+// queries up to it start at the query point's own leaf (see Packed.near).
+func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Packed, error) {
+	if err := checkFanout(maxEntries); err != nil {
+		return nil, err
 	}
 	if !st.IsFinite() {
 		for i, n := 0, st.Len(); i < n; i++ {
@@ -43,21 +36,20 @@ func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Tree, er
 			}
 		}
 	}
-	t.dim = st.Dim()
-	t.size = st.Len()
-	t.rows = st
-	t.packed = packSTR(st, maxEntries)
+	p := packSTR(st, maxEntries)
 	if len(epsHint) > 0 {
-		t.packed.linkLeaves(epsHint[0])
+		p.linkLeaves(epsHint[0])
 	}
-	return t, nil
+	return p, nil
 }
 
-// packed is the bulk-loaded form of a tree. Leaf i owns the point ids
-// perm[first:first+count] of levels[0].spans[i]; a node of levels[l], l > 0,
-// owns that run of levels[l-1]. The root is not stored: it sits one level
-// above the last stored one and owns all of it — all of perm when the points
-// fit a single leaf and levels is empty; rootCount is how many that makes.
+// Packed is a bulk-loaded R*-tree over the rows of a store, which it reads and
+// never writes. Leaf i owns the point ids perm[first:first+count] of
+// levels[0].spans[i]; a node of levels[l], l > 0, owns that run of
+// levels[l-1]. The root is not stored: it sits one level above the last
+// stored one and owns all of it — all of perm when the points fit a single
+// leaf and levels is empty; rootCount is how many that makes. Concurrent
+// readers need no synchronisation.
 //
 // leafOf names the leaf of every id (nil when the root is the only leaf).
 // near[nearEnd[i]:nearEnd[i+1]] lists the leaves whose box lies within
@@ -66,7 +58,8 @@ func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Tree, er
 // to that radius the leaves a descent for the point would reach are among
 // them, and a by-id query tests those alone — same test, same order. Without
 // the table (see linkLeaves) nearEps2 is negative.
-type packed struct {
+type Packed struct {
+	rows      *geom.Store
 	dim       int
 	perm      []int
 	levels    []packedLevel
@@ -87,14 +80,93 @@ type packedLevel struct {
 	bounds []float64
 }
 
+// Len returns the number of indexed points.
+func (p *Packed) Len() int { return p.rows.Len() }
+
+// Point returns the point of id i as a view of the store's row.
+func (p *Packed) Point(i int) geom.Point { return p.rows.Point(i) }
+
+// Metric returns the Euclidean metric; the R*-tree prunes with Euclidean
+// bounding-box bounds only.
+func (p *Packed) Metric() geom.Metric { return geom.Euclidean{} }
+
+// Store returns the store the tree was built over: its ids are the store's
+// rows, for the tree's lifetime.
+func (p *Packed) Store() *geom.Store { return p.rows }
+
+// Range returns the indexes of all points within Euclidean distance eps of
+// q, boundary inclusive.
+func (p *Packed) Range(q geom.Point, eps float64) []int {
+	return p.RangeAppend(q, eps, nil)
+}
+
+// RangeAppend is Range writing into buf (reused after truncation to zero
+// length), the allocation-free variant the DBSCAN inner loop uses. Both the
+// box pruning bound and the leaf verification run in squared space.
+func (p *Packed) RangeAppend(q geom.Point, eps float64, buf []int) []int {
+	return p.rangeAppend(q, -1, eps, math.MaxInt, nil, buf)
+}
+
+// RangeAppendID implements index.IDRangeAppender: the query point is
+// addressed by object id and, at a radius the leaf table covers, the descent
+// starts from the leaves near its own.
+func (p *Packed) RangeAppendID(i int, eps float64, buf []int) []int {
+	return p.rangeAppend(p.rows.Point(i), i, eps, math.MaxInt, nil, buf)
+}
+
+// Leaves implements index.UnseenRangeAppender: the leaves of a tree that has
+// more than one.
+func (p *Packed) Leaves() (leafOf []int32, leaves int) {
+	if p.leafOf == nil {
+		return nil, 0
+	}
+	return p.leafOf, len(p.levels[0].spans)
+}
+
+// Leaf implements index.UnseenRangeAppender.
+func (p *Packed) Leaf(leaf int) []int {
+	s := p.levels[0].spans[leaf]
+	return p.perm[s.first : s.first+s.count]
+}
+
+// LeavesInReach implements index.UnseenRangeAppender: the leaves rangeAppend
+// enters from the root, in its order — descend without a store to verify on.
+func (p *Packed) LeavesInReach(q geom.Point, eps float64, out []int) []int {
+	return p.descend(nil, len(p.levels), 0, p.rootCount, q, eps*eps, math.MaxInt, nil, out)
+}
+
+// RangeAppendIDUnseen passes over a leaf with unseen[leaf] == 0 iff the result
+// holds enough ids when the visit order reaches it.
+func (p *Packed) RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int {
+	return p.rangeAppend(p.rows.Point(i), i, eps, enough, unseen, buf)
+}
+
+// rangeAppend answers every ε-range query, q being the point of id when
+// id ≥ 0: then, at a radius the leaf table covers, from the leaves near its own.
+func (p *Packed) rangeAppend(q geom.Point, id int, eps float64, enough int, unseen []int32, buf []int) []int {
+	out, eps2 := buf[:0], eps*eps
+	level, from := len(p.levels), []span{{0, p.rootCount}}
+	if id >= 0 && eps2 <= p.nearEps2 {
+		leaf := p.leafOf[id]
+		level, from = 1, p.near[p.nearEnd[leaf]:p.nearEnd[leaf+1]]
+	}
+	for _, s := range from {
+		out = p.descend(p.rows, level, s.first, s.count, q, eps2, enough, unseen, out)
+	}
+	if len(out) == 0 {
+		return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
+	}
+	return out
+}
+
 // packSTR tiles the store's rows bottom-up until one node can hold what is
 // left. Level 0 tiles perm in place over the rows themselves (a point is its
 // own degenerate box); every further level tiles a permutation of the nodes
 // just formed over their bounds, and then moves those nodes into the tiled
 // order so that each parent's children are contiguous.
-func packSTR(st *geom.Store, maxEntries int) *packed {
+func packSTR(st *geom.Store, maxEntries int) *Packed {
 	dim := st.Dim()
-	p := &packed{dim: dim, perm: identity(st.Len()), nearEps2: -1}
+	p := &Packed{rows: st, dim: dim, perm: identity(st.Len()), nearEps2: -1}
 	tl := tiler{boxes: st.Coords(), stride: dim, dim: dim, maxEntries: maxEntries, keys: make([]sortKey, 0, st.Len()), swap: make([]sortKey, st.Len())}
 	order := p.perm
 	for len(order) > maxEntries {
@@ -126,7 +198,7 @@ func packSTR(st *geom.Store, maxEntries int) *packed {
 // linkLeaves builds near for radii up to eps — unless eps is not positive and
 // finite, the root is the only leaf, or near would hold more spans than there
 // are points (many scattered near leaves each: high dimensions, a wide radius).
-func (p *packed) linkLeaves(eps float64) {
+func (p *Packed) linkLeaves(eps float64) {
 	if !(eps > 0) || math.IsInf(eps, 1) || len(p.levels) == 0 {
 		return
 	}
@@ -144,7 +216,7 @@ func (p *packed) linkLeaves(eps float64) {
 
 // reach appends to near[from:] the leaves under the children [first,
 // first+count) of a node at level whose boxes lie within eps2 of box.
-func (p *packed) reach(level int, first, count int32, box []float64, eps2 float64, near []span, from int) []span {
+func (p *Packed) reach(level int, first, count int32, box []float64, eps2 float64, near []span, from int) []span {
 	lv, w, lo, hi := &p.levels[level-1], 2*p.dim, box[:p.dim], box[p.dim:]
 	for i := first; i < first+count; i++ {
 		switch last := len(near) - 1; {
@@ -355,7 +427,7 @@ func (tl *tiler) bound(ids []int, out []float64) {
 // fused verify kernel — unless out holds enough ids and unseen none of the
 // leaf's (index.UnseenRangeAppender's rule; enough = math.MaxInt is no rule).
 // Without a store a leaf is not verified: its number goes to out instead.
-func (p *packed) descend(st *geom.Store, level int, first, count int32, q geom.Point, eps2 float64, enough int, unseen []int32, out []int) []int {
+func (p *Packed) descend(st *geom.Store, level int, first, count int32, q geom.Point, eps2 float64, enough int, unseen []int32, out []int) []int {
 	if level == 0 {
 		return st.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
 	}
@@ -392,36 +464,4 @@ func (p *packed) descend(st *geom.Store, level int, first, count int32, q geom.P
 		}
 	}
 	return out
-}
-
-// pointerNodes builds the pointer form of the packed tree and returns its
-// root. Leaves alias perm and routing rectangles alias the packed bounds —
-// both are written in place only once the packed form is gone — and every
-// node's slice is capped at its own length, so a later append moves it
-// instead of overwriting its neighbour.
-func (p *packed) pointerNodes() *node {
-	var entries []entry
-	for l, lv := range p.levels {
-		nodes := make([]node, len(lv.spans))
-		parents := make([]entry, len(lv.spans))
-		for i, s := range lv.spans {
-			end := s.first + s.count
-			nodes[i].level = l
-			if l == 0 {
-				nodes[i].ids = p.perm[s.first:end:end]
-			} else {
-				nodes[i].entries = entries[s.first:end:end]
-			}
-			b := lv.bounds[2*p.dim*i : 2*p.dim*(i+1)]
-			parents[i] = entry{
-				rect:  geom.Rect{Min: b[:p.dim:p.dim], Max: b[p.dim : 2*p.dim : 2*p.dim]},
-				child: &nodes[i],
-			}
-		}
-		entries = parents
-	}
-	if len(p.levels) == 0 {
-		return &node{ids: slices.Clip(p.perm)}
-	}
-	return &node{level: len(p.levels), entries: entries}
 }

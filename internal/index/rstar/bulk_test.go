@@ -139,7 +139,7 @@ func TestSTRSlabCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves := tr.packed.levels[0]
+	leaves := tr.levels[0]
 	if len(leaves.spans) != 125 {
 		t.Fatalf("%d leaves, want 125", len(leaves.spans))
 	}

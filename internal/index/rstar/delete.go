@@ -17,7 +17,6 @@ func (t *Tree) Delete(idx int) error {
 	if idx < 0 || t.rows == nil || idx >= t.rows.Len() {
 		return fmt.Errorf("rstar: delete of unknown point %d", idx)
 	}
-	t.mutable()
 	t.path = t.path[:0]
 	if t.root == nil || !t.findLeaf(t.root, idx) {
 		return fmt.Errorf("rstar: point %d not in tree", idx)

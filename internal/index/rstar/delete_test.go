@@ -58,13 +58,11 @@ func TestDeleteRandomSubsets(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 200 + rng.Intn(800)
 		pts := randomPoints(rng, n, 2)
-		var tr *Tree
-		var err error
-		if trial%2 == 0 {
-			tr, err = bulkOf(pts)
-		} else {
-			tr, err = NewWithFanout(pts, 8)
+		fanout := DefaultMaxEntries
+		if trial%2 == 1 {
+			fanout = 8
 		}
+		tr, err := NewWithFanout(pts, fanout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +193,7 @@ func TestReplaceAtChurn(t *testing.T) {
 	pts := randomPoints(rng, n, 2)
 	cur := make([]geom.Point, n)
 	copy(cur, pts)
-	tr, err := bulkOf(pts)
+	tr, err := New(pts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@
 // method the DBDC paper's DBSCAN uses for ε-range queries on vector data:
 // insertion uses the R* ChooseSubtree rule, topological split (minimum
 // margin axis, minimum overlap distribution) and forced reinsertion; queries
-// prune subtrees via bounding-box distance bounds.
+// prune subtrees via bounding-box distance bounds. A fixed point set is
+// STR-loaded instead (NewBulkStore) into Packed, the read-only form: one id
+// permutation, per level a span and a box per node, and a descent.
 package rstar
 
 import (
@@ -12,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
@@ -28,31 +29,22 @@ const (
 // of a level during one insertion (the paper recommends 30%).
 const reinsertFraction = 0.3
 
-// Tree is an R*-tree over points. The zero value is not usable; construct
-// with New, NewWithFanout or NewBulkStore. A Tree is safe for concurrent
-// readers once no writer is active.
+// Tree is a dynamic R*-tree over points, grown by Insert and shrunk by Delete;
+// NewBulkStore builds the read-only Packed form for a fixed point set
+// instead. The zero value is not usable; construct with New or
+// NewWithFanout. A Tree is safe for concurrent readers once no writer is
+// active.
 type Tree struct {
 	dim        int
 	maxEntries int
 	minEntries int
-	// root is the pointer form every operation but the ε-range query of a
-	// bulk-loaded tree runs on. It is nil while a bulk-loaded tree has only
-	// its packed form; reach it through nodes.
-	root *node
+	root       *node
 	// rows holds the points, slot i in row i; a leaf is a slice of slot ids,
-	// verified on the strided Store kernels in both forms. It is nil until the
-	// first point fixes the stride, for the tree's lifetime. A bulk-loaded
-	// tree reads the caller's store and never writes to it: the first Insert,
-	// ReplaceAt or Delete copies it.
+	// verified on the strided Store kernels. It is nil until the first point
+	// fixes the stride, for the tree's lifetime.
 	rows   *geom.Store
 	size   int
 	metric geom.Euclidean
-	// packed is set by NewBulkStore and dropped by the first mutation. While
-	// set, range queries descend the packed levels.
-	packed *packed
-	// unpack guards the one materialisation of root from packed, so readers
-	// that need pointer nodes may race each other and the packed queries.
-	unpack sync.Once
 
 	// The write path's scratch, reused from call to call: path is the descent
 	// of the current insertEntry or Delete, root first; ext is chooseLeaf's
@@ -146,10 +138,10 @@ func New(pts []geom.Point) (*Tree, error) {
 // NewWithFanout builds an R*-tree with maximum node fan-out maxEntries
 // (minimum 4). Exposed so benchmarks can ablate the fan-out choice.
 func NewWithFanout(pts []geom.Point, maxEntries int) (*Tree, error) {
-	t, err := newTree(maxEntries)
-	if err != nil {
+	if err := checkFanout(maxEntries); err != nil {
 		return nil, err
 	}
+	t := &Tree{maxEntries: maxEntries, minEntries: max(2, maxEntries*2/5)} // m = 40% of M
 	for _, p := range pts {
 		if err := t.Insert(p); err != nil {
 			return nil, err
@@ -158,11 +150,11 @@ func NewWithFanout(pts []geom.Point, maxEntries int) (*Tree, error) {
 	return t, nil
 }
 
-func newTree(maxEntries int) (*Tree, error) {
+func checkFanout(maxEntries int) error {
 	if maxEntries < 4 {
-		return nil, fmt.Errorf("rstar: max entries %d < 4", maxEntries)
+		return fmt.Errorf("rstar: max entries %d < 4", maxEntries)
 	}
-	return &Tree{maxEntries: maxEntries, minEntries: max(2, maxEntries*2/5)}, nil // m = 40% of M
+	return nil
 }
 
 // Len returns the number of indexed points.
@@ -179,46 +171,10 @@ func (t *Tree) Metric() geom.Metric { return t.metric }
 // Height returns the height of the tree (0 for an empty tree, 1 for a
 // root-only leaf).
 func (t *Tree) Height() int {
-	root := t.nodes()
-	if root == nil {
+	if t.root == nil {
 		return 0
 	}
-	return root.level + 1
-}
-
-// Store returns the flat backing store of a bulk-store-loaded tree, or nil.
-// It is nil after any Insert, ReplaceAt or Delete: the indexed ids are then
-// no longer exactly the store's rows.
-func (t *Tree) Store() *geom.Store {
-	if t.packed == nil {
-		return nil
-	}
-	return t.rows
-}
-
-// nodes returns the root of the pointer form, materialising it on first use
-// from the packed levels of a bulk-loaded tree.
-func (t *Tree) nodes() *node {
-	t.unpack.Do(func() {
-		if t.packed != nil {
-			t.root = t.packed.pointerNodes()
-		}
-	})
-	return t.root
-}
-
-// mutable readies the tree for a mutation. A bulk-loaded tree turns into a
-// plain dynamic one: pointer nodes in place, rows of its own, the packed form
-// — which the mutation is about to outdate — gone. The scratch corners are
-// cut once the stride is known.
-func (t *Tree) mutable() {
-	if t.packed != nil {
-		t.nodes()
-		t.rows, t.packed = t.rows.Clone(), nil
-	}
-	if t.ext.Min == nil && t.dim > 0 {
-		t.ext, t.g1, t.g2, t.mid = newRect(t.dim), newRect(t.dim), newRect(t.dim), newRect(t.dim)
-	}
+	return t.root.level + 1
 }
 
 func newRect(dim int) geom.Rect {
@@ -226,8 +182,9 @@ func newRect(dim int) geom.Rect {
 	return geom.Rect{Min: c[:dim:dim], Max: c[dim:]}
 }
 
-// admit checks that p can join the tree — the first point ever admitted
-// fixes the dimensionality — and readies the tree for it.
+// admit checks that p can join the tree. The first point ever admitted fixes
+// the dimensionality, and with it the stride of the rows and of the write
+// path's scratch corners.
 func (t *Tree) admit(p geom.Point) error {
 	switch {
 	case !p.IsFinite():
@@ -236,10 +193,10 @@ func (t *Tree) admit(p geom.Point) error {
 		return errors.New("rstar: zero-dimensional point")
 	case t.rows == nil:
 		t.dim, t.rows = p.Dim(), geom.NewStore(p.Dim(), 0)
+		t.ext, t.g1, t.g2, t.mid = newRect(t.dim), newRect(t.dim), newRect(t.dim), newRect(t.dim)
 	case p.Dim() != t.dim:
 		return fmt.Errorf("rstar: point dimensionality %d, tree has %d", p.Dim(), t.dim)
 	}
-	t.mutable()
 	return nil
 }
 

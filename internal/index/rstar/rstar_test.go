@@ -30,7 +30,7 @@ func randomPoints(rng *rand.Rand, n, dim int) []geom.Point {
 // reachable exactly once.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	if tr.nodes() == nil {
+	if tr.root == nil {
 		if tr.size != 0 {
 			t.Fatal("nil root with nonzero size")
 		}
@@ -252,7 +252,7 @@ func BenchmarkInsert(b *testing.B) {
 }
 
 // bulkOf STR-loads pts through a flat store — the only bulk build.
-func bulkOf(pts []geom.Point) (*Tree, error) {
+func bulkOf(pts []geom.Point) (*Packed, error) {
 	if len(pts) == 0 {
 		return NewBulkStore(geom.NewStore(2, 0), DefaultMaxEntries)
 	}
@@ -261,6 +261,69 @@ func bulkOf(pts []geom.Point) (*Tree, error) {
 		return nil, err
 	}
 	return NewBulkStore(st, DefaultMaxEntries)
+}
+
+// checkPackedInvariants is checkInvariants on the packed levels of a tree of
+// fan-out DefaultMaxEntries: every node but the root holds between m and M
+// entries, every stored box tightly bounds its subtree, folded in order, and
+// every point sits in exactly one leaf, the one leafOf names.
+func checkPackedInvariants(t *testing.T, p *Packed) {
+	t.Helper()
+	minEntries := max(2, DefaultMaxEntries*2/5)
+	seen := make([]bool, p.Len())
+	bound := make([]float64, 2*p.dim)
+	var walk func(level int, s span, root bool)
+	walk = func(level int, s span, root bool) {
+		if int(s.count) > DefaultMaxEntries || !root && int(s.count) < minEntries {
+			t.Fatalf("level-%d node of %d entries outside [%d, %d]", level, s.count, minEntries, DefaultMaxEntries)
+		}
+		if level == 0 {
+			for _, id := range p.perm[s.first : s.first+s.count] {
+				if seen[id] {
+					t.Fatalf("point %d indexed twice", id)
+				}
+				seen[id] = true
+			}
+			return
+		}
+		lv := &p.levels[level-1]
+		for i := s.first; i < s.first+s.count; i++ {
+			c := lv.spans[i]
+			for k := c.first; k < c.first+c.count; k++ {
+				var lo, hi []float64
+				if level == 1 {
+					lo = p.rows.Point(p.perm[k])
+					hi = lo
+					if p.leafOf != nil && p.leafOf[p.perm[k]] != i {
+						t.Fatalf("point %d in leaf %d, leafOf says %d", p.perm[k], i, p.leafOf[p.perm[k]])
+					}
+				} else {
+					b := p.levels[level-2].bounds[2*p.dim*int(k):]
+					lo, hi = b[:p.dim], b[p.dim:2*p.dim]
+				}
+				for d := 0; d < p.dim; d++ {
+					if k == c.first || lo[d] < bound[d] {
+						bound[d] = lo[d]
+					}
+					if k == c.first || hi[d] > bound[p.dim+d] {
+						bound[p.dim+d] = hi[d]
+					}
+				}
+			}
+			if stored := lv.bounds[2*p.dim*int(i) : 2*p.dim*int(i+1)]; !slices.Equal(stored, bound) {
+				t.Fatalf("stale box of level-%d node %d: have %v, subtree bound %v", level-1, i, stored, bound)
+			}
+			walk(level-1, c, false)
+		}
+	}
+	if p.Len() > 0 {
+		walk(len(p.levels), span{0, p.rootCount}, true)
+	}
+	for id, ok := range seen {
+		if !ok {
+			t.Fatalf("point %d in no leaf", id)
+		}
+	}
 }
 
 func TestBulkInvariants(t *testing.T) {
@@ -273,7 +336,7 @@ func TestBulkInvariants(t *testing.T) {
 		if tr.Len() != n {
 			t.Fatalf("n=%d: Len=%d", n, tr.Len())
 		}
-		checkInvariants(t, tr)
+		checkPackedInvariants(t, tr)
 	}
 }
 
@@ -283,7 +346,7 @@ func TestBulkHighDimInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkInvariants(t, tr)
+	checkPackedInvariants(t, tr)
 }
 
 func TestBulkValidation(t *testing.T) {
@@ -295,23 +358,6 @@ func TestBulkValidation(t *testing.T) {
 	}
 	if _, err := NewBulkStore(geom.NewStore(2, 0), 2); err == nil {
 		t.Error("tiny fanout accepted")
-	}
-}
-
-func TestBulkThenInsert(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	tr, err := bulkOf(randomPoints(rng, 500, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range randomPoints(rng, 500, 2) {
-		if err := tr.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkInvariants(t, tr)
-	if tr.Len() != 1000 {
-		t.Fatalf("Len=%d", tr.Len())
 	}
 }
 
@@ -353,7 +399,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 func TestRangeRectMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := randomPoints(rng, 800, 2)
-	tr, err := bulkOf(pts)
+	tr, err := New(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,34 +448,39 @@ func latticePoints(rng *rand.Rand, n, dim, side int) []geom.Point {
 	return pts
 }
 
-// pointerWalk answers a range query from the pointer form alone, with
-// per-point distance tests: the reference the packed descent and the fused
-// leaf verification must match element for element.
-func pointerWalk(tr *Tree, q geom.Point, eps float64) []int {
+// levelWalk answers a range query by walking the packed levels from the root,
+// entering a child when Rect.MinDistSq of its box is at most eps², testing
+// each point of a leaf reached with SquaredEuclidean: the reference the
+// descent — its leaf table, its 2-d bound and the fused leaf verification —
+// must match element for element.
+func levelWalk(p *Packed, q geom.Point, eps float64) []int {
 	var out []int
-	var walk func(n *node)
-	walk = func(n *node) {
-		for _, id := range n.ids {
-			if geom.SquaredEuclidean(q, tr.Point(id)) <= eps*eps {
-				out = append(out, id)
+	var walk func(level int, s span)
+	walk = func(level int, s span) {
+		if level == 0 {
+			for _, id := range p.perm[s.first : s.first+s.count] {
+				if geom.SquaredEuclidean(q, p.Point(id)) <= eps*eps {
+					out = append(out, id)
+				}
 			}
+			return
 		}
-		for _, e := range n.entries {
-			if e.rect.MinDistSq(q) <= eps*eps {
-				walk(e.child)
+		lv := &p.levels[level-1]
+		for i := s.first; i < s.first+s.count; i++ {
+			b := lv.bounds[2*p.dim*int(i) : 2*p.dim*int(i+1)]
+			if (geom.Rect{Min: b[:p.dim], Max: b[p.dim:]}).MinDistSq(q) <= eps*eps {
+				walk(level-1, lv.spans[i])
 			}
 		}
 	}
-	if root := tr.nodes(); root != nil {
-		walk(root)
-	}
+	walk(len(p.levels), span{0, p.rootCount})
 	return out
 }
 
 // TestPackedRangeMatchesPointerWalk is the order-sensitive oracle of the
-// packed query: for every id and three radii, RangeAppendID on a fresh bulk
-// tree equals the pointer walk of a second bulk tree over the same store
-// that was made to materialise — same ids, same order.
+// packed query: for every id and three radii, RangeAppendID equals the level
+// walk — the walk the pointer nodes once materialised from the packed levels
+// answered with — same ids, same order.
 func TestPackedRangeMatchesPointerWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	cases := []struct {
@@ -446,51 +497,35 @@ func TestPackedRangeMatchesPointerWalk(t *testing.T) {
 		{"n=33", randomPoints(rng, 33, 2), [3]float64{0.5, 3, 40}},
 	}
 	for _, c := range cases {
-		st := storeOf(t, c.pts)
-		packedTree, err := NewBulkStore(st, DefaultMaxEntries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pointerTree, err := NewBulkStore(st, DefaultMaxEntries)
+		tr, err := NewBulkStore(storeOf(t, c.pts), DefaultMaxEntries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf []int
 		for _, eps := range c.eps {
 			for id := range c.pts {
-				buf = packedTree.RangeAppendID(id, eps, buf)
-				want := pointerWalk(pointerTree, c.pts[id], eps)
-				if !slices.Equal(buf, want) {
-					t.Fatalf("%s: id %d eps %v: packed %v, pointer walk %v", c.name, id, eps, buf, want)
+				buf = tr.RangeAppendID(id, eps, buf)
+				if want := levelWalk(tr, c.pts[id], eps); !slices.Equal(buf, want) {
+					t.Fatalf("%s: id %d eps %v: packed %v, level walk %v", c.name, id, eps, buf, want)
 				}
 			}
-		}
-		if packedTree.root != nil || packedTree.packed == nil {
-			t.Fatalf("%s: range queries materialised the pointer form", c.name)
 		}
 	}
 }
 
-// TestBulkConcurrentReaders: range queries on the packed form may run while
-// other readers make the tree materialise its pointer form. Run under -race.
+// TestBulkConcurrentReaders: eight readers share one packed tree, by-id queries
+// from its own leaf and by-point descents from the root. Run under -race.
 func TestBulkConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	pts := randomPoints(rng, 4000, 2)
-	st := storeOf(t, pts)
-	ref, err := NewBulkStore(st, DefaultMaxEntries)
+	const eps = 0.6
+	tr, err := NewBulkStore(storeOf(t, pts), DefaultMaxEntries, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const eps = 0.6
 	want := make([][]int, len(pts))
 	for id := range pts {
-		want[id] = ref.RangeAppendID(id, eps, nil)
-	}
-	wantHeight, wantKNN := ref.Height(), ref.KNN(pts[0], 5)
-
-	tr, err := NewBulkStore(st, DefaultMaxEntries)
-	if err != nil {
-		t.Fatal(err)
+		want[id] = levelWalk(tr, pts[id], eps)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -499,7 +534,11 @@ func TestBulkConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			var buf []int
 			for id := g; id < len(pts); id += 8 {
-				buf = tr.RangeAppendID(id, eps, buf)
+				if g%2 == 0 {
+					buf = tr.RangeAppendID(id, eps, buf)
+				} else {
+					buf = tr.RangeAppend(pts[id], eps, buf)
+				}
 				if !slices.Equal(buf, want[id]) {
 					t.Errorf("id %d: %v, want %v", id, buf, want[id])
 					return
@@ -507,30 +546,14 @@ func TestBulkConcurrentReaders(t *testing.T) {
 			}
 		}(g)
 	}
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if h := tr.Height(); h != wantHeight {
-					t.Errorf("Height %d, want %d", h, wantHeight)
-					return
-				}
-				if got := tr.KNN(pts[0], 5); !slices.Equal(got, wantKNN) {
-					t.Errorf("KNN %v, want %v", got, wantKNN)
-					return
-				}
-			}
-		}()
-	}
 	wg.Wait()
 }
 
 // FuzzBulkRange derives a small lattice point set (ties everywhere) and a
 // radius from the fuzzed bytes and holds the bulk-loaded tree to two
 // references: its range result, sorted, is the linear scan's, and as
-// returned it is the pointer walk's of a materialised twin — and what verifying
-// the leaves LeavesInReach names returns.
+// returned it is the level walk's — and what verifying the leaves
+// LeavesInReach names returns.
 func FuzzBulkRange(f *testing.F) {
 	boundary := make([]byte, 2+2*33)
 	for i := range boundary {
@@ -571,18 +594,14 @@ func FuzzBulkRange(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := NewBulkStore(st, DefaultMaxEntries)
-		if err != nil {
-			t.Fatal(err)
-		}
 		eps2 := eps * eps
 		_, leaves := bulk.Leaves()
 		var buf, reached, byLeaf []int
 		for id := 0; id < n; id++ {
 			q := st.Point(id)
 			buf = bulk.RangeAppend(q, eps, buf)
-			if want := pointerWalk(twin, q, eps); !slices.Equal(buf, want) {
-				t.Fatalf("dim %d n %d id %d eps %v: packed %v, pointer walk %v", dim, n, id, eps, buf, want)
+			if want := levelWalk(bulk, q, eps); !slices.Equal(buf, want) {
+				t.Fatalf("dim %d n %d id %d eps %v: packed %v, level walk %v", dim, n, id, eps, buf, want)
 			}
 			if leaves > 0 {
 				reached, byLeaf = bulk.LeavesInReach(q, eps, reached[:0]), byLeaf[:0]

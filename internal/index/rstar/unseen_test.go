@@ -75,7 +75,7 @@ func degenerateShapes() []struct {
 // makes in all; and the fewest spans of adjacent leaves that can hold them (a
 // descent visits the leaves of a tree of four levels and more out of index
 // order, so its table may need more).
-func bruteNear(p *packed, eps float64) (near [][]int32, listed, runs int) {
+func bruteNear(p *Packed, eps float64) (near [][]int32, listed, runs int) {
 	lv, w := &p.levels[0], 2*p.dim
 	near = make([][]int32, len(lv.spans))
 	for i := range lv.spans {
@@ -103,7 +103,7 @@ func bruteNear(p *packed, eps float64) (near [][]int32, listed, runs int) {
 // TestLeafStartMatchesDescent holds the by-id query that starts at its own
 // leaf to the descent from the root — ids and order — on the degenerate
 // shapes, at the radius the table was built for, below it and above it (where
-// the by-id query must descend itself). The oracle is the pointer walk of a
+// the by-id query must descend itself). The oracle is the level walk of a
 // twin built without a radius; the by-point query of the same tree, which
 // always descends, has to agree too. The table never holds more spans than
 // there are points — the small-fan-out trees of the lattice under a wide ε,
@@ -124,7 +124,7 @@ func TestLeafStartMatchesDescent(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%s/M=%d", c.name, fanout)
-			p := tr.packed
+			p := tr
 			want, listed, runs := bruteNear(p, c.eps)
 			kept, n := p.near != nil, len(c.pts)
 			switch {
@@ -145,14 +145,14 @@ func TestLeafStartMatchesDescent(t *testing.T) {
 					t.Fatalf("%s: leaf %d lists %v, box pairs within ε %v", name, i, got, want[i])
 				}
 			}
-			if twin.packed.near != nil || twin.packed.nearEps2 >= 0 {
+			if twin.near != nil || twin.nearEps2 >= 0 {
 				t.Fatalf("%s: a tree built without a radius has a table", name)
 			}
 			var buf, byPoint []int
 			for _, eps := range []float64{c.eps, c.eps / 2, 2 * c.eps, 0} {
 				for id := range c.pts {
 					buf = tr.RangeAppendID(id, eps, buf)
-					if want := pointerWalk(twin, c.pts[id], eps); !slices.Equal(buf, want) {
+					if want := levelWalk(twin, c.pts[id], eps); !slices.Equal(buf, want) {
 						t.Fatalf("%s: id %d eps %v: from the leaf %v, descent %v", name, id, eps, buf, want)
 					}
 					if byPoint = tr.RangeAppend(c.pts[id], eps, byPoint); !slices.Equal(buf, byPoint) {
@@ -175,14 +175,14 @@ func TestNoLeafTableForUnusableRadius(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := tr.packed; p.near != nil || p.nearEnd != nil || p.nearEps2 >= 0 {
+		if p := tr; p.near != nil || p.nearEnd != nil || p.nearEps2 >= 0 {
 			t.Fatalf("hint %v: table built (squared radius %v)", hint, p.nearEps2)
 		}
-		if leafOf, leaves := tr.Leaves(); len(leafOf) != 500 || leaves != len(tr.packed.levels[0].spans) {
+		if leafOf, leaves := tr.Leaves(); len(leafOf) != 500 || leaves != len(tr.levels[0].spans) {
 			t.Fatalf("hint %v: %d leaf entries, %d leaves", hint, len(leafOf), leaves)
 		}
-		if got, want := tr.RangeAppendID(7, 0, nil), pointerWalk(tr, st.Point(7), 0); !slices.Equal(got, want) {
-			t.Fatalf("hint %v: radius 0 by id %v, pointer walk %v", hint, got, want)
+		if got, want := tr.RangeAppendID(7, 0, nil), levelWalk(tr, st.Point(7), 0); !slices.Equal(got, want) {
+			t.Fatalf("hint %v: radius 0 by id %v, level walk %v", hint, got, want)
 		}
 	}
 }
@@ -196,21 +196,21 @@ func TestLargerRadiusDescends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.packed.near == nil {
+	if tr.near == nil {
 		t.Fatal("no table at the radius it was asked for")
 	}
 	short := 0
 	for id, q := range pts {
 		for _, eps := range []float64{0.3000001, 3, -3} { // a negative radius squares to a large one
-			want := pointerWalk(tr, q, eps)
+			want := levelWalk(tr, q, eps)
 			if got := tr.RangeAppendID(id, eps, nil); !slices.Equal(got, want) {
 				t.Fatalf("id %d eps %v: %v, descent %v", id, eps, got, want)
 			}
 			// What the table alone would have said.
 			var fromTable []int
-			leaf := tr.packed.leafOf[id]
-			for _, s := range tr.packed.near[tr.packed.nearEnd[leaf]:tr.packed.nearEnd[leaf+1]] {
-				fromTable = tr.packed.descend(st, 1, s.first, s.count, q, eps*eps, math.MaxInt, nil, fromTable)
+			leaf := tr.leafOf[id]
+			for _, s := range tr.near[tr.nearEnd[leaf]:tr.nearEnd[leaf+1]] {
+				fromTable = tr.descend(st, 1, s.first, s.count, q, eps*eps, math.MaxInt, nil, fromTable)
 			}
 			if len(fromTable) < len(want) {
 				short++
@@ -219,45 +219,6 @@ func TestLargerRadiusDescends(t *testing.T) {
 	}
 	if short == 0 {
 		t.Fatal("the table was never too short: the test does not test")
-	}
-}
-
-// The first Insert, ReplaceAt or Delete drops the packed form, and with it
-// the leaves: incremental DBSCAN and the streaming site never see them.
-func TestDemotedTreeReportsNoLeaves(t *testing.T) {
-	pts := randomPoints(rand.New(rand.NewSource(5)), 400, 2)
-	mutations := map[string]func(tr *Tree) error{
-		"Insert": func(tr *Tree) error { return tr.Insert(geom.Point{1, 1}) },
-		"Delete": func(tr *Tree) error { return tr.Delete(17) },
-		"ReplaceAt": func(tr *Tree) error {
-			if err := tr.Delete(17); err != nil {
-				return err
-			}
-			return tr.ReplaceAt(17, geom.Point{2, 2})
-		},
-	}
-	for name, mutate := range mutations {
-		tr, err := NewBulkStore(storeOf(t, pts), DefaultMaxEntries, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leafOf, leaves := tr.Leaves()
-		if len(leafOf) != len(pts) || leaves == 0 || tr.packed.near == nil {
-			t.Fatalf("%s: bulk tree offers %d leaves over %d ids", name, leaves, len(leafOf))
-		}
-		if err := mutate(tr); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if leafOf, leaves := tr.Leaves(); leafOf != nil || leaves != 0 {
-			t.Fatalf("%s: demoted tree still offers %d leaves", name, leaves)
-		}
-		// The unseen-aware query of a tree without leaves is the plain one,
-		// whatever the caller still holds from before.
-		stale := make([]int32, leaves)
-		got := tr.RangeAppendIDUnseen(3, 1.5, 1, stale, nil)
-		if want := tr.RangeAppendID(3, 1.5, nil); !slices.Equal(got, want) || len(want) < 2 {
-			t.Fatalf("%s: unseen-aware %v, plain %v", name, got, want)
-		}
 	}
 }
 
@@ -366,8 +327,8 @@ func FuzzRangeUnseen(f *testing.F) {
 		}
 		leafOf, leaves := tr.Leaves()
 		if leafOf == nil {
-			if len(tr.packed.levels) != 0 {
-				t.Fatalf("n %d fan-out %d: %d levels and no leaves", n, fanout, len(tr.packed.levels))
+			if len(tr.levels) != 0 {
+				t.Fatalf("n %d fan-out %d: %d levels and no leaves", n, fanout, len(tr.levels))
 			}
 			return
 		}

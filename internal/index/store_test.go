@@ -78,9 +78,9 @@ func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 
 // TestRangeEpsBoundary places points exactly ε apart (the 3-4-5 triangle at
 // ε = 5) and on floating-point-awkward offsets (0.1+0.2 against 0.3) and
-// holds every kind — and the R*- and M-tree again after an Insert demoted
-// their store — to the squared-space verdicts of the index-free oracle. A
-// Euclidean index answering through Distance ≤ eps would flip these.
+// holds every kind — and the dynamic R*-tree, and the M-tree after an Insert
+// demoted its store — to the squared-space verdicts of the index-free oracle.
+// A Euclidean index answering through Distance ≤ eps would flip these.
 func TestRangeEpsBoundary(t *testing.T) {
 	pts := []geom.Point{
 		{0, 0}, {3, 4}, {-3, -4}, {4, -3}, {5, 0}, {0, -5}, {6, 8},
@@ -113,12 +113,8 @@ func TestRangeEpsBoundary(t *testing.T) {
 		})
 	}
 	grown := append(append([]geom.Point(nil), pts...), geom.Point{-4, 3})
-	st, err := geom.FromPoints(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("rstar-demoted", func(t *testing.T) {
-		tr, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
+	t.Run("rstar-dynamic", func(t *testing.T) {
+		tr, err := rstar.New(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,29 +183,10 @@ func TestBuildRejectsMalformedInput(t *testing.T) {
 }
 
 // TestStoreDemotionOnInsert: dynamic insertion outgrows the flat store, so
-// the index must stop advertising it (a stale store would serve wrong row
+// the M-tree must stop advertising it (a stale store would serve wrong row
 // ids) while queries stay correct and cover the inserted point.
 func TestStoreDemotionOnInsert(t *testing.T) {
-	st := testStore(100, 4)
-
-	rt, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Store() == nil {
-		t.Fatal("rstar: bulk store load lost its store")
-	}
-	if err := rt.Insert(geom.Point{100, 100}); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Store() != nil {
-		t.Error("rstar: store survived a dynamic insert")
-	}
-	if ids := rt.Range(geom.Point{100, 100}, 0.5); len(ids) != 1 || ids[0] != 100 {
-		t.Errorf("rstar: inserted point not found: %v", ids)
-	}
-
-	mt, err := mtree.NewFromStore(st, geom.Euclidean{})
+	mt, err := mtree.NewFromStore(testStore(100, 4), geom.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,30 +204,96 @@ func TestStoreDemotionOnInsert(t *testing.T) {
 	}
 }
 
-// TestStoreDemotionOnDelete: a deletion leaves the store with a row the index
-// no longer holds, so the index must stop advertising it, stop returning the
-// deleted id and keep returning its neighbours.
+// TestStoreDemotionOnDelete: a deletion leaves a store with a row the index
+// no longer holds, so the one kind that deletes — the dynamic R*-tree — must
+// never advertise a store, must stop returning the deleted id and must keep
+// returning its neighbours.
 func TestStoreDemotionOnDelete(t *testing.T) {
-	st := geom.NewStore(2, 100)
-	for i := 0; i < 100; i++ {
-		st.AppendCoords(float64(i), 0)
+	pts := make([]geom.Point, 100)
+	for i := range pts {
+		pts[i] = geom.Point{float64(i), 0}
 	}
-	rt, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
+	rt, err := rstar.New(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Delete(7); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Store() != nil || StoreOf(rt) != nil {
-		t.Error("rstar: store survived a delete")
+	if StoreOf(rt) != nil {
+		t.Error("rstar: dynamic tree advertises a store after a delete")
 	}
 	if rt.Len() != 99 {
 		t.Errorf("rstar: Len %d after one delete of 100", rt.Len())
 	}
-	ids := sortedInts(rt.Range(st.Point(7), 1))
+	ids := sortedInts(rt.Range(pts[7], 1))
 	if want := []int{6, 8}; !reflect.DeepEqual(ids, want) {
 		t.Errorf("rstar: range around the deleted point = %v, want %v", ids, want)
+	}
+}
+
+// TestDemotedTreeReportsNoLeaves: a tree that can be mutated never offers
+// leaves — incremental DBSCAN and the streaming site hold the dynamic R*-tree,
+// and Insert demotes a store-built M-tree — so its unseen-aware query is the
+// plain one, before and after each mutation, whatever counts the caller still
+// holds from a static tree over the same rows.
+func TestDemotedTreeReportsNoLeaves(t *testing.T) {
+	st := testStore(400, 5)
+	const eps = 3.0
+	packed, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafOf, leaves := LeavesOf(packed)
+	if len(leafOf) != st.Len() || leaves < 2 {
+		t.Fatalf("packed tree offers %d leaves over %d ids", leaves, len(leafOf))
+	}
+	stale := make([]int32, leaves) // every leaf exhausted
+	if got, want := RangeIntoIDUnseen(packed, 3, eps, 1, stale, nil), RangeIntoID(packed, 3, eps, nil); len(got) >= len(want) {
+		t.Fatalf("packed tree: unseen-aware %v, plain %v: the stale counts leave nothing out", got, want)
+	}
+	type row struct {
+		kind   string
+		mutate func(idx Index) error
+	}
+	rows := map[string]row{
+		"rstar/Insert": {"rstar", func(idx Index) error { return idx.(*rstar.Tree).Insert(geom.Point{1, 1}) }},
+		"rstar/Delete": {"rstar", func(idx Index) error { return idx.(*rstar.Tree).Delete(17) }},
+		"rstar/ReplaceAt": {"rstar", func(idx Index) error {
+			if err := idx.(*rstar.Tree).Delete(17); err != nil {
+				return err
+			}
+			return idx.(*rstar.Tree).ReplaceAt(17, geom.Point{2, 2})
+		}},
+		"mtree/Insert": {"mtree", func(idx Index) error { return idx.(*mtree.Tree).Insert(geom.Point{1, 1}) }},
+	}
+	for name, r := range rows {
+		t.Run(name, func(t *testing.T) {
+			var idx Index
+			var err error
+			if r.kind == "rstar" {
+				idx, err = rstar.New(st.Views())
+			} else {
+				idx, err = mtree.NewFromStore(st, geom.Euclidean{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, stage := range []string{"before", "after"} {
+				if stage == "after" {
+					if err := r.mutate(idx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if leafOf, leaves := LeavesOf(idx); leafOf != nil || leaves != 0 {
+					t.Fatalf("%s the mutation the tree offers %d leaves", stage, leaves)
+				}
+				got := RangeIntoIDUnseen(idx, 3, eps, 1, stale, nil)
+				if want := RangeIntoID(idx, 3, eps, nil); !reflect.DeepEqual(got, want) || len(want) < 2 {
+					t.Fatalf("%s the mutation unseen-aware %v, plain %v", stage, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -273,14 +316,15 @@ func TestBulkLoadAllocs(t *testing.T) {
 }
 
 // TestRangeAppendZeroAlloc is the hot-loop regression gate: once the result
-// buffer has grown to its steady-state capacity, a store-backed range query
-// must not allocate at all — the property that keeps the DBSCAN expansion
-// loop allocation-free per query. That holds for the query the expansion
-// issues, RangeIntoIDUnseen with every other leaf exhausted, as for the plain
-// one, and for the R*-tree both when the by-id query starts at its own leaf
-// (built for the radius, as BuildStore does) and when it descends (built for
-// none). Skipped under the race detector, whose instrumentation perturbs
-// allocation accounting.
+// buffer has grown to its steady-state capacity, a store-backed range query of
+// any kind must not allocate at all — the property that keeps the DBSCAN
+// expansion loop allocation-free per query. That holds by point and by id,
+// for the query the expansion issues, RangeIntoIDUnseen with every other leaf
+// exhausted, as for the plain one, and for the R*-tree both when the by-id
+// query starts at its own leaf (built for the radius, as BuildStore does) and
+// when it descends (built for none). No kind keeps per-query scratch, so there
+// is nothing to warm up before counting. Skipped under the race detector,
+// whose instrumentation perturbs allocation accounting.
 func TestRangeAppendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -292,7 +336,7 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexes := map[string]Index{"rstar/descent": descent}
-	for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree, KindRStar} {
+	for _, kind := range Kinds() {
 		idx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
 		if err != nil {
 			t.Fatalf("%s: BuildStore: %v", kind, err)
@@ -314,6 +358,7 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 		buf := make([]int, 0, st.Len()) // steady-state capacity up front
 		q, returned := 0, [2]int{}
 		allocs := testing.AllocsPerRun(100, func() {
+			buf = RangeInto(idx, st.Point(q%st.Len()), eps, buf)
 			buf = RangeIntoID(idx, q%st.Len(), eps, buf)
 			returned[0] += len(buf)
 			buf = RangeIntoIDUnseen(idx, q%st.Len(), eps, 4, unseen, buf)
@@ -321,43 +366,10 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 			q += 131
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per pair of store-backed range queries, want 0", name, allocs)
+			t.Errorf("%s: %.1f allocs per three store-backed range queries, want 0", name, allocs)
 		}
 		if (returned[1] < returned[0]) != (leafOf != nil) {
 			t.Errorf("%s: %d ids from the plain queries, %d from the unseen-aware ones", name, returned[0], returned[1])
-		}
-	}
-}
-
-// TestRangeBatchZeroAlloc gates the batched candidate-verification path of
-// every index kind: verification through the fused Store kernels must not
-// allocate once the result buffer and, where a kind has one, the pooled
-// per-query scratch (the grid's cell walk, the M-tree's candidate collector;
-// the k-d tree and the R*-tree verify leaf buckets in place and have none)
-// have reached steady state — by-point and by-id queries alike. Skipped under the race detector, whose
-// instrumentation perturbs allocation accounting.
-func TestRangeBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	st := testStore(2000, 5)
-	const eps = 2.0
-	for _, kind := range Kinds() {
-		idx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
-		if err != nil {
-			t.Fatalf("%s: BuildStore: %v", kind, err)
-		}
-		buf := make([]int, 0, st.Len()) // steady-state capacity up front
-		// One warm-up query primes the pooled scratch before counting.
-		buf = RangeInto(idx, st.Point(0), eps, buf)
-		q := 0
-		allocs := testing.AllocsPerRun(100, func() {
-			buf = RangeInto(idx, st.Point(q%st.Len()), eps, buf)
-			buf = RangeIntoID(idx, q%st.Len(), eps, buf)
-			q += 131
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per batched range query, want 0", kind, allocs)
 		}
 	}
 }
