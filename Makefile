@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-scalar check index-guard fuzz-smoke bench bench-json bench-smoke bench-pairs benchdiff loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard fuzz-smoke bench bench-json bench-smoke bench-pairs benchdiff loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -31,8 +31,19 @@ test-race:
 test-scalar:
 	$(GO) test -tags dbdc_scalar_kernels ./internal/geom/ ./internal/index/... ./internal/dbscan/ ./internal/dbdc/ ./internal/transport/ ./internal/incdbscan/ ./internal/stream/
 
-# The CI gate: static checks, build, race-enabled tests.
-check: vet build index-guard test-race
+# The CI gate, the steps of CI's check job: static checks, formatting, build,
+# race-enabled tests and the benchmark module.
+check: vet gofmt build index-guard test-race bench-module
+
+# Fails if a tracked Go file is not gofmt-formatted, and names it.
+gofmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+		test -z "$$files" || { echo "gofmt: not formatted:"; echo "$$files"; exit 1; }
+
+# bench/ is a module of its own, so the targets above never compile it: check
+# here that it still builds against the packages it measures.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short -count=1 ./...
 
 # Every static index is a permutation, spans and a descent (the internal/index
 # package comment): no per-query scratch to pool, nothing to materialise once.

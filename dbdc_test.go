@@ -1,6 +1,8 @@
 package dbdc_test
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -113,6 +115,66 @@ func TestPublicIncremental(t *testing.T) {
 	}
 	if inc.NumClusters() != 1 {
 		t.Fatalf("clusters = %d", inc.NumClusters())
+	}
+}
+
+// nopUploader is a stream uploader no test row reaches.
+type nopUploader struct{}
+
+func (nopUploader) Upload(*dbdc.LocalModel, *dbdc.LocalDelta, *dbdc.StreamStats) (*dbdc.StreamUploadResult, error) {
+	return nil, errors.New("nopUploader: not reached")
+}
+
+// TestPublicNonFiniteEps: every entry point that takes an ε accepts the
+// finite one of data set C and refuses a NaN in its place. A NaN Eps used to
+// label all 1 021 points noise on every index kind but the grid, and a NaN
+// Eps_global to give every representative a global cluster of its own.
+func TestPublicNonFiniteEps(t *testing.T) {
+	ds := dbdc.DatasetC(1)
+	good := dbdc.Config{Local: ds.Params}
+	out, err := dbdc.LocalStep("c", ds.Points, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []*dbdc.LocalModel{out.Model}
+	sites := []dbdc.Site{{ID: "c", Points: ds.Points}}
+	nanEps := func(c *dbdc.Config) { c.Local.Eps = math.NaN() }
+	nanEpsGlobal := func(c *dbdc.Config) { c.EpsGlobal = math.NaN() }
+	type row struct {
+		name  string
+		spoil func(c *dbdc.Config)
+		call  func(c dbdc.Config) error
+	}
+	run := func(c dbdc.Config) error { _, err := dbdc.Run(sites, c); return err }
+	rows := []row{
+		{"Run/Eps", nanEps, run},
+		{"Run/EpsGlobal", nanEpsGlobal, run},
+		{"LocalStep/Eps", nanEps, func(c dbdc.Config) error { _, err := dbdc.LocalStep("c", ds.Points, c); return err }},
+		{"GlobalStep/EpsGlobal", nanEpsGlobal, func(c dbdc.Config) error { _, err := dbdc.GlobalStep(models, c); return err }},
+		{"NewOpticsOrderer/EpsGlobal", nanEpsGlobal, func(c dbdc.Config) error { _, err := dbdc.NewOpticsOrderer(models, c, 0); return err }},
+		{"NewIncremental/Eps", nanEps, func(c dbdc.Config) error { _, err := dbdc.NewIncremental(c.Local); return err }},
+		{"NewStreamSite/Eps", nanEps, func(c dbdc.Config) error {
+			_, err := dbdc.NewStreamSite(dbdc.StreamConfig{SiteID: "s", Cluster: c, Window: 64}, nopUploader{})
+			return err
+		}},
+	}
+	for _, kind := range []dbdc.IndexKind{dbdc.IndexLinear, dbdc.IndexGrid, dbdc.IndexKDTree, dbdc.IndexRStar, dbdc.IndexMTree} {
+		rows = append(rows, row{"Cluster/" + string(kind), nanEps, func(c dbdc.Config) error {
+			_, err := dbdc.Cluster(ds.Points, c.Local, kind)
+			return err
+		}})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if err := r.call(good); err != nil {
+				t.Fatalf("finite ε rejected: %v", err)
+			}
+			bad := good
+			r.spoil(&bad)
+			if err := r.call(bad); err == nil {
+				t.Fatal("NaN ε accepted")
+			}
+		})
 	}
 }
 

@@ -167,23 +167,3 @@ func (l Labeling) Validate() error {
 	}
 	return nil
 }
-
-// Contingency computes the contingency table between two labelings of the
-// same objects: cell [a][b] counts objects in cluster a of l and cluster b of
-// m. Noise is included under the Noise key so external quality indices can
-// treat it as its own class when desired.
-func Contingency(l, m Labeling) map[ID]map[ID]int {
-	if len(l) != len(m) {
-		panic(fmt.Sprintf("cluster: labelings disagree on size: %d vs %d", len(l), len(m)))
-	}
-	table := make(map[ID]map[ID]int)
-	for i := range l {
-		row, ok := table[l[i]]
-		if !ok {
-			row = make(map[ID]int)
-			table[l[i]] = row
-		}
-		row[m[i]]++
-	}
-	return table
-}

@@ -100,24 +100,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestContingency(t *testing.T) {
-	l := Labeling{0, 0, 1, Noise}
-	m := Labeling{1, 1, 1, Noise}
-	table := Contingency(l, m)
-	if table[0][1] != 2 || table[1][1] != 1 || table[Noise][Noise] != 1 {
-		t.Errorf("Contingency = %v", table)
-	}
-}
-
-func TestContingencyMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Contingency(Labeling{0}, Labeling{0, 1})
-}
-
 // Property: canonicalization is idempotent and preserves the partition.
 func TestCanonicalizeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

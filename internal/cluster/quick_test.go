@@ -71,33 +71,3 @@ func TestQuickEquivalentToIsEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickContingencyMarginals(t *testing.T) {
-	// Row sums of the contingency table reproduce the cluster sizes.
-	f := func(rl randomLabeling) bool {
-		l := Labeling(rl)
-		m := l.Canonicalize() // any second labeling of the same objects
-		table := Contingency(l, m)
-		total := 0
-		for id, row := range table {
-			rowSum := 0
-			for _, v := range row {
-				rowSum += v
-				total += v
-			}
-			want := 0
-			for _, c := range l {
-				if c == id {
-					want++
-				}
-			}
-			if rowSum != want {
-				return false
-			}
-		}
-		return total == len(l)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

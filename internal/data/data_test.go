@@ -47,26 +47,6 @@ func TestRing(t *testing.T) {
 	}
 }
 
-func TestMoons(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := Moons(rng, 300, 0.05)
-	if len(pts) != 600 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	// DBSCAN with tight eps must separate the two moons.
-	lin, err := index.NewLinear(pts, geom.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dbscan.Run(lin, dbscan.Params{Eps: 0.2, MinPts: 5}, dbscan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumClusters() != 2 {
-		t.Fatalf("moons clusters = %d, want 2", res.NumClusters())
-	}
-}
-
 func TestDatasetCardinalities(t *testing.T) {
 	if n := len(DatasetA(DatasetASize, 1).Points); n != 8700 {
 		t.Errorf("A: %d points, want 8700", n)

@@ -54,24 +54,3 @@ func Ring(rng *rand.Rand, cx, cy, radius, jitter float64, n int) []geom.Point {
 	}
 	return pts
 }
-
-// Moons returns two interleaving half-moons of n points each with Gaussian
-// jitter, the classic non-convex clustering benchmark.
-func Moons(rng *rand.Rand, n int, jitter float64) []geom.Point {
-	pts := make([]geom.Point, 0, 2*n)
-	for i := 0; i < n; i++ {
-		a := math.Pi * rng.Float64()
-		pts = append(pts, geom.Point{
-			math.Cos(a) + rng.NormFloat64()*jitter,
-			math.Sin(a) + rng.NormFloat64()*jitter,
-		})
-	}
-	for i := 0; i < n; i++ {
-		a := math.Pi * rng.Float64()
-		pts = append(pts, geom.Point{
-			1 - math.Cos(a) + rng.NormFloat64()*jitter,
-			0.5 - math.Sin(a) + rng.NormFloat64()*jitter,
-		})
-	}
-	return pts
-}

@@ -7,8 +7,8 @@ import (
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// The Append* generators are the store-filling counterparts of Blob, Uniform,
-// Ring and Moons: they draw from the RNG in exactly the same order (so a
+// The Append* generators are the store-filling counterparts of Blob, Uniform
+// and Ring: they draw from the RNG in exactly the same order (so a
 // given seed produces coordinate-identical data either way — pinned by the
 // differential tests in store_test.go) but write straight into the flat
 // backing array of a geom.Store, one AppendCoords per point, instead of
@@ -48,25 +48,5 @@ func AppendRing(st *geom.Store, rng *rand.Rand, cx, cy, radius, jitter float64, 
 		angle := rng.Float64() * 2 * math.Pi
 		r := radius + rng.NormFloat64()*jitter
 		st.AppendCoords(cx+r*math.Cos(angle), cy+r*math.Sin(angle))
-	}
-}
-
-// AppendMoons appends two interleaving half-moons of n points each with
-// Gaussian jitter. The store's stride must be 2.
-func AppendMoons(st *geom.Store, rng *rand.Rand, n int, jitter float64) {
-	st.Reserve(st.Len() + 2*n)
-	for i := 0; i < n; i++ {
-		a := math.Pi * rng.Float64()
-		st.AppendCoords(
-			math.Cos(a)+rng.NormFloat64()*jitter,
-			math.Sin(a)+rng.NormFloat64()*jitter,
-		)
-	}
-	for i := 0; i < n; i++ {
-		a := math.Pi * rng.Float64()
-		st.AppendCoords(
-			1-math.Cos(a)+rng.NormFloat64()*jitter,
-			0.5-math.Sin(a)+rng.NormFloat64()*jitter,
-		)
 	}
 }

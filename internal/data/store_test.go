@@ -46,11 +46,6 @@ func TestAppendGeneratorsMatchSlice(t *testing.T) {
 	st = geom.NewStore(2, 0)
 	AppendRing(st, rand.New(rand.NewSource(seed)), 4, -3, 6, 0.4, 211)
 	check("ring", pts, st)
-
-	pts = Moons(rand.New(rand.NewSource(seed)), 120, 0.1)
-	st = geom.NewStore(2, 0)
-	AppendMoons(st, rand.New(rand.NewSource(seed)), 120, 0.1)
-	check("moons", pts, st)
 }
 
 // TestDatasetPointsAliasStore: Dataset.Points are zero-copy views into

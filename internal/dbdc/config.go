@@ -16,6 +16,7 @@ package dbdc
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/index"
@@ -111,8 +112,8 @@ func (c Config) Validate() error {
 	if c.Model != model.RepScor && c.Model != model.RepKMeans {
 		return fmt.Errorf("dbdc: unknown local model kind %q", c.Model)
 	}
-	if c.EpsGlobal < 0 {
-		return fmt.Errorf("dbdc: negative EpsGlobal %v", c.EpsGlobal)
+	if !(c.EpsGlobal >= 0) || math.IsInf(c.EpsGlobal, 1) {
+		return fmt.Errorf("dbdc: EpsGlobal must be zero (the default) or positive and finite, got %v", c.EpsGlobal)
 	}
 	if c.MinPtsGlobal < 1 {
 		return fmt.Errorf("dbdc: MinPtsGlobal %d < 1", c.MinPtsGlobal)

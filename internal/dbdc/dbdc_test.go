@@ -3,6 +3,7 @@ package dbdc
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
@@ -26,23 +27,35 @@ func defaultCfg() Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := defaultCfg().Validate(); err != nil {
-		t.Fatalf("default config rejected: %v", err)
+	cases := []struct {
+		name   string
+		edit   func(c *Config)
+		reject string // what the error names; empty when the config is legal
+	}{
+		{"default", func(*Config) {}, ""},
+		{"local-eps-zero", func(c *Config) { c.Local.Eps = 0 }, "got 0"},
+		{"local-eps-nan", func(c *Config) { c.Local.Eps = math.NaN() }, "NaN"},
+		{"model-unknown", func(c *Config) { c.Model = "nope" }, "nope"},
+		{"eps-global-negative", func(c *Config) { c.EpsGlobal = -1 }, "-1"},
+		{"eps-global-nan", func(c *Config) { c.EpsGlobal = math.NaN() }, "NaN"},
+		{"eps-global-inf", func(c *Config) { c.EpsGlobal = math.Inf(1) }, "+Inf"},
+		{"eps-global-wider-than-any-data", func(c *Config) { c.EpsGlobal = math.MaxFloat64 }, ""},
+		{"min-pts-global-negative", func(c *Config) { c.MinPtsGlobal = -1 }, "-1"},
+		{"site-workers-negative", func(c *Config) { c.SiteWorkers = -1 }, "-1"},
+		{"rep-budget-negative", func(c *Config) { c.RepBudget = -1 }, "-1"},
 	}
-	bad := defaultCfg()
-	bad.Local.Eps = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("bad local eps accepted")
-	}
-	bad = defaultCfg()
-	bad.Model = "nope"
-	if err := bad.Validate(); err == nil {
-		t.Error("bad model kind accepted")
-	}
-	bad = defaultCfg()
-	bad.EpsGlobal = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative EpsGlobal accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := defaultCfg()
+			c.edit(&cfg)
+			err := cfg.Validate()
+			if c.reject == "" && err != nil {
+				t.Fatalf("legal config rejected: %v", err)
+			}
+			if c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)) {
+				t.Fatalf("err %v, want an error naming %s", err, c.reject)
+			}
+		})
 	}
 }
 
@@ -375,19 +388,27 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, defaultCfg()); err == nil {
-		t.Error("no sites accepted")
+	site := []Site{{ID: "a", Points: []geom.Point{{0, 0}, {0.1, 0}}}}
+	cases := []struct {
+		name  string
+		sites []Site
+		edit  func(c *Config)
+	}{
+		{"no-sites", nil, func(*Config) {}},
+		{"empty-site-id", []Site{{ID: ""}}, func(*Config) {}},
+		{"duplicate-site-ids", []Site{{ID: "a"}, {ID: "a"}}, func(*Config) {}},
+		{"local-min-pts-zero", site, func(c *Config) { c.Local.MinPts = 0 }},
+		{"local-eps-nan", site, func(c *Config) { c.Local.Eps = math.NaN() }},
+		{"eps-global-nan", site, func(c *Config) { c.EpsGlobal = math.NaN() }},
 	}
-	if _, err := Run([]Site{{ID: ""}}, defaultCfg()); err == nil {
-		t.Error("empty site id accepted")
-	}
-	if _, err := Run([]Site{{ID: "a"}, {ID: "a"}}, defaultCfg()); err == nil {
-		t.Error("duplicate site ids accepted")
-	}
-	bad := defaultCfg()
-	bad.Local.MinPts = 0
-	if _, err := Run([]Site{{ID: "a"}}, bad); err == nil {
-		t.Error("invalid config accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := defaultCfg()
+			c.edit(&cfg)
+			if res, err := Run(c.sites, cfg); err == nil {
+				t.Fatalf("accepted: a global model of %d representatives", len(res.Global.Reps))
+			}
+		})
 	}
 }
 

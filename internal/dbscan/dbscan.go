@@ -45,10 +45,12 @@ type Params struct {
 	MinPts int
 }
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable. Eps must be positive
+// and finite: under NaN every distance test fails, so every object would come
+// out noise; a finite Eps wider than the data is legal.
 func (p Params) Validate() error {
-	if p.Eps <= 0 {
-		return fmt.Errorf("dbscan: Eps must be positive, got %v", p.Eps)
+	if !(p.Eps > 0) || math.IsInf(p.Eps, 1) {
+		return fmt.Errorf("dbscan: Eps must be positive and finite, got %v", p.Eps)
 	}
 	if p.MinPts < 1 {
 		return fmt.Errorf("dbscan: MinPts must be at least 1, got %d", p.MinPts)

@@ -1,7 +1,9 @@
 package dbscan
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
@@ -32,14 +34,30 @@ func twoBlobs(rng *rand.Rand, perBlob int) ([]geom.Point, int) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	if err := (Params{Eps: 0, MinPts: 3}).Validate(); err == nil {
-		t.Error("Eps 0 accepted")
+	cases := []struct {
+		name   string
+		p      Params
+		reject string // what the error names; empty when the parameters are legal
+	}{
+		{"eps-zero", Params{Eps: 0, MinPts: 3}, "got 0"},
+		{"eps-negative", Params{Eps: -1, MinPts: 3}, "got -1"},
+		{"eps-nan", Params{Eps: math.NaN(), MinPts: 3}, "NaN"},
+		{"eps-inf", Params{Eps: math.Inf(1), MinPts: 3}, "+Inf"},
+		{"eps-minus-inf", Params{Eps: math.Inf(-1), MinPts: 3}, "-Inf"},
+		{"minpts-zero", Params{Eps: 1, MinPts: 0}, "got 0"},
+		{"valid", Params{Eps: 1, MinPts: 3}, ""},
+		{"eps-wider-than-any-data", Params{Eps: math.MaxFloat64, MinPts: 3}, ""},
 	}
-	if err := (Params{Eps: 1, MinPts: 0}).Validate(); err == nil {
-		t.Error("MinPts 0 accepted")
-	}
-	if err := (Params{Eps: 1, MinPts: 3}).Validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.p.Validate()
+			if c.reject == "" && err != nil {
+				t.Fatalf("legal parameters rejected: %v", err)
+			}
+			if c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)) {
+				t.Fatalf("err %v, want an error naming %s", err, c.reject)
+			}
+		})
 	}
 	if _, err := Run(linearOf(nil), Params{Eps: -1, MinPts: 2}, Options{}); err == nil {
 		t.Error("Run accepted invalid params")

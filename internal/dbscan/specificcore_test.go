@@ -196,49 +196,6 @@ func TestScorDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestKDistAndSuggestEps(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := make([]geom.Point, 200)
-	for i := range pts {
-		pts[i] = geom.Point{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	kd, err := index.NewKDTree(pts, geom.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists := KDist(kd, 3)
-	if len(dists) != 200 {
-		t.Fatalf("KDist returned %d values", len(dists))
-	}
-	for i := 1; i < len(dists); i++ {
-		if dists[i] > dists[i-1] {
-			t.Fatal("KDist not descending")
-		}
-	}
-	eps := SuggestEps(kd, 4, 0.02)
-	if eps <= 0 {
-		t.Fatalf("SuggestEps = %v", eps)
-	}
-	// A DBSCAN run with the suggested eps should find one dominant cluster.
-	res, err := Run(linearOf(pts), Params{Eps: eps, MinPts: 4}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumClusters() < 1 {
-		t.Fatal("SuggestEps produced no clusters")
-	}
-}
-
-func TestKDistTinyInput(t *testing.T) {
-	kd, _ := index.NewKDTree([]geom.Point{{0, 0}}, nil)
-	if got := KDist(kd, 3); len(got) != 0 {
-		t.Fatalf("KDist on single point = %v", got)
-	}
-	if got := SuggestEps(kd, 4, 0.02); got != 0 {
-		t.Fatalf("SuggestEps on single point = %v", got)
-	}
-}
-
 func BenchmarkDBSCAN(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geom.Point, 5000)

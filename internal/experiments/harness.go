@@ -211,43 +211,3 @@ func ms(d time.Duration) string {
 func pct(v float64) string {
 	return fmt.Sprintf("%.1f", v*100)
 }
-
-// runDBDCAuto is runDBDC with the data-driven Eps_global selection
-// (Config.EpsGlobalAuto) instead of a fixed radius.
-func runDBDCAuto(ds data.Dataset, numSites int, opt Options) (*pipelineResult, error) {
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	part, err := data.PartitionRandom(len(ds.Points), numSites, rng)
-	if err != nil {
-		return nil, err
-	}
-	sitePts := part.Extract(ds.Points)
-	sites := make([]dbdc.Site, numSites)
-	for s := range sites {
-		sites[s] = dbdc.Site{ID: fmt.Sprintf("site-%02d", s), Points: sitePts[s]}
-	}
-	cfg := dbdc.Config{
-		Local:         ds.Params,
-		Model:         model.RepScor,
-		EpsGlobalAuto: true,
-		Index:         opt.Index,
-		Sequential:    true,
-	}
-	run, err := dbdc.Run(sites, cfg)
-	if err != nil {
-		return nil, err
-	}
-	perSite := make([][]cluster.ID, numSites)
-	for s := range sites {
-		perSite[s] = run.Sites[sites[s].ID].Labels
-	}
-	distributed, err := data.Assemble(part, perSite, len(ds.Points))
-	if err != nil {
-		return nil, err
-	}
-	return &pipelineResult{
-		run:             run,
-		distributed:     distributed,
-		distributedTime: run.DistributedDuration(),
-		repFraction:     float64(run.TotalRepresentatives()) / float64(len(ds.Points)),
-	}, nil
-}

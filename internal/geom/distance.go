@@ -112,18 +112,3 @@ func (m Minkowski) Name() string { return fmt.Sprintf("minkowski-%g", m.P) }
 func SquaredEuclidean(p, q Point) float64 {
 	return Euclidean{}.DistanceSq(p, q)
 }
-
-// MetricByName returns the built-in metric with the given name.
-// Recognised names: "euclidean", "manhattan", "chebyshev".
-func MetricByName(name string) (Metric, error) {
-	switch name {
-	case "euclidean", "":
-		return Euclidean{}, nil
-	case "manhattan":
-		return Manhattan{}, nil
-	case "chebyshev":
-		return Chebyshev{}, nil
-	default:
-		return nil, fmt.Errorf("geom: unknown metric %q", name)
-	}
-}

@@ -57,18 +57,6 @@ func TestSquaredEuclidean(t *testing.T) {
 	}
 }
 
-func TestMetricByName(t *testing.T) {
-	for _, name := range []string{"euclidean", "manhattan", "chebyshev", ""} {
-		m, err := MetricByName(name)
-		if err != nil || m == nil {
-			t.Errorf("MetricByName(%q) failed: %v", name, err)
-		}
-	}
-	if _, err := MetricByName("nope"); err == nil {
-		t.Error("expected error for unknown metric")
-	}
-}
-
 func TestMetricNames(t *testing.T) {
 	cases := []struct {
 		m    Metric

@@ -43,23 +43,6 @@ import "slices"
 // dispatches are not silently comparable.
 const kernelDispatchName = "unrolled[2,3,4,8]+w4"
 
-// KernelWidth reports the unroll width the active build dispatches for
-// points of the given dimensionality: the stride itself for the fully
-// unrolled sizes, 4 for the generic unrolled loop, 1 where the scalar tail
-// dominates (dim < 4 without a dedicated body) — and 1 for everything in
-// the dbdc_scalar_kernels build.
-func KernelWidth(dim int) int {
-	switch dim {
-	case 2, 3, 4, 8:
-		return dim
-	default:
-		if dim > 4 {
-			return 4
-		}
-		return 1
-	}
-}
-
 // batchKernel fills out[k] with the squared distance between q and row
 // ids[k] of the flat buffer (stride-indexed): the single shared compiled
 // body of the active build's distance computation. The dispatch is hoisted

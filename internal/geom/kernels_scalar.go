@@ -17,10 +17,6 @@ package geom
 // unrolled ones.
 const kernelDispatchName = "scalar"
 
-// KernelWidth reports 1 for every stride: the scalar build has no unrolled
-// variants.
-func KernelWidth(dim int) int { return 1 }
-
 // batchKernel applies the shared scalar kernel row by row.
 func batchKernel(buf []float64, stride int, q []float64, ids []int, out []float64) {
 	out = out[:len(ids)]

@@ -66,16 +66,9 @@ func TestDistSqKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestKernelWidth sanity-checks the dispatch-width report: positive
-// everywhere, and in the default build matching the dispatch table (the
-// scalar build reports 1 for every stride).
-func TestKernelWidth(t *testing.T) {
-	for dim := 1; dim <= 32; dim++ {
-		w := KernelWidth(dim)
-		if w < 1 || w > dim && dim > 1 {
-			t.Fatalf("KernelWidth(%d) = %d", dim, w)
-		}
-	}
+// TestKernelDispatch: benchmark artifacts stamp the active kernel build by
+// this name, so it is never empty.
+func TestKernelDispatch(t *testing.T) {
 	if KernelDispatch() == "" {
 		t.Fatal("KernelDispatch() is empty")
 	}

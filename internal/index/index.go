@@ -113,12 +113,12 @@ func RangeIntoIDUnseen(idx Index, i int, eps float64, enough int, unseen []int32
 	return RangeIntoID(idx, i, eps, buf)
 }
 
-// StoreBacked is implemented by every index kind. Store returns the flat
-// geom.Store the index answers Euclidean queries from — the clustering
+// StoreBacked is implemented by every static index kind. Store returns the
+// flat geom.Store the index answers Euclidean queries from — the clustering
 // layers then run their point-vs-point comparisons through the strided
-// kernels by id — and nil when there is none: the metric is not Euclidean,
-// or the index has grown past its original store (dynamic insertion) and the
-// flat buffer no longer covers every indexed point.
+// kernels by id — and nil when there is none: the metric is not Euclidean.
+// The dynamic R*-tree does not implement it: its rows include slots it has
+// deleted.
 type StoreBacked interface {
 	Store() *geom.Store
 }
@@ -132,15 +132,6 @@ func StoreOf(idx Index) *geom.Store {
 		return sb.Store()
 	}
 	return nil
-}
-
-// KNNIndex is implemented by indexes that additionally support k-nearest-
-// neighbor queries (used by the k-dist heuristic for choosing Eps).
-type KNNIndex interface {
-	Index
-	// KNN returns the indexes of the k points nearest to q in ascending
-	// distance order. Fewer are returned when the index holds fewer points.
-	KNN(q geom.Point, k int) []int
 }
 
 // Kind names a concrete index implementation.

@@ -220,57 +220,6 @@ func TestDuplicatePoints(t *testing.T) {
 	}
 }
 
-// Property: KNN results from kd-tree and linear agree on distance multisets.
-func TestKNNAgreesWithLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	e := geom.Euclidean{}
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(300)
-		pts := randomPoints(rng, n, 2)
-		oracle := mustLinear(t, pts, e)
-		kd, err := NewKDTree(pts, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < 10; q++ {
-			query := randomPoints(rng, 1, 2)[0]
-			k := 1 + rng.Intn(n)
-			want := oracle.KNN(query, k)
-			got := kd.KNN(query, k)
-			if len(got) != len(want) {
-				t.Fatalf("KNN lengths differ: %d vs %d", len(got), len(want))
-			}
-			for i := range got {
-				dw := e.Distance(query, pts[want[i]])
-				dg := e.Distance(query, pts[got[i]])
-				if dw != dg {
-					t.Fatalf("KNN distance %d differs: %v vs %v", i, dg, dw)
-				}
-			}
-			// Ascending order.
-			for i := 1; i < len(got); i++ {
-				if e.Distance(query, pts[got[i-1]]) > e.Distance(query, pts[got[i]]) {
-					t.Fatal("kd-tree KNN not in ascending distance order")
-				}
-			}
-		}
-	}
-}
-
-func TestKNNEdgeCases(t *testing.T) {
-	pts := randomPoints(rand.New(rand.NewSource(3)), 10, 2)
-	kd, _ := NewKDTree(pts, nil)
-	lin := mustLinear(t, pts, nil)
-	for _, idx := range []KNNIndex{kd, lin} {
-		if got := idx.KNN(geom.Point{0, 0}, 0); got != nil {
-			t.Errorf("KNN(k=0) = %v, want nil", got)
-		}
-		if got := idx.KNN(geom.Point{0, 0}, 100); len(got) != 10 {
-			t.Errorf("KNN(k>n) returned %d, want 10", len(got))
-		}
-	}
-}
-
 func TestGridValidation(t *testing.T) {
 	if _, err := NewGrid(nil, nil, 0); err == nil {
 		t.Error("cell size 0 must be rejected")

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"container/heap"
 	"math"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -19,7 +18,7 @@ const kdLeafSize = 16
 // plane; all points live in leaf buckets, stored as contiguous ranges of one
 // build permutation. Pruning uses only per-axis coordinate differences,
 // which lower-bound every Minkowski distance, so the tree answers exact
-// range and kNN queries for any Lp metric.
+// range queries for any Lp metric.
 type KDTree struct {
 	pts    []geom.Point
 	metric geom.Metric
@@ -370,65 +369,4 @@ func (t *KDTree) rangeStore(slot int32, q geom.Point, eps, eps2 float64, out []i
 		out = t.rangeStore(n.right, q, eps, eps2, out)
 	}
 	return out
-}
-
-// knnCand is a max-heap entry so the current worst candidate sits on top.
-type knnCand struct {
-	idx  int
-	dist float64
-}
-
-type knnHeap []knnCand
-
-func (h knnHeap) Len() int            { return len(h) }
-func (h knnHeap) Less(i, j int) bool  { return h[i].dist > h[j].dist }
-func (h knnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap) Push(x interface{}) { *h = append(*h, x.(knnCand)) }
-func (h *knnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// KNN implements KNNIndex.
-func (t *KDTree) KNN(q geom.Point, k int) []int {
-	if k <= 0 || len(t.pts) == 0 {
-		return nil
-	}
-	h := make(knnHeap, 0, k+1)
-	t.knnSearch(t.root, q, k, &h)
-	out := make([]int, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(knnCand).idx
-	}
-	return out
-}
-
-func (t *KDTree) knnSearch(slot int32, q geom.Point, k int, h *knnHeap) {
-	n := &t.nodes[slot]
-	if n.axis < 0 {
-		for _, id := range t.order[n.left:n.right] {
-			d := t.metric.Distance(q, t.pts[id])
-			if h.Len() < k {
-				heap.Push(h, knnCand{id, d})
-			} else if top := (*h)[0]; d < top.dist || (d == top.dist && id < top.idx) {
-				(*h)[0] = knnCand{id, d}
-				heap.Fix(h, 0)
-			}
-		}
-		return
-	}
-	diff := q[n.axis] - n.split
-	near, far := n.left, n.right
-	if diff > 0 {
-		near, far = far, near
-	}
-	t.knnSearch(near, q, k, h)
-	// The far subtree can only matter if the axis gap does not already
-	// exceed the current worst candidate distance.
-	if h.Len() < k || math.Abs(diff) <= (*h)[0].dist {
-		t.knnSearch(far, q, k, h)
-	}
 }

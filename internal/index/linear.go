@@ -1,10 +1,6 @@
 package index
 
-import (
-	"sort"
-
-	"github.com/dbdc-go/dbdc/internal/geom"
-)
+import "github.com/dbdc-go/dbdc/internal/geom"
 
 // Linear is the exhaustive-scan index: every query compares against every
 // point. It supports arbitrary metrics, has zero build cost, and serves as
@@ -81,33 +77,4 @@ func (l *Linear) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 // feeds the same scan as RangeAppend.
 func (l *Linear) RangeAppendID(i int, eps float64, buf []int) []int {
 	return l.RangeAppend(l.pts[i], eps, buf)
-}
-
-// KNN implements KNNIndex.
-func (l *Linear) KNN(q geom.Point, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	type cand struct {
-		idx  int
-		dist float64
-	}
-	cands := make([]cand, len(l.pts))
-	for i, p := range l.pts {
-		cands[i] = cand{i, l.metric.Distance(q, p)}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
-		}
-		return cands[i].idx < cands[j].idx
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].idx
-	}
-	return out
 }

@@ -7,7 +7,6 @@
 package mtree
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -25,20 +24,18 @@ type Tree struct {
 	root       *node
 	pts        []geom.Point
 	size       int
-	// euclid marks the Euclidean metric, whose range queries run in squared
-	// space: batched over the store, or per entry through
-	// geom.SquaredEuclidean once an Insert has demoted the store.
+	// euclid marks the Euclidean metric, under which the build keeps the
+	// flat store and range queries run in squared space over it.
 	euclid bool
 	// distCalls counts metric evaluations; exposed for ablation benches.
 	// Updated atomically: the tree serves range queries from concurrent
 	// readers (e.g. the workers of dbscan.Run).
 	distCalls int64
-	// store is the flat backing store of a statically built Euclidean tree,
-	// nil under any other metric. Every pivot is then a zero-copy view into
-	// it, so the distance kernels stream contiguous rows, and perm holds the
+	// store is the flat backing store a Euclidean tree is built from, nil
+	// under any other metric. Every pivot is then a zero-copy view into it,
+	// so the distance kernels stream contiguous rows, and perm holds the
 	// leaves' ids, one span per leaf in DFS entry order, so a leaf the descent
-	// reaches is verified in place. Insert demotes both to nil (inserted
-	// points live outside the store).
+	// reaches is verified in place.
 	store *geom.Store
 	perm  []int
 }
@@ -86,7 +83,7 @@ func NewWithFanout(pts []geom.Point, metric geom.Metric, maxEntries int) (*Tree,
 		return NewFromStoreWithFanout(st, metric, maxEntries)
 	}
 	for _, p := range pts {
-		if err := t.Insert(p); err != nil {
+		if err := t.insert(p); err != nil {
 			return nil, err
 		}
 	}
@@ -108,12 +105,10 @@ func NewFromStoreWithFanout(st *geom.Store, metric geom.Metric, maxEntries int) 
 		return nil, err
 	}
 	for i, n := 0, st.Len(); i < n; i++ {
-		if err := t.Insert(st.Point(i)); err != nil {
+		if err := t.insert(st.Point(i)); err != nil {
 			return nil, err
 		}
 	}
-	// Set after the build loop: Insert demotes the store on every call so
-	// user insertions past the store cannot leave a stale id mapping.
 	if t.euclid {
 		t.store, t.perm = st, make([]int, 0, t.size)
 		if t.root != nil {
@@ -151,9 +146,7 @@ func newTree(metric geom.Metric, maxEntries int) (*Tree, error) {
 	return t, nil
 }
 
-// Store returns the flat backing store of a store-built tree, or nil. It is
-// nil after any post-build Insert: inserted points are not store rows, so
-// the id ↔ row correspondence no longer holds.
+// Store returns the flat backing store of a Euclidean tree, or nil.
 func (t *Tree) Store() *geom.Store { return t.store }
 
 // Len returns the number of indexed points.
@@ -183,14 +176,11 @@ func (t *Tree) distSq(a, b geom.Point) float64 {
 	return geom.SquaredEuclidean(a, b)
 }
 
-// Insert adds a point to the tree.
-func (t *Tree) Insert(p geom.Point) error {
+// insert adds a point to the tree under construction.
+func (t *Tree) insert(p geom.Point) error {
 	if !p.IsFinite() {
 		return fmt.Errorf("mtree: non-finite point %v", p)
 	}
-	// The tree is growing past its flat store (if any); drop the store
-	// association rather than serve stale row ids.
-	t.store, t.perm = nil, nil
 	// Validate dimensionality once at insert time; the distance kernels skip
 	// their per-call checks (hoisted hot-path guard, see geom/checks.go).
 	if len(t.pts) > 0 && p.Dim() != t.pts[0].Dim() {
@@ -405,16 +395,13 @@ func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	if t.root == nil {
 		return out
 	}
-	switch {
-	case t.store != nil:
+	if t.store != nil {
 		var verified int
 		out, verified = t.descendStore(t.root, q, eps, eps*eps, out)
 		atomic.AddInt64(&t.distCalls, int64(verified))
-	case t.euclid:
-		t.rangeSearchSq(t.root, q, eps, eps*eps, &out)
-	default:
-		t.rangeSearch(t.root, q, eps, &out)
+		return out
 	}
+	t.rangeSearch(t.root, q, eps, &out)
 	return out
 }
 
@@ -425,11 +412,10 @@ func (t *Tree) RangeAppendID(i int, eps float64, buf []int) []int {
 	return t.RangeAppend(t.pts[i], eps, buf)
 }
 
-// descendStore is rangeSearchSq for the store-built Euclidean tree: the
-// triangle-inequality descent is unchanged (routing pivots are tested one at
-// a time — each verdict gates a recursion), but the span of perm a reached
-// leaf owns goes to the fused Store kernel as it stands — identical decisions
-// and visit order to the per-entry path. It returns how many leaf ids it
+// descendStore is rangeSearch in squared space for the Euclidean tree:
+// routing entries are tested one at a time against (eps + radius)² — each
+// verdict gates a recursion — and the span of perm a reached leaf owns goes
+// to the fused Store kernel as it stands. It returns how many leaf ids it
 // verified, which RangeAppend accounts to distCalls in one atomic add per
 // query instead of one per entry.
 func (t *Tree) descendStore(n *node, q geom.Point, eps, eps2 float64, out []int) ([]int, int) {
@@ -466,79 +452,4 @@ func (t *Tree) rangeSearch(n *node, q geom.Point, eps float64, out *[]int) {
 			t.rangeSearch(e.child, q, eps, out)
 		}
 	}
-}
-
-// rangeSearchSq is rangeSearch in squared space, the arm of a Euclidean tree
-// whose store an Insert demoted. Leaf verification compares against eps²;
-// routing entries against (eps + radius)².
-func (t *Tree) rangeSearchSq(n *node, q geom.Point, eps, eps2 float64, out *[]int) {
-	for i := range n.entries {
-		e := &n.entries[i]
-		d2 := t.distSq(q, e.pivot)
-		if n.leaf {
-			if d2 <= eps2 {
-				*out = append(*out, int(e.idx))
-			}
-			continue
-		}
-		bound := eps + e.radius
-		if d2 <= bound*bound {
-			t.rangeSearchSq(e.child, q, eps, eps2, out)
-		}
-	}
-}
-
-// knnItem is a best-first queue element: an internal node (child != nil)
-// with its optimistic distance bound, or a concrete point.
-type knnItem struct {
-	dist  float64
-	child *node
-	idx   int32
-}
-
-type knnQueue []knnItem
-
-func (q knnQueue) Len() int            { return len(q) }
-func (q knnQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q knnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *knnQueue) Push(x interface{}) { *q = append(*q, x.(knnItem)) }
-func (q *knnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// KNN returns the indexes of the k points nearest to q in ascending
-// distance order, using best-first traversal with the triangle-inequality
-// bound max(0, d(q, pivot) − radius) for routing entries.
-func (t *Tree) KNN(q geom.Point, k int) []int {
-	if t.root == nil || k <= 0 {
-		return nil
-	}
-	frontier := knnQueue{{dist: 0, child: t.root}}
-	var out []int
-	for frontier.Len() > 0 && len(out) < k {
-		item := heap.Pop(&frontier).(knnItem)
-		if item.child == nil {
-			out = append(out, int(item.idx))
-			continue
-		}
-		n := item.child
-		for i := range n.entries {
-			e := &n.entries[i]
-			d := t.dist(q, e.pivot)
-			if n.leaf {
-				heap.Push(&frontier, knnItem{dist: d, idx: e.idx})
-				continue
-			}
-			bound := d - e.radius
-			if bound < 0 {
-				bound = 0
-			}
-			heap.Push(&frontier, knnItem{dist: bound, child: e.child})
-		}
-	}
-	return out
 }

@@ -102,7 +102,7 @@ func TestValidation(t *testing.T) {
 		t.Error("fan-out 2 accepted")
 	}
 	tr, _ := New(nil, nil)
-	if err := tr.Insert(geom.Point{math.Inf(1)}); err == nil {
+	if err := tr.insert(geom.Point{math.Inf(1)}); err == nil {
 		t.Error("infinite point accepted")
 	}
 }
@@ -112,7 +112,7 @@ func TestInvariantsAcrossGrowth(t *testing.T) {
 	tr, _ := NewWithFanout(nil, geom.Euclidean{}, 6)
 	pts := randomPoints(rng, 600, 2)
 	for i, p := range pts {
-		if err := tr.Insert(p); err != nil {
+		if err := tr.insert(p); err != nil {
 			t.Fatal(err)
 		}
 		if i&(i+1) == 0 || i == len(pts)-1 {
@@ -206,13 +206,13 @@ func TestManyDuplicatesDeepTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert(geom.Point{1, 1}); err != nil {
+		if err := tr.insert(geom.Point{1, 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A couple of distinct points interleaved for good measure.
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(geom.Point{float64(i % 7), 1}); err != nil {
+		if err := tr.insert(geom.Point{float64(i % 7), 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,57 +220,5 @@ func TestManyDuplicatesDeepTree(t *testing.T) {
 	if got := len(tr.Range(geom.Point{1, 1}, 0)); got != 500+15 {
 		// 500 duplicates plus the i%7==1 points (15 of 100).
 		t.Fatalf("Range over duplicates = %d", got)
-	}
-}
-
-func TestKNNMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for _, m := range []geom.Metric{geom.Euclidean{}, geom.Manhattan{}} {
-		pts := randomPoints(rng, 400, 2)
-		tr, err := New(pts, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 15; trial++ {
-			q := randomPoints(rng, 1, 2)[0]
-			k := 1 + rng.Intn(30)
-			got := tr.KNN(q, k)
-			if len(got) != k {
-				t.Fatalf("KNN returned %d, want %d", len(got), k)
-			}
-			// Ascending order.
-			for i := 1; i < len(got); i++ {
-				if m.Distance(q, pts[got[i-1]]) > m.Distance(q, pts[got[i]])+1e-12 {
-					t.Fatal("KNN not ascending")
-				}
-			}
-			// Completeness: no unseen point beats the kth distance.
-			kth := m.Distance(q, pts[got[k-1]])
-			in := map[int]bool{}
-			for _, i := range got {
-				in[i] = true
-			}
-			for i, p := range pts {
-				if !in[i] && m.Distance(q, p) < kth-1e-12 {
-					t.Fatalf("%s: point %d closer than kth but missing", m.Name(), i)
-				}
-			}
-		}
-	}
-}
-
-func TestKNNEdgeCases(t *testing.T) {
-	tr, _ := New(nil, nil)
-	if got := tr.KNN(geom.Point{0}, 3); got != nil {
-		t.Errorf("KNN on empty = %v", got)
-	}
-	rng := rand.New(rand.NewSource(62))
-	pts := randomPoints(rng, 10, 2)
-	tr, _ = New(pts, nil)
-	if got := tr.KNN(geom.Point{0, 0}, 0); got != nil {
-		t.Errorf("KNN(k=0) = %v", got)
-	}
-	if got := tr.KNN(geom.Point{0, 0}, 50); len(got) != 10 {
-		t.Errorf("KNN(k>n) = %d results", len(got))
 	}
 }

@@ -7,6 +7,15 @@ import (
 	"math"
 )
 
+// height returns the height of the tree: 0 for an empty tree, 1 for a
+// root-only leaf.
+func (t *Tree) height() int {
+	if t.root == nil {
+		return 0
+	}
+	return t.root.level + 1
+}
+
 // LayoutDigest pins the shape of a tree — a dynamic *Tree or a bulk-loaded
 // *Packed — for the external layout test: the SHA-256 of a pre-order walk
 // (per node its level and entry count, per routing entry the bits of its

@@ -168,15 +168,6 @@ func (t *Tree) Point(i int) geom.Point { return t.rows.Point(i) }
 // bounding-box bounds only.
 func (t *Tree) Metric() geom.Metric { return t.metric }
 
-// Height returns the height of the tree (0 for an empty tree, 1 for a
-// root-only leaf).
-func (t *Tree) Height() int {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.level + 1
-}
-
 func newRect(dim int) geom.Rect {
 	c := make([]float64, 2*dim)
 	return geom.Rect{Min: c[:dim:dim], Max: c[dim:]}

@@ -82,14 +82,11 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Fatalf("empty tree: Len=%d Height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || tr.height() != 0 {
+		t.Fatalf("empty tree: Len=%d height=%d", tr.Len(), tr.height())
 	}
 	if got := tr.Range(geom.Point{0, 0}, 1); got != nil {
 		t.Errorf("Range on empty = %v", got)
-	}
-	if got := tr.KNN(geom.Point{0, 0}, 3); got != nil {
-		t.Errorf("KNN on empty = %v", got)
 	}
 }
 
@@ -126,8 +123,8 @@ func TestInvariantsAcrossGrowth(t *testing.T) {
 			checkInvariants(t, tr)
 		}
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("expected a deep tree, height %d", tr.Height())
+	if tr.height() < 3 {
+		t.Fatalf("expected a deep tree, height %d", tr.height())
 	}
 }
 
@@ -164,67 +161,6 @@ func TestInvariantsDuplicates(t *testing.T) {
 	}
 }
 
-func TestRangeCountMatchesRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	pts := randomPoints(rng, 800, 2)
-	tr, _ := New(pts)
-	for trial := 0; trial < 50; trial++ {
-		q := pts[rng.Intn(len(pts))]
-		eps := rng.Float64() * 3
-		if got, want := tr.RangeCount(q, eps), len(tr.Range(q, eps)); got != want {
-			t.Fatalf("RangeCount = %d, Range size = %d", got, want)
-		}
-	}
-}
-
-func TestKNNOrderingAndCompleteness(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	pts := randomPoints(rng, 500, 2)
-	tr, _ := New(pts)
-	e := geom.Euclidean{}
-	q := geom.Point{0.5, -0.5}
-	k := 25
-	got := tr.KNN(q, k)
-	if len(got) != k {
-		t.Fatalf("KNN returned %d, want %d", len(got), k)
-	}
-	// Ascending order.
-	for i := 1; i < len(got); i++ {
-		if e.Distance(q, pts[got[i-1]]) > e.Distance(q, pts[got[i]])+1e-12 {
-			t.Fatal("KNN not ascending")
-		}
-	}
-	// Completeness: the kth distance bounds every non-returned point.
-	kth := e.Distance(q, pts[got[k-1]])
-	inResult := make(map[int]bool, k)
-	for _, i := range got {
-		inResult[i] = true
-	}
-	for i, p := range pts {
-		if !inResult[i] && e.Distance(q, p) < kth-1e-12 {
-			t.Fatalf("point %d closer than kth neighbor but missing", i)
-		}
-	}
-}
-
-func TestKNNWholeTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	pts := randomPoints(rng, 40, 2)
-	tr, _ := New(pts)
-	got := tr.KNN(geom.Point{0, 0}, 100)
-	if len(got) != 40 {
-		t.Fatalf("KNN(k>n) returned %d, want 40", len(got))
-	}
-	sort.Ints(got)
-	want := make([]int, 40)
-	for i := range want {
-		want[i] = i
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("KNN(k>n) must return every point exactly once")
-	}
-}
-
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	tr, err := New(randomPoints(rng, 5000, 2))
@@ -233,7 +169,7 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 	}
 	// With fan-out 32 and 40% minimum fill, 5000 points need at least
 	// ceil(log_32(5000/32))+1 = 3 levels and should stay shallow.
-	if h := tr.Height(); h < 2 || h > 6 {
+	if h := tr.height(); h < 2 || h > 6 {
 		t.Fatalf("suspicious height %d for 5000 points", h)
 	}
 }
@@ -393,34 +329,6 @@ func BenchmarkBulkLoad(b *testing.B) {
 		if _, err := bulkOf(pts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestRangeRectMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	pts := randomPoints(rng, 800, 2)
-	tr, err := New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 30; trial++ {
-		a, b := randomPoints(rng, 1, 2)[0], randomPoints(rng, 1, 2)[0]
-		q := geom.RectFromPoint(a).ExtendPoint(b)
-		var want []int
-		for i, p := range pts {
-			if q.Contains(p) {
-				want = append(want, i)
-			}
-		}
-		got := tr.RangeRect(q)
-		sort.Ints(got)
-		sort.Ints(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window query mismatch: got %d, want %d results", len(got), len(want))
-		}
-	}
-	if got := (&Tree{}).RangeRect(geom.RectFromPoint(geom.Point{0, 0})); got != nil {
-		t.Fatalf("empty tree window query = %v", got)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index/mtree"
 	"github.com/dbdc-go/dbdc/internal/index/rstar"
 )
 
@@ -78,8 +77,8 @@ func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 
 // TestRangeEpsBoundary places points exactly ε apart (the 3-4-5 triangle at
 // ε = 5) and on floating-point-awkward offsets (0.1+0.2 against 0.3) and
-// holds every kind — and the dynamic R*-tree, and the M-tree after an Insert
-// demoted its store — to the squared-space verdicts of the index-free oracle.
+// holds every kind — and the dynamic R*-tree after an Insert — to the
+// squared-space verdicts of the index-free oracle.
 // A Euclidean index answering through Distance ≤ eps would flip these.
 func TestRangeEpsBoundary(t *testing.T) {
 	pts := []geom.Point{
@@ -117,19 +116,6 @@ func TestRangeEpsBoundary(t *testing.T) {
 		tr, err := rstar.New(pts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if err := tr.Insert(grown[len(pts)]); err != nil {
-			t.Fatal(err)
-		}
-		check(t, tr, grown)
-	})
-	t.Run("mtree-demoted", func(t *testing.T) {
-		tr, err := mtree.New(pts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Store() == nil {
-			t.Fatal("mtree.New over Euclidean points is not store-backed")
 		}
 		if err := tr.Insert(grown[len(pts)]); err != nil {
 			t.Fatal(err)
@@ -182,28 +168,6 @@ func TestBuildRejectsMalformedInput(t *testing.T) {
 	}
 }
 
-// TestStoreDemotionOnInsert: dynamic insertion outgrows the flat store, so
-// the M-tree must stop advertising it (a stale store would serve wrong row
-// ids) while queries stay correct and cover the inserted point.
-func TestStoreDemotionOnInsert(t *testing.T) {
-	mt, err := mtree.NewFromStore(testStore(100, 4), geom.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt.Store() == nil {
-		t.Fatal("mtree: store load lost its store")
-	}
-	if err := mt.Insert(geom.Point{100, 100}); err != nil {
-		t.Fatal(err)
-	}
-	if mt.Store() != nil {
-		t.Error("mtree: store survived a dynamic insert")
-	}
-	if ids := mt.Range(geom.Point{100, 100}, 0.5); len(ids) != 1 || ids[0] != 100 {
-		t.Errorf("mtree: inserted point not found: %v", ids)
-	}
-}
-
 // TestStoreDemotionOnDelete: a deletion leaves a store with a row the index
 // no longer holds, so the one kind that deletes — the dynamic R*-tree — must
 // never advertise a store, must stop returning the deleted id and must keep
@@ -233,10 +197,10 @@ func TestStoreDemotionOnDelete(t *testing.T) {
 }
 
 // TestDemotedTreeReportsNoLeaves: a tree that can be mutated never offers
-// leaves — incremental DBSCAN and the streaming site hold the dynamic R*-tree,
-// and Insert demotes a store-built M-tree — so its unseen-aware query is the
-// plain one, before and after each mutation, whatever counts the caller still
-// holds from a static tree over the same rows.
+// leaves — incremental DBSCAN and the streaming site hold the dynamic R*-tree
+// — so its unseen-aware query is the plain one, before and after each
+// mutation, whatever counts the caller still holds from a static tree over
+// the same rows.
 func TestDemotedTreeReportsNoLeaves(t *testing.T) {
 	st := testStore(400, 5)
 	const eps = 3.0
@@ -252,36 +216,25 @@ func TestDemotedTreeReportsNoLeaves(t *testing.T) {
 	if got, want := RangeIntoIDUnseen(packed, 3, eps, 1, stale, nil), RangeIntoID(packed, 3, eps, nil); len(got) >= len(want) {
 		t.Fatalf("packed tree: unseen-aware %v, plain %v: the stale counts leave nothing out", got, want)
 	}
-	type row struct {
-		kind   string
-		mutate func(idx Index) error
-	}
-	rows := map[string]row{
-		"rstar/Insert": {"rstar", func(idx Index) error { return idx.(*rstar.Tree).Insert(geom.Point{1, 1}) }},
-		"rstar/Delete": {"rstar", func(idx Index) error { return idx.(*rstar.Tree).Delete(17) }},
-		"rstar/ReplaceAt": {"rstar", func(idx Index) error {
-			if err := idx.(*rstar.Tree).Delete(17); err != nil {
+	rows := map[string]func(tr *rstar.Tree) error{
+		"rstar/Insert": func(tr *rstar.Tree) error { return tr.Insert(geom.Point{1, 1}) },
+		"rstar/Delete": func(tr *rstar.Tree) error { return tr.Delete(17) },
+		"rstar/ReplaceAt": func(tr *rstar.Tree) error {
+			if err := tr.Delete(17); err != nil {
 				return err
 			}
-			return idx.(*rstar.Tree).ReplaceAt(17, geom.Point{2, 2})
-		}},
-		"mtree/Insert": {"mtree", func(idx Index) error { return idx.(*mtree.Tree).Insert(geom.Point{1, 1}) }},
+			return tr.ReplaceAt(17, geom.Point{2, 2})
+		},
 	}
-	for name, r := range rows {
+	for name, mutate := range rows {
 		t.Run(name, func(t *testing.T) {
-			var idx Index
-			var err error
-			if r.kind == "rstar" {
-				idx, err = rstar.New(st.Views())
-			} else {
-				idx, err = mtree.NewFromStore(st, geom.Euclidean{})
-			}
+			idx, err := rstar.New(st.Views())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, stage := range []string{"before", "after"} {
 				if stage == "after" {
-					if err := r.mutate(idx); err != nil {
+					if err := mutate(idx); err != nil {
 						t.Fatal(err)
 					}
 				}

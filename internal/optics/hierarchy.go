@@ -3,23 +3,7 @@ package optics
 import (
 	"fmt"
 	"sort"
-
-	"github.com/dbdc-go/dbdc/internal/cluster"
 )
-
-// ExtractHierarchy derives the DBSCAN clustering at every given cut in one
-// pass over the ordering. The cuts are processed in the caller's order;
-// the i-th labeling corresponds to cuts[i]. Because OPTICS orders objects
-// once for all densities, this costs O(len(cuts)·n) — the property that
-// makes OPTICS attractive for the DBDC server: the analyst sweeps
-// Eps_global without ever re-clustering.
-func (r *Result) ExtractHierarchy(cuts []float64) []cluster.Labeling {
-	out := make([]cluster.Labeling, len(cuts))
-	for i, c := range cuts {
-		out[i] = r.ExtractDBSCAN(c)
-	}
-	return out
-}
 
 // SuggestCut proposes an extraction threshold from the reachability plot.
 // The bulk of the reachability values are intra-cluster distances and the
@@ -38,8 +22,8 @@ func (r *Result) ExtractHierarchy(cuts []float64) []cluster.Labeling {
 // multi-scale separations (a ring around a cluster next to a far-away
 // cluster) has several valid cuts; the suggestion then resolves the
 // dominant one and merges across the subtler ones. For such data inspect
-// the reachability plot (viz.ReachabilityPlot) or sweep ExtractHierarchy
-// instead of trusting a single suggestion.
+// the reachability plot (viz.ReachabilityPlot) or extract at several cuts
+// with ExtractDBSCAN instead of trusting a single suggestion.
 func (r *Result) SuggestCut(minClusterSize int) (float64, error) {
 	if minClusterSize < 1 {
 		minClusterSize = 1

@@ -9,8 +9,9 @@ import (
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// Property: the extracted labelings are nested — every cluster at a
-// smaller cut lies entirely inside one cluster of any larger cut.
+// Property: the labelings ExtractDBSCAN draws from one ordering are nested —
+// every cluster at a smaller cut lies entirely inside one cluster of any
+// larger cut.
 func TestHierarchyNested(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomClustered(rng, 4, 60)
@@ -22,9 +23,9 @@ func TestHierarchyNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	cuts := []float64{0.5, 1, 2, 4, 8, 16, 32}
-	labelings := res.ExtractHierarchy(cuts)
-	if len(labelings) != len(cuts) {
-		t.Fatalf("got %d labelings", len(labelings))
+	labelings := make([]cluster.Labeling, len(cuts))
+	for i, c := range cuts {
+		labelings[i] = res.ExtractDBSCAN(c)
 	}
 	for k := 1; k < len(cuts); k++ {
 		small, large := labelings[k-1], labelings[k]

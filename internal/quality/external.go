@@ -2,12 +2,11 @@ package quality
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 )
 
-// The external indices below treat noise as one additional class, the
+// The external index below treats noise as one additional class, the
 // common convention when comparing density-based clusterings that may
 // label different objects as noise.
 
@@ -16,31 +15,6 @@ func classOf(id cluster.ID) cluster.ID {
 		return cluster.Noise
 	}
 	return id
-}
-
-// RandIndex computes the Rand index between two labelings: the fraction of
-// object pairs on which the clusterings agree (both together or both
-// separated).
-func RandIndex(a, b cluster.Labeling) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("quality: labelings disagree on size")
-	}
-	n := len(a)
-	if n < 2 {
-		return 1, nil
-	}
-	var agree, total float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sameA := classOf(a[i]) == classOf(a[j])
-			sameB := classOf(b[i]) == classOf(b[j])
-			if sameA == sameB {
-				agree++
-			}
-			total++
-		}
-	}
-	return agree / total, nil
 }
 
 // pairCounts returns the sufficient statistics of the pair-counting
@@ -86,81 +60,4 @@ func AdjustedRandIndex(a, b cluster.Labeling) (float64, error) {
 		return 1, nil // both partitions trivial (all singletons or all one)
 	}
 	return (sumIJ - expected) / (maxIndex - expected), nil
-}
-
-// Purity computes the purity of labeling a against reference b: each
-// cluster of a votes for its dominant reference class; purity is the
-// fraction of objects covered by those votes.
-func Purity(a, b cluster.Labeling) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("quality: labelings disagree on size")
-	}
-	if len(a) == 0 {
-		return 1, nil
-	}
-	table := make(map[cluster.ID]map[cluster.ID]int)
-	for i := range a {
-		ka, kb := classOf(a[i]), classOf(b[i])
-		if table[ka] == nil {
-			table[ka] = make(map[cluster.ID]int)
-		}
-		table[ka][kb]++
-	}
-	var sum int
-	for _, row := range table {
-		best := 0
-		for _, v := range row {
-			if v > best {
-				best = v
-			}
-		}
-		sum += best
-	}
-	return float64(sum) / float64(len(a)), nil
-}
-
-// NMI computes the normalized mutual information between two labelings
-// (normalised by the arithmetic mean of the entropies). Returns 1 when both
-// partitions are identical and both trivial partitions are defined as NMI 1
-// with themselves.
-func NMI(a, b cluster.Labeling) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("quality: labelings disagree on size")
-	}
-	n := float64(len(a))
-	if n == 0 {
-		return 1, nil
-	}
-	joint := make(map[[2]cluster.ID]float64)
-	pa := make(map[cluster.ID]float64)
-	pb := make(map[cluster.ID]float64)
-	for i := range a {
-		ka, kb := classOf(a[i]), classOf(b[i])
-		joint[[2]cluster.ID{ka, kb}]++
-		pa[ka]++
-		pb[kb]++
-	}
-	var mi, ha, hb float64
-	for k, v := range joint {
-		pxy := v / n
-		px := pa[k[0]] / n
-		py := pb[k[1]] / n
-		mi += pxy * math.Log(pxy/(px*py))
-	}
-	for _, v := range pa {
-		p := v / n
-		ha -= p * math.Log(p)
-	}
-	for _, v := range pb {
-		p := v / n
-		hb -= p * math.Log(p)
-	}
-	if ha == 0 && hb == 0 {
-		return 1, nil // both trivial and identical
-	}
-	denom := (ha + hb) / 2
-	if denom == 0 {
-		return 0, nil
-	}
-	return mi / denom, nil
 }

@@ -11,8 +11,8 @@
 // share at least qp objects, and |C_d ∩ C_c| / |C_d ∪ C_c| (the Jaccard
 // coefficient of its two clusters) under P^II.
 //
-// The package additionally provides standard external indices (Rand,
-// adjusted Rand, purity, NMI) used to cross-check the paper's measures.
+// The package additionally provides the adjusted Rand index, the standard
+// external index the experiments report beside the paper's measures.
 package quality
 
 import (
@@ -120,18 +120,4 @@ func QDBDCPII(distr, central cluster.Labeling) (float64, error) {
 		sum += s.PII(i)
 	}
 	return sum / float64(len(distr)), nil
-}
-
-// PerObjectPII returns the P^II value of every object — useful for
-// diagnosing where a distributed clustering loses quality.
-func PerObjectPII(distr, central cluster.Labeling) ([]float64, error) {
-	s, err := newPairStats(distr, central)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(distr))
-	for i := range distr {
-		out[i] = s.PII(i)
-	}
-	return out, nil
 }

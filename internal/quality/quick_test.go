@@ -97,32 +97,16 @@ func TestQuickPIMonotoneInQP(t *testing.T) {
 	}
 }
 
-// Property: the external indices are symmetric in their arguments and
-// bounded.
+// Property: the external index is symmetric in its arguments and bounded
+// above by 1.
 func TestQuickExternalIndices(t *testing.T) {
 	f := func(p labelPair) bool {
-		rand1, err := RandIndex(p.a, p.b)
-		if err != nil || rand1 < 0 || rand1 > 1 {
-			return false
-		}
-		rand2, err := RandIndex(p.b, p.a)
-		if err != nil || math.Abs(rand1-rand2) > 1e-12 {
-			return false
-		}
 		ari1, err := AdjustedRandIndex(p.a, p.b)
 		if err != nil || ari1 > 1+1e-12 {
 			return false
 		}
 		ari2, err := AdjustedRandIndex(p.b, p.a)
-		if err != nil || math.Abs(ari1-ari2) > 1e-12 {
-			return false
-		}
-		nmi1, err := NMI(p.a, p.b)
-		if err != nil || nmi1 < -1e-12 || nmi1 > 1+1e-9 {
-			return false
-		}
-		nmi2, err := NMI(p.b, p.a)
-		return err == nil && math.Abs(nmi1-nmi2) < 1e-9
+		return err == nil && math.Abs(ari1-ari2) <= 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
