@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard fuzz-smoke bench bench-json bench-smoke bench-pairs benchdiff loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard fuzz-smoke bench bench-smoke bench-pairs loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -86,24 +86,6 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-path benchmark sweep recorded as a committed artifact: runs the
-# BenchmarkLocalClustering suite (naive metric arm vs store kernels per
-# index kind, worker scaling per kind and in 8-d, representative budgets) plus
-# BenchmarkStoreKernels (strided vs slice distance kernels, allocation-free
-# range loops) and BenchmarkLoadgenClassify (loopback classification serving
-# throughput) and converts the output into BENCH_<shortrev>.json via
-# cmd/benchjson. The raw text passes through to stdout unchanged, so the same
-# pipeline feeds benchstat:
-#
-#   make bench-json BENCHFLAGS='-count=10' | tee new.txt
-#   benchstat old.txt new.txt    # any `go test -bench` text file works
-#
-# See docs/performance.md for how to read the JSON.
-BENCHFLAGS ?=
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchmem $(BENCHFLAGS) . \
-		| $(GO) run ./cmd/benchjson -rev $$(git rev-parse --short HEAD)
-
 # One-iteration smoke over the hot-path suite, the STR bulk build at three
 # sizes and in 8-d, the incremental layer's window-turn benchmark (ns, allocs
 # and range queries per delete-oldest + insert), the dynamic R*-tree's insert
@@ -134,31 +116,19 @@ PAIRFLAGS ?=
 bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS) -- $(PAIRFLAGS)
 
-# Run the hot-path suite and diff it against the committed baseline artifact
-# with cmd/benchdiff. BASELINE defaults to the newest committed BENCH_*.json;
-# DIFFFLAGS passes through to benchdiff (e.g. DIFFFLAGS='-fail -threshold
-# 0.25' to gate). Crank BENCHFLAGS='-count=5 -benchtime 2s' for less noise —
-# the default single run trips the 10% threshold on timing jitter alone.
-BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-DIFFFLAGS ?=
-benchdiff:
-	@test -n "$(BASELINE)" || { echo "benchdiff: no committed BENCH_*.json baseline"; exit 1; }
-	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify' -benchmem $(BENCHFLAGS) . \
-		| $(GO) run ./cmd/benchjson -rev $$(git rev-parse --short HEAD) -out /tmp/dbdc-bench-new.json >/dev/null
-	$(GO) run ./cmd/benchdiff $(DIFFFLAGS) $(BASELINE) /tmp/dbdc-bench-new.json
-
 # Serving smoke: the in-process twin of a dbdc-loadgen run — boots a
 # classification front end, drives closed-loop load against it for both
-# request shapes and checks the benchio report is coherent (see
-# docs/serving.md). CI runs this plus the serve package under -race.
+# request shapes and checks the result and its summary line are coherent
+# (see docs/serving.md). CI runs this plus the serve package under -race.
 loadgen-smoke:
 	$(GO) test -race -run 'TestLoadgenSmoke' -count=1 -v ./internal/serve/
 
 # Aggregation-tree smoke: boots a loopback two-level tree out of the real
 # binaries (4 dbdc-site -> 2 dbdc-agg -> dbdc-server), checks every
 # process exits clean, every site labels all its points against the root
-# model, and the provenance sections reach the root's report. See
-# docs/hierarchy.md. CI runs this plus internal/aggtree under -race.
+# model, both leaves' provenance sections reach the root's -report-json and
+# the forward phase reaches the leaf's. See docs/hierarchy.md. CI runs this
+# plus internal/aggtree under -race.
 agg-smoke:
 	sh scripts/agg_smoke.sh
 

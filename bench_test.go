@@ -443,8 +443,7 @@ var benchSink float64
 // squared-distance kernels against their slice counterparts, and the
 // store-backed range-query scan that must run allocation-free (allocs/op =
 // 0 in the range loop — also pinned hard by the zero-alloc regression test
-// in internal/index; here the number lands in BENCH_*.json so cmd/benchdiff
-// tracks it across revisions).
+// in internal/index; here it sits next to the kernels' timings).
 func BenchmarkStoreKernels(b *testing.B) {
 	ds := data.DatasetA(20_000, 1)
 	st := ds.Store
@@ -528,9 +527,9 @@ type naiveIndex struct{ index.Index }
 // site-local DBSCAN with specific core collection — on a 50,000-object
 // site. Sub-benchmarks compare the naive distance arm against the
 // store-backed kernels per index kind, and one worker against increasing
-// worker counts. Range-query counts are
-// reported so BENCH_*.json records the paper's cost model alongside wall
-// time. Index construction is excluded: the subject is the clustering scan.
+// worker counts. Range-query counts are reported so the paper's cost model
+// sits alongside wall time. Index construction is excluded: the subject is
+// the clustering scan.
 func BenchmarkLocalClustering(b *testing.B) {
 	ds := lib.DatasetA(50_000, 1)
 	// DatasetA's stock Eps=1.2 was tuned for the paper's 8,700-object
@@ -581,8 +580,7 @@ func BenchmarkLocalClustering(b *testing.B) {
 	}
 	// Intra-site parallelism: same index, growing worker budget, to be read
 	// against store/kdtree, which is the one-worker row. On a single-CPU
-	// host the numbers measure coordination overhead, not speedup;
-	// benchdiff flags that via the recorded core count.
+	// host the numbers measure coordination overhead, not speedup.
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
 			idx, err := index.Build(index.KindKDTree, ds.Points, geom.Euclidean{}, ds.Params.Eps)
@@ -673,8 +671,8 @@ func BenchmarkLocalClustering(b *testing.B) {
 	}
 	// SDBDC representative budgets: the full LocalStep (clustering,
 	// condensation, greedy budget selection) with a per-cluster cap, on the
-	// paper-sized site. budget=0 is the unbudgeted baseline, so BENCH_*.json
-	// records the selector's overhead next to the uplink bytes it saves;
+	// paper-sized site. budget=0 is the unbudgeted baseline, so the rows
+	// show the selector's overhead next to the uplink bytes it saves;
 	// coverage-fraction shows the quality headroom the budget leaves.
 	budgetDS := lib.DatasetA(8_700, 1)
 	for _, budget := range []int{0, 16, 4} {
@@ -708,11 +706,8 @@ func BenchmarkLocalClustering(b *testing.B) {
 // cmd/dbdc-loadgen). One op is one request round trip carrying batch
 // points; conc splits the b.N requests over that many concurrent
 // connections, so ns/op is throughput-reciprocal, not per-request
-// latency. On a single-CPU host — this repo's benchmark container —
-// conc>1 measures interleaving and queueing, not parallel speedup;
-// points/s is the honest throughput number. Via `make bench-json` the
-// entries land in BENCH_<rev>.json so cmd/benchdiff tracks serving cost
-// next to the clustering kernels.
+// latency. On a single-CPU host conc>1 measures interleaving and queueing,
+// not parallel speedup; points/s is the honest throughput number.
 func BenchmarkLoadgenClassify(b *testing.B) {
 	ds := lib.DatasetA(8_700, 1)
 	out, err := lib.LocalStep("bench-site", ds.Points, lib.Config{Local: ds.Params})

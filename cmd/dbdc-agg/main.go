@@ -18,12 +18,12 @@
 // or at the accept deadline with at least -quorum usable models. If the
 // parent is unreachable or rejects the upload, the round fails and every
 // child receives the error — a subtree never fabricates a global model.
-// With -report-json the per-round breakdown (including the
-// condense-and-forward duration) is written in the internal/benchio
-// schema, committable and diffable with cmd/benchdiff.
+// With -report-json the round reports (including the condense-and-forward
+// duration) are written as JSON, failed children included.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +32,7 @@ import (
 
 	lib "github.com/dbdc-go/dbdc"
 	"github.com/dbdc-go/dbdc/internal/aggtree"
-	"github.com/dbdc-go/dbdc/internal/benchio"
+	"github.com/dbdc-go/dbdc/internal/transport"
 )
 
 func main() {
@@ -50,8 +50,7 @@ func main() {
 	acceptTimeout := flag.Duration("accept-timeout", 0, "accept-phase deadline per round; 0 = -timeout")
 	expectSites := flag.String("expect-sites", "", "comma-separated child ids for per-name failure reporting")
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "byte cap on every frame a child uploads, advertised to budget-handshaking children (0 = no cap)")
-	reportJSON := flag.String("report-json", "", "write the per-round phase breakdown as a benchio JSON report to this file (\"-\" = stdout)")
-	rev := flag.String("rev", "", "source revision recorded in the JSON report")
+	reportJSON := flag.String("report-json", "", "write every round's report as a JSON array to this file (\"-\" = stdout)")
 	flag.Parse()
 
 	if *eps <= 0 || *minPts < 1 || *parent == "" {
@@ -88,22 +87,19 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "dbdc-agg: %s listening on %s for %d children (quorum %d), parent %s\n",
 		*id, agg.Addr(), *expect, *quorum, *parent)
-	// Like dbdc-server, the JSON report accumulates one entry group per
-	// round and is rewritten after every round, so a killed aggregator
-	// still leaves the completed rounds on disk.
-	jsonReport := &benchio.Report{Rev: *rev, Timestamp: time.Now().UTC().Format(time.RFC3339)}
+	// Like dbdc-server, the JSON report holds one element per round and is
+	// rewritten whole after every round, so a killed aggregator still leaves
+	// the completed rounds on disk; stdout gets it after the last or a
+	// failed round.
+	var jsonReports []*transport.RoundReport
 	for round := 1; round <= *rounds; round++ {
 		global, report, err := agg.RunRound()
 		if report != nil {
 			fmt.Fprintf(os.Stderr, "dbdc-agg: %s %s\n", *id, report)
 			if *reportJSON != "" {
-				prefix := fmt.Sprintf("agg=%s/", *id)
-				if *rounds > 1 {
-					prefix = fmt.Sprintf("agg=%s/round=%d/", *id, round)
-				}
-				jsonReport.Entries = append(jsonReport.Entries, report.BenchReport(*rev, prefix).Entries...)
-				if *reportJSON != "-" || round == *rounds {
-					if werr := writeReport(*reportJSON, jsonReport); werr != nil {
+				jsonReports = append(jsonReports, report)
+				if *reportJSON != "-" || round == *rounds || err != nil {
+					if werr := writeReport(*reportJSON, jsonReports); werr != nil {
 						fmt.Fprintf(os.Stderr, "dbdc-agg: writing %s: %v\n", *reportJSON, werr)
 						os.Exit(1)
 					}
@@ -121,19 +117,17 @@ func main() {
 	}
 }
 
-// writeReport writes the accumulated benchio report to path ("-" =
-// stdout). The file is truncated and rewritten whole each round.
-func writeReport(path string, rep *benchio.Report) error {
-	if path == "-" {
-		return benchio.Write(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
+// writeReport writes the round reports so far to path ("-" = stdout) as
+// indented JSON. The file is truncated and rewritten whole each round.
+func writeReport(path string, reports []*transport.RoundReport) error {
+	out, err := json.MarshalIndent(reports, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := benchio.Write(f, rep); err != nil {
-		f.Close()
+	out = append(out, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(out)
 		return err
 	}
-	return f.Close()
+	return os.WriteFile(path, out, 0o644)
 }

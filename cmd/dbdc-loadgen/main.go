@@ -5,8 +5,7 @@
 // Usage:
 //
 //	dbdc-loadgen -addr 127.0.0.1:7072 [-conc 8] [-duration 10s] [-batch 16] \
-//	    [-rate 5000] [-dataset a|b|c] [-n 8700] [-seed 1] [-input points.csv] \
-//	    [-report-json out.json] [-rev $(git rev-parse --short HEAD)]
+//	    [-rate 5000] [-dataset a|b|c] [-n 8700] [-seed 1] [-input points.csv]
 //
 // By default each worker owns one persistent connection and keeps exactly
 // one request in flight (send, wait, record, repeat), so the offered load
@@ -18,10 +17,7 @@
 // summary then also reports achieved vs target rate, the maximum queue
 // depth, and any shed arrivals.
 // The query pool is either a CSV of points (-input) or a generated paper
-// dataset (-dataset/-n/-seed, matching cmd/datagen). With -report-json the
-// run is written in the internal/benchio schema, so serving throughput
-// joins the BENCH_<rev>.json trajectory and cmd/benchdiff can flag
-// regressions across revisions.
+// dataset (-dataset/-n/-seed, matching cmd/datagen).
 package main
 
 import (
@@ -30,7 +26,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/dbdc-go/dbdc/internal/benchio"
 	"github.com/dbdc-go/dbdc/internal/data"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/profiles"
@@ -52,8 +47,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "query pool generator seed")
 	input := flag.String("input", "", "CSV of query points (overrides -dataset)")
 	timeout := flag.Duration("timeout", 10*time.Second, "dial and per-request I/O timeout")
-	reportJSON := flag.String("report-json", "", "write the run as a benchio JSON report to this file (\"-\" = stdout)")
-	rev := flag.String("rev", "", "source revision recorded in the JSON report")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the load run to the file")
 	memProfile := flag.String("memprofile", "", "write a heap profile of the load run to the file")
 	flag.Parse()
@@ -83,25 +76,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "dbdc-loadgen: %s\n", res)
-	if *reportJSON != "" {
-		rep := res.BenchReport(*rev)
-		var werr error
-		if *reportJSON == "-" {
-			werr = benchio.Write(os.Stdout, rep)
-		} else {
-			var f *os.File
-			if f, werr = os.Create(*reportJSON); werr == nil {
-				if werr = benchio.Write(f, rep); werr != nil {
-					f.Close()
-				} else {
-					werr = f.Close()
-				}
-			}
-		}
-		if werr != nil {
-			fatal(fmt.Errorf("writing %s: %w", *reportJSON, werr))
-		}
-	}
 	if err := stop(); err != nil {
 		stopProfiles = nil // already finalized; don't run it twice
 		fatal(err)

@@ -13,11 +13,9 @@
 // — who delivered, who failed and why, who retried, and the per-phase
 // breakdown (worker count, local DBSCAN, condensation, backoff) for sites
 // that attached metrics to their upload — is printed after every round.
-// With -report-json the aggregated breakdown is additionally written in
-// the internal/benchio schema (the BENCH_<rev>.json format), so wire-level
-// runs can be committed and diffed with cmd/benchdiff exactly like the
-// in-process benchmark artifacts. Pair it with dbdc-site processes
-// pointing at the same address.
+// With -report-json the round reports are additionally written as JSON,
+// failed sites included. Pair it with dbdc-site processes pointing at the
+// same address.
 //
 // With -serve-classify the server doubles as an online classification
 // front end: every completed round publishes its global model into a
@@ -36,6 +34,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +42,6 @@ import (
 	"time"
 
 	lib "github.com/dbdc-go/dbdc"
-	"github.com/dbdc-go/dbdc/internal/benchio"
 	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/serve"
 	"github.com/dbdc-go/dbdc/internal/transport"
@@ -61,8 +59,7 @@ func main() {
 	acceptTimeout := flag.Duration("accept-timeout", 0, "accept-phase deadline per round; 0 = -timeout")
 	expectSites := flag.String("expect-sites", "", "comma-separated site ids for per-name failure reporting")
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "byte cap on every uploaded frame (0 = no cap); budgeted sites learn it in the handshake and shrink their rep budget until the model frame fits, any other upload over it is refused")
-	reportJSON := flag.String("report-json", "", "write the per-round phase breakdown as a benchio JSON report to this file (\"-\" = stdout)")
-	rev := flag.String("rev", "", "source revision recorded in the JSON report")
+	reportJSON := flag.String("report-json", "", "write every round's report as a JSON array to this file (\"-\" = stdout)")
 	serveClassify := flag.String("serve-classify", "", "serve online classification on this address (e.g. :7072); every completed round hot-swaps the model, and the server keeps answering after the last round until killed")
 	classifyIndex := flag.String("classify-index", string(index.KindKDTree), "spatial index the classifier bulk-loads the representatives into")
 	metricsAddr := flag.String("metrics-addr", "", "expose Prometheus metrics over HTTP on this address (e.g. :9090)")
@@ -152,25 +149,18 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "dbdc-server: listening on %s for %d sites (quorum %d)\n",
 		srv.Addr(), *sites, *quorum)
-	// The JSON report accumulates one entry group per round (prefix
-	// "round=N/") and is rewritten after every round, so a killed server
-	// still leaves the completed rounds on disk.
-	jsonReport := &benchio.Report{Rev: *rev, Timestamp: time.Now().UTC().Format(time.RFC3339)}
+	// The JSON report holds one element per round and is rewritten whole
+	// after every round, so a killed server still leaves the completed
+	// rounds on disk; stdout gets it once, after the last or a failed round.
+	var jsonReports []*transport.RoundReport
 	for round := 1; round <= *rounds; round++ {
 		global, report, err := srv.RunRoundOpts(opts)
 		if report != nil {
 			fmt.Fprintf(os.Stderr, "dbdc-server: %s\n", report)
 			if *reportJSON != "" {
-				prefix := ""
-				if *rounds > 1 {
-					prefix = fmt.Sprintf("round=%d/", round)
-				}
-				jsonReport.Entries = append(jsonReport.Entries, report.BenchReport(*rev, prefix).Entries...)
-				// Files are rewritten whole after every round so a killed
-				// server keeps its completed rounds; stdout is written
-				// once, after the last round.
-				if *reportJSON != "-" || round == *rounds {
-					if werr := writeReport(*reportJSON, jsonReport); werr != nil {
+				jsonReports = append(jsonReports, report)
+				if *reportJSON != "-" || round == *rounds || err != nil {
+					if werr := writeReport(*reportJSON, jsonReports); werr != nil {
 						fmt.Fprintf(os.Stderr, "dbdc-server: writing %s: %v\n", *reportJSON, werr)
 						os.Exit(1)
 					}
@@ -268,19 +258,17 @@ func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duratio
 	}
 }
 
-// writeReport writes the accumulated benchio report to path ("-" =
-// stdout). The file is truncated and rewritten whole each round.
-func writeReport(path string, rep *benchio.Report) error {
-	if path == "-" {
-		return benchio.Write(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
+// writeReport writes the round reports so far to path ("-" = stdout) as
+// indented JSON. The file is truncated and rewritten whole each round.
+func writeReport(path string, reports []*transport.RoundReport) error {
+	out, err := json.MarshalIndent(reports, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := benchio.Write(f, rep); err != nil {
-		f.Close()
+	out = append(out, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(out)
 		return err
 	}
-	return f.Close()
+	return os.WriteFile(path, out, 0o644)
 }

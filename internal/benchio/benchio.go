@@ -1,266 +1,31 @@
-// Package benchio turns the text output of `go test -bench` into a
-// machine-readable JSON report, the format behind the committed
-// BENCH_<rev>.json artifacts. The parser understands the standard benchmark
-// line grammar — name, iteration count, then (value, unit) pairs — so the
-// built-in ns/op, B/op and allocs/op columns land in dedicated fields while
-// every custom b.ReportMetric unit (range-queries/op, distms/op, …) is kept
-// in a generic metrics map. Header lines (goos, goarch, cpu, pkg) populate
-// the report environment so two artifacts are comparable at a glance.
-//
-// The text format itself stays the interchange surface: `go test -bench`
-// output is also what benchstat consumes, so a pipeline can tee the raw text
-// to benchstat and the JSON to the repository without running the
-// benchmarks twice.
+// Package benchio stamps a benchmark's output with the host it ran on, so
+// numbers from different hosts or kernel builds are never silently compared.
 package benchio
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"runtime"
-	"strconv"
-	"strings"
-	"time"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// Entry is one parsed benchmark result line.
-type Entry struct {
-	// Name is the full benchmark name including sub-benchmark path and the
-	// trailing -GOMAXPROCS suffix, e.g. "BenchmarkLocalClustering/fast/grid-8".
-	Name string `json:"name"`
-	// Iterations is b.N for the reported run.
-	Iterations int64 `json:"iterations"`
-	// NsPerOp is the ns/op column.
-	NsPerOp float64 `json:"ns_per_op"`
-	// BytesPerOp and AllocsPerOp are the -benchmem columns; -1 when the
-	// benchmark did not report them.
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Metrics holds every additional unit reported via b.ReportMetric,
-	// keyed by unit string (e.g. "range-queries/op").
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Report is a full benchmark run: environment plus parsed entries.
+// Report is the host a benchmark ran on.
 type Report struct {
-	// Rev is the source revision the run measured (git short hash).
-	Rev string `json:"rev,omitempty"`
-	// Timestamp is the RFC 3339 creation time of the report.
-	Timestamp string `json:"timestamp"`
-	GoOS      string `json:"goos,omitempty"`
-	GoArch    string `json:"goarch,omitempty"`
-	CPU       string `json:"cpu,omitempty"`
-	// NumCPU and GoMaxProcs describe the producing host's parallelism —
-	// essential context for the parallel/workers=N entries (a single-CPU
-	// host cannot show wall-clock speedup from intra-site workers). Filled
-	// by cmd/benchjson, not parsed from the text.
-	NumCPU     int `json:"num_cpu,omitempty"`
-	GoMaxProcs int `json:"gomaxprocs,omitempty"`
+	GoOS, GoArch string
+	// NumCPU and GoMaxProcs describe the host's parallelism: a single-CPU
+	// host cannot show wall-clock speedup from intra-site workers.
+	NumCPU, GoMaxProcs int
 	// KernelDispatch names the distance-kernel build the run measured
-	// (geom.KernelDispatch(): the unrolled dispatch table or "scalar").
-	// Filled by cmd/benchjson; artifacts from different kernel builds are
-	// not comparable and benchdiff warns when the names differ.
-	KernelDispatch string `json:"kernel_dispatch,omitempty"`
-	// Packages lists every pkg: header seen in the input.
-	Packages []string `json:"packages,omitempty"`
-	Entries  []Entry  `json:"entries"`
+	// (geom.KernelDispatch(): the unrolled dispatch table or "scalar");
+	// runs of different kernel builds are not comparable.
+	KernelDispatch string
 }
 
-// Host renders the recorded host metadata in one line — platform, CPU
-// model, core count, GOMAXPROCS, kernel dispatch — omitting fields the
-// report does not carry. cmd/benchdiff prints this for both sides of a
-// comparison so artifacts from different hosts are never silently compared.
-func (r *Report) Host() string {
-	parts := make([]string, 0, 5)
-	if r.GoOS != "" || r.GoArch != "" {
-		parts = append(parts, strings.TrimSuffix(r.GoOS+"/"+r.GoArch, "/"))
-	}
-	if r.CPU != "" {
-		parts = append(parts, r.CPU)
-	}
-	if r.NumCPU > 0 {
-		parts = append(parts, fmt.Sprintf("%d CPU", r.NumCPU))
-	}
-	if r.GoMaxProcs > 0 {
-		parts = append(parts, fmt.Sprintf("GOMAXPROCS %d", r.GoMaxProcs))
-	}
-	if r.KernelDispatch != "" {
-		parts = append(parts, "kernels "+r.KernelDispatch)
-	}
-	if len(parts) == 0 {
-		return "(no host metadata)"
-	}
-	return strings.Join(parts, ", ")
-}
-
-// StampHost fills the report's host-parallelism metadata from the running
-// process: core count, GOMAXPROCS, the distance-kernel build, and the
-// goos/goarch fallback when the benchmark text did not carry the headers.
-// Every producer of artifacts — cmd/benchjson, the loadgen report, the
-// networked RoundReport conversion — stamps through this one helper so no
-// artifact ships without the context benchdiff needs to judge
-// comparability (see CoreCountWarnings).
+// StampHost fills the report from the running process: platform, core
+// count, GOMAXPROCS and the distance-kernel build.
 func StampHost(rep *Report) {
+	rep.GoOS = runtime.GOOS
+	rep.GoArch = runtime.GOARCH
 	rep.NumCPU = runtime.NumCPU()
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
 	rep.KernelDispatch = geom.KernelDispatch()
-	if rep.GoOS == "" {
-		rep.GoOS = runtime.GOOS
-	}
-	if rep.GoArch == "" {
-		rep.GoArch = runtime.GOARCH
-	}
-}
-
-// CoreCountWarnings explains, in complete sentences, why the parallelism-
-// sensitive entries of two artifacts (parallel/workers=N, shard/<kind>,
-// LoadgenClassify) may not be comparable: a side missing core-count
-// metadata entirely, the two sides measured on different core counts, or
-// both sides measured on a single-CPU host where worker scaling can only
-// show overhead, never speedup. HostMismatch flags the raw field
-// difference; these messages are the prominent human-readable version
-// cmd/benchdiff prints alongside.
-func CoreCountWarnings(a, b *Report) []string {
-	var warns []string
-	if a.NumCPU == 0 {
-		warns = append(warns, "old artifact records no core count (num_cpu); worker-scaling deltas cannot be validated against the host")
-	}
-	if b.NumCPU == 0 {
-		warns = append(warns, "new artifact records no core count (num_cpu); worker-scaling deltas cannot be validated against the host")
-	}
-	if a.NumCPU > 0 && b.NumCPU > 0 {
-		if a.NumCPU != b.NumCPU {
-			warns = append(warns, fmt.Sprintf(
-				"artifacts were measured on different core counts (old %d, new %d) — parallel worker and shard entries are not comparable",
-				a.NumCPU, b.NumCPU))
-		} else if a.NumCPU == 1 {
-			warns = append(warns, "both artifacts come from a single-CPU host: parallel worker and shard entries measure coordination overhead, not speedup")
-		}
-	}
-	return warns
-}
-
-// HostMismatch lists the host-metadata fields on which the two reports
-// disagree (both sides present and different). A non-empty result means
-// the artifacts were produced under different conditions and their deltas
-// are not meaningful as measurements.
-func HostMismatch(a, b *Report) []string {
-	var fields []string
-	differ := func(name, x, y string) {
-		if x != "" && y != "" && x != y {
-			fields = append(fields, name)
-		}
-	}
-	differ("goos", a.GoOS, b.GoOS)
-	differ("goarch", a.GoArch, b.GoArch)
-	differ("cpu", a.CPU, b.CPU)
-	differ("kernel dispatch", a.KernelDispatch, b.KernelDispatch)
-	if a.NumCPU > 0 && b.NumCPU > 0 && a.NumCPU != b.NumCPU {
-		fields = append(fields, "cpu count")
-	}
-	if a.GoMaxProcs > 0 && b.GoMaxProcs > 0 && a.GoMaxProcs != b.GoMaxProcs {
-		fields = append(fields, "GOMAXPROCS")
-	}
-	return fields
-}
-
-// Parse reads `go test -bench` text output and returns the report. Lines
-// that are neither benchmark results nor recognised headers are ignored, so
-// the full combined output of a multi-package run parses cleanly.
-func Parse(r io.Reader) (*Report, error) {
-	rep := &Report{Timestamp: time.Now().UTC().Format(time.RFC3339)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.GoOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			rep.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "pkg:"):
-			rep.Packages = append(rep.Packages, strings.TrimSpace(strings.TrimPrefix(line, "pkg:")))
-		case strings.HasPrefix(line, "Benchmark"):
-			e, ok, err := parseLine(line)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				rep.Entries = append(rep.Entries, e)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// parseLine parses one benchmark result line. ok is false for lines that
-// start with "Benchmark" but are not result lines (e.g. a bare name echoed
-// by -v).
-func parseLine(line string) (Entry, bool, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Entry{}, false, nil
-	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Entry{}, false, nil
-	}
-	e := Entry{Name: fields[0], Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
-	for i := 2; i+1 < len(fields); i += 2 {
-		val, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Entry{}, false, fmt.Errorf("benchio: bad value %q in %q: %w", fields[i], line, err)
-		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			e.NsPerOp = val
-		case "B/op":
-			e.BytesPerOp = val
-		case "allocs/op":
-			e.AllocsPerOp = val
-		default:
-			if e.Metrics == nil {
-				e.Metrics = make(map[string]float64)
-			}
-			e.Metrics[unit] = val
-		}
-	}
-	return e, true, nil
-}
-
-// Write serialises the report as indented JSON with a trailing newline,
-// the exact layout of the committed BENCH_<rev>.json files.
-func Write(w io.Writer, rep *Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// Read decodes a JSON report previously produced by Write — the inverse
-// used by cmd/benchdiff to load committed BENCH_<rev>.json artifacts.
-func Read(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("benchio: decoding report: %w", err)
-	}
-	return &rep, nil
-}
-
-// Entry returns the first entry whose name starts with prefix (names carry
-// a -GOMAXPROCS suffix, so prefix matching is the ergonomic lookup), or nil.
-func (r *Report) Entry(prefix string) *Entry {
-	for i := range r.Entries {
-		if strings.HasPrefix(r.Entries[i].Name, prefix) {
-			return &r.Entries[i]
-		}
-	}
-	return nil
 }

@@ -27,7 +27,7 @@ package geom
 //     clustering (it fails every ≤ eps² test and never wins a max-fold).
 
 // KernelDispatch names the active kernel build ("scalar" or the unrolled
-// dispatch table). It is recorded in benchmark artifacts so numbers from
+// dispatch table). Every benchmark run is stamped with it so numbers from
 // different kernel builds are never silently compared.
 func KernelDispatch() string { return kernelDispatchName }
 

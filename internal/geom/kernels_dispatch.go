@@ -38,9 +38,9 @@ import "slices"
 // difference between the two builds on finite data is a kernel bug by
 // definition.
 
-// kernelDispatchName identifies the active kernel build for benchmark
-// artifacts (benchio host metadata): artifacts produced by different
-// dispatches are not silently comparable.
+// kernelDispatchName identifies the active kernel build in the host stamp
+// of a benchmark run (benchio.StampHost): runs of different dispatches are
+// not silently comparable.
 const kernelDispatchName = "unrolled[2,3,4,8]+w4"
 
 // batchKernel fills out[k] with the squared distance between q and row

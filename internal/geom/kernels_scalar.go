@@ -12,8 +12,8 @@ package geom
 // result (NaN payloads are the sole cross-build latitude, and NaN never
 // survives a threshold or max comparison).
 
-// kernelDispatchName identifies the active kernel build for benchmark
-// artifacts; "scalar" artifacts are never silently compared against
+// kernelDispatchName identifies the active kernel build in the host stamp
+// of a benchmark run; "scalar" runs are never silently compared against
 // unrolled ones.
 const kernelDispatchName = "scalar"
 

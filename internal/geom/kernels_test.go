@@ -66,8 +66,8 @@ func TestDistSqKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestKernelDispatch: benchmark artifacts stamp the active kernel build by
-// this name, so it is never empty.
+// TestKernelDispatch: benchmark runs are stamped with the active kernel
+// build by this name, so it is never empty.
 func TestKernelDispatch(t *testing.T) {
 	if KernelDispatch() == "" {
 		t.Fatal("KernelDispatch() is empty")

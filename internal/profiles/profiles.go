@@ -1,6 +1,6 @@
-// Package profiles is the shared -cpuprofile/-memprofile plumbing of the
-// performance tooling (cmd/benchjson, cmd/dbdc-loadgen): start captures at
-// process start, finalize them at exit, hand the files to `go tool pprof`.
+// Package profiles is the -cpuprofile/-memprofile plumbing of
+// cmd/dbdc-loadgen: start captures at process start, finalize them at exit,
+// hand the files to `go tool pprof`.
 // The workflow — which command to profile for which question — is
 // documented in docs/performance.md.
 package profiles

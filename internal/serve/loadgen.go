@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/dbdc-go/dbdc/internal/benchio"
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
@@ -109,46 +108,6 @@ func (r *LoadResult) String() string {
 			r.Config.Rate, r.QPS(), r.MaxQueueDepth, r.ArrivalsDropped)
 	}
 	return s
-}
-
-// BenchReport converts the run into the benchio JSON schema, so serving
-// throughput joins the BENCH_<rev>.json trajectory and cmd/benchdiff can
-// flag regressions. The entry name mirrors the sub-benchmark convention of
-// the in-process suite; NsPerOp is the mean request latency.
-func (r *LoadResult) BenchReport(rev string) *benchio.Report {
-	name := fmt.Sprintf("LoadgenClassify/conc=%d/batch=%d", r.Config.Concurrency, r.Config.BatchSize)
-	if r.Config.Rate > 0 {
-		name = fmt.Sprintf("LoadgenClassifyOpen/rate=%g/batch=%d", r.Config.Rate, r.Config.BatchSize)
-	}
-	entry := benchio.Entry{
-		Name:        name,
-		Iterations:  int64(r.Requests),
-		NsPerOp:     float64(r.Latency.Mean().Nanoseconds()),
-		BytesPerOp:  -1,
-		AllocsPerOp: -1,
-		Metrics: map[string]float64{
-			"qps":       r.QPS(),
-			"points/s":  r.PointsPerSec(),
-			"p50-ms":    float64(r.Latency.Quantile(0.5)) / float64(time.Millisecond),
-			"p95-ms":    float64(r.Latency.Quantile(0.95)) / float64(time.Millisecond),
-			"p99-ms":    float64(r.Latency.Quantile(0.99)) / float64(time.Millisecond),
-			"errors":    float64(r.Errors),
-			"noise-pct": 100 * float64(r.NoisePoints) / float64(max(r.PointsClassified, 1)),
-		},
-	}
-	if r.Config.Rate > 0 {
-		entry.Metrics["target-rate"] = r.Config.Rate
-		entry.Metrics["achieved-rate"] = r.QPS()
-		entry.Metrics["max-queue"] = float64(r.MaxQueueDepth)
-		entry.Metrics["dropped"] = float64(r.ArrivalsDropped)
-	}
-	rep := &benchio.Report{
-		Rev:       rev,
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Entries:   []benchio.Entry{entry},
-	}
-	benchio.StampHost(rep)
-	return rep
 }
 
 // loadStats aggregates the counters shared by the closed- and open-loop

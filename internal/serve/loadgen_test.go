@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +12,7 @@ import (
 
 // TestLoadgenSmoke is the in-process twin of the CI loadgen-smoke step:
 // boot a server, run a short closed-loop load against it for both request
-// shapes, and check the result and its benchio report are coherent.
+// shapes, and check the result and its summary are coherent.
 func TestLoadgenSmoke(t *testing.T) {
 	srv, reg, m := startTestServer(t, 0)
 	pts, global := buildTestModel(t, model.RepScor, 42)
@@ -49,36 +49,6 @@ func TestLoadgenSmoke(t *testing.T) {
 		if s := res.String(); !strings.Contains(s, "loadgen:") || !strings.Contains(s, "p99=") {
 			t.Fatalf("batch=%d: summary %q", batch, s)
 		}
-
-		// The benchio report must round-trip through JSON with the schema
-		// fields cmd/benchdiff consumes.
-		rep := res.BenchReport("test-rev")
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatalf("batch=%d: marshal report: %v", batch, err)
-		}
-		var decoded map[string]any
-		if err := json.Unmarshal(raw, &decoded); err != nil {
-			t.Fatalf("batch=%d: report is not valid JSON: %v", batch, err)
-		}
-		if len(rep.Entries) != 1 {
-			t.Fatalf("batch=%d: report carries %d entries", batch, len(rep.Entries))
-		}
-		e := rep.Entries[0]
-		if !strings.HasPrefix(e.Name, "LoadgenClassify/") {
-			t.Fatalf("batch=%d: entry name %q", batch, e.Name)
-		}
-		if e.Iterations != int64(res.Requests) || e.NsPerOp <= 0 {
-			t.Fatalf("batch=%d: iterations=%d ns/op=%g", batch, e.Iterations, e.NsPerOp)
-		}
-		for _, k := range []string{"qps", "points/s", "p50-ms", "p95-ms", "p99-ms"} {
-			if _, ok := e.Metrics[k]; !ok {
-				t.Fatalf("batch=%d: metric %q missing from report", batch, k)
-			}
-		}
-		if e.Metrics["qps"] <= 0 || e.Metrics["p99-ms"] < e.Metrics["p50-ms"] {
-			t.Fatalf("batch=%d: incoherent metrics %v", batch, e.Metrics)
-		}
 	}
 	// The server-side counters saw the load too.
 	if m.Requests.Load() == 0 || m.Points.Load() == 0 {
@@ -89,7 +59,7 @@ func TestLoadgenSmoke(t *testing.T) {
 // TestLoadgenOpenLoop boots a server and drives it with a modest Poisson
 // arrival rate: the run must achieve a rate in the ballpark of the target
 // (the server is local and far faster than 200 req/s), report open-loop
-// bookkeeping, and emit the open-loop benchio entry.
+// bookkeeping, and print it in the open-loop summary.
 func TestLoadgenOpenLoop(t *testing.T) {
 	srv, reg, _ := startTestServer(t, 0)
 	pts, global := buildTestModel(t, model.RepScor, 42)
@@ -128,18 +98,49 @@ func TestLoadgenOpenLoop(t *testing.T) {
 	if s := res.String(); !strings.Contains(s, "open loop: target 200") {
 		t.Fatalf("summary misses open-loop section: %q", s)
 	}
-	rep := res.BenchReport("test-rev")
-	e := rep.Entries[0]
-	if !strings.HasPrefix(e.Name, "LoadgenClassifyOpen/rate=200/") {
-		t.Fatalf("entry name %q", e.Name)
+}
+
+// TestLoadResultString pins the summary line dbdc-loadgen prints: it is
+// the command's only report, so every number of the run must be in it —
+// rates, errors, the latency quantiles, noise share and model versions, and
+// in the open loop the target, achieved rate, queue depth and drops.
+func TestLoadResultString(t *testing.T) {
+	lat := NewHistogram()
+	for i := 1; i <= 100; i++ {
+		lat.Observe(time.Duration(i) * 100 * time.Microsecond)
 	}
-	for _, k := range []string{"target-rate", "achieved-rate", "max-queue", "dropped"} {
-		if _, ok := e.Metrics[k]; !ok {
-			t.Fatalf("metric %q missing from open-loop report", k)
-		}
-	}
-	if e.Metrics["target-rate"] != target {
-		t.Fatalf("target-rate metric %v, want %v", e.Metrics["target-rate"], target)
+	quantiles := fmt.Sprintf("p50=%s p95=%s p99=%s",
+		lat.Quantile(0.5).Round(time.Microsecond),
+		lat.Quantile(0.95).Round(time.Microsecond),
+		lat.Quantile(0.99).Round(time.Microsecond))
+	closed := "loadgen: conc=4 batch=16 dur=2s: 1000 requests (500 req/s, 8000 points/s), 2 errors, " +
+		quantiles + ", noise 2.5%, model versions 3..5"
+	for _, tc := range []struct {
+		name     string
+		rate     float64
+		maxQueue int
+		dropped  uint64
+		want     string
+	}{
+		{name: "closed", want: closed},
+		{name: "open", rate: 600, maxQueue: 7, dropped: 9,
+			want: closed + ", open loop: target 600 req/s achieved 500, max queue 7, 9 dropped"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := &LoadResult{
+				Config:   LoadConfig{Concurrency: 4, BatchSize: 16, Rate: tc.rate},
+				Requests: 1000, Errors: 2,
+				PointsClassified: 16000, NoisePoints: 400,
+				MinVersion: 3, MaxVersion: 5,
+				Elapsed:         2 * time.Second,
+				Latency:         lat,
+				ArrivalsDropped: tc.dropped,
+				MaxQueueDepth:   tc.maxQueue,
+			}
+			if got := res.String(); got != tc.want {
+				t.Fatalf("summary\n got %q\nwant %q", got, tc.want)
+			}
+		})
 	}
 }
 

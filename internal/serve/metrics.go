@@ -63,15 +63,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed latencies.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
 
-// Mean returns the average observed latency, 0 with no observations.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.sumNs.Load()) / n)
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // inside the containing bucket, the standard Prometheus histogram_quantile
 // estimator. Returns 0 with no observations; samples beyond the last

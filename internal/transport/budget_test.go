@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -450,31 +449,4 @@ func FuzzBudgetSections(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestBudgetBenchReportMetrics: budgeted sites surface their accounting in
-// the benchio conversion so benchdiff can track coverage and bytes.
-func TestBudgetBenchReportMetrics(t *testing.T) {
-	r := &RoundReport{
-		Sites: []SiteOutcome{{
-			SiteID: "s1", OK: true, Bytes: 1234,
-			Budget: &SiteBudget{RepBudget: 4, RepsDropped: 11, CoverageFraction: 0.9},
-		}},
-	}
-	rep := r.BenchReport("test", "")
-	var entry map[string]float64
-	for _, e := range rep.Entries {
-		if e.Name == "NetworkedRound/site=s1" {
-			entry = e.Metrics
-		}
-	}
-	if entry == nil {
-		t.Fatalf("no site entry in %+v", rep.Entries)
-	}
-	if entry["rep-budget"] != 4 || entry["reps-dropped"] != 11 || entry["coverage-fraction"] != 0.9 {
-		t.Fatalf("budget metrics missing: %+v", entry)
-	}
-	if fmt.Sprintf("%v", entry["upload-bytes"]) != "1234" {
-		t.Fatalf("upload-bytes: %+v", entry)
-	}
 }

@@ -4,15 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
-
-	"github.com/dbdc-go/dbdc/internal/benchio"
 )
 
 // This file implements the per-phase cost reporting of the networked DBDC
-// round: the optional metrics section a site attaches to its upload, the
-// client-side phase breakdown, and the conversion of a server round report
-// into the internal/benchio schema so wire-level runs land next to the
-// committed BENCH_<rev>.json artifacts.
+// round: the optional metrics section a site attaches to its upload and the
+// client-side phase breakdown.
 //
 // Wire layout of a MsgLocalModelTimed payload:
 //
@@ -201,83 +197,4 @@ func (p *PhaseBreakdown) String() string {
 	return fmt.Sprintf("workers=%d cluster=%s condense=%s upload=%s wait=%s download=%s backoff=%s relabel=%s",
 		p.Workers, p.Cluster.Round(r), p.Condense.Round(r), p.Upload.Round(r),
 		p.ServerWait.Round(r), p.Download.Round(r), p.Backoff.Round(r), p.Relabel.Round(r))
-}
-
-// BenchReport converts a server round report into the internal/benchio
-// schema, so networked rounds can be committed and diffed (cmd/benchdiff)
-// exactly like the BENCH_<rev>.json artifacts of the in-process
-// benchmarks. Every usable site becomes one entry named
-// "NetworkedRound/<prefix>site=<id>" whose ns/op is the server-measured
-// read duration and whose metrics carry the site-reported phase costs; the
-// server-side costs land in a "NetworkedRound/<prefix>server" entry.
-func (r *RoundReport) BenchReport(rev, prefix string) *benchio.Report {
-	rep := &benchio.Report{
-		Rev:       rev,
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
-	// The server converting the report is also the host that measured the
-	// read durations, so its core count is the right context to stamp.
-	benchio.StampHost(rep)
-	for _, site := range r.Sites {
-		if !site.OK {
-			continue
-		}
-		e := benchio.Entry{
-			Name:        "NetworkedRound/" + prefix + "site=" + site.SiteID,
-			Iterations:  1,
-			NsPerOp:     float64(site.Duration.Nanoseconds()),
-			BytesPerOp:  -1,
-			AllocsPerOp: -1,
-			Metrics: map[string]float64{
-				"attempts":     float64(site.Attempts),
-				"upload-bytes": float64(site.Bytes),
-			},
-		}
-		if p := site.Phases; p != nil {
-			e.Metrics["workers"] = float64(p.Workers)
-			e.Metrics["cluster-ns"] = float64(p.Cluster.Nanoseconds())
-			e.Metrics["condense-ns"] = float64(p.Condense.Nanoseconds())
-			e.Metrics["backoff-ns"] = float64(p.Backoff.Nanoseconds())
-		}
-		if bd := site.Budget; bd != nil {
-			e.Metrics["rep-budget"] = float64(bd.RepBudget)
-			e.Metrics["reps-dropped"] = float64(bd.RepsDropped)
-			e.Metrics["coverage-fraction"] = bd.CoverageFraction
-		}
-		// A child that is itself an aggregator carries its subtree's
-		// provenance: its height, fan-in and per-level phase costs, so a
-		// multi-level tree's timings are reconstructible from the root's
-		// report alone.
-		if a := site.Agg; a != nil {
-			e.Metrics["agg-level"] = float64(a.Level)
-			e.Metrics["agg-children-ok"] = float64(a.SitesOK)
-			e.Metrics["agg-children-expected"] = float64(a.SitesExpected)
-			e.Metrics["agg-objects"] = float64(a.Objects)
-			e.Metrics["agg-regional-clusters"] = float64(a.RegionalClusters)
-			e.Metrics["agg-round-ns"] = float64(a.RoundDuration.Nanoseconds())
-			e.Metrics["agg-global-ns"] = float64(a.GlobalStepDuration.Nanoseconds())
-			e.Metrics["agg-condense-ns"] = float64(a.CondenseDuration.Nanoseconds())
-		}
-		rep.Entries = append(rep.Entries, e)
-	}
-	rep.Entries = append(rep.Entries, benchio.Entry{
-		Name:        "NetworkedRound/" + prefix + "server",
-		Iterations:  1,
-		NsPerOp:     float64(r.Duration.Nanoseconds()),
-		BytesPerOp:  -1,
-		AllocsPerOp: -1,
-		Metrics: map[string]float64{
-			"sites-ok":       float64(r.OK),
-			"sites-failed":   float64(r.Failed),
-			"conns":          float64(r.Conns),
-			"global-ns":      float64(r.GlobalStepDuration.Nanoseconds()),
-			"broadcast-ns":   float64(r.BroadcastDuration.Nanoseconds()),
-			"forward-ns":     float64(r.ForwardDuration.Nanoseconds()),
-			"objects-total":  float64(r.ObjectsTotal),
-			"reps-total":     float64(r.RepsTotal),
-			"uplink-bytes":   float64(r.UplinkBytes),
-			"downlink-bytes": float64(r.DownlinkBytes),
-		},
-	})
-	return rep
 }

@@ -3,9 +3,11 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -300,23 +302,68 @@ func TestNetworkedRoundEndToEnd(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// The round converts into the benchio schema with one entry per
-	// usable site plus the server entry.
-	bench := r.report.BenchReport("test", "")
-	if len(bench.Entries) != 3 {
-		t.Fatalf("bench report entries = %d, want 2 sites + server", len(bench.Entries))
+// TestRoundReportJSON: dbdc-server and dbdc-agg write -report-json as the
+// []*RoundReport itself, so every field must survive encoding/json — a
+// site's phases, budget accounting and aggregation provenance, a failed
+// site with its reason and a connection that failed before naming itself.
+// Each kind of site round-trips alone, then all of them in one round with
+// every round-level field set.
+func TestRoundReportJSON(t *testing.T) {
+	phased := SiteOutcome{
+		SiteID: "site-1", Addr: "127.0.0.1:4001", OK: true, Attempts: 2, Bytes: 2048,
+		Objects: 500, Reps: 40, Duration: 3 * time.Millisecond,
+		Phases: &SitePhases{Workers: 4, Cluster: 9 * time.Millisecond, Condense: 700 * time.Microsecond, Attempt: 2, Backoff: 50 * time.Millisecond},
 	}
-	site1 := bench.Entry("NetworkedRound/site=site-1")
-	if site1 == nil || site1.Metrics["workers"] != 3 || site1.Metrics["cluster-ns"] <= 0 {
-		t.Fatalf("site entry malformed: %+v", site1)
+	budgeted := SiteOutcome{
+		SiteID: "site-2", Addr: "127.0.0.1:4002", OK: true, Attempts: 1, Bytes: 900,
+		Objects: 400, Reps: 12, Duration: 2 * time.Millisecond,
+		Budget:     &SiteBudget{RepBudget: 4, RepsDropped: 11, CoverageFraction: 0.9},
+		Negotiated: true,
 	}
-	server := bench.Entry("NetworkedRound/server")
-	if server == nil || server.Metrics["sites-ok"] != 2 || server.Metrics["sites-failed"] != 1 {
-		t.Fatalf("server entry malformed: %+v", server)
+	agg := SiteOutcome{
+		SiteID: "agg-a", Addr: "127.0.0.1:4003", OK: true, Attempts: 1, Bytes: 1500,
+		Objects: 1600, Reps: 30, Duration: 4 * time.Millisecond,
+		Agg: &AggLevel{
+			Level: 1, SitesExpected: 3, SitesOK: 2, SitesFailed: 1, RegionalClusters: 5, Objects: 1600,
+			RoundDuration: 80 * time.Millisecond, GlobalStepDuration: time.Millisecond, CondenseDuration: 300 * time.Microsecond,
+			Sources: []AggSource{{SiteID: "site-a0", Reps: 18}, {SiteID: "site-a1", Reps: 14}},
+		},
 	}
-	if server.Metrics["uplink-bytes"] <= 0 || server.Metrics["global-ns"] <= 0 {
-		t.Fatalf("server metrics missing: %+v", server.Metrics)
+	failed := SiteOutcome{SiteID: "site-3", OK: false, Reason: "no connection before the round deadline"}
+	unnamed := SiteOutcome{Addr: "127.0.0.1:4005", Attempts: 1, Reason: "read frame: unexpected EOF"}
+	for _, tc := range []struct {
+		name   string
+		report *RoundReport
+	}{
+		{"phased", &RoundReport{Expect: 1, OK: 1, Conns: 2, Retried: 1, Sites: []SiteOutcome{phased}}},
+		{"budgeted", &RoundReport{Expect: 1, OK: 1, Conns: 1, Sites: []SiteOutcome{budgeted}}},
+		{"agg", &RoundReport{Expect: 1, OK: 1, Conns: 1, Sites: []SiteOutcome{agg}}},
+		{"failed", &RoundReport{Expect: 1, Failed: 1, Sites: []SiteOutcome{failed}}},
+		{"unnamed", &RoundReport{Expect: 1, Failed: 1, Conns: 1, Sites: []SiteOutcome{unnamed}}},
+		{"round", &RoundReport{
+			Expect: 5, Quorum: 3, OK: 3, Failed: 2, Retried: 1, Conns: 7,
+			Sites:    []SiteOutcome{phased, budgeted, agg, failed, unnamed},
+			Duration: 120 * time.Millisecond, GlobalStepDuration: 2 * time.Millisecond,
+			BroadcastDuration: 800 * time.Microsecond, ForwardDuration: 5 * time.Millisecond,
+			ObjectsTotal: 2500, RepsTotal: 82, UplinkBytes: 4448, DownlinkBytes: 3000,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := []*RoundReport{tc.report}
+			raw, err := json.MarshalIndent(want, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []*RoundReport
+			if err := json.Unmarshal(raw, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round report did not survive JSON:\n%s", raw)
+			}
+		})
 	}
 }
 

@@ -65,9 +65,9 @@ for f in labels-a0 labels-a1 labels-b0 labels-b1; do
     [ "$lines" -eq 800 ] || { echo "agg-smoke: FAIL: $f has $lines labels, want 800"; exit 1; }
 done
 # The root's report must carry the forwarded provenance of both leaves.
-grep -q '"agg-level"' "$TMP/root.json" || {
+[ "$(grep -c '"Level": 1' "$TMP/root.json")" -eq 2 ] || {
     echo "agg-smoke: FAIL: root report lacks aggregation provenance"; exit 1; }
-grep -q '"forward-ns"' "$TMP/agg-a.json" || {
+grep -qE '"ForwardDuration": [1-9]' "$TMP/agg-a.json" || {
     echo "agg-smoke: FAIL: agg-a report lacks the forward phase"; exit 1; }
 
 echo "agg-smoke: OK (2 levels, 4 sites, provenance present)"
