@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard fuzz-smoke bench bench-smoke bench-pairs loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard conn-guard fuzz-smoke bench bench-smoke bench-pairs loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -33,7 +33,7 @@ test-scalar:
 
 # The CI gate, the steps of CI's check job: static checks, formatting, build,
 # race-enabled tests and the benchmark module.
-check: vet gofmt build index-guard test-race bench-module
+check: vet gofmt build index-guard conn-guard test-race bench-module
 
 # Fails if a tracked Go file is not gofmt-formatted, and names it.
 gofmt:
@@ -51,6 +51,17 @@ bench-module:
 index-guard:
 	@! grep -rnE 'sync\.(Pool|Once)' --include='*.go' --exclude='*_test.go' internal/index \
 		|| { echo 'index-guard: sync.Pool or sync.Once under internal/index'; exit 1; }
+
+# Every server runs one connection lifecycle, transport.ConnLoop
+# (internal/transport/loop.go): accept, one handler per connection, close when
+# the handler returns. Fails if a non-test Go file anywhere else, faultnet's
+# scripted listener aside, calls Accept or sets a listener deadline (declares
+# a listener SetDeadline, or reaches for a concrete TCP/Unix listener).
+conn-guard:
+	@! git ls-files -co --exclude-standard '*.go' ':(exclude)*_test.go' ':(exclude)internal/faultnet/*' \
+		':(exclude)internal/transport/loop.go' \
+		| xargs grep -nE '\.Accept\(\)|SetDeadline\((t )?time\.Time\) error|\*net\.(TCP|Unix)Listener' \
+		|| { echo 'conn-guard: an accept loop or listener deadline outside transport.ConnLoop'; exit 1; }
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
 # panic on arbitrary bytes; kernels and the fused verifiers must match their

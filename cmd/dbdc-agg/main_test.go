@@ -159,9 +159,9 @@ func runChild(t *testing.T, addr, id string) {
 	for i := range pts {
 		pts[i] = geom.Point{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3}
 	}
-	// The retry covers a child that reconnects before the next round
-	// listens, as dbdc-site does.
-	c := &transport.Client{Addr: addr, Timeout: 5 * time.Second, Retry: transport.DefaultRetryPolicy()}
+	// A single attempt: a child that connects before the next round
+	// collects waits for it.
+	c := &transport.Client{Addr: addr, Timeout: 5 * time.Second}
 	if _, err := transport.RunSiteClient(c, id, pts, cfg); err != nil {
 		t.Fatal(err)
 	}

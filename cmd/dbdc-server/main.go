@@ -90,52 +90,8 @@ func main() {
 	// Online classification: completed rounds publish their global model
 	// into a versioned registry; a front end answers MsgClassify frames
 	// against the current snapshot and hot-swaps between rounds.
-	var classifySrv *serve.Server
-	var classifyDone chan error
-	if *serveClassify != "" {
-		ik := index.Kind(*classifyIndex)
-		valid := false
-		for _, k := range index.Kinds() {
-			if k == ik {
-				valid = true
-			}
-		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "dbdc-server: unknown -classify-index %q (want one of %v)\n", *classifyIndex, index.Kinds())
-			os.Exit(2)
-		}
-		registry := serve.NewRegistry(ik)
-		metrics := serve.NewMetrics(registry)
-		srv.SetOnGlobal(registry.PublishFunc(func(err error) {
-			fmt.Fprintf(os.Stderr, "dbdc-server: publishing global model: %v\n", err)
-		}))
-		classifySrv, err = serve.NewServer(*serveClassify, serve.ServerConfig{
-			Registry: registry,
-			Metrics:  metrics,
-			Timeout:  *timeout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dbdc-server: %v\n", err)
-			os.Exit(1)
-		}
-		defer classifySrv.Close()
-		classifyDone = make(chan error, 1)
-		go func() { classifyDone <- classifySrv.Serve() }()
-		fmt.Fprintf(os.Stderr, "dbdc-server: serving classification on %s (index %s)\n",
-			classifySrv.Addr(), ik)
-		if *metricsAddr != "" {
-			closeFn, bound, err := metrics.ListenAndServe(*metricsAddr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dbdc-server: %v\n", err)
-				os.Exit(1)
-			}
-			defer closeFn()
-			fmt.Fprintf(os.Stderr, "dbdc-server: metrics on http://%s/metrics\n", bound)
-		}
-	} else if *metricsAddr != "" {
-		fmt.Fprintln(os.Stderr, "dbdc-server: -metrics-addr needs -serve-classify")
-		os.Exit(2)
-	}
+	publish, classifyDone := serve.StartFrontEnd("dbdc-server", "dbdc-server", *serveClassify, *classifyIndex, *metricsAddr, *timeout, nil)
+	srv.SetOnGlobal(publish)
 	opts := transport.RoundOptions{
 		Quorum:        *quorum,
 		AcceptTimeout: *acceptTimeout,
@@ -178,7 +134,7 @@ func main() {
 	}
 	// With a classification front end, the rounds only feed the registry:
 	// the process keeps answering queries until killed.
-	if classifySrv != nil {
+	if classifyDone != nil {
 		fmt.Fprintln(os.Stderr, "dbdc-server: rounds done; serving classification until killed")
 		if err := <-classifyDone; err != nil {
 			fmt.Fprintf(os.Stderr, "dbdc-server: %v\n", err)
@@ -199,51 +155,8 @@ func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duratio
 	defer srv.Close()
 	srv.SetDebounce(debounce)
 	srv.SetMaxUploadBytes(maxUploadBytes)
-
-	var classifyDone chan error
-	if serveClassify != "" {
-		ik := index.Kind(classifyIndex)
-		valid := false
-		for _, k := range index.Kinds() {
-			if k == ik {
-				valid = true
-			}
-		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "dbdc-server: unknown -classify-index %q (want one of %v)\n", classifyIndex, index.Kinds())
-			os.Exit(2)
-		}
-		registry := serve.NewRegistry(ik)
-		metrics := serve.NewMetrics(registry)
-		srv.SetOnGlobal(registry.PublishFunc(func(err error) {
-			fmt.Fprintf(os.Stderr, "dbdc-server: publishing global model: %v\n", err)
-		}))
-		cs, err := serve.NewServer(serveClassify, serve.ServerConfig{
-			Registry: registry,
-			Metrics:  metrics,
-			Timeout:  timeout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dbdc-server: %v\n", err)
-			os.Exit(1)
-		}
-		defer cs.Close()
-		classifyDone = make(chan error, 1)
-		go func() { classifyDone <- cs.Serve() }()
-		fmt.Fprintf(os.Stderr, "dbdc-server: serving classification on %s (index %s)\n", cs.Addr(), ik)
-		if metricsAddr != "" {
-			closeFn, bound, err := metrics.ListenAndServe(metricsAddr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dbdc-server: %v\n", err)
-				os.Exit(1)
-			}
-			defer closeFn()
-			fmt.Fprintf(os.Stderr, "dbdc-server: metrics on http://%s/metrics\n", bound)
-		}
-	} else if metricsAddr != "" {
-		fmt.Fprintln(os.Stderr, "dbdc-server: -metrics-addr needs -serve-classify")
-		os.Exit(2)
-	}
+	publish, classifyDone := serve.StartFrontEnd("dbdc-server", "dbdc-server", serveClassify, classifyIndex, metricsAddr, timeout, nil)
+	srv.SetOnGlobal(publish)
 
 	fmt.Fprintf(os.Stderr, "dbdc-server: streaming mode on %s (debounce %s)\n", srv.Addr(), debounce)
 	if err := srv.Serve(0); err != nil {

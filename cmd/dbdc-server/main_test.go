@@ -1,23 +1,26 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	lib "github.com/dbdc-go/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/serve"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
 
@@ -37,54 +40,71 @@ func TestMain(m *testing.M) {
 type command struct {
 	cmd    *exec.Cmd
 	stdout bytes.Buffer
+	exited chan struct{}
+
+	mu     sync.Mutex
 	stderr bytes.Buffer
-	copied chan struct{}
-	addr   string
 }
 
-// start runs dbdc-server with args, killed after 30s at the latest, and
-// returns once it announced its listen address.
+// start runs dbdc-server with args, killed after 30s at the latest.
 func start(t *testing.T, args ...string) *command {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	c := &command{cmd: exec.CommandContext(ctx, os.Args[0], args...), copied: make(chan struct{})}
+	c := &command{cmd: exec.CommandContext(ctx, os.Args[0], args...), exited: make(chan struct{})}
 	c.cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	c.cmd.Stdout = &c.stdout
-	stderr, err := c.cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.cmd.Stderr = c
 	if err := c.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	go func() {
+		c.cmd.Wait()
+		close(c.exited)
+	}()
 	t.Cleanup(func() {
 		cancel()
-		c.wait()
+		<-c.exited
 	})
-	sc := bufio.NewScanner(stderr)
-	for c.addr == "" && sc.Scan() {
-		c.stderr.WriteString(sc.Text() + "\n")
-		if rest, ok := strings.CutPrefix(sc.Text(), "dbdc-server: listening on "); ok {
-			c.addr, _, _ = strings.Cut(rest, " ")
-		}
-	}
-	go func() {
-		io.Copy(&c.stderr, stderr)
-		close(c.copied)
-	}()
-	if c.addr == "" {
-		<-c.copied
-		t.Fatalf("dbdc-server announced no listen address:\n%s", c.stderr.String())
-	}
 	return c
+}
+
+// Write collects the command's stderr.
+func (c *command) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stderr.Write(p)
+}
+
+func (c *command) stderrText() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stderr.String()
+}
+
+// await returns the word that follows marker on stderr, once the command
+// printed it.
+func (c *command) await(t *testing.T, marker string) string {
+	t.Helper()
+	for {
+		exited := false
+		select {
+		case <-c.exited:
+			exited = true
+		default:
+		}
+		if _, rest, ok := strings.Cut(c.stderrText(), marker); ok {
+			return strings.Fields(rest)[0]
+		}
+		if exited {
+			t.Fatalf("dbdc-server exited without printing %q:\n%s", marker, c.stderrText())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // wait waits for the command to exit and returns its exit code.
 func (c *command) wait() int {
-	<-c.copied
-	if c.cmd.ProcessState == nil {
-		c.cmd.Wait()
-	}
+	<-c.exited
 	return c.cmd.ProcessState.ExitCode()
 }
 
@@ -114,18 +134,24 @@ func requireMissingSite(t *testing.T, r *transport.RoundReport, id string) {
 	}
 }
 
-func runSite(t *testing.T, addr string) {
-	t.Helper()
+var cfg = lib.Config{Local: lib.Params{Eps: 1, MinPts: 4}}
+
+// sitePoints is one blob of 60 points around the origin.
+func sitePoints() []geom.Point {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geom.Point, 60)
 	for i := range pts {
 		pts[i] = geom.Point{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3}
 	}
-	cfg := lib.Config{Local: lib.Params{Eps: 1, MinPts: 4}}
-	// The retry covers a site that reconnects before the next round
-	// listens, as dbdc-site does.
-	c := &transport.Client{Addr: addr, Timeout: 5 * time.Second, Retry: transport.DefaultRetryPolicy()}
-	if _, err := transport.RunSiteClient(c, "s1", pts, cfg); err != nil {
+	return pts
+}
+
+// runSite runs one site's round against addr in a single attempt: a site
+// that connects before the next round collects waits for it.
+func runSite(t *testing.T, addr string) {
+	t.Helper()
+	c := &transport.Client{Addr: addr, Timeout: 5 * time.Second}
+	if _, err := transport.RunSiteClient(c, "s1", sitePoints(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +163,7 @@ func TestReportJSONStdoutOnFailedRound(t *testing.T) {
 	c := start(t, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4", "-sites", "1", "-rounds", "2",
 		"-accept-timeout", "1s", "-expect-sites", "s1", "-report-json", "-")
 	if code := c.wait(); code != 1 {
-		t.Fatalf("exit code %d, want 1:\n%s", code, c.stderr.String())
+		t.Fatalf("exit code %d, want 1:\n%s", code, c.stderrText())
 	}
 	reports := decodeReports(t, c.stdout.Bytes())
 	if len(reports) != 1 {
@@ -151,10 +177,11 @@ func TestReportJSONStdoutOnFailedRound(t *testing.T) {
 func TestReportJSONStdoutAfterLastRound(t *testing.T) {
 	c := start(t, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4", "-sites", "1", "-rounds", "2",
 		"-accept-timeout", "10s", "-report-json", "-")
-	runSite(t, c.addr)
-	runSite(t, c.addr)
+	addr := c.await(t, "listening on ")
+	runSite(t, addr)
+	runSite(t, addr)
 	if code := c.wait(); code != 0 {
-		t.Fatalf("exit code %d, want 0:\n%s", code, c.stderr.String())
+		t.Fatalf("exit code %d, want 0:\n%s", code, c.stderrText())
 	}
 	reports := decodeReports(t, c.stdout.Bytes())
 	if len(reports) != 2 {
@@ -174,9 +201,9 @@ func TestReportJSONFileKeepsRoundsBeforeFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rounds.json")
 	c := start(t, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4", "-sites", "1", "-rounds", "2",
 		"-accept-timeout", "2s", "-expect-sites", "s1", "-report-json", path)
-	runSite(t, c.addr)
+	runSite(t, c.await(t, "listening on "))
 	if code := c.wait(); code != 1 {
-		t.Fatalf("exit code %d, want 1:\n%s", code, c.stderr.String())
+		t.Fatalf("exit code %d, want 1:\n%s", code, c.stderrText())
 	}
 	if c.stdout.Len() != 0 {
 		t.Fatalf("stdout holds %q, want nothing", c.stdout.String())
@@ -219,5 +246,108 @@ func TestWriteReportRewritesWhole(t *testing.T) {
 	}
 	if got := decodeReports(t, out); !reflect.DeepEqual(got, short) {
 		t.Fatalf("file holds %s, want the last write only", out)
+	}
+}
+
+// The two server modes the front-end flags apply to: a round needs a site,
+// the streaming server any full upload, before a model is published.
+var modes = []struct {
+	name string
+	args []string
+	feed func(t *testing.T, c *command)
+}{
+	{"round", []string{"-sites", "1", "-accept-timeout", "10s"}, func(t *testing.T, c *command) {
+		runSite(t, c.await(t, "listening on "))
+	}},
+	{"stream", []string{"-stream"}, func(t *testing.T, c *command) {
+		local, err := lib.LocalStep("s1", sitePoints(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := transport.Exchange(c.await(t, "streaming mode on "), local.Model, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
+
+// TestClassifyIndexUnknown: an unknown -classify-index exits 2 in both
+// modes, naming the flag.
+func TestClassifyIndexUnknown(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			c := start(t, append(m.args, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4",
+				"-serve-classify", "127.0.0.1:0", "-classify-index", "bogus")...)
+			if code := c.wait(); code != 2 {
+				t.Fatalf("exit code %d, want 2:\n%s", code, c.stderrText())
+			}
+			if !strings.Contains(c.stderrText(), `dbdc-server: unknown -classify-index "bogus"`) {
+				t.Fatalf("stderr does not name the index:\n%s", c.stderrText())
+			}
+		})
+	}
+}
+
+// TestMetricsAddrNeedsServeClassify: -metrics-addr alone exits 2 in both
+// modes.
+func TestMetricsAddrNeedsServeClassify(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			c := start(t, append(m.args, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4",
+				"-metrics-addr", "127.0.0.1:0")...)
+			if code := c.wait(); code != 2 {
+				t.Fatalf("exit code %d, want 2:\n%s", code, c.stderrText())
+			}
+			if !strings.Contains(c.stderrText(), "dbdc-server: -metrics-addr needs -serve-classify\n") {
+				t.Fatalf("stderr does not name the missing flag:\n%s", c.stderrText())
+			}
+		})
+	}
+}
+
+// TestServeClassify: with -serve-classify and -metrics-addr, once a model
+// is in, a ClassifyBatch to the announced address answers and /metrics
+// reports the model version, in both modes.
+func TestServeClassify(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			c := start(t, append(m.args, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4",
+				"-serve-classify", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0")...)
+			m.feed(t, c)
+			requireFrontEnd(t, c, sitePoints())
+		})
+	}
+}
+
+// requireFrontEnd checks the classification front end c announced: a
+// ClassifyBatch of pts answers from a published model, and /metrics
+// reports dbdc_model_version ≥ 1.
+func requireFrontEnd(t *testing.T, c *command, pts []geom.Point) {
+	t.Helper()
+	client, err := serve.Dial(c.await(t, "serving classification on "), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	labels, version, err := client.ClassifyBatch(pts)
+	if err != nil || version < 1 || len(labels) != len(pts) {
+		t.Fatalf("ClassifyBatch: %d labels of model version %d, %v", len(labels), version, err)
+	}
+	resp, err := http.Get(c.await(t, "metrics on "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version = 0
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "dbdc_model_version "); ok {
+			version, _ = strconv.ParseUint(v, 10, 64)
+		}
+	}
+	if version < 1 {
+		t.Fatalf("/metrics reports no model version ≥ 1:\n%s", body)
 	}
 }

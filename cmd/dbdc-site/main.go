@@ -170,48 +170,7 @@ func main() {
 	// site publishes it into a local registry and answers MsgClassify
 	// frames until killed. A future round (re-running the site) would
 	// publish version 2 and hot-swap under live traffic.
-	var classifyDone chan error
-	if *serveClassify != "" {
-		ik := index.Kind(*classifyIndex)
-		valid := false
-		for _, k := range index.Kinds() {
-			if k == ik {
-				valid = true
-			}
-		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "dbdc-site: unknown -classify-index %q (want one of %v)\n", *classifyIndex, index.Kinds())
-			os.Exit(2)
-		}
-		registry := serve.NewRegistry(ik)
-		metrics := serve.NewMetrics(registry)
-		if _, err := registry.Publish(report.Global); err != nil {
-			fatal(err)
-		}
-		cs, err := serve.NewServer(*serveClassify, serve.ServerConfig{
-			Registry: registry,
-			Metrics:  metrics,
-			Timeout:  *timeout,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer cs.Close()
-		classifyDone = make(chan error, 1)
-		go func() { classifyDone <- cs.Serve() }()
-		fmt.Fprintf(os.Stderr, "dbdc-site %s: serving classification on %s (index %s)\n", *id, cs.Addr(), ik)
-		if *metricsAddr != "" {
-			closeFn, bound, err := metrics.ListenAndServe(*metricsAddr)
-			if err != nil {
-				fatal(err)
-			}
-			defer closeFn()
-			fmt.Fprintf(os.Stderr, "dbdc-site %s: metrics on http://%s/metrics\n", *id, bound)
-		}
-	} else if *metricsAddr != "" {
-		fmt.Fprintln(os.Stderr, "dbdc-site: -metrics-addr needs -serve-classify")
-		os.Exit(2)
-	}
+	_, classifyDone := serve.StartFrontEnd("dbdc-site", "dbdc-site "+*id, *serveClassify, *classifyIndex, *metricsAddr, *timeout, report.Global)
 	if *serveQueries != "" {
 		qs, err := transport.NewSiteQueryServer(*serveQueries, pts, report.Labels, *timeout)
 		if err != nil {

@@ -50,8 +50,8 @@ type Config struct {
 	// handshaking children; 0 means unconstrained.
 	MaxUploadBytes int64
 	// Timeout bounds each child connection's I/O and the parent
-	// exchange; 0 means 30s. AcceptTimeout bounds the collect phase of a
-	// round (0 = Timeout).
+	// exchange; 0 means transport.DefaultTimeout. AcceptTimeout bounds
+	// the collect phase of a round (0 = Timeout).
 	Timeout       time.Duration
 	AcceptTimeout time.Duration
 	// ExpectedSites optionally names the children a round waits for, for
@@ -83,9 +83,8 @@ func New(addr string, cfg Config) (*Aggregator, error) {
 	agg, err := NewListener(ln, cfg)
 	if err != nil {
 		ln.Close()
-		return nil, err
 	}
-	return agg, nil
+	return agg, err
 }
 
 // NewListener builds an aggregator on an existing child-facing listener
@@ -195,18 +194,14 @@ func (a *Aggregator) forward(regional *model.GlobalModel, report *transport.Roun
 	}
 	// The "site phases" of an interior node map naturally: its clustering
 	// phase is the regional global step, its condensation the
-	// GlobalModel→LocalModel conversion.
+	// GlobalModel→LocalModel conversion. An unbudgeted outcome makes
+	// SendModelBudgeted the plain timed upload.
 	phases := &transport.SitePhases{
 		Workers:  1,
 		Cluster:  report.GlobalStepDuration,
 		Condense: condenseDur,
 	}
-	var root *model.GlobalModel
-	if a.cfg.RepBudget > 0 {
-		root, _, _, err = client.SendModelBudgeted(outcome, phases)
-	} else {
-		root, _, err = client.SendModelTimed(outcome.Model, phases)
-	}
+	root, _, _, err := client.SendModelBudgeted(outcome, phases)
 	if err != nil {
 		return nil, fmt.Errorf("aggtree: %s forwarding to %s: %w", a.cfg.ID, a.cfg.Parent, err)
 	}

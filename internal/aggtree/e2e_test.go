@@ -11,10 +11,13 @@ import (
 	"github.com/dbdc-go/dbdc/internal/data"
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/leakcheck"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/serve"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestTreeE2E drives a full 2-level aggregation tree over loopback TCP:
 //

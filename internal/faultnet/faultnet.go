@@ -404,15 +404,6 @@ func (l *Listener) Close() error { return l.inner.Close() }
 // Addr implements net.Listener.
 func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
 
-// SetDeadline forwards to the inner listener when it supports deadlines
-// (TCP listeners do), so accept-phase deadlines work through the wrapper.
-func (l *Listener) SetDeadline(t time.Time) error {
-	if d, ok := l.inner.(interface{ SetDeadline(time.Time) error }); ok {
-		return d.SetDeadline(t)
-	}
-	return errors.New("faultnet: inner listener does not support deadlines")
-}
-
 // Dialer produces faulty client-side connections, applying a Plan in dial
 // order. The zero value dials cleanly.
 type Dialer struct {

@@ -18,14 +18,13 @@ type Client struct {
 	timeout time.Duration
 }
 
-// Dial connects to a classification front end.
+// Dial connects to a classification front end. timeout bounds dialing and
+// each request; 0 means transport.DefaultTimeout.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	timeout = transport.IOTimeout(timeout)
+	conn, err := transport.Dial(nil, addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
+		return nil, err
 	}
 	return &Client{conn: conn, timeout: timeout}, nil
 }
@@ -56,26 +55,16 @@ func (c *Client) ClassifyBatch(pts []geom.Point) ([]cluster.ID, uint64, error) {
 // connection.
 func (c *Client) exchange(msgType byte, pts []geom.Point) ([]cluster.ID, uint64, error) {
 	c.conn.SetDeadline(time.Now().Add(c.timeout))
-	if _, err := transport.WriteFrame(c.conn, msgType, transport.EncodePoints(pts)); err != nil {
-		return nil, 0, err
-	}
-	replyType, payload, _, err := transport.ReadFrame(c.conn)
+	payload, err := transport.RoundTrip(c.conn, msgType, transport.EncodePoints(pts), transport.MsgClassifyReply)
 	if err != nil {
 		return nil, 0, err
 	}
-	switch replyType {
-	case transport.MsgClassifyReply:
-		version, labels, err := DecodeReply(payload)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(labels) != len(pts) {
-			return nil, version, fmt.Errorf("serve: reply carries %d labels for %d points", len(labels), len(pts))
-		}
-		return labels, version, nil
-	case transport.MsgError:
-		return nil, 0, fmt.Errorf("serve: server reported: %s", payload)
-	default:
-		return nil, 0, fmt.Errorf("serve: unexpected message type 0x%02x", replyType)
+	version, labels, err := DecodeReply(payload)
+	if err != nil {
+		return nil, 0, err
 	}
+	if len(labels) != len(pts) {
+		return nil, version, fmt.Errorf("serve: reply carries %d labels for %d points", len(labels), len(pts))
+	}
+	return labels, version, nil
 }

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
@@ -26,7 +24,8 @@ type ServerConfig struct {
 	Metrics *Metrics
 	// Timeout is the per-request deadline: reading one request frame and
 	// writing its reply must each finish within it. It doubles as the
-	// idle timeout between requests on a persistent connection. 0 = 30s.
+	// idle timeout between requests on a persistent connection. 0 =
+	// transport.DefaultTimeout.
 	Timeout time.Duration
 	// MaxBatch caps the points per batch request; 0 = DefaultMaxBatch.
 	MaxBatch int
@@ -38,13 +37,8 @@ type ServerConfig struct {
 // current snapshot. Every request re-reads the snapshot, so a hot swap
 // takes effect between any two requests without disturbing one in flight.
 type Server struct {
-	cfg ServerConfig
-	ln  net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	cfg  ServerConfig
+	loop *transport.ConnLoop
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") and returns the front
@@ -53,71 +47,27 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("serve: server needs a registry")
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
+	cfg.Timeout = transport.IOTimeout(cfg.Timeout)
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	ln, err := net.Listen("tcp", addr)
+	loop, err := transport.Listen(addr)
 	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
+		return nil, err
 	}
-	return &Server{cfg: cfg, ln: ln, conns: make(map[net.Conn]struct{})}, nil
+	return &Server{cfg: cfg, loop: loop}, nil
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.loop.Addr() }
 
 // Close stops accepting, closes every open connection and waits for the
 // handlers to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.loop.Close() }
 
-// Serve accepts and handles connections until Close. It returns nil on
-// clean shutdown.
-func (s *Server) Serve() error {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("serve: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func(conn net.Conn) {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.handleConn(conn)
-		}(conn)
-	}
-}
+// Serve accepts and handles connections until Close and returns nil then;
+// an accept failure ends it with the error.
+func (s *Server) Serve() error { return s.loop.Serve(0, s.handleConn) }
 
 // handleConn runs the request/response loop of one persistent connection.
 func (s *Server) handleConn(conn net.Conn) {
@@ -130,13 +80,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		// Per-request deadline: the client has Timeout to deliver the next
 		// request (idle included), the server Timeout to answer it.
 		conn.SetReadDeadline(time.Now().Add(s.cfg.Timeout))
-		msgType, payload, _, err := ReadRequest(conn)
+		msgType, payload, _, err := transport.ReadFrame(conn)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return // client hung up between requests: clean end
-			}
-			// Corrupt frames get a best-effort error reply; timeouts and
-			// torn connections do not.
+			// Corrupt frames get a best-effort error reply; a client that
+			// hung up between requests, timeouts and torn connections do
+			// not.
 			if errors.Is(err, transport.ErrChecksum) || errors.Is(err, transport.ErrFrameTooLarge) || errors.Is(err, transport.ErrFrameVersion) {
 				s.replyError(conn, err.Error())
 			}
@@ -146,19 +94,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// ReadRequest reads one frame, mapping a clean close before the first
-// header byte to io.EOF (persistent connections end between requests).
-func ReadRequest(conn net.Conn) (byte, []byte, int, error) {
-	msgType, payload, n, err := transport.ReadFrame(conn)
-	if err != nil && n == 0 {
-		var opErr *net.OpError
-		if errors.Is(err, io.EOF) || (errors.As(err, &opErr) && !opErr.Timeout()) {
-			return 0, nil, 0, io.EOF
-		}
-	}
-	return msgType, payload, n, err
 }
 
 // handleRequest answers one decoded request frame and reports whether the

@@ -13,10 +13,13 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
+	"github.com/dbdc-go/dbdc/internal/leakcheck"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/serve"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // repKey identifies a global representative across model versions the same
 // way the server's stable-id matcher does: origin site plus exact point.

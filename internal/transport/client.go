@@ -103,7 +103,8 @@ type SendStats struct {
 type Client struct {
 	// Addr is the server address ("host:port").
 	Addr string
-	// Timeout bounds dialing and each connection's I/O; 0 means 30s.
+	// Timeout bounds dialing and each connection's I/O; 0 means
+	// DefaultTimeout.
 	Timeout time.Duration
 	// Retry controls backoff; the zero value means a single attempt.
 	Retry RetryPolicy
@@ -192,7 +193,9 @@ func (c *Client) send(attempt func(conn net.Conn, as *AttemptStats, slept time.D
 	for {
 		as := AttemptStats{Attempt: len(stats.Log) + 1, Backoff: delay}
 		var global *model.GlobalModel
-		conn, err := dialAttempt(c.Dial, c.Addr, c.Timeout, &as)
+		dialStart := time.Now()
+		conn, err := Dial(c.Dial, c.Addr, c.Timeout)
+		as.Dial = time.Since(dialStart)
 		if err == nil {
 			global, err = attempt(conn, &as, slept)
 			conn.Close()
@@ -234,18 +237,15 @@ func (f *firstByteReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// dialAttempt opens one attempt's connection, records the dial cost and
-// arms the I/O deadline. Client and StreamClient both connect through it.
-func dialAttempt(dial DialFunc, addr string, timeout time.Duration, as *AttemptStats) (net.Conn, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
+// Dial opens a connection to addr through dial (nil = net.DialTimeout) and
+// arms its I/O deadline; timeout bounds both, 0 means DefaultTimeout. Every
+// client of this module connects through it.
+func Dial(dial DialFunc, addr string, timeout time.Duration) (net.Conn, error) {
+	timeout = IOTimeout(timeout)
 	if dial == nil {
 		dial = net.DialTimeout
 	}
-	dialStart := time.Now()
 	conn, err := dial("tcp", addr, timeout)
-	as.Dial = time.Since(dialStart)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
@@ -253,10 +253,36 @@ func dialAttempt(dial DialFunc, addr string, timeout time.Duration, as *AttemptS
 	return conn, nil
 }
 
-// exchange writes one frame on an established connection and reads the
-// reply, which must be of type want; it accumulates the attempt's wire and
-// timing stats. A MsgError reply or any other type is permanent: the server
-// answered, a retry would be answered the same way.
+// checkReply returns the payload of a reply of type want. A MsgError reply
+// is the error the server reported, any other type an unexpected one.
+func checkReply(replyType byte, reply []byte, want byte) ([]byte, error) {
+	switch replyType {
+	case want:
+		return reply, nil
+	case MsgError:
+		return nil, fmt.Errorf("transport: server reported: %s", reply)
+	default:
+		return nil, fmt.Errorf("transport: unexpected message type 0x%02x", replyType)
+	}
+}
+
+// RoundTrip writes one request frame on an established connection and
+// returns the payload of the reply, which must be of type want (see
+// checkReply). It is the plain request path: no timing, no byte accounting.
+func RoundTrip(conn net.Conn, msgType byte, payload []byte, want byte) ([]byte, error) {
+	if _, err := WriteFrame(conn, msgType, payload); err != nil {
+		return nil, err
+	}
+	replyType, reply, _, err := ReadFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	return checkReply(replyType, reply, want)
+}
+
+// exchange is RoundTrip timed for one upload attempt: it accumulates the
+// attempt's wire and timing stats. A MsgError reply or any other type is
+// permanent: the server answered, a retry would be answered the same way.
 func exchange(conn net.Conn, msgType byte, payload []byte, want byte, as *AttemptStats) ([]byte, error) {
 	uploadStart := time.Now()
 	sent, err := WriteFrame(conn, msgType, payload)
@@ -279,14 +305,10 @@ func exchange(conn net.Conn, msgType byte, payload []byte, want byte, as *Attemp
 	if err != nil {
 		return nil, err
 	}
-	switch replyType {
-	case want:
-		return reply, nil
-	case MsgError:
-		return nil, permanent(fmt.Errorf("transport: server reported: %s", reply))
-	default:
-		return nil, permanent(fmt.Errorf("transport: unexpected message type 0x%02x", replyType))
+	if reply, err = checkReply(replyType, reply, want); err != nil {
+		return nil, permanent(err)
 	}
+	return reply, nil
 }
 
 // uploadModel sends the upload frame and decodes the global model the

@@ -30,7 +30,7 @@ const (
 // SiteQueryServer answers cluster-membership queries over one site's
 // relabelled data.
 type SiteQueryServer struct {
-	ln      net.Listener
+	loop    *ConnLoop
 	timeout time.Duration
 
 	mu     sync.RWMutex
@@ -44,21 +44,19 @@ func NewSiteQueryServer(addr string, pts []geom.Point, labels cluster.Labeling, 
 	if len(pts) != len(labels) {
 		return nil, fmt.Errorf("transport: %d points but %d labels", len(pts), len(labels))
 	}
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	ln, err := net.Listen("tcp", addr)
+	loop, err := Listen(addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: listen: %w", err)
+		return nil, err
 	}
-	return &SiteQueryServer{ln: ln, timeout: timeout, pts: pts, labels: labels}, nil
+	return &SiteQueryServer{loop: loop, timeout: IOTimeout(timeout), pts: pts, labels: labels}, nil
 }
 
 // Addr returns the listen address.
-func (s *SiteQueryServer) Addr() string { return s.ln.Addr().String() }
+func (s *SiteQueryServer) Addr() string { return s.loop.Addr() }
 
-// Close stops the server.
-func (s *SiteQueryServer) Close() error { return s.ln.Close() }
+// Close stops accepting, closes every open connection and waits for the
+// handlers.
+func (s *SiteQueryServer) Close() error { return s.loop.Close() }
 
 // Update replaces the served labeling, e.g. after the next DBDC round.
 func (s *SiteQueryServer) Update(pts []geom.Point, labels cluster.Labeling) error {
@@ -71,27 +69,9 @@ func (s *SiteQueryServer) Update(pts []geom.Point, labels cluster.Labeling) erro
 	return nil
 }
 
-// Serve answers n query connections (0 = until Close).
-func (s *SiteQueryServer) Serve(n int) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for done := 0; n == 0 || done < n; done++ {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if n == 0 {
-				return nil
-			}
-			return fmt.Errorf("transport: accept: %w", err)
-		}
-		wg.Add(1)
-		go func(conn net.Conn) {
-			defer wg.Done()
-			defer conn.Close()
-			s.handleQuery(conn)
-		}(conn)
-	}
-	return nil
-}
+// Serve answers n query connections (0 = until Close) and returns nil
+// then; an accept failure ends it with the error.
+func (s *SiteQueryServer) Serve(n int) error { return s.loop.Serve(n, s.handleQuery) }
 
 func (s *SiteQueryServer) handleQuery(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(s.timeout))
@@ -176,30 +156,14 @@ func DecodePoints(buf []byte) ([]geom.Point, error) {
 // QueryCluster asks the site at addr for all of its objects in the given
 // global cluster.
 func QueryCluster(addr string, id cluster.ID, timeout time.Duration) ([]geom.Point, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := Dial(nil, addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+		return nil, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	var payload [4]byte
-	binary.LittleEndian.PutUint32(payload[:], uint32(int32(id)))
-	if _, err := WriteFrame(conn, MsgClusterQuery, payload[:]); err != nil {
-		return nil, err
-	}
-	msgType, reply, _, err := ReadFrame(conn)
+	reply, err := RoundTrip(conn, MsgClusterQuery, binary.LittleEndian.AppendUint32(nil, uint32(int32(id))), MsgClusterReply)
 	if err != nil {
 		return nil, err
 	}
-	switch msgType {
-	case MsgClusterReply:
-		return DecodePoints(reply)
-	case MsgError:
-		return nil, fmt.Errorf("transport: site reported: %s", reply)
-	default:
-		return nil, fmt.Errorf("transport: unexpected message type 0x%02x", msgType)
-	}
+	return DecodePoints(reply)
 }

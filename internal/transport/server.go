@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -11,10 +10,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
-
-// deadlineListener is the optional listener capability the server uses to
-// bound the accept phase. *net.TCPListener and faultnet.Listener have it.
-type deadlineListener interface{ SetDeadline(time.Time) error }
 
 // Server is the central DBDC site: it accepts connections from client
 // sites, collects their local models, derives the global model and sends it
@@ -26,7 +21,13 @@ type Server struct {
 	// expect is the number of distinct site models one round aims for.
 	expect  int
 	timeout time.Duration
-	ln      net.Listener
+	// loop accepts for the server's whole life and hands every connection
+	// to lend; rounds is where a waiting connection picks up the round in
+	// progress. served is closed when the loop stopped, serveErr its error.
+	loop     *ConnLoop
+	rounds   chan *round
+	served   chan struct{}
+	serveErr error
 
 	// onGlobal, when set, receives every freshly computed global model
 	// (see SetOnGlobal).
@@ -43,8 +44,9 @@ type Server struct {
 func (s *Server) SetOnGlobal(fn func(*model.GlobalModel)) { s.onGlobal = fn }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") for rounds of expect
-// sites. timeout bounds each connection's I/O and the default accept
-// window; zero means 30s.
+// sites. timeout bounds each connection's I/O, the default accept window
+// and how long a connection waits for a round to take it; zero means
+// DefaultTimeout.
 func NewServer(addr string, expect int, cfg dbdc.Config, timeout time.Duration) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -53,15 +55,13 @@ func NewServer(addr string, expect int, cfg dbdc.Config, timeout time.Duration) 
 	srv, err := NewServerListener(ln, expect, cfg, timeout)
 	if err != nil {
 		ln.Close()
-		return nil, err
 	}
-	return srv, nil
+	return srv, err
 }
 
 // NewServerListener builds a server on an existing listener. This is how
 // the fault-injection tests interpose faultnet.Listener; production code
-// normally uses NewServer. The listener should support SetDeadline
-// (net.TCPListener does) or rounds cannot bound their accept phase.
+// normally uses NewServer. The server accepts on the listener until Close.
 func NewServerListener(ln net.Listener, expect int, cfg dbdc.Config, timeout time.Duration) (*Server, error) {
 	if expect < 1 {
 		return nil, fmt.Errorf("transport: server needs at least one site, got %d", expect)
@@ -69,17 +69,25 @@ func NewServerListener(ln net.Listener, expect int, cfg dbdc.Config, timeout tim
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	return &Server{cfg: cfg, expect: expect, timeout: timeout, ln: ln}, nil
+	s := &Server{cfg: cfg, expect: expect, timeout: IOTimeout(timeout),
+		loop: NewConnLoop(ln), rounds: make(chan *round), served: make(chan struct{})}
+	go func() {
+		s.serveErr = s.loop.Serve(0, s.lend)
+		close(s.served)
+	}()
+	return s, nil
 }
 
 // Addr returns the address the server listens on.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.loop.Addr() }
 
-// Close releases the listener.
-func (s *Server) Close() error { return s.ln.Close() }
+// Close stops accepting, closes every open connection — a running round
+// then fails — and waits until the server's goroutines are gone.
+func (s *Server) Close() error {
+	err := s.loop.Close()
+	<-s.served
+	return err
+}
 
 // RoundOptions tunes one RunRoundOpts call. The zero value reproduces the
 // classic behavior: wait up to the server timeout for all expected sites,
@@ -263,7 +271,15 @@ func (r *RoundReport) String() string {
 	return b.String()
 }
 
-// readResult is what the per-connection reader goroutine delivers.
+// round is what a RunRoundOpts call lends to the connections it takes: the
+// read deadline, the channel their uploads arrive on, and its end.
+type round struct {
+	deadline time.Time
+	results  chan readResult
+	done     chan struct{}
+}
+
+// readResult is one connection's upload as delivered to the round.
 type readResult struct {
 	upload
 	conn net.Conn
@@ -272,13 +288,34 @@ type readResult struct {
 	dur  time.Duration
 }
 
-// readLocalModel reads one site's upload off a fresh connection under the
-// round deadline.
-func (s *Server) readLocalModel(conn net.Conn, deadline time.Time, out chan<- readResult) {
+// lend is the server's connection handler. A connection may arrive while no
+// round collects — during a round's global step or broadcast, or between
+// rounds — so it waits for the round in progress or the next one, at most
+// the server timeout, and is closed unanswered if none takes it. The round
+// that takes it gets the upload, read under the round's deadline, and a
+// usable upload keeps the connection open for the reply until the round
+// ends.
+func (s *Server) lend(conn net.Conn) {
+	wait := time.NewTimer(s.timeout)
+	defer wait.Stop()
+	var rd *round
+	select {
+	case rd = <-s.rounds:
+	case <-wait.C:
+		return
+	case <-s.loop.closing:
+		return
+	}
 	start := time.Now()
-	conn.SetDeadline(deadline)
+	conn.SetDeadline(rd.deadline)
 	up, err := s.readUpload(conn, false)
-	out <- readResult{upload: up, conn: conn, addr: conn.RemoteAddr().String(), err: err, dur: time.Since(start)}
+	rd.results <- readResult{upload: up, conn: conn, addr: conn.RemoteAddr().String(), err: err, dur: time.Since(start)}
+	if err == nil {
+		select {
+		case <-rd.done:
+		case <-s.loop.closing:
+		}
+	}
 }
 
 // RunRound performs one complete DBDC round with default options: accept
@@ -295,111 +332,56 @@ func (s *Server) RunRound() (*model.GlobalModel, error) {
 // RunRoundOpts is RunRound with explicit options and a per-site report.
 // The report is non-nil even when the round fails.
 //
-// Fault behavior: the accept phase runs under a hard deadline (fixing the
-// historical hang when a site never connected — the listener deadline is
-// set before Accept, not after), failed uploads do not consume a site
-// slot (a retrying site replaces its earlier failed attempt by id), and
-// the round completes as soon as all expected sites are in, or at the
-// deadline with at least Quorum usable models.
+// Fault behavior: the accept phase ends on a timer and every upload is read
+// under the same deadline, so a round with an absent or silent site
+// terminates; failed uploads do not consume a site slot (a retrying site
+// replaces its earlier failed attempt by id), and the round completes as
+// soon as all expected sites are in, or at the deadline with at least
+// Quorum usable models. Close cuts a running round short: it fails with an
+// error wrapping net.ErrClosed.
 func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundReport, error) {
 	start := time.Now()
-	quorum := opts.Quorum
-	if quorum <= 0 {
-		quorum = 1
-	}
-	if quorum > s.expect {
-		quorum = s.expect
-	}
+	quorum := min(max(opts.Quorum, 1), s.expect)
 	acceptTimeout := opts.AcceptTimeout
 	if acceptTimeout <= 0 {
 		acceptTimeout = s.timeout
 	}
-	deadline := time.Now().Add(acceptTimeout)
+	rd := &round{deadline: start.Add(acceptTimeout), results: make(chan readResult), done: make(chan struct{})}
+	defer close(rd.done)
+	acceptEnd := time.NewTimer(acceptTimeout)
+	defer acceptEnd.Stop()
 
-	// Accept-phase deadline: set on the listener *before* blocking in
-	// Accept so a round with an absent site terminates.
-	dl, hasDeadline := s.ln.(deadlineListener)
-	if hasDeadline {
-		dl.SetDeadline(deadline)
-	}
-
-	type accepted struct {
-		conn net.Conn
-		err  error
-	}
-	connCh := make(chan accepted)
-	stop := make(chan struct{})
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				select {
-				case connCh <- accepted{err: err}:
-				case <-stop:
-				}
-				return
-			}
-			select {
-			case connCh <- accepted{conn: conn}:
-			case <-stop:
-				conn.Close()
-				return
-			}
-		}
-	}()
-	// Tear the accept goroutine down no matter how the round ends, and
-	// clear the listener deadline so later rounds start fresh.
-	defer func() {
-		if hasDeadline {
-			dl.SetDeadline(time.Now()) // unblock a pending Accept
-		}
-		close(stop)
-		<-acceptDone
-		if hasDeadline {
-			dl.SetDeadline(time.Time{})
-		}
-	}()
-
-	results := make(chan readResult)
 	good := make(map[string]readResult) // site id -> usable upload
 	attempts := make(map[string]int)    // site id -> connections seen
 	var failures []SiteOutcome
 	reading := 0
 	conns := 0
 	acceptOpen := true
+	served := s.served
 	var listenErr error
 
-	for {
-		if reading == 0 && (!acceptOpen || len(good) >= s.expect) {
-			break
-		}
-		ch := connCh
+	for reading > 0 || (acceptOpen && len(good) < s.expect) {
+		offer := s.rounds
 		if !acceptOpen {
-			ch = nil
+			offer = nil
 		}
 		select {
-		case a := <-ch:
-			if a.err != nil {
-				acceptOpen = false
-				var ne net.Error
-				if !(errors.As(a.err, &ne) && ne.Timeout()) {
-					// Listener closed underneath us.
-					listenErr = a.err
-				}
-				continue
-			}
+		case offer <- rd:
 			conns++
 			reading++
-			go s.readLocalModel(a.conn, deadline, results)
-		case r := <-results:
+		case <-acceptEnd.C:
+			acceptOpen = false
+		case <-served:
+			served, acceptOpen = nil, false
+			if listenErr = s.serveErr; listenErr == nil {
+				listenErr = fmt.Errorf("transport: server closed: %w", net.ErrClosed)
+			}
+		case r := <-rd.results:
 			reading--
 			if r.siteID != "" {
 				attempts[r.siteID]++
 			}
 			if r.err != nil {
-				r.conn.Close()
 				failures = append(failures, SiteOutcome{
 					SiteID:   r.siteID,
 					Addr:     r.addr,
@@ -424,19 +406,17 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 
 	report := s.buildReport(start, quorum, good, attempts, failures, conns, opts.ExpectedSites)
 
-	closeGood := func(msg string) {
+	// refuse tells every usable site why the round failed.
+	refuse := func(msg string) {
 		for _, r := range good {
-			if msg != "" {
-				r.conn.SetDeadline(time.Now().Add(s.timeout))
-				WriteFrame(r.conn, MsgError, []byte(msg))
-			}
-			r.conn.Close()
+			r.conn.SetDeadline(time.Now().Add(s.timeout))
+			WriteFrame(r.conn, MsgError, []byte(msg))
 		}
+		report.Duration = time.Since(start)
 	}
 
-	if listenErr != nil && len(good) < s.expect {
-		closeGood("")
-		return nil, report, fmt.Errorf("transport: accept: %w", listenErr)
+	if listenErr != nil {
+		return nil, report, listenErr
 	}
 	if len(good) == 0 {
 		var first string
@@ -451,7 +431,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 	if len(good) < quorum {
 		err := fmt.Errorf("transport: quorum not met: %d usable models of %d expected, need %d",
 			len(good), s.expect, quorum)
-		closeGood(err.Error())
+		refuse(err.Error())
 		return nil, report, err
 	}
 
@@ -471,8 +451,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 	global, err := dbdc.GlobalStep(models, s.cfg)
 	report.GlobalStepDuration = time.Since(globalStart)
 	if err != nil {
-		closeGood(err.Error())
-		report.Duration = time.Since(start)
+		refuse(err.Error())
 		return nil, report, err
 	}
 	if opts.Finalize != nil {
@@ -485,8 +464,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 		finalized, ferr := opts.Finalize(global, report)
 		report.ForwardDuration = time.Since(forwardStart)
 		if ferr != nil {
-			closeGood(ferr.Error())
-			report.Duration = time.Since(start)
+			refuse(ferr.Error())
 			return nil, report, fmt.Errorf("transport: finalize: %w", ferr)
 		}
 		if finalized != nil {
@@ -501,8 +479,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 	broadcastStart := time.Now()
 	payload, err := global.MarshalBinary()
 	if err != nil {
-		closeGood(err.Error())
-		report.Duration = time.Since(start)
+		refuse(err.Error())
 		return nil, report, err
 	}
 	for _, id := range ids {
@@ -511,7 +488,6 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 		if s.reply(r.conn, MsgGlobalModel, payload) == nil {
 			report.DownlinkBytes += frameHeaderSize + len(payload)
 		}
-		r.conn.Close()
 	}
 	report.BroadcastDuration = time.Since(broadcastStart)
 	report.Duration = time.Since(start)

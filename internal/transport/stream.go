@@ -168,7 +168,8 @@ type UploadResult struct {
 type StreamClient struct {
 	// Addr is the update server address ("host:port").
 	Addr string
-	// Timeout bounds dialing and each connection's I/O; 0 means 30s.
+	// Timeout bounds dialing and each connection's I/O; 0 means
+	// DefaultTimeout.
 	Timeout time.Duration
 	// Dial opens connections; nil means net.DialTimeout.
 	Dial DialFunc
@@ -194,12 +195,12 @@ func (c *StreamClient) Upload(_ *model.LocalModel, delta *model.LocalDelta, stat
 	if stats != nil {
 		payload = appendStreamStatsSection(payload, *stats)
 	}
-	var as AttemptStats
-	conn, err := dialAttempt(c.Dial, c.Addr, c.Timeout, &as)
+	conn, err := Dial(c.Dial, c.Addr, c.Timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
+	var as AttemptStats
 	reply, err := exchange(conn, MsgModelDelta, payload, MsgDeltaAck, &as)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -31,7 +30,7 @@ type UpdateServer struct {
 
 	cfg      dbdc.Config
 	timeout  time.Duration
-	ln       net.Listener
+	loop     *ConnLoop
 	debounce time.Duration
 
 	mu     sync.Mutex
@@ -130,17 +129,14 @@ func NewUpdateServer(addr string, cfg dbdc.Config, timeout time.Duration) (*Upda
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	ln, err := net.Listen("tcp", addr)
+	loop, err := Listen(addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: listen: %w", err)
+		return nil, err
 	}
 	return &UpdateServer{
 		cfg:     cfg,
-		timeout: timeout,
-		ln:      ln,
+		timeout: IOTimeout(timeout),
+		loop:    loop,
 		models:  make(map[string]*model.LocalModel),
 		folds:   make(map[string]*model.DeltaFolder),
 		streams: make(map[string]StreamStats),
@@ -149,15 +145,15 @@ func NewUpdateServer(addr string, cfg dbdc.Config, timeout time.Duration) (*Upda
 }
 
 // Addr returns the listen address.
-func (s *UpdateServer) Addr() string { return s.ln.Addr().String() }
+func (s *UpdateServer) Addr() string { return s.loop.Addr() }
 
-// Close stops accepting connections and cancels any pending debounced
-// rebuild.
+// Close stops accepting, closes every open connection, waits for the
+// handlers and cancels any pending debounced rebuild.
 func (s *UpdateServer) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	return s.ln.Close()
+	return s.loop.Close()
 }
 
 // Sites returns the ids of the sites whose models are currently retained,
@@ -180,29 +176,12 @@ func (s *UpdateServer) Global() *model.GlobalModel {
 	return s.global
 }
 
-// Serve handles updates until the listener closes (use Close to stop) or
-// maxUpdates updates have been processed (0 = unlimited). Each connection
-// carries one update; connections are handled concurrently, the model
-// store and global rebuild are serialized.
+// Serve handles updates until Close or until maxUpdates updates have been
+// processed (0 = unlimited), and returns nil then; an accept failure ends
+// it with the error. Each connection carries one update; connections are
+// handled concurrently, the model store and global rebuild are serialized.
 func (s *UpdateServer) Serve(maxUpdates int) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for done := 0; maxUpdates == 0 || done < maxUpdates; done++ {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if maxUpdates == 0 {
-				return nil // closed: normal shutdown
-			}
-			return fmt.Errorf("transport: accept: %w", err)
-		}
-		wg.Add(1)
-		go func(conn net.Conn) {
-			defer wg.Done()
-			defer conn.Close()
-			s.handleUpdate(conn)
-		}(conn)
-	}
-	return nil
+	return s.loop.Serve(maxUpdates, s.handleUpdate)
 }
 
 // handleUpdate processes one site connection: read the upload, fold or
