@@ -88,28 +88,6 @@ func (l Labeling) Members(id ID) []int {
 	return m
 }
 
-// Clusters returns the members of every non-noise cluster keyed by id.
-func (l Labeling) Clusters() map[ID][]int {
-	out := make(map[ID][]int)
-	for i, c := range l {
-		if c >= 0 {
-			out[c] = append(out[c], i)
-		}
-	}
-	return out
-}
-
-// Sizes returns the cardinality of every non-noise cluster keyed by id.
-func (l Labeling) Sizes() map[ID]int {
-	out := make(map[ID]int)
-	for _, c := range l {
-		if c >= 0 {
-			out[c]++
-		}
-	}
-	return out
-}
-
 // Clone returns an independent copy of the labeling.
 func (l Labeling) Clone() Labeling {
 	out := make(Labeling, len(l))

@@ -48,13 +48,8 @@ func TestMembersAndClusters(t *testing.T) {
 	if got := l.Members(Noise); !reflect.DeepEqual(got, []int{3}) {
 		t.Errorf("Members(Noise) = %v", got)
 	}
-	cl := l.Clusters()
-	if len(cl) != 2 || !reflect.DeepEqual(cl[1], []int{1, 4}) {
-		t.Errorf("Clusters = %v", cl)
-	}
-	sizes := l.Sizes()
-	if sizes[0] != 2 || sizes[1] != 2 {
-		t.Errorf("Sizes = %v", sizes)
+	if got := l.Members(1); !reflect.DeepEqual(got, []int{1, 4}) {
+		t.Errorf("Members(1) = %v", got)
 	}
 }
 

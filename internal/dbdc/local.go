@@ -120,25 +120,36 @@ func localStepFrom(siteID string, pts []geom.Point, idx index.Index, cfg Config,
 	if err != nil {
 		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
 	}
-	timings := LocalTimings{Cluster: time.Since(clusterStart), Workers: cfg.SiteWorkers}
-	if timings.Workers < 1 {
-		timings.Workers = 1
+	clusterDur := time.Since(clusterStart)
+	out, err := LocalStepClustered(siteID, pts, res, cfg)
+	if err != nil {
+		return nil, err
 	}
+	out.idx = idx
+	out.Timings.Cluster, out.Timings.Workers = clusterDur, max(cfg.SiteWorkers, 1)
+	return out, nil
+}
+
+// LocalStepClustered is step 2 of DBDC over a finished clustering of pts —
+// the Result of dbscan.Run or dbscan.FromCores, specific core points
+// included — under a valid cfg: it condenses the clusters into the local
+// model exactly as LocalStep does. The outcome has no index; RelabelSite
+// goes object by object.
+func LocalStepClustered(siteID string, pts []geom.Point, res *dbscan.Result, cfg Config) (*LocalOutcome, error) {
+	cfg = cfg.withDefaults()
 	condenseStart := time.Now()
 	m, stats, err := buildLocalModel(siteID, pts, res, cfg, cfg.RepBudget)
 	if err != nil {
 		return nil, err
 	}
-	timings.Condense = time.Since(condenseStart)
 	return &LocalOutcome{
 		SiteID:     siteID,
 		Points:     pts,
 		Clustering: res,
 		Model:      m,
-		Timings:    timings,
+		Timings:    LocalTimings{Condense: time.Since(condenseStart), Workers: 1},
 		RepBudget:  cfg.RepBudget,
 		Budget:     stats,
-		idx:        idx,
 		cfg:        cfg,
 	}, nil
 }

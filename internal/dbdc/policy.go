@@ -28,10 +28,15 @@ func ClusteringChange(prev, cur cluster.Labeling) (float64, error) {
 // PadSnapshot extends an older labeling snapshot to n objects, marking the
 // objects that did not exist yet as noise — an object that appeared and
 // joined a cluster counts as change, which is exactly what the
-// retransmission policy wants.
+// retransmission policy wants. A snapshot of n objects already — a sliding
+// window's steady state, its recycled slots keep the length — is returned as
+// it is: the result may alias prev, which ClusteringChange never writes to.
 func PadSnapshot(prev cluster.Labeling, n int) (cluster.Labeling, error) {
 	if len(prev) > n {
 		return nil, fmt.Errorf("dbdc: snapshot of %d objects longer than current %d (deletions keep their slots)", len(prev), n)
+	}
+	if len(prev) == n {
+		return prev, nil
 	}
 	out := make(cluster.Labeling, n)
 	copy(out, prev)

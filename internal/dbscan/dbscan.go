@@ -222,6 +222,57 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// FromCores completes the Result that Run with CollectSpecificCores returns
+// over idx from a clustering that knows its core flags: core must be Run's,
+// labels any DBSCAN labelling of the objects, up to renaming and the choice
+// of cluster for each border object. It numbers the clusters by their lowest
+// core id, moves each border object to the cluster of its lowest-id core
+// neighbour — one region query each; noise needs none — and condenses the
+// specific core points, one query each. The Result keeps core. A core object
+// labelled noise or a border object with no core neighbour is an error.
+func FromCores(idx index.Index, params Params, core []bool, labels cluster.Labeling) (*Result, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if n := idx.Len(); len(core) != n || len(labels) != n {
+		return nil, fmt.Errorf("dbscan: %d core flags and %d labels for %d objects", len(core), len(labels), n)
+	}
+	// Over the cores alone, Canonicalize's order of first appearance is
+	// ascending lowest core id.
+	cores := make(cluster.Labeling, len(core))
+	for i := range cores {
+		cores[i] = cluster.Noise
+		if core[i] {
+			if labels[i] < 0 {
+				return nil, fmt.Errorf("dbscan: core object %d labelled noise", i)
+			}
+			cores[i] = labels[i]
+		}
+	}
+	res := &Result{Params: params, Labels: cores.Canonicalize(), Core: core,
+		Scor: make(map[cluster.ID][]int), SpecificEps: make(map[int]float64)}
+	var buf []int
+	for i, id := range labels {
+		if core[i] || id < 0 {
+			continue
+		}
+		buf = index.RangeIntoID(idx, i, params.Eps, buf)
+		res.RangeQueries++
+		least := -1
+		for _, q := range buf {
+			if core[q] && (least < 0 || q < least) {
+				least = q
+			}
+		}
+		if least < 0 {
+			return nil, fmt.Errorf("dbscan: border object %d has no core neighbour", i)
+		}
+		res.Labels[i] = res.Labels[least]
+	}
+	res.condenseSpecificCores(idx, 1)
+	return res, nil
+}
+
 // chunk is one worker's share of a run: the contiguous id range it expands
 // and what it has to hand over at the barrier.
 type chunk struct {

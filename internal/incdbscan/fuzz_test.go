@@ -1,10 +1,13 @@
 package incdbscan
 
 import (
+	"reflect"
 	"testing"
 
+	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/index"
 )
 
 // The stateful fuzzer's world: points sit on a lattice whose pitch is half
@@ -81,6 +84,7 @@ func runFuzzOps(t *testing.T, data []byte) (clusters []int) {
 			t.Fatalf("LiveCount=%d, scan says %d, model says %d", got, want, len(fifo))
 		}
 		checkSurvivorsAgainstBatch(t, c)
+		checkFromCores(t, c)
 		clusters = append(clusters, c.NumClusters())
 	}
 	remove := func(k int) geom.Point {
@@ -136,6 +140,38 @@ func runFuzzOps(t *testing.T, data []byte) (clusters []int) {
 		}
 	}
 	return clusters
+}
+
+// checkFromCores pins Labels to what a streaming upload condenses from: over
+// the live set, dbscan.FromCores from the core flags and the labels must
+// return exactly the batch Result over the same points.
+func checkFromCores(t *testing.T, c *Clusterer) {
+	t.Helper()
+	labels := c.Labels()
+	pts := make([]geom.Point, 0, len(labels))
+	core := make([]bool, 0, len(labels))
+	live := make(cluster.Labeling, 0, len(labels))
+	for i := range labels {
+		if !c.IsDeleted(i) {
+			pts, core, live = append(pts, c.Point(i)), append(core, c.IsCore(i)), append(live, labels[i])
+		}
+	}
+	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dbscan.Run(lin, c.Params(), dbscan.Options{CollectSpecificCores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dbscan.FromCores(lin, c.Params(), core, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.RangeQueries = want.RangeQueries
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromCores over the live set differs from the batch run:\ngot  %+v\nwant %+v", got, want)
+	}
 }
 
 // fuzzSeed is a hand-built input and the cluster counts it must pass
@@ -211,7 +247,8 @@ func fuzzSeeds() map[string]fuzzSeed {
 // vacated place must leave the incremental clustering equivalent to a batch
 // DBSCAN over the live set after every operation — core flags, noise
 // status, the partition of the cores, every border object within Eps of a
-// core of its own cluster, and LiveCount against a scan.
+// core of its own cluster, the batch Result itself once dbscan.FromCores
+// completes the labels, and LiveCount against a scan.
 func FuzzIncOps(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add([]byte(s.ops))

@@ -21,14 +21,13 @@ import (
 	"github.com/dbdc-go/dbdc/internal/cluster"
 )
 
-// pairStats precomputes, for a pair of labelings, everything the object
-// quality functions need: per-object cluster sizes and the intersection
-// size of the two clusters containing each object.
+// pairStats precomputes, for a pair of labelings, in arrays indexed by cluster
+// id, every cluster's size, and per object the size of the intersection of
+// the two clusters containing it: all the object quality functions need.
 type pairStats struct {
-	distr, central cluster.Labeling
-	sizeDistr      map[cluster.ID]int
-	sizeCentral    map[cluster.ID]int
-	intersection   map[[2]cluster.ID]int
+	distr, central         cluster.Labeling
+	sizeDistr, sizeCentral []int
+	inter                  []int // 0 unless the object is clustered in both
 }
 
 func newPairStats(distr, central cluster.Labeling) (*pairStats, error) {
@@ -36,19 +35,49 @@ func newPairStats(distr, central cluster.Labeling) (*pairStats, error) {
 		return nil, fmt.Errorf("quality: labelings disagree on size: %d vs %d",
 			len(distr), len(central))
 	}
-	s := &pairStats{
-		distr:        distr,
-		central:      central,
-		sizeDistr:    distr.Sizes(),
-		sizeCentral:  central.Sizes(),
-		intersection: make(map[[2]cluster.ID]int),
+	d, kd := compact(distr)
+	c, kc := compact(central)
+	s := &pairStats{distr: d, central: c, sizeDistr: make([]int, kd), sizeCentral: make([]int, kc), inter: make([]int, len(d))}
+	// Chain the objects clustered in both per distributed cluster and count
+	// each chain's central clusters in one row: O(n + k_d + k_c), not k_d·k_c.
+	head, link := make([]int, kd), make([]int, len(d)) // 1 + object, 0 ends a chain
+	for i := range d {
+		if d[i] >= 0 {
+			s.sizeDistr[d[i]]++
+		}
+		if c[i] >= 0 {
+			s.sizeCentral[c[i]]++
+			if d[i] >= 0 {
+				link[i], head[d[i]] = head[d[i]], i+1
+			}
+		}
 	}
-	for i := range distr {
-		if distr[i] >= 0 && central[i] >= 0 {
-			s.intersection[[2]cluster.ID{distr[i], central[i]}]++
+	row := make([]int, kc)
+	for _, h := range head {
+		for i := h - 1; i >= 0; i = link[i] - 1 {
+			row[c[i]]++
+		}
+		for i := h - 1; i >= 0; i = link[i] - 1 {
+			s.inter[i] = row[c[i]]
+		}
+		for i := h - 1; i >= 0; i = link[i] - 1 {
+			row[c[i]] = 0
 		}
 	}
 	return s, nil
+}
+
+// compact returns l and its largest id + 1 if below 4n+64, where incdbscan
+// keeps its root ids, and otherwise l renumbered 0..k−1 and k.
+func compact(l cluster.Labeling) (cluster.Labeling, int) {
+	top := cluster.ID(-1)
+	for _, id := range l {
+		top = max(top, id)
+	}
+	if int(top) >= 4*len(l)+64 {
+		return compact(l.Canonicalize())
+	}
+	return l, int(top) + 1
 }
 
 // PI is the discrete object quality function P^I of Definition 10 applied
@@ -56,11 +85,11 @@ func newPairStats(distr, central cluster.Labeling) (*pairStats, error) {
 func (s *pairStats) PI(i int, qp int) float64 {
 	d, c := s.distr[i], s.central[i]
 	switch {
-	case d == cluster.Noise && c == cluster.Noise:
+	case d < 0 && c < 0:
 		return 1
-	case d == cluster.Noise || c == cluster.Noise:
+	case d < 0 || c < 0:
 		return 0
-	case s.intersection[[2]cluster.ID{d, c}] >= qp:
+	case s.inter[i] >= qp:
 		return 1
 	default:
 		return 0
@@ -73,12 +102,12 @@ func (s *pairStats) PI(i int, qp int) float64 {
 func (s *pairStats) PII(i int) float64 {
 	d, c := s.distr[i], s.central[i]
 	switch {
-	case d == cluster.Noise && c == cluster.Noise:
+	case d < 0 && c < 0:
 		return 1
-	case d == cluster.Noise || c == cluster.Noise:
+	case d < 0 || c < 0:
 		return 0
 	default:
-		inter := s.intersection[[2]cluster.ID{d, c}]
+		inter := s.inter[i]
 		union := s.sizeDistr[d] + s.sizeCentral[c] - inter
 		return float64(inter) / float64(union)
 	}

@@ -17,8 +17,10 @@ import (
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	idbdc "github.com/dbdc-go/dbdc/internal/dbdc"
+	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/incdbscan"
+	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
@@ -212,20 +214,71 @@ func (s *Site) Flush() error {
 	return s.upload(s.inc.Labels())
 }
 
-// upload rebuilds the local model over the live window and ships it.
-func (s *Site) upload(labels cluster.Labeling) error {
-	pts := make([]geom.Point, 0, s.count)
-	for i := 0; i < s.count; i++ {
-		pts = append(pts, s.inc.Point(s.ring[(s.head+i)%s.cfg.Window]))
+// windowIndex is the live window as an index in arrival order: rows, store
+// and metric from a window-order copy of the points, by-id range queries from
+// the incremental clusterer's tree, its slots translated to window positions.
+type windowIndex struct {
+	*index.Linear
+	site *Site
+	pos  []int // slot → window position
+}
+
+// RangeAppendID implements index.IDRangeAppender.
+func (w *windowIndex) RangeAppendID(i int, eps float64, buf []int) []int {
+	buf = w.site.inc.RangeSlot(w.site.slot(i), eps, buf)
+	for k, slot := range buf {
+		buf[k] = w.pos[slot]
 	}
-	out, err := idbdc.LocalStep(s.cfg.SiteID, pts, s.cfg.Cluster)
+	return buf
+}
+
+// slot returns the slot of window position i, oldest first.
+func (s *Site) slot(i int) int { return s.ring[(s.head+i)%s.cfg.Window] }
+
+// localModel condenses the live window into the local model LocalStep would
+// build over the window's points in arrival order, byte for byte, from what
+// the incremental clusterer already knows — its core flags and labels (by
+// slot) — at one tree query per border object and one per specific core.
+func (s *Site) localModel(labels cluster.Labeling) (*model.LocalModel, error) {
+	w := &windowIndex{site: s, pos: make([]int, len(labels))}
+	pts := make([]geom.Point, s.count)
+	core := make([]bool, s.count)
+	wl := make(cluster.Labeling, s.count)
+	for i := range pts {
+		slot := s.slot(i)
+		w.pos[slot] = i
+		pts[i], core[i], wl[i] = s.inc.Point(slot), s.inc.IsCore(slot), labels[slot]
+	}
+	var err error
+	if w.Linear, err = index.NewLinear(pts, geom.Euclidean{}); err != nil {
+		return nil, err
+	}
+	res, err := dbscan.FromCores(w, s.cfg.Cluster.Local, core, wl)
+	if err != nil {
+		return nil, err
+	}
+	out, err := idbdc.LocalStepClustered(s.cfg.SiteID, pts, res, s.cfg.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	if checkUpload != nil {
+		checkUpload(s.cfg, pts, out.Model)
+	}
+	return out.Model, nil
+}
+
+// checkUpload is set by the dbdc_debugchecks build (checks_debug.go).
+var checkUpload func(cfg Config, pts []geom.Point, m *model.LocalModel)
+
+// upload condenses the local model over the live window and ships it.
+func (s *Site) upload(labels cluster.Labeling) error {
+	m, err := s.localModel(labels)
 	if err != nil {
 		return err
 	}
-	m := out.Model
-	// Pin local cluster ids across uploads: the batch LocalStep renumbers
-	// arbitrarily, which would make every retained representative look
-	// changed to the delta tracker.
+	// Pin local cluster ids across uploads: numbered by lowest core id in a
+	// sliding window, they shift, which would make every retained
+	// representative look changed to the delta tracker.
 	s.matcher.RelabelLocal(m)
 	stats := &transport.StreamStats{
 		Window: s.cfg.Window,
