@@ -27,7 +27,7 @@
 //
 // With -stream the server runs the always-on streaming deployment instead
 // of synchronous rounds: sites connect whenever their clustering changed,
-// uploading full models or streaming deltas (docs/streaming.md); the
+// uploading full models or streaming ones (docs/streaming.md); the
 // global model is rebuilt on a debounced schedule (-debounce) with stable
 // cluster ids and hot-swapped into the classification registry
 // continuously. The process serves until killed.
@@ -64,7 +64,7 @@ func main() {
 	classifyIndex := flag.String("classify-index", string(index.KindKDTree), "spatial index the classifier bulk-loads the representatives into")
 	metricsAddr := flag.String("metrics-addr", "", "expose Prometheus metrics over HTTP on this address (e.g. :9090)")
 	streamMode := flag.Bool("stream", false, "run the always-on streaming server (accepts full and delta uploads, rebuilds continuously) instead of synchronous rounds")
-	debounce := flag.Duration("debounce", 100*time.Millisecond, "with -stream: coalesce delta folds arriving within this window into one global rebuild (0 = rebuild per fold)")
+	debounce := flag.Duration("debounce", 100*time.Millisecond, "with -stream: coalesce streaming uploads arriving within this window into one global rebuild (0 = rebuild per upload)")
 	flag.Parse()
 
 	if *eps <= 0 || *minPts < 1 {

@@ -336,26 +336,18 @@ type Incremental = incdbscan.Clusterer
 // NewIncremental returns an empty incremental clusterer.
 func NewIncremental(params Params) (*Incremental, error) { return incdbscan.New(params) }
 
-// LocalDelta is the incremental form of a local-model upload: the
-// representatives added and removed since an acknowledged base state. See
-// docs/streaming.md.
+// LocalDelta is a streaming site's upload: its local model under a
+// sequence number. See docs/streaming.md.
 type LocalDelta = model.LocalDelta
 
-// DeltaTracker derives the delta chain on the site side: Delta diffs a
-// model against the last committed state, Commit installs it after the
-// server acked.
+// DeltaTracker numbers a streaming site's uploads: Delta wraps a model
+// under the next sequence number, Commit advances it after the server
+// acked.
 type DeltaTracker = model.DeltaTracker
 
-// NewDeltaTracker returns a tracker whose first delta is a snapshot.
+// NewDeltaTracker returns a tracker whose first upload has sequence
+// number 1.
 func NewDeltaTracker() *DeltaTracker { return model.NewDeltaTracker() }
-
-// DeltaFolder reassembles a site's model from its delta chain on the
-// server side.
-type DeltaFolder = model.DeltaFolder
-
-// NewDeltaFolder returns an empty folder; it accepts only a snapshot
-// first.
-func NewDeltaFolder() *DeltaFolder { return model.NewDeltaFolder() }
 
 // ClusterMatcher keeps cluster ids stable across model versions by
 // matching clusters on representative overlap.

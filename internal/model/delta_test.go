@@ -2,7 +2,6 @@ package model
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,72 +12,19 @@ import (
 
 func deltaFixture() *LocalDelta {
 	return &LocalDelta{
-		SiteID:      "site-a",
-		Kind:        RepScor,
-		EpsLocal:    0.5,
-		MinPts:      4,
-		BaseSeq:     3,
-		Seq:         4,
-		NumObjects:  120,
-		NumClusters: 2,
-		Removed:     []uint32{1, 7},
-		Added: []DeltaRep{
-			{ID: 9, Rep: Representative{Point: geom.Point{1, 2}, Eps: 0.4, LocalCluster: 0}},
-			{ID: 10, Rep: Representative{Point: geom.Point{-3, 0.5}, Eps: 0.3, LocalCluster: 1}},
+		Seq: 4,
+		Model: &LocalModel{
+			SiteID:      "site-a",
+			Kind:        RepScor,
+			EpsLocal:    0.5,
+			MinPts:      4,
+			NumObjects:  120,
+			NumClusters: 2,
+			Reps: []Representative{
+				{Point: geom.Point{1, 2}, Eps: 0.4, LocalCluster: 0},
+				{Point: geom.Point{-3, 0.5}, Eps: 0.3, LocalCluster: 1},
+			},
 		},
-	}
-}
-
-func TestDeltaRoundTrip(t *testing.T) {
-	d := deltaFixture()
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got LocalDelta
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&got, d) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, d)
-	}
-	// Prefix decode must consume exactly the delta and tolerate a trailer.
-	n, err := got.UnmarshalBinaryPrefix(append(b, 0xAA, 0xBB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(b) {
-		t.Fatalf("prefix decode consumed %d of %d bytes", n, len(b))
-	}
-}
-
-func TestDeltaValidate(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*LocalDelta)
-	}{
-		{"no site", func(d *LocalDelta) { d.SiteID = "" }},
-		{"bad kind", func(d *LocalDelta) { d.Kind = "nonsense" }},
-		{"bad eps", func(d *LocalDelta) { d.EpsLocal = 0 }},
-		{"zero seq", func(d *LocalDelta) { d.Seq = 0; d.BaseSeq = 0; d.Removed = nil }},
-		{"base after seq", func(d *LocalDelta) { d.BaseSeq = 9 }},
-		{"snapshot with removals", func(d *LocalDelta) { d.BaseSeq = 0 }},
-		{"duplicate removal", func(d *LocalDelta) { d.Removed = []uint32{1, 1} }},
-		{"duplicate addition", func(d *LocalDelta) { d.Added[1].ID = d.Added[0].ID }},
-		{"empty point", func(d *LocalDelta) { d.Added[0].Rep.Point = nil }},
-		{"mixed dims", func(d *LocalDelta) { d.Added[1].Rep.Point = geom.Point{1, 2, 3} }},
-		{"bad rep eps", func(d *LocalDelta) { d.Added[0].Rep.Eps = -1 }},
-		{"noise rep", func(d *LocalDelta) { d.Added[0].Rep.LocalCluster = cluster.Noise }},
-	}
-	for _, tc := range cases {
-		d := deltaFixture()
-		tc.mutate(d)
-		if err := d.Validate(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
 	}
 }
 
@@ -103,175 +49,137 @@ func randomLocalModel(rng *rand.Rand, siteID string, nClusters int) *LocalModel 
 	return m
 }
 
-// mutateModel evolves a model the way a sliding window does: drop some
-// representatives, add some, keep the rest byte-identical.
-func mutateModel(rng *rand.Rand, m *LocalModel) *LocalModel {
-	next := &LocalModel{
-		SiteID:      m.SiteID,
-		Kind:        m.Kind,
-		EpsLocal:    m.EpsLocal,
-		MinPts:      m.MinPts,
-		NumClusters: m.NumClusters,
+func TestDeltaRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dup := deltaFixture()
+	dup.Model.Reps = append(dup.Model.Reps, dup.Model.Reps[0], dup.Model.Reps[0])
+	all := []*LocalDelta{
+		deltaFixture(),
+		dup,
+		{Seq: 1, Model: &LocalModel{SiteID: "all-noise", Kind: RepKMeans, EpsLocal: 1, MinPts: 3, NumObjects: 40}},
 	}
-	for _, r := range m.Reps {
-		if rng.Float64() < 0.75 {
-			next.Reps = append(next.Reps, r)
+	for i := 0; i < 5; i++ {
+		all = append(all, &LocalDelta{Seq: rng.Uint64() | 1, Model: randomLocalModel(rng, "site-x", 1+rng.Intn(4))})
+	}
+	for _, d := range all {
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != d.EncodedSize() {
+			t.Fatalf("%s: %d bytes, EncodedSize %d", d.Model.SiteID, len(b), d.EncodedSize())
+		}
+		var got LocalDelta
+		if err := got.UnmarshalBinary(b); err != nil {
+			t.Fatal(err)
+		}
+		if d.Model.Reps == nil && len(got.Model.Reps) == 0 {
+			got.Model.Reps = nil // the decoder makes an empty slice
+		}
+		if !reflect.DeepEqual(&got, d) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, d)
+		}
+		// Prefix decode must consume exactly the upload and tolerate a trailer.
+		n, err := got.UnmarshalBinaryPrefix(append(b, 0xAA, 0xBB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(b) {
+			t.Fatalf("prefix decode consumed %d of %d bytes", n, len(b))
 		}
 	}
-	for i := 0; i < rng.Intn(6); i++ {
-		next.Reps = append(next.Reps, Representative{
-			Point:        geom.Point{rng.NormFloat64(), rng.NormFloat64()},
-			Eps:          0.1 + rng.Float64(),
-			LocalCluster: cluster.ID(rng.Intn(m.NumClusters + 1)),
+}
+
+// An upload is the LocalModel frame verbatim behind 10 bytes of tag, version
+// and sequence number, encoded in one allocation.
+func TestDeltaCarriesModelFrame(t *testing.T) {
+	d := deltaFixture()
+	up, _ := d.MarshalBinary()
+	full, _ := d.Model.MarshalBinary()
+	if !bytes.Equal(up[deltaHeaderSize:], full) || len(up) != len(full)+10 {
+		t.Fatalf("upload is not the model frame behind a 10-byte header")
+	}
+	if up[0] != tagLocalDelta || up[1] != wireVersion {
+		t.Fatalf("header % x", up[:2])
+	}
+	if n := testing.AllocsPerRun(20, func() { d.MarshalBinary() }); n != 1 {
+		t.Fatalf("MarshalBinary allocates %v times, want 1", n)
+	}
+}
+
+func TestDeltaValidate(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*LocalDelta)
+	}{
+		{"zero seq", func(d *LocalDelta) { d.Seq = 0 }},
+		{"no model", func(d *LocalDelta) { d.Model = nil }},
+		{"no site", func(d *LocalDelta) { d.Model.SiteID = "" }},
+		{"bad kind", func(d *LocalDelta) { d.Model.Kind = "nonsense" }},
+		{"bad eps", func(d *LocalDelta) { d.Model.EpsLocal = 0 }},
+		{"empty point", func(d *LocalDelta) { d.Model.Reps[0].Point = nil }},
+		{"mixed dims", func(d *LocalDelta) { d.Model.Reps[1].Point = geom.Point{1, 2, 3} }},
+		{"bad rep eps", func(d *LocalDelta) { d.Model.Reps[0].Eps = -1 }},
+		{"noise rep", func(d *LocalDelta) { d.Model.Reps[0].LocalCluster = cluster.Noise }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := deltaFixture()
+			tc.mutate(d)
+			if err := d.Validate(); err == nil {
+				t.Error("accepted")
+			}
 		})
 	}
-	next.NumObjects = len(next.Reps) * 3
-	return next
 }
 
-// modelMultiset compares models as multisets of representatives (the folder
-// materializes in id order, not the site's order).
-func modelMultiset(m *LocalModel) map[string]int {
-	out := make(map[string]int, len(m.Reps))
-	for _, r := range m.Reps {
-		out[repIdentity(r, 0)]++
+// The decoder takes only a delta tag, its version and a LocalModel frame
+// behind the sequence number.
+func TestDeltaRefusesForeignFrames(t *testing.T) {
+	good, _ := deltaFixture().MarshalBinary()
+	full, _ := deltaFixture().Model.MarshalBinary()
+	wrongVersion := append([]byte(nil), good...)
+	wrongVersion[1]++
+	innerVersion := append([]byte(nil), good...)
+	innerVersion[deltaHeaderSize+1]++
+	cases := map[string][]byte{
+		"model frame":         full,
+		"wrong version":       wrongVersion,
+		"inner model version": innerVersion,
+		"delta in a delta":    append(good[:deltaHeaderSize:deltaHeaderSize], good...),
+		"short sequence":      good[:6],
+		"no model":            good[:deltaHeaderSize],
 	}
-	return out
-}
-
-// Property: for any chain of model versions, folding the tracker's deltas
-// reproduces each version exactly (as a representative multiset plus
-// header), and over-the-wire encoding round-trips each delta.
-func TestTrackerFolderDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		tracker := NewDeltaTracker()
-		folder := NewDeltaFolder()
-		m := randomLocalModel(rng, "site-x", 2+rng.Intn(3))
-		for step := 0; step < 20; step++ {
-			p := tracker.Delta(m)
-			d := p.Delta
-			if err := d.Validate(); err != nil {
-				t.Fatalf("trial %d step %d: derived delta invalid: %v", trial, step, err)
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			var d LocalDelta
+			if err := d.UnmarshalBinary(data); err == nil {
+				t.Error("accepted")
 			}
-			if step == 0 && !d.Snapshot() {
-				t.Fatal("first delta is not a snapshot")
-			}
-			b, err := d.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wire LocalDelta
-			if err := wire.UnmarshalBinary(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := folder.Apply(&wire); err != nil {
-				t.Fatalf("trial %d step %d: apply: %v", trial, step, err)
-			}
-			tracker.Commit(p)
-			got := folder.Model()
-			if err := got.Validate(); err != nil {
-				t.Fatalf("trial %d step %d: materialized model invalid: %v", trial, step, err)
-			}
-			if !reflect.DeepEqual(modelMultiset(got), modelMultiset(m)) {
-				t.Fatalf("trial %d step %d: folded reps diverged from sent model", trial, step)
-			}
-			if got.SiteID != m.SiteID || got.Kind != m.Kind ||
-				got.NumObjects != m.NumObjects || got.NumClusters != m.NumClusters {
-				t.Fatalf("trial %d step %d: folded header diverged: %+v vs %+v", trial, step, got, m)
-			}
-			m = mutateModel(rng, m)
-		}
+		})
 	}
 }
 
-// An unchanged model must produce an empty delta — that is the whole point
-// of streaming deltas.
-func TestTrackerUnchangedModelEmptyDelta(t *testing.T) {
+// The tracker numbers uploads from 1 and advances only on Commit, so an
+// upload that was never acknowledged goes out again under the same number.
+func TestTrackerNumbersUploads(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tracker := NewDeltaTracker()
 	m := randomLocalModel(rng, "site-x", 3)
-	tracker.Commit(tracker.Delta(m))
-	d := tracker.Delta(m).Delta
-	if len(d.Added) != 0 || len(d.Removed) != 0 {
-		t.Fatalf("unchanged model produced %d additions, %d removals", len(d.Added), len(d.Removed))
+	first := tracker.Delta(m)
+	if first.Seq != 1 || first.Model != m || tracker.Seq() != 0 {
+		t.Fatalf("first upload seq %d, tracker at %d", first.Seq, tracker.Seq())
 	}
-	if full, delta := m.EncodedSize(), d.EncodedSize(); delta*4 > full {
-		t.Fatalf("empty delta is %d bytes vs %d for the model — not worth streaming", delta, full)
+	if again := tracker.Delta(m); again.Seq != 1 {
+		t.Fatalf("unacknowledged upload renumbered to %d", again.Seq)
 	}
-}
-
-// Duplicate representatives must survive the diff as a multiset.
-func TestTrackerDuplicateReps(t *testing.T) {
-	rep := Representative{Point: geom.Point{1, 1}, Eps: 0.2, LocalCluster: 0}
-	m := &LocalModel{SiteID: "s", Kind: RepScor, EpsLocal: 0.5, MinPts: 3,
-		Reps: []Representative{rep, rep, rep}, NumObjects: 3, NumClusters: 1}
-	tracker := NewDeltaTracker()
-	folder := NewDeltaFolder()
-	p := tracker.Delta(m)
-	if len(p.Delta.Added) != 3 {
-		t.Fatalf("3 duplicate reps encoded as %d additions", len(p.Delta.Added))
-	}
-	if err := folder.Apply(p.Delta); err != nil {
-		t.Fatal(err)
-	}
-	tracker.Commit(p)
-	m2 := &LocalModel{SiteID: "s", Kind: RepScor, EpsLocal: 0.5, MinPts: 3,
-		Reps: []Representative{rep, rep}, NumObjects: 2, NumClusters: 1}
-	p2 := tracker.Delta(m2)
-	if len(p2.Delta.Added) != 0 || len(p2.Delta.Removed) != 1 {
-		t.Fatalf("dropping one duplicate: %d added, %d removed", len(p2.Delta.Added), len(p2.Delta.Removed))
-	}
-	if err := folder.Apply(p2.Delta); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(folder.Model().Reps); got != 2 {
-		t.Fatalf("folded %d reps, want 2", got)
-	}
-}
-
-func TestFolderBaseMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tracker := NewDeltaTracker()
-	folder := NewDeltaFolder()
-	m := randomLocalModel(rng, "site-x", 2)
-	p := tracker.Delta(m)
-	if err := folder.Apply(p.Delta); err != nil {
-		t.Fatal(err)
-	}
-	tracker.Commit(p)
-	// A delta against a base the folder never saw must be refused.
-	stale := tracker.Delta(mutateModel(rng, m))
-	stale.Delta.BaseSeq = 17
-	stale.Delta.Seq = 18
-	if err := folder.Apply(stale.Delta); !errors.Is(err, ErrDeltaBase) {
-		t.Fatalf("stale base accepted: %v", err)
-	}
-	if folder.Seq() != 1 {
-		t.Fatalf("failed apply moved the folder to seq %d", folder.Seq())
-	}
-	// Recovery: reset the tracker, snapshot, fold.
-	tracker.Reset()
-	snap := tracker.Delta(m)
-	if !snap.Delta.Snapshot() {
-		t.Fatal("post-reset delta is not a snapshot")
-	}
-	if err := folder.Apply(snap.Delta); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(modelMultiset(folder.Model()), modelMultiset(m)) {
-		t.Fatal("snapshot recovery diverged")
-	}
-}
-
-func TestFolderEmptyRejectsNonSnapshot(t *testing.T) {
-	folder := NewDeltaFolder()
-	d := deltaFixture()
-	if err := folder.Apply(d); !errors.Is(err, ErrDeltaBase) {
-		t.Fatalf("empty folder accepted chained delta: %v", err)
-	}
-	if folder.Model() != nil {
-		t.Fatal("empty folder materialized a model")
+	tracker.Commit(first)
+	next := randomLocalModel(rng, "site-x", 2)
+	if d := tracker.Delta(next); d.Seq != 2 || d.Model != next || tracker.Seq() != 1 {
+		t.Fatalf("second upload seq %d, tracker at %d", d.Seq, tracker.Seq())
 	}
 }
 
@@ -284,16 +192,19 @@ func FuzzLocalDeltaUnmarshal(f *testing.F) {
 	f.Add(seed[:len(seed)/2]) // truncated
 	f.Add([]byte{})
 	f.Add([]byte{tagLocalDelta, wireVersion})
-	// Huge removal count with no bytes behind it.
-	f.Add(append(append([]byte{tagLocalDelta, wireVersion}, seed[2:44]...), 0xFF, 0xFF, 0xFF, 0x7F))
+	// A huge representative count with no bytes behind it.
+	empty := deltaFixture()
+	empty.Model.Reps = nil
+	head, _ := empty.MarshalBinary()
+	f.Add(append(head[:len(head)-4], 0xFF, 0xFF, 0xFF, 0x7F))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d LocalDelta
 		if err := d.UnmarshalBinary(data); err != nil {
 			return
 		}
-		if len(d.Added)+len(d.Removed) > len(data) {
-			t.Fatalf("decoded %d entries from %d bytes", len(d.Added)+len(d.Removed), len(data))
+		if len(d.Model.Reps) > len(data) {
+			t.Fatalf("decoded %d representatives from %d bytes", len(d.Model.Reps), len(data))
 		}
 		out, err := d.MarshalBinary()
 		if err != nil {

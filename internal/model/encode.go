@@ -239,6 +239,12 @@ func (m *LocalModel) wireSize() int {
 // output buffer is presized exactly, so the encode is one allocation total.
 func (m *LocalModel) MarshalBinary() ([]byte, error) {
 	w := newWireWriter(m.wireSize())
+	m.write(&w)
+	return w.buf, nil
+}
+
+// write appends the local model frame to w.
+func (m *LocalModel) write(w *wireWriter) {
 	w.u8(tagLocalModel)
 	w.u8(wireVersion)
 	w.str(m.SiteID)
@@ -249,9 +255,8 @@ func (m *LocalModel) MarshalBinary() ([]byte, error) {
 	w.i32(int32(m.NumClusters))
 	w.u32(uint32(len(m.Reps)))
 	for _, rep := range m.Reps {
-		writeRep(&w, rep)
+		writeRep(w, rep)
 	}
-	return w.buf, nil
 }
 
 // UnmarshalBinary decodes a local model, validating limits as it reads.

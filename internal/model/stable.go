@@ -16,14 +16,10 @@ import (
 // the older id), each previous id is claimed by at most one new cluster,
 // and clusters with no overlap get fresh, never-reused ids.
 //
-// Both uses in the streaming pipeline need this. Locally, batch re-runs of
-// DBSCAN renumber clusters arbitrarily, which would make content-based
-// delta diffing mark every representative changed; rematching against the
-// previously transmitted model keeps retained representatives byte-stable.
-// Globally, the server re-clusters from scratch on every fold, and classify
-// clients would see cluster 0 become cluster 3 across two answers;
-// rematching makes ids coherent across model versions for every cluster
-// that keeps a majority of its representatives.
+// The update server needs this: it re-clusters from scratch on every
+// upload, and classify clients would see cluster 0 become cluster 3 across
+// two answers; rematching makes ids coherent across model versions for
+// every cluster that keeps a majority of its representatives.
 //
 // Matching is by representative point (and owning site, for global models),
 // not by ε-range or raw cluster id: a representative whose neighborhood
@@ -124,7 +120,9 @@ func (m *ClusterMatcher) assign(keys []string, raw []cluster.ID) map[cluster.ID]
 
 // RelabelLocal rewrites the model's local cluster ids in place to stable
 // ids matched against the previous call. NumClusters is preserved (the
-// rewrite is a bijection on the ids present).
+// rewrite is a bijection on the ids present). No program pins local ids;
+// the method survives because the repository benchmark (bench/, frozen)
+// prices it.
 func (m *ClusterMatcher) RelabelLocal(lm *LocalModel) {
 	keys := make([]string, len(lm.Reps))
 	raw := make([]cluster.ID, len(lm.Reps))

@@ -120,7 +120,7 @@ func TestMatcherSplitKeepsIDOnLargerHalf(t *testing.T) {
 
 // Local relabeling is a bijection on the ids present, so NumClusters and
 // the partition structure are preserved while retained reps stay
-// byte-stable across versions — the property delta diffing depends on.
+// byte-stable across versions.
 func TestMatcherLocalKeepsRetainedRepsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewClusterMatcher()
@@ -147,12 +147,5 @@ func TestMatcherLocalKeepsRetainedRepsStable(t *testing.T) {
 			t.Fatalf("rep %d drifted from stable id %d to %d despite identical partition",
 				i, lm.Reps[i].LocalCluster, next.Reps[i].LocalCluster)
 		}
-	}
-	// Consequence: the tracker sees zero change across the renumbering.
-	tracker := NewDeltaTracker()
-	tracker.Commit(tracker.Delta(lm))
-	d := tracker.Delta(next).Delta
-	if len(d.Added) != 0 || len(d.Removed) != 0 {
-		t.Fatalf("pure renumbering produced %d additions, %d removals", len(d.Added), len(d.Removed))
 	}
 }

@@ -1,7 +1,7 @@
 // Package stream implements the site side of the always-on streaming
 // deployment: a Site ingests an unbounded point stream, maintains its local
-// clustering over a sliding window with incremental DBSCAN, and uploads a
-// model delta whenever the clustering has changed considerably since the
+// clustering over a sliding window with incremental DBSCAN, and uploads its
+// local model whenever the clustering has changed considerably since the
 // last transmitted state (the paper's Section 4 update policy, measured as
 // 1 − P^II against the last transmitted labeling snapshot).
 //
@@ -90,10 +90,10 @@ type Stats struct {
 	// Turns is how often the window content has fully turned over
 	// (Evicted / Window).
 	Turns uint64
-	// Uploads counts successful uploads, Resyncs those that required a
-	// snapshot retry first. Every upload is a delta, so DeltaUploads equals
-	// Uploads; the field survives because the repository benchmark (bench/,
-	// frozen) reads it.
+	// Uploads counts successful uploads. Every upload is a delta frame, so
+	// DeltaUploads equals Uploads, and none needs a retry, so Resyncs is 0;
+	// both fields survive because the repository benchmark (bench/, frozen)
+	// reads them.
 	Uploads, DeltaUploads, Resyncs uint64
 	// LastChange is the change metric at the last upload decision.
 	LastChange float64
@@ -118,7 +118,6 @@ type Site struct {
 	// change, which is exactly what the policy should see).
 	snapshot cluster.Labeling
 
-	matcher *model.ClusterMatcher
 	tracker *model.DeltaTracker
 	pending int // ingests since the last change check
 	stats   Stats
@@ -142,7 +141,6 @@ func NewSite(cfg Config, up Uploader) (*Site, error) {
 		inc:      inc,
 		uploader: up,
 		ring:     make([]int, cfg.Window),
-		matcher:  model.NewClusterMatcher(),
 		tracker:  model.NewDeltaTracker(),
 	}, nil
 }
@@ -276,39 +274,19 @@ func (s *Site) upload(labels cluster.Labeling) error {
 	if err != nil {
 		return err
 	}
-	// Pin local cluster ids across uploads: numbered by lowest core id in a
-	// sliding window, they shift, which would make every retained
-	// representative look changed to the delta tracker.
-	s.matcher.RelabelLocal(m)
 	stats := &transport.StreamStats{
 		Window: s.cfg.Window,
 		Turns:  s.stats.Turns,
 		Change: s.stats.LastChange,
 	}
-	pending := s.tracker.Delta(m)
-	res, err := s.uploader.Upload(m, pending.Delta, stats)
+	delta := s.tracker.Delta(m)
+	res, err := s.uploader.Upload(m, delta, stats)
 	if err != nil {
 		return err
 	}
 	s.stats.BytesSent += res.BytesSent
 	s.stats.BytesReceived += res.BytesReceived
-	if res.Resync {
-		// The server lost our chain (restart, or a full upload superseded
-		// it): re-establish it with a snapshot.
-		s.stats.Resyncs++
-		s.tracker.Reset()
-		pending = s.tracker.Delta(m)
-		res, err = s.uploader.Upload(m, pending.Delta, stats)
-		if err != nil {
-			return err
-		}
-		s.stats.BytesSent += res.BytesSent
-		s.stats.BytesReceived += res.BytesReceived
-		if res.Resync {
-			return errors.New("stream: server demanded resync for a fresh snapshot")
-		}
-	}
-	s.tracker.Commit(pending)
+	s.tracker.Commit(delta)
 	s.snapshot = labels
 	s.stats.Uploads++
 	s.stats.DeltaUploads++

@@ -154,17 +154,17 @@ func TestStationaryStreamGoesQuiet(t *testing.T) {
 		t.Fatalf("stationary stream kept uploading: %d uploads over 5 turns", steady)
 	}
 	first := up.calls[0]
-	if first.delta == nil || !first.delta.Snapshot() {
-		t.Fatal("first upload is not a snapshot delta")
+	if first.delta == nil || first.delta.Seq != 1 || first.delta.Model != first.full {
+		t.Fatal("first upload is not the site's model at sequence number 1")
 	}
 	if first.stats == nil || first.stats.Window != 100 {
 		t.Fatalf("stream stats not attached: %+v", first.stats)
 	}
 }
 
-// Distribution shifts trigger uploads, and the deltas chain: consecutive
-// sequence numbers, incremental after the first.
-func TestShiftTriggersChainedDeltas(t *testing.T) {
+// Distribution shifts trigger uploads, numbered consecutively, and each
+// upload is the site's model behind 10 bytes of header.
+func TestShiftTriggersUploads(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	up := &fakeUploader{}
 	site, err := NewSite(testCfg(100), up)
@@ -174,18 +174,18 @@ func TestShiftTriggersChainedDeltas(t *testing.T) {
 	for _, c := range []geom.Point{{0, 0}, {10, 10}, {20, 0}} {
 		feed(t, site, rng, c, 200)
 	}
-	if st := site.Stats(); st.Uploads < 3 || st.Uploads != st.DeltaUploads {
+	if st := site.Stats(); st.Uploads < 3 || st.Uploads != st.DeltaUploads || st.Resyncs != 0 {
 		t.Fatalf("3 distribution shifts: %+v", st)
 	}
 	for i, call := range up.calls {
-		if call.delta == nil {
-			t.Fatalf("upload %d without delta", i)
+		if call.delta == nil || call.delta.Model != call.full {
+			t.Fatalf("upload %d does not carry the site's model", i)
 		}
 		if want := uint64(i + 1); call.delta.Seq != want {
 			t.Fatalf("upload %d has seq %d, want %d", i, call.delta.Seq, want)
 		}
-		if i > 0 && call.delta.Snapshot() {
-			t.Fatalf("upload %d degenerated to a snapshot", i)
+		if sent, model := call.delta.EncodedSize(), call.full.EncodedSize(); sent != model+10 {
+			t.Fatalf("upload %d: %d B for a %d B model", i, sent, model)
 		}
 	}
 }
@@ -208,48 +208,13 @@ func TestFlushUploadsUnconditionally(t *testing.T) {
 	}
 	last := up.calls[len(up.calls)-1].delta
 	if last.Seq != uint64(len(up.calls)) {
-		t.Fatalf("flush delta seq %d breaks the chain of %d uploads", last.Seq, len(up.calls))
+		t.Fatalf("flush upload seq %d after %d uploads", last.Seq, len(up.calls))
 	}
 }
 
-// A resync demand makes the site retry with a snapshot on the spot.
-func TestResyncRetriesWithSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	up := &fakeUploader{}
-	site, err := NewSite(testCfg(100), up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, site, rng, geom.Point{0, 0}, 200) // chain established
-	up.script = []respond{func(u *upload) (*transport.UploadResult, error) {
-		return &transport.UploadResult{Mode: transport.ModeDelta, Resync: true}, nil
-	}}
-	calls := len(up.calls)
-	if err := site.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(up.calls) - calls; got != 2 {
-		t.Fatalf("%d uploads for the resync round, want 2 (rejected, snapshot retry)", got)
-	}
-	retry := up.calls[len(up.calls)-1].delta
-	if !retry.Snapshot() || retry.Seq != 1 {
-		t.Fatalf("retry is not a fresh snapshot: base %d seq %d", retry.BaseSeq, retry.Seq)
-	}
-	if st := site.Stats(); st.Resyncs != 1 {
-		t.Fatalf("stats after resync: %+v", st)
-	}
-	// The re-established chain continues from the snapshot.
-	if err := site.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if next := up.calls[len(up.calls)-1].delta; next.Snapshot() || next.Seq != 2 {
-		t.Fatalf("post-resync delta: base %d seq %d", next.BaseSeq, next.Seq)
-	}
-}
-
-// An upload fault leaves the tracker uncommitted: the retry re-derives the
-// same sequence number, so the server never sees a gap.
-func TestUploadFaultDoesNotAdvanceChain(t *testing.T) {
+// An upload fault leaves the tracker uncommitted: the retry goes out under
+// the same sequence number, so the server never sees a gap.
+func TestUploadFaultKeepsSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	fault := errors.New("server unreachable")
 	up := &fakeUploader{}
@@ -273,7 +238,7 @@ func TestUploadFaultDoesNotAdvanceChain(t *testing.T) {
 	}
 	n := len(up.calls)
 	if failed, retry := up.calls[n-2].delta, up.calls[n-1].delta; retry.Seq != failed.Seq {
-		t.Fatalf("failed upload advanced the chain: seq %d then %d", failed.Seq, retry.Seq)
+		t.Fatalf("failed upload advanced the sequence: seq %d then %d", failed.Seq, retry.Seq)
 	}
 }
 

@@ -71,8 +71,7 @@ func randomChurn(rng *rand.Rand, n int) []geom.Point {
 }
 
 // Every upload — condensed from the incremental clusterer's state — marshals
-// to the bytes of the batch LocalStep over the window at that moment, once
-// both go through the same cluster id pinning.
+// to the bytes of the batch LocalStep over the window at that moment.
 func TestUploadMatchesLocalStep(t *testing.T) {
 	streams := map[string]func(*rand.Rand, int) []geom.Point{"churn": churnStream, "random": randomChurn}
 	configs := map[string]func(*idbdc.Config){
@@ -104,13 +103,11 @@ func TestUploadMatchesLocalStep(t *testing.T) {
 				if len(rec.models) < 6 {
 					t.Fatalf("%d uploads: too few to compare", len(rec.models))
 				}
-				twin := model.NewClusterMatcher()
 				for k, m := range rec.models {
 					batch, err := idbdc.LocalStep(cfg.SiteID, rec.windows[k], cfg.Cluster)
 					if err != nil {
 						t.Fatal(err)
 					}
-					twin.RelabelLocal(batch.Model)
 					want, err := batch.Model.MarshalBinary()
 					if err != nil {
 						t.Fatal(err)

@@ -54,16 +54,14 @@ const (
 	MsgHelloAck byte = 0x31
 
 	// MsgModelDelta is the one streaming upload: a model.LocalDelta — the
-	// incremental form of a local model — immediately followed by optional
-	// trailer sections (stream statistics, per-phase metrics; see
+	// site's local model under a sequence number — immediately followed by
+	// optional trailer sections (stream statistics, per-phase metrics; see
 	// stream.go). The delta encoding is self-delimiting like the full
-	// model's. The update server folds the delta into its per-site model
-	// table and answers with MsgDeltaAck.
+	// model's. The update server stores the model as the site's newest and
+	// answers with MsgDeltaAck.
 	MsgModelDelta byte = 0x40
 	// MsgDeltaAck answers MsgModelDelta. Its sectioned payload carries the
-	// applied sequence number and the server's global model version, or a
-	// resync demand when the delta's base did not match the folded state
-	// (the site then resets its tracker and sends a snapshot delta).
+	// applied sequence number and the server's global model version.
 	MsgDeltaAck byte = 0x41
 
 	// Classification protocol (the read side served by internal/serve):

@@ -24,8 +24,8 @@ import (
 // both using the section format of phases.go, so either side can grow the
 // exchange without a new message type and unknown sections are skipped.
 const (
-	// sectionDeltaAck is the server's answer to a delta upload: status,
-	// applied sequence number, global model version.
+	// sectionDeltaAck is the server's answer to a delta upload: status
+	// (always 0, OK), applied sequence number, global model version.
 	sectionDeltaAck byte = 0x05
 	// sectionStreamStats is the optional stream-progress section a
 	// streaming site attaches to its delta uploads.
@@ -41,22 +41,15 @@ const (
 	// change metric f64.
 	streamStatsBodyLen = 1 + 4 + 8 + 8
 
-	// Delta ack status codes.
-	deltaAckOK     byte = 0
-	deltaAckResync byte = 1
+	deltaAckOK byte = 0
 )
 
 // DeltaAck is the server's decoded answer to a delta upload.
 type DeltaAck struct {
-	// Resync reports that the delta's base sequence did not match the
-	// server's folded state: the site must reset its tracker and send a
-	// snapshot delta.
-	Resync bool
-	// Seq is the applied sequence number (on resync: the server's current
-	// folded sequence, 0 when it holds nothing for the site).
+	// Seq is the applied sequence number.
 	Seq uint64
 	// GlobalVersion is the server's global model rebuild counter at reply
-	// time. With a debounced rebuild the fold may not be reflected yet;
+	// time. With a debounced rebuild the upload may not be reflected yet;
 	// versions are monotone, so classify clients can still order models.
 	GlobalVersion uint64
 }
@@ -66,12 +59,7 @@ func encodeDeltaAck(a DeltaAck) []byte {
 	dst := make([]byte, 0, sectionHeaderSize+deltaAckBodyLen)
 	dst = append(dst, sectionDeltaAck)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(deltaAckBodyLen))
-	dst = append(dst, deltaAckVersion)
-	status := deltaAckOK
-	if a.Resync {
-		status = deltaAckResync
-	}
-	dst = append(dst, status)
+	dst = append(dst, deltaAckVersion, deltaAckOK)
 	dst = binary.LittleEndian.AppendUint64(dst, a.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, a.GlobalVersion)
 	return dst
@@ -85,7 +73,6 @@ func parseDeltaAck(data []byte) (DeltaAck, error) {
 	found := false
 	err := walkSections(data, func(id byte, body []byte) {
 		if id == sectionDeltaAck && len(body) >= deltaAckBodyLen && body[0] == deltaAckVersion {
-			ack.Resync = body[1] == deltaAckResync
 			ack.Seq = binary.LittleEndian.Uint64(body[2:10])
 			ack.GlobalVersion = binary.LittleEndian.Uint64(body[10:18])
 			found = true
@@ -148,9 +135,6 @@ const ModeDelta UploadMode = 0
 type UploadResult struct {
 	// Mode is always ModeDelta (see UploadMode).
 	Mode UploadMode
-	// Resync reports the server demanded a snapshot; the upload itself
-	// carried no state change.
-	Resync bool
 	// Seq is the acknowledged sequence number.
 	Seq uint64
 	// GlobalVersion is the server's global rebuild counter from the ack.
@@ -162,9 +146,9 @@ type UploadResult struct {
 	BytesReceived int
 }
 
-// StreamClient uploads a streaming site's model updates to an update
-// server as deltas. It keeps no state between uploads, so a failed upload
-// changes nothing about the next one.
+// StreamClient uploads a streaming site's models to an update server. It
+// keeps no state between uploads, so a failed upload changes nothing about
+// the next one.
 type StreamClient struct {
 	// Addr is the update server address ("host:port").
 	Addr string
@@ -178,12 +162,11 @@ type StreamClient struct {
 // Upload ships one model update as a MsgModelDelta on a fresh connection
 // (the update server handles one exchange per connection). Every fault — a
 // dial error, a timeout, a dropped connection, a MsgError reply — is returned
-// to the caller, who simply uploads again on the next change round. A Resync
-// result carries no error: the caller must reset its tracker and upload a
-// snapshot delta.
+// to the caller, who simply uploads again on the next change round.
 //
-// The full model is not sent; the parameter survives because the repository
-// benchmark (bench/, frozen) implements stream.Uploader with this signature.
+// The first argument is unused: the delta carries the model. The parameter
+// survives because the repository benchmark (bench/, frozen) implements
+// stream.Uploader with this signature.
 func (c *StreamClient) Upload(_ *model.LocalModel, delta *model.LocalDelta, stats *StreamStats) (*UploadResult, error) {
 	if delta == nil {
 		return nil, fmt.Errorf("transport: stream upload without a delta")
@@ -211,7 +194,6 @@ func (c *StreamClient) Upload(_ *model.LocalModel, delta *model.LocalDelta, stat
 	}
 	return &UploadResult{
 		Mode:          ModeDelta,
-		Resync:        ack.Resync,
 		Seq:           ack.Seq,
 		GlobalVersion: ack.GlobalVersion,
 		BytesSent:     as.BytesSent,

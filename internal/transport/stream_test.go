@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -20,17 +21,43 @@ func localModelOf(t *testing.T, siteID string, pts []geom.Point) *model.LocalMod
 	return out.Model
 }
 
-// deltaOf derives and commits the next delta for a model.
+// deltaOf numbers and commits the next upload of a model.
 func deltaOf(tr *model.DeltaTracker, m *model.LocalModel) *model.LocalDelta {
-	p := tr.Delta(m)
-	tr.Commit(p)
-	return p.Delta
+	d := tr.Delta(m)
+	tr.Commit(d)
+	return d
+}
+
+// heldModel returns the encoded model the server holds for a site.
+func heldModel(t *testing.T, srv *UpdateServer, siteID string) []byte {
+	t.Helper()
+	srv.mu.Lock()
+	held := srv.models[siteID]
+	srv.mu.Unlock()
+	if held == nil {
+		t.Fatalf("the server holds no model for %s", siteID)
+	}
+	b, err := held.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sameModel reports whether the server holds exactly m for its site.
+func sameModel(t *testing.T, srv *UpdateServer, m *model.LocalModel) bool {
+	t.Helper()
+	want, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(heldModel(t, srv, m.SiteID), want)
 }
 
 func TestDeltaAckSectionRoundTrip(t *testing.T) {
 	for _, want := range []DeltaAck{
 		{Seq: 1, GlobalVersion: 0},
-		{Resync: true, Seq: 42, GlobalVersion: 7},
+		{Seq: 42, GlobalVersion: 7},
 	} {
 		got, err := parseDeltaAck(encodeDeltaAck(want))
 		if err != nil {
@@ -69,9 +96,8 @@ func TestStreamStatsSectionRoundTrip(t *testing.T) {
 	}
 }
 
-// A streaming site uploads a snapshot delta, then an incremental one; the
-// server folds both, acks each with the applied sequence, and the global
-// model reflects the folded state.
+// A streaming site uploads twice; the server stores each model, acks each
+// with the applied sequence, and the global model reflects the newest.
 func TestStreamClientDeltaRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
@@ -90,84 +116,105 @@ func TestStreamClientDeltaRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeDelta || res.Resync {
-		t.Fatalf("snapshot upload: %+v", res)
-	}
-	if res.Seq != 1 {
-		t.Fatalf("snapshot acked with seq %d", res.Seq)
+	if res.Mode != ModeDelta || res.Seq != 1 {
+		t.Fatalf("first upload: %+v", res)
 	}
 
-	// The site grows a second cluster; the delta carries only the change.
+	// The site grows a second cluster.
 	pts = append(pts, blob(rng, 30, 30, 200)...)
 	m2 := localModelOf(t, "st-1", pts)
-	d2 := deltaOf(tracker, m2)
-	if d2.Snapshot() {
-		t.Fatal("second upload degenerated to a snapshot")
-	}
-	res, err = client.Upload(m2, d2, nil)
+	res, err = client.Upload(m2, deltaOf(tracker, m2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Mode != ModeDelta || res.Seq != 2 {
-		t.Fatalf("incremental upload: %+v", res)
+		t.Fatalf("second upload: %+v", res)
 	}
 	if !srv.WaitVersion(2, 2*time.Second) {
-		t.Fatalf("server version %d after two folds", srv.Version())
+		t.Fatalf("server version %d after two uploads", srv.Version())
+	}
+	if !sameModel(t, srv, m2) {
+		t.Fatal("the server does not hold the newest model")
 	}
 	if g := srv.Global(); g == nil || g.NumClusters != 2 {
-		t.Fatalf("global after folds: %+v", srv.Global())
+		t.Fatalf("global after two uploads: %+v", srv.Global())
 	}
 	if st, ok := srv.StreamInfo("st-1"); !ok || st.Window != 200 || st.Turns != 1 {
 		t.Fatalf("stream info: %+v ok=%v", st, ok)
 	}
 }
 
-// A delta whose base does not match the server's folded state (here: the
-// server never saw the site) must be answered with a resync demand, after
-// which a snapshot re-establishes the chain.
-func TestStreamClientResync(t *testing.T) {
+// An update server that never heard of a site — it restarted, or the site's
+// earlier uploads went elsewhere — takes the site's next upload as it comes:
+// there is no chain to re-establish.
+func TestStreamUploadToFreshServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	go srv.Serve(2)
+	go srv.Serve(1)
 
 	client := &StreamClient{Addr: srv.Addr(), Timeout: 5 * time.Second}
 	tracker := model.NewDeltaTracker()
-
 	m1 := localModelOf(t, "st-r", blob(rng, 0, 0, 200))
-	deltaOf(tracker, m1) // seq 1 never reaches the server
+	deltaOf(tracker, m1) // seq 1 went to a server that is gone
 
 	m2 := localModelOf(t, "st-r", append(blob(rng, 0, 0, 200), blob(rng, 30, 0, 200)...))
 	res, err := client.Upload(m2, deltaOf(tracker, m2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Resync {
-		t.Fatalf("stale-base delta was not answered with resync: %+v", res)
-	}
-	if srv.Version() != 0 {
-		t.Fatal("resync-rejected delta triggered a rebuild")
-	}
-
-	// Recovery: reset the tracker, upload a snapshot.
-	tracker.Reset()
-	res, err = client.Upload(m2, deltaOf(tracker, m2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resync || res.Seq != 1 {
-		t.Fatalf("post-reset snapshot: %+v", res)
+	if res.Seq != 2 || !sameModel(t, srv, m2) {
+		t.Fatalf("upload 2 to a fresh server: %+v", res)
 	}
 	if g := srv.Global(); g == nil || g.NumClusters != 2 {
-		t.Fatalf("global after recovery: %+v", g)
+		t.Fatalf("global after one upload: %+v", g)
 	}
 }
 
-// With a debounce set, a burst of delta folds coalesces into fewer rebuilds
-// than folds, and Flush forces the pending one out.
+// A streaming site uploads over a sliding window that turns over a tenth or
+// three quarters between uploads. After every upload the model the server
+// holds for the site is the site's model, byte for byte.
+func TestServerHoldsUploadedModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve(0)
+	client := &StreamClient{Addr: srv.Addr(), Timeout: 5 * time.Second}
+	tracker := model.NewDeltaTracker()
+
+	const window = 200
+	var stream []geom.Point
+	for len(stream) < 30*window {
+		c := float64(len(stream) / window % 4)
+		stream = append(stream, blob(rng, 3*c, 0, 10)...)
+		stream = append(stream, blob(rng, 3*c, 3, 10)...)
+	}
+	for end, i := window, 0; end <= len(stream); i++ {
+		m := localModelOf(t, "st-f", stream[end-window:end])
+		d := tracker.Delta(m)
+		res, err := client.Upload(m, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracker.Commit(d)
+		if res.Seq != d.Seq || !sameModel(t, srv, m) {
+			t.Fatalf("upload %d: the server does not hold the site's model", i)
+		}
+		if res.BytesSent < d.EncodedSize() {
+			t.Fatalf("upload %d: %d B sent for a %d B delta", i, res.BytesSent, d.EncodedSize())
+		}
+		end += []int{window / 10, 3 * window / 4}[i%2]
+	}
+}
+
+// With a debounce set, a burst of streaming uploads coalesces into fewer
+// rebuilds than uploads, and Flush forces the pending one out.
 func TestUpdateServerDebounceCoalesces(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
@@ -189,11 +236,11 @@ func TestUpdateServerDebounceCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// All four folds landed inside one debounce window (sequential local
+	// All four uploads landed inside one debounce window (sequential local
 	// uploads are far faster than 250ms); at most a couple of rebuilds may
-	// have fired, never one per fold.
+	// have fired, never one per upload.
 	if v := srv.Version(); v >= uploads {
-		t.Fatalf("debounce did not coalesce: %d rebuilds for %d folds", v, uploads)
+		t.Fatalf("debounce did not coalesce: %d rebuilds for %d uploads", v, uploads)
 	}
 	if err := srv.Flush(); err != nil {
 		t.Fatal(err)
@@ -214,9 +261,9 @@ func TestUpdateServerDebounceCoalesces(t *testing.T) {
 	}
 }
 
-// A full upload supersedes the folded delta state: the site's next delta on
-// the old chain must get a resync demand.
-func TestFullUploadInvalidatesDeltaChain(t *testing.T) {
+// A full upload and a streaming one from the same site replace each other:
+// the server holds whichever came last.
+func TestFullAndStreamUploadsReplaceEachOther(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
 	if err != nil {
@@ -233,18 +280,21 @@ func TestFullUploadInvalidatesDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same site does a full exchange (e.g. a restart in batch mode).
-	if _, _, _, err := Exchange(srv.Addr(), m1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Its old delta chain is now invalid.
 	pts = append(pts, blob(rng, 30, 0, 200)...)
 	m2 := localModelOf(t, "st-mix", pts)
-	res, err := client.Upload(m2, deltaOf(tracker, m2), nil)
+	if _, _, _, err := Exchange(srv.Addr(), m2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !sameModel(t, srv, m2) {
+		t.Fatal("the full upload did not replace the streamed model")
+	}
+	m3 := localModelOf(t, "st-mix", pts[200:])
+	res, err := client.Upload(m3, deltaOf(tracker, m3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Resync {
-		t.Fatalf("delta on a superseded chain was folded: %+v", res)
+	if res.Seq != 2 || !sameModel(t, srv, m3) {
+		t.Fatalf("the streaming upload did not replace the full model: %+v", res)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // clustering has changed considerably (cf. Section 4 of the paper and the
 // incremental DBSCAN site mode) and upload either a full local model
 // (MsgLocalModelTimed — answered with the rebuilt global model) or a
-// streaming delta (MsgModelDelta — folded into the per-site
-// model table and answered with a MsgDeltaAck, with the global rebuild
-// optionally debounced; see SetDebounce). Stale models of silent sites stay
+// streaming one (MsgModelDelta — answered with a MsgDeltaAck, with the
+// global rebuild optionally debounced; see SetDebounce). Either replaces the
+// site's entry in the per-site model table. Stale models of silent sites stay
 // in effect — the server never has to wait for all sites.
 //
 // Global cluster ids are stable across rebuilds: every rebuilt model is
@@ -35,7 +35,6 @@ type UpdateServer struct {
 
 	mu     sync.Mutex
 	models map[string]*model.LocalModel
-	folds  map[string]*model.DeltaFolder
 	// streams retains the latest stream-progress section per streaming
 	// site, informational.
 	streams map[string]StreamStats
@@ -62,10 +61,10 @@ type UpdateServer struct {
 // concurrent updates. Set it once, before Serve.
 func (s *UpdateServer) SetOnGlobal(fn func(*model.GlobalModel)) { s.onGlobal = fn }
 
-// SetDebounce sets the rebuild debounce for delta uploads: folds arriving
+// SetDebounce sets the rebuild debounce for delta uploads: uploads arriving
 // within d of each other coalesce into one global rebuild, so a burst of
 // streaming sites does not trigger a GlobalStep per delta. 0 (the default)
-// rebuilds synchronously on every fold. Full-model uploads always rebuild
+// rebuilds synchronously on every delta upload. Full-model uploads always rebuild
 // synchronously — their reply is the rebuilt global model. Set it once,
 // before Serve.
 func (s *UpdateServer) SetDebounce(d time.Duration) { s.debounce = d }
@@ -138,7 +137,6 @@ func NewUpdateServer(addr string, cfg dbdc.Config, timeout time.Duration) (*Upda
 		timeout: IOTimeout(timeout),
 		loop:    loop,
 		models:  make(map[string]*model.LocalModel),
-		folds:   make(map[string]*model.DeltaFolder),
 		streams: make(map[string]StreamStats),
 		stable:  model.NewClusterMatcher(),
 	}, nil
@@ -184,8 +182,8 @@ func (s *UpdateServer) Serve(maxUpdates int) error {
 	return s.loop.Serve(maxUpdates, s.handleUpdate)
 }
 
-// handleUpdate processes one site connection: read the upload, fold or
-// store it, reply.
+// handleUpdate processes one site connection: read the upload, store it,
+// reply.
 func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(s.timeout))
 	up, err := s.readUpload(conn, true)
@@ -217,47 +215,27 @@ func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	s.reply(conn, MsgGlobalModel, reply)
 }
 
-// handleDelta folds one streaming delta and acks it. The global rebuild is
-// debounced (SetDebounce), so the ack does not wait for a GlobalStep.
+// handleDelta stores one streaming upload's model and acks it. The global
+// rebuild is debounced (SetDebounce), so the ack does not wait for a
+// GlobalStep.
 func (s *UpdateServer) handleDelta(conn net.Conn, d *model.LocalDelta, stats *StreamStats) {
 	s.mu.Lock()
-	f := s.folds[d.SiteID]
-	if f == nil {
-		f = model.NewDeltaFolder()
-		s.folds[d.SiteID] = f
+	s.models[d.Model.SiteID] = d.Model
+	if stats != nil {
+		s.streams[d.Model.SiteID] = *stats
 	}
-	var ack DeltaAck
-	if err := f.Apply(d); err != nil {
-		if !errors.Is(err, model.ErrDeltaBase) {
-			s.mu.Unlock()
-			s.reply(conn, MsgError, []byte(err.Error()))
-			return
-		}
-		// Sequence mismatch: demand a snapshot. The folded state is
-		// unchanged, so nothing to rebuild.
-		ack = DeltaAck{Resync: true, Seq: f.Seq(), GlobalVersion: s.version}
-	} else {
-		s.models[d.SiteID] = f.Model()
-		if stats != nil {
-			s.streams[d.SiteID] = *stats
-		}
-		s.scheduleRebuildLocked()
-		ack = DeltaAck{Seq: d.Seq, GlobalVersion: s.version}
-	}
+	s.scheduleRebuildLocked()
+	ack := DeltaAck{Seq: d.Seq, GlobalVersion: s.version}
 	s.mu.Unlock()
 	s.reply(conn, MsgDeltaAck, encodeDeltaAck(ack))
 }
 
 // storeAndRebuild replaces the site's model and recomputes the global
-// model from the newest model of every site. A full upload supersedes any
-// folded delta state for the site: the folder is dropped, so a later delta
-// from the same site gets a resync demand instead of applying against a
-// stale base.
+// model from the newest model of every site.
 func (s *UpdateServer) storeAndRebuild(m *model.LocalModel) (*model.GlobalModel, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.models[m.SiteID] = m
-	delete(s.folds, m.SiteID)
 	return s.rebuildLocked()
 }
 
@@ -296,9 +274,9 @@ func (s *UpdateServer) rebuildLocked() (*model.GlobalModel, error) {
 	return global, nil
 }
 
-// scheduleRebuildLocked requests a global rebuild after a delta fold. With
-// no debounce it runs immediately; otherwise folds arriving within the
-// debounce window coalesce into one rebuild. Caller holds s.mu.
+// scheduleRebuildLocked requests a global rebuild after a streaming upload.
+// With no debounce it runs immediately; otherwise uploads arriving within
+// the debounce window coalesce into one rebuild. Caller holds s.mu.
 func (s *UpdateServer) scheduleRebuildLocked() {
 	if s.debounce <= 0 {
 		s.rebuildLocked()

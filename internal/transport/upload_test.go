@@ -220,15 +220,15 @@ func TestStreamClientDeltaAfterEOF(t *testing.T) {
 	tracker := model.NewDeltaTracker()
 	m := localModelOf(t, "st-eof", blob(rng, 0, 0, 200))
 	pending := tracker.Delta(m)
-	if _, err := client.Upload(m, pending.Delta, nil); !errors.Is(err, io.EOF) {
+	if _, err := client.Upload(m, pending, nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("upload into a closed connection: err = %v, want EOF", err)
 	}
 	// The site's next change round uploads the same pending delta.
-	res, err := client.Upload(m, pending.Delta, nil)
+	res, err := client.Upload(m, pending, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeDelta || res.Resync || res.Seq != 1 {
+	if res.Mode != ModeDelta || res.Seq != 1 {
 		t.Fatalf("upload after the fault: %+v", res)
 	}
 	if types := dialer.firstTypes(); len(types) != 2 || types[0] != MsgModelDelta || types[1] != MsgModelDelta {
@@ -360,9 +360,9 @@ func TestUploadCapBindsEveryConnection(t *testing.T) {
 		srv.SetMaxUploadBytes(capBytes)
 		go srv.Serve(0)
 		client := &StreamClient{Addr: srv.Addr(), Timeout: 3 * time.Second}
-		_, err = client.Upload(m, model.NewDeltaTracker().Delta(m).Delta, nil)
+		_, err = client.Upload(m, model.NewDeltaTracker().Delta(m), nil)
 		if err == nil || !strings.Contains(err.Error(), namesCap) {
-			t.Fatalf("over-cap snapshot delta: %v", err)
+			t.Fatalf("over-cap delta: %v", err)
 		}
 	})
 
