@@ -47,10 +47,15 @@ bench-module:
 
 # Every static index is a permutation, spans and a descent (the internal/index
 # package comment): no per-query scratch to pool, nothing to materialise once.
-# Fails if a non-test file under internal/index mentions sync.Pool or sync.Once.
+# And every kind but the M-tree, the one metric-space index, has one query arm,
+# the store kernels. Fails if a non-test file under internal/index mentions
+# sync.Pool or sync.Once, or one outside internal/index/mtree calls a metric's
+# Distance.
 index-guard:
 	@! grep -rnE 'sync\.(Pool|Once)' --include='*.go' --exclude='*_test.go' internal/index \
 		|| { echo 'index-guard: sync.Pool or sync.Once under internal/index'; exit 1; }
+	@! grep -rnE '\.Distance\(' --include='*.go' --exclude='*_test.go' --exclude-dir=mtree internal/index \
+		|| { echo 'index-guard: a Metric.Distance call under internal/index outside mtree/'; exit 1; }
 
 # Every server runs one connection lifecycle, transport.ConnLoop
 # (internal/transport/loop.go): accept, one handler per connection, close when

@@ -448,7 +448,7 @@ func TestSingleSiteAgreesWithCentral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	lin, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, cfg.Local.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

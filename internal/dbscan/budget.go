@@ -67,9 +67,9 @@ func (s BudgetStats) CoverageFraction() float64 {
 // unbudgeted (or generously budgeted) site stays byte-identical to the
 // historical local model on the wire.
 //
-// pts are the clustered objects, index-aligned with res.Labels; metric is
-// the metric the clustering ran under.
-func BudgetScor(pts []geom.Point, res *Result, metric geom.Metric, budget int) (map[cluster.ID][]int, BudgetStats) {
+// pts are the clustered objects, index-aligned with res.Labels, clustered
+// under the Euclidean metric.
+func BudgetScor(pts []geom.Point, res *Result, budget int) (map[cluster.ID][]int, BudgetStats) {
 	stats := BudgetStats{Budget: budget}
 	if budget < 0 {
 		budget = 0
@@ -89,33 +89,30 @@ func BudgetScor(pts []geom.Point, res *Result, metric geom.Metric, budget int) (
 			// still need the coverage of the full candidate set.
 			selected = scor
 		} else {
-			selected = greedyCover(pts, res, metric, scor, members, budget)
+			selected = greedyCover(pts, res, scor, members, budget)
 		}
 		out[id] = selected
 		stats.Selected += len(selected)
-		stats.Covered += countCovered(pts, res, metric, selected, members)
+		stats.Covered += countCovered(pts, res, selected, members)
 	}
 	return out, stats
 }
 
 // covers reports whether specific core s covers object m under the
-// relabeling rule: dist(m, s) ≤ ε_s. Under the Euclidean metric the
-// comparison runs in squared space like RepSelector's, so budgeting counts
-// exactly the objects relabeling will keep.
-func covers(pts []geom.Point, res *Result, metric geom.Metric, s, m int) bool {
+// relabeling rule: dist(m, s) ≤ ε_s. The comparison runs in squared space
+// like RepSelector's, so budgeting counts exactly the objects relabeling will
+// keep.
+func covers(pts []geom.Point, res *Result, s, m int) bool {
 	eps := res.SpecificEps[s]
-	if _, ok := metric.(geom.Euclidean); ok {
-		return geom.SquaredEuclidean(pts[m], pts[s]) <= eps*eps
-	}
-	return metric.Distance(pts[m], pts[s]) <= eps
+	return geom.SquaredEuclidean(pts[m], pts[s]) <= eps*eps
 }
 
 // countCovered counts the members covered by at least one selected core.
-func countCovered(pts []geom.Point, res *Result, metric geom.Metric, selected, members []int) int {
+func countCovered(pts []geom.Point, res *Result, selected, members []int) int {
 	n := 0
 	for _, m := range members {
 		for _, s := range selected {
-			if covers(pts, res, metric, s, m) {
+			if covers(pts, res, s, m) {
 				n++
 				break
 			}
@@ -128,7 +125,7 @@ func countCovered(pts []geom.Point, res *Result, metric geom.Metric, selected, m
 // returned sequence is the greedy pick order: highest marginal coverage
 // first, row id breaking exact ties, stopping at the budget or when no
 // candidate adds coverage.
-func greedyCover(pts []geom.Point, res *Result, metric geom.Metric, scor, members []int, budget int) []int {
+func greedyCover(pts []geom.Point, res *Result, scor, members []int, budget int) []int {
 	// Candidates in ascending row id: the scan below takes the first
 	// maximum, which then is the lowest row id among ties regardless of the
 	// order the clustering stored them in.
@@ -141,7 +138,7 @@ func greedyCover(pts []geom.Point, res *Result, metric geom.Metric, scor, member
 	for ci, s := range cands {
 		var cov []int32
 		for mi, m := range members {
-			if covers(pts, res, metric, s, m) {
+			if covers(pts, res, s, m) {
 				cov = append(cov, int32(mi))
 			}
 		}

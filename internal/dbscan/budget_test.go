@@ -55,7 +55,6 @@ func budgetRun(t *testing.T, kind index.Kind, pts []geom.Point, workers int) *Re
 // Runs under -race in CI (the four-worker rows).
 func TestBudgetScorProperties(t *testing.T) {
 	pts := budgetDataset(42, 120)
-	metric := geom.Euclidean{}
 	for _, kind := range []index.Kind{
 		index.KindLinear, index.KindGrid, index.KindKDTree, index.KindRStar, index.KindMTree,
 	} {
@@ -77,7 +76,7 @@ func TestBudgetScorProperties(t *testing.T) {
 
 				prevCoverage := -1.0
 				for b := 1; b <= maxScor+1; b++ {
-					scor, stats := BudgetScor(pts, res, metric, b)
+					scor, stats := BudgetScor(pts, res, b)
 					// Property 1: the budget binds per cluster.
 					for id, sel := range scor {
 						if len(sel) > b {
@@ -119,7 +118,7 @@ func TestBudgetScorProperties(t *testing.T) {
 						})
 						perm.Scor[id] = shuffled
 					}
-					permScor, permStats := BudgetScor(pts, perm, metric, b)
+					permScor, permStats := BudgetScor(pts, perm, b)
 					if b <= maxScor { // identity path keeps the (permuted) input order by design
 						for id := range scor {
 							if len(res.Scor[id]) > b && !reflect.DeepEqual(scor[id], permScor[id]) {
@@ -137,7 +136,7 @@ func TestBudgetScorProperties(t *testing.T) {
 				// count is the identity — the exact slices, not copies in a
 				// different order.
 				for _, b := range []int{maxScor, maxScor + 7, 0} {
-					scor, stats := BudgetScor(pts, res, metric, b)
+					scor, stats := BudgetScor(pts, res, b)
 					if b != 0 && b < maxScor {
 						continue
 					}
@@ -179,7 +178,7 @@ func TestBudgetScorGreedyOptimalFirstPick(t *testing.T) {
 	if res.NumClusters() != 1 {
 		t.Fatalf("want one chain cluster, got %d", res.NumClusters())
 	}
-	scor, stats := BudgetScor(pts, res, geom.Euclidean{}, 1)
+	scor, stats := BudgetScor(pts, res, 1)
 	sel := scor[0]
 	if len(sel) != 1 {
 		t.Fatalf("B=1 selected %v", sel)
@@ -223,11 +222,11 @@ func TestBudgetScorEarlyStop(t *testing.T) {
 		t.Skip("no cluster with multiple candidates")
 	}
 	b := maxScor - 1 // force the greedy path on the largest cluster
-	scor, stats := BudgetScor(pts, res, geom.Euclidean{}, b)
+	scor, stats := BudgetScor(pts, res, b)
 	_ = scor
 	// Coverage at the early-stopped selection must equal coverage at the
 	// full candidate set: stopping early may never lose members.
-	_, full := BudgetScor(pts, res, geom.Euclidean{}, 0)
+	_, full := BudgetScor(pts, res, 0)
 	if stats.Covered > full.Covered {
 		t.Fatalf("budgeted coverage %d exceeds unbudgeted %d", stats.Covered, full.Covered)
 	}

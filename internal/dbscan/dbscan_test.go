@@ -3,6 +3,7 @@ package dbscan
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 func linearOf(pts []geom.Point) index.Index {
-	idx, err := index.NewLinear(pts, geom.Euclidean{})
+	idx, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -315,9 +316,9 @@ func TestRangeQueriesCounted(t *testing.T) {
 }
 
 // DBSCAN "can be used for all kinds of metric data spaces and is not
-// confined to vector spaces" (paper §4): running over an M-tree with the
-// Manhattan metric must reproduce the linear-scan result under the same
-// metric.
+// confined to vector spaces" (paper §4): Run over an M-tree under the
+// Manhattan metric, the one metric-space index, must reproduce the
+// brute-force rule of referenceRun over the same index.
 func TestMetricSpaceDBSCAN(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	pts := make([]geom.Point, 300)
@@ -325,29 +326,19 @@ func TestMetricSpaceDBSCAN(t *testing.T) {
 		pts[i] = geom.Point{rng.Float64() * 8, rng.Float64() * 8}
 	}
 	params := Params{Eps: 0.7, MinPts: 4}
-	lin, err := index.Build(index.KindLinear, pts, geom.Manhattan{}, params.Eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear, err := Run(lin, params, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mt, err := index.Build(index.KindMTree, pts, geom.Manhattan{}, params.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTree, err := Run(mt, params, Options{})
+	if index.StoreOf(mt) != nil {
+		t.Fatal("a Manhattan M-tree is store-backed; the metric arm is not under test")
+	}
+	viaTree, err := Run(mt, params, Options{CollectSpecificCores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pts {
-		if linear.Core[i] != viaTree.Core[i] {
-			t.Fatalf("core flags differ at %d", i)
-		}
-	}
-	if !linear.Labels.EquivalentTo(viaTree.Labels) {
-		t.Fatal("metric-space clustering differs between M-tree and linear scan")
+	if want := referenceRun(mt, params); !reflect.DeepEqual(viaTree, want) {
+		t.Fatal(describeDifference(viaTree, want))
 	}
 	// And the Manhattan clustering genuinely differs from Euclidean on the
 	// same parameters (diamond vs circular neighborhoods).
@@ -357,7 +348,7 @@ func TestMetricSpaceDBSCAN(t *testing.T) {
 	}
 	same := true
 	for i := range pts {
-		if euclid.Core[i] != linear.Core[i] {
+		if euclid.Core[i] != viaTree.Core[i] {
 			same = false
 			break
 		}

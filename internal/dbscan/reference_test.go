@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -138,20 +139,23 @@ func referenceRun(idx index.Index, params Params) *Result {
 // TestRunParallelDifferential holds Run to referenceRun — the whole Result,
 // field for field — across index kinds, worker counts and data shapes. The
 // shapes include the ones a partitioner would trip over — duplicates,
-// neighbors at exactly ε, 1-D and 8-D strides, non-finite coordinates, ε
-// covering the whole bounding box, fewer objects than a worker pool wants,
-// an index that exposes no store — because Run has no special case for any
-// of them. (The name predates the single body: it is the name the test
+// neighbors at exactly ε, 1-D and 8-D strides, ε covering the whole bounding
+// box, fewer objects than a worker pool wants, an index that exposes no
+// store — because Run has no special case for any of them. Non-finite
+// coordinates never reach Run: their rows hold every kind to refusing them
+// at build. (The name predates the single body: it is the name the test
 // floor knows the rows by.)
 func TestRunParallelDifferential(t *testing.T) {
 	type dataset struct {
 		name   string
 		pts    []geom.Point
 		params Params
-		kinds  []index.Kind // nil = every kind
 		// bare hands Run the index behind the plain Index interface: no
 		// store, no by-id fast path.
 		bare bool
+		// rejectedRow, when positive, is the first row of a dataset every
+		// kind must refuse at build, with an error naming that row.
+		rejectedRow int
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -227,11 +231,9 @@ func TestRunParallelDifferential(t *testing.T) {
 	)
 
 	// Degenerate geometry (again the seed and draw order of the suite these
-	// inputs come from). The non-finite datasets stay on the kd-tree and
-	// linear kinds: the indexes are only specified for finite data, and
-	// these two kinds degrade to plain scans. (A kd-tree built over a NaN
-	// coordinate can return asymmetric neighborhoods on other draws, which
-	// breaks DBSCAN whatever its schedule; on this input it does not.)
+	// inputs come from). The indexes are only specified for finite data, so
+	// the non-finite datasets are rows of another kind: every index kind
+	// refuses them at build, naming the row.
 	rng = rand.New(rand.NewSource(41))
 	nan := uniformPoints(rng, 200, 10)
 	nan[17] = geom.Point{math.NaN(), 3}
@@ -242,22 +244,25 @@ func TestRunParallelDifferential(t *testing.T) {
 	for i := range same {
 		same[i] = geom.Point{1.5, -2.5}
 	}
-	scanKinds := []index.Kind{index.KindLinear, index.KindKDTree}
 	datasets = append(datasets,
-		dataset{name: "nan-coord", pts: nan, params: Params{Eps: 0.5, MinPts: 4}, kinds: scanKinds},
-		dataset{name: "inf-coord", pts: inf, params: Params{Eps: 0.5, MinPts: 4}, kinds: scanKinds},
+		dataset{name: "nan-coord", pts: nan, params: Params{Eps: 0.5, MinPts: 4}, rejectedRow: 17},
+		dataset{name: "inf-coord", pts: inf, params: Params{Eps: 0.5, MinPts: 4}, rejectedRow: 3},
 		dataset{name: "eps-covers-bbox", pts: uniformPoints(rng, 300, 1), params: Params{Eps: 5, MinPts: 4}},
 		dataset{name: "all-identical", pts: same, params: Params{Eps: 0.5, MinPts: 4}},
 		dataset{name: "bare-index", pts: uniformPoints(rng, 800, 10), params: Params{Eps: 0.35, MinPts: 4}, bare: true},
 		dataset{name: "tiny", pts: uniformPoints(rng, 60, 10), params: Params{Eps: 0.5, MinPts: 3}},
 	)
 	for _, ds := range datasets {
-		kinds := ds.kinds
-		if kinds == nil {
-			kinds = index.Kinds()
-		}
-		for _, kind := range kinds {
+		for _, kind := range index.Kinds() {
 			idx, err := index.Build(kind, ds.pts, geom.Euclidean{}, ds.params.Eps)
+			if ds.rejectedRow > 0 {
+				t.Run(fmt.Sprintf("%s/%s", ds.name, kind), func(t *testing.T) {
+					if row := fmt.Sprintf("row %d", ds.rejectedRow); err == nil || !strings.Contains(err.Error(), row) {
+						t.Fatalf("build: err = %v, want a refusal naming %s", err, row)
+					}
+				})
+				continue
+			}
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", ds.name, kind, err)
 			}

@@ -11,7 +11,7 @@ package geom
 // The bit-identity contract, stated once:
 //
 //   - Within a build, every entry point — Euclidean.DistanceSq, the Store
-//     one-row kernels, DistanceSqBatch, DistanceSqInterval — runs the same
+//     one-row kernels, DistanceSqBatch — runs the same
 //     shared noinline kernel body for a given stride, so batched and
 //     one-at-a-time results are identical bits for ANY input, NaN payloads
 //     and infinities included. FuzzStoreDistanceSq and FuzzDistanceSqBatch
@@ -89,26 +89,6 @@ func (s *Store) DistanceSqBatch(q Point, ids []int, out []float64) []float64 {
 		panic("geom: batch query point longer than store stride")
 	}
 	batchKernel(s.buf, s.dim, q, ids, out)
-	return out
-}
-
-// DistanceSqInterval is DistanceSqBatch over the consecutive row interval
-// [lo, lo+len(out)): out[k] = DistanceSqTo(lo+k, q). It is the linear-scan
-// shape — no id gather, the rows stream in layout order.
-func (s *Store) DistanceSqInterval(q Point, lo int, out []float64) []float64 {
-	if debugChecks {
-		s.mustIndex(lo)
-		if len(out) > 0 {
-			s.mustIndex(lo + len(out) - 1)
-		}
-		if s.Len() > 0 {
-			mustSameDim(q, s.Point(0))
-		}
-	}
-	if len(q) > s.dim {
-		panic("geom: interval query point longer than store stride")
-	}
-	intervalKernel(s.buf, s.dim, q, lo, out)
 	return out
 }
 

@@ -29,9 +29,9 @@ import "slices"
 // removes that freedom. For non-NaN operands (infinities, subnormals,
 // signed zeros included) the result is operand-order-independent, so the
 // dispatch is also bit-identical to the separately compiled distSqScalar
-// and intervalKernel everywhere it matters; NaN payloads are the documented
-// exception, and they cannot influence clustering — a NaN distance fails
-// every ≤ eps² test and never wins a max-fold.
+// everywhere it matters; NaN payloads are the documented exception, and they
+// cannot influence clustering — a NaN distance fails every ≤ eps² test and
+// never wins a max-fold.
 //
 // Build with -tags dbdc_scalar_kernels to replace this dispatch with the
 // plain scalar loop for every stride — the differential twin: any output
@@ -322,79 +322,4 @@ func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, ep
 		}
 	}
 	return out[:k]
-}
-
-// intervalKernel is batchKernel over the consecutive rows [lo, lo+len(out)):
-// the base offset advances by the stride instead of gathering by id, so the
-// linear scan streams the backing array in layout order. It is a separate
-// compiled body, so its NaN payloads may differ from batchKernel's (results
-// agree bit for bit on all non-NaN outcomes).
-func intervalKernel(buf []float64, stride int, q []float64, lo int, out []float64) {
-	base := lo * stride
-	switch len(q) {
-	case 2:
-		q0, q1 := q[0], q[1]
-		for k := range out {
-			b := buf[base : base+2]
-			var sum float64
-			d0 := q0 - b[0]
-			sum += d0 * d0
-			d1 := q1 - b[1]
-			sum += d1 * d1
-			out[k] = sum
-			base += stride
-		}
-	case 3:
-		q0, q1, q2 := q[0], q[1], q[2]
-		for k := range out {
-			b := buf[base : base+3]
-			var sum float64
-			d0 := q0 - b[0]
-			sum += d0 * d0
-			d1 := q1 - b[1]
-			sum += d1 * d1
-			d2 := q2 - b[2]
-			sum += d2 * d2
-			out[k] = sum
-			base += stride
-		}
-	case 4:
-		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-		for k := range out {
-			b := buf[base : base+4]
-			var sum float64
-			d0 := q0 - b[0]
-			sum += d0 * d0
-			d1 := q1 - b[1]
-			sum += d1 * d1
-			d2 := q2 - b[2]
-			sum += d2 * d2
-			d3 := q3 - b[3]
-			sum += d3 * d3
-			out[k] = sum
-			base += stride
-		}
-	default:
-		for k := range out {
-			b := buf[base : base+len(q)]
-			var sum float64
-			i := 0
-			for ; i+4 <= len(q); i += 4 {
-				d0 := q[i] - b[i]
-				sum += d0 * d0
-				d1 := q[i+1] - b[i+1]
-				sum += d1 * d1
-				d2 := q[i+2] - b[i+2]
-				sum += d2 * d2
-				d3 := q[i+3] - b[i+3]
-				sum += d3 * d3
-			}
-			for ; i < len(q); i++ {
-				d := q[i] - b[i]
-				sum += d * d
-			}
-			out[k] = sum
-			base += stride
-		}
-	}
 }

@@ -50,12 +50,3 @@ func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, ep
 	}
 	return out
 }
-
-// intervalKernel applies the shared scalar kernel over consecutive rows.
-func intervalKernel(buf []float64, stride int, q []float64, lo int, out []float64) {
-	base := lo * stride
-	for k := range out {
-		out[k] = distSqScalar(q, buf[base:base+len(q)])
-		base += stride
-	}
-}

@@ -152,28 +152,6 @@ func TestDistanceSqBatchPrefixAndPanic(t *testing.T) {
 	st.DistanceSqBatch(Point{0, 0, 0, 0}, []int{0}, out)
 }
 
-// TestDistanceSqInterval pins the streaming interval kernel to the one-row
-// kernel over every block boundary of VerifyIntervalSq's blocked scan.
-func TestDistanceSqInterval(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	pts := make([]Point, 1200) // > 2×verifyBlock: exercises full and partial blocks
-	for i := range pts {
-		pts[i] = Point{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	st, err := FromPoints(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Point{0.25, -0.5}
-	out := make([]float64, 700)
-	got := st.DistanceSqInterval(q, 100, out)
-	for k := range got {
-		if want := st.DistanceSqTo(100+k, q); !bitsEq(got[k], want) {
-			t.Fatalf("interval[%d] = %v, DistanceSqTo(%d) = %v", k, got[k], 100+k, want)
-		}
-	}
-}
-
 // TestVerifyRangeSq checks the fused verification step against the direct
 // per-id threshold test: same member set, cand order preserved.
 func TestVerifyRangeSq(t *testing.T) {
@@ -248,8 +226,8 @@ func TestVerifyIntervalSq(t *testing.T) {
 // FuzzDistanceSqBatch fuzzes the batched-vs-scalar bit-identity contract
 // over raw coordinate bits and strides 1..5 (odd strides take the generic
 // tail path, 2/3/4 the unrolled bodies): three rows and a query are built
-// from the fuzzed values, and DistanceSqBatch / DistanceSqInterval must
-// agree with one-at-a-time DistanceSqTo bit for bit on every row — NaN
+// from the fuzzed values, and DistanceSqBatch must agree with one-at-a-time
+// DistanceSqTo bit for bit on every row — NaN
 // payloads and infinities included (same shared kernel body, so no
 // latitude) — and with the scalar reference kernel up to NaN payload
 // (separately compiled body; see bitsEqOrBothNaN).
@@ -287,13 +265,6 @@ func FuzzDistanceSqBatch(f *testing.F) {
 			if ref := distSqScalar(q, pts[id]); !bitsEqOrBothNaN(got[k], ref) {
 				t.Fatalf("dim %d: batch[%d] (id %d) = %x, scalar reference = %x",
 					dim, k, id, math.Float64bits(got[k]), math.Float64bits(ref))
-			}
-		}
-		ivl := st.DistanceSqInterval(q, 0, make([]float64, 3))
-		for i := 0; i < 3; i++ {
-			if want := st.DistanceSqTo(i, q); !bitsEq(ivl[i], want) {
-				t.Fatalf("dim %d: interval[%d] = %x, DistanceSqTo = %x",
-					dim, i, math.Float64bits(ivl[i]), math.Float64bits(want))
 			}
 		}
 	})

@@ -22,7 +22,7 @@ func checkSurvivorsAgainstBatch(t *testing.T, c *Clusterer) {
 			live = append(live, i)
 		}
 	}
-	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	lin, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, c.Params().Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func checkFromCores(t *testing.T, c *Clusterer) {
 			pts, core, live = append(pts, c.Point(i)), append(core, c.IsCore(i)), append(live, labels[i])
 		}
 	}
-	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	lin, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, c.Params().Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 func checkAgainstBatch(t *testing.T, c *Clusterer, pts []geom.Point) {
 	t.Helper()
 	params := c.Params()
-	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	lin, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, params.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,10 @@ import (
 // their integer coordinates, lexicographically, and each owns a span of one id
 // permutation, its ids ascending. A query walks the occupied cells within
 // reach axis by axis (see walk), so it costs the cells that hold points, never
-// the empty positions between them. Candidate distances are verified with the
-// configured metric, so the grid is exact for every Minkowski metric (any
-// metric where a per-coordinate difference lower-bounds the distance).
+// the empty positions between them, and verifies each reached cell's span on
+// the strided Store kernels in squared space.
 type Grid struct {
-	pts      []geom.Point
-	metric   geom.Metric
+	store    *geom.Store
 	cellSize float64
 	dim      int
 	// origin anchors cell coordinates so negative coordinates stay stable.
@@ -29,10 +27,6 @@ type Grid struct {
 	perm  []int
 	keys  []int64
 	spans []span
-	// store is the flat backing store of a Euclidean index, nil under any
-	// other metric: candidate verification then runs on the strided Store
-	// kernels by candidate id.
-	store *geom.Store
 }
 
 // span is the run of a permutation one cell owns.
@@ -47,48 +41,28 @@ type span struct{ first, count int32 }
 // on real data (and admitting a cell is only a wasted visit, never an error).
 const gridPruneSlack = 1e-12
 
-// NewGrid builds a grid index with cells sized to the intended query radius
-// eps. Queries with a radius larger than eps remain correct; they visit more
-// occupied cells — every one of them at worst, a full scan — but never an
-// empty one. eps must be positive and the points of one uniform
-// dimensionality. A nil metric defaults to Euclidean, under which pts are
-// copied once into a flat store (see NewGridStore); under any other metric
-// the point slice is retained.
-func NewGrid(pts []geom.Point, metric geom.Metric, eps float64) (*Grid, error) {
-	st, err := storeFor(pts, metric)
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		return NewGridStore(st, metric, eps)
-	}
-	return buildGrid(pts, metric, nil, eps)
-}
-
-// NewGridStore builds a grid index over the points of a flat store. Point(i)
-// serves zero-copy views into it; under the Euclidean metric the store is
-// retained and candidate verification runs on the strided Store kernels.
-func NewGridStore(st *geom.Store, metric geom.Metric, eps float64) (*Grid, error) {
-	metric, kept := retained(st, metric)
-	return buildGrid(st.Views(), metric, kept, eps)
-}
-
-// buildGrid sorts the ids of pts (of validated uniform dimensionality) by
-// their cell coordinates, lexicographically, ties in id order, and cuts the
-// result into one span per cell.
-func buildGrid(pts []geom.Point, metric geom.Metric, st *geom.Store, eps float64) (*Grid, error) {
+// NewGridStore builds a grid index over the points of a flat store, which it
+// retains, with cells sized to the intended query radius eps. Queries with a
+// radius larger than eps remain correct; they visit more occupied cells —
+// every one of them at worst, a full scan — but never an empty one. eps must
+// be positive and finite. The build sorts the ids by their cell coordinates,
+// lexicographically, ties in id order, and cuts the result into one span per
+// cell.
+func NewGridStore(st *geom.Store, eps float64) (*Grid, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, errors.New("index: grid cell size must be a positive finite number")
 	}
-	g := &Grid{pts: pts, metric: metric, store: st, cellSize: eps}
-	if len(pts) == 0 {
+	g := &Grid{store: st, cellSize: eps}
+	n := st.Len()
+	if n == 0 {
 		return g, nil
 	}
-	dim := pts[0].Dim()
-	g.dim, g.origin = dim, pts[0].Clone()
-	coords := make([]int64, len(pts)*dim)
-	g.perm = make([]int, len(pts))
-	for i, p := range pts {
+	dim := st.Dim()
+	g.dim, g.origin = dim, st.Point(0).Clone()
+	coords := make([]int64, n*dim)
+	g.perm = make([]int, n)
+	for i := range n {
+		p := st.Point(i)
 		for d := range dim {
 			coords[i*dim+d] = g.cellOf(p, d)
 		}
@@ -115,13 +89,13 @@ func buildGrid(pts []geom.Point, metric geom.Metric, st *geom.Store, eps float64
 func (g *Grid) Store() *geom.Store { return g.store }
 
 // Len implements Index.
-func (g *Grid) Len() int { return len(g.pts) }
+func (g *Grid) Len() int { return g.store.Len() }
 
 // Point implements Index.
-func (g *Grid) Point(i int) geom.Point { return g.pts[i] }
+func (g *Grid) Point(i int) geom.Point { return g.store.Point(i) }
 
 // Metric implements Index.
-func (g *Grid) Metric() geom.Metric { return g.metric }
+func (g *Grid) Metric() geom.Metric { return geom.Euclidean{} }
 
 // CellCount returns the number of non-empty grid cells (exposed for tests
 // and diagnostics).
@@ -140,7 +114,7 @@ func (g *Grid) Range(q geom.Point, eps float64) []int {
 // RangeAppendID implements IDRangeAppender: the query point is addressed by
 // object id, sparing the caller an interface Point round-trip per query.
 func (g *Grid) RangeAppendID(i int, eps float64, buf []int) []int {
-	return g.RangeAppend(g.pts[i], eps, buf)
+	return g.RangeAppend(g.store.Point(i), eps, buf)
 }
 
 // RangeAppend implements RangeAppender. The walk keeps its state on the
@@ -148,7 +122,7 @@ func (g *Grid) RangeAppendID(i int, eps float64, buf []int) []int {
 // radius finds nothing.
 func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]
-	if len(g.pts) == 0 || !(eps >= 0) {
+	if len(g.spans) == 0 || !(eps >= 0) {
 		return out
 	}
 	// A point within eps of q differs by at most eps per coordinate, hence
@@ -166,13 +140,11 @@ func (g *Grid) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 // search, and passes through the cell-prune test before the walk enters it:
 // the per-axis gap from q to the cell's interval on d, retreated by an FP
 // slack covering every rounding in the cell-assignment and distance chains,
-// rules the run out when it exceeds eps under every supported metric (the
-// per-coordinate difference lower-bounds each Minkowski distance); under
-// Euclidean, gapSq sums the squared gaps in ascending axis order and rules a
-// run out once it exceeds eps², which prunes the diagonal cells too. A sum of
-// non-negative terms never rounds below a partial sum, so pruning a run on
-// the partial sum prunes exactly the cells the whole sum prunes, and only
-// cells no passing candidate can occupy.
+// rules the run out when it exceeds eps; gapSq sums the squared gaps in
+// ascending axis order and rules a run out once it exceeds eps², which prunes
+// the diagonal cells too. A sum of non-negative terms never rounds below a
+// partial sum, so pruning a run on the partial sum prunes exactly the cells
+// the whole sum prunes, and only cells no passing candidate can occupy.
 func (g *Grid) walk(q geom.Point, d, lo, hi int, reach, eps, eps2, gapSq float64, out []int) []int {
 	c, from, to := g.cellOf(q, d), int64(math.MinInt64), int64(math.MaxInt64)
 	if reach < 1<<62 { // a wider reach, or one that wraps, is unbounded
@@ -213,22 +185,15 @@ func (g *Grid) walk(q geom.Point, d, lo, hi int, reach, eps, eps2, gapSq float64
 			}
 		}
 		switch {
-		case gap > eps || g.store != nil && sum > eps2:
+		case gap > eps || sum > eps2:
 		case d < g.dim-1:
 			out = g.walk(q, d+1, lo, end, reach, eps, eps2, sum, out)
-		case g.store != nil:
+		default:
 			// The cell's span IS the candidate batch: one fused kernel sweep
 			// per cell, identical decisions to testing DistanceSqTo(i, q) one
 			// id at a time, span order preserved.
 			s := g.spans[lo]
 			out = g.store.VerifyRangeSq(q, g.perm[s.first:s.first+s.count], eps2, out)
-		default:
-			s := g.spans[lo]
-			for _, i := range g.perm[s.first : s.first+s.count] {
-				if g.metric.Distance(q, g.pts[i]) <= eps {
-					out = append(out, i)
-				}
-			}
 		}
 		lo = end
 	}

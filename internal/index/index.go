@@ -4,6 +4,12 @@
 // R*-tree, M-tree) is interchangeable; the paper's DBSCAN uses an R*-tree
 // for vector data and an M-tree for general metric data.
 //
+// Every index is built over a geom.Store by BuildStore, the one place input
+// is checked. Linear scan, grid, kd-tree and R*-tree are Euclidean-only: each
+// has one query arm, a descent over its store verified in squared space by
+// the strided kernels. The M-tree is the one metric-space index: under any
+// other metric it verifies through Metric.Distance.
+//
 // Every static kind follows one rule: a static store-backed index is a
 // permutation plus spans plus a descent. The build lays the ids out once in
 // one permutation and gives each leaf (bucket, cell) a span of it; a query
@@ -16,8 +22,11 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/index/mtree"
+	"github.com/dbdc-go/dbdc/internal/index/rstar"
 )
 
 // Index answers ε-range queries over a fixed point set. Implementations are
@@ -116,17 +125,16 @@ func RangeIntoIDUnseen(idx Index, i int, eps float64, enough int, unseen []int32
 // StoreBacked is implemented by every static index kind. Store returns the
 // flat geom.Store the index answers Euclidean queries from — the clustering
 // layers then run their point-vs-point comparisons through the strided
-// kernels by id — and nil when there is none: the metric is not Euclidean.
+// kernels by id — and nil when there is none: an M-tree under another metric.
 // The dynamic R*-tree does not implement it: its rows include slots it has
 // deleted.
 type StoreBacked interface {
 	Store() *geom.Store
 }
 
-// StoreOf returns the backing store of idx, or nil. A store is only ever
-// retained under the Euclidean metric (the strided kernels are
-// Euclidean-only), so a non-nil result licenses substituting them for
-// Metric().Distance.
+// StoreOf returns the backing store of idx, or nil. Only a Euclidean index
+// has one (the strided kernels are Euclidean-only), so a non-nil result
+// licenses substituting them for Metric().Distance.
 func StoreOf(idx Index) *geom.Store {
 	if sb, ok := idx.(StoreBacked); ok {
 		return sb.Store()
@@ -157,108 +165,49 @@ func isEuclidean(m geom.Metric) bool {
 	return ok || m == nil
 }
 
-// retained returns what an index built over st under metric keeps: the store
-// only under the Euclidean metric — the strided kernels are Euclidean-only —
-// which a nil metric defaults to.
-func retained(st *geom.Store, metric geom.Metric) (geom.Metric, *geom.Store) {
-	if isEuclidean(metric) {
-		return geom.Euclidean{}, st
-	}
-	return metric, nil
-}
-
-// storeFor is where "Euclidean ⇒ store-backed" is enforced for builds from a
-// point slice: under the Euclidean (or nil) metric pts are copied once into
-// a flat store, and the caller goes through the store builder of its kind.
-// An empty set has no stride to infer and gets stride 1, which nothing reads
-// from a store without rows. Any other metric keeps the slice (nil store)
-// after the one-time dimensionality validation that lets the distance
-// kernels skip their per-call checks (re-enable them with -tags
-// dbdc_debugchecks).
-func storeFor(pts []geom.Point, metric geom.Metric) (*geom.Store, error) {
-	if isEuclidean(metric) {
-		if len(pts) == 0 {
-			return geom.NewStore(1, 0), nil
-		}
-		return geom.FromPoints(pts)
-	}
-	for i, p := range pts {
-		if p.Dim() == 0 || p.Dim() != pts[0].Dim() {
-			return nil, fmt.Errorf("index: point %d has dimension %d, want a uniform positive dimensionality (%d)", i, p.Dim(), pts[0].Dim())
-		}
-	}
-	return nil, nil
-}
-
-// Builder constructs an index over the given points, of validated uniform
-// dimensionality, under a non-Euclidean metric (Build routes Euclidean input
-// to the StoreBuilder of the kind). Grid-based builders use epsHint (the
-// intended query radius) to size their cells; others ignore it.
-type Builder func(pts []geom.Point, metric geom.Metric, epsHint float64) (Index, error)
-
-// StoreBuilder constructs an index over a flat point store. Store-backed
-// builds serve Point(i) as zero-copy views into the store and, under the
-// Euclidean metric, verify range candidates through the strided kernels — no
-// point is re-cloned on the way into the index.
-type StoreBuilder func(st *geom.Store, metric geom.Metric, epsHint float64) (Index, error)
-
-var builders = map[Kind]Builder{}
-var storeBuilders = map[Kind]StoreBuilder{}
-
-// RegisterBuilder installs the builder for a kind. The concrete index
-// packages (rstar, mtree) register themselves via their Install helpers to
-// avoid import cycles; the in-package indexes are registered at init.
-func RegisterBuilder(kind Kind, b Builder) { builders[kind] = b }
-
-// RegisterStoreBuilder installs the store-backed builder for a kind.
-func RegisterStoreBuilder(kind Kind, b StoreBuilder) { storeBuilders[kind] = b }
-
-// Build constructs an index of the requested kind over pts. Euclidean (or
-// nil-metric) input is copied once into a geom.Store and built by BuildStore,
-// so central and distributed clusterings run the same kernels; the slice
-// builders serve the other metrics only.
+// Build constructs an index of the requested kind over pts, copied once into
+// a geom.Store and built by BuildStore. An empty set has no stride to infer
+// and gets stride 1, which nothing reads from a store without rows; mixed or
+// zero dimensionality is an error.
 func Build(kind Kind, pts []geom.Point, metric geom.Metric, epsHint float64) (Index, error) {
-	st, err := storeFor(pts, metric)
-	if err != nil {
-		return nil, err
+	st := geom.NewStore(1, 0)
+	if len(pts) > 0 {
+		var err error
+		if st, err = geom.FromPoints(pts); err != nil {
+			return nil, err
+		}
 	}
-	if st != nil {
-		return BuildStore(kind, st, metric, epsHint)
-	}
-	b, ok := builders[kind]
-	if !ok {
-		return nil, fmt.Errorf("index: kind %q has no builder for the %s metric", kind, metric.Name())
-	}
-	return b(pts, metric, epsHint)
+	return BuildStore(kind, st, metric, epsHint)
 }
 
 // BuildStore constructs an index of the requested kind over a flat point
-// store.
+// store. The M-tree takes any metric; every other kind answers under the
+// Euclidean metric only, which a nil metric defaults to. The grid sizes its
+// cells and the R*-tree its leaf links to epsHint, the intended query radius;
+// the other kinds ignore it. A store holding a NaN or ±Inf coordinate is
+// refused, with the row named: no kind is specified for such input.
 func BuildStore(kind Kind, st *geom.Store, metric geom.Metric, epsHint float64) (Index, error) {
-	b, ok := storeBuilders[kind]
-	if !ok {
-		return nil, fmt.Errorf("index: no builder registered for kind %q", kind)
+	if !st.IsFinite() {
+		for i := range st.Len() {
+			if p := st.Point(i); !p.IsFinite() {
+				return nil, fmt.Errorf("index: non-finite point %v at row %d", p, i)
+			}
+		}
 	}
-	return b(st, metric, epsHint)
-}
-
-func init() {
-	RegisterBuilder(KindLinear, func(pts []geom.Point, m geom.Metric, _ float64) (Index, error) {
-		return &Linear{pts: pts, metric: m}, nil
-	})
-	RegisterBuilder(KindGrid, func(pts []geom.Point, m geom.Metric, eps float64) (Index, error) {
-		return buildGrid(pts, m, nil, eps)
-	})
-	RegisterBuilder(KindKDTree, func(pts []geom.Point, m geom.Metric, _ float64) (Index, error) {
-		return buildKDTree(pts, m, nil), nil
-	})
-	RegisterStoreBuilder(KindLinear, func(st *geom.Store, m geom.Metric, _ float64) (Index, error) {
-		return NewLinearStore(st, m), nil
-	})
-	RegisterStoreBuilder(KindGrid, func(st *geom.Store, m geom.Metric, eps float64) (Index, error) {
-		return NewGridStore(st, m, eps)
-	})
-	RegisterStoreBuilder(KindKDTree, func(st *geom.Store, m geom.Metric, _ float64) (Index, error) {
-		return NewKDTreeStore(st, m), nil
-	})
+	switch {
+	case kind == KindMTree:
+		return mtree.NewFromStore(st, metric)
+	case !slices.Contains(Kinds(), kind):
+		return nil, fmt.Errorf("index: unknown kind %q", kind)
+	case !isEuclidean(metric):
+		return nil, fmt.Errorf("index: the %s index supports only the Euclidean metric, not %s; use the M-tree for general metrics", kind, metric.Name())
+	case kind == KindLinear:
+		return NewLinearStore(st), nil
+	case kind == KindGrid:
+		return NewGridStore(st, epsHint)
+	case kind == KindKDTree:
+		return NewKDTreeStore(st), nil
+	default:
+		return rstar.NewBulkStore(st, rstar.DefaultMaxEntries, epsHint)
+	}
 }

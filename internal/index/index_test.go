@@ -1,9 +1,11 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,14 +24,18 @@ func randomPoints(rng *rand.Rand, n, dim int) []geom.Point {
 	return pts
 }
 
-// mustLinear builds the exhaustive-scan reference index.
-func mustLinear(t *testing.T, pts []geom.Point, m geom.Metric) *Linear {
+// mustGrid builds a grid over a store copy of pts with cells of edge eps.
+func mustGrid(t *testing.T, pts []geom.Point, eps float64) *Grid {
 	t.Helper()
-	l, err := NewLinear(pts, m)
+	st, err := geom.FromPoints(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l
+	g, err := NewGridStore(st, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // oracleRange is the O(n) Euclidean reference no index code takes part in:
@@ -73,9 +79,23 @@ func TestBuildUnknownKind(t *testing.T) {
 	}
 }
 
+// TestRStarRejectsNonEuclidean: every kind but the M-tree — linear scan,
+// grid, kd-tree and R*-tree — answers under the Euclidean metric only, and
+// refuses any other from Build and BuildStore alike with an error naming the
+// kind.
 func TestRStarRejectsNonEuclidean(t *testing.T) {
-	if _, err := Build(KindRStar, nil, geom.Manhattan{}, 1); err == nil {
-		t.Fatal("R*-tree must reject non-Euclidean metrics")
+	st := testStore(50, 3)
+	for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree, KindRStar} {
+		for _, m := range []geom.Metric{geom.Manhattan{}, geom.Chebyshev{}, geom.Minkowski{P: 3}} {
+			t.Run(fmt.Sprintf("%s/%s", kind, m.Name()), func(t *testing.T) {
+				if _, err := BuildStore(kind, st, m, 1); err == nil || !strings.Contains(err.Error(), string(kind)) {
+					t.Fatalf("BuildStore: err = %v, want a refusal naming %s", err, kind)
+				}
+				if _, err := Build(kind, nil, m, 1); err == nil {
+					t.Fatal("Build over an empty set accepted the metric")
+				}
+			})
+		}
 	}
 }
 
@@ -115,10 +135,7 @@ func TestRangeAgreesWithLinear(t *testing.T) {
 func TestGridRangeLargerThanCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randomPoints(rng, 300, 2)
-	g, err := NewGrid(pts, geom.Euclidean{}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGrid(t, pts, 0.5)
 	for trial := 0; trial < 20; trial++ {
 		q := pts[rng.Intn(len(pts))]
 		eps := 2.0 + rng.Float64()*3
@@ -133,10 +150,7 @@ func TestGridRangeLargerThanCell(t *testing.T) {
 // which the odometer walk this grid used to run took over 10 s to count off
 // for three points.
 func TestGridWideQueryIsBounded(t *testing.T) {
-	g, err := NewGrid([]geom.Point{{0, 0, 0}, {1, 1, 1}, {2, 2, 2}}, nil, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGrid(t, []geom.Point{{0, 0, 0}, {1, 1, 1}, {2, 2, 2}}, 0.01)
 	done := make(chan []int, 1)
 	go func() { done <- g.Range(geom.Point{0, 0, 0}, 5) }()
 	select {
@@ -149,27 +163,27 @@ func TestGridWideQueryIsBounded(t *testing.T) {
 	}
 }
 
-// Property: index kinds agree with linear also under Manhattan and Chebyshev
-// metrics (metric-capable kinds only).
+// Property: the M-tree, the one metric-space index, returns exactly the
+// brute-force ε-neighborhood under Manhattan, Chebyshev and Minkowski-3.
 func TestRangeNonEuclideanMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	metrics := []geom.Metric{geom.Manhattan{}, geom.Chebyshev{}}
-	kinds := []Kind{KindLinear, KindGrid, KindKDTree, KindMTree}
+	metrics := []geom.Metric{geom.Manhattan{}, geom.Chebyshev{}, geom.Minkowski{P: 3}}
 	for _, m := range metrics {
-		for _, kind := range kinds {
-			pts := randomPoints(rng, 200, 2)
-			oracle := mustLinear(t, pts, m)
-			idx, err := Build(kind, pts, m, 1.0)
-			if err != nil {
-				t.Fatalf("Build(%s, %s): %v", kind, m.Name(), err)
-			}
-			for q := 0; q < 20; q++ {
-				query := pts[rng.Intn(len(pts))]
-				want := sortedInts(oracle.Range(query, 1.0))
-				got := sortedInts(idx.Range(query, 1.0))
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: Range mismatch", kind, m.Name())
+		pts := randomPoints(rng, 200, 2)
+		idx, err := Build(KindMTree, pts, m, 1.0)
+		if err != nil {
+			t.Fatalf("Build(%s, %s): %v", KindMTree, m.Name(), err)
+		}
+		for q := 0; q < 20; q++ {
+			query := pts[rng.Intn(len(pts))]
+			var want []int
+			for i, p := range pts {
+				if m.Distance(query, p) <= 1.0 {
+					want = append(want, i)
 				}
+			}
+			if got := sortedInts(idx.Range(query, 1.0)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: Range = %v, brute force %v", KindMTree, m.Name(), got, want)
 			}
 		}
 	}
@@ -221,26 +235,23 @@ func TestDuplicatePoints(t *testing.T) {
 }
 
 func TestGridValidation(t *testing.T) {
-	if _, err := NewGrid(nil, nil, 0); err == nil {
+	if _, err := NewGridStore(geom.NewStore(1, 0), 0); err == nil {
 		t.Error("cell size 0 must be rejected")
 	}
-	if _, err := NewGrid(nil, nil, -1); err == nil {
+	if _, err := NewGridStore(geom.NewStore(1, 0), -1); err == nil {
 		t.Error("negative cell size must be rejected")
 	}
-	if _, err := NewGrid([]geom.Point{{1}, {1, 2}}, nil, 1); err == nil {
+	if _, err := Build(KindGrid, []geom.Point{{1}, {1, 2}}, nil, 1); err == nil {
 		t.Error("mixed dimensionality must be rejected")
 	}
-	if _, err := NewKDTree([]geom.Point{{1}, {1, 2}}, nil); err == nil {
+	if _, err := Build(KindKDTree, []geom.Point{{1}, {1, 2}}, nil, 1); err == nil {
 		t.Error("kdtree: mixed dimensionality must be rejected")
 	}
 }
 
 func TestGridCellCount(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {0.1, 0.1}, {10, 10}}
-	g, err := NewGrid(pts, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGrid(t, pts, 1)
 	if got := g.CellCount(); got != 2 {
 		t.Errorf("CellCount = %d, want 2", got)
 	}
@@ -250,10 +261,7 @@ func TestGridCellCount(t *testing.T) {
 // floor, not truncation).
 func TestGridNegativeCoordinates(t *testing.T) {
 	pts := []geom.Point{{-0.5, -0.5}, {0.5, 0.5}, {-1.4, -1.4}}
-	g, err := NewGrid(pts, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGrid(t, pts, 1)
 	got := sortedInts(g.Range(geom.Point{-0.5, -0.5}, 1.5))
 	want := oracleRange(pts, geom.Point{-0.5, -0.5}, 1.5)
 	if !reflect.DeepEqual(got, want) {

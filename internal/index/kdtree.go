@@ -16,14 +16,13 @@ const kdLeafSize = 16
 // KDTree is a static bucketed k-d tree built by median splits (quickselect,
 // not a full sort — O(n) per level). Internal nodes carry only the split
 // plane; all points live in leaf buckets, stored as contiguous ranges of one
-// build permutation. Pruning uses only per-axis coordinate differences,
-// which lower-bound every Minkowski distance, so the tree answers exact
-// range queries for any Lp metric.
+// build permutation. A query descends the split planes, gates each leaf on
+// its bounding box and verifies the bucket on the strided Store kernels in
+// squared space.
 type KDTree struct {
-	pts    []geom.Point
-	metric geom.Metric
-	dim    int
-	nodes  []kdNode
+	store *geom.Store
+	dim   int
+	nodes []kdNode
 	// order is the build permutation; leaf node i owns order[left:right).
 	// Kept as []int so a leaf bucket slices directly into the batched
 	// verification call — no per-query id copying.
@@ -35,10 +34,6 @@ type KDTree struct {
 	// path gaps, since a node's box is contained in its descent region.
 	bounds []float64
 	root   int32
-	// store is the flat backing store of a Euclidean tree, nil under any
-	// other metric: the range search then verifies each visited leaf bucket
-	// through the batched Store kernel.
-	store *geom.Store
 }
 
 // kdNode is either an internal split (axis >= 0: split plane, left/right are
@@ -50,43 +45,22 @@ type kdNode struct {
 	axis        int8
 }
 
-// NewKDTree builds a k-d tree over pts, which must share one dimensionality.
-// A nil metric defaults to Euclidean, under which pts are copied once into a
-// flat store (see NewKDTreeStore); under any other metric the slice is
-// retained, not copied.
-func NewKDTree(pts []geom.Point, metric geom.Metric) (*KDTree, error) {
-	st, err := storeFor(pts, metric)
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		return NewKDTreeStore(st, metric), nil
-	}
-	return buildKDTree(pts, metric, nil), nil
-}
-
-// NewKDTreeStore builds a k-d tree over the points of a flat store. Point(i)
-// serves zero-copy views into it; under the Euclidean metric the store is
-// retained and the range search verifies candidates through the batched
-// Store kernels.
-func NewKDTreeStore(st *geom.Store, metric geom.Metric) *KDTree {
-	metric, kept := retained(st, metric)
-	return buildKDTree(st.Views(), metric, kept)
-}
-
-// buildKDTree builds the tree over pts (of validated uniform dimensionality).
-func buildKDTree(pts []geom.Point, metric geom.Metric, st *geom.Store) *KDTree {
-	t := &KDTree{pts: pts, metric: metric, store: st, root: -1}
-	if len(pts) == 0 {
+// NewKDTreeStore builds a k-d tree over the points of a flat store, which it
+// retains: Point(i) serves zero-copy views into it and the range search
+// verifies candidates through the batched Store kernels.
+func NewKDTreeStore(st *geom.Store) *KDTree {
+	t := &KDTree{store: st, root: -1}
+	n := st.Len()
+	if n == 0 {
 		return t
 	}
-	t.dim = pts[0].Dim()
-	t.order = make([]int, len(pts))
+	t.dim = st.Dim()
+	t.order = make([]int, n)
 	for i := range t.order {
 		t.order[i] = i
 	}
-	t.nodes = make([]kdNode, 0, 2*(len(pts)/kdLeafSize)+2)
-	t.root = t.build(0, len(pts), 0)
+	t.nodes = make([]kdNode, 0, 2*(n/kdLeafSize)+2)
+	t.root = t.build(0, n, 0)
 	t.computeBounds()
 	return t
 }
@@ -94,9 +68,6 @@ func buildKDTree(pts []geom.Point, metric geom.Metric, st *geom.Store) *KDTree {
 // computeBounds fills the per-node bounding boxes in one reverse pass over
 // the slot array: build appends parents before children, so every child slot
 // is numbered after its parent and a descending sweep sees children first.
-// NaN coordinates never enter a box (they fail both min/max comparisons);
-// that can only make pruning drop rows with NaN coordinates, which fail
-// every distance threshold anyway.
 func (t *KDTree) computeBounds() {
 	t.bounds = make([]float64, 2*t.dim*len(t.nodes))
 	for slot := len(t.nodes) - 1; slot >= 0; slot-- {
@@ -108,7 +79,7 @@ func (t *KDTree) computeBounds() {
 		}
 		if n.axis < 0 {
 			for _, id := range t.order[n.left:n.right] {
-				p := t.pts[id]
+				p := t.store.Point(id)
 				for d := 0; d < t.dim; d++ {
 					if p[d] < b[2*d] {
 						b[2*d] = p[d]
@@ -147,9 +118,10 @@ func (t *KDTree) build(lo, hi, depth int) int32 {
 	}
 	axis := depth % t.dim
 	mid := lo + (hi-lo)/2
-	kdSelect(t.pts, t.order[lo:hi], mid-lo, axis)
+	coords := t.store.Coords()
+	kdSelect(coords[axis:], t.dim, t.order[lo:hi], mid-lo)
 	slot := int32(len(t.nodes))
-	t.nodes = append(t.nodes, kdNode{split: t.pts[t.order[mid]][axis], axis: int8(axis)})
+	t.nodes = append(t.nodes, kdNode{split: coords[t.order[mid]*t.dim+axis], axis: int8(axis)})
 	left := t.build(lo, mid, depth+1)
 	right := t.build(mid, hi, depth+1)
 	t.nodes[slot].left = left
@@ -157,31 +129,33 @@ func (t *KDTree) build(lo, hi, depth int) int32 {
 	return slot
 }
 
-// kdSelect is an iterative Hoare quickselect with median-of-three pivoting:
-// it permutes ord so ord[n] holds the n-th order statistic of the axis
-// coordinate, everything before it is <= and everything after is >=. One
+// kdSelect is an iterative Hoare quickselect with median-of-three pivoting
+// over the coordinates v[id*stride] — one axis of a store's backing array,
+// offset by the axis: it permutes ord so ord[n] holds the n-th order
+// statistic, everything before it is <= and everything after is >=. One
 // selection is O(len(ord)) expected — the whole tree build O(n log n) with
 // direct float comparisons, no sort.Slice closure dispatch.
-func kdSelect(pts []geom.Point, ord []int, n, axis int) {
+func kdSelect(v []float64, stride int, ord []int, n int) {
+	at := func(k int) float64 { return v[ord[k]*stride] }
 	lo, hi := 0, len(ord)-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pts[ord[mid]][axis] < pts[ord[lo]][axis] {
+		if at(mid) < at(lo) {
 			ord[mid], ord[lo] = ord[lo], ord[mid]
 		}
-		if pts[ord[hi]][axis] < pts[ord[lo]][axis] {
+		if at(hi) < at(lo) {
 			ord[hi], ord[lo] = ord[lo], ord[hi]
 		}
-		if pts[ord[hi]][axis] < pts[ord[mid]][axis] {
+		if at(hi) < at(mid) {
 			ord[hi], ord[mid] = ord[mid], ord[hi]
 		}
-		pivot := pts[ord[mid]][axis]
+		pivot := at(mid)
 		i, j := lo, hi
 		for i <= j {
-			for pts[ord[i]][axis] < pivot {
+			for at(i) < pivot {
 				i++
 			}
-			for pts[ord[j]][axis] > pivot {
+			for at(j) > pivot {
 				j--
 			}
 			if i <= j {
@@ -205,13 +179,13 @@ func kdSelect(pts []geom.Point, ord []int, n, axis int) {
 func (t *KDTree) Store() *geom.Store { return t.store }
 
 // Len implements Index.
-func (t *KDTree) Len() int { return len(t.pts) }
+func (t *KDTree) Len() int { return t.store.Len() }
 
 // Point implements Index.
-func (t *KDTree) Point(i int) geom.Point { return t.pts[i] }
+func (t *KDTree) Point(i int) geom.Point { return t.store.Point(i) }
 
 // Metric implements Index.
-func (t *KDTree) Metric() geom.Metric { return t.metric }
+func (t *KDTree) Metric() geom.Metric { return geom.Euclidean{} }
 
 // Range implements Index.
 func (t *KDTree) Range(q geom.Point, eps float64) []int {
@@ -221,20 +195,14 @@ func (t *KDTree) Range(q geom.Point, eps float64) []int {
 // RangeAppendID implements IDRangeAppender: the query point is addressed by
 // object id, sparing the caller an interface Point round-trip per query.
 func (t *KDTree) RangeAppendID(i int, eps float64, buf []int) []int {
-	return t.RangeAppend(t.pts[i], eps, buf)
+	return t.RangeAppend(t.store.Point(i), eps, buf)
 }
 
-// RangeAppend implements RangeAppender. The per-axis subtree pruning is the
-// same for both verification arms (coordinate gaps lower-bound every Lp
-// distance).
+// RangeAppend implements RangeAppender.
 func (t *KDTree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]
-	if t.root < 0 {
-		return out
-	}
 	switch {
-	case t.store == nil:
-		t.rangeSearch(t.root, q, eps, &out)
+	case t.root < 0:
 	case t.dim == 2:
 		// The 2-d descent keeps the whole bound state in registers — the
 		// dominant paper-data shape.
@@ -243,25 +211,6 @@ func (t *KDTree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 		out = t.rangeStore(t.root, q, eps, eps*eps, out)
 	}
 	return out
-}
-
-func (t *KDTree) rangeSearch(slot int32, q geom.Point, eps float64, out *[]int) {
-	n := &t.nodes[slot]
-	if n.axis < 0 {
-		for _, id := range t.order[n.left:n.right] {
-			if t.metric.Distance(q, t.pts[id]) <= eps {
-				*out = append(*out, id)
-			}
-		}
-		return
-	}
-	diff := q[n.axis] - n.split
-	if diff <= eps {
-		t.rangeSearch(n.left, q, eps, out)
-	}
-	if -diff <= eps {
-		t.rangeSearch(n.right, q, eps, out)
-	}
 }
 
 // boxGap is the per-axis separation from coordinate q to the interval

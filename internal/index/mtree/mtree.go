@@ -60,40 +60,12 @@ type node struct {
 	first int32
 }
 
-// New builds an M-tree over pts with the given metric (nil defaults to
-// Euclidean) and default fan-out.
-func New(pts []geom.Point, metric geom.Metric) (*Tree, error) {
-	return NewWithFanout(pts, metric, DefaultMaxEntries)
-}
-
-// NewWithFanout builds an M-tree with node capacity maxEntries (minimum 4).
-// Under the Euclidean metric a non-empty pts is copied once into a flat
-// store and built by NewFromStoreWithFanout, so a statically built Euclidean
-// tree always answers through the store kernels.
-func NewWithFanout(pts []geom.Point, metric geom.Metric, maxEntries int) (*Tree, error) {
-	t, err := newTree(metric, maxEntries)
-	if err != nil {
-		return nil, err
-	}
-	if t.euclid && len(pts) > 0 {
-		st, err := geom.FromPoints(pts)
-		if err != nil {
-			return nil, err
-		}
-		return NewFromStoreWithFanout(st, metric, maxEntries)
-	}
-	for _, p := range pts {
-		if err := t.insert(p); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// NewFromStore builds an M-tree over the points of a flat store with the
-// default fan-out. Every inserted point is a zero-copy view into the store
-// (one slice header per point, no coordinate copies), so ground entries and
-// promoted routing pivots all read from the contiguous backing array.
+// NewFromStore builds an M-tree over the points of a flat store under metric
+// (nil defaults to Euclidean) with the default fan-out. It is the tree's one
+// construction path, the one index.BuildStore takes once it has refused a
+// store with a non-finite row: the rows must be finite. Every inserted point is a zero-copy view into the store (one slice header
+// per point, no coordinate copies), so ground entries and promoted routing
+// pivots all read from the contiguous backing array.
 func NewFromStore(st *geom.Store, metric geom.Metric) (*Tree, error) {
 	return NewFromStoreWithFanout(st, metric, DefaultMaxEntries)
 }
@@ -178,9 +150,6 @@ func (t *Tree) distSq(a, b geom.Point) float64 {
 
 // insert adds a point to the tree under construction.
 func (t *Tree) insert(p geom.Point) error {
-	if !p.IsFinite() {
-		return fmt.Errorf("mtree: non-finite point %v", p)
-	}
 	// Validate dimensionality once at insert time; the distance kernels skip
 	// their per-call checks (hoisted hot-path guard, see geom/checks.go).
 	if len(t.pts) > 0 && p.Dim() != t.pts[0].Dim() {

@@ -1,7 +1,6 @@
 package mtree
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -20,6 +19,16 @@ func randomPoints(rng *rand.Rand, n, dim int) []geom.Point {
 		pts[i] = p
 	}
 	return pts
+}
+
+// build copies pts into a store and builds the tree over it, the one
+// construction path.
+func build(pts []geom.Point, metric geom.Metric) (*Tree, error) {
+	st, err := geom.FromPoints(pts)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromStore(st, metric)
 }
 
 // checkInvariants walks the tree verifying that every routing entry's
@@ -85,7 +94,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr, err := New(nil, nil)
+	tr, err := NewFromStore(geom.NewStore(1, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +107,14 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := NewWithFanout(nil, nil, 2); err == nil {
+	if _, err := NewFromStoreWithFanout(geom.NewStore(1, 0), nil, 2); err == nil {
 		t.Error("fan-out 2 accepted")
-	}
-	tr, _ := New(nil, nil)
-	if err := tr.insert(geom.Point{math.Inf(1)}); err == nil {
-		t.Error("infinite point accepted")
 	}
 }
 
 func TestInvariantsAcrossGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	tr, _ := NewWithFanout(nil, geom.Euclidean{}, 6)
+	tr, _ := newTree(geom.Euclidean{}, 6)
 	pts := randomPoints(rng, 600, 2)
 	for i, p := range pts {
 		if err := tr.insert(p); err != nil {
@@ -123,7 +128,7 @@ func TestInvariantsAcrossGrowth(t *testing.T) {
 
 func TestInvariantsManhattan(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	tr, err := New(randomPoints(rng, 400, 3), geom.Manhattan{})
+	tr, err := build(randomPoints(rng, 400, 3), geom.Manhattan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +139,7 @@ func TestRangeExactUnderArbitraryMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, m := range []geom.Metric{geom.Euclidean{}, geom.Manhattan{}, geom.Chebyshev{}, geom.Minkowski{P: 3}} {
 		pts := randomPoints(rng, 300, 2)
-		tr, err := New(pts, m)
+		tr, err := build(pts, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +167,7 @@ func TestDuplicatePoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{2, 2}
 	}
-	tr, err := New(pts, nil)
+	tr, err := build(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +189,7 @@ func TestPruningEffectiveness(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		pts = append(pts, geom.Point{100 + rng.NormFloat64()*0.1, 100 + rng.NormFloat64()*0.1})
 	}
-	tr, err := New(pts, geom.Euclidean{})
+	tr, err := build(pts, geom.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +206,7 @@ func TestPruningEffectiveness(t *testing.T) {
 // which later made descend index entries[-1]. The balanced fallback split
 // must keep every node non-empty and within the fan-out.
 func TestManyDuplicatesDeepTree(t *testing.T) {
-	tr, err := NewWithFanout(nil, geom.Euclidean{}, 4)
+	tr, err := newTree(geom.Euclidean{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

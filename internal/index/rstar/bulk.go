@@ -1,7 +1,6 @@
 package rstar
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -25,16 +24,12 @@ import (
 //
 // epsHint, when given, is the radius the tree expects to be queried at: by-id
 // queries up to it start at the query point's own leaf (see Packed.near).
+//
+// The rows must be finite: index.BuildStore refuses a store with a NaN or
+// ±Inf coordinate before it gets here.
 func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Packed, error) {
 	if err := checkFanout(maxEntries); err != nil {
 		return nil, err
-	}
-	if !st.IsFinite() {
-		for i, n := 0, st.Len(); i < n; i++ {
-			if p := st.Point(i); !p.IsFinite() {
-				return nil, fmt.Errorf("rstar: non-finite point %v at index %d", p, i)
-			}
-		}
 	}
 	p := packSTR(st, maxEntries)
 	if len(epsHint) > 0 {

@@ -289,9 +289,6 @@ func TestBulkValidation(t *testing.T) {
 	if _, err := bulkOf([]geom.Point{{1, 2}, {1}}); err == nil {
 		t.Error("mixed dims accepted")
 	}
-	if _, err := bulkOf([]geom.Point{{math.NaN(), 0}}); err == nil {
-		t.Error("NaN accepted")
-	}
 	if _, err := NewBulkStore(geom.NewStore(2, 0), 2); err == nil {
 		t.Error("tiny fanout accepted")
 	}

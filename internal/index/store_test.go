@@ -25,8 +25,9 @@ func testStore(n int, seed int64) *geom.Store {
 // TestEuclideanBuildIsStoreBacked pins the invariant this package enforces:
 // a Euclidean (or nil-metric) Build from a point slice copies once into a
 // store and answers query for query — ids and order — like BuildStore over
-// the same rows; BuildStore retains the very store it was handed; no store
-// is ever exposed under another metric, however the index was built.
+// the same rows; BuildStore retains the very store it was handed; the M-tree,
+// the one kind that takes another metric, exposes no store under it, however
+// it was built.
 func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 	st := testStore(400, 8)
 	pts := st.Views()
@@ -57,8 +58,8 @@ func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 				}
 			}
 		}
-		if kind == KindRStar {
-			continue // Euclidean-only
+		if kind != KindMTree {
+			continue // Euclidean-only, see TestRStarRejectsNonEuclidean
 		}
 		for _, build := range []func() (Index, error){
 			func() (Index, error) { return Build(kind, pts, geom.Manhattan{}, eps) },
@@ -124,42 +125,46 @@ func TestRangeEpsBoundary(t *testing.T) {
 	})
 }
 
-// TestBuildRejectsMalformedInput: no input makes any kind panic. An empty
-// set builds an empty index; mixed- and zero-dimensional input is an error
-// from every kind under every metric; NaN and Inf coordinates are rejected
-// by the R*-tree and the M-tree and indexed (never matched) by the others.
+// TestBuildRejectsMalformedInput: no input makes any kind panic under any
+// metric. An empty set builds an empty index; mixed- and zero-dimensional
+// input and a NaN or ±Inf coordinate are an error from every kind under every
+// metric, and a non-finite coordinate's error names its row. The input is
+// checked before the metric, so a Euclidean-only kind refuses a non-Euclidean
+// metric only where the input passes.
 func TestBuildRejectsMalformedInput(t *testing.T) {
 	inputs := []struct {
-		name      string
-		pts       []geom.Point
-		wantErr   bool // from every kind
-		treesOnly bool // error from the R*-tree and the M-tree only
+		name    string
+		pts     []geom.Point
+		wantErr string // a substring of the error from every kind; "" = none
 	}{
-		{"empty", nil, false, false},
-		{"mixed-dimension", []geom.Point{{1, 2}, {1}, {3, 4}}, true, false},
-		{"zero-dimensional", []geom.Point{{}, {}}, true, false},
-		{"nan", []geom.Point{{0, 0}, {math.NaN(), 1}, {1, 1}}, false, true},
-		{"inf", []geom.Point{{0, 0}, {1, math.Inf(1)}, {1, 1}}, false, true},
+		{"empty", nil, ""},
+		{"mixed-dimension", []geom.Point{{1, 2}, {1}, {3, 4}}, "dimension"},
+		{"zero-dimensional", []geom.Point{{}, {}}, "zero-dimensional"},
+		{"nan", []geom.Point{{0, 0}, {math.NaN(), 1}, {1, 1}}, "row 1"},
+		{"inf", []geom.Point{{0, 0}, {1, math.Inf(1)}, {1, 1}}, "row 1"},
 	}
 	for _, kind := range Kinds() {
 		for _, m := range []geom.Metric{geom.Euclidean{}, geom.Manhattan{}} {
-			if kind == KindRStar && m.Name() != "euclidean" {
-				continue
-			}
 			for _, in := range inputs {
 				t.Run(fmt.Sprintf("%s/%s/%s", kind, m.Name(), in.name), func(t *testing.T) {
 					idx, err := Build(kind, in.pts, m, 1)
-					wantErr := in.wantErr || (in.treesOnly && (kind == KindRStar || kind == KindMTree))
-					if (err != nil) != wantErr {
-						t.Fatalf("err = %v, want error: %v", err, wantErr)
+					wantErr := in.wantErr
+					if wantErr == "" && kind != KindMTree && m.Name() != "euclidean" {
+						wantErr = "only the Euclidean metric"
+					}
+					if wantErr != "" {
+						if err == nil || !strings.Contains(err.Error(), wantErr) {
+							t.Fatalf("err = %v, want one containing %q", err, wantErr)
+						}
+						return
 					}
 					if err != nil {
-						return
+						t.Fatal(err)
 					}
 					if idx.Len() != len(in.pts) {
 						t.Fatalf("Len = %d, want %d", idx.Len(), len(in.pts))
 					}
-					if got := idx.Range(geom.Point{0, 0}, 0.5); len(in.pts) == 0 && len(got) != 0 {
+					if got := idx.Range(geom.Point{0, 0}, 0.5); len(got) != 0 {
 						t.Fatalf("Range on empty = %v", got)
 					}
 				})

@@ -12,7 +12,7 @@ import (
 )
 
 func linearOf(pts []geom.Point) index.Index {
-	idx, err := index.NewLinear(pts, geom.Euclidean{})
+	idx, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func central(t *testing.T, pts []geom.Point, params dbscan.Params) *dbscan.Result {
 	t.Helper()
-	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	lin, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, params.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,8 +213,9 @@ func (s *Site) Flush() error {
 }
 
 // windowIndex is the live window as an index in arrival order: rows, store
-// and metric from a window-order copy of the points, by-id range queries from
-// the incremental clusterer's tree, its slots translated to window positions.
+// and metric from a window-order store copy of the points, by-id range
+// queries from the incremental clusterer's tree, its slots translated to
+// window positions.
 type windowIndex struct {
 	*index.Linear
 	site *Site
@@ -239,18 +240,21 @@ func (s *Site) slot(i int) int { return s.ring[(s.head+i)%s.cfg.Window] }
 // slot) — at one tree query per border object and one per specific core.
 func (s *Site) localModel(labels cluster.Labeling) (*model.LocalModel, error) {
 	w := &windowIndex{site: s, pos: make([]int, len(labels))}
-	pts := make([]geom.Point, s.count)
+	dim := 1 // an empty window has no stride to take
+	if s.count > 0 {
+		dim = s.inc.Point(s.slot(0)).Dim()
+	}
+	st := geom.NewStore(dim, s.count)
 	core := make([]bool, s.count)
 	wl := make(cluster.Labeling, s.count)
-	for i := range pts {
+	for i := range s.count {
 		slot := s.slot(i)
 		w.pos[slot] = i
-		pts[i], core[i], wl[i] = s.inc.Point(slot), s.inc.IsCore(slot), labels[slot]
+		st.Append(s.inc.Point(slot))
+		core[i], wl[i] = s.inc.IsCore(slot), labels[slot]
 	}
-	var err error
-	if w.Linear, err = index.NewLinear(pts, geom.Euclidean{}); err != nil {
-		return nil, err
-	}
+	w.Linear = index.NewLinearStore(st)
+	pts := st.Views()
 	res, err := dbscan.FromCores(w, s.cfg.Cluster.Local, core, wl)
 	if err != nil {
 		return nil, err

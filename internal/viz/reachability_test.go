@@ -95,7 +95,7 @@ func TestReachabilityPlotFromOPTICS(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		pts = append(pts, geom.Point{20 + rng.NormFloat64()*0.3, rng.NormFloat64() * 0.3})
 	}
-	lin, err := index.NewLinear(pts, geom.Euclidean{})
+	lin, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
