@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard conn-guard fuzz-smoke bench bench-smoke bench-pairs loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard conn-guard wire-guard fuzz-smoke bench bench-smoke bench-pairs loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -33,7 +33,7 @@ test-scalar:
 
 # The CI gate, the steps of CI's check job: static checks, formatting, build,
 # race-enabled tests and the benchmark module.
-check: vet gofmt build index-guard conn-guard test-race bench-module
+check: vet gofmt build index-guard conn-guard wire-guard test-race bench-module
 
 # Fails if a tracked Go file is not gofmt-formatted, and names it.
 gofmt:
@@ -68,6 +68,14 @@ conn-guard:
 		| xargs grep -nE '\.Accept\(\)|SetDeadline\((t )?time\.Time\) error|\*net\.(TCP|Unix)Listener' \
 		|| { echo 'conn-guard: an accept loop or listener deadline outside transport.ConnLoop'; exit 1; }
 
+# Every byte format goes through one codec, internal/wire: byte order, bounds
+# checks and the section framing are decided there. Fails if a non-test Go
+# file anywhere else imports encoding/binary.
+wire-guard:
+	@! git ls-files -co --exclude-standard '*.go' ':(exclude)*_test.go' ':(exclude)internal/wire/*' \
+		| xargs grep -ln '"encoding/binary"' \
+		|| { echo 'wire-guard: encoding/binary imported outside internal/wire'; exit 1; }
+
 # Short native-fuzzing smoke over every fuzz target (decoders must never
 # panic on arbitrary bytes; kernels and the fused verifiers must match their
 # references, the packed R*-tree query a linear scan and a test-only walk of
@@ -85,6 +93,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzBudgetSections -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzAggSections -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzWireDecoders -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzLocalModelUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzGlobalModelUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzLocalDeltaUnmarshal -fuzztime $(FUZZTIME)

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -99,7 +98,7 @@ func main() {
 			if *reportJSON != "" {
 				jsonReports = append(jsonReports, report)
 				if *reportJSON != "-" || round == *rounds || err != nil {
-					if werr := writeReport(*reportJSON, jsonReports); werr != nil {
+					if werr := transport.WriteReports(*reportJSON, jsonReports); werr != nil {
 						fmt.Fprintf(os.Stderr, "dbdc-agg: writing %s: %v\n", *reportJSON, werr)
 						os.Exit(1)
 					}
@@ -115,19 +114,4 @@ func main() {
 			round, agg.Level(), len(global.Reps), global.NumClusters, global.EpsGlobal,
 			report.ForwardDuration.Round(time.Millisecond))
 	}
-}
-
-// writeReport writes the round reports so far to path ("-" = stdout) as
-// indented JSON. The file is truncated and rewritten whole each round.
-func writeReport(path string, reports []*transport.RoundReport) error {
-	out, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }

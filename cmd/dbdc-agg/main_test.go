@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -230,31 +229,4 @@ func TestReportJSONFileKeepsRoundsBeforeFailure(t *testing.T) {
 	}
 	requireForwarded(t, reports[0], "c1")
 	requireMissingChild(t, reports[1], "c1")
-}
-
-// TestWriteReportRewritesWhole: each write replaces the file, so a shorter
-// report leaves nothing of a longer one behind.
-func TestWriteReportRewritesWhole(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rounds.json")
-	long := []*transport.RoundReport{
-		{Expect: 2, OK: 2, ForwardDuration: time.Millisecond, Sites: []transport.SiteOutcome{{SiteID: "c1", OK: true}, {SiteID: "c2", OK: true}}},
-		{Expect: 2, OK: 1, Failed: 1, ForwardDuration: time.Millisecond, Sites: []transport.SiteOutcome{{SiteID: "c1", OK: true}, {SiteID: "c2", Reason: "timeout"}}},
-	}
-	short := []*transport.RoundReport{{Expect: 1, Failed: 1, Sites: []transport.SiteOutcome{{SiteID: "c3", Reason: "refused"}}}}
-	if err := writeReport(path, long); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeReport(path, short); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasSuffix(out, []byte("]\n")) {
-		t.Fatalf("report does not end in one newline: %q", out)
-	}
-	if got := decodeReports(t, out); !reflect.DeepEqual(got, short) {
-		t.Fatalf("file holds %s, want the last write only", out)
-	}
 }

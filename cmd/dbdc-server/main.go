@@ -34,7 +34,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -116,7 +115,7 @@ func main() {
 			if *reportJSON != "" {
 				jsonReports = append(jsonReports, report)
 				if *reportJSON != "-" || round == *rounds || err != nil {
-					if werr := writeReport(*reportJSON, jsonReports); werr != nil {
+					if werr := transport.WriteReports(*reportJSON, jsonReports); werr != nil {
 						fmt.Fprintf(os.Stderr, "dbdc-server: writing %s: %v\n", *reportJSON, werr)
 						os.Exit(1)
 					}
@@ -169,19 +168,4 @@ func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duratio
 			os.Exit(1)
 		}
 	}
-}
-
-// writeReport writes the round reports so far to path ("-" = stdout) as
-// indented JSON. The file is truncated and rewritten whole each round.
-func writeReport(path string, reports []*transport.RoundReport) error {
-	out, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }

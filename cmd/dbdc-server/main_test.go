@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,33 +219,6 @@ func TestReportJSONFileKeepsRoundsBeforeFailure(t *testing.T) {
 		t.Fatalf("round 1: ok=%d failed=%d, want 1/0", r.OK, r.Failed)
 	}
 	requireMissingSite(t, reports[1], "s1")
-}
-
-// TestWriteReportRewritesWhole: each write replaces the file, so a shorter
-// report leaves nothing of a longer one behind.
-func TestWriteReportRewritesWhole(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rounds.json")
-	long := []*transport.RoundReport{
-		{Expect: 2, OK: 2, Sites: []transport.SiteOutcome{{SiteID: "s1", OK: true}, {SiteID: "s2", OK: true}}},
-		{Expect: 2, OK: 1, Failed: 1, Sites: []transport.SiteOutcome{{SiteID: "s1", OK: true}, {SiteID: "s2", Reason: "timeout"}}},
-	}
-	short := []*transport.RoundReport{{Expect: 1, Failed: 1, Sites: []transport.SiteOutcome{{SiteID: "s3", Reason: "refused"}}}}
-	if err := writeReport(path, long); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeReport(path, short); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasSuffix(out, []byte("]\n")) {
-		t.Fatalf("report does not end in one newline: %q", out)
-	}
-	if got := decodeReports(t, out); !reflect.DeepEqual(got, short) {
-		t.Fatalf("file holds %s, want the last write only", out)
-	}
 }
 
 // The two server modes the front-end flags apply to: a round needs a site,

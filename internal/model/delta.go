@@ -1,8 +1,9 @@
 package model
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // A LocalDelta is one streaming upload: the site's whole LocalModel under a
@@ -38,19 +39,6 @@ const tagLocalDelta byte = 0x44 // 'D'
 // LocalModel frame.
 const deltaHeaderSize = 2 + 8
 
-func (w *wireWriter) u64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-func (r *wireReader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.pos:])
-	r.pos += 8
-	return v
-}
-
 // MarshalBinary encodes the upload as its tag, version and sequence number
 // followed by the LocalModel frame verbatim, one allocation total like the
 // model encoders.
@@ -58,12 +46,12 @@ func (d *LocalDelta) MarshalBinary() ([]byte, error) {
 	if d.Model == nil {
 		return nil, fmt.Errorf("model: upload without a model")
 	}
-	w := newWireWriter(d.EncodedSize())
-	w.u8(tagLocalDelta)
-	w.u8(wireVersion)
-	w.u64(d.Seq)
+	w := wire.NewWriter(make([]byte, 0, d.EncodedSize()))
+	w.U8(tagLocalDelta)
+	w.U8(wireVersion)
+	w.U64(d.Seq)
 	d.Model.write(&w)
-	return w.buf, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary decodes an upload, rejecting trailing bytes.
@@ -82,23 +70,18 @@ func (d *LocalDelta) UnmarshalBinary(data []byte) error {
 // returns the number of bytes consumed; like the local model, the encoding
 // is self-delimiting so the transport can append trailer sections.
 func (d *LocalDelta) UnmarshalBinaryPrefix(data []byte) (int, error) {
-	r := &wireReader{data: data}
-	if tag := r.u8(); r.err == nil && tag != tagLocalDelta {
-		return 0, fmt.Errorf("model: expected delta frame, got tag 0x%02x", tag)
-	}
-	if v := r.u8(); r.err == nil && v != wireVersion {
-		return 0, fmt.Errorf("model: unsupported wire version %d", v)
-	}
-	d.Seq = r.u64()
-	if r.err != nil {
-		return 0, r.err
+	r := wire.NewReader(data)
+	readHeader(&r, tagLocalDelta, "delta")
+	d.Seq = r.U64()
+	if r.Err() != nil {
+		return 0, r.Err()
 	}
 	d.Model = new(LocalModel)
-	n, err := d.Model.UnmarshalBinaryPrefix(data[r.pos:])
+	n, err := d.Model.UnmarshalBinaryPrefix(data[r.Pos():])
 	if err != nil {
 		return 0, err
 	}
-	return r.pos + n, nil
+	return r.Pos() + n, nil
 }
 
 // EncodedSize returns the wire size of the upload in bytes — the streaming

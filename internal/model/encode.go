@@ -1,17 +1,17 @@
 package model
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
-// Wire format: a little-endian binary encoding. Every model starts with a
-// one-byte type tag and a format version so the protocol can evolve.
+// Wire format: the little-endian encoding of internal/wire. Every model
+// starts with a one-byte type tag and a format version so the protocol can
+// evolve.
 const (
 	wireVersion byte = 1
 
@@ -35,129 +35,13 @@ const (
 	minWireGlobalRep = minWireRep + 4 + 4
 )
 
-// wireWriter appends the little-endian encoding to one flat byte slice. The
-// marshal entry points presize it to the exact frame length, so encoding a
-// model performs a single allocation regardless of the representative count
-// (the old bytes.Buffer + binary.Write writer boxed every fixed-size write).
-type wireWriter struct {
-	buf []byte
-}
-
-func newWireWriter(size int) wireWriter { return wireWriter{buf: make([]byte, 0, size)} }
-
-func (w *wireWriter) u8(v byte)    { w.buf = append(w.buf, v) }
-func (w *wireWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *wireWriter) i32(v int32)  { w.u32(uint32(v)) }
-func (w *wireWriter) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-func (w *wireWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-type wireReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *wireReader) fail(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = fmt.Errorf("model: "+format, args...)
-	}
-}
-
-func (r *wireReader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.pos+n > len(r.data) {
-		r.fail("truncated frame: need %d bytes at offset %d of %d", n, r.pos, len(r.data))
-		return false
-	}
-	return true
-}
-
-func (r *wireReader) u8() byte {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.data[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *wireReader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *wireReader) i32() int32 { return int32(r.u32()) }
-
-func (r *wireReader) f64() float64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.pos:]))
-	r.pos += 8
-	return v
-}
-
-func (r *wireReader) str(limit int) string {
-	n := int(r.u32())
-	if r.err != nil {
-		return ""
-	}
-	if n > limit {
-		r.fail("string length %d exceeds limit %d", n, limit)
-		return ""
-	}
-	if !r.need(n) {
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s
-}
-
-// strInterned is str with deduplication through the given table: repeated
-// strings (the handful of site ids shared by thousands of global
-// representatives) decode to one shared allocation. The map lookup with a
-// string(b) key expression does not allocate on a hit.
-func (r *wireReader) strInterned(limit int, intern map[string]string) string {
-	n := int(r.u32())
-	if r.err != nil {
-		return ""
-	}
-	if n > limit {
-		r.fail("string length %d exceeds limit %d", n, limit)
-		return ""
-	}
-	if !r.need(n) {
-		return ""
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	if s, ok := intern[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	intern[s] = s
-	return s
-}
-
-func writeRep(w *wireWriter, rep Representative) {
-	w.u32(uint32(rep.Point.Dim()))
+func writeRep(w *wire.Writer, rep Representative) {
+	w.U32(uint32(rep.Point.Dim()))
 	for _, c := range rep.Point {
-		w.f64(c)
+		w.F64(c)
 	}
-	w.f64(rep.Eps)
-	w.i32(int32(rep.LocalCluster))
+	w.F64(rep.Eps)
+	w.I32(int32(rep.LocalCluster))
 }
 
 // wireRepSize returns the encoded size of one representative.
@@ -171,25 +55,17 @@ func wireRepSize(rep Representative) int { return 4 + 8*rep.Point.Dim() + 8 + 4 
 // per-rep site id and global cluster id. ok is false when the frame is
 // malformed; the caller then falls through to the per-field decode, which
 // reports the error with its usual diagnostics.
-func scanRepCoords(r wireReader, n int, global bool) (total int, ok bool) {
+func scanRepCoords(r wire.Reader, n int, global bool) (total int, ok bool) {
 	for i := 0; i < n; i++ {
-		dim := int(r.u32())
-		if r.err != nil || dim > maxWireDim {
+		dim := int(r.U32())
+		if dim > maxWireDim || !r.Skip(dim*8+12) {
 			return 0, false
 		}
-		if !r.need(dim*8 + 12) {
-			return 0, false
-		}
-		r.pos += dim*8 + 12
 		if global {
-			sl := int(r.u32())
-			if r.err != nil || sl > maxWireSiteID {
+			sl := int(r.U32())
+			if sl > maxWireSiteID || !r.Skip(sl+4) {
 				return 0, false
 			}
-			if !r.need(sl + 4) {
-				return 0, false
-			}
-			r.pos += sl + 4
 		}
 		total += dim
 	}
@@ -199,12 +75,12 @@ func scanRepCoords(r wireReader, n int, global bool) (total int, ok bool) {
 // readRep decodes one representative. When *flat has spare capacity for the
 // point it carves a capacity-clipped view out of it (the pre-scanned
 // one-allocation path); otherwise it falls back to a per-rep allocation.
-func readRep(r *wireReader, flat *[]float64) Representative {
-	dim := int(r.u32())
-	if r.err == nil && dim > maxWireDim {
-		r.fail("dimension %d exceeds limit", dim)
+func readRep(r *wire.Reader, flat *[]float64) Representative {
+	dim := int(r.U32())
+	if dim > maxWireDim {
+		r.Failf("model: dimension %d exceeds limit", dim)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return Representative{}
 	}
 	var p geom.Point
@@ -217,12 +93,38 @@ func readRep(r *wireReader, flat *[]float64) Representative {
 		p = make(geom.Point, dim)
 	}
 	for i := range p {
-		p[i] = r.f64()
+		p[i] = r.F64()
 	}
 	return Representative{
 		Point:        p,
-		Eps:          r.f64(),
-		LocalCluster: cluster.ID(r.i32()),
+		Eps:          r.F64(),
+		LocalCluster: cluster.ID(r.I32()),
+	}
+}
+
+// readRepCount reads a representative count and bounds it, by maxWireReps
+// and by the bytes left at minSize bytes a representative, so a tiny frame
+// advertising millions of representatives fails before any allocation
+// sized by the count.
+func readRepCount(r *wire.Reader, minSize int) int {
+	n := int(r.U32())
+	if n > maxWireReps {
+		r.Failf("model: representative count %d exceeds limit", n)
+	}
+	if n*minSize > r.Len() {
+		r.Failf("model: representative count %d exceeds the %d remaining bytes", n, r.Len())
+	}
+	return n
+}
+
+// readHeader reads a frame's type tag and format version, failing r when
+// either is not the expected one.
+func readHeader(r *wire.Reader, tag byte, frame string) {
+	if t := r.U8(); r.Err() == nil && t != tag {
+		r.Failf("model: expected %s frame, got tag 0x%02x", frame, t)
+	}
+	if v := r.U8(); r.Err() == nil && v != wireVersion {
+		r.Failf("model: unsupported wire version %d", v)
 	}
 }
 
@@ -238,22 +140,22 @@ func (m *LocalModel) wireSize() int {
 // MarshalBinary encodes the local model in the compact wire format. The
 // output buffer is presized exactly, so the encode is one allocation total.
 func (m *LocalModel) MarshalBinary() ([]byte, error) {
-	w := newWireWriter(m.wireSize())
+	w := wire.NewWriter(make([]byte, 0, m.wireSize()))
 	m.write(&w)
-	return w.buf, nil
+	return w.Bytes(), nil
 }
 
 // write appends the local model frame to w.
-func (m *LocalModel) write(w *wireWriter) {
-	w.u8(tagLocalModel)
-	w.u8(wireVersion)
-	w.str(m.SiteID)
-	w.str(string(m.Kind))
-	w.f64(m.EpsLocal)
-	w.i32(int32(m.MinPts))
-	w.i32(int32(m.NumObjects))
-	w.i32(int32(m.NumClusters))
-	w.u32(uint32(len(m.Reps)))
+func (m *LocalModel) write(w *wire.Writer) {
+	w.U8(tagLocalModel)
+	w.U8(wireVersion)
+	w.Str(m.SiteID)
+	w.Str(string(m.Kind))
+	w.F64(m.EpsLocal)
+	w.I32(int32(m.MinPts))
+	w.I32(int32(m.NumObjects))
+	w.I32(int32(m.NumClusters))
+	w.U32(uint32(len(m.Reps)))
 	for _, rep := range m.Reps {
 		writeRep(w, rep)
 	}
@@ -277,44 +179,33 @@ func (m *LocalModel) UnmarshalBinary(data []byte) error {
 // (model bytes immediately followed by optional metric sections) locate the
 // section area: the model encoding is self-delimiting.
 func (m *LocalModel) UnmarshalBinaryPrefix(data []byte) (int, error) {
-	r := &wireReader{data: data}
-	if tag := r.u8(); r.err == nil && tag != tagLocalModel {
-		return 0, fmt.Errorf("model: expected local model frame, got tag 0x%02x", tag)
-	}
-	if v := r.u8(); r.err == nil && v != wireVersion {
-		return 0, fmt.Errorf("model: unsupported wire version %d", v)
-	}
-	m.SiteID = r.str(maxWireSiteID)
-	m.Kind = Kind(r.str(maxWireSiteID))
-	m.EpsLocal = r.f64()
-	m.MinPts = int(r.i32())
-	m.NumObjects = int(r.i32())
-	m.NumClusters = int(r.i32())
-	n := int(r.u32())
-	if r.err == nil && n > maxWireReps {
-		r.fail("representative count %d exceeds limit", n)
-	}
-	if r.err == nil && n*minWireRep > len(data)-r.pos {
-		r.fail("representative count %d exceeds the %d remaining bytes", n, len(data)-r.pos)
-	}
-	if r.err != nil {
-		return 0, r.err
+	r := wire.NewReader(data)
+	readHeader(&r, tagLocalModel, "local model")
+	m.SiteID = r.Str(maxWireSiteID)
+	m.Kind = Kind(r.Str(maxWireSiteID))
+	m.EpsLocal = r.F64()
+	m.MinPts = int(r.I32())
+	m.NumObjects = int(r.I32())
+	m.NumClusters = int(r.I32())
+	n := readRepCount(&r, minWireRep)
+	if r.Err() != nil {
+		return 0, r.Err()
 	}
 	// Pre-scan the rep encodings to size one flat coordinate buffer; every
 	// rep's point is then a capacity-clipped view into it (≤ 1 coordinate
 	// allocation per model instead of one per rep).
 	var flat []float64
-	if total, ok := scanRepCoords(*r, n, false); ok && total > 0 {
+	if total, ok := scanRepCoords(r, n, false); ok && total > 0 {
 		flat = make([]float64, 0, total)
 	}
 	m.Reps = make([]Representative, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Reps = append(m.Reps, readRep(r, &flat))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m.Reps = append(m.Reps, readRep(&r, &flat))
 	}
-	if r.err != nil {
-		return 0, r.err
+	if r.Err() != nil {
+		return 0, r.Err()
 	}
-	return r.pos, nil
+	return r.Pos(), nil
 }
 
 // PeekLocalSiteID extracts the site id from an encoded local model without
@@ -322,18 +213,9 @@ func (m *LocalModel) UnmarshalBinaryPrefix(data []byte) (int, error) {
 // like a local model. The transport uses it to name the site behind a
 // partially corrupt upload in its round report.
 func PeekLocalSiteID(data []byte) string {
-	r := &wireReader{data: data}
-	if tag := r.u8(); r.err != nil || tag != tagLocalModel {
-		return ""
-	}
-	if v := r.u8(); r.err != nil || v != wireVersion {
-		return ""
-	}
-	id := r.str(maxWireSiteID)
-	if r.err != nil {
-		return ""
-	}
-	return id
+	r := wire.NewReader(data)
+	readHeader(&r, tagLocalModel, "local model")
+	return r.Str(maxWireSiteID)
 }
 
 // wireSize returns the exact encoded size of the global model in bytes.
@@ -348,65 +230,54 @@ func (g *GlobalModel) wireSize() int {
 // MarshalBinary encodes the global model in the compact wire format. The
 // output buffer is presized exactly, so the encode is one allocation total.
 func (g *GlobalModel) MarshalBinary() ([]byte, error) {
-	w := newWireWriter(g.wireSize())
-	w.u8(tagGlobalModel)
-	w.u8(wireVersion)
-	w.f64(g.EpsGlobal)
-	w.i32(int32(g.MinPtsGlobal))
-	w.i32(int32(g.NumClusters))
-	w.u32(uint32(len(g.Reps)))
+	w := wire.NewWriter(make([]byte, 0, g.wireSize()))
+	w.U8(tagGlobalModel)
+	w.U8(wireVersion)
+	w.F64(g.EpsGlobal)
+	w.I32(int32(g.MinPtsGlobal))
+	w.I32(int32(g.NumClusters))
+	w.U32(uint32(len(g.Reps)))
 	for _, rep := range g.Reps {
 		writeRep(&w, rep.Representative)
-		w.str(rep.SiteID)
-		w.i32(int32(rep.GlobalCluster))
+		w.Str(rep.SiteID)
+		w.I32(int32(rep.GlobalCluster))
 	}
-	return w.buf, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary decodes a global model.
 func (g *GlobalModel) UnmarshalBinary(data []byte) error {
-	r := &wireReader{data: data}
-	if tag := r.u8(); r.err == nil && tag != tagGlobalModel {
-		return fmt.Errorf("model: expected global model frame, got tag 0x%02x", tag)
-	}
-	if v := r.u8(); r.err == nil && v != wireVersion {
-		return fmt.Errorf("model: unsupported wire version %d", v)
-	}
-	g.EpsGlobal = r.f64()
-	g.MinPtsGlobal = int(r.i32())
-	g.NumClusters = int(r.i32())
-	n := int(r.u32())
-	if r.err == nil && n > maxWireReps {
-		r.fail("representative count %d exceeds limit", n)
-	}
-	if r.err == nil && n*minWireGlobalRep > len(data)-r.pos {
-		r.fail("representative count %d exceeds the %d remaining bytes", n, len(data)-r.pos)
-	}
-	if r.err != nil {
-		return r.err
+	r := wire.NewReader(data)
+	readHeader(&r, tagGlobalModel, "global model")
+	g.EpsGlobal = r.F64()
+	g.MinPtsGlobal = int(r.I32())
+	g.NumClusters = int(r.I32())
+	n := readRepCount(&r, minWireGlobalRep)
+	if r.Err() != nil {
+		return r.Err()
 	}
 	// Pre-scan for the flat coordinate buffer (≤ 1 coordinate allocation per
 	// model) and intern the site ids — thousands of reps typically carry a
 	// handful of distinct sites, so repeated ids share one string each.
 	var flat []float64
-	if total, ok := scanRepCoords(*r, n, true); ok && total > 0 {
+	if total, ok := scanRepCoords(r, n, true); ok && total > 0 {
 		flat = make([]float64, 0, total)
 	}
 	intern := make(map[string]string, 8)
 	g.Reps = make([]GlobalRepresentative, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		rep := readRep(r, &flat)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		rep := readRep(&r, &flat)
 		g.Reps = append(g.Reps, GlobalRepresentative{
 			Representative: rep,
-			SiteID:         r.strInterned(maxWireSiteID, intern),
-			GlobalCluster:  cluster.ID(r.i32()),
+			SiteID:         r.StrInterned(maxWireSiteID, intern),
+			GlobalCluster:  cluster.ID(r.I32()),
 		})
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
-	if r.pos != len(data) {
-		return fmt.Errorf("model: %d trailing bytes after global model", len(data)-r.pos)
+	if r.Len() != 0 {
+		return fmt.Errorf("model: %d trailing bytes after global model", r.Len())
 	}
 	return nil
 }

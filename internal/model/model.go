@@ -9,6 +9,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -71,8 +72,8 @@ func (m *LocalModel) Validate() error {
 	if m.Kind != RepScor && m.Kind != RepKMeans {
 		return fmt.Errorf("model: unknown model kind %q", m.Kind)
 	}
-	if m.EpsLocal <= 0 {
-		return fmt.Errorf("model: non-positive EpsLocal %v", m.EpsLocal)
+	if !positiveFinite(m.EpsLocal) {
+		return fmt.Errorf("model: EpsLocal %v is not positive and finite", m.EpsLocal)
 	}
 	var dim int
 	for i, r := range m.Reps {
@@ -88,8 +89,8 @@ func (m *LocalModel) Validate() error {
 			return fmt.Errorf("model: representative %d has dimension %d, want %d",
 				i, r.Point.Dim(), dim)
 		}
-		if r.Eps <= 0 {
-			return fmt.Errorf("model: representative %d has non-positive eps %v", i, r.Eps)
+		if !positiveFinite(r.Eps) {
+			return fmt.Errorf("model: representative %d has eps %v, not positive and finite", i, r.Eps)
 		}
 		if r.LocalCluster < 0 {
 			return fmt.Errorf("model: representative %d has invalid local cluster %d",
@@ -98,6 +99,11 @@ func (m *LocalModel) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether an ε-range is usable: NaN compares false
+// with everything, so a bare x <= 0 check lets it through, and +Inf fails
+// every DBSCAN entry point downstream.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // MaxEps returns the largest specific ε-range of the model, the quantity
 // the server's default Eps_global is derived from. Zero for empty models.
@@ -151,8 +157,8 @@ func (g *GlobalModel) Empty() bool { return len(g.Reps) == 0 }
 // empty sentinel (no representatives, NumClusters 0, EpsGlobal 0) is valid;
 // any non-empty model must carry a positive EpsGlobal.
 func (g *GlobalModel) Validate() error {
-	if g.EpsGlobal < 0 {
-		return fmt.Errorf("model: negative EpsGlobal %v", g.EpsGlobal)
+	if g.EpsGlobal != 0 && !positiveFinite(g.EpsGlobal) {
+		return fmt.Errorf("model: EpsGlobal %v is not positive and finite", g.EpsGlobal)
 	}
 	if g.EpsGlobal == 0 && len(g.Reps) > 0 {
 		return fmt.Errorf("model: EpsGlobal 0 with %d representatives (the empty sentinel carries none)", len(g.Reps))
@@ -165,8 +171,8 @@ func (g *GlobalModel) Validate() error {
 		if !r.Point.IsFinite() || len(r.Point) == 0 {
 			return fmt.Errorf("model: global representative %d has bad coordinates", i)
 		}
-		if r.Eps <= 0 {
-			return fmt.Errorf("model: global representative %d has non-positive eps", i)
+		if !positiveFinite(r.Eps) {
+			return fmt.Errorf("model: global representative %d has eps %v, not positive and finite", i, r.Eps)
 		}
 		if r.GlobalCluster < 0 {
 			return fmt.Errorf("model: global representative %d labelled noise", i)

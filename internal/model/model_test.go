@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 func sampleLocal(rng *rand.Rand, siteID string, nReps int) *LocalModel {
@@ -62,10 +64,15 @@ func TestLocalModelValidate(t *testing.T) {
 		{"empty site id", func(m *LocalModel) { m.SiteID = "" }},
 		{"bad kind", func(m *LocalModel) { m.Kind = "nope" }},
 		{"bad eps", func(m *LocalModel) { m.EpsLocal = 0 }},
+		{"nan eps", func(m *LocalModel) { m.EpsLocal = nan() }},
+		{"inf eps", func(m *LocalModel) { m.EpsLocal = math.Inf(1) }},
 		{"empty point", func(m *LocalModel) { m.Reps[0].Point = nil }},
 		{"nan point", func(m *LocalModel) { m.Reps[0].Point = geom.Point{0, nan()} }},
 		{"dim mismatch", func(m *LocalModel) { m.Reps[1].Point = geom.Point{1} }},
 		{"zero rep eps", func(m *LocalModel) { m.Reps[2].Eps = 0 }},
+		{"nan rep eps", func(m *LocalModel) { m.Reps[2].Eps = nan() }},
+		{"+inf rep eps", func(m *LocalModel) { m.Reps[2].Eps = math.Inf(1) }},
+		{"-inf rep eps", func(m *LocalModel) { m.Reps[2].Eps = math.Inf(-1) }},
 		{"noise cluster id", func(m *LocalModel) { m.Reps[3].LocalCluster = cluster.Noise }},
 	}
 	for _, c := range cases {
@@ -96,6 +103,25 @@ func TestGlobalModelValidate(t *testing.T) {
 	g.NumClusters = 99
 	if err := g.Validate(); err == nil {
 		t.Error("wrong NumClusters accepted")
+	}
+	cases := []struct {
+		name   string
+		mutate func(*GlobalModel)
+	}{
+		{"negative EpsGlobal", func(g *GlobalModel) { g.EpsGlobal = -1 }},
+		{"nan EpsGlobal", func(g *GlobalModel) { g.EpsGlobal = nan() }},
+		{"+inf EpsGlobal", func(g *GlobalModel) { g.EpsGlobal = math.Inf(1) }},
+		{"zero rep eps", func(g *GlobalModel) { g.Reps[2].Eps = 0 }},
+		{"nan rep eps", func(g *GlobalModel) { g.Reps[2].Eps = nan() }},
+		{"+inf rep eps", func(g *GlobalModel) { g.Reps[2].Eps = math.Inf(1) }},
+		{"-inf rep eps", func(g *GlobalModel) { g.Reps[2].Eps = math.Inf(-1) }},
+	}
+	for _, c := range cases {
+		gg := sampleGlobal(rng, 8)
+		c.mutate(gg)
+		if err := gg.Validate(); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 
@@ -187,22 +213,22 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 
 func TestUnmarshalRejectsHugeCounts(t *testing.T) {
 	// Craft a frame claiming 2^31 representatives.
-	var w wireWriter
-	w.u8(tagLocalModel)
-	w.u8(wireVersion)
-	w.str("s")
-	w.str(string(RepScor))
-	w.f64(1)
-	w.i32(5)
-	w.i32(10)
-	w.i32(1)
-	w.u32(1 << 31)
+	w := wire.NewWriter(nil)
+	w.U8(tagLocalModel)
+	w.U8(wireVersion)
+	w.Str("s")
+	w.Str(string(RepScor))
+	w.F64(1)
+	w.I32(5)
+	w.I32(10)
+	w.I32(1)
+	w.U32(1 << 31)
 	var m LocalModel
-	if err := m.UnmarshalBinary(w.buf); err == nil {
+	if err := m.UnmarshalBinary(w.Bytes()); err == nil {
 		t.Fatal("huge rep count accepted")
 	}
 	if !strings.Contains(func() string {
-		err := m.UnmarshalBinary(w.buf)
+		err := m.UnmarshalBinary(w.Bytes())
 		return err.Error()
 	}(), "") {
 		t.Fatal("unreachable")

@@ -1,12 +1,11 @@
 package model
 
 import (
-	"encoding/binary"
-	"math"
 	"sort"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // ClusterMatcher assigns stable cluster ids across successive versions of a
@@ -35,13 +34,12 @@ func NewClusterMatcher() *ClusterMatcher { return &ClusterMatcher{} }
 
 // pointIdentity keys a representative by owning site and coordinates.
 func pointIdentity(siteID string, p geom.Point) string {
-	b := make([]byte, 0, 4+len(siteID)+8*len(p))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(siteID)))
-	b = append(b, siteID...)
+	w := wire.NewWriter(make([]byte, 0, 4+len(siteID)+8*len(p)))
+	w.Str(siteID)
 	for _, c := range p {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
+		w.F64(c)
 	}
-	return string(b)
+	return string(w.Bytes())
 }
 
 // assign computes the raw→stable id mapping for one model version given the

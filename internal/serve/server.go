@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +8,7 @@ import (
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/transport"
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // DefaultMaxBatch bounds the points accepted in one MsgClassifyBatch
@@ -170,32 +170,28 @@ func (s *Server) replyError(conn net.Conn, msg string) {
 // EncodeReply serialises a MsgClassifyReply payload: u64 model version,
 // u32 count, count little-endian int32 labels.
 func EncodeReply(version uint64, labels []cluster.ID) []byte {
-	buf := make([]byte, 12+4*len(labels))
-	binary.LittleEndian.PutUint64(buf, version)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(labels)))
-	off := 12
+	w := wire.NewWriter(make([]byte, 0, 12+4*len(labels)))
+	w.U64(version)
+	w.U32(uint32(len(labels)))
 	for _, l := range labels {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(int32(l)))
-		off += 4
+		w.I32(int32(l))
 	}
-	return buf
+	return w.Bytes()
 }
 
 // DecodeReply is the inverse of EncodeReply with bounds checks.
 func DecodeReply(buf []byte) (version uint64, labels []cluster.ID, err error) {
-	if len(buf) < 12 {
+	r := wire.NewReader(buf)
+	version, count := r.U64(), int(r.U32())
+	if r.Err() != nil {
 		return 0, nil, fmt.Errorf("serve: truncated classify reply (%d bytes)", len(buf))
 	}
-	version = binary.LittleEndian.Uint64(buf)
-	count := int(binary.LittleEndian.Uint32(buf[8:]))
-	if len(buf) != 12+4*count {
+	if r.Len() != 4*count {
 		return 0, nil, fmt.Errorf("serve: classify reply advertises %d labels but has %d bytes", count, len(buf))
 	}
 	labels = make([]cluster.ID, count)
-	off := 12
 	for i := range labels {
-		labels[i] = cluster.ID(int32(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
+		labels[i] = cluster.ID(r.I32())
 	}
 	return version, labels, nil
 }

@@ -1,10 +1,11 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
+
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // This file implements the wire side of the hierarchical aggregation tree
@@ -17,27 +18,11 @@ import (
 // comes from, which sources fed the region, and what the child-level round
 // cost. Like every section it is skip-unknown: a server that does not know
 // it treats the aggregator as a plain (large) site.
-const (
-	// sectionAggLevel is the aggregation provenance section of a condensed
-	// upload: tree level, child-round outcome, regional clustering stats,
-	// per-source representative provenance, and the child-level phase
-	// timings (collect, global step, condense) that let the root report a
-	// per-level cost decomposition.
-	sectionAggLevel byte = 0x07
 
-	aggLevelVersion byte = 1
-
-	// aggLevelFixedLen is the encoded size of a version-1 body before the
-	// variable-length source list: version byte, level u32, sites expected/
-	// ok/failed u32 each, regional clusters u32, objects u64, round ns u64,
-	// global ns u64, condense ns u64, source count u32.
-	aggLevelFixedLen = 1 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4
-
-	// maxAggSources bounds the decoded source list so a malformed count
-	// cannot make the parser allocate unbounded memory. A real aggregator
-	// has one source per child connection; 64k is far beyond any fan-in.
-	maxAggSources = 1 << 16
-)
+// maxAggSources bounds the decoded source list so a malformed count cannot
+// make the parser allocate unbounded memory. A real aggregator has one
+// source per child connection; 64k is far beyond any fan-in.
+const maxAggSources = 1 << 16
 
 // AggSource names one child that contributed to a condensed model: a site
 // (or a deeper aggregator) and how many representatives of the regional
@@ -51,7 +36,7 @@ type AggSource struct {
 }
 
 // AggLevel is the aggregation provenance an interior tree node reports
-// alongside its condensed upload (the sectionAggLevel trailer). The parent
+// alongside its condensed upload (the aggLevelSection trailer). The parent
 // stores it in the site's SiteOutcome, which is how per-level round reports
 // chain up the tree: every node sees its children's level summaries and
 // forwards its own.
@@ -100,82 +85,62 @@ func (a *AggLevel) String() string {
 	return b.String()
 }
 
-// appendAggLevelSection appends the encoded provenance section to dst.
-func appendAggLevelSection(dst []byte, a AggLevel) []byte {
-	bodyLen := aggLevelFixedLen
-	for _, s := range a.Sources {
-		bodyLen += 2 + len(s.SiteID) + 4
-	}
-	dst = append(dst, sectionAggLevel)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
-	dst = append(dst, aggLevelVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.Level))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.SitesExpected))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.SitesOK))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.SitesFailed))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.RegionalClusters))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.Objects))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.RoundDuration.Nanoseconds()))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.GlobalStepDuration.Nanoseconds()))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.CondenseDuration.Nanoseconds()))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.Sources)))
-	for _, s := range a.Sources {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s.SiteID)))
-		dst = append(dst, s.SiteID...)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Reps))
-	}
-	return dst
+// aggLevelSection is the aggregation provenance section of a condensed
+// upload: tree level, child-round outcome, regional clustering stats, the
+// child-level phase timings (collect, global step, condense) that let the
+// root report a per-level cost decomposition, and per-source representative
+// provenance. A malformed source list makes the section unreadable, so it is
+// ignored: provenance is metadata, the model already decoded.
+var aggLevelSection = wire.Section[AggLevel]{
+	ID:      0x07,
+	Version: 1,
+	Write: func(w *wire.Writer, a AggLevel) {
+		w.U32(uint32(a.Level))
+		w.U32(uint32(a.SitesExpected))
+		w.U32(uint32(a.SitesOK))
+		w.U32(uint32(a.SitesFailed))
+		w.U32(uint32(a.RegionalClusters))
+		w.U64(uint64(a.Objects))
+		w.U64(uint64(a.RoundDuration))
+		w.U64(uint64(a.GlobalStepDuration))
+		w.U64(uint64(a.CondenseDuration))
+		w.U32(uint32(len(a.Sources)))
+		for _, s := range a.Sources {
+			w.Str16(s.SiteID)
+			w.U32(uint32(s.Reps))
+		}
+	},
+	Read: func(r *wire.Reader) AggLevel {
+		a := AggLevel{
+			Level:              int(r.U32()),
+			SitesExpected:      int(r.U32()),
+			SitesOK:            int(r.U32()),
+			SitesFailed:        int(r.U32()),
+			RegionalClusters:   int(r.U32()),
+			Objects:            int(r.U64()),
+			RoundDuration:      time.Duration(r.U64()),
+			GlobalStepDuration: time.Duration(r.U64()),
+			CondenseDuration:   time.Duration(r.U64()),
+		}
+		n := int(r.U32())
+		if n > maxAggSources {
+			r.Failf("transport: %d aggregation sources exceed the limit of %d", n, maxAggSources)
+		}
+		if n > 0 && r.Err() == nil {
+			// A source is at least 6 bytes: bound the preallocation by
+			// what the body can hold.
+			a.Sources = make([]AggSource, 0, min(n, r.Len()/6))
+		}
+		for i := 0; i < n && r.Err() == nil; i++ {
+			a.Sources = append(a.Sources, AggSource{SiteID: r.Str16(), Reps: int(r.U32())})
+		}
+		return a
+	},
 }
 
-// parseAggLevelBody decodes a version-1 (or newer, prefix-compatible)
-// provenance body. ok is false on a short body, unknown version, or a
-// malformed source list — the section is then ignored, it never fails the
-// upload: provenance is metadata, the model already decoded.
-func parseAggLevelBody(body []byte) (AggLevel, bool) {
-	if len(body) < aggLevelFixedLen || body[0] != aggLevelVersion {
-		return AggLevel{}, false
-	}
-	a := AggLevel{
-		Level:              int(binary.LittleEndian.Uint32(body[1:5])),
-		SitesExpected:      int(binary.LittleEndian.Uint32(body[5:9])),
-		SitesOK:            int(binary.LittleEndian.Uint32(body[9:13])),
-		SitesFailed:        int(binary.LittleEndian.Uint32(body[13:17])),
-		RegionalClusters:   int(binary.LittleEndian.Uint32(body[17:21])),
-		Objects:            int(binary.LittleEndian.Uint64(body[21:29])),
-		RoundDuration:      time.Duration(binary.LittleEndian.Uint64(body[29:37])),
-		GlobalStepDuration: time.Duration(binary.LittleEndian.Uint64(body[37:45])),
-		CondenseDuration:   time.Duration(binary.LittleEndian.Uint64(body[45:53])),
-	}
-	n := int(binary.LittleEndian.Uint32(body[53:57]))
-	if n < 0 || n > maxAggSources {
-		return AggLevel{}, false
-	}
-	rest := body[aggLevelFixedLen:]
-	if n > 0 {
-		a.Sources = make([]AggSource, 0, min(n, len(rest)/6))
-	}
-	for i := 0; i < n; i++ {
-		if len(rest) < 2 {
-			return AggLevel{}, false
-		}
-		idLen := int(binary.LittleEndian.Uint16(rest[:2]))
-		rest = rest[2:]
-		if len(rest) < idLen+4 {
-			return AggLevel{}, false
-		}
-		a.Sources = append(a.Sources, AggSource{
-			SiteID: string(rest[:idLen]),
-			Reps:   int(binary.LittleEndian.Uint32(rest[idLen : idLen+4])),
-		})
-		rest = rest[idLen+4:]
-	}
-	return a, true
-}
-
-// AppendAggLevelSection encodes the provenance section into dst in the
-// established [id][u32 len][body] section format. Exported for the
-// aggregator's Client.AppendSections hook (internal/aggtree); the receiving
-// server reports it in SiteOutcome.Agg.
+// AppendAggLevelSection appends the provenance section to dst. Exported for
+// the aggregator's Client.AppendSections hook (internal/aggtree); the
+// receiving server reports it in SiteOutcome.Agg.
 func AppendAggLevelSection(dst []byte, a AggLevel) []byte {
-	return appendAggLevelSection(dst, a)
+	return aggLevelSection.Append(dst, a)
 }

@@ -60,9 +60,9 @@ func TestAggLevelSectionAlongsideOthers(t *testing.T) {
 	wantAgg := testAggLevel()
 	wantPhases := SitePhases{Workers: 4, Cluster: time.Second}
 	wantBudget := SiteBudget{RepBudget: 8, RepsDropped: 3, CoverageFraction: 0.9}
-	data := appendSitePhasesSection(nil, wantPhases)
+	data := sitePhasesSection.Append(nil, wantPhases)
 	data = append(data, 0x7e, 3, 0, 0, 0, 1, 2, 3) // unknown section, skipped
-	data = appendSiteBudgetSection(data, wantBudget)
+	data = siteBudgetSection.Append(data, wantBudget)
 	data = AppendAggLevelSection(data, wantAgg)
 	secs, err := parseSections(data)
 	phases, budget, agg := secs.phases, secs.budget, secs.agg
@@ -88,7 +88,7 @@ func TestAggLevelSectionMalformed(t *testing.T) {
 
 	// Unknown body version: section ignored, walk succeeds.
 	bad := append([]byte(nil), full...)
-	bad[sectionHeaderSize] = 99
+	bad[sectionHeaderBytes] = 99
 	secs, err := parseSections(bad)
 	agg := secs.agg
 	if err != nil {
@@ -100,7 +100,7 @@ func TestAggLevelSectionMalformed(t *testing.T) {
 
 	// Source count pointing past the body: ignored, not an error.
 	bad = AppendAggLevelSection(nil, AggLevel{Level: 1})
-	bad[sectionHeaderSize+53] = 0xff // claim 255 sources with an empty list
+	bad[sectionHeaderBytes+53] = 0xff // claim 255 sources with an empty list
 	if secs, err = parseSections(bad); err != nil || secs.agg != nil {
 		t.Fatalf("oversized source count: agg %v err %v", secs.agg, err)
 	}
@@ -130,17 +130,17 @@ func TestAggLevelString(t *testing.T) {
 func FuzzAggSections(f *testing.F) {
 	f.Add(AppendAggLevelSection(nil, testAggLevel()))
 	f.Add(AppendAggLevelSection(nil, AggLevel{Level: 1}))
-	f.Add(AppendAggLevelSection(appendSitePhasesSection(nil, SitePhases{Workers: 2}), testAggLevel()))
-	f.Add(appendSiteBudgetSection(AppendAggLevelSection(nil, AggLevel{Level: 3,
+	f.Add(AppendAggLevelSection(sitePhasesSection.Append(nil, SitePhases{Workers: 2}), testAggLevel()))
+	f.Add(siteBudgetSection.Append(AppendAggLevelSection(nil, AggLevel{Level: 3,
 		Sources: []AggSource{{SiteID: "x", Reps: 1}}}), SiteBudget{RepBudget: 1}))
 	f.Add([]byte{})
-	f.Add([]byte{sectionAggLevel, 0xff, 0xff, 0xff, 0xff}) // oversized body length
-	f.Add(AppendAggLevelSection(nil, AggLevel{})[:9])      // truncated body
+	f.Add([]byte{aggLevelSection.ID, 0xff, 0xff, 0xff, 0xff}) // oversized body length
+	f.Add(AppendAggLevelSection(nil, AggLevel{})[:9])         // truncated body
 	seed := AppendAggLevelSection(nil, AggLevel{Level: 1})
-	seed[sectionHeaderSize] = 99 // unknown body version
+	seed[sectionHeaderBytes] = 99 // unknown body version
 	f.Add(seed)
 	seed = AppendAggLevelSection(nil, AggLevel{Level: 1, Sources: []AggSource{{SiteID: "a", Reps: 2}}})
-	seed[sectionHeaderSize+53] = 0x40 // source count beyond the body
+	seed[sectionHeaderBytes+53] = 0x40 // source count beyond the body
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

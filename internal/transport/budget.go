@@ -1,9 +1,9 @@
 package transport
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
+
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // This file implements the wire side of the SDBDC representative budgets
@@ -12,40 +12,13 @@ import (
 // handshake through which the server advertises a per-upload byte cap that
 // the client honors by shrinking its budget until the model fits.
 //
-// All three encodings reuse the section format of phases.go —
-// [id byte][u32 body length][body] — so every parser on either side skips
-// what it does not know: a site that has no budget never sends MsgHello and
-// attaches no budget section, and either peer can append sections to the
-// hello or the ack without breaking the other.
-const (
-	// sectionSiteBudget carries the budget accounting of a budgeted
-	// upload: the per-cluster cap the model was built under, how many
-	// specific cores the budget dropped, and the member coverage the
-	// survivors retain.
-	sectionSiteBudget byte = 0x02
-	// sectionBudgetCap is the server's upload byte cap inside a
-	// MsgHelloAck payload.
-	sectionBudgetCap byte = 0x03
-	// sectionClientHello is the client's self-description inside a
-	// MsgHello payload.
-	sectionClientHello byte = 0x04
-
-	siteBudgetVersion byte = 1
-	// siteBudgetBodyLen: version byte, rep budget u32, reps dropped u32,
-	// coverage fraction f64.
-	siteBudgetBodyLen = 1 + 4 + 4 + 8
-
-	budgetCapVersion byte = 1
-	// budgetCapBodyLen: version byte, max upload bytes u64.
-	budgetCapBodyLen = 1 + 8
-
-	clientHelloVersion byte = 1
-	// clientHelloBodyLen: version byte, configured rep budget u32.
-	clientHelloBodyLen = 1 + 4
-)
+// All three encodings are internal/wire sections, so every parser on either
+// side skips what it does not know: a site that has no budget never sends
+// MsgHello and attaches no budget section, and either peer can append
+// sections to the hello or the ack without breaking the other.
 
 // SiteBudget is the budget accounting a site reports alongside a budgeted
-// upload (the sectionSiteBudget trailer of the upload frame).
+// upload (the siteBudgetSection trailer of the upload frame).
 type SiteBudget struct {
 	// RepBudget is the per-cluster representative cap the transmitted
 	// model was built under — after any cap-driven shrink, so it may be
@@ -59,53 +32,63 @@ type SiteBudget struct {
 	CoverageFraction float64
 }
 
-// appendSiteBudgetSection appends the encoded budget section to dst.
-func appendSiteBudgetSection(dst []byte, b SiteBudget) []byte {
-	dst = append(dst, sectionSiteBudget)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(siteBudgetBodyLen))
-	dst = append(dst, siteBudgetVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.RepBudget))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.RepsDropped))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.CoverageFraction))
-	return dst
+// siteBudgetSection carries the budget accounting of a budgeted upload:
+// the per-cluster cap the model was built under, how many specific cores the
+// budget dropped, and the member coverage the survivors retain.
+var siteBudgetSection = wire.Section[SiteBudget]{
+	ID:      0x02,
+	Version: 1,
+	Write: func(w *wire.Writer, b SiteBudget) {
+		w.U32(uint32(b.RepBudget))
+		w.U32(uint32(b.RepsDropped))
+		w.F64(b.CoverageFraction)
+	},
+	Read: func(r *wire.Reader) SiteBudget {
+		return SiteBudget{
+			RepBudget:        int(r.U32()),
+			RepsDropped:      int(r.U32()),
+			CoverageFraction: r.F64(),
+		}
+	},
 }
 
-// parseSiteBudgetBody decodes a version-1 (or newer, prefix-compatible)
-// budget section body. ok is false on a short body or unknown version — the
-// section is then ignored, it never fails the upload.
-func parseSiteBudgetBody(body []byte) (SiteBudget, bool) {
-	if len(body) < siteBudgetBodyLen || body[0] != siteBudgetVersion {
-		return SiteBudget{}, false
-	}
-	return SiteBudget{
-		RepBudget:        int(binary.LittleEndian.Uint32(body[1:5])),
-		RepsDropped:      int(binary.LittleEndian.Uint32(body[5:9])),
-		CoverageFraction: math.Float64frombits(binary.LittleEndian.Uint64(body[9:17])),
-	}, true
+// budgetCapSection is the server's upload byte cap inside a MsgHelloAck
+// payload. A cap beyond int64 is unreadable, so the section is ignored.
+var budgetCapSection = wire.Section[int64]{
+	ID:      0x03,
+	Version: 1,
+	Write:   func(w *wire.Writer, maxUploadBytes int64) { w.U64(uint64(maxUploadBytes)) },
+	Read: func(r *wire.Reader) int64 {
+		v := r.U64()
+		if v > math.MaxInt64 {
+			r.Failf("transport: upload cap %d overflows int64", v)
+		}
+		return int64(v)
+	},
+}
+
+// clientHelloSection is the client's self-description inside a MsgHello
+// payload: its configured per-cluster budget.
+var clientHelloSection = wire.Section[int]{
+	ID:      0x04,
+	Version: 1,
+	Write:   func(w *wire.Writer, repBudget int) { w.U32(uint32(repBudget)) },
+	Read:    func(r *wire.Reader) int { return int(r.U32()) },
 }
 
 // encodeHello builds the MsgHello payload: the client's configured
 // per-cluster budget, informational for logs and future policy.
-func encodeHello(repBudget int) []byte {
-	dst := make([]byte, 0, sectionHeaderSize+clientHelloBodyLen)
-	dst = append(dst, sectionClientHello)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(clientHelloBodyLen))
-	dst = append(dst, clientHelloVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(repBudget))
-	return dst
-}
+func encodeHello(repBudget int) []byte { return clientHelloSection.Append(nil, repBudget) }
 
 // parseHello extracts the client's configured budget from a MsgHello
-// payload. Unknown sections are skipped; a missing or unreadable hello
-// section yields (0, nil) — the handshake still succeeds, the field is
-// informational.
+// payload. A missing or unreadable hello section yields (0, nil) — the
+// handshake still succeeds, the field is informational.
 func parseHello(data []byte) (repBudget int, err error) {
-	err = walkSections(data, func(id byte, body []byte) {
-		if id == sectionClientHello && len(body) >= clientHelloBodyLen && body[0] == clientHelloVersion {
-			repBudget = int(binary.LittleEndian.Uint32(body[1:5]))
-		}
-	})
-	return repBudget, err
+	var b *int
+	if err := wire.ReadSections(data, clientHelloSection.Into(&b)); err != nil || b == nil {
+		return 0, err
+	}
+	return *b, nil
 }
 
 // encodeHelloAck builds the MsgHelloAck payload advertising the server's
@@ -115,46 +98,16 @@ func encodeHelloAck(maxUploadBytes int64) []byte {
 	if maxUploadBytes <= 0 {
 		return nil
 	}
-	dst := make([]byte, 0, sectionHeaderSize+budgetCapBodyLen)
-	dst = append(dst, sectionBudgetCap)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(budgetCapBodyLen))
-	dst = append(dst, budgetCapVersion)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(maxUploadBytes))
-	return dst
+	return budgetCapSection.Append(nil, maxUploadBytes)
 }
 
 // parseHelloAck extracts the upload byte cap from a MsgHelloAck payload.
 // 0 means the server advertised no constraint (empty area, unknown
 // sections only, or an unreadable cap body — all degrade to uncapped).
 func parseHelloAck(data []byte) (maxUploadBytes int64, err error) {
-	err = walkSections(data, func(id byte, body []byte) {
-		if id == sectionBudgetCap && len(body) >= budgetCapBodyLen && body[0] == budgetCapVersion {
-			v := binary.LittleEndian.Uint64(body[1:9])
-			if v <= math.MaxInt64 {
-				maxUploadBytes = int64(v)
-			}
-		}
-	})
-	return maxUploadBytes, err
-}
-
-// walkSections iterates a section area, invoking fn for every
-// well-delimited section. A truncated header or body is an error: the bytes
-// passed the frame CRC, so truncation means a broken encoder, not line
-// noise.
-func walkSections(data []byte, fn func(id byte, body []byte)) error {
-	for len(data) > 0 {
-		if len(data) < sectionHeaderSize {
-			return fmt.Errorf("transport: truncated section header: %d trailing bytes", len(data))
-		}
-		id := data[0]
-		n := int(binary.LittleEndian.Uint32(data[1:5]))
-		data = data[sectionHeaderSize:]
-		if n > len(data) {
-			return fmt.Errorf("transport: section 0x%02x advertises %d bytes, %d remain", id, n, len(data))
-		}
-		fn(id, data[:n])
-		data = data[n:]
+	var c *int64
+	if err := wire.ReadSections(data, budgetCapSection.Into(&c)); err != nil || c == nil {
+		return 0, err
 	}
-	return nil
+	return *c, nil
 }

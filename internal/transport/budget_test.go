@@ -17,7 +17,7 @@ import (
 
 func TestSiteBudgetSectionRoundTrip(t *testing.T) {
 	want := SiteBudget{RepBudget: 4, RepsDropped: 17, CoverageFraction: 0.875}
-	data := appendSiteBudgetSection(nil, want)
+	data := siteBudgetSection.Append(nil, want)
 	secs, err := parseSections(data)
 	got := secs.budget
 	if err != nil {
@@ -28,7 +28,7 @@ func TestSiteBudgetSectionRoundTrip(t *testing.T) {
 	}
 	// Phases and budget coexisting in one section area, any order.
 	phases := SitePhases{Workers: 2, Cluster: time.Second, Attempt: 1}
-	data = appendSiteBudgetSection(appendSitePhasesSection(nil, phases), want)
+	data = siteBudgetSection.Append(sitePhasesSection.Append(nil, phases), want)
 	secs, err = parseSections(data)
 	p, b := secs.phases, secs.budget
 	if err != nil {
@@ -40,9 +40,9 @@ func TestSiteBudgetSectionRoundTrip(t *testing.T) {
 }
 
 func TestSiteBudgetSectionUnknownVersionIgnored(t *testing.T) {
-	body := make([]byte, siteBudgetBodyLen)
+	body := make([]byte, siteBudgetV1Bytes)
 	body[0] = 99
-	data := []byte{sectionSiteBudget}
+	data := []byte{siteBudgetSection.ID}
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
 	data = append(data, body...)
 	secs, err := parseSections(data)
@@ -395,7 +395,7 @@ func TestBudgetZeroWireIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := frameHeaderSize + outcome.Model.EncodedSize() + sectionHeaderSize + sitePhasesBodyLen
+	wantBytes := frameHeaderSize + outcome.Model.EncodedSize() + sectionHeaderBytes + sitePhasesV1Bytes
 	if site.Bytes != wantBytes {
 		t.Fatalf("unbudgeted upload = %dB, pre-budget wire format = %dB", site.Bytes, wantBytes)
 	}
@@ -406,15 +406,15 @@ func TestBudgetZeroWireIdentity(t *testing.T) {
 // way FuzzReadFrame pins the frame decoder: no input may panic, and every
 // accepted section area round-trips through the appenders canonically.
 func FuzzBudgetSections(f *testing.F) {
-	f.Add(appendSiteBudgetSection(nil, SiteBudget{RepBudget: 4, RepsDropped: 9, CoverageFraction: 0.75}))
-	f.Add(appendSitePhasesSection(appendSiteBudgetSection(nil, SiteBudget{RepBudget: 1}), SitePhases{Workers: 2}))
+	f.Add(siteBudgetSection.Append(nil, SiteBudget{RepBudget: 4, RepsDropped: 9, CoverageFraction: 0.75}))
+	f.Add(sitePhasesSection.Append(siteBudgetSection.Append(nil, SiteBudget{RepBudget: 1}), SitePhases{Workers: 2}))
 	f.Add(encodeHello(8))
 	f.Add(encodeHelloAck(1 << 20))
 	f.Add([]byte{})
-	f.Add([]byte{sectionSiteBudget, 0xff, 0xff, 0xff, 0xff}) // oversized body length
-	f.Add(appendSiteBudgetSection(nil, SiteBudget{})[:6])    // truncated body
-	f.Add([]byte{0x7f, 0, 0, 0, 0})                          // unknown empty section
-	seed := appendSiteBudgetSection(nil, SiteBudget{RepBudget: 2})
+	f.Add([]byte{siteBudgetSection.ID, 0xff, 0xff, 0xff, 0xff}) // oversized body length
+	f.Add(siteBudgetSection.Append(nil, SiteBudget{})[:6])      // truncated body
+	f.Add([]byte{0x7f, 0, 0, 0, 0})                             // unknown empty section
+	seed := siteBudgetSection.Append(nil, SiteBudget{RepBudget: 2})
 	seed[5] = 99 // unknown body version
 	f.Add(seed)
 
@@ -424,7 +424,7 @@ func FuzzBudgetSections(f *testing.F) {
 		if err == nil && budget != nil {
 			// Accepted budget sections must round-trip canonically
 			// through the appender.
-			re := appendSiteBudgetSection(nil, *budget)
+			re := siteBudgetSection.Append(nil, *budget)
 			resecs, rerr := parseSections(re)
 			back := resecs.budget
 			if rerr != nil || back == nil {

@@ -168,10 +168,10 @@ func (c *Client) uploadPayload(modelBytes []byte, phases *SitePhases, budget *Si
 		p := *phases
 		p.Attempt = attempt
 		p.Backoff = slept
-		payload = appendSitePhasesSection(payload, p)
+		payload = sitePhasesSection.Append(payload, p)
 	}
 	if budget != nil {
-		payload = appendSiteBudgetSection(payload, *budget)
+		payload = siteBudgetSection.Append(payload, *budget)
 	}
 	if c.AppendSections != nil {
 		payload = c.AppendSections(payload)

@@ -15,11 +15,12 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // Message types of the wire protocol. 0x01 was the original bare-model
@@ -49,7 +50,7 @@ const (
 	// (0x10/0x11 belong to the site query server — see query.go.)
 	MsgHello byte = 0x30
 	// MsgHelloAck answers MsgHello. Its sectioned payload advertises the
-	// server's upload byte cap (sectionBudgetCap); an empty section area
+	// server's upload byte cap (budgetCapSection); an empty section area
 	// means no constraints.
 	MsgHelloAck byte = 0x31
 
@@ -119,12 +120,12 @@ func WriteFrame(w io.Writer, msgType byte, payload []byte) (int, error) {
 	if len(payload) > MaxFrameSize {
 		return 0, fmt.Errorf("%w: payload is %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	header := make([]byte, frameHeaderSize)
-	header[0] = FrameVersion
-	header[1] = msgType
-	binary.LittleEndian.PutUint32(header[2:6], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[6:10], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header); err != nil {
+	header := wire.NewWriter(make([]byte, 0, frameHeaderSize))
+	header.U8(FrameVersion)
+	header.U8(msgType)
+	header.U32(uint32(len(payload)))
+	header.U32(crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(header.Bytes()); err != nil {
 		return 0, fmt.Errorf("transport: writing frame header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -145,19 +146,21 @@ func ReadFrame(r io.Reader) (msgType byte, payload []byte, n int, err error) {
 // included: a frame advertising more is refused with ErrFrameTooLarge from
 // its header alone, before any payload is allocated or awaited.
 func readFrame(r io.Reader, maxFrame int64) (msgType byte, payload []byte, n int, err error) {
-	header := make([]byte, frameHeaderSize)
-	if _, err := io.ReadFull(r, header); err != nil {
+	buf := make([]byte, frameHeaderSize)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, 0, fmt.Errorf("transport: reading frame header: %w", err)
 	}
-	if header[0] != FrameVersion {
-		return 0, nil, 0, fmt.Errorf("%w: got %d, want %d", ErrFrameVersion, header[0], FrameVersion)
+	header := wire.NewReader(buf)
+	if v := header.U8(); v != FrameVersion {
+		return 0, nil, 0, fmt.Errorf("%w: got %d, want %d", ErrFrameVersion, v, FrameVersion)
 	}
-	size := binary.LittleEndian.Uint32(header[2:6])
+	msgType = header.U8()
+	size := header.U32()
 	if frame := frameHeaderSize + int64(size); frame > maxFrame {
 		return 0, nil, 0, fmt.Errorf("%w: header advertises a %d-byte frame, limit is %d",
 			ErrFrameTooLarge, frame, maxFrame)
 	}
-	wantCRC := binary.LittleEndian.Uint32(header[6:10])
+	wantCRC := header.U32()
 	payload = make([]byte, size)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, fmt.Errorf("transport: reading frame payload: %w", err)
@@ -167,8 +170,8 @@ func readFrame(r io.Reader, maxFrame int64) (msgType byte, payload []byte, n int
 		// callers can attempt best-effort diagnostics (e.g. naming the
 		// site behind a flipped-bit upload); it must never be decoded
 		// as a model.
-		return header[1], payload, frameHeaderSize + int(size),
+		return msgType, payload, frameHeaderSize + int(size),
 			fmt.Errorf("%w: payload CRC 0x%08x, header says 0x%08x", ErrChecksum, got, wantCRC)
 	}
-	return header[1], payload, frameHeaderSize + int(size), nil
+	return msgType, payload, frameHeaderSize + int(size), nil
 }

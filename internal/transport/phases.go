@@ -1,9 +1,10 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
+
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // This file implements the per-phase cost reporting of the networked DBDC
@@ -14,35 +15,13 @@ import (
 //
 //	[ model.LocalModel bytes ][ section ]*
 //
-// where every section is
-//
-//	[0]    section id (1 byte)
-//	[1:5]  body length, uint32 little-endian
-//	[5:..] body
-//
-// The model encoding is self-delimiting (model.LocalModel.
-// UnmarshalBinaryPrefix), so the section area starts wherever the model
-// ends; a payload that ends with the model has no sections. Unknown section
-// ids are skipped — a newer client can append sections an older server-side
-// parser has never heard of without breaking the round. The whole payload
-// sits inside one ordinary version-2 frame and is covered by the frame CRC.
-const (
-	// sectionSitePhases is the per-phase site metrics section.
-	sectionSitePhases byte = 0x01
-
-	// sectionHeaderSize is id byte + body length.
-	sectionHeaderSize = 5
-
-	// sitePhasesVersion versions the section body; parsers skip bodies
-	// with a version they do not know.
-	sitePhasesVersion byte = 1
-
-	// sitePhasesBodyLen is the encoded size of a version-1 body: version
-	// byte, workers u32, cluster ns u64, condense ns u64, attempt u32,
-	// backoff ns u64. Newer versions may append fields; version-1 parsers
-	// read their prefix and ignore the rest.
-	sitePhasesBodyLen = 1 + 4 + 8 + 8 + 4 + 8
-)
+// in the section framing of internal/wire. The model encoding is
+// self-delimiting (model.LocalModel.UnmarshalBinaryPrefix), so the section
+// area starts wherever the model ends; a payload that ends with the model
+// has no sections. Unknown section ids are skipped — a newer client can
+// append sections an older server-side parser has never heard of without
+// breaking the round. The whole payload sits inside one ordinary version-2
+// frame and is covered by the frame CRC.
 
 // SitePhases is the per-phase breakdown a site reports alongside its model
 // upload (the metrics section of a MsgLocalModelTimed frame). All costs are
@@ -63,34 +42,26 @@ type SitePhases struct {
 	Backoff time.Duration
 }
 
-// appendSitePhasesSection appends the encoded metrics section to dst.
-func appendSitePhasesSection(dst []byte, p SitePhases) []byte {
-	dst = append(dst, sectionSitePhases)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(sitePhasesBodyLen))
-	dst = append(dst, sitePhasesVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Workers))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Cluster.Nanoseconds()))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Condense.Nanoseconds()))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Attempt))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Backoff.Nanoseconds()))
-	return dst
-}
-
-// parseSitePhasesBody decodes a version-1 (or newer, prefix-compatible)
-// section body. ok is false when the body is too short or carries an
-// unknown version — the caller then ignores the section, it never fails
-// the upload.
-func parseSitePhasesBody(body []byte) (SitePhases, bool) {
-	if len(body) < sitePhasesBodyLen || body[0] != sitePhasesVersion {
-		return SitePhases{}, false
-	}
-	return SitePhases{
-		Workers:  int(binary.LittleEndian.Uint32(body[1:5])),
-		Cluster:  time.Duration(binary.LittleEndian.Uint64(body[5:13])),
-		Condense: time.Duration(binary.LittleEndian.Uint64(body[13:21])),
-		Attempt:  int(binary.LittleEndian.Uint32(body[21:25])),
-		Backoff:  time.Duration(binary.LittleEndian.Uint64(body[25:33])),
-	}, true
+// sitePhasesSection is the per-phase site metrics section.
+var sitePhasesSection = wire.Section[SitePhases]{
+	ID:      0x01,
+	Version: 1,
+	Write: func(w *wire.Writer, p SitePhases) {
+		w.U32(uint32(p.Workers))
+		w.U64(uint64(p.Cluster))
+		w.U64(uint64(p.Condense))
+		w.U32(uint32(p.Attempt))
+		w.U64(uint64(p.Backoff))
+	},
+	Read: func(r *wire.Reader) SitePhases {
+		return SitePhases{
+			Workers:  int(r.U32()),
+			Cluster:  time.Duration(r.U64()),
+			Condense: time.Duration(r.U64()),
+			Attempt:  int(r.U32()),
+			Backoff:  time.Duration(r.U64()),
+		}
+	},
 }
 
 // uploadSections holds the optional sections of an upload's section area —
@@ -102,33 +73,17 @@ type uploadSections struct {
 	stream *StreamStats
 }
 
-// parseSections walks the section area of an upload (everything after the
-// self-delimiting model or delta prefix) and decodes the sections it knows.
-// Unknown sections are skipped (walkSections); a malformed section area
-// (truncated header or body) is an error — the bytes passed the frame CRC,
-// so truncation here means a broken encoder, not line noise.
+// parseSections reads the section area of an upload (everything after the
+// self-delimiting model or delta prefix) under the rules of
+// wire.ReadSections: unknown or unreadable sections are ignored, a
+// malformed section area is an error.
 func parseSections(data []byte) (uploadSections, error) {
 	var s uploadSections
-	err := walkSections(data, func(id byte, body []byte) {
-		switch id {
-		case sectionSitePhases:
-			if p, ok := parseSitePhasesBody(body); ok {
-				s.phases = &p
-			}
-		case sectionSiteBudget:
-			if b, ok := parseSiteBudgetBody(body); ok {
-				s.budget = &b
-			}
-		case sectionAggLevel:
-			if a, ok := parseAggLevelBody(body); ok {
-				s.agg = &a
-			}
-		case sectionStreamStats:
-			if st, ok := parseStreamStatsBody(body); ok {
-				s.stream = &st
-			}
-		}
-	})
+	err := wire.ReadSections(data,
+		sitePhasesSection.Into(&s.phases),
+		siteBudgetSection.Into(&s.budget),
+		aggLevelSection.Into(&s.agg),
+		streamStatsSection.Into(&s.stream))
 	if err != nil {
 		return uploadSections{}, err
 	}

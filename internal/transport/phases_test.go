@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -21,6 +23,15 @@ import (
 
 // --- section codec -------------------------------------------------------
 
+// Encoded sizes of a section header and of the version-1 phase and budget
+// bodies (docs/transport.md §1.1), pinned here independently of the
+// encoders.
+const (
+	sectionHeaderBytes = 5
+	sitePhasesV1Bytes  = 33
+	siteBudgetV1Bytes  = 17
+)
+
 func TestSitePhasesSectionRoundTrip(t *testing.T) {
 	want := SitePhases{
 		Workers:  4,
@@ -29,7 +40,7 @@ func TestSitePhasesSectionRoundTrip(t *testing.T) {
 		Attempt:  3,
 		Backoff:  78 * time.Millisecond,
 	}
-	data := appendSitePhasesSection(nil, want)
+	data := sitePhasesSection.Append(nil, want)
 	secs, err := parseSections(data)
 	got := secs.phases
 	if err != nil {
@@ -47,7 +58,7 @@ func TestParseSectionsSkipsUnknown(t *testing.T) {
 	data := []byte{0x7f}
 	data = binary.LittleEndian.AppendUint32(data, 3)
 	data = append(data, 1, 2, 3)
-	data = appendSitePhasesSection(data, phases)
+	data = sitePhasesSection.Append(data, phases)
 	data = append(data, 0x42)
 	data = binary.LittleEndian.AppendUint32(data, 0)
 	secs, err := parseSections(data)
@@ -64,9 +75,9 @@ func TestParseSectionsUnknownBodyVersionIgnored(t *testing.T) {
 	// A known section id with an unknown body version must be skipped,
 	// not fail the upload: the body-version byte is the forward-compat
 	// hinge for incompatible layout changes.
-	body := make([]byte, sitePhasesBodyLen)
+	body := make([]byte, sitePhasesV1Bytes)
 	body[0] = 99
-	data := []byte{sectionSitePhases}
+	data := []byte{sitePhasesSection.ID}
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
 	data = append(data, body...)
 	secs, err := parseSections(data)
@@ -80,8 +91,8 @@ func TestParseSectionsUnknownBodyVersionIgnored(t *testing.T) {
 }
 
 func TestParseSectionsTruncated(t *testing.T) {
-	full := appendSitePhasesSection(nil, SitePhases{Workers: 1})
-	for _, cut := range []int{1, sectionHeaderSize - 1, sectionHeaderSize + 2, len(full) - 1} {
+	full := sitePhasesSection.Append(nil, SitePhases{Workers: 1})
+	for _, cut := range []int{1, sectionHeaderBytes - 1, sectionHeaderBytes + 2, len(full) - 1} {
 		if _, err := parseSections(full[:cut]); err == nil {
 			t.Errorf("truncation at %d bytes accepted", cut)
 		}
@@ -301,6 +312,41 @@ func TestNetworkedRoundEndToEnd(t *testing.T) {
 				t.Fatalf("site %s: label %d differs: %v vs %v", s.ID, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestWriteReportsRewritesWhole: each write replaces the file, so a
+// shorter report leaves nothing of a longer one behind.
+func TestWriteReportsRewritesWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rounds.json")
+	long := []*RoundReport{
+		{Expect: 2, OK: 2, ForwardDuration: time.Millisecond, Sites: []SiteOutcome{{SiteID: "s1", OK: true}, {SiteID: "s2", OK: true}}},
+		{Expect: 2, OK: 1, Failed: 1, Sites: []SiteOutcome{{SiteID: "s1", OK: true}, {SiteID: "s2", Reason: "timeout"}}},
+	}
+	short := []*RoundReport{{Expect: 1, Failed: 1, Sites: []SiteOutcome{{SiteID: "s3", Reason: "refused"}}}}
+	if err := WriteReports(path, long); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteReports(path, short); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(out, []byte("]\n")) {
+		t.Fatalf("report does not end in one newline: %q", out)
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	var got []*RoundReport
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("report is not a JSON array of round reports: %v\n%s", err, out)
+	}
+	if dec.More() {
+		t.Fatalf("report written more than once:\n%s", out)
+	}
+	if !reflect.DeepEqual(got, short) {
+		t.Fatalf("file holds %s, want the last write only", out)
 	}
 }
 

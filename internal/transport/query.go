@@ -1,16 +1,15 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // Section 7 of the paper motivates the relabeling step with queries like
@@ -86,7 +85,8 @@ func (s *SiteQueryServer) handleQuery(conn net.Conn) {
 		WriteFrame(conn, MsgError, []byte("expected cluster query"))
 		return
 	}
-	id := cluster.ID(int32(binary.LittleEndian.Uint32(payload)))
+	q := wire.NewReader(payload)
+	id := cluster.ID(q.I32())
 	s.mu.RLock()
 	var members []geom.Point
 	for i, l := range s.labels {
@@ -106,28 +106,26 @@ func EncodePoints(pts []geom.Point) []byte {
 	if len(pts) > 0 {
 		dim = pts[0].Dim()
 	}
-	buf := make([]byte, 8, 8+len(pts)*dim*8)
-	binary.LittleEndian.PutUint32(buf, uint32(len(pts)))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(dim))
+	w := wire.NewWriter(make([]byte, 0, 8+len(pts)*dim*8))
+	w.U32(uint32(len(pts)))
+	w.U32(uint32(dim))
 	for _, p := range pts {
 		for _, v := range p {
-			var scratch [8]byte
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-			buf = append(buf, scratch[:]...)
+			w.F64(v)
 		}
 	}
-	return buf
+	return w.Bytes()
 }
 
 // DecodePoints is the inverse of EncodePoints with hostile-input bounds
 // checks: implausible headers are rejected before any allocation sized by
 // them.
 func DecodePoints(buf []byte) ([]geom.Point, error) {
-	if len(buf) < 8 {
+	r := wire.NewReader(buf)
+	count, dim := int(r.U32()), int(r.U32())
+	if r.Err() != nil {
 		return nil, fmt.Errorf("transport: truncated point list")
 	}
-	count := int(binary.LittleEndian.Uint32(buf))
-	dim := int(binary.LittleEndian.Uint32(buf[4:]))
 	if dim > 1024 || count > 100_000_000 {
 		return nil, fmt.Errorf("transport: implausible point list %dx%d", count, dim)
 	}
@@ -136,17 +134,19 @@ func DecodePoints(buf []byte) ([]geom.Point, error) {
 		// is unverifiable — reject instead of allocating count headers.
 		return nil, fmt.Errorf("transport: %d zero-dimensional points", count)
 	}
-	need := 8 + count*dim*8
-	if len(buf) != need {
-		return nil, fmt.Errorf("transport: point list has %d bytes, want %d", len(buf), need)
+	if count == 0 && dim > 0 {
+		// EncodePoints writes dimension 0 for an empty list: one encoding
+		// per list keeps the codec canonical.
+		return nil, fmt.Errorf("transport: empty point list declaring dimension %d", dim)
+	}
+	if need := count * dim * 8; r.Len() != need {
+		return nil, fmt.Errorf("transport: point list has %d bytes, want %d", len(buf), 8+need)
 	}
 	pts := make([]geom.Point, count)
-	off := 8
 	for i := range pts {
 		p := make(geom.Point, dim)
 		for d := range p {
-			p[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
+			p[d] = r.F64()
 		}
 		pts[i] = p
 	}
@@ -161,7 +161,9 @@ func QueryCluster(addr string, id cluster.ID, timeout time.Duration) ([]geom.Poi
 		return nil, err
 	}
 	defer conn.Close()
-	reply, err := RoundTrip(conn, MsgClusterQuery, binary.LittleEndian.AppendUint32(nil, uint32(int32(id))), MsgClusterReply)
+	q := wire.NewWriter(nil)
+	q.I32(int32(id))
+	reply, err := RoundTrip(conn, MsgClusterQuery, q.Bytes(), MsgClusterReply)
 	if err != nil {
 		return nil, err
 	}

@@ -149,6 +149,9 @@ func TestPointCodecRoundTrip(t *testing.T) {
 	if _, err := DecodePoints([]byte{1, 2}); err == nil {
 		t.Fatal("truncated header accepted")
 	}
+	if _, err := DecodePoints([]byte{0, 0, 0, 0, 3, 0, 0, 0}); err == nil {
+		t.Fatal("empty list declaring a dimension accepted: it re-encodes differently")
+	}
 	buf := EncodePoints(pts)
 	if _, err := DecodePoints(buf[:len(buf)-3]); err == nil {
 		t.Fatal("truncated body accepted")

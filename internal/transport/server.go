@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -146,10 +148,10 @@ type SiteOutcome struct {
 	// none.
 	Phases *SitePhases
 	// Budget is the representative-budget accounting of a budgeted
-	// upload (sectionSiteBudget); nil for unbudgeted uploads.
+	// upload (siteBudgetSection); nil for unbudgeted uploads.
 	Budget *SiteBudget
 	// Agg is the aggregation provenance of a condensed upload
-	// (sectionAggLevel): set when this "site" is really an interior node
+	// (aggLevelSection): set when this "site" is really an interior node
 	// of the aggregation tree forwarding its region's merged model, nil
 	// for plain sites. This is how per-level round reports chain — each
 	// level sees its children's child-round summaries.
@@ -269,6 +271,23 @@ func (r *RoundReport) String() string {
 			r.UplinkBytes, r.DownlinkBytes)
 	}
 	return b.String()
+}
+
+// WriteReports writes round reports to path ("-" = stdout) as one indented
+// JSON array, the -report-json output of dbdc-server and dbdc-agg. A file
+// is truncated and rewritten whole, so a caller rewrites it after every
+// round.
+func WriteReports(path string, reports []*RoundReport) error {
+	out, err := json.MarshalIndent(reports, "", "  ")
+	if err != nil {
+		return err
+	}
+	out = append(out, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(out)
+		return err
+	}
+	return os.WriteFile(path, out, 0o644)
 }
 
 // round is what a RunRoundOpts call lends to the connections it takes: the

@@ -1,12 +1,11 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/model"
+	"github.com/dbdc-go/dbdc/internal/wire"
 )
 
 // This file implements the wire side of the always-on streaming round: the
@@ -21,28 +20,8 @@ import (
 //
 //	[ section ]*
 //
-// both using the section format of phases.go, so either side can grow the
+// both in the section framing of internal/wire, so either side can grow the
 // exchange without a new message type and unknown sections are skipped.
-const (
-	// sectionDeltaAck is the server's answer to a delta upload: status
-	// (always 0, OK), applied sequence number, global model version.
-	sectionDeltaAck byte = 0x05
-	// sectionStreamStats is the optional stream-progress section a
-	// streaming site attaches to its delta uploads.
-	sectionStreamStats byte = 0x06
-
-	deltaAckVersion byte = 1
-	// deltaAckBodyLen: version byte, status u8, applied seq u64, global
-	// model version u64.
-	deltaAckBodyLen = 1 + 1 + 8 + 8
-
-	streamStatsVersion byte = 1
-	// streamStatsBodyLen: version byte, window u32, window turns u64,
-	// change metric f64.
-	streamStatsBodyLen = 1 + 4 + 8 + 8
-
-	deltaAckOK byte = 0
-)
 
 // DeltaAck is the server's decoded answer to a delta upload.
 type DeltaAck struct {
@@ -54,37 +33,38 @@ type DeltaAck struct {
 	GlobalVersion uint64
 }
 
-// encodeDeltaAck builds a MsgDeltaAck payload.
-func encodeDeltaAck(a DeltaAck) []byte {
-	dst := make([]byte, 0, sectionHeaderSize+deltaAckBodyLen)
-	dst = append(dst, sectionDeltaAck)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(deltaAckBodyLen))
-	dst = append(dst, deltaAckVersion, deltaAckOK)
-	dst = binary.LittleEndian.AppendUint64(dst, a.Seq)
-	dst = binary.LittleEndian.AppendUint64(dst, a.GlobalVersion)
-	return dst
+// deltaAckSection is the server's answer to a delta upload: a status byte
+// (always 0, OK; readers ignore it), the applied sequence number and the
+// global model version.
+var deltaAckSection = wire.Section[DeltaAck]{
+	ID:      0x05,
+	Version: 1,
+	Write: func(w *wire.Writer, a DeltaAck) {
+		w.U8(0)
+		w.U64(a.Seq)
+		w.U64(a.GlobalVersion)
+	},
+	Read: func(r *wire.Reader) DeltaAck {
+		r.U8()
+		return DeltaAck{Seq: r.U64(), GlobalVersion: r.U64()}
+	},
 }
+
+// encodeDeltaAck builds a MsgDeltaAck payload.
+func encodeDeltaAck(a DeltaAck) []byte { return deltaAckSection.Append(nil, a) }
 
 // parseDeltaAck decodes a MsgDeltaAck payload. A payload without a readable
 // ack section is an error — unlike the informational sections, the ack IS
 // the reply.
 func parseDeltaAck(data []byte) (DeltaAck, error) {
-	var ack DeltaAck
-	found := false
-	err := walkSections(data, func(id byte, body []byte) {
-		if id == sectionDeltaAck && len(body) >= deltaAckBodyLen && body[0] == deltaAckVersion {
-			ack.Seq = binary.LittleEndian.Uint64(body[2:10])
-			ack.GlobalVersion = binary.LittleEndian.Uint64(body[10:18])
-			found = true
-		}
-	})
-	if err != nil {
+	var ack *DeltaAck
+	if err := wire.ReadSections(data, deltaAckSection.Into(&ack)); err != nil {
 		return DeltaAck{}, err
 	}
-	if !found {
+	if ack == nil {
 		return DeltaAck{}, fmt.Errorf("transport: delta ack without ack section")
 	}
-	return ack, nil
+	return *ack, nil
 }
 
 // StreamStats is the stream-progress section a streaming site attaches to
@@ -99,28 +79,19 @@ type StreamStats struct {
 	Change float64
 }
 
-// appendStreamStatsSection appends the encoded stream section to dst.
-func appendStreamStatsSection(dst []byte, st StreamStats) []byte {
-	dst = append(dst, sectionStreamStats)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(streamStatsBodyLen))
-	dst = append(dst, streamStatsVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(st.Window))
-	dst = binary.LittleEndian.AppendUint64(dst, st.Turns)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.Change))
-	return dst
-}
-
-// parseStreamStatsBody decodes a version-1 (or newer, prefix-compatible)
-// stream section body; ok is false on a short body or unknown version.
-func parseStreamStatsBody(body []byte) (StreamStats, bool) {
-	if len(body) < streamStatsBodyLen || body[0] != streamStatsVersion {
-		return StreamStats{}, false
-	}
-	return StreamStats{
-		Window: int(binary.LittleEndian.Uint32(body[1:5])),
-		Turns:  binary.LittleEndian.Uint64(body[5:13]),
-		Change: math.Float64frombits(binary.LittleEndian.Uint64(body[13:21])),
-	}, true
+// streamStatsSection is the optional stream-progress section a streaming
+// site attaches to its delta uploads.
+var streamStatsSection = wire.Section[StreamStats]{
+	ID:      0x06,
+	Version: 1,
+	Write: func(w *wire.Writer, st StreamStats) {
+		w.U32(uint32(st.Window))
+		w.U64(st.Turns)
+		w.F64(st.Change)
+	},
+	Read: func(r *wire.Reader) StreamStats {
+		return StreamStats{Window: int(r.U32()), Turns: r.U64(), Change: r.F64()}
+	},
 }
 
 // UploadMode names the wire encoding a StreamClient upload went out with.
@@ -176,7 +147,7 @@ func (c *StreamClient) Upload(_ *model.LocalModel, delta *model.LocalDelta, stat
 		return nil, err
 	}
 	if stats != nil {
-		payload = appendStreamStatsSection(payload, *stats)
+		payload = streamStatsSection.Append(payload, *stats)
 	}
 	conn, err := Dial(c.Dial, c.Addr, c.Timeout)
 	if err != nil {

@@ -84,7 +84,7 @@ func TestDeltaAckSectionRoundTrip(t *testing.T) {
 
 func TestStreamStatsSectionRoundTrip(t *testing.T) {
 	want := StreamStats{Window: 150, Turns: 12, Change: 0.25}
-	secs, err := parseSections(appendStreamStatsSection(nil, want))
+	secs, err := parseSections(streamStatsSection.Append(nil, want))
 	if err != nil {
 		t.Fatal(err)
 	}

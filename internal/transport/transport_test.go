@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -282,6 +283,126 @@ func TestServerSurvivesGarbageSite(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("round failed: %v", err)
+	}
+}
+
+// infEpsModel is a site's local model with one representative whose ε-range
+// is +Inf: structurally a model, but one no global DBSCAN can run over.
+func infEpsModel(t *testing.T, rng *rand.Rand, siteID string) []byte {
+	t.Helper()
+	out, err := dbdc.LocalStep(siteID, blob(rng, 0, 0, 200), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Model.Reps[0].Eps = math.Inf(1)
+	b, err := out.Model.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// uploadRaw sends one upload frame on a fresh connection and returns the
+// type and payload of the server's answer.
+func uploadRaw(t *testing.T, addr string, payload []byte) (byte, []byte) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := WriteFrame(conn, MsgLocalModelTimed, payload); err != nil {
+		t.Fatal(err)
+	}
+	msgType, reply, _, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msgType, reply
+}
+
+// One site uploading a model with a non-finite representative ε must be
+// refused on its own: it gets a MsgError, and the round completes on the
+// other sites instead of failing the global step for all of them. A refused
+// upload leaves its slot open for a retry, so the round closes at the accept
+// deadline on its quorum.
+func TestRoundRefusesNonFiniteEps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	srv, err := NewServer("127.0.0.1:0", 3, testCfg(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	done := runRound(srv, RoundOptions{
+		Quorum:        2,
+		AcceptTimeout: 700 * time.Millisecond,
+		ExpectedSites: []string{"bad", "good-1", "good-2"},
+	})
+	var wg sync.WaitGroup
+	siteErrs := make([]error, 2)
+	for i, id := range []string{"good-1", "good-2"} {
+		pts := blob(rng, float64(i)*0.2, 0, 200)
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			_, siteErrs[i] = RunSite(srv.Addr(), id, pts, testCfg(), 5*time.Second)
+		}(i, id)
+	}
+	msgType, reply := uploadRaw(t, srv.Addr(), infEpsModel(t, rng, "bad"))
+	if msgType != MsgError || !strings.Contains(string(reply), "representative 0") {
+		t.Errorf("bad site got type 0x%02x %q, want a MsgError naming representative 0", msgType, reply)
+	}
+	wg.Wait()
+	for i, err := range siteErrs {
+		if err != nil {
+			t.Errorf("good site %d failed: %v", i+1, err)
+		}
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("round failed: %v\n%s", r.err, r.report)
+	}
+	if r.report.OK != 2 || r.report.Failed != 1 {
+		t.Fatalf("report ok=%d failed=%d, want 2 and 1\n%s", r.report.OK, r.report.Failed, r.report)
+	}
+}
+
+// The update server twin: a non-finite ε is refused at the upload, so it
+// never reaches the stored models and every later rebuild still succeeds.
+func TestUpdateServerRefusesNonFiniteEps(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(3) }()
+	good, err := dbdc.LocalStep("good", blob(rng, 0, 0, 200), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Exchange(srv.Addr(), good.Model, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if msgType, reply := uploadRaw(t, srv.Addr(), infEpsModel(t, rng, "bad")); msgType != MsgError {
+		t.Errorf("bad site got type 0x%02x %q, want MsgError", msgType, reply)
+	}
+	if err := srv.LastRebuildErr(); err != nil {
+		t.Fatalf("LastRebuildErr after the refused upload: %v", err)
+	}
+	if _, _, _, err := Exchange(srv.Addr(), good.Model, 5*time.Second); err != nil {
+		t.Fatalf("upload after the refused one: %v", err)
+	}
+	if err := srv.LastRebuildErr(); err != nil {
+		t.Fatalf("LastRebuildErr: %v", err)
+	}
+	if got := srv.Sites(); len(got) != 1 || got[0] != "good" {
+		t.Fatalf("Sites = %v, want [good]", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

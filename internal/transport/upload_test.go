@@ -408,7 +408,7 @@ func TestBudgetedSiteAgainstUpdateServer(t *testing.T) {
 	// The frame the site would send at its configured budget: model, phases
 	// section, budget section.
 	fullFrame := int64(frameHeaderSize + outcome.Model.EncodedSize() +
-		2*sectionHeaderSize + sitePhasesBodyLen + siteBudgetBodyLen)
+		2*sectionHeaderBytes + sitePhasesV1Bytes + siteBudgetV1Bytes)
 
 	for _, tc := range []struct {
 		name     string
