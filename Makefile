@@ -83,9 +83,11 @@ wire-guard:
 # index.UnseenRangeAppender; the dynamic R*-tree must keep its
 # invariants, answer like a linear scan and choose subtrees like the all-pairs
 # rule after every operation; incremental DBSCAN must match batch DBSCAN after
-# every operation; the leaf-wise relabel must label like the per-point rule).
-# CI runs this on push; use a larger FUZZTIME locally before touching the wire
-# formats, internal/index/rstar, internal/incdbscan or dbdc.RelabelSite.
+# every operation; the leaf-wise relabel must label like the per-point rule;
+# the representative selector's coverage grid must label like a scan over
+# every representative). CI runs this on push; use a larger FUZZTIME locally
+# before touching the wire formats, internal/index/rstar, internal/incdbscan,
+# dbdc.RelabelSite or dbdc.RepSelector.
 # FuzzTreeOps and FuzzIncOps cap minimisation: shrinking a coverage-only find
 # replays whole op sequences and would otherwise eat the budget.
 FUZZTIME ?= 10s
@@ -105,6 +107,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRelabelSite -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRepSelector -fuzztime $(FUZZTIME)
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).
@@ -119,7 +122,7 @@ bench:
 # without paying measurement time. CI runs this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify|BenchmarkAblationRStarBuild/bulk' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkRelabelSite' -benchtime 1x -benchmem ./internal/dbdc/
+	$(GO) test -run '^$$' -bench 'BenchmarkRelabelSite|BenchmarkRepSelector' -benchtime 1x -benchmem ./internal/dbdc/
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowTurn' -benchtime 1x -benchmem ./internal/incdbscan/
 	$(GO) test -run '^$$' -bench 'BenchmarkInsert$$' -benchtime 1x -benchmem ./internal/index/rstar/
 

@@ -717,7 +717,7 @@ func BenchmarkLoadgenClassify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	registry := lib.NewModelRegistry("")
+	registry := lib.NewModelRegistry()
 	if _, err := registry.Publish(global); err != nil {
 		b.Fatal(err)
 	}

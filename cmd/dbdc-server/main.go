@@ -41,7 +41,6 @@ import (
 	"time"
 
 	lib "github.com/dbdc-go/dbdc"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/serve"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
@@ -60,7 +59,6 @@ func main() {
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "byte cap on every uploaded frame (0 = no cap); budgeted sites learn it in the handshake and shrink their rep budget until the model frame fits, any other upload over it is refused")
 	reportJSON := flag.String("report-json", "", "write every round's report as a JSON array to this file (\"-\" = stdout)")
 	serveClassify := flag.String("serve-classify", "", "serve online classification on this address (e.g. :7072); every completed round hot-swaps the model, and the server keeps answering after the last round until killed")
-	classifyIndex := flag.String("classify-index", string(index.KindKDTree), "spatial index the classifier bulk-loads the representatives into")
 	metricsAddr := flag.String("metrics-addr", "", "expose Prometheus metrics over HTTP on this address (e.g. :9090)")
 	streamMode := flag.Bool("stream", false, "run the always-on streaming server (accepts full and delta uploads, rebuilds continuously) instead of synchronous rounds")
 	debounce := flag.Duration("debounce", 100*time.Millisecond, "with -stream: coalesce streaming uploads arriving within this window into one global rebuild (0 = rebuild per upload)")
@@ -75,7 +73,7 @@ func main() {
 		EpsGlobal: *epsGlobal,
 	}
 	if *streamMode {
-		runStreamServer(*addr, cfg, *timeout, *debounce, *maxUploadBytes, *serveClassify, *classifyIndex, *metricsAddr)
+		runStreamServer(*addr, cfg, *timeout, *debounce, *maxUploadBytes, *serveClassify, *metricsAddr)
 		return
 	}
 	srv, err := transport.NewServer(*addr, *sites, cfg, *timeout)
@@ -89,7 +87,7 @@ func main() {
 	// Online classification: completed rounds publish their global model
 	// into a versioned registry; a front end answers MsgClassify frames
 	// against the current snapshot and hot-swaps between rounds.
-	publish, classifyDone := serve.StartFrontEnd("dbdc-server", "dbdc-server", *serveClassify, *classifyIndex, *metricsAddr, *timeout, nil)
+	publish, classifyDone := serve.StartFrontEnd("dbdc-server", "dbdc-server", *serveClassify, *metricsAddr, *timeout, nil)
 	srv.SetOnGlobal(publish)
 	opts := transport.RoundOptions{
 		Quorum:        *quorum,
@@ -145,7 +143,7 @@ func main() {
 // runStreamServer is the -stream mode: an UpdateServer folding full and
 // delta uploads until killed, optionally fronted by a classification
 // server whose registry hot-swaps on every debounced rebuild.
-func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duration, maxUploadBytes int64, serveClassify, classifyIndex, metricsAddr string) {
+func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duration, maxUploadBytes int64, serveClassify, metricsAddr string) {
 	srv, err := lib.NewUpdateServer(addr, cfg, timeout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dbdc-server: %v\n", err)
@@ -154,7 +152,7 @@ func runStreamServer(addr string, cfg lib.Config, timeout, debounce time.Duratio
 	defer srv.Close()
 	srv.SetDebounce(debounce)
 	srv.SetMaxUploadBytes(maxUploadBytes)
-	publish, classifyDone := serve.StartFrontEnd("dbdc-server", "dbdc-server", serveClassify, classifyIndex, metricsAddr, timeout, nil)
+	publish, classifyDone := serve.StartFrontEnd("dbdc-server", "dbdc-server", serveClassify, metricsAddr, timeout, nil)
 	srv.SetOnGlobal(publish)
 
 	fmt.Fprintf(os.Stderr, "dbdc-server: streaming mode on %s (debounce %s)\n", srv.Addr(), debounce)

@@ -242,18 +242,19 @@ var modes = []struct {
 	}},
 }
 
-// TestClassifyIndexUnknown: an unknown -classify-index exits 2 in both
-// modes, naming the flag.
-func TestClassifyIndexUnknown(t *testing.T) {
+// TestClassifyIndexFlagRefused: -classify-index is gone — the classifier
+// answers from a coverage grid and takes no index — so both modes refuse the
+// flag as undefined, exit 2.
+func TestClassifyIndexFlagRefused(t *testing.T) {
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			c := start(t, append(m.args, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4",
-				"-serve-classify", "127.0.0.1:0", "-classify-index", "bogus")...)
+				"-serve-classify", "127.0.0.1:0", "-classify-index", "kdtree")...)
 			if code := c.wait(); code != 2 {
 				t.Fatalf("exit code %d, want 2:\n%s", code, c.stderrText())
 			}
-			if !strings.Contains(c.stderrText(), `dbdc-server: unknown -classify-index "bogus"`) {
-				t.Fatalf("stderr does not name the index:\n%s", c.stderrText())
+			if !strings.Contains(c.stderrText(), "flag provided but not defined: -classify-index") {
+				t.Fatalf("stderr does not name the undefined flag:\n%s", c.stderrText())
 			}
 		})
 	}

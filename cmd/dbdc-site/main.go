@@ -42,7 +42,6 @@ import (
 
 	lib "github.com/dbdc-go/dbdc"
 	"github.com/dbdc-go/dbdc/internal/data"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/serve"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
@@ -63,7 +62,6 @@ func main() {
 	retryMax := flag.Duration("retry-max", 2*time.Second, "backoff delay cap")
 	serveQueries := flag.String("serve-queries", "", "after the round, serve cluster-membership queries on this address (e.g. :7071) until killed")
 	serveClassify := flag.String("serve-classify", "", "after the round, classify new points against the received global model on this address (e.g. :7072) until killed")
-	classifyIndex := flag.String("classify-index", string(index.KindKDTree), "spatial index the local classifier bulk-loads the representatives into")
 	metricsAddr := flag.String("metrics-addr", "", "expose Prometheus classification metrics over HTTP on this address (needs -serve-classify)")
 	streamMode := flag.Bool("stream", false, "ingest the input as a point stream over a sliding window and upload model updates continuously (see docs/streaming.md)")
 	window := flag.Int("window", 1000, "with -stream: sliding-window size in points")
@@ -170,7 +168,7 @@ func main() {
 	// site publishes it into a local registry and answers MsgClassify
 	// frames until killed. A future round (re-running the site) would
 	// publish version 2 and hot-swap under live traffic.
-	_, classifyDone := serve.StartFrontEnd("dbdc-site", "dbdc-site "+*id, *serveClassify, *classifyIndex, *metricsAddr, *timeout, report.Global)
+	_, classifyDone := serve.StartFrontEnd("dbdc-site", "dbdc-site "+*id, *serveClassify, *metricsAddr, *timeout, report.Global)
 	if *serveQueries != "" {
 		qs, err := transport.NewSiteQueryServer(*serveQueries, pts, report.Labels, *timeout)
 		if err != nil {

@@ -147,15 +147,16 @@ func startSite(t *testing.T, extra ...string) *command {
 	return start(t, append([]string{"-addr", srv.Addr(), "-id", "s1", "-input", input, "-eps", "1", "-minpts", "4"}, extra...)...)
 }
 
-// TestClassifyIndexUnknown: an unknown -classify-index exits 2, naming the
-// flag.
-func TestClassifyIndexUnknown(t *testing.T) {
-	c := startSite(t, "-serve-classify", "127.0.0.1:0", "-classify-index", "bogus")
+// TestClassifyIndexFlagRefused: -classify-index is gone — the classifier
+// answers from a coverage grid and takes no index — so the flag is refused
+// as undefined, exit 2.
+func TestClassifyIndexFlagRefused(t *testing.T) {
+	c := startSite(t, "-serve-classify", "127.0.0.1:0", "-classify-index", "kdtree")
 	if code := c.wait(); code != 2 {
 		t.Fatalf("exit code %d, want 2:\n%s", code, c.stderrText())
 	}
-	if !strings.Contains(c.stderrText(), `dbdc-site: unknown -classify-index "bogus"`) {
-		t.Fatalf("stderr does not name the index:\n%s", c.stderrText())
+	if !strings.Contains(c.stderrText(), "flag provided but not defined: -classify-index") {
+		t.Fatalf("stderr does not name the undefined flag:\n%s", c.stderrText())
 	}
 }
 

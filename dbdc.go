@@ -285,17 +285,16 @@ type SiteOutcome = transport.SiteOutcome
 // docs/serving.md.
 type ModelRegistry = serve.Registry
 
-// NewModelRegistry returns an empty registry whose classifiers bulk-load
-// the representatives into the given index kind ("" = kd-tree).
-func NewModelRegistry(kind IndexKind) *ModelRegistry { return serve.NewRegistry(kind) }
+// NewModelRegistry returns an empty registry.
+func NewModelRegistry() *ModelRegistry { return serve.NewRegistry("") }
 
 // Classifier labels points online against a global model using the same
 // representative-selection rule as Relabel (differentially tested).
 type Classifier = serve.Classifier
 
 // NewClassifier builds a classifier over the global model.
-func NewClassifier(global *GlobalModel, kind IndexKind) (*Classifier, error) {
-	return serve.NewClassifier(global, kind)
+func NewClassifier(global *GlobalModel) (*Classifier, error) {
+	return serve.NewClassifier(global)
 }
 
 // ClassifyServer is the TCP classification front end: persistent

@@ -264,7 +264,7 @@ func TestTreeE2E(t *testing.T) {
 
 	// Classify through the registry snapshot vs the flat model: same
 	// partition of the whole dataset.
-	flatCls, err := serve.NewClassifier(flatG, "")
+	flatCls, err := serve.NewClassifier(flatG)
 	if err != nil {
 		t.Fatalf("flat classifier: %v", err)
 	}

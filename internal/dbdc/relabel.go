@@ -26,9 +26,8 @@ import (
 // The empty global model (the all-noise sentinel of GlobalStep,
 // model.GlobalModel.Empty) is handled explicitly: every object stays noise
 // and no error is raised. A structurally broken global model — e.g.
-// representatives of mixed dimensionality, which defeats the kd-tree over
-// the representative points — returns an error instead of a silent
-// all-noise labeling.
+// representatives of mixed dimensionality — returns an error instead of a
+// silent all-noise labeling.
 func Relabel(pts []geom.Point, global *model.GlobalModel) (cluster.Labeling, error) {
 	labels := cluster.NewLabeling(len(pts))
 	for i := range labels {
@@ -39,11 +38,9 @@ func Relabel(pts []geom.Point, global *model.GlobalModel) (cluster.Labeling, err
 		// correct outcome, not a degraded fallback.
 		return labels, nil
 	}
-	// Representatives have individual radii; the selector queries a
-	// kd-tree over the representative points with the maximum radius, then
-	// verifies each candidate's own ε_r. The representative count is
-	// small, so the tree is cheap to build and each query local.
-	sel, err := NewRepSelector(global, index.KindKDTree)
+	// Representatives have individual radii; the selector answers each
+	// object from its coverage grid over the representatives' ε_r-boxes.
+	sel, err := NewRepSelector(global)
 	if err != nil {
 		// Historically a kd-tree build failure was swallowed and Relabel
 		// returned an all-noise labeling, making a corrupt global model

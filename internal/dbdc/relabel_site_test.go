@@ -36,7 +36,7 @@ func checkRelabelPaths(t *testing.T, name string, o *LocalOutcome, global *model
 		}
 		t.Fatalf("%s: RelabelSite returned %d labels, Relabel %d", name, len(got), len(want))
 	}
-	sel, err := NewRepSelector(global, "")
+	sel, err := NewRepSelector(global)
 	if err != nil {
 		t.Fatalf("%s: NewRepSelector: %v", name, err)
 	}

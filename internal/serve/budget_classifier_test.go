@@ -57,10 +57,10 @@ func buildBudgetedModel(t testing.TB, kind model.Kind, budget int, seed int64) (
 // TestClassifierBudgetedModelParity is the serving half of the SDBDC
 // budget differential (the wire half lives in internal/transport's
 // TestBudgetedRoundE2E): a global model built from budget-truncated local
-// models must classify online exactly like dbdc.Relabel labels offline,
-// for every model kind and index kind. Budget truncation only removes
-// representatives — it must not open any gap between the two readers of
-// the shared representative-choice rule.
+// models must classify online exactly like dbdc.Relabel labels offline, and
+// both like a loop over every representative, for every model kind. Budget
+// truncation only removes representatives — it must not open any gap
+// between the readers of the shared representative-choice rule.
 func TestClassifierBudgetedModelParity(t *testing.T) {
 	for _, kind := range model.Kinds() {
 		for _, budget := range []int{1, 3} {
@@ -69,20 +69,18 @@ func TestClassifierBudgetedModelParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/b=%d: Relabel: %v", kind, budget, err)
 			}
-			for _, ik := range index.Kinds() {
-				cls, err := NewClassifier(global, ik)
-				if err != nil {
-					t.Fatalf("%s/b=%d/%s: NewClassifier: %v", kind, budget, ik, err)
-				}
-				out := makeLabels(len(pts))
-				if err := cls.ClassifyBatch(pts, out); err != nil {
-					t.Fatalf("%s/b=%d/%s: ClassifyBatch: %v", kind, budget, ik, err)
-				}
-				for i := range pts {
-					if out[i] != want[i] {
-						t.Fatalf("%s/b=%d/%s: point %d: online label %v != relabel %v",
-							kind, budget, ik, i, out[i], want[i])
-					}
+			cls, err := NewClassifier(global)
+			if err != nil {
+				t.Fatalf("%s/b=%d: NewClassifier: %v", kind, budget, err)
+			}
+			out := makeLabels(len(pts))
+			if err := cls.ClassifyBatch(pts, out); err != nil {
+				t.Fatalf("%s/b=%d: ClassifyBatch: %v", kind, budget, err)
+			}
+			for i, p := range pts {
+				if oracle := bruteForceLabel(global, p); out[i] != oracle || want[i] != oracle {
+					t.Fatalf("%s/b=%d: point %d: online label %v, relabel %v, brute force %v",
+						kind, budget, i, out[i], want[i], oracle)
 				}
 			}
 		}

@@ -17,34 +17,30 @@ import (
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
 // Classifier answers "which global cluster does this point belong to?"
-// against one immutable global model. It bulk-loads the representatives
-// into a spatial index (kd-tree by default; any index.Kind works), queries
-// with radius max ε_r and filters per-representative ε — the same
-// candidate-then-verify scheme Relabel uses, through the same shared
-// dbdc.RepSelector, so online classification of a training point is
-// label-identical to the relabeling that trained it.
+// against one immutable global model. It answers through dbdc.RepSelector,
+// the selector Relabel uses: one lookup in a coverage grid over the
+// representatives' ε_r-boxes, whose cells are noise, covered by one cluster,
+// or a short nearest-wins fold. So online classification of a training point
+// is label-identical to the relabeling that trained it.
 //
 // A Classifier is immutable after construction and safe for any number of
-// concurrent readers; the candidate-id and batched-distance buffers of the
-// selection rule are pooled internally so the steady-state hot path
-// allocates nothing.
+// concurrent readers; the distance buffer of the selection rule is pooled
+// internally so the steady-state hot path allocates nothing.
 type Classifier struct {
 	sel     *dbdc.RepSelector
 	model   *model.GlobalModel
 	scratch sync.Pool // *dbdc.RepScratch selection buffers
 }
 
-// NewClassifier builds a classifier for the global model over the given
-// index kind ("" selects the kd-tree). The model must have passed
-// model.GlobalModel.Validate; the empty all-noise sentinel yields a
-// classifier that answers noise for everything.
-func NewClassifier(global *model.GlobalModel, kind index.Kind) (*Classifier, error) {
-	sel, err := dbdc.NewRepSelector(global, kind)
+// NewClassifier builds a classifier for the global model. The model must
+// have passed model.GlobalModel.Validate; the empty all-noise sentinel
+// yields a classifier that answers noise for everything.
+func NewClassifier(global *model.GlobalModel) (*Classifier, error) {
+	sel, err := dbdc.NewRepSelector(global)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building classifier: %w", err)
 	}
@@ -61,7 +57,7 @@ func (c *Classifier) Model() *model.GlobalModel { return c.model }
 // sentinel (which accepts — and noise-labels — anything).
 func (c *Classifier) Dim() int { return c.sel.Dim() }
 
-// NumReps returns the number of representatives loaded into the index.
+// NumReps returns the number of representatives the classifier serves.
 func (c *Classifier) NumReps() int { return c.sel.NumReps() }
 
 // checkPoint validates one untrusted query point against the model.

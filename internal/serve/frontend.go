@@ -4,22 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"time"
 
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
-// StartFrontEnd is what a command's -serve-classify, -classify-index and
-// -metrics-addr flags start: a registry whose classifiers index with kind,
-// holding initial when it is non-nil, a Server answering on addr against it
+// StartFrontEnd is what a command's -serve-classify and -metrics-addr flags
+// start: a registry holding initial when it is non-nil, a Server answering on addr against it
 // and, with metricsAddr, the Prometheus endpoint. It returns the registry's
 // PublishFunc, which reports failures on stderr, and the channel Serve's
 // result arrives on; both are nil when addr is empty. label prefixes the
-// progress lines on stderr, prog the error lines. An unknown kind, or a
-// metricsAddr without addr, exits 2; a front end that cannot start exits 1.
-func StartFrontEnd(prog, label, addr, kind, metricsAddr string, timeout time.Duration, initial *model.GlobalModel) (func(*model.GlobalModel), <-chan error) {
+// progress lines on stderr, prog the error lines. A metricsAddr without
+// addr exits 2; a front end that cannot start exits 1.
+func StartFrontEnd(prog, label, addr, metricsAddr string, timeout time.Duration, initial *model.GlobalModel) (func(*model.GlobalModel), <-chan error) {
 	fail := func(code int, err error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
 		os.Exit(code)
@@ -30,11 +27,7 @@ func StartFrontEnd(prog, label, addr, kind, metricsAddr string, timeout time.Dur
 		}
 		return nil, nil
 	}
-	ik := index.Kind(kind)
-	if !slices.Contains(index.Kinds(), ik) {
-		fail(2, fmt.Errorf("unknown -classify-index %q (want one of %v)", kind, index.Kinds()))
-	}
-	registry := NewRegistry(ik)
+	registry := NewRegistry("")
 	metrics := NewMetrics(registry)
 	if initial != nil {
 		if _, err := registry.Publish(initial); err != nil {
@@ -47,7 +40,7 @@ func StartFrontEnd(prog, label, addr, kind, metricsAddr string, timeout time.Dur
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
-	fmt.Fprintf(os.Stderr, "%s: serving classification on %s (index %s)\n", label, srv.Addr(), ik)
+	fmt.Fprintf(os.Stderr, "%s: serving classification on %s\n", label, srv.Addr())
 	if metricsAddr != "" {
 		_, bound, err := metrics.ListenAndServe(metricsAddr)
 		if err != nil {

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/dbdc-go/dbdc/internal/index"
 )
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -113,7 +111,7 @@ func parsePrometheus(t *testing.T, text string) map[string]float64 {
 }
 
 func TestMetricsPrometheusEndpoint(t *testing.T) {
-	reg := NewRegistry(index.KindKDTree)
+	reg := NewRegistry("")
 	m := NewMetrics(reg)
 	if _, err := reg.Publish(versionedModel(1)); err != nil {
 		t.Fatal(err)

@@ -34,8 +34,6 @@ type Snapshot struct {
 // serialized (classifier construction happens outside the reader path, so
 // readers never block on a round in flight), reads are wait-free.
 type Registry struct {
-	kind index.Kind
-
 	mu  sync.Mutex // serializes publishers
 	cur atomic.Pointer[Snapshot]
 
@@ -45,10 +43,12 @@ type Registry struct {
 	rejected  atomic.Uint64
 }
 
-// NewRegistry returns an empty registry whose classifiers index
-// representatives with the given index kind ("" = kd-tree).
+// NewRegistry returns an empty registry. kind is ignored: a classifier
+// answers from its coverage grid and takes no index. It stays only because
+// the frozen bench/ module calls NewRegistry(""); drop it in the next
+// [benchmark] PR.
 func NewRegistry(kind index.Kind) *Registry {
-	return &Registry{kind: kind}
+	return &Registry{}
 }
 
 // Publish validates the model, builds its classifier and atomically swaps
@@ -71,7 +71,7 @@ func (r *Registry) Publish(global *model.GlobalModel) (*Snapshot, error) {
 	// Build outside the reader path (readers keep serving the previous
 	// snapshot), inside the publisher lock (versions stay monotone and
 	// version N's classifier is always built from version N's model).
-	cls, err := NewClassifier(global, r.kind)
+	cls, err := NewClassifier(global)
 	if err != nil {
 		r.rejected.Add(1)
 		return nil, err

@@ -8,7 +8,6 @@ import (
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -30,7 +29,7 @@ func versionedModel(gen int32) *model.GlobalModel {
 }
 
 func TestRegistryPublishAndVersioning(t *testing.T) {
-	reg := NewRegistry(index.KindKDTree)
+	reg := NewRegistry("")
 	if reg.Current() != nil || reg.Version() != 0 {
 		t.Fatal("fresh registry is not empty")
 	}
@@ -86,7 +85,7 @@ func TestRegistryPublishAndVersioning(t *testing.T) {
 // (label always matches the snapshot's version-encoded cluster id) and
 // that observed versions are monotone per reader.
 func TestRegistryHotSwapUnderLoad(t *testing.T) {
-	reg := NewRegistry(index.KindKDTree)
+	reg := NewRegistry("")
 	if _, err := reg.Publish(versionedModel(1)); err != nil {
 		t.Fatal(err)
 	}

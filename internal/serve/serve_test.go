@@ -54,10 +54,24 @@ func buildTestModel(t testing.TB, kind model.Kind, seed int64) ([]geom.Point, *m
 	return pts, global
 }
 
+// bruteForceLabel is the Section 7 rule as a loop over every representative
+// of the model: r covers p iff d² ≤ ε_r², the nearest covering r wins and
+// exact ties go to the lowest index. It is the oracle the classifier's
+// coverage grid is held to.
+func bruteForceLabel(global *model.GlobalModel, p geom.Point) cluster.ID {
+	best, bestSq := cluster.Noise, math.Inf(1)
+	for _, r := range global.Reps {
+		if d2 := (geom.Euclidean{}).DistanceSq(p, r.Point); d2 <= r.Eps*r.Eps && d2 < bestSq {
+			best, bestSq = r.GlobalCluster, d2
+		}
+	}
+	return best
+}
+
 // TestClassifierDifferential is the drift guard of the shared
 // representative-choice rule: classifying the training points online must
-// be label-identical to dbdc.Relabel, for both local model kinds and every
-// index kind the classifier can bulk-load the representatives into.
+// be label-identical to dbdc.Relabel, and both to a loop over every
+// representative, for both local model kinds.
 func TestClassifierDifferential(t *testing.T) {
 	for _, kind := range model.Kinds() {
 		pts, global := buildTestModel(t, kind, 42)
@@ -65,31 +79,29 @@ func TestClassifierDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Relabel: %v", kind, err)
 		}
-		for _, ik := range index.Kinds() {
-			cls, err := NewClassifier(global, ik)
+		cls, err := NewClassifier(global)
+		if err != nil {
+			t.Fatalf("%s: NewClassifier: %v", kind, err)
+		}
+		// Batch path.
+		out := makeLabels(len(pts))
+		if err := cls.ClassifyBatch(pts, out); err != nil {
+			t.Fatalf("%s: ClassifyBatch: %v", kind, err)
+		}
+		for i, p := range pts {
+			if oracle := bruteForceLabel(global, p); out[i] != oracle || want[i] != oracle {
+				t.Fatalf("%s: point %d: online label %v, relabel %v, brute force %v",
+					kind, i, out[i], want[i], oracle)
+			}
+		}
+		// Single-point path must agree with the batch path.
+		for _, i := range []int{0, len(pts) / 3, len(pts) - 1} {
+			id, err := cls.Classify(pts[i])
 			if err != nil {
-				t.Fatalf("%s/%s: NewClassifier: %v", kind, ik, err)
+				t.Fatalf("%s: Classify(%d): %v", kind, i, err)
 			}
-			// Batch path.
-			out := makeLabels(len(pts))
-			if err := cls.ClassifyBatch(pts, out); err != nil {
-				t.Fatalf("%s/%s: ClassifyBatch: %v", kind, ik, err)
-			}
-			for i := range pts {
-				if out[i] != want[i] {
-					t.Fatalf("%s/%s: point %d: online label %v != relabel %v",
-						kind, ik, i, out[i], want[i])
-				}
-			}
-			// Single-point path must agree with the batch path.
-			for _, i := range []int{0, len(pts) / 3, len(pts) - 1} {
-				id, err := cls.Classify(pts[i])
-				if err != nil {
-					t.Fatalf("%s/%s: Classify(%d): %v", kind, ik, i, err)
-				}
-				if id != want[i] {
-					t.Fatalf("%s/%s: point %d: Classify %v != relabel %v", kind, ik, i, id, want[i])
-				}
+			if id != want[i] {
+				t.Fatalf("%s: point %d: Classify %v != relabel %v", kind, i, id, want[i])
 			}
 		}
 	}
@@ -98,7 +110,7 @@ func TestClassifierDifferential(t *testing.T) {
 // TestClassifierEmptySentinel: the all-noise sentinel classifies
 // everything as noise, at any dimensionality, without errors.
 func TestClassifierEmptySentinel(t *testing.T) {
-	cls, err := NewClassifier(&model.GlobalModel{MinPtsGlobal: 2}, index.KindGrid)
+	cls, err := NewClassifier(&model.GlobalModel{MinPtsGlobal: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +130,7 @@ func TestClassifierEmptySentinel(t *testing.T) {
 // points fail loudly, and a bad point fails its whole batch atomically.
 func TestClassifierRejectsBadPoints(t *testing.T) {
 	_, global := buildTestModel(t, model.RepScor, 42)
-	cls, err := NewClassifier(global, index.KindKDTree)
+	cls, err := NewClassifier(global)
 	if err != nil {
 		t.Fatal(err)
 	}

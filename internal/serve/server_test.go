@@ -9,7 +9,6 @@ import (
 
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
@@ -18,7 +17,7 @@ import (
 // its own registry and metrics, and tears everything down with the test.
 func startTestServer(t *testing.T, maxBatch int) (*Server, *Registry, *Metrics) {
 	t.Helper()
-	reg := NewRegistry(index.KindKDTree)
+	reg := NewRegistry("")
 	m := NewMetrics(reg)
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Registry: reg,

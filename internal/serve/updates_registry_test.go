@@ -10,7 +10,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
 
@@ -29,7 +28,7 @@ func TestRegistryFromUpdateServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	reg := NewRegistry(index.KindKDTree)
+	reg := NewRegistry("")
 	srv.SetOnGlobal(reg.PublishFunc(func(err error) { t.Errorf("publish: %v", err) }))
 
 	const sites = 3

@@ -12,7 +12,6 @@ import (
 	idbdc "github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/leakcheck"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/serve"
@@ -54,7 +53,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 
 	// The registry is fed from the rebuild hook; published models are also
 	// recorded for the stable-id audit below.
-	reg := serve.NewRegistry(index.KindKDTree)
+	reg := serve.NewRegistry("")
 	publish := reg.PublishFunc(func(err error) { t.Errorf("publish: %v", err) })
 	var pubMu sync.Mutex
 	var published []*model.GlobalModel

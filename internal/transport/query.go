@@ -119,7 +119,8 @@ func EncodePoints(pts []geom.Point) []byte {
 
 // DecodePoints is the inverse of EncodePoints with hostile-input bounds
 // checks: implausible headers are rejected before any allocation sized by
-// them.
+// them. The points share one backing array: two allocations per list, not
+// one per point.
 func DecodePoints(buf []byte) ([]geom.Point, error) {
 	r := wire.NewReader(buf)
 	count, dim := int(r.U32()), int(r.U32())
@@ -142,13 +143,15 @@ func DecodePoints(buf []byte) ([]geom.Point, error) {
 	if need := count * dim * 8; r.Len() != need {
 		return nil, fmt.Errorf("transport: point list has %d bytes, want %d", len(buf), 8+need)
 	}
+	// One backing array for all coordinates; each point is a view clipped
+	// to its own coordinates, so appending to one never writes another.
+	coords := make([]float64, count*dim)
+	for i := range coords {
+		coords[i] = r.F64()
+	}
 	pts := make([]geom.Point, count)
 	for i := range pts {
-		p := make(geom.Point, dim)
-		for d := range p {
-			p[d] = r.F64()
-		}
-		pts[i] = p
+		pts[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return pts, nil
 }

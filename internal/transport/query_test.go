@@ -157,3 +157,28 @@ func TestPointCodecRoundTrip(t *testing.T) {
 		t.Fatal("truncated body accepted")
 	}
 }
+
+// TestDecodePointsOneBacking: a decoded list costs two allocations whatever
+// its length, and each point is clipped to its own coordinates, so an append
+// to one point copies instead of overwriting the next.
+func TestDecodePointsOneBacking(t *testing.T) {
+	pts := make([]geom.Point, 256)
+	for i := range pts {
+		pts[i] = geom.Point{float64(i), -float64(i)}
+	}
+	buf := EncodePoints(pts)
+	if allocs := testing.AllocsPerRun(20, func() { DecodePoints(buf) }); allocs > 2 {
+		t.Fatalf("decoding %d points allocates %v times, want 2", len(pts), allocs)
+	}
+	got, err := DecodePoints(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got[0]) != 2 {
+		t.Fatalf("point 0 has capacity %d, want 2", cap(got[0]))
+	}
+	_ = append(got[0], 99)
+	if !got[1].Equal(pts[1]) {
+		t.Fatalf("appending to point 0 changed point 1 to %v", got[1])
+	}
+}
