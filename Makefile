@@ -83,11 +83,11 @@ wire-guard:
 # index.UnseenRangeAppender; the dynamic R*-tree must keep its
 # invariants, answer like a linear scan and choose subtrees like the all-pairs
 # rule after every operation; incremental DBSCAN must match batch DBSCAN after
-# every operation; the leaf-wise relabel must label like the per-point rule;
-# the representative selector's coverage grid must label like a scan over
-# every representative). CI runs this on push; use a larger FUZZTIME locally
-# before touching the wire formats, internal/index/rstar, internal/incdbscan,
-# dbdc.RelabelSite or dbdc.RepSelector.
+# every operation; the representative selector's coverage grid, which every
+# relabel and classification goes through, must label like a scan over every
+# representative). CI runs this on push; use a larger FUZZTIME locally before
+# touching the wire formats, internal/index/rstar, internal/incdbscan or
+# dbdc.RepSelector.
 # FuzzTreeOps and FuzzIncOps cap minimisation: shrinking a coverage-only find
 # replays whole op sequences and would otherwise eat the budget.
 FUZZTIME ?= 10s
@@ -106,7 +106,6 @@ fuzz-smoke:
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzRangeUnseen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
-	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRelabelSite -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRepSelector -fuzztime $(FUZZTIME)
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
@@ -117,9 +116,9 @@ bench:
 # One-iteration smoke over the hot-path suite, the STR bulk build at three
 # sizes and in 8-d, the incremental layer's window-turn benchmark (ns, allocs
 # and range queries per delete-oldest + insert), the dynamic R*-tree's insert
-# benchmark and step 4 on a round-bulk site (ns and dist-evals/op, leaf by leaf
-# and by representative): catches benchmarks that no longer compile or crash,
-# without paying measurement time. CI runs this.
+# benchmark and step 4 on a round-bulk site and on an 8-d one: catches
+# benchmarks that no longer compile or crash, without paying measurement time.
+# CI runs this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify|BenchmarkAblationRStarBuild/bulk' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkRelabelSite|BenchmarkRepSelector' -benchtime 1x -benchmem ./internal/dbdc/

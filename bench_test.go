@@ -389,51 +389,35 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 }
 
 // BenchmarkRelabel — step 4 alone: assigning 8700 objects global ids from
-// a realistic global model. per-point is Relabel over raw points (one
-// descent per object over the representatives); site/<kind> is RelabelSite
-// on an outcome whose LocalStep ran over that index kind (one range query
-// per representative over the site's retained index). The linear kind pays
-// a full scan per representative — it is the oracle kind, no default config
-// reaches it, and its row is there to be read, not to be fast.
+// a realistic global model. per-point is Relabel over raw points; site is
+// RelabelSite on the LocalStep outcome, the same rule plus its change
+// statistics.
 func BenchmarkRelabel(b *testing.B) {
 	ds := lib.DatasetA(data.DatasetASize, 1)
-	global := func(b *testing.B, out *lib.LocalOutcome) *lib.GlobalModel {
-		g, err := lib.GlobalStep([]*lib.LocalModel{out.Model}, lib.Config{Local: ds.Params})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return g
+	out, err := lib.LocalStep("site", ds.Points, lib.Config{Local: ds.Params})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := lib.GlobalStep([]*lib.LocalModel{out.Model}, lib.Config{Local: ds.Params})
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.Run("per-point", func(b *testing.B) {
-		out, err := lib.LocalStep("site", ds.Points, lib.Config{Local: ds.Params})
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := global(b, out)
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := lib.Relabel(ds.Points, g); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	for _, kind := range index.Kinds() {
-		b.Run(fmt.Sprintf("site/%s", kind), func(b *testing.B) {
-			out, err := lib.LocalStep("site", ds.Points, lib.Config{Local: ds.Params, Index: kind})
-			if err != nil {
+	b.Run("site", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, err := core.RelabelSite(out, g); err != nil {
 				b.Fatal(err)
 			}
-			g := global(b, out)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.RelabelSite(out, g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // benchSink defeats dead-code elimination in the kernel microbenches.

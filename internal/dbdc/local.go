@@ -33,19 +33,12 @@ type LocalTimings struct {
 // LocalOutcome is everything a site derives from its own data: the DBSCAN
 // clustering of the local objects and the local model shipped to the
 // server.
-//
-// An outcome of LocalStep or LocalStepStore also keeps the index the
-// clustering ran over alive for as long as the outcome lives, because
-// RelabelSite works through it. For the default R*-tree over 16 000 2-d rows
-// that is 0.25 MB (measured: the id permutation 128 KB, the leaf of every id
-// 64 KB, the near-leaf table 29 KB, the level spans and bounds 21 KB), plus a
-// 256 KB copy of the coordinates when LocalStep was handed a point slice;
-// LocalStepStore shares the caller's store. The other kinds: linear nothing
-// beyond the store it scans, grid 0.17 MB, kd-tree 0.26 MB, M-tree 2.1 MB.
 type LocalOutcome struct {
 	// SiteID identifies the site.
 	SiteID string
-	// Points are the site's objects (retained, not copied).
+	// Points are the site's objects: views into the store the site was
+	// clustered over (LocalStep copies the caller's points into one), or the
+	// slice LocalStepClustered was handed, retained as is.
 	Points []geom.Point
 	// Clustering is the site-local DBSCAN result.
 	Clustering *dbscan.Result
@@ -60,10 +53,6 @@ type LocalOutcome struct {
 	RepBudget int
 	Budget    dbscan.BudgetStats
 
-	// idx is the index LocalStep clustered the site's objects over, kept so
-	// that RelabelSite can go by its leaves or its range queries; nil for a
-	// condensed outcome, which is relabeled object by object.
-	idx index.Index
 	// cfg is the resolved configuration the outcome was produced under,
 	// retained so BudgetedModel can re-condense the clustering at a
 	// different budget during transport negotiation.
@@ -80,22 +69,21 @@ type LocalOutcome struct {
 // according to cfg.Model. Config.SiteWorkers is the DBSCAN run's worker
 // count; the phase costs land in the outcome's Timings.
 func LocalStep(siteID string, pts []geom.Point, cfg Config) (*LocalOutcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	st := geom.NewStore(1, 0)
+	if len(pts) > 0 {
+		var err error
+		if st, err = geom.FromPoints(pts); err != nil {
+			return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
+		}
 	}
-	cfg = cfg.withDefaults()
-	clusterStart := time.Now()
-	idx, err := index.Build(cfg.Index, pts, geom.Euclidean{}, cfg.Local.Eps)
-	if err != nil {
-		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
-	}
-	return localStepFrom(siteID, pts, idx, cfg, clusterStart)
+	return LocalStepStore(siteID, st, cfg)
 }
 
 // LocalStepStore is LocalStep for a site whose objects already live in a
 // flat geom.Store (the layout the data loaders and generators produce). The
 // index bulk-loads straight from the store's backing array — zero coordinate
-// copies — and the outcome's Points are zero-copy views into the store.
+// copies — and the outcome's Points are zero-copy views into the store. The
+// index is dropped once the clustering is done.
 func LocalStepStore(siteID string, st *geom.Store, cfg Config) (*LocalOutcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -106,13 +94,6 @@ func LocalStepStore(siteID string, st *geom.Store, cfg Config) (*LocalOutcome, e
 	if err != nil {
 		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
 	}
-	return localStepFrom(siteID, st.Views(), idx, cfg, clusterStart)
-}
-
-// localStepFrom is the shared tail of LocalStep and LocalStepStore: run the
-// clustering over the prebuilt index and condense the result into the local
-// model.
-func localStepFrom(siteID string, pts []geom.Point, idx index.Index, cfg Config, clusterStart time.Time) (*LocalOutcome, error) {
 	res, err := dbscan.Run(idx, cfg.Local, dbscan.Options{
 		CollectSpecificCores: true,
 		Workers:              cfg.SiteWorkers,
@@ -121,11 +102,10 @@ func localStepFrom(siteID string, pts []geom.Point, idx index.Index, cfg Config,
 		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
 	}
 	clusterDur := time.Since(clusterStart)
-	out, err := LocalStepClustered(siteID, pts, res, cfg)
+	out, err := LocalStepClustered(siteID, st.Views(), res, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out.idx = idx
 	out.Timings.Cluster, out.Timings.Workers = clusterDur, max(cfg.SiteWorkers, 1)
 	return out, nil
 }
@@ -133,8 +113,7 @@ func localStepFrom(siteID string, pts []geom.Point, idx index.Index, cfg Config,
 // LocalStepClustered is step 2 of DBDC over a finished clustering of pts —
 // the Result of dbscan.Run or dbscan.FromCores, specific core points
 // included — under a valid cfg: it condenses the clusters into the local
-// model exactly as LocalStep does. The outcome has no index; RelabelSite
-// goes object by object.
+// model exactly as LocalStep does.
 func LocalStepClustered(siteID string, pts []geom.Point, res *dbscan.Result, cfg Config) (*LocalOutcome, error) {
 	cfg = cfg.withDefaults()
 	condenseStart := time.Now()

@@ -11,10 +11,10 @@ import (
 
 // RepSelector is the deterministic representative-choice rule of Section 7
 // — "o ∈ N_{ε_r}(r) ⇒ o takes r's global cluster id, the nearest r wins" —
-// packaged as a reusable component. Relabel (step 4 of a DBDC round over raw
-// points) and the online classifier of internal/serve both go through this
-// one type, so the relabeling of training points and the serving-time
-// classification of arbitrary points cannot drift apart.
+// packaged as a reusable component. Relabel (step 4 of a DBDC round) and the
+// online classifier of internal/serve both go through this one type, so the
+// relabeling of training points and the serving-time classification of
+// arbitrary points cannot drift apart.
 //
 // The rule, spelled out:
 //
@@ -47,10 +47,9 @@ import (
 // a loop over every representative, and under the dbdc_debugchecks build
 // every answer is re-derived that way.
 //
-// RelabelSite reaches the same labels the other way round — one range query
-// per representative over the site's objects (relabelByRep) — and
-// TestRelabelSiteMatchesPerPoint pins that batch path and this per-point
-// path to each other, label for label.
+// RelabelSite labels a site's objects through Relabel, so step 4 of a round
+// has this one implementation too; TestRelabelSiteMatchesPerPoint holds it
+// to the loop over every representative on whole rounds.
 //
 // A RepSelector is immutable after construction and safe for concurrent
 // readers.

@@ -65,12 +65,6 @@ type leafCounter struct {
 
 func (c *leafCounter) Leaves() ([]int32, int) { return index.LeavesOf(c.Index) }
 
-func (c *leafCounter) Leaf(leaf int) []int { return c.Index.(index.UnseenRangeAppender).Leaf(leaf) }
-
-func (c *leafCounter) LeavesInReach(q geom.Point, eps float64, out []int) []int {
-	return c.Index.(index.UnseenRangeAppender).LeavesInReach(q, eps, out)
-}
-
 func (c *leafCounter) RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int {
 	buf = c.Index.(index.UnseenRangeAppender).RangeAppendIDUnseen(i, eps, enough, unseen, buf)
 	c.unseenQueries.Add(1)

@@ -118,18 +118,6 @@ func (p *Packed) Leaves() (leafOf []int32, leaves int) {
 	return p.leafOf, len(p.levels[0].spans)
 }
 
-// Leaf implements index.UnseenRangeAppender.
-func (p *Packed) Leaf(leaf int) []int {
-	s := p.levels[0].spans[leaf]
-	return p.perm[s.first : s.first+s.count]
-}
-
-// LeavesInReach implements index.UnseenRangeAppender: the leaves rangeAppend
-// enters from the root, in its order — descend without a store to verify on.
-func (p *Packed) LeavesInReach(q geom.Point, eps float64, out []int) []int {
-	return p.descend(nil, len(p.levels), 0, p.rootCount, q, eps*eps, math.MaxInt, nil, out)
-}
-
 // RangeAppendIDUnseen passes over a leaf with unseen[leaf] == 0 iff the result
 // holds enough ids when the visit order reaches it.
 func (p *Packed) RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int {
@@ -146,7 +134,7 @@ func (p *Packed) rangeAppend(q geom.Point, id int, eps float64, enough int, unse
 		level, from = 1, p.near[p.nearEnd[leaf]:p.nearEnd[leaf+1]]
 	}
 	for _, s := range from {
-		out = p.descend(p.rows, level, s.first, s.count, q, eps2, enough, unseen, out)
+		out = p.descend(level, s.first, s.count, q, eps2, enough, unseen, out)
 	}
 	if len(out) == 0 {
 		return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
@@ -421,10 +409,9 @@ func (tl *tiler) bound(ids []int, out []float64) {
 // two dimensions — is at most eps2, and a leaf hands its slice of perm to the
 // fused verify kernel — unless out holds enough ids and unseen none of the
 // leaf's (index.UnseenRangeAppender's rule; enough = math.MaxInt is no rule).
-// Without a store a leaf is not verified: its number goes to out instead.
-func (p *Packed) descend(st *geom.Store, level int, first, count int32, q geom.Point, eps2 float64, enough int, unseen []int32, out []int) []int {
+func (p *Packed) descend(level int, first, count int32, q geom.Point, eps2 float64, enough int, unseen []int32, out []int) []int {
 	if level == 0 {
-		return st.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
+		return p.rows.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
 	}
 	lv, w := &p.levels[level-1], 2*p.dim
 	bounds := lv.bounds[w*int(first) : w*int(first+count)]
@@ -452,11 +439,8 @@ func (p *Packed) descend(st *geom.Store, level int, first, count int32, q geom.P
 		if sum > eps2 || level == 1 && len(out) >= enough && unseen[i] == 0 {
 			continue
 		}
-		if s := lv.spans[i]; level > 1 || st != nil {
-			out = p.descend(st, level-1, s.first, s.count, q, eps2, enough, unseen, out)
-		} else {
-			out = append(out, i)
-		}
+		s := lv.spans[i]
+		out = p.descend(level-1, s.first, s.count, q, eps2, enough, unseen, out)
 	}
 	return out
 }

@@ -160,39 +160,3 @@ func TestSTRSlabCount(t *testing.T) {
 		}
 	}
 }
-
-// TestLeavesInReach: the leaf capability relabel resolves by is the range
-// query taken apart — verifying the leaves LeavesInReach names, in its order,
-// on the store kernel returns what RangeAppend returns, in its order.
-func TestLeavesInReach(t *testing.T) {
-	for _, dim := range []int{2, 3, 8} {
-		rng := rand.New(rand.NewSource(int64(50 + dim)))
-		st, err := geom.FromPoints(randomPoints(rng, 3000, dim))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewBulkStore(st, DefaultMaxEntries, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leafOf, leaves := tr.Leaves()
-		for l := 0; l < leaves; l++ {
-			for _, id := range tr.Leaf(l) {
-				if leafOf[id] != int32(l) {
-					t.Fatalf("dim %d: Leaf(%d) holds id %d of leaf %d", dim, l, id, leafOf[id])
-				}
-			}
-		}
-		var reached, got, want []int
-		for trial := 0; trial < 200; trial++ {
-			q, eps := randomPoints(rng, 1, dim)[0], rng.Float64()*4*math.Sqrt(float64(dim))
-			reached, got = tr.LeavesInReach(q, eps, reached[:0]), got[:0]
-			for _, l := range reached {
-				got = st.VerifyRangeSq(q, tr.Leaf(l), eps*eps, got)
-			}
-			if want = tr.RangeAppend(q, eps, want); !slices.Equal(got, want) {
-				t.Fatalf("dim %d q %v eps %v: leaves in reach give %v, RangeAppend %v", dim, q, eps, got, want)
-			}
-		}
-	}
-}

@@ -210,7 +210,7 @@ func TestLargerRadiusDescends(t *testing.T) {
 			var fromTable []int
 			leaf := tr.leafOf[id]
 			for _, s := range tr.near[tr.nearEnd[leaf]:tr.nearEnd[leaf+1]] {
-				fromTable = tr.descend(st, 1, s.first, s.count, q, eps*eps, math.MaxInt, nil, fromTable)
+				fromTable = tr.descend(1, s.first, s.count, q, eps*eps, math.MaxInt, nil, fromTable)
 			}
 			if len(fromTable) < len(want) {
 				short++
