@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard conn-guard wire-guard fuzz-smoke bench bench-smoke bench-pairs loadgen-smoke agg-smoke vet experiments examples clean
+.PHONY: all build test test-short test-race test-scalar check gofmt bench-module index-guard conn-guard wire-guard cite-guard fuzz-smoke bench bench-smoke bench-pairs loadgen-smoke agg-smoke vet experiments examples clean
 
 all: build vet test
 
@@ -33,7 +33,7 @@ test-scalar:
 
 # The CI gate, the steps of CI's check job: static checks, formatting, build,
 # race-enabled tests and the benchmark module.
-check: vet gofmt build index-guard conn-guard wire-guard test-race bench-module
+check: vet gofmt build index-guard conn-guard wire-guard cite-guard test-race bench-module
 
 # Fails if a tracked Go file is not gofmt-formatted, and names it.
 gofmt:
@@ -75,6 +75,13 @@ wire-guard:
 	@! git ls-files -co --exclude-standard '*.go' ':(exclude)*_test.go' ':(exclude)internal/wire/*' \
 		| xargs grep -ln '"encoding/binary"' \
 		|| { echo 'wire-guard: encoding/binary imported outside internal/wire'; exit 1; }
+
+# A test named in README.md, DESIGN.md, EXPERIMENTS.md or docs/ must exist:
+# fails on a backticked Test*, Fuzz* or Benchmark* name (package-qualified or
+# not, a trailing * or … a prefix) that no _test.go file of the module or of
+# bench/ defines, and names the file and line (scripts/cite_guard.sh).
+cite-guard:
+	@bash scripts/cite_guard.sh
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
 # panic on arbitrary bytes; kernels and the fused verifiers must match their

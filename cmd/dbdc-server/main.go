@@ -17,6 +17,13 @@
 // failed sites included. Pair it with dbdc-site processes pointing at the
 // same address.
 //
+// Rounds and the streaming mode below are one collector under two
+// triggers: each global step's cluster ids are matched against the
+// previous one's (model.ClusterMatcher), so ids stay stable from round to
+// round as from rebuild to rebuild, and the model a round publishes is the
+// one it broadcasts. Of two uploads from one site, the one whose connection
+// was accepted later is kept.
+//
 // With -serve-classify the server doubles as an online classification
 // front end: every completed round publishes its global model into a
 // versioned registry (hot-swapped atomically under live traffic) and the
@@ -28,9 +35,9 @@
 // With -stream the server runs the always-on streaming deployment instead
 // of synchronous rounds: sites connect whenever their clustering changed,
 // uploading full models or streaming ones (docs/streaming.md); the
-// global model is rebuilt on a debounced schedule (-debounce) with stable
-// cluster ids and hot-swapped into the classification registry
-// continuously. The process serves until killed.
+// global model is rebuilt on a debounced schedule (-debounce) and
+// hot-swapped into the classification registry continuously. The process
+// serves until killed.
 package main
 
 import (

@@ -1,11 +1,11 @@
 package transport
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,37 +13,25 @@ import (
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
-// Server is the central DBDC site: it accepts connections from client
-// sites, collects their local models, derives the global model and sends it
-// back on every usable connection.
+// Server is the central DBDC site under the round trigger: it collects the
+// site models of one round, derives the global model from them once the
+// round's quorum or deadline is reached, and sends it back on every usable
+// connection, which it holds open until then. Each round's model is
+// published over that round's uploads only, with cluster ids kept stable
+// from round to round (see collector).
 type Server struct {
-	uploadEndpoint
+	collector
 
-	cfg dbdc.Config
 	// expect is the number of distinct site models one round aims for.
-	expect  int
-	timeout time.Duration
-	// loop accepts for the server's whole life and hands every connection
-	// to lend; rounds is where a waiting connection picks up the round in
-	// progress. served is closed when the loop stopped, serveErr its error.
-	loop     *ConnLoop
+	expect int
+	// The loop accepts for the server's whole life and hands every
+	// connection to lend; rounds is where a waiting connection picks up the
+	// round in progress. served is closed when the loop stopped, serveErr
+	// its error.
 	rounds   chan *round
 	served   chan struct{}
 	serveErr error
-
-	// onGlobal, when set, receives every freshly computed global model
-	// (see SetOnGlobal).
-	onGlobal func(*model.GlobalModel)
 }
-
-// SetOnGlobal registers a sink that receives every global model a round
-// computes, immediately after the global step succeeds and before the
-// broadcast to the sites. This is how commands feed the serving-side model
-// registry (internal/serve.Registry.PublishFunc) without the transport
-// layer depending on it. The callback runs synchronously on the round
-// goroutine — keep it fast. Not safe to call concurrently with a running
-// round; set it once, right after NewServer.
-func (s *Server) SetOnGlobal(fn func(*model.GlobalModel)) { s.onGlobal = fn }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") for rounds of expect
 // sites. timeout bounds each connection's I/O, the default accept window
@@ -68,20 +56,17 @@ func NewServerListener(ln net.Listener, expect int, cfg dbdc.Config, timeout tim
 	if expect < 1 {
 		return nil, fmt.Errorf("transport: server needs at least one site, got %d", expect)
 	}
-	if err := cfg.Validate(); err != nil {
+	s := &Server{expect: expect, rounds: make(chan *round), served: make(chan struct{})}
+	if err := s.init(cfg, timeout); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, expect: expect, timeout: IOTimeout(timeout),
-		loop: NewConnLoop(ln), rounds: make(chan *round), served: make(chan struct{})}
+	s.loop = NewConnLoop(ln)
 	go func() {
 		s.serveErr = s.loop.Serve(0, s.lend)
 		close(s.served)
 	}()
 	return s, nil
 }
-
-// Addr returns the address the server listens on.
-func (s *Server) Addr() string { return s.loop.Addr() }
 
 // Close stops accepting, closes every open connection — a running round
 // then fails — and waits until the server's goroutines are gone.
@@ -300,11 +285,8 @@ type round struct {
 
 // readResult is one connection's upload as delivered to the round.
 type readResult struct {
-	upload
-	conn net.Conn
-	addr string
-	err  error
-	dur  time.Duration
+	entry
+	err error
 }
 
 // lend is the server's connection handler. A connection may arrive while no
@@ -315,6 +297,7 @@ type readResult struct {
 // usable upload keeps the connection open for the reply until the round
 // ends.
 func (s *Server) lend(conn net.Conn) {
+	stamp := s.accepted.Add(1)
 	wait := time.NewTimer(s.timeout)
 	defer wait.Stop()
 	var rd *round
@@ -328,7 +311,7 @@ func (s *Server) lend(conn net.Conn) {
 	start := time.Now()
 	conn.SetDeadline(rd.deadline)
 	up, err := s.readUpload(conn, false)
-	rd.results <- readResult{upload: up, conn: conn, addr: conn.RemoteAddr().String(), err: err, dur: time.Since(start)}
+	rd.results <- readResult{entry{upload: up, stamp: stamp, conn: conn, dur: time.Since(start)}, err}
 	if err == nil {
 		select {
 		case <-rd.done:
@@ -353,12 +336,18 @@ func (s *Server) RunRound() (*model.GlobalModel, error) {
 //
 // Fault behavior: the accept phase ends on a timer and every upload is read
 // under the same deadline, so a round with an absent or silent site
-// terminates; failed uploads do not consume a site slot (a retrying site
-// replaces its earlier failed attempt by id), and the round completes as
-// soon as all expected sites are in, or at the deadline with at least
-// Quorum usable models. Close cuts a running round short: it fails with an
-// error wrapping net.ErrClosed.
+// terminates; failed uploads do not consume a site slot, and of two usable
+// uploads under one site id the one whose connection was accepted later
+// wins — a retry replaces the attempt it gave up on even when that
+// attempt's read finishes last. The round completes as soon as all
+// expected sites are in, or at the deadline with at least Quorum usable
+// models. Close cuts a running round short: it fails with an error
+// wrapping net.ErrClosed.
 func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundReport, error) {
+	// A round owns the model table from its first upload to its broadcast.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.entries)
 	start := time.Now()
 	quorum := min(max(opts.Quorum, 1), s.expect)
 	acceptTimeout := opts.AcceptTimeout
@@ -370,8 +359,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 	acceptEnd := time.NewTimer(acceptTimeout)
 	defer acceptEnd.Stop()
 
-	good := make(map[string]readResult) // site id -> usable upload
-	attempts := make(map[string]int)    // site id -> connections seen
+	attempts := make(map[string]int) // site id -> connections seen
 	var failures []SiteOutcome
 	reading := 0
 	conns := 0
@@ -379,7 +367,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 	served := s.served
 	var listenErr error
 
-	for reading > 0 || (acceptOpen && len(good) < s.expect) {
+	for reading > 0 || (acceptOpen && len(s.entries) < s.expect) {
 		offer := s.rounds
 		if !acceptOpen {
 			offer = nil
@@ -403,7 +391,7 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 			if r.err != nil {
 				failures = append(failures, SiteOutcome{
 					SiteID:   r.siteID,
-					Addr:     r.addr,
+					Addr:     r.conn.RemoteAddr().String(),
 					Reason:   r.err.Error(),
 					Attempts: attempts[r.siteID],
 					Bytes:    r.bytes,
@@ -411,103 +399,79 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 				})
 				continue
 			}
-			if prev, ok := good[r.siteID]; ok {
-				// A site re-uploaded (e.g. it retried after a reply
-				// it never saw); keep the newest connection.
-				prev.conn.Close()
+			if loser, _ := s.storeLocked(r.entry); loser.conn != nil {
+				loser.conn.Close()
 			}
-			good[r.siteID] = r
-			if len(good) >= s.expect {
+			if len(s.entries) >= s.expect {
 				acceptOpen = false
 			}
 		}
 	}
 
-	report := s.buildReport(start, quorum, good, attempts, failures, conns, opts.ExpectedSites)
+	report := s.buildReport(start, quorum, attempts, failures, conns, opts.ExpectedSites)
+	ids := s.sitesLocked()
 
-	// refuse tells every usable site why the round failed.
-	refuse := func(msg string) {
-		for _, r := range good {
-			r.conn.SetDeadline(time.Now().Add(s.timeout))
-			WriteFrame(r.conn, MsgError, []byte(msg))
+	// answer sends one frame to every usable site; fail tells them why the
+	// round failed.
+	answer := func(msgType byte, payload []byte) {
+		for _, id := range ids {
+			conn := s.entries[id].conn
+			conn.SetDeadline(time.Now().Add(s.timeout))
+			if s.reply(conn, msgType, payload) == nil && msgType == MsgGlobalModel {
+				report.DownlinkBytes += frameHeaderSize + len(payload)
+			}
 		}
+	}
+	fail := func(err error) (*model.GlobalModel, *RoundReport, error) {
+		answer(MsgError, []byte(err.Error()))
 		report.Duration = time.Since(start)
+		return nil, report, err
 	}
 
 	if listenErr != nil {
 		return nil, report, listenErr
 	}
-	if len(good) == 0 {
-		var first string
+	if len(ids) == 0 {
+		first := "no site connected before the deadline"
 		if len(failures) > 0 {
 			first = failures[0].Reason
-		} else {
-			first = "no site connected before the deadline"
 		}
 		return nil, report, fmt.Errorf("transport: no usable local models (%d connections failed, first: %s)",
 			len(failures), first)
 	}
-	if len(good) < quorum {
-		err := fmt.Errorf("transport: quorum not met: %d usable models of %d expected, need %d",
-			len(good), s.expect, quorum)
-		refuse(err.Error())
-		return nil, report, err
-	}
-
-	// Deterministic server-side order, matching the in-process
-	// orchestrator: models sorted by site id.
-	ids := make([]string, 0, len(good))
-	for id := range good {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	models := make([]*model.LocalModel, 0, len(ids))
-	for _, id := range ids {
-		models = append(models, good[id].model)
+	if len(ids) < quorum {
+		return fail(fmt.Errorf("transport: quorum not met: %d usable models of %d expected, need %d",
+			len(ids), s.expect, quorum))
 	}
 
 	globalStart := time.Now()
-	global, err := dbdc.GlobalStep(models, s.cfg)
-	report.GlobalStepDuration = time.Since(globalStart)
-	if err != nil {
-		refuse(err.Error())
-		return nil, report, err
-	}
-	if opts.Finalize != nil {
+	global, err := s.publishLocked(func(global *model.GlobalModel) (*model.GlobalModel, error) {
+		report.GlobalStepDuration = time.Since(globalStart)
+		if opts.Finalize == nil {
+			return global, nil
+		}
 		// Interior tree node: condense the regional model, forward it to
-		// the parent, and broadcast whatever comes back (the root's
-		// model) to the children. On error the children get a MsgError —
-		// an unreachable parent fails the whole subtree's round rather
-		// than silently serving a regional model as if it were global.
+		// the parent, and publish and broadcast whatever comes back (the
+		// root's model). On error the children get a MsgError — an
+		// unreachable parent fails the whole subtree's round rather than
+		// silently serving a regional model as if it were global.
 		forwardStart := time.Now()
-		finalized, ferr := opts.Finalize(global, report)
+		finalized, err := opts.Finalize(global, report)
 		report.ForwardDuration = time.Since(forwardStart)
-		if ferr != nil {
-			refuse(ferr.Error())
-			return nil, report, fmt.Errorf("transport: finalize: %w", ferr)
+		if err != nil {
+			return nil, fmt.Errorf("transport: finalize: %w", err)
 		}
-		if finalized != nil {
-			global = finalized
-		}
-	}
-	if s.onGlobal != nil {
-		// Publish before the broadcast: classification readers switch to
-		// the new model no later than the sites that trained it.
-		s.onGlobal(global)
+		return cmp.Or(finalized, global), nil
+	})
+	if err != nil {
+		return fail(err)
 	}
 	broadcastStart := time.Now()
 	payload, err := global.MarshalBinary()
 	if err != nil {
-		refuse(err.Error())
-		return nil, report, err
+		return fail(err)
 	}
-	for _, id := range ids {
-		r := good[id]
-		r.conn.SetDeadline(time.Now().Add(s.timeout))
-		if s.reply(r.conn, MsgGlobalModel, payload) == nil {
-			report.DownlinkBytes += frameHeaderSize + len(payload)
-		}
-	}
+	answer(MsgGlobalModel, payload)
 	report.BroadcastDuration = time.Since(broadcastStart)
 	report.Duration = time.Since(start)
 	return global, report, nil
@@ -515,22 +479,18 @@ func (s *Server) RunRoundOpts(opts RoundOptions) (*model.GlobalModel, *RoundRepo
 
 // buildReport assembles the per-site round report: usable sites sorted by
 // id, then connection failures, then expected sites that never delivered.
-func (s *Server) buildReport(start time.Time, quorum int, good map[string]readResult,
-	attempts map[string]int, failures []SiteOutcome, conns int, expected []string) *RoundReport {
+// Caller holds s.mu.
+func (s *Server) buildReport(start time.Time, quorum int, attempts map[string]int,
+	failures []SiteOutcome, conns int, expected []string) *RoundReport {
 
 	report := &RoundReport{
 		Expect: s.expect,
 		Quorum: quorum,
-		OK:     len(good),
+		OK:     len(s.entries),
 		Conns:  conns,
 	}
-	ids := make([]string, 0, len(good))
-	for id := range good {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r := good[id]
+	for _, id := range s.sitesLocked() {
+		r := s.entries[id]
 		if attempts[id] > 1 {
 			report.Retried++
 		}
@@ -539,7 +499,7 @@ func (s *Server) buildReport(start time.Time, quorum int, good map[string]readRe
 		report.RepsTotal += len(r.model.Reps)
 		report.Sites = append(report.Sites, SiteOutcome{
 			SiteID:     id,
-			Addr:       r.addr,
+			Addr:       r.conn.RemoteAddr().String(),
 			OK:         true,
 			Attempts:   attempts[id],
 			Bytes:      r.bytes,
@@ -556,7 +516,7 @@ func (s *Server) buildReport(start time.Time, quorum int, good map[string]readRe
 	// retry count, not listed as standalone failures.
 	for _, f := range failures {
 		if f.SiteID != "" {
-			if _, ok := good[f.SiteID]; ok {
+			if _, ok := s.entries[f.SiteID]; ok {
 				continue
 			}
 		}

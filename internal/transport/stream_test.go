@@ -32,7 +32,7 @@ func deltaOf(tr *model.DeltaTracker, m *model.LocalModel) *model.LocalDelta {
 func heldModel(t *testing.T, srv *UpdateServer, siteID string) []byte {
 	t.Helper()
 	srv.mu.Lock()
-	held := srv.models[siteID]
+	held := srv.entries[siteID].model
 	srv.mu.Unlock()
 	if held == nil {
 		t.Fatalf("the server holds no model for %s", siteID)

@@ -3,63 +3,36 @@ package transport
 import (
 	"errors"
 	"net"
-	"sort"
-	"sync"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
-// UpdateServer is the long-running variant of the DBDC server for
-// incremental and streaming deployments: sites connect whenever their local
-// clustering has changed considerably (cf. Section 4 of the paper and the
-// incremental DBSCAN site mode) and upload either a full local model
+// UpdateServer is the DBDC server under the update trigger, for incremental
+// and streaming deployments: sites connect whenever their local clustering
+// has changed considerably (cf. Section 4 of the paper and the incremental
+// DBSCAN site mode) and upload either a full local model
 // (MsgLocalModelTimed — answered with the rebuilt global model) or a
 // streaming one (MsgModelDelta — answered with a MsgDeltaAck, with the
 // global rebuild optionally debounced; see SetDebounce). Either replaces the
-// site's entry in the per-site model table. Stale models of silent sites stay
-// in effect — the server never has to wait for all sites.
+// site's entry in the model table, unless the table already holds a model
+// that came over a connection accepted later. Stale models of silent sites
+// stay in effect — the server never has to wait for all sites.
 //
-// Global cluster ids are stable across rebuilds: every rebuilt model is
-// relabeled by representative overlap against its predecessor
-// (model.ClusterMatcher), so classify clients see coherent ids while the
-// clustering churns underneath them.
+// Global cluster ids are stable across rebuilds (see collector), so classify
+// clients see coherent ids while the clustering churns underneath them.
 type UpdateServer struct {
-	uploadEndpoint
+	collector
 
-	cfg      dbdc.Config
-	timeout  time.Duration
-	loop     *ConnLoop
 	debounce time.Duration
-
-	mu     sync.Mutex
-	models map[string]*model.LocalModel
-	// streams retains the latest stream-progress section per streaming
-	// site, informational.
-	streams map[string]StreamStats
-	global  *model.GlobalModel
-	stable  *model.ClusterMatcher
-	// version counts completed global rebuilds; the delta ack carries it.
-	version uint64
-	// dirty/rebuildPending/closed drive the debounced rebuild; rebuildErr
-	// records the outcome of the last (possibly asynchronous) rebuild.
+	// dirty and rebuildPending drive the debounced rebuild; rebuildErr
+	// records the outcome of the last (possibly asynchronous) rebuild. All
+	// under mu.
 	dirty          bool
 	rebuildPending bool
-	closed         bool
 	rebuildErr     error
-
-	// onGlobal, when set, receives every rebuilt global model (see
-	// SetOnGlobal).
-	onGlobal func(*model.GlobalModel)
 }
-
-// SetOnGlobal registers a sink that receives every rebuilt global model,
-// invoked under the store lock so sinks observe the rebuilds in exactly
-// the order they happened (a model registry fed from here is therefore
-// monotonically versioned). Keep the callback fast — it serializes with
-// concurrent updates. Set it once, before Serve.
-func (s *UpdateServer) SetOnGlobal(fn func(*model.GlobalModel)) { s.onGlobal = fn }
 
 // SetDebounce sets the rebuild debounce for delta uploads: uploads arriving
 // within d of each other coalesce into one global rebuild, so a burst of
@@ -97,7 +70,7 @@ func (s *UpdateServer) WaitVersion(v uint64, timeout time.Duration) bool {
 func (s *UpdateServer) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.dirty || s.closed {
+	if !s.dirty || s.loop.closed() {
 		return nil
 	}
 	s.dirty = false
@@ -119,52 +92,36 @@ func (s *UpdateServer) LastRebuildErr() error {
 func (s *UpdateServer) StreamInfo(siteID string) (StreamStats, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.streams[siteID]
-	return st, ok
+	if st := s.entries[siteID].sections.stream; st != nil {
+		return *st, true
+	}
+	return StreamStats{}, false
 }
 
 // NewUpdateServer listens on addr for model updates.
 func NewUpdateServer(addr string, cfg dbdc.Config, timeout time.Duration) (*UpdateServer, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(UpdateServer)
+	if err := s.init(cfg, timeout); err != nil {
 		return nil, err
 	}
 	loop, err := Listen(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &UpdateServer{
-		cfg:     cfg,
-		timeout: IOTimeout(timeout),
-		loop:    loop,
-		models:  make(map[string]*model.LocalModel),
-		streams: make(map[string]StreamStats),
-		stable:  model.NewClusterMatcher(),
-	}, nil
+	s.loop = loop
+	return s, nil
 }
-
-// Addr returns the listen address.
-func (s *UpdateServer) Addr() string { return s.loop.Addr() }
 
 // Close stops accepting, closes every open connection, waits for the
 // handlers and cancels any pending debounced rebuild.
-func (s *UpdateServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return s.loop.Close()
-}
+func (s *UpdateServer) Close() error { return s.loop.Close() }
 
 // Sites returns the ids of the sites whose models are currently retained,
 // sorted.
 func (s *UpdateServer) Sites() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.models))
-	for id := range s.models {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return s.sitesLocked()
 }
 
 // Global returns the latest global model, or nil before the first update.
@@ -177,14 +134,17 @@ func (s *UpdateServer) Global() *model.GlobalModel {
 // Serve handles updates until Close or until maxUpdates updates have been
 // processed (0 = unlimited), and returns nil then; an accept failure ends
 // it with the error. Each connection carries one update; connections are
-// handled concurrently, the model store and global rebuild are serialized.
+// handled concurrently, the model table and global rebuild are serialized.
 func (s *UpdateServer) Serve(maxUpdates int) error {
 	return s.loop.Serve(maxUpdates, s.handleUpdate)
 }
 
 // handleUpdate processes one site connection: read the upload, store it,
-// reply.
+// rebuild (or schedule a debounced rebuild) and reply. A stale upload — its
+// site's entry came over a connection accepted later — is neither stored
+// nor answered and triggers no rebuild.
 func (s *UpdateServer) handleUpdate(conn net.Conn) {
+	stamp := s.accepted.Add(1)
 	conn.SetDeadline(time.Now().Add(s.timeout))
 	up, err := s.readUpload(conn, true)
 	if err != nil {
@@ -197,17 +157,32 @@ func (s *UpdateServer) handleUpdate(conn net.Conn) {
 		}
 		return
 	}
+	s.mu.Lock()
+	if up.sections.stream == nil {
+		// The entry keeps the latest section the site attached.
+		up.sections.stream = s.entries[up.siteID].sections.stream
+	}
+	_, stored := s.storeLocked(entry{upload: up, stamp: stamp})
+	switch {
+	case stored && up.delta != nil:
+		// The ack does not wait for a (debounced) GlobalStep.
+		s.scheduleRebuildLocked()
+	case stored:
+		_, err = s.rebuildLocked()
+	}
+	global, version := s.global, s.version
+	s.mu.Unlock()
+	if !stored {
+		return
+	}
 	if up.delta != nil {
-		s.handleDelta(conn, up.delta, up.sections.stream)
+		s.reply(conn, MsgDeltaAck, encodeDeltaAck(DeltaAck{Seq: up.delta.Seq, GlobalVersion: version}))
 		return
 	}
-	// A full model: store, synchronous rebuild, global model reply.
-	global, err := s.storeAndRebuild(up.model)
-	if err != nil {
-		s.reply(conn, MsgError, []byte(err.Error()))
-		return
+	var reply []byte
+	if err == nil {
+		reply, err = global.MarshalBinary()
 	}
-	reply, err := global.MarshalBinary()
 	if err != nil {
 		s.reply(conn, MsgError, []byte(err.Error()))
 		return
@@ -215,63 +190,12 @@ func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	s.reply(conn, MsgGlobalModel, reply)
 }
 
-// handleDelta stores one streaming upload's model and acks it. The global
-// rebuild is debounced (SetDebounce), so the ack does not wait for a
-// GlobalStep.
-func (s *UpdateServer) handleDelta(conn net.Conn, d *model.LocalDelta, stats *StreamStats) {
-	s.mu.Lock()
-	s.models[d.Model.SiteID] = d.Model
-	if stats != nil {
-		s.streams[d.Model.SiteID] = *stats
-	}
-	s.scheduleRebuildLocked()
-	ack := DeltaAck{Seq: d.Seq, GlobalVersion: s.version}
-	s.mu.Unlock()
-	s.reply(conn, MsgDeltaAck, encodeDeltaAck(ack))
-}
-
-// storeAndRebuild replaces the site's model and recomputes the global
-// model from the newest model of every site.
-func (s *UpdateServer) storeAndRebuild(m *model.LocalModel) (*model.GlobalModel, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.models[m.SiteID] = m
-	return s.rebuildLocked()
-}
-
-// rebuildLocked recomputes the global model from the newest model of every
-// site, relabels it for stable cluster ids and publishes it. Caller holds
-// s.mu.
+// rebuildLocked publishes the global model of every retained site model and
+// records the outcome. Caller holds s.mu.
 func (s *UpdateServer) rebuildLocked() (*model.GlobalModel, error) {
-	ids := make([]string, 0, len(s.models))
-	for id := range s.models {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // deterministic global clustering order
-	all := make([]*model.LocalModel, 0, len(ids))
-	for _, id := range ids {
-		all = append(all, s.models[id])
-	}
-	global, err := dbdc.GlobalStep(all, s.cfg)
-	if err != nil {
-		s.rebuildErr = err
-		return nil, err
-	}
-	if !global.Empty() {
-		// An empty rebuild (all reps churned out mid-turn) keeps the
-		// matcher's history so clusters reappearing next version can still
-		// claim their ids.
-		s.stable.RelabelGlobal(global)
-	}
-	s.global = global
-	s.version++
-	s.rebuildErr = nil
-	if s.onGlobal != nil {
-		// Under s.mu: sinks see rebuilds in rebuild order, which keeps a
-		// registry fed from here strictly monotone.
-		s.onGlobal(global)
-	}
-	return global, nil
+	global, err := s.publishLocked(nil)
+	s.rebuildErr = err
+	return global, err
 }
 
 // scheduleRebuildLocked requests a global rebuild after a streaming upload.
@@ -283,21 +207,14 @@ func (s *UpdateServer) scheduleRebuildLocked() {
 		return
 	}
 	s.dirty = true
-	if s.rebuildPending || s.closed {
+	if s.rebuildPending || s.loop.closed() {
 		return
 	}
 	s.rebuildPending = true
-	time.AfterFunc(s.debounce, s.flushRebuild)
-}
-
-// flushRebuild is the debounce timer callback: run the coalesced rebuild if
-// one is still wanted.
-func (s *UpdateServer) flushRebuild() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rebuildPending = false
-	if s.dirty && !s.closed {
-		s.dirty = false
-		s.rebuildLocked()
-	}
+	time.AfterFunc(s.debounce, func() {
+		s.mu.Lock()
+		s.rebuildPending = false
+		s.mu.Unlock()
+		s.Flush()
+	})
 }

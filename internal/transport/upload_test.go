@@ -442,7 +442,7 @@ func TestBudgetedSiteAgainstUpdateServer(t *testing.T) {
 				t.Fatalf("site report: %+v", rep)
 			}
 			srv.mu.Lock()
-			stored := srv.models["site-1"]
+			stored := srv.entries["site-1"].model
 			srv.mu.Unlock()
 			if stored == nil {
 				t.Fatal("update server stored no model for the site")
