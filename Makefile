@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRepSelector -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dbscan/ -run '^$$' -fuzz FuzzBudgetScor -fuzztime $(FUZZTIME)
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).

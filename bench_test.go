@@ -654,17 +654,13 @@ func BenchmarkLocalClustering(b *testing.B) {
 	}
 	// SDBDC representative budgets: the full LocalStep (clustering,
 	// condensation, greedy budget selection) with a per-cluster cap, on the
-	// paper-sized site. budget=0 is the unbudgeted baseline, so the rows
+	// paper-sized site over the default index. budget=0 is the unbudgeted baseline, so the rows
 	// show the selector's overhead next to the uplink bytes it saves;
 	// coverage-fraction shows the quality headroom the budget leaves.
 	budgetDS := lib.DatasetA(8_700, 1)
 	for _, budget := range []int{0, 16, 4} {
 		b.Run(fmt.Sprintf("budget/b=%d", budget), func(b *testing.B) {
-			cfg := lib.Config{
-				Local:     budgetDS.Params,
-				Index:     index.KindKDTree,
-				RepBudget: budget,
-			}
+			cfg := lib.Config{Local: budgetDS.Params, RepBudget: budget}
 			b.ReportAllocs()
 			var out *lib.LocalOutcome
 			b.ResetTimer()

@@ -84,7 +84,11 @@ func CondenseGlobal(siteID string, g *model.GlobalModel, cfg Config) (*LocalOutc
 		res.SpecificEps[i] = r.Eps
 	}
 
-	m, stats, err := buildLocalModel(siteID, pts, res, cfg, cfg.RepBudget)
+	st, err := storeOf(siteID, pts)
+	if err != nil {
+		return nil, err
+	}
+	m, stats, err := buildLocalModel(siteID, st, res, cfg, cfg.RepBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +98,12 @@ func CondenseGlobal(siteID string, g *model.GlobalModel, cfg Config) (*LocalOutc
 	// models' NumObjects) overwrite it for the compression statistics.
 	return &LocalOutcome{
 		SiteID:     siteID,
-		Points:     pts,
+		Points:     st.Views(),
 		Clustering: res,
 		Model:      m,
 		RepBudget:  cfg.RepBudget,
 		Budget:     stats,
+		st:         st,
 		cfg:        cfg,
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
@@ -37,8 +36,7 @@ type LocalOutcome struct {
 	// SiteID identifies the site.
 	SiteID string
 	// Points are the site's objects: views into the store the site was
-	// clustered over (LocalStep copies the caller's points into one), or the
-	// slice LocalStepClustered was handed, retained as is.
+	// clustered over (LocalStep copies the caller's points into one).
 	Points []geom.Point
 	// Clustering is the site-local DBSCAN result.
 	Clustering *dbscan.Result
@@ -53,9 +51,11 @@ type LocalOutcome struct {
 	RepBudget int
 	Budget    dbscan.BudgetStats
 
-	// cfg is the resolved configuration the outcome was produced under,
-	// retained so BudgetedModel can re-condense the clustering at a
-	// different budget during transport negotiation.
+	// st and cfg are the store the clustering ran over and the resolved
+	// configuration the outcome was produced under, retained so
+	// BudgetedModel can re-condense the clustering at a different budget
+	// during transport negotiation.
+	st  *geom.Store
 	cfg Config
 	// numObjects, when positive, overrides the model's NumObjects: a
 	// condensed outcome (CondenseGlobal) clusters representatives, but the
@@ -69,14 +69,24 @@ type LocalOutcome struct {
 // according to cfg.Model. Config.SiteWorkers is the DBSCAN run's worker
 // count; the phase costs land in the outcome's Timings.
 func LocalStep(siteID string, pts []geom.Point, cfg Config) (*LocalOutcome, error) {
-	st := geom.NewStore(1, 0)
-	if len(pts) > 0 {
-		var err error
-		if st, err = geom.FromPoints(pts); err != nil {
-			return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
-		}
+	st, err := storeOf(siteID, pts)
+	if err != nil {
+		return nil, err
 	}
 	return LocalStepStore(siteID, st, cfg)
+}
+
+// storeOf copies a site's points into one store; no points give an empty
+// store of stride 1.
+func storeOf(siteID string, pts []geom.Point) (*geom.Store, error) {
+	if len(pts) == 0 {
+		return geom.NewStore(1, 0), nil
+	}
+	st, err := geom.FromPoints(pts)
+	if err != nil {
+		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
+	}
+	return st, nil
 }
 
 // LocalStepStore is LocalStep for a site whose objects already live in a
@@ -102,7 +112,7 @@ func LocalStepStore(siteID string, st *geom.Store, cfg Config) (*LocalOutcome, e
 		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
 	}
 	clusterDur := time.Since(clusterStart)
-	out, err := LocalStepClustered(siteID, st.Views(), res, cfg)
+	out, err := LocalStepClustered(siteID, st, res, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -110,25 +120,27 @@ func LocalStepStore(siteID string, st *geom.Store, cfg Config) (*LocalOutcome, e
 	return out, nil
 }
 
-// LocalStepClustered is step 2 of DBDC over a finished clustering of pts —
-// the Result of dbscan.Run or dbscan.FromCores, specific core points
-// included — under a valid cfg: it condenses the clusters into the local
-// model exactly as LocalStep does.
-func LocalStepClustered(siteID string, pts []geom.Point, res *dbscan.Result, cfg Config) (*LocalOutcome, error) {
+// LocalStepClustered is step 2 of DBDC over a finished clustering of the
+// store st — the Result of dbscan.Run or dbscan.FromCores, specific core
+// points included — under a valid cfg: it condenses the clusters into the
+// local model exactly as LocalStep does. The outcome retains st; its Points
+// are views into it.
+func LocalStepClustered(siteID string, st *geom.Store, res *dbscan.Result, cfg Config) (*LocalOutcome, error) {
 	cfg = cfg.withDefaults()
 	condenseStart := time.Now()
-	m, stats, err := buildLocalModel(siteID, pts, res, cfg, cfg.RepBudget)
+	m, stats, err := buildLocalModel(siteID, st, res, cfg, cfg.RepBudget)
 	if err != nil {
 		return nil, err
 	}
 	return &LocalOutcome{
 		SiteID:     siteID,
-		Points:     pts,
+		Points:     st.Views(),
 		Clustering: res,
 		Model:      m,
 		Timings:    LocalTimings{Condense: time.Since(condenseStart), Workers: 1},
 		RepBudget:  cfg.RepBudget,
 		Budget:     stats,
+		st:         st,
 		cfg:        cfg,
 	}, nil
 }
@@ -138,11 +150,11 @@ func LocalStepClustered(siteID string, pts []geom.Point, res *dbscan.Result, cfg
 // historical output). The budgeted path never mutates res: the selector
 // returns a fresh Scor map that a shallow result copy carries into the
 // condensation.
-func buildLocalModel(siteID string, pts []geom.Point, res *dbscan.Result, cfg Config, budget int) (*model.LocalModel, dbscan.BudgetStats, error) {
+func buildLocalModel(siteID string, st *geom.Store, res *dbscan.Result, cfg Config, budget int) (*model.LocalModel, dbscan.BudgetStats, error) {
 	var stats dbscan.BudgetStats
 	condensed := res
 	if budget > 0 {
-		scor, s := dbscan.BudgetScor(pts, res, budget)
+		scor, s := dbscan.BudgetScor(st, res, budget)
 		stats = s
 		b := *res
 		b.Scor = scor
@@ -153,15 +165,15 @@ func buildLocalModel(siteID string, pts []geom.Point, res *dbscan.Result, cfg Co
 		Kind:        cfg.Model,
 		EpsLocal:    cfg.Local.Eps,
 		MinPts:      cfg.Local.MinPts,
-		NumObjects:  len(pts),
+		NumObjects:  st.Len(),
 		NumClusters: res.NumClusters(),
 	}
 	var err error
 	switch cfg.Model {
 	case model.RepScor:
-		m.Reps = scorReps(pts, condensed)
+		m.Reps = scorReps(st, condensed)
 	case model.RepKMeans:
-		m.Reps, err = kmeansReps(pts, condensed, cfg.KMeansMaxIter)
+		m.Reps, err = kmeansReps(st, condensed, cfg.KMeansMaxIter)
 		if err != nil {
 			return nil, stats, fmt.Errorf("dbdc: site %s: %w", siteID, err)
 		}
@@ -181,7 +193,7 @@ func (o *LocalOutcome) BudgetedModel(budget int) (*model.LocalModel, dbscan.Budg
 	if budget == o.RepBudget && o.Model != nil {
 		return o.Model, o.Budget, nil
 	}
-	m, stats, err := buildLocalModel(o.SiteID, o.Points, o.Clustering, o.cfg, budget)
+	m, stats, err := buildLocalModel(o.SiteID, o.st, o.Clustering, o.cfg, budget)
 	if err == nil && o.numObjects > 0 {
 		m.NumObjects = o.numObjects
 	}
@@ -204,12 +216,12 @@ func (o *LocalOutcome) MaxScorPerCluster() int {
 // scorReps builds the REP_Scor local model (Section 5.1): the specific core
 // points with their specific ε-ranges, both already computed during the
 // DBSCAN run.
-func scorReps(pts []geom.Point, res *dbscan.Result) []model.Representative {
+func scorReps(st *geom.Store, res *dbscan.Result) []model.Representative {
 	var reps []model.Representative
-	for _, id := range sortedClusterIDs(res) {
+	for _, id := range res.Labels.ClusterIDs() {
 		for _, s := range res.Scor[id] {
 			reps = append(reps, model.Representative{
-				Point:        pts[s].Clone(),
+				Point:        st.Point(s).Clone(),
 				Eps:          res.SpecificEps[s],
 				LocalCluster: id,
 			})
@@ -222,17 +234,17 @@ func scorReps(pts []geom.Point, res *dbscan.Result) []model.Representative {
 // cluster C, k-means with k = |Scor_C| seeded by the specific core points
 // refines the representatives to centroids; each centroid's ε-range is the
 // maximum distance of its assigned objects.
-func kmeansReps(pts []geom.Point, res *dbscan.Result, maxIter int) ([]model.Representative, error) {
+func kmeansReps(st *geom.Store, res *dbscan.Result, maxIter int) ([]model.Representative, error) {
 	var reps []model.Representative
-	for _, id := range sortedClusterIDs(res) {
+	for _, id := range res.Labels.ClusterIDs() {
 		members := res.Labels.Members(id)
 		memberPts := make([]geom.Point, len(members))
 		for i, m := range members {
-			memberPts[i] = pts[m]
+			memberPts[i] = st.Point(m)
 		}
 		seeds := make([]geom.Point, len(res.Scor[id]))
 		for i, s := range res.Scor[id] {
-			seeds[i] = pts[s]
+			seeds[i] = st.Point(s)
 		}
 		km, err := kmeans.Lloyd(memberPts, seeds, maxIter)
 		if err != nil {
@@ -262,8 +274,4 @@ func kmeansReps(pts []geom.Point, res *dbscan.Result, maxIter int) ([]model.Repr
 		}
 	}
 	return reps, nil
-}
-
-func sortedClusterIDs(res *dbscan.Result) []cluster.ID {
-	return res.Labels.ClusterIDs()
 }

@@ -109,7 +109,7 @@ func TestLocalModelFrameIdentity(t *testing.T) {
 				}
 				kmCfg := out.cfg
 				kmCfg.Model = model.RepKMeans
-				km, _, err := buildLocalModel("site", out.Points, out.Clustering, kmCfg, 0)
+				km, _, err := buildLocalModel("site", out.st, out.Clustering, kmCfg, 0)
 				if err != nil {
 					t.Fatalf("%s/%s/w=%d: %v", ds.Name, kind, workers, err)
 				}

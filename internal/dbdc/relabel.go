@@ -39,11 +39,8 @@ func Relabel(pts []geom.Point, global *model.GlobalModel) (cluster.Labeling, err
 	// object from its coverage grid over the representatives' ε_r-boxes.
 	sel, err := NewRepSelector(global)
 	if err != nil {
-		// Historically a kd-tree build failure was swallowed and Relabel
-		// returned an all-noise labeling, making a corrupt global model
-		// indistinguishable from "no object is covered". Server-side
-		// validation normally rejects such models, but a library caller
-		// can hand Relabel anything.
+		// A broken model is an error, never an all-noise labeling: that
+		// would be indistinguishable from "no object is covered".
 		return nil, err
 	}
 	var sc RepScratch

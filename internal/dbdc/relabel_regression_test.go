@@ -9,11 +9,10 @@ import (
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
-// TestRelabelMixedDimensionReps guards the silent-relabel bug: a global
-// model whose representatives mix dimensionalities defeats the kd-tree
-// over the representative points, and Relabel historically swallowed the
-// build error and returned an all-noise labeling — indistinguishable from
-// "no object is covered". It must surface the error instead.
+// TestRelabelMixedDimensionReps: a global model whose representatives mix
+// dimensionalities is broken, and relabeling under it is an error, never an
+// all-noise labeling — which would be indistinguishable from "no object is
+// covered".
 func TestRelabelMixedDimensionReps(t *testing.T) {
 	global := &model.GlobalModel{
 		EpsGlobal: 1, MinPtsGlobal: 2, NumClusters: 2,
@@ -23,7 +22,7 @@ func TestRelabelMixedDimensionReps(t *testing.T) {
 		},
 	}
 	// The queried point sits well inside the first representative's
-	// ε-range: under the old behavior it came back as noise, silently.
+	// ε-range, so an all-noise answer would be silently wrong.
 	labels, err := Relabel([]geom.Point{{0.1, 0}}, global)
 	if err == nil {
 		t.Fatalf("mixed-dimension representatives produced no error (labels = %v)", labels)

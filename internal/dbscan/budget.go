@@ -67,113 +67,101 @@ func (s BudgetStats) CoverageFraction() float64 {
 // unbudgeted (or generously budgeted) site stays byte-identical to the
 // historical local model on the wire.
 //
-// pts are the clustered objects, index-aligned with res.Labels, clustered
+// st holds the clustered objects, row-aligned with res.Labels, clustered
 // under the Euclidean metric.
-func BudgetScor(pts []geom.Point, res *Result, budget int) (map[cluster.ID][]int, BudgetStats) {
+func BudgetScor(st *geom.Store, res *Result, budget int) (map[cluster.ID][]int, BudgetStats) {
+	budget = max(budget, 0)
 	stats := BudgetStats{Budget: budget}
-	if budget < 0 {
-		budget = 0
-		stats.Budget = 0
-	}
 	out := make(map[cluster.ID][]int, len(res.Scor))
+	// Scratch the clusters share: one marker per row, which is safe because
+	// clusters are disjoint, and the coverage rows' buffer.
+	covered := make([]bool, st.Len())
+	var rows []int
 	for _, id := range res.Labels.ClusterIDs() {
 		scor := res.Scor[id]
 		stats.Candidates += len(scor)
 		members := res.Labels.Members(id)
 		stats.Members += len(members)
 
-		keepAll := budget == 0 || budget >= len(scor)
-		var selected []int
-		if keepAll {
-			// Identity path: the original slice, original order. The stats
-			// still need the coverage of the full candidate set.
-			selected = scor
+		selected, n := scor, 0
+		if budget == 0 || budget >= len(scor) {
+			// Identity path: the original slice, original order. Its
+			// coverage is the greedy cover's under no binding budget, which
+			// stops only once no candidate adds a member.
+			_, n, rows = greedyCover(st, res, scor, members, len(scor), covered, rows)
 		} else {
-			selected = greedyCover(pts, res, scor, members, budget)
+			selected, n, rows = greedyCover(st, res, scor, members, budget, covered, rows)
 		}
 		out[id] = selected
 		stats.Selected += len(selected)
-		stats.Covered += countCovered(pts, res, selected, members)
+		stats.Covered += n
 	}
 	return out, stats
 }
 
-// covers reports whether specific core s covers object m under the
-// relabeling rule: dist(m, s) ≤ ε_s. The comparison runs in squared space
-// like RepSelector's, so budgeting counts exactly the objects relabeling will
-// keep.
-func covers(pts []geom.Point, res *Result, s, m int) bool {
-	eps := res.SpecificEps[s]
-	return geom.SquaredEuclidean(pts[m], pts[s]) <= eps*eps
-}
-
-// countCovered counts the members covered by at least one selected core.
-func countCovered(pts []geom.Point, res *Result, selected, members []int) int {
-	n := 0
-	for _, m := range members {
-		for _, s := range selected {
-			if covers(pts, res, s, m) {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// greedyCover runs the budgeted max-coverage selection for one cluster. The
-// returned sequence is the greedy pick order: highest marginal coverage
-// first, row id breaking exact ties, stopping at the budget or when no
-// candidate adds coverage.
-func greedyCover(pts []geom.Point, res *Result, scor, members []int, budget int) []int {
+// greedyCover runs the budgeted max-coverage selection for one cluster,
+// marking the members it covers, and returns it with their number and the
+// rows buffer for the next cluster. The returned sequence is the greedy
+// pick order: highest marginal coverage first, row id breaking exact ties,
+// stopping at the budget or when no candidate adds coverage.
+func greedyCover(st *geom.Store, res *Result, scor, members []int, budget int, covered []bool, rows []int) ([]int, int, []int) {
 	// Candidates in ascending row id: the scan below takes the first
 	// maximum, which then is the lowest row id among ties regardless of the
 	// order the clustering stored them in.
 	cands := append([]int(nil), scor...)
 	sort.Ints(cands)
 
-	// Precompute each candidate's coverage over the member positions; the
-	// greedy rounds then only count bits instead of recomputing distances.
-	coverage := make([][]int32, len(cands))
+	// Every candidate's coverage row, filled once into one flat buffer
+	// (rows[off[ci]:off[ci+1]]), and its marginal gain, exact to start
+	// with: nothing is covered yet. A row holds the members s covers under
+	// the relabeling rule, dist(m, s) ≤ ε_s, compared in squared space on
+	// the store kernels like RepSelector's, so budgeting counts exactly the
+	// objects relabeling will keep.
+	var row []int
+	rows = rows[:0]
+	off := make([]int, len(cands)+1)
+	gain := make([]int, len(cands))
 	for ci, s := range cands {
-		var cov []int32
-		for mi, m := range members {
-			if covers(pts, res, s, m) {
-				cov = append(cov, int32(mi))
-			}
-		}
-		coverage[ci] = cov
+		eps := res.SpecificEps[s]
+		row = st.VerifyRangeSq(st.Point(s), members, eps*eps, row[:0])
+		rows = append(rows, row...)
+		off[ci+1], gain[ci] = len(rows), len(row)
 	}
 
-	covered := make([]bool, len(members))
-	used := make([]bool, len(cands))
+	// Lazy greedy: gains only shrink as members get covered, so gain holds
+	// upper bounds and only the leading candidate's is recounted. A
+	// recount that confirms its bound beats every other bound, and every
+	// lower row id's strictly, so it is the exact greedy pick.
 	selected := make([]int, 0, budget)
+	n := 0
 	for len(selected) < budget {
-		best, bestGain := -1, 0
-		for ci := range cands {
-			if used[ci] {
-				continue
-			}
-			gain := 0
-			for _, mi := range coverage[ci] {
-				if !covered[mi] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = ci, gain
+		best := 0
+		for ci, g := range gain {
+			if g > gain[best] {
+				best = ci
 			}
 		}
-		if best < 0 {
+		if gain[best] == 0 {
 			// No remaining candidate covers a new member: coverage is
 			// maximal, spending more budget cannot improve it.
 			break
 		}
-		used[best] = true
-		for _, mi := range coverage[best] {
-			covered[mi] = true
+		g := 0
+		for _, m := range rows[off[best]:off[best+1]] {
+			if !covered[m] {
+				g++
+			}
 		}
+		if g < gain[best] {
+			gain[best] = g
+			continue
+		}
+		for _, m := range rows[off[best]:off[best+1]] {
+			covered[m] = true
+		}
+		gain[best] = 0
 		selected = append(selected, cands[best])
+		n += g
 	}
-	return selected
+	return selected, n, rows
 }

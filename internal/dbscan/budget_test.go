@@ -2,8 +2,10 @@ package dbscan
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
@@ -27,6 +29,15 @@ func budgetDataset(seed int64, n int) []geom.Point {
 		pts = append(pts, geom.Point{rng.Float64()*20 - 10, rng.Float64()*20 - 10})
 	}
 	return pts
+}
+
+func budgetStore(t *testing.T, pts []geom.Point) *geom.Store {
+	t.Helper()
+	st, err := geom.FromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func budgetRun(t *testing.T, kind index.Kind, pts []geom.Point, workers int) *Result {
@@ -55,6 +66,7 @@ func budgetRun(t *testing.T, kind index.Kind, pts []geom.Point, workers int) *Re
 // Runs under -race in CI (the four-worker rows).
 func TestBudgetScorProperties(t *testing.T) {
 	pts := budgetDataset(42, 120)
+	st := budgetStore(t, pts)
 	for _, kind := range []index.Kind{
 		index.KindLinear, index.KindGrid, index.KindKDTree, index.KindRStar, index.KindMTree,
 	} {
@@ -76,7 +88,7 @@ func TestBudgetScorProperties(t *testing.T) {
 
 				prevCoverage := -1.0
 				for b := 1; b <= maxScor+1; b++ {
-					scor, stats := BudgetScor(pts, res, b)
+					scor, stats := BudgetScor(st, res, b)
 					// Property 1: the budget binds per cluster.
 					for id, sel := range scor {
 						if len(sel) > b {
@@ -118,7 +130,7 @@ func TestBudgetScorProperties(t *testing.T) {
 						})
 						perm.Scor[id] = shuffled
 					}
-					permScor, permStats := BudgetScor(pts, perm, b)
+					permScor, permStats := BudgetScor(st, perm, b)
 					if b <= maxScor { // identity path keeps the (permuted) input order by design
 						for id := range scor {
 							if len(res.Scor[id]) > b && !reflect.DeepEqual(scor[id], permScor[id]) {
@@ -136,7 +148,7 @@ func TestBudgetScorProperties(t *testing.T) {
 				// count is the identity — the exact slices, not copies in a
 				// different order.
 				for _, b := range []int{maxScor, maxScor + 7, 0} {
-					scor, stats := BudgetScor(pts, res, b)
+					scor, stats := BudgetScor(st, res, b)
 					if b != 0 && b < maxScor {
 						continue
 					}
@@ -178,7 +190,7 @@ func TestBudgetScorGreedyOptimalFirstPick(t *testing.T) {
 	if res.NumClusters() != 1 {
 		t.Fatalf("want one chain cluster, got %d", res.NumClusters())
 	}
-	scor, stats := BudgetScor(pts, res, 1)
+	scor, stats := BudgetScor(budgetStore(t, pts), res, 1)
 	sel := scor[0]
 	if len(sel) != 1 {
 		t.Fatalf("B=1 selected %v", sel)
@@ -208,26 +220,208 @@ func TestBudgetScorGreedyOptimalFirstPick(t *testing.T) {
 }
 
 // TestBudgetScorEarlyStop: once every coverable member is covered, leftover
-// budget must not pad the selection with zero-gain representatives.
+// budget must not pad the selection with zero-gain representatives. Every
+// greedy pick covers at least one member no earlier pick covers, and a
+// selection shorter than its budget covers exactly what the cluster's full
+// candidate set covers.
 func TestBudgetScorEarlyStop(t *testing.T) {
 	pts := budgetDataset(7, 100)
 	res := budgetRun(t, index.KindKDTree, pts, 1)
 	maxScor := 0
 	for _, scor := range res.Scor {
-		if len(scor) > maxScor {
-			maxScor = len(scor)
-		}
+		maxScor = max(maxScor, len(scor))
 	}
 	if maxScor < 2 {
-		t.Skip("no cluster with multiple candidates")
+		t.Fatal("no cluster with multiple candidates")
 	}
 	b := maxScor - 1 // force the greedy path on the largest cluster
-	scor, stats := BudgetScor(pts, res, b)
-	_ = scor
-	// Coverage at the early-stopped selection must equal coverage at the
-	// full candidate set: stopping early may never lose members.
-	_, full := BudgetScor(pts, res, 0)
-	if stats.Covered > full.Covered {
-		t.Fatalf("budgeted coverage %d exceeds unbudgeted %d", stats.Covered, full.Covered)
+	scor, _ := BudgetScor(budgetStore(t, pts), res, b)
+	// covered marks the members of cluster id that cores covers.
+	covered := func(id cluster.ID, cores []int) map[int]bool {
+		out := map[int]bool{}
+		for _, s := range cores {
+			eps := res.SpecificEps[s]
+			for _, m := range res.Labels.Members(id) {
+				if geom.SquaredEuclidean(pts[m], pts[s]) <= eps*eps {
+					out[m] = true
+				}
+			}
+		}
+		return out
 	}
+	stopped := 0
+	for id, sel := range scor {
+		if len(res.Scor[id]) <= b {
+			continue // identity path
+		}
+		for k := range sel {
+			if len(covered(id, sel[:k+1])) == len(covered(id, sel[:k])) {
+				t.Fatalf("cluster %d: pick %d (row %d) covers no new member", id, k, sel[k])
+			}
+		}
+		if len(sel) < b {
+			stopped++
+			if got, full := len(covered(id, sel)), len(covered(id, res.Scor[id])); got != full {
+				t.Fatalf("cluster %d stopped at %d of budget %d covering %d members, the full candidate set covers %d",
+					id, len(sel), b, got, full)
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no cluster stopped short of its budget; the test needs one that does")
+	}
+}
+
+// refBudgetScor is the brute-force reference for BudgetScor: the same greedy
+// selection with every (candidate, member) pair tested one at a time under
+// the relabeling rule in squared space, dist²(m, s) ≤ ε_s².
+func refBudgetScor(pts []geom.Point, res *Result, budget int) (map[cluster.ID][]int, BudgetStats) {
+	covers := func(s, m int) bool {
+		eps := res.SpecificEps[s]
+		return geom.SquaredEuclidean(pts[m], pts[s]) <= eps*eps
+	}
+	stats := BudgetStats{Budget: max(budget, 0)}
+	out := map[cluster.ID][]int{}
+	for _, id := range res.Labels.ClusterIDs() {
+		scor, members := res.Scor[id], res.Labels.Members(id)
+		stats.Candidates += len(scor)
+		stats.Members += len(members)
+		selected := scor
+		if budget > 0 && budget < len(scor) {
+			cands := slices.Clone(scor)
+			slices.Sort(cands)
+			covered := map[int]bool{}
+			selected = nil
+			for len(selected) < budget {
+				best, bestGain := -1, 0
+				for _, s := range cands {
+					gain := 0
+					for _, m := range members {
+						if !covered[m] && covers(s, m) {
+							gain++
+						}
+					}
+					if gain > bestGain {
+						best, bestGain = s, gain
+					}
+				}
+				if best < 0 {
+					break
+				}
+				for _, m := range members {
+					if covers(best, m) {
+						covered[m] = true
+					}
+				}
+				selected = append(selected, best)
+			}
+		}
+		out[id] = selected
+		stats.Selected += len(selected)
+		for _, m := range members {
+			for _, s := range selected {
+				if covers(s, m) {
+					stats.Covered++
+					break
+				}
+			}
+		}
+	}
+	return out, stats
+}
+
+// FuzzBudgetScor holds BudgetScor's store kernel to refBudgetScor on
+// byte-derived clusterings in 1–8 dimensions: the selection (ids and order)
+// and the stats at every budget from 0 to |Scor_C|+1, and the prefix
+// property the transport's binary search over budgets (fitBudget) relies
+// on: below the identity budget, the selection at b is a prefix of the
+// selection at any larger b.
+//
+// Input layout: dimension, point count, then per point a label byte (0–2 a
+// cluster, 3 noise), one byte per coordinate (integers in [-8, 8)) and a
+// candidate byte. A candidate's ε_s is either a quarter-step radius or its
+// exact distance to one member of its cluster, so members sit on the
+// boundary of ε_s — with integer coordinates the squared comparison is an
+// exact tie whenever that distance is an integer.
+func FuzzBudgetScor(f *testing.F) {
+	// 1-d: every distance is an integer, every boundary an exact tie.
+	// Rows x = 0, 1, 2, 4, 5 in cluster 0 (ε_s reaching x = 1, 2, 5, a
+	// quarter, nothing) and one noise row.
+	f.Add([]byte{0, 5, 0, 8, 0b111, 0, 9, 0b1011, 0, 10, 0b10011, 0, 12, 0b101, 0, 13, 0b1, 3, 0, 0})
+	// 1-d, two clusters and noise.
+	f.Add([]byte{0, 6, 0, 8, 0b1111, 0, 9, 0b11, 0, 11, 0b111, 1, 1, 0b111, 1, 2, 0b11, 1, 4, 0b1011, 3, 0, 0})
+	// 2-d 3-4-5 triangles: squared distance 25 against ε_s = 5.
+	f.Add([]byte{1, 4, 0, 8, 8, 0b111, 0, 11, 12, 0b11, 0, 11, 8, 0b10011, 0, 8, 12, 0b1011, 0, 14, 8, 0})
+	// 4-d and 8-d rows.
+	f.Add([]byte{3, 8, 0, 1, 2, 3, 4, 0b111, 0, 2, 3, 4, 5, 0b1011, 0, 1, 1, 1, 1, 0b11, 1, 9, 9, 9, 9, 0b11,
+		1, 10, 9, 9, 9, 0b101, 0, 3, 3, 3, 3, 0b10001, 2, 0, 0, 0, 0, 0b1, 0, 2, 2, 2, 2, 0b110011, 1, 9, 10, 9, 9, 0b1})
+	f.Add([]byte{7, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0b111, 0, 2, 2, 3, 4, 5, 6, 7, 8, 0b11, 0, 1, 2, 3, 4, 5, 6, 7, 9, 0b1011, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		dim, n := 1+int(next()%8), 1+int(next()%24)
+		pts := make([]geom.Point, n)
+		labels := make(cluster.Labeling, n)
+		flags := make([]byte, n)
+		for i := range pts {
+			if labels[i] = cluster.ID(next() % 4); labels[i] == 3 {
+				labels[i] = cluster.Noise
+			}
+			pts[i] = make(geom.Point, dim)
+			for d := range pts[i] {
+				pts[i][d] = float64(int(next()%16) - 8)
+			}
+			flags[i] = next()
+		}
+		res := &Result{Labels: labels, Scor: map[cluster.ID][]int{}, SpecificEps: map[int]float64{}}
+		for i, c := range flags {
+			if labels[i] < 0 || c&1 == 0 {
+				continue
+			}
+			res.Scor[labels[i]] = append(res.Scor[labels[i]], i)
+			res.SpecificEps[i] = float64(c>>2) / 4
+			if c&2 != 0 {
+				members := labels.Members(labels[i])
+				m := members[int(c>>2)%len(members)]
+				res.SpecificEps[i] = math.Sqrt(geom.SquaredEuclidean(pts[m], pts[i]))
+			}
+		}
+		st, err := geom.FromPoints(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxScor := 0
+		for _, scor := range res.Scor {
+			maxScor = max(maxScor, len(scor))
+		}
+		sels := make([]map[cluster.ID][]int, maxScor+2)
+		for b := range sels {
+			got, gotStats := BudgetScor(st, res, b)
+			want, wantStats := refBudgetScor(pts, res, b)
+			if gotStats != wantStats {
+				t.Fatalf("b=%d: stats %+v, reference %+v", b, gotStats, wantStats)
+			}
+			for _, id := range labels.ClusterIDs() {
+				if !slices.Equal(got[id], want[id]) {
+					t.Fatalf("b=%d: cluster %d selected %v, reference %v", b, id, got[id], want[id])
+				}
+			}
+			sels[b] = got
+		}
+		for id, scor := range res.Scor {
+			for b := 1; b < len(scor); b++ {
+				for b2 := b + 1; b2 < len(scor); b2++ {
+					if short, long := sels[b][id], sels[b2][id]; len(short) > len(long) || !slices.Equal(short, long[:len(short)]) {
+						t.Fatalf("cluster %d: selection at b=%d %v is not a prefix of b=%d's %v", id, b, short, b2, long)
+					}
+				}
+			}
+		}
+	})
 }

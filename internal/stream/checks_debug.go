@@ -10,11 +10,12 @@ import (
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
-// The debug-checks build re-derives every upload with the batch LocalStep
-// over the same window and panics unless both marshal to the same bytes.
+// The debug-checks build re-derives every upload with the batch
+// LocalStepStore over the same window store and panics unless both marshal
+// to the same bytes.
 func init() {
-	checkUpload = func(cfg Config, pts []geom.Point, m *model.LocalModel) {
-		batch, err := idbdc.LocalStep(cfg.SiteID, pts, cfg.Cluster)
+	checkUpload = func(cfg Config, st *geom.Store, m *model.LocalModel) {
+		batch, err := idbdc.LocalStepStore(cfg.SiteID, st, cfg.Cluster)
 		if err != nil {
 			panic(err)
 		}

@@ -254,23 +254,22 @@ func (s *Site) localModel(labels cluster.Labeling) (*model.LocalModel, error) {
 		core[i], wl[i] = s.inc.IsCore(slot), labels[slot]
 	}
 	w.Linear = index.NewLinearStore(st)
-	pts := st.Views()
 	res, err := dbscan.FromCores(w, s.cfg.Cluster.Local, core, wl)
 	if err != nil {
 		return nil, err
 	}
-	out, err := idbdc.LocalStepClustered(s.cfg.SiteID, pts, res, s.cfg.Cluster)
+	out, err := idbdc.LocalStepClustered(s.cfg.SiteID, st, res, s.cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}
 	if checkUpload != nil {
-		checkUpload(s.cfg, pts, out.Model)
+		checkUpload(s.cfg, st, out.Model)
 	}
 	return out.Model, nil
 }
 
 // checkUpload is set by the dbdc_debugchecks build (checks_debug.go).
-var checkUpload func(cfg Config, pts []geom.Point, m *model.LocalModel)
+var checkUpload func(cfg Config, st *geom.Store, m *model.LocalModel)
 
 // upload condenses the local model over the live window and ships it.
 func (s *Site) upload(labels cluster.Labeling) error {
