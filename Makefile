@@ -85,8 +85,9 @@ cite-guard:
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
 # panic on arbitrary bytes; kernels and the fused verifiers must match their
-# references, the packed R*-tree query a linear scan and a test-only walk of
-# its packed levels, its unseen-aware by-id query the contract of
+# references, every index kind refuse what the linear scan refuses and answer
+# like it otherwise, the packed R*-tree query a linear scan and a test-only
+# walk of its packed levels, its unseen-aware by-id query the contract of
 # index.UnseenRangeAppender; the dynamic R*-tree must keep its
 # invariants, answer like a linear scan and choose subtrees like the all-pairs
 # rule after every operation; incremental DBSCAN must match batch DBSCAN after
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz 'FuzzStoreDistanceSq$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzVerifyRangeSq -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzBuildRejectsOrAgrees -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzRangeUnseen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

@@ -473,7 +473,7 @@ func BenchmarkStoreKernels(b *testing.B) {
 
 	// Range queries through the reusable-buffer seam. The loops reuse one
 	// buffer; they must report allocs/op = 0.
-	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindMTree} {
+	for _, kind := range []index.Kind{index.KindRStar, index.KindMTree} {
 		b.Run(fmt.Sprintf("range/store/%s", kind), func(b *testing.B) {
 			idx, err := index.BuildStore(kind, st, e, ds.Params.Eps)
 			if err != nil {
@@ -541,11 +541,12 @@ func BenchmarkLocalClustering(b *testing.B) {
 	// scan is excluded: O(n²) distance computations at this cardinality
 	// measure patience, not kernels (internal/index has per-query benches
 	// covering it).
-	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRStar, index.KindMTree} {
+	for _, kind := range []index.Kind{index.KindRStar, index.KindMTree} {
 		b.Run(fmt.Sprintf("store/%s", kind), func(b *testing.B) {
 			// Flat-store bulk load: the index keeps the stride-2 backing
-			// array and verifies candidates with the strided kernels.
-			idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, ds.Params.Eps)
+			// array and verifies candidates with the strided kernels. It is
+			// built for the radius it is queried at, as LocalStep builds it.
+			idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, params.Eps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -562,29 +563,16 @@ func BenchmarkLocalClustering(b *testing.B) {
 		runOnce(b, naiveIndex{idx}, params, opts)
 	})
 	// Intra-site parallelism: same index, growing worker budget, to be read
-	// against store/kdtree, which is the one-worker row. On a single-CPU
+	// against store/rstar, which is the one-worker row. On a single-CPU
 	// host the numbers measure coordination overhead, not speedup.
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
-			idx, err := index.Build(index.KindKDTree, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+			idx, err := index.BuildStore(index.KindRStar, ds.Store, geom.Euclidean{}, params.Eps)
 			if err != nil {
 				b.Fatal(err)
 			}
 			o := opts
 			o.Workers = workers
-			runOnce(b, idx, params, o)
-		})
-	}
-	// The same at 4 workers per index kind: Run honours the kind it is
-	// handed, so each row is to be read against its store/<kind> row.
-	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRStar} {
-		b.Run(fmt.Sprintf("parallel/%s/workers=4", kind), func(b *testing.B) {
-			idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, ds.Params.Eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			o := opts
-			o.Workers = 4
 			runOnce(b, idx, params, o)
 		})
 	}

@@ -249,7 +249,7 @@ func TestClassifyIndexFlagRefused(t *testing.T) {
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			c := start(t, append(m.args, "-addr", "127.0.0.1:0", "-eps", "1", "-minpts", "4",
-				"-serve-classify", "127.0.0.1:0", "-classify-index", "kdtree")...)
+				"-serve-classify", "127.0.0.1:0", "-classify-index", "rstar")...)
 			if code := c.wait(); code != 2 {
 				t.Fatalf("exit code %d, want 2:\n%s", code, c.stderrText())
 			}

@@ -151,7 +151,7 @@ func startSite(t *testing.T, extra ...string) *command {
 // answers from a coverage grid and takes no index — so the flag is refused
 // as undefined, exit 2.
 func TestClassifyIndexFlagRefused(t *testing.T) {
-	c := startSite(t, "-serve-classify", "127.0.0.1:0", "-classify-index", "kdtree")
+	c := startSite(t, "-serve-classify", "127.0.0.1:0", "-classify-index", "rstar")
 	if code := c.wait(); code != 2 {
 		t.Fatalf("exit code %d, want 2:\n%s", code, c.stderrText())
 	}

@@ -6,7 +6,7 @@
 //
 //	dbdc -input points.csv -eps 1.2 -minpts 4                  # central DBSCAN
 //	dbdc -input points.csv -eps 1.2 -minpts 4 -sites 4         # DBDC, 4 sites
-//	dbdc ... -model rep-kmeans -epsglobal 2.4 -index kdtree
+//	dbdc ... -model rep-kmeans -epsglobal 2.4 -index mtree
 //
 // With -sites > 1 the input is split over that many simulated sites
 // round-robin, the full DBDC pipeline runs, and the printed labels are the

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-run all|fig7a|fig7b|fig8|fig9|fig10|fig11] [-seed N]
-//	            [-scale F] [-index rstar|kdtree|grid|linear|mtree]
+//	            [-scale F] [-index rstar|linear|mtree]
 //
 // The output tables map one-to-one to the paper's figures; EXPERIMENTS.md
 // records the paper-versus-measured comparison.
@@ -23,7 +23,7 @@ func main() {
 	run := flag.String("run", "all", "experiment to run: all, fig7a, fig7b, fig8, fig9, fig10, fig11, transmission, budgets, hierarchy, baselines, comparison, dimensions, optics-sweep, partitions, incremental")
 	seed := flag.Int64("seed", 2004, "random seed for data generation and partitioning")
 	scale := flag.Float64("scale", 1.0, "cardinality scale in (0,1]; use small values for quick runs")
-	idx := flag.String("index", "rstar", "neighborhood index: rstar, kdtree, grid, linear, mtree")
+	idx := flag.String("index", "rstar", "neighborhood index: rstar, linear, mtree")
 	format := flag.String("format", "text", "output format: text or md")
 	flag.Parse()
 	printTable := func(t *experiments.Table) {

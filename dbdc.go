@@ -21,8 +21,7 @@
 //     central reference with the paper's quality measures.
 //
 // All functionality is implemented from scratch on the standard library,
-// including the spatial access methods (R*-tree, M-tree, kd-tree, grid)
-// DBSCAN runs on.
+// including the spatial access methods (R*-tree, M-tree) DBSCAN runs on.
 package dbdc
 
 import (
@@ -120,8 +119,6 @@ type IndexKind = index.Kind
 // Available index kinds.
 const (
 	IndexLinear = index.KindLinear
-	IndexGrid   = index.KindGrid
-	IndexKDTree = index.KindKDTree
 	IndexRStar  = index.KindRStar
 	IndexMTree  = index.KindMTree
 )

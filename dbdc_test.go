@@ -21,8 +21,7 @@ func testBlob(rng *rand.Rand, cx, cy, spread float64, n int) []dbdc.Point {
 func TestPublicCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := append(testBlob(rng, 0, 0, 0.3, 100), testBlob(rng, 10, 0, 0.3, 100)...)
-	for _, kind := range []dbdc.IndexKind{"", dbdc.IndexLinear, dbdc.IndexGrid,
-		dbdc.IndexKDTree, dbdc.IndexRStar, dbdc.IndexMTree} {
+	for _, kind := range []dbdc.IndexKind{"", dbdc.IndexLinear, dbdc.IndexRStar, dbdc.IndexMTree} {
 		res, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.5, MinPts: 5}, kind)
 		if err != nil {
 			t.Fatalf("kind %q: %v", kind, err)
@@ -127,8 +126,8 @@ func (nopUploader) Upload(*dbdc.LocalModel, *dbdc.LocalDelta, *dbdc.StreamStats)
 
 // TestPublicNonFiniteEps: every entry point that takes an ε accepts the
 // finite one of data set C and refuses a NaN in its place. A NaN Eps used to
-// label all 1 021 points noise on every index kind but the grid, and a NaN
-// Eps_global to give every representative a global cluster of its own.
+// label all 1 021 points noise, and a NaN Eps_global to give every
+// representative a global cluster of its own.
 func TestPublicNonFiniteEps(t *testing.T) {
 	ds := dbdc.DatasetC(1)
 	good := dbdc.Config{Local: ds.Params}
@@ -158,7 +157,7 @@ func TestPublicNonFiniteEps(t *testing.T) {
 			return err
 		}},
 	}
-	for _, kind := range []dbdc.IndexKind{dbdc.IndexLinear, dbdc.IndexGrid, dbdc.IndexKDTree, dbdc.IndexRStar, dbdc.IndexMTree} {
+	for _, kind := range []dbdc.IndexKind{dbdc.IndexLinear, dbdc.IndexRStar, dbdc.IndexMTree} {
 		rows = append(rows, row{"Cluster/" + string(kind), nanEps, func(c dbdc.Config) error {
 			_, err := dbdc.Cluster(ds.Points, c.Local, kind)
 			return err

@@ -88,7 +88,7 @@ func TestDatasetsDeterministic(t *testing.T) {
 // clusters.
 func TestDatasetCharacteristics(t *testing.T) {
 	for _, ds := range ABC(7) {
-		idx, err := index.Build(index.KindKDTree, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+		idx, err := index.Build(index.KindRStar, ds.Points, geom.Euclidean{}, ds.Params.Eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestDatasetAScalesDensity(t *testing.T) {
 	// sweep: the small and large variants both produce clusters.
 	for _, n := range []int{500, 8700, 25000} {
 		ds := DatasetA(n, 3)
-		idx, err := index.Build(index.KindKDTree, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+		idx, err := index.Build(index.KindRStar, ds.Points, geom.Euclidean{}, ds.Params.Eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestDatasetTruthConsistency(t *testing.T) {
 	// The central clustering under the suggested parameters must agree
 	// strongly with the truth (the data sets are only useful if it does).
 	ds := DatasetC(5)
-	idx, err := index.Build(index.KindKDTree, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+	idx, err := index.Build(index.KindRStar, ds.Points, geom.Euclidean{}, ds.Params.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,7 @@ func budgetRun(t *testing.T, kind index.Kind, pts []geom.Point, workers int) *Re
 func TestBudgetScorProperties(t *testing.T) {
 	pts := budgetDataset(42, 120)
 	st := budgetStore(t, pts)
-	for _, kind := range []index.Kind{
-		index.KindLinear, index.KindGrid, index.KindKDTree, index.KindRStar, index.KindMTree,
-	} {
+	for _, kind := range index.Kinds() {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
 				res := budgetRun(t, kind, pts, workers)
@@ -226,7 +224,7 @@ func TestBudgetScorGreedyOptimalFirstPick(t *testing.T) {
 // candidate set covers.
 func TestBudgetScorEarlyStop(t *testing.T) {
 	pts := budgetDataset(7, 100)
-	res := budgetRun(t, index.KindKDTree, pts, 1)
+	res := budgetRun(t, index.KindRStar, pts, 1)
 	maxScor := 0
 	for _, scor := range res.Scor {
 		maxScor = max(maxScor, len(scor))

@@ -13,8 +13,9 @@ import (
 // TestCondenseParallelDifferential proves the per-cluster parallel
 // condensation is byte-identical to the sequential fold: same specific
 // core sets in the same selection order, same specific ε-ranges, same
-// region-query accounting — across index kinds, data shapes and worker
-// counts (run under -race in CI, this doubles as the phase's race guard).
+// region-query accounting — across index kinds (the R*-tree also built for
+// other radii than it is queried at), data shapes and worker counts (run
+// under -race in CI, this doubles as the phase's race guard).
 func TestCondenseParallelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	blob, _ := twoBlobs(rng, 150)
@@ -29,19 +30,19 @@ func TestCondenseParallelDifferential(t *testing.T) {
 		{"allnoise", uniformPoints(rng, 100, 1000), Params{Eps: 1, MinPts: 4}},
 	}
 	for _, ds := range datasets {
-		for _, kind := range index.Kinds() {
-			idx, err := index.Build(kind, ds.pts, geom.Euclidean{}, ds.params.Eps)
+		for _, b := range differentialBuilds() {
+			idx, err := b.build(ds.pts, ds.params.Eps)
 			if err != nil {
-				t.Fatalf("%s/%s: build: %v", ds.name, kind, err)
+				t.Fatalf("%s/%s: build: %v", ds.name, b, err)
 			}
 			// workers=1 takes the sequential condensation path — the
 			// reference the parallel fold must reproduce exactly.
 			ref, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: 1})
 			if err != nil {
-				t.Fatalf("%s/%s: reference: %v", ds.name, kind, err)
+				t.Fatalf("%s/%s: reference: %v", ds.name, b, err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", ds.name, kind, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", ds.name, b, workers), func(t *testing.T) {
 					par, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
@@ -84,7 +85,7 @@ func TestCondenseSequentialUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := uniformPoints(rng, 400, 10)
 	params := Params{Eps: 0.4, MinPts: 4}
-	idx, err := index.Build(index.KindKDTree, pts, geom.Euclidean{}, params.Eps)
+	idx, err := index.Build(index.KindRStar, pts, geom.Euclidean{}, params.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func checkMarksAgainstPairwise(t *testing.T, name string, idx index.Index, param
 // TestScorMarksMatchPairwiseScan pins the coverage marks to the pairwise
 // scan they replaced, on data sets A, B and C under every index kind, and
 // under a metric with no store behind it (M-tree + Manhattan). The Euclidean
-// kinds answer from equal stores, so one reference serves all five.
+// kinds answer from equal stores, so one reference serves them all.
 func TestScorMarksMatchPairwiseScan(t *testing.T) {
 	for _, ds := range data.ABC(1) {
 		var want *dbscan.Result

@@ -26,6 +26,40 @@ func uniformPoints(rng *rand.Rand, n int, side float64) []geom.Point {
 	return pts
 }
 
+// indexBuild is one index a differential suite runs DBSCAN over: a kind,
+// built for hint times the radius it is queried at.
+type indexBuild struct {
+	kind index.Kind
+	hint float64
+}
+
+func (b indexBuild) String() string {
+	if b.hint == 1 {
+		return string(b.kind)
+	}
+	return fmt.Sprintf("%s-hint%gx", b.kind, b.hint)
+}
+
+// build builds b over pts for queries at radius eps.
+func (b indexBuild) build(pts []geom.Point, eps float64) (index.Index, error) {
+	return index.Build(b.kind, pts, geom.Euclidean{}, b.hint*eps)
+}
+
+// differentialBuilds lists every kind built for the radius it is queried at,
+// and the R*-tree built for half and for four times that radius. The R*-tree
+// is the one kind that reads the radius it is built for (its leaf links):
+// built for a narrower one, a by-id query descends from the root; built for
+// a wider one, it starts from links that reach past the query, as on a site
+// clustered at a smaller ε than its index was built for. Neither may change a
+// result.
+func differentialBuilds() []indexBuild {
+	var builds []indexBuild
+	for _, kind := range index.Kinds() {
+		builds = append(builds, indexBuild{kind, 1})
+	}
+	return append(builds, indexBuild{index.KindRStar, 0.5}, indexBuild{index.KindRStar, 4})
+}
+
 // parallelWorkerCounts are the worker counts the differential suite sweeps:
 // serial, small, oversubscribed, and whatever the host offers.
 func parallelWorkerCounts() []int {
@@ -137,14 +171,15 @@ func referenceRun(idx index.Index, params Params) *Result {
 }
 
 // TestRunParallelDifferential holds Run to referenceRun — the whole Result,
-// field for field — across index kinds, worker counts and data shapes. The
-// shapes include the ones a partitioner would trip over — duplicates,
-// neighbors at exactly ε, 1-D and 8-D strides, ε covering the whole bounding
-// box, fewer objects than a worker pool wants, an index that exposes no
-// store — because Run has no special case for any of them. Non-finite
-// coordinates never reach Run: their rows hold every kind to refusing them
-// at build. (The name predates the single body: it is the name the test
-// floor knows the rows by.)
+// field for field — across index kinds (the R*-tree also built for other
+// radii than it is queried at, differentialBuilds), worker counts and data
+// shapes. The shapes include heavy noise and the ones a partitioner would
+// trip over — duplicates, neighbors at exactly ε, 1-D and 8-D strides, ε
+// covering the whole bounding box, fewer objects than a worker pool wants, an
+// index that exposes no store — because Run has no special case for any of
+// them. Non-finite coordinates never reach Run: their rows hold every kind to
+// refusing them at build. (The name predates the single body: it is the name
+// the test floor knows the rows by.)
 func TestRunParallelDifferential(t *testing.T) {
 	type dataset struct {
 		name   string
@@ -220,7 +255,19 @@ func TestRunParallelDifferential(t *testing.T) {
 		}
 		interleaved[k%8*100+k/8] = geom.Point{x, 0.05 * chainRng.Float64()}
 	}
+	// Data set B's shape at a quarter of its size: five loose blobs under 40%
+	// uniform noise, so that core, border and noise objects all abound. A
+	// source of its own, like the chain's.
+	noisyRng := rand.New(rand.NewSource(31))
+	noisy := make([]geom.Point, 0, 1000)
+	centres := []geom.Point{{12, 12}, {45, 15}, {30, 45}, {12, 48}, {50, 50}}
+	for i := 0; i < 600; i++ {
+		c := centres[i%len(centres)]
+		noisy = append(noisy, geom.Point{c[0] + noisyRng.NormFloat64()*1.8, c[1] + noisyRng.NormFloat64()*1.8})
+	}
+	noisy = append(noisy, uniformPoints(noisyRng, 400, 60)...)
 	datasets = append(datasets,
+		dataset{name: "noisy-40pct", pts: noisy, params: Params{Eps: 1, MinPts: 8}},
 		dataset{name: "interleaved-chunks", pts: interleaved, params: Params{Eps: 0.35, MinPts: 2}},
 		dataset{name: "blobs-2", pts: blob2, params: Params{Eps: 0.5, MinPts: 5}},
 		dataset{name: "uniform-2", pts: uniformPoints(rng, 800, 10), params: Params{Eps: 0.35, MinPts: 4}},
@@ -253,10 +300,10 @@ func TestRunParallelDifferential(t *testing.T) {
 		dataset{name: "tiny", pts: uniformPoints(rng, 60, 10), params: Params{Eps: 0.5, MinPts: 3}},
 	)
 	for _, ds := range datasets {
-		for _, kind := range index.Kinds() {
-			idx, err := index.Build(kind, ds.pts, geom.Euclidean{}, ds.params.Eps)
+		for _, b := range differentialBuilds() {
+			idx, err := b.build(ds.pts, ds.params.Eps)
 			if ds.rejectedRow > 0 {
-				t.Run(fmt.Sprintf("%s/%s", ds.name, kind), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s", ds.name, b), func(t *testing.T) {
 					if row := fmt.Sprintf("row %d", ds.rejectedRow); err == nil || !strings.Contains(err.Error(), row) {
 						t.Fatalf("build: err = %v, want a refusal naming %s", err, row)
 					}
@@ -264,14 +311,14 @@ func TestRunParallelDifferential(t *testing.T) {
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%s/%s: build: %v", ds.name, kind, err)
+				t.Fatalf("%s/%s: build: %v", ds.name, b, err)
 			}
 			if ds.bare {
 				idx = struct{ index.Index }{idx}
 			}
 			want := referenceRun(idx, ds.params)
 			for _, workers := range parallelWorkerCounts() {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", ds.name, kind, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", ds.name, b, workers), func(t *testing.T) {
 					got, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: workers})
 					if err != nil {
 						t.Fatal(err)

@@ -76,9 +76,9 @@ func (c *leafCounter) RangeAppendIDUnseen(i int, eps float64, enough int, unseen
 // site the benchmark clusters, the region queries of the expansion hand back
 // at most 35% of the neighbourhoods' Σ|N_Eps(p)| when the R*-tree's leaves are
 // on offer (17% when this was written) — one query per object all the same,
-// the condensation's queries in full, and the Result the one a kd-tree, which
-// has no leaves, produces. With the same tree behind a wrapper that offers no
-// leaves the expansion is handed exactly Σ|N_Eps(p)|.
+// the condensation's queries in full, and the Result the one a linear scan,
+// which has no leaves, produces. With the same tree behind a wrapper that
+// offers no leaves the expansion is handed exactly Σ|N_Eps(p)|.
 func TestExpansionLeavesOutTheSeen(t *testing.T) {
 	st := blobSite(1)
 	params := dbscan.Params{Eps: 1.2, MinPts: 4}
@@ -86,11 +86,11 @@ func TestExpansionLeavesOutTheSeen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kd, err := index.BuildStore(index.KindKDTree, st, geom.Euclidean{}, params.Eps)
+	linear, err := index.BuildStore(index.KindLinear, st, geom.Euclidean{}, params.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dbscan.Run(kd, params, dbscan.Options{CollectSpecificCores: true})
+	want, err := dbscan.Run(linear, params, dbscan.Options{CollectSpecificCores: true})
 	if err != nil {
 		t.Fatal(err)
 	}

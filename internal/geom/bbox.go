@@ -7,8 +7,7 @@ import (
 )
 
 // Rect is an axis-aligned bounding box described by its lower-left (Min) and
-// upper-right (Max) corners. Rects are the node entries of the R*-tree and
-// the cells of the grid index.
+// upper-right (Max) corners. Rects are the node entries of the R*-tree.
 type Rect struct {
 	Min, Max Point
 }

@@ -1,23 +1,26 @@
 // Package index provides neighborhood indexes over a fixed set of points.
 // DBSCAN and the DBDC pipeline retrieve ε-neighborhoods exclusively through
-// the Index interface, so the access method (linear scan, grid, kd-tree,
-// R*-tree, M-tree) is interchangeable; the paper's DBSCAN uses an R*-tree
-// for vector data and an M-tree for general metric data.
+// the Index interface, so the access method (linear scan, R*-tree, M-tree) is
+// interchangeable; the paper's DBSCAN uses an R*-tree for vector data and an
+// M-tree for general metric data, and the linear scan is the oracle both are
+// tested against.
 //
 // Every index is built over a geom.Store by BuildStore, the one place input
-// is checked. Linear scan, grid, kd-tree and R*-tree are Euclidean-only: each
-// has one query arm, a descent over its store verified in squared space by
-// the strided kernels. The M-tree is the one metric-space index: under any
-// other metric it verifies through Metric.Distance.
+// is checked. Linear scan and R*-tree are Euclidean-only: each has one query
+// arm, a scan or a descent over its store verified in squared space by the
+// strided kernels. The M-tree is the one metric-space index: under any other
+// metric it verifies through Metric.Distance.
 //
 // Every static kind follows one rule: a static store-backed index is a
 // permutation plus spans plus a descent. The build lays the ids out once in
-// one permutation and gives each leaf (bucket, cell) a span of it; a query
-// descends the kind's own structure — split planes, packed boxes, covering
-// balls, the sorted cell keys — and hands each span it reaches, as it stands,
-// to Store.VerifyRangeSq. No kind keeps per-query state beyond its stack, so
-// none pools scratch, and a neighbour list is the reached spans' survivors in
-// visit order. Only the incremental clusterer grows a tree (rstar.Tree).
+// one permutation and gives each leaf a span of it; a query descends the
+// kind's own structure — packed boxes, covering balls — and hands each span
+// it reaches, as it stands, to Store.VerifyRangeSq. The linear scan is the
+// degenerate case: the store's own order is its one span, which
+// Store.VerifyIntervalSq verifies whole with no descent. No kind keeps
+// per-query state beyond its stack, so none pools scratch, and a neighbour
+// list is the reached spans' survivors in visit order. Only the incremental
+// clusterer grows a tree (rstar.Tree).
 package index
 
 import (
@@ -142,15 +145,13 @@ type Kind string
 // Available index kinds.
 const (
 	KindLinear Kind = "linear"
-	KindGrid   Kind = "grid"
-	KindKDTree Kind = "kdtree"
 	KindRStar  Kind = "rstar"
 	KindMTree  Kind = "mtree"
 )
 
 // Kinds lists every available index kind.
 func Kinds() []Kind {
-	return []Kind{KindLinear, KindGrid, KindKDTree, KindRStar, KindMTree}
+	return []Kind{KindLinear, KindRStar, KindMTree}
 }
 
 // isEuclidean reports whether m is the Euclidean metric; nil defaults to it.
@@ -176,10 +177,11 @@ func Build(kind Kind, pts []geom.Point, metric geom.Metric, epsHint float64) (In
 
 // BuildStore constructs an index of the requested kind over a flat point
 // store. The M-tree takes any metric; every other kind answers under the
-// Euclidean metric only, which a nil metric defaults to. The grid sizes its
-// cells and the R*-tree its leaf links to epsHint, the intended query radius;
-// the other kinds ignore it. A store holding a NaN or ±Inf coordinate is
-// refused, with the row named: no kind is specified for such input.
+// Euclidean metric only, which a nil metric defaults to. The R*-tree sizes
+// its leaf links to epsHint, the intended query radius; the other kinds
+// ignore it. A store holding a NaN or ±Inf coordinate is refused, with the
+// row named: no kind is specified for such input. An unknown kind is refused
+// with the kinds that exist named.
 func BuildStore(kind Kind, st *geom.Store, metric geom.Metric, epsHint float64) (Index, error) {
 	if !st.IsFinite() {
 		for i := range st.Len() {
@@ -192,15 +194,11 @@ func BuildStore(kind Kind, st *geom.Store, metric geom.Metric, epsHint float64) 
 	case kind == KindMTree:
 		return mtree.NewFromStore(st, metric)
 	case !slices.Contains(Kinds(), kind):
-		return nil, fmt.Errorf("index: unknown kind %q", kind)
+		return nil, fmt.Errorf("index: unknown kind %q, want one of %v", kind, Kinds())
 	case !isEuclidean(metric):
 		return nil, fmt.Errorf("index: the %s index supports only the Euclidean metric, not %s; use the M-tree for general metrics", kind, metric.Name())
 	case kind == KindLinear:
 		return NewLinearStore(st), nil
-	case kind == KindGrid:
-		return NewGridStore(st, epsHint)
-	case kind == KindKDTree:
-		return NewKDTreeStore(st), nil
 	default:
 		return rstar.NewBulkStore(st, rstar.DefaultMaxEntries, epsHint)
 	}

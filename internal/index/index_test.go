@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
@@ -22,20 +21,6 @@ func randomPoints(rng *rand.Rand, n, dim int) []geom.Point {
 		pts[i] = p
 	}
 	return pts
-}
-
-// mustGrid builds a grid over a store copy of pts with cells of edge eps.
-func mustGrid(t *testing.T, pts []geom.Point, eps float64) *Grid {
-	t.Helper()
-	st, err := geom.FromPoints(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGridStore(st, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
 }
 
 // oracleRange is the O(n) Euclidean reference no index code takes part in:
@@ -73,19 +58,33 @@ func TestBuildAllKinds(t *testing.T) {
 	}
 }
 
+// TestBuildUnknownKind: a kind BuildStore does not know — a made-up name, or
+// "grid" and "kdtree", the two kinds the R*-tree replaced — is refused with
+// an error that names every kind there is, so the caller learns what to pass.
+// Kind names are matched exactly: "" and "RStar" are as unknown as "bogus".
 func TestBuildUnknownKind(t *testing.T) {
-	if _, err := Build(Kind("bogus"), nil, nil, 1); err == nil {
-		t.Fatal("expected error for unknown kind")
+	for _, kind := range []Kind{"bogus", "grid", "kdtree", "", "RStar"} {
+		t.Run(fmt.Sprintf("%q", kind), func(t *testing.T) {
+			_, err := Build(kind, []geom.Point{{1, 2}}, nil, 1)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			for _, k := range Kinds() {
+				if !strings.Contains(err.Error(), string(k)) {
+					t.Errorf("error %q does not name kind %s", err, k)
+				}
+			}
+		})
 	}
 }
 
-// TestRStarRejectsNonEuclidean: every kind but the M-tree — linear scan,
-// grid, kd-tree and R*-tree — answers under the Euclidean metric only, and
+// TestRStarRejectsNonEuclidean: every kind but the M-tree — linear scan and
+// R*-tree — answers under the Euclidean metric only, and
 // refuses any other from Build and BuildStore alike with an error naming the
 // kind.
 func TestRStarRejectsNonEuclidean(t *testing.T) {
 	st := testStore(50, 3)
-	for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree, KindRStar} {
+	for _, kind := range []Kind{KindLinear, KindRStar} {
 		for _, m := range []geom.Metric{geom.Manhattan{}, geom.Chebyshev{}, geom.Minkowski{P: 3}} {
 			t.Run(fmt.Sprintf("%s/%s", kind, m.Name()), func(t *testing.T) {
 				if _, err := BuildStore(kind, st, m, 1); err == nil || !strings.Contains(err.Error(), string(kind)) {
@@ -100,66 +99,46 @@ func TestRStarRejectsNonEuclidean(t *testing.T) {
 }
 
 // Property: every index kind returns exactly the ε-neighborhoods of the
-// index-free oracle, across random point sets, radii and query points.
+// index-free oracle, across random point sets, radii and query points — the
+// R*-tree, the one kind that reads the radius it is built for, also when built
+// for half or for four times the radius it is queried at.
 func TestRangeAgreesWithLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	type build struct {
+		name string
+		kind Kind
+		hint float64 // the build radius, in multiples of the query radius
+	}
+	var builds []build
 	for _, kind := range Kinds() {
-		for trial := 0; trial < 6; trial++ {
-			n := 1 + rng.Intn(400)
-			dim := 1 + rng.Intn(3)
-			pts := randomPoints(rng, n, dim)
-			eps := 0.5 + rng.Float64()*4
-			idx, err := Build(kind, pts, geom.Euclidean{}, eps)
-			if err != nil {
-				t.Fatalf("Build(%s): %v", kind, err)
-			}
-			for q := 0; q < 25; q++ {
-				var query geom.Point
-				if q%2 == 0 {
-					query = pts[rng.Intn(n)] // on-point queries
-				} else {
-					query = randomPoints(rng, 1, dim)[0]
-				}
-				want := oracleRange(pts, query, eps)
-				got := sortedInts(idx.Range(query, eps))
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: Range mismatch (n=%d dim=%d eps=%v): got %v want %v",
-						kind, n, dim, eps, got, want)
-				}
-			}
-		}
+		builds = append(builds, build{string(kind), kind, 1})
 	}
-}
-
-// Property: Range with a larger radius than the grid cell hint stays exact.
-func TestGridRangeLargerThanCell(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randomPoints(rng, 300, 2)
-	g := mustGrid(t, pts, 0.5)
-	for trial := 0; trial < 20; trial++ {
-		q := pts[rng.Intn(len(pts))]
-		eps := 2.0 + rng.Float64()*3
-		if got, want := sortedInts(g.Range(q, eps)), oracleRange(pts, q, eps); !reflect.DeepEqual(got, want) {
-			t.Fatalf("grid Range(eps=%v) mismatch", eps)
-		}
-	}
-}
-
-// A query much wider than a cell visits the occupied cells in reach, not every
-// cell position: at ε = 5 over cells of 0.01 the reach spans 1001³ positions,
-// which the odometer walk this grid used to run took over 10 s to count off
-// for three points.
-func TestGridWideQueryIsBounded(t *testing.T) {
-	g := mustGrid(t, []geom.Point{{0, 0, 0}, {1, 1, 1}, {2, 2, 2}}, 0.01)
-	done := make(chan []int, 1)
-	go func() { done <- g.Range(geom.Point{0, 0, 0}, 5) }()
-	select {
-	case got := <-done:
-		if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-			t.Fatalf("Range = %v, want [0 1 2]", got)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no answer within 1 s")
+	builds = append(builds, build{"rstar-hint0.5x", KindRStar, 0.5}, build{"rstar-hint4x", KindRStar, 4})
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			for trial := 0; trial < 6; trial++ {
+				n := 1 + rng.Intn(400)
+				dim := 1 + rng.Intn(3)
+				pts := randomPoints(rng, n, dim)
+				eps := 0.5 + rng.Float64()*4
+				idx, err := Build(b.kind, pts, geom.Euclidean{}, b.hint*eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for q := 0; q < 25; q++ {
+					var query geom.Point
+					if q%2 == 0 {
+						query = pts[rng.Intn(n)] // on-point queries
+					} else {
+						query = randomPoints(rng, 1, dim)[0]
+					}
+					want := oracleRange(pts, query, eps)
+					if got := sortedInts(idx.Range(query, eps)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("Range mismatch (n=%d dim=%d eps=%v): got %v want %v", n, dim, eps, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -231,41 +210,6 @@ func TestDuplicatePoints(t *testing.T) {
 		if !reflect.DeepEqual(got, []int{0, 1, 2}) {
 			t.Errorf("%s: duplicates = %v, want [0 1 2]", kind, got)
 		}
-	}
-}
-
-func TestGridValidation(t *testing.T) {
-	if _, err := NewGridStore(geom.NewStore(1, 0), 0); err == nil {
-		t.Error("cell size 0 must be rejected")
-	}
-	if _, err := NewGridStore(geom.NewStore(1, 0), -1); err == nil {
-		t.Error("negative cell size must be rejected")
-	}
-	if _, err := Build(KindGrid, []geom.Point{{1}, {1, 2}}, nil, 1); err == nil {
-		t.Error("mixed dimensionality must be rejected")
-	}
-	if _, err := Build(KindKDTree, []geom.Point{{1}, {1, 2}}, nil, 1); err == nil {
-		t.Error("kdtree: mixed dimensionality must be rejected")
-	}
-}
-
-func TestGridCellCount(t *testing.T) {
-	pts := []geom.Point{{0, 0}, {0.1, 0.1}, {10, 10}}
-	g := mustGrid(t, pts, 1)
-	if got := g.CellCount(); got != 2 {
-		t.Errorf("CellCount = %d, want 2", got)
-	}
-}
-
-// Grid must behave correctly with negative coordinates (cell hashing uses
-// floor, not truncation).
-func TestGridNegativeCoordinates(t *testing.T) {
-	pts := []geom.Point{{-0.5, -0.5}, {0.5, 0.5}, {-1.4, -1.4}}
-	g := mustGrid(t, pts, 1)
-	got := sortedInts(g.Range(geom.Point{-0.5, -0.5}, 1.5))
-	want := oracleRange(pts, geom.Point{-0.5, -0.5}, 1.5)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("grid with negative coords: got %v want %v", got, want)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestQuickRangeAppendReuse(t *testing.T) {
 			pc.eps = 0.5
 		}
 		dirty := []int{99, 98, 97}
-		for _, kind := range []Kind{KindLinear, KindGrid, KindKDTree, KindRStar} {
+		for _, kind := range []Kind{KindLinear, KindRStar} {
 			idx, err := Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
 			if err != nil {
 				return false

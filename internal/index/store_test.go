@@ -139,6 +139,7 @@ func TestBuildRejectsMalformedInput(t *testing.T) {
 	}{
 		{"empty", nil, ""},
 		{"mixed-dimension", []geom.Point{{1, 2}, {1}, {3, 4}}, "dimension"},
+		{"mixed-dimension-wider-later", []geom.Point{{1}, {1, 2}}, "dimension"},
 		{"zero-dimensional", []geom.Point{{}, {}}, "zero-dimensional"},
 		{"nan", []geom.Point{{0, 0}, {math.NaN(), 1}, {1, 1}}, "row 1"},
 		{"inf", []geom.Point{{0, 0}, {1, math.Inf(1)}, {1, 1}}, "row 1"},

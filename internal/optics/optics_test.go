@@ -210,7 +210,7 @@ func TestEmptyInput(t *testing.T) {
 func BenchmarkOPTICS(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomClustered(rng, 4, 500)
-	idx, err := index.Build(index.KindKDTree, pts, geom.Euclidean{}, 2)
+	idx, err := index.Build(index.KindRStar, pts, geom.Euclidean{}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func merge(pts []geom.Point, params dbscan.Params, sites []*site, res *Result, p
 	for i, b := range boundary {
 		bPts[i] = pts[b.global]
 	}
-	bIdx, err := index.Build(index.KindKDTree, bPts, geom.Euclidean{}, params.Eps)
+	bIdx, err := index.Build(index.KindRStar, bPts, geom.Euclidean{}, params.Eps)
 	if err != nil {
 		return err
 	}

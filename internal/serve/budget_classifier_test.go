@@ -29,7 +29,7 @@ func buildBudgetedModel(t testing.TB, kind model.Kind, budget int, seed int64) (
 	cfg := dbdc.Config{
 		Local:     dbscan.Params{Eps: 0.5, MinPts: 5},
 		Model:     kind,
-		Index:     index.KindKDTree,
+		Index:     index.KindRStar,
 		RepBudget: budget,
 	}
 	half := len(pts) / 2

@@ -33,7 +33,7 @@ func buildTestModel(t testing.TB, kind model.Kind, seed int64) ([]geom.Point, *m
 	cfg := dbdc.Config{
 		Local: dbscan.Params{Eps: 0.5, MinPts: 5},
 		Model: kind,
-		Index: index.KindKDTree,
+		Index: index.KindRStar,
 	}
 	half := len(pts) / 2
 	o1, err := dbdc.LocalStep("site-1", pts[:half], cfg)

@@ -437,9 +437,7 @@ func TestDifferentialSiteWorkers(t *testing.T) {
 		sites[i] = dbdc.Site{ID: fmt.Sprintf("site-%d", i+1), Points: pts}
 	}
 
-	for _, kind := range []index.Kind{
-		index.KindLinear, index.KindGrid, index.KindKDTree, index.KindRStar, index.KindMTree,
-	} {
+	for _, kind := range index.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := testCfg()
 			cfg.SiteWorkers = 4
