@@ -47,15 +47,17 @@ bench-module:
 
 # Every static index is a permutation, spans and a descent (the internal/index
 # package comment): no per-query scratch to pool, nothing to materialise once.
-# And every kind but the M-tree, the one metric-space index, has one query arm,
-# the store kernels. Fails if a non-test file under internal/index mentions
-# sync.Pool or sync.Once, or one outside internal/index/mtree calls a metric's
-# Distance.
+# And every kind has one query arm, the store kernels, under the one metric the
+# pipeline knows, the Euclidean. Fails if a non-test file under internal/index
+# mentions sync.Pool or sync.Once or calls a metric's Distance, or a non-test
+# Go file outside bench/ mentions geom.Metric or calls a .Metric() method.
 index-guard:
 	@! grep -rnE 'sync\.(Pool|Once)' --include='*.go' --exclude='*_test.go' internal/index \
 		|| { echo 'index-guard: sync.Pool or sync.Once under internal/index'; exit 1; }
-	@! grep -rnE '\.Distance\(' --include='*.go' --exclude='*_test.go' --exclude-dir=mtree internal/index \
-		|| { echo 'index-guard: a Metric.Distance call under internal/index outside mtree/'; exit 1; }
+	@! grep -rnE '\.Distance\(' --include='*.go' --exclude='*_test.go' internal/index \
+		|| { echo 'index-guard: a Distance call under internal/index'; exit 1; }
+	@! git grep --untracked -nE 'geom\.Metric\b|\.Metric\(\)' -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' \
+		|| { echo 'index-guard: geom.Metric or a .Metric() call outside bench/'; exit 1; }
 
 # Every server runs one connection lifecycle, transport.ConnLoop
 # (internal/transport/loop.go): accept, one handler per connection, close when

@@ -473,46 +473,25 @@ func BenchmarkStoreKernels(b *testing.B) {
 
 	// Range queries through the reusable-buffer seam. The loops reuse one
 	// buffer; they must report allocs/op = 0.
-	for _, kind := range []index.Kind{index.KindRStar, index.KindMTree} {
-		b.Run(fmt.Sprintf("range/store/%s", kind), func(b *testing.B) {
-			idx, err := index.BuildStore(kind, st, e, ds.Params.Eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]int, 0, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = index.RangeIntoID(idx, i%n, ds.Params.Eps, buf)
-			}
-		})
-	}
+	b.Run(fmt.Sprintf("range/store/%s", index.KindRStar), func(b *testing.B) {
+		idx, err := index.BuildStore(index.KindRStar, st, e, ds.Params.Eps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]int, 0, 1024)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = idx.RangeAppendID(i%n, ds.Params.Eps, buf)
+		}
+	})
 }
-
-// plainMetric wraps a metric so that the M-tree does not recognise it as
-// Euclidean, forcing every comparison through the generic
-// sqrt-per-comparison Metric.Distance arm. It is the "naive" baseline of
-// BenchmarkLocalClustering: the measured gap against the store/mtree run is
-// exactly what the squared-space store kernels and allocation-free range
-// queries buy.
-type plainMetric struct{ m geom.Metric }
-
-func (p plainMetric) Distance(a, b geom.Point) float64 { return p.m.Distance(a, b) }
-
-func (p plainMetric) Name() string { return "plain-" + p.m.Name() }
-
-// naiveIndex hides the RangeAppender fast path of the wrapped index: the
-// embedded interface exposes only index.Index, so index.RangeInto falls back
-// to Range and every region query allocates its result slice — the second
-// half of the pre-optimization behavior plainMetric restores.
-type naiveIndex struct{ index.Index }
 
 // BenchmarkLocalClustering measures the hot path of DBDC's step 1 — one
 // site-local DBSCAN with specific core collection — on a 50,000-object
-// site. Sub-benchmarks compare the store-backed kernels per index kind, the
-// M-tree's naive distance arm against its store arm, and one worker against
-// increasing worker counts. Range-query counts are reported so the paper's
-// cost model sits alongside wall time. Index construction is excluded: the subject is
+// site. Sub-benchmarks run the R*-tree at one worker against increasing
+// worker counts. Range-query counts are reported so the paper's cost model
+// sits alongside wall time. Index construction is excluded: the subject is
 // the clustering scan.
 func BenchmarkLocalClustering(b *testing.B) {
 	ds := lib.DatasetA(50_000, 1)
@@ -537,30 +516,18 @@ func BenchmarkLocalClustering(b *testing.B) {
 		}
 		b.ReportMetric(float64(queries), "range-queries/op")
 	}
-	// Naive vs store kernels, single-threaded, per index kind. The linear
-	// scan is excluded: O(n²) distance computations at this cardinality
-	// measure patience, not kernels (internal/index has per-query benches
-	// covering it).
-	for _, kind := range []index.Kind{index.KindRStar, index.KindMTree} {
-		b.Run(fmt.Sprintf("store/%s", kind), func(b *testing.B) {
-			// Flat-store bulk load: the index keeps the stride-2 backing
-			// array and verifies candidates with the strided kernels. It is
-			// built for the radius it is queried at, as LocalStep builds it.
-			idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, params.Eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runOnce(b, idx, params, opts)
-		})
-	}
-	// The M-tree is the one kind that takes another metric, so it is the one
-	// whose fast path the metric can disable.
-	b.Run(fmt.Sprintf("naive/%s", index.KindMTree), func(b *testing.B) {
-		idx, err := index.Build(index.KindMTree, ds.Points, plainMetric{geom.Euclidean{}}, ds.Params.Eps)
+	// One worker on the default index. The linear scan is excluded: O(n²)
+	// distance computations at this cardinality measure patience, not
+	// kernels (internal/index has per-query benches covering it).
+	b.Run(fmt.Sprintf("store/%s", index.KindRStar), func(b *testing.B) {
+		// Flat-store bulk load: the index keeps the stride-2 backing array
+		// and verifies candidates with the strided kernels. It is built for
+		// the radius it is queried at, as LocalStep builds it.
+		idx, err := index.BuildStore(index.KindRStar, ds.Store, geom.Euclidean{}, params.Eps)
 		if err != nil {
 			b.Fatal(err)
 		}
-		runOnce(b, naiveIndex{idx}, params, opts)
+		runOnce(b, idx, params, opts)
 	})
 	// Intra-site parallelism: same index, growing worker budget, to be read
 	// against store/rstar, which is the one-worker row. On a single-CPU

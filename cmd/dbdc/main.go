@@ -6,7 +6,7 @@
 //
 //	dbdc -input points.csv -eps 1.2 -minpts 4                  # central DBSCAN
 //	dbdc -input points.csv -eps 1.2 -minpts 4 -sites 4         # DBDC, 4 sites
-//	dbdc ... -model rep-kmeans -epsglobal 2.4 -index mtree
+//	dbdc ... -model rep-kmeans -epsglobal 2.4 -index linear
 //
 // With -sites > 1 the input is split over that many simulated sites
 // round-robin, the full DBDC pipeline runs, and the printed labels are the
@@ -33,7 +33,7 @@ func main() {
 	modelKind := flag.String("model", string(lib.RepScor), "local model: rep-scor or rep-kmeans")
 	epsGlobal := flag.Float64("epsglobal", 0, "Eps_global; 0 = paper default (max specific ε-range)")
 	autoEps := flag.Bool("autoeps", false, "derive Eps_global from the representatives' density structure (OPTICS gap cut) instead of a fixed radius")
-	idx := flag.String("index", string(lib.IndexRStar), "neighborhood index")
+	idx := flag.String("index", string(lib.IndexRStar), "neighborhood index: rstar or linear")
 	out := flag.String("o", "", "output file for labels (default stdout)")
 	plot := flag.Bool("plot", false, "print an ASCII scatter plot of the clustering to stderr")
 	flag.Parse()

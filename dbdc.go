@@ -20,8 +20,10 @@
 //   - QualityPI / QualityPII evaluate a distributed clustering against a
 //     central reference with the paper's quality measures.
 //
-// All functionality is implemented from scratch on the standard library,
-// including the spatial access methods (R*-tree, M-tree) DBSCAN runs on.
+// The pipeline is Euclidean end to end: sites, models and evaluation live in
+// a vector space under the L2 metric. All functionality is implemented from
+// scratch on the standard library, including the spatial access method
+// (R*-tree) DBSCAN runs on.
 package dbdc
 
 import (
@@ -48,9 +50,6 @@ type Point = geom.Point
 
 // Rect is an axis-aligned bounding box.
 type Rect = geom.Rect
-
-// Metric is a distance function on points.
-type Metric = geom.Metric
 
 // Euclidean is the L2 metric.
 type Euclidean = geom.Euclidean
@@ -120,7 +119,6 @@ type IndexKind = index.Kind
 const (
 	IndexLinear = index.KindLinear
 	IndexRStar  = index.KindRStar
-	IndexMTree  = index.KindMTree
 )
 
 // Run executes the four DBDC steps over in-process sites, each in its own

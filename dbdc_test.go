@@ -2,8 +2,10 @@ package dbdc_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,15 +23,24 @@ func testBlob(rng *rand.Rand, cx, cy, spread float64, n int) []dbdc.Point {
 func TestPublicCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := append(testBlob(rng, 0, 0, 0.3, 100), testBlob(rng, 10, 0, 0.3, 100)...)
-	for _, kind := range []dbdc.IndexKind{"", dbdc.IndexLinear, dbdc.IndexRStar, dbdc.IndexMTree} {
-		res, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.5, MinPts: 5}, kind)
-		if err != nil {
-			t.Fatalf("kind %q: %v", kind, err)
-		}
-		if res.NumClusters() != 2 {
-			t.Fatalf("kind %q: clusters = %d", kind, res.NumClusters())
-		}
+	for _, kind := range []dbdc.IndexKind{"", dbdc.IndexLinear, dbdc.IndexRStar} {
+		t.Run(fmt.Sprintf("%q", kind), func(t *testing.T) {
+			res, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.5, MinPts: 5}, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumClusters() != 2 {
+				t.Fatalf("clusters = %d", res.NumClusters())
+			}
+		})
 	}
+	// An unknown kind is refused with the kinds there are named.
+	t.Run(`"mtree"`, func(t *testing.T) {
+		_, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.5, MinPts: 5}, "mtree")
+		if err == nil || !strings.Contains(err.Error(), "[linear rstar]") {
+			t.Fatalf("err = %v, want a refusal naming [linear rstar]", err)
+		}
+	})
 }
 
 func TestPublicRunPipeline(t *testing.T) {
@@ -157,7 +168,7 @@ func TestPublicNonFiniteEps(t *testing.T) {
 			return err
 		}},
 	}
-	for _, kind := range []dbdc.IndexKind{dbdc.IndexLinear, dbdc.IndexRStar, dbdc.IndexMTree} {
+	for _, kind := range []dbdc.IndexKind{dbdc.IndexLinear, dbdc.IndexRStar} {
 		rows = append(rows, row{"Cluster/" + string(kind), nanEps, func(c dbdc.Config) error {
 			_, err := dbdc.Cluster(ds.Points, c.Local, kind)
 			return err

@@ -17,6 +17,7 @@ package dbdc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/index"
@@ -117,6 +118,9 @@ func (c Config) Validate() error {
 	}
 	if c.MinPtsGlobal < 1 {
 		return fmt.Errorf("dbdc: MinPtsGlobal %d < 1", c.MinPtsGlobal)
+	}
+	if !slices.Contains(index.Kinds(), c.Index) {
+		return fmt.Errorf("dbdc: unknown index kind %q, want one of %v", c.Index, index.Kinds())
 	}
 	if c.SiteWorkers < 0 {
 		return fmt.Errorf("dbdc: negative SiteWorkers %d", c.SiteWorkers)

@@ -24,8 +24,7 @@ import (
 //
 // workers ≤ 1 keeps the sequential path (no goroutines, no merge copies).
 func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
-	metric := idx.Metric()
-	st := index.StoreOf(idx)
+	st := idx.Store()
 	covered := make([]bool, len(r.Core))
 	if workers <= 1 {
 		var bs batchScratch
@@ -35,7 +34,7 @@ func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 				id := r.Labels[i]
 				r.Scor[id] = append(r.Scor[id], i)
 				r.RangeQueries++
-				r.SpecificEps[i] = r.condenseCore(idx, metric, st, &bs, &buf, covered, i)
+				r.SpecificEps[i] = r.condenseCore(idx, st, &bs, &buf, covered, i)
 			}
 		}
 		return
@@ -101,7 +100,7 @@ func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 				for _, q := range coresByCluster[c] {
 					if !covered[q] {
 						scor = append(scor, q)
-						eps = append(eps, r.condenseCore(idx, metric, st, &bs, &buf, covered, q))
+						eps = append(eps, r.condenseCore(idx, st, &bs, &buf, covered, q))
 					}
 				}
 				out[c] = condensed{scor: scor, eps: eps, queries: len(scor)}
@@ -131,8 +130,8 @@ func (r *Result) condenseSpecificCores(idx index.Index, workers int) {
 // lets per-cluster workers share covered: a core neighbor of s is in s's
 // cluster, so each element has one writer, while a border point can lie in
 // reach of two clusters.
-func (r *Result) condenseCore(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch, buf *[]int, covered []bool, s int) float64 {
-	eps := r.specificEps(idx, metric, st, bs, buf, s)
+func (r *Result) condenseCore(idx index.Index, st *geom.Store, bs *batchScratch, buf *[]int, covered []bool, s int) float64 {
+	eps := r.specificEps(idx, st, bs, buf, s)
 	for _, q := range *buf {
 		if r.Core[q] {
 			covered[q] = true

@@ -85,32 +85,36 @@ func TestCondenseSequentialUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := uniformPoints(rng, 400, 10)
 	params := Params{Eps: 0.4, MinPts: 4}
-	idx, err := index.Build(index.KindRStar, pts, geom.Euclidean{}, params.Eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(idx, params, Options{CollectSpecificCores: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumClusters() == 0 {
-		t.Skip("degenerate dataset: no clusters")
-	}
-	if len(res.Scor) != res.NumClusters() {
-		t.Fatalf("%d clusters but %d entries in Scor", res.NumClusters(), len(res.Scor))
-	}
-	for id, scor := range res.Scor {
-		if len(scor) == 0 {
-			t.Fatalf("cluster %v has no specific core points", id)
-		}
-		for _, s := range scor {
-			eps, ok := res.SpecificEps[s]
-			if !ok {
-				t.Fatalf("specific core %d has no ε-range", s)
+	for _, kind := range index.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			idx, err := index.Build(kind, pts, geom.Euclidean{}, params.Eps)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if eps < params.Eps {
-				t.Fatalf("specific core %d: ε_s = %g < Eps = %g violates Definition 7", s, eps, params.Eps)
+			res, err := Run(idx, params, Options{CollectSpecificCores: true, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if res.NumClusters() == 0 {
+				t.Skip("degenerate dataset: no clusters")
+			}
+			if len(res.Scor) != res.NumClusters() {
+				t.Fatalf("%d clusters but %d entries in Scor", res.NumClusters(), len(res.Scor))
+			}
+			for id, scor := range res.Scor {
+				if len(scor) == 0 {
+					t.Fatalf("cluster %v has no specific core points", id)
+				}
+				for _, s := range scor {
+					eps, ok := res.SpecificEps[s]
+					if !ok {
+						t.Fatalf("specific core %d has no ε-range", s)
+					}
+					if eps < params.Eps {
+						t.Fatalf("specific core %d: ε_s = %g < Eps = %g violates Definition 7", s, eps, params.Eps)
+					}
+				}
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@
 // DBSCAN leaves two choices to the processing order — which cluster a border
 // object in reach of two gets, and which complete set of specific core
 // points is picked. Run fixes both by object id, which makes its Result a
-// pure function of the points, the metric and Params — the same bytes from
+// pure function of the points and Params — the same bytes from
 // every index kind and every worker count:
 //
 //   - p is a core object iff |N_Eps(p)| ≥ MinPts.
@@ -99,8 +99,8 @@ func (r *Result) NumClusters() int { return r.Labels.NumClusters() }
 // cluster but not core.
 func (r *Result) IsBorder(i int) bool { return r.Labels[i] >= 0 && !r.Core[i] }
 
-// Run clusters the points held by idx. The index supplies both the data and
-// the metric, exactly like the R*-tree underneath the original DBSCAN; it
+// Run clusters the points held by idx. The index supplies the data and the
+// neighborhoods, exactly like the R*-tree underneath the original DBSCAN; it
 // must be safe for concurrent readers, which every index in this module is
 // after construction. The Result is the one the package comment defines,
 // whatever the index kind and whatever Options.Workers says.
@@ -256,7 +256,7 @@ func FromCores(idx index.Index, params Params, core []bool, labels cluster.Label
 		if core[i] || id < 0 {
 			continue
 		}
-		buf = index.RangeIntoID(idx, i, params.Eps, buf)
+		buf = idx.RangeAppendID(i, params.Eps, buf)
 		res.RangeQueries++
 		least := -1
 		for _, q := range buf {
@@ -304,8 +304,7 @@ func (c *chunk) expand(idx index.Index, res *Result) {
 	labels, lo, span := res.Labels, c.lo, uint(c.hi-c.lo)
 	// seeds and nbuf are reused across queries; every query result is fully
 	// consumed before the next query overwrites the buffer. Queries go by
-	// object id (RangeIntoID), so store-backed indexes never materialise a
-	// query point.
+	// object id (RangeAppendID), so no index materialises a query point.
 	var seeds []int32
 	var nbuf []int
 	// unseen counts, per leaf of an index that has leaves, the ids this chunk
@@ -423,25 +422,12 @@ func maxCoreNeighborSq(st *geom.Store, core []bool, buf []int, s int, bs *batchS
 // specificEps evaluates Definition 7 for the specific core point s:
 // ε_s = Eps + max{dist(s, s_i) | s_i ∈ Cor ∧ s_i ∈ N_Eps(s)}. When no other
 // core point lies in the neighborhood the maximum is empty and ε_s = Eps.
-// The query goes through index.RangeIntoID into the reused *buf, which holds
-// N_Eps(s) on return. On a store-backed index the maximum is taken in
-// squared space by one batched fold — row s against all core neighbor rows,
-// a single sqrt per specific core point instead of one per neighbor; exact,
-// since the correctly rounded sqrt is monotone and commutes with max.
-func (r *Result) specificEps(idx index.Index, metric geom.Metric, st *geom.Store, bs *batchScratch, buf *[]int, s int) float64 {
-	*buf = index.RangeIntoID(idx, s, r.Params.Eps, *buf)
-	if st != nil {
-		return r.Params.Eps + math.Sqrt(maxCoreNeighborSq(st, r.Core, *buf, s, bs))
-	}
-	sp := idx.Point(s)
-	var maxDist float64
-	for _, ni := range *buf {
-		if ni == s || !r.Core[ni] {
-			continue
-		}
-		if d := metric.Distance(sp, idx.Point(ni)); d > maxDist {
-			maxDist = d
-		}
-	}
-	return r.Params.Eps + maxDist
+// The query goes through idx.RangeAppendID into the reused *buf, which holds
+// N_Eps(s) on return. The maximum is taken over the store st in squared space
+// by one batched fold — row s against all core neighbor rows, a single sqrt
+// per specific core point instead of one per neighbor; exact, since the
+// correctly rounded sqrt is monotone and commutes with max.
+func (r *Result) specificEps(idx index.Index, st *geom.Store, bs *batchScratch, buf *[]int, s int) float64 {
+	*buf = idx.RangeAppendID(s, r.Params.Eps, *buf)
+	return r.Params.Eps + math.Sqrt(maxCoreNeighborSq(st, r.Core, *buf, s, bs))
 }

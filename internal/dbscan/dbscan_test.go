@@ -3,7 +3,6 @@ package dbscan
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -280,24 +279,26 @@ func TestIndexKindsAgreeOnCorePartition(t *testing.T) {
 	}
 	base := results[0]
 	for k, res := range results[1:] {
-		// Core flags must agree exactly.
-		for i := range pts {
-			if res.Core[i] != base.Core[i] {
-				t.Fatalf("kind %v: core flag of %d differs", index.Kinds()[k+1], i)
+		t.Run(string(index.Kinds()[k+1]), func(t *testing.T) {
+			// Core flags must agree exactly.
+			for i := range pts {
+				if res.Core[i] != base.Core[i] {
+					t.Fatalf("core flag of %d differs", i)
+				}
 			}
-		}
-		// The partition restricted to core points must agree.
-		coreBase := cluster.Labeling{}
-		coreRes := cluster.Labeling{}
-		for i := range pts {
-			if base.Core[i] {
-				coreBase = append(coreBase, base.Labels[i])
-				coreRes = append(coreRes, res.Labels[i])
+			// The partition restricted to core points must agree.
+			coreBase := cluster.Labeling{}
+			coreRes := cluster.Labeling{}
+			for i := range pts {
+				if base.Core[i] {
+					coreBase = append(coreBase, base.Labels[i])
+					coreRes = append(coreRes, res.Labels[i])
+				}
 			}
-		}
-		if !coreBase.EquivalentTo(coreRes) {
-			t.Fatalf("kind %v: core partition differs", index.Kinds()[k+1])
-		}
+			if !coreBase.EquivalentTo(coreRes) {
+				t.Fatal("core partition differs")
+			}
+		})
 	}
 }
 
@@ -312,48 +313,5 @@ func TestRangeQueriesCounted(t *testing.T) {
 	// run (the paper's complexity analysis counts exactly n queries).
 	if res.RangeQueries < len(pts) {
 		t.Fatalf("RangeQueries = %d, want >= %d", res.RangeQueries, len(pts))
-	}
-}
-
-// DBSCAN "can be used for all kinds of metric data spaces and is not
-// confined to vector spaces" (paper §4): Run over an M-tree under the
-// Manhattan metric, the one metric-space index, must reproduce the
-// brute-force rule of referenceRun over the same index.
-func TestMetricSpaceDBSCAN(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	pts := make([]geom.Point, 300)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 8, rng.Float64() * 8}
-	}
-	params := Params{Eps: 0.7, MinPts: 4}
-	mt, err := index.Build(index.KindMTree, pts, geom.Manhattan{}, params.Eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if index.StoreOf(mt) != nil {
-		t.Fatal("a Manhattan M-tree is store-backed; the metric arm is not under test")
-	}
-	viaTree, err := Run(mt, params, Options{CollectSpecificCores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := referenceRun(mt, params); !reflect.DeepEqual(viaTree, want) {
-		t.Fatal(describeDifference(viaTree, want))
-	}
-	// And the Manhattan clustering genuinely differs from Euclidean on the
-	// same parameters (diamond vs circular neighborhoods).
-	euclid, err := Run(linearOf(pts), params, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range pts {
-		if euclid.Core[i] != viaTree.Core[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Log("warning: Manhattan and Euclidean core sets coincide on this data")
 	}
 }

@@ -1,6 +1,7 @@
 package dbscan
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -28,7 +29,7 @@ func perturbed(rng *rand.Rand, idx index.Index, run *Result) (out cluster.Labeli
 			continue
 		}
 		var choices []cluster.ID
-		for _, q := range index.RangeIntoID(idx, i, run.Params.Eps, nil) {
+		for _, q := range idx.RangeAppendID(i, run.Params.Eps, nil) {
 			if run.Core[q] {
 				choices = append(choices, cluster.ID(perm[run.Labels[q]]))
 			}
@@ -61,26 +62,28 @@ func TestFromCoresMatchesRun(t *testing.T) {
 	moved := 0
 	for _, ds := range datasets {
 		for _, kind := range index.Kinds() {
-			idx, err := index.Build(kind, ds.pts, geom.Euclidean{}, ds.params.Eps)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", ds.name, kind, err)
-			}
-			want, err := Run(idx, ds.params, Options{CollectSpecificCores: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			other, m := perturbed(rng, idx, want)
-			moved += m
-			for _, labels := range []cluster.Labeling{want.Labels, other} {
-				got, err := FromCores(idx, ds.params, slices.Clone(want.Core), labels)
+			t.Run(fmt.Sprintf("%s/%s", ds.name, kind), func(t *testing.T) {
+				idx, err := index.Build(kind, ds.pts, geom.Euclidean{}, ds.params.Eps)
 				if err != nil {
-					t.Fatalf("%s/%s: %v", ds.name, kind, err)
+					t.Fatal(err)
 				}
-				got.RangeQueries = want.RangeQueries
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: %s", ds.name, kind, describeDifference(got, want))
+				want, err := Run(idx, ds.params, Options{CollectSpecificCores: true})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				other, m := perturbed(rng, idx, want)
+				moved += m
+				for _, labels := range []cluster.Labeling{want.Labels, other} {
+					got, err := FromCores(idx, ds.params, slices.Clone(want.Core), labels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got.RangeQueries = want.RangeQueries
+					if !reflect.DeepEqual(got, want) {
+						t.Fatal(describeDifference(got, want))
+					}
+				}
+			})
 		}
 	}
 	if moved == 0 {

@@ -12,7 +12,7 @@ import (
 )
 
 // checkMarksAgainstPairwise clusters idx at 1, 2 and 4 workers and holds each
-// result to want, a dbscan.ReferenceRun over the same points and metric:
+// result to want, a dbscan.ReferenceRun over the same points:
 // its Definition 6 is the pairwise scan the coverage marks replaced, its
 // Definition 7 a scan over every neighbor.
 func checkMarksAgainstPairwise(t *testing.T, name string, idx index.Index, params dbscan.Params, want *dbscan.Result) {
@@ -32,32 +32,25 @@ func checkMarksAgainstPairwise(t *testing.T, name string, idx index.Index, param
 }
 
 // TestScorMarksMatchPairwiseScan pins the coverage marks to the pairwise
-// scan they replaced, on data sets A, B and C under every index kind, and
-// under a metric with no store behind it (M-tree + Manhattan). The Euclidean
+// scan they replaced, on data sets A, B and C under every index kind. The
 // kinds answer from equal stores, so one reference serves them all.
 func TestScorMarksMatchPairwiseScan(t *testing.T) {
 	for _, ds := range data.ABC(1) {
 		var want *dbscan.Result
 		for _, kind := range index.Kinds() {
-			if kind == index.KindLinear && ds.Name == "A" && testing.Short() {
-				continue // 8 700² distances per run
-			}
-			idx, err := index.Build(kind, ds.Points, geom.Euclidean{}, ds.Params.Eps)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", ds.Name, kind, err)
-			}
-			if want == nil {
-				want = dbscan.ReferenceRun(idx, ds.Params)
-			}
-			checkMarksAgainstPairwise(t, fmt.Sprintf("%s/%s", ds.Name, kind), idx, ds.Params, want)
+			t.Run(fmt.Sprintf("%s/%s", ds.Name, kind), func(t *testing.T) {
+				if kind == index.KindLinear && ds.Name == "A" && testing.Short() {
+					t.Skip("8 700² distances per run")
+				}
+				idx, err := index.Build(kind, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = dbscan.ReferenceRun(idx, ds.Params)
+				}
+				checkMarksAgainstPairwise(t, fmt.Sprintf("%s/%s", ds.Name, kind), idx, ds.Params, want)
+			})
 		}
-		idx, err := index.Build(index.KindMTree, ds.Points, geom.Manhattan{}, ds.Params.Eps)
-		if err != nil {
-			t.Fatalf("%s/mtree+manhattan: %v", ds.Name, err)
-		}
-		if index.StoreOf(idx) != nil {
-			t.Fatalf("%s: a Manhattan index is store-backed; the metric arm is not under test", ds.Name)
-		}
-		checkMarksAgainstPairwise(t, ds.Name+"/mtree+manhattan", idx, ds.Params, dbscan.ReferenceRun(idx, ds.Params))
 	}
 }

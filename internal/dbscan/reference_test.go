@@ -79,21 +79,16 @@ func parallelWorkerCounts() []int {
 // unlabelled core object in ascending id, a non-core object to the cluster of
 // its lowest-id core neighbour, Definition 6 by scanning — pair by pair — the
 // specific core points already picked for the cluster, Definition 7 as a
-// maximum over the core neighbours. Distances are the store kernel's in
-// squared space on a store-backed index and the metric's otherwise, the two
-// arms Run has.
+// maximum over the core neighbours. Distances are the store kernel's, in
+// squared space.
 func referenceRun(idx index.Index, params Params) *Result {
 	n := idx.Len()
-	st, metric, eps := index.StoreOf(idx), idx.Metric(), params.Eps
-	// dist reports the comparable distance of objects a and b and whether b
-	// lies in N_Eps(a).
+	st, eps := idx.Store(), params.Eps
+	// dist reports the squared distance of objects a and b and whether b lies
+	// in N_Eps(a).
 	dist := func(a, b int) (float64, bool) {
-		if st != nil {
-			d2 := st.DistanceSq(a, b)
-			return d2, d2 <= eps*eps
-		}
-		d := metric.Distance(idx.Point(a), idx.Point(b))
-		return d, d <= eps
+		d2 := st.DistanceSq(a, b)
+		return d2, d2 <= eps*eps
 	}
 	res := &Result{
 		Params:      params,
@@ -161,10 +156,7 @@ func referenceRun(idx index.Index, params Params) *Result {
 				max = d
 			}
 		}
-		if st != nil {
-			max = math.Sqrt(max)
-		}
-		res.SpecificEps[i] = eps + max
+		res.SpecificEps[i] = eps + math.Sqrt(max)
 	}
 	res.RangeQueries = n + len(res.SpecificEps)
 	return res
@@ -176,7 +168,7 @@ func referenceRun(idx index.Index, params Params) *Result {
 // shapes. The shapes include heavy noise and the ones a partitioner would
 // trip over — duplicates, neighbors at exactly ε, 1-D and 8-D strides, ε
 // covering the whole bounding box, fewer objects than a worker pool wants, an
-// index that exposes no store — because Run has no special case for any of
+// index that offers no leaves — because Run has no special case for any of
 // them. Non-finite coordinates never reach Run: their rows hold every kind to
 // refusing them at build. (The name predates the single body: it is the name
 // the test floor knows the rows by.)
@@ -186,7 +178,7 @@ func TestRunParallelDifferential(t *testing.T) {
 		pts    []geom.Point
 		params Params
 		// bare hands Run the index behind the plain Index interface: no
-		// store, no by-id fast path.
+		// leaves, so no expansion by unseen leaf.
 		bare bool
 		// rejectedRow, when positive, is the first row of a dataset every
 		// kind must refuse at build, with an error naming that row.
@@ -353,10 +345,9 @@ func describeDifference(got, want *Result) string {
 	return fmt.Sprintf("RangeQueries %d, reference %d", got.RangeQueries, want.RangeQueries)
 }
 
-// countingIndex counts the range queries that reach a store-backed index.
-// It forwards exactly the three interfaces Run can see through — Index,
-// IDRangeAppender and StoreBacked — so the wrapped index still presents its
-// store.
+// countingIndex counts the range queries that reach an index. It forwards
+// the Index interface and nothing else, so whatever it wraps, it offers Run
+// no leaves.
 type countingIndex struct {
 	index.Index
 	queries atomic.Int64
@@ -367,12 +358,15 @@ func (c *countingIndex) Range(q geom.Point, eps float64) []int {
 	return c.Index.Range(q, eps)
 }
 
-func (c *countingIndex) RangeAppendID(i int, eps float64, buf []int) []int {
+func (c *countingIndex) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	c.queries.Add(1)
-	return c.Index.(index.IDRangeAppender).RangeAppendID(i, eps, buf)
+	return c.Index.RangeAppend(q, eps, buf)
 }
 
-func (c *countingIndex) Store() *geom.Store { return index.StoreOf(c.Index) }
+func (c *countingIndex) RangeAppendID(i int, eps float64, buf []int) []int {
+	c.queries.Add(1)
+	return c.Index.RangeAppendID(i, eps, buf)
+}
 
 // TestParallelHonoursIndexKind pins that the index a caller hands to Run is
 // the index that answers: every counted region query — one per object plus
@@ -387,18 +381,17 @@ func TestParallelHonoursIndexKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", kind, err)
 		}
-		if index.StoreOf(inner) == nil {
-			t.Fatalf("%s: Euclidean index exposes no store", kind)
-		}
 		for _, workers := range []int{1, 2, 4} {
-			idx := &countingIndex{Index: inner}
-			res, err := Run(idx, params, Options{CollectSpecificCores: true, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", kind, workers, err)
-			}
-			if got := int(idx.queries.Load()); got != res.RangeQueries {
-				t.Fatalf("%s/workers=%d: the caller's index answered %d queries, Result.RangeQueries = %d", kind, workers, got, res.RangeQueries)
-			}
+			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
+				idx := &countingIndex{Index: inner}
+				res, err := Run(idx, params, Options{CollectSpecificCores: true, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := int(idx.queries.Load()); got != res.RangeQueries {
+					t.Fatalf("the caller's index answered %d queries, Result.RangeQueries = %d", got, res.RangeQueries)
+				}
+			})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dbscan
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -76,6 +77,19 @@ func checkDefinition7(t *testing.T, pts []geom.Point, res *Result) {
 	}
 }
 
+// kindOf builds an index of kind over pts for queries at eps.
+func kindOf(t *testing.T, kind index.Kind, pts []geom.Point, eps float64) index.Index {
+	t.Helper()
+	idx, err := index.Build(kind, pts, geom.Euclidean{}, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// TestSpecificCoreDefinitions checks Definitions 6 and 7 on random data over
+// every index kind: the specific ε-ranges come from the index's by-id query
+// and its store, whatever the kind.
 func TestSpecificCoreDefinitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {
@@ -85,13 +99,17 @@ func TestSpecificCoreDefinitions(t *testing.T) {
 			pts[i] = geom.Point{rng.Float64() * 8, rng.Float64() * 8}
 		}
 		eps := 0.4 + rng.Float64()*0.6
-		res, err := Run(linearOf(pts), Params{Eps: eps, MinPts: 3 + rng.Intn(3)},
-			Options{CollectSpecificCores: true})
-		if err != nil {
-			t.Fatal(err)
+		params := Params{Eps: eps, MinPts: 3 + rng.Intn(3)}
+		for _, kind := range index.Kinds() {
+			t.Run(fmt.Sprintf("trial=%d/%s", trial, kind), func(t *testing.T) {
+				res, err := Run(kindOf(t, kind, pts, eps), params, Options{CollectSpecificCores: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkDefinition6(t, pts, res)
+				checkDefinition7(t, pts, res)
+			})
 		}
-		checkDefinition6(t, pts, res)
-		checkDefinition7(t, pts, res)
 	}
 }
 
@@ -104,26 +122,30 @@ func TestSpecificCoreCompression(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{rng.NormFloat64(), rng.NormFloat64()}
 	}
-	res, err := Run(linearOf(pts), Params{Eps: 0.5, MinPts: 5},
-		Options{CollectSpecificCores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumClusters() < 1 {
-		t.Fatal("expected at least one cluster")
-	}
-	totalCore := 0
-	for _, c := range res.Core {
-		if c {
-			totalCore++
-		}
-	}
-	totalScor := 0
-	for _, s := range res.Scor {
-		totalScor += len(s)
-	}
-	if totalScor*4 > totalCore {
-		t.Fatalf("poor compression: %d specific of %d core points", totalScor, totalCore)
+	params := Params{Eps: 0.5, MinPts: 5}
+	for _, kind := range index.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			res, err := Run(kindOf(t, kind, pts, params.Eps), params, Options{CollectSpecificCores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumClusters() < 1 {
+				t.Fatal("expected at least one cluster")
+			}
+			totalCore := 0
+			for _, c := range res.Core {
+				if c {
+					totalCore++
+				}
+			}
+			totalScor := 0
+			for _, s := range res.Scor {
+				totalScor += len(s)
+			}
+			if totalScor*4 > totalCore {
+				t.Fatalf("poor compression: %d specific of %d core points", totalScor, totalCore)
+			}
+		})
 	}
 }
 
@@ -134,18 +156,22 @@ func TestSpecificEpsAtLeastEps(t *testing.T) {
 		pts[i] = geom.Point{rng.Float64() * 6, rng.Float64() * 6}
 	}
 	params := Params{Eps: 0.7, MinPts: 4}
-	res, err := Run(linearOf(pts), params, Options{CollectSpecificCores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, e := range res.SpecificEps {
-		if e < params.Eps {
-			t.Fatalf("specific eps of %d is %v < Eps %v", s, e, params.Eps)
-		}
-		if e > 2*params.Eps {
-			t.Fatalf("specific eps of %d is %v > 2*Eps %v (max dist in Def. 7 is bounded by Eps)",
-				s, e, 2*params.Eps)
-		}
+	for _, kind := range index.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			res, err := Run(kindOf(t, kind, pts, params.Eps), params, Options{CollectSpecificCores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, e := range res.SpecificEps {
+				if e < params.Eps {
+					t.Fatalf("specific eps of %d is %v < Eps %v", s, e, params.Eps)
+				}
+				if e > 2*params.Eps {
+					t.Fatalf("specific eps of %d is %v > 2*Eps %v (max dist in Def. 7 is bounded by Eps)",
+						s, e, 2*params.Eps)
+				}
+			}
+		})
 	}
 }
 
@@ -156,31 +182,35 @@ func TestSpecificEpsAtLeastEps(t *testing.T) {
 func TestRepresentativeCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	e := geom.Euclidean{}
+	params := Params{Eps: 0.6, MinPts: 4}
 	for trial := 0; trial < 6; trial++ {
 		pts := make([]geom.Point, 200+rng.Intn(200))
 		for i := range pts {
 			pts[i] = geom.Point{rng.Float64() * 7, rng.Float64() * 7}
 		}
-		res, err := Run(linearOf(pts), Params{Eps: 0.6, MinPts: 4},
-			Options{CollectSpecificCores: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pts {
-			id := res.Labels[i]
-			if id < 0 {
-				continue
-			}
-			covered := false
-			for _, s := range res.Scor[id] {
-				if e.Distance(pts[i], pts[s]) <= res.SpecificEps[s] {
-					covered = true
-					break
+		for _, kind := range index.Kinds() {
+			t.Run(fmt.Sprintf("trial=%d/%s", trial, kind), func(t *testing.T) {
+				res, err := Run(kindOf(t, kind, pts, params.Eps), params, Options{CollectSpecificCores: true})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if !covered {
-				t.Fatalf("cluster member %d outside every representative's ε-range", i)
-			}
+				for i := range pts {
+					id := res.Labels[i]
+					if id < 0 {
+						continue
+					}
+					covered := false
+					for _, s := range res.Scor[id] {
+						if e.Distance(pts[i], pts[s]) <= res.SpecificEps[s] {
+							covered = true
+							break
+						}
+					}
+					if !covered {
+						t.Fatalf("cluster member %d outside every representative's ε-range", i)
+					}
+				}
+			})
 		}
 	}
 }

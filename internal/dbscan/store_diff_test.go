@@ -65,9 +65,6 @@ func TestStorePipelineDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Build: %v", kind, err)
 			}
-			if index.StoreOf(builtIdx) == nil {
-				t.Fatalf("%s: Euclidean Build is not store-backed", kind)
-			}
 			want, err := dbscan.Run(builtIdx, params, opts)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: Build run: %v", kind, workers, err)

@@ -39,22 +39,20 @@ func blobSite(seed int64) *geom.Store {
 	return site
 }
 
-// plainCounter counts the queries that reach a store-backed index and the ids
-// they return. It forwards Index, IDRangeAppender and StoreBacked and nothing
-// else, so whatever it wraps, it offers Run no leaves.
+// plainCounter counts the queries that reach an index and the ids they
+// return. It forwards the Index interface and nothing else, so whatever it
+// wraps, it offers Run no leaves.
 type plainCounter struct {
 	index.Index
 	queries, ids atomic.Int64
 }
 
 func (c *plainCounter) RangeAppendID(i int, eps float64, buf []int) []int {
-	buf = c.Index.(index.IDRangeAppender).RangeAppendID(i, eps, buf)
+	buf = c.Index.RangeAppendID(i, eps, buf)
 	c.queries.Add(1)
 	c.ids.Add(int64(len(buf)))
 	return buf
 }
-
-func (c *plainCounter) Store() *geom.Store { return index.StoreOf(c.Index) }
 
 // leafCounter is plainCounter with the wrapped index's leaves on offer; the
 // unseen-aware queries and what they return are counted apart.
@@ -97,7 +95,7 @@ func TestExpansionLeavesOutTheSeen(t *testing.T) {
 	n, total := st.Len(), 0
 	var buf []int
 	for p := 0; p < n; p++ {
-		buf = index.RangeIntoID(tree, p, params.Eps, buf)
+		buf = tree.RangeAppendID(p, params.Eps, buf)
 		total += len(buf)
 	}
 

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,9 +16,10 @@ func bitsEq(a, b float64) bool {
 
 // TestStoreKernelsBitIdentical pins the core contract of the flat store:
 // DistanceSq and DistanceSqTo are bit-identical to the slice kernels they
-// replace, across dimensionalities, for ordinary coordinates. Bit identity —
-// not approximate equality — is what lets store-backed indexes produce
-// byte-identical clusterings.
+// replace, across dimensionalities, for ordinary coordinates, and the square
+// root of DistanceSq is Euclidean.Distance. Bit identity — not approximate
+// equality — is what lets store-backed indexes produce byte-identical
+// clusterings.
 func TestStoreKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := Euclidean{}
@@ -31,26 +33,32 @@ func TestStoreKernelsBitIdentical(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		st, err := FromPoints(pts)
-		if err != nil {
-			t.Fatalf("dim %d: FromPoints: %v", dim, err)
-		}
 		q := make(Point, dim)
 		for d := range q {
 			q[d] = (rng.Float64() - 0.5) * 100
 		}
-		for i := range pts {
-			if got, want := st.DistanceSqTo(i, q), e.DistanceSq(q, pts[i]); !bitsEq(got, want) {
-				t.Fatalf("dim %d: DistanceSqTo(%d, q) = %v, Euclidean.DistanceSq(q, p) = %v", dim, i, got, want)
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
+			st, err := FromPoints(pts)
+			if err != nil {
+				t.Fatalf("FromPoints: %v", err)
 			}
-			if got, want := st.DistanceSqTo(i, q), SquaredEuclidean(q, pts[i]); !bitsEq(got, want) {
-				t.Fatalf("dim %d: DistanceSqTo(%d, q) = %v, SquaredEuclidean(q, p) = %v", dim, i, got, want)
+			for i := range pts {
+				if got, want := st.DistanceSqTo(i, q), e.DistanceSq(q, pts[i]); !bitsEq(got, want) {
+					t.Fatalf("DistanceSqTo(%d, q) = %v, Euclidean.DistanceSq(q, p) = %v", i, got, want)
+				}
+				if got, want := st.DistanceSqTo(i, q), SquaredEuclidean(q, pts[i]); !bitsEq(got, want) {
+					t.Fatalf("DistanceSqTo(%d, q) = %v, SquaredEuclidean(q, p) = %v", i, got, want)
+				}
+				j := (i + 17) % len(pts)
+				if got, want := st.DistanceSq(i, j), e.DistanceSq(pts[i], pts[j]); !bitsEq(got, want) {
+					t.Fatalf("DistanceSq(%d, %d) = %v, Euclidean.DistanceSq = %v", i, j, got, want)
+				}
+				// The form OPTICS takes its distances in.
+				if got, want := math.Sqrt(st.DistanceSq(i, j)), e.Distance(pts[i], pts[j]); !bitsEq(got, want) {
+					t.Fatalf("sqrt(DistanceSq(%d, %d)) = %v, Euclidean.Distance = %v", i, j, got, want)
+				}
 			}
-			j := (i + 17) % len(pts)
-			if got, want := st.DistanceSq(i, j), e.DistanceSq(pts[i], pts[j]); !bitsEq(got, want) {
-				t.Fatalf("dim %d: DistanceSq(%d, %d) = %v, Euclidean.DistanceSq = %v", dim, i, j, got, want)
-			}
-		}
+		})
 	}
 }
 

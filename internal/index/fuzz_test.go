@@ -76,9 +76,9 @@ func FuzzBuildRejectsOrAgrees(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts, eps := fuzzPoints(data)
-		oracle, err := Build(KindLinear, pts, nil, eps)
+		oracle, err := Build(KindLinear, pts, geom.Euclidean{}, eps)
 		for _, kind := range Kinds() {
-			idx, kerr := Build(kind, pts, nil, eps)
+			idx, kerr := Build(kind, pts, geom.Euclidean{}, eps)
 			if (kerr == nil) != (err == nil) {
 				t.Fatalf("%s: build error %v, linear scan's %v", kind, kerr, err)
 			}
@@ -87,8 +87,8 @@ func FuzzBuildRejectsOrAgrees(f *testing.F) {
 			}
 			var want, got []int
 			for i := range pts {
-				want = RangeIntoID(oracle, i, eps, want)
-				got = RangeIntoID(idx, i, eps, got)
+				want = oracle.RangeAppendID(i, eps, want)
+				got = idx.RangeAppendID(i, eps, got)
 				if w, g := sortedInts(want), sortedInts(got); !reflect.DeepEqual(w, g) {
 					t.Fatalf("%s: id %d at ε %v: neighbours %v, linear scan %v", kind, i, eps, g, w)
 				}

@@ -45,27 +45,30 @@ func TestBuildAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomPoints(rng, 50, 2)
 	for _, kind := range Kinds() {
-		idx, err := Build(kind, pts, geom.Euclidean{}, 1.0)
-		if err != nil {
-			t.Fatalf("Build(%s) failed: %v", kind, err)
-		}
-		if idx.Len() != 50 {
-			t.Errorf("%s: Len = %d, want 50", kind, idx.Len())
-		}
-		if !idx.Point(7).Equal(pts[7]) {
-			t.Errorf("%s: Point(7) mismatch", kind)
-		}
+		t.Run(string(kind), func(t *testing.T) {
+			idx, err := Build(kind, pts, geom.Euclidean{}, 1.0)
+			if err != nil {
+				t.Fatalf("Build failed: %v", err)
+			}
+			if idx.Len() != 50 {
+				t.Errorf("Len = %d, want 50", idx.Len())
+			}
+			if !idx.Point(7).Equal(pts[7]) {
+				t.Error("Point(7) mismatch")
+			}
+		})
 	}
 }
 
 // TestBuildUnknownKind: a kind BuildStore does not know — a made-up name, or
-// "grid" and "kdtree", the two kinds the R*-tree replaced — is refused with
-// an error that names every kind there is, so the caller learns what to pass.
-// Kind names are matched exactly: "" and "RStar" are as unknown as "bogus".
+// "grid", "kdtree" and "mtree", the kinds the R*-tree replaced — is refused
+// with an error that names every kind there is, so the caller learns what to
+// pass. Kind names are matched exactly: "" and "RStar" are as unknown as
+// "bogus".
 func TestBuildUnknownKind(t *testing.T) {
-	for _, kind := range []Kind{"bogus", "grid", "kdtree", "", "RStar"} {
+	for _, kind := range []Kind{"bogus", "grid", "kdtree", "mtree", "", "RStar"} {
 		t.Run(fmt.Sprintf("%q", kind), func(t *testing.T) {
-			_, err := Build(kind, []geom.Point{{1, 2}}, nil, 1)
+			_, err := Build(kind, []geom.Point{{1, 2}}, geom.Euclidean{}, 1)
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -75,26 +78,6 @@ func TestBuildUnknownKind(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRStarRejectsNonEuclidean: every kind but the M-tree — linear scan and
-// R*-tree — answers under the Euclidean metric only, and
-// refuses any other from Build and BuildStore alike with an error naming the
-// kind.
-func TestRStarRejectsNonEuclidean(t *testing.T) {
-	st := testStore(50, 3)
-	for _, kind := range []Kind{KindLinear, KindRStar} {
-		for _, m := range []geom.Metric{geom.Manhattan{}, geom.Chebyshev{}, geom.Minkowski{P: 3}} {
-			t.Run(fmt.Sprintf("%s/%s", kind, m.Name()), func(t *testing.T) {
-				if _, err := BuildStore(kind, st, m, 1); err == nil || !strings.Contains(err.Error(), string(kind)) {
-					t.Fatalf("BuildStore: err = %v, want a refusal naming %s", err, kind)
-				}
-				if _, err := Build(kind, nil, m, 1); err == nil {
-					t.Fatal("Build over an empty set accepted the metric")
-				}
-			})
-		}
 	}
 }
 
@@ -142,74 +125,54 @@ func TestRangeAgreesWithLinear(t *testing.T) {
 	}
 }
 
-// Property: the M-tree, the one metric-space index, returns exactly the
-// brute-force ε-neighborhood under Manhattan, Chebyshev and Minkowski-3.
-func TestRangeNonEuclideanMetrics(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	metrics := []geom.Metric{geom.Manhattan{}, geom.Chebyshev{}, geom.Minkowski{P: 3}}
-	for _, m := range metrics {
-		pts := randomPoints(rng, 200, 2)
-		idx, err := Build(KindMTree, pts, m, 1.0)
-		if err != nil {
-			t.Fatalf("Build(%s, %s): %v", KindMTree, m.Name(), err)
-		}
-		for q := 0; q < 20; q++ {
-			query := pts[rng.Intn(len(pts))]
-			var want []int
-			for i, p := range pts {
-				if m.Distance(query, p) <= 1.0 {
-					want = append(want, i)
-				}
-			}
-			if got := sortedInts(idx.Range(query, 1.0)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%s: Range = %v, brute force %v", KindMTree, m.Name(), got, want)
-			}
-		}
-	}
-}
-
 func TestEmptyIndexes(t *testing.T) {
 	for _, kind := range Kinds() {
-		idx, err := Build(kind, nil, geom.Euclidean{}, 1)
-		if err != nil {
-			t.Fatalf("Build(%s) on empty: %v", kind, err)
-		}
-		if idx.Len() != 0 {
-			t.Errorf("%s: Len = %d", kind, idx.Len())
-		}
-		if got := idx.Range(geom.Point{0, 0}, 1); len(got) != 0 {
-			t.Errorf("%s: Range on empty = %v", kind, got)
-		}
+		t.Run(string(kind), func(t *testing.T) {
+			idx, err := Build(kind, nil, geom.Euclidean{}, 1)
+			if err != nil {
+				t.Fatalf("Build on empty: %v", err)
+			}
+			if idx.Len() != 0 {
+				t.Errorf("Len = %d", idx.Len())
+			}
+			if got := idx.Range(geom.Point{0, 0}, 1); len(got) != 0 {
+				t.Errorf("Range on empty = %v", got)
+			}
+		})
 	}
 }
 
 func TestSinglePointIndexes(t *testing.T) {
 	pts := []geom.Point{{1, 2}}
 	for _, kind := range Kinds() {
-		idx, err := Build(kind, pts, geom.Euclidean{}, 1)
-		if err != nil {
-			t.Fatalf("Build(%s): %v", kind, err)
-		}
-		if got := idx.Range(geom.Point{1, 2}, 0); !reflect.DeepEqual(got, []int{0}) {
-			t.Errorf("%s: self query = %v, want [0]", kind, got)
-		}
-		if got := idx.Range(geom.Point{5, 5}, 1); len(got) != 0 {
-			t.Errorf("%s: distant query = %v, want empty", kind, got)
-		}
+		t.Run(string(kind), func(t *testing.T) {
+			idx, err := Build(kind, pts, geom.Euclidean{}, 1)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			if got := idx.Range(geom.Point{1, 2}, 0); !reflect.DeepEqual(got, []int{0}) {
+				t.Errorf("self query = %v, want [0]", got)
+			}
+			if got := idx.Range(geom.Point{5, 5}, 1); len(got) != 0 {
+				t.Errorf("distant query = %v, want empty", got)
+			}
+		})
 	}
 }
 
 func TestDuplicatePoints(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {0, 0}, {0, 0}, {1, 1}}
 	for _, kind := range Kinds() {
-		idx, err := Build(kind, pts, geom.Euclidean{}, 0.5)
-		if err != nil {
-			t.Fatalf("Build(%s): %v", kind, err)
-		}
-		got := sortedInts(idx.Range(geom.Point{0, 0}, 0.1))
-		if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-			t.Errorf("%s: duplicates = %v, want [0 1 2]", kind, got)
-		}
+		t.Run(string(kind), func(t *testing.T) {
+			idx, err := Build(kind, pts, geom.Euclidean{}, 0.5)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			got := sortedInts(idx.Range(geom.Point{0, 0}, 0.1))
+			if !reflect.DeepEqual(got, []int{0, 1, 2}) {
+				t.Errorf("duplicates = %v, want [0 1 2]", got)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ func NewLinearStore(st *geom.Store) *Linear {
 	return &Linear{store: st}
 }
 
-// Store implements StoreBacked.
+// Store implements Index.
 func (l *Linear) Store() *geom.Store { return l.store }
 
 // Len implements Index.
@@ -26,15 +26,12 @@ func (l *Linear) Len() int { return l.store.Len() }
 // Point implements Index.
 func (l *Linear) Point(i int) geom.Point { return l.store.Point(i) }
 
-// Metric implements Index.
-func (l *Linear) Metric() geom.Metric { return geom.Euclidean{} }
-
 // Range implements Index.
 func (l *Linear) Range(q geom.Point, eps float64) []int {
 	return l.RangeAppend(q, eps, nil)
 }
 
-// RangeAppend implements RangeAppender. It is allocation-free when buf has
+// RangeAppend implements Index. It is allocation-free when buf has
 // capacity. The interval verification kernel streams the flat buffer and
 // thresholds in squared space in one pass — identical decisions to testing
 // rows one at a time.
@@ -42,7 +39,7 @@ func (l *Linear) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	return l.store.VerifyIntervalSq(q, 0, l.store.Len(), eps*eps, buf[:0])
 }
 
-// RangeAppendID implements IDRangeAppender: the query row's zero-copy view
+// RangeAppendID implements Index: the query row's zero-copy view
 // feeds the same scan as RangeAppend.
 func (l *Linear) RangeAppendID(i int, eps float64, buf []int) []int {
 	return l.RangeAppend(l.store.Point(i), eps, buf)

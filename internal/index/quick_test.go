@@ -46,67 +46,71 @@ func (pointCloud) Generate(rng *rand.Rand, size int) reflect.Value {
 // exactly the index-free oracle's ε-neighborhood on arbitrary generated clouds,
 // including duplicate-heavy and grid-aligned layouts.
 func TestQuickRangeOracle(t *testing.T) {
-	f := func(pc pointCloud) bool {
-		if pc.eps <= 0 {
-			pc.eps = 0.5
-		}
-		want := map[int]bool{}
-		for _, i := range oracleRange(pc.pts, pc.query, pc.eps) {
-			want[i] = true
-		}
-		for _, kind := range Kinds() {
-			idx, err := Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
-			if err != nil {
-				return false
-			}
-			got := idx.Range(pc.query, pc.eps)
-			if len(got) != len(want) {
-				return false
-			}
-			for _, i := range got {
-				if !want[i] {
+	for _, kind := range Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			f := func(pc pointCloud) bool {
+				if pc.eps <= 0 {
+					pc.eps = 0.5
+				}
+				want := map[int]bool{}
+				for _, i := range oracleRange(pc.pts, pc.query, pc.eps) {
+					want[i] = true
+				}
+				idx, err := Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
+				if err != nil {
 					return false
 				}
+				got := idx.Range(pc.query, pc.eps)
+				if len(got) != len(want) {
+					return false
+				}
+				for _, i := range got {
+					if !want[i] {
+						return false
+					}
+				}
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
 // Property: RangeAppend with a dirty reused buffer returns the same result
-// as a fresh Range for every buffer-capable index.
+// as a fresh Range for every index kind.
 func TestQuickRangeAppendReuse(t *testing.T) {
-	f := func(pc pointCloud) bool {
-		if pc.eps <= 0 {
-			pc.eps = 0.5
-		}
-		dirty := []int{99, 98, 97}
-		for _, kind := range []Kind{KindLinear, KindRStar} {
-			idx, err := Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
-			if err != nil {
-				return false
-			}
-			fresh := idx.Range(pc.query, pc.eps)
-			reused := RangeInto(idx, pc.query, pc.eps, dirty)
-			if len(fresh) != len(reused) {
-				return false
-			}
-			seen := map[int]bool{}
-			for _, i := range fresh {
-				seen[i] = true
-			}
-			for _, i := range reused {
-				if !seen[i] {
+	for _, kind := range Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			f := func(pc pointCloud) bool {
+				if pc.eps <= 0 {
+					pc.eps = 0.5
+				}
+				dirty := []int{99, 98, 97}
+				idx, err := Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
+				if err != nil {
 					return false
 				}
+				fresh := idx.Range(pc.query, pc.eps)
+				reused := idx.RangeAppend(pc.query, pc.eps, dirty)
+				if len(fresh) != len(reused) {
+					return false
+				}
+				seen := map[int]bool{}
+				for _, i := range fresh {
+					seen[i] = true
+				}
+				for _, i := range reused {
+					if !seen[i] {
+						return false
+					}
+				}
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

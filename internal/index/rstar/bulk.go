@@ -81,10 +81,6 @@ func (p *Packed) Len() int { return p.rows.Len() }
 // Point returns the point of id i as a view of the store's row.
 func (p *Packed) Point(i int) geom.Point { return p.rows.Point(i) }
 
-// Metric returns the Euclidean metric; the R*-tree prunes with Euclidean
-// bounding-box bounds only.
-func (p *Packed) Metric() geom.Metric { return geom.Euclidean{} }
-
 // Store returns the store the tree was built over: its ids are the store's
 // rows, for the tree's lifetime.
 func (p *Packed) Store() *geom.Store { return p.rows }
@@ -102,9 +98,9 @@ func (p *Packed) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	return p.rangeAppend(q, -1, eps, math.MaxInt, nil, buf)
 }
 
-// RangeAppendID implements index.IDRangeAppender: the query point is
-// addressed by object id and, at a radius the leaf table covers, the descent
-// starts from the leaves near its own.
+// RangeAppendID implements index.Index: the query point is addressed by
+// object id and, at a radius the leaf table covers, the descent starts from
+// the leaves near its own.
 func (p *Packed) RangeAppendID(i int, eps float64, buf []int) []int {
 	return p.rangeAppend(p.rows.Point(i), i, eps, math.MaxInt, nil, buf)
 }

@@ -42,9 +42,8 @@ type Tree struct {
 	// rows holds the points, slot i in row i; a leaf is a slice of slot ids,
 	// verified on the strided Store kernels. It is nil until the first point
 	// fixes the stride, for the tree's lifetime.
-	rows   *geom.Store
-	size   int
-	metric geom.Euclidean
+	rows *geom.Store
+	size int
 
 	// The write path's scratch, reused from call to call: path is the descent
 	// of the current insertEntry or Delete, root first; ext is chooseLeaf's
@@ -163,10 +162,6 @@ func (t *Tree) Len() int { return t.size }
 // Point returns the point in slot i as a view of the tree's row: current
 // until the next Insert, overwritten when ReplaceAt recycles the slot.
 func (t *Tree) Point(i int) geom.Point { return t.rows.Point(i) }
-
-// Metric returns the Euclidean metric; the R*-tree prunes with Euclidean
-// bounding-box bounds only.
-func (t *Tree) Metric() geom.Metric { return t.metric }
 
 func newRect(dim int) geom.Rect {
 	c := make([]float64, 2*dim)

@@ -402,19 +402,21 @@ func TestPackedRangeMatchesPointerWalk(t *testing.T) {
 		{"n=33", randomPoints(rng, 33, 2), [3]float64{0.5, 3, 40}},
 	}
 	for _, c := range cases {
-		tr, err := NewBulkStore(storeOf(t, c.pts), DefaultMaxEntries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf []int
-		for _, eps := range c.eps {
-			for id := range c.pts {
-				buf = tr.RangeAppendID(id, eps, buf)
-				if want := levelWalk(tr, c.pts[id], eps); !slices.Equal(buf, want) {
-					t.Fatalf("%s: id %d eps %v: packed %v, level walk %v", c.name, id, eps, buf, want)
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := NewBulkStore(storeOf(t, c.pts), DefaultMaxEntries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []int
+			for _, eps := range c.eps {
+				for id := range c.pts {
+					buf = tr.RangeAppendID(id, eps, buf)
+					if want := levelWalk(tr, c.pts[id], eps); !slices.Equal(buf, want) {
+						t.Fatalf("id %d eps %v: packed %v, level walk %v", id, eps, buf, want)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

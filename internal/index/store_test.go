@@ -23,56 +23,39 @@ func testStore(n int, seed int64) *geom.Store {
 }
 
 // TestEuclideanBuildIsStoreBacked pins the invariant this package enforces:
-// a Euclidean (or nil-metric) Build from a point slice copies once into a
-// store and answers query for query — ids and order — like BuildStore over
-// the same rows; BuildStore retains the very store it was handed; the M-tree,
-// the one kind that takes another metric, exposes no store under it, however
-// it was built.
+// a Build from a point slice copies once into a store and answers query for
+// query — ids and order — like BuildStore over the same rows, and BuildStore
+// retains the very store it was handed.
 func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 	st := testStore(400, 8)
 	pts := st.Views()
 	const eps = 2.5
 	for _, kind := range Kinds() {
-		storeIdx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
-		if err != nil {
-			t.Fatalf("%s: BuildStore: %v", kind, err)
-		}
-		if got := StoreOf(storeIdx); got != st {
-			t.Errorf("%s: StoreOf = %p, want the build store %p", kind, got, st)
-		}
-		for _, m := range []geom.Metric{geom.Euclidean{}, nil} {
-			idx, err := Build(kind, pts, m, eps)
+		t.Run(string(kind), func(t *testing.T) {
+			storeIdx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
 			if err != nil {
-				t.Fatalf("%s: Build: %v", kind, err)
+				t.Fatalf("BuildStore: %v", err)
 			}
-			if got := StoreOf(idx); got == nil || got == st || got.Len() != st.Len() {
-				t.Fatalf("%s: Euclidean Build is not backed by its own copy of the points (StoreOf = %p)", kind, got)
+			if got := storeIdx.Store(); got != st {
+				t.Errorf("Store = %p, want the build store %p", got, st)
+			}
+			idx, err := Build(kind, pts, geom.Euclidean{}, eps)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			if got := idx.Store(); got == nil || got == st || got.Len() != st.Len() {
+				t.Fatalf("Build is not backed by its own copy of the points (Store = %p)", got)
 			}
 			for i := 0; i < st.Len(); i += 37 {
 				want := storeIdx.Range(st.Point(i), eps)
 				if got := idx.Range(pts[i], eps); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: Range differs from BuildStore at query %d: %v vs %v", kind, i, got, want)
+					t.Fatalf("Range differs from BuildStore at query %d: %v vs %v", i, got, want)
 				}
-				if got := RangeIntoID(idx, i, eps, nil); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: RangeIntoID differs from BuildStore at query %d: %v vs %v", kind, i, got, want)
+				if got := idx.RangeAppendID(i, eps, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("RangeAppendID differs from BuildStore at query %d: %v vs %v", i, got, want)
 				}
 			}
-		}
-		if kind != KindMTree {
-			continue // Euclidean-only, see TestRStarRejectsNonEuclidean
-		}
-		for _, build := range []func() (Index, error){
-			func() (Index, error) { return Build(kind, pts, geom.Manhattan{}, eps) },
-			func() (Index, error) { return BuildStore(kind, st, geom.Manhattan{}, eps) },
-		} {
-			idx, err := build()
-			if err != nil {
-				t.Fatalf("%s: manhattan build: %v", kind, err)
-			}
-			if StoreOf(idx) != nil {
-				t.Errorf("%s: StoreOf exposed a store under a non-Euclidean metric", kind)
-			}
-		}
+		})
 	}
 }
 
@@ -89,7 +72,9 @@ func TestRangeEpsBoundary(t *testing.T) {
 		{1e-8, 0}, {0.6, 0.8}, {1 + 0.1 + 0.2, 0}, {1.3, 0},
 	}
 	radii := []float64{5, 10, 0.3, 0.1 + 0.2, 1, math.Sqrt(0.05), 1e-8}
-	check := func(t *testing.T, idx Index, pts []geom.Point) {
+	check := func(t *testing.T, idx interface {
+		Range(geom.Point, float64) []int
+	}, pts []geom.Point) {
 		t.Helper()
 		for _, eps := range radii {
 			for i, q := range pts {
@@ -97,7 +82,11 @@ func TestRangeEpsBoundary(t *testing.T) {
 				if got := sortedInts(idx.Range(q, eps)); !reflect.DeepEqual(got, want) {
 					t.Errorf("eps=%v query %d %v: got %v, oracle %v", eps, i, q, got, want)
 				}
-				if got := sortedInts(RangeIntoID(idx, i, eps, nil)); !reflect.DeepEqual(got, want) {
+				static, ok := idx.(Index)
+				if !ok {
+					continue
+				}
+				if got := sortedInts(static.RangeAppendID(i, eps, nil)); !reflect.DeepEqual(got, want) {
 					t.Errorf("eps=%v by-id query %d %v: got %v, oracle %v", eps, i, q, got, want)
 				}
 			}
@@ -125,12 +114,10 @@ func TestRangeEpsBoundary(t *testing.T) {
 	})
 }
 
-// TestBuildRejectsMalformedInput: no input makes any kind panic under any
-// metric. An empty set builds an empty index; mixed- and zero-dimensional
-// input and a NaN or ±Inf coordinate are an error from every kind under every
-// metric, and a non-finite coordinate's error names its row. The input is
-// checked before the metric, so a Euclidean-only kind refuses a non-Euclidean
-// metric only where the input passes.
+// TestBuildRejectsMalformedInput: no input makes any kind panic. An empty
+// set builds an empty index; mixed- and zero-dimensional input and a NaN or
+// ±Inf coordinate are an error from every kind, and a non-finite coordinate's
+// error names its row.
 func TestBuildRejectsMalformedInput(t *testing.T) {
 	inputs := []struct {
 		name    string
@@ -145,39 +132,33 @@ func TestBuildRejectsMalformedInput(t *testing.T) {
 		{"inf", []geom.Point{{0, 0}, {1, math.Inf(1)}, {1, 1}}, "row 1"},
 	}
 	for _, kind := range Kinds() {
-		for _, m := range []geom.Metric{geom.Euclidean{}, geom.Manhattan{}} {
-			for _, in := range inputs {
-				t.Run(fmt.Sprintf("%s/%s/%s", kind, m.Name(), in.name), func(t *testing.T) {
-					idx, err := Build(kind, in.pts, m, 1)
-					wantErr := in.wantErr
-					if wantErr == "" && kind != KindMTree && m.Name() != "euclidean" {
-						wantErr = "only the Euclidean metric"
+		for _, in := range inputs {
+			t.Run(fmt.Sprintf("%s/%s", kind, in.name), func(t *testing.T) {
+				idx, err := Build(kind, in.pts, geom.Euclidean{}, 1)
+				if in.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), in.wantErr) {
+						t.Fatalf("err = %v, want one containing %q", err, in.wantErr)
 					}
-					if wantErr != "" {
-						if err == nil || !strings.Contains(err.Error(), wantErr) {
-							t.Fatalf("err = %v, want one containing %q", err, wantErr)
-						}
-						return
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if idx.Len() != len(in.pts) {
-						t.Fatalf("Len = %d, want %d", idx.Len(), len(in.pts))
-					}
-					if got := idx.Range(geom.Point{0, 0}, 0.5); len(got) != 0 {
-						t.Fatalf("Range on empty = %v", got)
-					}
-				})
-			}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if idx.Len() != len(in.pts) {
+					t.Fatalf("Len = %d, want %d", idx.Len(), len(in.pts))
+				}
+				if got := idx.Range(geom.Point{0, 0}, 0.5); len(got) != 0 {
+					t.Fatalf("Range on empty = %v", got)
+				}
+			})
 		}
 	}
 }
 
-// TestStoreDemotionOnDelete: a deletion leaves a store with a row the index
-// no longer holds, so the one kind that deletes — the dynamic R*-tree — must
-// never advertise a store, must stop returning the deleted id and must keep
-// returning its neighbours.
+// TestStoreDemotionOnDelete: a deletion leaves a store with a row the tree
+// no longer holds, so the one tree that deletes — the dynamic R*-tree — is
+// no Index (it has no store to offer, nor leaves), must stop returning the
+// deleted id and must keep returning its neighbours.
 func TestStoreDemotionOnDelete(t *testing.T) {
 	pts := make([]geom.Point, 100)
 	for i := range pts {
@@ -190,8 +171,11 @@ func TestStoreDemotionOnDelete(t *testing.T) {
 	if err := rt.Delete(7); err != nil {
 		t.Fatal(err)
 	}
-	if StoreOf(rt) != nil {
-		t.Error("rstar: dynamic tree advertises a store after a delete")
+	if _, ok := any(rt).(Index); ok {
+		t.Error("rstar: the dynamic tree is an Index")
+	}
+	if _, ok := any(rt).(UnseenRangeAppender); ok {
+		t.Error("rstar: the dynamic tree offers leaves")
 	}
 	if rt.Len() != 99 {
 		t.Errorf("rstar: Len %d after one delete of 100", rt.Len())
@@ -202,58 +186,39 @@ func TestStoreDemotionOnDelete(t *testing.T) {
 	}
 }
 
-// TestDemotedTreeReportsNoLeaves: a tree that can be mutated never offers
-// leaves — incremental DBSCAN and the streaming site hold the dynamic R*-tree
-// — so its unseen-aware query is the plain one, before and after each
-// mutation, whatever counts the caller still holds from a static tree over
-// the same rows.
-func TestDemotedTreeReportsNoLeaves(t *testing.T) {
+// TestStaleLeafCounts: the unseen-aware query of a packed tree leaves out
+// what the caller's counts say it has seen — with every leaf exhausted it
+// returns less than the plain query — and an index without leaves, the
+// linear scan, offers none and answers the plain query whatever counts the
+// caller holds.
+func TestStaleLeafCounts(t *testing.T) {
 	st := testStore(400, 5)
 	const eps = 3.0
-	packed, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leafOf, leaves := LeavesOf(packed)
-	if len(leafOf) != st.Len() || leaves < 2 {
-		t.Fatalf("packed tree offers %d leaves over %d ids", leaves, len(leafOf))
-	}
-	stale := make([]int32, leaves) // every leaf exhausted
-	if got, want := RangeIntoIDUnseen(packed, 3, eps, 1, stale, nil), RangeIntoID(packed, 3, eps, nil); len(got) >= len(want) {
-		t.Fatalf("packed tree: unseen-aware %v, plain %v: the stale counts leave nothing out", got, want)
-	}
-	rows := map[string]func(tr *rstar.Tree) error{
-		"rstar/Insert": func(tr *rstar.Tree) error { return tr.Insert(geom.Point{1, 1}) },
-		"rstar/Delete": func(tr *rstar.Tree) error { return tr.Delete(17) },
-		"rstar/ReplaceAt": func(tr *rstar.Tree) error {
-			if err := tr.Delete(17); err != nil {
-				return err
-			}
-			return tr.ReplaceAt(17, geom.Point{2, 2})
-		},
-	}
-	for name, mutate := range rows {
-		t.Run(name, func(t *testing.T) {
-			idx, err := rstar.New(st.Views())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, stage := range []string{"before", "after"} {
-				if stage == "after" {
-					if err := mutate(idx); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if leafOf, leaves := LeavesOf(idx); leafOf != nil || leaves != 0 {
-					t.Fatalf("%s the mutation the tree offers %d leaves", stage, leaves)
-				}
-				got := RangeIntoIDUnseen(idx, 3, eps, 1, stale, nil)
-				if want := RangeIntoID(idx, 3, eps, nil); !reflect.DeepEqual(got, want) || len(want) < 2 {
-					t.Fatalf("%s the mutation unseen-aware %v, plain %v", stage, got, want)
-				}
-			}
-		})
-	}
+	t.Run("rstar", func(t *testing.T) {
+		packed, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leafOf, leaves := LeavesOf(packed)
+		if len(leafOf) != st.Len() || leaves < 2 {
+			t.Fatalf("packed tree offers %d leaves over %d ids", leaves, len(leafOf))
+		}
+		stale := make([]int32, leaves) // every leaf exhausted
+		if got, want := RangeIntoIDUnseen(packed, 3, eps, 1, stale, nil), packed.RangeAppendID(3, eps, nil); len(got) >= len(want) {
+			t.Fatalf("unseen-aware %v, plain %v: the stale counts leave nothing out", got, want)
+		}
+	})
+	t.Run("linear", func(t *testing.T) {
+		linear := NewLinearStore(st)
+		if leafOf, leaves := LeavesOf(linear); leafOf != nil || leaves != 0 {
+			t.Fatalf("linear scan offers %d leaves", leaves)
+		}
+		stale := make([]int32, 64) // counts the caller holds for some other index
+		got := RangeIntoIDUnseen(linear, 3, eps, 1, stale, nil)
+		if want := linear.RangeAppendID(3, eps, nil); !reflect.DeepEqual(got, want) || len(want) < 2 {
+			t.Fatalf("unseen-aware %v, plain %v", got, want)
+		}
+	})
 }
 
 // TestBulkLoadAllocs gates the packed STR build: a handful of arrays per
@@ -294,41 +259,48 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexes := map[string]Index{"rstar/descent": descent}
+	type named struct {
+		name string
+		idx  Index
+	}
+	indexes := []named{{"rstar/descent", descent}}
 	for _, kind := range Kinds() {
 		idx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
 		if err != nil {
 			t.Fatalf("%s: BuildStore: %v", kind, err)
 		}
-		indexes[string(kind)] = idx
+		indexes = append(indexes, named{string(kind), idx})
 	}
-	for name, idx := range indexes {
-		leafOf, leaves := LeavesOf(idx)
-		if (leafOf != nil) != strings.HasPrefix(name, "rstar") {
-			t.Fatalf("%s: leaves on offer: %v", name, leafOf != nil)
-		}
-		var unseen []int32
-		if leafOf != nil {
-			unseen = make([]int32, leaves)
-			for i := range unseen {
-				unseen[i] = int32(i % 2)
+	for _, x := range indexes {
+		name, idx := x.name, x.idx
+		t.Run(name, func(t *testing.T) {
+			leafOf, leaves := LeavesOf(idx)
+			if (leafOf != nil) != strings.HasPrefix(name, "rstar") {
+				t.Fatalf("leaves on offer: %v", leafOf != nil)
 			}
-		}
-		buf := make([]int, 0, st.Len()) // steady-state capacity up front
-		q, returned := 0, [2]int{}
-		allocs := testing.AllocsPerRun(100, func() {
-			buf = RangeInto(idx, st.Point(q%st.Len()), eps, buf)
-			buf = RangeIntoID(idx, q%st.Len(), eps, buf)
-			returned[0] += len(buf)
-			buf = RangeIntoIDUnseen(idx, q%st.Len(), eps, 4, unseen, buf)
-			returned[1] += len(buf)
-			q += 131
+			var unseen []int32
+			if leafOf != nil {
+				unseen = make([]int32, leaves)
+				for i := range unseen {
+					unseen[i] = int32(i % 2)
+				}
+			}
+			buf := make([]int, 0, st.Len()) // steady-state capacity up front
+			q, returned := 0, [2]int{}
+			allocs := testing.AllocsPerRun(100, func() {
+				buf = idx.RangeAppend(st.Point(q%st.Len()), eps, buf)
+				buf = idx.RangeAppendID(q%st.Len(), eps, buf)
+				returned[0] += len(buf)
+				buf = RangeIntoIDUnseen(idx, q%st.Len(), eps, 4, unseen, buf)
+				returned[1] += len(buf)
+				q += 131
+			})
+			if allocs != 0 {
+				t.Errorf("%.1f allocs per three range queries, want 0", allocs)
+			}
+			if (returned[1] < returned[0]) != (leafOf != nil) {
+				t.Errorf("%d ids from the plain queries, %d from the unseen-aware ones", returned[0], returned[1])
+			}
 		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per three store-backed range queries, want 0", name, allocs)
-		}
-		if (returned[1] < returned[0]) != (leafOf != nil) {
-			t.Errorf("%s: %d ids from the plain queries, %d from the unseen-aware ones", name, returned[0], returned[1])
-		}
 	}
 }

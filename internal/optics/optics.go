@@ -47,7 +47,7 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 		return nil, err
 	}
 	n := idx.Len()
-	metric := idx.Metric()
+	st := idx.Store()
 	res := &Result{Params: params, Order: make([]Entry, 0, n)}
 	processed := make([]bool, n)
 	reach := make([]float64, n)
@@ -65,7 +65,7 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 		// neighborhood includes p itself at distance zero).
 		dists = dists[:0]
 		for _, q := range neighbors {
-			dists = append(dists, metric.Distance(idx.Point(p), idx.Point(q)))
+			dists = append(dists, math.Sqrt(st.DistanceSq(p, q)))
 		}
 		return kthSmallest(dists, params.MinPts-1)
 	}
@@ -79,12 +79,12 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 		}
 		// Expand a new connected component from start.
 		processed[start] = true
-		nbuf = index.RangeIntoID(idx, start, params.Eps, nbuf)
+		nbuf = idx.RangeAppendID(start, params.Eps, nbuf)
 		cd := coreDist(start, nbuf)
 		res.Order = append(res.Order, Entry{Object: start, Reachability: Undefined, CoreDist: cd})
 		seeds = seeds[:0]
 		if cd != Undefined {
-			update(idx, metric, start, cd, nbuf, processed, reach, &seeds)
+			update(st, start, cd, nbuf, processed, reach, &seeds)
 		}
 		for seeds.Len() > 0 {
 			q := heap.Pop(&seeds).(seedItem)
@@ -92,7 +92,7 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 				continue
 			}
 			processed[q.object] = true
-			qNeighbors := index.RangeIntoID(idx, q.object, params.Eps, nbuf)
+			qNeighbors := idx.RangeAppendID(q.object, params.Eps, nbuf)
 			nbuf = qNeighbors
 			qcd := coreDist(q.object, qNeighbors)
 			res.Order = append(res.Order, Entry{
@@ -101,7 +101,7 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 				CoreDist:     qcd,
 			})
 			if qcd != Undefined {
-				update(idx, metric, q.object, qcd, qNeighbors, processed, reach, &seeds)
+				update(st, q.object, qcd, qNeighbors, processed, reach, &seeds)
 			}
 		}
 	}
@@ -110,12 +110,12 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 
 // update relaxes the reachability of the unprocessed neighbors of the core
 // object p and pushes them into the seed queue.
-func update(idx index.Index, metric geom.Metric, p int, coreDist float64, neighbors []int, processed []bool, reach []float64, seeds *seedQueue) {
+func update(st *geom.Store, p int, coreDist float64, neighbors []int, processed []bool, reach []float64, seeds *seedQueue) {
 	for _, q := range neighbors {
 		if processed[q] {
 			continue
 		}
-		newReach := math.Max(coreDist, metric.Distance(idx.Point(p), idx.Point(q)))
+		newReach := math.Max(coreDist, math.Sqrt(st.DistanceSq(p, q)))
 		if newReach < reach[q] {
 			reach[q] = newReach
 			heap.Push(seeds, seedItem{object: q, reach: newReach})

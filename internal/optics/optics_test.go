@@ -1,6 +1,7 @@
 package optics
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,6 +16,16 @@ func linearOf(pts []geom.Point) index.Index {
 	idx, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, 0)
 	if err != nil {
 		panic(err)
+	}
+	return idx
+}
+
+// kindOf builds an index of kind over pts for queries at eps.
+func kindOf(t *testing.T, kind index.Kind, pts []geom.Point, eps float64) index.Index {
+	t.Helper()
+	idx, err := index.Build(kind, pts, geom.Euclidean{}, eps)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return idx
 }
@@ -39,19 +50,24 @@ func TestRunValidation(t *testing.T) {
 func TestOrderingCoversAllObjectsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomClustered(rng, 3, 60)
-	res, err := Run(linearOf(pts), dbscan.Params{Eps: 2, MinPts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Order) != len(pts) {
-		t.Fatalf("ordering has %d entries for %d objects", len(res.Order), len(pts))
-	}
-	seen := make([]bool, len(pts))
-	for _, e := range res.Order {
-		if seen[e.Object] {
-			t.Fatalf("object %d ordered twice", e.Object)
-		}
-		seen[e.Object] = true
+	params := dbscan.Params{Eps: 2, MinPts: 5}
+	for _, kind := range index.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			res, err := Run(kindOf(t, kind, pts, params.Eps), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Order) != len(pts) {
+				t.Fatalf("ordering has %d entries for %d objects", len(res.Order), len(pts))
+			}
+			seen := make([]bool, len(pts))
+			for _, e := range res.Order {
+				if seen[e.Object] {
+					t.Fatalf("object %d ordered twice", e.Object)
+				}
+				seen[e.Object] = true
+			}
+		})
 	}
 }
 
@@ -66,23 +82,28 @@ func TestReachabilityValleys(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		pts = append(pts, geom.Point{30 + rng.NormFloat64()*0.2, rng.NormFloat64() * 0.2})
 	}
-	res, err := Run(linearOf(pts), dbscan.Params{Eps: 100, MinPts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reach := res.Reachabilities()
-	// Count positions where reachability jumps above 10 (the inter-blob
-	// gap dominates the intra-blob distances ~0.2).
-	jumps := 0
-	for _, r := range reach {
-		if r > 10 {
-			jumps++
-		}
-	}
-	// The first object has Undefined (> 10); the second blob is entered
-	// through one more jump. Everything else must be small.
-	if jumps != 2 {
-		t.Fatalf("expected exactly 2 large reachabilities, got %d", jumps)
+	params := dbscan.Params{Eps: 100, MinPts: 5}
+	for _, kind := range index.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			res, err := Run(kindOf(t, kind, pts, params.Eps), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reach := res.Reachabilities()
+			// Count positions where reachability jumps above 10 (the
+			// inter-blob gap dominates the intra-blob distances ~0.2).
+			jumps := 0
+			for _, r := range reach {
+				if r > 10 {
+					jumps++
+				}
+			}
+			// The first object has Undefined (> 10); the second blob is
+			// entered through one more jump. Everything else must be small.
+			if jumps != 2 {
+				t.Fatalf("expected exactly 2 large reachabilities, got %d", jumps)
+			}
+		})
 	}
 }
 
@@ -101,45 +122,51 @@ func TestExtractDBSCANMatchesDBSCAN(t *testing.T) {
 		minPts := 4 + rng.Intn(3)
 		epsGen := 3.0
 		epsPrime := 0.8 + rng.Float64()
-		opt, err := Run(linearOf(pts), dbscan.Params{Eps: epsGen, MinPts: minPts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		extracted := opt.ExtractDBSCAN(epsPrime)
 		direct, err := dbscan.Run(linearOf(pts), dbscan.Params{Eps: epsPrime, MinPts: minPts}, dbscan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Compare on core objects of the direct run.
-		var exCore, dirCore cluster.Labeling
-		for i := range pts {
-			if direct.Core[i] {
-				exCore = append(exCore, extracted[i])
-				dirCore = append(dirCore, direct.Labels[i])
-			}
-		}
-		if !exCore.EquivalentTo(dirCore) {
-			t.Fatalf("core partitions differ (minPts=%d epsPrime=%v)", minPts, epsPrime)
-		}
-		// Noise must agree exactly: noise objects have no core within eps'.
-		for i := range pts {
-			wantNoise := direct.Labels[i] == cluster.Noise
-			gotNoise := extracted[i] == cluster.Noise
-			if wantNoise != gotNoise {
-				// A border object can be claimed by different clusters but
-				// never flip between noise and cluster: check directly.
-				hasCore := false
-				for j := range pts {
-					if direct.Core[j] && e.Distance(pts[i], pts[j]) <= epsPrime {
-						hasCore = true
-						break
+		for _, kind := range index.Kinds() {
+			t.Run(fmt.Sprintf("trial=%d/%s", trial, kind), func(t *testing.T) {
+				opt, err := Run(kindOf(t, kind, pts, epsGen), dbscan.Params{Eps: epsGen, MinPts: minPts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				extracted := opt.ExtractDBSCAN(epsPrime)
+				// Compare on core objects of the direct run.
+				var exCore, dirCore cluster.Labeling
+				for i := range pts {
+					if direct.Core[i] {
+						exCore = append(exCore, extracted[i])
+						dirCore = append(dirCore, direct.Labels[i])
 					}
 				}
-				if hasCore == gotNoise {
-					t.Fatalf("object %d: extracted noise=%v but has core in reach=%v",
-						i, gotNoise, hasCore)
+				if !exCore.EquivalentTo(dirCore) {
+					t.Fatalf("core partitions differ (minPts=%d epsPrime=%v)", minPts, epsPrime)
 				}
-			}
+				// Noise must agree exactly: noise objects have no core
+				// within eps'.
+				for i := range pts {
+					wantNoise := direct.Labels[i] == cluster.Noise
+					gotNoise := extracted[i] == cluster.Noise
+					if wantNoise != gotNoise {
+						// A border object can be claimed by different
+						// clusters but never flip between noise and
+						// cluster: check directly.
+						hasCore := false
+						for j := range pts {
+							if direct.Core[j] && e.Distance(pts[i], pts[j]) <= epsPrime {
+								hasCore = true
+								break
+							}
+						}
+						if hasCore == gotNoise {
+							t.Fatalf("object %d: extracted noise=%v but has core in reach=%v",
+								i, gotNoise, hasCore)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -148,17 +175,21 @@ func TestExtractAtGeneratingEps(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := randomClustered(rng, 3, 50)
 	params := dbscan.Params{Eps: 1.5, MinPts: 5}
-	opt, err := Run(linearOf(pts), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extracted := opt.ExtractDBSCAN(params.Eps)
 	direct, err := dbscan.Run(linearOf(pts), params, dbscan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if extracted.NumClusters() != direct.NumClusters() {
-		t.Fatalf("cluster counts differ: %d vs %d", extracted.NumClusters(), direct.NumClusters())
+	for _, kind := range index.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			opt, err := Run(kindOf(t, kind, pts, params.Eps), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			extracted := opt.ExtractDBSCAN(params.Eps)
+			if extracted.NumClusters() != direct.NumClusters() {
+				t.Fatalf("cluster counts differ: %d vs %d", extracted.NumClusters(), direct.NumClusters())
+			}
+		})
 	}
 }
 
@@ -170,17 +201,22 @@ func TestHierarchyMonotonic(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		pts = append(pts, geom.Point{rng.Float64() * 60, rng.Float64() * 60})
 	}
-	opt, err := Run(linearOf(pts), dbscan.Params{Eps: 10, MinPts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := []float64{0.3, 0.6, 1.0, 2.0, 4.0, 8.0}
-	var noiseCounts []int
-	for _, c := range cuts {
-		noiseCounts = append(noiseCounts, opt.ExtractDBSCAN(c).NumNoise())
-	}
-	if !sort.SliceIsSorted(noiseCounts, func(i, j int) bool { return noiseCounts[i] > noiseCounts[j] }) {
-		t.Fatalf("noise counts not non-increasing over eps cuts: %v", noiseCounts)
+	params := dbscan.Params{Eps: 10, MinPts: 5}
+	for _, kind := range index.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			opt, err := Run(kindOf(t, kind, pts, params.Eps), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := []float64{0.3, 0.6, 1.0, 2.0, 4.0, 8.0}
+			var noiseCounts []int
+			for _, c := range cuts {
+				noiseCounts = append(noiseCounts, opt.ExtractDBSCAN(c).NumNoise())
+			}
+			if !sort.SliceIsSorted(noiseCounts, func(i, j int) bool { return noiseCounts[i] > noiseCounts[j] }) {
+				t.Fatalf("noise counts not non-increasing over eps cuts: %v", noiseCounts)
+			}
+		})
 	}
 }
 

@@ -194,7 +194,7 @@ func (s *site) clusterLocally(pts []geom.Point, params dbscan.Params) error {
 		if local.Labels[v] < 0 {
 			continue
 		}
-		nbuf = index.RangeInto(idx, view[v], params.Eps, nbuf)
+		nbuf = idx.RangeAppend(view[v], params.Eps, nbuf)
 		for _, w := range nbuf {
 			if w < len(s.own) && local.Core[w] {
 				s.labels[gi] = assign(local.Labels[w])
@@ -272,7 +272,7 @@ func merge(pts []geom.Point, params dbscan.Params, sites []*site, res *Result, p
 		if !s.core[b.global] {
 			continue
 		}
-		nbuf = index.RangeInto(bIdx, bPts[i], params.Eps, nbuf)
+		nbuf = bIdx.RangeAppend(bPts[i], params.Eps, nbuf)
 		for _, j := range nbuf {
 			o := boundary[j]
 			if o.siteID == b.siteID {
@@ -289,7 +289,7 @@ func merge(pts []geom.Point, params dbscan.Params, sites []*site, res *Result, p
 		if sites[b.siteID].labels[b.global] != cluster.Noise {
 			continue
 		}
-		nbuf = index.RangeInto(bIdx, bPts[i], params.Eps, nbuf)
+		nbuf = bIdx.RangeAppend(bPts[i], params.Eps, nbuf)
 		for _, j := range nbuf {
 			o := boundary[j]
 			if o.siteID != b.siteID && sites[o.siteID].core[o.global] {

@@ -212,17 +212,17 @@ func (s *Site) Flush() error {
 	return s.upload(s.inc.Labels())
 }
 
-// windowIndex is the live window as an index in arrival order: rows, store
-// and metric from a window-order store copy of the points, by-id range
-// queries from the incremental clusterer's tree, its slots translated to
-// window positions.
+// windowIndex is the live window as an index in arrival order: rows and
+// store from a window-order store copy of the points, by-id range queries
+// from the incremental clusterer's tree, its slots translated to window
+// positions.
 type windowIndex struct {
 	*index.Linear
 	site *Site
 	pos  []int // slot → window position
 }
 
-// RangeAppendID implements index.IDRangeAppender.
+// RangeAppendID implements index.Index.
 func (w *windowIndex) RangeAppendID(i int, eps float64, buf []int) []int {
 	buf = w.site.inc.RangeSlot(w.site.slot(i), eps, buf)
 	for k, slot := range buf {
