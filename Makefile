@@ -45,38 +45,50 @@ gofmt:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test -short -count=1 ./...
 
+# The guards below each run one git grep over the working tree, untracked
+# files included, and end in $(call verdict,MESSAGE): exit status 1 (no
+# match) passes, a match fails with MESSAGE, and so does a git grep error
+# (status above 1) — a search that did not run never reads as a clean one.
+verdict = s=$$?; test $$s -eq 1 || { echo '$@: $(1)'; test $$s -eq 0 || echo "$@: git grep failed with status $$s"; exit 1; }
+
 # Every static index is a permutation, spans and a descent (the internal/index
 # package comment): no per-query scratch to pool, nothing to materialise once.
 # And every kind has one query arm, the store kernels, under the one metric the
-# pipeline knows, the Euclidean. Fails if a non-test file under internal/index
-# mentions sync.Pool or sync.Once or calls a metric's Distance, or a non-test
-# Go file outside bench/ mentions geom.Metric or calls a .Metric() method.
+# pipeline knows, the Euclidean. And the pipeline has one access method, the
+# R*-tree: the linear scan is the tests' oracle. Fails if a non-test file under
+# internal/index mentions sync.Pool or sync.Once or calls a metric's Distance,
+# or a non-test Go file outside bench/ mentions geom.Metric or calls a
+# .Metric() method, or one outside internal/index and bench/ names KindLinear
+# or NewLinearStore.
 index-guard:
-	@! grep -rnE 'sync\.(Pool|Once)' --include='*.go' --exclude='*_test.go' internal/index \
-		|| { echo 'index-guard: sync.Pool or sync.Once under internal/index'; exit 1; }
-	@! grep -rnE '\.Distance\(' --include='*.go' --exclude='*_test.go' internal/index \
-		|| { echo 'index-guard: a Distance call under internal/index'; exit 1; }
-	@! git grep --untracked -nE 'geom\.Metric\b|\.Metric\(\)' -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' \
-		|| { echo 'index-guard: geom.Metric or a .Metric() call outside bench/'; exit 1; }
+	@git grep --untracked -nE 'sync\.(Pool|Once)' -- 'internal/index/*.go' ':(exclude)*_test.go'; \
+		$(call verdict,sync.Pool or sync.Once under internal/index)
+	@git grep --untracked -nE '\.Distance\(' -- 'internal/index/*.go' ':(exclude)*_test.go'; \
+		$(call verdict,a Distance call under internal/index)
+	@git grep --untracked -nE 'geom\.Metric\b|\.Metric\(\)' -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*'; \
+		$(call verdict,geom.Metric or a .Metric() call outside bench/)
+	@git grep --untracked -nE '\b(KindLinear|NewLinearStore)\b' -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' \
+		':(exclude)internal/index/*'; \
+		$(call verdict,the linear scan selected outside internal/index and bench/)
 
 # Every server runs one connection lifecycle, transport.ConnLoop
 # (internal/transport/loop.go): accept, one handler per connection, close when
-# the handler returns. Fails if a non-test Go file anywhere else, faultnet's
+# the handler returns. Fails if a non-test Go file outside bench/, faultnet's
 # scripted listener aside, calls Accept or sets a listener deadline (declares
 # a listener SetDeadline, or reaches for a concrete TCP/Unix listener).
 conn-guard:
-	@! git ls-files -co --exclude-standard '*.go' ':(exclude)*_test.go' ':(exclude)internal/faultnet/*' \
-		':(exclude)internal/transport/loop.go' \
-		| xargs grep -nE '\.Accept\(\)|SetDeadline\((t )?time\.Time\) error|\*net\.(TCP|Unix)Listener' \
-		|| { echo 'conn-guard: an accept loop or listener deadline outside transport.ConnLoop'; exit 1; }
+	@git grep --untracked -nE '\.Accept\(\)|SetDeadline\((t )?time\.Time\) error|\*net\.(TCP|Unix)Listener' \
+		-- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' ':(exclude)internal/faultnet/*' \
+		':(exclude)internal/transport/loop.go'; \
+		$(call verdict,an accept loop or listener deadline outside transport.ConnLoop)
 
 # Every byte format goes through one codec, internal/wire: byte order, bounds
 # checks and the section framing are decided there. Fails if a non-test Go
-# file anywhere else imports encoding/binary.
+# file outside bench/ and internal/wire imports encoding/binary.
 wire-guard:
-	@! git ls-files -co --exclude-standard '*.go' ':(exclude)*_test.go' ':(exclude)internal/wire/*' \
-		| xargs grep -ln '"encoding/binary"' \
-		|| { echo 'wire-guard: encoding/binary imported outside internal/wire'; exit 1; }
+	@git grep --untracked -n '"encoding/binary"' -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' \
+		':(exclude)internal/wire/*'; \
+		$(call verdict,encoding/binary imported outside internal/wire)
 
 # A test named in README.md, DESIGN.md, EXPERIMENTS.md or docs/ must exist:
 # fails on a backticked Test*, Fuzz* or Benchmark* name (package-qualified or

@@ -55,7 +55,7 @@ func dbdcConfig(ds lib.Dataset, kind lib.ModelKind) lib.Config {
 func benchCentral(b *testing.B, ds lib.Dataset) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := lib.Cluster(ds.Points, ds.Params, lib.IndexRStar); err != nil {
+		if _, err := lib.Cluster(ds.Points, ds.Params); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func BenchmarkFig8(b *testing.B) {
 // central reference; the qualities are reported as benchmark metrics so the
 // figure's series appear in the bench output.
 func benchQuality(b *testing.B, ds lib.Dataset, k int, kind lib.ModelKind, epsFactor float64) {
-	central, err := lib.Cluster(ds.Points, ds.Params, lib.IndexRStar)
+	central, err := lib.Cluster(ds.Points, ds.Params)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -188,10 +188,12 @@ func BenchmarkFig11(b *testing.B) {
 
 // BenchmarkAblationIndex — DBSCAN cost per neighborhood index on data set A
 // at its paper cardinality: the access-method choice DESIGN.md calls out.
+// No program selects an index, so each kind is built here directly over the
+// data set's store, as BenchmarkLocalClustering builds the R*-tree.
 func BenchmarkAblationIndex(b *testing.B) {
 	ds := data.DatasetA(data.DatasetASize, 1)
 	for _, kind := range index.Kinds() {
-		idx, err := index.Build(kind, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+		idx, err := index.BuildStore(kind, ds.Store, geom.Euclidean{}, ds.Params.Eps)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -64,8 +64,8 @@ func main() {
 		Cluster: lib.Config{
 			Local:     lib.Params{Eps: *eps, MinPts: *minPts},
 			EpsGlobal: *epsGlobal,
+			RepBudget: *repBudget,
 		},
-		RepBudget:      *repBudget,
 		MaxUploadBytes: *maxUploadBytes,
 		Timeout:        *timeout,
 		AcceptTimeout:  *acceptTimeout,

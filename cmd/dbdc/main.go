@@ -6,7 +6,7 @@
 //
 //	dbdc -input points.csv -eps 1.2 -minpts 4                  # central DBSCAN
 //	dbdc -input points.csv -eps 1.2 -minpts 4 -sites 4         # DBDC, 4 sites
-//	dbdc ... -model rep-kmeans -epsglobal 2.4 -index linear
+//	dbdc ... -model rep-kmeans -epsglobal 2.4
 //
 // With -sites > 1 the input is split over that many simulated sites
 // round-robin, the full DBDC pipeline runs, and the printed labels are the
@@ -33,7 +33,6 @@ func main() {
 	modelKind := flag.String("model", string(lib.RepScor), "local model: rep-scor or rep-kmeans")
 	epsGlobal := flag.Float64("epsglobal", 0, "Eps_global; 0 = paper default (max specific ε-range)")
 	autoEps := flag.Bool("autoeps", false, "derive Eps_global from the representatives' density structure (OPTICS gap cut) instead of a fixed radius")
-	idx := flag.String("index", string(lib.IndexRStar), "neighborhood index: rstar or linear")
 	out := flag.String("o", "", "output file for labels (default stdout)")
 	plot := flag.Bool("plot", false, "print an ASCII scatter plot of the clustering to stderr")
 	flag.Parse()
@@ -55,7 +54,7 @@ func main() {
 
 	var labels lib.Labeling
 	if *sites <= 1 {
-		res, err := lib.Cluster(pts, params, lib.IndexKind(*idx))
+		res, err := lib.Cluster(pts, params)
 		if err != nil {
 			fatal(err)
 		}
@@ -77,7 +76,6 @@ func main() {
 			Model:         lib.ModelKind(*modelKind),
 			EpsGlobal:     *epsGlobal,
 			EpsGlobalAuto: *autoEps,
-			Index:         lib.IndexKind(*idx),
 		}
 		res, err := lib.Run(siteList, cfg)
 		if err != nil {

@@ -117,7 +117,7 @@ func TestCentral(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code %d:\n%s", code, stderr)
 	}
-	want, err := lib.Cluster(pts, params, lib.IndexRStar)
+	want, err := lib.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,24 +151,19 @@ func TestSites(t *testing.T) {
 	checkLabels(t, parseLabels(t, stdout), want)
 }
 
-// TestUnknownIndex: -index names an index kind that does not exist, the
-// M-tree among them; central and distributed runs alike exit 1 with an
-// error naming the kinds there are.
-func TestUnknownIndex(t *testing.T) {
+// TestIndexFlagRefused: -index is gone — every run is on the R*-tree — and
+// naming it is a usage error like any undefined flag, exit 2, no labels.
+func TestIndexFlagRefused(t *testing.T) {
 	path, _ := writePoints(t)
-	for _, sites := range []string{"1", "3"} {
-		t.Run("sites="+sites, func(t *testing.T) {
-			stdout, stderr, code := run(t, "-input", path, "-eps", "1.2", "-minpts", "4", "-sites", sites, "-index", "mtree")
-			if code != 1 {
-				t.Fatalf("exit code %d, want 1:\n%s", code, stderr)
-			}
-			if !strings.Contains(stderr, "[linear rstar]") {
-				t.Fatalf("stderr does not name [linear rstar]:\n%s", stderr)
-			}
-			if stdout != "" {
-				t.Fatalf("labels printed on failure:\n%s", stdout)
-			}
-		})
+	stdout, stderr, code := run(t, "-input", path, "-eps", "1.2", "-minpts", "4", "-index", "linear")
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "flag provided but not defined: -index") {
+		t.Fatalf("stderr does not name the undefined flag:\n%s", stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("labels printed on failure:\n%s", stdout)
 	}
 }
 

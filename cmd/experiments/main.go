@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-run all|fig7a|fig7b|fig8|fig9|fig10|fig11] [-seed N]
-//	            [-scale F] [-index rstar|linear]
+//	            [-scale F]
 //
 // The output tables map one-to-one to the paper's figures; EXPERIMENTS.md
 // records the paper-versus-measured comparison.
@@ -16,14 +16,12 @@ import (
 	"os"
 
 	"github.com/dbdc-go/dbdc/internal/experiments"
-	"github.com/dbdc-go/dbdc/internal/index"
 )
 
 func main() {
 	run := flag.String("run", "all", "experiment to run: all, fig7a, fig7b, fig8, fig9, fig10, fig11, transmission, budgets, hierarchy, baselines, comparison, dimensions, optics-sweep, partitions, incremental")
 	seed := flag.Int64("seed", 2004, "random seed for data generation and partitioning")
 	scale := flag.Float64("scale", 1.0, "cardinality scale in (0,1]; use small values for quick runs")
-	idx := flag.String("index", "rstar", "neighborhood index: rstar or linear")
 	format := flag.String("format", "text", "output format: text or md")
 	flag.Parse()
 	printTable := func(t *experiments.Table) {
@@ -34,7 +32,7 @@ func main() {
 		t.Fprint(os.Stdout)
 	}
 
-	opt := experiments.Options{Seed: *seed, Scale: *scale, Index: index.Kind(*idx)}
+	opt := experiments.Options{Seed: *seed, Scale: *scale}
 	var err error
 	if *run == "all" {
 		var tables []*experiments.Table

@@ -21,9 +21,10 @@
 //     central reference with the paper's quality measures.
 //
 // The pipeline is Euclidean end to end: sites, models and evaluation live in
-// a vector space under the L2 metric. All functionality is implemented from
-// scratch on the standard library, including the spatial access method
-// (R*-tree) DBSCAN runs on.
+// a vector space under the L2 metric, and every DBSCAN run — a site's, the
+// server's over the representatives, the central reference — uses one
+// spatial access method, the R*-tree of the paper. All functionality is
+// implemented from scratch on the standard library, the R*-tree included.
 package dbdc
 
 import (
@@ -112,15 +113,6 @@ const (
 	RepKMeans = model.RepKMeans
 )
 
-// IndexKind selects a neighborhood index implementation.
-type IndexKind = index.Kind
-
-// Available index kinds.
-const (
-	IndexLinear = index.KindLinear
-	IndexRStar  = index.KindRStar
-)
-
 // Run executes the four DBDC steps over in-process sites, each in its own
 // goroutine.
 func Run(sites []Site, cfg Config) (*Result, error) { return core.Run(sites, cfg) }
@@ -144,14 +136,10 @@ func Relabel(pts []Point, global *GlobalModel) (Labeling, error) {
 	return core.Relabel(pts, global)
 }
 
-// Cluster runs central DBSCAN over all points with the given index kind
-// (empty kind selects the R*-tree) — the reference DBDC is compared
-// against.
-func Cluster(pts []Point, params Params, kind IndexKind) (*ClusteringResult, error) {
-	if kind == "" {
-		kind = index.KindRStar
-	}
-	idx, err := index.Build(kind, pts, geom.Euclidean{}, params.Eps)
+// Cluster runs central DBSCAN over all points on an R*-tree — the
+// reference DBDC is compared against.
+func Cluster(pts []Point, params Params) (*ClusteringResult, error) {
+	idx, err := index.Build(index.KindRStar, pts, geom.Euclidean{}, params.Eps)
 	if err != nil {
 		return nil, err
 	}

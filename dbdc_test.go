@@ -2,10 +2,8 @@ package dbdc_test
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,24 +21,13 @@ func testBlob(rng *rand.Rand, cx, cy, spread float64, n int) []dbdc.Point {
 func TestPublicCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := append(testBlob(rng, 0, 0, 0.3, 100), testBlob(rng, 10, 0, 0.3, 100)...)
-	for _, kind := range []dbdc.IndexKind{"", dbdc.IndexLinear, dbdc.IndexRStar} {
-		t.Run(fmt.Sprintf("%q", kind), func(t *testing.T) {
-			res, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.5, MinPts: 5}, kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.NumClusters() != 2 {
-				t.Fatalf("clusters = %d", res.NumClusters())
-			}
-		})
+	res, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.5, MinPts: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// An unknown kind is refused with the kinds there are named.
-	t.Run(`"mtree"`, func(t *testing.T) {
-		_, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.5, MinPts: 5}, "mtree")
-		if err == nil || !strings.Contains(err.Error(), "[linear rstar]") {
-			t.Fatalf("err = %v, want a refusal naming [linear rstar]", err)
-		}
-	})
+	if res.NumClusters() != 2 {
+		t.Fatalf("clusters = %d", res.NumClusters())
+	}
 }
 
 func TestPublicRunPipeline(t *testing.T) {
@@ -162,17 +149,12 @@ func TestPublicNonFiniteEps(t *testing.T) {
 		{"LocalStep/Eps", nanEps, func(c dbdc.Config) error { _, err := dbdc.LocalStep("c", ds.Points, c); return err }},
 		{"GlobalStep/EpsGlobal", nanEpsGlobal, func(c dbdc.Config) error { _, err := dbdc.GlobalStep(models, c); return err }},
 		{"NewOpticsOrderer/EpsGlobal", nanEpsGlobal, func(c dbdc.Config) error { _, err := dbdc.NewOpticsOrderer(models, c, 0); return err }},
+		{"Cluster/Eps", nanEps, func(c dbdc.Config) error { _, err := dbdc.Cluster(ds.Points, c.Local); return err }},
 		{"NewIncremental/Eps", nanEps, func(c dbdc.Config) error { _, err := dbdc.NewIncremental(c.Local); return err }},
 		{"NewStreamSite/Eps", nanEps, func(c dbdc.Config) error {
 			_, err := dbdc.NewStreamSite(dbdc.StreamConfig{SiteID: "s", Cluster: c, Window: 64}, nopUploader{})
 			return err
 		}},
-	}
-	for _, kind := range []dbdc.IndexKind{dbdc.IndexLinear, dbdc.IndexRStar} {
-		rows = append(rows, row{"Cluster/" + string(kind), nanEps, func(c dbdc.Config) error {
-			_, err := dbdc.Cluster(ds.Points, c.Local, kind)
-			return err
-		}})
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -40,7 +40,7 @@ func ExampleRun() {
 func ExampleCluster() {
 	pts := append(grid3x3(0, 0), grid3x3(10, 10)...)
 	pts = append(pts, dbdc.Point{5, 5}) // isolated noise
-	res, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.3, MinPts: 4}, "")
+	res, err := dbdc.Cluster(pts, dbdc.Params{Eps: 0.3, MinPts: 4})
 	if err != nil {
 		panic(err)
 	}

@@ -80,7 +80,7 @@ func main() {
 
 	// Compare against clustering everything centrally.
 	all := append(append([]dbdc.Point{}, siteA...), siteB...)
-	central, err := dbdc.Cluster(all, cfg.Local, "")
+	central, err := dbdc.Cluster(all, cfg.Local)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 		pts = append(pts, dbdc.Point{x - 2, -5 + 0.05*(x-5)*(x-5) + rng.NormFloat64()*0.25})
 	}
 	params := dbdc.Params{Eps: 0.5, MinPts: 5}
-	central, err := dbdc.Cluster(pts, params, "")
+	central, err := dbdc.Cluster(pts, params)
 	if err != nil {
 		log.Fatal(err)
 	}

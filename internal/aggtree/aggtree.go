@@ -39,13 +39,12 @@ type Config struct {
 	// condensation. The same config the flat server would use works
 	// unchanged: EpsGlobal 0 derives the regional radius from the
 	// children's specific ε-ranges, and the condensed model's EpsLocal
-	// propagates the derived radius upward.
+	// propagates the derived radius upward. Its RepBudget caps the
+	// representatives per regional cluster in the condensed upload (0 =
+	// forward every representative); a budgeted node negotiates its
+	// uplink with the parent's advertised byte cap exactly like a
+	// budgeted site (transport.SendModelBudgeted).
 	Cluster dbdc.Config
-	// RepBudget caps the representatives per regional cluster in the
-	// condensed upload (0 = forward every representative). A budgeted
-	// node negotiates its uplink with the parent's advertised byte cap
-	// exactly like a budgeted site (transport.SendModelBudgeted).
-	RepBudget int
 	// MaxUploadBytes is the per-upload byte cap advertised to
 	// handshaking children; 0 means unconstrained.
 	MaxUploadBytes int64
@@ -95,9 +94,6 @@ func NewListener(ln net.Listener, cfg Config) (*Aggregator, error) {
 	}
 	if cfg.Parent == "" {
 		return nil, fmt.Errorf("aggtree: aggregator %s needs a parent address", cfg.ID)
-	}
-	if cfg.RepBudget < 0 {
-		return nil, fmt.Errorf("aggtree: negative rep budget %d", cfg.RepBudget)
 	}
 	srv, err := transport.NewServerListener(ln, cfg.Expect, cfg.Cluster, cfg.Timeout)
 	if err != nil {
@@ -153,9 +149,7 @@ func (a *Aggregator) RunRound() (*model.GlobalModel, *transport.RoundReport, err
 // it with the parent for the root's global model.
 func (a *Aggregator) forward(regional *model.GlobalModel, report *transport.RoundReport, roundStart time.Time) (*model.GlobalModel, error) {
 	condenseStart := time.Now()
-	condCfg := a.cfg.Cluster
-	condCfg.RepBudget = a.cfg.RepBudget
-	outcome, err := dbdc.CondenseGlobal(a.cfg.ID, regional, condCfg)
+	outcome, err := dbdc.CondenseGlobal(a.cfg.ID, regional, a.cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}

@@ -384,3 +384,79 @@ func TestTreeParentDownFailsRound(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregatorClusterRepBudget: an aggregator whose Cluster config carries
+// RepBudget 1 forwards at most one representative per regional cluster, and
+// says so in the budget section its parent reports — over children whose own
+// uploads hold more representatives than there are regional clusters.
+func TestAggregatorClusterRepBudget(t *testing.T) {
+	ds := data.DatasetA(600, 13)
+	part, err := data.PartitionRandom(len(ds.Points), 2, rand.New(rand.NewSource(13)))
+	if err != nil {
+		t.Fatalf("partition: %v", err)
+	}
+	sitePts := part.Extract(ds.Points)
+	cfg := dbdc.Config{Local: ds.Params, EpsGlobal: 2 * ds.Params.Eps}
+	const timeout = 10 * time.Second
+
+	root, err := transport.NewServer("127.0.0.1:0", 1, cfg, timeout)
+	if err != nil {
+		t.Fatalf("root server: %v", err)
+	}
+	defer root.Close()
+	aggCfg := cfg
+	aggCfg.RepBudget = 1
+	agg, err := New("127.0.0.1:0", Config{ID: "agg-a", Parent: root.Addr(), Expect: 2, Cluster: aggCfg, Timeout: timeout})
+	if err != nil {
+		t.Fatalf("aggregator: %v", err)
+	}
+	defer agg.Close()
+
+	var (
+		wg        sync.WaitGroup
+		rootRep   *transport.RoundReport
+		rootErr   error
+		aggReport *transport.RoundReport
+		aggErr    error
+	)
+	wg.Add(2 + len(sitePts))
+	go func() {
+		defer wg.Done()
+		_, rootRep, rootErr = root.RunRoundOpts(transport.RoundOptions{})
+	}()
+	go func() {
+		defer wg.Done()
+		_, aggReport, aggErr = agg.RunRound()
+	}()
+	for s, pts := range sitePts {
+		go func(id string, pts []geom.Point) {
+			defer wg.Done()
+			if _, err := transport.RunSiteClient(&transport.Client{Addr: agg.Addr(), Timeout: timeout}, id, pts, cfg); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}(fmt.Sprintf("site-%d", s), pts)
+	}
+	wg.Wait()
+	if rootErr != nil || aggErr != nil {
+		t.Fatalf("root round: %v; aggregator round: %v\n%s\n%s", rootErr, aggErr, rootRep, aggReport)
+	}
+	if len(rootRep.Sites) != 1 || rootRep.Sites[0].SiteID != "agg-a" {
+		t.Fatalf("root report: %s", rootRep)
+	}
+	up := rootRep.Sites[0]
+	if up.Agg == nil || up.Budget == nil {
+		t.Fatalf("agg-a upload carries no provenance or budget section: %+v", up)
+	}
+	childReps := 0
+	for _, s := range aggReport.Sites {
+		childReps += s.Reps
+	}
+	clusters := up.Agg.RegionalClusters
+	if childReps <= clusters {
+		t.Fatalf("children uploaded %d representatives for %d regional clusters: the budget cannot bite", childReps, clusters)
+	}
+	if up.Budget.RepBudget != 1 || up.Reps < 1 || up.Reps > clusters {
+		t.Fatalf("agg-a forwarded %d representatives under budget %d for %d regional clusters, want 1..%d under budget 1",
+			up.Reps, up.Budget.RepBudget, clusters, clusters)
+	}
+}

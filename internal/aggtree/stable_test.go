@@ -40,9 +40,14 @@ func TestTreeStableIDs(t *testing.T) {
 	defer agg.Close()
 
 	rng := rand.New(rand.NewSource(7))
-	a := data.Blob(rng, geom.Point{0, 0}, 0.3, 150)
-	b := data.Blob(rng, geom.Point{100, 0}, 0.3, 150)
-	c := data.Blob(rng, geom.Point{50, 50}, 0.3, 150)
+	blob := func(center geom.Point) []geom.Point {
+		st := geom.NewStore(2, 0)
+		data.AppendBlob(st, rng, center, 0.3, 150)
+		return st.Views()
+	}
+	a := blob(geom.Point{0, 0})
+	b := blob(geom.Point{100, 0})
+	c := blob(geom.Point{50, 50})
 	rounds := []map[string][]geom.Point{
 		{"site-1": a, "site-2": b},
 		{"site-1": append(append([]geom.Point{}, c...), a...), "site-2": b},

@@ -49,30 +49,25 @@ type TreeStats struct {
 // MergeTree runs the DBDC global step as an aggregation tree over the given
 // local models: the models are grouped into contiguous regions of fanIn,
 // each region is merged (GlobalStep) and condensed back into one local
-// model (CondenseGlobal, capped per regional cluster by repBudget when
+// model (CondenseGlobal, capped per regional cluster by cfg.RepBudget when
 // positive), and the condensed models recurse upward until at most fanIn
 // remain for the root merge. fanIn < 2 or fewer than one model is an error;
 // len(models) ≤ fanIn degenerates to the flat dbdc.GlobalStep (depth 1).
 //
-// With repBudget 0 the condensation is lossless — every level forwards the
-// representatives it merged, unchanged — so the root clusters exactly the
-// union of the original site representatives and the tree result equals the
-// flat run up to cluster-id renaming. An all-noise region condenses to a
+// With cfg.RepBudget 0 the condensation is lossless — every level forwards
+// the representatives it merged, unchanged — so the root clusters exactly
+// the union of the original site representatives and the tree result equals
+// the flat run up to cluster-id renaming. An all-noise region condenses to a
 // representative-free model and degrades the parent merge instead of
 // failing it; a tree whose every site is noise returns the flat empty
 // sentinel.
-func MergeTree(models []*model.LocalModel, fanIn int, cfg dbdc.Config, repBudget int) (*model.GlobalModel, *TreeStats, error) {
+func MergeTree(models []*model.LocalModel, fanIn int, cfg dbdc.Config) (*model.GlobalModel, *TreeStats, error) {
 	if fanIn < 2 {
 		return nil, nil, fmt.Errorf("aggtree: fan-in %d < 2", fanIn)
 	}
 	if len(models) == 0 {
 		return nil, nil, fmt.Errorf("aggtree: no local models")
 	}
-	if repBudget < 0 {
-		return nil, nil, fmt.Errorf("aggtree: negative rep budget %d", repBudget)
-	}
-	condCfg := cfg
-	condCfg.RepBudget = repBudget
 
 	stats := &TreeStats{Depth: 1}
 	level := models
@@ -97,7 +92,7 @@ func MergeTree(models []*model.LocalModel, fanIn int, cfg dbdc.Config, repBudget
 				return nil, nil, fmt.Errorf("aggtree: level %d region %d: %w", lvl, i, err)
 			}
 			condStart := time.Now()
-			outcome, err := dbdc.CondenseGlobal(fmt.Sprintf("agg-l%d-r%d", lvl, i), regional, condCfg)
+			outcome, err := dbdc.CondenseGlobal(fmt.Sprintf("agg-l%d-r%d", lvl, i), regional, cfg)
 			ls.Condense += time.Since(condStart)
 			if err != nil {
 				return nil, nil, fmt.Errorf("aggtree: level %d region %d: %w", lvl, i, err)

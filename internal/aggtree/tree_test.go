@@ -90,7 +90,7 @@ func samePartition(a, b cluster.Labeling) error {
 // cluster-id renaming.
 func TestMergeTreeMatchesFlat(t *testing.T) {
 	f := newTreeFixture(t, 8, 42)
-	flatGlobal, flatStats, err := MergeTree(f.models, len(f.models), f.cfg, 0)
+	flatGlobal, flatStats, err := MergeTree(f.models, len(f.models), f.cfg)
 	if err != nil {
 		t.Fatalf("flat merge: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestMergeTreeMatchesFlat(t *testing.T) {
 	for _, tc := range []struct {
 		fanIn, depth int
 	}{{4, 2}, {2, 3}} {
-		global, stats, err := MergeTree(f.models, tc.fanIn, f.cfg, 0)
+		global, stats, err := MergeTree(f.models, tc.fanIn, f.cfg)
 		if err != nil {
 			t.Fatalf("fan-in %d: %v", tc.fanIn, err)
 		}
@@ -131,7 +131,9 @@ func TestMergeTreeMatchesFlat(t *testing.T) {
 // usable model.
 func TestMergeTreeBudgetShrinks(t *testing.T) {
 	f := newTreeFixture(t, 8, 43)
-	global, stats, err := MergeTree(f.models, 4, f.cfg, 2)
+	cfg := f.cfg
+	cfg.RepBudget = 2
+	global, stats, err := MergeTree(f.models, 4, cfg)
 	if err != nil {
 		t.Fatalf("budgeted merge: %v", err)
 	}
@@ -186,7 +188,7 @@ func TestMergeTreeAllNoiseRegion(t *testing.T) {
 		noiseModel(t, "noise-01", cfg, rng).Model,
 	}
 	// fan-in 2 groups contiguously: [good good] [noise noise].
-	global, stats, err := MergeTree(models, 2, cfg, 0)
+	global, stats, err := MergeTree(models, 2, cfg)
 	if err != nil {
 		t.Fatalf("merge with an all-noise region: %v", err)
 	}
@@ -196,7 +198,7 @@ func TestMergeTreeAllNoiseRegion(t *testing.T) {
 	if global.Empty() {
 		t.Fatal("good region was lost to the all-noise region")
 	}
-	flat, _, err := MergeTree(f.models, 2+len(models), cfg, 0)
+	flat, _, err := MergeTree(f.models, 2+len(models), cfg)
 	if err != nil {
 		t.Fatalf("flat merge: %v", err)
 	}
@@ -215,7 +217,7 @@ func TestMergeTreeAllNoise(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		models = append(models, noiseModel(t, fmt.Sprintf("noise-%02d", i), cfg, rng).Model)
 	}
-	global, stats, err := MergeTree(models, 2, cfg, 0)
+	global, stats, err := MergeTree(models, 2, cfg)
 	if err != nil {
 		t.Fatalf("all-noise tree errored: %v", err)
 	}
@@ -230,13 +232,15 @@ func TestMergeTreeAllNoise(t *testing.T) {
 // TestMergeTreeArgs covers the argument contract.
 func TestMergeTreeArgs(t *testing.T) {
 	f := newTreeFixture(t, 2, 45)
-	if _, _, err := MergeTree(f.models, 1, f.cfg, 0); err == nil {
+	if _, _, err := MergeTree(f.models, 1, f.cfg); err == nil {
 		t.Error("fan-in 1 accepted")
 	}
-	if _, _, err := MergeTree(nil, 2, f.cfg, 0); err == nil {
+	if _, _, err := MergeTree(nil, 2, f.cfg); err == nil {
 		t.Error("empty model list accepted")
 	}
-	if _, _, err := MergeTree(f.models, 2, f.cfg, -1); err == nil {
+	negative := f.cfg
+	negative.RepBudget = -1
+	if _, _, err := MergeTree(f.models, 2, negative); err == nil {
 		t.Error("negative budget accepted")
 	}
 }

@@ -15,7 +15,9 @@ import (
 
 func TestBlob(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	pts := Blob(rng, geom.Point{5, -3}, 0.5, 1000)
+	st := geom.NewStore(2, 0)
+	AppendBlob(st, rng, geom.Point{5, -3}, 0.5, 1000)
+	pts := st.Views()
 	if len(pts) != 1000 {
 		t.Fatalf("len = %d", len(pts))
 	}
@@ -28,8 +30,9 @@ func TestBlob(t *testing.T) {
 func TestUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rect := geom.NewRect(geom.Point{-1, 2}, geom.Point{3, 4})
-	pts := Uniform(rng, rect, 500)
-	for _, p := range pts {
+	st := geom.NewStore(2, 0)
+	AppendUniform(st, rng, rect, 500)
+	for _, p := range st.Views() {
 		if !rect.Contains(p) {
 			t.Fatalf("point %v outside rect", p)
 		}
@@ -38,8 +41,9 @@ func TestUniform(t *testing.T) {
 
 func TestRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pts := Ring(rng, 0, 0, 10, 0.2, 800)
-	for _, p := range pts {
+	st := geom.NewStore(2, 0)
+	AppendRing(st, rng, 0, 0, 10, 0.2, 800)
+	for _, p := range st.Views() {
 		r := p.Norm()
 		if r < 8 || r > 12 {
 			t.Fatalf("ring point at radius %v", r)
@@ -157,7 +161,9 @@ func TestPartitionRoundRobin(t *testing.T) {
 
 func TestPartitionSpatial(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	pts := Blob(rng, geom.Point{0, 0}, 5, 400)
+	st := geom.NewStore(2, 0)
+	AppendBlob(st, rng, geom.Point{0, 0}, 5, 400)
+	pts := st.Views()
 	p, err := PartitionSpatial(pts, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +294,9 @@ func TestDatasetAScalesDensity(t *testing.T) {
 
 func TestRingNoNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, p := range Ring(rng, 1, 1, 3, 0.1, 100) {
+	st := geom.NewStore(2, 0)
+	AppendRing(st, rng, 1, 1, 3, 0.1, 100)
+	for _, p := range st.Views() {
 		if !p.IsFinite() {
 			t.Fatalf("non-finite ring point %v", p)
 		}

@@ -1,3 +1,11 @@
+// Package data synthesizes the evaluation data sets of the DBDC paper and
+// provides the partitioners that distribute them over client sites. The
+// paper's three 2-dimensional test sets are not published, so this package
+// generates analogues matching their stated cardinalities and
+// characteristics (Section 9, Figure 6): A — randomly generated clusters,
+// 8700 objects by default and scalable for the cardinality sweeps; B —
+// 4000 objects of very noisy data; C — 1021 objects in 3 clusters. All
+// generators are deterministic given a seed.
 package data
 
 import (

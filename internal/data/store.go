@@ -7,14 +7,11 @@ import (
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// The Append* generators are the store-filling counterparts of Blob, Uniform
-// and Ring: they draw from the RNG in exactly the same order (so a
-// given seed produces coordinate-identical data either way — pinned by the
-// differential tests in store_test.go) but write straight into the flat
-// backing array of a geom.Store, one AppendCoords per point, instead of
-// allocating a []float64 per point. Bulk generation is then one contiguous
-// buffer fill, which is the layout every store-backed index builds from
-// without re-copying.
+// The Append* generators write straight into the flat backing array of a
+// geom.Store instead of allocating a []float64 per point. Bulk generation is
+// then one contiguous buffer fill, which is the layout every store-backed
+// index builds from without re-copying; a slice-shaped consumer takes the
+// store's Views().
 
 // AppendBlob appends n points drawn from an isotropic Gaussian around center
 // with the given standard deviation. The store's stride must match the

@@ -8,46 +8,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// TestAppendGeneratorsMatchSlice pins the promise in store.go: for the same
-// seed, the store-filling generators draw from the RNG in exactly the same
-// order as the slice generators and therefore produce coordinate-identical
-// data. Exact float64 equality, not tolerance — the two paths must be
-// interchangeable in experiments without perturbing a single label.
-func TestAppendGeneratorsMatchSlice(t *testing.T) {
-	const seed = 99
-	check := func(name string, pts []geom.Point, st *geom.Store) {
-		t.Helper()
-		if st.Len() != len(pts) {
-			t.Fatalf("%s: store holds %d points, slice %d", name, st.Len(), len(pts))
-		}
-		for i, p := range pts {
-			row := st.Point(i)
-			for d := range p {
-				if p[d] != row[d] {
-					t.Fatalf("%s: point %d coordinate %d: slice %v, store %v", name, i, d, p[d], row[d])
-				}
-			}
-		}
-	}
-
-	center := geom.Point{3, -2, 7}
-	pts := Blob(rand.New(rand.NewSource(seed)), center, 0.7, 257)
-	st := geom.NewStore(3, 0)
-	AppendBlob(st, rand.New(rand.NewSource(seed)), center, 0.7, 257)
-	check("blob", pts, st)
-
-	rect := geom.NewRect(geom.Point{-5, 0}, geom.Point{5, 12})
-	pts = Uniform(rand.New(rand.NewSource(seed)), rect, 143)
-	st = geom.NewStore(2, 0)
-	AppendUniform(st, rand.New(rand.NewSource(seed)), rect, 143)
-	check("uniform", pts, st)
-
-	pts = Ring(rand.New(rand.NewSource(seed)), 4, -3, 6, 0.4, 211)
-	st = geom.NewStore(2, 0)
-	AppendRing(st, rand.New(rand.NewSource(seed)), 4, -3, 6, 0.4, 211)
-	check("ring", pts, st)
-}
-
 // TestDatasetPointsAliasStore: Dataset.Points are zero-copy views into
 // Dataset.Store — same backing coordinates, not copies.
 func TestDatasetPointsAliasStore(t *testing.T) {
@@ -72,7 +32,9 @@ func TestDatasetPointsAliasStore(t *testing.T) {
 // TestReadCSVStoreRoundTrip: WriteCSV → ReadCSVStore reproduces the points
 // exactly in one flat store, and ReadCSV keeps returning views of it.
 func TestReadCSVStoreRoundTrip(t *testing.T) {
-	pts := Blob(rand.New(rand.NewSource(11)), geom.Point{1, 2}, 3, 50)
+	src := geom.NewStore(2, 0)
+	AppendBlob(src, rand.New(rand.NewSource(11)), geom.Point{1, 2}, 3, 50)
+	pts := src.Views()
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, pts); err != nil {
 		t.Fatal(err)

@@ -17,10 +17,8 @@ package dbdc
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/dbdc-go/dbdc/internal/dbscan"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -49,10 +47,6 @@ type Config struct {
 	// MinPtsGlobal is the server-side MinPts; zero selects
 	// DefaultMinPtsGlobal.
 	MinPtsGlobal int
-	// Index selects the neighborhood index for the local DBSCAN runs and
-	// the server clustering; empty selects the R*-tree, the access method
-	// of the original DBSCAN.
-	Index index.Kind
 	// KMeansMaxIter bounds the k-means refinement of REP_kMeans; zero
 	// selects the kmeans package default.
 	KMeansMaxIter int
@@ -78,15 +72,14 @@ type Config struct {
 	// (dbscan.Options.Workers): values above 1 run a site's DBSCAN on that
 	// many goroutines, so one large site no longer bottlenecks a round on a
 	// single core. Each worker owns a contiguous range of the site's objects
-	// and issues their ε-range queries against the site's one index: the
-	// index kind (Config.Index) is the caller's choice and is honoured at
-	// every worker count. The same budget drives the server-side merge
-	// clustering of GlobalStep (and with it the aggtree interior nodes). The
-	// orchestrator divides the process-wide parallelism budget (GOMAXPROCS)
-	// by SiteWorkers to size its bounded site pool, keeping total goroutine
-	// fan-out roughly constant. 0 or 1 runs each site's DBSCAN on one
-	// goroutine (the paper-faithful default). The value changes how long a
-	// site takes, never the local model it uploads.
+	// and issues their ε-range queries against the site's one R*-tree. The
+	// same budget drives the server-side merge clustering of GlobalStep (and
+	// with it the aggtree interior nodes). The orchestrator divides the
+	// process-wide parallelism budget (GOMAXPROCS) by SiteWorkers to size its
+	// bounded site pool, keeping total goroutine fan-out roughly constant.
+	// 0 or 1 runs each site's DBSCAN on one goroutine (the paper-faithful
+	// default). The value changes how long a site takes, never the local
+	// model it uploads.
 	SiteWorkers int
 }
 
@@ -97,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinPtsGlobal == 0 {
 		c.MinPtsGlobal = DefaultMinPtsGlobal
-	}
-	if c.Index == "" {
-		c.Index = index.KindRStar
 	}
 	return c
 }
@@ -118,9 +108,6 @@ func (c Config) Validate() error {
 	}
 	if c.MinPtsGlobal < 1 {
 		return fmt.Errorf("dbdc: MinPtsGlobal %d < 1", c.MinPtsGlobal)
-	}
-	if !slices.Contains(index.Kinds(), c.Index) {
-		return fmt.Errorf("dbdc: unknown index kind %q, want one of %v", c.Index, index.Kinds())
 	}
 	if c.SiteWorkers < 0 {
 		return fmt.Errorf("dbdc: negative SiteWorkers %d", c.SiteWorkers)

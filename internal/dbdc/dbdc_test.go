@@ -43,9 +43,6 @@ func TestConfigValidate(t *testing.T) {
 		{"min-pts-global-negative", func(c *Config) { c.MinPtsGlobal = -1 }, "-1"},
 		{"site-workers-negative", func(c *Config) { c.SiteWorkers = -1 }, "-1"},
 		{"rep-budget-negative", func(c *Config) { c.RepBudget = -1 }, "-1"},
-		{"index-linear", func(c *Config) { c.Index = index.KindLinear }, ""},
-		{"index-mtree", func(c *Config) { c.Index = "mtree" }, "[linear rstar]"},
-		{"index-kdtree", func(c *Config) { c.Index = "kdtree" }, "[linear rstar]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -639,24 +636,6 @@ func TestDistributedDurationComposition(t *testing.T) {
 	}
 	if got := r.DistributedDuration(); got != 21 {
 		t.Fatalf("DistributedDuration = %v, want max(11,16)+5 = 21", got)
-	}
-}
-
-func TestRunWithNonDefaultIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	sites := []Site{{ID: "a", Points: blob(rng, 0, 0, 0.4, 300)}}
-	for _, kind := range index.Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := defaultCfg()
-			cfg.Index = kind
-			res, err := Run(sites, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Global.NumClusters != 1 {
-				t.Fatalf("clusters = %d, want 1", res.Global.NumClusters)
-			}
-		})
 	}
 }
 

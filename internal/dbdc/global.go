@@ -48,7 +48,7 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 	for i, r := range reps {
 		pts[i] = r.Point
 	}
-	idx, err := index.Build(cfg.Index, pts, geom.Euclidean{}, epsGlobal)
+	idx, err := index.Build(index.KindRStar, pts, geom.Euclidean{}, epsGlobal)
 	if err != nil {
 		return nil, err
 	}

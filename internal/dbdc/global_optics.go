@@ -49,7 +49,7 @@ func NewOpticsOrderer(models []*model.LocalModel, cfg Config, epsMax float64) (*
 	if epsMax == 0 {
 		epsMax = cfg.Local.Eps
 	}
-	idx, err := index.Build(cfg.Index, pts, geom.Euclidean{}, epsMax)
+	idx, err := index.Build(index.KindRStar, pts, geom.Euclidean{}, epsMax)
 	if err != nil {
 		return nil, err
 	}

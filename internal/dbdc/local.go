@@ -100,7 +100,7 @@ func LocalStepStore(siteID string, st *geom.Store, cfg Config) (*LocalOutcome, e
 	}
 	cfg = cfg.withDefaults()
 	clusterStart := time.Now()
-	idx, err := index.BuildStore(cfg.Index, st, geom.Euclidean{}, cfg.Local.Eps)
+	idx, err := index.BuildStore(index.KindRStar, st, geom.Euclidean{}, cfg.Local.Eps)
 	if err != nil {
 		return nil, fmt.Errorf("dbdc: site %s: %w", siteID, err)
 	}

@@ -31,11 +31,40 @@ func storeTestPoints(seed int64) *geom.Store {
 	return st
 }
 
+// linearStep is LocalStepStore with the R*-tree swapped for the linear scan,
+// the oracle every index is held to: dbscan.Run over index.NewLinearStore(st)
+// condensed by LocalStepClustered.
+func linearStep(t *testing.T, st *geom.Store, cfg Config) *LocalOutcome {
+	t.Helper()
+	res, err := dbscan.Run(index.NewLinearStore(st), cfg.Local, dbscan.Options{
+		CollectSpecificCores: true,
+		Workers:              cfg.SiteWorkers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := LocalStepClustered("site", st, res, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// marshalFrame is m's wire frame.
+func marshalFrame(t *testing.T, m *model.LocalModel) []byte {
+	t.Helper()
+	frame, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 // TestLocalStepStoreDifferential: LocalStep over independently cloned points
 // (copied once into a store by index.Build) and LocalStepStore over the
 // equivalent store must produce identical clusterings and byte-identical
-// local models, for every index kind, both model kinds, at one worker and at
-// four; and every kind must ship the frame the linear scan ships.
+// local models, for both model kinds, at one worker and at four; and both
+// must ship the frame the linear scan's clustering condenses to.
 func TestLocalStepStoreDifferential(t *testing.T) {
 	st := storeTestPoints(7)
 	clones := make([]geom.Point, st.Len())
@@ -44,85 +73,85 @@ func TestLocalStepStoreDifferential(t *testing.T) {
 	}
 	for _, mk := range []model.Kind{model.RepScor, model.RepKMeans} {
 		for _, workers := range []int{1, 4} {
-			var linear []byte
-			for _, kind := range index.Kinds() {
+			t.Run(fmt.Sprintf("%s/w=%d", mk, workers), func(t *testing.T) {
 				cfg := Config{
 					Local:       dbscan.Params{Eps: 0.8, MinPts: 5},
 					Model:       mk,
-					Index:       kind,
 					SiteWorkers: workers,
 				}
 				want, err := LocalStep("site", clones, cfg)
 				if err != nil {
-					t.Fatalf("%s/%s/w=%d: LocalStep: %v", kind, mk, workers, err)
+					t.Fatalf("LocalStep: %v", err)
 				}
 				got, err := LocalStepStore("site", st, cfg)
 				if err != nil {
-					t.Fatalf("%s/%s/w=%d: LocalStepStore: %v", kind, mk, workers, err)
+					t.Fatalf("LocalStepStore: %v", err)
 				}
 				if !reflect.DeepEqual(got.Clustering, want.Clustering) {
-					t.Errorf("%s/%s/w=%d: clusterings differ between LocalStepStore and LocalStep", kind, mk, workers)
+					t.Error("clusterings differ between LocalStepStore and LocalStep")
 				}
-				gb, err := got.Model.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
+				gb := marshalFrame(t, got.Model)
+				if !bytes.Equal(gb, marshalFrame(t, want.Model)) {
+					t.Error("local model wire frames differ between LocalStepStore and LocalStep")
 				}
-				wb, err := want.Model.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
+				if !bytes.Equal(gb, marshalFrame(t, linearStep(t, st, cfg).Model)) {
+					t.Error("local model frame differs from the linear scan's")
 				}
-				if !bytes.Equal(gb, wb) {
-					t.Errorf("%s/%s/w=%d: local model wire frames differ between LocalStepStore and LocalStep", kind, mk, workers)
-				}
-				if kind == index.KindLinear {
-					linear = gb
-				} else if !bytes.Equal(gb, linear) {
-					t.Errorf("%s/%s/w=%d: local model frame differs from the linear scan's", kind, mk, workers)
-				}
-			}
+			})
 		}
 	}
 }
 
-// TestLocalModelFrameIdentity holds the marshalled local model of every kind
-// × worker count × model kind to the frame digests recorded at commit
+// TestLocalModelFrameIdentity holds the marshalled local model of every
+// worker count × model kind to the frame digests recorded at commit
 // e942b15 — the last one that still carried a slice-Euclidean path, where
 // LocalStep and LocalStepStore shipped these same frames — over data sets A,
-// B and C (seed 1). Digest pairs are {REP_Scor, REP_kMeans}; a site's model
-// is independent of its index kind and worker count, so there is one pair
-// per data set. (Up to PR 22 these were the "parallel" pairs, next to one
-// pair per kind for a sequential expansion that no longer exists.)
+// B and C (seed 1), for LocalStepStore ("rstar") and for the linear scan's
+// clustering condensed by LocalStepClustered ("linear"). Digest pairs are
+// {REP_Scor, REP_kMeans}; a site's model is independent of its access method
+// and worker count, so there is one pair per data set. (These were once the
+// "parallel" pairs, next to one pair per kind for a sequential expansion that
+// no longer exists.)
 func TestLocalModelFrameIdentity(t *testing.T) {
 	want := map[string][2]string{
 		"A": {"81b27d4a3a4dca2c", "423aa271f47dc9d3"},
 		"B": {"e2ff2bf9fadae2f8", "6b1e46d75d5fd5d1"},
 		"C": {"4ebef30b8c2033ce", "a5684c8438a76776"},
 	}
+	steps := []struct {
+		name string
+		step func(t *testing.T, st *geom.Store, cfg Config) *LocalOutcome
+	}{
+		{"rstar", func(t *testing.T, st *geom.Store, cfg Config) *LocalOutcome {
+			out, err := LocalStepStore("site", st, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+		{"linear", linearStep},
+	}
 	for _, ds := range data.ABC(1) {
-		for _, kind := range index.Kinds() {
-			for _, workers := range []int{1, 4} {
-				// One clustering serves both model kinds: the REP_kMeans
-				// frame is condensed from the REP_Scor run's result.
-				out, err := LocalStep("site", ds.Points, Config{Local: ds.Params, Model: model.RepScor, Index: kind, SiteWorkers: workers})
-				if err != nil {
-					t.Fatalf("%s/%s/w=%d: %v", ds.Name, kind, workers, err)
-				}
-				kmCfg := out.cfg
-				kmCfg.Model = model.RepKMeans
-				km, _, err := buildLocalModel("site", out.st, out.Clustering, kmCfg, 0)
-				if err != nil {
-					t.Fatalf("%s/%s/w=%d: %v", ds.Name, kind, workers, err)
-				}
-				for k, m := range []*model.LocalModel{out.Model, km} {
-					frame, err := m.MarshalBinary()
+		for _, workers := range []int{1, 4} {
+			for _, s := range steps {
+				t.Run(fmt.Sprintf("%s/w=%d/%s", ds.Name, workers, s.name), func(t *testing.T) {
+					out := s.step(t, ds.Store, Config{Local: ds.Params, Model: model.RepScor, SiteWorkers: workers})
+					// One clustering serves both model kinds: the
+					// REP_kMeans frame is condensed from the REP_Scor
+					// run's result.
+					kmCfg := out.cfg
+					kmCfg.Model = model.RepKMeans
+					km, _, err := buildLocalModel("site", out.st, out.Clustering, kmCfg, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sum := sha256.Sum256(frame)
-					if got := fmt.Sprintf("%x", sum[:8]); got != want[ds.Name][k] {
-						t.Errorf("%s/%s/w=%d/%s: frame digest %s, want %s", ds.Name, kind, workers, m.Kind, got, want[ds.Name][k])
+					for k, m := range []*model.LocalModel{out.Model, km} {
+						sum := sha256.Sum256(marshalFrame(t, m))
+						if got := fmt.Sprintf("%x", sum[:8]); got != want[ds.Name][k] {
+							t.Errorf("%s: frame digest %s, want %s", m.Kind, got, want[ds.Name][k])
+						}
 					}
-				}
+				})
 			}
 		}
 	}

@@ -361,9 +361,10 @@ type RepScratch struct {
 // SelectInto classifies one point under the representative-choice rule,
 // reusing the scratch buffer across calls: one cell lookup, and for a check
 // cell the nearest-wins fold over its list on the batch kernel. The query
-// point must have the selector's dimensionality; Select validates,
-// SelectInto is the trusted hot path. A point with a NaN coordinate, or
-// outside the grid, is covered by nothing and is noise.
+// point must have the selector's dimensionality: this is the trusted hot
+// path, and serve.Classifier validates untrusted points before they reach
+// it. A point with a NaN coordinate, or outside the grid, is covered by
+// nothing and is noise.
 func (s *RepSelector) SelectInto(p geom.Point, sc *RepScratch) cluster.ID {
 	id := s.selectCell(p, sc)
 	if checkSelect != nil {
@@ -405,21 +406,3 @@ func (s *RepSelector) selectCell(p geom.Point, sc *RepScratch) cluster.ID {
 
 // checkSelect is set by the dbdc_debugchecks build (checks_debug.go).
 var checkSelect func(s *RepSelector, p geom.Point, got cluster.ID)
-
-// Select classifies one point, validating its dimensionality first. This
-// is the entry point for untrusted (network-supplied) points: a dimension
-// mismatch is reported as an error instead of a panic in the distance
-// kernel.
-func (s *RepSelector) Select(p geom.Point) (cluster.ID, error) {
-	if s.store == nil {
-		return cluster.Noise, nil
-	}
-	if p.Dim() != s.dim {
-		return cluster.Noise, fmt.Errorf("dbdc: classify: point has dimension %d, model has %d", p.Dim(), s.dim)
-	}
-	if !p.IsFinite() {
-		return cluster.Noise, fmt.Errorf("dbdc: classify: point has non-finite coordinates")
-	}
-	var sc RepScratch
-	return s.SelectInto(p, &sc), nil
-}

@@ -216,19 +216,20 @@ func FuzzRepSelector(f *testing.F) {
 // dealt round-robin to two sites.
 func selectorBench(b testing.TB, dim int) ([]geom.Point, *model.GlobalModel) {
 	rng := rand.New(rand.NewSource(1))
-	var pts []geom.Point
+	st := geom.NewStore(dim, 0)
 	for range 6 {
 		c := make(geom.Point, dim)
 		for d := range c {
 			c[d] = rng.Float64() * 20
 		}
-		pts = append(pts, data.Blob(rng, c, 0.5, 700)...)
+		data.AppendBlob(st, rng, c, 0.5, 700)
 	}
 	lo, hi := make(geom.Point, dim), make(geom.Point, dim)
 	for d := range hi {
 		hi[d] = 20
 	}
-	pts = append(pts, data.Uniform(rng, geom.NewRect(lo, hi), 420)...)
+	data.AppendUniform(st, rng, geom.NewRect(lo, hi), 420)
+	pts := st.Views()
 	params := dbscan.Params{Eps: 0.5, MinPts: 5}
 	if dim > 2 {
 		params.Eps = 1.5

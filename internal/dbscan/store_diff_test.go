@@ -26,13 +26,13 @@ import (
 func diffPoints(t *testing.T) []geom.Point {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	var pts []geom.Point
-	pts = append(pts, data.Blob(rng, geom.Point{10, 10}, 1.0, 220)...)
-	pts = append(pts, data.Blob(rng, geom.Point{30, 12}, 1.3, 220)...)
-	pts = append(pts, data.Blob(rng, geom.Point{20, 32}, 0.8, 220)...)
-	pts = append(pts, data.Ring(rng, 20, 32, 6, 0.3, 180)...)
-	pts = append(pts, data.Uniform(rng, geom.NewRect(geom.Point{0, 0}, geom.Point{45, 45}), 120)...)
-	return pts
+	st := geom.NewStore(2, 0)
+	data.AppendBlob(st, rng, geom.Point{10, 10}, 1.0, 220)
+	data.AppendBlob(st, rng, geom.Point{30, 12}, 1.3, 220)
+	data.AppendBlob(st, rng, geom.Point{20, 32}, 0.8, 220)
+	data.AppendRing(st, rng, 20, 32, 6, 0.3, 180)
+	data.AppendUniform(st, rng, geom.NewRect(geom.Point{0, 0}, geom.Point{45, 45}), 120)
+	return st.Views()
 }
 
 // clonePoints deep-copies so Build copies from genuinely independent

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/kmeans"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/quality"
@@ -35,7 +36,7 @@ func Baselines(opt Options) (*Table, error) {
 		data.DatasetC(opt.Seed),
 	}
 	for _, ds := range datasets {
-		central, _, err := runCentral(ds, opt)
+		central, _, err := runCentral(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +56,11 @@ func Baselines(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := runDBDC(ds, fig7Sites, model.RepScor, 2*ds.Params.Eps, opt)
+		part, err := randomPartition(ds, fig7Sites, opt)
+		if err != nil {
+			return nil, err
+		}
+		res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps})
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
-	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/data"
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
@@ -36,13 +34,17 @@ func Budgets(opt Options) (*Table, error) {
 		data.DatasetC(opt.Seed),
 	}
 	for _, ds := range datasets {
-		central, _, err := runCentral(ds, opt)
+		central, _, err := runCentral(ds)
+		if err != nil {
+			return nil, err
+		}
+		part, err := randomPartition(ds, fig7Sites, opt)
 		if err != nil {
 			return nil, err
 		}
 		baseline := 0
 		for _, budget := range budgetSweep {
-			res, err := runDBDCBudget(ds, fig7Sites, model.RepScor, 2*ds.Params.Eps, budget, opt)
+			res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps, RepBudget: budget})
 			if err != nil {
 				return nil, err
 			}
@@ -85,46 +87,4 @@ func Budgets(opt Options) (*Table, error) {
 		"of-unbudgeted = uplink bytes as % of the budget-off row; coverage = eps-covered member fraction across sites",
 	)
 	return t, nil
-}
-
-// runDBDCBudget is runDBDC with the SDBDC per-cluster representative
-// budget threaded into the site configuration; budget 0 is the identical
-// unbudgeted pipeline.
-func runDBDCBudget(ds data.Dataset, numSites int, kind model.Kind, epsGlobal float64, budget int, opt Options) (*pipelineResult, error) {
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	part, err := data.PartitionRandom(len(ds.Points), numSites, rng)
-	if err != nil {
-		return nil, err
-	}
-	sitePts := part.Extract(ds.Points)
-	sites := make([]dbdc.Site, numSites)
-	for s := range sites {
-		sites[s] = dbdc.Site{ID: fmt.Sprintf("site-%02d", s), Points: sitePts[s]}
-	}
-	cfg := dbdc.Config{
-		Local:      ds.Params,
-		Model:      kind,
-		EpsGlobal:  epsGlobal,
-		Index:      opt.Index,
-		RepBudget:  budget,
-		Sequential: true,
-	}
-	run, err := dbdc.Run(sites, cfg)
-	if err != nil {
-		return nil, err
-	}
-	perSite := make([][]cluster.ID, numSites)
-	for s := range sites {
-		perSite[s] = run.Sites[sites[s].ID].Labels
-	}
-	distributed, err := data.Assemble(part, perSite, len(ds.Points))
-	if err != nil {
-		return nil, err
-	}
-	return &pipelineResult{
-		run:             run,
-		distributed:     distributed,
-		distributedTime: run.DistributedDuration(),
-		repFraction:     float64(run.TotalRepresentatives()) / float64(len(ds.Points)),
-	}, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/distkmeans"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/pdbscan"
@@ -35,7 +36,7 @@ func Comparison(opt Options) (*Table, error) {
 	}
 	const sites = 4
 	for _, ds := range datasets {
-		central, _, err := runCentral(ds, opt)
+		central, _, err := runCentral(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +59,11 @@ func Comparison(opt Options) (*Table, error) {
 			return nil
 		}
 		// DBDC.
-		res, err := runDBDC(ds, sites, model.RepScor, 2*ds.Params.Eps, opt)
+		part, err := randomPartition(ds, sites, opt)
+		if err != nil {
+			return nil, err
+		}
+		res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps})
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +93,7 @@ func Comparison(opt Options) (*Table, error) {
 		}
 		// Distributed k-means with the reference cluster count.
 		rng := rand.New(rand.NewSource(opt.Seed))
-		part, err := data.PartitionRandom(len(ds.Points), sites, rng)
+		part, err = data.PartitionRandom(len(ds.Points), sites, rng)
 		if err != nil {
 			return nil, err
 		}

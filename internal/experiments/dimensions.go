@@ -36,11 +36,15 @@ func Dimensions(opt Options) (*Table, error) {
 	n := opt.scaled(8000)
 	for _, dim := range []int{2, 3, 5, 8} {
 		ds, truth := gaussianDataset(n, dim, opt.Seed)
-		central, centralTime, err := runCentral(ds, opt)
+		central, centralTime, err := runCentral(ds)
 		if err != nil {
 			return nil, err
 		}
-		res, err := runDBDC(ds, 4, model.RepScor, 2*ds.Params.Eps, opt)
+		part, err := randomPartition(ds, 4, opt)
+		if err != nil {
+			return nil, err
+		}
+		res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps})
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +121,11 @@ func gaussianDataset(n, dim int, seed int64) (data.Dataset, cluster.Labeling) {
 func OpticsSweep(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	ds := data.DatasetA(opt.scaled(data.DatasetASize), opt.Seed)
-	res, err := runDBDC(ds, 4, model.RepScor, 2*ds.Params.Eps, opt)
+	part, err := randomPartition(ds, 4, opt)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps})
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +134,7 @@ func OpticsSweep(opt Options) (*Table, error) {
 		models = append(models, sr.Outcome.Model)
 	}
 	cuts := []float64{1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5}
-	cfg := dbdc.Config{Local: ds.Params, Model: model.RepScor, Index: opt.Index}
+	cfg := dbdc.Config{Local: ds.Params, Model: model.RepScor}
 	// Repeated DBSCAN runs.
 	t0 := time.Now()
 	var dbscanClusters []int

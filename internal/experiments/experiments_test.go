@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -159,12 +160,16 @@ func TestHeadlineQualityAtModerateScale(t *testing.T) {
 	}
 	opt := Options{Seed: 11, Scale: 1}
 	ds := data.DatasetA(8700, opt.Seed)
-	central, _, err := runCentral(ds, opt.withDefaults())
+	central, _, err := runCentral(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := randomPartition(ds, 4, opt.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range model.Kinds() {
-		res, err := runDBDC(ds, 4, kind, 2*ds.Params.Eps, opt.withDefaults())
+		res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: kind, EpsGlobal: 2 * ds.Params.Eps})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -16,7 +17,7 @@ import (
 func Fig10(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	ds := data.DatasetA(opt.scaled(data.DatasetASize), opt.Seed)
-	central, _, err := runCentral(ds, opt)
+	central, _, err := runCentral(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -27,11 +28,15 @@ func Fig10(opt Options) (*Table, error) {
 			"P^I(kmeans)", "P^II(kmeans)", "P^I(scor)", "P^II(scor)"},
 	}
 	for _, sites := range []int{2, 4, 5, 8, 10, 14, 20} {
+		part, err := randomPartition(ds, sites, opt)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{fmt.Sprintf("%d", sites)}
 		var repPct string
 		cells := map[model.Kind][2]string{}
 		for _, kind := range []model.Kind{model.RepKMeans, model.RepScor} {
-			res, err := runDBDC(ds, sites, kind, 2*ds.Params.Eps, opt)
+			res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: kind, EpsGlobal: 2 * ds.Params.Eps})
 			if err != nil {
 				return nil, err
 			}

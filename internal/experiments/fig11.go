@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -26,14 +27,18 @@ func Fig11(opt Options) (*Table, error) {
 		data.DatasetC(opt.Seed),
 	}
 	for _, ds := range datasets {
-		central, _, err := runCentral(ds, opt)
+		central, _, err := runCentral(ds)
+		if err != nil {
+			return nil, err
+		}
+		part, err := randomPartition(ds, fig7Sites, opt)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{ds.Name, fmt.Sprintf("%d", len(ds.Points))}
 		cells := map[model.Kind][2]string{}
 		for _, kind := range []model.Kind{model.RepKMeans, model.RepScor} {
-			res, err := runDBDC(ds, fig7Sites, kind, 2*ds.Params.Eps, opt)
+			res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: kind, EpsGlobal: 2 * ds.Params.Eps})
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -25,16 +26,21 @@ func runtimeSweep(id, title string, cardinalities []int, opt Options) (*Table, e
 	for _, n := range cardinalities {
 		n = opt.scaled(n)
 		ds := data.DatasetA(n, opt.Seed)
-		_, centralTime, err := runCentral(ds, opt)
+		_, centralTime, err := runCentral(ds)
 		if err != nil {
 			return nil, err
 		}
-		epsGlobal := 2 * ds.Params.Eps
-		scor, err := runDBDC(ds, fig7Sites, model.RepScor, epsGlobal, opt)
+		part, err := randomPartition(ds, fig7Sites, opt)
 		if err != nil {
 			return nil, err
 		}
-		km, err := runDBDC(ds, fig7Sites, model.RepKMeans, epsGlobal, opt)
+		cfg := dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps}
+		scor, err := runDBDC(ds, part, cfg)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Model = model.RepKMeans
+		km, err := runDBDC(ds, part, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +55,7 @@ func runtimeSweep(id, title string, cardinalities []int, opt Options) (*Table, e
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d sites, Eps_global = 2*Eps_local, dataset A, index=%s", fig7Sites, opt.Index),
+		fmt.Sprintf("%d sites, Eps_global = 2*Eps_local, dataset A", fig7Sites),
 		"distributed time = max(local clustering) + global clustering, as in the paper",
 		"totalwork = sum of all site work + server work: the single-machine overhead of distribution")
 	return t, nil

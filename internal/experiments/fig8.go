@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -19,7 +20,7 @@ func Fig8(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	n := opt.scaled(Fig8Cardinality)
 	ds := data.DatasetA(n, opt.Seed)
-	_, centralTime, err := runCentral(ds, opt)
+	_, centralTime, err := runCentral(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +31,11 @@ func Fig8(opt Options) (*Table, error) {
 			"s (linear ref)", "s^2 (quadratic ref)"},
 	}
 	for _, sites := range []int{1, 2, 4, 8, 16, 32} {
-		res, err := runDBDC(ds, sites, model.RepScor, 2*ds.Params.Eps, opt)
+		part, err := randomPartition(ds, sites, opt)
+		if err != nil {
+			return nil, err
+		}
+		res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps})
 		if err != nil {
 			return nil, err
 		}
@@ -46,6 +51,6 @@ func Fig8(opt Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper: speed-up lies between O(s) and O(s^2) in the number of sites s",
-		fmt.Sprintf("dataset A analogue, Eps_global = 2*Eps_local, index=%s", opt.Index))
+		"dataset A analogue, Eps_global = 2*Eps_local")
 	return t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -15,7 +16,11 @@ import (
 func Fig9(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	ds := data.DatasetA(opt.scaled(data.DatasetASize), opt.Seed)
-	central, _, err := runCentral(ds, opt)
+	central, _, err := runCentral(ds)
+	if err != nil {
+		return nil, err
+	}
+	part, err := randomPartition(ds, fig7Sites, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +34,7 @@ func Fig9(opt Options) (*Table, error) {
 		row := []string{fmt.Sprintf("%.1f", factor)}
 		var pis, piis []string
 		for _, kind := range []model.Kind{model.RepKMeans, model.RepScor} {
-			res, err := runDBDC(ds, fig7Sites, kind, factor*ds.Params.Eps, opt)
+			res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: kind, EpsGlobal: factor * ds.Params.Eps})
 			if err != nil {
 				return nil, err
 			}

@@ -23,7 +23,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
-	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/quality"
 )
 
@@ -34,16 +33,11 @@ type Options struct {
 	// Scale in (0, 1] shrinks the cardinalities so test suites can exercise
 	// every experiment quickly; cmd/experiments uses 1.0.
 	Scale float64
-	// Index selects the neighborhood index; empty uses the R*-tree.
-	Index index.Kind
 }
 
 func (o Options) withDefaults() Options {
 	if o.Scale <= 0 || o.Scale > 1 {
 		o.Scale = 1
-	}
-	if o.Index == "" {
-		o.Index = index.KindRStar
 	}
 	if o.Seed == 0 {
 		o.Seed = 2004 // EDBT 2004
@@ -136,34 +130,23 @@ type pipelineResult struct {
 	repFraction float64
 }
 
-// runDBDC partitions the data set over numSites sites and executes the full
-// DBDC pipeline.
-func runDBDC(ds data.Dataset, numSites int, kind model.Kind, epsGlobal float64, opt Options) (*pipelineResult, error) {
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	part, err := data.PartitionRandom(len(ds.Points), numSites, rng)
-	if err != nil {
-		return nil, err
-	}
+// runDBDC executes the full DBDC pipeline over the sites of part under cfg
+// and rearranges the global labeling into data set order. The sites run one
+// at a time — the paper's timing methodology, max(local) + global, so
+// per-site durations stay free of scheduler contention on the experiment
+// host.
+func runDBDC(ds data.Dataset, part *data.Partition, cfg dbdc.Config) (*pipelineResult, error) {
 	sitePts := part.Extract(ds.Points)
-	sites := make([]dbdc.Site, numSites)
+	sites := make([]dbdc.Site, len(sitePts))
 	for s := range sites {
 		sites[s] = dbdc.Site{ID: fmt.Sprintf("site-%02d", s), Points: sitePts[s]}
 	}
-	cfg := dbdc.Config{
-		Local:     ds.Params,
-		Model:     kind,
-		EpsGlobal: epsGlobal,
-		Index:     opt.Index,
-		// The paper's timing methodology: run sites one at a time and
-		// report max(local) + global, so per-site durations stay free of
-		// scheduler contention on the experiment host.
-		Sequential: true,
-	}
+	cfg.Sequential = true
 	run, err := dbdc.Run(sites, cfg)
 	if err != nil {
 		return nil, err
 	}
-	perSite := make([][]cluster.ID, numSites)
+	perSite := make([][]cluster.ID, len(sites))
 	for s := range sites {
 		perSite[s] = run.Sites[sites[s].ID].Labels
 	}
@@ -179,10 +162,17 @@ func runDBDC(ds data.Dataset, numSites int, kind model.Kind, epsGlobal float64, 
 	}, nil
 }
 
-// runCentral executes the reference clustering of the whole data set.
-func runCentral(ds data.Dataset, opt Options) (*dbscan.Result, time.Duration, error) {
+// randomPartition is the layout of the paper's experiments: the data set
+// spread over k sites uniformly at random.
+func randomPartition(ds data.Dataset, k int, opt Options) (*data.Partition, error) {
+	return data.PartitionRandom(len(ds.Points), k, rand.New(rand.NewSource(opt.Seed+1)))
+}
+
+// runCentral executes the reference clustering of the whole data set on an
+// R*-tree.
+func runCentral(ds data.Dataset) (*dbscan.Result, time.Duration, error) {
 	start := time.Now()
-	idx, err := index.Build(opt.Index, ds.Points, geom.Euclidean{}, ds.Params.Eps)
+	idx, err := index.Build(index.KindRStar, ds.Points, geom.Euclidean{}, ds.Params.Eps)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/aggtree"
@@ -35,13 +34,12 @@ func Hierarchy(opt Options) (*Table, error) {
 			"P^II-vs-central", "P^II-vs-flat", "merge[ms]"},
 	}
 	ds := data.DatasetA(opt.scaled(data.DatasetASize), opt.Seed)
-	central, _, err := runCentral(ds, opt)
+	central, _, err := runCentral(ds)
 	if err != nil {
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	part, err := data.PartitionRandom(len(ds.Points), hierarchySites, rng)
+	part, err := randomPartition(ds, hierarchySites, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +48,6 @@ func Hierarchy(opt Options) (*Table, error) {
 		Local:     ds.Params,
 		Model:     model.RepScor,
 		EpsGlobal: 2 * ds.Params.Eps,
-		Index:     opt.Index,
 	}
 	outcomes := make([]*dbdc.LocalOutcome, hierarchySites)
 	models := make([]*model.LocalModel, hierarchySites)
@@ -76,8 +73,10 @@ func Hierarchy(opt Options) (*Table, error) {
 	}
 	var flat cluster.Labeling
 	for _, r := range runs {
+		runCfg := cfg
+		runCfg.RepBudget = r.budget
 		start := time.Now()
-		global, stats, err := aggtree.MergeTree(models, r.fanIn, cfg, r.budget)
+		global, stats, err := aggtree.MergeTree(models, r.fanIn, runCfg)
 		mergeTime := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hierarchy %s: %w", r.name, err)

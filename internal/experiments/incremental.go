@@ -36,7 +36,7 @@ func Incremental(opt Options) (*Table, error) {
 		return nil, err
 	}
 	sitePts := part.Extract(ds.Points)
-	cfg := dbdc.Config{Local: ds.Params, Model: model.RepScor, Index: opt.Index}
+	cfg := dbdc.Config{Local: ds.Params, Model: model.RepScor}
 
 	type siteState struct {
 		inc      *incdbscan.Clusterer
@@ -142,7 +142,7 @@ func Incremental(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	central, _, err := runCentral(ds, opt)
+	central, _, err := runCentral(ds)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
-	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/data"
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
@@ -21,7 +19,7 @@ import (
 func Partitions(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	ds := data.DatasetA(opt.scaled(data.DatasetASize), opt.Seed)
-	central, _, err := runCentral(ds, opt)
+	central, _, err := runCentral(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -30,13 +28,14 @@ func Partitions(opt Options) (*Table, error) {
 		Title:   "quality vs data-to-site layout (dataset A)",
 		Columns: []string{"layout", "sites", "repr.[%]", "P^I", "P^II"},
 	}
+	cfg := dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps}
 	type layout struct {
 		name string
 		make func(k int) (*data.Partition, error)
 	}
 	layouts := []layout{
 		{"random", func(k int) (*data.Partition, error) {
-			return data.PartitionRandom(len(ds.Points), k, rand.New(rand.NewSource(opt.Seed+1)))
+			return randomPartition(ds, k, opt)
 		}},
 		{"round-robin", func(k int) (*data.Partition, error) {
 			return data.PartitionRoundRobin(len(ds.Points), k)
@@ -51,7 +50,7 @@ func Partitions(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := runPartitioned(ds, part, opt)
+			res, err := runDBDC(ds, part, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -72,38 +71,4 @@ func Partitions(opt Options) (*Table, error) {
 		"REP_Scor, Eps_global = 2*Eps_local",
 		"spatial sectors concentrate each cluster on few sites: fewer representatives, typically higher quality — density survives the split")
 	return t, nil
-}
-
-// runPartitioned is runDBDC with an explicit partition.
-func runPartitioned(ds data.Dataset, part *data.Partition, opt Options) (*pipelineResult, error) {
-	sitePts := part.Extract(ds.Points)
-	sites := make([]dbdc.Site, len(sitePts))
-	for s := range sites {
-		sites[s] = dbdc.Site{ID: fmt.Sprintf("site-%02d", s), Points: sitePts[s]}
-	}
-	cfg := dbdc.Config{
-		Local:      ds.Params,
-		Model:      model.RepScor,
-		EpsGlobal:  2 * ds.Params.Eps,
-		Index:      opt.Index,
-		Sequential: true,
-	}
-	run, err := dbdc.Run(sites, cfg)
-	if err != nil {
-		return nil, err
-	}
-	perSite := make([][]cluster.ID, len(sites))
-	for s := range sites {
-		perSite[s] = run.Sites[sites[s].ID].Labels
-	}
-	distributed, err := data.Assemble(part, perSite, len(ds.Points))
-	if err != nil {
-		return nil, err
-	}
-	return &pipelineResult{
-		run:             run,
-		distributed:     distributed,
-		distributedTime: run.DistributedDuration(),
-		repFraction:     float64(run.TotalRepresentatives()) / float64(len(ds.Points)),
-	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dbdc-go/dbdc/internal/data"
+	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -29,7 +30,11 @@ func Transmission(opt Options) (*Table, error) {
 	}
 	for _, ds := range datasets {
 		for _, sites := range []int{4, 16} {
-			res, err := runDBDC(ds, sites, model.RepScor, 2*ds.Params.Eps, opt)
+			part, err := randomPartition(ds, sites, opt)
+			if err != nil {
+				return nil, err
+			}
+			res, err := runDBDC(ds, part, dbdc.Config{Local: ds.Params, Model: model.RepScor, EpsGlobal: 2 * ds.Params.Eps})
 			if err != nil {
 				return nil, err
 			}

@@ -101,7 +101,7 @@ func (s *Store) DistanceSqBatch(q Point, ids []int, out []float64) []float64 {
 // chain (identical bits for all non-NaN operands), and a NaN distance fails
 // the test in every kernel body.
 //
-// The three Verify* entry points may use out[len(out):len(out)+len(cand)]
+// Both Verify* entry points may use out[len(out):len(out)+len(cand)]
 // as scratch (the default build stores every candidate there before it knows
 // the verdict), growing out first when it is shorter: a caller must not keep
 // live data in the spare capacity of the slice it hands in. Elements below
@@ -123,29 +123,6 @@ func (s *Store) VerifyRangeSq(q Point, cand []int, eps2 float64, out []int) []in
 		panic("geom: verify query point longer than store stride")
 	}
 	return verifyKernel(s.buf, s.dim, q, cand, eps2, out)
-}
-
-// VerifyRangeSq2 is VerifyRangeSq with the two query coordinates passed as
-// scalars — the 2-d hot path of the tree traversals, which then never
-// materialise a query slice header. It funnels into the same fused kernel
-// body, so its decisions are bit-for-bit those of VerifyRangeSq.
-func (s *Store) VerifyRangeSq2(q0, q1 float64, cand []int, eps2 float64, out []int) []int {
-	if len(cand) == 0 {
-		return out
-	}
-	q := [2]float64{q0, q1}
-	if debugChecks {
-		for _, id := range cand {
-			s.mustIndex(id)
-		}
-		if s.Len() > 0 {
-			mustSameDim(q[:], s.Point(0))
-		}
-	}
-	if 2 > s.dim {
-		panic("geom: verify query point longer than store stride")
-	}
-	return verifyKernel(s.buf, s.dim, q[:], cand, eps2, out)
 }
 
 // VerifyIntervalSq is VerifyRangeSq over the consecutive row interval

@@ -270,14 +270,13 @@ func FuzzDistanceSqBatch(f *testing.F) {
 	})
 }
 
-// checkVerifyContract holds the three fused verifiers to their contract on
+// checkVerifyContract holds the two fused verifiers to their contract on
 // one (store, query, candidates, threshold) instance: the result is exactly
 // the ids whose DistanceSqBatch value is ≤ eps2, in candidate order — with a
 // nil out, with spare capacity, behind a prefix that must survive (with and
 // without room for the candidates), and filtering the candidate slice in
 // place — and nothing at or beyond len(out)+len(cand) is ever written.
-// VerifyRangeSq2 is held to the same rule on 2-d stores, VerifyIntervalSq on
-// the row interval [lo, hi).
+// VerifyIntervalSq is held to the same rule on the row interval [lo, hi).
 func checkVerifyContract(t *testing.T, st *Store, q Point, cand []int, eps2 float64, lo, hi int) {
 	t.Helper()
 	const sentinel = -12345
@@ -341,14 +340,6 @@ func checkVerifyContract(t *testing.T, st *Store, q Point, cand []int, eps2 floa
 			c := append([]int(nil), cand...)
 			return st.VerifyRangeSq(q, c, eps2, c[:0])
 		})
-	if st.Dim() == 2 {
-		shapes("VerifyRangeSq2", len(cand), want,
-			func(out []int) []int { return st.VerifyRangeSq2(q[0], q[1], cand, eps2, out) },
-			func() []int {
-				c := append([]int(nil), cand...)
-				return st.VerifyRangeSq2(q[0], q[1], c, eps2, c[:0])
-			})
-	}
 	rows := make([]int, 0, hi-lo)
 	for id := lo; id < hi; id++ {
 		rows = append(rows, id)

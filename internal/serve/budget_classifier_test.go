@@ -8,7 +8,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
@@ -21,15 +20,15 @@ import (
 func buildBudgetedModel(t testing.TB, kind model.Kind, budget int, seed int64) ([]geom.Point, *model.GlobalModel) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var pts []geom.Point
-	pts = append(pts, data.Blob(rng, geom.Point{0, 0}, 0.3, 140)...)
-	pts = append(pts, data.Blob(rng, geom.Point{5, 5}, 0.4, 140)...)
-	pts = append(pts, data.Ring(rng, -4, 4, 2, 0.1, 140)...)
-	pts = append(pts, data.Uniform(rng, geom.NewRect(geom.Point{-8, -8}, geom.Point{8, 8}), 60)...)
+	st := geom.NewStore(2, 0)
+	data.AppendBlob(st, rng, geom.Point{0, 0}, 0.3, 140)
+	data.AppendBlob(st, rng, geom.Point{5, 5}, 0.4, 140)
+	data.AppendRing(st, rng, -4, 4, 2, 0.1, 140)
+	data.AppendUniform(st, rng, geom.NewRect(geom.Point{-8, -8}, geom.Point{8, 8}), 60)
+	pts := st.Views()
 	cfg := dbdc.Config{
 		Local:     dbscan.Params{Eps: 0.5, MinPts: 5},
 		Model:     kind,
-		Index:     index.KindRStar,
 		RepBudget: budget,
 	}
 	half := len(pts) / 2

@@ -31,9 +31,14 @@ func TestRegistryFromRoundsStableIDs(t *testing.T) {
 	srv.SetOnGlobal(reg.PublishFunc(func(err error) { t.Errorf("publish: %v", err) }))
 
 	rng := rand.New(rand.NewSource(5))
-	a := data.Blob(rng, geom.Point{0, 0}, 0.3, 150)
-	b := data.Blob(rng, geom.Point{100, 0}, 0.3, 150)
-	c := data.Blob(rng, geom.Point{50, 50}, 0.3, 150)
+	blob := func(center geom.Point) []geom.Point {
+		st := geom.NewStore(2, 0)
+		data.AppendBlob(st, rng, center, 0.3, 150)
+		return st.Views()
+	}
+	a := blob(geom.Point{0, 0})
+	b := blob(geom.Point{100, 0})
+	c := blob(geom.Point{50, 50})
 	rounds := [][2][]geom.Point{
 		{a, b},
 		{append(append([]geom.Point{}, c...), a...), b},

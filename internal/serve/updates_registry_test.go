@@ -72,10 +72,10 @@ func TestRegistryFromUpdateServer(t *testing.T) {
 		go func(site int) {
 			rng := rand.New(rand.NewSource(int64(site)))
 			id := string(rune('a' + site))
-			var pts []geom.Point
+			st := geom.NewStore(2, 0)
 			for e := 0; e < epochs; e++ {
-				pts = append(pts, data.Blob(rng, geom.Point{float64(site*1000 + e*100), 0}, 0.3, 150)...)
-				out, err := dbdc.LocalStep(id, pts, cfg)
+				data.AppendBlob(st, rng, geom.Point{float64(site*1000 + e*100), 0}, 0.3, 150)
+				out, err := dbdc.LocalStep(id, st.Views(), cfg)
 				if err == nil {
 					_, _, _, err = transport.Exchange(srv.Addr(), out.Model, 10*time.Second)
 				}

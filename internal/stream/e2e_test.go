@@ -140,7 +140,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 					if i%2 == 0 {
 						center = moving
 					}
-					if err := site.Ingest(data.Blob(rng, center, 0.25, 1)[0]); err != nil {
+					if err := site.Ingest(blobPoint(rng, center, 0.25)); err != nil {
 						siteErrs <- fmt.Errorf("site %d: %w", s, err)
 						return
 					}
@@ -169,10 +169,10 @@ func TestStreamingEndToEnd(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
-		var pts []geom.Point
+		st := geom.NewStore(2, 0)
 		for e := 0; e < 2; e++ {
-			pts = append(pts, data.Blob(rng, geom.Point{500, float64(e * 20)}, 0.25, 150)...)
-			out, err := idbdc.LocalStep("batch", pts, cfg)
+			data.AppendBlob(st, rng, geom.Point{500, float64(e * 20)}, 0.25, 150)
+			out, err := idbdc.LocalStep("batch", st.Views(), cfg)
 			if err == nil {
 				_, _, _, err = transport.Exchange(srv.Addr(), out.Model, 5*time.Second)
 			}

@@ -20,7 +20,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/incdbscan"
-	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
@@ -217,9 +216,20 @@ func (s *Site) Flush() error {
 // from the incremental clusterer's tree, its slots translated to window
 // positions.
 type windowIndex struct {
-	*index.Linear
+	st   *geom.Store
 	site *Site
 	pos  []int // slot → window position
+}
+
+// Len, Point, Store, Range and RangeAppend implement index.Index over the
+// window-order store; a by-point query scans its rows, which the
+// condensation never asks for — it queries by id.
+func (w *windowIndex) Len() int                              { return w.st.Len() }
+func (w *windowIndex) Point(i int) geom.Point                { return w.st.Point(i) }
+func (w *windowIndex) Store() *geom.Store                    { return w.st }
+func (w *windowIndex) Range(q geom.Point, eps float64) []int { return w.RangeAppend(q, eps, nil) }
+func (w *windowIndex) RangeAppend(q geom.Point, eps float64, buf []int) []int {
+	return w.st.VerifyIntervalSq(q, 0, w.st.Len(), eps*eps, buf[:0])
 }
 
 // RangeAppendID implements index.Index.
@@ -253,7 +263,7 @@ func (s *Site) localModel(labels cluster.Labeling) (*model.LocalModel, error) {
 		st.Append(s.inc.Point(slot))
 		core[i], wl[i] = s.inc.IsCore(slot), labels[slot]
 	}
-	w.Linear = index.NewLinearStore(st)
+	w.st = st
 	res, err := dbscan.FromCores(w, s.cfg.Cluster.Local, core, wl)
 	if err != nil {
 		return nil, err

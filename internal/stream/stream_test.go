@@ -13,6 +13,13 @@ import (
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
 
+// blobPoint draws one point from data.AppendBlob's Gaussian around center.
+func blobPoint(rng *rand.Rand, center geom.Point, stddev float64) geom.Point {
+	st := geom.NewStore(len(center), 1)
+	data.AppendBlob(st, rng, center, stddev, 1)
+	return st.Point(0)
+}
+
 func testCfg(window int) Config {
 	return Config{
 		SiteID:     "st",
@@ -58,7 +65,7 @@ func (f *fakeUploader) Upload(full *model.LocalModel, delta *model.LocalDelta, s
 func feed(t *testing.T, site *Site, rng *rand.Rand, center geom.Point, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := site.Ingest(data.Blob(rng, center, 0.25, 1)[0]); err != nil {
+		if err := site.Ingest(blobPoint(rng, center, 0.25)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +120,7 @@ func TestWindowEviction(t *testing.T) {
 	}
 	total := 3 * window
 	for i := 0; i < total; i++ {
-		if err := site.Ingest(data.Blob(rng, geom.Point{0, 0}, 0.25, 1)[0]); err != nil {
+		if err := site.Ingest(blobPoint(rng, geom.Point{0, 0}, 0.25)); err != nil {
 			t.Fatal(err)
 		}
 		if got := site.LiveCount(); got > window {
@@ -252,7 +259,7 @@ func TestRunDrainsAndFlushes(t *testing.T) {
 	}
 	src := make(chan geom.Point, 120)
 	for i := 0; i < 120; i++ {
-		src <- data.Blob(rng, geom.Point{0, 0}, 0.25, 1)[0]
+		src <- blobPoint(rng, geom.Point{0, 0}, 0.25)
 	}
 	close(src)
 	if err := site.Run(src); err != nil {

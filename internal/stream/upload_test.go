@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/dbdc-go/dbdc/internal/data"
 	idbdc "github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/model"
@@ -64,7 +63,7 @@ func randomChurn(rng *rand.Rand, n int) []geom.Point {
 		if rng.Intn(5) == 0 {
 			pts[i] = geom.Point{8 * rng.Float64(), 8 * rng.Float64()}
 		} else {
-			pts[i] = data.Blob(rng, centre, 0.3, 1)[0]
+			pts[i] = blobPoint(rng, centre, 0.3)
 		}
 	}
 	return pts

@@ -18,7 +18,6 @@ import (
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbdc"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index"
 )
 
 // --- section codec -------------------------------------------------------
@@ -437,70 +436,65 @@ func TestDifferentialSiteWorkers(t *testing.T) {
 		sites[i] = dbdc.Site{ID: fmt.Sprintf("site-%d", i+1), Points: pts}
 	}
 
-	for _, kind := range index.Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := testCfg()
-			cfg.SiteWorkers = 4
-			cfg.Index = kind
+	cfg := testCfg()
+	cfg.SiteWorkers = 4
 
-			seqCfg := cfg
-			seqCfg.Sequential = true
-			inproc, err := dbdc.Run(sites, seqCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	seqCfg := cfg
+	seqCfg.Sequential = true
+	inproc, err := dbdc.Run(sites, seqCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			srv, err := NewServer("127.0.0.1:0", len(sites), cfg, 10*time.Second)
+	srv, err := NewServer("127.0.0.1:0", len(sites), cfg, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	done := runRound(srv, RoundOptions{})
+	var wg sync.WaitGroup
+	labels := make([]cluster.Labeling, len(sites))
+	errs := make([]error, len(sites))
+	for i, s := range sites {
+		wg.Add(1)
+		go func(i int, s dbdc.Site) {
+			defer wg.Done()
+			rep, err := RunSite(srv.Addr(), s.ID, s.Points, cfg, 10*time.Second)
 			if err != nil {
-				t.Fatal(err)
+				errs[i] = err
+				return
 			}
-			defer srv.Close()
-			done := runRound(srv, RoundOptions{})
-			var wg sync.WaitGroup
-			labels := make([]cluster.Labeling, len(sites))
-			errs := make([]error, len(sites))
-			for i, s := range sites {
-				wg.Add(1)
-				go func(i int, s dbdc.Site) {
-					defer wg.Done()
-					rep, err := RunSite(srv.Addr(), s.ID, s.Points, cfg, 10*time.Second)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					labels[i] = rep.Labels
-				}(i, s)
+			labels[i] = rep.Labels
+		}(i, s)
+	}
+	wg.Wait()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("site %s: %v", sites[i].ID, err)
+		}
+	}
+	if !bytes.Equal(mustMarshalGlobal(t, r.global), mustMarshalGlobal(t, inproc.Global)) {
+		t.Fatal("parallel networked round and sequential in-process run diverged")
+	}
+	for i, s := range sites {
+		want := inproc.Sites[s.ID].Labels
+		if len(labels[i]) != len(want) {
+			t.Fatalf("site %s: labeling lengths differ", s.ID)
+		}
+		for j := range want {
+			if labels[i][j] != want[j] {
+				t.Fatalf("site %s: label %d differs: %v vs %v", s.ID, j, labels[i][j], want[j])
 			}
-			wg.Wait()
-			r := <-done
-			if r.err != nil {
-				t.Fatal(r.err)
-			}
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("site %s: %v", sites[i].ID, err)
-				}
-			}
-			if !bytes.Equal(mustMarshalGlobal(t, r.global), mustMarshalGlobal(t, inproc.Global)) {
-				t.Fatal("parallel networked round and sequential in-process run diverged")
-			}
-			for i, s := range sites {
-				want := inproc.Sites[s.ID].Labels
-				if len(labels[i]) != len(want) {
-					t.Fatalf("site %s: labeling lengths differ", s.ID)
-				}
-				for j := range want {
-					if labels[i][j] != want[j] {
-						t.Fatalf("site %s: label %d differs: %v vs %v", s.ID, j, labels[i][j], want[j])
-					}
-				}
-			}
-			// Every site ran four workers and said so on the wire.
-			for _, outcome := range r.report.Sites {
-				if outcome.Phases == nil || outcome.Phases.Workers != 4 {
-					t.Fatalf("site %s phases = %+v, want workers=4", outcome.SiteID, outcome.Phases)
-				}
-			}
-		})
+		}
+	}
+	// Every site ran four workers and said so on the wire.
+	for _, outcome := range r.report.Sites {
+		if outcome.Phases == nil || outcome.Phases.Workers != 4 {
+			t.Fatalf("site %s phases = %+v, want workers=4", outcome.SiteID, outcome.Phases)
+		}
 	}
 }

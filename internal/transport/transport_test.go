@@ -124,13 +124,6 @@ func TestServerValidation(t *testing.T) {
 	if _, err := NewServer("127.0.0.1:0", 1, bad, 0); err == nil {
 		t.Error("invalid config accepted")
 	}
-	// An index kind that does not exist is refused at construction, not at
-	// every global step after.
-	bad = testCfg()
-	bad.Index = "mtree"
-	if _, err := NewServer("127.0.0.1:0", 1, bad, 0); err == nil || !strings.Contains(err.Error(), "[linear rstar]") {
-		t.Errorf("unknown index kind: err = %v, want a refusal naming [linear rstar]", err)
-	}
 }
 
 // TestEndToEndTCP runs a complete networked DBDC round on the loopback:
