@@ -633,6 +633,28 @@ func BenchmarkLocalClustering(b *testing.B) {
 			b.ReportMetric(float64(out.Model.EncodedSize()), "uplink-bytes")
 		})
 	}
+	// Renegotiation: the re-condensation a capped upload asks of a budget-16
+	// outcome, every smaller budget once, each model marshalled as the
+	// transport would.
+	b.Run("budget/renegotiate", func(b *testing.B) {
+		out, err := lib.LocalStep("bench-site", budgetDS.Points, lib.Config{Local: budgetDS.Params, RepBudget: 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for budget := 1; budget < 16; budget++ {
+				m, _, err := out.BudgetedModel(budget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.MarshalBinary(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkLoadgenClassify measures the online classification front end

@@ -53,8 +53,12 @@ func TestRepBudgetFlowsThroughLocalStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.MaxScorPerCluster() < 3 {
-		t.Fatalf("dataset too easy: max Scor %d", full.MaxScorPerCluster())
+	maxScor := 0
+	for _, scor := range full.Clustering.Scor {
+		maxScor = max(maxScor, len(scor))
+	}
+	if maxScor < 3 {
+		t.Fatalf("dataset too easy: max Scor %d", maxScor)
 	}
 	cfg.RepBudget = 2
 	out, err := LocalStep("s1", pts, cfg)
@@ -88,7 +92,8 @@ func TestRepBudgetFlowsThroughLocalStep(t *testing.T) {
 
 // TestBudgetedModelRenegotiation pins the transport-facing re-condensation
 // hook: same budget returns the cached model, a different budget rebuilds
-// without mutating the outcome, budget 0 recovers the unbudgeted model.
+// without mutating the outcome, budget 0 recovers the unbudgeted model, and
+// an outcome built unbudgeted, which keeps no ranking, refuses a budget.
 func TestBudgetedModelRenegotiation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := append(blob(rng, 0, 0, 0.35, 180), blob(rng, 9, 1, 0.35, 180)...)
@@ -134,6 +139,12 @@ func TestBudgetedModelRenegotiation(t *testing.T) {
 	}
 	if _, _, err := out.BudgetedModel(-1); err == nil {
 		t.Fatal("negative budget accepted")
+	}
+	if _, _, err := want.BudgetedModel(1); err == nil {
+		t.Fatal("an outcome built unbudgeted accepted budget 1")
+	}
+	if m, _, err := want.BudgetedModel(0); err != nil || m != want.Model {
+		t.Fatalf("an outcome built unbudgeted did not return its model at budget 0: %v", err)
 	}
 }
 

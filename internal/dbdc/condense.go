@@ -36,7 +36,7 @@ import (
 // round instead of erroring it.
 //
 // cfg.RepBudget > 0 caps the condensed model through the established
-// dbscan.BudgetScor path (greedy coverage-maximizing selection over the
+// dbscan.RankScor path (greedy coverage-maximizing ranking of the
 // regional clusters), and the returned outcome supports BudgetedModel
 // re-derivation, so each tree level can negotiate its own uplink cap with
 // its parent exactly like a budgeted site does.
@@ -88,24 +88,11 @@ func CondenseGlobal(siteID string, g *model.GlobalModel, cfg Config) (*LocalOutc
 	if err != nil {
 		return nil, err
 	}
-	m, stats, err := buildLocalModel(siteID, st, res, cfg, cfg.RepBudget)
-	if err != nil {
-		return nil, err
-	}
 	// NumObjects counts representatives here, not the objects they stand
 	// for: the aggregator does not see raw objects. Callers that know the
 	// region's true cardinality (the transport round report sums the site
 	// models' NumObjects) overwrite it for the compression statistics.
-	return &LocalOutcome{
-		SiteID:     siteID,
-		Points:     st.Views(),
-		Clustering: res,
-		Model:      m,
-		RepBudget:  cfg.RepBudget,
-		Budget:     stats,
-		st:         st,
-		cfg:        cfg,
-	}, nil
+	return LocalStepClustered(siteID, st, res, cfg)
 }
 
 // SetNumObjects records the true object cardinality behind a condensed

@@ -63,10 +63,10 @@ type Config struct {
 	// cluster (the SDBDC follow-up, PKDD 2004): at most RepBudget specific
 	// cores per cluster, greedily selected to maximize the fraction of
 	// cluster members still covered by the transmitted model
-	// (dbscan.BudgetScor). 0 keeps the paper's unbudgeted local model —
+	// (dbscan.RankScor). 0 keeps the paper's unbudgeted local model —
 	// byte-identical on the wire to a build without the knob. For
-	// REP_kMeans the budget bounds the seed set, so k = min(RepBudget,
-	// |Scor_C|) centroids are shipped per cluster.
+	// REP_kMeans the budget bounds the seed set, so at most
+	// k = min(RepBudget, |Scor_C|) centroids are shipped per cluster.
 	RepBudget int
 	// SiteWorkers is the per-site worker budget for the local DBSCAN runs
 	// (dbscan.Options.Workers): values above 1 run a site's DBSCAN on that

@@ -2,6 +2,7 @@ package dbdc
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/dbscan"
@@ -52,11 +53,13 @@ type LocalOutcome struct {
 	Budget    dbscan.BudgetStats
 
 	// st and cfg are the store the clustering ran over and the resolved
-	// configuration the outcome was produced under, retained so
-	// BudgetedModel can re-condense the clustering at a different budget
+	// configuration the outcome was produced under, and rank the ranking
+	// of its specific cores (nil when unbudgeted), retained so
+	// BudgetedModel can re-condense the clustering at a smaller budget
 	// during transport negotiation.
-	st  *geom.Store
-	cfg Config
+	st   *geom.Store
+	cfg  Config
+	rank *dbscan.ScorRanking
 	// numObjects, when positive, overrides the model's NumObjects: a
 	// condensed outcome (CondenseGlobal) clusters representatives, but the
 	// compression statistics want the cardinality of the objects those
@@ -124,93 +127,96 @@ func LocalStepStore(siteID string, st *geom.Store, cfg Config) (*LocalOutcome, e
 // store st — the Result of dbscan.Run or dbscan.FromCores, specific core
 // points included — under a valid cfg: it condenses the clusters into the
 // local model exactly as LocalStep does. The outcome retains st; its Points
-// are views into it.
+// are views into it. A budgeted outcome ranks the specific cores once
+// (dbscan.RankScor), and every budget BudgetedModel is asked for later is
+// a prefix of that ranking; an unbudgeted one runs no greedy.
 func LocalStepClustered(siteID string, st *geom.Store, res *dbscan.Result, cfg Config) (*LocalOutcome, error) {
 	cfg = cfg.withDefaults()
 	condenseStart := time.Now()
-	m, stats, err := buildLocalModel(siteID, st, res, cfg, cfg.RepBudget)
-	if err != nil {
-		return nil, err
-	}
-	return &LocalOutcome{
+	o := &LocalOutcome{
 		SiteID:     siteID,
 		Points:     st.Views(),
 		Clustering: res,
-		Model:      m,
-		Timings:    LocalTimings{Condense: time.Since(condenseStart), Workers: 1},
 		RepBudget:  cfg.RepBudget,
-		Budget:     stats,
 		st:         st,
 		cfg:        cfg,
-	}, nil
-}
-
-// buildLocalModel condenses a clustering into the local model under the
-// given per-cluster representative budget (0 = unbudgeted, the byte-exact
-// historical output). The budgeted path never mutates res: the selector
-// returns a fresh Scor map that a shallow result copy carries into the
-// condensation.
-func buildLocalModel(siteID string, st *geom.Store, res *dbscan.Result, cfg Config, budget int) (*model.LocalModel, dbscan.BudgetStats, error) {
-	var stats dbscan.BudgetStats
-	condensed := res
-	if budget > 0 {
-		scor, s := dbscan.BudgetScor(st, res, budget)
-		stats = s
-		b := *res
-		b.Scor = scor
-		condensed = &b
 	}
-	m := &model.LocalModel{
-		SiteID:      siteID,
-		Kind:        cfg.Model,
-		EpsLocal:    cfg.Local.Eps,
-		MinPts:      cfg.Local.MinPts,
-		NumObjects:  st.Len(),
-		NumClusters: res.NumClusters(),
+	if cfg.RepBudget > 0 {
+		o.rank = dbscan.RankScor(st, res)
 	}
 	var err error
-	switch cfg.Model {
+	if o.Model, o.Budget, err = o.BudgetedModel(cfg.RepBudget); err != nil {
+		return nil, err
+	}
+	o.Timings = LocalTimings{Condense: time.Since(condenseStart), Workers: 1}
+	return o, nil
+}
+
+// BudgetedModel condenses the outcome's clustering under another
+// per-cluster representative budget, without re-running DBSCAN or the
+// greedy: the selection is a prefix of the outcome's ranking. The transport layer uses it to shrink a site's upload
+// until it fits a server-advertised byte cap; budget 0 rebuilds the
+// unbudgeted model. An outcome built unbudgeted has no ranking and refuses
+// every positive budget. The outcome itself (Model, Budget) is not
+// modified.
+func (o *LocalOutcome) BudgetedModel(budget int) (*model.LocalModel, dbscan.BudgetStats, error) {
+	switch {
+	case budget < 0:
+		return nil, dbscan.BudgetStats{}, fmt.Errorf("dbdc: site %s: negative budget %d", o.SiteID, budget)
+	case budget == o.RepBudget && o.Model != nil:
+		return o.Model, o.Budget, nil
+	case budget > 0 && o.rank == nil:
+		return nil, dbscan.BudgetStats{}, fmt.Errorf("dbdc: site %s: budget %d asked of an outcome built unbudgeted", o.SiteID, budget)
+	}
+	// The budgeted path never mutates the clustering: the ranking returns
+	// a fresh Scor map that a shallow result copy carries into the
+	// condensation.
+	res, stats := o.Clustering, dbscan.BudgetStats{}
+	if budget > 0 {
+		b := *res
+		b.Scor, stats = o.rank.Select(budget)
+		res = &b
+	}
+	m := &model.LocalModel{
+		SiteID:      o.SiteID,
+		Kind:        o.cfg.Model,
+		EpsLocal:    o.cfg.Local.Eps,
+		MinPts:      o.cfg.Local.MinPts,
+		NumObjects:  o.st.Len(),
+		NumClusters: res.NumClusters(),
+	}
+	if o.numObjects > 0 {
+		m.NumObjects = o.numObjects
+	}
+	var err error
+	switch o.cfg.Model {
 	case model.RepScor:
-		m.Reps = scorReps(st, condensed)
+		m.Reps = scorReps(o.st, res)
 	case model.RepKMeans:
-		m.Reps, err = kmeansReps(st, condensed, cfg.KMeansMaxIter)
-		if err != nil {
-			return nil, stats, fmt.Errorf("dbdc: site %s: %w", siteID, err)
+		// A REP_kMeans prefix re-runs k-means on its prefix seeds.
+		if m.Reps, err = kmeansReps(o.st, res, o.cfg.KMeansMaxIter); err != nil {
+			return nil, stats, fmt.Errorf("dbdc: site %s: %w", o.SiteID, err)
 		}
 	}
 	return m, stats, nil
 }
 
-// BudgetedModel re-condenses the outcome's clustering under a different
-// per-cluster representative budget, without re-running DBSCAN. The
-// transport layer uses it to shrink a site's upload until it fits a
-// server-advertised byte cap; budget 0 rebuilds the unbudgeted model. The
-// outcome itself (Model, Budget) is not modified.
-func (o *LocalOutcome) BudgetedModel(budget int) (*model.LocalModel, dbscan.BudgetStats, error) {
-	if budget < 0 {
-		return nil, dbscan.BudgetStats{}, fmt.Errorf("dbdc: site %s: negative budget %d", o.SiteID, budget)
+// ShrinkBudget returns the largest budget up to RepBudget whose model
+// encodes at least excess bytes smaller than the configured budget's, 0
+// when not even budget 1 saves that much (or the outcome is unbudgeted).
+// No model is built: every representative encodes in
+// model.RepWireSize(dim) bytes, so the saving is the ranking's drop in
+// representative count times that size. The count is non-decreasing in
+// the budget, so the budgets that save enough are a prefix of 1…RepBudget.
+func (o *LocalOutcome) ShrinkBudget(excess int64) int {
+	if o.rank == nil {
+		return 0
 	}
-	if budget == o.RepBudget && o.Model != nil {
-		return o.Model, o.Budget, nil
-	}
-	m, stats, err := buildLocalModel(o.SiteID, o.st, o.Clustering, o.cfg, budget)
-	if err == nil && o.numObjects > 0 {
-		m.NumObjects = o.numObjects
-	}
-	return m, stats, err
-}
-
-// MaxScorPerCluster returns the size of the largest unbudgeted specific
-// core set over the outcome's clusters — the budget above which budgeting
-// is the identity, and the natural upper bound of a shrink search.
-func (o *LocalOutcome) MaxScorPerCluster() int {
-	max := 0
-	for _, scor := range o.Clustering.Scor {
-		if len(scor) > max {
-			max = len(scor)
-		}
-	}
-	return max
+	perRep := int64(model.RepWireSize(o.st.Dim()))
+	return sort.Search(o.RepBudget, func(i int) bool {
+		_, s := o.rank.Select(i + 1)
+		return perRep*int64(o.Budget.Selected-s.Selected) < excess
+	})
 }
 
 // scorReps builds the REP_Scor local model (Section 5.1): the specific core

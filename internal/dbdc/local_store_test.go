@@ -141,11 +141,11 @@ func TestLocalModelFrameIdentity(t *testing.T) {
 					// run's result.
 					kmCfg := out.cfg
 					kmCfg.Model = model.RepKMeans
-					km, _, err := buildLocalModel("site", out.st, out.Clustering, kmCfg, 0)
+					km, err := LocalStepClustered("site", out.st, out.Clustering, kmCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for k, m := range []*model.LocalModel{out.Model, km} {
+					for k, m := range []*model.LocalModel{out.Model, km.Model} {
 						sum := sha256.Sum256(marshalFrame(t, m))
 						if got := fmt.Sprintf("%x", sum[:8]); got != want[ds.Name][k] {
 							t.Errorf("%s: frame digest %s, want %s", m.Kind, got, want[ds.Name][k])

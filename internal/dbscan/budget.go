@@ -17,10 +17,10 @@ import (
 // optimizes exactly the quantity that decides which objects keep a global
 // label after the round.
 
-// BudgetStats is the accounting of one BudgetScor application over a whole
-// clustering: how many specific cores the unbudgeted run selected, how many
-// survived the budget, and what fraction of the clustered objects the
-// survivors still cover.
+// BudgetStats is the accounting of one budget over a whole clustering
+// (ScorRanking.Select): how many specific cores the unbudgeted run
+// selected, how many survived the budget, and what fraction of the
+// clustered objects the survivors still cover.
 type BudgetStats struct {
 	// Budget is the per-cluster cap that was applied (0 = unbudgeted).
 	Budget int
@@ -47,76 +47,78 @@ func (s BudgetStats) CoverageFraction() float64 {
 	return float64(s.Covered) / float64(s.Members)
 }
 
-// BudgetScor selects at most budget specific core points per cluster from
-// res.Scor, greedily maximizing the number of cluster members covered
-// (dist(member, s) ≤ ε_s). It returns a fresh Scor map — res itself is
-// never mutated — plus the coverage accounting.
-//
-// Determinism: candidates are considered in ascending object (row) id, and
-// every greedy round picks the candidate with the highest marginal
-// coverage, exact ties breaking toward the lowest row id. The selected
-// sequence is therefore invariant under any permutation of the stored
-// candidate order — two runs that found the same specific core sets budget
-// to identical models regardless of map iteration or upstream processing
-// order. Selection stops early when no remaining candidate covers a new
-// member: coverage is maximal at that point and every further
-// representative would only cost uplink bytes.
-//
-// Identity: budget ≤ 0 and budget ≥ |Scor_C| (per cluster) return the
-// original candidate slices unchanged — same objects, same order — so an
-// unbudgeted (or generously budgeted) site stays byte-identical to the
-// historical local model on the wire.
-//
-// st holds the clustered objects, row-aligned with res.Labels, clustered
-// under the Euclidean metric.
-func BudgetScor(st *geom.Store, res *Result, budget int) (map[cluster.ID][]int, BudgetStats) {
-	budget = max(budget, 0)
-	stats := BudgetStats{Budget: budget}
-	out := make(map[cluster.ID][]int, len(res.Scor))
+// ScorRanking is the greedy coverage order of every cluster's specific
+// cores (RankScor). The pick at any budget is a prefix of it, so every
+// budget's selection is read off one greedy run (Select).
+type ScorRanking struct {
+	res *Result
+	// Per cluster: the greedy pick order, and covered[id][k], the members
+	// its first k picks cover.
+	rank, covered map[cluster.ID][]int
+	members       int
+}
+
+// RankScor ranks res.Scor for the representative budget: per cluster, the
+// greedy that maximizes the members covered (dist(member, s) ≤ ε_s) runs
+// once under no budget. Candidates are considered in ascending object
+// (row) id, and every round picks the one with the highest marginal
+// coverage, exact ties breaking toward the lowest row id, so the ranking
+// is invariant under any permutation of the stored candidate order. It
+// stops when no candidate covers a new member: coverage is maximal there,
+// and a further representative would only cost uplink bytes. res is never
+// mutated; st holds the clustered objects, row-aligned with res.Labels.
+func RankScor(st *geom.Store, res *Result) *ScorRanking {
+	r := &ScorRanking{res: res, rank: map[cluster.ID][]int{}, covered: map[cluster.ID][]int{}}
 	// Scratch the clusters share: one marker per row, which is safe because
 	// clusters are disjoint, and the coverage rows' buffer.
 	covered := make([]bool, st.Len())
 	var rows []int
 	for _, id := range res.Labels.ClusterIDs() {
-		scor := res.Scor[id]
-		stats.Candidates += len(scor)
 		members := res.Labels.Members(id)
-		stats.Members += len(members)
+		r.members += len(members)
+		r.rank[id], r.covered[id], rows = greedyCover(st, res, res.Scor[id], members, covered, rows)
+	}
+	return r
+}
 
-		selected, n := scor, 0
-		if budget == 0 || budget >= len(scor) {
-			// Identity path: the original slice, original order. Its
-			// coverage is the greedy cover's under no binding budget, which
-			// stops only once no candidate adds a member.
-			_, n, rows = greedyCover(st, res, scor, members, len(scor), covered, rows)
-		} else {
-			selected, n, rows = greedyCover(st, res, scor, members, budget, covered, rows)
+// Select returns at most budget specific cores per cluster — a fresh Scor
+// map, the rank prefix rank[:budget] — plus the coverage accounting.
+// Identity: budget ≤ 0 and budget ≥ |Scor_C| (per cluster) return the
+// original candidate slices unchanged — same objects, same order — so an
+// unbudgeted (or generously budgeted) site stays byte-identical to the
+// historical local model on the wire.
+func (r *ScorRanking) Select(budget int) (map[cluster.ID][]int, BudgetStats) {
+	budget = max(budget, 0)
+	stats := BudgetStats{Budget: budget, Members: r.members}
+	out := make(map[cluster.ID][]int, len(r.rank))
+	for id, rank := range r.rank {
+		selected, k := r.res.Scor[id], len(rank)
+		stats.Candidates += len(selected)
+		if budget > 0 && budget < len(selected) {
+			k = min(budget, k)
+			selected = rank[:k:k]
 		}
 		out[id] = selected
 		stats.Selected += len(selected)
-		stats.Covered += n
+		stats.Covered += r.covered[id][k]
 	}
 	return out, stats
 }
 
-// greedyCover runs the budgeted max-coverage selection for one cluster,
-// marking the members it covers, and returns it with their number and the
-// rows buffer for the next cluster. The returned sequence is the greedy
-// pick order: highest marginal coverage first, row id breaking exact ties,
-// stopping at the budget or when no candidate adds coverage.
-func greedyCover(st *geom.Store, res *Result, scor, members []int, budget int, covered []bool, rows []int) ([]int, int, []int) {
+// greedyCover ranks one cluster's candidates as RankScor describes, marking
+// the members it covers, and returns the pick order, the members covered
+// after 0, 1, … picks and the rows buffer for the next cluster.
+func greedyCover(st *geom.Store, res *Result, scor, members []int, covered []bool, rows []int) ([]int, []int, []int) {
 	// Candidates in ascending row id: the scan below takes the first
-	// maximum, which then is the lowest row id among ties regardless of the
-	// order the clustering stored them in.
+	// maximum, which then is the lowest row id among ties.
 	cands := append([]int(nil), scor...)
 	sort.Ints(cands)
 
-	// Every candidate's coverage row, filled once into one flat buffer
-	// (rows[off[ci]:off[ci+1]]), and its marginal gain, exact to start
-	// with: nothing is covered yet. A row holds the members s covers under
-	// the relabeling rule, dist(m, s) ≤ ε_s, compared in squared space on
-	// the store kernels like RepSelector's, so budgeting counts exactly the
-	// objects relabeling will keep.
+	// Every candidate's coverage row — the members s covers under the
+	// relabeling rule dist(m, s) ≤ ε_s, in squared space on the store
+	// kernels like RepSelector's, so budgeting counts exactly the objects
+	// relabeling keeps — filled once into one flat buffer
+	// (rows[off[ci]:off[ci+1]]), and its marginal gain, exact to start with.
 	var row []int
 	rows = rows[:0]
 	off := make([]int, len(cands)+1)
@@ -132,9 +134,8 @@ func greedyCover(st *geom.Store, res *Result, scor, members []int, budget int, c
 	// upper bounds and only the leading candidate's is recounted. A
 	// recount that confirms its bound beats every other bound, and every
 	// lower row id's strictly, so it is the exact greedy pick.
-	selected := make([]int, 0, budget)
-	n := 0
-	for len(selected) < budget {
+	selected, cum := []int(nil), []int{0}
+	for len(selected) < len(cands) {
 		best := 0
 		for ci, g := range gain {
 			if g > gain[best] {
@@ -142,9 +143,7 @@ func greedyCover(st *geom.Store, res *Result, scor, members []int, budget int, c
 			}
 		}
 		if gain[best] == 0 {
-			// No remaining candidate covers a new member: coverage is
-			// maximal, spending more budget cannot improve it.
-			break
+			break // no remaining candidate covers a new member
 		}
 		g := 0
 		for _, m := range rows[off[best]:off[best+1]] {
@@ -161,7 +160,7 @@ func greedyCover(st *geom.Store, res *Result, scor, members []int, budget int, c
 		}
 		gain[best] = 0
 		selected = append(selected, cands[best])
-		n += g
+		cum = append(cum, cum[len(cum)-1]+g)
 	}
-	return selected, n, rows
+	return selected, cum, rows
 }

@@ -84,9 +84,10 @@ func TestBudgetScorProperties(t *testing.T) {
 					t.Fatalf("dataset too easy: largest Scor has %d candidates", maxScor)
 				}
 
+				rank := RankScor(st, res)
 				prevCoverage := -1.0
 				for b := 1; b <= maxScor+1; b++ {
-					scor, stats := BudgetScor(st, res, b)
+					scor, stats := rank.Select(b)
 					// Property 1: the budget binds per cluster.
 					for id, sel := range scor {
 						if len(sel) > b {
@@ -128,7 +129,7 @@ func TestBudgetScorProperties(t *testing.T) {
 						})
 						perm.Scor[id] = shuffled
 					}
-					permScor, permStats := BudgetScor(st, perm, b)
+					permScor, permStats := RankScor(st, perm).Select(b)
 					if b <= maxScor { // identity path keeps the (permuted) input order by design
 						for id := range scor {
 							if len(res.Scor[id]) > b && !reflect.DeepEqual(scor[id], permScor[id]) {
@@ -146,7 +147,7 @@ func TestBudgetScorProperties(t *testing.T) {
 				// count is the identity — the exact slices, not copies in a
 				// different order.
 				for _, b := range []int{maxScor, maxScor + 7, 0} {
-					scor, stats := BudgetScor(st, res, b)
+					scor, stats := rank.Select(b)
 					if b != 0 && b < maxScor {
 						continue
 					}
@@ -188,7 +189,7 @@ func TestBudgetScorGreedyOptimalFirstPick(t *testing.T) {
 	if res.NumClusters() != 1 {
 		t.Fatalf("want one chain cluster, got %d", res.NumClusters())
 	}
-	scor, stats := BudgetScor(budgetStore(t, pts), res, 1)
+	scor, stats := RankScor(budgetStore(t, pts), res).Select(1)
 	sel := scor[0]
 	if len(sel) != 1 {
 		t.Fatalf("B=1 selected %v", sel)
@@ -233,7 +234,7 @@ func TestBudgetScorEarlyStop(t *testing.T) {
 		t.Fatal("no cluster with multiple candidates")
 	}
 	b := maxScor - 1 // force the greedy path on the largest cluster
-	scor, _ := BudgetScor(budgetStore(t, pts), res, b)
+	scor, _ := RankScor(budgetStore(t, pts), res).Select(b)
 	// covered marks the members of cluster id that cores covers.
 	covered := func(id cluster.ID, cores []int) map[int]bool {
 		out := map[int]bool{}
@@ -270,9 +271,10 @@ func TestBudgetScorEarlyStop(t *testing.T) {
 	}
 }
 
-// refBudgetScor is the brute-force reference for BudgetScor: the same greedy
-// selection with every (candidate, member) pair tested one at a time under
-// the relabeling rule in squared space, dist²(m, s) ≤ ε_s².
+// refBudgetScor is the brute-force reference for ScorRanking.Select: the
+// same greedy selection at one budget with every (candidate, member) pair
+// tested one at a time under the relabeling rule in squared space,
+// dist²(m, s) ≤ ε_s².
 func refBudgetScor(pts []geom.Point, res *Result, budget int) (map[cluster.ID][]int, BudgetStats) {
 	covers := func(s, m int) bool {
 		eps := res.SpecificEps[s]
@@ -328,12 +330,11 @@ func refBudgetScor(pts []geom.Point, res *Result, budget int) (map[cluster.ID][]
 	return out, stats
 }
 
-// FuzzBudgetScor holds BudgetScor's store kernel to refBudgetScor on
+// FuzzBudgetScor holds one ScorRanking's Select to refBudgetScor on
 // byte-derived clusterings in 1–8 dimensions: the selection (ids and order)
 // and the stats at every budget from 0 to |Scor_C|+1, and the prefix
-// property the transport's binary search over budgets (fitBudget) relies
-// on: below the identity budget, the selection at b is a prefix of the
-// selection at any larger b.
+// property a ranking stands for: below the identity budget, the selection
+// at b is a prefix of the selection at any larger b.
 //
 // Input layout: dimension, point count, then per point a label byte (0–2 a
 // cluster, 3 noise), one byte per coordinate (integers in [-8, 8)) and a
@@ -398,9 +399,10 @@ func FuzzBudgetScor(f *testing.F) {
 		for _, scor := range res.Scor {
 			maxScor = max(maxScor, len(scor))
 		}
+		rank := RankScor(st, res)
 		sels := make([]map[cluster.ID][]int, maxScor+2)
 		for b := range sels {
-			got, gotStats := BudgetScor(st, res, b)
+			got, gotStats := rank.Select(b)
 			want, wantStats := refBudgetScor(pts, res, b)
 			if gotStats != wantStats {
 				t.Fatalf("b=%d: stats %+v, reference %+v", b, gotStats, wantStats)

@@ -353,11 +353,6 @@ type countingIndex struct {
 	queries atomic.Int64
 }
 
-func (c *countingIndex) Range(q geom.Point, eps float64) []int {
-	c.queries.Add(1)
-	return c.Index.Range(q, eps)
-}
-
 func (c *countingIndex) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	c.queries.Add(1)
 	return c.Index.RangeAppend(q, eps, buf)

@@ -91,18 +91,10 @@ func Comparison(opt Options) (*Table, error) {
 			redistribution+exact.BytesExchanged(), 3); err != nil {
 			return nil, err
 		}
-		// Distributed k-means with the reference cluster count.
-		rng := rand.New(rand.NewSource(opt.Seed))
-		part, err = data.PartitionRandom(len(ds.Points), sites, rng)
-		if err != nil {
-			return nil, err
-		}
+		// Distributed k-means with the reference cluster count, over the
+		// DBDC row's site layout.
 		sitePts := part.Extract(ds.Points)
-		k := central.NumClusters()
-		if k < 1 {
-			k = 1
-		}
-		km, err := distkmeans.Run(sitePts, k, rng, 0)
+		km, err := distkmeans.Run(sitePts, max(central.NumClusters(), 1), rand.New(rand.NewSource(opt.Seed)), 0)
 		if err != nil {
 			return nil, err
 		}

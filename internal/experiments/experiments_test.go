@@ -2,13 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/data"
 	"github.com/dbdc-go/dbdc/internal/dbdc"
+	"github.com/dbdc-go/dbdc/internal/distkmeans"
 	"github.com/dbdc-go/dbdc/internal/model"
+	"github.com/dbdc-go/dbdc/internal/quality"
 )
 
 // quickOpts shrink every experiment so the whole suite stays fast while
@@ -256,6 +261,71 @@ func TestComparisonShape(t *testing.T) {
 		}
 		if dbdcARI <= 0 {
 			t.Errorf("row %d: DBDC ARI %v", r, dbdcARI)
+		}
+	}
+}
+
+// TestComparisonKMeansOverDBDCLayout: the dist-kmeans row compares over the
+// DBDC row's site layout — its ARI, P^II, bytes and rounds are those of a
+// direct distkmeans.Run over randomPartition's sites, with an RNG of its
+// own seeded with the options' seed.
+func TestComparisonKMeansOverDBDCLayout(t *testing.T) {
+	opt := quickOpts().withDefaults()
+	tbl, err := Comparison(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasets := []data.Dataset{
+		data.DatasetA(opt.scaled(data.DatasetASize), opt.Seed),
+		data.DatasetB(opt.Seed),
+		data.DatasetC(opt.Seed),
+	}
+	for d, ds := range datasets {
+		central, _, err := runCentral(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := randomPartition(ds, 4, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sitePts := part.Extract(ds.Points)
+		km, err := distkmeans.Run(sitePts, max(central.NumClusters(), 1), rand.New(rand.NewSource(opt.Seed)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perSite := make([][]cluster.ID, len(sitePts))
+		for s := range sitePts {
+			for _, a := range km.Assign[s] {
+				perSite[s] = append(perSite[s], cluster.ID(a))
+			}
+		}
+		labels, err := data.Assemble(part, perSite, len(ds.Points))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ari, err := quality.AdjustedRandIndex(labels, central.Labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pii, err := quality.QDBDCPII(labels, central.Labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := 3*d + 2
+		if got := cell(tbl, row, "method"); got != "dist-kmeans" {
+			t.Fatalf("row %d is %q", row, got)
+		}
+		want := map[string]string{
+			"ARI vs central": fmt.Sprintf("%.3f", ari),
+			"P^II":           pct(pii),
+			"bytes":          fmt.Sprint(km.BytesExchanged()),
+			"rounds":         fmt.Sprint(km.Rounds),
+		}
+		for col, w := range want {
+			if got := cell(tbl, row, col); got != w {
+				t.Errorf("%s: dist-kmeans %s %s, a direct run over the DBDC layout %s", ds.Name, col, got, w)
+			}
 		}
 	}
 }

@@ -155,7 +155,7 @@ func TestInteriorDeleteCostModel(t *testing.T) {
 		// The model, from the state before the deletion.
 		id := c.find(c.labels[victim])
 		lost := []int{victim}
-		for _, q := range c.tree.Range(p, params.Eps) {
+		for _, q := range c.tree.RangeAppend(p, params.Eps, nil) {
 			if q != victim && c.core[q] && c.count[q] == params.MinPts {
 				lost = append(lost, q)
 			}
@@ -166,7 +166,7 @@ func TestInteriorDeleteCostModel(t *testing.T) {
 		}
 		cands := map[int]bool{}
 		for _, l := range lost {
-			for _, r := range c.tree.Range(c.Point(l), params.Eps) {
+			for _, r := range c.tree.RangeAppend(c.Point(l), params.Eps, nil) {
 				if r != victim && (!c.core[r] || isLost[r]) && c.find(c.labels[r]) == id {
 					cands[r] = true
 				}

@@ -34,13 +34,12 @@ type Index interface {
 	Len() int
 	// Point returns the i-th indexed point. Callers must not mutate it.
 	Point(i int) geom.Point
-	// Range returns the indexes of all points within distance eps of q,
-	// boundary inclusive (the Eps-neighborhood N_Eps(q) of the paper,
-	// including q itself when q is an indexed point). Order is unspecified.
-	Range(q geom.Point, eps float64) []int
-	// RangeAppend behaves like Range but appends into buf after truncating
-	// it to zero length, letting tight loops (DBSCAN expansion) avoid one
-	// allocation per query. The whole capacity of buf is the index's to
+	// RangeAppend returns the indexes of all points within distance eps of
+	// q, boundary inclusive (the Eps-neighborhood N_Eps(q) of the paper,
+	// including q itself when q is an indexed point), appended into buf
+	// after truncating it to zero length, letting tight loops (DBSCAN
+	// expansion) avoid one allocation per query. Order is unspecified. A nil
+	// buf asks for a fresh slice. The whole capacity of buf is the index's to
 	// scribble on (the store verifiers write candidates past the result
 	// before they know the verdict), so hand in a buffer, not a window of
 	// a slice whose tail is still in use.

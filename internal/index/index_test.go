@@ -116,7 +116,7 @@ func TestRangeAgreesWithLinear(t *testing.T) {
 						query = randomPoints(rng, 1, dim)[0]
 					}
 					want := oracleRange(pts, query, eps)
-					if got := sortedInts(idx.Range(query, eps)); !reflect.DeepEqual(got, want) {
+					if got := sortedInts(idx.RangeAppend(query, eps, nil)); !reflect.DeepEqual(got, want) {
 						t.Fatalf("Range mismatch (n=%d dim=%d eps=%v): got %v want %v", n, dim, eps, got, want)
 					}
 				}
@@ -135,7 +135,7 @@ func TestEmptyIndexes(t *testing.T) {
 			if idx.Len() != 0 {
 				t.Errorf("Len = %d", idx.Len())
 			}
-			if got := idx.Range(geom.Point{0, 0}, 1); len(got) != 0 {
+			if got := idx.RangeAppend(geom.Point{0, 0}, 1, nil); len(got) != 0 {
 				t.Errorf("Range on empty = %v", got)
 			}
 		})
@@ -150,10 +150,10 @@ func TestSinglePointIndexes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			if got := idx.Range(geom.Point{1, 2}, 0); !reflect.DeepEqual(got, []int{0}) {
+			if got := idx.RangeAppend(geom.Point{1, 2}, 0, nil); !reflect.DeepEqual(got, []int{0}) {
 				t.Errorf("self query = %v, want [0]", got)
 			}
-			if got := idx.Range(geom.Point{5, 5}, 1); len(got) != 0 {
+			if got := idx.RangeAppend(geom.Point{5, 5}, 1, nil); len(got) != 0 {
 				t.Errorf("distant query = %v, want empty", got)
 			}
 		})
@@ -168,7 +168,7 @@ func TestDuplicatePoints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			got := sortedInts(idx.Range(geom.Point{0, 0}, 0.1))
+			got := sortedInts(idx.RangeAppend(geom.Point{0, 0}, 0.1, nil))
 			if !reflect.DeepEqual(got, []int{0, 1, 2}) {
 				t.Errorf("duplicates = %v, want [0 1 2]", got)
 			}
@@ -188,7 +188,7 @@ func BenchmarkRange(b *testing.B) {
 		b.Run(string(kind), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = idx.Range(queries[i%len(queries)], 0.5)
+				_ = idx.RangeAppend(queries[i%len(queries)], 0.5, nil)
 			}
 		})
 	}

@@ -26,11 +26,6 @@ func (l *Linear) Len() int { return l.store.Len() }
 // Point implements Index.
 func (l *Linear) Point(i int) geom.Point { return l.store.Point(i) }
 
-// Range implements Index.
-func (l *Linear) Range(q geom.Point, eps float64) []int {
-	return l.RangeAppend(q, eps, nil)
-}
-
 // RangeAppend implements Index. It is allocation-free when buf has
 // capacity. The interval verification kernel streams the flat buffer and
 // thresholds in squared space in one pass — identical decisions to testing

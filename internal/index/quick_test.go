@@ -60,7 +60,7 @@ func TestQuickRangeOracle(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				got := idx.Range(pc.query, pc.eps)
+				got := idx.RangeAppend(pc.query, pc.eps, nil)
 				if len(got) != len(want) {
 					return false
 				}
@@ -92,7 +92,7 @@ func TestQuickRangeAppendReuse(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				fresh := idx.Range(pc.query, pc.eps)
+				fresh := idx.RangeAppend(pc.query, pc.eps, nil)
 				reused := idx.RangeAppend(pc.query, pc.eps, dirty)
 				if len(fresh) != len(reused) {
 					return false

@@ -85,15 +85,11 @@ func (p *Packed) Point(i int) geom.Point { return p.rows.Point(i) }
 // rows, for the tree's lifetime.
 func (p *Packed) Store() *geom.Store { return p.rows }
 
-// Range returns the indexes of all points within Euclidean distance eps of
-// q, boundary inclusive.
-func (p *Packed) Range(q geom.Point, eps float64) []int {
-	return p.RangeAppend(q, eps, nil)
-}
-
-// RangeAppend is Range writing into buf (reused after truncation to zero
-// length), the allocation-free variant the DBSCAN inner loop uses. Both the
-// box pruning bound and the leaf verification run in squared space.
+// RangeAppend returns the indexes of all points within Euclidean distance
+// eps of q, boundary inclusive, written into buf (reused after truncation
+// to zero length), the allocation-free form the DBSCAN inner loop uses.
+// Both the box pruning bound and the leaf verification run in squared
+// space.
 func (p *Packed) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	return p.rangeAppend(q, -1, eps, math.MaxInt, nil, buf)
 }

@@ -38,14 +38,14 @@ func TestDeleteToEmptyAndReuse(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if got := tr.Range(geom.Point{1, 1}, 10); len(got) != 0 {
+	if got := tr.RangeAppend(geom.Point{1, 1}, 10, nil); len(got) != 0 {
 		t.Fatalf("Range after full delete = %v", got)
 	}
 	// The tree must accept inserts again.
 	if err := tr.Insert(geom.Point{5, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Range(geom.Point{5, 5}, 0); len(got) != 1 {
+	if got := tr.RangeAppend(geom.Point{5, 5}, 0, nil); len(got) != 1 {
 		t.Fatalf("Range after reuse = %v", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestDeleteRandomSubsets(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			got := tr.Range(query, eps)
+			got := tr.RangeAppend(query, eps, nil)
 			sort.Ints(got)
 			sort.Ints(want)
 			if !reflect.DeepEqual(got, want) {
@@ -150,7 +150,7 @@ func TestDeleteDuplicatesByIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := tr.Range(geom.Point{3, 3}, 0)
+	got := tr.RangeAppend(geom.Point{3, 3}, 0, nil)
 	if len(got) != 25 {
 		t.Fatalf("survivors = %d, want 25", len(got))
 	}
@@ -179,7 +179,7 @@ func TestReplaceAtErrors(t *testing.T) {
 	if err := tr.ReplaceAt(0, geom.Point{7, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Range(geom.Point{7, 7}, 0); len(got) != 1 || got[0] != 0 {
+	if got := tr.RangeAppend(geom.Point{7, 7}, 0, nil); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Range on replaced slot = %v", got)
 	}
 }
@@ -220,7 +220,7 @@ func TestReplaceAtChurn(t *testing.T) {
 					want = append(want, j)
 				}
 			}
-			got := tr.Range(query, eps)
+			got := tr.RangeAppend(query, eps, nil)
 			sort.Ints(got)
 			sort.Ints(want)
 			if !reflect.DeepEqual(got, want) {
@@ -245,7 +245,7 @@ func TestReplaceAtFromEmpty(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if got := tr.Range(geom.Point{3, 3}, 0.1); len(got) != 1 || got[0] != 1 {
+	if got := tr.RangeAppend(geom.Point{3, 3}, 0.1, nil); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Range after restart = %v", got)
 	}
 }
@@ -273,7 +273,7 @@ func TestEmptiedTreeKeepsDimensionality(t *testing.T) {
 	if err := tr.ReplaceAt(0, geom.Point{4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Range(geom.Point{4, 5}, 0); len(got) != 1 || got[0] != 0 || !tr.Point(0).Equal(geom.Point{4, 5}) {
+	if got := tr.RangeAppend(geom.Point{4, 5}, 0, nil); len(got) != 1 || got[0] != 0 || !tr.Point(0).Equal(geom.Point{4, 5}) {
 		t.Fatalf("slot 0 after the rejected points: Range %v, Point %v", got, tr.Point(0))
 	}
 }

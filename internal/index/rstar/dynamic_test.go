@@ -74,7 +74,7 @@ func checkRangeAgainstScan(t *testing.T, tr *Tree, live []int, q geom.Point, eps
 			want = append(want, i)
 		}
 	}
-	got := tr.Range(q, eps)
+	got := tr.RangeAppend(q, eps, nil)
 	sort.Ints(got)
 	sort.Ints(want)
 	if !slices.Equal(got, want) {

@@ -2,15 +2,11 @@ package rstar
 
 import "github.com/dbdc-go/dbdc/internal/geom"
 
-// Range returns the indexes of all points within Euclidean distance eps of
-// q, boundary inclusive. Subtrees are pruned with the MBR distance bound.
-func (t *Tree) Range(q geom.Point, eps float64) []int {
-	return t.RangeAppend(q, eps, nil)
-}
-
-// RangeAppend is Range writing into buf (reused after truncation to zero
-// length), the allocation-free variant incremental DBSCAN uses. The R*-tree
-// is Euclidean-only, so both the MBR pruning bound and the leaf verification
+// RangeAppend returns the indexes of all points within Euclidean distance
+// eps of q, boundary inclusive, written into buf (reused after truncation
+// to zero length), the allocation-free form incremental DBSCAN uses.
+// Subtrees are pruned with the MBR distance bound. The R*-tree is
+// Euclidean-only, so both the MBR pruning bound and the leaf verification
 // run entirely in squared space (no sqrt on the hot path).
 func (t *Tree) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	out := buf[:0]

@@ -85,7 +85,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.height() != 0 {
 		t.Fatalf("empty tree: Len=%d height=%d", tr.Len(), tr.height())
 	}
-	if got := tr.Range(geom.Point{0, 0}, 1); got != nil {
+	if got := tr.RangeAppend(geom.Point{0, 0}, 1, nil); got != nil {
 		t.Errorf("Range on empty = %v", got)
 	}
 }
@@ -156,7 +156,7 @@ func TestInvariantsDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInvariants(t, tr)
-	if got := tr.Range(geom.Point{1, 1}, 0); len(got) != 100 {
+	if got := tr.RangeAppend(geom.Point{1, 1}, 0, nil); len(got) != 100 {
 		t.Fatalf("Range over duplicates = %d, want 100", len(got))
 	}
 }
@@ -308,8 +308,8 @@ func TestBulkRangeMatchesIncremental(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := pts[rng.Intn(len(pts))]
 		eps := rng.Float64() * 2
-		a := bulk.Range(q, eps)
-		b := inc.Range(q, eps)
+		a := bulk.RangeAppend(q, eps, nil)
+		b := inc.RangeAppend(q, eps, nil)
 		sort.Ints(a)
 		sort.Ints(b)
 		if !reflect.DeepEqual(a, b) {
@@ -514,7 +514,7 @@ func FuzzBulkRange(f *testing.F) {
 					scan = append(scan, j)
 				}
 			}
-			got := bulk.Range(q, eps)
+			got := bulk.RangeAppend(q, eps, nil)
 			sort.Ints(got)
 			if !slices.Equal(got, scan) {
 				t.Fatalf("dim %d n %d id %d eps %v: range %v, linear scan %v", dim, n, id, eps, got, scan)

@@ -47,8 +47,8 @@ func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 				t.Fatalf("Build is not backed by its own copy of the points (Store = %p)", got)
 			}
 			for i := 0; i < st.Len(); i += 37 {
-				want := storeIdx.Range(st.Point(i), eps)
-				if got := idx.Range(pts[i], eps); !reflect.DeepEqual(got, want) {
+				want := storeIdx.RangeAppend(st.Point(i), eps, nil)
+				if got := idx.RangeAppend(pts[i], eps, nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Range differs from BuildStore at query %d: %v vs %v", i, got, want)
 				}
 				if got := idx.RangeAppendID(i, eps, nil); !reflect.DeepEqual(got, want) {
@@ -73,13 +73,13 @@ func TestRangeEpsBoundary(t *testing.T) {
 	}
 	radii := []float64{5, 10, 0.3, 0.1 + 0.2, 1, math.Sqrt(0.05), 1e-8}
 	check := func(t *testing.T, idx interface {
-		Range(geom.Point, float64) []int
+		RangeAppend(geom.Point, float64, []int) []int
 	}, pts []geom.Point) {
 		t.Helper()
 		for _, eps := range radii {
 			for i, q := range pts {
 				want := oracleRange(pts, q, eps)
-				if got := sortedInts(idx.Range(q, eps)); !reflect.DeepEqual(got, want) {
+				if got := sortedInts(idx.RangeAppend(q, eps, nil)); !reflect.DeepEqual(got, want) {
 					t.Errorf("eps=%v query %d %v: got %v, oracle %v", eps, i, q, got, want)
 				}
 				static, ok := idx.(Index)
@@ -147,7 +147,7 @@ func TestBuildRejectsMalformedInput(t *testing.T) {
 				if idx.Len() != len(in.pts) {
 					t.Fatalf("Len = %d, want %d", idx.Len(), len(in.pts))
 				}
-				if got := idx.Range(geom.Point{0, 0}, 0.5); len(got) != 0 {
+				if got := idx.RangeAppend(geom.Point{0, 0}, 0.5, nil); len(got) != 0 {
 					t.Fatalf("Range on empty = %v", got)
 				}
 			})
@@ -180,7 +180,7 @@ func TestStoreDemotionOnDelete(t *testing.T) {
 	if rt.Len() != 99 {
 		t.Errorf("rstar: Len %d after one delete of 100", rt.Len())
 	}
-	ids := sortedInts(rt.Range(pts[7], 1))
+	ids := sortedInts(rt.RangeAppend(pts[7], 1, nil))
 	if want := []int{6, 8}; !reflect.DeepEqual(ids, want) {
 		t.Errorf("rstar: range around the deleted point = %v, want %v", ids, want)
 	}

@@ -44,8 +44,9 @@ func writeRep(w *wire.Writer, rep Representative) {
 	w.I32(int32(rep.LocalCluster))
 }
 
-// wireRepSize returns the encoded size of one representative.
-func wireRepSize(rep Representative) int { return 4 + 8*rep.Point.Dim() + 8 + 4 }
+// RepWireSize returns the encoded size of one representative of dimension
+// dim: the dimension, the coordinates, ε and the local cluster id.
+func RepWireSize(dim int) int { return 4 + 8*dim + 8 + 4 }
 
 // scanRepCoords walks n representative encodings on a VALUE COPY of the
 // reader (the caller's position is untouched) and returns the total
@@ -132,7 +133,7 @@ func readHeader(r *wire.Reader, tag byte, frame string) {
 func (m *LocalModel) wireSize() int {
 	size := 2 + 4 + len(m.SiteID) + 4 + len(m.Kind) + 8 + 4 + 4 + 4 + 4
 	for _, rep := range m.Reps {
-		size += wireRepSize(rep)
+		size += RepWireSize(rep.Point.Dim())
 	}
 	return size
 }
@@ -222,7 +223,7 @@ func PeekLocalSiteID(data []byte) string {
 func (g *GlobalModel) wireSize() int {
 	size := 2 + 8 + 4 + 4 + 4
 	for _, rep := range g.Reps {
-		size += wireRepSize(rep.Representative) + 4 + len(rep.SiteID) + 4
+		size += RepWireSize(rep.Point.Dim()) + 4 + len(rep.SiteID) + 4
 	}
 	return size
 }

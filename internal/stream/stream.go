@@ -221,13 +221,12 @@ type windowIndex struct {
 	pos  []int // slot → window position
 }
 
-// Len, Point, Store, Range and RangeAppend implement index.Index over the
+// Len, Point, Store and RangeAppend implement index.Index over the
 // window-order store; a by-point query scans its rows, which the
 // condensation never asks for — it queries by id.
-func (w *windowIndex) Len() int                              { return w.st.Len() }
-func (w *windowIndex) Point(i int) geom.Point                { return w.st.Point(i) }
-func (w *windowIndex) Store() *geom.Store                    { return w.st }
-func (w *windowIndex) Range(q geom.Point, eps float64) []int { return w.RangeAppend(q, eps, nil) }
+func (w *windowIndex) Len() int               { return w.st.Len() }
+func (w *windowIndex) Point(i int) geom.Point { return w.st.Point(i) }
+func (w *windowIndex) Store() *geom.Store     { return w.st }
 func (w *windowIndex) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	return w.st.VerifyIntervalSq(q, 0, w.st.Len(), eps*eps, buf[:0])
 }

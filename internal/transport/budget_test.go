@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -220,6 +222,138 @@ func TestBudgetCapShrink(t *testing.T) {
 		}
 		<-done2
 	})
+}
+
+// searchBudget is the cap fit as a binary search over built payloads, the
+// way fitBudget found the budget before the ranking made the payload size
+// a count: the reference TestBudgetCapFitMatchesSearch holds fitBudget to.
+func searchBudget(c *Client, outcome *dbdc.LocalOutcome, phases *SitePhases, attempt int, slept time.Duration, cap int64) (int, []byte, error) {
+	fits := func(payload []byte) bool {
+		return cap <= 0 || int64(frameHeaderSize+len(payload)) <= cap
+	}
+	build := func(b int) ([]byte, error) {
+		p, _, err := c.budgetedPayload(outcome, b, phases, attempt, slept)
+		return p, err
+	}
+	payload, err := build(outcome.RepBudget)
+	if err != nil {
+		return 0, nil, err
+	}
+	if fits(payload) {
+		return outcome.RepBudget, payload, nil
+	}
+	lo, hi := 1, outcome.RepBudget-1
+	bestB := 0
+	var bestPayload []byte
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		p, err := build(mid)
+		if err != nil {
+			return 0, nil, err
+		}
+		if fits(p) {
+			bestB, bestPayload = mid, p
+			lo = mid + 1
+		} else {
+			hi = mid - 1
+		}
+	}
+	if bestB == 0 {
+		return 0, nil, permanent(fmt.Errorf(
+			"transport: model exceeds the server's %d-byte upload cap even at budget 1", cap))
+	}
+	return bestB, bestPayload, nil
+}
+
+// TestBudgetCapFitMatchesSearch holds the arithmetic cap fit to the binary
+// search over built payloads on REP_Scor and REP_kMeans site outcomes and
+// on a condensed regional model carrying an aggregation-level section: at
+// every cap from one no budget meets to one no budget has to shrink for —
+// each budget's exact frame size, one byte less and one more — both pick
+// the same budget, send the same bytes or fail with the same error.
+func TestBudgetCapFitMatchesSearch(t *testing.T) {
+	const budget = 12
+	site := func(kind model.Kind) func(t *testing.T) (*dbdc.LocalOutcome, *Client) {
+		return func(t *testing.T) (*dbdc.LocalOutcome, *Client) {
+			rng := rand.New(rand.NewSource(21))
+			pts := append(append(blob(rng, 0, 0, 200), blob(rng, 4, 0, 120)...), blob(rng, 0, 4, 60)...)
+			cfg := testCfg()
+			cfg.Model, cfg.RepBudget = kind, budget
+			outcome, err := dbdc.LocalStep("site-1", pts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return outcome, &Client{}
+		}
+	}
+	condensed := func(t *testing.T) (*dbdc.LocalOutcome, *Client) {
+		var models []*model.LocalModel
+		for i, seed := range []int64{22, 23} {
+			rng := rand.New(rand.NewSource(seed))
+			pts := append(blob(rng, 0, 0, 200), blob(rng, 4, 0, 200)...)
+			out, err := dbdc.LocalStep(fmt.Sprintf("site-%d", i), pts, testCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			models = append(models, out.Model)
+		}
+		regional, err := dbdc.GlobalStep(models, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testCfg()
+		cfg.RepBudget = budget
+		outcome, err := dbdc.CondenseGlobal("agg-1", regional, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcome.SetNumObjects(800)
+		agg := AggLevel{Level: 1, SitesExpected: 2, SitesOK: 2, RegionalClusters: regional.NumClusters, Objects: 800,
+			Sources: []AggSource{{SiteID: "site-0", Reps: len(models[0].Reps)}, {SiteID: "site-1", Reps: len(models[1].Reps)}}}
+		return outcome, &Client{AppendSections: func(dst []byte) []byte { return AppendAggLevelSection(dst, agg) }}
+	}
+	for _, tc := range []struct {
+		name    string
+		outcome func(t *testing.T) (*dbdc.LocalOutcome, *Client)
+	}{
+		{"scor", site(model.RepScor)},
+		{"kmeans", site(model.RepKMeans)},
+		{"condensed", condensed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			outcome, c := tc.outcome(t)
+			phases := &SitePhases{Workers: 1, Cluster: time.Millisecond}
+			caps := []int64{0, frameHeaderSize + 8}
+			shrinks := 0
+			for b := 1; b <= budget; b++ {
+				p, _, err := c.budgetedPayload(outcome, b, phases, 2, time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size := int64(frameHeaderSize + len(p))
+				caps = append(caps, size-1, size, size+1)
+			}
+			for _, cap := range caps {
+				wantB, wantPayload, wantErr := searchBudget(c, outcome, phases, 2, time.Second, cap)
+				gotB, gotPayload, stats, gotErr := c.fitBudget(outcome, phases, 2, time.Second, cap)
+				if (gotErr == nil) != (wantErr == nil) || gotErr != nil && (gotErr.Error() != wantErr.Error() || Retryable(gotErr) != Retryable(wantErr)) {
+					t.Fatalf("cap %d: error %v, the search's %v", cap, gotErr, wantErr)
+				}
+				if gotB != wantB || !bytes.Equal(gotPayload, wantPayload) {
+					t.Fatalf("cap %d: budget %d (%d bytes), the search's %d (%d bytes)", cap, gotB, len(gotPayload), wantB, len(wantPayload))
+				}
+				if gotErr == nil && stats.Budget != gotB {
+					t.Fatalf("cap %d: stats of budget %d shipped at %d", cap, stats.Budget, gotB)
+				}
+				if gotErr == nil && gotB < budget {
+					shrinks++
+				}
+			}
+			if shrinks == 0 {
+				t.Fatal("no cap made the budget shrink; the test needs one that does")
+			}
+		})
+	}
 }
 
 // TestBudgetedRoundE2E is the mixed networked round: three sites with

@@ -26,10 +26,10 @@ type Negotiation struct {
 
 // SendModelBudgeted uploads a budgeted site's local model: every attempt
 // opens with the MsgHello/MsgHelloAck handshake to learn the server's upload
-// byte cap, shrinks the representative budget until the model frame fits
-// under it, and uploads with the budget accounting section attached for the
-// round report. Handshake wire costs count toward the attempt's upload and
-// wait phases.
+// byte cap, shrinks the representative budget to the largest whose model
+// frame fits under it, and uploads with the budget accounting section
+// attached for the round report. Handshake wire costs count toward the
+// attempt's upload and wait phases.
 //
 // An outcome with RepBudget 0 delegates to SendModelTimed: no handshake, no
 // budget section.
@@ -84,44 +84,34 @@ func (c *Client) budgetedPayload(outcome *dbdc.LocalOutcome, budget int, phases 
 
 // fitBudget returns the largest per-cluster budget ≤ the configured one
 // whose full upload frame (header included) fits under the advertised byte
-// cap, together with the ready-to-send payload. Payload size is monotone in
-// the budget, so a binary search finds the fit; a cap no budget satisfies —
-// even a single representative per cluster is too big — is a permanent
-// error, retrying cannot shrink the model further.
+// cap, together with the ready-to-send payload. Only the representatives'
+// bytes depend on the budget, so when the configured budget's frame is over
+// the cap, the outcome names the largest budget that saves the excess
+// (dbdc.LocalOutcome.ShrinkBudget), and that budget is encoded once. A cap
+// no budget satisfies — even a single representative per cluster is too
+// big — is a permanent error, retrying cannot shrink the model further.
 func (c *Client) fitBudget(outcome *dbdc.LocalOutcome, phases *SitePhases, attempt int, slept time.Duration, cap int64) (int, []byte, dbscan.BudgetStats, error) {
 	fits := func(payload []byte) bool {
 		return cap <= 0 || int64(frameHeaderSize+len(payload)) <= cap
 	}
-	build := func(b int) ([]byte, dbscan.BudgetStats, error) {
-		return c.budgetedPayload(outcome, b, phases, attempt, slept)
-	}
-	payload, stats, err := build(outcome.RepBudget)
+	b := outcome.RepBudget
+	payload, stats, err := c.budgetedPayload(outcome, b, phases, attempt, slept)
 	if err != nil {
 		return 0, nil, stats, err
 	}
 	if fits(payload) {
-		return outcome.RepBudget, payload, stats, nil
+		return b, payload, stats, nil
 	}
-	lo, hi := 1, outcome.RepBudget-1
-	bestB := 0
-	var bestPayload []byte
-	var bestStats dbscan.BudgetStats
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		p, s, err := build(mid)
-		if err != nil {
-			return 0, nil, s, err
-		}
-		if fits(p) {
-			bestB, bestPayload, bestStats = mid, p, s
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	if bestB == 0 {
-		return 0, nil, bestStats, permanent(fmt.Errorf(
+	if b = outcome.ShrinkBudget(int64(frameHeaderSize+len(payload)) - cap); b == 0 {
+		return 0, nil, dbscan.BudgetStats{}, permanent(fmt.Errorf(
 			"transport: model exceeds the server's %d-byte upload cap even at budget 1", cap))
 	}
-	return bestB, bestPayload, bestStats, nil
+	if payload, stats, err = c.budgetedPayload(outcome, b, phases, attempt, slept); err != nil {
+		return 0, nil, stats, err
+	}
+	if !fits(payload) {
+		return 0, nil, dbscan.BudgetStats{}, permanent(fmt.Errorf(
+			"transport: budget %d's %d-byte upload exceeds the server's %d-byte cap", b, frameHeaderSize+len(payload), cap))
+	}
+	return b, payload, stats, nil
 }
