@@ -16,6 +16,10 @@ import (
 type Client struct {
 	conn    net.Conn
 	timeout time.Duration
+	// out and in are the request and reply frames, kept from one request
+	// to the next within maxKeptBytes, as a server connection keeps its
+	// buffers.
+	out, in []byte
 }
 
 // Dial connects to a classification front end. timeout bounds dialing and
@@ -46,7 +50,8 @@ func (c *Client) Classify(p geom.Point) (cluster.ID, uint64, error) {
 }
 
 // ClassifyBatch labels a batch of points in one round trip. The returned
-// labels align positionally with pts.
+// labels align positionally with pts and belong to the caller: the client
+// does not reuse them.
 func (c *Client) ClassifyBatch(pts []geom.Point) ([]cluster.ID, uint64, error) {
 	return c.exchange(transport.MsgClassifyBatch, pts)
 }
@@ -55,10 +60,13 @@ func (c *Client) ClassifyBatch(pts []geom.Point) ([]cluster.ID, uint64, error) {
 // connection.
 func (c *Client) exchange(msgType byte, pts []geom.Point) ([]cluster.ID, uint64, error) {
 	c.conn.SetDeadline(time.Now().Add(c.timeout))
-	payload, err := transport.RoundTrip(c.conn, msgType, transport.EncodePoints(pts), transport.MsgClassifyReply)
+	c.out = transport.AppendPoints(transport.StartFrame(c.out), pts)
+	payload, err := transport.RoundTrip(c.conn, msgType, c.out, transport.MsgClassifyReply, c.in)
+	c.out = kept(c.out)
 	if err != nil {
 		return nil, 0, err
 	}
+	c.in = kept(payload)
 	version, labels, err := DecodeReply(payload)
 	if err != nil {
 		return nil, 0, err

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
+	"unsafe"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
+	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/transport"
 	"github.com/dbdc-go/dbdc/internal/wire"
 )
@@ -67,10 +70,44 @@ func (s *Server) Close() error { return s.loop.Close() }
 
 // Serve accepts and handles connections until Close and returns nil then;
 // an accept failure ends it with the error.
-func (s *Server) Serve() error { return s.loop.Serve(0, s.handleConn) }
+func (s *Server) Serve() error {
+	return s.loop.Serve(0, func(conn net.Conn) { s.handleConn(conn, new(connBuffers)) })
+}
 
-// handleConn runs the request/response loop of one persistent connection.
-func (s *Server) handleConn(conn net.Conn) {
+// maxKeptBytes bounds each buffer a connection keeps from one request to
+// the next. A request that needs a larger one is served from a buffer of
+// its own, dropped after the reply, so a single oversized frame cannot pin
+// its memory for the life of the connection.
+const maxKeptBytes = 1 << 20
+
+// kept returns s emptied for the next request, or nil when its backing
+// array is over maxKeptBytes.
+func kept[T any](s []T) []T {
+	var zero T
+	if uintptr(cap(s))*unsafe.Sizeof(zero) > maxKeptBytes {
+		return nil
+	}
+	return s[:0]
+}
+
+// connBuffers are what one connection reuses across its requests, so that
+// a request allocates nothing once the buffers have grown to its size.
+type connBuffers struct {
+	in     []byte       // request payload
+	pts    []geom.Point // decoded point headers, views into coords
+	coords []float64
+	labels []cluster.ID
+	out    []byte // reply frame
+}
+
+// trim keeps every buffer within maxKeptBytes.
+func (b *connBuffers) trim() {
+	b.in, b.pts, b.coords, b.labels, b.out = kept(b.in), kept(b.pts), kept(b.coords), kept(b.labels), kept(b.out)
+}
+
+// handleConn runs the request/response loop of one persistent connection
+// over the connection's buffers b.
+func (s *Server) handleConn(conn net.Conn, b *connBuffers) {
 	m := s.cfg.Metrics
 	if m != nil {
 		m.ActiveConns.Add(1)
@@ -80,7 +117,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// Per-request deadline: the client has Timeout to deliver the next
 		// request (idle included), the server Timeout to answer it.
 		conn.SetReadDeadline(time.Now().Add(s.cfg.Timeout))
-		msgType, payload, _, err := transport.ReadFrame(conn)
+		msgType, payload, _, err := transport.ReadFrameInto(conn, b.in)
 		if err != nil {
 			// Corrupt frames get a best-effort error reply; a client that
 			// hung up between requests, timeouts and torn connections do
@@ -90,15 +127,18 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		if !s.handleRequest(conn, msgType, payload) {
+		b.in = payload
+		ok := s.handleRequest(conn, msgType, payload, b)
+		b.trim()
+		if !ok {
 			return
 		}
 	}
 }
 
-// handleRequest answers one decoded request frame and reports whether the
-// connection should keep going.
-func (s *Server) handleRequest(conn net.Conn, msgType byte, payload []byte) bool {
+// handleRequest answers one decoded request frame, decoding and replying
+// through b, and reports whether the connection should keep going.
+func (s *Server) handleRequest(conn net.Conn, msgType byte, payload []byte, b *connBuffers) bool {
 	start := time.Now()
 	m := s.cfg.Metrics
 	if m != nil {
@@ -110,11 +150,12 @@ func (s *Server) handleRequest(conn net.Conn, msgType byte, payload []byte) bool
 		s.replyError(conn, fmt.Sprintf("serve: unexpected message type 0x%02x", msgType))
 		return false
 	}
-	pts, err := transport.DecodePoints(payload)
+	pts, coords, err := transport.DecodePointsInto(payload, b.pts, b.coords)
 	if err != nil {
 		s.replyError(conn, err.Error())
 		return false
 	}
+	b.pts, b.coords = pts, coords
 	if msgType == transport.MsgClassify && len(pts) != 1 {
 		s.replyError(conn, fmt.Sprintf("serve: MsgClassify carries %d points, want exactly 1", len(pts)))
 		return false
@@ -130,7 +171,8 @@ func (s *Server) handleRequest(conn net.Conn, msgType byte, payload []byte) bool
 		s.replyError(conn, "serve: no model published yet")
 		return true // not a protocol violation; the client may retry later
 	}
-	labels := make([]cluster.ID, len(pts))
+	labels := slices.Grow(b.labels[:0], len(pts))[:len(pts)]
+	b.labels = labels
 	if err := snap.Classifier.ClassifyBatch(pts, labels); err != nil {
 		s.replyError(conn, err.Error())
 		return false
@@ -145,8 +187,9 @@ func (s *Server) handleRequest(conn net.Conn, msgType byte, payload []byte) bool
 		}
 		m.Noise.Add(uint64(noise))
 	}
+	b.out = appendReply(transport.StartFrame(b.out), snap.Version, labels)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.Timeout))
-	if _, err := transport.WriteFrame(conn, transport.MsgClassifyReply, EncodeReply(snap.Version, labels)); err != nil {
+	if _, err := transport.SendFrame(conn, transport.MsgClassifyReply, b.out); err != nil {
 		if m != nil {
 			m.Errors.Add(1)
 		}
@@ -170,7 +213,13 @@ func (s *Server) replyError(conn net.Conn, msg string) {
 // EncodeReply serialises a MsgClassifyReply payload: u64 model version,
 // u32 count, count little-endian int32 labels.
 func EncodeReply(version uint64, labels []cluster.ID) []byte {
-	w := wire.NewWriter(make([]byte, 0, 12+4*len(labels)))
+	return appendReply(nil, version, labels)
+}
+
+// appendReply appends the EncodeReply encoding to dst, growing it at most
+// once, and returns the extended slice.
+func appendReply(dst []byte, version uint64, labels []cluster.ID) []byte {
+	w := wire.NewWriter(slices.Grow(dst, 12+4*len(labels)))
 	w.U64(version)
 	w.U32(uint32(len(labels)))
 	for _, l := range labels {

@@ -266,14 +266,17 @@ func checkReply(replyType byte, reply []byte, want byte) ([]byte, error) {
 	}
 }
 
-// RoundTrip writes one request frame on an established connection and
-// returns the payload of the reply, which must be of type want (see
-// checkReply). It is the plain request path: no timing, no byte accounting.
-func RoundTrip(conn net.Conn, msgType byte, payload []byte, want byte) ([]byte, error) {
-	if _, err := WriteFrame(conn, msgType, payload); err != nil {
+// RoundTrip sends frame — a StartFrame buffer holding the request payload
+// — as one msgType frame on an established connection and returns the
+// payload of the reply, which must be of type want (see checkReply). The
+// reply is read into buf's backing array as ReadFrameInto reads it; a nil
+// buf reads it into a new one. It is the plain request path: no timing, no
+// byte accounting.
+func RoundTrip(conn net.Conn, msgType byte, frame []byte, want byte, buf []byte) ([]byte, error) {
+	if _, err := SendFrame(conn, msgType, frame); err != nil {
 		return nil, err
 	}
-	replyType, reply, _, err := ReadFrame(conn)
+	replyType, reply, _, err := ReadFrameInto(conn, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -202,7 +202,7 @@ func (c *collector) readUpload(conn net.Conn, deltas bool) (upload, error) {
 	if c.maxUploadBytes > 0 {
 		maxFrame = min(maxFrame, c.maxUploadBytes)
 	}
-	msgType, payload, n, err := readFrame(conn, maxFrame)
+	msgType, payload, n, err := readFrame(conn, nil, maxFrame)
 	up.bytes = n
 	if err == nil && msgType == MsgHello {
 		c.bytesIn.Add(int64(n))
@@ -213,7 +213,7 @@ func (c *collector) readUpload(conn net.Conn, deltas bool) (upload, error) {
 		if err := c.reply(conn, MsgHelloAck, encodeHelloAck(c.maxUploadBytes)); err != nil {
 			return up, fmt.Errorf("transport: writing hello ack: %w", err)
 		}
-		msgType, payload, n, err = readFrame(conn, maxFrame)
+		msgType, payload, n, err = readFrame(conn, nil, maxFrame)
 		up.bytes += n
 	}
 	up.siteID = model.PeekLocalSiteID(payload)

@@ -114,24 +114,37 @@ var (
 	ErrFrameVersion = errors.New("transport: unsupported frame version")
 )
 
-// WriteFrame writes one protocol frame and returns the number of bytes put
-// on the wire.
-func WriteFrame(w io.Writer, msgType byte, payload []byte) (int, error) {
+// StartFrame returns dst emptied and extended by the header space of one
+// frame: append the payload to it and hand the result to SendFrame. A
+// caller that keeps the buffer across frames writes without allocating.
+func StartFrame(dst []byte) []byte { return append(dst[:0], make([]byte, frameHeaderSize)...) }
+
+// SendFrame writes frame — a StartFrame buffer with the payload appended —
+// as one protocol frame in a single Write, and returns the number of bytes
+// put on the wire. It fills in the header over the space StartFrame
+// reserved. One Write per frame keeps a frame in one segment on a
+// TCP_NODELAY connection instead of sending its header on its own.
+func SendFrame(w io.Writer, msgType byte, frame []byte) (int, error) {
+	payload := frame[frameHeaderSize:]
 	if len(payload) > MaxFrameSize {
 		return 0, fmt.Errorf("%w: payload is %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	header := wire.NewWriter(make([]byte, 0, frameHeaderSize))
+	header := wire.NewWriter(frame[:0])
 	header.U8(FrameVersion)
 	header.U8(msgType)
 	header.U32(uint32(len(payload)))
 	header.U32(crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header.Bytes()); err != nil {
-		return 0, fmt.Errorf("transport: writing frame header: %w", err)
+	if n, err := w.Write(frame); err != nil {
+		return n, fmt.Errorf("transport: writing frame: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return frameHeaderSize, fmt.Errorf("transport: writing frame payload: %w", err)
-	}
-	return frameHeaderSize + len(payload), nil
+	return len(frame), nil
+}
+
+// WriteFrame writes one protocol frame in a single Write and returns the
+// number of bytes put on the wire. It copies the payload behind the header;
+// SendFrame is the form that writes from a kept buffer.
+func WriteFrame(w io.Writer, msgType byte, payload []byte) (int, error) {
+	return SendFrame(w, msgType, append(StartFrame(make([]byte, 0, frameHeaderSize+len(payload))), payload...))
 }
 
 // ReadFrame reads one protocol frame, verifies its checksum and returns its
@@ -139,18 +152,30 @@ func WriteFrame(w io.Writer, msgType byte, payload []byte) (int, error) {
 // ErrFrameVersion, ErrFrameTooLarge or ErrChecksum (all wrapped, match with
 // errors.Is), never a garbage payload.
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, n int, err error) {
-	return readFrame(r, frameHeaderSize+MaxFrameSize)
+	return readFrame(r, nil, frameHeaderSize+MaxFrameSize)
 }
 
-// readFrame is ReadFrame with the caller's bound on the whole frame, header
-// included: a frame advertising more is refused with ErrFrameTooLarge from
-// its header alone, before any payload is allocated or awaited.
-func readFrame(r io.Reader, maxFrame int64) (msgType byte, payload []byte, n int, err error) {
-	buf := make([]byte, frameHeaderSize)
-	if _, err := io.ReadFull(r, buf); err != nil {
+// ReadFrameInto is ReadFrame reading into buf's backing array: the header,
+// then the payload over it, when buf's capacity holds them, a new array
+// otherwise. The payload aliases that array, so it is valid until the
+// caller reuses buf; a caller that keeps the payload's array across frames
+// reads without allocating.
+func ReadFrameInto(r io.Reader, buf []byte) (msgType byte, payload []byte, n int, err error) {
+	return readFrame(r, buf, frameHeaderSize+MaxFrameSize)
+}
+
+// readFrame is ReadFrameInto with the caller's bound on the whole frame,
+// header included: a frame advertising more is refused with
+// ErrFrameTooLarge from its header alone, before any payload is allocated
+// or awaited.
+func readFrame(r io.Reader, buf []byte, maxFrame int64) (msgType byte, payload []byte, n int, err error) {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize)
+	}
+	if _, err := io.ReadFull(r, buf[:frameHeaderSize]); err != nil {
 		return 0, nil, 0, fmt.Errorf("transport: reading frame header: %w", err)
 	}
-	header := wire.NewReader(buf)
+	header := wire.NewReader(buf[:frameHeaderSize])
 	if v := header.U8(); v != FrameVersion {
 		return 0, nil, 0, fmt.Errorf("%w: got %d, want %d", ErrFrameVersion, v, FrameVersion)
 	}
@@ -161,7 +186,10 @@ func readFrame(r io.Reader, maxFrame int64) (msgType byte, payload []byte, n int
 			ErrFrameTooLarge, frame, maxFrame)
 	}
 	wantCRC := header.U32()
-	payload = make([]byte, size)
+	if uint64(cap(buf)) < uint64(size) {
+		buf = make([]byte, size)
+	}
+	payload = buf[:size]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, fmt.Errorf("transport: reading frame payload: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -101,12 +102,16 @@ func (s *SiteQueryServer) handleQuery(conn net.Conn) {
 // EncodePoints serialises a point list into the shared wire layout used by
 // MsgClusterReply and the classification requests: u32 count, u32 dim,
 // then count·dim little-endian float64 coordinates.
-func EncodePoints(pts []geom.Point) []byte {
+func EncodePoints(pts []geom.Point) []byte { return AppendPoints(nil, pts) }
+
+// AppendPoints appends the EncodePoints encoding of pts to dst, growing it
+// at most once, and returns the extended slice.
+func AppendPoints(dst []byte, pts []geom.Point) []byte {
 	dim := 0
 	if len(pts) > 0 {
 		dim = pts[0].Dim()
 	}
-	w := wire.NewWriter(make([]byte, 0, 8+len(pts)*dim*8))
+	w := wire.NewWriter(slices.Grow(dst, 8+len(pts)*dim*8))
 	w.U32(uint32(len(pts)))
 	w.U32(uint32(dim))
 	for _, p := range pts {
@@ -122,38 +127,53 @@ func EncodePoints(pts []geom.Point) []byte {
 // them. The points share one backing array: two allocations per list, not
 // one per point.
 func DecodePoints(buf []byte) ([]geom.Point, error) {
+	pts, _, err := DecodePointsInto(buf, nil, nil)
+	return pts, err
+}
+
+// DecodePointsInto is DecodePoints into the caller's point headers and
+// coordinates: it decodes over pts[:0] and coords[:0], growing each only
+// when its capacity is short, and returns both so that a caller can keep
+// them for the next list. Every check runs before either is sized.
+func DecodePointsInto(buf []byte, pts []geom.Point, coords []float64) ([]geom.Point, []float64, error) {
 	r := wire.NewReader(buf)
 	count, dim := int(r.U32()), int(r.U32())
 	if r.Err() != nil {
-		return nil, fmt.Errorf("transport: truncated point list")
+		return nil, nil, fmt.Errorf("transport: truncated point list")
 	}
 	if dim > 1024 || count > 100_000_000 {
-		return nil, fmt.Errorf("transport: implausible point list %dx%d", count, dim)
+		return nil, nil, fmt.Errorf("transport: implausible point list %dx%d", count, dim)
 	}
 	if dim == 0 && count > 0 {
 		// Zero-dimensional points carry no payload bytes, so the count
 		// is unverifiable — reject instead of allocating count headers.
-		return nil, fmt.Errorf("transport: %d zero-dimensional points", count)
+		return nil, nil, fmt.Errorf("transport: %d zero-dimensional points", count)
 	}
 	if count == 0 && dim > 0 {
 		// EncodePoints writes dimension 0 for an empty list: one encoding
 		// per list keeps the codec canonical.
-		return nil, fmt.Errorf("transport: empty point list declaring dimension %d", dim)
+		return nil, nil, fmt.Errorf("transport: empty point list declaring dimension %d", dim)
 	}
 	if need := count * dim * 8; r.Len() != need {
-		return nil, fmt.Errorf("transport: point list has %d bytes, want %d", len(buf), 8+need)
+		return nil, nil, fmt.Errorf("transport: point list has %d bytes, want %d", len(buf), 8+need)
 	}
 	// One backing array for all coordinates; each point is a view clipped
 	// to its own coordinates, so appending to one never writes another.
-	coords := make([]float64, count*dim)
+	if cap(coords) < count*dim {
+		coords = make([]float64, count*dim)
+	}
+	coords = coords[:count*dim]
 	for i := range coords {
 		coords[i] = r.F64()
 	}
-	pts := make([]geom.Point, count)
+	if cap(pts) < count {
+		pts = make([]geom.Point, count)
+	}
+	pts = pts[:count]
 	for i := range pts {
 		pts[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	return pts, nil
+	return pts, coords, nil
 }
 
 // QueryCluster asks the site at addr for all of its objects in the given
@@ -164,9 +184,9 @@ func QueryCluster(addr string, id cluster.ID, timeout time.Duration) ([]geom.Poi
 		return nil, err
 	}
 	defer conn.Close()
-	q := wire.NewWriter(nil)
+	q := wire.NewWriter(StartFrame(nil))
 	q.I32(int32(id))
-	reply, err := RoundTrip(conn, MsgClusterQuery, q.Bytes(), MsgClusterReply)
+	reply, err := RoundTrip(conn, MsgClusterQuery, q.Bytes(), MsgClusterReply, nil)
 	if err != nil {
 		return nil, err
 	}

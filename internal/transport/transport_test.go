@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -523,6 +524,62 @@ func TestWriteFrameShortWriter(t *testing.T) {
 	w := &limitWriter{limit: 3}
 	if _, err := WriteFrame(w, MsgLocalModelTimed, []byte("x")); err == nil {
 		t.Fatal("short write not reported")
+	}
+}
+
+// TestWriteFrameOneWrite: a frame goes to its writer in one Write, header
+// and payload together, whatever the payload's size, so a TCP_NODELAY
+// connection does not send the 10-byte header as a segment of its own.
+func TestWriteFrameOneWrite(t *testing.T) {
+	big := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(big)
+	for _, payload := range [][]byte{nil, []byte("small payload"), big} {
+		w := &countingWriter{}
+		n, err := WriteFrame(w, MsgLocalModelTimed, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 || n != w.buf.Len() {
+			t.Fatalf("%d-byte payload: %d writes of %d bytes, WriteFrame reported %d", len(payload), w.writes, w.buf.Len(), n)
+		}
+		header := make([]byte, frameHeaderSize)
+		header[0], header[1] = FrameVersion, MsgLocalModelTimed
+		binary.LittleEndian.PutUint32(header[2:6], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(header[6:10], crc32.ChecksumIEEE(payload))
+		if !bytes.Equal(w.buf.Bytes(), append(header, payload...)) {
+			t.Fatalf("%d-byte payload: the bytes written are not the header followed by the payload", len(payload))
+		}
+	}
+}
+
+// countingWriter records what it is written and in how many calls.
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// TestReadFrameIntoReusesBuffer: a frame that fits the buffer's capacity is
+// read into its backing array, one that does not into a new array.
+func TestReadFrameIntoReusesBuffer(t *testing.T) {
+	var wire bytes.Buffer
+	WriteFrame(&wire, MsgClassifyReply, []byte("fits"))
+	WriteFrame(&wire, MsgClassifyReply, []byte("does not fit in 16 bytes"))
+	buf := make([]byte, 16)
+	_, payload, _, err := ReadFrameInto(&wire, buf[:0])
+	if err != nil || string(payload) != "fits" || &payload[0] != &buf[0] {
+		t.Fatalf("small frame: payload %q, err %v, or not read into the buffer", payload, err)
+	}
+	_, payload, _, err = ReadFrameInto(&wire, buf[:0])
+	if err != nil || string(payload) != "does not fit in 16 bytes" {
+		t.Fatalf("large frame: payload %q, err %v", payload, err)
+	}
+	if &payload[0] == &buf[0] {
+		t.Fatal("large frame: read into the 16-byte buffer")
 	}
 }
 
