@@ -101,17 +101,18 @@ cite-guard:
 # panic on arbitrary bytes; kernels and the fused verifiers must match their
 # references, every index kind refuse what the linear scan refuses and answer
 # like it otherwise, the packed R*-tree query a linear scan and a test-only
-# walk of its packed levels, its unseen-aware by-id query the contract of
-# index.UnseenRangeAppender; the dynamic R*-tree must keep its
+# walk of its packed levels; the dynamic R*-tree must keep its
 # invariants, answer like a linear scan and choose subtrees like the all-pairs
 # rule after every operation; incremental DBSCAN must match batch DBSCAN after
 # every operation; the representative selector's coverage grid, which every
 # relabel and classification goes through, must label like a scan over every
-# representative). CI runs this on push; use a larger FUZZTIME locally before
-# touching the wire formats, internal/index/rstar, internal/incdbscan or
-# dbdc.RepSelector.
-# FuzzTreeOps and FuzzIncOps cap minimisation: shrinking a coverage-only find
-# replays whole op sequences and would otherwise eat the budget.
+# representative; DBSCAN's leaf schedule must produce the pair-by-pair
+# reference's Result). CI runs this on push; use a larger FUZZTIME locally
+# before touching the wire formats, internal/index/rstar, internal/dbscan,
+# internal/incdbscan or dbdc.RepSelector.
+# FuzzTreeOps, FuzzIncOps and FuzzRunAgreesWithReference cap minimisation:
+# shrinking a coverage-only find replays whole op sequences (or thirteen
+# clusterings) and would otherwise eat the budget.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME)
@@ -126,11 +127,11 @@ fuzz-smoke:
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzVerifyRangeSq -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzBuildRejectsOrAgrees -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzRangeUnseen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRepSelector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dbscan/ -run '^$$' -fuzz FuzzBudgetScor -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dbscan/ -run '^$$' -fuzz FuzzRunAgreesWithReference -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).

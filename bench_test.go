@@ -548,10 +548,9 @@ func BenchmarkLocalClustering(b *testing.B) {
 	// The shape bench/round.go's round-bulk clusters (ten σ-2 blobs at fixed
 	// centres, 5% uniform noise, every second row of 2·n, Eps 1.2, MinPts 4)
 	// on the default index at one and two workers, at its own 16,000 rows
-	// and at 64,000. Ids follow the clusters here, so the contiguous chunks
-	// of a two-worker run differ in what their region queries can leave out:
-	// the last chunk exhausts a leaf once its own ids are queued, every
-	// earlier one keeps the leaves that hold ids beyond its end.
+	// and at 64,000. Two workers share the counting step (leaf ranges off a
+	// cursor); the union over leaf pairs runs on one, so the pair of rows
+	// shows what that sequential share leaves of the speed-up.
 	centres := []geom.Point{
 		{15, 15}, {50, 12}, {85, 18}, {30, 40}, {68, 42},
 		{12, 65}, {48, 70}, {86, 66}, {28, 90}, {70, 92},
@@ -607,6 +606,27 @@ func BenchmarkLocalClustering(b *testing.B) {
 			o := opts
 			o.Workers = workers
 			runOnce(b, idx, highParams, o)
+		})
+	}
+	// The worst cases of counting to MinPts: round-wire's noise-rich site
+	// (data set B, 40% noise, MinPts 8), where most objects never reach
+	// MinPts and so collect their whole neighbourhood, and the paper-sized
+	// data set A at MinPts 40, ten times its own, where a core object counts
+	// far past its own leaf.
+	for _, row := range []struct {
+		name   string
+		ds     lib.Dataset
+		params dbscan.Params
+	}{
+		{"shape=datasetB", lib.DatasetB(1), lib.DatasetB(1).Params},
+		{"minpts=40", lib.DatasetA(8_700, 1), dbscan.Params{Eps: 1.2, MinPts: 40}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			idx, err := index.BuildStore(index.KindRStar, row.ds.Store, geom.Euclidean{}, row.params.Eps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runOnce(b, idx, row.params, opts)
 		})
 	}
 	// SDBDC representative budgets: the full LocalStep (clustering,

@@ -71,10 +71,10 @@ type Config struct {
 	// SiteWorkers is the per-site worker budget for the local DBSCAN runs
 	// (dbscan.Options.Workers): values above 1 run a site's DBSCAN on that
 	// many goroutines, so one large site no longer bottlenecks a round on a
-	// single core. Each worker owns a contiguous range of the site's objects
-	// and issues their ε-range queries against the site's one R*-tree. The
-	// same budget drives the server-side merge clustering of GlobalStep (and
-	// with it the aggtree interior nodes). The orchestrator divides the
+	// single core. The workers take ranges of the site's R*-tree leaves in
+	// turn and count the neighbours of their objects. The same budget drives
+	// the server-side merge clustering of GlobalStep (and with it the
+	// aggtree interior nodes). The orchestrator divides the
 	// process-wide parallelism budget (GOMAXPROCS) by SiteWorkers to size its
 	// bounded site pool, keeping total goroutine fan-out roughly constant.
 	// 0 or 1 runs each site's DBSCAN on one goroutine (the paper-faithful

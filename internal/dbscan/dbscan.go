@@ -21,16 +21,15 @@
 //     object is one iff no specific core point picked before it lies within
 //     Eps of it (Definition 6). Scor lists them ascending per cluster.
 //   - ε_s = Eps + max{dist(s, c) | c core, c ∈ N_Eps(s)} (Definition 7).
-//   - RangeQueries is one per object plus one per specific core point.
-//
-// A region query may leave out objects in leaves the expansion has exhausted,
-// once MinPts are in hand; the Result does not depend on it.
+//   - RangeQueries is n + |Scor|, the paper's cost count: one region query per
+//     object and one per specific core point. Run issues only the latter.
 package dbscan
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
@@ -63,9 +62,9 @@ type Options struct {
 	// CollectSpecificCores enables the DBDC enhancement: Scor and
 	// SpecificEps are filled in.
 	CollectSpecificCores bool
-	// Workers is the number of goroutines the region queries are issued
-	// from, each against the index Run was given; 1 or less runs on the
-	// calling goroutine. It changes how long a run takes and nothing else.
+	// Workers is the number of goroutines that count neighbours, taking
+	// ranges of the index's leaves in turn, and condense the clusters; 1 or
+	// less runs on the calling goroutine. It changes nothing but the time.
 	Workers int
 }
 
@@ -83,8 +82,8 @@ type Result struct {
 	// SpecificEps maps each specific core point (by object index) to its
 	// specific ε-range ε_s (Definition 7). Populated with Scor.
 	SpecificEps map[int]float64
-	// RangeQueries counts the region queries issued — the dominant cost of
-	// DBSCAN and the quantity its complexity analysis is stated in.
+	// RangeQueries is the paper's cost count, n + |Scor|, the quantity
+	// DBSCAN's complexity analysis is stated in; Run issues |Scor| of them.
 	RangeQueries int
 	// Shards is always 0: nothing sets it since the spatial-shard phase 1
 	// was deleted. It stays only because the frozen bench/ module reads it;
@@ -105,13 +104,12 @@ func (r *Result) IsBorder(i int) bool { return r.Labels[i] >= 0 && !r.Core[i] }
 // after construction. The Result is the one the package comment defines,
 // whatever the index kind and whatever Options.Workers says.
 //
-// Each chunk — a contiguous id range, one per worker — runs the classic
-// seed-stack expansion restricted to its own ids (expand), so inside a chunk
-// no union is ever needed; only pairs of core objects that straddle a chunk
-// boundary are merged, after the barrier. Until the numbering pass
-// res.Labels is the forest those merges build: a core object holds the id of
-// its parent, a root holds its own id, and a parent's id is never larger
-// than its child's.
+// The schedule works over the index's leaves (index.Leaves; an index without
+// them is one leaf) and the leaves within Eps of each, box to box: step 1
+// (count) finds the core objects by counting and unites them within each
+// leaf, step 2 (link) across pairs of leaves. Until the numbering pass
+// res.Labels is the forest of those unions, a parent's id never larger than
+// its child's.
 func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -121,72 +119,46 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("dbscan: at most %d objects are supported (ids are stored as int32), got %d", math.MaxInt32, n)
 	}
 	res := &Result{
-		Params: params,
-		Labels: cluster.NewLabeling(n),
-		Core:   make([]bool, n),
+		Params:       params,
+		Labels:       cluster.NewLabeling(n),
+		Core:         make([]bool, n),
+		RangeQueries: n,
 	}
 	if opts.CollectSpecificCores {
 		res.Scor = make(map[cluster.ID][]int)
 		res.SpecificEps = make(map[int]float64)
 	}
-	workers := opts.Workers
-	if workers > n {
-		workers = n
+	if n == 0 {
+		return res, nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunks := make([]chunk, workers)
-	for w := range chunks {
-		chunks[w].lo, chunks[w].hi = w*n/workers, (w+1)*n/workers
-	}
-	// The calling goroutine takes the first chunk, so one worker starts no
-	// goroutine. Every element of Labels and Core has exactly one writer —
-	// the chunk that owns the id — and no reader outside that chunk until
-	// the barrier, so the expansion needs no atomics.
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(c *chunk) {
-			defer wg.Done()
-			c.expand(idx, res)
-		}(&chunks[w])
-	}
-	chunks[0].expand(idx, res)
-	wg.Wait()
-	res.RangeQueries = n
-
-	// Merge: two core objects within Eps of each other belong to one cluster.
-	// The smaller root stays root, so a cluster's root is its lowest core id
-	// whatever the order of the unions.
-	labels := res.Labels
-	find := func(x cluster.ID) cluster.ID {
-		for labels[x] != x {
-			labels[x] = labels[labels[x]] // path halving
-			x = labels[x]
-		}
-		return x
-	}
-	for w := range chunks {
-		for rec := chunks[w].cross; len(rec) > 0; rec = rec[2+rec[1]:] {
-			a := find(cluster.ID(rec[0]))
-			for _, q := range rec[2 : 2+rec[1]] {
-				if !res.Core[q] {
-					continue
-				}
-				if b := find(cluster.ID(q)); a < b {
-					labels[b] = a
-				} else {
-					labels[a] = b
-					a = b
-				}
+	// Workers, the calling goroutine among them, take leaf ranges off a
+	// cursor; an object's state has one writer, the worker of its leaf.
+	s, ws := newSchedule(idx, res, max(opts.Workers, 1))
+	var cursor atomic.Int64
+	count := func(w *worker) {
+		for lo := 0; lo < s.leaves.NumLeaves(); {
+			lo = int(cursor.Add(8)) - 8
+			for leaf := lo; leaf < min(lo+8, s.leaves.NumLeaves()); leaf++ {
+				s.count(w, leaf)
 			}
 		}
 	}
+	var wg sync.WaitGroup
+	for w := range ws[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			count(&ws[1+w])
+		}()
+	}
+	count(&ws[0])
+	wg.Wait()
+	s.link(&ws[0])
 
 	// Number the clusters in ascending root id. A parent's id is below its
 	// child's, so by the time the scan reaches a core object its parent
 	// already holds its final cluster id: one hop, no find.
+	labels := res.Labels
 	var next cluster.ID
 	for i, core := range res.Core {
 		if !core {
@@ -202,8 +174,8 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 
 	// Borders: a non-core object joins the cluster of its lowest-id core
 	// neighbour and stays noise when it has none.
-	for w := range chunks {
-		for rec := chunks[w].sparse; len(rec) > 0; rec = rec[2+rec[1]:] {
+	for w := range ws {
+		for rec := ws[w].sparse; len(rec) > 0; rec = rec[2+rec[1]:] {
 			least := int32(-1)
 			for _, q := range rec[2 : 2+rec[1]] {
 				if res.Core[q] && (least < 0 || q < least) {
@@ -217,7 +189,7 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 	}
 
 	if opts.CollectSpecificCores {
-		res.condenseSpecificCores(idx, workers)
+		res.condenseSpecificCores(idx, len(ws))
 	}
 	return res, nil
 }
@@ -273,114 +245,268 @@ func FromCores(idx index.Index, params Params, core []bool, labels cluster.Label
 	return res, nil
 }
 
-// chunk is one worker's share of a run: the contiguous id range it expands
-// and what it has to hand over at the barrier.
-type chunk struct {
-	lo, hi int // owned ids [lo, hi)
-	// cross holds, flat, one record (p, k, k neighbour ids) per owned core
-	// object p that has neighbours beyond hi — those neighbours, whose core
-	// flags another chunk decides. Neighbours below lo are left to their own
-	// chunk: the neighbour relation is symmetric.
-	cross []int32
-	// sparse holds, in the same format, one record (p, k, the k ids of
-	// N_Eps(p)) per owned non-core object p: fewer than MinPts ids, kept
-	// because which of them are core is only known once every chunk is done.
-	sparse []int32
+// keep is how many neighbour ids in its own leaf a core object is united
+// with in step 1: enough to join most of a dense leaf's core objects.
+const keep = 4
+
+// schedule is the state of one Run shared by its steps.
+type schedule struct {
+	st        *geom.Store
+	leaves    index.Leaves
+	eps, eps2 float64
+	minPts    int
+	core      []bool
+	parent    cluster.Labeling // res.Labels: Noise or, for core objects, a forest
+	rep       []int32          // per leaf, shared's answer
 }
 
-// expand runs the classic DBSCAN expansion over the chunk's ids, one region
-// query per id: the ascending scan starts a tree at every object no earlier
-// tree reached, and a tree grows through the owned neighbours of its core
-// objects by way of a seed stack. Two owned core objects within Eps of each
-// other therefore always end up in one tree — whichever is queried first
-// queues the other — and a tree's start object is its lowest core id, since
-// a lower owned core object connected to it would have grown an earlier tree
-// over it. A core object's label is set to its tree's start id. Every other
-// owned object is marked Noise the moment it is queued — that is what tells
-// a queued object from an Unclassified one — and stays so until Run resolves
-// the borders.
-func (c *chunk) expand(idx index.Index, res *Result) {
-	eps, minPts := res.Params.Eps, res.Params.MinPts
-	labels, lo, span := res.Labels, c.lo, uint(c.hi-c.lo)
-	// seeds and nbuf are reused across queries; every query result is fully
-	// consumed before the next query overwrites the buffer. Queries go by
-	// object id (RangeAppendID), so no index materialises a query point.
-	var seeds []int32
-	var nbuf []int
-	// unseen counts, per leaf of an index that has leaves, the ids this chunk
-	// may still want from it: the owned ones not yet queued, and the ones
-	// beyond the chunk, which link records and which therefore never run out.
-	leafOf, leaves := index.LeavesOf(idx)
-	var unseen []int32
-	if leafOf != nil {
-		unseen = make([]int32, leaves)
-		for _, leaf := range leafOf[c.lo:] {
-			unseen[leaf]++
+// worker is one worker's scratch, allocated once per run; the first worker's
+// serves step 2 too. sparse holds, flat, one record (p, k, the k ids of
+// N_Eps(p)) per non-core object p it counted.
+type worker struct {
+	near             []int32
+	order            []reach
+	buf, cores, cand []int
+	out              []int
+	roots, kept      []int32
+	sparse           []int32
+}
+
+// reach is a leaf in step 1's visit order: its ids and its box.
+type reach struct {
+	ids []int
+	box []float64
+}
+
+func newSchedule(idx index.Index, res *Result, workers int) (*schedule, []worker) {
+	st, n, eps2 := idx.Store(), idx.Len(), res.Params.Eps*res.Params.Eps
+	s := &schedule{st: st, eps: res.Params.Eps, eps2: eps2, minPts: res.Params.MinPts,
+		core: res.Core, parent: res.Labels}
+	if s.leaves, _ = idx.(index.Leaves); s.leaves == nil || s.leaves.NumLeaves() == 0 {
+		s.leaves = newOneLeaf(st)
+	}
+	leaves, maxLeaf := s.leaves.NumLeaves(), 0
+	s.rep = make([]int32, leaves)
+	for leaf := range leaves {
+		ids, _ := s.leaves.Leaf(leaf)
+		maxLeaf = max(maxLeaf, len(ids))
+	}
+	workers = min(workers, leaves)
+	ws := make([]worker, workers)
+	for w := range ws { // nothing grows over a run but the records
+		ws[w] = worker{near: make([]int32, 0, leaves), order: make([]reach, 0, leaves),
+			buf: make([]int, 0, min(s.minPts, n)+2*maxLeaf), kept: make([]int32, keep*maxLeaf),
+			cores: make([]int, 0, maxLeaf), cand: make([]int, 0, maxLeaf), out: make([]int, 0, maxLeaf),
+			roots: make([]int32, 0, maxLeaf), sparse: make([]int32, 0, n/2/workers)}
+	}
+	return s, ws
+}
+
+// gapFar returns the least and the greatest squared distance from q to the
+// box (Min corner, Max corner) in the kernels' operation chain. Rounding is
+// monotone, so every point of the box lies at a kernel distance between them.
+func gapFar(q geom.Point, box []float64) (gap, far float64) {
+	lo, hi := box[:len(q)], box[len(q):][:len(q)]
+	for d, v := range q {
+		a, b := v-lo[d], v-hi[d] // a ≥ b, so at most one of them is past 0
+		g, f := min(a, 0)+max(b, 0), max(a, -b)
+		gap += g * g
+		far += f * f
+	}
+	return gap, far
+}
+
+// count is step 1 for one leaf's objects: each collects its ε-neighbours
+// from its own leaf, then from the near ones, and stops at MinPts; a
+// non-core object keeps them all. Then each core object is united with the
+// core objects among its first keep neighbours in the leaf, and the leaf is
+// paired with itself unless that left one root: trees of this leaf's objects
+// alone, which no other worker touches.
+func (s *schedule) count(w *worker, leaf int) {
+	w.near = s.leaves.NearLeaves(leaf, s.eps, w.near[:0])
+	ids, box := s.leaves.Leaf(leaf)
+	w.order = append(w.order[:0], reach{ids, box})
+	for _, m := range w.near {
+		if int(m) != leaf {
+			mids, mbox := s.leaves.Leaf(int(m))
+			w.order = append(w.order, reach{mids, mbox})
 		}
 	}
-	for i := c.lo; i < c.hi; i++ {
-		if labels[i] != cluster.Unclassified {
-			continue
-		}
-		labels[i] = cluster.Noise
-		if unseen != nil {
-			unseen[leafOf[i]]--
-		}
-		seeds = append(seeds[:0], int32(i))
-		for len(seeds) > 0 {
-			p := seeds[len(seeds)-1]
-			seeds = seeds[:len(seeds)-1]
-			nbuf = index.RangeIntoIDUnseen(idx, int(p), eps, minPts, unseen, nbuf)
-			if len(nbuf) < minPts {
-				c.sparse = append(c.sparse, p, int32(len(nbuf)))
-				for _, q := range nbuf {
-					c.sparse = append(c.sparse, int32(q))
-				}
-				continue
+	for i, p := range ids {
+		q, buf, own := s.st.Point(p), w.buf[:0], len(ids) // own: ids from this leaf
+	leaves:
+		for k, r := range w.order {
+			if k == 1 {
+				own = len(buf)
 			}
-			res.Core[p] = true
-			labels[p] = cluster.ID(i)
-			// Every neighbour of every core object passes through this loop,
-			// so it is kept to a range test, a label test and one append:
-			// neighbours outside the range are rare and get a pass of their
-			// own (link). Even a second branch that only counts the ones
-			// beyond hi here measured 3–15% on a one-worker run.
-			owned := 0
-			for _, q := range nbuf {
-				if uint(q-lo) < span {
-					owned++
-					if labels[q] == cluster.Unclassified {
-						labels[q] = cluster.Noise
-						if unseen != nil {
-							unseen[leafOf[q]]--
-						}
-						seeds = append(seeds, int32(q))
+			gap, far := gapFar(q, r.box)
+			switch { // out of reach, wholly in reach, or verified a piece at a time
+			case gap > s.eps2:
+			case far <= s.eps2:
+				if buf = append(buf, r.ids...); len(buf) >= s.minPts {
+					break leaves
+				}
+			default:
+				for mids := r.ids; len(mids) > 0; {
+					piece := min(len(mids), max(8, 2*(s.minPts-len(buf))))
+					buf, mids = s.st.VerifyRangeSq(q, mids[:piece], s.eps2, buf), mids[piece:]
+					if len(buf) >= s.minPts {
+						break leaves
 					}
 				}
 			}
-			if owned < len(nbuf) {
-				c.link(p, nbuf)
+		}
+		if w.buf = buf; len(buf) < s.minPts {
+			s.parent[p] = cluster.Noise
+			w.sparse = append(w.sparse, int32(p), int32(len(buf)))
+			for _, q := range buf {
+				w.sparse = append(w.sparse, int32(q))
+			}
+			continue
+		}
+		s.core[p], s.parent[p] = true, cluster.ID(p)
+		for k := range keep {
+			w.kept[keep*i+k] = int32(buf[min(k, own-1, len(buf)-1)])
+		}
+	}
+	for i, p := range ids {
+		for _, q := range w.kept[keep*i : keep*(i+1)] {
+			if s.core[p] && s.core[q] {
+				s.union(int32(p), q)
+			}
+		}
+	}
+	if s.rep[leaf] = s.shared(leaf); s.rep[leaf] == mixed {
+		s.pair(w, leaf, leaf, false)
+		s.rep[leaf] = s.shared(leaf)
+	}
+}
+
+// find returns the root of core object x, halving the path.
+func (s *schedule) find(x int32) int32 {
+	for s.parent[x] != cluster.ID(x) {
+		s.parent[x] = s.parent[s.parent[x]]
+		x = int32(s.parent[x])
+	}
+	return x
+}
+
+// union joins the trees of core objects a and b; the lower root wins, so a
+// cluster's root is its lowest core id whatever the order of the unions.
+func (s *schedule) union(a, b int32) {
+	if ra, rb := s.find(a), s.find(b); ra < rb {
+		s.parent[rb] = cluster.ID(ra)
+	} else if rb < ra {
+		s.parent[ra] = cluster.ID(rb)
+	}
+}
+
+// link is step 2: each pair of near leaves with core objects is visited
+// unless those share one root (rep, shared).
+func (s *schedule) link(w *worker) {
+	rep := s.rep
+	for l := range rep {
+		for _, m := range s.leaves.NearLeaves(l, s.eps, w.near[:0]) {
+			if int(m) > l && rep[l] != noCores && rep[m] != noCores && (rep[l] == mixed || rep[m] == mixed || s.find(rep[l]) != s.find(rep[m])) {
+				s.pair(w, l, int(m), rep[l] >= 0 && rep[m] >= 0)
+				if rep[l] == mixed {
+					rep[l] = s.shared(l)
+				}
+				if rep[m] == mixed {
+					rep[m] = s.shared(int(m))
+				}
 			}
 		}
 	}
 }
 
-// link records those neighbours nbuf of the owned core object p that lie
-// beyond the chunk's end, if there are any.
-func (c *chunk) link(p int32, nbuf []int) {
-	head := len(c.cross)
-	c.cross = append(c.cross, p, 0)
-	for _, q := range nbuf {
-		if q >= c.hi {
-			c.cross = append(c.cross, int32(q))
+// What shared says of a leaf instead of a core object.
+const (
+	noCores = -2
+	mixed   = -1 // its core objects have more than one root
+)
+
+// shared returns a core object of the leaf whose root all of the leaf's core
+// objects share, or mixed, or noCores.
+func (s *schedule) shared(leaf int) int32 {
+	ids, _ := s.leaves.Leaf(leaf)
+	first, root := int32(noCores), int32(-1)
+	for _, p := range ids {
+		if !s.core[p] {
+			continue
+		}
+		if r := s.find(int32(p)); root < 0 {
+			first, root = int32(p), r
+		} else if r != root {
+			return mixed
 		}
 	}
-	if k := len(c.cross) - head - 2; k > 0 {
-		c.cross[head+1] = int32(k)
-	} else {
-		c.cross = c.cross[:head]
+	return first
+}
+
+// pair unites the core objects of leaf a with those of leaf b within Eps of
+// them that do not yet share their root: for each core object of a in reach
+// of b's box, those of b under another root go through the store kernel.
+// When each leaf's core objects share one root (uniform), all of b's are
+// under another, and one union is all.
+func (s *schedule) pair(w *worker, a, b int, uniform bool) {
+	aIDs, _ := s.leaves.Leaf(a)
+	bIDs, bBox := s.leaves.Leaf(b)
+	w.cores, w.roots = w.cores[:0], w.roots[:0]
+	for _, q := range bIDs {
+		if s.core[q] {
+			w.cores, w.roots = append(w.cores, q), append(w.roots, s.find(int32(q)))
+		}
+	}
+	for _, p := range aIDs {
+		if !s.core[p] {
+			continue
+		}
+		q, cand := s.st.Point(p), w.cores
+		if gap, _ := gapFar(q, bBox); gap > s.eps2 {
+			continue
+		}
+		if !uniform {
+			rp := s.find(int32(p))
+			cand = w.cand[:0]
+			for k, r := range w.roots {
+				if r != rp {
+					cand = append(cand, w.cores[k])
+				}
+			}
+		}
+		if w.out = s.st.VerifyRangeSq(q, cand, s.eps2, w.out[:0]); len(w.out) == 0 {
+			continue
+		}
+		for _, r := range w.out {
+			s.union(int32(p), int32(r))
+		}
+		if uniform {
+			return
+		}
+		for k, r := range w.cores {
+			w.roots[k] = s.find(int32(r))
+		}
 	}
 }
+
+// oneLeaf is the schedule's view of an index without leaves: every id in one
+// leaf with the store's bounding box.
+type oneLeaf reach
+
+func newOneLeaf(st *geom.Store) *oneLeaf {
+	o := &oneLeaf{ids: make([]int, st.Len())}
+	for i := range o.ids {
+		o.ids[i] = i
+	}
+	r := st.BoundingRect()
+	o.box = append(r.Min, r.Max...)
+	return o
+}
+
+func (o *oneLeaf) NumLeaves() int                                    { return 1 }
+func (o *oneLeaf) Leaf(int) ([]int, []float64)                       { return o.ids, o.box }
+func (o *oneLeaf) NearLeaves(_ int, _ float64, near []int32) []int32 { return append(near, 0) }
 
 // batchScratch holds the reusable id and distance buffers of the batched
 // Definition 7 fold. One instance per condensation worker; zero value ready

@@ -178,7 +178,7 @@ func TestRunParallelDifferential(t *testing.T) {
 		pts    []geom.Point
 		params Params
 		// bare hands Run the index behind the plain Index interface: no
-		// leaves, so no expansion by unseen leaf.
+		// leaves, so Run takes it for one leaf.
 		bare bool
 		// rejectedRow, when positive, is the first row of a dataset every
 		// kind must refuse at build, with an error naming that row.
@@ -364,9 +364,10 @@ func (c *countingIndex) RangeAppendID(i int, eps float64, buf []int) []int {
 }
 
 // TestParallelHonoursIndexKind pins that the index a caller hands to Run is
-// the index that answers: every counted region query — one per object plus
-// one per specific core — arrives at the caller's index, whatever its kind
-// and however many workers run.
+// the index that answers: the region query of every specific core point
+// arrives at the caller's index, whatever its kind and however many workers
+// run, and RangeQueries adds one per object to them, the paper's cost count.
+// (Counting reads the index's store and leaves; it issues no region query.)
 func TestParallelHonoursIndexKind(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := uniformPoints(rng, 800, 10)
@@ -383,8 +384,8 @@ func TestParallelHonoursIndexKind(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := int(idx.queries.Load()); got != res.RangeQueries {
-					t.Fatalf("the caller's index answered %d queries, Result.RangeQueries = %d", got, res.RangeQueries)
+				if got := int(idx.queries.Load()); got != len(res.SpecificEps) || len(pts)+got != res.RangeQueries {
+					t.Fatalf("the caller's index answered %d queries for %d specific core points, Result.RangeQueries = %d", got, len(res.SpecificEps), res.RangeQueries)
 				}
 			})
 		}

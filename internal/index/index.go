@@ -1,8 +1,10 @@
 // Package index provides neighborhood indexes over a fixed set of points.
-// DBSCAN and the DBDC pipeline retrieve ε-neighborhoods exclusively through
-// the Index interface, so the access method (linear scan, R*-tree) is
-// interchangeable; the paper's DBSCAN uses an R*-tree for vector data, and
-// the linear scan is the oracle it is tested against.
+// The DBDC pipeline retrieves ε-neighborhoods through the Index interface, so
+// the access method (linear scan, R*-tree) is interchangeable; the paper's
+// DBSCAN uses an R*-tree for vector data, and the linear scan is the oracle it
+// is tested against. DBSCAN's clustering asks for no neighbourhood: it counts
+// and pairs objects leaf by leaf over the optional Leaves an index offers —
+// the bulk-loaded R*-tree's — and takes an index without them for one leaf.
 //
 // Every index is built over a geom.Store by BuildStore, the one place input
 // is checked. Both kinds are Euclidean: each has one query arm, a scan or a
@@ -37,15 +39,15 @@ type Index interface {
 	// RangeAppend returns the indexes of all points within distance eps of
 	// q, boundary inclusive (the Eps-neighborhood N_Eps(q) of the paper,
 	// including q itself when q is an indexed point), appended into buf
-	// after truncating it to zero length, letting tight loops (DBSCAN
-	// expansion) avoid one allocation per query. Order is unspecified. A nil
+	// after truncating it to zero length, letting tight loops (incremental
+	// DBSCAN, the condensation) avoid one allocation per query. Order is unspecified. A nil
 	// buf asks for a fresh slice. The whole capacity of buf is the index's to
 	// scribble on (the store verifiers write candidates past the result
 	// before they know the verdict), so hand in a buffer, not a window of
 	// a slice whose tail is still in use.
 	RangeAppend(q geom.Point, eps float64, buf []int) []int
-	// RangeAppendID behaves like RangeAppend with q = Point(i), the form the
-	// DBSCAN expansion loops use (their query points are always index
+	// RangeAppendID behaves like RangeAppend with q = Point(i), the form
+	// DBSCAN's condensation uses (its query points are always index
 	// members): the query row is read from the store in place.
 	RangeAppendID(i int, eps float64, buf []int) []int
 	// Store returns the flat store the index answers queries from; its rows
@@ -54,36 +56,19 @@ type Index interface {
 	Store() *geom.Store
 }
 
-// UnseenRangeAppender is implemented by indexes that keep their points in
-// leaves and let the DBSCAN expansion work by them: it counts what it has yet
-// to see of each leaf and has a by-id query leave out the rest.
-type UnseenRangeAppender interface {
-	// Leaves returns the leaf of every id and the number of leaves, or nil
-	// and 0 when the index has none to offer; RangeAppendIDUnseen is then not
-	// to be called.
-	Leaves() (leafOf []int32, leaves int)
-	// RangeAppendIDUnseen appends a duplicate-free part R of N_eps(Point(i)):
-	// all of it when it has fewer than enough members, and otherwise at least
-	// enough of them and every member q with unseen[leafOf[q]] > 0.
-	RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int
-}
-
-// LeavesOf returns idx's leaves, or nil and 0 when it has none to offer.
-func LeavesOf(idx Index) (leafOf []int32, leaves int) {
-	if ra, ok := idx.(UnseenRangeAppender); ok {
-		return ra.Leaves()
-	}
-	return nil, 0
-}
-
-// RangeIntoIDUnseen is idx.RangeAppendID for a caller content with that
-// part of the neighborhood; unseen holds one count per leaf of LeavesOf(idx),
-// or is nil.
-func RangeIntoIDUnseen(idx Index, i int, eps float64, enough int, unseen []int32, buf []int) []int {
-	if ra, ok := idx.(UnseenRangeAppender); ok && unseen != nil {
-		return ra.RangeAppendIDUnseen(i, eps, enough, unseen, buf)
-	}
-	return idx.RangeAppendID(i, eps, buf)
+// Leaves is implemented by an index that keeps its points in boxed leaves,
+// the unit dbscan.Run hands out to its workers and pairs up: every id lies in
+// exactly one leaf, and inside that leaf's box.
+type Leaves interface {
+	// NumLeaves returns the number of leaves, or 0 when the index has none
+	// to offer; Leaf and NearLeaves are then not to be called.
+	NumLeaves() int
+	// Leaf returns the ids leaf i holds and its box, the Min corner then the
+	// Max corner. Both are views the caller must not modify.
+	Leaf(i int) (ids []int, box []float64)
+	// NearLeaves appends to near, and returns, every leaf whose box lies
+	// within eps of leaf i's box, i among them, each once.
+	NearLeaves(i int, eps float64, near []int32) []int32
 }
 
 // Kind names a concrete index implementation.

@@ -91,34 +91,48 @@ func (p *Packed) Store() *geom.Store { return p.rows }
 // Both the box pruning bound and the leaf verification run in squared
 // space.
 func (p *Packed) RangeAppend(q geom.Point, eps float64, buf []int) []int {
-	return p.rangeAppend(q, -1, eps, math.MaxInt, nil, buf)
+	return p.rangeAppend(q, -1, eps, buf)
 }
 
 // RangeAppendID implements index.Index: the query point is addressed by
 // object id and, at a radius the leaf table covers, the descent starts from
 // the leaves near its own.
 func (p *Packed) RangeAppendID(i int, eps float64, buf []int) []int {
-	return p.rangeAppend(p.rows.Point(i), i, eps, math.MaxInt, nil, buf)
+	return p.rangeAppend(p.rows.Point(i), i, eps, buf)
 }
 
-// Leaves implements index.UnseenRangeAppender: the leaves of a tree that has
-// more than one.
-func (p *Packed) Leaves() (leafOf []int32, leaves int) {
-	if p.leafOf == nil {
-		return nil, 0
+// NumLeaves implements index.Leaves; a root that is the only leaf is none.
+func (p *Packed) NumLeaves() int {
+	if len(p.levels) == 0 {
+		return 0
 	}
-	return p.leafOf, len(p.levels[0].spans)
+	return len(p.levels[0].spans)
 }
 
-// RangeAppendIDUnseen passes over a leaf with unseen[leaf] == 0 iff the result
-// holds enough ids when the visit order reaches it.
-func (p *Packed) RangeAppendIDUnseen(i int, eps float64, enough int, unseen []int32, buf []int) []int {
-	return p.rangeAppend(p.rows.Point(i), i, eps, enough, unseen, buf)
+// Leaf implements index.Leaves: the leaf's span of perm and its bounds.
+func (p *Packed) Leaf(i int) (ids []int, box []float64) {
+	s, w := p.levels[0].spans[i], 2*p.dim
+	return p.perm[s.first : s.first+s.count], p.levels[0].bounds[w*i : w*(i+1)]
+}
+
+// NearLeaves implements index.Leaves by the box-against-box descent, or by
+// the leaf table when it was built for eps: it lists the same leaves.
+func (p *Packed) NearLeaves(i int, eps float64, near []int32) []int32 {
+	if eps*eps != p.nearEps2 {
+		_, box := p.Leaf(i)
+		return p.reach(len(p.levels), 0, p.rootCount, box, eps*eps, near)
+	}
+	for _, s := range p.near[p.nearEnd[i]:p.nearEnd[i+1]] {
+		for leaf := s.first; leaf < s.first+s.count; leaf++ {
+			near = append(near, leaf)
+		}
+	}
+	return near
 }
 
 // rangeAppend answers every ε-range query, q being the point of id when
 // id ≥ 0: then, at a radius the leaf table covers, from the leaves near its own.
-func (p *Packed) rangeAppend(q geom.Point, id int, eps float64, enough int, unseen []int32, buf []int) []int {
+func (p *Packed) rangeAppend(q geom.Point, id int, eps float64, buf []int) []int {
 	out, eps2 := buf[:0], eps*eps
 	level, from := len(p.levels), []span{{0, p.rootCount}}
 	if id >= 0 && eps2 <= p.nearEps2 {
@@ -126,7 +140,7 @@ func (p *Packed) rangeAppend(q geom.Point, id int, eps float64, enough int, unse
 		level, from = 1, p.near[p.nearEnd[leaf]:p.nearEnd[leaf+1]]
 	}
 	for _, s := range from {
-		out = p.descend(level, s.first, s.count, q, eps2, enough, unseen, out)
+		out = p.descend(level, s.first, s.count, q, eps2, out)
 	}
 	if len(out) == 0 {
 		return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
@@ -177,10 +191,17 @@ func (p *Packed) linkLeaves(eps float64) {
 	if !(eps > 0) || math.IsInf(eps, 1) || len(p.levels) == 0 {
 		return
 	}
-	leaves, w := &p.levels[0], 2*p.dim
-	near, nearEnd := []span(nil), make([]int32, 1, len(leaves.spans)+1)
-	for i := range leaves.spans {
-		near = p.reach(len(p.levels), 0, p.rootCount, leaves.bounds[w*i:w*(i+1)], eps*eps, near, len(near))
+	leaves := len(p.levels[0].spans)
+	near, nearEnd, list := []span(nil), make([]int32, 1, leaves+1), make([]int32, 0, leaves)
+	for i := range leaves {
+		list = p.NearLeaves(i, eps, list[:0])
+		for k, leaf := range list {
+			if last := len(near) - 1; k > 0 && near[last].first+near[last].count == leaf {
+				near[last].count++
+			} else {
+				near = append(near, span{first: leaf, count: 1})
+			}
+		}
 		if len(near) > len(p.perm) {
 			return
 		}
@@ -189,19 +210,17 @@ func (p *Packed) linkLeaves(eps float64) {
 	p.near, p.nearEnd, p.nearEps2 = near, nearEnd, eps*eps
 }
 
-// reach appends to near[from:] the leaves under the children [first,
-// first+count) of a node at level whose boxes lie within eps2 of box.
-func (p *Packed) reach(level int, first, count int32, box []float64, eps2 float64, near []span, from int) []span {
+// reach appends to near the leaves under the children [first, first+count)
+// of a node at level whose boxes lie within eps2 of box.
+func (p *Packed) reach(level int, first, count int32, box []float64, eps2 float64, near []int32) []int32 {
 	lv, w, lo, hi := &p.levels[level-1], 2*p.dim, box[:p.dim], box[p.dim:]
 	for i := first; i < first+count; i++ {
-		switch last := len(near) - 1; {
+		switch {
 		case gapSq(lo, hi, lv.bounds[w*int(i):w*int(i+1)]) > eps2:
 		case level > 1:
-			near = p.reach(level-1, lv.spans[i].first, lv.spans[i].count, box, eps2, near, from)
-		case last >= from && near[last].first+near[last].count == i:
-			near[last].count++
+			near = p.reach(level-1, lv.spans[i].first, lv.spans[i].count, box, eps2, near)
 		default:
-			near = append(near, span{first: i, count: 1})
+			near = append(near, i)
 		}
 	}
 	return near
@@ -213,13 +232,7 @@ func gapSq(lo, hi, b []float64) float64 {
 	var sum float64
 	hi, mn, mx := hi[:len(lo)], b[:len(lo)], b[len(b)/2:][:len(lo)]
 	for d, v := range lo {
-		var g float64
-		switch {
-		case hi[d] < mn[d]:
-			g = mn[d] - hi[d]
-		case v > mx[d]:
-			g = v - mx[d]
-		}
+		g := max(mn[d]-hi[d], 0) + max(v-mx[d], 0) // at most one is past 0
 		sum += g * g
 	}
 	return sum
@@ -399,9 +412,8 @@ func (tl *tiler) bound(ids []int, out []float64) {
 // first+count) of a node at the given level, left to right. A child is entered
 // when Rect.MinDistSq of its box — the same operation chain, spelled out for
 // two dimensions — is at most eps2, and a leaf hands its slice of perm to the
-// fused verify kernel — unless out holds enough ids and unseen none of the
-// leaf's (index.UnseenRangeAppender's rule; enough = math.MaxInt is no rule).
-func (p *Packed) descend(level int, first, count int32, q geom.Point, eps2 float64, enough int, unseen []int32, out []int) []int {
+// fused verify kernel.
+func (p *Packed) descend(level int, first, count int32, q geom.Point, eps2 float64, out []int) []int {
 	if level == 0 {
 		return p.rows.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
 	}
@@ -428,11 +440,11 @@ func (p *Packed) descend(level int, first, count int32, q geom.Point, eps2 float
 			}
 			sum = d0*d0 + d1*d1
 		}
-		if sum > eps2 || level == 1 && len(out) >= enough && unseen[i] == 0 {
+		if sum > eps2 {
 			continue
 		}
 		s := lv.spans[i]
-		out = p.descend(level-1, s.first, s.count, q, eps2, enough, unseen, out)
+		out = p.descend(level-1, s.first, s.count, q, eps2, out)
 	}
 	return out
 }

@@ -178,8 +178,8 @@ func TestNoLeafTableForUnusableRadius(t *testing.T) {
 		if p := tr; p.near != nil || p.nearEnd != nil || p.nearEps2 >= 0 {
 			t.Fatalf("hint %v: table built (squared radius %v)", hint, p.nearEps2)
 		}
-		if leafOf, leaves := tr.Leaves(); len(leafOf) != 500 || leaves != len(tr.levels[0].spans) {
-			t.Fatalf("hint %v: %d leaf entries, %d leaves", hint, len(leafOf), leaves)
+		if leaves := tr.NumLeaves(); len(tr.leafOf) != 500 || leaves != len(tr.levels[0].spans) {
+			t.Fatalf("hint %v: %d leaf entries, %d leaves", hint, len(tr.leafOf), leaves)
 		}
 		if got, want := tr.RangeAppendID(7, 0, nil), levelWalk(tr, st.Point(7), 0); !slices.Equal(got, want) {
 			t.Fatalf("hint %v: radius 0 by id %v, level walk %v", hint, got, want)
@@ -210,7 +210,7 @@ func TestLargerRadiusDescends(t *testing.T) {
 			var fromTable []int
 			leaf := tr.leafOf[id]
 			for _, s := range tr.near[tr.nearEnd[leaf]:tr.nearEnd[leaf+1]] {
-				fromTable = tr.descend(1, s.first, s.count, q, eps*eps, math.MaxInt, nil, fromTable)
+				fromTable = tr.descend(1, s.first, s.count, q, eps*eps, fromTable)
 			}
 			if len(fromTable) < len(want) {
 				short++
@@ -222,128 +222,33 @@ func TestLargerRadiusDescends(t *testing.T) {
 	}
 }
 
-// checkUnseenContract holds one RangeAppendIDUnseen result to the contract
-// of index.UnseenRangeAppender against the linear scan.
-func checkUnseenContract(t *testing.T, st *geom.Store, leafOf []int32, id int, eps float64, enough int, unseen []int32, got []int) {
-	t.Helper()
-	in := make(map[int]bool, len(got))
-	for _, q := range got {
-		if in[q] {
-			t.Fatalf("id %d eps %v: %d returned twice in %v", id, eps, q, got)
-		}
-		in[q] = true
-		if st.DistanceSq(id, q) > eps*eps {
-			t.Fatalf("id %d eps %v: %d is no neighbour", id, eps, q)
-		}
-	}
-	var scan []int
-	for q := 0; q < st.Len(); q++ {
-		if st.DistanceSq(id, q) <= eps*eps {
-			scan = append(scan, q)
-		}
-	}
-	if len(scan) < enough {
-		if len(got) != len(scan) {
-			t.Fatalf("id %d eps %v enough %d: %d of a neighbourhood of %d returned", id, eps, enough, len(got), len(scan))
-		}
-		return
-	}
-	if len(got) < enough {
-		t.Fatalf("id %d eps %v: %d returned, neighbourhood %d, enough %d", id, eps, len(got), len(scan), enough)
-	}
-	for _, q := range scan {
-		if unseen[leafOf[q]] > 0 && !in[q] {
-			t.Fatalf("id %d eps %v enough %d: neighbour %d of unseen leaf %d left out", id, eps, enough, q, leafOf[q])
-		}
-	}
-}
-
-// FuzzRangeUnseen derives a lattice point set (2, 3 or 8 dimensions, ties
-// everywhere), a fan-out, the radius the tree is built for, the radius asked
-// (that one, half, twice), enough and a vector of unseen counts from the
-// fuzzed bytes, and holds RangeAppendIDUnseen to its contract against a linear
-// scan for every id — and, with every count positive, to RangeAppendID: same
-// ids, same order.
-func FuzzRangeUnseen(f *testing.F) {
-	// Seeds after degenerateShapes, as bytes: header dim, fan-out, hint·4,
-	// radius, enough, unseen seed; then the coordinates.
-	dup := []byte{0, 1, 2, 0, 1, 7}
-	for i := 0; i < 40; i++ {
-		for c := 0; c < 6; c++ {
-			dup = append(dup, byte(i*5), byte(i*11))
-		}
-	}
-	grid := []byte{0, 0, 4, 0, 1, 3} // neighbours at exactly ε = 1
-	for x := 0; x < 12; x++ {
-		for y := 0; y < 12; y++ {
-			grid = append(grid, byte(x), byte(y))
-		}
-	}
-	line := []byte{0, 1, 8, 1, 0, 1}
-	for i := 0; i < 120; i++ {
-		line = append(line, byte(i*3), 5)
-	}
-	cube := []byte{2, 0, 20, 2, 2, 9}
-	for i := 0; i < 8*150; i++ {
-		cube = append(cube, byte(i*i+3*i))
-	}
-	same := append([]byte{1, 1, 2, 0, 2, 5}, make([]byte, 3*200)...)
-	covers := []byte{0, 1, 120, 0, 1, 2} // ε = 30 over a 16 × 16 domain
-	for i := 0; i < 2*299; i++ {
-		covers = append(covers, byte(i*37))
-	}
-	lattice := []byte{0, 1, 6, 0, 1, 4} // 300 rows on a 4 × 3 lattice: every sort key tied 75 times or more
-	for i := 0; i < 300; i++ {
-		lattice = append(lattice, byte(i*7%4), byte(i*5%3))
-	}
-	for _, seed := range [][]byte{dup, grid, line, cube, same, covers, lattice} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 6 {
-			return
-		}
-		dim := []int{2, 3, 8}[int(in[0])%3]
-		fanout := []int{4, DefaultMaxEntries}[int(in[1])%2]
-		hint := float64(in[2]) / 4
-		eps := []float64{hint, hint / 2, 2 * hint}[int(in[3])%3]
-		enough := []int{1, 4, 40}[int(in[4])%3]
-		rng := rand.New(rand.NewSource(int64(in[5])))
-		in = in[6:]
-		n := min(len(in)/dim, 300)
-		if n == 0 {
-			return
-		}
-		st := geom.NewStore(dim, n)
-		for i := 0; i < n; i++ {
-			row := st.AppendZero()
-			for d := range row {
-				row[d] = float64(in[i*dim+d] % 16)
+// TestNearLeavesMatchBoxPairs holds NearLeaves to a test of every pair of
+// leaf boxes, on the degenerate shapes at fan-outs 4 and 32, at the radius a
+// shape is clustered at, half and twice it, whatever radius the tree was
+// built for: no hint, the radius itself, or four times it. Every leaf is
+// listed once, and the leaf itself always.
+func TestNearLeavesMatchBoxPairs(t *testing.T) {
+	for _, c := range degenerateShapes() {
+		for _, fanout := range []int{4, DefaultMaxEntries} {
+			for _, hint := range []float64{0, c.eps, 4 * c.eps} {
+				tr, err := NewBulkStore(storeOf(t, c.pts), fanout, hint)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.NumLeaves() == 0 {
+					continue
+				}
+				var got []int32
+				for _, eps := range []float64{c.eps / 2, c.eps, 2 * c.eps} {
+					want, _, _ := bruteNear(tr, eps)
+					for i := range tr.NumLeaves() {
+						got = tr.NearLeaves(i, eps, got[:0])
+						if slices.Sort(got); !slices.Equal(got, want[i]) || !slices.Contains(got, int32(i)) {
+							t.Fatalf("%s/M=%d/hint=%v: eps %v leaf %d: %v, box pairs within ε %v", c.name, fanout, hint, eps, i, got, want[i])
+						}
+					}
+				}
 			}
 		}
-		tr, err := NewBulkStore(st, fanout, hint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leafOf, leaves := tr.Leaves()
-		if leafOf == nil {
-			if len(tr.levels) != 0 {
-				t.Fatalf("n %d fan-out %d: %d levels and no leaves", n, fanout, len(tr.levels))
-			}
-			return
-		}
-		unseen, all := make([]int32, leaves), make([]int32, leaves)
-		for i := range unseen {
-			unseen[i], all[i] = int32(rng.Intn(3)/2), 1 // two leaves in three are exhausted
-		}
-		var got, plain []int
-		for id := 0; id < n; id++ {
-			got = tr.RangeAppendIDUnseen(id, eps, enough, unseen, got)
-			checkUnseenContract(t, st, leafOf, id, eps, enough, unseen, got)
-			plain = tr.RangeAppendID(id, eps, plain)
-			if got = tr.RangeAppendIDUnseen(id, eps, enough, all, got); !slices.Equal(got, plain) {
-				t.Fatalf("dim %d M %d id %d eps %v: nothing seen yet %v, RangeAppendID %v", dim, fanout, id, eps, got, plain)
-			}
-		}
-	})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,7 +175,7 @@ func TestStoreDemotionOnDelete(t *testing.T) {
 	if _, ok := any(rt).(Index); ok {
 		t.Error("rstar: the dynamic tree is an Index")
 	}
-	if _, ok := any(rt).(UnseenRangeAppender); ok {
+	if _, ok := any(rt).(Leaves); ok {
 		t.Error("rstar: the dynamic tree offers leaves")
 	}
 	if rt.Len() != 99 {
@@ -186,39 +187,51 @@ func TestStoreDemotionOnDelete(t *testing.T) {
 	}
 }
 
-// TestStaleLeafCounts: the unseen-aware query of a packed tree leaves out
-// what the caller's counts say it has seen — with every leaf exhausted it
-// returns less than the plain query — and an index without leaves, the
-// linear scan, offers none and answers the plain query whatever counts the
-// caller holds.
-func TestStaleLeafCounts(t *testing.T) {
+// TestLeavesOffered: a packed tree of more than one leaf offers its leaves —
+// every id in exactly one, inside that leaf's box, and each leaf near itself
+// at any radius — and a tree that is one leaf, like the linear scan, which
+// has no leaves, offers none.
+func TestLeavesOffered(t *testing.T) {
 	st := testStore(400, 5)
-	const eps = 3.0
-	t.Run("rstar", func(t *testing.T) {
-		packed, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries, eps)
-		if err != nil {
-			t.Fatal(err)
+	packed, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lv Leaves = packed
+	if lv.NumLeaves() < 2 {
+		t.Fatalf("a packed tree over %d rows offers %d leaves", st.Len(), lv.NumLeaves())
+	}
+	seen := make([]int, st.Len())
+	for i := range lv.NumLeaves() {
+		ids, box := lv.Leaf(i)
+		r := geom.Rect{Min: box[:2], Max: box[2:]}
+		for _, id := range ids {
+			seen[id]++
+			if !r.Contains(st.Point(id)) {
+				t.Fatalf("id %d lies outside the box %v of its leaf %d", id, r, i)
+			}
 		}
-		leafOf, leaves := LeavesOf(packed)
-		if len(leafOf) != st.Len() || leaves < 2 {
-			t.Fatalf("packed tree offers %d leaves over %d ids", leaves, len(leafOf))
+		for _, eps := range []float64{0, 3, 100} {
+			if near := lv.NearLeaves(i, eps, nil); !slices.Contains(near, int32(i)) {
+				t.Fatalf("leaf %d is not near itself at radius %v: %v", i, eps, near)
+			}
 		}
-		stale := make([]int32, leaves) // every leaf exhausted
-		if got, want := RangeIntoIDUnseen(packed, 3, eps, 1, stale, nil), packed.RangeAppendID(3, eps, nil); len(got) >= len(want) {
-			t.Fatalf("unseen-aware %v, plain %v: the stale counts leave nothing out", got, want)
+	}
+	for id, k := range seen {
+		if k != 1 {
+			t.Fatalf("id %d lies in %d leaves", id, k)
 		}
-	})
-	t.Run("linear", func(t *testing.T) {
-		linear := NewLinearStore(st)
-		if leafOf, leaves := LeavesOf(linear); leafOf != nil || leaves != 0 {
-			t.Fatalf("linear scan offers %d leaves", leaves)
-		}
-		stale := make([]int32, 64) // counts the caller holds for some other index
-		got := RangeIntoIDUnseen(linear, 3, eps, 1, stale, nil)
-		if want := linear.RangeAppendID(3, eps, nil); !reflect.DeepEqual(got, want) || len(want) < 2 {
-			t.Fatalf("unseen-aware %v, plain %v", got, want)
-		}
-	})
+	}
+	small, err := rstar.NewBulkStore(testStore(rstar.DefaultMaxEntries, 5), rstar.DefaultMaxEntries, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := small.NumLeaves(); k != 0 {
+		t.Fatalf("a tree that is one leaf offers %d", k)
+	}
+	if _, ok := any(NewLinearStore(st)).(Leaves); ok {
+		t.Fatal("the linear scan offers leaves")
+	}
 }
 
 // TestBulkLoadAllocs gates the packed STR build: a handful of arrays per
@@ -242,11 +255,10 @@ func TestBulkLoadAllocs(t *testing.T) {
 // TestRangeAppendZeroAlloc is the hot-loop regression gate: once the result
 // buffer has grown to its steady-state capacity, a store-backed range query of
 // any kind must not allocate at all — the property that keeps the DBSCAN
-// expansion loop allocation-free per query. That holds by point and by id,
-// for the query the expansion issues, RangeIntoIDUnseen with every other leaf
-// exhausted, as for the plain one, and for the R*-tree both when the by-id
-// query starts at its own leaf (built for the radius, as BuildStore does) and
-// when it descends (built for none). No kind keeps per-query scratch, so there
+// condensation and relabel loops allocation-free per query. That holds by
+// point and by id, and for the R*-tree both when the by-id query starts at
+// its own leaf (built for the radius, as BuildStore does) and when it
+// descends (built for none). No kind keeps per-query scratch, so there
 // is nothing to warm up before counting. Skipped under the race detector,
 // whose instrumentation perturbs allocation accounting.
 func TestRangeAppendZeroAlloc(t *testing.T) {
@@ -274,32 +286,19 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 	for _, x := range indexes {
 		name, idx := x.name, x.idx
 		t.Run(name, func(t *testing.T) {
-			leafOf, leaves := LeavesOf(idx)
-			if (leafOf != nil) != strings.HasPrefix(name, "rstar") {
-				t.Fatalf("leaves on offer: %v", leafOf != nil)
-			}
-			var unseen []int32
-			if leafOf != nil {
-				unseen = make([]int32, leaves)
-				for i := range unseen {
-					unseen[i] = int32(i % 2)
-				}
-			}
 			buf := make([]int, 0, st.Len()) // steady-state capacity up front
-			q, returned := 0, [2]int{}
+			q, returned := 0, 0
 			allocs := testing.AllocsPerRun(100, func() {
 				buf = idx.RangeAppend(st.Point(q%st.Len()), eps, buf)
 				buf = idx.RangeAppendID(q%st.Len(), eps, buf)
-				returned[0] += len(buf)
-				buf = RangeIntoIDUnseen(idx, q%st.Len(), eps, 4, unseen, buf)
-				returned[1] += len(buf)
+				returned += len(buf)
 				q += 131
 			})
 			if allocs != 0 {
-				t.Errorf("%.1f allocs per three range queries, want 0", allocs)
+				t.Errorf("%.1f allocs per two range queries, want 0", allocs)
 			}
-			if (returned[1] < returned[0]) != (leafOf != nil) {
-				t.Errorf("%d ids from the plain queries, %d from the unseen-aware ones", returned[0], returned[1])
+			if returned == 0 {
+				t.Error("the queries returned nothing: the test does not test")
 			}
 		})
 	}
