@@ -24,10 +24,10 @@ test-race:
 # The differential twin of the default kernel build: every stride runs the
 # plain scalar loop (internal/geom/kernels_scalar.go). The packages listed are
 # the ones whose output depends on a distance kernel — the incremental
-# clusterer and the streaming site among them, since the dynamic R*-tree
-# verifies its leaves on the store kernels; the five identity digests
-# (clustering, local-model frame, wire, bulk layout, dynamic layout) must come
-# out the same under both builds. CI runs this on every push.
+# clusterer and the streaming site among them, since the clusterer's ε-cells
+# verify their lists on the store kernels; the four identity digests
+# (clustering, local-model frame, wire, bulk layout) must come out the same
+# under both builds. CI runs this on every push.
 test-scalar:
 	$(GO) test -tags dbdc_scalar_kernels ./internal/geom/ ./internal/index/... ./internal/dbscan/ ./internal/dbdc/ ./internal/transport/ ./internal/incdbscan/ ./internal/stream/
 
@@ -101,16 +101,14 @@ cite-guard:
 # panic on arbitrary bytes; kernels and the fused verifiers must match their
 # references, every index kind refuse what the linear scan refuses and answer
 # like it otherwise, the packed R*-tree query a linear scan and a test-only
-# walk of its packed levels; the dynamic R*-tree must keep its
-# invariants, answer like a linear scan and choose subtrees like the all-pairs
-# rule after every operation; incremental DBSCAN must match batch DBSCAN after
-# every operation; the representative selector's coverage grid, which every
+# walk of its packed levels; incremental DBSCAN must match batch DBSCAN, and
+# its ε-cells a linear scan, after every operation; the representative selector's coverage grid, which every
 # relabel and classification goes through, must label like a scan over every
 # representative; DBSCAN's leaf schedule must produce the pair-by-pair
 # reference's Result). CI runs this on push; use a larger FUZZTIME locally
 # before touching the wire formats, internal/index/rstar, internal/dbscan,
 # internal/incdbscan or dbdc.RepSelector.
-# FuzzTreeOps, FuzzIncOps and FuzzRunAgreesWithReference cap minimisation:
+# FuzzIncOps and FuzzRunAgreesWithReference cap minimisation:
 # shrinking a coverage-only find replays whole op sequences (or thirteen
 # clusterings) and would otherwise eat the budget.
 FUZZTIME ?= 10s
@@ -127,7 +125,6 @@ fuzz-smoke:
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzVerifyRangeSq -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzBuildRejectsOrAgrees -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRepSelector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dbscan/ -run '^$$' -fuzz FuzzBudgetScor -fuzztime $(FUZZTIME)
@@ -140,15 +137,14 @@ bench:
 
 # One-iteration smoke over the hot-path suite, the STR bulk build at three
 # sizes and in 8-d, the incremental layer's window-turn benchmark (ns, allocs
-# and range queries per delete-oldest + insert), the dynamic R*-tree's insert
-# benchmark and step 4 on a round-bulk site and on an 8-d one: catches
+# and range queries per delete-oldest + insert, in 2-d and 8-d) and step 4 on
+# a round-bulk site and on an 8-d one: catches
 # benchmarks that no longer compile or crash, without paying measurement time.
 # CI runs this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalClustering|BenchmarkStoreKernels|BenchmarkLoadgenClassify|BenchmarkAblationRStarBuild/bulk' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkRelabelSite|BenchmarkRepSelector' -benchtime 1x -benchmem ./internal/dbdc/
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowTurn' -benchtime 1x -benchmem ./internal/incdbscan/
-	$(GO) test -run '^$$' -bench 'BenchmarkInsert$$' -benchtime 1x -benchmem ./internal/index/rstar/
 
 # Alternating parent/change pairs of one workload of the repository benchmark
 # (scripts/bench_pairs.sh): PARENT is exported into .bench_build/ with the

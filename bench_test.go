@@ -272,18 +272,11 @@ func BenchmarkModelEncoding(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationRStarBuild — incremental insertion versus STR bulk
-// loading of the R*-tree; the bulk rows are the build a LocalStep pays, over
-// the round-bulk workload's blobs at three sizes and over 8-d Gaussian rows.
+// BenchmarkAblationRStarBuild — STR bulk loading of the R*-tree, the build a
+// LocalStep pays, over the round-bulk workload's blobs at three sizes and
+// over 8-d Gaussian rows, with data set A's Eps as the leaf table's radius.
 func BenchmarkAblationRStarBuild(b *testing.B) {
-	ds := data.DatasetA(25_000, 1)
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rstar.New(ds.Points); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	eps := data.DatasetA(data.DatasetASize, 1).Params.Eps
 	rng := rand.New(rand.NewSource(1))
 	wide := geom.NewStore(8, 16_000)
 	for i := 0; i < 16_000; i++ {
@@ -303,7 +296,7 @@ func BenchmarkAblationRStarBuild(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := rstar.NewBulkStore(c.st, rstar.DefaultMaxEntries, ds.Params.Eps); err != nil {
+				if _, err := rstar.NewBulkStore(c.st, rstar.DefaultMaxEntries, eps); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,10 +41,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dbdc-query: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		w = f
 	}
-	if err := data.WriteCSV(w, members); err != nil {
+	err = data.WriteCSV(w, members)
+	if w != os.Stdout {
+		// A write the file system defers can fail only here.
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dbdc-query: %v\n", err)
 		os.Exit(1)
 	}

@@ -22,8 +22,8 @@ import (
 	"github.com/dbdc-go/dbdc/internal/model"
 )
 
-// DefaultMinPtsGlobal is the server-side MinPts. Every representative
-// stands for a whole cluster region, so two density-connected
+// DefaultMinPtsGlobal is the server-side MinPts, fixed as in the paper. Every
+// representative stands for a whole cluster region, so two density-connected
 // representatives suffice to merge (Section 6).
 const DefaultMinPtsGlobal = 2
 
@@ -44,12 +44,6 @@ type Config struct {
 	// when the 2·Eps_local heuristic under- or over-connects, e.g. in
 	// higher-dimensional spaces.
 	EpsGlobalAuto bool
-	// MinPtsGlobal is the server-side MinPts; zero selects
-	// DefaultMinPtsGlobal.
-	MinPtsGlobal int
-	// KMeansMaxIter bounds the k-means refinement of REP_kMeans; zero
-	// selects the kmeans package default.
-	KMeansMaxIter int
 	// Sequential makes the orchestrator execute the site-side steps one
 	// site at a time instead of concurrently. This is the measurement
 	// methodology of the paper ("we carried out all local clusterings
@@ -88,9 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.Model == "" {
 		c.Model = model.RepScor
 	}
-	if c.MinPtsGlobal == 0 {
-		c.MinPtsGlobal = DefaultMinPtsGlobal
-	}
 	return c
 }
 
@@ -105,9 +96,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.EpsGlobal >= 0) || math.IsInf(c.EpsGlobal, 1) {
 		return fmt.Errorf("dbdc: EpsGlobal must be zero (the default) or positive and finite, got %v", c.EpsGlobal)
-	}
-	if c.MinPtsGlobal < 1 {
-		return fmt.Errorf("dbdc: MinPtsGlobal %d < 1", c.MinPtsGlobal)
 	}
 	if c.SiteWorkers < 0 {
 		return fmt.Errorf("dbdc: negative SiteWorkers %d", c.SiteWorkers)

@@ -40,7 +40,6 @@ func TestConfigValidate(t *testing.T) {
 		{"eps-global-nan", func(c *Config) { c.EpsGlobal = math.NaN() }, "NaN"},
 		{"eps-global-inf", func(c *Config) { c.EpsGlobal = math.Inf(1) }, "+Inf"},
 		{"eps-global-wider-than-any-data", func(c *Config) { c.EpsGlobal = math.MaxFloat64 }, ""},
-		{"min-pts-global-negative", func(c *Config) { c.MinPtsGlobal = -1 }, "-1"},
 		{"site-workers-negative", func(c *Config) { c.SiteWorkers = -1 }, "-1"},
 		{"rep-budget-negative", func(c *Config) { c.RepBudget = -1 }, "-1"},
 	}

@@ -41,7 +41,7 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 		// handles the sentinel explicitly by keeping every object noise.
 		return &model.GlobalModel{
 			EpsGlobal:    0,
-			MinPtsGlobal: cfg.MinPtsGlobal,
+			MinPtsGlobal: DefaultMinPtsGlobal,
 		}, nil
 	}
 	pts := make([]geom.Point, len(reps))
@@ -55,7 +55,7 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 	// SiteWorkers applies to the server's merge clustering too (the aggtree
 	// interior nodes run this step per region, so the parallelism matters
 	// at scale).
-	res, err := dbscan.Run(idx, dbscan.Params{Eps: epsGlobal, MinPts: cfg.MinPtsGlobal}, dbscan.Options{Workers: cfg.SiteWorkers})
+	res, err := dbscan.Run(idx, dbscan.Params{Eps: epsGlobal, MinPts: DefaultMinPtsGlobal}, dbscan.Options{Workers: cfg.SiteWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 	}
 	return &model.GlobalModel{
 		EpsGlobal:    epsGlobal,
-		MinPtsGlobal: cfg.MinPtsGlobal,
+		MinPtsGlobal: DefaultMinPtsGlobal,
 		Reps:         reps,
 		NumClusters:  len(ids),
 	}, nil

@@ -18,10 +18,9 @@ import (
 // letting the analyst sweep the parameter "without running the clustering
 // algorithm again and again".
 type OpticsOrderer struct {
-	reps         []model.GlobalRepresentative
-	ordering     *optics.Result
-	minPtsGlobal int
-	epsMax       float64
+	reps     []model.GlobalRepresentative
+	ordering *optics.Result
+	epsMax   float64
 }
 
 // NewOpticsOrderer pools the representatives of all local models and
@@ -53,15 +52,14 @@ func NewOpticsOrderer(models []*model.LocalModel, cfg Config, epsMax float64) (*
 	if err != nil {
 		return nil, err
 	}
-	ordering, err := optics.Run(idx, dbscan.Params{Eps: epsMax, MinPts: cfg.MinPtsGlobal})
+	ordering, err := optics.Run(idx, dbscan.Params{Eps: epsMax, MinPts: DefaultMinPtsGlobal})
 	if err != nil {
 		return nil, err
 	}
 	return &OpticsOrderer{
-		reps:         reps,
-		ordering:     ordering,
-		minPtsGlobal: cfg.MinPtsGlobal,
-		epsMax:       epsMax,
+		reps:     reps,
+		ordering: ordering,
+		epsMax:   epsMax,
 	}, nil
 }
 
@@ -96,7 +94,7 @@ func (o *OpticsOrderer) Extract(epsCut float64) (*model.GlobalModel, error) {
 	}
 	return &model.GlobalModel{
 		EpsGlobal:    epsCut,
-		MinPtsGlobal: o.minPtsGlobal,
+		MinPtsGlobal: DefaultMinPtsGlobal,
 		Reps:         reps,
 		NumClusters:  len(ids),
 	}, nil
@@ -112,7 +110,7 @@ func globalStepAuto(models []*model.LocalModel, cfg Config) (*model.GlobalModel,
 	if err != nil {
 		return nil, err
 	}
-	cut, err := ord.SuggestCut(cfg.MinPtsGlobal)
+	cut, err := ord.SuggestCut(DefaultMinPtsGlobal)
 	if err != nil || cut <= 0 {
 		return GlobalStep(models, base)
 	}

@@ -199,7 +199,7 @@ func (o *LocalOutcome) BudgetedModel(budget int) (*model.LocalModel, dbscan.Budg
 		m.Reps = scorReps(o.st, res, o.ids)
 	case model.RepKMeans:
 		// A REP_kMeans prefix re-runs k-means on its prefix seeds.
-		if m.Reps, err = kmeansReps(o.st, res, o.ids, o.cfg.KMeansMaxIter); err != nil {
+		if m.Reps, err = kmeansReps(o.st, res, o.ids); err != nil {
 			return nil, stats, fmt.Errorf("dbdc: site %s: %w", o.SiteID, err)
 		}
 	}
@@ -245,7 +245,7 @@ func scorReps(st *geom.Store, res *dbscan.Result, ids []cluster.ID) []model.Repr
 // cluster C, k-means with k = |Scor_C| seeded by the specific core points
 // refines the representatives to centroids; each centroid's ε-range is the
 // maximum distance of its assigned objects. The clusters are ids, ascending.
-func kmeansReps(st *geom.Store, res *dbscan.Result, ids []cluster.ID, maxIter int) ([]model.Representative, error) {
+func kmeansReps(st *geom.Store, res *dbscan.Result, ids []cluster.ID) ([]model.Representative, error) {
 	var reps []model.Representative
 	for _, id := range ids {
 		members := res.Labels.Members(id)
@@ -257,7 +257,7 @@ func kmeansReps(st *geom.Store, res *dbscan.Result, ids []cluster.ID, maxIter in
 		for i, s := range res.Scor[id] {
 			seeds[i] = st.Point(s)
 		}
-		km, err := kmeans.Lloyd(memberPts, seeds, maxIter)
+		km, err := kmeans.Lloyd(memberPts, seeds, kmeans.DefaultMaxIterations)
 		if err != nil {
 			return nil, err
 		}

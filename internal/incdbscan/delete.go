@@ -54,9 +54,7 @@ func (c *Clusterer) Delete(i int) error {
 	// The victim's neighbourhood (pre-deletion, i included) stays in near
 	// while the repair's queries reuse scratch.
 	c.near, c.scratch = c.neighborhood(i), c.near
-	if err := c.tree.Delete(i); err != nil {
-		return err
-	}
+	c.cells.remove(i)
 	c.deleted[i] = true
 	c.free = append(c.free, i)
 	c.live--
@@ -150,10 +148,10 @@ func (c *Clusterer) repair(first, victim int) {
 	for a := 1; a < len(c.comps) && open > 1; a++ {
 		// A merge appends to the root's list, so head is still each
 		// component's own seed here.
-		pa := c.tree.Point(c.comps[a].head)
+		pa := c.Point(c.comps[a].head)
 		for b := 0; b < a; b++ {
 			ra, rb := c.root(a), c.root(b)
-			if ra != rb && geom.SquaredEuclidean(pa, c.tree.Point(c.comps[b].head)) <= eps2 {
+			if ra != rb && geom.SquaredEuclidean(pa, c.Point(c.comps[b].head)) <= eps2 {
 				c.merge(ra, rb)
 				open--
 			}

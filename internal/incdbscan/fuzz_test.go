@@ -2,6 +2,7 @@ package incdbscan
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/cluster"
@@ -14,25 +15,44 @@ import (
 // of Eps, so neighbourhoods at exactly Eps (boundary inclusive), exact
 // duplicates, one-object-wide chains and neighbourhoods of exactly MinPts
 // objects are all a few bytes away; a small jitter breaks the symmetry.
+// The first byte also picks the dimensionality and an offset of the first
+// coordinate: near ±1e15 the lattice is coarser than the jitter, and near
+// 1e300 every key is clamped and the first coordinate collapses.
 const (
 	fuzzPitch   = 0.25
 	fuzzEps     = 2 * fuzzPitch
 	fuzzCellsX  = 32
 	fuzzCellsY  = 16
+	fuzzCellsZ  = 4 // the third coordinate on
 	fuzzMaxOps  = 300
 	fuzzMinLive = 16
 )
 
-var fuzzJitter = [8]float64{0, 0, 0, 0.01, -0.01, 0.003, 0.12, -0.12}
+var (
+	fuzzJitter  = [8]float64{0, 0, 0, 0.01, -0.01, 0.003, 0.12, -0.12}
+	fuzzDims    = [4]int{2, 1, 3, 8}
+	fuzzOffsets = [5]float64{0, 1e15, -1e15, 1e300, -1e300}
+)
 
 // The opcodes (byte mod 8). An insert into a full window evicts the oldest
 // live object first, like stream.Site does.
 const (
-	fuzzInsert     = 0 // ..3; + x byte, y byte
+	fuzzInsert     = 0 // ..3; + one byte per coordinate
 	fuzzDelRandom  = 4 // ..5; + victim byte
 	fuzzDelOldest  = 6
 	fuzzReinsertAt = 7 // + victim byte: delete it, insert a new object at its place
 )
+
+// fuzzCells is the lattice's extent along coordinate k.
+func fuzzCells(k int) int {
+	switch k {
+	case 0:
+		return fuzzCellsX
+	case 1:
+		return fuzzCellsY
+	}
+	return fuzzCellsZ
+}
 
 func fuzzCoord(b byte, cells int) float64 {
 	return float64(int(b)%cells)*fuzzPitch + fuzzJitter[int(b)/cells%len(fuzzJitter)]
@@ -42,12 +62,28 @@ func fuzzCoord(b byte, cells int) float64 {
 type fuzzOps []byte
 
 func newFuzzOps(minPts, window int) fuzzOps {
-	return fuzzOps{byte(minPts - 3), byte(window - fuzzMinLive)}
+	return newShapedFuzzOps(minPts, window, 0, 0)
 }
 
-// insert places an object at lattice cell (cx, cy) with jitter indexes jx, jy.
+// newShapedFuzzOps starts an input of fuzzDims[dim]-dimensional points whose
+// first coordinate is offset by fuzzOffsets[offset].
+func newShapedFuzzOps(minPts, window, dim, offset int) fuzzOps {
+	return fuzzOps{byte(minPts - 3 + 4*(dim+4*offset)), byte(window - fuzzMinLive)}
+}
+
+// insert places a 2-d object at lattice cell (cx, cy) with jitter indexes
+// jx, jy.
 func (o *fuzzOps) insert(cx, cy, jx, jy int) {
 	*o = append(*o, fuzzInsert, byte(jx*fuzzCellsX+cx), byte(jy*fuzzCellsY+cy))
+}
+
+// insertAt places an object at lattice cell c, one entry per coordinate, all
+// with jitter index j.
+func (o *fuzzOps) insertAt(j int, c ...int) {
+	*o = append(*o, fuzzInsert)
+	for k, x := range c {
+		*o = append(*o, byte(j*fuzzCells(k)+x))
+	}
 }
 func (o *fuzzOps) delRandom(k int)  { *o = append(*o, fuzzDelRandom, byte(k)) }
 func (o *fuzzOps) delOldest()       { *o = append(*o, fuzzDelOldest) }
@@ -75,6 +111,7 @@ func runFuzzOps(t *testing.T, data []byte) (clusters []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dim, offset := fuzzDims[int(data[0])/4%4], fuzzOffsets[int(data[0])/16%len(fuzzOffsets)]
 	window := fuzzMinLive + int(data[1])%113
 	data = data[2:]
 	var fifo []int // live objects, oldest first
@@ -83,6 +120,7 @@ func runFuzzOps(t *testing.T, data []byte) (clusters []int) {
 		if got, want := c.LiveCount(), liveCountScan(c); got != want || got != len(fifo) {
 			t.Fatalf("LiveCount=%d, scan says %d, model says %d", got, want, len(fifo))
 		}
+		checkNeighbourhoods(t, c)
 		checkSurvivorsAgainstBatch(t, c)
 		checkFromCores(t, c)
 		clusters = append(clusters, c.NumClusters())
@@ -115,11 +153,16 @@ func runFuzzOps(t *testing.T, data []byte) (clusters []int) {
 		data = data[1:]
 		switch {
 		case op < fuzzDelRandom:
-			if len(data) < 2 {
+			if len(data) < dim {
 				return clusters
 			}
-			insert(geom.Point{fuzzCoord(data[0], fuzzCellsX), fuzzCoord(data[1], fuzzCellsY)})
-			data = data[2:]
+			p := make(geom.Point, dim)
+			for k := range p {
+				p[k] = fuzzCoord(data[k], fuzzCells(k))
+			}
+			p[0] += offset
+			insert(p)
+			data = data[dim:]
 		case op == fuzzDelOldest:
 			if len(fifo) > 0 {
 				remove(0)
@@ -140,6 +183,36 @@ func runFuzzOps(t *testing.T, data []byte) (clusters []int) {
 		}
 	}
 	return clusters
+}
+
+// fuzzRadii are the radii, in units of Eps, of the neighbourhoods
+// checkNeighbourhoods compares: duplicates only, the clusterer's own, and
+// one whose keys span more cells than a small window fills.
+var fuzzRadii = [3]float64{0, 1, 3}
+
+// checkNeighbourhoods holds the cell index to the linear scan: around every
+// live object, the neighbourhood RangeSlot returns is, as a set, the live
+// objects the same kernel test accepts.
+func checkNeighbourhoods(t *testing.T, c *Clusterer) {
+	t.Helper()
+	var live []int
+	for i := 0; i < c.Len(); i++ {
+		if !c.IsDeleted(i) {
+			live = append(live, i)
+		}
+	}
+	var got, want []int
+	for _, r := range fuzzRadii {
+		eps := r * c.Params().Eps
+		for _, i := range live {
+			got = c.RangeSlot(i, eps, got)
+			want = c.cells.rows.VerifyRangeSq(c.Point(i), live, eps*eps, want[:0])
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("neighbourhood of %d at radius %v: cells %v, scan %v", i, eps, got, want)
+			}
+		}
+	}
 }
 
 // checkFromCores pins Labels to what a streaming upload condenses from: over
@@ -182,7 +255,9 @@ type fuzzSeed struct {
 }
 
 // fuzzSeeds are the stream-churn shape and the structural delete cases of
-// delete_test.go, on the lattice.
+// delete_test.go, on the lattice, and the shapes the cell index must hold
+// to the linear scan on: one, three and eight coordinates, duplicates,
+// distances of exactly Eps, and coordinates near ±1e15 and 1e300.
 func fuzzSeeds() map[string]fuzzSeed {
 	// Two discs whose edges are 1.25 apart, then a ten-object chain across
 	// the gap (every gap object has exactly MinPts neighbours, itself
@@ -234,11 +309,82 @@ func fuzzSeeds() map[string]fuzzSeed {
 	border.delRandom(4)
 	border.delRandom(0)
 
+	// One coordinate: two triples 1.5 apart, and an object midway at
+	// exactly Eps from both ends joins them until it goes.
+	line := newShapedFuzzOps(3, 16, 1, 0)
+	for _, x := range []int{0, 1, 2, 6, 7, 8, 4} {
+		line.insertAt(0, x)
+	}
+	line.delRandom(6)
+
+	// Three coordinates: two 2×2×2 cubes (diagonal 0.43 < Eps), and FIFO
+	// eviction dissolves the first.
+	cubes := newShapedFuzzOps(4, 32, 2, 0)
+	for _, x0 := range []int{0, 10} {
+		for d := 0; d < 8; d++ {
+			cubes.insertAt(0, x0+d&1, d>>1&1, d>>2)
+		}
+	}
+	for k := 0; k < 5; k++ {
+		cubes.delOldest()
+	}
+
+	// Eight coordinates: three objects that differ only past the second
+	// coordinate cluster; a fourth in their cell, 1.8 away, stays noise.
+	wide := newShapedFuzzOps(3, 16, 3, 0)
+	wide.insertAt(0, 0, 0, 0, 0, 0, 0, 0, 0)
+	wide.insertAt(0, 0, 0, 0, 0, 0, 0, 0, 1)
+	wide.insertAt(0, 0, 0, 0, 0, 0, 0, 1, 0)
+	wide.insertAt(0, 0, 0, 3, 3, 3, 3, 3, 3)
+	wide.delOldest()
+
+	// Four copies of one point are a cluster at MinPts 4; each delete
+	// dissolves it and each reinsertion brings it back.
+	dups := newFuzzOps(4, 16)
+	for k := 0; k < 4; k++ {
+		dups.insert(5, 5, 0, 0)
+	}
+	dups.reinsertAt(2)
+	dups.reinsertAt(0)
+
+	// A chain of seven objects exactly Eps apart (every other lattice
+	// point) is one cluster at MinPts 3 only because the boundary counts;
+	// deleting the middle one splits it. Repeated around x = 1e15, where
+	// the first coordinate is still exact, and in y around x = 1e300, where
+	// it collapses and every key is clamped.
+	chain := func(dim, offset int, alongY bool) fuzzOps {
+		o := newShapedFuzzOps(3, 16, dim, offset)
+		for k := 0; k < 7; k++ {
+			if alongY {
+				o.insert(3, 2*k, 0, 0)
+			} else {
+				o.insert(2*k, 3, 0, 0)
+			}
+		}
+		o.delRandom(3)
+		return o
+	}
+
+	// Two discs around x = -1e15, where the lattice is coarser than most of
+	// the jitter.
+	far := newShapedFuzzOps(5, 80, 0, 2)
+	far.disc(3, 4, 3, 3)
+	far.disc(14, 4, 3, 6)
+	far.delOldest()
+
 	return map[string]fuzzSeed{
 		"bridge-merge-then-evict": {bridge, []int{2, 1, 2}},
 		"dissolve":                {dissolve, []int{1, 0, 1, 0}},
 		"split":                   {split, []int{2, 1, 2, 1, 2, 1}},
 		"border-only":             {border, []int{1}},
+		"1d-merge-then-split":     {line, []int{2, 1, 2}},
+		"3d-cubes":                {cubes, []int{1, 2, 1}},
+		"8d-beyond-the-keys":      {wide, []int{1, 0}},
+		"duplicates":              {dups, []int{1, 0, 1, 0, 1}},
+		"eps-lattice-chain":       {chain(0, 0, false), []int{1, 2}},
+		"eps-lattice-at-1e15":     {chain(0, 1, false), []int{1, 2}},
+		"eps-lattice-clamped":     {chain(0, 3, true), []int{1, 2}},
+		"discs-at-minus-1e15":     {far, []int{1, 2}},
 	}
 }
 
@@ -248,7 +394,8 @@ func fuzzSeeds() map[string]fuzzSeed {
 // DBSCAN over the live set after every operation — core flags, noise
 // status, the partition of the cores, every border object within Eps of a
 // core of its own cluster, the batch Result itself once dbscan.FromCores
-// completes the labels, and LiveCount against a scan.
+// completes the labels, LiveCount against a scan, and every ε-cell
+// neighbourhood against a linear scan over the live rows.
 func FuzzIncOps(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add([]byte(s.ops))

@@ -10,7 +10,8 @@
 // case of an insertion is O(α(n)). Inserting object p can only change the
 // membership of objects density-reachable from the objects that become core
 // because of p, so the update touches one ε-neighborhood per new core
-// object and nothing else.
+// object and nothing else. The neighbourhoods come from a grid of Eps-wide
+// cells over the first two coordinates (cells.go), which keeps the rows.
 package incdbscan
 
 import (
@@ -19,14 +20,13 @@ import (
 	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
-	"github.com/dbdc-go/dbdc/internal/index/rstar"
 )
 
 // Clusterer is an incrementally maintained DBSCAN clustering. The zero
 // value is not usable; construct with New.
 type Clusterer struct {
 	params dbscan.Params
-	tree   *rstar.Tree
+	cells  cells
 	// labels holds provisional cluster ids; resolve through the union-find
 	// before exposing them.
 	labels []cluster.ID
@@ -78,19 +78,15 @@ func New(params dbscan.Params) (*Clusterer, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	tree, err := rstar.New(nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Clusterer{params: params, tree: tree}, nil
+	return &Clusterer{params: params, cells: newCells(params.Eps)}, nil
 }
 
 // Len returns the number of inserted objects.
 func (c *Clusterer) Len() int { return len(c.labels) }
 
-// Point returns object i as a view of the tree's row: copy it to keep it
-// past the next Insert, which may move the rows or recycle slot i.
-func (c *Clusterer) Point(i int) geom.Point { return c.tree.Point(i) }
+// Point returns object i as a view of its row: copy it to keep it past the
+// next Insert, which may move the rows or recycle slot i.
+func (c *Clusterer) Point(i int) geom.Point { return c.cells.rows.Point(i) }
 
 // IsCore reports whether object i currently satisfies the core condition.
 func (c *Clusterer) IsCore(i int) bool { return c.core[i] }
@@ -130,14 +126,14 @@ func (c *Clusterer) union(a, b cluster.ID) cluster.ID {
 // the shared scratch buffer: valid until the next call.
 func (c *Clusterer) neighborhood(q int) []int {
 	c.queries++
-	c.scratch = c.tree.RangeAppend(c.tree.Point(q), c.params.Eps, c.scratch)
+	c.scratch = c.cells.rangeAppend(c.Point(q), c.params.Eps, c.scratch)
 	return c.scratch
 }
 
 // RangeSlot appends to buf, after truncating it, the live objects within eps
 // of live object i, i included: a read-only query, not counted in queries.
 func (c *Clusterer) RangeSlot(i int, eps float64, buf []int) []int {
-	return c.tree.RangeAppend(c.tree.Point(i), eps, buf)
+	return c.cells.rangeAppend(c.Point(i), eps, buf)
 }
 
 // newClusterID allocates a fresh provisional cluster id.
@@ -193,26 +189,24 @@ func (c *Clusterer) maybeCompact() {
 // the new object plus one per object that becomes core because of the
 // insertion.
 func (c *Clusterer) Insert(p geom.Point) (int, error) {
+	if err := c.cells.admit(p); err != nil {
+		return 0, err
+	}
 	c.maybeCompact()
 	var idx int
 	if n := len(c.free); n > 0 {
 		// Recycle the most recently deleted slot: the per-object arrays and
-		// the tree's point table stay bounded by the high-water mark of the
-		// live set instead of growing with every insert.
+		// the rows stay bounded by the high-water mark of the live set
+		// instead of growing with every insert.
 		idx = c.free[n-1]
-		if err := c.tree.ReplaceAt(idx, p); err != nil {
-			return 0, err
-		}
+		c.cells.replace(idx, p)
 		c.free = c.free[:n-1]
 		c.labels[idx] = cluster.Unclassified
 		c.core[idx] = false
 		c.count[idx] = 0
 		c.deleted[idx] = false
 	} else {
-		if err := c.tree.Insert(p); err != nil {
-			return 0, err
-		}
-		idx = len(c.labels)
+		idx = c.cells.add(p)
 		c.labels = append(c.labels, cluster.Unclassified)
 		c.core = append(c.core, false)
 		c.count = append(c.count, 0)

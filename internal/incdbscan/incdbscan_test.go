@@ -83,11 +83,11 @@ func TestInsertValidation(t *testing.T) {
 		t.Fatal("dimension mismatch accepted")
 	}
 	// An emptied clusterer keeps its dimensionality, on the slot-recycling
-	// path too; the tree's error comes through unchanged.
+	// path too.
 	if err := c.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	const want = "rstar: point dimensionality 3, tree has 2"
+	const want = "incdbscan: point dimensionality 3, clusterer has 2"
 	if _, err := c.Insert(geom.Point{0, 0, 0}); err == nil || err.Error() != want {
 		t.Fatalf("3-d insert into an emptied 2-d clusterer: %v, want %q", err, want)
 	}

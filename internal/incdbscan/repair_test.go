@@ -1,6 +1,7 @@
 package incdbscan
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,12 +62,31 @@ type turner struct {
 }
 
 func newTurner(tb testing.TB, seed int64) *turner {
+	return newTurnerOver(tb, turnStream(seed))
+}
+
+// widen embeds a 2-d stream in dim dimensions: the extra coordinates are
+// uniform in ±0.05, a shell thin beside Eps, so the discs and the chains
+// stay what they were.
+func widen(pts []geom.Point, dim int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		out[i] = append(make(geom.Point, 0, dim), p...)
+		for len(out[i]) < dim {
+			out[i] = append(out[i], (rng.Float64()-0.5)*0.1)
+		}
+	}
+	return out
+}
+
+func newTurnerOver(tb testing.TB, period []geom.Point) *turner {
 	tb.Helper()
 	c, err := New(turnParams)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := &turner{c: c, period: turnStream(seed)}
+	w := &turner{c: c, period: period}
 	for len(w.fifo) < turnWindow {
 		w.insert(tb)
 	}
@@ -155,7 +175,7 @@ func TestInteriorDeleteCostModel(t *testing.T) {
 		// The model, from the state before the deletion.
 		id := c.find(c.labels[victim])
 		lost := []int{victim}
-		for _, q := range c.tree.RangeAppend(p, params.Eps, nil) {
+		for _, q := range c.cells.rangeAppend(p, params.Eps, nil) {
 			if q != victim && c.core[q] && c.count[q] == params.MinPts {
 				lost = append(lost, q)
 			}
@@ -166,7 +186,7 @@ func TestInteriorDeleteCostModel(t *testing.T) {
 		}
 		cands := map[int]bool{}
 		for _, l := range lost {
-			for _, r := range c.tree.RangeAppend(c.Point(l), params.Eps, nil) {
+			for _, r := range c.cells.rangeAppend(c.Point(l), params.Eps, nil) {
 				if r != victim && (!c.core[r] || isLost[r]) && c.find(c.labels[r]) == id {
 					cands[r] = true
 				}
@@ -333,10 +353,9 @@ func TestEpochWrapAround(t *testing.T) {
 }
 
 // TestWindowTurnAllocs gates the write path's allocations: in the steady
-// state a window step reuses the clusterer's and the tree's scratch, and only
-// a node split (a node, its slice, a box) or a union-find compaction
-// allocates: 0.014 allocations per step on this stream, 13 before the tree
-// kept its rows in a store and its descent in a scratch.
+// state a window step reuses the clusterer's scratch and the cells' lists,
+// and only a list that outgrows its capacity, a new cell or a union-find
+// compaction allocates.
 func TestWindowTurnAllocs(t *testing.T) {
 	w := newTurner(t, 1)
 	turn := func() {
@@ -353,15 +372,24 @@ func TestWindowTurnAllocs(t *testing.T) {
 
 // BenchmarkWindowTurn is the layer's own number for the stream-churn
 // workload: one op is one window step — evict the oldest object, insert the
-// next — at window 512 on the three-disc stream.
+// next — at window 512 on the three-disc stream, in two dimensions and
+// embedded in eight.
 func BenchmarkWindowTurn(b *testing.B) {
-	w := newTurner(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := w.c.queries
-	for i := 0; i < b.N; i++ {
-		w.evict(b)
-		w.insert(b)
+	for _, dim := range []int{2, 8} {
+		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
+			period := turnStream(1)
+			if dim > 2 {
+				period = widen(period, dim, 2)
+			}
+			w := newTurnerOver(b, period)
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := w.c.queries
+			for i := 0; i < b.N; i++ {
+				w.evict(b)
+				w.insert(b)
+			}
+			b.ReportMetric(float64(w.c.queries-start)/float64(b.N), "range-queries/op")
+		})
 	}
-	b.ReportMetric(float64(w.c.queries-start)/float64(b.N), "range-queries/op")
 }

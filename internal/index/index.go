@@ -18,7 +18,8 @@
 // store's own order is its one span, which Store.VerifyIntervalSq verifies
 // whole with no descent. No kind keeps per-query state beyond its stack, so
 // none pools scratch, and a neighbour list is the reached spans' survivors in
-// visit order. Only the incremental clusterer grows a tree (rstar.Tree).
+// visit order. No index grows after its build: incremental DBSCAN keeps its
+// own grid of ε-cells.
 package index
 
 import (

@@ -11,8 +11,7 @@ import (
 // 1997): points are tiled into fully packed, minimally overlapping leaves,
 // then the upper levels are packed the same way. Bulk loading is an order of
 // magnitude faster than repeated insertion and yields better query
-// performance, so it is the build for the static site data DBSCAN runs over;
-// dynamic workloads (incremental DBSCAN) grow a Tree with New and Insert.
+// performance, so it is the tree's one build.
 //
 // The result is a Packed: one id permutation and, per level, a flat node and
 // bounds array. Its range queries descend those arrays and verify each
@@ -226,8 +225,10 @@ func (p *Packed) reach(level int, first, count int32, box []float64, eps2 float6
 	return near
 }
 
-// gapSq is Rect.MinDistSq's operation chain from the box [lo, hi] — the point
-// q when both are q — to the box b, Min corner then Max corner.
+// gapSq is the squared gap from the box [lo, hi] — the point q when both are
+// q — to the box b, Min corner then Max corner: per dimension the distance
+// past b's nearer face, squared and summed in order, the R-tree's pruning
+// bound.
 func gapSq(lo, hi, b []float64) float64 {
 	var sum float64
 	hi, mn, mx := hi[:len(lo)], b[:len(lo)], b[len(b)/2:][:len(lo)]
@@ -410,8 +411,8 @@ func (tl *tiler) bound(ids []int, out []float64) {
 
 // descend appends the ids within eps2 of q under the children [first,
 // first+count) of a node at the given level, left to right. A child is entered
-// when Rect.MinDistSq of its box — the same operation chain, spelled out for
-// two dimensions — is at most eps2, and a leaf hands its slice of perm to the
+// when gapSq of its box — the same operation chain, spelled out for two
+// dimensions — is at most eps2, and a leaf hands its slice of perm to the
 // fused verify kernel.
 func (p *Packed) descend(level int, first, count int32, q geom.Point, eps2 float64, out []int) []int {
 	if level == 0 {

@@ -7,52 +7,15 @@ import (
 	"math"
 )
 
-// height returns the height of the tree: 0 for an empty tree, 1 for a
-// root-only leaf.
-func (t *Tree) height() int {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.level + 1
-}
-
-// LayoutDigest pins the shape of a tree — a dynamic *Tree or a bulk-loaded
-// *Packed — for the external layout test: the SHA-256 of a pre-order walk
-// (per node its level and entry count, per routing entry the bits of its
-// rectangle, per leaf entry its point id) and the node count of every level,
-// root level first. Both forms emit the same bytes for the same tree: the
-// packed walk is the one the pointer nodes materialised from the packed levels
-// produced up to commit 754e8f5.
-func LayoutDigest(tree any) (digest string, perLevel []int) {
+// LayoutDigest pins the shape of a bulk-loaded tree for the external layout
+// test: the SHA-256 of a pre-order walk (per node its level and entry count,
+// per routing entry the bits of its rectangle, per leaf entry its point id)
+// and the node count of every level, root level first — the bytes the pointer
+// nodes materialised from the packed levels produced up to commit 754e8f5.
+func LayoutDigest(t *Packed) (digest string, perLevel []int) {
 	var walked []byte
 	put := func(v uint64) { walked = binary.LittleEndian.AppendUint64(walked, v) }
-	switch t := tree.(type) {
-	case *Tree:
-		if t.root == nil {
-			break
-		}
-		perLevel = make([]int, t.root.level+1)
-		var walk func(n *node)
-		walk = func(n *node) {
-			perLevel[t.root.level-n.level]++
-			put(uint64(n.level))
-			put(uint64(n.count()))
-			for _, id := range n.ids {
-				put(uint64(id))
-			}
-			for _, e := range n.entries {
-				for d := 0; d < t.dim; d++ {
-					put(math.Float64bits(e.rect.Min[d]))
-					put(math.Float64bits(e.rect.Max[d]))
-				}
-				walk(e.child)
-			}
-		}
-		walk(t.root)
-	case *Packed:
-		if t.Len() == 0 {
-			break
-		}
+	if t.Len() > 0 {
 		top := len(t.levels)
 		perLevel = make([]int, top+1)
 		var walk func(level int, s span)
@@ -77,8 +40,6 @@ func LayoutDigest(tree any) (digest string, perLevel []int) {
 			}
 		}
 		walk(top, span{0, t.rootCount})
-	default:
-		panic("rstar: LayoutDigest of a non-tree")
 	}
 	sum := sha256.Sum256(walked)
 	return hex.EncodeToString(sum[:]), perLevel

@@ -79,16 +79,15 @@ func bruteNear(p *Packed, eps float64) (near [][]int32, listed, runs int) {
 	lv, w := &p.levels[0], 2*p.dim
 	near = make([][]int32, len(lv.spans))
 	for i := range lv.spans {
-		a := geom.Rect{Min: lv.bounds[w*i : w*i+p.dim], Max: lv.bounds[w*i+p.dim : w*(i+1)]}
+		aMin, aMax := lv.bounds[w*i:w*i+p.dim], lv.bounds[w*i+p.dim:w*(i+1)]
 		for j := range lv.spans {
 			// The box-to-box distance is the point-to-box distance from the
 			// nearest point of a, dimension by dimension.
 			q := make(geom.Point, p.dim)
 			for d := range q {
-				q[d] = min(max(lv.bounds[w*j+d], a.Min[d]), a.Max[d])
+				q[d] = min(max(lv.bounds[w*j+d], aMin[d]), aMax[d])
 			}
-			b := geom.Rect{Min: lv.bounds[w*j : w*j+p.dim], Max: lv.bounds[w*j+p.dim : w*(j+1)]}
-			if b.MinDistSq(q) <= eps*eps {
+			if minDistSq(lv.bounds[w*j:w*j+p.dim], lv.bounds[w*j+p.dim:w*(j+1)], q) <= eps*eps {
 				if k := len(near[i]); k == 0 || near[i][k-1] != int32(j)-1 {
 					runs++
 				}

@@ -1,9 +1,7 @@
 package rstar
 
 import (
-	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -24,169 +22,6 @@ func randomPoints(rng *rand.Rand, n, dim int) []geom.Point {
 	return pts
 }
 
-// checkInvariants verifies the structural R*-tree invariants: every
-// non-root node holds between m and M entries, every routing rectangle
-// tightly bounds its subtree, all leaves sit at level 0, and every point is
-// reachable exactly once.
-func checkInvariants(t *testing.T, tr *Tree) {
-	t.Helper()
-	if tr.root == nil {
-		if tr.size != 0 {
-			t.Fatal("nil root with nonzero size")
-		}
-		return
-	}
-	seen := make(map[int]bool)
-	bound := geom.Rect{Min: make(geom.Point, tr.dim), Max: make(geom.Point, tr.dim)}
-	var walk func(n *node, level int)
-	walk = func(n *node, level int) {
-		if n.level != level {
-			t.Fatalf("node level %d, want %d", n.level, level)
-		}
-		if (n.leaf() && n.entries != nil) || (!n.leaf() && n.ids != nil) {
-			t.Fatalf("level-%d node with %d entries and %d ids", n.level, len(n.entries), len(n.ids))
-		}
-		if n != tr.root {
-			if n.count() < tr.minEntries || n.count() > tr.maxEntries {
-				t.Fatalf("node entry count %d outside [%d, %d]",
-					n.count(), tr.minEntries, tr.maxEntries)
-			}
-		} else if n.count() > tr.maxEntries {
-			t.Fatalf("root overflow: %d entries", n.count())
-		}
-		for _, id := range n.ids {
-			if seen[id] {
-				t.Fatalf("point %d indexed twice", id)
-			}
-			seen[id] = true
-		}
-		for _, e := range n.entries {
-			if e.child == nil {
-				t.Fatal("internal entry without child")
-			}
-			tr.bound(e.child, bound)
-			if !e.rect.Min.Equal(bound.Min) || !e.rect.Max.Equal(bound.Max) {
-				t.Fatalf("stale routing rect: have %v, subtree bound %v", e.rect, bound)
-			}
-			walk(e.child, level-1)
-		}
-	}
-	walk(tr.root, tr.root.level)
-	if len(seen) != tr.size {
-		t.Fatalf("reachable points %d, size %d", len(seen), tr.size)
-	}
-}
-
-func TestEmptyTree(t *testing.T) {
-	tr, err := New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 0 || tr.height() != 0 {
-		t.Fatalf("empty tree: Len=%d height=%d", tr.Len(), tr.height())
-	}
-	if got := tr.RangeAppend(geom.Point{0, 0}, 1, nil); got != nil {
-		t.Errorf("Range on empty = %v", got)
-	}
-}
-
-func TestInsertValidation(t *testing.T) {
-	tr, _ := New(nil)
-	if err := tr.Insert(geom.Point{math.NaN(), 0}); err == nil {
-		t.Error("NaN point accepted")
-	}
-	if err := tr.Insert(geom.Point{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Insert(geom.Point{0, 0, 0}); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
-func TestFanoutValidation(t *testing.T) {
-	if _, err := NewWithFanout(nil, 3); err == nil {
-		t.Error("fan-out 3 accepted")
-	}
-}
-
-func TestInvariantsAcrossGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tr, _ := New(nil)
-	pts := randomPoints(rng, 2000, 2)
-	for i, p := range pts {
-		if err := tr.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-		// Checking at every power of two keeps the test fast while covering
-		// the first splits, the first root growth and deep trees.
-		if i&(i+1) == 0 || i == len(pts)-1 {
-			checkInvariants(t, tr)
-		}
-	}
-	if tr.height() < 3 {
-		t.Fatalf("expected a deep tree, height %d", tr.height())
-	}
-}
-
-func TestInvariantsHighDim(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	tr, err := New(randomPoints(rng, 500, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, tr)
-}
-
-func TestInvariantsSmallFanout(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	tr, err := NewWithFanout(randomPoints(rng, 300, 2), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, tr)
-}
-
-func TestInvariantsDuplicates(t *testing.T) {
-	pts := make([]geom.Point, 100)
-	for i := range pts {
-		pts[i] = geom.Point{1, 1} // all identical: degenerate MBRs everywhere
-	}
-	tr, err := New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, tr)
-	if got := tr.RangeAppend(geom.Point{1, 1}, 0, nil); len(got) != 100 {
-		t.Fatalf("Range over duplicates = %d, want 100", len(got))
-	}
-}
-
-func TestHeightGrowsLogarithmically(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	tr, err := New(randomPoints(rng, 5000, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With fan-out 32 and 40% minimum fill, 5000 points need at least
-	// ceil(log_32(5000/32))+1 = 3 levels and should stay shallow.
-	if h := tr.height(); h < 2 || h > 6 {
-		t.Fatalf("suspicious height %d for 5000 points", h)
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomPoints(rng, b.N, 2)
-	tr, _ := New(nil)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(pts[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // bulkOf STR-loads pts through a flat store — the only bulk build.
 func bulkOf(pts []geom.Point) (*Packed, error) {
 	if len(pts) == 0 {
@@ -199,10 +34,11 @@ func bulkOf(pts []geom.Point) (*Packed, error) {
 	return NewBulkStore(st, DefaultMaxEntries)
 }
 
-// checkPackedInvariants is checkInvariants on the packed levels of a tree of
-// fan-out DefaultMaxEntries: every node but the root holds between m and M
-// entries, every stored box tightly bounds its subtree, folded in order, and
-// every point sits in exactly one leaf, the one leafOf names.
+// checkPackedInvariants verifies the structural R*-tree invariants on the
+// packed levels of a tree of fan-out DefaultMaxEntries: every node but the
+// root holds between m and M entries, every stored box tightly bounds its
+// subtree, folded in order, and every point sits in exactly one leaf, the one
+// leafOf names.
 func checkPackedInvariants(t *testing.T, p *Packed) {
 	t.Helper()
 	minEntries := max(2, DefaultMaxEntries*2/5)
@@ -294,30 +130,6 @@ func TestBulkValidation(t *testing.T) {
 	}
 }
 
-func TestBulkRangeMatchesIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	pts := randomPoints(rng, 1500, 2)
-	bulk, err := bulkOf(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 40; trial++ {
-		q := pts[rng.Intn(len(pts))]
-		eps := rng.Float64() * 2
-		a := bulk.RangeAppend(q, eps, nil)
-		b := inc.RangeAppend(q, eps, nil)
-		sort.Ints(a)
-		sort.Ints(b)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("bulk and incremental disagree (eps=%v)", eps)
-		}
-	}
-}
-
 func BenchmarkBulkLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomPoints(rng, 100000, 2)
@@ -353,8 +165,25 @@ func latticePoints(rng *rand.Rand, n, dim, side int) []geom.Point {
 	return pts
 }
 
+// minDistSq is the squared Euclidean distance from q to the nearest point of
+// the box [lo, hi]: zero inside it, the R-tree's pruning bound.
+func minDistSq(lo, hi []float64, q geom.Point) float64 {
+	var sum float64
+	for i, x := range q {
+		var d float64
+		switch {
+		case x < lo[i]:
+			d = lo[i] - x
+		case x > hi[i]:
+			d = x - hi[i]
+		}
+		sum += d * d
+	}
+	return sum
+}
+
 // levelWalk answers a range query by walking the packed levels from the root,
-// entering a child when Rect.MinDistSq of its box is at most eps², testing
+// entering a child when minDistSq of its box is at most eps², testing
 // each point of a leaf reached with SquaredEuclidean: the reference the
 // descent — its leaf table, its 2-d bound and the fused leaf verification —
 // must match element for element.
@@ -373,7 +202,7 @@ func levelWalk(p *Packed, q geom.Point, eps float64) []int {
 		lv := &p.levels[level-1]
 		for i := s.first; i < s.first+s.count; i++ {
 			b := lv.bounds[2*p.dim*int(i) : 2*p.dim*int(i+1)]
-			if (geom.Rect{Min: b[:p.dim], Max: b[p.dim:]}).MinDistSq(q) <= eps*eps {
+			if minDistSq(b[:p.dim], b[p.dim:], q) <= eps*eps {
 				walk(level-1, lv.spans[i])
 			}
 		}

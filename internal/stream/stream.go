@@ -213,7 +213,7 @@ func (s *Site) Flush() error {
 
 // windowIndex is the live window as an index in arrival order: rows and
 // store from a window-order store copy of the points, by-id range queries
-// from the incremental clusterer's tree, its slots translated to window
+// from the incremental clusterer's ε-cells, its slots translated to window
 // positions.
 type windowIndex struct {
 	st   *geom.Store
@@ -246,7 +246,7 @@ func (s *Site) slot(i int) int { return s.ring[(s.head+i)%s.cfg.Window] }
 // localModel condenses the live window into the local model LocalStep would
 // build over the window's points in arrival order, byte for byte, from what
 // the incremental clusterer already knows — its core flags and labels (by
-// slot) — at one tree query per border object and one per specific core.
+// slot) — at one cell query per border object and one per specific core.
 func (s *Site) localModel(labels cluster.Labeling) (*model.LocalModel, error) {
 	w := &windowIndex{site: s, pos: make([]int, len(labels))}
 	dim := 1 // an empty window has no stride to take

@@ -102,7 +102,7 @@ func TestIngestDimensionalityChange(t *testing.T) {
 	if err := site.Ingest(geom.Point{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	const want = "rstar: point dimensionality 3, tree has 2"
+	const want = "incdbscan: point dimensionality 3, clusterer has 2"
 	if err := site.Ingest(geom.Point{0, 0, 0}); err == nil || err.Error() != want {
 		t.Fatalf("3-d point on a 2-d stream: %v, want %q", err, want)
 	}
