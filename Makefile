@@ -90,10 +90,12 @@ wire-guard:
 		':(exclude)internal/wire/*'; \
 		$(call verdict,encoding/binary imported outside internal/wire)
 
-# A test named in README.md, DESIGN.md, EXPERIMENTS.md or docs/ must exist:
-# fails on a backticked Test*, Fuzz* or Benchmark* name (package-qualified or
-# not, a trailing * or … a prefix) that no _test.go file of the module or of
-# bench/ defines, and names the file and line (scripts/cite_guard.sh).
+# A test named in README.md, DESIGN.md, EXPERIMENTS.md or docs/, or in a
+# comment of the CI workflow or of this Makefile, must exist: fails on a Test*,
+# Fuzz* or Benchmark* name (backticked in the documents, bare in the comments;
+# package-qualified or not, a trailing * or … a prefix) that no _test.go file
+# of the module or of bench/ defines, and names the file and line
+# (scripts/cite_guard.sh).
 cite-guard:
 	@bash scripts/cite_guard.sh
 

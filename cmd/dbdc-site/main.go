@@ -29,7 +29,8 @@
 // round: the input CSV is ingested in row order as a point stream over a
 // sliding window (-window), the local clustering is maintained with
 // incremental DBSCAN, and a model delta is uploaded whenever the clustering
-// changed considerably (-stream-threshold). Pair it with a dbdc-server
+// changed considerably (-stream-threshold), every upload over the one
+// connection the first dialled. Pair it with a dbdc-server
 // running -stream. See docs/streaming.md.
 package main
 
@@ -113,7 +114,9 @@ func main() {
 		RepBudget:   *repBudget,
 	}
 	if *streamMode {
-		runStreamSite(*id, *addr, pts, cfg, *window, *streamThreshold, *streamCheck, *timeout)
+		if err := runStreamSite(*id, *addr, pts, cfg, *window, *streamThreshold, *streamCheck, *timeout); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	client := &lib.TransportClient{
@@ -190,16 +193,19 @@ func main() {
 // runStreamSite is the -stream mode: the CSV rows become a point stream
 // ingested over a sliding window, with model updates uploaded whenever the
 // clustering changed considerably; a final flush ships the closing state.
-func runStreamSite(id, addr string, pts []lib.Point, cfg lib.Config, window int, threshold float64, checkEvery int, timeout time.Duration) {
+// The uploads share one kept connection, closed on return.
+func runStreamSite(id, addr string, pts []lib.Point, cfg lib.Config, window int, threshold float64, checkEvery int, timeout time.Duration) error {
+	client := &lib.StreamClient{Addr: addr, Timeout: timeout}
+	defer client.Close()
 	site, err := lib.NewStreamSite(lib.StreamConfig{
 		SiteID:     id,
 		Cluster:    cfg,
 		Window:     window,
 		Threshold:  threshold,
 		CheckEvery: checkEvery,
-	}, &lib.StreamClient{Addr: addr, Timeout: timeout})
+	}, client)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for i, p := range pts {
 		if err := site.Ingest(p); err != nil {
@@ -207,13 +213,14 @@ func runStreamSite(id, addr string, pts []lib.Point, cfg lib.Config, window int,
 		}
 	}
 	if err := site.Flush(); err != nil {
-		fatal(err)
+		return err
 	}
 	st := site.Stats()
 	fmt.Fprintf(os.Stderr,
 		"dbdc-site %s: streamed %d points (window %d, %d turns), %d uploads (%d deltas, %d resyncs), sent %dB, received %dB\n",
 		id, st.Ingested, window, st.Turns, st.Uploads, st.DeltaUploads, st.Resyncs,
 		st.BytesSent, st.BytesReceived)
+	return nil
 }
 
 func fatal(err error) {

@@ -118,9 +118,8 @@ func sitePoints() []geom.Point {
 	return pts
 }
 
-// startSite runs dbdc-site on sitePoints against an in-process server that
-// serves it one round, with extra flags appended.
-func startSite(t *testing.T, extra ...string) *command {
+// siteCSV writes sitePoints to a CSV file and returns its path.
+func siteCSV(t *testing.T) string {
 	t.Helper()
 	input := filepath.Join(t.TempDir(), "site.csv")
 	f, err := os.Create(input)
@@ -131,6 +130,14 @@ func startSite(t *testing.T, extra ...string) *command {
 		t.Fatal(err)
 	}
 	f.Close()
+	return input
+}
+
+// startSite runs dbdc-site on sitePoints against an in-process server that
+// serves it one round, with extra flags appended.
+func startSite(t *testing.T, extra ...string) *command {
+	t.Helper()
+	input := siteCSV(t)
 	srv, err := transport.NewServer("127.0.0.1:0", 1, cfg, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -203,5 +210,36 @@ func TestServeClassify(t *testing.T) {
 	}
 	if version < 1 {
 		t.Fatalf("/metrics reports no model version ≥ 1:\n%s", body)
+	}
+}
+
+// TestStreamMode: with -stream the site ingests its CSV as a stream,
+// uploads over one connection to an update server, closes it and exits 0;
+// the server then holds the site's model at version ≥ 1.
+func TestStreamMode(t *testing.T) {
+	input := siteCSV(t)
+	srv, err := transport.NewUpdateServer("127.0.0.1:0", cfg, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(0) }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-served
+	})
+	c := start(t, "-stream", "-addr", srv.Addr(), "-id", "s1", "-input", input, "-eps", "1", "-minpts", "4",
+		"-window", "40", "-stream-check", "10")
+	if code := c.wait(); code != 0 {
+		t.Fatalf("exit code %d, want 0:\n%s", code, c.stderrText())
+	}
+	if !strings.Contains(c.stderrText(), "dbdc-site s1: streamed 60 points") {
+		t.Fatalf("no stream summary on stderr:\n%s", c.stderrText())
+	}
+	if v := srv.Version(); v < 1 {
+		t.Fatalf("server at version %d after the stream, want ≥ 1", v)
+	}
+	if sites := srv.Sites(); len(sites) != 1 || sites[0] != "s1" {
+		t.Fatalf("server holds models of %v, want [s1]", sites)
 	}
 }

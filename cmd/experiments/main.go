@@ -41,14 +41,15 @@ func main() {
 			printTable(t)
 		}
 	} else {
-		var runner func(experiments.Options) (*experiments.Table, error)
-		runner, err = experiments.ByID(*run)
-		if err == nil {
-			var t *experiments.Table
-			t, err = runner(opt)
-			if err == nil {
-				printTable(t)
-			}
+		runner, idErr := experiments.ByID(*run)
+		if idErr != nil {
+			// The error names its package already.
+			fmt.Fprintln(os.Stderr, idErr)
+			os.Exit(1)
+		}
+		var t *experiments.Table
+		if t, err = runner(opt); err == nil {
+			printTable(t)
 		}
 	}
 	if err != nil {

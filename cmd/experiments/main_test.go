@@ -42,8 +42,8 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
 }
 
-// An unknown experiment is refused with exit status 1 and the ones that
-// exist named.
+// An unknown experiment is refused with exit status 1, the ones that exist
+// named and the "experiments:" prefix printed once.
 func TestUnknownExperimentRefused(t *testing.T) {
 	_, stderr, code := run(t, "-run", "nope")
 	if code != 1 {
@@ -53,6 +53,9 @@ func TestUnknownExperimentRefused(t *testing.T) {
 		if !strings.Contains(stderr, name) {
 			t.Fatalf("stderr %q does not name experiment %s", stderr, name)
 		}
+	}
+	if n := strings.Count(stderr, "experiments:"); n != 1 || !strings.HasPrefix(stderr, "experiments: unknown experiment") {
+		t.Fatalf("stderr %q carries %d \"experiments:\" prefixes, want one", stderr, n)
 	}
 }
 

@@ -339,7 +339,7 @@ type ClusterMatcher = model.ClusterMatcher
 func NewClusterMatcher() *ClusterMatcher { return model.NewClusterMatcher() }
 
 // StreamClient uploads a streaming site's model updates to an update
-// server as deltas.
+// server as deltas, over one kept connection; Close releases it.
 type StreamClient = transport.StreamClient
 
 // StreamUploadResult describes one StreamClient upload.

@@ -32,7 +32,9 @@ type collector struct {
 	timeout time.Duration
 	loop    *ConnLoop
 	// accepted stamps every connection at handler entry, before its upload
-	// is read: the table's replacement rule compares stamps.
+	// is read, and every later upload on an update server's kept
+	// connection when it is stored: the table's replacement rule compares
+	// stamps.
 	accepted atomic.Uint64
 
 	mu      sync.Mutex
@@ -49,7 +51,7 @@ type collector struct {
 // entry is one site's row in the model table.
 type entry struct {
 	upload
-	// stamp is the connection's acceptance stamp (collector.accepted).
+	// stamp is the upload's stamp (collector.accepted).
 	stamp uint64
 	// conn is a round's connection, held open for the reply; dur is how
 	// long reading the upload took.
@@ -178,6 +180,8 @@ type upload struct {
 	// negotiated reports that the connection opened with the MsgHello
 	// handshake.
 	negotiated bool
+	// refused reports that readUpload answered the upload with a MsgError.
+	refused bool
 	// bytes is the wire size of every frame read, handshake included.
 	bytes int
 }
@@ -196,6 +200,7 @@ func (c *collector) readUpload(conn net.Conn, deltas bool) (upload, error) {
 	var up upload
 	refuse := func(err error) (upload, error) {
 		c.reply(conn, MsgError, []byte(err.Error()))
+		up.refused = true
 		return up, err
 	}
 	maxFrame := int64(frameHeaderSize + MaxFrameSize)

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"net"
+	"sync"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/model"
@@ -117,23 +119,32 @@ type UploadResult struct {
 	BytesReceived int
 }
 
-// StreamClient uploads a streaming site's models to an update server. It
-// keeps no state between uploads, so a failed upload changes nothing about
-// the next one.
+// StreamClient uploads a streaming site's models to an update server over
+// one kept connection: the first upload dials it, the later ones reuse it,
+// and any fault drops it, so that the next upload dials afresh. Uploads are
+// serialized on the connection. Close releases it.
 type StreamClient struct {
 	// Addr is the update server address ("host:port").
 	Addr string
-	// Timeout bounds dialing and each connection's I/O; 0 means
+	// Timeout bounds dialing and each upload's I/O; 0 means
 	// DefaultTimeout.
 	Timeout time.Duration
 	// Dial opens connections; nil means net.DialTimeout.
 	Dial DialFunc
+
+	// mu serializes the uploads on conn, the kept connection: nil before
+	// the first upload, after a fault and after Close.
+	mu   sync.Mutex
+	conn net.Conn
 }
 
-// Upload ships one model update as a MsgModelDelta on a fresh connection
-// (the update server handles one exchange per connection). Every fault — a
-// dial error, a timeout, a dropped connection, a MsgError reply — is returned
-// to the caller, who simply uploads again on the next change round.
+// Upload ships one model update as a MsgModelDelta on the kept connection
+// and returns the server's ack. When a reused connection fails before any
+// reply byte arrives — the server closed it while it sat idle — the upload
+// is sent once more on a fresh connection, as net/http resends a request on
+// a kept connection the server has closed. Every other fault — a dial error,
+// a timeout, a fresh connection dropped, a MsgError reply — is returned to
+// the caller, who simply uploads again on the next change round.
 //
 // The first argument is unused: the delta carries the model. The parameter
 // survives because the repository benchmark (bench/, frozen) implements
@@ -149,25 +160,70 @@ func (c *StreamClient) Upload(_ *model.LocalModel, delta *model.LocalDelta, stat
 	if stats != nil {
 		payload = streamStatsSection.Append(payload, *stats)
 	}
-	conn, err := Dial(c.Dial, c.Addr, c.Timeout)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	res := &UploadResult{Mode: ModeDelta}
+	reused := c.conn != nil
+	ack, replied, err := c.roundTrip(payload, res)
+	if err != nil && reused && !replied {
+		ack, _, err = c.roundTrip(payload, res)
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	var as AttemptStats
-	reply, err := exchange(conn, MsgModelDelta, payload, MsgDeltaAck, &as)
-	if err != nil {
-		return nil, err
+	res.Seq, res.GlobalVersion = ack.Seq, ack.GlobalVersion
+	return res, nil
+}
+
+// roundTrip sends one MsgModelDelta frame on the kept connection, dialling
+// one when there is none, and decodes the MsgDeltaAck, adding the frames'
+// bytes to res. Under a fault it drops the connection; replied reports
+// whether a reply byte had arrived. Caller holds c.mu.
+func (c *StreamClient) roundTrip(payload []byte, res *UploadResult) (ack DeltaAck, replied bool, err error) {
+	if c.conn == nil {
+		if c.conn, err = Dial(c.Dial, c.Addr, c.Timeout); err != nil {
+			return ack, false, err
+		}
 	}
-	ack, err := parseDeltaAck(reply)
+	defer func() {
+		if err != nil {
+			c.dropLocked()
+		}
+	}()
+	c.conn.SetDeadline(time.Now().Add(IOTimeout(c.Timeout)))
+	sent, err := WriteFrame(c.conn, MsgModelDelta, payload)
+	res.BytesSent += sent
 	if err != nil {
-		return nil, err
+		return ack, false, err
 	}
-	return &UploadResult{
-		Mode:          ModeDelta,
-		Seq:           ack.Seq,
-		GlobalVersion: ack.GlobalVersion,
-		BytesSent:     as.BytesSent,
-		BytesReceived: as.BytesReceived,
-	}, nil
+	fbr := firstByteReader{r: c.conn}
+	replyType, reply, received, err := ReadFrame(&fbr)
+	res.BytesReceived += received
+	if err != nil {
+		return ack, !fbr.first.IsZero(), err
+	}
+	if reply, err = checkReply(replyType, reply, MsgDeltaAck); err != nil {
+		return ack, true, permanent(err)
+	}
+	ack, err = parseDeltaAck(reply)
+	return ack, true, err
+}
+
+// Close closes the kept connection. The client stays usable: the next
+// Upload dials a new one. Without a connection — a second Close — it does
+// nothing and returns nil. It waits for an upload in flight.
+func (c *StreamClient) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropLocked()
+}
+
+// dropLocked closes and forgets the kept connection. Caller holds c.mu.
+func (c *StreamClient) dropLocked() error {
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn = nil
+	return err
 }

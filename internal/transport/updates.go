@@ -15,10 +15,12 @@ import (
 // DBSCAN site mode) and upload either a full local model
 // (MsgLocalModelTimed — answered with the rebuilt global model) or a
 // streaming one (MsgModelDelta — answered with a MsgDeltaAck, with the
-// global rebuild optionally debounced; see SetDebounce). Either replaces the
-// site's entry in the model table, unless the table already holds a model
-// that came over a connection accepted later. Stale models of silent sites
-// stay in effect — the server never has to wait for all sites.
+// global rebuild optionally debounced; see SetDebounce). A streaming site
+// keeps its connection: the server answers its uploads on it one after the
+// other until the site closes it or it sits idle past the server timeout.
+// Either upload replaces the site's entry in the model table, unless the
+// table already holds a newer one (see handleUpdate). Stale models of silent
+// sites stay in effect — the server never has to wait for all sites.
 //
 // Global cluster ids are stable across rebuilds (see collector), so classify
 // clients see coherent ids while the clustering churns underneath them.
@@ -32,6 +34,8 @@ type UpdateServer struct {
 	dirty          bool
 	rebuildPending bool
 	rebuildErr     error
+	// served counts the updates toward Serve's limit (0 = none). Under mu.
+	served, limit int
 }
 
 // SetDebounce sets the rebuild debounce for delta uploads: uploads arriving
@@ -133,18 +137,58 @@ func (s *UpdateServer) Global() *model.GlobalModel {
 
 // Serve handles updates until Close or until maxUpdates updates have been
 // processed (0 = unlimited), and returns nil then; an accept failure ends
-// it with the error. Each connection carries one update; connections are
-// handled concurrently, the model table and global rebuild are serialized.
+// it with the error. An update is one upload the server decided on: stored,
+// dropped as stale or refused with a MsgError. Connections are handled
+// concurrently, the uploads on one connection in turn, and the model table
+// and global rebuild are serialized. After the last of maxUpdates updates
+// the server accepts no more connections and closes the open ones, but a
+// debounced rebuild still runs.
 func (s *UpdateServer) Serve(maxUpdates int) error {
-	return s.loop.Serve(maxUpdates, s.handleUpdate)
+	s.mu.Lock()
+	s.served, s.limit = 0, maxUpdates
+	s.mu.Unlock()
+	return s.loop.Serve(0, s.handleUpdate)
 }
 
-// handleUpdate processes one site connection: read the upload, store it,
-// rebuild (or schedule a debounced rebuild) and reply. A stale upload — its
-// site's entry came over a connection accepted later — is neither stored
-// nor answered and triggers no rebuild.
+// handleUpdate answers the uploads of one site connection in turn, until
+// the site closes it, it sits idle past the server timeout or an exchange
+// ends it: a full-model upload (its client dials one connection per
+// upload), a refused or broken upload, or a stale one.
+//
+// The first upload on a connection carries the connection's accept stamp;
+// a later one is stamped when it is stored. It is a newer upload from a
+// live site, so it never loses to an upload on a connection accepted while
+// it was kept, and only a connection's first upload can be stale.
 func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	stamp := s.accepted.Add(1)
+	for {
+		more, decided := s.update(conn, stamp)
+		if decided && s.countUpdate() {
+			s.loop.stop()
+			return
+		}
+		if !more {
+			return
+		}
+		stamp = 0
+	}
+}
+
+// countUpdate counts one update and reports whether it was Serve's last.
+func (s *UpdateServer) countUpdate() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.served++
+	return s.served == s.limit
+}
+
+// update is one exchange of handleUpdate under a fresh deadline: read the
+// upload, store it, rebuild (or schedule a debounced rebuild) and reply. It
+// reports whether the connection stays open for another upload and whether
+// the upload was an update (see Serve). A stale upload — its site's entry
+// is newer — is neither stored nor answered and triggers no rebuild. stamp
+// 0 stamps the upload when it is stored.
+func (s *UpdateServer) update(conn net.Conn, stamp uint64) (more, decided bool) {
 	conn.SetDeadline(time.Now().Add(s.timeout))
 	up, err := s.readUpload(conn, true)
 	if err != nil {
@@ -154,10 +198,14 @@ func (s *UpdateServer) handleUpdate(conn net.Conn) {
 		// the conn is gone anyway.
 		if errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameVersion) {
 			s.reply(conn, MsgError, []byte(err.Error()))
+			return false, true
 		}
-		return
+		return false, up.refused
 	}
 	s.mu.Lock()
+	if stamp == 0 {
+		stamp = s.accepted.Add(1)
+	}
 	if up.sections.stream == nil {
 		// The entry keeps the latest section the site attached.
 		up.sections.stream = s.entries[up.siteID].sections.stream
@@ -172,12 +220,11 @@ func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	}
 	global, version := s.global, s.version
 	s.mu.Unlock()
-	if !stored {
-		return
-	}
-	if up.delta != nil {
-		s.reply(conn, MsgDeltaAck, encodeDeltaAck(DeltaAck{Seq: up.delta.Seq, GlobalVersion: version}))
-		return
+	switch {
+	case !stored:
+		return false, true
+	case up.delta != nil:
+		return s.reply(conn, MsgDeltaAck, encodeDeltaAck(DeltaAck{Seq: up.delta.Seq, GlobalVersion: version})) == nil, true
 	}
 	var reply []byte
 	if err == nil {
@@ -185,9 +232,10 @@ func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	}
 	if err != nil {
 		s.reply(conn, MsgError, []byte(err.Error()))
-		return
+		return false, true
 	}
 	s.reply(conn, MsgGlobalModel, reply)
+	return false, true
 }
 
 // rebuildLocked publishes the global model of every retained site model and
