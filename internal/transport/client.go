@@ -284,21 +284,23 @@ func RoundTrip(conn net.Conn, msgType byte, frame []byte, want byte, buf []byte)
 }
 
 // exchange is RoundTrip timed for one upload attempt: it accumulates the
-// attempt's wire and timing stats. A MsgError reply or any other type is
-// permanent: the server answered, a retry would be answered the same way.
-func exchange(conn net.Conn, msgType byte, payload []byte, want byte, as *AttemptStats) ([]byte, error) {
+// attempt's wire and timing stats and reports whether a reply byte arrived.
+// A MsgError reply or any other type is permanent: the server answered, a
+// retry would be answered the same way.
+func exchange(conn net.Conn, msgType byte, payload []byte, want byte, as *AttemptStats) (reply []byte, replied bool, err error) {
 	uploadStart := time.Now()
 	sent, err := WriteFrame(conn, msgType, payload)
 	as.Upload += time.Since(uploadStart)
 	as.BytesSent += sent
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	waitStart := time.Now()
 	fbr := &firstByteReader{r: conn}
 	replyType, reply, received, err := ReadFrame(fbr)
 	replyEnd := time.Now()
-	if fbr.first.IsZero() {
+	replied = !fbr.first.IsZero()
+	if !replied {
 		as.ServerWait += replyEnd.Sub(waitStart)
 	} else {
 		as.ServerWait += fbr.first.Sub(waitStart)
@@ -306,18 +308,18 @@ func exchange(conn net.Conn, msgType byte, payload []byte, want byte, as *Attemp
 	}
 	as.BytesReceived += received
 	if err != nil {
-		return nil, err
+		return nil, replied, err
 	}
 	if reply, err = checkReply(replyType, reply, want); err != nil {
-		return nil, permanent(err)
+		return nil, true, permanent(err)
 	}
-	return reply, nil
+	return reply, true, nil
 }
 
 // uploadModel sends the upload frame and decodes the global model the
 // server answers with.
 func uploadModel(conn net.Conn, payload []byte, as *AttemptStats) (*model.GlobalModel, error) {
-	reply, err := exchange(conn, MsgLocalModelTimed, payload, MsgGlobalModel, as)
+	reply, _, err := exchange(conn, MsgLocalModelTimed, payload, MsgGlobalModel, as)
 	if err != nil {
 		return nil, err
 	}

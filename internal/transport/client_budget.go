@@ -43,7 +43,7 @@ func (c *Client) SendModelBudgeted(outcome *dbdc.LocalOutcome, phases *SitePhase
 	neg.Stats = outcome.Budget
 	global, stats, err := c.send(func(conn net.Conn, as *AttemptStats, slept time.Duration) (*model.GlobalModel, error) {
 		as.Negotiated = true
-		ack, err := exchange(conn, MsgHello, encodeHello(outcome.RepBudget), MsgHelloAck, as)
+		ack, _, err := exchange(conn, MsgHello, encodeHello(outcome.RepBudget), MsgHelloAck, as)
 		if err != nil {
 			return nil, err
 		}

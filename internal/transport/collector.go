@@ -33,8 +33,8 @@ type collector struct {
 	loop    *ConnLoop
 	// accepted stamps every connection at handler entry, before its upload
 	// is read, and every later upload on an update server's kept
-	// connection when it is stored: the table's replacement rule compares
-	// stamps.
+	// connection once its frame has been read: the table's replacement rule
+	// compares stamps.
 	accepted atomic.Uint64
 
 	mu      sync.Mutex
@@ -180,8 +180,6 @@ type upload struct {
 	// negotiated reports that the connection opened with the MsgHello
 	// handshake.
 	negotiated bool
-	// refused reports that readUpload answered the upload with a MsgError.
-	refused bool
 	// bytes is the wire size of every frame read, handshake included.
 	bytes int
 }
@@ -200,7 +198,6 @@ func (c *collector) readUpload(conn net.Conn, deltas bool) (upload, error) {
 	var up upload
 	refuse := func(err error) (upload, error) {
 		c.reply(conn, MsgError, []byte(err.Error()))
-		up.refused = true
 		return up, err
 	}
 	maxFrame := int64(frameHeaderSize + MaxFrameSize)

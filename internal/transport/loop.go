@@ -33,9 +33,7 @@ type ConnLoop struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
-	// stopped is set by stop: the listener is closed, the owner is not.
-	stopped bool
-	wg      sync.WaitGroup
+	wg    sync.WaitGroup
 }
 
 // Listen opens a TCP listener on addr and returns the loop over it.
@@ -67,21 +65,21 @@ func (l *ConnLoop) closed() bool {
 
 // Serve accepts connections and runs handle on each in a goroutine of its
 // own, closing the connection when handle returns. It stops after n
-// connections (0 = no limit), after Close or stop, or at the first accept
-// failure, and returns once every handler has returned: nil after n
-// connections, Close or stop, the accept error otherwise.
+// connections (0 = no limit), after Close, or at the first accept failure,
+// and returns once every handler has returned: nil after n connections or
+// Close, the accept error otherwise.
 func (l *ConnLoop) Serve(n int, handle func(net.Conn)) error {
 	defer l.wg.Wait()
 	for done := 0; n == 0 || done < n; done++ {
 		conn, err := l.ln.Accept()
 		if err != nil {
-			if l.ended() {
+			if l.closed() {
 				return nil
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
 		l.mu.Lock()
-		if l.stopped || l.closed() {
+		if l.closed() {
 			l.mu.Unlock()
 			conn.Close()
 			return nil
@@ -103,30 +101,6 @@ func (l *ConnLoop) Serve(n int, handle func(net.Conn)) error {
 	return nil
 }
 
-// ended reports whether Close or stop ended the loop.
-func (l *ConnLoop) ended() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stopped || l.closed()
-}
-
-// stop ends Serve before its count: it closes the listener and every open
-// connection, and Serve returns nil once the handlers have returned. Unlike
-// Close it does not wait, so a handler may call it, and it leaves the loop
-// open: closed stays false for the owner's work that outlives Serve.
-func (l *ConnLoop) stop() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.stopped || l.closed() {
-		return
-	}
-	l.stopped = true
-	l.ln.Close()
-	for conn := range l.conns {
-		conn.Close()
-	}
-}
-
 // Close stops accepting, closes every open connection and waits for the
 // handlers to return. A second Close is a no-op.
 func (l *ConnLoop) Close() error {
@@ -136,10 +110,7 @@ func (l *ConnLoop) Close() error {
 		return nil
 	}
 	close(l.closing)
-	var err error
-	if !l.stopped {
-		err = l.ln.Close()
-	}
+	err := l.ln.Close()
 	for conn := range l.conns {
 		conn.Close()
 	}

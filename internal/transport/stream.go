@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/dbdc-go/dbdc/internal/model"
@@ -139,12 +142,13 @@ type StreamClient struct {
 }
 
 // Upload ships one model update as a MsgModelDelta on the kept connection
-// and returns the server's ack. When a reused connection fails before any
-// reply byte arrives — the server closed it while it sat idle — the upload
-// is sent once more on a fresh connection, as net/http resends a request on
-// a kept connection the server has closed. Every other fault — a dial error,
-// a timeout, a fresh connection dropped, a MsgError reply — is returned to
-// the caller, who simply uploads again on the next change round.
+// and returns the server's ack. When a reused connection turns out closed
+// by the server before any reply byte arrives — it read EOF, or the
+// connection was reset, as after the server dropped it while it sat idle —
+// the upload is sent once more on a fresh connection, as net/http resends a
+// request on a kept connection the server has closed. Every other fault — a
+// dial error, a timeout, a fresh connection dropped, a MsgError reply — is
+// returned to the caller, who simply uploads again on the next change round.
 //
 // The first argument is unused: the delta carries the model. The parameter
 // survives because the repository benchmark (bench/, frozen) implements
@@ -165,7 +169,7 @@ func (c *StreamClient) Upload(_ *model.LocalModel, delta *model.LocalDelta, stat
 	res := &UploadResult{Mode: ModeDelta}
 	reused := c.conn != nil
 	ack, replied, err := c.roundTrip(payload, res)
-	if err != nil && reused && !replied {
+	if err != nil && reused && !replied && peerClosed(err) {
 		ack, _, err = c.roundTrip(payload, res)
 	}
 	if err != nil {
@@ -185,28 +189,28 @@ func (c *StreamClient) roundTrip(payload []byte, res *UploadResult) (ack DeltaAc
 			return ack, false, err
 		}
 	}
-	defer func() {
-		if err != nil {
-			c.dropLocked()
-		}
-	}()
 	c.conn.SetDeadline(time.Now().Add(IOTimeout(c.Timeout)))
-	sent, err := WriteFrame(c.conn, MsgModelDelta, payload)
-	res.BytesSent += sent
+	var as AttemptStats
+	reply, replied, err := exchange(c.conn, MsgModelDelta, payload, MsgDeltaAck, &as)
+	res.BytesSent += as.BytesSent
+	res.BytesReceived += as.BytesReceived
+	if err == nil {
+		ack, err = parseDeltaAck(reply)
+	}
 	if err != nil {
-		return ack, false, err
+		c.dropLocked()
 	}
-	fbr := firstByteReader{r: c.conn}
-	replyType, reply, received, err := ReadFrame(&fbr)
-	res.BytesReceived += received
-	if err != nil {
-		return ack, !fbr.first.IsZero(), err
+	return ack, replied, err
+}
+
+// peerClosed reports whether err says the peer closed the connection — EOF,
+// a reset or a broken pipe — and not that it timed out.
+func peerClosed(err error) bool {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return false
 	}
-	if reply, err = checkReply(replyType, reply, MsgDeltaAck); err != nil {
-		return ack, true, permanent(err)
-	}
-	ack, err = parseDeltaAck(reply)
-	return ack, true, err
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // Close closes the kept connection. The client stays usable: the next

@@ -85,7 +85,9 @@ func TestStreamClientKeepsConnection(t *testing.T) {
 // TestStreamClientRedialsAfterIdle: the server closes a connection that sat
 // idle past its timeout; the site's next upload fails on it before any
 // reply byte, and goes out once more on exactly one new connection, under
-// the same sequence number.
+// the same sequence number. A server that is alive but slow to answer — the
+// upload waits for the table lock past the client's timeout — gets no
+// resend: the timeout is returned.
 func TestStreamClientRedialsAfterIdle(t *testing.T) {
 	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 100*time.Millisecond)
 	if err != nil {
@@ -97,7 +99,7 @@ func TestStreamClientRedialsAfterIdle(t *testing.T) {
 	dialer := &countingDialer{}
 	client := &StreamClient{Addr: srv.Addr(), Timeout: 5 * time.Second, Dial: dialer.dial}
 	defer client.Close()
-	deltas := streamModels(t, "st-idle", 22, 2)
+	deltas := streamModels(t, "st-idle", 22, 3)
 	if _, err := client.Upload(nil, deltas[0], nil); err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +117,23 @@ func TestStreamClientRedialsAfterIdle(t *testing.T) {
 	if !sameModel(t, srv, deltas[1].Model) {
 		t.Fatal("the server does not hold the resent upload")
 	}
+
+	srv.mu.Lock()
+	client.Timeout = 200 * time.Millisecond
+	_, err = client.Upload(nil, deltas[2], nil)
+	srv.mu.Unlock()
+	if !isTimeout(err) {
+		t.Fatalf("upload to a stalled server: err = %v, want a timeout", err)
+	}
+	if n := dialer.dials(); n != 2 {
+		t.Fatalf("%d dials, want 2: a timeout is not resent", n)
+	}
+}
+
+// isTimeout reports whether err is an I/O timeout.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // TestStreamClientRefusalNotResent: an upload the server refuses with a
@@ -192,47 +211,6 @@ func TestStreamClientDialFailureNotRetried(t *testing.T) {
 	}
 }
 
-// TestUpdateServerServeCountsUpdates: Serve(n) returns after n updates, not
-// n connections — three uploads over one kept connection end Serve(3) — and
-// a debounced rebuild they left pending still runs.
-func TestUpdateServerServeCountsUpdates(t *testing.T) {
-	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetDebounce(20 * time.Millisecond)
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(3) }()
-
-	dialer := &countingDialer{}
-	client := &StreamClient{Addr: srv.Addr(), Timeout: 5 * time.Second, Dial: dialer.dial}
-	defer client.Close()
-	deltas := streamModels(t, "st-count", 25, 3)
-	for _, d := range deltas {
-		if _, err := client.Upload(nil, d, nil); err != nil {
-			t.Fatalf("upload %d: %v", d.Seq, err)
-		}
-	}
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve(3) returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve(3) did not return after three uploads over one connection")
-	}
-	if n := dialer.dials(); n != 1 {
-		t.Fatalf("%d dials, want 1", n)
-	}
-	if !srv.WaitVersion(1, 5*time.Second) {
-		t.Fatal("the debounced rebuild did not run after Serve returned")
-	}
-	if !sameModel(t, srv, deltas[2].Model) {
-		t.Fatal("the server does not hold the third upload")
-	}
-}
-
 // TestStreamClientClose: Close releases the kept connection and leaves the
 // client usable — the next upload dials again — and a Close without a
 // connection, before the first upload or a second one, returns nil.
@@ -271,11 +249,12 @@ func TestStreamClientClose(t *testing.T) {
 	}
 }
 
-// TestKeptUploadStampedWhenStored: a full upload on a connection accepted
+// TestKeptUploadStampedOnceRead: a full upload on a connection accepted
 // while a streaming site's connection was kept does not make the site's
-// next upload on it stale. That upload is stamped when it is stored, so it
-// replaces the full model on the kept connection, with no resend.
-func TestKeptUploadStampedWhenStored(t *testing.T) {
+// next upload on it stale. That upload is stamped once its frame has been
+// read, so it replaces the full model on the kept connection, with no
+// resend.
+func TestKeptUploadStampedOnceRead(t *testing.T) {
 	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -301,5 +280,75 @@ func TestKeptUploadStampedWhenStored(t *testing.T) {
 	}
 	if n := dialer.dials(); n != 1 {
 		t.Fatalf("%d dials, want 1: the kept connection's upload was dropped as stale and resent", n)
+	}
+}
+
+// TestHeldKeptUploadLosesToNextUpload: an upload the server has read on a
+// kept connection but holds at the table lock past the client's timeout
+// loses to the site's next upload, which goes out on a fresh connection
+// while the first still waits. Whichever of the two the server stores
+// first, the next upload is acked and its model is the one held.
+func TestHeldKeptUploadLosesToNextUpload(t *testing.T) {
+	srv, err := NewUpdateServer("127.0.0.1:0", testCfg(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve(0)
+
+	dialer := &countingDialer{}
+	client := &StreamClient{Addr: srv.Addr(), Timeout: 200 * time.Millisecond, Dial: dialer.dial}
+	defer client.Close()
+	deltas := streamModels(t, "st-held", 28, 3)
+	if _, err := client.Upload(nil, deltas[0], nil); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.mu.Lock()
+	held := true
+	defer func() {
+		if held {
+			srv.mu.Unlock()
+		}
+	}()
+	if _, err := client.Upload(nil, deltas[1], nil); !isTimeout(err) {
+		t.Fatalf("upload held at the table lock: err = %v, want a timeout", err)
+	}
+	before := srv.accepted.Load()
+	client.Timeout = 5 * time.Second
+	next := make(chan error, 1)
+	go func() {
+		_, err := client.Upload(nil, deltas[2], nil)
+		next <- err
+	}()
+	waitFor(t, "the fresh connection to be accepted", func() bool { return srv.accepted.Load() > before })
+	srv.mu.Unlock()
+	held = false
+
+	if err := <-next; err != nil {
+		t.Fatalf("the next upload, on a fresh connection: %v", err)
+	}
+	if n := dialer.dials(); n != 2 {
+		t.Fatalf("%d dials, want 2", n)
+	}
+	// The held upload's handler ends once it has been stored or dropped,
+	// leaving the fresh connection open.
+	waitFor(t, "the held upload's handler to end", func() bool {
+		srv.loop.mu.Lock()
+		defer srv.loop.mu.Unlock()
+		return len(srv.loop.conns) == 1
+	})
+	if !sameModel(t, srv, deltas[2].Model) {
+		t.Fatal("the held upload replaced the site's next one")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

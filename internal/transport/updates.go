@@ -34,8 +34,6 @@ type UpdateServer struct {
 	dirty          bool
 	rebuildPending bool
 	rebuildErr     error
-	// served counts the updates toward Serve's limit (0 = none). Under mu.
-	served, limit int
 }
 
 // SetDebounce sets the rebuild debounce for delta uploads: uploads arriving
@@ -135,19 +133,14 @@ func (s *UpdateServer) Global() *model.GlobalModel {
 	return s.global
 }
 
-// Serve handles updates until Close or until maxUpdates updates have been
-// processed (0 = unlimited), and returns nil then; an accept failure ends
-// it with the error. An update is one upload the server decided on: stored,
-// dropped as stale or refused with a MsgError. Connections are handled
-// concurrently, the uploads on one connection in turn, and the model table
-// and global rebuild are serialized. After the last of maxUpdates updates
-// the server accepts no more connections and closes the open ones, but a
-// debounced rebuild still runs.
-func (s *UpdateServer) Serve(maxUpdates int) error {
-	s.mu.Lock()
-	s.served, s.limit = 0, maxUpdates
-	s.mu.Unlock()
-	return s.loop.Serve(0, s.handleUpdate)
+// Serve handles connections until Close or until maxConns connections
+// have been handled (0 = unlimited), and returns nil then; an accept failure
+// ends it with the error. A full-model upload comes on a connection of its
+// own, a streaming site's uploads on one kept connection. Connections are
+// handled concurrently, the uploads on one connection in turn, and the model
+// table and global rebuild are serialized.
+func (s *UpdateServer) Serve(maxConns int) error {
+	return s.loop.Serve(maxConns, s.handleUpdate)
 }
 
 // handleUpdate answers the uploads of one site connection in turn, until
@@ -156,39 +149,24 @@ func (s *UpdateServer) Serve(maxUpdates int) error {
 // upload), a refused or broken upload, or a stale one.
 //
 // The first upload on a connection carries the connection's accept stamp;
-// a later one is stamped when it is stored. It is a newer upload from a
-// live site, so it never loses to an upload on a connection accepted while
-// it was kept, and only a connection's first upload can be stale.
+// a later one is stamped once its frame has been read, before it waits for
+// the table lock. So a site that gives up waiting on an upload its kept
+// connection has read, and uploads again on a fresh connection, stamps the
+// new upload later: it wins whichever of the two is stored first, and the
+// old one is dropped as stale.
 func (s *UpdateServer) handleUpdate(conn net.Conn) {
 	stamp := s.accepted.Add(1)
-	for {
-		more, decided := s.update(conn, stamp)
-		if decided && s.countUpdate() {
-			s.loop.stop()
-			return
-		}
-		if !more {
-			return
-		}
+	for s.update(conn, stamp) {
 		stamp = 0
 	}
 }
 
-// countUpdate counts one update and reports whether it was Serve's last.
-func (s *UpdateServer) countUpdate() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.served++
-	return s.served == s.limit
-}
-
 // update is one exchange of handleUpdate under a fresh deadline: read the
 // upload, store it, rebuild (or schedule a debounced rebuild) and reply. It
-// reports whether the connection stays open for another upload and whether
-// the upload was an update (see Serve). A stale upload — its site's entry
-// is newer — is neither stored nor answered and triggers no rebuild. stamp
-// 0 stamps the upload when it is stored.
-func (s *UpdateServer) update(conn net.Conn, stamp uint64) (more, decided bool) {
+// reports whether the connection stays open for another upload. A stale
+// upload — its site's entry is newer — is neither stored nor answered and
+// triggers no rebuild. stamp 0 stamps the upload once it has been read.
+func (s *UpdateServer) update(conn net.Conn, stamp uint64) bool {
 	conn.SetDeadline(time.Now().Add(s.timeout))
 	up, err := s.readUpload(conn, true)
 	if err != nil {
@@ -198,14 +176,13 @@ func (s *UpdateServer) update(conn net.Conn, stamp uint64) (more, decided bool) 
 		// the conn is gone anyway.
 		if errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameVersion) {
 			s.reply(conn, MsgError, []byte(err.Error()))
-			return false, true
 		}
-		return false, up.refused
+		return false
 	}
-	s.mu.Lock()
 	if stamp == 0 {
 		stamp = s.accepted.Add(1)
 	}
+	s.mu.Lock()
 	if up.sections.stream == nil {
 		// The entry keeps the latest section the site attached.
 		up.sections.stream = s.entries[up.siteID].sections.stream
@@ -222,9 +199,9 @@ func (s *UpdateServer) update(conn net.Conn, stamp uint64) (more, decided bool) 
 	s.mu.Unlock()
 	switch {
 	case !stored:
-		return false, true
+		return false
 	case up.delta != nil:
-		return s.reply(conn, MsgDeltaAck, encodeDeltaAck(DeltaAck{Seq: up.delta.Seq, GlobalVersion: version})) == nil, true
+		return s.reply(conn, MsgDeltaAck, encodeDeltaAck(DeltaAck{Seq: up.delta.Seq, GlobalVersion: version})) == nil
 	}
 	var reply []byte
 	if err == nil {
@@ -232,10 +209,10 @@ func (s *UpdateServer) update(conn net.Conn, stamp uint64) (more, decided bool) 
 	}
 	if err != nil {
 		s.reply(conn, MsgError, []byte(err.Error()))
-		return false, true
+		return false
 	}
 	s.reply(conn, MsgGlobalModel, reply)
-	return false, true
+	return false
 }
 
 // rebuildLocked publishes the global model of every retained site model and
