@@ -55,11 +55,13 @@ verdict = s=$$?; test $$s -eq 1 || { echo '$@: $(1)'; test $$s -eq 0 || echo "$@
 # package comment): no per-query scratch to pool, nothing to materialise once.
 # And every kind has one query arm, the store kernels, under the one metric the
 # pipeline knows, the Euclidean. And the pipeline has one access method, the
-# R*-tree: the linear scan is the tests' oracle. Fails if a non-test file under
-# internal/index mentions sync.Pool or sync.Once or calls a metric's Distance,
-# or a non-test Go file outside bench/ mentions geom.Metric or calls a
-# .Metric() method, or one outside internal/index and bench/ names KindLinear
-# or NewLinearStore.
+# R*-tree: the linear scan is the tests' oracle. And DBSCAN and the streaming
+# site find a neighbourhood one way, by walking the leaves. Fails if a non-test
+# file under internal/index mentions sync.Pool or sync.Once or calls a
+# metric's Distance, or a non-test Go file outside bench/ mentions geom.Metric
+# or calls a .Metric() method, or one outside internal/index and bench/ names
+# KindLinear or NewLinearStore, or one under internal/dbscan or
+# internal/stream calls RangeAppend.
 index-guard:
 	@git grep --untracked -nE 'sync\.(Pool|Once)' -- 'internal/index/*.go' ':(exclude)*_test.go'; \
 		$(call verdict,sync.Pool or sync.Once under internal/index)
@@ -70,6 +72,8 @@ index-guard:
 	@git grep --untracked -nE '\b(KindLinear|NewLinearStore)\b' -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' \
 		':(exclude)internal/index/*'; \
 		$(call verdict,the linear scan selected outside internal/index and bench/)
+	@git grep --untracked -n 'RangeAppend(' -- 'internal/dbscan/*.go' 'internal/stream/*.go' ':(exclude)*_test.go'; \
+		$(call verdict,a region query under internal/dbscan or internal/stream)
 
 # Every server runs one connection lifecycle, transport.ConnLoop
 # (internal/transport/loop.go): accept, one handler per connection, close when
@@ -107,7 +111,8 @@ cite-guard:
 # its ε-cells a linear scan, after every operation; the representative selector's coverage grid, which every
 # relabel and classification goes through, must label like a scan over every
 # representative; DBSCAN's leaf schedule must produce the pair-by-pair
-# reference's Result). CI runs this on push; use a larger FUZZTIME locally
+# reference's Result, and FromCores it from the reference's core flags and a
+# relabelled labelling). CI runs this on push; use a larger FUZZTIME locally
 # before touching the wire formats, internal/index/rstar, internal/dbscan,
 # internal/incdbscan or dbdc.RepSelector.
 # FuzzIncOps and FuzzRunAgreesWithReference cap minimisation:

@@ -477,7 +477,7 @@ func BenchmarkStoreKernels(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf = idx.RangeAppendID(i%n, ds.Params.Eps, buf)
+			buf = idx.RangeAppend(st.Point(i%n), ds.Params.Eps, buf)
 		}
 	})
 }

@@ -10,12 +10,13 @@ import (
 	"github.com/dbdc-go/dbdc/internal/index"
 )
 
-// TestCondenseParallelDifferential proves the per-cluster parallel
-// condensation is byte-identical to the sequential fold: same specific
-// core sets in the same selection order, same specific ε-ranges, same
-// region-query accounting — across index kinds (the R*-tree also built for
-// other radii than it is queried at), data shapes and worker counts (run
-// under -race in CI, this doubles as the phase's race guard).
+// TestCondenseParallelDifferential holds the per-cluster condensation to
+// referenceRun at every worker count, one — the calling goroutine alone —
+// among them: the same specific core sets in the same selection order, the
+// same specific ε-ranges, the same region-query accounting, across index
+// kinds (the R*-tree also built for other radii than it is queried at) and
+// data shapes, many small clusters and none among them (run under -race in
+// CI, this doubles as the phase's race guard).
 func TestCondenseParallelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	blob, _ := twoBlobs(rng, 150)
@@ -35,42 +36,15 @@ func TestCondenseParallelDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", ds.name, b, err)
 			}
-			// workers=1 takes the sequential condensation path — the
-			// reference the parallel fold must reproduce exactly.
-			ref, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s/%s: reference: %v", ds.name, b, err)
-			}
-			for _, workers := range []int{2, 3, 8} {
+			want := referenceRun(idx, ds.params)
+			for _, workers := range []int{1, 2, 3, 8} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", ds.name, b, workers), func(t *testing.T) {
-					par, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: workers})
+					got, err := Run(idx, ds.params, Options{CollectSpecificCores: true, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(par.Scor) != len(ref.Scor) {
-						t.Fatalf("parallel condensation found %d clusters with specific cores, reference %d",
-							len(par.Scor), len(ref.Scor))
-					}
-					for id, want := range ref.Scor {
-						got, ok := par.Scor[id]
-						if !ok {
-							t.Fatalf("cluster %v missing from parallel Scor", id)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("cluster %v: specific cores %v != reference %v (order included)", id, got, want)
-						}
-					}
-					if !reflect.DeepEqual(par.SpecificEps, ref.SpecificEps) {
-						t.Fatalf("specific ε-ranges diverge:\n got %v\nwant %v", par.SpecificEps, ref.SpecificEps)
-					}
-					if par.RangeQueries != ref.RangeQueries {
-						t.Fatalf("range-query accounting %d != reference %d", par.RangeQueries, ref.RangeQueries)
-					}
-					// And the phase input itself was identical (labels/cores
-					// are guarded elsewhere, but a diverged input would make
-					// the comparison above meaningless).
-					if !reflect.DeepEqual(par.Labels, ref.Labels) {
-						t.Fatal("labelings diverge between runs")
+					if !reflect.DeepEqual(got, want) {
+						t.Fatal(describeDifference(got, want))
 					}
 				})
 			}
@@ -79,8 +53,9 @@ func TestCondenseParallelDifferential(t *testing.T) {
 }
 
 // TestCondenseSequentialUnchanged asserts the stable contract of the
-// sequential condensation path (workers=1): every cluster has at least one
-// specific core and every specific ε is ≥ Eps (Definition 7 lower bound).
+// condensation on one worker, the calling goroutine: every cluster has at
+// least one specific core and every specific ε is ≥ Eps (Definition 7 lower
+// bound).
 func TestCondenseSequentialUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := uniformPoints(rng, 400, 10)

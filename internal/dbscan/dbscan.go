@@ -22,7 +22,8 @@
 //     Eps of it (Definition 6). Scor lists them ascending per cluster.
 //   - ε_s = Eps + max{dist(s, c) | c core, c ∈ N_Eps(s)} (Definition 7).
 //   - RangeQueries is n + |Scor|, the paper's cost count: one region query per
-//     object and one per specific core point. Run issues only the latter.
+//     object and one per specific core point. Run issues none: every
+//     neighbourhood it needs is a walk over the index's leaves (walk).
 package dbscan
 
 import (
@@ -83,7 +84,7 @@ type Result struct {
 	// specific ε-range ε_s (Definition 7). Populated with Scor.
 	SpecificEps map[int]float64
 	// RangeQueries is the paper's cost count, n + |Scor|, the quantity
-	// DBSCAN's complexity analysis is stated in; Run issues |Scor| of them.
+	// DBSCAN's complexity analysis is stated in; Run walks leaves instead.
 	RangeQueries int
 	// Shards is always 0: nothing sets it since the spatial-shard phase 1
 	// was deleted. It stays only because the frozen bench/ module reads it;
@@ -107,9 +108,10 @@ func (r *Result) IsBorder(i int) bool { return r.Labels[i] >= 0 && !r.Core[i] }
 // The schedule works over the index's leaves (index.Leaves; an index without
 // them is one leaf) and the leaves within Eps of each, box to box: step 1
 // (count) finds the core objects by counting and unites them within each
-// leaf, step 2 (link) across pairs of leaves. Until the numbering pass
-// res.Labels is the forest of those unions, a parent's id never larger than
-// its child's.
+// leaf, step 2 (link) across pairs of leaves; the condensation walks a
+// specific core point's neighbourhood the way step 1 does, without its stop.
+// Until the numbering pass res.Labels is the forest of those unions, a
+// parent's id never larger than its child's.
 func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -135,24 +137,14 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 	// cursor; an object's state has one writer, the worker of its leaf.
 	s, ws := newSchedule(idx, res, max(opts.Workers, 1))
 	var cursor atomic.Int64
-	count := func(w *worker) {
-		for lo := 0; lo < s.leaves.NumLeaves(); {
+	each(ws, func(w *worker) {
+		for lo := 0; lo < len(s.leaf); {
 			lo = int(cursor.Add(8)) - 8
-			for leaf := lo; leaf < min(lo+8, s.leaves.NumLeaves()); leaf++ {
+			for leaf := lo; leaf < min(lo+8, len(s.leaf)); leaf++ {
 				s.count(w, leaf)
 			}
 		}
-	}
-	var wg sync.WaitGroup
-	for w := range ws[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			count(&ws[1+w])
-		}()
-	}
-	count(&ws[0])
-	wg.Wait()
+	})
 	s.link(&ws[0])
 
 	// Number the clusters in ascending root id. A parent's id is below its
@@ -189,9 +181,24 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 	}
 
 	if opts.CollectSpecificCores {
-		res.condenseSpecificCores(idx, len(ws))
+		s.condense(res, ws)
 	}
 	return res, nil
+}
+
+// each runs f once for every worker, all at once, the first on the calling
+// goroutine.
+func each(ws []worker, f func(*worker)) {
+	var wg sync.WaitGroup
+	for w := range ws[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(&ws[1+w])
+		}()
+	}
+	f(&ws[0])
+	wg.Wait()
 }
 
 // FromCores completes the Result that Run with CollectSpecificCores returns
@@ -199,9 +206,10 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 // labels any DBSCAN labelling of the objects, up to renaming and the choice
 // of cluster for each border object. It numbers the clusters by their lowest
 // core id, moves each border object to the cluster of its lowest-id core
-// neighbour — one region query each; noise needs none — and condenses the
-// specific core points, one query each. The Result keeps core. A core object
-// labelled noise or a border object with no core neighbour is an error.
+// neighbour — one neighbourhood each, by Run's leaf walk; noise needs none —
+// and condenses the specific core points, one neighbourhood each. The Result
+// keeps core. A core object labelled noise or a border object with no core
+// neighbour is an error.
 func FromCores(idx index.Index, params Params, core []bool, labels cluster.Labeling) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -223,15 +231,17 @@ func FromCores(idx index.Index, params Params, core []bool, labels cluster.Label
 	}
 	res := &Result{Params: params, Labels: cores.Canonicalize(), Core: core,
 		Scor: make(map[cluster.ID][]int), SpecificEps: make(map[int]float64)}
-	var buf []int
+	if len(core) == 0 { // no rows, no box for the one leaf
+		return res, nil
+	}
+	s, ws := newSchedule(idx, res, 1)
 	for i, id := range labels {
 		if core[i] || id < 0 {
 			continue
 		}
-		buf = idx.RangeAppendID(i, params.Eps, buf)
 		res.RangeQueries++
 		least := -1
-		for _, q := range buf {
+		for _, q := range s.neighbours(&ws[0], i) {
 			if core[q] && (least < 0 || q < least) {
 				least = q
 			}
@@ -241,7 +251,7 @@ func FromCores(idx index.Index, params Params, core []bool, labels cluster.Label
 		}
 		res.Labels[i] = res.Labels[least]
 	}
-	res.condenseSpecificCores(idx, 1)
+	s.condense(res, ws)
 	return res, nil
 }
 
@@ -253,16 +263,19 @@ const keep = 4
 type schedule struct {
 	st        *geom.Store
 	leaves    index.Leaves
+	leaf      []reach // per leaf, its ids and box
 	eps, eps2 float64
 	minPts    int
 	core      []bool
 	parent    cluster.Labeling // res.Labels: Noise or, for core objects, a forest
 	rep       []int32          // per leaf, shared's answer
+	leafOf    []int32          // per id, its leaf
 }
 
 // worker is one worker's scratch, allocated once per run; the first worker's
-// serves step 2 too. sparse holds, flat, one record (p, k, the k ids of
-// N_Eps(p)) per non-core object p it counted.
+// serves step 2 too, and each condenses clusters after it. sparse holds,
+// flat, one record (p, k, the k ids of N_Eps(p)) per non-core object p it
+// counted.
 type worker struct {
 	near             []int32
 	order            []reach
@@ -270,9 +283,10 @@ type worker struct {
 	out              []int
 	roots, kept      []int32
 	sparse           []int32
+	bs               batchScratch
 }
 
-// reach is a leaf in step 1's visit order: its ids and its box.
+// reach is a leaf: its ids and its box.
 type reach struct {
 	ids []int
 	box []float64
@@ -286,10 +300,13 @@ func newSchedule(idx index.Index, res *Result, workers int) (*schedule, []worker
 		s.leaves = newOneLeaf(st)
 	}
 	leaves, maxLeaf := s.leaves.NumLeaves(), 0
-	s.rep = make([]int32, leaves)
+	s.leaf, s.rep, s.leafOf = make([]reach, leaves), make([]int32, leaves), make([]int32, n)
 	for leaf := range leaves {
-		ids, _ := s.leaves.Leaf(leaf)
-		maxLeaf = max(maxLeaf, len(ids))
+		ids, box := s.leaves.Leaf(leaf)
+		s.leaf[leaf], maxLeaf = reach{ids, box}, max(maxLeaf, len(ids))
+		for _, p := range ids {
+			s.leafOf[p] = int32(leaf)
+		}
 	}
 	workers = min(workers, leaves)
 	ws := make([]worker, workers)
@@ -316,46 +333,69 @@ func gapFar(q geom.Point, box []float64) (gap, far float64) {
 	return gap, far
 }
 
-// count is step 1 for one leaf's objects: each collects its ε-neighbours
+// near fills w.order with the leaf, then the leaves near it at Eps.
+func (s *schedule) near(w *worker, leaf int) {
+	w.near = s.leaves.NearLeaves(leaf, s.eps, w.near[:0])
+	w.order = append(w.order[:0], s.leaf[leaf])
+	for _, m := range w.near {
+		if int(m) != leaf {
+			w.order = append(w.order, s.leaf[m])
+		}
+	}
+}
+
+// walk appends to buf the ε-neighbours of q, a point of order's first leaf,
+// leaf by leaf in order, and stops once it holds stop of them; own is how
+// many the first leaf gave. gapFar sorts each leaf: out of reach it is passed
+// over, wholly in reach its ids are taken unverified, otherwise they are
+// verified a piece at a time, pieces sized to what is left to the stop. This
+// is the package's one neighbourhood: a leaf in reach is one that NearLeaves
+// lists, so with no stop buf ends as N_Eps(q), each id once.
+func (s *schedule) walk(order []reach, q geom.Point, stop int, buf []int) (_ []int, own int) {
+	own = len(order[0].ids)
+	for k, r := range order {
+		if k == 1 {
+			own = len(buf)
+		}
+		gap, far := gapFar(q, r.box)
+		switch {
+		case gap > s.eps2:
+		case far <= s.eps2:
+			if buf = append(buf, r.ids...); len(buf) >= stop {
+				return buf, own
+			}
+		default:
+			for mids := r.ids; len(mids) > 0; {
+				piece := min(len(mids), max(8, 2*(stop-len(buf))))
+				buf, mids = s.st.VerifyRangeSq(q, mids[:piece], s.eps2, buf), mids[piece:]
+				if len(buf) >= stop {
+					return buf, own
+				}
+			}
+		}
+	}
+	return buf, own
+}
+
+// neighbours returns N_Eps(p) in w.buf: the walk from p's leaf with no stop
+// (no id is listed twice, so n+1 is never reached).
+func (s *schedule) neighbours(w *worker, p int) []int {
+	s.near(w, int(s.leafOf[p]))
+	w.buf, _ = s.walk(w.order, s.st.Point(p), s.st.Len()+1, w.buf[:0])
+	return w.buf
+}
+
+// count is step 1 for one leaf's objects: each walks to its ε-neighbours,
 // from its own leaf, then from the near ones, and stops at MinPts; a
 // non-core object keeps them all. Then each core object is united with the
 // core objects among its first keep neighbours in the leaf, and the leaf is
 // paired with itself unless that left one root: trees of this leaf's objects
 // alone, which no other worker touches.
 func (s *schedule) count(w *worker, leaf int) {
-	w.near = s.leaves.NearLeaves(leaf, s.eps, w.near[:0])
-	ids, box := s.leaves.Leaf(leaf)
-	w.order = append(w.order[:0], reach{ids, box})
-	for _, m := range w.near {
-		if int(m) != leaf {
-			mids, mbox := s.leaves.Leaf(int(m))
-			w.order = append(w.order, reach{mids, mbox})
-		}
-	}
+	s.near(w, leaf)
+	ids := w.order[0].ids
 	for i, p := range ids {
-		q, buf, own := s.st.Point(p), w.buf[:0], len(ids) // own: ids from this leaf
-	leaves:
-		for k, r := range w.order {
-			if k == 1 {
-				own = len(buf)
-			}
-			gap, far := gapFar(q, r.box)
-			switch { // out of reach, wholly in reach, or verified a piece at a time
-			case gap > s.eps2:
-			case far <= s.eps2:
-				if buf = append(buf, r.ids...); len(buf) >= s.minPts {
-					break leaves
-				}
-			default:
-				for mids := r.ids; len(mids) > 0; {
-					piece := min(len(mids), max(8, 2*(s.minPts-len(buf))))
-					buf, mids = s.st.VerifyRangeSq(q, mids[:piece], s.eps2, buf), mids[piece:]
-					if len(buf) >= s.minPts {
-						break leaves
-					}
-				}
-			}
-		}
+		buf, own := s.walk(w.order, s.st.Point(p), s.minPts, w.buf[:0])
 		if w.buf = buf; len(buf) < s.minPts {
 			s.parent[p] = cluster.Noise
 			w.sparse = append(w.sparse, int32(p), int32(len(buf)))
@@ -429,9 +469,8 @@ const (
 // shared returns a core object of the leaf whose root all of the leaf's core
 // objects share, or mixed, or noCores.
 func (s *schedule) shared(leaf int) int32 {
-	ids, _ := s.leaves.Leaf(leaf)
 	first, root := int32(noCores), int32(-1)
-	for _, p := range ids {
+	for _, p := range s.leaf[leaf].ids {
 		if !s.core[p] {
 			continue
 		}
@@ -450,8 +489,7 @@ func (s *schedule) shared(leaf int) int32 {
 // When each leaf's core objects share one root (uniform), all of b's are
 // under another, and one union is all.
 func (s *schedule) pair(w *worker, a, b int, uniform bool) {
-	aIDs, _ := s.leaves.Leaf(a)
-	bIDs, bBox := s.leaves.Leaf(b)
+	aIDs, bIDs, bBox := s.leaf[a].ids, s.leaf[b].ids, s.leaf[b].box
 	w.cores, w.roots = w.cores[:0], w.roots[:0]
 	for _, q := range bIDs {
 		if s.core[q] {
@@ -507,53 +545,3 @@ func newOneLeaf(st *geom.Store) *oneLeaf {
 func (o *oneLeaf) NumLeaves() int                                    { return 1 }
 func (o *oneLeaf) Leaf(int) ([]int, []float64)                       { return o.ids, o.box }
 func (o *oneLeaf) NearLeaves(_ int, _ float64, near []int32) []int32 { return append(near, 0) }
-
-// batchScratch holds the reusable id and distance buffers of the batched
-// Definition 7 fold. One instance per condensation worker; zero value ready
-// to use.
-type batchScratch struct {
-	ids  []int
-	dist []float64
-}
-
-// maxCoreNeighborSq folds the maximum squared kernel distance from s to its
-// core neighbors in buf through one batched sweep: ids are filtered first
-// (the fold order is buf order either way), distances computed in one
-// gather, maximum taken over the block. Operand order matches the historical
-// per-pair Store.DistanceSq(s, ni) fold exactly.
-func maxCoreNeighborSq(st *geom.Store, core []bool, buf []int, s int, bs *batchScratch) float64 {
-	ids := bs.ids[:0]
-	for _, ni := range buf {
-		if ni == s || !core[ni] {
-			continue
-		}
-		ids = append(ids, ni)
-	}
-	var maxSq float64
-	if len(ids) > 0 {
-		if cap(bs.dist) < len(ids) {
-			bs.dist = make([]float64, 2*len(ids))
-		}
-		d := st.DistanceSqBatch(st.Point(s), ids, bs.dist[:len(ids)])
-		for _, d2 := range d {
-			if d2 > maxSq {
-				maxSq = d2
-			}
-		}
-	}
-	bs.ids = ids
-	return maxSq
-}
-
-// specificEps evaluates Definition 7 for the specific core point s:
-// ε_s = Eps + max{dist(s, s_i) | s_i ∈ Cor ∧ s_i ∈ N_Eps(s)}. When no other
-// core point lies in the neighborhood the maximum is empty and ε_s = Eps.
-// The query goes through idx.RangeAppendID into the reused *buf, which holds
-// N_Eps(s) on return. The maximum is taken over the store st in squared space
-// by one batched fold — row s against all core neighbor rows, a single sqrt
-// per specific core point instead of one per neighbor; exact, since the
-// correctly rounded sqrt is monotone and commutes with max.
-func (r *Result) specificEps(idx index.Index, st *geom.Store, bs *batchScratch, buf *[]int, s int) float64 {
-	*buf = idx.RangeAppendID(s, r.Params.Eps, *buf)
-	return r.Params.Eps + math.Sqrt(maxCoreNeighborSq(st, r.Core, *buf, s, bs))
-}

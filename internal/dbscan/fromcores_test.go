@@ -29,7 +29,7 @@ func perturbed(rng *rand.Rand, idx index.Index, run *Result) (out cluster.Labeli
 			continue
 		}
 		var choices []cluster.ID
-		for _, q := range idx.RangeAppendID(i, run.Params.Eps, nil) {
+		for _, q := range idx.RangeAppend(idx.Point(i), run.Params.Eps, nil) {
 			if run.Core[q] {
 				choices = append(choices, cluster.ID(perm[run.Labels[q]]))
 			}

@@ -3,8 +3,10 @@ package dbscan
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/dbdc-go/dbdc/internal/cluster"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/index/rstar"
@@ -17,6 +19,8 @@ import (
 // goes over the R*-tree at fan-outs 4 and 32, built for 0.5, 1 and 3 times
 // the Eps it is run at, at one worker and at three, and over the linear scan,
 // which has no leaves; every Result must be the reference's, field for field.
+// So must FromCores' over every build, fed the reference's core flags and a
+// relabelled labelling (relabelled), but for RangeQueries: borders + |Scor|.
 //
 // Input layout: dimension, MinPts, Eps choice, then the coordinates, one
 // byte each (its low four bits are the lattice step).
@@ -42,7 +46,10 @@ func FuzzRunAgreesWithReference(f *testing.F) {
 		cube = append(cube, byte(i*7%5+i%3))
 	}
 	single := []byte{2, 0, 1, 3, 3, 3} // one 3-d point, MinPts 1
-	for _, seed := range [][]byte{lattice, dup, line, cube, single} {
+	// 2-d, MinPts 4, Eps 1: two squares of core objects and, exactly Eps
+	// from one core of each, a border object in reach of both; one noise.
+	bridge := []byte{1, 3, 0, 2, 2, 2, 3, 3, 2, 3, 3, 7, 2, 8, 2, 7, 3, 8, 3, 5, 2, 15, 15}
+	for _, seed := range [][]byte{lattice, dup, line, cube, single, bridge} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -82,7 +89,21 @@ func FuzzRunAgreesWithReference(f *testing.F) {
 			}
 		}
 		want := referenceRun(linear, params)
+		fromCores, labels := *want, relabelled(st, want)
+		fromCores.RangeQueries = len(want.SpecificEps)
+		for i := range want.Labels {
+			if want.IsBorder(i) {
+				fromCores.RangeQueries++
+			}
+		}
 		for _, b := range indexes {
+			got, err := FromCores(b.idx, params, slices.Clone(want.Core), labels)
+			if err != nil {
+				t.Fatalf("dim %d n %d %+v, %s: FromCores: %v", dim, n, params, b.name, err)
+			}
+			if !reflect.DeepEqual(got, &fromCores) {
+				t.Fatalf("dim %d n %d %+v, %s: FromCores: %s", dim, n, params, b.name, describeDifference(got, &fromCores))
+			}
 			for _, workers := range []int{1, 3} {
 				got, err := Run(b.idx, params, Options{CollectSpecificCores: true, Workers: workers})
 				if err != nil {
@@ -94,4 +115,26 @@ func FuzzRunAgreesWithReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// relabelled is another DBSCAN labelling of res's clustering over st: the
+// cluster ids reversed, and every border object moved to the cluster of its
+// highest-id core neighbour, found pair by pair.
+func relabelled(st *geom.Store, res *Result) cluster.Labeling {
+	k, eps2 := cluster.ID(res.NumClusters()), res.Params.Eps*res.Params.Eps
+	out := make(cluster.Labeling, len(res.Labels))
+	for i, id := range res.Labels {
+		out[i] = id
+		if res.Core[i] {
+			out[i] = k - 1 - id
+		} else if id >= 0 {
+			for q := len(res.Labels) - 1; q >= 0; q-- {
+				if res.Core[q] && st.DistanceSq(i, q) <= eps2 {
+					out[i] = k - 1 - res.Labels[q]
+					break
+				}
+			}
+		}
+	}
+	return out
 }

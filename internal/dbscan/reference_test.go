@@ -47,11 +47,10 @@ func (b indexBuild) build(pts []geom.Point, eps float64) (index.Index, error) {
 
 // differentialBuilds lists every kind built for the radius it is queried at,
 // and the R*-tree built for half and for four times that radius. The R*-tree
-// is the one kind that reads the radius it is built for (its leaf links):
-// built for a narrower one, a by-id query descends from the root; built for
-// a wider one, it starts from links that reach past the query, as on a site
-// clustered at a smaller ε than its index was built for. Neither may change a
-// result.
+// is the one kind that reads the radius it is built for (its leaf table):
+// built for another one, NearLeaves descends from the root instead of
+// reading the table, as on a site clustered at another ε than its index was
+// built for. Neither may change a result.
 func differentialBuilds() []indexBuild {
 	var builds []indexBuild
 	for _, kind := range index.Kinds() {
@@ -345,11 +344,11 @@ func describeDifference(got, want *Result) string {
 	return fmt.Sprintf("RangeQueries %d, reference %d", got.RangeQueries, want.RangeQueries)
 }
 
-// countingIndex counts the range queries that reach an index. It forwards
-// the Index interface and nothing else, so whatever it wraps, it offers Run
-// no leaves.
+// countingIndex counts the region queries that reach an index and forwards
+// its leaves, so Run walks them as it walks the index's own.
 type countingIndex struct {
 	index.Index
+	index.Leaves
 	queries atomic.Int64
 }
 
@@ -358,34 +357,50 @@ func (c *countingIndex) RangeAppend(q geom.Point, eps float64, buf []int) []int 
 	return c.Index.RangeAppend(q, eps, buf)
 }
 
-func (c *countingIndex) RangeAppendID(i int, eps float64, buf []int) []int {
-	c.queries.Add(1)
-	return c.Index.RangeAppendID(i, eps, buf)
-}
-
-// TestParallelHonoursIndexKind pins that the index a caller hands to Run is
-// the index that answers: the region query of every specific core point
-// arrives at the caller's index, whatever its kind and however many workers
-// run, and RangeQueries adds one per object to them, the paper's cost count.
-// (Counting reads the index's store and leaves; it issues no region query.)
-func TestParallelHonoursIndexKind(t *testing.T) {
+// TestRunMakesNoRegionQuery pins that DBSCAN finds every neighbourhood by
+// walking the leaves: Run with CollectSpecificCores, at every worker count,
+// and FromCores over its core flags and labels make no region query on the
+// packed tree, whatever radius it was built for, and still return the
+// reference's Result. RangeQueries counts the paper's cost all the same:
+// n + |Scor| for Run, borders + |Scor| for FromCores.
+func TestRunMakesNoRegionQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := uniformPoints(rng, 800, 10)
 	params := Params{Eps: 0.35, MinPts: 4}
-	for _, kind := range index.Kinds() {
-		inner, err := index.Build(kind, pts, geom.Euclidean{}, params.Eps)
+	for _, hint := range []float64{0.5, 1, 4} {
+		tree, err := index.Build(index.KindRStar, pts, geom.Euclidean{}, hint*params.Eps)
 		if err != nil {
-			t.Fatalf("%s: build: %v", kind, err)
+			t.Fatal(err)
+		}
+		idx := &countingIndex{Index: tree, Leaves: tree.(index.Leaves)}
+		want := referenceRun(tree, params)
+		borders := 0
+		for i := range want.Labels {
+			if want.IsBorder(i) {
+				borders++
+			}
+		}
+		if borders == 0 {
+			t.Fatal("no border object: FromCores' border pass goes untested")
 		}
 		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
-				idx := &countingIndex{Index: inner}
+			t.Run(fmt.Sprintf("hint=%gx/workers=%d", hint, workers), func(t *testing.T) {
 				res, err := Run(idx, params, Options{CollectSpecificCores: true, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := int(idx.queries.Load()); got != len(res.SpecificEps) || len(pts)+got != res.RangeQueries {
-					t.Fatalf("the caller's index answered %d queries for %d specific core points, Result.RangeQueries = %d", got, len(res.SpecificEps), res.RangeQueries)
+				if !reflect.DeepEqual(res, want) {
+					t.Fatal(describeDifference(res, want))
+				}
+				fc, err := FromCores(idx, params, res.Core, res.Labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := idx.queries.Load(); got != 0 || fc.RangeQueries != borders+len(want.SpecificEps) {
+					t.Fatalf("%d region queries reached the tree; FromCores counted %d for %d borders and %d specific cores", got, fc.RangeQueries, borders, len(want.SpecificEps))
+				}
+				if fc.RangeQueries = want.RangeQueries; !reflect.DeepEqual(fc, want) {
+					t.Fatal(describeDifference(fc, want))
 				}
 			})
 		}

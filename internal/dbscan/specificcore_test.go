@@ -88,8 +88,9 @@ func kindOf(t *testing.T, kind index.Kind, pts []geom.Point, eps float64) index.
 }
 
 // TestSpecificCoreDefinitions checks Definitions 6 and 7 on random data over
-// every index kind: the specific ε-ranges come from the index's by-id query
-// and its store, whatever the kind.
+// every index kind: the specific ε-ranges come from the leaf walk over the
+// index's leaves (one leaf for the linear scan) and its store, whatever the
+// kind.
 func TestSpecificCoreDefinitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {

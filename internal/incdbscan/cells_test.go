@@ -38,7 +38,7 @@ func TestCellsAtExtremeScales(t *testing.T) {
 				}
 				checkNeighbourhoods(t, c)
 			}
-			if got := c.RangeSlot(0, tc.eps, nil); len(got) < 2 {
+			if got := c.cells.rangeAppend(c.Point(0), tc.eps, nil); len(got) < 2 {
 				t.Fatalf("vacuous: object 0 has neighbourhood %v", got)
 			}
 		})
@@ -349,7 +349,7 @@ func TestCellsEmptiedKeepsDimensionality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.RangeSlot(i, 0, nil); i != 0 || !slices.Equal(got, []int{0}) || !c.Point(0).Equal(geom.Point{4, 5}) {
+	if got := c.cells.rangeAppend(c.Point(i), 0, nil); i != 0 || !slices.Equal(got, []int{0}) || !c.Point(0).Equal(geom.Point{4, 5}) {
 		t.Fatalf("slot %d after the refused point: range %v, point %v", i, got, c.Point(0))
 	}
 }

@@ -191,7 +191,7 @@ func runFuzzOps(t *testing.T, data []byte) (clusters []int) {
 var fuzzRadii = [3]float64{0, 1, 3}
 
 // checkNeighbourhoods holds the cell index to the linear scan: around every
-// live object, the neighbourhood RangeSlot returns is, as a set, the live
+// live object, the neighbourhood its cells return is, as a set, the live
 // objects the same kernel test accepts.
 func checkNeighbourhoods(t *testing.T, c *Clusterer) {
 	t.Helper()
@@ -205,7 +205,7 @@ func checkNeighbourhoods(t *testing.T, c *Clusterer) {
 	for _, r := range fuzzRadii {
 		eps := r * c.Params().Eps
 		for _, i := range live {
-			got = c.RangeSlot(i, eps, got)
+			got = c.cells.rangeAppend(c.Point(i), eps, got)
 			want = c.cells.rows.VerifyRangeSq(c.Point(i), live, eps*eps, want[:0])
 			slices.Sort(got)
 			if !slices.Equal(got, want) {

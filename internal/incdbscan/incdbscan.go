@@ -130,12 +130,6 @@ func (c *Clusterer) neighborhood(q int) []int {
 	return c.scratch
 }
 
-// RangeSlot appends to buf, after truncating it, the live objects within eps
-// of live object i, i included: a read-only query, not counted in queries.
-func (c *Clusterer) RangeSlot(i int, eps float64, buf []int) []int {
-	return c.cells.rangeAppend(c.Point(i), eps, buf)
-}
-
 // newClusterID allocates a fresh provisional cluster id.
 func (c *Clusterer) newClusterID() cluster.ID {
 	id := cluster.ID(len(c.parent))

@@ -87,8 +87,8 @@ func FuzzBuildRejectsOrAgrees(f *testing.F) {
 			}
 			var want, got []int
 			for i := range pts {
-				want = oracle.RangeAppendID(i, eps, want)
-				got = idx.RangeAppendID(i, eps, got)
+				want = oracle.RangeAppend(oracle.Point(i), eps, want)
+				got = idx.RangeAppend(oracle.Point(i), eps, got)
 				if w, g := sortedInts(want), sortedInts(got); !reflect.DeepEqual(w, g) {
 					t.Fatalf("%s: id %d at ε %v: neighbours %v, linear scan %v", kind, i, eps, g, w)
 				}

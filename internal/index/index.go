@@ -1,10 +1,11 @@
 // Package index provides neighborhood indexes over a fixed set of points.
-// The DBDC pipeline retrieves ε-neighborhoods through the Index interface, so
-// the access method (linear scan, R*-tree) is interchangeable; the paper's
-// DBSCAN uses an R*-tree for vector data, and the linear scan is the oracle it
-// is tested against. DBSCAN's clustering asks for no neighbourhood: it counts
-// and pairs objects leaf by leaf over the optional Leaves an index offers —
-// the bulk-loaded R*-tree's — and takes an index without them for one leaf.
+// The access method (linear scan, R*-tree) is interchangeable behind the
+// Index interface; the paper's DBSCAN uses an R*-tree for vector data, and
+// the linear scan is the oracle it is tested against. DBSCAN asks no index
+// for a neighbourhood — not to cluster, not to condense, not in FromCores:
+// it walks the optional Leaves an index offers, the bulk-loaded R*-tree's,
+// leaf by leaf, and takes an index without them for one leaf. The region
+// query, RangeAppend, serves OPTICS, pdbscan and the tests.
 //
 // Every index is built over a geom.Store by BuildStore, the one place input
 // is checked. Both kinds are Euclidean: each has one query arm, a scan or a
@@ -29,9 +30,9 @@ import (
 	"github.com/dbdc-go/dbdc/internal/index/rstar"
 )
 
-// Index answers Euclidean ε-range queries over the rows of a fixed
-// geom.Store. Implementations are safe for concurrent readers after
-// construction.
+// Index is a fixed geom.Store and the Euclidean ε-range query over its rows,
+// by point: an indexed point is queried as Point(i). Implementations are safe
+// for concurrent readers after construction.
 type Index interface {
 	// Len returns the number of indexed points.
 	Len() int
@@ -40,17 +41,14 @@ type Index interface {
 	// RangeAppend returns the indexes of all points within distance eps of
 	// q, boundary inclusive (the Eps-neighborhood N_Eps(q) of the paper,
 	// including q itself when q is an indexed point), appended into buf
-	// after truncating it to zero length, letting tight loops (incremental
-	// DBSCAN, the condensation) avoid one allocation per query. Order is unspecified. A nil
+	// after truncating it to zero length, letting tight loops (OPTICS,
+	// pdbscan) avoid one allocation per query. Order is unspecified. A nil
 	// buf asks for a fresh slice. The whole capacity of buf is the index's to
 	// scribble on (the store verifiers write candidates past the result
 	// before they know the verdict), so hand in a buffer, not a window of
-	// a slice whose tail is still in use.
+	// a slice whose tail is still in use. DBSCAN asks for none: it walks
+	// Leaves.
 	RangeAppend(q geom.Point, eps float64, buf []int) []int
-	// RangeAppendID behaves like RangeAppend with q = Point(i), the form
-	// DBSCAN's condensation uses (its query points are always index
-	// members): the query row is read from the store in place.
-	RangeAppendID(i int, eps float64, buf []int) []int
 	// Store returns the flat store the index answers queries from; its rows
 	// are the index's ids. The clustering layers run their point-vs-point
 	// comparisons through its strided kernels by id.

@@ -33,9 +33,3 @@ func (l *Linear) Point(i int) geom.Point { return l.store.Point(i) }
 func (l *Linear) RangeAppend(q geom.Point, eps float64, buf []int) []int {
 	return l.store.VerifyIntervalSq(q, 0, l.store.Len(), eps*eps, buf[:0])
 }
-
-// RangeAppendID implements Index: the query row's zero-copy view
-// feeds the same scan as RangeAppend.
-func (l *Linear) RangeAppendID(i int, eps float64, buf []int) []int {
-	return l.RangeAppend(l.store.Point(i), eps, buf)
-}

@@ -14,8 +14,8 @@ import (
 
 // TestStaticRangeOrderIdentity pins the neighbour lists of every static tree
 // kind BuildStore makes — ids and order — on data set A and a 3-d random
-// store: one SHA-256 per kind over RangeAppendID for every id at 0.5, 1 and 2
-// times the radius the index was built for. The digest was recorded at
+// store: one SHA-256 per kind over RangeAppend of every indexed point at 0.5,
+// 1 and 2 times the radius the index was built for. The digest was recorded at
 // commit 754e8f5, before the bulk R*-tree was reduced to a permutation,
 // spans and a descent; a kind that passes returns what it returned then, in
 // the order it returned it.
@@ -48,7 +48,7 @@ func TestStaticRangeOrderIdentity(t *testing.T) {
 			}
 			for _, f := range []float64{0.5, 1, 2} {
 				for i := 0; i < s.st.Len(); i++ {
-					buf = idx.RangeAppendID(i, f*s.eps, buf)
+					buf = idx.RangeAppend(idx.Point(i), f*s.eps, buf)
 					put(len(buf))
 					for _, id := range buf {
 						put(id)

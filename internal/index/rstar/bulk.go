@@ -21,8 +21,8 @@ import (
 // Point(i) serves zero-copy views into the store; the build copies no
 // coordinates, only the routing-level bounds are new floats.
 //
-// epsHint, when given, is the radius the tree expects to be queried at: by-id
-// queries up to it start at the query point's own leaf (see Packed.near).
+// epsHint, when given, is the radius the tree expects its leaves to be walked
+// at: NearLeaves at that radius reads a table built once (see Packed.near).
 //
 // The rows must be finite: index.BuildStore refuses a store with a NaN or
 // ±Inf coordinate before it gets here.
@@ -45,20 +45,16 @@ func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Packed, 
 // leaf and levels is empty; rootCount is how many that makes. Concurrent
 // readers need no synchronisation.
 //
-// leafOf names the leaf of every id (nil when the root is the only leaf).
 // near[nearEnd[i]:nearEnd[i+1]] lists the leaves whose box lies within
 // sqrt(nearEps2) of leaf i's box, in a descent's visit order, adjacent ones as
-// one span: a point lies inside its leaf's box and rounding is monotone, so up
-// to that radius the leaves a descent for the point would reach are among
-// them, and a by-id query tests those alone — same test, same order. Without
-// the table (see linkLeaves) nearEps2 is negative.
+// one span: NearLeaves' answer at that radius, worked out once. Without the
+// table (see linkLeaves) nearEps2 is negative.
 type Packed struct {
 	rows      *geom.Store
 	dim       int
 	perm      []int
 	levels    []packedLevel
 	rootCount int32
-	leafOf    []int32
 	near      []span
 	nearEnd   []int32
 	nearEps2  float64
@@ -90,14 +86,10 @@ func (p *Packed) Store() *geom.Store { return p.rows }
 // Both the box pruning bound and the leaf verification run in squared
 // space.
 func (p *Packed) RangeAppend(q geom.Point, eps float64, buf []int) []int {
-	return p.rangeAppend(q, -1, eps, buf)
-}
-
-// RangeAppendID implements index.Index: the query point is addressed by
-// object id and, at a radius the leaf table covers, the descent starts from
-// the leaves near its own.
-func (p *Packed) RangeAppendID(i int, eps float64, buf []int) []int {
-	return p.rangeAppend(p.rows.Point(i), i, eps, buf)
+	if out := p.descend(len(p.levels), 0, p.rootCount, q, eps*eps, buf[:0]); len(out) > 0 {
+		return out
+	}
+	return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
 }
 
 // NumLeaves implements index.Leaves; a root that is the only leaf is none.
@@ -129,24 +121,6 @@ func (p *Packed) NearLeaves(i int, eps float64, near []int32) []int32 {
 	return near
 }
 
-// rangeAppend answers every ε-range query, q being the point of id when
-// id ≥ 0: then, at a radius the leaf table covers, from the leaves near its own.
-func (p *Packed) rangeAppend(q geom.Point, id int, eps float64, buf []int) []int {
-	out, eps2 := buf[:0], eps*eps
-	level, from := len(p.levels), []span{{0, p.rootCount}}
-	if id >= 0 && eps2 <= p.nearEps2 {
-		leaf := p.leafOf[id]
-		level, from = 1, p.near[p.nearEnd[leaf]:p.nearEnd[leaf+1]]
-	}
-	for _, s := range from {
-		out = p.descend(level, s.first, s.count, q, eps2, out)
-	}
-	if len(out) == 0 {
-		return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
-	}
-	return out
-}
-
 // packSTR tiles the store's rows bottom-up until one node can hold what is
 // left. Level 0 tiles perm in place over the rows themselves (a point is its
 // own degenerate box); every further level tiles a permutation of the nodes
@@ -172,14 +146,6 @@ func packSTR(st *geom.Store, maxEntries int) *Packed {
 		order = identity(len(lv.spans))
 	}
 	p.rootCount = int32(len(order))
-	if len(p.levels) > 0 {
-		p.leafOf = make([]int32, len(p.perm))
-		for i, s := range p.levels[0].spans {
-			for _, id := range p.perm[s.first : s.first+s.count] {
-				p.leafOf[id] = int32(i)
-			}
-		}
-	}
 	return p
 }
 

@@ -37,8 +37,7 @@ func bulkOf(pts []geom.Point) (*Packed, error) {
 // checkPackedInvariants verifies the structural R*-tree invariants on the
 // packed levels of a tree of fan-out DefaultMaxEntries: every node but the
 // root holds between m and M entries, every stored box tightly bounds its
-// subtree, folded in order, and every point sits in exactly one leaf, the one
-// leafOf names.
+// subtree, folded in order, and every point sits in exactly one leaf.
 func checkPackedInvariants(t *testing.T, p *Packed) {
 	t.Helper()
 	minEntries := max(2, DefaultMaxEntries*2/5)
@@ -66,9 +65,6 @@ func checkPackedInvariants(t *testing.T, p *Packed) {
 				if level == 1 {
 					lo = p.rows.Point(p.perm[k])
 					hi = lo
-					if p.leafOf != nil && p.leafOf[p.perm[k]] != i {
-						t.Fatalf("point %d in leaf %d, leafOf says %d", p.perm[k], i, p.leafOf[p.perm[k]])
-					}
 				} else {
 					b := p.levels[level-2].bounds[2*p.dim*int(k):]
 					lo, hi = b[:p.dim], b[p.dim:2*p.dim]
@@ -212,7 +208,7 @@ func levelWalk(p *Packed, q geom.Point, eps float64) []int {
 }
 
 // TestPackedRangeMatchesPointerWalk is the order-sensitive oracle of the
-// packed query: for every id and three radii, RangeAppendID equals the level
+// packed query: for every point and three radii, RangeAppend equals the level
 // walk — the walk the pointer nodes once materialised from the packed levels
 // answered with — same ids, same order.
 func TestPackedRangeMatchesPointerWalk(t *testing.T) {
@@ -239,7 +235,7 @@ func TestPackedRangeMatchesPointerWalk(t *testing.T) {
 			var buf []int
 			for _, eps := range c.eps {
 				for id := range c.pts {
-					buf = tr.RangeAppendID(id, eps, buf)
+					buf = tr.RangeAppend(c.pts[id], eps, buf)
 					if want := levelWalk(tr, c.pts[id], eps); !slices.Equal(buf, want) {
 						t.Fatalf("id %d eps %v: packed %v, level walk %v", id, eps, buf, want)
 					}
@@ -249,8 +245,8 @@ func TestPackedRangeMatchesPointerWalk(t *testing.T) {
 	}
 }
 
-// TestBulkConcurrentReaders: eight readers share one packed tree, by-id queries
-// from its own leaf and by-point descents from the root. Run under -race.
+// TestBulkConcurrentReaders: eight readers share one packed tree built for
+// their radius, each descending from the root. Run under -race.
 func TestBulkConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	pts := randomPoints(rng, 4000, 2)
@@ -270,11 +266,7 @@ func TestBulkConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			var buf []int
 			for id := g; id < len(pts); id += 8 {
-				if g%2 == 0 {
-					buf = tr.RangeAppendID(id, eps, buf)
-				} else {
-					buf = tr.RangeAppend(pts[id], eps, buf)
-				}
+				buf = tr.RangeAppend(pts[id], eps, buf)
 				if !slices.Equal(buf, want[id]) {
 					t.Errorf("id %d: %v, want %v", id, buf, want[id])
 					return

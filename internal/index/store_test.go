@@ -52,9 +52,6 @@ func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 				if got := idx.RangeAppend(pts[i], eps, nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Range differs from BuildStore at query %d: %v vs %v", i, got, want)
 				}
-				if got := idx.RangeAppendID(i, eps, nil); !reflect.DeepEqual(got, want) {
-					t.Fatalf("RangeAppendID differs from BuildStore at query %d: %v vs %v", i, got, want)
-				}
 			}
 		})
 	}
@@ -83,9 +80,6 @@ func TestRangeEpsBoundary(t *testing.T) {
 					want := oracleRange(pts, q, eps)
 					if got := sortedInts(idx.RangeAppend(q, eps, nil)); !reflect.DeepEqual(got, want) {
 						t.Errorf("eps=%v query %d %v: got %v, oracle %v", eps, i, q, got, want)
-					}
-					if got := sortedInts(idx.RangeAppendID(i, eps, nil)); !reflect.DeepEqual(got, want) {
-						t.Errorf("eps=%v by-id query %d %v: got %v, oracle %v", eps, i, q, got, want)
 					}
 				}
 			}
@@ -200,48 +194,31 @@ func TestBulkLoadAllocs(t *testing.T) {
 
 // TestRangeAppendZeroAlloc is the hot-loop regression gate: once the result
 // buffer has grown to its steady-state capacity, a store-backed range query of
-// any kind must not allocate at all — the property that keeps the DBSCAN
-// condensation and relabel loops allocation-free per query. That holds by
-// point and by id, and for the R*-tree both when the by-id query starts at
-// its own leaf (built for the radius, as BuildStore does) and when it
-// descends (built for none). No kind keeps per-query scratch, so there
-// is nothing to warm up before counting. Skipped under the race detector,
-// whose instrumentation perturbs allocation accounting.
+// any kind must not allocate at all — the property that keeps the OPTICS
+// and pdbscan loops allocation-free per query. No kind keeps per-query
+// scratch, so there is nothing to warm up before counting. Skipped under the
+// race detector, whose instrumentation perturbs allocation accounting.
 func TestRangeAppendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	st := testStore(2000, 5)
 	const eps = 2.0
-	descent, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type named struct {
-		name string
-		idx  Index
-	}
-	indexes := []named{{"rstar/descent", descent}}
 	for _, kind := range Kinds() {
 		idx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
 		if err != nil {
 			t.Fatalf("%s: BuildStore: %v", kind, err)
 		}
-		indexes = append(indexes, named{string(kind), idx})
-	}
-	for _, x := range indexes {
-		name, idx := x.name, x.idx
-		t.Run(name, func(t *testing.T) {
+		t.Run(string(kind), func(t *testing.T) {
 			buf := make([]int, 0, st.Len()) // steady-state capacity up front
 			q, returned := 0, 0
 			allocs := testing.AllocsPerRun(100, func() {
 				buf = idx.RangeAppend(st.Point(q%st.Len()), eps, buf)
-				buf = idx.RangeAppendID(q%st.Len(), eps, buf)
 				returned += len(buf)
 				q += 131
 			})
 			if allocs != 0 {
-				t.Errorf("%.1f allocs per two range queries, want 0", allocs)
+				t.Errorf("%.1f allocs per range query, want 0", allocs)
 			}
 			if returned == 0 {
 				t.Error("the queries returned nothing: the test does not test")

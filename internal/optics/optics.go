@@ -79,7 +79,7 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 		}
 		// Expand a new connected component from start.
 		processed[start] = true
-		nbuf = idx.RangeAppendID(start, params.Eps, nbuf)
+		nbuf = idx.RangeAppend(idx.Point(start), params.Eps, nbuf)
 		cd := coreDist(start, nbuf)
 		res.Order = append(res.Order, Entry{Object: start, Reachability: Undefined, CoreDist: cd})
 		seeds = seeds[:0]
@@ -92,7 +92,7 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 				continue
 			}
 			processed[q.object] = true
-			qNeighbors := idx.RangeAppendID(q.object, params.Eps, nbuf)
+			qNeighbors := idx.RangeAppend(idx.Point(q.object), params.Eps, nbuf)
 			nbuf = qNeighbors
 			qcd := coreDist(q.object, qNeighbors)
 			res.Order = append(res.Order, Entry{

@@ -20,6 +20,7 @@ import (
 	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
 	"github.com/dbdc-go/dbdc/internal/incdbscan"
+	"github.com/dbdc-go/dbdc/internal/index"
 	"github.com/dbdc-go/dbdc/internal/model"
 	"github.com/dbdc-go/dbdc/internal/transport"
 )
@@ -211,44 +212,15 @@ func (s *Site) Flush() error {
 	return s.upload(s.inc.Labels())
 }
 
-// windowIndex is the live window as an index in arrival order: rows and
-// store from a window-order store copy of the points, by-id range queries
-// from the incremental clusterer's ε-cells, its slots translated to window
-// positions.
-type windowIndex struct {
-	st   *geom.Store
-	site *Site
-	pos  []int // slot → window position
-}
-
-// Len, Point, Store and RangeAppend implement index.Index over the
-// window-order store; a by-point query scans its rows, which the
-// condensation never asks for — it queries by id.
-func (w *windowIndex) Len() int               { return w.st.Len() }
-func (w *windowIndex) Point(i int) geom.Point { return w.st.Point(i) }
-func (w *windowIndex) Store() *geom.Store     { return w.st }
-func (w *windowIndex) RangeAppend(q geom.Point, eps float64, buf []int) []int {
-	return w.st.VerifyIntervalSq(q, 0, w.st.Len(), eps*eps, buf[:0])
-}
-
-// RangeAppendID implements index.Index.
-func (w *windowIndex) RangeAppendID(i int, eps float64, buf []int) []int {
-	buf = w.site.inc.RangeSlot(w.site.slot(i), eps, buf)
-	for k, slot := range buf {
-		buf[k] = w.pos[slot]
-	}
-	return buf
-}
-
 // slot returns the slot of window position i, oldest first.
 func (s *Site) slot(i int) int { return s.ring[(s.head+i)%s.cfg.Window] }
 
 // localModel condenses the live window into the local model LocalStep would
 // build over the window's points in arrival order, byte for byte, from what
 // the incremental clusterer already knows — its core flags and labels (by
-// slot) — at one cell query per border object and one per specific core.
+// slot): FromCores over a packed R*-tree of the window, one neighbourhood
+// walked per border object and one per specific core, no DBSCAN run.
 func (s *Site) localModel(labels cluster.Labeling) (*model.LocalModel, error) {
-	w := &windowIndex{site: s, pos: make([]int, len(labels))}
 	dim := 1 // an empty window has no stride to take
 	if s.count > 0 {
 		dim = s.inc.Point(s.slot(0)).Dim()
@@ -258,12 +230,14 @@ func (s *Site) localModel(labels cluster.Labeling) (*model.LocalModel, error) {
 	wl := make(cluster.Labeling, s.count)
 	for i := range s.count {
 		slot := s.slot(i)
-		w.pos[slot] = i
 		st.Append(s.inc.Point(slot))
 		core[i], wl[i] = s.inc.IsCore(slot), labels[slot]
 	}
-	w.st = st
-	res, err := dbscan.FromCores(w, s.cfg.Cluster.Local, core, wl)
+	idx, err := index.BuildStore(index.KindRStar, st, geom.Euclidean{}, s.cfg.Cluster.Local.Eps)
+	if err != nil {
+		return nil, err
+	}
+	res, err := dbscan.FromCores(idx, s.cfg.Cluster.Local, core, wl)
 	if err != nil {
 		return nil, err
 	}

@@ -124,6 +124,39 @@ func TestUploadMatchesLocalStep(t *testing.T) {
 	}
 }
 
+// Flush on a site that has ingested nothing uploads LocalStep's model over
+// zero points: FromCores over an empty packed tree.
+func TestFlushEmptyWindowMatchesLocalStep(t *testing.T) {
+	cfg := testCfg(64)
+	var none []geom.Point
+	rec := &windowRecorder{window: cfg.Window, stream: &none}
+	site, err := NewSite(cfg, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.models) != 1 {
+		t.Fatalf("%d uploads, want 1", len(rec.models))
+	}
+	batch, err := idbdc.LocalStep(cfg.SiteID, nil, cfg.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := batch.Model.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.models[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("empty upload %x, LocalStep's model %x", got, want)
+	}
+}
+
 // A change check that does not upload allocates the resolved labeling and
 // the pair statistics, and no copy of the snapshot: in the steady state of a
 // window PadSnapshot hands it back as it is.
