@@ -52,11 +52,11 @@ func TestCondenseParallelDifferential(t *testing.T) {
 	}
 }
 
-// TestCondenseSequentialUnchanged asserts the stable contract of the
+// TestCondenseOneWorkerContract asserts the stable contract of the
 // condensation on one worker, the calling goroutine: every cluster has at
 // least one specific core and every specific ε is ≥ Eps (Definition 7 lower
 // bound).
-func TestCondenseSequentialUnchanged(t *testing.T) {
+func TestCondenseOneWorkerContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := uniformPoints(rng, 400, 10)
 	params := Params{Eps: 0.4, MinPts: 4}

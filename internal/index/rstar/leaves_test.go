@@ -103,9 +103,11 @@ func bruteNear(p *Packed, eps float64) (near [][]int32, listed, runs int) {
 // every pair of leaf boxes on the degenerate shapes at fan-outs 4 and 32: it
 // never holds more spans than there are points — the small-fan-out trees of
 // the lattice under a wide ε, among others, keep none — and lists, where
-// kept, what the box pairs list; fan-out 4 makes trees of five levels and
-// more, where the descent's visit order is not the leaves' index order. A
-// twin built without a radius keeps no table.
+// kept, what the box pairs list. A twin built without a radius keeps no
+// table, and is the oracle of the by-point query: at the radius the table was
+// built for, below it, above it and at 0, RangeAppend equals the twin's level
+// walk — ids and order. Fan-out 4 makes trees of five levels and more, where
+// the descent's visit order is not the leaves' index order.
 func TestLeafTableMatchesBoxPairs(t *testing.T) {
 	tables := map[bool]int{}
 	for _, c := range degenerateShapes() {
@@ -142,6 +144,15 @@ func TestLeafTableMatchesBoxPairs(t *testing.T) {
 			}
 			if twin.near != nil || twin.nearEps2 >= 0 {
 				t.Fatalf("%s: a tree built without a radius has a table", name)
+			}
+			var buf []int
+			for _, eps := range []float64{c.eps, c.eps / 2, 2 * c.eps, 0} {
+				for id := range c.pts {
+					buf = p.RangeAppend(c.pts[id], eps, buf[:0])
+					if want := levelWalk(twin, c.pts[id], eps); !slices.Equal(buf, want) {
+						t.Fatalf("%s: id %d eps %v: by point %v, level walk %v", name, id, eps, buf, want)
+					}
+				}
 			}
 		}
 	}
