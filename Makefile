@@ -51,17 +51,17 @@ bench-module:
 # (status above 1) — a search that did not run never reads as a clean one.
 verdict = s=$$?; test $$s -eq 1 || { echo '$@: $(1)'; test $$s -eq 0 || echo "$@: git grep failed with status $$s"; exit 1; }
 
-# Every static index is a permutation, spans and a descent (the internal/index
-# package comment): no per-query scratch to pool, nothing to materialise once.
-# And every kind has one query arm, the store kernels, under the one metric the
-# pipeline knows, the Euclidean. And the pipeline has one access method, the
-# R*-tree: the linear scan is the tests' oracle. And DBSCAN and the streaming
-# site find a neighbourhood one way, by walking the leaves. Fails if a non-test
-# file under internal/index mentions sync.Pool or sync.Once or calls a
-# metric's Distance, or a non-test Go file outside bench/ mentions geom.Metric
-# or calls a .Metric() method, or one outside internal/index and bench/ names
-# KindLinear or NewLinearStore, or one under internal/dbscan or
-# internal/stream calls RangeAppend.
+# Every static index is its store plus its leaves (the internal/index package
+# comment): it lays the points out and queries none of them, so it has no
+# per-query scratch to pool, nothing to materialise once and no distance to
+# verify — a neighbourhood is dbscan's walk over the near leaves, through the
+# store kernels, under the one metric the pipeline knows, the Euclidean. And
+# the pipeline has one access method, the R*-tree: the linear scan is the
+# tests' oracle. Fails if a non-test file under internal/index mentions
+# sync.Pool or sync.Once, calls a metric's Distance or calls a store verifier
+# (VerifyRangeSq, DistanceSqBatch), or a non-test Go file outside bench/
+# mentions geom.Metric or calls a .Metric() method, or one outside
+# internal/index and bench/ names KindLinear or NewLinearStore.
 index-guard:
 	@git grep --untracked -nE 'sync\.(Pool|Once)' -- 'internal/index/*.go' ':(exclude)*_test.go'; \
 		$(call verdict,sync.Pool or sync.Once under internal/index)
@@ -72,8 +72,8 @@ index-guard:
 	@git grep --untracked -nE '\b(KindLinear|NewLinearStore)\b' -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' \
 		':(exclude)internal/index/*'; \
 		$(call verdict,the linear scan selected outside internal/index and bench/)
-	@git grep --untracked -n 'RangeAppend(' -- 'internal/dbscan/*.go' 'internal/stream/*.go' ':(exclude)*_test.go'; \
-		$(call verdict,a region query under internal/dbscan or internal/stream)
+	@git grep --untracked -nE '(VerifyRangeSq|DistanceSqBatch)\(' -- 'internal/index/*.go' ':(exclude)*_test.go'; \
+		$(call verdict,a store verifier called under internal/index)
 
 # Every server runs one connection lifecycle, transport.ConnLoop
 # (internal/transport/loop.go): accept, one handler per connection, close when
@@ -104,10 +104,11 @@ cite-guard:
 	@bash scripts/cite_guard.sh
 
 # Short native-fuzzing smoke over every fuzz target (decoders must never
-# panic on arbitrary bytes; kernels and the fused verifiers must match their
-# references, every index kind refuse what the linear scan refuses and answer
-# like it otherwise, the packed R*-tree query a linear scan and a test-only
-# walk of its packed levels; incremental DBSCAN must match batch DBSCAN, and
+# panic on arbitrary bytes; kernels and the fused verifier must match their
+# references, every index kind refuse what the linear scan refuses and give the
+# oracle's neighbourhoods otherwise, the packed R*-tree keep every id in one
+# leaf inside its box, list near leaves as a test of every pair of leaf boxes
+# does and give a scan's neighbourhoods; incremental DBSCAN must match batch DBSCAN, and
 # its ε-cells a linear scan, after every operation; the representative selector's coverage grid, which every
 # relabel and classification goes through, must label like a scan over every
 # representative; DBSCAN's leaf schedule must produce the pair-by-pair
@@ -131,7 +132,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzVerifyRangeSq -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzBuildRejectsOrAgrees -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzBulkRange -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index/rstar/ -run '^$$' -fuzz FuzzLeaves -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incdbscan/ -run '^$$' -fuzz FuzzIncOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dbdc/ -run '^$$' -fuzz FuzzRepSelector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dbscan/ -run '^$$' -fuzz FuzzBudgetScor -fuzztime $(FUZZTIME)

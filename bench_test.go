@@ -419,10 +419,7 @@ func BenchmarkRelabel(b *testing.B) {
 var benchSink float64
 
 // BenchmarkStoreKernels measures the flat-store hot paths: the strided
-// squared-distance kernels against their slice counterparts, and the
-// store-backed range-query scan that must run allocation-free (allocs/op =
-// 0 in the range loop — also pinned hard by the zero-alloc regression test
-// in internal/index; here it sits next to the kernels' timings).
+// squared-distance kernels against their slice counterparts.
 func BenchmarkStoreKernels(b *testing.B) {
 	ds := data.DatasetA(20_000, 1)
 	st := ds.Store
@@ -465,21 +462,6 @@ func BenchmarkStoreKernels(b *testing.B) {
 		}
 		benchSink = sink
 	})
-
-	// Range queries through the reusable-buffer seam. The loops reuse one
-	// buffer; they must report allocs/op = 0.
-	b.Run(fmt.Sprintf("range/store/%s", index.KindRStar), func(b *testing.B) {
-		idx, err := index.BuildStore(index.KindRStar, st, e, ds.Params.Eps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]int, 0, 1024)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = idx.RangeAppend(st.Point(i%n), ds.Params.Eps, buf)
-		}
-	})
 }
 
 // BenchmarkLocalClustering measures the hot path of DBDC's step 1 — one
@@ -513,7 +495,7 @@ func BenchmarkLocalClustering(b *testing.B) {
 	}
 	// One worker on the default index. The linear scan is excluded: O(n²)
 	// distance computations at this cardinality measure patience, not
-	// kernels (internal/index has per-query benches covering it).
+	// kernels (internal/index's BenchmarkNeighbours walks it per object).
 	b.Run(fmt.Sprintf("store/%s", index.KindRStar), func(b *testing.B) {
 		// Flat-store bulk load: the index keeps the stride-2 backing array
 		// and verifies candidates with the strided kernels. It is built for

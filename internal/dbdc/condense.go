@@ -17,7 +17,8 @@ import (
 // representative becomes a local-model representative whose LocalCluster is
 // its regional global cluster id, so the regional clustering rides upward
 // in-band (stable cluster-id provenance) and the parent needs zero new
-// frame types on the wire.
+// frame types on the wire. The model's clusters must be numbered
+// 0…NumClusters−1, as GlobalStep and OpticsOrderer.Extract number them.
 //
 // Eps propagation across levels: the condensed model's EpsLocal is the
 // regional EpsGlobal, so a parent that derives its own Eps_global from the
@@ -74,6 +75,9 @@ func CondenseGlobal(siteID string, g *model.GlobalModel, cfg Config) (*LocalOutc
 		SpecificEps: make(map[int]float64, len(g.Reps)),
 	}
 	for i, r := range g.Reps {
+		if r.GlobalCluster >= cluster.ID(g.NumClusters) {
+			return nil, fmt.Errorf("dbdc: condensing global cluster %d of a model numbered 0…%d", r.GlobalCluster, g.NumClusters-1)
+		}
 		pts[i] = r.Point
 		// Every representative is a specific core of its regional cluster:
 		// it was selected as (or refined from) a specific core one level

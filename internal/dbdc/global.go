@@ -62,7 +62,6 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 	// Merged representatives take their DBSCAN cluster id; unmerged ones
 	// (noise under MinPts_global) each become a singleton global cluster.
 	next := cluster.ID(res.NumClusters())
-	ids := make(map[cluster.ID]bool)
 	for i := range reps {
 		id := res.Labels[i]
 		if id == cluster.Noise {
@@ -70,13 +69,12 @@ func GlobalStep(models []*model.LocalModel, cfg Config) (*model.GlobalModel, err
 			next++
 		}
 		reps[i].GlobalCluster = id
-		ids[id] = true
 	}
 	return &model.GlobalModel{
 		EpsGlobal:    epsGlobal,
 		MinPtsGlobal: DefaultMinPtsGlobal,
 		Reps:         reps,
-		NumClusters:  len(ids),
+		NumClusters:  int(next),
 	}, nil
 }
 

@@ -79,10 +79,13 @@ func (o *OpticsOrderer) Extract(epsCut float64) (*model.GlobalModel, error) {
 	labels := o.ordering.ExtractDBSCAN(epsCut)
 	reps := make([]model.GlobalRepresentative, len(o.reps))
 	copy(reps, o.reps)
-	next := cluster.ID(labels.NumClusters())
-	// Renumber so extracted ids are dense before appending singletons.
+	// ExtractDBSCAN numbers its clusters 0, 1, … in cluster order; renumber
+	// them in object order, then append the singletons.
 	labels = labels.Canonicalize()
-	ids := make(map[cluster.ID]bool)
+	var next cluster.ID
+	for _, id := range labels {
+		next = max(next, id+1)
+	}
 	for i := range reps {
 		id := labels[i]
 		if id == cluster.Noise {
@@ -90,13 +93,12 @@ func (o *OpticsOrderer) Extract(epsCut float64) (*model.GlobalModel, error) {
 			next++
 		}
 		reps[i].GlobalCluster = id
-		ids[id] = true
 	}
 	return &model.GlobalModel{
 		EpsGlobal:    epsCut,
 		MinPtsGlobal: DefaultMinPtsGlobal,
 		Reps:         reps,
-		NumClusters:  len(ids),
+		NumClusters:  int(next),
 	}, nil
 }
 

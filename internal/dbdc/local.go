@@ -61,9 +61,9 @@ type LocalOutcome struct {
 	st   *geom.Store
 	cfg  Config
 	rank *dbscan.ScorRanking
-	// ids are the clustering's cluster ids in ascending order, collected
-	// once: every budget condenses the same clusters.
-	ids []cluster.ID
+	// numClusters is how many clusters the clustering has, numbered 0, 1, …
+	// as Run and FromCores number them: every budget condenses the same ones.
+	numClusters int
 	// numObjects, when positive, overrides the model's NumObjects: a
 	// condensed outcome (CondenseGlobal) clusters representatives, but the
 	// compression statistics want the cardinality of the objects those
@@ -138,13 +138,13 @@ func LocalStepClustered(siteID string, st *geom.Store, res *dbscan.Result, cfg C
 	cfg = cfg.withDefaults()
 	condenseStart := time.Now()
 	o := &LocalOutcome{
-		SiteID:     siteID,
-		Points:     st.Views(),
-		Clustering: res,
-		RepBudget:  cfg.RepBudget,
-		st:         st,
-		cfg:        cfg,
-		ids:        res.Labels.ClusterIDs(),
+		SiteID:      siteID,
+		Points:      st.Views(),
+		Clustering:  res,
+		RepBudget:   cfg.RepBudget,
+		st:          st,
+		cfg:         cfg,
+		numClusters: res.NumClusters(),
 	}
 	if cfg.RepBudget > 0 {
 		o.rank = dbscan.RankScor(st, res)
@@ -188,7 +188,7 @@ func (o *LocalOutcome) BudgetedModel(budget int) (*model.LocalModel, dbscan.Budg
 		EpsLocal:    o.cfg.Local.Eps,
 		MinPts:      o.cfg.Local.MinPts,
 		NumObjects:  o.st.Len(),
-		NumClusters: len(o.ids),
+		NumClusters: o.numClusters,
 	}
 	if o.numObjects > 0 {
 		m.NumObjects = o.numObjects
@@ -196,10 +196,10 @@ func (o *LocalOutcome) BudgetedModel(budget int) (*model.LocalModel, dbscan.Budg
 	var err error
 	switch o.cfg.Model {
 	case model.RepScor:
-		m.Reps = scorReps(o.st, res, o.ids)
+		m.Reps = scorReps(o.st, res, o.numClusters)
 	case model.RepKMeans:
 		// A REP_kMeans prefix re-runs k-means on its prefix seeds.
-		if m.Reps, err = kmeansReps(o.st, res, o.ids); err != nil {
+		if m.Reps, err = kmeansReps(o.st, res, o.numClusters); err != nil {
 			return nil, stats, fmt.Errorf("dbdc: site %s: %w", o.SiteID, err)
 		}
 	}
@@ -226,10 +226,10 @@ func (o *LocalOutcome) ShrinkBudget(excess int64) int {
 
 // scorReps builds the REP_Scor local model (Section 5.1): the specific core
 // points with their specific ε-ranges, both already computed during the
-// DBSCAN run, cluster by cluster in the ascending order of ids.
-func scorReps(st *geom.Store, res *dbscan.Result, ids []cluster.ID) []model.Representative {
+// DBSCAN run, cluster by cluster in ascending id, 0 to k−1.
+func scorReps(st *geom.Store, res *dbscan.Result, k int) []model.Representative {
 	var reps []model.Representative
-	for _, id := range ids {
+	for id := range cluster.ID(k) {
 		for _, s := range res.Scor[id] {
 			reps = append(reps, model.Representative{
 				Point:        st.Point(s).Clone(),
@@ -244,10 +244,11 @@ func scorReps(st *geom.Store, res *dbscan.Result, ids []cluster.ID) []model.Repr
 // kmeansReps builds the REP_kMeans local model (Section 5.2): for every
 // cluster C, k-means with k = |Scor_C| seeded by the specific core points
 // refines the representatives to centroids; each centroid's ε-range is the
-// maximum distance of its assigned objects. The clusters are ids, ascending.
-func kmeansReps(st *geom.Store, res *dbscan.Result, ids []cluster.ID) ([]model.Representative, error) {
+// maximum distance of its assigned objects. The clusters are 0 to k−1,
+// ascending.
+func kmeansReps(st *geom.Store, res *dbscan.Result, k int) ([]model.Representative, error) {
 	var reps []model.Representative
-	for _, id := range ids {
+	for id := range cluster.ID(k) {
 		members := res.Labels.Members(id)
 		memberPts := make([]geom.Point, len(members))
 		for i, m := range members {

@@ -73,7 +73,7 @@ func RankScor(st *geom.Store, res *Result) *ScorRanking {
 	// clusters are disjoint, and the coverage rows' buffer.
 	covered := make([]bool, st.Len())
 	var rows []int
-	for _, id := range res.Labels.ClusterIDs() {
+	for id := range cluster.ID(res.NumClusters()) {
 		members := res.Labels.Members(id)
 		r.members += len(members)
 		r.rank[id], r.covered[id], rows = greedyCover(st, res, res.Scor[id], members, covered, rows)

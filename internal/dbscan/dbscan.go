@@ -23,7 +23,8 @@
 //   - ε_s = Eps + max{dist(s, c) | c core, c ∈ N_Eps(s)} (Definition 7).
 //   - RangeQueries is n + |Scor|, the paper's cost count: one region query per
 //     object and one per specific core point. Run issues none: every
-//     neighbourhood it needs is a walk over the index's leaves (walk).
+//     neighbourhood it needs is a walk over the index's leaves (walk), the
+//     walk Neighbours offers OPTICS and pdbscan by id.
 package dbscan
 
 import (
@@ -92,8 +93,15 @@ type Result struct {
 	Shards int
 }
 
-// NumClusters returns the number of clusters found.
-func (r *Result) NumClusters() int { return r.Labels.NumClusters() }
+// NumClusters returns the number of clusters found: the largest label + 1,
+// the clusters being numbered 0, 1, … (see the package comment).
+func (r *Result) NumClusters() int {
+	var k cluster.ID
+	for _, id := range r.Labels {
+		k = max(k, id+1)
+	}
+	return int(k)
+}
 
 // IsBorder reports whether object i is a border object: assigned to a
 // cluster but not core.
@@ -105,11 +113,11 @@ func (r *Result) IsBorder(i int) bool { return r.Labels[i] >= 0 && !r.Core[i] }
 // after construction. The Result is the one the package comment defines,
 // whatever the index kind and whatever Options.Workers says.
 //
-// The schedule works over the index's leaves (index.Leaves; an index without
-// them is one leaf) and the leaves within Eps of each, box to box: step 1
-// (count) finds the core objects by counting and unites them within each
-// leaf, step 2 (link) across pairs of leaves; the condensation walks a
-// specific core point's neighbourhood the way step 1 does, without its stop.
+// The schedule works over the index's leaves and the leaves within Eps of
+// each, box to box: step 1 (count) finds the core objects by counting and
+// unites them within each leaf, step 2 (link) across pairs of leaves; the
+// condensation walks a specific core point's neighbourhood the way step 1
+// does, without its stop.
 // Until the numbering pass res.Labels is the forest of those unions, a
 // parent's id never larger than its child's.
 func Run(idx index.Index, params Params, opts Options) (*Result, error) {
@@ -262,7 +270,7 @@ const keep = 4
 // schedule is the state of one Run shared by its steps.
 type schedule struct {
 	st        *geom.Store
-	leaves    index.Leaves
+	leaves    index.Index
 	leaf      []reach // per leaf, its ids and box
 	eps, eps2 float64
 	minPts    int
@@ -294,21 +302,18 @@ type reach struct {
 
 func newSchedule(idx index.Index, res *Result, workers int) (*schedule, []worker) {
 	st, n, eps2 := idx.Store(), idx.Len(), res.Params.Eps*res.Params.Eps
-	s := &schedule{st: st, eps: res.Params.Eps, eps2: eps2, minPts: res.Params.MinPts,
+	s := &schedule{st: st, leaves: idx, eps: res.Params.Eps, eps2: eps2, minPts: res.Params.MinPts,
 		core: res.Core, parent: res.Labels}
-	if s.leaves, _ = idx.(index.Leaves); s.leaves == nil || s.leaves.NumLeaves() == 0 {
-		s.leaves = newOneLeaf(st)
-	}
-	leaves, maxLeaf := s.leaves.NumLeaves(), 0
+	leaves, maxLeaf := idx.NumLeaves(), 0
 	s.leaf, s.rep, s.leafOf = make([]reach, leaves), make([]int32, leaves), make([]int32, n)
 	for leaf := range leaves {
-		ids, box := s.leaves.Leaf(leaf)
+		ids, box := idx.Leaf(leaf)
 		s.leaf[leaf], maxLeaf = reach{ids, box}, max(maxLeaf, len(ids))
 		for _, p := range ids {
 			s.leafOf[p] = int32(leaf)
 		}
 	}
-	workers = min(workers, leaves)
+	workers = min(workers, max(leaves, 1))
 	ws := make([]worker, workers)
 	for w := range ws { // nothing grows over a run but the records
 		ws[w] = worker{near: make([]int32, 0, leaves), order: make([]reach, 0, leaves),
@@ -383,6 +388,32 @@ func (s *schedule) neighbours(w *worker, p int) []int {
 	s.near(w, int(s.leafOf[p]))
 	w.buf, _ = s.walk(w.order, s.st.Point(p), s.st.Len()+1, w.buf[:0])
 	return w.buf
+}
+
+// Neighbourhoods finds the ε-neighbourhood of an indexed point by its id, by
+// the walk Run, the condensation and FromCores find theirs with: the point's
+// own leaf, then the leaves near it. It is what OPTICS and pdbscan ask of an
+// index. It holds one walk's scratch, so it serves one goroutine at a time.
+type Neighbourhoods struct {
+	s *schedule
+	w *worker
+}
+
+// Neighbours readies the ε-neighbourhoods of idx's points at radius eps ≥ 0.
+func Neighbours(idx index.Index, eps float64) *Neighbourhoods {
+	s, ws := newSchedule(idx, &Result{Params: Params{Eps: eps}}, 1)
+	return &Neighbourhoods{s, &ws[0]}
+}
+
+// Of returns N_Eps(p) — every id within Eps of point p in the store kernel's
+// squared distance, p among them, each once, in the walk's order — in buf
+// after truncating it to zero length; a nil buf asks for a fresh slice. The
+// whole capacity of buf is the walk's to scribble on (the store verifier
+// writes candidates past the result before it knows the verdict), so hand in
+// a buffer, not a window of a slice whose tail is still in use.
+func (n *Neighbourhoods) Of(p int, buf []int) []int {
+	n.w.buf = buf[:0]
+	return n.s.neighbours(n.w, p)
 }
 
 // count is step 1 for one leaf's objects: each walks to its ε-neighbours,
@@ -527,21 +558,3 @@ func (s *schedule) pair(w *worker, a, b int, uniform bool) {
 		}
 	}
 }
-
-// oneLeaf is the schedule's view of an index without leaves: every id in one
-// leaf with the store's bounding box.
-type oneLeaf reach
-
-func newOneLeaf(st *geom.Store) *oneLeaf {
-	o := &oneLeaf{ids: make([]int, st.Len())}
-	for i := range o.ids {
-		o.ids[i] = i
-	}
-	r := st.BoundingRect()
-	o.box = append(r.Min, r.Max...)
-	return o
-}
-
-func (o *oneLeaf) NumLeaves() int                                    { return 1 }
-func (o *oneLeaf) Leaf(int) ([]int, []float64)                       { return o.ids, o.box }
-func (o *oneLeaf) NearLeaves(_ int, _ float64, near []int32) []int32 { return append(near, 0) }

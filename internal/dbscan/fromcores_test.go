@@ -19,6 +19,7 @@ import (
 func perturbed(rng *rand.Rand, idx index.Index, run *Result) (out cluster.Labeling, moved int) {
 	perm := rng.Perm(run.NumClusters())
 	out = make(cluster.Labeling, len(run.Labels))
+	nb := Neighbours(idx, run.Params.Eps)
 	for i, id := range run.Labels {
 		out[i] = id
 		if id < 0 {
@@ -29,7 +30,7 @@ func perturbed(rng *rand.Rand, idx index.Index, run *Result) (out cluster.Labeli
 			continue
 		}
 		var choices []cluster.ID
-		for _, q := range idx.RangeAppend(idx.Point(i), run.Params.Eps, nil) {
+		for _, q := range nb.Of(i, nil) {
 			if run.Core[q] {
 				choices = append(choices, cluster.ID(perm[run.Labels[q]]))
 			}

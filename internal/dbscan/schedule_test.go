@@ -68,3 +68,37 @@ func TestRunAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocations over 16 000 rows, %.0f over 4 000: the schedule allocates per leaf or per object", allocs[16000], allocs[4000])
 	}
 }
+
+// TestNeighboursZeroAlloc is the hot-loop regression gate of the by-id
+// neighbourhood OPTICS and pdbscan walk once per object: once the result
+// buffer has grown to its steady-state capacity, a neighbourhood over any
+// index kind allocates nothing.
+func TestNeighboursZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	st := blobSite(1)
+	const eps = 1.2
+	for _, kind := range index.Kinds() {
+		idx, err := index.BuildStore(kind, st, geom.Euclidean{}, eps)
+		if err != nil {
+			t.Fatalf("%s: BuildStore: %v", kind, err)
+		}
+		t.Run(string(kind), func(t *testing.T) {
+			nb := dbscan.Neighbours(idx, eps)
+			buf := make([]int, 0, st.Len()) // steady-state capacity up front
+			p, returned := 0, 0
+			allocs := testing.AllocsPerRun(100, func() {
+				buf = nb.Of(p%st.Len(), buf)
+				returned += len(buf)
+				p += 131
+			})
+			if allocs != 0 {
+				t.Errorf("%.1f allocs per neighbourhood, want 0", allocs)
+			}
+			if returned == 0 {
+				t.Error("the neighbourhoods were empty: the test does not test")
+			}
+		})
+	}
+}

@@ -101,7 +101,7 @@ func (s *Store) DistanceSqBatch(q Point, ids []int, out []float64) []float64 {
 // chain (identical bits for all non-NaN operands), and a NaN distance fails
 // the test in every kernel body.
 //
-// Both Verify* entry points may use out[len(out):len(out)+len(cand)]
+// VerifyRangeSq may use out[len(out):len(out)+len(cand)]
 // as scratch (the default build stores every candidate there before it knows
 // the verdict), growing out first when it is shorter: a caller must not keep
 // live data in the spare capacity of the slice it hands in. Elements below
@@ -123,25 +123,4 @@ func (s *Store) VerifyRangeSq(q Point, cand []int, eps2 float64, out []int) []in
 		panic("geom: verify query point longer than store stride")
 	}
 	return verifyKernel(s.buf, s.dim, q, cand, eps2, out)
-}
-
-// VerifyIntervalSq is VerifyRangeSq over the consecutive row interval
-// [lo, hi): ids within squared distance eps2 of q are appended to out in
-// ascending row order. This is the exhaustive linear-scan shape — the rows
-// stream in layout order, no id list is materialised.
-func (s *Store) VerifyIntervalSq(q Point, lo, hi int, eps2 float64, out []int) []int {
-	if hi <= lo {
-		return out
-	}
-	if debugChecks {
-		s.mustIndex(lo)
-		s.mustIndex(hi - 1)
-		if s.Len() > 0 {
-			mustSameDim(q, s.Point(0))
-		}
-	}
-	if len(q) > s.dim {
-		panic("geom: verify query point longer than store stride")
-	}
-	return verifyIntervalKernel(s.buf, s.dim, q, lo, hi, eps2, out)
 }

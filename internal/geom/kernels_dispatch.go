@@ -243,83 +243,3 @@ func verifyKernel(buf []float64, stride int, q []float64, ids []int, eps2 float6
 	}
 	return out[:k]
 }
-
-// verifyIntervalKernel is verifyKernel over the consecutive rows [lo, hi):
-// passing row ids are appended in ascending order, the base offset streams
-// by the stride instead of gathering by id.
-func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, eps2 float64, out []int) []int {
-	k := len(out)
-	out = slices.Grow(out, hi-lo)[:k+hi-lo]
-	base := lo * stride
-	switch len(q) {
-	case 2:
-		q0, q1 := q[0], q[1]
-		for id := lo; id < hi; id++ {
-			b := buf[base : base+2]
-			var sum float64
-			d0 := q0 - b[0]
-			sum += d0 * d0
-			d1 := q1 - b[1]
-			sum += d1 * d1
-			out[k] = id
-			k += leq(sum, eps2)
-			base += stride
-		}
-	case 3:
-		q0, q1, q2 := q[0], q[1], q[2]
-		for id := lo; id < hi; id++ {
-			b := buf[base : base+3]
-			var sum float64
-			d0 := q0 - b[0]
-			sum += d0 * d0
-			d1 := q1 - b[1]
-			sum += d1 * d1
-			d2 := q2 - b[2]
-			sum += d2 * d2
-			out[k] = id
-			k += leq(sum, eps2)
-			base += stride
-		}
-	case 4:
-		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-		for id := lo; id < hi; id++ {
-			b := buf[base : base+4]
-			var sum float64
-			d0 := q0 - b[0]
-			sum += d0 * d0
-			d1 := q1 - b[1]
-			sum += d1 * d1
-			d2 := q2 - b[2]
-			sum += d2 * d2
-			d3 := q3 - b[3]
-			sum += d3 * d3
-			out[k] = id
-			k += leq(sum, eps2)
-			base += stride
-		}
-	default:
-		for id := lo; id < hi; id++ {
-			b := buf[base : base+len(q)]
-			var sum float64
-			i := 0
-			for ; i+4 <= len(q); i += 4 {
-				d0 := q[i] - b[i]
-				sum += d0 * d0
-				d1 := q[i+1] - b[i+1]
-				sum += d1 * d1
-				d2 := q[i+2] - b[i+2]
-				sum += d2 * d2
-				d3 := q[i+3] - b[i+3]
-				sum += d3 * d3
-			}
-			for ; i < len(q); i++ {
-				d := q[i] - b[i]
-				sum += d * d
-			}
-			out[k] = id
-			k += leq(sum, eps2)
-			base += stride
-		}
-	}
-	return out[:k]
-}

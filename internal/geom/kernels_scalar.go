@@ -4,7 +4,7 @@ package geom
 
 // Scalar-kernel build: every stride runs the plain reference loop — the
 // single noinline distSqScalar body, shared by the one-row, batch and
-// interval entry points, so batched and per-row results are bit-identical
+// verify entry points, so batched and per-row results are bit-identical
 // here exactly as in the unrolled build. This is the differential twin of
 // kernels_dispatch.go: `go test -tags dbdc_scalar_kernels ./...` must
 // produce byte-identical clusterings, models and frames, because on finite
@@ -34,19 +34,6 @@ func verifyKernel(buf []float64, stride int, q []float64, ids []int, eps2 float6
 		if distSqScalar(q, buf[base:base+len(q)]) <= eps2 {
 			out = append(out, id)
 		}
-	}
-	return out
-}
-
-// verifyIntervalKernel applies the shared scalar kernel over the consecutive
-// rows [lo, hi), appending the passing ids in ascending order.
-func verifyIntervalKernel(buf []float64, stride int, q []float64, lo, hi int, eps2 float64, out []int) []int {
-	base := lo * stride
-	for id := lo; id < hi; id++ {
-		if distSqScalar(q, buf[base:base+len(q)]) <= eps2 {
-			out = append(out, id)
-		}
-		base += stride
 	}
 	return out
 }

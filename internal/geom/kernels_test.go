@@ -191,38 +191,6 @@ func TestVerifyRangeSq(t *testing.T) {
 	}
 }
 
-// TestVerifyIntervalSq checks the fused exhaustive scan against the direct
-// per-row threshold test, ascending order included.
-func TestVerifyIntervalSq(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	pts := make([]Point, 1300)
-	for i := range pts {
-		pts[i] = Point{rng.Float64() * 4, rng.Float64() * 4}
-	}
-	st, err := FromPoints(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Point{2, 2}
-	eps2 := 0.5 * 0.5
-	var out []int
-	out = st.VerifyIntervalSq(q, 0, st.Len(), eps2, out[:0])
-	var want []int
-	for i := 0; i < st.Len(); i++ {
-		if st.DistanceSqTo(i, q) <= eps2 {
-			want = append(want, i)
-		}
-	}
-	if len(out) != len(want) {
-		t.Fatalf("VerifyIntervalSq kept %d ids, want %d", len(out), len(want))
-	}
-	for k := range want {
-		if out[k] != want[k] {
-			t.Fatalf("VerifyIntervalSq[%d] = %d, want %d", k, out[k], want[k])
-		}
-	}
-}
-
 // FuzzDistanceSqBatch fuzzes the batched-vs-scalar bit-identity contract
 // over raw coordinate bits and strides 1..5 (odd strides take the generic
 // tail path, 2/3/4 the unrolled bodies): three rows and a query are built
@@ -270,25 +238,21 @@ func FuzzDistanceSqBatch(f *testing.F) {
 	})
 }
 
-// checkVerifyContract holds the two fused verifiers to their contract on
+// checkVerifyContract holds the fused verifier to its contract on
 // one (store, query, candidates, threshold) instance: the result is exactly
 // the ids whose DistanceSqBatch value is ≤ eps2, in candidate order — with a
 // nil out, with spare capacity, behind a prefix that must survive (with and
 // without room for the candidates), and filtering the candidate slice in
 // place — and nothing at or beyond len(out)+len(cand) is ever written.
-// VerifyIntervalSq is held to the same rule on the row interval [lo, hi).
-func checkVerifyContract(t *testing.T, st *Store, q Point, cand []int, eps2 float64, lo, hi int) {
+func checkVerifyContract(t *testing.T, st *Store, q Point, cand []int, eps2 float64) {
 	t.Helper()
 	const sentinel = -12345
 	prefix := []int{-7, -8, -9}
-	reference := func(ids []int) []int {
-		var want []int
-		for k, d2 := range st.DistanceSqBatch(q, ids, make([]float64, len(ids))) {
-			if d2 <= eps2 {
-				want = append(want, ids[k])
-			}
+	var want []int
+	for k, d2 := range st.DistanceSqBatch(q, cand, make([]float64, len(cand))) {
+		if d2 <= eps2 {
+			want = append(want, cand[k])
 		}
-		return want
 	}
 	same := func(name string, got, want []int) {
 		t.Helper()
@@ -301,51 +265,32 @@ func checkVerifyContract(t *testing.T, st *Store, q Point, cand []int, eps2 floa
 			}
 		}
 	}
-	// shapes runs one verifier (n candidates per call) through every out
-	// shape; inPlace is nil for the interval form, which has no candidate
-	// slice to filter.
-	shapes := func(name string, n int, want []int, verify func(out []int) []int, inPlace func() []int) {
-		t.Helper()
-		same(name+"/nil", verify(nil), want)
-		for _, spare := range []int{0, n, n + 4} {
-			backing := make([]int, len(prefix)+spare)
-			copy(backing, prefix)
-			for i := len(prefix); i < len(backing); i++ {
-				backing[i] = sentinel
+	n := len(cand)
+	verify := func(out []int) []int { return st.VerifyRangeSq(q, cand, eps2, out) }
+	same("nil", verify(nil), want)
+	for _, spare := range []int{0, n, n + 4} {
+		backing := make([]int, len(prefix)+spare)
+		copy(backing, prefix)
+		for i := len(prefix); i < len(backing); i++ {
+			backing[i] = sentinel
+		}
+		got := verify(backing[:len(prefix):len(backing)])
+		same("prefix", got[:len(prefix)], prefix)
+		same("prefix", got[len(prefix):], want)
+		same("prefix-in-caller's-array", backing[:len(prefix)], prefix)
+		if spare >= n {
+			if n > 0 && &got[0] != &backing[0] {
+				t.Fatalf("out had room for %d candidates and was reallocated", n)
 			}
-			got := verify(backing[:len(prefix):len(backing)])
-			same(name+"/prefix", got[:len(prefix)], prefix)
-			same(name+"/prefix", got[len(prefix):], want)
-			same(name+"/prefix-in-caller's-array", backing[:len(prefix)], prefix)
-			if spare >= n {
-				if n > 0 && &got[0] != &backing[0] {
-					t.Fatalf("%s: out had room for %d candidates and was reallocated", name, n)
-				}
-				for i := len(prefix) + n; i < len(backing); i++ {
-					if backing[i] != sentinel {
-						t.Fatalf("%s: wrote backing[%d], at or beyond len(out)+len(cand) = %d", name, i, len(prefix)+n)
-					}
+			for i := len(prefix) + n; i < len(backing); i++ {
+				if backing[i] != sentinel {
+					t.Fatalf("wrote backing[%d], at or beyond len(out)+len(cand) = %d", i, len(prefix)+n)
 				}
 			}
 		}
-		if inPlace != nil {
-			same(name+"/in-place", inPlace(), want)
-		}
 	}
-
-	want := reference(cand)
-	shapes("VerifyRangeSq", len(cand), want,
-		func(out []int) []int { return st.VerifyRangeSq(q, cand, eps2, out) },
-		func() []int {
-			c := append([]int(nil), cand...)
-			return st.VerifyRangeSq(q, c, eps2, c[:0])
-		})
-	rows := make([]int, 0, hi-lo)
-	for id := lo; id < hi; id++ {
-		rows = append(rows, id)
-	}
-	shapes("VerifyIntervalSq", len(rows), reference(rows),
-		func(out []int) []int { return st.VerifyIntervalSq(q, lo, hi, eps2, out) }, nil)
+	c := append([]int(nil), cand...)
+	same("in-place", st.VerifyRangeSq(q, c, eps2, c[:0]), want)
 }
 
 // TestVerifyContract runs checkVerifyContract over every dispatch branch
@@ -377,9 +322,9 @@ func TestVerifyContract(t *testing.T) {
 		}
 		cand := append(rng.Perm(len(pts))[:30], 1, 1, 4, 0)
 		for _, eps2 := range []float64{0, 1e-300, 2, float64(dim) * 4, math.MaxFloat64, math.Inf(1), math.NaN(), -1} {
-			checkVerifyContract(t, st, q, cand, eps2, 5, 41)
-			checkVerifyContract(t, st, pts[4], cand[:1], eps2, 7, 8)
-			checkVerifyContract(t, st, q, nil, eps2, 9, 9)
+			checkVerifyContract(t, st, q, cand, eps2)
+			checkVerifyContract(t, st, pts[4], cand[:1], eps2)
+			checkVerifyContract(t, st, q, nil, eps2)
 		}
 	}
 }
@@ -407,6 +352,6 @@ func FuzzVerifyRangeSq(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkVerifyContract(t, st, row(5), []int{0, 1, 2, 3, 4, 5, 5, 0, 3}, eps2, 1, 5)
+		checkVerifyContract(t, st, row(5), []int{0, 1, 2, 3, 4, 5, 5, 0, 3}, eps2)
 	})
 }

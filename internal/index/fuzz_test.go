@@ -1,11 +1,11 @@
-package index
+package index_test
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/index"
 )
 
 // fuzzPoints decodes a fuzz input into a point set and a radius. data[0]
@@ -51,8 +51,8 @@ func fuzzPoints(data []byte) ([]geom.Point, float64) {
 
 // FuzzBuildRejectsOrAgrees: over any decoded point set — NaN and ±Inf
 // coordinates, mixed dimensionality and radii past the bounding box included
-// — either every kind refuses to build, or every kind builds and answers each
-// id's ε-range query with the neighbour set of the linear scan.
+// — either every kind refuses to build, or every kind builds and every id's
+// ε-neighbourhood over its leaves is the index-free oracle's.
 func FuzzBuildRejectsOrAgrees(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},                          // no points
@@ -76,22 +76,14 @@ func FuzzBuildRejectsOrAgrees(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts, eps := fuzzPoints(data)
-		oracle, err := Build(KindLinear, pts, geom.Euclidean{}, eps)
-		for _, kind := range Kinds() {
-			idx, kerr := Build(kind, pts, geom.Euclidean{}, eps)
+		_, err := index.Build(index.KindLinear, pts, geom.Euclidean{}, eps)
+		for _, kind := range index.Kinds() {
+			idx, kerr := index.Build(kind, pts, geom.Euclidean{}, eps)
 			if (kerr == nil) != (err == nil) {
 				t.Fatalf("%s: build error %v, linear scan's %v", kind, kerr, err)
 			}
-			if err != nil {
-				continue
-			}
-			var want, got []int
-			for i := range pts {
-				want = oracle.RangeAppend(oracle.Point(i), eps, want)
-				got = idx.RangeAppend(oracle.Point(i), eps, got)
-				if w, g := sortedInts(want), sortedInts(got); !reflect.DeepEqual(w, g) {
-					t.Fatalf("%s: id %d at ε %v: neighbours %v, linear scan %v", kind, i, eps, g, w)
-				}
+			if err == nil {
+				checkOracle(t, idx, pts, eps)
 			}
 		}
 	})

@@ -2,19 +2,28 @@ package index
 
 import "github.com/dbdc-go/dbdc/internal/geom"
 
-// Linear is the exhaustive-scan index: every query compares against every
-// row of its store. It has zero build cost and serves as the correctness
-// oracle the tree indexes are property-tested against.
+// Linear is the exhaustive-scan index: all of its store's rows in one leaf,
+// in row order, under the store's bounding box, so a neighbourhood walk
+// verifies every row. It has next to no build cost and serves as the
+// correctness oracle the tree's leaves are property-tested against.
 type Linear struct {
 	store *geom.Store
+	ids   []int
+	box   []float64
 }
 
 // NewLinearStore builds a linear index over the points of a flat store, which
-// it retains: Point(i) serves zero-copy views into it and the scan runs on the
-// fused strided verification kernel (contiguous rows, no pointer chase per
-// point).
+// it retains: Point(i) serves zero-copy views into it.
 func NewLinearStore(st *geom.Store) *Linear {
-	return &Linear{store: st}
+	l := &Linear{store: st, ids: make([]int, st.Len())}
+	for i := range l.ids {
+		l.ids[i] = i
+	}
+	if st.Len() > 0 {
+		r := st.BoundingRect()
+		l.box = append(r.Min, r.Max...)
+	}
+	return l
 }
 
 // Store implements Index.
@@ -26,10 +35,11 @@ func (l *Linear) Len() int { return l.store.Len() }
 // Point implements Index.
 func (l *Linear) Point(i int) geom.Point { return l.store.Point(i) }
 
-// RangeAppend implements Index. It is allocation-free when buf has
-// capacity. The interval verification kernel streams the flat buffer and
-// thresholds in squared space in one pass — identical decisions to testing
-// rows one at a time.
-func (l *Linear) RangeAppend(q geom.Point, eps float64, buf []int) []int {
-	return l.store.VerifyIntervalSq(q, 0, l.store.Len(), eps*eps, buf[:0])
-}
+// NumLeaves implements Index: one leaf, none without rows.
+func (l *Linear) NumLeaves() int { return min(l.store.Len(), 1) }
+
+// Leaf implements Index: every id, in row order, and the store's bounding box.
+func (l *Linear) Leaf(int) ([]int, []float64) { return l.ids, l.box }
+
+// NearLeaves implements Index: the one leaf is near itself.
+func (l *Linear) NearLeaves(_ int, _ float64, near []int32) []int32 { return append(near, 0) }

@@ -1,19 +1,22 @@
-package index
+package index_test
 
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/dbdc-go/dbdc/internal/dbscan"
 	"github.com/dbdc-go/dbdc/internal/geom"
+	"github.com/dbdc-go/dbdc/internal/index"
 )
 
-// pointCloud generates a random point set with a query point and radius,
+// pointCloud generates a random point set with a query id and radius,
 // covering clustered and degenerate layouts.
 type pointCloud struct {
 	pts   []geom.Point
-	query geom.Point
+	query int
 	eps   float64
 }
 
@@ -35,41 +38,31 @@ func (pointCloud) Generate(rng *rand.Rand, size int) reflect.Value {
 		}
 		pts[i] = p
 	}
-	query := make(geom.Point, dim)
-	for d := range query {
-		query[d] = rng.NormFloat64() * 8
-	}
-	return reflect.ValueOf(pointCloud{pts: pts, query: query, eps: rng.Float64() * 5})
+	return reflect.ValueOf(pointCloud{pts: pts, query: rng.Intn(n + 1), eps: rng.Float64() * 5})
 }
 
-// Property (quick variant of the oracle test): every index kind returns
-// exactly the index-free oracle's ε-neighborhood on arbitrary generated clouds,
-// including duplicate-heavy and grid-aligned layouts.
-func TestQuickRangeOracle(t *testing.T) {
-	for _, kind := range Kinds() {
+// Property (quick variant of the oracle test): over every index kind, an
+// id's neighbourhood is exactly the index-free oracle's on arbitrary
+// generated clouds, including duplicate-heavy and grid-aligned layouts.
+func TestQuickNeighboursOracle(t *testing.T) {
+	for _, kind := range index.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			f := func(pc pointCloud) bool {
+				if len(pc.pts) == 0 {
+					return true
+				}
 				if pc.eps <= 0 {
 					pc.eps = 0.5
 				}
-				want := map[int]bool{}
-				for _, i := range oracleRange(pc.pts, pc.query, pc.eps) {
-					want[i] = true
-				}
-				idx, err := Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
+				idx, err := index.Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
 				if err != nil {
 					return false
 				}
-				got := idx.RangeAppend(pc.query, pc.eps, nil)
-				if len(got) != len(want) {
-					return false
-				}
-				for _, i := range got {
-					if !want[i] {
-						return false
-					}
-				}
-				return true
+				q := pc.query % len(pc.pts)
+				want := oracleRange(pc.pts, pc.pts[q], pc.eps)
+				got := dbscan.Neighbours(idx, pc.eps).Of(q, nil)
+				slices.Sort(got)
+				return slices.Equal(got, want)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 				t.Error(err)
@@ -78,35 +71,28 @@ func TestQuickRangeOracle(t *testing.T) {
 	}
 }
 
-// Property: RangeAppend with a dirty reused buffer returns the same result
-// as a fresh Range for every index kind.
-func TestQuickRangeAppendReuse(t *testing.T) {
-	for _, kind := range Kinds() {
+// Property: a neighbourhood handed a dirty reused buffer — stale ids in its
+// length, spare capacity past it — is the one a nil buffer gets, same ids in
+// the same order, for every index kind.
+func TestQuickNeighboursReuse(t *testing.T) {
+	for _, kind := range index.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			f := func(pc pointCloud) bool {
+				if len(pc.pts) == 0 {
+					return true
+				}
 				if pc.eps <= 0 {
 					pc.eps = 0.5
 				}
-				dirty := []int{99, 98, 97}
-				idx, err := Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
+				idx, err := index.Build(kind, pc.pts, geom.Euclidean{}, pc.eps)
 				if err != nil {
 					return false
 				}
-				fresh := idx.RangeAppend(pc.query, pc.eps, nil)
-				reused := idx.RangeAppend(pc.query, pc.eps, dirty)
-				if len(fresh) != len(reused) {
-					return false
-				}
-				seen := map[int]bool{}
-				for _, i := range fresh {
-					seen[i] = true
-				}
-				for _, i := range reused {
-					if !seen[i] {
-						return false
-					}
-				}
-				return true
+				q := pc.query % len(pc.pts)
+				nb := dbscan.Neighbours(idx, pc.eps)
+				fresh := nb.Of(q, nil)
+				dirty := append(make([]int, 0, len(pc.pts)+8), 99, 98, 97)
+				return slices.Equal(nb.Of(q, dirty), fresh)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 				t.Error(err)

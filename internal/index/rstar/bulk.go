@@ -10,13 +10,12 @@ import (
 // with Sort-Tile-Recursive (STR) bulk loading (Leutenegger, Lopez, Edgington
 // 1997): points are tiled into fully packed, minimally overlapping leaves,
 // then the upper levels are packed the same way. Bulk loading is an order of
-// magnitude faster than repeated insertion and yields better query
-// performance, so it is the tree's one build.
+// magnitude faster than repeated insertion and yields less overlapping
+// leaves, so it is the tree's one build.
 //
 // The result is a Packed: one id permutation and, per level, a flat node and
-// bounds array. Its range queries descend those arrays and verify each
-// surviving leaf — a span of the permutation — on the strided Store kernels.
-// It has no pointer nodes and no mutators.
+// bounds array. A leaf is a span of the permutation and its box; the levels
+// above serve NearLeaves. It has no pointer nodes and no mutators.
 //
 // Point(i) serves zero-copy views into the store; the build copies no
 // coordinates, only the routing-level bounds are new floats.
@@ -41,9 +40,9 @@ func NewBulkStore(st *geom.Store, maxEntries int, epsHint ...float64) (*Packed, 
 // never writes. Leaf i owns the point ids perm[first:first+count] of
 // levels[0].spans[i]; a node of levels[l], l > 0, owns that run of
 // levels[l-1]. The root is not stored: it sits one level above the last
-// stored one and owns all of it — all of perm when the points fit a single
-// leaf and levels is empty; rootCount is how many that makes. Concurrent
-// readers need no synchronisation.
+// stored one and owns all of it; rootCount is how many that makes. Points
+// that fit the root are its one leaf, in identity order, and a store without
+// rows has no level and no leaf. Concurrent readers need no synchronisation.
 //
 // near[nearEnd[i]:nearEnd[i+1]] lists the leaves whose box lies within
 // sqrt(nearEps2) of leaf i's box, in a descent's visit order, adjacent ones as
@@ -80,19 +79,7 @@ func (p *Packed) Point(i int) geom.Point { return p.rows.Point(i) }
 // rows, for the tree's lifetime.
 func (p *Packed) Store() *geom.Store { return p.rows }
 
-// RangeAppend returns the indexes of all points within Euclidean distance
-// eps of q, boundary inclusive, written into buf (reused after truncation
-// to zero length), the allocation-free form the DBSCAN inner loop uses.
-// Both the box pruning bound and the leaf verification run in squared
-// space.
-func (p *Packed) RangeAppend(q geom.Point, eps float64, buf []int) []int {
-	if out := p.descend(len(p.levels), 0, p.rootCount, q, eps*eps, buf[:0]); len(out) > 0 {
-		return out
-	}
-	return buf[:0] // nil stays nil: the fused verifiers grow out before they know the verdict
-}
-
-// NumLeaves implements index.Leaves; a root that is the only leaf is none.
+// NumLeaves returns the number of leaves, 0 for a store without rows.
 func (p *Packed) NumLeaves() int {
 	if len(p.levels) == 0 {
 		return 0
@@ -100,14 +87,14 @@ func (p *Packed) NumLeaves() int {
 	return len(p.levels[0].spans)
 }
 
-// Leaf implements index.Leaves: the leaf's span of perm and its bounds.
+// Leaf returns the leaf's span of perm and its bounds.
 func (p *Packed) Leaf(i int) (ids []int, box []float64) {
 	s, w := p.levels[0].spans[i], 2*p.dim
 	return p.perm[s.first : s.first+s.count], p.levels[0].bounds[w*i : w*(i+1)]
 }
 
-// NearLeaves implements index.Leaves by the box-against-box descent, or by
-// the leaf table when it was built for eps: it lists the same leaves.
+// NearLeaves lists the leaves near leaf i by the box-against-box descent, or
+// by the leaf table when it was built for eps: it lists the same leaves.
 func (p *Packed) NearLeaves(i int, eps float64, near []int32) []int32 {
 	if eps*eps != p.nearEps2 {
 		_, box := p.Leaf(i)
@@ -125,7 +112,8 @@ func (p *Packed) NearLeaves(i int, eps float64, near []int32) []int32 {
 // left. Level 0 tiles perm in place over the rows themselves (a point is its
 // own degenerate box); every further level tiles a permutation of the nodes
 // just formed over their bounds, and then moves those nodes into the tiled
-// order so that each parent's children are contiguous.
+// order so that each parent's children are contiguous. Rows that one node can
+// hold are not tiled: they are the one leaf, as they stand.
 func packSTR(st *geom.Store, maxEntries int) *Packed {
 	dim := st.Dim()
 	p := &Packed{rows: st, dim: dim, perm: identity(st.Len()), nearEps2: -1}
@@ -145,13 +133,18 @@ func packSTR(st *geom.Store, maxEntries int) *Packed {
 		tl.boxes, tl.stride, tl.maxOff = lv.bounds, 2*dim, dim
 		order = identity(len(lv.spans))
 	}
+	if len(p.levels) == 0 && len(order) > 0 {
+		lv := packedLevel{spans: []span{{0, int32(len(order))}}, bounds: make([]float64, 2*dim)}
+		tl.bound(order, lv.bounds)
+		p.levels, order = []packedLevel{lv}, order[:1]
+	}
 	p.rootCount = int32(len(order))
 	return p
 }
 
 // linkLeaves builds near for radii up to eps — unless eps is not positive and
-// finite, the root is the only leaf, or near would hold more spans than there
-// are points (many scattered near leaves each: high dimensions, a wide radius).
+// finite, there are no leaves, or near would hold more spans than there are
+// points (many scattered near leaves each: high dimensions, a wide radius).
 func (p *Packed) linkLeaves(eps float64) {
 	if !(eps > 0) || math.IsInf(eps, 1) || len(p.levels) == 0 {
 		return
@@ -191,10 +184,9 @@ func (p *Packed) reach(level int, first, count int32, box []float64, eps2 float6
 	return near
 }
 
-// gapSq is the squared gap from the box [lo, hi] — the point q when both are
-// q — to the box b, Min corner then Max corner: per dimension the distance
-// past b's nearer face, squared and summed in order, the R-tree's pruning
-// bound.
+// gapSq is the squared gap from the box [lo, hi] to the box b, Min corner
+// then Max corner: per dimension the distance past b's nearer face, squared
+// and summed in order, the R-tree's pruning bound.
 func gapSq(lo, hi, b []float64) float64 {
 	var sum float64
 	hi, mn, mx := hi[:len(lo)], b[:len(lo)], b[len(b)/2:][:len(lo)]
@@ -373,45 +365,4 @@ func (tl *tiler) bound(ids []int, out []float64) {
 			}
 		}
 	}
-}
-
-// descend appends the ids within eps2 of q under the children [first,
-// first+count) of a node at the given level, left to right. A child is entered
-// when gapSq of its box — the same operation chain, spelled out for two
-// dimensions — is at most eps2, and a leaf hands its slice of perm to the
-// fused verify kernel.
-func (p *Packed) descend(level int, first, count int32, q geom.Point, eps2 float64, out []int) []int {
-	if level == 0 {
-		return p.rows.VerifyRangeSq(q, p.perm[first:first+count], eps2, out)
-	}
-	lv, w := &p.levels[level-1], 2*p.dim
-	bounds := lv.bounds[w*int(first) : w*int(first+count)]
-	for i := int(first); len(bounds) >= w; i, bounds = i+1, bounds[w:] {
-		b := bounds[:w]
-		var sum float64
-		if len(b) != 4 {
-			sum = gapSq(q, q, b)
-		} else {
-			var d0, d1 float64
-			switch q0 := q[0]; {
-			case q0 < b[0]:
-				d0 = b[0] - q0
-			case q0 > b[2]:
-				d0 = q0 - b[2]
-			}
-			switch q1 := q[1]; {
-			case q1 < b[1]:
-				d1 = b[1] - q1
-			case q1 > b[3]:
-				d1 = q1 - b[3]
-			}
-			sum = d0*d0 + d1*d1
-		}
-		if sum > eps2 {
-			continue
-		}
-		s := lv.spans[i]
-		out = p.descend(level-1, s.first, s.count, q, eps2, out)
-	}
-	return out
 }

@@ -12,11 +12,15 @@ import (
 // per routing entry the bits of its rectangle, per leaf entry its point id)
 // and the node count of every level, root level first — the bytes the pointer
 // nodes materialised from the packed levels produced up to commit 754e8f5.
+// A tree that is one leaf is walked from that leaf: the pointer tree's root.
 func LayoutDigest(t *Packed) (digest string, perLevel []int) {
 	var walked []byte
 	put := func(v uint64) { walked = binary.LittleEndian.AppendUint64(walked, v) }
 	if t.Len() > 0 {
-		top := len(t.levels)
+		top, root := len(t.levels), span{0, t.rootCount}
+		if t.NumLeaves() == 1 {
+			top, root = 0, t.levels[0].spans[0]
+		}
 		perLevel = make([]int, top+1)
 		var walk func(level int, s span)
 		walk = func(level int, s span) {
@@ -39,7 +43,7 @@ func LayoutDigest(t *Packed) (digest string, perLevel []int) {
 				walk(level-1, lv.spans[i])
 			}
 		}
-		walk(top, span{0, t.rootCount})
+		walk(top, root)
 	}
 	sum := sha256.Sum256(walked)
 	return hex.EncodeToString(sum[:]), perLevel

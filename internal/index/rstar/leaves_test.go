@@ -10,16 +10,20 @@ import (
 	"github.com/dbdc-go/dbdc/internal/geom"
 )
 
-// degenerateShapes are the inputs of dbscan's TestRunParallelDifferential a
+// Shape is a point set and the radius it is clustered at.
+type Shape struct {
+	Name string
+	Pts  []geom.Point
+	Eps  float64
+}
+
+// DegenerateShapes are the inputs of dbscan's TestRunParallelDifferential a
 // spatial structure trips over, each with the radius that suite clusters it
 // at: exact duplicates, neighbours at exactly ε, one and eight dimensions, a
 // single location, and an ε that covers the whole bounding box — plus the
-// lattice again under four times its ε.
-func degenerateShapes() []struct {
-	name string
-	pts  []geom.Point
-	eps  float64
-} {
+// lattice again under four times its ε, and a set one leaf of fan-out 32
+// holds.
+func DegenerateShapes() []Shape {
 	rng := rand.New(rand.NewSource(23))
 	var dup, lattice []geom.Point
 	for i := 0; i < 100; i++ {
@@ -55,11 +59,7 @@ func degenerateShapes() []struct {
 		}
 		return pts
 	}
-	return []struct {
-		name string
-		pts  []geom.Point
-		eps  float64
-	}{
+	return []Shape{
 		{"duplicates", dup, 0.5},
 		{"boundary-lattice", lattice, 0.25},
 		{"line-1d", line, 0.5},
@@ -67,6 +67,7 @@ func degenerateShapes() []struct {
 		{"all-identical", same, 0.5},
 		{"eps-covers-bbox", unit(300), 5},
 		{"lattice-wide-eps", lattice, 1}, // at fan-out 4, seven spans a leaf: more than points
+		{"one-leaf", unit(DefaultMaxEntries - 5), 0.3},
 	}
 }
 
@@ -104,16 +105,14 @@ func bruteNear(p *Packed, eps float64) (near [][]int32, listed, runs int) {
 // never holds more spans than there are points — the small-fan-out trees of
 // the lattice under a wide ε, among others, keep none — and lists, where
 // kept, what the box pairs list. A twin built without a radius keeps no
-// table, and is the oracle of the by-point query: at the radius the table was
-// built for, below it, above it and at 0, RangeAppend equals the twin's level
-// walk — ids and order. Fan-out 4 makes trees of five levels and more, where
-// the descent's visit order is not the leaves' index order.
+// table. Fan-out 4 makes trees of five levels and more, where the descent's
+// visit order is not the leaves' index order.
 func TestLeafTableMatchesBoxPairs(t *testing.T) {
 	tables := map[bool]int{}
-	for _, c := range degenerateShapes() {
+	for _, c := range DegenerateShapes() {
 		for _, fanout := range []int{4, DefaultMaxEntries} {
-			st := storeOf(t, c.pts)
-			p, err := NewBulkStore(st, fanout, c.eps)
+			st := storeOf(t, c.Pts)
+			p, err := NewBulkStore(st, fanout, c.Eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,11 +120,11 @@ func TestLeafTableMatchesBoxPairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("%s/M=%d", c.name, fanout)
-			want, listed, runs := bruteNear(p, c.eps)
-			kept, n := p.near != nil, len(c.pts)
+			name := fmt.Sprintf("%s/M=%d", c.Name, fanout)
+			want, listed, runs := bruteNear(p, c.Eps)
+			kept, n := p.near != nil, len(c.Pts)
 			switch {
-			case kept != (p.nearEps2 == c.eps*c.eps), !kept && p.nearEps2 >= 0:
+			case kept != (p.nearEps2 == c.Eps*c.Eps), !kept && p.nearEps2 >= 0:
 				t.Fatalf("%s: table kept: %v, squared radius %v", name, kept, p.nearEps2)
 			case kept && (len(p.near) > n || len(p.near) < runs), !kept && listed <= n, runs > n && kept:
 				t.Fatalf("%s: table kept: %v with %d spans; %d points, %d leaves to list, in %d spans at best", name, kept, len(p.near), n, listed, runs)
@@ -144,15 +143,6 @@ func TestLeafTableMatchesBoxPairs(t *testing.T) {
 			}
 			if twin.near != nil || twin.nearEps2 >= 0 {
 				t.Fatalf("%s: a tree built without a radius has a table", name)
-			}
-			var buf []int
-			for _, eps := range []float64{c.eps, c.eps / 2, 2 * c.eps, 0} {
-				for id := range c.pts {
-					buf = p.RangeAppend(c.pts[id], eps, buf[:0])
-					if want := levelWalk(twin, c.pts[id], eps); !slices.Equal(buf, want) {
-						t.Fatalf("%s: id %d eps %v: by point %v, level walk %v", name, id, eps, buf, want)
-					}
-				}
 			}
 		}
 	}
@@ -184,23 +174,20 @@ func TestNoLeafTableForUnusableRadius(t *testing.T) {
 // built for: no hint, the radius itself, or four times it. Every leaf is
 // listed once, and the leaf itself always.
 func TestNearLeavesMatchBoxPairs(t *testing.T) {
-	for _, c := range degenerateShapes() {
+	for _, c := range DegenerateShapes() {
 		for _, fanout := range []int{4, DefaultMaxEntries} {
-			for _, hint := range []float64{0, c.eps, 4 * c.eps} {
-				tr, err := NewBulkStore(storeOf(t, c.pts), fanout, hint)
+			for _, hint := range []float64{0, c.Eps, 4 * c.Eps} {
+				tr, err := NewBulkStore(storeOf(t, c.Pts), fanout, hint)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tr.NumLeaves() == 0 {
-					continue
-				}
 				var got []int32
-				for _, eps := range []float64{c.eps / 2, c.eps, 2 * c.eps} {
+				for _, eps := range []float64{c.Eps / 2, c.Eps, 2 * c.Eps} {
 					want, _, _ := bruteNear(tr, eps)
 					for i := range tr.NumLeaves() {
 						got = tr.NearLeaves(i, eps, got[:0])
 						if slices.Sort(got); !slices.Equal(got, want[i]) || !slices.Contains(got, int32(i)) {
-							t.Fatalf("%s/M=%d/hint=%v: eps %v leaf %d: %v, box pairs within ε %v", c.name, fanout, hint, eps, i, got, want[i])
+							t.Fatalf("%s/M=%d/hint=%v: eps %v leaf %d: %v, box pairs within ε %v", c.Name, fanout, hint, eps, i, got, want[i])
 						}
 					}
 				}

@@ -1,11 +1,14 @@
 // Package rstar implements the R*-tree of Beckmann, Kriegel, Schneider and
 // Seeger (SIGMOD 1990) specialised to point data. It is the spatial access
-// method the DBDC paper's DBSCAN uses for ε-range queries on vector data. The
-// pipeline's point sets are fixed before they are queried, so the tree is
-// STR-loaded (NewBulkStore) into Packed, its read-only form: one id
-// permutation, per level a span and a box per node, and a descent that
-// prunes subtrees by their boxes' distance bounds. Nothing inserts into or
-// deletes from a tree; incremental DBSCAN keeps its own grid of ε-cells.
+// method the DBDC paper's DBSCAN finds its ε-neighbourhoods with on vector
+// data. The pipeline's point sets are fixed before they are clustered, so the
+// tree is STR-loaded (NewBulkStore) into Packed, its read-only form: one id
+// permutation and per level a span and a box per node. Its leaves — a span of
+// the permutation and a box — are what it offers; the levels above them find
+// the leaves near a leaf, pruning subtrees by their boxes' distance bounds.
+// It answers no region query: dbscan walks the near leaves. Nothing inserts
+// into or deletes from a tree; incremental DBSCAN keeps its own grid of
+// ε-cells.
 package rstar
 
 import "fmt"

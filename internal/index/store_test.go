@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -24,9 +23,9 @@ func testStore(n int, seed int64) *geom.Store {
 }
 
 // TestEuclideanBuildIsStoreBacked pins the invariant this package enforces:
-// a Build from a point slice copies once into a store and answers query for
-// query — ids and order — like BuildStore over the same rows, and BuildStore
-// retains the very store it was handed.
+// a Build from a point slice copies once into a store and lays it out leaf
+// for leaf — ids, order, boxes and near leaves — like BuildStore over the
+// same rows, and BuildStore retains the very store it was handed.
 func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 	st := testStore(400, 8)
 	pts := st.Views()
@@ -47,40 +46,15 @@ func TestEuclideanBuildIsStoreBacked(t *testing.T) {
 			if got := idx.Store(); got == nil || got == st || got.Len() != st.Len() {
 				t.Fatalf("Build is not backed by its own copy of the points (Store = %p)", got)
 			}
-			for i := 0; i < st.Len(); i += 37 {
-				want := storeIdx.RangeAppend(st.Point(i), eps, nil)
-				if got := idx.RangeAppend(pts[i], eps, nil); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Range differs from BuildStore at query %d: %v vs %v", i, got, want)
-				}
+			if idx.NumLeaves() != storeIdx.NumLeaves() {
+				t.Fatalf("%d leaves, BuildStore %d", idx.NumLeaves(), storeIdx.NumLeaves())
 			}
-		})
-	}
-}
-
-// TestRangeEpsBoundary places points exactly ε apart (the 3-4-5 triangle at
-// ε = 5) and on floating-point-awkward offsets (0.1+0.2 against 0.3) and
-// holds every kind to the squared-space verdicts of the index-free oracle.
-// A Euclidean index answering through Distance ≤ eps would flip these.
-func TestRangeEpsBoundary(t *testing.T) {
-	pts := []geom.Point{
-		{0, 0}, {3, 4}, {-3, -4}, {4, -3}, {5, 0}, {0, -5}, {6, 8},
-		{math.Nextafter(5, 6), 0}, {math.Nextafter(5, 0), 0},
-		{0.1 + 0.2, 0}, {0.3, 0}, {0, 0.1 + 0.2}, {0.1, 0.2}, {0.2, 0.1},
-		{1e-8, 0}, {0.6, 0.8}, {1 + 0.1 + 0.2, 0}, {1.3, 0},
-	}
-	radii := []float64{5, 10, 0.3, 0.1 + 0.2, 1, math.Sqrt(0.05), 1e-8}
-	for _, kind := range Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			idx, err := Build(kind, pts, geom.Euclidean{}, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, eps := range radii {
-				for i, q := range pts {
-					want := oracleRange(pts, q, eps)
-					if got := sortedInts(idx.RangeAppend(q, eps, nil)); !reflect.DeepEqual(got, want) {
-						t.Errorf("eps=%v query %d %v: got %v, oracle %v", eps, i, q, got, want)
-					}
+			for i := range idx.NumLeaves() {
+				ids, box := idx.Leaf(i)
+				wantIDs, wantBox := storeIdx.Leaf(i)
+				near, wantNear := idx.NearLeaves(i, eps, nil), storeIdx.NearLeaves(i, eps, nil)
+				if !slices.Equal(ids, wantIDs) || !slices.Equal(box, wantBox) || !slices.Equal(near, wantNear) {
+					t.Fatalf("leaf %d differs from BuildStore: %v %v near %v, vs %v %v near %v", i, ids, box, near, wantIDs, wantBox, wantNear)
 				}
 			}
 		})
@@ -88,7 +62,7 @@ func TestRangeEpsBoundary(t *testing.T) {
 }
 
 // TestBuildRejectsMalformedInput: no input makes any kind panic. An empty
-// set builds an empty index; mixed- and zero-dimensional input and a NaN or
+// set builds an empty index, with no leaves; mixed- and zero-dimensional input and a NaN or
 // ±Inf coordinate are an error from every kind, and a non-finite coordinate's
 // error names its row.
 func TestBuildRejectsMalformedInput(t *testing.T) {
@@ -117,61 +91,71 @@ func TestBuildRejectsMalformedInput(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if idx.Len() != len(in.pts) {
-					t.Fatalf("Len = %d, want %d", idx.Len(), len(in.pts))
-				}
-				if got := idx.RangeAppend(geom.Point{0, 0}, 0.5, nil); len(got) != 0 {
-					t.Fatalf("Range on empty = %v", got)
+				if idx.Len() != len(in.pts) || idx.NumLeaves() != 0 {
+					t.Fatalf("Len = %d, NumLeaves = %d, want %d and none", idx.Len(), idx.NumLeaves(), len(in.pts))
 				}
 			})
 		}
 	}
 }
 
-// TestLeavesOffered: a packed tree of more than one leaf offers its leaves —
-// every id in exactly one, inside that leaf's box, and each leaf near itself
-// at any radius — and a tree that is one leaf, like the linear scan, which
-// has no leaves, offers none.
+// TestLeavesOffered: every kind lays its points out in leaves — every id in
+// exactly one, inside that leaf's box, and each leaf near itself at any
+// radius. The packed tree over 400 rows has many; a tree whose rows fit one
+// node is one leaf, in identity order, like the linear scan.
 func TestLeavesOffered(t *testing.T) {
-	st := testStore(400, 5)
-	packed, err := rstar.NewBulkStore(st, rstar.DefaultMaxEntries, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lv Leaves = packed
-	if lv.NumLeaves() < 2 {
-		t.Fatalf("a packed tree over %d rows offers %d leaves", st.Len(), lv.NumLeaves())
-	}
-	seen := make([]int, st.Len())
-	for i := range lv.NumLeaves() {
-		ids, box := lv.Leaf(i)
-		for _, id := range ids {
-			seen[id]++
-			if p := st.Point(id); p[0] < box[0] || p[0] > box[2] || p[1] < box[1] || p[1] > box[3] {
-				t.Fatalf("id %d lies outside the box %v of its leaf %d", id, box, i)
+	small := testStore(rstar.DefaultMaxEntries, 5)
+	for _, c := range []struct {
+		name    string
+		st      *geom.Store
+		kind    Kind
+		oneLeaf bool
+	}{
+		{"rstar", testStore(400, 5), KindRStar, false},
+		{"rstar-one-leaf", small, KindRStar, true},
+		{"linear", testStore(400, 5), KindLinear, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			idx, err := BuildStore(c.kind, c.st, geom.Euclidean{}, 3)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, eps := range []float64{0, 3, 100} {
-			if near := lv.NearLeaves(i, eps, nil); !slices.Contains(near, int32(i)) {
-				t.Fatalf("leaf %d is not near itself at radius %v: %v", i, eps, near)
+			if one := idx.NumLeaves() == 1; one != c.oneLeaf || idx.NumLeaves() < 1 {
+				t.Fatalf("%d leaves over %d rows", idx.NumLeaves(), c.st.Len())
 			}
-		}
+			if ids, _ := idx.Leaf(0); c.oneLeaf && !slices.Equal(ids, identity(c.st.Len())) {
+				t.Fatalf("the one leaf holds %v, not every id in order", ids)
+			}
+			seen := make([]int, c.st.Len())
+			for i := range idx.NumLeaves() {
+				ids, box := idx.Leaf(i)
+				for _, id := range ids {
+					seen[id]++
+					if p := c.st.Point(id); p[0] < box[0] || p[0] > box[2] || p[1] < box[1] || p[1] > box[3] {
+						t.Fatalf("id %d lies outside the box %v of its leaf %d", id, box, i)
+					}
+				}
+				for _, eps := range []float64{0, 3, 100} {
+					if near := idx.NearLeaves(i, eps, nil); !slices.Contains(near, int32(i)) {
+						t.Fatalf("leaf %d is not near itself at radius %v: %v", i, eps, near)
+					}
+				}
+			}
+			for id, k := range seen {
+				if k != 1 {
+					t.Fatalf("id %d lies in %d leaves", id, k)
+				}
+			}
+		})
 	}
-	for id, k := range seen {
-		if k != 1 {
-			t.Fatalf("id %d lies in %d leaves", id, k)
-		}
+}
+
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	small, err := rstar.NewBulkStore(testStore(rstar.DefaultMaxEntries, 5), rstar.DefaultMaxEntries, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := small.NumLeaves(); k != 0 {
-		t.Fatalf("a tree that is one leaf offers %d", k)
-	}
-	if _, ok := any(NewLinearStore(st)).(Leaves); ok {
-		t.Fatal("the linear scan offers leaves")
-	}
+	return ids
 }
 
 // TestBulkLoadAllocs gates the packed STR build: a handful of arrays per
@@ -189,40 +173,5 @@ func TestBulkLoadAllocs(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Errorf("%.0f allocs per bulk load of 16 000 rows, want <= 64", allocs)
-	}
-}
-
-// TestRangeAppendZeroAlloc is the hot-loop regression gate: once the result
-// buffer has grown to its steady-state capacity, a store-backed range query of
-// any kind must not allocate at all — the property that keeps the OPTICS
-// and pdbscan loops allocation-free per query. No kind keeps per-query
-// scratch, so there is nothing to warm up before counting. Skipped under the
-// race detector, whose instrumentation perturbs allocation accounting.
-func TestRangeAppendZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	st := testStore(2000, 5)
-	const eps = 2.0
-	for _, kind := range Kinds() {
-		idx, err := BuildStore(kind, st, geom.Euclidean{}, eps)
-		if err != nil {
-			t.Fatalf("%s: BuildStore: %v", kind, err)
-		}
-		t.Run(string(kind), func(t *testing.T) {
-			buf := make([]int, 0, st.Len()) // steady-state capacity up front
-			q, returned := 0, 0
-			allocs := testing.AllocsPerRun(100, func() {
-				buf = idx.RangeAppend(st.Point(q%st.Len()), eps, buf)
-				returned += len(buf)
-				q += 131
-			})
-			if allocs != 0 {
-				t.Errorf("%.1f allocs per range query, want 0", allocs)
-			}
-			if returned == 0 {
-				t.Error("the queries returned nothing: the test does not test")
-			}
-		})
 	}
 }

@@ -71,7 +71,10 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 	}
 	var seeds seedQueue
 	// One reused neighborhood buffer: every neighbor list is fully consumed
-	// (coreDist + update) before the next range query overwrites it.
+	// (coreDist + update) before the next neighbourhood overwrites it. The
+	// seed queue breaks reachability ties by object id, so the ordering does
+	// not depend on the order a neighbourhood lists its ids in.
+	nb := dbscan.Neighbours(idx, params.Eps)
 	var nbuf []int
 	for start := 0; start < n; start++ {
 		if processed[start] {
@@ -79,7 +82,7 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 		}
 		// Expand a new connected component from start.
 		processed[start] = true
-		nbuf = idx.RangeAppend(idx.Point(start), params.Eps, nbuf)
+		nbuf = nb.Of(start, nbuf)
 		cd := coreDist(start, nbuf)
 		res.Order = append(res.Order, Entry{Object: start, Reachability: Undefined, CoreDist: cd})
 		seeds = seeds[:0]
@@ -92,16 +95,15 @@ func Run(idx index.Index, params dbscan.Params) (*Result, error) {
 				continue
 			}
 			processed[q.object] = true
-			qNeighbors := idx.RangeAppend(idx.Point(q.object), params.Eps, nbuf)
-			nbuf = qNeighbors
-			qcd := coreDist(q.object, qNeighbors)
+			nbuf = nb.Of(q.object, nbuf)
+			qcd := coreDist(q.object, nbuf)
 			res.Order = append(res.Order, Entry{
 				Object:       q.object,
 				Reachability: reach[q.object],
 				CoreDist:     qcd,
 			})
 			if qcd != Undefined {
-				update(st, q.object, qcd, qNeighbors, processed, reach, &seeds)
+				update(st, q.object, qcd, nbuf, processed, reach, &seeds)
 			}
 		}
 	}

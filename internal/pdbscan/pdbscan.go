@@ -174,9 +174,11 @@ func (s *site) clusterLocally(pts []geom.Point, params dbscan.Params) error {
 	// cluster. A non-core object may have been claimed by a cluster whose
 	// only cores in reach are halo objects — such a label has no anchor on
 	// this site and the merge phase could not connect it, so border status
-	// is re-derived from own cores only; objects without an own-core
-	// anchor become local noise and are adopted through a foreign core in
-	// the merge phase (they necessarily lie in the boundary region).
+	// is re-derived from own cores only: the object takes the cluster of its
+	// lowest-id own core neighbour, as dbscan.Run picks among all. Objects
+	// without an own-core anchor become local noise and are adopted through
+	// a foreign core in the merge phase (they necessarily lie in the
+	// boundary region).
 	for v := 0; v < len(s.own); v++ {
 		gi := viewIdx[v]
 		s.core[gi] = local.Core[v]
@@ -184,6 +186,7 @@ func (s *site) clusterLocally(pts []geom.Point, params dbscan.Params) error {
 			s.labels[gi] = assign(local.Labels[v])
 		}
 	}
+	nb := dbscan.Neighbours(idx, params.Eps)
 	var nbuf []int // reused ε-neighborhood buffer
 	for v := 0; v < len(s.own); v++ {
 		gi := viewIdx[v]
@@ -194,12 +197,15 @@ func (s *site) clusterLocally(pts []geom.Point, params dbscan.Params) error {
 		if local.Labels[v] < 0 {
 			continue
 		}
-		nbuf = idx.RangeAppend(view[v], params.Eps, nbuf)
+		nbuf = nb.Of(v, nbuf)
+		anchor := -1
 		for _, w := range nbuf {
-			if w < len(s.own) && local.Core[w] {
-				s.labels[gi] = assign(local.Labels[w])
-				break
+			if w < len(s.own) && local.Core[w] && (anchor < 0 || viewIdx[w] < viewIdx[anchor]) {
+				anchor = w
 			}
+		}
+		if anchor >= 0 {
+			s.labels[gi] = assign(local.Labels[anchor])
 		}
 	}
 	return nil
@@ -266,13 +272,14 @@ func merge(pts []geom.Point, params dbscan.Params, sites []*site, res *Result, p
 	if err != nil {
 		return err
 	}
+	nb := dbscan.Neighbours(bIdx, params.Eps)
 	var nbuf []int // reused ε-neighborhood buffer
 	for i, b := range boundary {
 		s := sites[b.siteID]
 		if !s.core[b.global] {
 			continue
 		}
-		nbuf = bIdx.RangeAppend(bPts[i], params.Eps, nbuf)
+		nbuf = nb.Of(i, nbuf)
 		for _, j := range nbuf {
 			o := boundary[j]
 			if o.siteID == b.siteID {
@@ -283,18 +290,20 @@ func merge(pts []geom.Point, params dbscan.Params, sites []*site, res *Result, p
 			}
 		}
 	}
-	// Noise boundary objects adjacent to a foreign core become borders.
+	// Noise boundary objects adjacent to a foreign core become borders of
+	// the cluster of the lowest-id one.
 	adopted := make(map[int][2]int32)
 	for i, b := range boundary {
 		if sites[b.siteID].labels[b.global] != cluster.Noise {
 			continue
 		}
-		nbuf = bIdx.RangeAppend(bPts[i], params.Eps, nbuf)
+		nbuf = nb.Of(i, nbuf)
+		anchor := -1
 		for _, j := range nbuf {
 			o := boundary[j]
-			if o.siteID != b.siteID && sites[o.siteID].core[o.global] {
+			if o.siteID != b.siteID && sites[o.siteID].core[o.global] && (anchor < 0 || o.global < anchor) {
+				anchor = o.global
 				adopted[b.global] = keyOf(o.siteID, sites[o.siteID].labels[o.global])
-				break
 			}
 		}
 	}

@@ -176,3 +176,27 @@ func TestDuplicateXCoordinates(t *testing.T) {
 	}
 	checkExact(t, pts, params, res)
 }
+
+// TestBorderTakesLowestIDCore: a border object that two of its site's own
+// clusters reach takes the cluster of its lowest-id core neighbour, as a
+// central run gives it — whatever order its neighbourhood lists them in, and
+// although the cluster of the higher ids lies first along the stripe axis.
+func TestBorderTakesLowestIDCore(t *testing.T) {
+	pts := []geom.Point{
+		{2.0, 0}, {2.1, 0}, {2.2, 0}, {2.3, 0}, // cluster of ids 0-3
+		{-0.3, 0}, {-0.2, 0}, {-0.1, 0}, {0.0, 0}, // cluster of ids 4-7
+		{1.0, 0}, // border object 8, at exactly Eps from ids 0 and 7
+	}
+	params := dbscan.Params{Eps: 1, MinPts: 4}
+	res, err := Run(pts, params, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, pts, params, res)
+	if res.Core[8] || res.Labels[8] != res.Labels[0] || res.Labels[0] == res.Labels[4] {
+		t.Fatalf("labels %v (core %v): border 8 must join the cluster of core 0", res.Labels, res.Core)
+	}
+	if central := central(t, pts, params); !res.Labels.EquivalentTo(central.Labels) {
+		t.Fatalf("labels %v, central %v", res.Labels, central.Labels)
+	}
+}
