@@ -112,6 +112,9 @@ func checkCells(t *testing.T, g *cells, live []bool) {
 			if at := g.at[i]; int(at.list) != c || int(at.pos) != pos {
 				t.Fatalf("slot %d at list %d position %d, recorded (%d, %d)", i, c, pos, at.list, at.pos)
 			}
+			if g.keys[c] != g.key(i) {
+				t.Fatalf("slot %d in list %d keyed %v, its key is %v", i, c, g.keys[c], g.key(i))
+			}
 			if k, ok := g.index[g.key(i)]; !ok || int(k) != c {
 				t.Fatalf("slot %d in list %d, its key maps to %d (%v)", i, c, k, ok)
 			}
@@ -143,6 +146,62 @@ func checkCells(t *testing.T, g *cells, live []bool) {
 			t.Fatalf("free list %d in use", c)
 		}
 	}
+	checkRows(t, g)
+	checkRowQueries(t, g, live)
+}
+
+// checkRows holds every entry of every open list's row of around to the map
+// lookup at that offset from the list's key, or to -1 where no cell is open.
+func checkRows(t *testing.T, g *cells) {
+	t.Helper()
+	if len(g.around) != len(g.lists)*g.width() {
+		t.Fatalf("%d table entries for %d lists of %d", len(g.around), len(g.lists), g.width())
+	}
+	for k, c := range g.index {
+		row, o := g.row(c), 0
+		for dx := int64(-reach); dx <= reach; dx++ {
+			for dy := -g.ry; dy <= g.ry; dy++ {
+				want, ok := g.index[cellKey{k[0] + dx, k[1] + dy}]
+				if !ok {
+					want = -1
+				}
+				if row[o] != want {
+					t.Fatalf("list %d at %v: offset (%d, %d) holds %d, the map %d", c, k, dx, dy, row[o], want)
+				}
+				o++
+			}
+		}
+	}
+}
+
+// checkRowQueries holds each live slot's query through the row of its list
+// to the map walk over the same interval: the same ids in the same order. It
+// returns how many of the queries read the row rather than falling back to
+// the map or to every list.
+func checkRowQueries(t *testing.T, g *cells, live []bool) (tabled int) {
+	t.Helper()
+	for i, ok := range live {
+		if !ok {
+			continue
+		}
+		q := g.rows.Point(i)
+		got, want := g.rangeOf(i, nil), g.rangeAppend(q, g.side, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("slot %d at %v: the row gives %v, the map walk %v", i, q, got, want)
+		}
+		if rowSpan(g, i) {
+			tabled++
+		}
+	}
+	return tabled
+}
+
+// rowSpan reports whether slot i's query reads the row of its list: its
+// interval's keys lie within ±reach of the slot's own key, and it does not
+// visit every list.
+func rowSpan(g *cells, i int) bool {
+	lo, hi, every := g.bounds(g.rows.Point(i), g.side)
+	return !every && g.inRow(g.keys[g.at[i].list], lo, hi)
 }
 
 // checkRange holds a query to the kernel over every live row, as a set.
@@ -448,4 +507,147 @@ func TestCellsKeyClamp(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCellsRowQueries holds every live slot's query through the row of its
+// list to the map walk — same ids, same order — while cells open and close
+// under churn, in one keyed axis, in two and beyond them; on keys clamped
+// near ±1e300; on points exactly on cell edges, where an interval spans four
+// keys; and where one key is many sides. A query reads the row exactly when
+// its keys lie within ±1 of its own, and asks the map otherwise.
+func TestCellsRowQueries(t *testing.T) {
+	for _, dim := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("d=%d", dim), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(55 + dim)))
+			const n = 400
+			side := 0.5 + rng.Float64()
+			g := cellsOf(t, side, normalPoints(rng, n, dim))
+			live, edge := make([]bool, n), make([]bool, n)
+			for i := range live {
+				live[i] = true
+			}
+			for step := range 1500 {
+				i := rng.Intn(n)
+				if live[i] {
+					g.remove(i)
+					live[i] = false
+					continue
+				}
+				p := normalPoints(rng, 1, dim)[0]
+				edge[i] = step%3 == 0
+				if edge[i] {
+					for a := range p {
+						p[a] = math.Round(p[a]/side) * side
+					}
+				}
+				if err := g.admit(p); err != nil {
+					t.Fatal(err)
+				}
+				g.replace(i, p)
+				live[i] = true
+				if step%100 == 99 {
+					checkRows(t, g)
+					checkRowQueries(t, g, live)
+					// A point on an edge is a sliver and asks the map; a
+					// point off the edges reads the row.
+					for i, ok := range live {
+						if ok && rowSpan(g, i) == edge[i] {
+							t.Fatalf("step %d: slot %d at %v on an edge: %v, reads the row: %v", step, i, g.rows.Point(i), edge[i], !edge[i])
+						}
+					}
+				}
+			}
+		})
+	}
+	t.Run("clamped", func(t *testing.T) {
+		pts := withFillers([]geom.Point{
+			{1e300, 0.5}, {1e300, 1.5}, {math.Nextafter(1e300, 0), 0.25}, {-1e300, 3.5},
+			{-1e300, 4.25}, {0.5, 1e300}, {0.5, -1e300}, {1e300, 1e300}, {0.5, 0.5},
+		})
+		g := cellsOf(t, 1, pts)
+		live := make([]bool, len(pts))
+		for i := range live {
+			live[i] = true
+		}
+		checkCells(t, g, live)
+		if tabled := checkRowQueries(t, g, live); tabled != len(pts) {
+			t.Fatalf("%d of %d queries read the row", tabled, len(pts))
+		}
+		if got := g.rangeOf(0, nil); !slices.Equal(got, []int{0, 1}) {
+			t.Fatalf("slot 0 among clamped keys: %v", got)
+		}
+	})
+	t.Run("sliver", func(t *testing.T) {
+		// 3 and 2 lie on cell edges: the interval [3 − r, 3 + r] ends just
+		// past 4 and just short of 2, so its keys run from 1 to 4.
+		pts := withFillers([]geom.Point{{3, 0}, {2, 0}, {4, 0}, {1.5, 0}, {4.5, 0}, {2, 1}, {4, -1}, {3, 0.5}})
+		for _, dim := range []int{1, 2} {
+			rows := make([]geom.Point, len(pts))
+			for i, p := range pts {
+				rows[i] = p[:dim]
+			}
+			g := cellsOf(t, 1, rows)
+			live := make([]bool, len(pts))
+			for i := range live {
+				live[i] = true
+			}
+			checkCells(t, g, live)
+			lo, hi, _ := g.bounds(g.rows.Point(0), g.side)
+			if lo[0] != 1 || hi[0] != 4 || rowSpan(g, 0) {
+				t.Fatalf("d=%d: slot 0 spans keys %d…%d (row read: %v), want the sliver 1…4 through the map", dim, lo[0], hi[0], rowSpan(g, 0))
+			}
+			checkRowQueries(t, g, live)
+			want := [][]int{1: {1, 5, 0, 7, 2, 6}, 2: {1, 0, 7, 2}}[dim]
+			if got := g.rangeOf(0, nil); !slices.Equal(got, want) {
+				t.Fatalf("d=%d: slot 0's sliver query gave %v, want %v", dim, got, want)
+			}
+		}
+	})
+	// Far from the origin one step outward is several keys: at 2⁵⁵ over side
+	// 1 the interval spans −4…+8 keys from its own, at 2⁶⁰ its lower end
+	// falls 128 keys below the clamp; and where cellTiny is several sides,
+	// the interval spans ten keys. Each query asks the map.
+	t.Run("beyond", func(t *testing.T) {
+		cases := []struct {
+			name   string
+			side   float64
+			pts    []geom.Point
+			lo, hi int64 // slot 0's interval, in keys from its own
+		}{
+			{"2^55", 1, withFillers([]geom.Point{{0x1p55}, {0x1p55 - 4}, {0x1p55 + 8}, {0x1p55 + 16}, {0x1p55 - 8}}), -4, 8},
+			{"2^60", 1, withFillers([]geom.Point{{0x1p60}, {0x1p60 - 128}, {0x1p60 + 256}, {0x1p60 - 256}}), -128, 0},
+			{"tiny-side", 3e-161, nil, -5, 4},
+		}
+		for i := range 100 {
+			cases[2].pts = append(cases[2].pts, geom.Point{float64(i) * 1e-160})
+		}
+		for _, tc := range cases {
+			g := cellsOf(t, tc.side, tc.pts)
+			live := make([]bool, len(tc.pts))
+			for i := range live {
+				live[i] = true
+			}
+			checkCells(t, g, live)
+			lo, hi, every := g.bounds(g.rows.Point(0), g.side)
+			k := g.keys[g.at[0].list]
+			if every || rowSpan(g, 0) || lo[0]-k[0] != tc.lo || hi[0]-k[0] != tc.hi {
+				t.Fatalf("%s: slot 0 spans keys %d…%d from its own (every list: %v), want %d…%d through the map", tc.name, lo[0]-k[0], hi[0]-k[0], every, tc.lo, tc.hi)
+			}
+		}
+	})
+}
+
+// withFillers appends to pts two hundred points in cells of their own, far
+// from the rest and off the cell edges at sides 1 and below, so that a query
+// spanning a hundred keys still counts fewer than there are lists and walks
+// its interval.
+func withFillers(pts []geom.Point) []geom.Point {
+	for i := range 200 {
+		p := make(geom.Point, len(pts[0]))
+		for a := range p {
+			p[a] = -1000.5 - 10*float64(i)
+		}
+		pts = append(pts, p)
+	}
+	return pts
 }

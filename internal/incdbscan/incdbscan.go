@@ -11,7 +11,10 @@
 // membership of objects density-reachable from the objects that become core
 // because of p, so the update touches one ε-neighborhood per new core
 // object and nothing else. The neighbourhoods come from a grid of Eps-wide
-// cells over the first two coordinates (cells.go), which keeps the rows.
+// cells over the first two coordinates (cells.go), which keeps the rows;
+// each open cell holds a row of the cells around it, so a query of a live
+// object reaches its cells without a hash lookup unless it lies within
+// a sliver of a cell edge.
 package incdbscan
 
 import (
@@ -126,7 +129,7 @@ func (c *Clusterer) union(a, b cluster.ID) cluster.ID {
 // the shared scratch buffer: valid until the next call.
 func (c *Clusterer) neighborhood(q int) []int {
 	c.queries++
-	c.scratch = c.cells.rangeAppend(c.Point(q), c.params.Eps, c.scratch)
+	c.scratch = c.cells.rangeOf(q, c.scratch)
 	return c.scratch
 }
 

@@ -67,12 +67,12 @@ func newTurner(tb testing.TB, seed int64) *turner {
 
 // widen embeds a 2-d stream in dim dimensions: the extra coordinates are
 // uniform in ±0.05, a shell thin beside Eps, so the discs and the chains
-// stay what they were.
+// stay what they were. At dim 1 it keeps the first coordinate alone.
 func widen(pts []geom.Point, dim int, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]geom.Point, len(pts))
 	for i, p := range pts {
-		out[i] = append(make(geom.Point, 0, dim), p...)
+		out[i] = append(make(geom.Point, 0, dim), p[:min(dim, len(p))]...)
 		for len(out[i]) < dim {
 			out[i] = append(out[i], (rng.Float64()-0.5)*0.1)
 		}
@@ -372,13 +372,14 @@ func TestWindowTurnAllocs(t *testing.T) {
 
 // BenchmarkWindowTurn is the layer's own number for the stream-churn
 // workload: one op is one window step — evict the oldest object, insert the
-// next — at window 512 on the three-disc stream, in two dimensions and
-// embedded in eight.
+// next — at window 512 on the three-disc stream, in two dimensions,
+// embedded in eight, and cut to its first coordinate, where a cell's row of
+// neighbours has three entries instead of nine.
 func BenchmarkWindowTurn(b *testing.B) {
-	for _, dim := range []int{2, 8} {
+	for _, dim := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
 			period := turnStream(1)
-			if dim > 2 {
+			if dim != 2 {
 				period = widen(period, dim, 2)
 			}
 			w := newTurnerOver(b, period)

@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -125,14 +126,21 @@ func TestBulkValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkBulkLoad builds a packed tree over uniform 2-d points: 512 rows
+// is a streaming site's window (one build per upload), 16 000 a round-bulk
+// site.
 func BenchmarkBulkLoad(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomPoints(rng, 100000, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bulkOf(pts); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{128, 512, 16000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			pts := randomPoints(rng, n, 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bulkOf(pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
